@@ -4,13 +4,20 @@ GO ?= go
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzCSR5Tiles FuzzSELLSlices FuzzJDSPerm
 
-.PHONY: build test race vet bench bench-compare fuzz fuzz-smoke serve clean
+.PHONY: build test bench-check race vet bench bench-compare fuzz fuzz-smoke serve clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own module (own go.mod), so `go build ./... && go test
+# ./...` at the root never compiles it: an internal/... API change can break
+# the benchmark with everything else green. This vets it and runs its short
+# tests against the working tree.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 race:
 	$(GO) test -race ./internal/server/... ./internal/convcache/... ./internal/cluster/... ./internal/core/... ./internal/retrain/... ./internal/obs/... ./internal/parallel/... ./internal/sparse/... ./internal/vec/... ./internal/features/... ./internal/arima/... ./internal/gbt/... ./internal/apps/... ./internal/check/...

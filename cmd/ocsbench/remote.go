@@ -37,10 +37,10 @@ func remoteRecords(target string, size, degree int, seed int64, minTime time.Dur
 		for i := range x {
 			x[i] = 1
 		}
-		req := server.SpMVRequest{X: [][]float64{x}}
+		req := server.PanelRequest{X: [][]float64{x}}
 		var spmvErr error
 		ns, iters := measure(minTime, func() {
-			if _, err := sc.SpMV(ctx, info.ID, req); err != nil && spmvErr == nil {
+			if _, err := sc.Panel(ctx, "spmv", info.ID, req); err != nil && spmvErr == nil {
 				spmvErr = err
 			}
 		})

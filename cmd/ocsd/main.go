@@ -14,7 +14,7 @@
 //	GET    /v1/trace/{id}         the handle's decision trace + live T_affected ledger
 //	DELETE /v1/matrices/{id}      unregister
 //	GET    /healthz               liveness (503 while draining)
-//	GET    /metrics               Prometheus text exposition (?format=json for legacy JSON)
+//	GET    /metrics               Prometheus text exposition
 //	GET    /buildinfo             module version, VCS revision, Go version, GOMAXPROCS
 //	GET    /debug/decisions       recent decision traces as JSON (?n= bounds the count)
 //	GET    /debug/retrain         online retrainer status (generation, drift, swaps)

@@ -13,7 +13,7 @@
 //	POST   /v1/matrices/{id}/solve solvers; partitioned handles solve at the router
 //	DELETE /v1/matrices/{id}       unregister everywhere
 //	GET    /healthz                503 when no shard is healthy
-//	GET    /metrics                Prometheus text (?format=json for JSON)
+//	GET    /metrics                Prometheus text exposition
 //
 // Admin:
 //

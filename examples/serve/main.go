@@ -13,11 +13,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -81,9 +83,9 @@ func main() {
 	for i := range x {
 		x[i] = 1
 	}
-	var sr server.SpMVResponse
+	var sr server.PanelResponse
 	if err := post(base, "/v1/matrices/"+info.ID+"/spmv",
-		server.SpMVRequest{X: [][]float64{x, x, x}}, &sr); err != nil {
+		server.PanelRequest{X: [][]float64{x, x, x}}, &sr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("spmv batch of %d served on %s\n", len(sr.Y), sr.Format)
@@ -110,12 +112,31 @@ func main() {
 	fmt.Printf("handle: %d spmv calls, %d solves, selector overhead %.3g s\n",
 		stats.SpMVCalls, stats.SolveCalls,
 		stats.Selector.FeatureSeconds+stats.Selector.PredictSeconds+stats.Selector.ConvertSeconds)
-	var metrics map[string]any
-	if err := get(base, "/metrics?format=json", &metrics); err != nil {
+	// The Prometheus text a scraper would read, parsed with the repo's own
+	// exposition parser.
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
 		log.Fatal(err)
 	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fams, err := obs.ParseText(string(text))
+	if err != nil {
+		log.Fatal(err)
+	}
+	metrics := map[string]float64{}
+	for _, f := range fams {
+		for _, smp := range f.Samples {
+			if len(smp.Labels) == 0 {
+				metrics[smp.Name] = smp.Value
+			}
+		}
+	}
 	fmt.Printf("metrics: requests=%v solve_iterations=%v registry_nnz=%v\n",
-		metrics["requests_total"], metrics["solve_iterations"], metrics["registry_nnz"])
+		metrics["ocsd_requests_total"], metrics["ocsd_solve_iterations_total"], metrics["ocsd_registry_nnz"])
 
 	// Graceful shutdown: drain in-flight work, then close the listener.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -82,17 +82,10 @@ type ShardsResponse struct {
 	Shards []ShardStatus `json:"shards"`
 }
 
-// SpMVResponse is the router's spmv body: the shard response plus which
-// shards actually computed it.
-type SpMVResponse struct {
-	server.SpMVResponse
-	ServedBy []string `json:"served_by"`
-}
-
-// SpMMResponse is the router's spmm body: the shard (or router-gathered)
-// blocked multi-vector product plus which shards computed it.
-type SpMMResponse struct {
-	server.SpMMResponse
+// PanelResponse is the router's spmv/spmm body: the shard (or
+// router-gathered) product plus which shards actually computed it.
+type PanelResponse struct {
+	server.PanelResponse
 	ServedBy []string `json:"served_by"`
 }
 

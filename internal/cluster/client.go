@@ -221,18 +221,11 @@ func (c *ShardClient) Export(ctx context.Context, id string) (server.ExportRespo
 	return exp, err
 }
 
-// SpMV runs a batched (possibly partial-row) multiply on the shard.
-func (c *ShardClient) SpMV(ctx context.Context, id string, req server.SpMVRequest) (server.SpMVResponse, error) {
-	var resp server.SpMVResponse
-	err := c.do(ctx, http.MethodPost, "/v1/matrices/"+url.PathEscape(id)+"/spmv", req, &resp)
-	return resp, err
-}
-
-// SpMM runs a blocked (possibly partial-row) multi-vector product on the
-// shard.
-func (c *ShardClient) SpMM(ctx context.Context, id string, req server.SpMMRequest) (server.SpMMResponse, error) {
-	var resp server.SpMMResponse
-	err := c.do(ctx, http.MethodPost, "/v1/matrices/"+url.PathEscape(id)+"/spmm", req, &resp)
+// Panel runs a batched (possibly partial-row) product on the shard: op
+// "spmv" multiplies the vectors one at a time, "spmm" in one blocked pass.
+func (c *ShardClient) Panel(ctx context.Context, op, id string, req server.PanelRequest) (server.PanelResponse, error) {
+	var resp server.PanelResponse
+	err := c.do(ctx, http.MethodPost, "/v1/matrices/"+url.PathEscape(id)+"/"+op, req, &resp)
 	return resp, err
 }
 

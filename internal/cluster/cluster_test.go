@@ -130,9 +130,9 @@ func oracle(t *testing.T) (y []float64, x []float64, solveX []float64, iters int
 	for i := range x {
 		x[i] = 1 + float64(i%7)/7
 	}
-	var sp server.SpMVResponse
+	var sp server.PanelResponse
 	if code, body := callJSON(t, http.MethodPost, single.ts.URL+"/v1/matrices/"+info.ID+"/spmv",
-		server.SpMVRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
+		server.PanelRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
 		t.Fatalf("oracle spmv: %d %s", code, body)
 	}
 	var sol server.SolveResponse
@@ -173,9 +173,9 @@ func TestRouterWholeHandleMatchesSingleShard(t *testing.T) {
 		t.Error("route carries no structure fingerprint")
 	}
 
-	var sp SpMVResponse
+	var sp PanelResponse
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+info.ID+"/spmv",
-		server.SpMVRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
+		server.PanelRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
 		t.Fatalf("spmv: %d %s", code, body)
 	}
 	if len(sp.ServedBy) != 1 || sp.ServedBy[0] != info.Primary.Shard {
@@ -221,9 +221,9 @@ func TestRouterPartitionedBitAgreement(t *testing.T) {
 		t.Errorf("blocks do not tile [0,%d): %+v", info.Rows, info.Parts)
 	}
 
-	var sp SpMVResponse
+	var sp PanelResponse
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+info.ID+"/spmv",
-		server.SpMVRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
+		server.PanelRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
 		t.Fatalf("spmv: %d %s", code, body)
 	}
 	if len(sp.ServedBy) != 2 {
@@ -279,9 +279,9 @@ func TestRouterFailoverToReplicaOn503(t *testing.T) {
 	}
 	// First read crosses the hot threshold and triggers background
 	// replication; poll until the replica lands.
-	var first SpMVResponse
+	var first PanelResponse
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+info.ID+"/spmv",
-		server.SpMVRequest{X: [][]float64{x}}, &first); code != http.StatusOK {
+		server.PanelRequest{X: [][]float64{x}}, &first); code != http.StatusOK {
 		t.Fatalf("spmv: %d %s", code, body)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -308,9 +308,9 @@ func TestRouterFailoverToReplicaOn503(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		var sp SpMVResponse
+		var sp PanelResponse
 		if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+info.ID+"/spmv",
-			server.SpMVRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
+			server.PanelRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
 			t.Fatalf("spmv with primary down: %d %s", code, body)
 		}
 		if len(sp.ServedBy) != 1 || sp.ServedBy[0] != withReplica.Replicas[0].Shard {
@@ -371,9 +371,9 @@ func TestRouterDrainRebalances(t *testing.T) {
 	}
 
 	// Everything still answers, bit-identically, off the surviving shard.
-	var sp SpMVResponse
+	var sp PanelResponse
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+whole.ID+"/spmv",
-		server.SpMVRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
+		server.PanelRequest{X: [][]float64{x}}, &sp); code != http.StatusOK {
 		t.Fatalf("post-drain spmv: %d %s", code, body)
 	}
 	if !bitEqual(sp.Y[0], wantY) {
@@ -420,7 +420,7 @@ func TestRouterMetricsScrape(t *testing.T) {
 		t.Fatalf("register: %d %s", code, body)
 	}
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+info.ID+"/spmv",
-		server.SpMVRequest{X: [][]float64{x}}, nil); code != http.StatusOK {
+		server.PanelRequest{X: [][]float64{x}}, nil); code != http.StatusOK {
 		t.Fatalf("spmv: %d %s", code, body)
 	}
 

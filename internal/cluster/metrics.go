@@ -161,40 +161,3 @@ func (m *Metrics) Families(shards []*ShardClient, extra ...obs.Family) []obs.Fam
 	fams = append(fams, extra...)
 	return fams
 }
-
-// Snapshot renders the counters as a JSON-ready map (the ?format=json
-// document, mirroring the ocsd convention).
-func (m *Metrics) Snapshot(shards []*ShardClient) map[string]any {
-	byShard := map[string]any{}
-	m.mu.Lock()
-	for n, h := range m.shardSeconds {
-		s := h.Snapshot()
-		byShard[n] = map[string]any{
-			"count": s.Count, "sum": s.Sum, "mean": s.Mean(),
-			"errors": m.shardErrors[n].Load(),
-		}
-	}
-	m.mu.Unlock()
-	health := map[string]bool{}
-	for _, sc := range shards {
-		health[sc.Name()] = sc.Healthy()
-	}
-	return map[string]any{
-		"requests_total":        m.RequestsTotal.Load(),
-		"request_errors":        m.RequestErrors.Load(),
-		"register_requests":     m.RegisterRequests.Load(),
-		"spmv_requests":         m.SpMVRequests.Load(),
-		"spmm_requests":         m.SpMMRequests.Load(),
-		"solve_requests":        m.SolveRequests.Load(),
-		"primary_hits":          m.PrimaryHits.Load(),
-		"replica_hits":          m.ReplicaHits.Load(),
-		"failovers":             m.Failovers.Load(),
-		"replications":          m.Replications.Load(),
-		"replica_aliases":       m.ReplicaAliases.Load(),
-		"rebalances":            m.Rebalances.Load(),
-		"partial_fanouts":       m.PartialFanouts.Load(),
-		"partitioned_registers": m.PartitionedRegs.Load(),
-		"shard_latency":         byShard,
-		"shard_healthy":         health,
-	}
-}

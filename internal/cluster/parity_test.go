@@ -1,0 +1,105 @@
+package cluster
+
+import (
+	"fmt"
+	"net/http"
+	"strings"
+	"testing"
+
+	"repro/internal/server"
+)
+
+// diagMatrix renders an n×n diagonal matrix as Matrix Market text.
+func diagMatrix(diag ...float64) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", len(diag), len(diag), len(diag))
+	for i, v := range diag {
+		fmt.Fprintf(&sb, "%d %d %g\n", i+1, i+1, v)
+	}
+	return sb.String()
+}
+
+// TestTierParityBadRequests sends the same malformed or uncomputable
+// requests to a bare ocsd, to a router whole handle and to a router
+// partitioned handle, and asserts all three answer with the same status: the
+// router shares ocsd's register materializer, solve runner and error
+// mapping, so a client cannot tell the tiers apart by how they say no — and
+// a solver-level refusal (4xx) never burns the router's error budget as a
+// 5xx.
+func TestTierParityBadRequests(t *testing.T) {
+	spd := spdSpec("parity").RegisterRequest
+	negDef := server.RegisterRequest{Name: "negdef", MatrixMarket: diagMatrix(-1, -2, -3, -4)}
+	zeroDiag := server.RegisterRequest{Name: "zerodiag", MatrixMarket: diagMatrix(1, 2, 0, 4)}
+	short := make([]float64, 399)
+	full := make([]float64, 400)
+
+	cases := []struct {
+		name string
+		reg  server.RegisterRequest
+		// path and body of the request against the registered handle; an
+		// empty path means the registration itself is the request under test.
+		path string
+		body any
+		want int
+	}{
+		{"spmv empty x", spd, "/spmv", server.PanelRequest{}, http.StatusBadRequest},
+		{"spmv wrong length", spd, "/spmv", server.PanelRequest{X: [][]float64{short}}, http.StatusBadRequest},
+		{"spmv bad row range", spd, "/spmv", server.PanelRequest{X: [][]float64{full}, RowLo: 50, RowHi: 10}, http.StatusBadRequest},
+		{"spmm empty x", spd, "/spmm", server.PanelRequest{}, http.StatusBadRequest},
+		{"spmm wrong length", spd, "/spmm", server.PanelRequest{X: [][]float64{full, short}}, http.StatusBadRequest},
+		{"spmm bad row range", spd, "/spmm", server.PanelRequest{X: [][]float64{full}, RowLo: 50, RowHi: 10}, http.StatusBadRequest},
+		{"solve b wrong length", spd, "/solve", server.SolveRequest{App: "cg", B: short}, http.StatusBadRequest},
+		{"solve unknown app", spd, "/solve", server.SolveRequest{App: "simplex"}, http.StatusUnprocessableEntity},
+		{"pagerank without transition", spd, "/solve", server.SolveRequest{App: "pagerank"}, http.StatusUnprocessableEntity},
+		{"cg on a non-SPD matrix", negDef, "/solve", server.SolveRequest{App: "cg"}, http.StatusUnprocessableEntity},
+		{"pcg with a zero diagonal", zeroDiag, "/solve", server.SolveRequest{App: "pcg"}, http.StatusUnprocessableEntity},
+		{"jacobi with a zero diagonal", zeroDiag, "/solve", server.SolveRequest{App: "jacobi"}, http.StatusUnprocessableEntity},
+		{"solve past its deadline", spd, "/solve", server.SolveRequest{
+			App: "jacobi", Tol: 1e-300, MaxIters: 1 << 30, TimeoutMillis: 5,
+		}, http.StatusGatewayTimeout},
+		{"generate with dangling", server.RegisterRequest{
+			Generate: spd.Generate, Dangling: make([]bool, 400),
+		}, "", nil, http.StatusBadRequest},
+		{"as_transition with dangling", server.RegisterRequest{
+			MatrixMarket: negDef.MatrixMarket, AsTransition: true, Dangling: make([]bool, 4),
+		}, "", nil, http.StatusBadRequest},
+		{"unknown generate family", server.RegisterRequest{
+			Generate: &server.GenerateSpec{Family: "moebius", Size: 100},
+		}, "", nil, http.StatusBadRequest},
+	}
+
+	bare := newShard(t)
+	_, _, rts := newCluster(t, 2, nil)
+	tiers := []struct {
+		name  string
+		base  string
+		parts int // > 0 registers row-partitioned
+	}{
+		{"ocsd", bare.ts.URL, 0},
+		{"router-whole", rts.URL, 0},
+		{"router-partitioned", rts.URL, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, tier := range tiers {
+				var reg any = tc.reg
+				if tier.parts > 0 {
+					reg = RegisterRequest{RegisterRequest: tc.reg, Partition: &PartitionSpec{Parts: tier.parts}}
+				}
+				var info struct {
+					ID string `json:"id"`
+				}
+				code, body := callJSON(t, http.MethodPost, tier.base+"/v1/matrices", reg, &info)
+				if tc.path != "" {
+					if code != http.StatusCreated {
+						t.Fatalf("%s: register: %d %s", tier.name, code, body)
+					}
+					code, body = callJSON(t, http.MethodPost, tier.base+"/v1/matrices/"+info.ID+tc.path, tc.body, nil)
+				}
+				if code != tc.want {
+					t.Errorf("%s answered %d, want %d like every tier: %s", tier.name, code, tc.want, body)
+				}
+			}
+		})
+	}
+}

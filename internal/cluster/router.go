@@ -2,21 +2,18 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/matgen"
-	"repro/internal/mmio"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/sparse"
@@ -135,19 +132,31 @@ type route struct {
 	solveCalls  int64
 }
 
+// placements snapshots every hosted copy or row block of the handle.
+func (rt *route) placements() []shardRef {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if !rt.partitioned {
+		return append([]shardRef{rt.primary}, rt.replicas...)
+	}
+	refs := make([]shardRef, len(rt.parts))
+	for i, p := range rt.parts {
+		refs[i] = shardRef{shard: p.shard, remoteID: p.remoteID}
+	}
+	return refs
+}
+
 // Router is the routing node: hash ring, shard membership and health,
 // per-handle placement, and the /v1 front-end that speaks the same JSON as
 // ocsd itself.
 type Router struct {
 	cfg     Config
-	log     *slog.Logger
 	metrics *Metrics
 	mux     *http.ServeMux
-	// tracer stores the router-side spans (request envelope + per-shard RPC
-	// spans); slo scores request outcomes; slow keeps the slowest traces.
-	tracer *obs.Tracer
-	slo    *obs.SLOTracker
-	slow   *obs.SlowTraces
+	// env is the request envelope shared with ocsd: the logger, the store of
+	// router-side spans (request envelope + per-shard RPC spans), the SLO
+	// tracker and the /debug/slow ring.
+	env server.Envelope
 
 	mu     sync.Mutex
 	ring   *Ring
@@ -175,18 +184,24 @@ func New(cfg Config) (*Router, error) {
 	if slos == nil {
 		slos = DefaultSLOs()
 	}
+	m := NewMetrics()
 	r := &Router{
 		cfg:     cfg,
-		log:     logger,
-		metrics: NewMetrics(),
+		metrics: m,
 		mux:     http.NewServeMux(),
-		tracer:  obs.NewTracer("ocsrouter", cfg.TraceCapacity),
-		slo:     obs.NewSLOTracker(slos, nil, nil),
-		slow:    obs.NewSlowTraces(cfg.SlowTraceCount),
-		ring:    NewRing(cfg.VNodes),
-		shards:  make(map[string]*ShardClient),
-		routes:  make(map[string]*route),
-		stopCh:  make(chan struct{}),
+		env: server.Envelope{
+			Log:          logger,
+			Tracer:       obs.NewTracer("ocsrouter", cfg.TraceCapacity),
+			SLO:          obs.NewSLOTracker(slos, nil, nil),
+			Slow:         obs.NewSlowTraces(cfg.SlowTraceCount),
+			MaxBodyBytes: cfg.MaxBodyBytes,
+			Requests:     &m.RequestsTotal,
+			Errors:       &m.RequestErrors,
+		},
+		ring:   NewRing(cfg.VNodes),
+		shards: make(map[string]*ShardClient),
+		routes: make(map[string]*route),
+		stopCh: make(chan struct{}),
 	}
 	for _, u := range cfg.Shards {
 		sc, err := NewShardClient(u, cfg.RequestTimeout)
@@ -204,15 +219,15 @@ func New(cfg Config) (*Router, error) {
 	r.mux.HandleFunc("GET /admin/shards", r.handleShards)
 	r.mux.HandleFunc("GET /debug/slow", r.handleSlow)
 	r.mux.HandleFunc("GET /v1/trace/{id}", r.handleTraceTree)
-	r.mux.Handle("POST /admin/shards", r.track("add_shard", r.handleAddShard))
-	r.mux.Handle("POST /admin/drain", r.track("drain", r.handleDrain))
-	r.mux.Handle("POST /v1/matrices", r.track("register", r.handleRegister))
-	r.mux.Handle("GET /v1/matrices", r.track("list", r.handleList))
-	r.mux.Handle("GET /v1/matrices/{id}", r.track("get", r.handleGet))
-	r.mux.Handle("DELETE /v1/matrices/{id}", r.track("delete", r.handleDelete))
-	r.mux.Handle("POST /v1/matrices/{id}/spmv", r.track("spmv", r.handleSpMV))
-	r.mux.Handle("POST /v1/matrices/{id}/spmm", r.track("spmm", r.handleSpMM))
-	r.mux.Handle("POST /v1/matrices/{id}/solve", r.track("solve", r.handleSolve))
+	r.mux.Handle("POST /admin/shards", r.env.Track("add_shard", r.handleAddShard))
+	r.mux.Handle("POST /admin/drain", r.env.Track("drain", r.handleDrain))
+	r.mux.Handle("POST /v1/matrices", r.env.Track("register", r.handleRegister))
+	r.mux.Handle("GET /v1/matrices", r.env.Track("list", r.handleList))
+	r.mux.Handle("GET /v1/matrices/{id}", r.env.Track("get", r.handleGet))
+	r.mux.Handle("DELETE /v1/matrices/{id}", r.env.Track("delete", r.handleDelete))
+	r.mux.Handle("POST /v1/matrices/{id}/spmv", r.env.Track("spmv", r.handlePanel("spmv")))
+	r.mux.Handle("POST /v1/matrices/{id}/spmm", r.env.Track("spmm", r.handlePanel("spmm")))
+	r.mux.Handle("POST /v1/matrices/{id}/solve", r.env.Track("solve", r.handleSolve))
 
 	r.wg.Add(1)
 	go r.healthLoop()
@@ -251,9 +266,9 @@ func (r *Router) healthLoop() {
 				err := sc.Probe(ctx)
 				cancel()
 				if err != nil && wasHealthy {
-					r.log.Warn("shard unhealthy", "shard", sc.Name(), "error", err)
+					r.env.Log.Warn("shard unhealthy", "shard", sc.Name(), "error", err)
 				} else if err == nil && !wasHealthy {
-					r.log.Info("shard recovered", "shard", sc.Name())
+					r.env.Log.Info("shard recovered", "shard", sc.Name())
 				}
 			}
 		}
@@ -297,107 +312,22 @@ func (r *Router) successorClients(key string, n int) []*ShardClient {
 	return append(healthy, rest...)
 }
 
-// ---- plumbing (mirrors the ocsd server's conventions) ----
-
-// traceWriter decorates the response writer with the request-scoped logger
-// (carrying trace_id) and the final status code, mirroring the ocsd server.
-type traceWriter struct {
-	http.ResponseWriter
-	status int
-	log    *slog.Logger
-}
-
-func (tw *traceWriter) WriteHeader(code int) {
-	if tw.status == 0 {
-		tw.status = code
-	}
-	tw.ResponseWriter.WriteHeader(code)
-}
-
-func (tw *traceWriter) Write(b []byte) (int, error) {
-	if tw.status == 0 {
-		tw.status = http.StatusOK
-	}
-	return tw.ResponseWriter.Write(b)
-}
-
-// reqLog returns the request-scoped logger when w was wrapped by track, the
-// base logger otherwise.
-func (r *Router) reqLog(w http.ResponseWriter) *slog.Logger {
-	if tw, ok := w.(*traceWriter); ok {
-		return tw.log
-	}
-	return r.log
-}
-
-// track wraps a /v1 handler with the observability envelope: a router span
-// is opened (joining the caller's OCS-Trace context when present), the
-// context is echoed back and threaded through the request context — every
-// shard round trip under it emits an rpc.* child span and propagates the
-// trace to the shard — and the outcome is scored against the endpoint SLO.
-func (r *Router) track(endpoint string, h http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		r.metrics.RequestsTotal.Add(1)
-		parent, _ := obs.ParseTraceHeader(req.Header.Get(obs.TraceHeader))
-		sp := r.tracer.StartSpan("ocsrouter."+endpoint, parent)
-		sp.SetAttr("path", req.URL.Path)
-		sc := sp.Context()
-		w.Header().Set(obs.TraceHeader, sc.Header())
-		tw := &traceWriter{ResponseWriter: w, log: r.log.With("trace_id", sc.Trace.String())}
-		req = req.WithContext(obs.ContextWithSpan(req.Context(), sc))
-		req.Body = http.MaxBytesReader(tw, req.Body, r.cfg.MaxBodyBytes)
-		h(tw, req)
-		if tw.status == 0 {
-			tw.status = http.StatusOK
-		}
-		sp.SetAttr("status", strconv.Itoa(tw.status))
-		secs := sp.End()
-		failed := tw.status >= 500
-		r.slo.Record(endpoint, secs, failed)
-		r.slow.Offer(obs.SlowTrace{Trace: sc.Trace, Endpoint: endpoint, Seconds: secs, Start: sp.StartTime()})
-		if obj, ok := r.slo.Objective(endpoint); ok && (failed || secs > obj.LatencyTarget) {
-			tw.log.Warn("request breached SLO",
-				"endpoint", endpoint, "status", tw.status,
-				"seconds", secs, "target_seconds", obj.LatencyTarget)
-		}
-	})
-}
-
-func (r *Router) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (r *Router) fail(w http.ResponseWriter, code int, format string, args ...any) {
-	r.metrics.RequestErrors.Add(1)
-	msg := fmt.Sprintf(format, args...)
-	if code >= 500 {
-		r.reqLog(w).Warn("request failed", "status", code, "error", msg)
-	}
-	r.writeJSON(w, code, map[string]string{"error": msg})
-}
+// ---- plumbing ----
 
 // failShard maps a shard round-trip error onto the router's response: shard
-// HTTP statuses pass through (a 404/400 means the same thing one hop up),
-// transport failures become 502.
+// HTTP statuses pass through (a 404/400 means the same thing one hop up), a
+// round trip cut short by the request's deadline or cancellation is 504 like
+// ocsd's own expired work, and other transport failures become 502.
 func (r *Router) failShard(w http.ResponseWriter, err error) {
 	var se *StatusError
-	if errors.As(err, &se) {
-		r.fail(w, se.Code, "%s", se.Msg)
-		return
+	switch {
+	case errors.As(err, &se):
+		r.env.Fail(w, se.Code, "%s", se.Msg)
+	case server.WorkStatus(err) == http.StatusGatewayTimeout:
+		r.env.Fail(w, http.StatusGatewayTimeout, "%v", err)
+	default:
+		r.env.Fail(w, http.StatusBadGateway, "shard unreachable: %v", err)
 	}
-	r.fail(w, http.StatusBadGateway, "shard unreachable: %v", err)
-}
-
-func (r *Router) decode(w http.ResponseWriter, req *http.Request, v any) bool {
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		r.fail(w, http.StatusBadRequest, "decoding request body: %v", err)
-		return false
-	}
-	return true
 }
 
 func (r *Router) lookup(w http.ResponseWriter, req *http.Request) (*route, bool) {
@@ -406,7 +336,7 @@ func (r *Router) lookup(w http.ResponseWriter, req *http.Request) (*route, bool)
 	rt, ok := r.routes[id]
 	r.mu.Unlock()
 	if !ok {
-		r.fail(w, http.StatusNotFound, "no matrix %q", id)
+		r.env.Fail(w, http.StatusNotFound, "no matrix %q", id)
 		return nil, false
 	}
 	return rt, true
@@ -421,7 +351,7 @@ func (r *Router) lookup(w http.ResponseWriter, req *http.Request) (*route, bool)
 func callShard[T any](r *Router, ctx context.Context, op string, sc *ShardClient, f func(context.Context) (T, error)) (T, error) {
 	var sp *obs.ActiveSpan
 	if parent, ok := obs.SpanFromContext(ctx); ok {
-		sp = r.tracer.StartSpan("rpc."+op, parent)
+		sp = r.env.Tracer.StartSpan("rpc."+op, parent)
 		sp.SetAttr("shard", sc.Name())
 		ctx = obs.ContextWithSpan(ctx, sp.Context())
 	}
@@ -458,19 +388,11 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "no healthy shards"
 	}
-	r.writeJSON(w, status, map[string]any{"status": state, "shards": len(shards), "healthy": healthy})
+	r.env.WriteJSON(w, status, map[string]any{"status": state, "shards": len(shards), "healthy": healthy})
 }
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	shards := r.shardList()
-	if req.URL.Query().Get("format") == "json" {
-		snap := r.metrics.Snapshot(shards)
-		r.mu.Lock()
-		snap["handles"] = len(r.routes)
-		r.mu.Unlock()
-		r.writeJSON(w, http.StatusOK, snap)
-		return
-	}
 	r.mu.Lock()
 	handles := len(r.routes)
 	members := len(r.ring.Members())
@@ -481,13 +403,13 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		obs.ScalarFamily("ocsrouter_handles", "Global handles currently routed.", obs.KindGauge, float64(handles)),
 		obs.ScalarFamily("ocsrouter_ring_members", "Shards currently on the hash ring.", obs.KindGauge, float64(members)),
 	}
-	extra = append(extra, r.slo.Families("ocsrouter")...)
+	extra = append(extra, r.env.SLO.Families("ocsrouter")...)
 	_ = obs.WriteText(w, r.metrics.Families(shards, extra...))
 }
 
 // handleSlow serves the ring of slowest router requests, slowest first.
 func (r *Router) handleSlow(w http.ResponseWriter, req *http.Request) {
-	r.writeJSON(w, http.StatusOK, SlowResponse{Slowest: r.slow.List()})
+	r.env.WriteJSON(w, http.StatusOK, SlowResponse{Slowest: r.env.Slow.List()})
 }
 
 // handleTraceTree assembles the cross-process span tree for one trace ID:
@@ -498,10 +420,10 @@ func (r *Router) handleSlow(w http.ResponseWriter, req *http.Request) {
 func (r *Router) handleTraceTree(w http.ResponseWriter, req *http.Request) {
 	trace, err := obs.ParseTraceID(req.PathValue("id"))
 	if err != nil {
-		r.fail(w, http.StatusBadRequest, "bad trace id: %v", err)
+		r.env.Fail(w, http.StatusBadRequest, "bad trace id: %v", err)
 		return
 	}
-	spans := r.tracer.Spans(trace)
+	spans := r.env.Tracer.Spans(trace)
 	var fetched []string
 	for _, sc := range r.shardList() {
 		if !sc.Healthy() && !sc.Draining() {
@@ -519,10 +441,10 @@ func (r *Router) handleTraceTree(w http.ResponseWriter, req *http.Request) {
 		spans = append(spans, resp.Spans...)
 	}
 	if len(spans) == 0 {
-		r.fail(w, http.StatusNotFound, "no spans for trace %s (evicted or never seen)", trace)
+		r.env.Fail(w, http.StatusNotFound, "no spans for trace %s (evicted or never seen)", trace)
 		return
 	}
-	r.writeJSON(w, http.StatusOK, TraceTreeResponse{
+	r.env.WriteJSON(w, http.StatusOK, TraceTreeResponse{
 		Trace:  trace.String(),
 		Spans:  len(spans),
 		Shards: fetched,
@@ -534,18 +456,9 @@ func (r *Router) shardStatuses() []ShardStatus {
 	counts := map[string]int{}
 	r.mu.Lock()
 	for _, rt := range r.routes {
-		rt.mu.Lock()
-		if rt.partitioned {
-			for _, p := range rt.parts {
-				counts[p.shard.Name()]++
-			}
-		} else {
-			counts[rt.primary.shard.Name()]++
-			for _, rep := range rt.replicas {
-				counts[rep.shard.Name()]++
-			}
+		for _, ref := range rt.placements() {
+			counts[ref.shard.Name()]++
 		}
-		rt.mu.Unlock()
 	}
 	r.mu.Unlock()
 	var out []ShardStatus
@@ -562,7 +475,7 @@ func (r *Router) shardStatuses() []ShardStatus {
 }
 
 func (r *Router) handleShards(w http.ResponseWriter, req *http.Request) {
-	r.writeJSON(w, http.StatusOK, ShardsResponse{Shards: r.shardStatuses()})
+	r.env.WriteJSON(w, http.StatusOK, ShardsResponse{Shards: r.shardStatuses()})
 }
 
 // handleAddShard grows the membership: new registrations hash onto the new
@@ -571,18 +484,18 @@ func (r *Router) handleShards(w http.ResponseWriter, req *http.Request) {
 // on their next registration, not retroactively).
 func (r *Router) handleAddShard(w http.ResponseWriter, req *http.Request) {
 	var body AddShardRequest
-	if !r.decode(w, req, &body) {
+	if !r.env.Decode(w, req, &body) {
 		return
 	}
 	sc, err := NewShardClient(body.Shard, r.cfg.RequestTimeout)
 	if err != nil {
-		r.fail(w, http.StatusBadRequest, "%v", err)
+		r.env.Fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	r.mu.Lock()
 	if _, dup := r.shards[sc.Name()]; dup {
 		r.mu.Unlock()
-		r.fail(w, http.StatusConflict, "shard %s already a member", sc.Name())
+		r.env.Fail(w, http.StatusConflict, "shard %s already a member", sc.Name())
 		return
 	}
 	r.shards[sc.Name()] = sc
@@ -591,88 +504,33 @@ func (r *Router) handleAddShard(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := context.WithTimeout(req.Context(), r.cfg.ProbeInterval)
 	defer cancel()
 	_ = sc.Probe(ctx)
-	r.log.Info("shard added", "shard", sc.Name(), "healthy", sc.Healthy())
-	r.writeJSON(w, http.StatusCreated, ShardsResponse{Shards: r.shardStatuses()})
+	r.env.Log.Info("shard added", "shard", sc.Name(), "healthy", sc.Healthy())
+	r.env.WriteJSON(w, http.StatusCreated, ShardsResponse{Shards: r.shardStatuses()})
 }
 
 func (r *Router) newID() string {
 	return fmt.Sprintf("g%d", r.nextID.Add(1))
 }
 
-// parseGenFamily resolves a matgen family by name (the router materializes
-// generated matrices itself when it must partition them).
-func parseGenFamily(name string) (matgen.Family, error) {
-	for _, f := range matgen.AllFamilies {
-		if f.String() == strings.ToLower(name) {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown family %q", name)
-}
-
-// materialize builds the CSR (and transition state) a registration
-// describes, mirroring the shard-side logic so partitioned placement sees
-// exactly the operator a single shard would have registered.
-func materialize(req RegisterRequest) (csr *sparse.CSR, dangling []bool, err error) {
-	switch {
-	case req.MatrixMarket != "" && req.Generate != nil:
-		return nil, nil, fmt.Errorf("matrix_market and generate are mutually exclusive")
-	case req.MatrixMarket != "":
-		name := req.Name
-		if name == "" {
-			name = "upload"
-		}
-		csr, err = mmio.ReadNamed(strings.NewReader(req.MatrixMarket), name)
-	case req.Generate != nil:
-		var fam matgen.Family
-		fam, err = parseGenFamily(req.Generate.Family)
-		if err == nil {
-			csr, err = matgen.Generate(matgen.Spec{
-				Name: req.Name, Family: fam, Size: req.Generate.Size,
-				Degree: req.Generate.Degree, Seed: req.Generate.Seed,
-			})
-		}
-	default:
-		return nil, nil, fmt.Errorf("one of matrix_market or generate is required")
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	switch {
-	case req.AsTransition && req.Dangling != nil:
-		return nil, nil, fmt.Errorf("as_transition and dangling are mutually exclusive")
-	case req.AsTransition:
-		csr, dangling, err = apps.BuildTransition(csr)
-		if err != nil {
-			return nil, nil, err
-		}
-	case req.Dangling != nil:
-		rows, _ := csr.Dims()
-		if len(req.Dangling) != rows {
-			return nil, nil, fmt.Errorf("dangling has %d flags, matrix has %d rows", len(req.Dangling), rows)
-		}
-		dangling = req.Dangling
-	}
-	return csr, dangling, nil
-}
-
 func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	var body RegisterRequest
-	if !r.decode(w, req, &body) {
+	if !r.env.Decode(w, req, &body) {
 		return
 	}
 	r.metrics.RegisterRequests.Add(1)
 
-	// Only materialize the matrix router-side when a partitioning decision
-	// needs its geometry; plain registrations stream through to one shard.
+	// Only materialize the matrix router-side (with the shard's own
+	// server.Materialize, so both tiers accept and build the same operator)
+	// when a partitioning decision needs its geometry; plain registrations
+	// stream through to one shard.
 	wantParts := 0
 	var csr *sparse.CSR
 	var dangling []bool
 	if body.Partition != nil || r.cfg.PartitionMaxNNZ > 0 {
 		var err error
-		csr, dangling, err = materialize(body)
+		csr, dangling, err = server.Materialize(body.RegisterRequest)
 		if err != nil {
-			r.fail(w, http.StatusBadRequest, "%v", err)
+			r.env.Fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		switch {
@@ -696,7 +554,7 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 func (r *Router) registerWhole(w http.ResponseWriter, req *http.Request, id string, body RegisterRequest) {
 	candidates := r.successorClients(id, len(r.shardList()))
 	if len(candidates) == 0 {
-		r.fail(w, http.StatusServiceUnavailable, "no shards available")
+		r.env.Fail(w, http.StatusServiceUnavailable, "no shards available")
 		return
 	}
 	var info server.MatrixInfo
@@ -733,11 +591,11 @@ func (r *Router) registerWhole(w http.ResponseWriter, req *http.Request, id stri
 		primary:     shardRef{shard: sc, remoteID: info.ID},
 	}
 	r.insertRoute(rt)
-	r.log.Info("matrix routed", "id", id, "shard", sc.Name(), "remote_id", info.ID,
+	r.env.Log.Info("matrix routed", "id", id, "shard", sc.Name(), "remote_id", info.ID,
 		"nnz", info.NNZ, "fingerprint", info.Fingerprint, "duplicate_of", rt.duplicateOf)
 	out := r.routeInfo(rt)
 	out.Handles = []server.MatrixInfo{info}
-	r.writeJSON(w, http.StatusCreated, out)
+	r.env.WriteJSON(w, http.StatusCreated, out)
 }
 
 // registerPartitioned cuts the matrix into nnz-balanced row blocks and
@@ -752,12 +610,12 @@ func (r *Router) registerPartitioned(w http.ResponseWriter, req *http.Request, i
 		}
 	}
 	if len(healthy) == 0 {
-		r.fail(w, http.StatusServiceUnavailable, "no healthy shards for partitioned placement")
+		r.env.Fail(w, http.StatusServiceUnavailable, "no healthy shards for partitioned placement")
 		return
 	}
 	blocks, err := PartitionRows(csr, wantParts)
 	if err != nil {
-		r.fail(w, http.StatusBadRequest, "%v", err)
+		r.env.Fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	rows, cols := csr.Dims()
@@ -778,7 +636,7 @@ func (r *Router) registerPartitioned(w http.ResponseWriter, req *http.Request, i
 		text, merr := MarshalBlock(b)
 		if merr != nil {
 			cleanup()
-			r.fail(w, http.StatusInternalServerError, "serializing block: %v", merr)
+			r.env.Fail(w, http.StatusInternalServerError, "serializing block: %v", merr)
 			return
 		}
 		breq := server.RegisterRequest{
@@ -818,9 +676,9 @@ func (r *Router) registerPartitioned(w http.ResponseWriter, req *http.Request, i
 	for i, p := range parts {
 		shardsUsed[i] = p.shard.Name()
 	}
-	r.log.Info("matrix partitioned", "id", id, "parts", len(parts), "shards", shardsUsed,
+	r.env.Log.Info("matrix partitioned", "id", id, "parts", len(parts), "shards", shardsUsed,
 		"nnz", rt.nnz, "fingerprint", rt.fingerprint)
-	r.writeJSON(w, http.StatusCreated, r.routeInfo(rt))
+	r.env.WriteJSON(w, http.StatusCreated, r.routeInfo(rt))
 }
 
 // insertRoute records the route, tagging structure duplicates (same
@@ -881,7 +739,7 @@ func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 	for _, rt := range rts {
 		resp.Matrices = append(resp.Matrices, r.routeInfo(rt))
 	}
-	r.writeJSON(w, http.StatusOK, resp)
+	r.env.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (r *Router) handleGet(w http.ResponseWriter, req *http.Request) {
@@ -892,18 +750,7 @@ func (r *Router) handleGet(w http.ResponseWriter, req *http.Request) {
 	info := r.routeInfo(rt)
 	// Pull the shard-side stats for every placement so the caller sees the
 	// full ledger: each copy's selector state and paid/hidden overhead.
-	rt.mu.Lock()
-	refs := make([]shardRef, 0, 4)
-	if rt.partitioned {
-		for _, p := range rt.parts {
-			refs = append(refs, shardRef{shard: p.shard, remoteID: p.remoteID})
-		}
-	} else {
-		refs = append(refs, rt.primary)
-		refs = append(refs, rt.replicas...)
-	}
-	rt.mu.Unlock()
-	for _, ref := range refs {
+	for _, ref := range rt.placements() {
 		ref := ref
 		mi, err := callShard(r, req.Context(), "get", ref.shard, func(ctx context.Context) (server.MatrixInfo, error) {
 			return ref.shard.Get(ctx, ref.remoteID)
@@ -913,7 +760,7 @@ func (r *Router) handleGet(w http.ResponseWriter, req *http.Request) {
 		}
 		info.Handles = append(info.Handles, mi)
 	}
-	r.writeJSON(w, http.StatusOK, info)
+	r.env.WriteJSON(w, http.StatusOK, info)
 }
 
 func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
@@ -925,21 +772,10 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 	}
 	r.mu.Unlock()
 	if !ok {
-		r.fail(w, http.StatusNotFound, "no matrix %q", id)
+		r.env.Fail(w, http.StatusNotFound, "no matrix %q", id)
 		return
 	}
-	rt.mu.Lock()
-	refs := make([]shardRef, 0, 4)
-	if rt.partitioned {
-		for _, p := range rt.parts {
-			refs = append(refs, shardRef{shard: p.shard, remoteID: p.remoteID})
-		}
-	} else {
-		refs = append(refs, rt.primary)
-		refs = append(refs, rt.replicas...)
-	}
-	rt.mu.Unlock()
-	for _, ref := range refs {
+	for _, ref := range rt.placements() {
 		ref := ref
 		_, _ = callShard(r, req.Context(), "delete", ref.shard, func(ctx context.Context) (struct{}, error) {
 			return struct{}{}, ref.shard.Delete(ctx, ref.remoteID)
@@ -948,40 +784,24 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// ---- spmv ----
+// ---- spmv / spmm ----
 
-// spmvCopies returns the copies to try in order: healthy copies rotated by
-// the round-robin cursor (so replicas genuinely share fan-out load), then
-// unhealthy ones as a last resort.
-func (rt *route) spmvCopies() (attempts []shardRef, primary shardRef) {
+// copies returns a whole handle's copies in the order to try them: healthy
+// ones first, unhealthy ones as a last resort. Reads (rotate) start from the
+// round-robin cursor so replicas genuinely share fan-out load; solves start
+// from the primary, whose selector accumulates the handle's solve history,
+// and fall back to replicas only on failure.
+func (rt *route) copies(rotate bool) (attempts []shardRef, primary shardRef) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	all := make([]shardRef, 0, 1+len(rt.replicas))
 	all = append(all, rt.primary)
 	all = append(all, rt.replicas...)
-	start := rt.rr % len(all)
-	rt.rr++
-	rot := append(append(make([]shardRef, 0, len(all)), all[start:]...), all[:start]...)
-	healthy := make([]shardRef, 0, len(rot))
-	var rest []shardRef
-	for _, ref := range rot {
-		if ref.shard.Healthy() {
-			healthy = append(healthy, ref)
-		} else {
-			rest = append(rest, ref)
-		}
+	if rotate {
+		start := rt.rr % len(all)
+		rt.rr++
+		all = slices.Concat(all[start:], all[:start])
 	}
-	return append(healthy, rest...), rt.primary
-}
-
-// solveCopies prefers the primary (its selector accumulates the handle's
-// solve history), falling back to replicas only on failure.
-func (rt *route) solveCopies() (attempts []shardRef, primary shardRef) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	all := make([]shardRef, 0, 1+len(rt.replicas))
-	all = append(all, rt.primary)
-	all = append(all, rt.replicas...)
 	healthy := make([]shardRef, 0, len(all))
 	var rest []shardRef
 	for _, ref := range all {
@@ -994,94 +814,105 @@ func (rt *route) solveCopies() (attempts []shardRef, primary shardRef) {
 	return append(healthy, rest...), rt.primary
 }
 
-func (r *Router) handleSpMV(w http.ResponseWriter, req *http.Request) {
-	rt, ok := r.lookup(w, req)
-	if !ok {
-		return
+// handlePanel routes /spmv and /spmm (op names the endpoint): a whole handle
+// forwards the request to one of its copies, a partitioned handle fans it
+// out over the row blocks and gathers the product.
+func (r *Router) handlePanel(op string) http.HandlerFunc {
+	requests, seconds := &r.metrics.SpMVRequests, r.metrics.SpMVSeconds
+	if op == "spmm" {
+		requests, seconds = &r.metrics.SpMMRequests, r.metrics.SpMMSeconds
 	}
-	var body server.SpMVRequest
-	if !r.decode(w, req, &body) {
-		return
-	}
-	if len(body.X) == 0 {
-		r.fail(w, http.StatusBadRequest, "x must hold at least one vector")
-		return
-	}
-	for i, x := range body.X {
-		if len(x) != rt.cols {
-			r.fail(w, http.StatusBadRequest, "x[%d] has length %d, matrix has %d columns", i, len(x), rt.cols)
+	return func(w http.ResponseWriter, req *http.Request) {
+		rt, ok := r.lookup(w, req)
+		if !ok {
 			return
 		}
-	}
-	r.metrics.SpMVRequests.Add(1)
-	start := time.Now()
-	traceHex := ""
-	if sc, ok := obs.SpanFromContext(req.Context()); ok {
-		traceHex = sc.Trace.String()
-	}
-	defer func() { r.metrics.SpMVSeconds.ObserveExemplar(time.Since(start).Seconds(), traceHex) }()
-
-	if rt.partitioned {
-		if body.RowLo != 0 || body.RowHi != 0 {
-			r.fail(w, http.StatusBadRequest, "row_lo/row_hi are not supported on partitioned handles")
+		var body server.PanelRequest
+		if !r.env.Decode(w, req, &body) {
 			return
 		}
-		ys, served, err := r.gather(req.Context(), rt, body.X, body.Progress)
-		if err != nil {
-			r.failShard(w, err)
+		if len(body.X) == 0 {
+			r.env.Fail(w, http.StatusBadRequest, "x must hold at least one vector")
 			return
 		}
-		rt.mu.Lock()
-		rt.spmvCalls += int64(len(body.X))
-		rt.mu.Unlock()
-		r.writeJSON(w, http.StatusOK, SpMVResponse{
-			SpMVResponse: server.SpMVResponse{Y: ys, Format: "distributed"},
-			ServedBy:     served,
-		})
-		return
-	}
-
-	attempts, primary := rt.spmvCopies()
-	var lastErr error
-	for i, ref := range attempts {
-		if i > 0 {
-			r.metrics.Failovers.Add(1)
-		}
-		ref := ref
-		resp, err := callShard(r, req.Context(), "spmv", ref.shard, func(ctx context.Context) (server.SpMVResponse, error) {
-			return ref.shard.SpMV(ctx, ref.remoteID, body)
-		})
-		if err != nil {
-			lastErr = err
-			if !Retryable(err) {
-				break
+		for i, x := range body.X {
+			if len(x) != rt.cols {
+				r.env.Fail(w, http.StatusBadRequest, "x[%d] has length %d, matrix has %d columns", i, len(x), rt.cols)
+				return
 			}
-			continue
 		}
-		if ref.shard == primary.shard && ref.remoteID == primary.remoteID {
-			r.metrics.PrimaryHits.Add(1)
-		} else {
-			r.metrics.ReplicaHits.Add(1)
+		requests.Add(1)
+		start := time.Now()
+		traceHex := ""
+		if sc, ok := obs.SpanFromContext(req.Context()); ok {
+			traceHex = sc.Trace.String()
 		}
-		rt.mu.Lock()
-		rt.spmvCalls += int64(len(body.X))
-		rt.mu.Unlock()
-		r.maybeReplicate(rt)
-		r.writeJSON(w, http.StatusOK, SpMVResponse{SpMVResponse: resp, ServedBy: []string{ref.shard.Name()}})
-		return
+		defer func() { seconds.ObserveExemplar(time.Since(start).Seconds(), traceHex) }()
+
+		if rt.partitioned {
+			if body.RowLo != 0 || body.RowHi != 0 {
+				r.env.Fail(w, http.StatusBadRequest, "row_lo/row_hi are not supported on partitioned handles")
+				return
+			}
+			ys, served, err := r.gather(req.Context(), rt, op, body.X, body.Progress)
+			if err != nil {
+				r.failShard(w, err)
+				return
+			}
+			rt.mu.Lock()
+			rt.spmvCalls += int64(len(body.X))
+			rt.mu.Unlock()
+			resp := server.PanelResponse{Y: ys, Format: "distributed"}
+			if op == "spmm" {
+				resp.K = len(body.X)
+			}
+			r.env.WriteJSON(w, http.StatusOK, PanelResponse{PanelResponse: resp, ServedBy: served})
+			return
+		}
+
+		attempts, primary := rt.copies(true)
+		var lastErr error
+		for i, ref := range attempts {
+			if i > 0 {
+				r.metrics.Failovers.Add(1)
+			}
+			ref := ref
+			resp, err := callShard(r, req.Context(), op, ref.shard, func(ctx context.Context) (server.PanelResponse, error) {
+				return ref.shard.Panel(ctx, op, ref.remoteID, body)
+			})
+			if err != nil {
+				lastErr = err
+				if !Retryable(err) {
+					break
+				}
+				continue
+			}
+			if ref == primary {
+				r.metrics.PrimaryHits.Add(1)
+			} else {
+				r.metrics.ReplicaHits.Add(1)
+			}
+			rt.mu.Lock()
+			rt.spmvCalls += int64(len(body.X))
+			rt.mu.Unlock()
+			r.maybeReplicate(rt)
+			r.env.WriteJSON(w, http.StatusOK, PanelResponse{PanelResponse: resp, ServedBy: []string{ref.shard.Name()}})
+			return
+		}
+		r.failShard(w, lastErr)
 	}
-	r.failShard(w, lastErr)
 }
 
-// gather runs the distributed SpMV: the full x goes to every row block in
-// parallel, each shard returns its block of the product, and the router
-// scatters the blocks into full-length output vectors. Every row is summed
-// entirely on one shard, so the gathered vector is bit-identical to a
-// single-process CSR product no matter how the rows were cut. progress,
-// when non-nil, is forwarded to every block so the shard-side selector
-// pipelines advance (a distributed solve's loop runs router-side; without
-// the forwarded indicator no shard would ever see iteration progress).
-func (r *Router) gather(ctx context.Context, rt *route, xs [][]float64, progress *float64) ([][]float64, []string, error) {
+// gather runs the distributed product (op "spmv" or "spmm"): the full
+// k-column operand goes to every row block in parallel, each shard returns
+// its block of the product, and the router scatters the blocks into
+// full-length output vectors. Every row is summed entirely on one shard, so
+// the gathered vectors are bit-identical to the single-process product no
+// matter how the rows were cut. progress, when non-nil, is forwarded to every
+// block so the shard-side selector pipelines advance (a distributed solve's
+// loop runs router-side; without the forwarded indicator no shard would ever
+// see iteration progress).
+func (r *Router) gather(ctx context.Context, rt *route, op string, xs [][]float64, progress *float64) ([][]float64, []string, error) {
 	rt.mu.Lock()
 	parts := append([]partRef(nil), rt.parts...)
 	rows := rt.rows
@@ -1099,155 +930,14 @@ func (r *Router) gather(ctx context.Context, rt *route, xs [][]float64, progress
 		go func(pi int, p partRef) {
 			defer wg.Done()
 			served[pi] = p.shard.Name()
-			var resp server.SpMVResponse
+			var resp server.PanelResponse
 			var err error
 			// One in-place retry absorbs transient queue-full rejections;
 			// blocks have a single placement, so there is no replica to
 			// fail over to (whole-handle replicas cover that case).
 			for attempt := 0; attempt < 2; attempt++ {
-				resp, err = callShard(r, ctx, "spmv", p.shard, func(ctx context.Context) (server.SpMVResponse, error) {
-					return p.shard.SpMV(ctx, p.remoteID, server.SpMVRequest{X: xs, Progress: progress})
-				})
-				if err == nil || !Retryable(err) {
-					break
-				}
-			}
-			if err != nil {
-				errs[pi] = fmt.Errorf("block [%d,%d) on %s: %w", p.lo, p.hi, p.shard.Name(), err)
-				return
-			}
-			if len(resp.Y) != len(xs) {
-				errs[pi] = fmt.Errorf("block [%d,%d) returned %d vectors, want %d", p.lo, p.hi, len(resp.Y), len(xs))
-				return
-			}
-			for vi, y := range resp.Y {
-				if len(y) != p.hi-p.lo {
-					errs[pi] = fmt.Errorf("block [%d,%d) returned %d rows", p.lo, p.hi, len(y))
-					return
-				}
-				copy(ys[vi][p.lo:p.hi], y)
-			}
-		}(pi, parts[pi])
-	}
-	wg.Wait()
-	r.metrics.PartialFanouts.Add(1)
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return ys, served, nil
-}
-
-// ---- spmm ----
-
-func (r *Router) handleSpMM(w http.ResponseWriter, req *http.Request) {
-	rt, ok := r.lookup(w, req)
-	if !ok {
-		return
-	}
-	var body server.SpMMRequest
-	if !r.decode(w, req, &body) {
-		return
-	}
-	if len(body.X) == 0 {
-		r.fail(w, http.StatusBadRequest, "x must hold at least one vector")
-		return
-	}
-	for i, x := range body.X {
-		if len(x) != rt.cols {
-			r.fail(w, http.StatusBadRequest, "x[%d] has length %d, matrix has %d columns", i, len(x), rt.cols)
-			return
-		}
-	}
-	r.metrics.SpMMRequests.Add(1)
-	start := time.Now()
-	traceHex := ""
-	if sc, ok := obs.SpanFromContext(req.Context()); ok {
-		traceHex = sc.Trace.String()
-	}
-	defer func() { r.metrics.SpMMSeconds.ObserveExemplar(time.Since(start).Seconds(), traceHex) }()
-
-	if rt.partitioned {
-		if body.RowLo != 0 || body.RowHi != 0 {
-			r.fail(w, http.StatusBadRequest, "row_lo/row_hi are not supported on partitioned handles")
-			return
-		}
-		ys, served, err := r.gatherSpMM(req.Context(), rt, body.X, body.Progress)
-		if err != nil {
-			r.failShard(w, err)
-			return
-		}
-		rt.mu.Lock()
-		rt.spmvCalls += int64(len(body.X))
-		rt.mu.Unlock()
-		r.writeJSON(w, http.StatusOK, SpMMResponse{
-			SpMMResponse: server.SpMMResponse{Y: ys, K: len(body.X), Format: "distributed"},
-			ServedBy:     served,
-		})
-		return
-	}
-
-	attempts, primary := rt.spmvCopies()
-	var lastErr error
-	for i, ref := range attempts {
-		if i > 0 {
-			r.metrics.Failovers.Add(1)
-		}
-		ref := ref
-		resp, err := callShard(r, req.Context(), "spmm", ref.shard, func(ctx context.Context) (server.SpMMResponse, error) {
-			return ref.shard.SpMM(ctx, ref.remoteID, body)
-		})
-		if err != nil {
-			lastErr = err
-			if !Retryable(err) {
-				break
-			}
-			continue
-		}
-		if ref.shard == primary.shard && ref.remoteID == primary.remoteID {
-			r.metrics.PrimaryHits.Add(1)
-		} else {
-			r.metrics.ReplicaHits.Add(1)
-		}
-		rt.mu.Lock()
-		rt.spmvCalls += int64(len(body.X))
-		rt.mu.Unlock()
-		r.maybeReplicate(rt)
-		r.writeJSON(w, http.StatusOK, SpMMResponse{SpMMResponse: resp, ServedBy: []string{ref.shard.Name()}})
-		return
-	}
-	r.failShard(w, lastErr)
-}
-
-// gatherSpMM runs the distributed blocked product: the full k-column operand
-// goes to every row block in parallel, each shard runs its blocked kernel
-// over its rows, and the router scatters the returned row panels. As with
-// gather, every output row is summed entirely on one shard, so the result is
-// bit-identical to the single-process blocked product regardless of the cut.
-func (r *Router) gatherSpMM(ctx context.Context, rt *route, xs [][]float64, progress *float64) ([][]float64, []string, error) {
-	rt.mu.Lock()
-	parts := append([]partRef(nil), rt.parts...)
-	rows := rt.rows
-	rt.mu.Unlock()
-
-	ys := make([][]float64, len(xs))
-	for i := range ys {
-		ys[i] = make([]float64, rows)
-	}
-	served := make([]string, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for pi := range parts {
-		wg.Add(1)
-		go func(pi int, p partRef) {
-			defer wg.Done()
-			served[pi] = p.shard.Name()
-			var resp server.SpMMResponse
-			var err error
-			for attempt := 0; attempt < 2; attempt++ {
-				resp, err = callShard(r, ctx, "spmm", p.shard, func(ctx context.Context) (server.SpMMResponse, error) {
-					return p.shard.SpMM(ctx, p.remoteID, server.SpMMRequest{X: xs, Progress: progress})
+				resp, err = callShard(r, ctx, op, p.shard, func(ctx context.Context) (server.PanelResponse, error) {
+					return p.shard.Panel(ctx, op, p.remoteID, server.PanelRequest{X: xs, Progress: progress})
 				})
 				if err == nil || !Retryable(err) {
 					break
@@ -1358,20 +1048,13 @@ func (r *Router) replicate(rt *route) {
 		return source.shard.Export(ctx, source.remoteID)
 	})
 	if err != nil {
-		r.log.Warn("replication export failed", "id", id, "source", source.shard.Name(), "error", err)
+		r.env.Log.Warn("replication export failed", "id", id, "source", source.shard.Name(), "error", err)
 		done(false)
 		return
 	}
-	info, err := callShard(r, ctx, "register", target, func(ctx context.Context) (server.MatrixInfo, error) {
-		return target.Register(ctx, server.RegisterRequest{
-			Name:         exp.Name,
-			MatrixMarket: exp.MatrixMarket,
-			Tol:          exp.Tol,
-			Dangling:     exp.Dangling,
-		})
-	})
+	info, err := r.registerExport(ctx, target, exp)
 	if err != nil {
-		r.log.Warn("replication register failed", "id", id, "target", target.Name(), "error", err)
+		r.env.Log.Warn("replication register failed", "id", id, "target", target.Name(), "error", err)
 		done(false)
 		return
 	}
@@ -1383,7 +1066,7 @@ func (r *Router) replicate(rt *route) {
 	if info.DuplicateOf != "" {
 		r.metrics.ReplicaAliases.Add(1)
 	}
-	r.log.Info("handle replicated", "id", id, "target", target.Name(), "remote_id", info.ID,
+	r.env.Log.Info("handle replicated", "id", id, "target", target.Name(), "remote_id", info.ID,
 		"copies", copies, "aliased", info.DuplicateOf != "")
 }
 
@@ -1428,7 +1111,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body server.SolveRequest
-	if !r.decode(w, req, &body) {
+	if !r.env.Decode(w, req, &body) {
 		return
 	}
 	r.metrics.SolveRequests.Add(1)
@@ -1443,7 +1126,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		r.distSolve(w, req, rt, body)
 		return
 	}
-	attempts, _ := rt.solveCopies()
+	attempts, _ := rt.copies(false)
 	var lastErr error
 	for i, ref := range attempts {
 		if i > 0 {
@@ -1465,7 +1148,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		rt.spmvCalls += int64(resp.SpMVCalls)
 		rt.mu.Unlock()
 		r.maybeReplicate(rt)
-		r.writeJSON(w, http.StatusOK, SolveResponse{SolveResponse: resp, ServedBy: []string{ref.shard.Name()}})
+		r.env.WriteJSON(w, http.StatusOK, SolveResponse{SolveResponse: resp, ServedBy: []string{ref.shard.Name()}})
 		return
 	}
 	r.failShard(w, lastErr)
@@ -1489,19 +1172,20 @@ type distOp struct {
 func (d *distOp) Dims() (int, int) { return d.rt.rows, d.rt.cols }
 
 func (d *distOp) SpMV(y, x []float64) {
-	ys, _, err := d.r.gather(d.ctx, d.rt, [][]float64{x}, d.progress)
+	ys, _, err := d.r.gather(d.ctx, d.rt, "spmv", [][]float64{x}, d.progress)
 	if err != nil {
 		panic(distPanic{err})
 	}
 	copy(y, ys[0])
 }
 
-// distSolve runs a solver at the router against the partitioned operator:
-// scalar work (dot products, orthogonalization) happens router-side on
-// full-length vectors, every SpMV fans out to the block shards. The math is
-// the single-process algorithm verbatim — same iteration order, same
-// reductions — so the result matches a single ocsd bit-for-bit when the
-// blocks stay in CSR, and within the Higham kernel bound otherwise.
+// distSolve runs a solver at the router against the partitioned operator
+// (server.RunSolve, the same runner ocsd uses): scalar work (dot products,
+// orthogonalization) happens router-side on full-length vectors, every SpMV
+// fans out to the block shards. The math is the single-process algorithm
+// verbatim — same iteration order, same reductions — so the result matches a
+// single ocsd bit-for-bit when the blocks stay in CSR, and within the Higham
+// kernel bound otherwise.
 func (r *Router) distSolve(w http.ResponseWriter, req *http.Request, rt *route, body server.SolveRequest) {
 	timeout := r.cfg.RequestTimeout
 	if body.TimeoutMillis > 0 {
@@ -1509,45 +1193,18 @@ func (r *Router) distSolve(w http.ResponseWriter, req *http.Request, rt *route, 
 	}
 	ctx, cancel := context.WithTimeout(req.Context(), timeout)
 	defer cancel()
-
-	opt := apps.DefaultSolveOptions()
-	opt.Ctx = ctx
-	if body.Tol > 0 {
-		opt.Tol = body.Tol
-	}
-	if body.MaxIters > 0 {
-		opt.MaxIters = body.MaxIters
-	}
-	if body.Restart > 0 {
-		opt.Restart = body.Restart
-	}
-	b := body.B
-	needB := body.App != "pagerank" && body.App != "power"
-	if needB {
-		if b == nil {
-			b = make([]float64, rt.rows)
-			for i := range b {
-				b[i] = 1
-			}
-		} else if len(b) != rt.rows {
-			r.fail(w, http.StatusBadRequest, "b has length %d, matrix has %d rows", len(b), rt.rows)
-			return
-		}
-	}
 	op := &distOp{r: r, rt: rt, ctx: ctx}
 	// The hook runs on the solver goroutine between iterations — the same
 	// goroutine that calls op.SpMV — so the next fan-out forwards the value
 	// without synchronization.
-	hook := func(_ int, v float64) {
-		vv := v
-		op.progress = &vv
-	}
+	hook := func(_ int, v float64) { op.progress = &v }
 
 	var (
-		res   apps.Result
-		eig   *float64
-		err   error
-		start = time.Now()
+		res      apps.Result
+		eig      *float64
+		err      error
+		shardErr error // a block round trip failed (surfaced through distPanic)
+		start    = time.Now()
 	)
 	func() {
 		defer func() {
@@ -1556,62 +1213,20 @@ func (r *Router) distSolve(w http.ResponseWriter, req *http.Request, rt *route, 
 				if !ok {
 					panic(p)
 				}
-				err = dp.err
+				shardErr = dp.err
 			}
 		}()
-		switch body.App {
-		case "cg":
-			res, err = apps.CG(op, b, opt, hook)
-		case "pcg":
-			var pre apps.Preconditioner
-			pre, err = apps.NewJacobiPreconditioner(rt.diag)
-			if err == nil {
-				res, err = apps.PCG(op, pre, b, opt, hook)
-			}
-		case "bicgstab":
-			res, err = apps.BiCGSTAB(op, b, opt, hook)
-		case "gmres":
-			res, err = apps.GMRES(op, b, opt, hook)
-		case "jacobi":
-			res, err = apps.Jacobi(op, rt.diag, b, 2.0/3.0, opt, hook)
-		case "power":
-			var pr apps.PowerResult
-			pr, err = apps.PowerMethod(op, opt, hook)
-			res = pr.Result
-			eig = &pr.Eigenvalue
-		case "pagerank":
-			if rt.dangling == nil {
-				err = fmt.Errorf("matrix %s was not registered with as_transition", rt.id)
-				break
-			}
-			propt := apps.DefaultPageRankOptions()
-			propt.Ctx = ctx
-			if body.Tol > 0 {
-				propt.Tol = body.Tol
-			}
-			if body.MaxIters > 0 {
-				propt.MaxIters = body.MaxIters
-			}
-			if body.Damping > 0 {
-				propt.Damping = body.Damping
-			}
-			res, err = apps.PageRank(op, rt.dangling, propt, hook)
-		default:
-			err = fmt.Errorf("unknown app %q (want cg, pcg, bicgstab, gmres, jacobi, power or pagerank)", body.App)
-		}
+		res, eig, err = server.RunSolve(ctx, op, rt.id, body, func() []float64 { return rt.diag }, rt.dangling, hook)
 	}()
+	// One status mapping for both tiers, keyed on error identity: a failed
+	// block round trip answers like any other shard failure, a solver-level
+	// refusal gets ocsd's own WorkStatus.
+	if shardErr != nil {
+		r.failShard(w, shardErr)
+		return
+	}
 	if err != nil {
-		var se *StatusError
-		switch {
-		case errors.As(err, &se):
-			r.failShard(w, err)
-		case errors.Is(err, context.DeadlineExceeded):
-			r.fail(w, http.StatusGatewayTimeout, "%v", err)
-		case strings.HasPrefix(err.Error(), "unknown app"), strings.HasPrefix(err.Error(), "matrix "):
-			r.fail(w, http.StatusUnprocessableEntity, "%v", err)
-		default:
-			r.fail(w, http.StatusBadGateway, "%v", err)
-		}
+		r.env.Fail(w, server.WorkStatus(err), "%v", err)
 		return
 	}
 
@@ -1640,7 +1255,7 @@ func (r *Router) distSolve(w http.ResponseWriter, req *http.Request, rt *route, 
 	if body.IncludeX {
 		resp.X = res.X
 	}
-	r.writeJSON(w, http.StatusOK, SolveResponse{SolveResponse: resp, ServedBy: served})
+	r.env.WriteJSON(w, http.StatusOK, SolveResponse{SolveResponse: resp, ServedBy: served})
 }
 
 // aggregateSelector sums the per-block selector stats into one document and
@@ -1686,7 +1301,7 @@ func (r *Router) aggregateSelector(ctx context.Context, parts []partRef) (server
 
 func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	var body DrainRequest
-	if !r.decode(w, req, &body) {
+	if !r.env.Decode(w, req, &body) {
 		return
 	}
 	name := strings.TrimSuffix(body.Shard, "/")
@@ -1697,13 +1312,13 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	}
 	r.mu.Unlock()
 	if !ok {
-		r.fail(w, http.StatusNotFound, "no shard %q", name)
+		r.env.Fail(w, http.StatusNotFound, "no shard %q", name)
 		return
 	}
 	sc.SetDraining(true)
 	resp := r.drainShard(req.Context(), sc)
-	r.log.Info("shard drained", "shard", name, "promoted", resp.Promoted, "moved", resp.Moved, "lost", len(resp.Lost))
-	r.writeJSON(w, http.StatusOK, resp)
+	r.env.Log.Info("shard drained", "shard", name, "promoted", resp.Promoted, "moved", resp.Moved, "lost", len(resp.Lost))
+	r.env.WriteJSON(w, http.StatusOK, resp)
 }
 
 // drainShard re-homes every placement off sc: whole handles promote an
@@ -1733,7 +1348,13 @@ func (r *Router) drainShard(ctx context.Context, sc *ShardClient) DrainResponse 
 			}
 			rt.mu.Unlock()
 			for _, pi := range moves {
-				if r.movePart(ctx, rt, pi, sc) {
+				rt.mu.Lock()
+				p := rt.parts[pi]
+				rt.mu.Unlock()
+				if ref, ok := r.rehome(ctx, fmt.Sprintf("%s#%d", rt.id, pi), shardRef{shard: sc, remoteID: p.remoteID}); ok {
+					rt.mu.Lock()
+					rt.parts[pi] = partRef{lo: p.lo, hi: p.hi, shard: ref.shard, remoteID: ref.remoteID}
+					rt.mu.Unlock()
 					resp.Moved++
 					r.metrics.Rebalances.Add(1)
 				} else {
@@ -1771,7 +1392,10 @@ func (r *Router) drainShard(ctx context.Context, sc *ShardClient) DrainResponse 
 		promoted := primaryHere && healthyReplica != nil
 		rt.mu.Unlock()
 		if primaryHere && !promoted {
-			if r.moveWhole(ctx, rt, oldPrimary) {
+			if ref, ok := r.rehome(ctx, rt.id, oldPrimary); ok {
+				rt.mu.Lock()
+				rt.primary = ref
+				rt.mu.Unlock()
 				resp.Moved++
 				r.metrics.Rebalances.Add(1)
 				abandoned = append(abandoned, oldPrimary)
@@ -1801,66 +1425,33 @@ func removeRef(refs []shardRef, drop shardRef) []shardRef {
 	return out
 }
 
-// moveWhole exports a handle from its (possibly still reachable) old
-// primary and registers it on the ring's new owner for the route.
-func (r *Router) moveWhole(ctx context.Context, rt *route, from shardRef) bool {
+// registerExport re-registers an exported handle verbatim on target.
+func (r *Router) registerExport(ctx context.Context, target *ShardClient, exp server.ExportResponse) (server.MatrixInfo, error) {
+	return callShard(r, ctx, "register", target, func(ctx context.Context) (server.MatrixInfo, error) {
+		return target.Register(ctx, server.RegisterRequest{
+			Name: exp.Name, MatrixMarket: exp.MatrixMarket, Tol: exp.Tol, Dangling: exp.Dangling,
+		})
+	})
+}
+
+// rehome exports one placement — a whole copy or a row block — from its
+// (possibly still reachable) old shard and registers it on the first healthy
+// shard of key's ring successors, returning the new placement.
+func (r *Router) rehome(ctx context.Context, key string, from shardRef) (shardRef, bool) {
 	exp, err := callShard(r, ctx, "export", from.shard, func(ctx context.Context) (server.ExportResponse, error) {
 		return from.shard.Export(ctx, from.remoteID)
 	})
 	if err != nil {
-		r.log.Warn("drain export failed", "id", rt.id, "from", from.shard.Name(), "error", err)
-		return false
+		r.env.Log.Warn("drain export failed", "placement", key, "from", from.shard.Name(), "error", err)
+		return shardRef{}, false
 	}
-	for _, target := range r.successorClients(rt.id, len(r.shardList())) {
+	for _, target := range r.successorClients(key, len(r.shardList())) {
 		if target == from.shard || !target.Healthy() {
 			continue
 		}
-		target := target
-		info, rerr := callShard(r, ctx, "register", target, func(ctx context.Context) (server.MatrixInfo, error) {
-			return target.Register(ctx, server.RegisterRequest{
-				Name: exp.Name, MatrixMarket: exp.MatrixMarket, Tol: exp.Tol, Dangling: exp.Dangling,
-			})
-		})
-		if rerr != nil {
-			continue
+		if info, rerr := r.registerExport(ctx, target, exp); rerr == nil {
+			return shardRef{shard: target, remoteID: info.ID}, true
 		}
-		rt.mu.Lock()
-		rt.primary = shardRef{shard: target, remoteID: info.ID}
-		rt.mu.Unlock()
-		return true
 	}
-	return false
-}
-
-// movePart re-homes one row block of a partitioned route.
-func (r *Router) movePart(ctx context.Context, rt *route, pi int, from *ShardClient) bool {
-	rt.mu.Lock()
-	p := rt.parts[pi]
-	rt.mu.Unlock()
-	exp, err := callShard(r, ctx, "export", from, func(ctx context.Context) (server.ExportResponse, error) {
-		return from.Export(ctx, p.remoteID)
-	})
-	if err != nil {
-		r.log.Warn("drain part export failed", "id", rt.id, "part", pi, "error", err)
-		return false
-	}
-	for _, target := range r.successorClients(fmt.Sprintf("%s#%d", rt.id, pi), len(r.shardList())) {
-		if target == from || !target.Healthy() {
-			continue
-		}
-		target := target
-		info, rerr := callShard(r, ctx, "register", target, func(ctx context.Context) (server.MatrixInfo, error) {
-			return target.Register(ctx, server.RegisterRequest{
-				Name: exp.Name, MatrixMarket: exp.MatrixMarket, Tol: exp.Tol,
-			})
-		})
-		if rerr != nil {
-			continue
-		}
-		rt.mu.Lock()
-		rt.parts[pi] = partRef{lo: p.lo, hi: p.hi, shard: target, remoteID: info.ID}
-		rt.mu.Unlock()
-		return true
-	}
-	return false
+	return shardRef{}, false
 }

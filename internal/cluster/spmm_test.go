@@ -35,9 +35,9 @@ func TestRouterSpMMGatherBitIdentical(t *testing.T) {
 		t.Fatalf("oracle register: %d %s", code, body)
 	}
 	xs := spmmOperand(k, ref.Cols)
-	var want server.SpMMResponse
+	var want server.PanelResponse
 	if code, body := callJSON(t, http.MethodPost, single.ts.URL+"/v1/matrices/"+ref.ID+"/spmm",
-		server.SpMMRequest{X: xs}, &want); code != http.StatusOK {
+		server.PanelRequest{X: xs}, &want); code != http.StatusOK {
 		t.Fatalf("oracle spmm: %d %s", code, body)
 	}
 
@@ -47,9 +47,9 @@ func TestRouterSpMMGatherBitIdentical(t *testing.T) {
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices", spdSpec("whole"), &whole); code != http.StatusCreated {
 		t.Fatalf("register whole: %d %s", code, body)
 	}
-	var got SpMMResponse
+	var got PanelResponse
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+whole.ID+"/spmm",
-		server.SpMMRequest{X: xs}, &got); code != http.StatusOK {
+		server.PanelRequest{X: xs}, &got); code != http.StatusOK {
 		t.Fatalf("whole spmm: %d %s", code, body)
 	}
 	if got.K != k || len(got.Y) != k {
@@ -67,9 +67,9 @@ func TestRouterSpMMGatherBitIdentical(t *testing.T) {
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices", preq, &split); code != http.StatusCreated {
 		t.Fatalf("register split: %d %s", code, body)
 	}
-	var dist SpMMResponse
+	var dist PanelResponse
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+split.ID+"/spmm",
-		server.SpMMRequest{X: xs}, &dist); code != http.StatusOK {
+		server.PanelRequest{X: xs}, &dist); code != http.StatusOK {
 		t.Fatalf("partitioned spmm: %d %s", code, body)
 	}
 	if dist.Format != "distributed" || len(dist.ServedBy) != 3 {
@@ -86,7 +86,7 @@ func TestRouterSpMMGatherBitIdentical(t *testing.T) {
 
 	// Shape errors stop at the router.
 	if code, _ := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+whole.ID+"/spmm",
-		server.SpMMRequest{X: [][]float64{make([]float64, ref.Cols-1)}}, nil); code != http.StatusBadRequest {
+		server.PanelRequest{X: [][]float64{make([]float64, ref.Cols-1)}}, nil); code != http.StatusBadRequest {
 		t.Errorf("ragged operand: status %d, want 400", code)
 	}
 }
@@ -116,7 +116,7 @@ func TestReplicationDedupAliasesOnTarget(t *testing.T) {
 		x[i] = 1
 	}
 	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices/"+info.ID+"/spmv",
-		server.SpMVRequest{X: [][]float64{x}}, nil); code != http.StatusOK {
+		server.PanelRequest{X: [][]float64{x}}, nil); code != http.StatusOK {
 		t.Fatalf("spmv: %d %s", code, body)
 	}
 	deadline := time.Now().Add(10 * time.Second)

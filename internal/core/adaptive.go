@@ -58,10 +58,16 @@ type Stats struct {
 	Canceled bool
 	// PaidSeconds and HiddenSeconds partition the three overheads above by
 	// whether they stalled the solver (inline on the critical path) or ran
-	// overlapped with in-flight iterations on a background worker. Once a
-	// launched job has been adopted their sum equals FeatureSeconds +
-	// PredictSeconds + ConvertSeconds; inline pipelines have
-	// HiddenSeconds = 0.
+	// overlapped with in-flight iterations on a background worker. A
+	// conversion adopted from the cache additionally credits its publisher's
+	// conversion bill as hidden time (machine work that happened once, for
+	// another tenant), so in both modes, once the pipeline has run or a
+	// launched job has been adopted,
+	//
+	//	PaidSeconds + HiddenSeconds = FeatureSeconds + PredictSeconds + ConvertSeconds + credit
+	//
+	// with credit = 0 unless ConvCacheHit. Inline pipelines pay everything:
+	// their HiddenSeconds is the credit alone.
 	PaidSeconds   float64
 	HiddenSeconds float64
 }
@@ -269,7 +275,8 @@ func (ad *Adaptive) runPipeline() {
 		ad.launchStage2(tr, remaining)
 		return
 	}
-	ad.runStage2Inline(&tr, remaining)
+	r := runStage2(ad.csr, ad.preds, ad.cfg, ad.clock, ad.menuK(), remaining, 0, func() bool { return false })
+	ad.applyStage2(&tr, r, false)
 	ad.journalTrace(tr)
 }
 
@@ -348,117 +355,189 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, remaining int, ok bool) {
 	return tr, remaining, true
 }
 
-// runStage2Inline is the synchronous pipeline tail: feature extraction (the
-// dominant prediction overhead), model inference, cost-benefit argmin and
-// the conversion, all on the solver's critical path — every second of it is
-// paid overhead.
-func (ad *Adaptive) runStage2Inline(tr *obs.DecisionTrace, remaining int) {
-	start := ad.clock.Now()
-	fs := features.Extract(ad.csr)
-	bsrBlocks := features.CountBlocks(ad.csr, ad.cfg.Lim.BSRBlockSize)
-	ad.stats.FeatureSeconds = timing.Since(ad.clock, start).Seconds()
-	ad.noteSpan("selector.features", start, ad.stats.FeatureSeconds, [2]string{"mode", "paid"})
+// menuK is the workload hint stage 2 prices candidates with: the widest
+// panel SpMM has been asked for when blocked products dominate this handle's
+// traffic and the bundle carries SpMM cost models, 0 (the SpMV menu)
+// otherwise.
+func (ad *Adaptive) menuK() int {
+	if ad.preds.HasSpMMMenu() && ad.stats.SpMMCalls > ad.stats.SpMVCalls {
+		return ad.spmmK
+	}
+	return 0
+}
 
-	cached := cachedFormats(&ad.cfg)
-	start = ad.clock.Now()
-	var d Decision
-	if ad.preds.HasSpMMMenu() && ad.stats.SpMMCalls > ad.stats.SpMVCalls && ad.spmmK > 0 {
-		d = ad.preds.DecideSpMM(fs, bsrBlocks, ad.spmmK, float64(remaining), 0, ad.cfg.Lim, ad.cfg.Margin, cached)
-	} else {
-		d = ad.preds.DecideOverlapCached(fs, bsrBlocks, float64(remaining), 0, ad.cfg.Lim, ad.cfg.Margin, cached)
-	}
-	decide := timing.Since(ad.clock, start).Seconds()
-	ad.stats.PredictSeconds += decide
-	ad.noteSpan("selector.decide", start, decide,
-		[2]string{"mode", "paid"}, [2]string{"format", d.Format.String()})
-	var fvec []float64
-	if ad.cfg.Journal != nil {
-		fvec = fs.Vector()
-	}
-	ad.recordStage2(tr, d, remaining, fvec, ad.preds.Generation)
-	if d.Format == sparse.FmtCSR {
-		ad.stats.PaidSeconds = ad.OverheadSeconds()
-		ad.finishTrace(tr, d)
-		return
-	}
+// stage2Result is everything one stage-2 run produced. A zero region start
+// means that region never ran.
+type stage2Result struct {
+	d       Decision
+	decided bool          // false only for a run canceled before the argmin
+	m       sparse.Matrix // operator to install; nil when staying on CSR or conversion failed
+	fvec    []float64     // Table I vector for the journal, when one is kept
+	gen     int64         // generation of the bundle that decided
 
+	convertErr string
+	// Measured regions in seconds — features, model inference + argmin,
+	// conversion-cache lookup, conversion — and when each opened.
+	feature, predict, lookup, convert         float64
+	featureAt, predictAt, lookupAt, convertAt time.Time
+	// Conversion-cache outcome: on a hit m was adopted from the shared cache
+	// (no conversion ran here) and credit carries the publisher's bill.
+	cacheHit  bool
+	credit    float64
+	published bool
+}
+
+// runStage2 is the one stage-2 body, shared by the inline and the background
+// pipeline: features → decide → cache lookup → convert → publish, each
+// region timed with the wrapper's clock. Everything it touches is immutable
+// (the CSR master copy, the predictor bundle) or copied (the config, the
+// clock interface), so a background run never races the solver goroutine on
+// the wrapper itself. overlap is the argmin's budget of iterations that can
+// cover conversion time (0 inline; the full remaining count in the
+// background, where every iteration up to adoption can). canceled is polled
+// between phases so an abandoned job stops working soon after Close; in
+// particular the conversion — the expensive phase — never starts for a
+// canceled job.
+func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Clock, k, remaining int, overlap float64, canceled func() bool) (r stage2Result) {
+	if canceled() {
+		return r
+	}
+	r.featureAt = clock.Now()
+	fs := features.Extract(csr)
+	bsrBlocks := features.CountBlocks(csr, cfg.Lim.BSRBlockSize)
+	r.feature = timing.Since(clock, r.featureAt).Seconds()
+	if canceled() {
+		return r
+	}
+	cached := cachedFormats(&cfg)
+	r.predictAt = clock.Now()
+	r.d = preds.DecideQuery(fs, Query{
+		BSRBlocks: bsrBlocks, Remaining: float64(remaining), Overlap: overlap,
+		K: k, Cached: cached, Lim: cfg.Lim, Margin: cfg.Margin,
+	})
+	r.predict = timing.Since(clock, r.predictAt).Seconds()
+	r.decided = true
+	r.gen = preds.Generation
+	if cfg.Journal != nil {
+		r.fvec = fs.Vector()
+	}
+	if r.d.Format == sparse.FmtCSR || canceled() {
+		return r
+	}
 	// Conversion-cache consult: an earlier tenant may have already paid for
 	// this exact (structure, values, format) conversion. A hit adopts the
-	// shared matrix — zero conversion work on this handle; the publisher's
-	// bill is credited as hidden overhead so the ledger stays honest about
-	// the machine work that once happened.
-	if cacheUsable(&ad.cfg) {
-		key := cacheKeyFor(&ad.cfg, d.Format)
-		start = ad.clock.Now()
-		e, hit := ad.cfg.ConvCache.Lookup(key)
-		lookup := timing.Since(ad.clock, start).Seconds()
-		ad.stats.PredictSeconds += lookup
+	// shared matrix — zero conversion work on this handle.
+	if cacheUsable(&cfg) {
+		r.lookupAt = clock.Now()
+		e, hit := cfg.ConvCache.Lookup(cacheKeyFor(&cfg, r.d.Format))
+		r.lookup = timing.Since(clock, r.lookupAt).Seconds()
 		if hit {
-			ad.stats.ConvCacheHit = true
-			ad.stats.HiddenSeconds += e.ConvertSeconds
-			ad.stats.PaidSeconds = ad.OverheadSeconds()
-			ad.noteSpan("convcache.hit", start, lookup,
-				[2]string{"format", d.Format.String()},
-				[2]string{"hidden_seconds", strconv.FormatFloat(e.ConvertSeconds, 'g', -1, 64)})
-			ad.cur = e.M
-			ad.stats.Converted = true
-			ad.stats.Format = d.Format
-			tr.Converted = true
-			tr.ConvCacheHit = true
-			ad.finishTrace(tr, d)
-			return
+			r.cacheHit, r.credit, r.m = true, e.ConvertSeconds, e.M
+			return r
 		}
-		ad.noteSpan("convcache.miss", start, lookup, [2]string{"format", d.Format.String()})
 	}
-
-	start = ad.clock.Now()
-	m, err := sparse.ConvertFromCSR(ad.csr, d.Format, ad.cfg.Lim)
-	ad.stats.ConvertSeconds = timing.Since(ad.clock, start).Seconds()
-	ad.stats.PaidSeconds = ad.OverheadSeconds()
-	ad.noteSpan("selector.convert", start, ad.stats.ConvertSeconds,
-		[2]string{"mode", "paid"}, [2]string{"format", d.Format.String()})
+	r.convertAt = clock.Now()
+	m, err := sparse.ConvertFromCSR(csr, r.d.Format, cfg.Lim)
+	r.convert = timing.Since(clock, r.convertAt).Seconds()
 	if err != nil {
-		// The validity pre-check should prevent this; fall back to CSR.
-		tr.ConvertErr = err.Error()
-		tr.Chosen = sparse.FmtCSR.String()
-		ad.finishTrace(tr, d)
-		return
+		// The validity pre-check should prevent this; the wrapper stays on CSR.
+		r.convertErr = err.Error()
+		return r
 	}
-	if cacheUsable(&ad.cfg) {
-		ad.cfg.ConvCache.Publish(cacheKeyFor(&ad.cfg, d.Format), convcache.Entry{
-			M: m, ConvertSeconds: ad.stats.ConvertSeconds, NNZ: m.NNZ(),
+	if cacheUsable(&cfg) {
+		cfg.ConvCache.Publish(cacheKeyFor(&cfg, r.d.Format), convcache.Entry{
+			M: m, ConvertSeconds: r.convert, NNZ: m.NNZ(),
 		})
-		ad.noteSpan("convcache.publish", start, ad.stats.ConvertSeconds,
-			[2]string{"format", d.Format.String()})
+		r.published = true
 	}
-	ad.cur = m
-	ad.stats.Converted = true
-	ad.stats.Format = d.Format
-	tr.Converted = true
-	ad.finishTrace(tr, d)
+	r.m = m
+	return r
+}
+
+// applyStage2 folds a stage-2 run into the wrapper on the solver goroutine:
+// overhead accounting, the buffered stage spans, the format swap and the
+// trace with its T_affected ledger. hidden says the run was overlapped with
+// in-flight iterations on a background worker — the solver never stalled for
+// any of its seconds; otherwise it ran on the critical path and every second
+// was paid. Either way a cache hit credits the publisher's conversion bill
+// as hidden time, so the ledger stays honest about machine work that once
+// happened. SafeAdaptive holds its lock across the call, so concurrent
+// readers observe the format flip atomically.
+func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result, hidden bool) {
+	ad.stats.FeatureSeconds = r.feature
+	ad.stats.PredictSeconds += r.predict + r.lookup
+	ad.stats.ConvertSeconds = r.convert
+	mode := [2]string{"mode", "paid"}
+	if hidden {
+		mode[1] = "hidden"
+		ad.stats.HiddenSeconds += r.feature + r.predict + r.convert + r.lookup
+	} else {
+		ad.stats.PaidSeconds = ad.OverheadSeconds()
+	}
+	if r.cacheHit {
+		ad.stats.ConvCacheHit = true
+		ad.stats.HiddenSeconds += r.credit
+		tr.ConvCacheHit = true
+	}
+	format := [2]string{"format", r.d.Format.String()}
+	if !r.featureAt.IsZero() {
+		ad.noteSpan("selector.features", r.featureAt, r.feature, mode)
+	}
+	if !r.predictAt.IsZero() {
+		ad.noteSpan("selector.decide", r.predictAt, r.predict, mode, format)
+	}
+	switch {
+	case r.cacheHit:
+		ad.noteSpan("convcache.hit", r.lookupAt, r.lookup, format,
+			[2]string{"hidden_seconds", strconv.FormatFloat(r.credit, 'g', -1, 64)})
+	case !r.lookupAt.IsZero():
+		ad.noteSpan("convcache.miss", r.lookupAt, r.lookup, format)
+	}
+	if !r.convertAt.IsZero() {
+		ad.noteSpan("selector.convert", r.convertAt, r.convert, mode, format)
+	}
+	if r.published {
+		ad.noteSpan("convcache.publish", r.convertAt, r.convert, format)
+	}
+	if !r.decided {
+		return // canceled before the argmin: nothing to record, stay on CSR
+	}
+	ad.recordStage2(tr, r)
+	switch {
+	case r.m != nil:
+		ad.cur = r.m
+		ad.stats.Converted = true
+		ad.stats.Format = r.d.Format
+		tr.Converted = true
+	case r.convertErr != "":
+		tr.ConvertErr = r.convertErr
+		tr.Chosen = sparse.FmtCSR.String()
+	}
+	ad.finishTrace(tr, r.d)
 }
 
 // recordStage2 folds a stage-2 decision into the stats and the trace,
 // including the margin inequality the argmin applied: the cheapest non-CSR
-// candidate had to undercut staying by Margin to win. fvec is the feature
-// vector the decision consumed (nil when untraced) and gen the generation
-// of the predictor bundle that made it — recorded so a completed trace is
-// self-contained training data for the online retrainer.
-func (ad *Adaptive) recordStage2(tr *obs.DecisionTrace, d Decision, remaining int, fvec []float64, gen int64) {
+// candidate had to undercut staying — the decision's own CSR cost, whichever
+// menu priced it — by Margin to win. The feature vector the decision
+// consumed and the generation of the bundle that made it are recorded so a
+// completed trace is self-contained training data for the online retrainer.
+func (ad *Adaptive) recordStage2(tr *obs.DecisionTrace, r stage2Result) {
+	d := r.d
 	ad.stats.Stage2Ran = true
 	ad.stats.Decision = d
 	tr.Stage2Ran = true
 	tr.Chosen = d.Format.String()
-	tr.ModelGen = gen
+	tr.ModelGen = r.gen
 	if ad.cfg.Journal == nil {
 		return
 	}
-	tr.Features = fvec
+	tr.Features = r.fvec
 	tr.PredictedCostByFormat = formatKeyed(d.PredictedCost)
 	tr.PredictedSpMVNormByFormat = formatKeyed(d.PredictedSpMV)
 	tr.PredictedConvNormByFormat = formatKeyed(d.PredictedConv)
 	if alt, ok := bestAlternative(d); ok {
-		stay := float64(remaining) * (1 - ad.cfg.Margin)
+		stay := d.PredictedCost[sparse.FmtCSR] * (1 - ad.cfg.Margin)
 		tr.Gates = append(tr.Gates, obs.GateCheck{
 			Name: "stay_cost*(1-margin)>=best_alt", LHS: stay, RHS: alt,
 			Passed: d.Format != sparse.FmtCSR,

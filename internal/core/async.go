@@ -1,16 +1,10 @@
 package core
 
 import (
-	"strconv"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/convcache"
-	"repro/internal/features"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/sparse"
-	"repro/internal/timing"
 )
 
 // This file implements the asynchronous stage-2 pipeline (Config.Async):
@@ -23,135 +17,37 @@ import (
 // T_predict + T_convert mostly turns into *hidden* time: machine work
 // overlapped with useful iterations instead of a stall.
 
-// stage2Job is one in-flight background stage-2 run. tr and remaining are
-// immutable after launch; canceled is an atomic flag both sides may touch;
-// every other field is written by the background goroutine before it closes
-// done and must only be read after observing the close (that close is the
-// happens-before edge adoption synchronizes on).
+// stage2Job is one in-flight background stage-2 run. tr is immutable after
+// launch; canceled is an atomic flag both sides may touch; result is written
+// by the background goroutine before it closes done and must only be read
+// after observing the close (that close is the happens-before edge adoption
+// synchronizes on).
 type stage2Job struct {
-	tr        obs.DecisionTrace // stage-1 trace snapshot
-	remaining int
-	canceled  atomic.Bool
-	done      chan struct{}
-
-	// Workload hints captured at launch, so the background decision prices
-	// candidates with the menu the caller's traffic actually exercises.
-	spmmDominant bool
-	spmmK        int
-
-	// Results, valid once done is closed.
-	d          Decision
-	decided    bool
-	m          sparse.Matrix // nil when staying on CSR or conversion failed
-	convertErr string
-	feature    float64
-	predict    float64
-	convert    float64
-	fvec       []float64 // Table I vector for the journal, when one is kept
-	gen        int64     // generation of the bundle captured at launch
-	// Conversion-cache outcome: a hit means j.m was adopted from the shared
-	// cache (no conversion ran here) and cacheConvSeconds carries the
-	// publisher's bill, credited as hidden time at adoption.
-	cacheHit        bool
-	cacheConvSecs   float64
-	cacheLookupSecs float64
-	published       bool
-	// Phase start timestamps, so the spans emitted at adoption reflect
-	// when the hidden work actually ran.
-	featureAt time.Time
-	predictAt time.Time
-	convertAt time.Time
-	lookupAt  time.Time
+	tr       obs.DecisionTrace // stage-1 trace snapshot
+	canceled atomic.Bool
+	done     chan struct{}
+	result   stage2Result
 }
 
-// launchStage2 dispatches stage 2 to a background worker and returns
-// immediately. Everything the background goroutine touches is immutable
-// (the CSR master copy, the predictor bundle) or copied (the config, the
-// clock interface), so it never races the solver goroutine on the wrapper
-// itself. Post-launch SpMV calls are untimed until adoption (decided is set
-// and no ledger is armed yet), which keeps a FakeClock replay
-// deterministic: only the background job consumes clock steps while it
-// runs.
+// launchStage2 dispatches runStage2 to a background worker and returns
+// immediately; the workload hint and predictor bundle are captured here, so
+// a later hot-swap never tears the decision in half. The argmin runs with an
+// overlap budget of the full remaining-iteration count: by construction
+// every iteration up to adoption can cover conversion time, so only the
+// residual max(0, T_convert − T_overlap) is charged against a candidate.
+// Post-launch SpMV calls are untimed until adoption (decided is set and no
+// ledger is armed yet), which keeps a FakeClock replay deterministic: only
+// the background job consumes clock steps while it runs.
 func (ad *Adaptive) launchStage2(tr obs.DecisionTrace, remaining int) {
 	tr.Async = true
-	job := &stage2Job{
-		tr: tr, remaining: remaining, done: make(chan struct{}),
-		spmmDominant: ad.stats.SpMMCalls > ad.stats.SpMVCalls,
-		spmmK:        ad.spmmK,
-	}
+	job := &stage2Job{tr: tr, done: make(chan struct{})}
 	ad.pending = job
 	ad.stats.Async = true
-	csr, preds, cfg, clock := ad.csr, ad.preds, ad.cfg, ad.clock
-	parallel.Default().Go(func() { job.run(csr, preds, cfg, clock) })
-}
-
-// run executes stage 2 on the background worker: features → decide →
-// convert, each region timed with the wrapper's clock. The canceled flag is
-// checked between phases so an abandoned job stops working soon after
-// Close; in particular the conversion — the expensive phase — never starts
-// for a canceled job. The cost-benefit argmin runs with an overlap budget
-// of the full remaining-iteration count: by construction every iteration up
-// to adoption can cover conversion time, so only the residual
-// max(0, T_convert − T_overlap) is charged against a candidate.
-func (j *stage2Job) run(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Clock) {
-	defer close(j.done)
-	if j.canceled.Load() {
-		return
-	}
-	start := clock.Now()
-	j.featureAt = start
-	fs := features.Extract(csr)
-	bsrBlocks := features.CountBlocks(csr, cfg.Lim.BSRBlockSize)
-	j.feature = timing.Since(clock, start).Seconds()
-	if j.canceled.Load() {
-		return
-	}
-	cached := cachedFormats(&cfg)
-	start = clock.Now()
-	j.predictAt = start
-	var d Decision
-	if preds.HasSpMMMenu() && j.spmmDominant && j.spmmK > 0 {
-		d = preds.DecideSpMM(fs, bsrBlocks, j.spmmK, float64(j.remaining), float64(j.remaining), cfg.Lim, cfg.Margin, cached)
-	} else {
-		d = preds.DecideOverlapCached(fs, bsrBlocks, float64(j.remaining), float64(j.remaining), cfg.Lim, cfg.Margin, cached)
-	}
-	j.predict = timing.Since(clock, start).Seconds()
-	j.d = d
-	j.decided = true
-	j.gen = preds.Generation
-	if cfg.Journal != nil {
-		j.fvec = fs.Vector()
-	}
-	if d.Format == sparse.FmtCSR || j.canceled.Load() {
-		return
-	}
-	if cacheUsable(&cfg) {
-		start = clock.Now()
-		j.lookupAt = start
-		e, hit := cfg.ConvCache.Lookup(cacheKeyFor(&cfg, d.Format))
-		j.cacheLookupSecs = timing.Since(clock, start).Seconds()
-		if hit {
-			j.cacheHit = true
-			j.cacheConvSecs = e.ConvertSeconds
-			j.m = e.M
-			return
-		}
-	}
-	start = clock.Now()
-	j.convertAt = start
-	m, err := sparse.ConvertFromCSR(csr, d.Format, cfg.Lim)
-	j.convert = timing.Since(clock, start).Seconds()
-	if err != nil {
-		j.convertErr = err.Error()
-		return
-	}
-	if cacheUsable(&cfg) {
-		cfg.ConvCache.Publish(cacheKeyFor(&cfg, d.Format), convcache.Entry{
-			M: m, ConvertSeconds: j.convert, NNZ: m.NNZ(),
-		})
-		j.published = true
-	}
-	j.m = m
+	csr, preds, cfg, clock, k := ad.csr, ad.preds, ad.cfg, ad.clock, ad.menuK()
+	parallel.Default().Go(func() {
+		defer close(job.done)
+		job.result = runStage2(csr, preds, cfg, clock, k, remaining, float64(remaining), job.canceled.Load)
+	})
 }
 
 // SwapPoint is the iteration-boundary hook: solvers (and ocsd's request
@@ -199,8 +95,10 @@ func (ad *Adaptive) Close() {
 }
 
 // adoptPending installs the pending job's result if the background work has
-// finished; a job still running leaves the wrapper iterating on its current
-// format.
+// finished — at a swap point, on the solver goroutine: all of the job's
+// overhead is hidden, and the deferred decision trace is journaled now that
+// the measured overheads exist. A job still running leaves the wrapper
+// iterating on its current format.
 func (ad *Adaptive) adoptPending() {
 	j := ad.pending
 	if j == nil {
@@ -212,75 +110,7 @@ func (ad *Adaptive) adoptPending() {
 		return
 	}
 	ad.pending = nil
-	ad.adopt(j)
-}
-
-// adopt folds a finished background job into the wrapper: overhead
-// accounting (all of it hidden — the solver never stalled for any of these
-// seconds), the atomic format swap, and the deferred decision trace with
-// its T_affected ledger. It runs on the solver goroutine at a swap point;
-// SafeAdaptive additionally holds its lock across it, so concurrent readers
-// observe the format flip atomically.
-func (ad *Adaptive) adopt(j *stage2Job) {
 	tr := j.tr
-	ad.stats.FeatureSeconds = j.feature
-	ad.stats.PredictSeconds += j.predict
-	ad.stats.ConvertSeconds = j.convert
-	ad.stats.HiddenSeconds += j.feature + j.predict + j.convert + j.cacheLookupSecs
-	if j.cacheHit {
-		// Adopted from the conversion cache: no conversion ran on this
-		// handle, but the publisher's machine work is real — credit it as
-		// hidden so T_affected accounting stays honest.
-		ad.stats.ConvCacheHit = true
-		ad.stats.HiddenSeconds += j.cacheConvSecs
-		tr.ConvCacheHit = true
-	}
-	// Hidden-mode stage spans: the work ran overlapped on a background
-	// worker, and its spans surface in the trace at adoption time.
-	if !j.featureAt.IsZero() {
-		ad.noteSpan("selector.features", j.featureAt, j.feature, [2]string{"mode", "hidden"})
-	}
-	if !j.predictAt.IsZero() {
-		ad.noteSpan("selector.decide", j.predictAt, j.predict,
-			[2]string{"mode", "hidden"}, [2]string{"format", j.d.Format.String()})
-	}
-	if !j.convertAt.IsZero() {
-		ad.noteSpan("selector.convert", j.convertAt, j.convert,
-			[2]string{"mode", "hidden"}, [2]string{"format", j.d.Format.String()})
-	}
-	if !j.lookupAt.IsZero() {
-		name := "convcache.miss"
-		if j.cacheHit {
-			name = "convcache.hit"
-		}
-		attrs := [][2]string{{"format", j.d.Format.String()}}
-		if j.cacheHit {
-			attrs = append(attrs, [2]string{"hidden_seconds", strconv.FormatFloat(j.cacheConvSecs, 'g', -1, 64)})
-		}
-		ad.noteSpan(name, j.lookupAt, j.cacheLookupSecs, attrs...)
-	}
-	if j.published {
-		ad.noteSpan("convcache.publish", j.convertAt, j.convert,
-			[2]string{"format", j.d.Format.String()})
-	}
-	if !j.decided {
-		// The job was canceled mid-flight before reaching the decision;
-		// Close normally discards the pending pointer, so adoption should
-		// never see this — journal what exists and stay on CSR.
-		ad.journalTrace(tr)
-		return
-	}
-	ad.recordStage2(&tr, j.d, j.remaining, j.fvec, j.gen)
-	switch {
-	case j.m != nil:
-		ad.cur = j.m
-		ad.stats.Converted = true
-		ad.stats.Format = j.d.Format
-		tr.Converted = true
-	case j.convertErr != "":
-		tr.ConvertErr = j.convertErr
-		tr.Chosen = sparse.FmtCSR.String()
-	}
-	ad.finishTrace(&tr, j.d)
+	ad.applyStage2(&tr, j.result, true)
 	ad.journalTrace(tr)
 }

@@ -336,12 +336,12 @@ func TestAsyncConcurrentSpMVDuringSwap(t *testing.T) {
 	}
 }
 
-// TestDecideOverlapProperties checks the overlap-aware cost model against
+// TestDecideQueryOverlapProperties checks the overlap-aware cost model against
 // the inline one: with no overlap budget they are identical (bit-for-bit,
 // same argmin), and an overlap budget can only lower a candidate's cost —
 // with a full budget the conversion term vanishes entirely, leaving the
 // per-iteration comparison.
-func TestDecideOverlapProperties(t *testing.T) {
+func TestDecideQueryOverlapProperties(t *testing.T) {
 	preds := predictors(t)
 	for _, fam := range []matgen.Family{matgen.FamBanded, matgen.FamRandom, matgen.FamPowerLaw} {
 		m := genCSR(t, fam, 3000, 11)
@@ -349,7 +349,8 @@ func TestDecideOverlapProperties(t *testing.T) {
 		blocks := features.CountBlocks(m, sparse.DefaultLimits.BSRBlockSize)
 		for _, remaining := range []float64{20, 200, 5000} {
 			inline := preds.Decide(fs, blocks, remaining, sparse.DefaultLimits, 0.1)
-			zero := preds.DecideOverlap(fs, blocks, remaining, 0, sparse.DefaultLimits, 0.1)
+			q := core.Query{BSRBlocks: blocks, Remaining: remaining, Lim: sparse.DefaultLimits, Margin: 0.1}
+			zero := preds.DecideQuery(fs, q)
 			if zero.Format != inline.Format {
 				t.Errorf("%v r=%g: overlap=0 chose %v, inline chose %v", fam, remaining, zero.Format, inline.Format)
 			}
@@ -358,7 +359,8 @@ func TestDecideOverlapProperties(t *testing.T) {
 					t.Errorf("%v r=%g %v: overlap=0 cost %g != inline cost %g", fam, remaining, f, zc, c)
 				}
 			}
-			full := preds.DecideOverlap(fs, blocks, remaining, remaining, sparse.DefaultLimits, 0.1)
+			q.Overlap = remaining
+			full := preds.DecideQuery(fs, q)
 			for f, c := range full.PredictedCost {
 				ic, ok := inline.PredictedCost[f]
 				if !ok {

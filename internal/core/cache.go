@@ -26,8 +26,8 @@ func cacheUsable(cfg *Config) bool {
 // cachedFormats probes which candidate formats already have a published
 // conversion for this exact matrix, using Has (which leaves the hit/miss
 // counters alone — only an adoption counts as a hit). The result feeds
-// DecideOverlapCached/DecideSpMM, where a cached format's T_convert is
-// zero: the cache changes the decision, not just its cost.
+// Query.Cached, where a cached format's T_convert is zero: the cache changes
+// the decision, not just its cost.
 func cachedFormats(cfg *Config) map[sparse.Format]bool {
 	if !cacheUsable(cfg) {
 		return nil

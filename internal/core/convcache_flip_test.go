@@ -253,10 +253,10 @@ func TestAdaptiveSpMMMatchesCSR(t *testing.T) {
 	}
 }
 
-// TestDecideSpMMPrefersBlockedWinner prices candidates with scripted SpMM
+// TestDecideQuerySpMMPrefersBlockedWinner prices candidates with scripted SpMM
 // models: a format whose blocked per-column cost beats CSR's must win once
 // conversion amortizes, and must lose when its conversion is priced out.
-func TestDecideSpMMPrefersBlockedWinner(t *testing.T) {
+func TestDecideQuerySpMMPrefersBlockedWinner(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 3000, 17)
 	fs := features.Extract(m)
 	fvec := fs.Vector()
@@ -272,18 +272,20 @@ func TestDecideSpMMPrefersBlockedWinner(t *testing.T) {
 	}
 
 	// k=8: CSR per call 6.4, ELL 2.4. Over 100 calls: CSR 640, ELL 20+240.
-	d := preds.DecideSpMM(fs, blocks, 8, 100, 0, sparse.DefaultLimits, 0.1, nil)
+	q := core.Query{BSRBlocks: blocks, K: 8, Remaining: 100, Lim: sparse.DefaultLimits, Margin: 0.1}
+	d := preds.DecideQuery(fs, q)
 	if d.Format != sparse.FmtELL {
 		t.Fatalf("long blocked workload chose %v, want ELL (costs %v)", d.Format, d.PredictedCost)
 	}
 	// 3 remaining calls: CSR 19.2, ELL 20+7.2 — conversion cannot pay.
-	d = preds.DecideSpMM(fs, blocks, 8, 3, 0, sparse.DefaultLimits, 0.1, nil)
+	q.Remaining = 3
+	d = preds.DecideQuery(fs, q)
 	if d.Format != sparse.FmtCSR {
 		t.Fatalf("short blocked workload chose %v, want CSR (costs %v)", d.Format, d.PredictedCost)
 	}
 	// Cached ELL: conversion free, 3 calls now favor ELL (7.2 < 19.2*0.9).
-	d = preds.DecideSpMM(fs, blocks, 8, 3, 0, sparse.DefaultLimits, 0.1,
-		map[sparse.Format]bool{sparse.FmtELL: true})
+	q.Cached = map[sparse.Format]bool{sparse.FmtELL: true}
+	d = preds.DecideQuery(fs, q)
 	if d.Format != sparse.FmtELL {
 		t.Fatalf("cached short blocked workload chose %v, want ELL (costs %v)", d.Format, d.PredictedCost)
 	}

@@ -245,78 +245,100 @@ func formatValid(f sparse.Format, s *features.Set, bsrBlocks int, lim sparse.Lim
 	}
 }
 
-// Decide runs the stage-2 cost-benefit analysis: for every valid format,
-// predicted total cost over the remaining iterations (in CSR-SpMV units) is
-// ConvTime_norm(f) + SpMVTime_norm(f) * remaining; staying on CSR costs
-// exactly remaining. The argmin wins, but a conversion must additionally
+// Query is everything a stage-2 cost-benefit evaluation depends on besides
+// the matrix features. The zero value of each optional field reproduces the
+// paper's inline SpMV model: Overlap = 0 hides no conversion time, K <= 1
+// prices lone SpMV calls, a nil Cached set means no conversion is free.
+type Query struct {
+	// BSRBlocks is the matrix's block count at Lim.BSRBlockSize, the one
+	// validity input Table I lacks.
+	BSRBlocks int
+	// Remaining is how many more calls the loop is predicted to make.
+	Remaining float64
+	// Overlap is how many calls' worth of conversion work can run
+	// concurrently with solver iterations still in flight (the async
+	// pipeline passes Remaining — every iteration up to adoption can cover
+	// conversion time). A hidden conversion does not stall the loop, but the
+	// h calls covering it still run at CSR speed and only the rest enjoy the
+	// converted format, so a candidate's cost becomes
+	//
+	//	max(0, conv − h·csr) + h·csr + (Remaining − h)·new,  h = min(conv/csr, Overlap, Remaining)
+	//
+	// — the paper's T_affected with the effective conversion cost shrunk to
+	// max(0, T_convert − T_overlap).
+	Overlap float64
+	// K > 1 prices the workload as Remaining blocked products of width K:
+	// each candidate is billed perColumn(f)·K per call from the SpMMTime
+	// models, and staying costs CSR's own learned blocked per-column cost
+	// (not the definitional 1 — blocked CSR already amortizes matrix
+	// traffic). Formats without an SpMM model are not candidates.
+	K int
+	// Cached marks formats whose converted matrix is already published in
+	// the conversion cache for this exact (structure, values) pair: their
+	// T_convert is zero — adoption is a map lookup — which can flip a stay
+	// into a convert.
+	Cached map[sparse.Format]bool
+	// Lim bounds format conversions; Margin is the fraction by which a
+	// conversion must undercut staying on CSR (Config.Margin).
+	Lim    sparse.Limits
+	Margin float64
+}
+
+// Decide is the paper's inline SpMV decision: DecideQuery with no overlap,
+// no SpMM menu and no cache.
+func (p *Predictors) Decide(s *features.Set, bsrBlocks int, remaining float64, lim sparse.Limits, margin float64) Decision {
+	return p.DecideQuery(s, Query{BSRBlocks: bsrBlocks, Remaining: remaining, Lim: lim, Margin: margin})
+}
+
+// DecideQuery runs the stage-2 cost-benefit analysis: for every valid
+// format, predicted total cost over the remaining calls (in CSR-SpMV units)
+// is the conversion bill plus the per-call cost times Remaining, adjusted
+// for overlap (see Query.Overlap); staying on CSR costs its per-call cost
+// times Remaining. The argmin wins, but a conversion must additionally
 // undercut staying by the margin fraction (risk control against prediction
 // noise on marginal wins).
-func (p *Predictors) Decide(s *features.Set, bsrBlocks int, remaining float64, lim sparse.Limits, margin float64) Decision {
-	return p.DecideOverlap(s, bsrBlocks, remaining, 0, lim, margin)
-}
-
-// DecideOverlap is Decide with an overlap budget: overlap is how many
-// CSR-SpMV-equivalents of conversion work can run concurrently with solver
-// iterations still in flight (the async pipeline passes remaining — every
-// iteration up to adoption can cover conversion time; the inline pipeline
-// passes 0, reproducing the paper's model bit for bit). A hidden conversion
-// does not stall the loop, but the iterations covering it still run at CSR
-// speed (cost 1 each) and only the rest enjoy the converted format, so a
-// candidate's cost becomes
-//
-//	max(0, conv − h) + h·1 + (remaining − h)·spmv,  h = min(conv, overlap, remaining)
-//
-// — the residual (non-hidden) conversion charge plus the split iteration
-// bill. This is the paper's T_affected with the effective conversion cost
-// shrunk to max(0, T_convert − T_overlap).
-func (p *Predictors) DecideOverlap(s *features.Set, bsrBlocks int, remaining, overlap float64, lim sparse.Limits, margin float64) Decision {
-	return p.DecideOverlapCached(s, bsrBlocks, remaining, overlap, lim, margin, nil)
-}
-
-// DecideOverlapCached is DecideOverlap with conversion-cache knowledge:
-// formats present in cached have an already-published converted matrix for
-// this exact (structure, values) pair, so their effective T_convert is zero
-// — adoption is a map lookup. This is the cache changing the decision
-// itself: a format whose conversion bill would not amortize over the
-// remaining iterations becomes free and can win the argmin (the paper's
-// overhead-conscious gate, with the overhead removed by an earlier tenant
-// having paid it). nil cached means no cache, reproducing DecideOverlap.
-func (p *Predictors) DecideOverlapCached(s *features.Set, bsrBlocks int, remaining, overlap float64, lim sparse.Limits, margin float64, cached map[sparse.Format]bool) Decision {
+func (p *Predictors) DecideQuery(s *features.Set, q Query) Decision {
 	x := s.Vector()
+	// The SpMV menu is the K = 1 case with CSR's per-call cost pinned to its
+	// defining 1; multiplying by kk = 1 leaves every value bit-identical.
+	perCall, kk, csrPerCall := p.SpMVTime, 1.0, 1.0
+	if q.K > 1 {
+		perCall, kk = p.SpMMTime, float64(q.K)
+		csrPerCall = kk // k lone SpMVs, when no model says better
+		if m := p.SpMMTime[sparse.FmtCSR]; m != nil {
+			if v := m.Predict(x); v > 0 {
+				csrPerCall = v * kk
+			}
+		}
+	}
 	d := Decision{
 		Format:        sparse.FmtCSR,
-		PredictedCost: map[sparse.Format]float64{sparse.FmtCSR: remaining},
-		PredictedSpMV: map[sparse.Format]float64{sparse.FmtCSR: 1},
+		PredictedCost: map[sparse.Format]float64{sparse.FmtCSR: csrPerCall * q.Remaining},
+		PredictedSpMV: map[sparse.Format]float64{sparse.FmtCSR: csrPerCall},
 		PredictedConv: map[sparse.Format]float64{sparse.FmtCSR: 0},
-		Remaining:     remaining,
+		Remaining:     q.Remaining,
 	}
-	best := remaining * (1 - margin)
+	best := csrPerCall * q.Remaining * (1 - q.Margin)
 	for _, f := range sparse.AllFormats {
 		if f == sparse.FmtCSR {
 			continue
 		}
-		if p.ConvTime[f] == nil || p.SpMVTime[f] == nil {
+		if p.ConvTime[f] == nil || perCall[f] == nil {
 			continue
 		}
-		if !formatValid(f, s, bsrBlocks, lim) {
+		if !formatValid(f, s, q.BSRBlocks, q.Lim) {
 			continue
 		}
-		conv := p.ConvTime[f].Predict(x)
-		spmv := p.SpMVTime[f].Predict(x)
 		// Regression outputs can stray slightly negative near zero; clamp
 		// so a bad extrapolation cannot fabricate negative cost.
-		if conv < 0 {
+		conv := max(p.ConvTime[f].Predict(x), 0)
+		call := max(perCall[f].Predict(x), 0) * kk
+		if q.Cached[f] {
 			conv = 0
 		}
-		if spmv < 0 {
-			spmv = 0
-		}
-		if cached[f] {
-			conv = 0
-		}
-		cost := overlapCost(conv, spmv, remaining, overlap)
+		cost := overlapCostScaled(conv, csrPerCall, call, q.Remaining, q.Overlap)
 		d.PredictedCost[f] = cost
-		d.PredictedSpMV[f] = spmv
+		d.PredictedSpMV[f] = call
 		d.PredictedConv[f] = conv
 		if cost < best {
 			best = cost
@@ -324,21 +346,6 @@ func (p *Predictors) DecideOverlapCached(s *features.Set, bsrBlocks int, remaini
 		}
 	}
 	return d
-}
-
-// overlapCost is the overlap-aware candidate cost in CSR-SpMV units; see
-// DecideOverlap for the derivation. With overlap = 0 it degenerates to the
-// inline model conv + spmv·remaining exactly (h = 0 leaves both terms
-// untouched, no floating-point rewriting).
-func overlapCost(conv, spmv, remaining, overlap float64) float64 {
-	h := conv
-	if overlap < h {
-		h = overlap
-	}
-	if remaining < h {
-		h = remaining
-	}
-	return (conv - h) + h + (remaining-h)*spmv
 }
 
 // HasSpMMMenu reports whether the bundle carries blocked-SpMM cost models
@@ -347,73 +354,14 @@ func (p *Predictors) HasSpMMMenu() bool {
 	return p != nil && p.SpMMTime[sparse.FmtCSR] != nil
 }
 
-// DecideSpMM is the cost-benefit menu for SpMM-dominant handles: the
-// workload is `remaining` blocked products of width k rather than lone
-// SpMVs, so each candidate is billed conv + perColumn(f)·k·remaining and
-// the stay-on-CSR baseline is CSR's own blocked per-column cost (not the
-// definitional 1 — blocked CSR already amortizes matrix traffic). Formats
-// in cached charge zero conversion, exactly like DecideOverlapCached. The
-// overlap budget is in calls; iterations covering a hidden conversion run
-// at blocked-CSR speed (see overlapCostScaled). Falls back to FmtCSR when
-// the bundle predates SpMM models.
-func (p *Predictors) DecideSpMM(s *features.Set, bsrBlocks, k int, remaining, overlap float64, lim sparse.Limits, margin float64, cached map[sparse.Format]bool) Decision {
-	x := s.Vector()
-	kk := float64(k)
-	csrPerCall := kk // k lone SpMVs, when no model says better
-	if m := p.SpMMTime[sparse.FmtCSR]; m != nil {
-		if v := m.Predict(x); v > 0 {
-			csrPerCall = v * kk
-		}
-	}
-	d := Decision{
-		Format:        sparse.FmtCSR,
-		PredictedCost: map[sparse.Format]float64{sparse.FmtCSR: csrPerCall * remaining},
-		PredictedSpMV: map[sparse.Format]float64{sparse.FmtCSR: csrPerCall},
-		PredictedConv: map[sparse.Format]float64{sparse.FmtCSR: 0},
-		Remaining:     remaining,
-	}
-	best := csrPerCall * remaining * (1 - margin)
-	for _, f := range sparse.AllFormats {
-		if f == sparse.FmtCSR {
-			continue
-		}
-		if p.SpMMTime[f] == nil || p.ConvTime[f] == nil {
-			continue
-		}
-		if !formatValid(f, s, bsrBlocks, lim) {
-			continue
-		}
-		conv := p.ConvTime[f].Predict(x)
-		perCol := p.SpMMTime[f].Predict(x)
-		if conv < 0 {
-			conv = 0
-		}
-		if perCol < 0 {
-			perCol = 0
-		}
-		if cached[f] {
-			conv = 0
-		}
-		perCall := perCol * kk
-		cost := overlapCostScaled(conv, csrPerCall, perCall, remaining, overlap)
-		d.PredictedCost[f] = cost
-		d.PredictedSpMV[f] = perCall
-		d.PredictedConv[f] = conv
-		if cost < best {
-			best = cost
-			d.Format = f
-		}
-	}
-	return d
-}
-
-// overlapCostScaled generalizes overlapCost to calls that do not cost 1
-// CSR-SpMV unit each: oldPerCall is the per-call cost while still on CSR,
+// overlapCostScaled is the overlap-aware candidate cost in CSR-SpMV units
+// (see Query.Overlap): oldPerCall is the per-call cost while still on CSR,
 // newPerCall after conversion, conv the conversion bill, overlap the budget
 // in calls. h calls elapse while the conversion hides (at most conv /
 // oldPerCall of them fit inside the conversion window), each billed at old
 // speed; the residual conversion time stalls; the rest run converted. With
-// oldPerCall = 1 this is overlapCost exactly.
+// overlap = 0 it degenerates to the inline model conv + newPerCall·remaining
+// exactly (h = 0 leaves both terms untouched, no floating-point rewriting).
 func overlapCostScaled(conv, oldPerCall, newPerCall, remaining, overlap float64) float64 {
 	h := remaining
 	if overlap < h {

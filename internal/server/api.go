@@ -141,14 +141,17 @@ type ListResponse struct {
 	CapacityNNZ int64        `json:"capacity_nnz"`
 }
 
-// SpMVRequest is the body of POST /v1/matrices/{id}/spmv: a batch of
-// x-vectors, each of length cols.
-type SpMVRequest struct {
+// PanelRequest is the body of POST /v1/matrices/{id}/spmv and .../spmm: a
+// batch of k x-vectors, each of length cols. /spmv multiplies them one SpMV
+// call at a time; /spmm packs them into a row-major panel and multiplies in
+// one blocked pass (Y = A*X), amortizing each matrix traversal across all k
+// columns.
+type PanelRequest struct {
 	X [][]float64 `json:"x"`
 	// RowLo/RowHi restrict the returned product to rows [RowLo, RowHi) — a
-	// partial product, the shard-side half of distributed SpMV (the router
-	// gathers per-shard row blocks into the full vector). Both zero means
-	// all rows.
+	// partial product, the shard-side half of a distributed SpMV/SpMM (the
+	// router gathers per-shard row blocks into the full vectors). Both zero
+	// means all rows.
 	RowLo int `json:"row_lo,omitempty"`
 	RowHi int `json:"row_hi,omitempty"`
 	// Progress, when set, feeds the caller's loop-progress indicator (e.g.
@@ -158,33 +161,11 @@ type SpMVRequest struct {
 	Progress *float64 `json:"progress,omitempty"`
 }
 
-// SpMVResponse returns y = A*x for each input vector, in order.
-type SpMVResponse struct {
+// PanelResponse returns y = A*x for each input vector, in order. K is the
+// panel width, reported by /spmm only.
+type PanelResponse struct {
 	Y      [][]float64 `json:"y"`
-	Format string      `json:"format"`
-}
-
-// SpMMRequest is the body of POST /v1/matrices/{id}/spmm: k vectors
-// multiplied in one blocked pass (Y = A*X), amortizing each matrix traversal
-// across all k columns instead of issuing k separate SpMV calls.
-type SpMMRequest struct {
-	// X holds the k input vectors, each of length cols. The server packs
-	// them into a row-major panel for the blocked kernels.
-	X [][]float64 `json:"x"`
-	// RowLo/RowHi restrict the returned product rows to [RowLo, RowHi), the
-	// shard-side half of distributed SpMM (see SpMVRequest). Both zero
-	// means all rows.
-	RowLo int `json:"row_lo,omitempty"`
-	RowHi int `json:"row_hi,omitempty"`
-	// Progress feeds the caller's loop-progress indicator to this shard's
-	// selector before computing (see SpMVRequest.Progress).
-	Progress *float64 `json:"progress,omitempty"`
-}
-
-// SpMMResponse returns the k product vectors, in input order.
-type SpMMResponse struct {
-	Y      [][]float64 `json:"y"`
-	K      int         `json:"k"`
+	K      int         `json:"k,omitempty"`
 	Format string      `json:"format"`
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/matgen"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -60,13 +59,7 @@ func TestSpMVPooledBuffersInterleavedSizes(t *testing.T) {
 	var ms []mat
 	for _, sp := range specs {
 		info := register(t, ts.URL, RegisterRequest{Name: sp.Family, Generate: &sp})
-		fam, err := parseFamily(sp.Family)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local, err := matgen.Generate(matgen.Spec{
-			Name: sp.Family, Family: fam, Size: sp.Size, Degree: sp.Degree, Seed: sp.Seed,
-		})
+		local, _, err := Materialize(RegisterRequest{Name: sp.Family, Generate: &sp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +71,9 @@ func TestSpMVPooledBuffersInterleavedSizes(t *testing.T) {
 			for i := range x {
 				x[i] = float64((i+round)%5) - 2
 			}
-			var sr SpMVResponse
+			var sr PanelResponse
 			code, body := call(t, "POST", ts.URL+"/v1/matrices/"+m.info.ID+"/spmv",
-				SpMVRequest{X: [][]float64{x}}, &sr)
+				PanelRequest{X: [][]float64{x}}, &sr)
 			if code != http.StatusOK {
 				t.Fatalf("spmv: status %d body %s", code, body)
 			}

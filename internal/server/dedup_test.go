@@ -57,8 +57,8 @@ func TestDedupAliasAndDeleteLifecycle(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	var sr SpMVResponse
-	code, body := call(t, "POST", ts.URL+"/v1/matrices/"+b.ID+"/spmv", SpMVRequest{X: [][]float64{x}}, &sr)
+	var sr PanelResponse
+	code, body := call(t, "POST", ts.URL+"/v1/matrices/"+b.ID+"/spmv", PanelRequest{X: [][]float64{x}}, &sr)
 	if code != http.StatusOK {
 		t.Fatalf("spmv on surviving alias: status %d body %s", code, body)
 	}
@@ -180,8 +180,8 @@ func TestSpMMEndpoint(t *testing.T) {
 			xs[i][j] = float64((i+2)*(j%11)) - 3.5
 		}
 	}
-	var resp SpMMResponse
-	code, body := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm", SpMMRequest{X: xs}, &resp)
+	var resp PanelResponse
+	code, body := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm", PanelRequest{X: xs}, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("spmm: status %d body %s", code, body)
 	}
@@ -201,7 +201,7 @@ func TestSpMMEndpoint(t *testing.T) {
 	// Partial row range: the shard-side half of distributed SpMM.
 	lo, hi := 10, 50
 	code, body = call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm",
-		SpMMRequest{X: xs, RowLo: lo, RowHi: hi}, &resp)
+		PanelRequest{X: xs, RowLo: lo, RowHi: hi}, &resp)
 	if code != http.StatusOK {
 		t.Fatalf("partial spmm: status %d body %s", code, body)
 	}
@@ -218,15 +218,15 @@ func TestSpMMEndpoint(t *testing.T) {
 	}
 
 	// Error paths: empty batch, ragged vector, bad row range.
-	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm", SpMMRequest{}, nil); code != http.StatusBadRequest {
+	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm", PanelRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("empty x: status %d, want 400", code)
 	}
 	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm",
-		SpMMRequest{X: [][]float64{make([]float64, info.Cols-1)}}, nil); code != http.StatusBadRequest {
+		PanelRequest{X: [][]float64{make([]float64, info.Cols-1)}}, nil); code != http.StatusBadRequest {
 		t.Errorf("ragged x: status %d, want 400", code)
 	}
 	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm",
-		SpMMRequest{X: xs, RowLo: 50, RowHi: 10}, nil); code != http.StatusBadRequest {
+		PanelRequest{X: xs, RowLo: 50, RowHi: 10}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad row range: status %d, want 400", code)
 	}
 

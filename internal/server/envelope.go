@@ -1,0 +1,159 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync/atomic"
+
+	"repro/internal/obs"
+)
+
+// Envelope is the request plumbing ocsd and ocsrouter share: the
+// observability wrapper around every /v1 handler plus the JSON
+// decode/reply/error conventions, so both tiers answer with the same bodies,
+// log the same lines and score requests the same way. The tracer's service
+// name ("ocsd", "ocsrouter") prefixes the request spans.
+type Envelope struct {
+	Log          *slog.Logger
+	Tracer       *obs.Tracer
+	SLO          *obs.SLOTracker
+	Slow         *obs.SlowTraces
+	MaxBodyBytes int64
+	// Requests counts requests routed to a tracked handler, Errors those
+	// answered with a 4xx/5xx status (the tier's own metrics counters).
+	Requests, Errors *atomic.Int64
+}
+
+// traceWriter decorates the response writer with the request-scoped logger
+// (carrying trace_id) and the final status code, so Fail logs correlated
+// lines and Track can score the request against its SLO.
+type traceWriter struct {
+	http.ResponseWriter
+	status int
+	log    *slog.Logger
+}
+
+func (tw *traceWriter) WriteHeader(code int) {
+	if tw.status == 0 {
+		tw.status = code
+	}
+	tw.ResponseWriter.WriteHeader(code)
+}
+
+func (tw *traceWriter) Write(b []byte) (int, error) {
+	if tw.status == 0 {
+		tw.status = http.StatusOK
+	}
+	return tw.ResponseWriter.Write(b)
+}
+
+// ReqLog returns the request-scoped logger when w was wrapped by Track (it
+// carries the request's trace_id), the base logger otherwise.
+func (e *Envelope) ReqLog(w http.ResponseWriter) *slog.Logger {
+	if tw, ok := w.(*traceWriter); ok {
+		return tw.log
+	}
+	return e.Log
+}
+
+// Track wraps a handler with the observability envelope: a request span is
+// opened under the OCS-Trace header's parent (or a fresh trace), the new
+// context is echoed back on the response and threaded through the request
+// context (the router's shard round trips parent their rpc.* spans under
+// it), the body is capped at MaxBodyBytes, the outcome is scored against the
+// endpoint's SLO, and requests breaching it are logged at Warn with their
+// span breakdown.
+func (e *Envelope) Track(endpoint string, h http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		e.Requests.Add(1)
+		parent, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
+		sp := e.Tracer.StartSpan(e.Tracer.Service()+"."+endpoint, parent)
+		sp.SetAttr("path", r.URL.Path)
+		sc := sp.Context()
+		w.Header().Set(obs.TraceHeader, sc.Header())
+		tw := &traceWriter{ResponseWriter: w, log: e.Log.With("trace_id", sc.Trace.String())}
+		r = r.WithContext(obs.ContextWithSpan(r.Context(), sc))
+		r.Body = http.MaxBytesReader(tw, r.Body, e.MaxBodyBytes)
+		h(tw, r)
+		if tw.status == 0 {
+			tw.status = http.StatusOK
+		}
+		sp.SetAttr("status", strconv.Itoa(tw.status))
+		secs := sp.End()
+		failed := tw.status >= 500
+		e.SLO.Record(endpoint, secs, failed)
+		e.Slow.Offer(obs.SlowTrace{Trace: sc.Trace, Endpoint: endpoint, Seconds: secs, Start: sp.StartTime()})
+		if obj, ok := e.SLO.Objective(endpoint); ok && (failed || secs > obj.LatencyTarget) {
+			spans := e.Tracer.Spans(sc.Trace)
+			parts := make([]string, 0, len(spans))
+			for _, s := range spans {
+				parts = append(parts, fmt.Sprintf("%s=%.6fs", s.Name, s.Seconds))
+			}
+			tw.log.Warn("request breached SLO",
+				"endpoint", endpoint, "status", tw.status,
+				"seconds", secs, "target_seconds", obj.LatencyTarget,
+				"spans", strings.Join(parts, " "))
+		}
+	})
+}
+
+// WriteJSON replies with v as the JSON body.
+func (e *Envelope) WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// Fail replies with the uniform error body and counts the request as failed.
+func (e *Envelope) Fail(w http.ResponseWriter, code int, format string, args ...any) {
+	e.Errors.Add(1)
+	msg := fmt.Sprintf(format, args...)
+	if code >= 500 {
+		e.ReqLog(w).Warn("request failed", "status", code, "error", msg)
+	} else {
+		e.ReqLog(w).Debug("request rejected", "status", code, "error", msg)
+	}
+	e.WriteJSON(w, code, errorResponse{Error: msg})
+}
+
+// Decode parses the JSON request body into v (unknown fields are rejected),
+// answering 400 itself on failure.
+func (e *Envelope) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		e.Fail(w, http.StatusBadRequest, "decoding request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// badRequest is a work error caused by the client's malformed input (400)
+// rather than by a computation that could not be carried out (422).
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
+// WorkStatus maps a pool/solver error to the HTTP status both tiers answer
+// it with, keyed on error identity: shed load is 503, an expired or canceled
+// request 504, malformed input 400, and anything else — an unknown app, a
+// solver breakdown, a matrix the app cannot run on — 422: the request was
+// understood but cannot be computed, which is not a server fault.
+func WorkStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrQueueFull):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusGatewayTimeout
+	case errors.As(err, new(badRequest)):
+		return http.StatusBadRequest
+	default:
+		return http.StatusUnprocessableEntity
+	}
+}

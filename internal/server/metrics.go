@@ -10,9 +10,8 @@ import (
 )
 
 // Metrics is the daemon's telemetry set: atomic counters plus lock-free
-// latency histograms, exposed on /metrics as Prometheus text (default) or as
-// the legacy JSON snapshot (?format=json). Everything is an atomic so the
-// hot paths never take a lock for bookkeeping; a snapshot is
+// latency histograms, exposed on /metrics as Prometheus text. Everything is
+// an atomic so the hot paths never take a lock for bookkeeping; a scrape is
 // consistent-enough (counters are monotone, so slight skew between fields is
 // harmless).
 //
@@ -94,55 +93,7 @@ func (m *Metrics) CountSpMV(f sparse.Format, n int64) {
 	}
 }
 
-// Snapshot renders all counters as a JSON-ready map (the legacy /metrics
-// document, still served with ?format=json). Histograms appear as
-// {count, sum, mean} summaries; runtime gauges ride along under "runtime".
-func (m *Metrics) Snapshot() map[string]any {
-	byFormat := make(map[string]int64)
-	for i := range m.SpMVByFormat {
-		if n := m.SpMVByFormat[i].Load(); n > 0 {
-			byFormat[sparse.Format(i).String()] = n
-		}
-	}
-	snap := map[string]any{
-		"requests_total":      m.RequestsTotal.Load(),
-		"request_errors":      m.RequestErrors.Load(),
-		"in_flight":           m.InFlight.Load(),
-		"spmv_requests":       m.SpMVRequests.Load(),
-		"spmv_vectors":        m.SpMVVectors.Load(),
-		"spmm_requests":       m.SpMMRequests.Load(),
-		"spmm_columns":        m.SpMMColumns.Load(),
-		"solve_requests":      m.SolveRequests.Load(),
-		"solve_iterations":    m.SolveIters.Load(),
-		"solve_spmv_calls":    m.SolveSpMVs.Load(),
-		"queue_rejected":      m.QueueRejected.Load(),
-		"timeouts":            m.Timeouts.Load(),
-		"conversions":         m.Conversions.Load(),
-		"conversions_avoided": m.ConversionsAvoided.Load(),
-		"spmv_by_format":      byFormat,
-		"registry_matrices":   m.RegistryMatrices.Load(),
-		"registry_nnz":        m.RegistryNNZ.Load(),
-		"registry_bytes":      m.RegistryBytes.Load(),
-		"evictions":           m.Evictions.Load(),
-		"dedup_hits":          m.DedupHits.Load(),
-		"dedup_saved_nnz":     m.DedupSavedNNZ.Load(),
-		"runtime":             runtimeSnapshot(),
-	}
-	hists := map[string]any{}
-	for name, h := range m.histograms() {
-		if h == nil {
-			continue
-		}
-		s := h.Snapshot()
-		hists[name] = map[string]any{"count": s.Count, "sum": s.Sum, "mean": s.Mean()}
-	}
-	if len(hists) > 0 {
-		snap["latency"] = hists
-	}
-	return snap
-}
-
-// histograms names the histogram set once, for both exposition paths.
+// histograms names the histogram set.
 func (m *Metrics) histograms() map[string]*obs.Histogram {
 	return map[string]*obs.Histogram{
 		"spmv_seconds":       m.SpMVSeconds,
@@ -234,23 +185,7 @@ func (m *Metrics) Families(team *parallel.Team, extra ...obs.Family) []obs.Famil
 	return fams
 }
 
-// runtimeSnapshot renders the Go runtime gauges for the JSON document.
-func runtimeSnapshot() map[string]any {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return map[string]any{
-		"goroutines":           runtime.NumGoroutine(),
-		"gomaxprocs":           runtime.GOMAXPROCS(0),
-		"heap_alloc_bytes":     ms.HeapAlloc,
-		"heap_sys_bytes":       ms.HeapSys,
-		"gc_cycles":            ms.NumGC,
-		"gc_pause_total_secs":  float64(ms.PauseTotalNs) / 1e9,
-		"total_alloc_bytes":    ms.TotalAlloc,
-		"next_gc_target_bytes": ms.NextGC,
-	}
-}
-
-// runtimeFamilies renders the same runtime gauges for the Prometheus path.
+// runtimeFamilies renders the Go runtime gauges.
 func runtimeFamilies() []obs.Family {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -117,20 +117,6 @@ func ParseExposition(t *testing.T, body string) ([]obs.ParsedFamily, error) {
 	return obs.ParseText(body)
 }
 
-func TestMetricsLegacyJSON(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	var snap map[string]any
-	code, _ := call(t, "GET", ts.URL+"/metrics?format=json", nil, &snap)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	for _, key := range []string{"spmv_requests", "solve_requests", "latency", "runtime"} {
-		if _, ok := snap[key]; !ok {
-			t.Errorf("legacy JSON snapshot missing %q", key)
-		}
-	}
-}
-
 func TestBuildInfoEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var bi BuildInfo

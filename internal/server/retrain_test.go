@@ -238,9 +238,9 @@ func TestServerHotSwapUnderTraffic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				id := ids[(c+i)%handles]
-				var resp SpMVResponse
+				var resp PanelResponse
 				code, body := call(t, "POST", ts.URL+"/v1/matrices/"+id+"/spmv",
-					SpMVRequest{X: [][]float64{x}}, &resp)
+					PanelRequest{X: [][]float64{x}}, &resp)
 				if code != http.StatusOK {
 					t.Errorf("spmv under swap: status %d body %s", code, body)
 					return

@@ -15,14 +15,13 @@
 //     worker count with a bounded queue (overload sheds as 503s);
 //   - HTTP/JSON API: register, stats, batched spmv, solve (CG, PCG,
 //     BiCGSTAB, GMRES, Jacobi, power method, PageRank), delete, plus
-//     /healthz, /metrics (Prometheus text; ?format=json for the legacy
-//     snapshot), /buildinfo, /v1/trace/{id} + /debug/decisions for the
-//     selector's decision journal, and an opt-in net/http/pprof mux.
+//     /healthz, /metrics (Prometheus text), /buildinfo, /v1/trace/{id} +
+//     /debug/decisions for the selector's decision journal, and an opt-in
+//     net/http/pprof mux.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -30,6 +29,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -151,14 +151,11 @@ type Server struct {
 	pool    *Pool
 	metrics *Metrics
 	journal *obs.Journal
-	log     *slog.Logger
 	mux     *http.ServeMux
-	// tracer stores this shard's spans per trace; slo scores request
-	// outcomes against the configured objectives; slow keeps the slowest
-	// request traces for /debug/slow.
-	tracer *obs.Tracer
-	slo    *obs.SLOTracker
-	slow   *obs.SlowTraces
+	// env is the request envelope shared with the router: the logger, the
+	// span store holding this shard's spans per trace, the SLO tracker
+	// scoring request outcomes, and the /debug/slow ring.
+	env Envelope
 	// convCache is the cross-handle conversion cache every handle's
 	// selector consults and publishes into; nil when disabled.
 	convCache *convcache.Cache
@@ -207,12 +204,17 @@ func New(cfg Config) *Server {
 		pool:    NewPool(cfg.Workers, cfg.QueueDepth),
 		metrics: m,
 		journal: obs.NewJournal(cfg.JournalCapacity),
-		log:     logger,
 		mux:     http.NewServeMux(),
-		tracer:  obs.NewTracer("ocsd", cfg.TraceCapacity),
-		slo:     obs.NewSLOTracker(slos, nil, nil),
-		slow:    obs.NewSlowTraces(cfg.SlowTraceCount),
-		idle:    make(chan struct{}),
+		env: Envelope{
+			Log:          logger,
+			Tracer:       obs.NewTracer("ocsd", cfg.TraceCapacity),
+			SLO:          obs.NewSLOTracker(slos, nil, nil),
+			Slow:         obs.NewSlowTraces(cfg.SlowTraceCount),
+			MaxBodyBytes: cfg.MaxBodyBytes,
+			Requests:     &m.RequestsTotal,
+			Errors:       &m.RequestErrors,
+		},
+		idle: make(chan struct{}),
 	}
 	if cfg.ConvCacheNNZ > 0 {
 		s.convCache = convcache.New(cfg.ConvCacheNNZ)
@@ -235,8 +237,8 @@ func New(cfg Config) *Server {
 	s.mux.Handle("GET /v1/matrices/{id}", s.track("get", s.handleGet))
 	s.mux.Handle("GET /v1/matrices/{id}/export", s.track("export", s.handleExport))
 	s.mux.Handle("DELETE /v1/matrices/{id}", s.track("delete", s.handleDelete))
-	s.mux.Handle("POST /v1/matrices/{id}/spmv", s.track("spmv", s.handleSpMV))
-	s.mux.Handle("POST /v1/matrices/{id}/spmm", s.track("spmm", s.handleSpMM))
+	s.mux.Handle("POST /v1/matrices/{id}/spmv", s.track("spmv", s.handlePanel(opSpMV)))
+	s.mux.Handle("POST /v1/matrices/{id}/spmm", s.track("spmm", s.handlePanel(opSpMM)))
 	s.mux.Handle("POST /v1/matrices/{id}/solve", s.track("solve", s.handleSolve))
 	s.mux.Handle("GET /v1/trace/{id}", s.track("trace", s.handleTrace))
 	if cfg.EnablePprof {
@@ -263,7 +265,7 @@ func (s *Server) Journal() *obs.Journal { return s.journal }
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Tracer exposes the span store (primarily for tests and the router).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
+func (s *Server) Tracer() *obs.Tracer { return s.env.Tracer }
 
 // Predictors returns the live stage-2 bundle new handles are built with
 // (nil = stage 1 only). Together with SetPredictors it makes the Server a
@@ -296,64 +298,27 @@ func (s *Server) AttachRetrain(l *retrain.Loop) { s.retrainLoop.Store(l) }
 func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 	l := s.retrainLoop.Load()
 	if l == nil {
-		s.writeJSON(w, http.StatusOK, RetrainResponse{Enabled: false})
+		s.env.WriteJSON(w, http.StatusOK, RetrainResponse{Enabled: false})
 		return
 	}
 	st := l.Status()
-	s.writeJSON(w, http.StatusOK, RetrainResponse{Enabled: true, Status: &st})
+	s.env.WriteJSON(w, http.StatusOK, RetrainResponse{Enabled: true, Status: &st})
 }
 
-// traceWriter decorates the response writer with the request-scoped logger
-// (carrying trace_id) and the final status code, so fail() logs correlated
-// lines and track() can score the request against its SLO.
-type traceWriter struct {
-	http.ResponseWriter
-	status int
-	log    *slog.Logger
-}
-
-func (tw *traceWriter) WriteHeader(code int) {
-	if tw.status == 0 {
-		tw.status = code
-	}
-	tw.ResponseWriter.WriteHeader(code)
-}
-
-func (tw *traceWriter) Write(b []byte) (int, error) {
-	if tw.status == 0 {
-		tw.status = http.StatusOK
-	}
-	return tw.ResponseWriter.Write(b)
-}
-
-// reqLog returns the request-scoped logger when w was wrapped by track (it
-// carries the request's trace_id), the base logger otherwise.
-func (s *Server) reqLog(w http.ResponseWriter) *slog.Logger {
-	if tw, ok := w.(*traceWriter); ok {
-		return tw.log
-	}
-	return s.log
-}
-
-// track wraps a /v1 handler with request accounting and drain gating (once
-// Drain has been called, new work is refused with 503 while in-flight
-// requests run to completion) and with the observability envelope: a
-// request span is opened under the OCS-Trace header's parent (or a fresh
-// trace), the new context is echoed back on the response and threaded
-// through the request context, the outcome is scored against the
-// endpoint's SLO, and requests breaching it are logged at Warn with their
-// span breakdown.
+// track wraps a /v1 handler with the shared request envelope behind the
+// drain gate: once Drain has been called, new work is refused with 503 while
+// in-flight requests run to completion.
 func (s *Server) track(endpoint string, h http.HandlerFunc) http.Handler {
+	tracked := s.env.Track(endpoint, h)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		s.drainMu.Lock()
 		if s.draining {
 			s.drainMu.Unlock()
-			s.fail(w, http.StatusServiceUnavailable, "server is draining")
+			s.env.Fail(w, http.StatusServiceUnavailable, "server is draining")
 			return
 		}
 		s.inflight++
 		s.drainMu.Unlock()
-		s.metrics.RequestsTotal.Add(1)
 		s.metrics.InFlight.Add(1)
 		defer func() {
 			s.metrics.InFlight.Add(-1)
@@ -364,29 +329,7 @@ func (s *Server) track(endpoint string, h http.HandlerFunc) http.Handler {
 			}
 			s.drainMu.Unlock()
 		}()
-		parent, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
-		sp := s.tracer.StartSpan("ocsd."+endpoint, parent)
-		sp.SetAttr("path", r.URL.Path)
-		sc := sp.Context()
-		w.Header().Set(obs.TraceHeader, sc.Header())
-		tw := &traceWriter{ResponseWriter: w, log: s.log.With("trace_id", sc.Trace.String())}
-		r = r.WithContext(obs.ContextWithSpan(r.Context(), sc))
-		r.Body = http.MaxBytesReader(tw, r.Body, s.cfg.MaxBodyBytes)
-		h(tw, r)
-		if tw.status == 0 {
-			tw.status = http.StatusOK
-		}
-		sp.SetAttr("status", strconv.Itoa(tw.status))
-		secs := sp.End()
-		failed := tw.status >= 500
-		s.slo.Record(endpoint, secs, failed)
-		s.slow.Offer(obs.SlowTrace{Trace: sc.Trace, Endpoint: endpoint, Seconds: secs, Start: sp.StartTime()})
-		if obj, ok := s.slo.Objective(endpoint); ok && (failed || secs > obj.LatencyTarget) {
-			tw.log.Warn("request breached SLO",
-				"endpoint", endpoint, "status", tw.status,
-				"seconds", secs, "target_seconds", obj.LatencyTarget,
-				"spans", spanBreakdown(s.tracer.Spans(sc.Trace)))
-		}
+		tracked.ServeHTTP(w, r)
 	})
 }
 
@@ -408,17 +351,7 @@ func (s *Server) recordSpan(sc obs.SpanContext, name string, start time.Time, se
 			sp.Attrs[kv[0]] = kv[1]
 		}
 	}
-	s.tracer.Record(sp)
-}
-
-// spanBreakdown renders a trace's spans as a compact name=seconds list for
-// the slow-request log line.
-func spanBreakdown(spans []obs.Span) string {
-	parts := make([]string, 0, len(spans))
-	for _, sp := range spans {
-		parts = append(parts, fmt.Sprintf("%s=%.6fs", sp.Name, sp.Seconds))
-	}
-	return strings.Join(parts, " ")
+	s.env.Tracer.Record(sp)
 }
 
 // Drain stops admitting new /v1 requests and waits until every in-flight
@@ -443,41 +376,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// ---- plumbing ----
-
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
-	s.metrics.RequestErrors.Add(1)
-	msg := fmt.Sprintf(format, args...)
-	if code >= 500 {
-		s.reqLog(w).Warn("request failed", "status", code, "error", msg)
-	} else {
-		s.reqLog(w).Debug("request rejected", "status", code, "error", msg)
-	}
-	s.writeJSON(w, code, errorResponse{Error: msg})
-}
-
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		s.fail(w, http.StatusBadRequest, "decoding request body: %v", err)
-		return false
-	}
-	return true
-}
-
 // lookup resolves {id} or writes a 404.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Handle, bool) {
 	id := r.PathValue("id")
 	h, ok := s.reg.Get(id)
 	if !ok {
-		s.fail(w, http.StatusNotFound, "no matrix %q (it may have been evicted)", id)
+		s.env.Fail(w, http.StatusNotFound, "no matrix %q (it may have been evicted)", id)
 		return nil, false
 	}
 	return h, true
@@ -512,27 +416,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.drainMu.Unlock()
 	if draining {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.env.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.env.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		snap := s.metrics.Snapshot()
-		if s.team != nil {
-			// Team dispatch counters: Woken/Dispatches well below Width-1
-			// means concurrent solves are sharing the team (each dispatch
-			// finds fewer idle workers), the intended behavior under load.
-			snap["parallel_team"] = s.team.Stats()
-		}
-		if s.convCache != nil {
-			snap["convcache"] = s.convCache.Snapshot()
-		}
-		s.writeJSON(w, http.StatusOK, snap)
-		return
-	}
 	w.Header().Set("Content-Type", obs.ContentType)
 	w.WriteHeader(http.StatusOK)
 	extra := []obs.Family{
@@ -549,7 +439,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			obs.ScalarFamily("ocsd_convcache_nnz", "Total nonzeros held by the conversion cache.", obs.KindGauge, float64(cs.NNZ)),
 		)
 	}
-	extra = append(extra, s.slo.Families("ocsd")...)
+	extra = append(extra, s.env.SLO.Families("ocsd")...)
 	if l := s.retrainLoop.Load(); l != nil {
 		extra = append(extra, l.MetricFamilies()...)
 	}
@@ -580,7 +470,7 @@ func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.writeJSON(w, http.StatusOK, info)
+	s.env.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleDecisions dumps the journal's recent traces (newest first) as JSON.
@@ -590,13 +480,13 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 0 {
-			s.fail(w, http.StatusBadRequest, "bad n %q", q)
+			s.env.Fail(w, http.StatusBadRequest, "bad n %q", q)
 			return
 		}
 		n = v
 	}
 	traces := s.journal.Recent(n)
-	s.writeJSON(w, http.StatusOK, DecisionsResponse{Count: len(traces), Traces: traces})
+	s.env.WriteJSON(w, http.StatusOK, DecisionsResponse{Count: len(traces), Traces: traces})
 }
 
 // handleSpans dumps this shard's local spans for one trace ID. A trace the
@@ -606,16 +496,16 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 	trace, err := obs.ParseTraceID(r.PathValue("trace"))
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, "bad trace id: %v", err)
+		s.env.Fail(w, http.StatusBadRequest, "bad trace id: %v", err)
 		return
 	}
-	spans := s.tracer.Spans(trace)
-	s.writeJSON(w, http.StatusOK, SpansResponse{Trace: trace.String(), Count: len(spans), Spans: spans})
+	spans := s.env.Tracer.Spans(trace)
+	s.env.WriteJSON(w, http.StatusOK, SpansResponse{Trace: trace.String(), Count: len(spans), Spans: spans})
 }
 
 // handleSlow serves the ring of slowest request traces, slowest first.
 func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, SlowResponse{Slowest: s.slow.List()})
+	s.env.WriteJSON(w, http.StatusOK, SlowResponse{Slowest: s.env.Slow.List()})
 }
 
 // handleTrace resolves a matrix handle to its decision trace. 404 separates
@@ -628,40 +518,28 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	id, ok := h.SA.TraceID()
 	if !ok {
-		s.fail(w, http.StatusConflict, "matrix %s: selector pipeline has not run yet", h.ID)
+		s.env.Fail(w, http.StatusConflict, "matrix %s: selector pipeline has not run yet", h.ID)
 		return
 	}
 	tr, ok := s.journal.Get(id)
 	if !ok {
-		s.fail(w, http.StatusGone, "matrix %s: trace %d evicted from the journal", h.ID, id)
+		s.env.Fail(w, http.StatusGone, "matrix %s: trace %d evicted from the journal", h.ID, id)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, tr)
+	s.env.WriteJSON(w, http.StatusOK, tr)
 }
 
-// parseFamily resolves a matgen family by its lower-case name.
-func parseFamily(name string) (matgen.Family, error) {
-	for _, f := range matgen.AllFamilies {
-		if f.String() == strings.ToLower(name) {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown family %q", name)
-}
-
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req RegisterRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	var (
-		csr *sparse.CSR
-		err error
-	)
+// Materialize builds the CSR (and, for PageRank handles, the dangling-node
+// flags) a registration describes: matrix_market text or a generate spec,
+// optionally turned into the transition operator (as_transition) or paired
+// with precomputed flags (dangling). ocsd registers the result; the router
+// calls it when it must see the matrix to partition it, so partitioned
+// placement accepts, rejects and builds exactly what a single shard would.
+// Every error is the client's (400).
+func Materialize(req RegisterRequest) (csr *sparse.CSR, dangling []bool, err error) {
 	switch {
 	case req.MatrixMarket != "" && req.Generate != nil:
-		s.fail(w, http.StatusBadRequest, "matrix_market and generate are mutually exclusive")
-		return
+		return nil, nil, errors.New("matrix_market and generate are mutually exclusive")
 	case req.MatrixMarket != "":
 		name := req.Name
 		if name == "" {
@@ -669,51 +547,56 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 		csr, err = mmio.ReadNamed(strings.NewReader(req.MatrixMarket), name)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, "parsing matrix: %v", err)
-			return
+			return nil, nil, fmt.Errorf("parsing matrix: %w", err)
 		}
 	case req.Generate != nil:
 		g := req.Generate
-		fam, ferr := parseFamily(g.Family)
-		if ferr != nil {
-			s.fail(w, http.StatusBadRequest, "generate: %v", ferr)
-			return
+		fi := slices.IndexFunc(matgen.AllFamilies, func(f matgen.Family) bool {
+			return f.String() == strings.ToLower(g.Family)
+		})
+		if fi < 0 {
+			return nil, nil, fmt.Errorf("generate: unknown family %q", g.Family)
 		}
 		csr, err = matgen.Generate(matgen.Spec{
-			Name: req.Name, Family: fam, Size: g.Size, Degree: g.Degree, Seed: g.Seed,
+			Name: req.Name, Family: matgen.AllFamilies[fi], Size: g.Size, Degree: g.Degree, Seed: g.Seed,
 		})
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, "generate: %v", err)
-			return
+			return nil, nil, fmt.Errorf("generate: %w", err)
 		}
 	default:
-		s.fail(w, http.StatusBadRequest, "one of matrix_market or generate is required")
-		return
+		return nil, nil, errors.New("one of matrix_market or generate is required")
 	}
-
-	var dangling []bool
 	switch {
 	case req.AsTransition && req.Dangling != nil:
-		s.fail(w, http.StatusBadRequest, "as_transition and dangling are mutually exclusive")
-		return
+		return nil, nil, errors.New("as_transition and dangling are mutually exclusive")
 	case req.AsTransition:
 		csr, dangling, err = apps.BuildTransition(csr)
 		if err != nil {
-			s.fail(w, http.StatusBadRequest, "building transition matrix: %v", err)
-			return
+			return nil, nil, fmt.Errorf("building transition matrix: %w", err)
 		}
 	case req.Dangling != nil:
 		// The matrix text is an already-built transition operator (a peer
 		// shard's export); install the flags verbatim instead of re-deriving.
 		if req.MatrixMarket == "" {
-			s.fail(w, http.StatusBadRequest, "dangling requires matrix_market")
-			return
+			return nil, nil, errors.New("dangling requires matrix_market")
 		}
-		if r, _ := csr.Dims(); len(req.Dangling) != r {
-			s.fail(w, http.StatusBadRequest, "dangling has %d flags, matrix has %d rows", len(req.Dangling), r)
-			return
+		if rows, _ := csr.Dims(); len(req.Dangling) != rows {
+			return nil, nil, fmt.Errorf("dangling has %d flags, matrix has %d rows", len(req.Dangling), rows)
 		}
 		dangling = req.Dangling
+	}
+	return csr, dangling, nil
+}
+
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
+	var req RegisterRequest
+	if !s.env.Decode(w, r, &req) {
+		return
+	}
+	csr, dangling, err := Materialize(req)
+	if err != nil {
+		s.env.Fail(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	tol := req.Tol
@@ -745,8 +628,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	// Selector stage spans (stage0/stage1/features/decide/convert) land in
 	// the shard's span store, parented under whatever request span was
-	// current when the pipeline fired (see SetSpanParent in handleSpMV/Solve).
-	selCfg.SpanSink = s.tracer.Record
+	// current when the pipeline fired (see SetSpanParent in handlePanel/handleSolve).
+	selCfg.SpanSink = s.env.Tracer.Record
 	// Wire the conversion cache: any conversion this handle's pipeline pays
 	// for is published under the matrix identity, and a conversion already
 	// published by an earlier tenant is adopted with zero residual
@@ -774,15 +657,15 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	evicted, err := s.reg.Add(h)
 	if err != nil {
-		s.fail(w, http.StatusRequestEntityTooLarge, "%v", err)
+		s.env.Fail(w, http.StatusRequestEntityTooLarge, "%v", err)
 		return
 	}
-	s.reqLog(w).Info("matrix registered",
+	s.env.ReqLog(w).Info("matrix registered",
 		"id", h.ID, "name", h.Name, "rows", h.Rows, "cols", h.Cols,
 		"nnz", h.NNZ, "evicted", len(evicted))
 	info := s.info(h)
 	info.Evicted = evicted
-	s.writeJSON(w, http.StatusCreated, info)
+	s.env.WriteJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -792,7 +675,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		resp.Matrices = append(resp.Matrices, s.info(h))
 	}
 	resp.RegistryNNZ, resp.CapacityNNZ = s.reg.Occupancy()
-	s.writeJSON(w, http.StatusOK, resp)
+	s.env.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
@@ -800,7 +683,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, s.info(h))
+	s.env.WriteJSON(w, http.StatusOK, s.info(h))
 }
 
 // handleExport serializes a handle for a peer shard: the CSR master copy as
@@ -815,10 +698,10 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	}
 	var sb strings.Builder
 	if err := mmio.Write(&sb, h.CSR()); err != nil {
-		s.fail(w, http.StatusInternalServerError, "serializing matrix: %v", err)
+		s.env.Fail(w, http.StatusInternalServerError, "serializing matrix: %v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ExportResponse{
+	s.env.WriteJSON(w, http.StatusOK, ExportResponse{
 		ID:           h.ID,
 		Name:         h.Name,
 		Tol:          h.Tol,
@@ -832,234 +715,221 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if !s.reg.Delete(id) {
-		s.fail(w, http.StatusNotFound, "no matrix %q", id)
+		s.env.Fail(w, http.StatusNotFound, "no matrix %q", id)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
-	h, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	var req SpMVRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.X) == 0 {
-		s.fail(w, http.StatusBadRequest, "x must hold at least one vector")
-		return
-	}
-	for i, x := range req.X {
-		if len(x) != h.Cols {
-			s.fail(w, http.StatusBadRequest, "x[%d] has length %d, matrix has %d columns", i, len(x), h.Cols)
-			return
-		}
-	}
-	// A partial product restricts the response to rows [lo, hi): the
-	// distributed-SpMV contract where a router gathers row blocks from
-	// several shards. The kernel still computes all rows (formats do not
-	// expose row-range kernels); only the response is sliced, so a
-	// whole-handle replica can serve any block without re-registration.
-	lo, hi := req.RowLo, req.RowHi
-	partial := lo != 0 || hi != 0
-	if partial && (lo < 0 || hi <= lo || hi > h.Rows) {
-		s.fail(w, http.StatusBadRequest, "row range [%d,%d) invalid for %d rows", lo, hi, h.Rows)
-		return
-	}
-	// A request boundary is a swap point: no SpMV of ours is in flight yet,
-	// so a background conversion that finished since the last request is
-	// installed here, atomically under the handle lock.
-	h.SA.SwapPoint()
-	sc, traced := obs.SpanFromContext(r.Context())
-	traceHex := ""
-	if traced {
-		h.SA.SetSpanParent(sc)
-		traceHex = sc.Trace.String()
-	}
-	ys := make([][]float64, len(req.X))
-	bufs := make([]*[]float64, len(req.X))
+// panelOp is what distinguishes /spmv from /spmm inside the one panel
+// handler: the endpoint's name, the compute span's width attribute, and
+// whether the k columns go through one fused SpMM pass or k SpMV calls.
+type panelOp struct {
+	name      string // endpoint; the compute span is name+".compute"
+	widthAttr string
+	blocked   bool
+}
+
+var (
+	opSpMV = panelOp{name: "spmv", widthAttr: "vectors"}
+	opSpMM = panelOp{name: "spmm", widthAttr: "k", blocked: true}
+)
+
+// panel is one prepared product: compute runs inside the pool slot, result
+// returns rows [lo, hi) of the k product vectors, and release hands the
+// pooled buffers back once the reply has been encoded.
+type panel struct {
+	compute func() error
+	result  func(lo, hi int) [][]float64
+	release func()
+}
+
+// columnPanel multiplies the k vectors one SpMV call at a time into pooled
+// output vectors, which back the response slices.
+func (h *Handle) columnPanel(ctx context.Context, xs [][]float64) panel {
+	ys := make([][]float64, len(xs))
+	bufs := make([]*[]float64, len(xs))
 	for i := range bufs {
 		bufs[i] = getVec(h.Rows)
 		ys[i] = *bufs[i]
 	}
-	// The pooled buffers back the response slices; release them only after
-	// writeJSON has encoded the body (the deferred call runs last).
-	defer func() {
-		for _, b := range bufs {
-			putVec(b)
-		}
-	}()
-	waitStart := time.Now()
-	wait := timing.StartStopwatch(nil)
-	err := s.pool.Do(r.Context(), func() error {
-		s.metrics.QueueWaitSeconds.Observe(wait.Seconds())
-		s.recordSpan(sc, "queue.wait", waitStart, wait.Seconds())
-		// A router-driven partial product forwards the solve loop's progress
-		// indicator so the shard-side selector pipeline advances: without
-		// it a shard that only ever sees gather fan-out would never open
-		// its lazy gate.
-		if req.Progress != nil {
-			h.SA.RecordProgress(*req.Progress)
-		}
-		computeStart := time.Now()
-		compute := timing.StartStopwatch(nil)
-		defer func() {
-			secs := compute.Seconds()
-			s.metrics.SpMVSeconds.ObserveExemplar(secs, traceHex)
-			s.recordSpan(sc, "spmv.compute", computeStart, secs,
-				[2]string{"format", h.SA.Format().String()},
-				[2]string{"vectors", strconv.Itoa(len(req.X))})
-		}()
-		for i, x := range req.X {
-			if err := r.Context().Err(); err != nil {
-				return err
+	return panel{
+		compute: func() error {
+			for i, x := range xs {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				h.SA.SpMV(ys[i], x)
 			}
-			h.SA.SpMV(ys[i], x)
-		}
-		return nil
-	})
-	if err != nil {
-		s.failWork(w, err)
-		return
+			return nil
+		},
+		result: func(lo, hi int) [][]float64 {
+			for i := range ys {
+				ys[i] = ys[i][lo:hi]
+			}
+			return ys
+		},
+		release: func() {
+			for _, b := range bufs {
+				putVec(b)
+			}
+		},
 	}
-	s.metrics.SpMVRequests.Add(1)
-	s.metrics.SpMVVectors.Add(int64(len(req.X)))
-	s.metrics.CountSpMV(h.SA.Format(), int64(len(req.X)))
-	h.countUse(s.metrics, int64(len(req.X)), 0)
-	if partial {
-		for i := range ys {
-			ys[i] = ys[i][lo:hi]
-		}
-	}
-	s.writeJSON(w, http.StatusOK, SpMVResponse{Y: ys, Format: h.SA.Format().String()})
 }
 
-// handleSpMM serves blocked multi-vector products: the k input vectors are
-// packed into one row-major panel and multiplied in a single SpMM pass, so
-// the matrix is traversed once for all k columns instead of k times. The
-// scratch panels come from the vector pool.
-func (s *Server) handleSpMM(w http.ResponseWriter, r *http.Request) {
-	h, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	var req SpMMRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	k := len(req.X)
-	if k == 0 {
-		s.fail(w, http.StatusBadRequest, "x must hold at least one vector")
-		return
-	}
-	for i, x := range req.X {
-		if len(x) != h.Cols {
-			s.fail(w, http.StatusBadRequest, "x[%d] has length %d, matrix has %d columns", i, len(x), h.Cols)
-			return
-		}
-	}
-	lo, hi := req.RowLo, req.RowHi
-	partial := lo != 0 || hi != 0
-	if partial && (lo < 0 || hi <= lo || hi > h.Rows) {
-		s.fail(w, http.StatusBadRequest, "row range [%d,%d) invalid for %d rows", lo, hi, h.Rows)
-		return
-	}
-	h.SA.SwapPoint()
-	sc, traced := obs.SpanFromContext(r.Context())
-	traceHex := ""
-	if traced {
-		h.SA.SetSpanParent(sc)
-		traceHex = sc.Trace.String()
-	}
-	xbuf := getVec(h.Cols * k)
-	ybuf := getVec(h.Rows * k)
-	defer putVec(xbuf)
-	defer putVec(ybuf)
+// blockedPanel packs the k vectors into one row-major panel (row j holds
+// column j of every input vector, so the blocked kernels stream k-wide
+// contiguous stripes) and multiplies it in a single SpMM pass: the matrix is
+// traversed once for all k columns instead of k times. The scratch panels
+// come from the vector pool; the result is unpacked into fresh vectors.
+func (h *Handle) blockedPanel(xs [][]float64) panel {
+	k := len(xs)
+	xbuf, ybuf := getVec(h.Cols*k), getVec(h.Rows*k)
 	xp, yp := *xbuf, *ybuf
-	// Row-major panel: row j of the operand holds column j of every input
-	// vector, so the blocked kernels stream k-wide contiguous stripes.
-	for i, x := range req.X {
+	for i, x := range xs {
 		for j, v := range x {
 			xp[j*k+i] = v
 		}
 	}
-	waitStart := time.Now()
-	wait := timing.StartStopwatch(nil)
-	err := s.pool.Do(r.Context(), func() error {
-		s.metrics.QueueWaitSeconds.Observe(wait.Seconds())
-		s.recordSpan(sc, "queue.wait", waitStart, wait.Seconds())
-		if req.Progress != nil {
-			h.SA.RecordProgress(*req.Progress)
-		}
-		computeStart := time.Now()
-		compute := timing.StartStopwatch(nil)
-		defer func() {
-			secs := compute.Seconds()
-			s.metrics.SpMMSeconds.ObserveExemplar(secs, traceHex)
-			s.recordSpan(sc, "spmm.compute", computeStart, secs,
-				[2]string{"format", h.SA.Format().String()},
-				[2]string{"k", strconv.Itoa(k)})
-		}()
-		h.SA.SpMM(yp, xp, k)
-		return nil
-	})
-	if err != nil {
-		s.failWork(w, err)
-		return
+	return panel{
+		compute: func() error {
+			h.SA.SpMM(yp, xp, k)
+			return nil
+		},
+		result: func(lo, hi int) [][]float64 {
+			ys := make([][]float64, k)
+			for i := range ys {
+				col := make([]float64, hi-lo)
+				for j := lo; j < hi; j++ {
+					col[j-lo] = yp[j*k+i]
+				}
+				ys[i] = col
+			}
+			return ys
+		},
+		release: func() {
+			putVec(xbuf)
+			putVec(ybuf)
+		},
 	}
-	s.metrics.SpMMRequests.Add(1)
-	s.metrics.SpMMColumns.Add(int64(k))
-	s.metrics.CountSpMV(h.SA.Format(), int64(k))
-	h.countUse(s.metrics, int64(k), 0)
-	rlo, rhi := 0, h.Rows
-	if partial {
-		rlo, rhi = lo, hi
-	}
-	ys := make([][]float64, k)
-	for i := range ys {
-		col := make([]float64, rhi-rlo)
-		for j := rlo; j < rhi; j++ {
-			col[j-rlo] = yp[j*k+i]
-		}
-		ys[i] = col
-	}
-	s.writeJSON(w, http.StatusOK, SpMMResponse{Y: ys, K: k, Format: h.SA.Format().String()})
 }
 
-// failWork maps pool/solver errors to HTTP statuses.
+// handlePanel serves /spmv and /spmm: a batch of k x-vectors multiplied by
+// the handle's matrix, as k SpMV calls or one blocked SpMM pass (op).
+func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
+	hist, requests, columns := s.metrics.SpMVSeconds, &s.metrics.SpMVRequests, &s.metrics.SpMVVectors
+	if op.blocked {
+		hist, requests, columns = s.metrics.SpMMSeconds, &s.metrics.SpMMRequests, &s.metrics.SpMMColumns
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		h, ok := s.lookup(w, r)
+		if !ok {
+			return
+		}
+		var req PanelRequest
+		if !s.env.Decode(w, r, &req) {
+			return
+		}
+		k := len(req.X)
+		if k == 0 {
+			s.env.Fail(w, http.StatusBadRequest, "x must hold at least one vector")
+			return
+		}
+		for i, x := range req.X {
+			if len(x) != h.Cols {
+				s.env.Fail(w, http.StatusBadRequest, "x[%d] has length %d, matrix has %d columns", i, len(x), h.Cols)
+				return
+			}
+		}
+		// A partial product restricts the response to rows [lo, hi): the
+		// distributed contract where a router gathers row blocks from several
+		// shards. The kernel still computes all rows (formats do not expose
+		// row-range kernels); only the response is sliced, so a whole-handle
+		// replica can serve any block without re-registration.
+		lo, hi := req.RowLo, req.RowHi
+		if lo == 0 && hi == 0 {
+			hi = h.Rows
+		} else if lo < 0 || hi <= lo || hi > h.Rows {
+			s.env.Fail(w, http.StatusBadRequest, "row range [%d,%d) invalid for %d rows", lo, hi, h.Rows)
+			return
+		}
+		// A request boundary is a swap point: no product of ours is in flight
+		// yet, so a background conversion that finished since the last request
+		// is installed here, atomically under the handle lock.
+		h.SA.SwapPoint()
+		sc, traced := obs.SpanFromContext(r.Context())
+		traceHex := ""
+		if traced {
+			h.SA.SetSpanParent(sc)
+			traceHex = sc.Trace.String()
+		}
+		var p panel
+		if op.blocked {
+			p = h.blockedPanel(req.X)
+		} else {
+			p = h.columnPanel(r.Context(), req.X)
+		}
+		defer p.release()
+		waitStart := time.Now()
+		wait := timing.StartStopwatch(nil)
+		err := s.pool.Do(r.Context(), func() error {
+			s.metrics.QueueWaitSeconds.Observe(wait.Seconds())
+			s.recordSpan(sc, "queue.wait", waitStart, wait.Seconds())
+			// A router-driven partial product forwards the solve loop's progress
+			// indicator so the shard-side selector pipeline advances: without
+			// it a shard that only ever sees gather fan-out would never open
+			// its lazy gate.
+			if req.Progress != nil {
+				h.SA.RecordProgress(*req.Progress)
+			}
+			computeStart := time.Now()
+			watch := timing.StartStopwatch(nil)
+			defer func() {
+				secs := watch.Seconds()
+				hist.ObserveExemplar(secs, traceHex)
+				s.recordSpan(sc, op.name+".compute", computeStart, secs,
+					[2]string{"format", h.SA.Format().String()},
+					[2]string{op.widthAttr, strconv.Itoa(k)})
+			}()
+			return p.compute()
+		})
+		if err != nil {
+			s.failWork(w, err)
+			return
+		}
+		requests.Add(1)
+		columns.Add(int64(k))
+		s.metrics.CountSpMV(h.SA.Format(), int64(k))
+		h.countUse(s.metrics, int64(k), 0)
+		resp := PanelResponse{Y: p.result(lo, hi), Format: h.SA.Format().String()}
+		if op.blocked {
+			resp.K = k
+		}
+		s.env.WriteJSON(w, http.StatusOK, resp)
+	}
+}
+
+// failWork answers a pool/solver error with its WorkStatus.
 func (s *Server) failWork(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		s.metrics.QueueRejected.Add(1)
-		s.fail(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.Timeouts.Add(1)
-		s.fail(w, http.StatusGatewayTimeout, "%v", err)
-	case errors.Is(err, context.Canceled):
-		s.fail(w, http.StatusGatewayTimeout, "%v", err)
-	default:
-		s.fail(w, http.StatusUnprocessableEntity, "%v", err)
 	}
+	s.env.Fail(w, WorkStatus(err), "%v", err)
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	h, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	var req SolveRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	timeout := s.cfg.DefaultSolveTimeout
-	if req.TimeoutMillis > 0 {
-		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
+// RunSolve runs one solve request against op — ocsd's per-handle selector
+// wrapper, or the router's distributed operator over a partitioned handle —
+// so both tiers build the same options, default the same right-hand side and
+// dispatch the same seven apps. id names the matrix in error messages; diag
+// supplies the matrix diagonal (fetched only by pcg and jacobi); dangling
+// holds the PageRank dangling-node flags, nil unless the matrix was
+// registered as a transition operator; hook receives each iteration's
+// progress indicator. eig is set by the power method only. Map a returned
+// error to its HTTP status with WorkStatus.
+func RunSolve(ctx context.Context, op apps.Operator, id string, req SolveRequest, diag func() []float64, dangling []bool, hook apps.Hook) (res apps.Result, eig *float64, err error) {
 	opt := apps.DefaultSolveOptions()
 	opt.Ctx = ctx
 	if req.Tol > 0 {
@@ -1072,20 +942,75 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		opt.Restart = req.Restart
 	}
 	b := req.B
-	needB := req.App != "pagerank" && req.App != "power"
-	if needB {
-		if b == nil {
-			bp := getVec(h.Rows)
-			defer putVec(bp)
-			b = *bp
-			for i := range b {
-				b[i] = 1
-			}
-		} else if len(b) != h.Rows {
-			s.fail(w, http.StatusBadRequest, "b has length %d, matrix has %d rows", len(b), h.Rows)
-			return
+	rows, _ := op.Dims()
+	switch {
+	case req.App == "pagerank" || req.App == "power":
+		// These iterate on the operator alone; b is ignored.
+	case b == nil:
+		bp := getVec(rows)
+		defer putVec(bp) // solvers allocate their own x; nothing returned aliases b
+		b = *bp
+		for i := range b {
+			b[i] = 1
 		}
+	case len(b) != rows:
+		return res, nil, badRequest(fmt.Sprintf("b has length %d, matrix has %d rows", len(b), rows))
 	}
+	switch req.App {
+	case "cg":
+		res, err = apps.CG(op, b, opt, hook)
+	case "pcg":
+		var pre apps.Preconditioner
+		if pre, err = apps.NewJacobiPreconditioner(diag()); err == nil {
+			res, err = apps.PCG(op, pre, b, opt, hook)
+		}
+	case "bicgstab":
+		res, err = apps.BiCGSTAB(op, b, opt, hook)
+	case "gmres":
+		res, err = apps.GMRES(op, b, opt, hook)
+	case "jacobi":
+		res, err = apps.Jacobi(op, diag(), b, 2.0/3.0, opt, hook)
+	case "power":
+		var pr apps.PowerResult
+		pr, err = apps.PowerMethod(op, opt, hook)
+		res, eig = pr.Result, &pr.Eigenvalue
+	case "pagerank":
+		if dangling == nil {
+			return res, nil, fmt.Errorf("matrix %s was not registered with as_transition", id)
+		}
+		propt := apps.DefaultPageRankOptions()
+		propt.Ctx = ctx
+		if req.Tol > 0 {
+			propt.Tol = req.Tol
+		}
+		if req.MaxIters > 0 {
+			propt.MaxIters = req.MaxIters
+		}
+		if req.Damping > 0 {
+			propt.Damping = req.Damping
+		}
+		res, err = apps.PageRank(op, dangling, propt, hook)
+	default:
+		err = fmt.Errorf("unknown app %q (want cg, pcg, bicgstab, gmres, jacobi, power or pagerank)", req.App)
+	}
+	return res, eig, err
+}
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	h, ok := s.lookup(w, r)
+	if !ok {
+		return
+	}
+	var req SolveRequest
+	if !s.env.Decode(w, r, &req) {
+		return
+	}
+	timeout := s.cfg.DefaultSolveTimeout
+	if req.TimeoutMillis > 0 {
+		timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
 	hook := func(_ int, p float64) { h.SA.RecordProgress(p) }
 	sc, traced := obs.SpanFromContext(r.Context())
 	traceHex := ""
@@ -1101,7 +1026,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		waitStart = time.Now()
 		wait      = timing.StartStopwatch(nil)
 	)
-	err := s.pool.Do(ctx, func() error {
+	err := s.pool.Do(ctx, func() (err error) {
 		s.metrics.QueueWaitSeconds.Observe(wait.Seconds())
 		s.recordSpan(sc, "queue.wait", waitStart, wait.Seconds())
 		computeStart := time.Now()
@@ -1113,46 +1038,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				[2]string{"app", req.App},
 				[2]string{"format", h.SA.Format().String()})
 		}()
-		var err error
-		switch req.App {
-		case "cg":
-			res, err = apps.CG(h.SA, b, opt, hook)
-		case "pcg":
-			pre, perr := apps.NewJacobiPreconditioner(h.Diag())
-			if perr != nil {
-				return perr
-			}
-			res, err = apps.PCG(h.SA, pre, b, opt, hook)
-		case "bicgstab":
-			res, err = apps.BiCGSTAB(h.SA, b, opt, hook)
-		case "gmres":
-			res, err = apps.GMRES(h.SA, b, opt, hook)
-		case "jacobi":
-			res, err = apps.Jacobi(h.SA, h.Diag(), b, 2.0/3.0, opt, hook)
-		case "power":
-			var pr apps.PowerResult
-			pr, err = apps.PowerMethod(h.SA, opt, hook)
-			res = pr.Result
-			eig = &pr.Eigenvalue
-		case "pagerank":
-			if h.Dangling == nil {
-				return fmt.Errorf("matrix %s was not registered with as_transition", h.ID)
-			}
-			propt := apps.DefaultPageRankOptions()
-			propt.Ctx = ctx
-			if req.Tol > 0 {
-				propt.Tol = req.Tol
-			}
-			if req.MaxIters > 0 {
-				propt.MaxIters = req.MaxIters
-			}
-			if req.Damping > 0 {
-				propt.Damping = req.Damping
-			}
-			res, err = apps.PageRank(h.SA, h.Dangling, propt, hook)
-		default:
-			return fmt.Errorf("unknown app %q (want cg, pcg, bicgstab, gmres, jacobi, power or pagerank)", req.App)
-		}
+		res, eig, err = RunSolve(ctx, h.SA, h.ID, req, h.Diag, h.Dangling, hook)
 		return err
 	})
 	if err != nil {
@@ -1182,5 +1068,5 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if req.IncludeX {
 		resp.X = res.X
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.env.WriteJSON(w, http.StatusOK, resp)
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/matgen"
+	"repro/internal/obs"
 )
 
 // testSelector disables the platform-calibrated stage-2 gate so selector
@@ -105,8 +106,8 @@ func TestRegisterSpMVLifecycle(t *testing.T) {
 		x1[i] = float64(i % 7)
 		x2[i] = 1
 	}
-	var sr SpMVResponse
-	code, body := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", SpMVRequest{X: [][]float64{x1, x2}}, &sr)
+	var sr PanelResponse
+	code, body := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", PanelRequest{X: [][]float64{x1, x2}}, &sr)
 	if code != http.StatusOK {
 		t.Fatalf("spmv: status %d body %s", code, body)
 	}
@@ -142,7 +143,7 @@ func TestRegisterSpMVLifecycle(t *testing.T) {
 	if code, _ := call(t, "GET", ts.URL+"/v1/matrices/"+info.ID, nil, nil); code != http.StatusNotFound {
 		t.Fatalf("get after delete: status %d, want 404", code)
 	}
-	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", SpMVRequest{X: [][]float64{x1}}, nil); code != http.StatusNotFound {
+	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", PanelRequest{X: [][]float64{x1}}, nil); code != http.StatusNotFound {
 		t.Fatalf("spmv after delete: status %d, want 404", code)
 	}
 }
@@ -200,8 +201,8 @@ func TestConcurrentSpMVOneHandle(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < perWorker; k++ {
-				var sr SpMVResponse
-				code, body := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", SpMVRequest{X: [][]float64{x}}, &sr)
+				var sr PanelResponse
+				code, body := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", PanelRequest{X: [][]float64{x}}, &sr)
 				if code != http.StatusOK {
 					errs <- fmt.Errorf("status %d: %s", code, body)
 					return
@@ -279,19 +280,29 @@ func TestSolveDrivesTwoStageSelector(t *testing.T) {
 		t.Errorf("conversions %d, want 0", s.Metrics().Conversions.Load())
 	}
 
-	var metrics map[string]any
-	if code, _ := call(t, "GET", ts.URL+"/metrics?format=json", nil, &metrics); code != http.StatusOK {
-		t.Fatal("metrics failed")
+	_, body = call(t, "GET", ts.URL+"/metrics", nil, nil)
+	fams, err := obs.ParseText(string(body))
+	if err != nil {
+		t.Fatalf("metrics do not parse: %v", err)
 	}
-	if metrics["solve_requests"].(float64) != 1 {
-		t.Errorf("metrics solve_requests = %v, want 1", metrics["solve_requests"])
+	metrics := map[string]float64{}
+	for _, f := range fams {
+		for _, smp := range f.Samples {
+			key := smp.Name
+			for _, l := range smp.Labels {
+				key += "/" + l.Value
+			}
+			metrics[key] = smp.Value
+		}
 	}
-	if metrics["conversions_avoided"].(float64) != 1 {
-		t.Errorf("metrics conversions_avoided = %v", metrics["conversions_avoided"])
+	if metrics["ocsd_solve_requests_total"] != 1 {
+		t.Errorf("metrics solve_requests = %v, want 1", metrics["ocsd_solve_requests_total"])
 	}
-	byFormat := metrics["spmv_by_format"].(map[string]any)
-	if byFormat["CSR"].(float64) < 120 {
-		t.Errorf("per-format SpMV count %v, want >= 120", byFormat["CSR"])
+	if metrics["ocsd_conversions_avoided_total"] != 1 {
+		t.Errorf("metrics conversions_avoided = %v", metrics["ocsd_conversions_avoided_total"])
+	}
+	if got := metrics["ocsd_spmv_by_format_total/CSR"]; got < 120 {
+		t.Errorf("per-format SpMV count %v, want >= 120", got)
 	}
 }
 
@@ -354,7 +365,7 @@ func TestSolveTimeoutAndBadRequests(t *testing.T) {
 	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/solve", badB, nil); code != http.StatusBadRequest {
 		t.Errorf("wrong-length b: status %d, want 400", code)
 	}
-	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", SpMVRequest{X: [][]float64{{1}}}, nil); code != http.StatusBadRequest {
+	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", PanelRequest{X: [][]float64{{1}}}, nil); code != http.StatusBadRequest {
 		t.Errorf("wrong-length x: status %d, want 400", code)
 	}
 }
@@ -375,7 +386,7 @@ func TestQueueFullShedsLoad(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	x := make([]float64, info.Cols)
-	code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", SpMVRequest{X: [][]float64{x}}, nil)
+	code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", PanelRequest{X: [][]float64{x}}, nil)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("overload spmv: status %d, want 503", code)
 	}

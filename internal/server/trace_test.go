@@ -54,7 +54,7 @@ func TestRequestTracePropagation(t *testing.T) {
 	for i := range x {
 		x[i] = 1
 	}
-	blob, _ := json.Marshal(SpMVRequest{X: [][]float64{x}})
+	blob, _ := json.Marshal(PanelRequest{X: [][]float64{x}})
 	req, err := http.NewRequest("POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
