@@ -2,7 +2,7 @@ GO ?= go
 # Per-target budget for `make fuzz`. The native fuzzer accepts only one
 # -fuzz pattern per invocation, hence the loop.
 FUZZTIME ?= 30s
-FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzCSR5Tiles FuzzSELLSlices FuzzJDSPerm
+FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzCSR5Tiles FuzzSELLSlices FuzzJDSPerm FuzzWireDecodePanel FuzzWireEncodeVector
 
 .PHONY: build test bench-check race vet bench bench-compare fuzz fuzz-smoke serve clean
 
@@ -20,7 +20,7 @@ bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 race:
-	$(GO) test -race ./internal/server/... ./internal/convcache/... ./internal/cluster/... ./internal/core/... ./internal/retrain/... ./internal/obs/... ./internal/parallel/... ./internal/sparse/... ./internal/vec/... ./internal/features/... ./internal/arima/... ./internal/gbt/... ./internal/apps/... ./internal/check/...
+	$(GO) test -race ./internal/server/... ./internal/wire/... ./internal/convcache/... ./internal/cluster/... ./internal/core/... ./internal/retrain/... ./internal/obs/... ./internal/parallel/... ./internal/sparse/... ./internal/vec/... ./internal/features/... ./internal/arima/... ./internal/gbt/... ./internal/apps/... ./internal/check/...
 
 vet:
 	$(GO) vet ./...

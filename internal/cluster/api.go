@@ -3,6 +3,7 @@ package cluster
 import (
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // RegisterRequest is the router's registration body: everything ocsd
@@ -83,11 +84,9 @@ type ShardsResponse struct {
 }
 
 // PanelResponse is the router's spmv/spmm body: the shard (or
-// router-gathered) product plus which shards actually computed it.
-type PanelResponse struct {
-	server.PanelResponse
-	ServedBy []string `json:"served_by"`
-}
+// router-gathered) product plus, in ServedBy, which shards actually computed
+// it. It is ocsd's document; the wire codec owns its fields.
+type PanelResponse = wire.Reply
 
 // SolveResponse is the router's solve body: the shard (or router-gathered)
 // response plus which shards served it.

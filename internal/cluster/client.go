@@ -10,11 +10,13 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // StatusError is a non-2xx shard response with its decoded error body.
@@ -43,12 +45,23 @@ func Retryable(err error) bool {
 	return err != nil
 }
 
+// ReplyError is a 2xx shard response whose body is not the document the
+// endpoint promises (cut short, malformed, wrong shape). The shard answered,
+// so it is a bad gateway for this request, not an unreachable process.
+type ReplyError struct {
+	Err error
+}
+
+func (e *ReplyError) Error() string { return "malformed shard reply: " + e.Err.Error() }
+func (e *ReplyError) Unwrap() error { return e.Err }
+
 // transportFailure reports whether the error means the shard process itself
-// is unreachable (as opposed to an HTTP-level rejection like a full queue):
-// only these flip the health bit immediately.
+// is unreachable — the round trip or the body read failed — as opposed to an
+// answer the router did not like (an HTTP-level rejection such as a full
+// queue, a reply that does not parse): only these flip the health bit
+// immediately.
 func transportFailure(err error) bool {
-	var se *StatusError
-	return err != nil && !errors.As(err, &se)
+	return err != nil && !errors.As(err, new(*StatusError)) && !errors.As(err, new(*ReplyError))
 }
 
 // ShardClient is the router's connection to one ocsd shard: a pooled HTTP
@@ -149,22 +162,46 @@ func (c *ShardClient) Probe(ctx context.Context) error {
 	return nil
 }
 
-// do performs one JSON request against the shard. A non-2xx status decodes
-// the shard's error body into a *StatusError.
-func (c *ShardClient) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("cluster: encoding request: %w", err)
-		}
-		body = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+// lentReader is a request body over a buffer the caller wants back. A
+// RoundTripper may still be reading a body in another goroutine after the
+// round trip has returned (the shard answered before it had read the
+// request, the context was cancelled); what it promises is to Close every
+// body it was given, and Close is when returned runs, once.
+type lentReader struct {
+	bytes.Reader
+	returned func()
+	once     sync.Once
+}
+
+func (r *lentReader) Close() error {
+	r.once.Do(r.returned)
+	return nil
+}
+
+// roundTrip is the one raw exchange with the shard: body (nil for none) goes
+// out as is, and a 2xx reply comes back unparsed in a pooled buffer the
+// caller hands to wire.PutBuf. A non-2xx status decodes the shard's error
+// body into a *StatusError; any other error is a transport failure. However
+// it ends, body is the caller's again when it returns — to overwrite, or to
+// pool — because it returns only once the transport has let go of it.
+func (c *ShardClient) roundTrip(ctx context.Context, method, path string, body []byte) (*[]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if in != nil {
+	if body != nil {
+		var lent sync.WaitGroup // bodies handed to the transport and not yet closed
+		defer lent.Wait()
+		lend := func() (io.ReadCloser, error) {
+			lent.Add(1)
+			r := &lentReader{returned: lent.Done}
+			r.Reset(body)
+			return r, nil
+		}
+		// The transport rewinds with GetBody to resend on a fresh connection
+		// a request that a dead idle one never took.
+		req.Body, _ = lend()
+		req.ContentLength, req.GetBody = int64(len(body)), lend
 		req.Header.Set("Content-Type", "application/json")
 	}
 	// Propagate the trace context: the shard opens its request span under
@@ -176,7 +213,7 @@ func (c *ShardClient) do(ctx context.Context, method, path string, in, out any) 
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
@@ -191,13 +228,50 @@ func (c *ShardClient) do(ctx context.Context, method, path string, in, out any) 
 				msg = strings.TrimSpace(string(data))
 			}
 		}
-		return &StatusError{Code: resp.StatusCode, Msg: msg}
+		return nil, &StatusError{Code: resp.StatusCode, Msg: msg}
 	}
+	return wire.ReadBody(resp.Body, resp.ContentLength)
+}
+
+// do performs one JSON request against the shard: in (nil for none) is
+// marshalled as the body, a 2xx reply is unmarshalled into out (nil to
+// discard it).
+func (c *ShardClient) do(ctx context.Context, method, path string, in, out any) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return fmt.Errorf("cluster: encoding request: %w", err)
+		}
+	}
+	reply, err := c.roundTrip(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	defer wire.PutBuf(reply)
 	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := json.Unmarshal(*reply, out); err != nil {
+		return &ReplyError{err}
+	}
+	return nil
+}
+
+// panelRaw runs a batched product on the shard over already encoded bytes:
+// body is a panel request as the wire codec (or a client) wrote it, the
+// reply comes back scanned but unconverted, in a pooled buffer.
+func (c *ShardClient) panelRaw(ctx context.Context, op, id string, body []byte) (*[]byte, wire.Layout, error) {
+	reply, err := c.roundTrip(ctx, http.MethodPost, "/v1/matrices/"+url.PathEscape(id)+"/"+op, body)
+	if err != nil {
+		return nil, wire.Layout{}, err
+	}
+	lay, err := wire.ScanReply(*reply)
+	if err != nil {
+		wire.PutBuf(reply)
+		return nil, wire.Layout{}, &ReplyError{err}
+	}
+	return reply, lay, nil
 }
 
 // Register registers a matrix on the shard.
@@ -223,10 +297,33 @@ func (c *ShardClient) Export(ctx context.Context, id string) (server.ExportRespo
 
 // Panel runs a batched (possibly partial-row) product on the shard: op
 // "spmv" multiplies the vectors one at a time, "spmm" in one blocked pass.
+// It is the typed wrapper over panelRaw, for callers that hold floats.
 func (c *ShardClient) Panel(ctx context.Context, op, id string, req server.PanelRequest) (server.PanelResponse, error) {
 	var resp server.PanelResponse
-	err := c.do(ctx, http.MethodPost, "/v1/matrices/"+url.PathEscape(id)+"/"+op, req, &resp)
-	return resp, err
+	size := 64
+	for _, x := range req.X {
+		size += len(x) * wire.MaxFloatLen
+	}
+	body := wire.GetBuf(size)
+	defer wire.PutBuf(body)
+	var err error
+	if *body, err = wire.AppendRequest(*body, req.X, req.RowLo, req.RowHi, req.Progress); err != nil {
+		return resp, fmt.Errorf("cluster: encoding request: %w", err)
+	}
+	reply, lay, err := c.panelRaw(ctx, op, id, *body)
+	if err != nil {
+		return resp, err
+	}
+	defer wire.PutBuf(reply)
+	resp.Tail = lay.Tail
+	resp.Y = make([][]float64, len(lay.Vectors))
+	for i, sp := range lay.Vectors {
+		resp.Y[i] = make([]float64, sp.N)
+		if err := wire.DecodeVector((*reply)[sp.Lo:sp.Hi], resp.Y[i], 1); err != nil {
+			return resp, &ReplyError{err}
+		}
+	}
+	return resp, nil
 }
 
 // Solve runs a solver on the shard.

@@ -32,6 +32,13 @@ func TestTierParityBadRequests(t *testing.T) {
 	zeroDiag := server.RegisterRequest{Name: "zerodiag", MatrixMarket: diagMatrix(1, 2, 0, 4)}
 	short := make([]float64, 399)
 	full := make([]float64, 400)
+	huge := make([]float64, 400) // A·huge overflows: JSON has no Inf to answer with
+	for i := range huge {
+		huge[i] = 1e308
+	}
+	// Jacobi's iteration matrix has spectral radius 20/3 here: the iterate
+	// overflows long before max_iters.
+	diverging := server.RegisterRequest{Name: "diverging", MatrixMarket: "%%MatrixMarket matrix coordinate real general\n2 2 4\n1 1 1\n1 2 10\n2 1 10\n2 2 1\n"}
 
 	cases := []struct {
 		name string
@@ -48,6 +55,9 @@ func TestTierParityBadRequests(t *testing.T) {
 		{"spmm empty x", spd, "/spmm", server.PanelRequest{}, http.StatusBadRequest},
 		{"spmm wrong length", spd, "/spmm", server.PanelRequest{X: [][]float64{full, short}}, http.StatusBadRequest},
 		{"spmm bad row range", spd, "/spmm", server.PanelRequest{X: [][]float64{full}, RowLo: 50, RowHi: 10}, http.StatusBadRequest},
+		{"spmv product overflows", spd, "/spmv", server.PanelRequest{X: [][]float64{full, huge}}, http.StatusUnprocessableEntity},
+		{"spmm product overflows", spd, "/spmm", server.PanelRequest{X: [][]float64{huge, full}}, http.StatusUnprocessableEntity},
+		{"solve whose iterate overflows", diverging, "/solve", server.SolveRequest{App: "jacobi", MaxIters: 3000, IncludeX: true}, http.StatusUnprocessableEntity},
 		{"solve b wrong length", spd, "/solve", server.SolveRequest{App: "cg", B: short}, http.StatusBadRequest},
 		{"solve unknown app", spd, "/solve", server.SolveRequest{App: "simplex"}, http.StatusUnprocessableEntity},
 		{"pagerank without transition", spd, "/solve", server.SolveRequest{App: "pagerank"}, http.StatusUnprocessableEntity},

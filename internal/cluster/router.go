@@ -17,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/sparse"
+	"repro/internal/wire"
 )
 
 // Config sizes the router. Zero values get production-ready defaults.
@@ -317,7 +318,9 @@ func (r *Router) successorClients(key string, n int) []*ShardClient {
 // failShard maps a shard round-trip error onto the router's response: shard
 // HTTP statuses pass through (a 404/400 means the same thing one hop up), a
 // round trip cut short by the request's deadline or cancellation is 504 like
-// ocsd's own expired work, and other transport failures become 502.
+// ocsd's own expired work, a vector the router's own solve loop could not put
+// on the wire is 422 like ocsd's non-finite product, and a reply that does
+// not parse or a transport failure becomes 502.
 func (r *Router) failShard(w http.ResponseWriter, err error) {
 	var se *StatusError
 	switch {
@@ -325,6 +328,10 @@ func (r *Router) failShard(w http.ResponseWriter, err error) {
 		r.env.Fail(w, se.Code, "%s", se.Msg)
 	case server.WorkStatus(err) == http.StatusGatewayTimeout:
 		r.env.Fail(w, http.StatusGatewayTimeout, "%v", err)
+	case errors.As(err, new(*wire.NonFiniteError)):
+		r.env.Fail(w, http.StatusUnprocessableEntity, "%v", err)
+	case errors.As(err, new(*ReplyError)):
+		r.env.Fail(w, http.StatusBadGateway, "%v", err)
 	default:
 		r.env.Fail(w, http.StatusBadGateway, "shard unreachable: %v", err)
 	}
@@ -816,7 +823,10 @@ func (rt *route) copies(rotate bool) (attempts []shardRef, primary shardRef) {
 
 // handlePanel routes /spmv and /spmm (op names the endpoint): a whole handle
 // forwards the request to one of its copies, a partitioned handle fans it
-// out over the row blocks and gathers the product.
+// out over the row blocks and gathers the product. The router converts no
+// float on this path: the body is scanned for its shape, the client's bytes
+// go to the shards unchanged, and the reply is spliced from the byte spans
+// of the shards' product vectors.
 func (r *Router) handlePanel(op string) http.HandlerFunc {
 	requests, seconds := &r.metrics.SpMVRequests, r.metrics.SpMVSeconds
 	if op == "spmm" {
@@ -827,49 +837,45 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		var body server.PanelRequest
-		if !r.env.Decode(w, req, &body) {
+		sc, traced := obs.SpanFromContext(req.Context())
+		scanStart := time.Now()
+		body, lay, k, ok := r.env.ReadPanel(w, req, rt.cols)
+		if !ok {
 			return
 		}
-		if len(body.X) == 0 {
-			r.env.Fail(w, http.StatusBadRequest, "x must hold at least one vector")
-			return
-		}
-		for i, x := range body.X {
-			if len(x) != rt.cols {
-				r.env.Fail(w, http.StatusBadRequest, "x[%d] has length %d, matrix has %d columns", i, len(x), rt.cols)
-				return
-			}
-		}
+		defer func() { wire.PutBuf(body) }() // the reply may move to another buffer
+		r.env.WireSpan(sc, "wire.scan", scanStart, len(*body), k)
 		requests.Add(1)
 		start := time.Now()
 		traceHex := ""
-		if sc, ok := obs.SpanFromContext(req.Context()); ok {
+		if traced {
 			traceHex = sc.Trace.String()
 		}
 		defer func() { seconds.ObserveExemplar(time.Since(start).Seconds(), traceHex) }()
 
 		if rt.partitioned {
-			if body.RowLo != 0 || body.RowHi != 0 {
+			if lay.RowLo != 0 || lay.RowHi != 0 {
 				r.env.Fail(w, http.StatusBadRequest, "row_lo/row_hi are not supported on partitioned handles")
 				return
 			}
-			ys, served, err := r.gather(req.Context(), rt, op, body.X, body.Progress)
+			blocks, served, err := r.gather(req.Context(), rt, op, *body, k)
 			if err != nil {
 				r.failShard(w, err)
 				return
 			}
-			rt.mu.Lock()
-			rt.spmvCalls += int64(len(body.X))
-			rt.mu.Unlock()
-			resp := server.PanelResponse{Y: ys, Format: "distributed"}
+			tail := wire.Tail{Format: "distributed", ServedBy: served}
 			if op == "spmm" {
-				resp.K = len(body.X)
+				tail.K = k
 			}
-			r.env.WriteJSON(w, http.StatusOK, PanelResponse{PanelResponse: resp, ServedBy: served})
+			body = r.replyPanel(w, sc, rt, blocks, tail, body)
 			return
 		}
 
+		// A whole copy answers whatever valid row range the client asked for.
+		rows := rt.rows
+		if lay.RowLo != 0 || lay.RowHi != 0 {
+			rows = lay.RowHi - lay.RowLo
+		}
 		attempts, primary := rt.copies(true)
 		var lastErr error
 		for i, ref := range attempts {
@@ -877,8 +883,8 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 				r.metrics.Failovers.Add(1)
 			}
 			ref := ref
-			resp, err := callShard(r, req.Context(), op, ref.shard, func(ctx context.Context) (server.PanelResponse, error) {
-				return ref.shard.Panel(ctx, op, ref.remoteID, body)
+			block, err := callShard(r, req.Context(), op, ref.shard, func(ctx context.Context) (blockReply, error) {
+				return panelBlock(ctx, ref.shard, op, ref.remoteID, *body, k, rows)
 			})
 			if err != nil {
 				lastErr = err
@@ -892,36 +898,91 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 			} else {
 				r.metrics.ReplicaHits.Add(1)
 			}
-			rt.mu.Lock()
-			rt.spmvCalls += int64(len(body.X))
-			rt.mu.Unlock()
+			body = r.replyPanel(w, sc, rt, []blockReply{block},
+				wire.Tail{K: block.lay.K, Format: block.lay.Format, ServedBy: []string{ref.shard.Name()}}, body)
 			r.maybeReplicate(rt)
-			r.env.WriteJSON(w, http.StatusOK, PanelResponse{PanelResponse: resp, ServedBy: []string{ref.shard.Name()}})
 			return
 		}
 		r.failShard(w, lastErr)
 	}
 }
 
-// gather runs the distributed product (op "spmv" or "spmm"): the full
-// k-column operand goes to every row block in parallel, each shard returns
-// its block of the product, and the router scatters the blocks into
-// full-length output vectors. Every row is summed entirely on one shard, so
-// the gathered vectors are bit-identical to the single-process product no
-// matter how the rows were cut. progress, when non-nil, is forwarded to every
-// block so the shard-side selector pipelines advance (a distributed solve's
-// loop runs router-side; without the forwarded indicator no shard would ever
-// see iteration progress).
-func (r *Router) gather(ctx context.Context, rt *route, op string, xs [][]float64, progress *float64) ([][]float64, []string, error) {
+// replyPanel answers a panel request by splicing the shards' product vectors
+// (one block for a whole copy, the row blocks in order for a partitioned
+// handle) under the router's own tail, and releases the blocks. The reply is
+// built over the request body when that buffer has the room: every shard has
+// answered, so the request's bytes are dead. It returns the buffer the caller
+// now owns.
+func (r *Router) replyPanel(w http.ResponseWriter, sc obs.SpanContext, rt *route, blocks []blockReply, tail wire.Tail, buf *[]byte) *[]byte {
+	defer releaseBlocks(blocks)
+	start := time.Now()
+	bodies, lays := make([][]byte, len(blocks)), make([]wire.Layout, len(blocks))
+	size := 256 // the tail
+	for i, b := range blocks {
+		bodies[i], lays[i] = *b.body, b.lay
+		size += len(*b.body)
+	}
+	k := len(lays[0].Vectors)
+	buf = wire.Recycle(buf, size)
+	*buf = wire.Splice(*buf, bodies, lays, tail)
+	r.env.WireSpan(sc, "wire.splice", start, len(*buf), k)
+	rt.mu.Lock()
+	rt.spmvCalls += int64(k)
+	rt.mu.Unlock()
+	r.env.WriteBody(w, http.StatusOK, *buf)
+	return buf
+}
+
+// blockReply is one shard's scanned, unconverted panel reply; body is pooled.
+type blockReply struct {
+	body *[]byte
+	lay  wire.Layout
+}
+
+func releaseBlocks(blocks []blockReply) {
+	for _, b := range blocks {
+		wire.PutBuf(b.body)
+	}
+}
+
+// panelBlock is one shard's share of a panel: the raw round trip plus the
+// shape check on what came back — k vectors, each of rows entries. A reply
+// of the wrong shape is a *ReplyError.
+func panelBlock(ctx context.Context, sc *ShardClient, op, id string, body []byte, k, rows int) (blockReply, error) {
+	reply, lay, err := sc.panelRaw(ctx, op, id, body)
+	if err != nil {
+		return blockReply{}, err
+	}
+	if len(lay.Vectors) != k {
+		err = fmt.Errorf("%d vectors, want %d", len(lay.Vectors), k)
+	}
+	for _, y := range lay.Vectors {
+		if y.N != rows {
+			err = fmt.Errorf("a vector of %d rows, want %d", y.N, rows)
+		}
+	}
+	if err != nil {
+		wire.PutBuf(reply)
+		return blockReply{}, &ReplyError{err}
+	}
+	return blockReply{body: reply, lay: lay}, nil
+}
+
+// gather runs the distributed product (op "spmv" or "spmm"): the same
+// encoded k-vector request (body; it carries the progress indicator, if any,
+// so the shard-side selector pipelines advance — a distributed solve's loop
+// runs router-side) goes to every row block in parallel and each shard
+// returns its block of the product, handed back as scanned bytes in block
+// order; release them with releaseBlocks. The HTTP path splices them into
+// the reply, the solver path decodes them into its vector. Every row is
+// summed entirely on one shard, so the gathered vectors are bit-identical to
+// the single-process product no matter how the rows were cut.
+func (r *Router) gather(ctx context.Context, rt *route, op string, body []byte, k int) ([]blockReply, []string, error) {
 	rt.mu.Lock()
 	parts := append([]partRef(nil), rt.parts...)
-	rows := rt.rows
 	rt.mu.Unlock()
 
-	ys := make([][]float64, len(xs))
-	for i := range ys {
-		ys[i] = make([]float64, rows)
-	}
+	blocks := make([]blockReply, len(parts))
 	served := make([]string, len(parts))
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
@@ -930,14 +991,13 @@ func (r *Router) gather(ctx context.Context, rt *route, op string, xs [][]float6
 		go func(pi int, p partRef) {
 			defer wg.Done()
 			served[pi] = p.shard.Name()
-			var resp server.PanelResponse
 			var err error
 			// One in-place retry absorbs transient queue-full rejections;
 			// blocks have a single placement, so there is no replica to
 			// fail over to (whole-handle replicas cover that case).
 			for attempt := 0; attempt < 2; attempt++ {
-				resp, err = callShard(r, ctx, op, p.shard, func(ctx context.Context) (server.PanelResponse, error) {
-					return p.shard.Panel(ctx, op, p.remoteID, server.PanelRequest{X: xs, Progress: progress})
+				blocks[pi], err = callShard(r, ctx, op, p.shard, func(ctx context.Context) (blockReply, error) {
+					return panelBlock(ctx, p.shard, op, p.remoteID, body, k, p.hi-p.lo)
 				})
 				if err == nil || !Retryable(err) {
 					break
@@ -945,18 +1005,6 @@ func (r *Router) gather(ctx context.Context, rt *route, op string, xs [][]float6
 			}
 			if err != nil {
 				errs[pi] = fmt.Errorf("block [%d,%d) on %s: %w", p.lo, p.hi, p.shard.Name(), err)
-				return
-			}
-			if len(resp.Y) != len(xs) {
-				errs[pi] = fmt.Errorf("block [%d,%d) returned %d vectors, want %d", p.lo, p.hi, len(resp.Y), len(xs))
-				return
-			}
-			for vi, y := range resp.Y {
-				if len(y) != p.hi-p.lo {
-					errs[pi] = fmt.Errorf("block [%d,%d) returned %d rows", p.lo, p.hi, len(y))
-					return
-				}
-				copy(ys[vi][p.lo:p.hi], y)
 			}
 		}(pi, parts[pi])
 	}
@@ -964,10 +1012,11 @@ func (r *Router) gather(ctx context.Context, rt *route, op string, xs [][]float6
 	r.metrics.PartialFanouts.Add(1)
 	for _, err := range errs {
 		if err != nil {
+			releaseBlocks(blocks)
 			return nil, nil, err
 		}
 	}
-	return ys, served, nil
+	return blocks, served, nil
 }
 
 // ---- replication ----
@@ -1171,12 +1220,28 @@ type distOp struct {
 
 func (d *distOp) Dims() (int, int) { return d.rt.rows, d.rt.cols }
 
+// SpMV serialises x once for all blocks and decodes each block's reply
+// straight into its rows of y.
 func (d *distOp) SpMV(y, x []float64) {
-	ys, _, err := d.r.gather(d.ctx, d.rt, "spmv", [][]float64{x}, d.progress)
+	body := wire.GetBuf(len(x)*wire.MaxFloatLen + 64)
+	defer wire.PutBuf(body)
+	var err error
+	if *body, err = wire.AppendRequest(*body, [][]float64{x}, 0, 0, d.progress); err != nil {
+		panic(distPanic{err})
+	}
+	blocks, _, err := d.r.gather(d.ctx, d.rt, "spmv", *body, 1)
 	if err != nil {
 		panic(distPanic{err})
 	}
-	copy(y, ys[0])
+	defer releaseBlocks(blocks)
+	lo := 0
+	for _, b := range blocks {
+		sp := b.lay.Vectors[0]
+		if err := wire.DecodeVector((*b.body)[sp.Lo:sp.Hi], y[lo:lo+sp.N], 1); err != nil {
+			panic(distPanic{&ReplyError{err}})
+		}
+		lo += sp.N
+	}
 }
 
 // distSolve runs a solver at the router against the partitioned operator

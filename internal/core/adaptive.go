@@ -2,6 +2,7 @@ package core
 
 import (
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/convcache"
@@ -105,6 +106,12 @@ type Adaptive struct {
 	// spmmK is the widest block width SpMM has been asked for; the SpMM
 	// menu prices candidates at this width.
 	spmmK int
+	// spmmInFlight counts the blocked kernels running right now. It is only
+	// ever above zero at the start of another call under SafeAdaptive, which
+	// runs them outside its lock; a timing sample that shared the cores with
+	// one is dropped, so the gate and the ledger still see only kernels that
+	// ran alone on the handle.
+	spmmInFlight atomic.Int32
 
 	// Decision-journal state: once the pipeline has run with a journal
 	// attached, traceID addresses this wrapper's obs.DecisionTrace and
@@ -182,9 +189,13 @@ func (ad *Adaptive) SpMV(y, x []float64) {
 		ad.run(y, x)
 		return
 	}
+	shared := ad.spmmInFlight.Load() > 0 // none can begin while this call runs
 	start := ad.clock.Now()
 	ad.run(y, x)
 	elapsed := timing.Since(ad.clock, start).Seconds()
+	if shared {
+		return
+	}
 	if !ad.decided {
 		ad.spmvSeconds += elapsed
 		ad.spmvCalls++
@@ -214,29 +225,63 @@ func (ad *Adaptive) run(y, x []float64) {
 // multi-vector-dominant handles; post-decision calls feed the T_affected
 // ledger per column, the unit the decision was priced in.
 func (ad *Adaptive) SpMM(y, x []float64, k int) {
+	c := ad.beginSpMM(k)
+	ad.runSpMM(c, y, x)
+	ad.endSpMM(c)
+}
+
+// spmmCall is one blocked product between its two bookkeeping halves: the
+// operator and kernel flavour it runs on and, when the call is timed for the
+// ledger, when it started and how many kernels the handle had started by
+// then. SafeAdaptive holds the handle lock for the halves only, so the
+// k-column kernel — the longest thing a handle ever does — runs on this
+// snapshot without blocking the handle's other callers.
+type spmmCall struct {
+	m        sparse.Matrix
+	parallel bool
+	k        int
+	timed    bool
+	start    time.Time
+	kernels  int64
+}
+
+func (ad *Adaptive) beginSpMM(k int) spmmCall {
 	ad.stats.SpMMCalls++
 	if k > ad.spmmK {
 		ad.spmmK = k
 	}
-	if !ad.ledger {
-		ad.runSpMM(y, x, k)
-		return
+	alone := ad.spmmInFlight.Add(1) == 1
+	c := spmmCall{m: ad.cur, parallel: ad.parallel, k: k, timed: ad.ledger && alone}
+	if c.timed {
+		c.start = ad.clock.Now()
+		c.kernels = ad.stats.SpMVCalls + ad.stats.SpMMCalls
 	}
-	start := ad.clock.Now()
-	ad.runSpMM(y, x, k)
-	elapsed := timing.Since(ad.clock, start).Seconds()
-	if !ad.cfg.Journal.Update(ad.traceID, func(t *obs.DecisionTrace) {
-		t.Ledger.RecordPost(elapsed / float64(k))
-	}) {
-		ad.ledger = false // trace evicted: stop paying for timing
+	return c
+}
+
+// runSpMM executes the kernel. Of the Adaptive it touches the in-flight
+// count only: the operator is immutable and the kernels allow concurrent
+// dispatch.
+func (ad *Adaptive) runSpMM(c spmmCall, y, x []float64) {
+	defer ad.spmmInFlight.Add(-1)
+	if c.parallel {
+		sparse.SpMMParallel(c.m, y, x, c.k)
+	} else {
+		sparse.SpMM(c.m, y, x, c.k)
 	}
 }
 
-func (ad *Adaptive) runSpMM(y, x []float64, k int) {
-	if ad.parallel {
-		sparse.SpMMParallel(ad.cur, y, x, k)
-	} else {
-		sparse.SpMM(ad.cur, y, x, k)
+// endSpMM books a timed product into the ledger, unless another kernel of
+// the handle began while it ran: that is no sample of a product either.
+func (ad *Adaptive) endSpMM(c spmmCall) {
+	if !c.timed || ad.stats.SpMVCalls+ad.stats.SpMMCalls != c.kernels {
+		return
+	}
+	elapsed := timing.Since(ad.clock, c.start).Seconds()
+	if !ad.cfg.Journal.Update(ad.traceID, func(t *obs.DecisionTrace) {
+		t.Ledger.RecordPost(elapsed / float64(c.k))
+	}) {
+		ad.ledger = false // trace evicted: stop paying for timing
 	}
 }
 

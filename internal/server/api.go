@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/retrain"
+	"repro/internal/wire"
 )
 
 // RegisterRequest is the body of POST /v1/matrices. Exactly one of
@@ -162,12 +163,9 @@ type PanelRequest struct {
 }
 
 // PanelResponse returns y = A*x for each input vector, in order. K is the
-// panel width, reported by /spmm only.
-type PanelResponse struct {
-	Y      [][]float64 `json:"y"`
-	K      int         `json:"k,omitempty"`
-	Format string      `json:"format"`
-}
+// panel width, reported by /spmm only; ocsd never sets ServedBy. The wire
+// codec owns the document's fields.
+type PanelResponse = wire.Reply
 
 // SolveRequest is the body of POST /v1/matrices/{id}/solve.
 type SolveRequest struct {

@@ -10,38 +10,6 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestVecPoolNoAllocs is the regression guard for the per-request vector
-// pooling: once the pool is warm, a get/use/put cycle must not allocate.
-func TestVecPoolNoAllocs(t *testing.T) {
-	putVec(getVec(2048))
-	allocs := testing.AllocsPerRun(200, func() {
-		p := getVec(2048)
-		(*p)[0] = 1
-		(*p)[2047] = 2
-		putVec(p)
-	})
-	if allocs != 0 {
-		t.Errorf("warm pool get/put allocates %g times per run, want 0", allocs)
-	}
-}
-
-// TestVecPoolRespectsLength: a pooled buffer that is too small must be
-// replaced, and a larger one must be re-sliced to the requested length.
-func TestVecPoolRespectsLength(t *testing.T) {
-	small := getVec(8)
-	putVec(small)
-	big := getVec(1 << 16)
-	if len(*big) != 1<<16 {
-		t.Fatalf("got len %d, want %d", len(*big), 1<<16)
-	}
-	putVec(big)
-	again := getVec(16)
-	if len(*again) != 16 {
-		t.Fatalf("re-sliced len %d, want 16", len(*again))
-	}
-	putVec(again)
-}
-
 // TestSpMVPooledBuffersInterleavedSizes interleaves requests against two
 // matrices of different dimensions so the handlers recycle buffers across
 // sizes; every response must still match the locally computed product (a

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,8 +11,10 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Envelope is the request plumbing ocsd and ocsrouter share: the
@@ -103,11 +106,58 @@ func (e *Envelope) Track(endpoint string, h http.HandlerFunc) http.Handler {
 	})
 }
 
-// WriteJSON replies with v as the JSON body.
-func (e *Envelope) WriteJSON(w http.ResponseWriter, code int, v any) {
+// RecordSpan stores one completed child span under the request span sc (from
+// obs.SpanFromContext). It is a no-op for untraced requests (zero trace
+// context) — Tracer.Record drops zero-trace spans.
+func (e *Envelope) RecordSpan(sc obs.SpanContext, name string, start time.Time, secs float64, attrs ...[2]string) {
+	sp := obs.Span{
+		Trace:   sc.Trace,
+		ID:      obs.NewSpanID(),
+		Parent:  sc.Span,
+		Name:    name,
+		Start:   start,
+		Seconds: secs,
+	}
+	if len(attrs) > 0 {
+		sp.Attrs = make(map[string]string, len(attrs))
+		for _, kv := range attrs {
+			sp.Attrs[kv[0]] = kv[1]
+		}
+	}
+	e.Tracer.Record(sp)
+}
+
+// WireSpan records one wire.* child span (decode, encode, scan, splice) that
+// started at start and ends now, with the size of what it handled.
+func (e *Envelope) WireSpan(sc obs.SpanContext, name string, start time.Time, size, vectors int) {
+	e.RecordSpan(sc, name, start, time.Since(start).Seconds(),
+		[2]string{"bytes", strconv.Itoa(size)}, [2]string{"vectors", strconv.Itoa(vectors)})
+}
+
+// WriteBody replies with an already encoded JSON body. Every reply is
+// encoded before its header goes out, so a value that cannot be encoded is
+// an error status, never a success status with an empty body.
+func (e *Envelope) WriteBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a client that hung up is not this handler's error
+}
+
+// WriteJSON replies with v as the JSON body. A value JSON cannot carry (a
+// NaN or ±Inf in a solution vector) is 422: the request was computed, its
+// result cannot be represented.
+func (e *Envelope) WriteJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status := http.StatusInternalServerError
+		if errors.As(err, new(*json.UnsupportedValueError)) {
+			status = http.StatusUnprocessableEntity
+		}
+		e.Fail(w, status, "encoding response: %v", err)
+		return
+	}
+	e.WriteBody(w, code, buf.Bytes())
 }
 
 // Fail replies with the uniform error body and counts the request as failed.
@@ -132,6 +182,35 @@ func (e *Envelope) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
+}
+
+// ReadPanel reads a /spmv or /spmm request into a pooled buffer (hand it back
+// with wire.PutBuf), scans it and checks its shape against a matrix of cols
+// columns — at least one vector, each of cols entries; k is how many. No
+// float is converted. It answers 400 itself on failure, like Decode, with the
+// same messages on both tiers.
+func (e *Envelope) ReadPanel(w http.ResponseWriter, r *http.Request, cols int) (body *[]byte, lay wire.Layout, k int, ok bool) {
+	body, err := wire.ReadBody(r.Body, r.ContentLength)
+	if err != nil {
+		e.Fail(w, http.StatusBadRequest, "decoding request body: %v", err)
+		return nil, lay, 0, false
+	}
+	if lay, err = wire.ScanRequest(*body); err != nil {
+		err = fmt.Errorf("decoding request body: %w", err)
+	} else if k = len(lay.Vectors); k == 0 {
+		err = errors.New("x must hold at least one vector")
+	}
+	for i, x := range lay.Vectors {
+		if err == nil && x.N != cols {
+			err = fmt.Errorf("x[%d] has length %d, matrix has %d columns", i, x.N, cols)
+		}
+	}
+	if err != nil {
+		wire.PutBuf(body)
+		e.Fail(w, http.StatusBadRequest, "%v", err)
+		return nil, lay, 0, false
+	}
+	return body, lay, k, true
 }
 
 // badRequest is a work error caused by the client's malformed input (400)

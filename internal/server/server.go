@@ -46,6 +46,7 @@ import (
 	"repro/internal/retrain"
 	"repro/internal/sparse"
 	"repro/internal/timing"
+	"repro/internal/wire"
 )
 
 // Config sizes the server. Zero values get production-ready defaults.
@@ -331,27 +332,6 @@ func (s *Server) track(endpoint string, h http.HandlerFunc) http.Handler {
 		}()
 		tracked.ServeHTTP(w, r)
 	})
-}
-
-// recordSpan stores one completed child span under the request span. It is
-// a no-op for untraced requests (zero trace context) — Tracer.Record drops
-// zero-trace spans.
-func (s *Server) recordSpan(sc obs.SpanContext, name string, start time.Time, secs float64, attrs ...[2]string) {
-	sp := obs.Span{
-		Trace:   sc.Trace,
-		ID:      obs.NewSpanID(),
-		Parent:  sc.Span,
-		Name:    name,
-		Start:   start,
-		Seconds: secs,
-	}
-	if len(attrs) > 0 {
-		sp.Attrs = make(map[string]string, len(attrs))
-		for _, kv := range attrs {
-			sp.Attrs[kv[0]] = kv[1]
-		}
-	}
-	s.env.Tracer.Record(sp)
 }
 
 // Drain stops admitting new /v1 requests and waits until every in-flight
@@ -735,25 +715,37 @@ var (
 	opSpMM = panelOp{name: "spmm", widthAttr: "k", blocked: true}
 )
 
-// panel is one prepared product: compute runs inside the pool slot, result
-// returns rows [lo, hi) of the k product vectors, and release hands the
-// pooled buffers back once the reply has been encoded.
+// panel is one product's pooled operands: decode fills the k input vectors
+// from a scanned request body, compute runs inside the pool slot, result
+// returns rows [lo, hi) of the k product vectors as wire.AppendReply takes
+// them (vector i is ys[i][0], ys[i][stride], …), and release hands the
+// buffers back once the reply has been encoded.
 type panel struct {
+	decode  func(body []byte, lay wire.Layout) error
 	compute func() error
-	result  func(lo, hi int) [][]float64
+	result  func(lo, hi int) (ys [][]float64, stride int)
 	release func()
 }
 
-// columnPanel multiplies the k vectors one SpMV call at a time into pooled
-// output vectors, which back the response slices.
-func (h *Handle) columnPanel(ctx context.Context, xs [][]float64) panel {
-	ys := make([][]float64, len(xs))
-	bufs := make([]*[]float64, len(xs))
-	for i := range bufs {
-		bufs[i] = getVec(h.Rows)
-		ys[i] = *bufs[i]
+// columnPanel multiplies the k vectors one SpMV call at a time, out of and
+// into pooled vectors; the product vectors back the response slices.
+func (h *Handle) columnPanel(ctx context.Context, k int) panel {
+	xs, ys := make([][]float64, k), make([][]float64, k)
+	bufs := make([]*[]float64, 0, 2*k)
+	for i := range xs {
+		x, y := wire.GetVec(h.Cols), wire.GetVec(h.Rows)
+		xs[i], ys[i] = *x, *y
+		bufs = append(bufs, x, y)
 	}
 	return panel{
+		decode: func(body []byte, lay wire.Layout) error {
+			for i, sp := range lay.Vectors {
+				if err := wire.DecodeVector(body[sp.Lo:sp.Hi], xs[i], 1); err != nil {
+					return fmt.Errorf("x[%d]: %w", i, err)
+				}
+			}
+			return nil
+		},
 		compute: func() error {
 			for i, x := range xs {
 				if err := ctx.Err(); err != nil {
@@ -763,59 +755,62 @@ func (h *Handle) columnPanel(ctx context.Context, xs [][]float64) panel {
 			}
 			return nil
 		},
-		result: func(lo, hi int) [][]float64 {
+		result: func(lo, hi int) ([][]float64, int) {
 			for i := range ys {
 				ys[i] = ys[i][lo:hi]
 			}
-			return ys
+			return ys, 1
 		},
 		release: func() {
 			for _, b := range bufs {
-				putVec(b)
+				wire.PutVec(b)
 			}
 		},
 	}
 }
 
-// blockedPanel packs the k vectors into one row-major panel (row j holds
+// blockedPanel holds the k vectors as one row-major panel (row j holds
 // column j of every input vector, so the blocked kernels stream k-wide
 // contiguous stripes) and multiplies it in a single SpMM pass: the matrix is
-// traversed once for all k columns instead of k times. The scratch panels
-// come from the vector pool; the result is unpacked into fresh vectors.
-func (h *Handle) blockedPanel(xs [][]float64) panel {
-	k := len(xs)
-	xbuf, ybuf := getVec(h.Cols*k), getVec(h.Rows*k)
+// traversed once for all k columns instead of k times. The request is decoded
+// straight into the operand panel and the reply encoded straight out of the
+// product panel, column i striding by k from offset i.
+func (h *Handle) blockedPanel(k int) panel {
+	xbuf, ybuf := wire.GetVec(h.Cols*k), wire.GetVec(h.Rows*k)
 	xp, yp := *xbuf, *ybuf
-	for i, x := range xs {
-		for j, v := range x {
-			xp[j*k+i] = v
-		}
-	}
 	return panel{
+		decode: func(body []byte, lay wire.Layout) error {
+			for i, sp := range lay.Vectors {
+				if err := wire.DecodeVector(body[sp.Lo:sp.Hi], xp[i:], k); err != nil {
+					return fmt.Errorf("x[%d]: %w", i, err)
+				}
+			}
+			return nil
+		},
 		compute: func() error {
 			h.SA.SpMM(yp, xp, k)
 			return nil
 		},
-		result: func(lo, hi int) [][]float64 {
+		result: func(lo, hi int) ([][]float64, int) {
 			ys := make([][]float64, k)
 			for i := range ys {
-				col := make([]float64, hi-lo)
-				for j := lo; j < hi; j++ {
-					col[j-lo] = yp[j*k+i]
-				}
-				ys[i] = col
+				ys[i] = yp[lo*k+i : hi*k]
 			}
-			return ys
+			return ys, k
 		},
 		release: func() {
-			putVec(xbuf)
-			putVec(ybuf)
+			wire.PutVec(xbuf)
+			wire.PutVec(ybuf)
 		},
 	}
 }
 
 // handlePanel serves /spmv and /spmm: a batch of k x-vectors multiplied by
-// the handle's matrix, as k SpMV calls or one blocked SpMM pass (op).
+// the handle's matrix, as k SpMV calls or one blocked SpMM pass (op). The
+// body is read into one pooled buffer, scanned, decoded into the product's
+// pooled operands, and — its bytes dead by then — overwritten with the
+// encoded reply. Decode and encode run outside the admission-pool slot and
+// the handle lock.
 func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 	hist, requests, columns := s.metrics.SpMVSeconds, &s.metrics.SpMVRequests, &s.metrics.SpMVVectors
 	if op.blocked {
@@ -826,68 +821,69 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		var req PanelRequest
-		if !s.env.Decode(w, r, &req) {
+		sc, traced := obs.SpanFromContext(r.Context())
+		decodeStart := time.Now()
+		buf, lay, k, ok := s.env.ReadPanel(w, r, h.Cols)
+		if !ok {
 			return
 		}
-		k := len(req.X)
-		if k == 0 {
-			s.env.Fail(w, http.StatusBadRequest, "x must hold at least one vector")
-			return
-		}
-		for i, x := range req.X {
-			if len(x) != h.Cols {
-				s.env.Fail(w, http.StatusBadRequest, "x[%d] has length %d, matrix has %d columns", i, len(x), h.Cols)
-				return
-			}
-		}
+		defer func() { wire.PutBuf(buf) }() // the reply may move to another buffer
 		// A partial product restricts the response to rows [lo, hi): the
 		// distributed contract where a router gathers row blocks from several
 		// shards. The kernel still computes all rows (formats do not expose
 		// row-range kernels); only the response is sliced, so a whole-handle
 		// replica can serve any block without re-registration.
-		lo, hi := req.RowLo, req.RowHi
+		lo, hi := lay.RowLo, lay.RowHi
 		if lo == 0 && hi == 0 {
 			hi = h.Rows
 		} else if lo < 0 || hi <= lo || hi > h.Rows {
 			s.env.Fail(w, http.StatusBadRequest, "row range [%d,%d) invalid for %d rows", lo, hi, h.Rows)
 			return
 		}
+		var p panel
+		if op.blocked {
+			p = h.blockedPanel(k)
+		} else {
+			p = h.columnPanel(r.Context(), k)
+		}
+		defer p.release()
+		progress, err := lay.Progress(*buf)
+		if err == nil {
+			err = p.decode(*buf, lay)
+		}
+		if err != nil {
+			s.env.Fail(w, http.StatusBadRequest, "decoding request body: %v", err)
+			return
+		}
+		s.env.WireSpan(sc, "wire.decode", decodeStart, len(*buf), k)
+
 		// A request boundary is a swap point: no product of ours is in flight
 		// yet, so a background conversion that finished since the last request
 		// is installed here, atomically under the handle lock.
 		h.SA.SwapPoint()
-		sc, traced := obs.SpanFromContext(r.Context())
 		traceHex := ""
 		if traced {
 			h.SA.SetSpanParent(sc)
 			traceHex = sc.Trace.String()
 		}
-		var p panel
-		if op.blocked {
-			p = h.blockedPanel(req.X)
-		} else {
-			p = h.columnPanel(r.Context(), req.X)
-		}
-		defer p.release()
 		waitStart := time.Now()
 		wait := timing.StartStopwatch(nil)
-		err := s.pool.Do(r.Context(), func() error {
+		err = s.pool.Do(r.Context(), func() error {
 			s.metrics.QueueWaitSeconds.Observe(wait.Seconds())
-			s.recordSpan(sc, "queue.wait", waitStart, wait.Seconds())
+			s.env.RecordSpan(sc, "queue.wait", waitStart, wait.Seconds())
 			// A router-driven partial product forwards the solve loop's progress
 			// indicator so the shard-side selector pipeline advances: without
 			// it a shard that only ever sees gather fan-out would never open
 			// its lazy gate.
-			if req.Progress != nil {
-				h.SA.RecordProgress(*req.Progress)
+			if progress != nil {
+				h.SA.RecordProgress(*progress)
 			}
 			computeStart := time.Now()
 			watch := timing.StartStopwatch(nil)
 			defer func() {
 				secs := watch.Seconds()
 				hist.ObserveExemplar(secs, traceHex)
-				s.recordSpan(sc, op.name+".compute", computeStart, secs,
+				s.env.RecordSpan(sc, op.name+".compute", computeStart, secs,
 					[2]string{"format", h.SA.Format().String()},
 					[2]string{op.widthAttr, strconv.Itoa(k)})
 			}()
@@ -901,11 +897,25 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		columns.Add(int64(k))
 		s.metrics.CountSpMV(h.SA.Format(), int64(k))
 		h.countUse(s.metrics, int64(k), 0)
-		resp := PanelResponse{Y: p.result(lo, hi), Format: h.SA.Format().String()}
+
+		encodeStart := time.Now()
+		tail := wire.Tail{Format: h.SA.Format().String()}
 		if op.blocked {
-			resp.K = k
+			tail.K = k
 		}
-		s.env.WriteJSON(w, http.StatusOK, resp)
+		ys, stride := p.result(lo, hi)
+		buf = wire.Recycle(buf, k*(hi-lo)*wire.MaxFloatLen+64)
+		if *buf, err = wire.AppendReply(*buf, ys, stride, tail); err != nil {
+			// JSON has no NaN or ±Inf: the product overflowed.
+			var nf *wire.NonFiniteError
+			if errors.As(err, &nf) {
+				err = fmt.Errorf("product is not finite (y[%d][%d])", nf.Vector, lo+nf.Index)
+			}
+			s.env.Fail(w, http.StatusUnprocessableEntity, "%v", err)
+			return
+		}
+		s.env.WireSpan(sc, "wire.encode", encodeStart, len(*buf), k)
+		s.env.WriteBody(w, http.StatusOK, *buf)
 	}
 }
 
@@ -947,8 +957,8 @@ func RunSolve(ctx context.Context, op apps.Operator, id string, req SolveRequest
 	case req.App == "pagerank" || req.App == "power":
 		// These iterate on the operator alone; b is ignored.
 	case b == nil:
-		bp := getVec(rows)
-		defer putVec(bp) // solvers allocate their own x; nothing returned aliases b
+		bp := wire.GetVec(rows)
+		defer wire.PutVec(bp) // solvers allocate their own x; nothing returned aliases b
 		b = *bp
 		for i := range b {
 			b[i] = 1
@@ -1028,13 +1038,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	)
 	err := s.pool.Do(ctx, func() (err error) {
 		s.metrics.QueueWaitSeconds.Observe(wait.Seconds())
-		s.recordSpan(sc, "queue.wait", waitStart, wait.Seconds())
+		s.env.RecordSpan(sc, "queue.wait", waitStart, wait.Seconds())
 		computeStart := time.Now()
 		compute := timing.StartStopwatch(nil)
 		defer func() {
 			secs := compute.Seconds()
 			s.metrics.SolveSeconds.ObserveExemplar(secs, traceHex)
-			s.recordSpan(sc, "solve.compute", computeStart, secs,
+			s.env.RecordSpan(sc, "solve.compute", computeStart, secs,
 				[2]string{"app", req.App},
 				[2]string{"format", h.SA.Format().String()})
 		}()
