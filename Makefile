@@ -28,7 +28,7 @@ vet:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/parallel/
-	$(GO) run ./cmd/ocsbench -async -spmm 4,16 -out BENCH_spmv.json
+	$(GO) run ./cmd/ocsbench -async -out BENCH_spmv.json
 
 # Diff a fresh (unwritten) bench run against the checked-in baseline; exits
 # nonzero on >25% dispatch/SpMV regressions. Advisory in CI — absolute

@@ -18,7 +18,6 @@ type compareKey struct {
 	Format  string
 	Variant string
 	N       int
-	K       int
 }
 
 func (k compareKey) String() string {
@@ -34,9 +33,6 @@ func (k compareKey) String() string {
 	}
 	if k.N != 0 {
 		s += fmt.Sprintf("/n=%d", k.N)
-	}
-	if k.K != 0 {
-		s += fmt.Sprintf("/k=%d", k.K)
 	}
 	return s
 }
@@ -62,19 +58,19 @@ func loadReport(path string) (*Report, error) {
 	return &r, nil
 }
 
-// indexRecords keys the dispatch, spmv and spmm records of a report. Convert
+// indexRecords keys the dispatch and spmv records of a report. Convert
 // records are excluded from regression gating: conversion is measured at
 // pinned worker counts and its absolute time is far noisier under CI load;
 // the selector-facing quantities the paper's accounting needs are dispatch
-// overhead and per-format single- and multi-vector throughput. A key
+// overhead and per-format SpMV throughput. A key
 // measured at several worker counts keeps its fastest time.
 func indexRecords(r *Report) map[compareKey]float64 {
 	idx := make(map[compareKey]float64)
 	for _, rec := range r.Records {
-		if rec.Kind != "dispatch" && rec.Kind != "spmv" && rec.Kind != "spmm" {
+		if rec.Kind != "dispatch" && rec.Kind != "spmv" {
 			continue
 		}
-		k := compareKey{Kind: rec.Kind, Matrix: rec.Matrix, Format: rec.Format, Variant: rec.Variant, N: rec.N, K: rec.K}
+		k := compareKey{Kind: rec.Kind, Matrix: rec.Matrix, Format: rec.Format, Variant: rec.Variant, N: rec.N}
 		if old, ok := idx[k]; !ok || rec.NsPerOp < old {
 			idx[k] = rec.NsPerOp
 		}
@@ -158,7 +154,7 @@ func runCompare(baselinePath string, fresh *Report, threshold float64) (failed b
 	}
 	regs, matched := compareReports(baseline, fresh, threshold)
 	if matched == 0 {
-		return false, fmt.Errorf("baseline %s shares no dispatch/spmv/spmm benchmarks with this run", baselinePath)
+		return false, fmt.Errorf("baseline %s shares no dispatch/spmv benchmarks with this run", baselinePath)
 	}
 	fmt.Printf("compare: %d benchmarks matched against %s (threshold +%.0f%%)\n",
 		matched, baselinePath, threshold*100)

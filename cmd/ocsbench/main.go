@@ -18,8 +18,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -35,22 +33,18 @@ import (
 
 // Record is one timed measurement.
 type Record struct {
-	// Kind is "dispatch", "spmv", "spmm", "convert" or "async".
+	// Kind is "dispatch", "spmv", "convert" or "async".
 	Kind string `json:"kind"`
-	// Matrix is the matgen family the matrix came from (spmv/spmm/convert).
+	// Matrix is the matgen family the matrix came from (spmv/convert).
 	Matrix string `json:"matrix,omitempty"`
-	// Format is the sparse format measured (spmv/spmm/convert).
+	// Format is the sparse format measured (spmv/convert).
 	Format string `json:"format,omitempty"`
-	// Variant distinguishes dispatch strategies ("serial", "spawn", "team"),
-	// the kernel generation of spmv records for formats with assembly
-	// kernels ("vector", "scalar"), and the multi-vector strategy of spmm
-	// records ("blocked" = one fused kernel call, "columns" = k independent
-	// SpMV calls over the same operand).
+	// Variant distinguishes dispatch strategies ("serial", "spawn", "team")
+	// and the kernel generation of spmv records for formats with assembly
+	// kernels ("vector", "scalar").
 	Variant string `json:"variant,omitempty"`
 	// N is the loop length for dispatch records.
 	N int `json:"n,omitempty"`
-	// K is the dense-operand column count for spmm records.
-	K int `json:"k,omitempty"`
 	// NNZ is the matrix nonzero count (spmv/convert).
 	NNZ int `json:"nnz,omitempty"`
 	// Workers is the GOMAXPROCS the measurement ran under.
@@ -138,13 +132,7 @@ func main() {
 	trace := flag.Bool("trace", false, "skip the benchmarks; run the adaptive selector on each bench matrix and print its decision trace")
 	target := flag.String("target", "", "benchmark a running ocsd/ocsrouter at this base URL (end-to-end HTTP round trips) instead of the in-process kernels")
 	asyncBench := flag.Bool("async", false, "also time end-to-end adaptive loops with inline vs background stage-2 (kind \"async\" records)")
-	spmmKs := flag.String("spmm", "4,16", "comma-separated dense-operand widths for the blocked-SpMM-vs-k-SpMV records (empty = skip)")
 	flag.Parse()
-
-	ks, err := parseKs(*spmmKs)
-	if err != nil {
-		log.Fatalf("ocsbench: -spmm: %v", err)
-	}
 
 	if *trace {
 		if err := traceSelections(*size, *degree, *seed); err != nil {
@@ -201,7 +189,6 @@ func main() {
 			continue
 		}
 		report.Records = append(report.Records, spmvRecords(*minTime, fam.String(), a, maxProcs)...)
-		report.Records = append(report.Records, spmmRecords(*minTime, fam.String(), a, maxProcs, ks)...)
 		report.Records = append(report.Records, convertRecords(*minTime, fam.String(), a, maxProcs)...)
 	}
 
@@ -334,84 +321,6 @@ func spmvWorkerCounts(max int) []int {
 		counts = append(counts, max)
 	}
 	return counts
-}
-
-// parseKs parses the -spmm flag: a comma-separated list of dense-operand
-// widths ("" disables the spmm records).
-func parseKs(s string) ([]int, error) {
-	var ks []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := strconv.Atoi(part)
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("bad width %q (want a positive integer)", part)
-		}
-		ks = append(ks, k)
-	}
-	return ks, nil
-}
-
-// spmmRecords times the blocked multi-vector product against its obvious
-// substitute — k independent SpMV calls over the same operand — for every
-// format with a native blocked kernel. The pair is the serving tier's
-// batching decision made measurable: "blocked" streams the matrix once and
-// amortizes index decoding over k accumulators, "columns" re-reads it k
-// times. Their ratio at each width is what the /spmm endpoint buys over a
-// client looping /spmv.
-func spmmRecords(minTime time.Duration, name string, a *sparse.CSR, workers int, ks []int) []Record {
-	var recs []Record
-	for _, f := range sparse.AllFormats {
-		m, err := sparse.ConvertFromCSR(a, f, benchLimits)
-		if err != nil {
-			continue
-		}
-		if _, ok := m.(sparse.SpMMer); !ok {
-			continue // fallback formats would just time the loop both ways
-		}
-		rows, cols := m.Dims()
-		for _, k := range ks {
-			// Each variant gets the operand in its natural layout up front, so
-			// the timings compare kernels, not data reshuffling: row-major
-			// x[j*k : j*k+k] for the blocked call, k separate column vectors
-			// (same values) for the SpMV loop.
-			x := make([]float64, cols*k)
-			for i := range x {
-				x[i] = 1 + float64(i%7)*0.25
-			}
-			y := make([]float64, rows*k)
-			xs := make([][]float64, k)
-			ys := make([][]float64, k)
-			for c := 0; c < k; c++ {
-				xs[c] = make([]float64, cols)
-				ys[c] = make([]float64, rows)
-				for j := 0; j < cols; j++ {
-					xs[c][j] = x[j*k+c]
-				}
-			}
-			variants := []struct {
-				name string
-				run  func()
-			}{
-				{"blocked", func() { sparse.SpMMParallel(m, y, x, k) }},
-				{"columns", func() {
-					for c := 0; c < k; c++ {
-						m.SpMVParallel(ys[c], xs[c])
-					}
-				}},
-			}
-			for _, v := range variants {
-				ns, iters := measure(minTime, v.run)
-				recs = append(recs, Record{
-					Kind: "spmm", Matrix: name, Format: f.String(), Variant: v.name,
-					K: k, NNZ: m.NNZ(), Workers: workers, NsPerOp: ns, Iters: iters,
-				})
-			}
-		}
-	}
-	return recs
 }
 
 // convertRecords times CSR->format conversion twice per format: pinned to
@@ -615,19 +524,6 @@ func printSummary(r *Report) {
 		if scalar > 0 {
 			fmt.Printf("spmv %s/%-5s scalar %.1f us, vector %.1f us (%.2fx, %d workers)\n",
 				rec.Matrix, rec.Format, scalar/1e3, rec.NsPerOp/1e3, scalar/rec.NsPerOp, rec.Workers)
-		}
-	}
-	for _, rec := range r.Records {
-		// Pair each blocked spmm record with the k-SpMV loop it replaces.
-		if rec.Kind != "spmm" || rec.Variant != "blocked" {
-			continue
-		}
-		for _, other := range r.Records {
-			if other.Kind == "spmm" && other.Variant == "columns" &&
-				other.Matrix == rec.Matrix && other.Format == rec.Format && other.K == rec.K {
-				fmt.Printf("spmm %s/%-5s k=%-3d %d spmv calls %.1f us, blocked %.1f us (%.2fx)\n",
-					rec.Matrix, rec.Format, rec.K, rec.K, other.NsPerOp/1e3, rec.NsPerOp/1e3, other.NsPerOp/rec.NsPerOp)
-			}
 		}
 	}
 	for _, rec := range r.Records {

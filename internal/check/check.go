@@ -130,16 +130,16 @@ func CheckSpMV(a *sparse.CSR, m sparse.Matrix) error {
 	return compareVec(fmt.Sprintf("%v SpMVParallel", m.Format()), ref, y, bounds)
 }
 
-// CheckSpMM verifies the CSR SpMM kernels (serial and parallel) against k
+// CheckSpMM verifies the blocked CSR kernel (serial and parallel) against k
 // independent reference SpMV sweeps.
 func CheckSpMM(a *sparse.CSR, k int) error {
 	return CheckSpMMFormat(a, a, k)
 }
 
-// CheckSpMMFormat verifies m's blocked multi-vector product — its native
-// kernel when the format implements sparse.SpMMer, the dispatcher's
-// column-at-a-time fallback otherwise, serial and parallel both — against k
-// independent reference SpMV sweeps on a. Each output column must land
+// CheckSpMMFormat verifies m's multi-vector product through the package
+// dispatcher — the blocked kernel for CSR, the column-at-a-time fallback for
+// every other format, serial and parallel both — against k independent
+// reference SpMV sweeps on a. Each output column must land
 // within the same reordering bound as a lone SpMV of the matching input
 // column: blocking amortizes matrix traffic, it must not change the math.
 func CheckSpMMFormat(a *sparse.CSR, m sparse.Matrix, k int) error {
@@ -283,9 +283,9 @@ type Options struct {
 	Workers []int
 	// Formats lists the formats to verify; empty means sparse.AllFormats.
 	Formats []sparse.Format
-	// SpMMColumns is the column count of the blocked SpMM check, applied to
-	// every format's kernel (native or fallback) at every worker count plus
-	// the CSR reference; 0 disables it.
+	// SpMMColumns is the column count of the SpMM check, applied to every
+	// format (blocked kernel or fallback) at every worker count; 0 disables
+	// it.
 	SpMMColumns int
 }
 

@@ -21,8 +21,8 @@ type Stats struct {
 	// before and after the pipeline decision.
 	SpMVCalls int64
 	// SpMMCalls is the total number of blocked multi-vector products served.
-	// When they dominate SpMV calls at decision time and the bundle carries
-	// SpMM cost models, stage 2 prices candidates with the SpMM menu.
+	// They run on the CSR master whatever format SpMV has moved to, so they
+	// neither feed nor follow the selector's decision.
 	SpMMCalls int64
 	// ConvCacheHit reports that stage 2 adopted a conversion published by an
 	// earlier tenant instead of converting: ConvertSeconds stays 0 and the
@@ -82,7 +82,9 @@ type Stats struct {
 // loop): SpMV, RecordProgress and the accessors must all run on one
 // goroutine. To share a wrapped matrix across goroutines — e.g. one
 // registry handle serving many requests — use SafeAdaptive, which
-// serializes every access behind a mutex.
+// serializes every access behind a mutex. SpMM is the exception: it reads
+// only what never changes after construction and may run from any goroutine
+// at any time.
 type Adaptive struct {
 	cfg      Config
 	preds    *Predictors
@@ -103,14 +105,10 @@ type Adaptive struct {
 	spmvSeconds float64
 	spmvCalls   int
 
-	// spmmK is the widest block width SpMM has been asked for; the SpMM
-	// menu prices candidates at this width.
-	spmmK int
-	// spmmInFlight counts the blocked kernels running right now. It is only
-	// ever above zero at the start of another call under SafeAdaptive, which
-	// runs them outside its lock; a timing sample that shared the cores with
-	// one is dropped, so the gate and the ledger still see only kernels that
-	// ran alone on the handle.
+	// spmmCalls counts blocked products begun and spmmInFlight those running
+	// right now. SpMM touches nothing else of the wrapper; SpMV reads the pair
+	// to drop a timing sample that shared the cores with a blocked product.
+	spmmCalls    atomic.Int64
 	spmmInFlight atomic.Int32
 
 	// Decision-journal state: once the pipeline has run with a journal
@@ -189,11 +187,13 @@ func (ad *Adaptive) SpMV(y, x []float64) {
 		ad.run(y, x)
 		return
 	}
-	shared := ad.spmmInFlight.Load() > 0 // none can begin while this call runs
+	// A sample is one SpMV alone on the handle: not one that found a blocked
+	// product in flight, nor one that a blocked product joined before it ended.
+	began, shared := ad.spmmCalls.Load(), ad.spmmInFlight.Load() > 0
 	start := ad.clock.Now()
 	ad.run(y, x)
 	elapsed := timing.Since(ad.clock, start).Seconds()
-	if shared {
+	if shared || ad.spmmCalls.Load() != began {
 		return
 	}
 	if !ad.decided {
@@ -219,69 +219,20 @@ func (ad *Adaptive) run(y, x []float64) {
 }
 
 // SpMM computes the blocked product Y = A*X with k row-major right-hand
-// sides on whichever format the matrix currently has, through the sparse
-// package dispatcher (native blocked kernel where the format provides one).
-// Counting these calls is what steers stage 2 onto the SpMM cost menu for
-// multi-vector-dominant handles; post-decision calls feed the T_affected
-// ledger per column, the unit the decision was priced in.
+// sides, on the CSR master whatever format SpMV currently runs on: the
+// row-panel kernel has no gather for a format to improve on, and for k >= 2
+// one pass of it costs less than column-at-a-time SpMV on any format. The
+// reply is therefore independent of selector state — the same bits before
+// and after a format swap — and the call touches two atomic counters and
+// nothing else of the wrapper, so it needs no lock and blocks no one.
 func (ad *Adaptive) SpMM(y, x []float64, k int) {
-	c := ad.beginSpMM(k)
-	ad.runSpMM(c, y, x)
-	ad.endSpMM(c)
-}
-
-// spmmCall is one blocked product between its two bookkeeping halves: the
-// operator and kernel flavour it runs on and, when the call is timed for the
-// ledger, when it started and how many kernels the handle had started by
-// then. SafeAdaptive holds the handle lock for the halves only, so the
-// k-column kernel — the longest thing a handle ever does — runs on this
-// snapshot without blocking the handle's other callers.
-type spmmCall struct {
-	m        sparse.Matrix
-	parallel bool
-	k        int
-	timed    bool
-	start    time.Time
-	kernels  int64
-}
-
-func (ad *Adaptive) beginSpMM(k int) spmmCall {
-	ad.stats.SpMMCalls++
-	if k > ad.spmmK {
-		ad.spmmK = k
-	}
-	alone := ad.spmmInFlight.Add(1) == 1
-	c := spmmCall{m: ad.cur, parallel: ad.parallel, k: k, timed: ad.ledger && alone}
-	if c.timed {
-		c.start = ad.clock.Now()
-		c.kernels = ad.stats.SpMVCalls + ad.stats.SpMMCalls
-	}
-	return c
-}
-
-// runSpMM executes the kernel. Of the Adaptive it touches the in-flight
-// count only: the operator is immutable and the kernels allow concurrent
-// dispatch.
-func (ad *Adaptive) runSpMM(c spmmCall, y, x []float64) {
+	ad.spmmInFlight.Add(1) // before spmmCalls: see the sample rule in SpMV
+	ad.spmmCalls.Add(1)
 	defer ad.spmmInFlight.Add(-1)
-	if c.parallel {
-		sparse.SpMMParallel(c.m, y, x, c.k)
+	if ad.parallel {
+		ad.csr.SpMMParallel(y, x, k)
 	} else {
-		sparse.SpMM(c.m, y, x, c.k)
-	}
-}
-
-// endSpMM books a timed product into the ledger, unless another kernel of
-// the handle began while it ran: that is no sample of a product either.
-func (ad *Adaptive) endSpMM(c spmmCall) {
-	if !c.timed || ad.stats.SpMVCalls+ad.stats.SpMMCalls != c.kernels {
-		return
-	}
-	elapsed := timing.Since(ad.clock, c.start).Seconds()
-	if !ad.cfg.Journal.Update(ad.traceID, func(t *obs.DecisionTrace) {
-		t.Ledger.RecordPost(elapsed / float64(c.k))
-	}) {
-		ad.ledger = false // trace evicted: stop paying for timing
+		ad.csr.SpMM(y, x, k)
 	}
 }
 
@@ -320,7 +271,7 @@ func (ad *Adaptive) runPipeline() {
 		ad.launchStage2(tr, remaining)
 		return
 	}
-	r := runStage2(ad.csr, ad.preds, ad.cfg, ad.clock, ad.menuK(), remaining, 0, func() bool { return false })
+	r := runStage2(ad.csr, ad.preds, ad.cfg, ad.clock, remaining, 0, func() bool { return false })
 	ad.applyStage2(&tr, r, false)
 	ad.journalTrace(tr)
 }
@@ -400,17 +351,6 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, remaining int, ok bool) {
 	return tr, remaining, true
 }
 
-// menuK is the workload hint stage 2 prices candidates with: the widest
-// panel SpMM has been asked for when blocked products dominate this handle's
-// traffic and the bundle carries SpMM cost models, 0 (the SpMV menu)
-// otherwise.
-func (ad *Adaptive) menuK() int {
-	if ad.preds.HasSpMMMenu() && ad.stats.SpMMCalls > ad.stats.SpMVCalls {
-		return ad.spmmK
-	}
-	return 0
-}
-
 // stage2Result is everything one stage-2 run produced. A zero region start
 // means that region never ran.
 type stage2Result struct {
@@ -443,13 +383,12 @@ type stage2Result struct {
 // between phases so an abandoned job stops working soon after Close; in
 // particular the conversion — the expensive phase — never starts for a
 // canceled job.
-func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Clock, k, remaining int, overlap float64, canceled func() bool) (r stage2Result) {
+func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Clock, remaining int, overlap float64, canceled func() bool) (r stage2Result) {
 	if canceled() {
 		return r
 	}
 	r.featureAt = clock.Now()
-	fs := features.Extract(csr)
-	bsrBlocks := features.CountBlocks(csr, cfg.Lim.BSRBlockSize)
+	fs, bsrBlocks := features.ExtractBlocks(csr, cfg.Lim.BSRBlockSize)
 	r.feature = timing.Since(clock, r.featureAt).Seconds()
 	if canceled() {
 		return r
@@ -458,7 +397,7 @@ func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Cloc
 	r.predictAt = clock.Now()
 	r.d = preds.DecideQuery(fs, Query{
 		BSRBlocks: bsrBlocks, Remaining: float64(remaining), Overlap: overlap,
-		K: k, Cached: cached, Lim: cfg.Lim, Margin: cfg.Margin,
+		Cached: cached, Lim: cfg.Lim, Margin: cfg.Margin,
 	})
 	r.predict = timing.Since(clock, r.predictAt).Seconds()
 	r.decided = true
@@ -563,10 +502,10 @@ func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result, hidden bo
 
 // recordStage2 folds a stage-2 decision into the stats and the trace,
 // including the margin inequality the argmin applied: the cheapest non-CSR
-// candidate had to undercut staying — the decision's own CSR cost, whichever
-// menu priced it — by Margin to win. The feature vector the decision
-// consumed and the generation of the bundle that made it are recorded so a
-// completed trace is self-contained training data for the online retrainer.
+// candidate had to undercut staying — the decision's own CSR cost — by
+// Margin to win. The feature vector the decision consumed and the generation
+// of the bundle that made it are recorded so a completed trace is
+// self-contained training data for the online retrainer.
 func (ad *Adaptive) recordStage2(tr *obs.DecisionTrace, r stage2Result) {
 	d := r.d
 	ad.stats.Stage2Ran = true
@@ -716,6 +655,7 @@ func bestAlternative(d Decision) (float64, bool) {
 // Stats returns a copy of the run's bookkeeping.
 func (ad *Adaptive) Stats() Stats {
 	st := ad.stats
+	st.SpMMCalls = ad.spmmCalls.Load()
 	st.Pending = ad.pending != nil
 	return st
 }

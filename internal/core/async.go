@@ -30,8 +30,8 @@ type stage2Job struct {
 }
 
 // launchStage2 dispatches runStage2 to a background worker and returns
-// immediately; the workload hint and predictor bundle are captured here, so
-// a later hot-swap never tears the decision in half. The argmin runs with an
+// immediately; the predictor bundle is captured here, so a later hot-swap
+// never tears the decision in half. The argmin runs with an
 // overlap budget of the full remaining-iteration count: by construction
 // every iteration up to adoption can cover conversion time, so only the
 // residual max(0, T_convert − T_overlap) is charged against a candidate.
@@ -43,10 +43,10 @@ func (ad *Adaptive) launchStage2(tr obs.DecisionTrace, remaining int) {
 	job := &stage2Job{tr: tr, done: make(chan struct{})}
 	ad.pending = job
 	ad.stats.Async = true
-	csr, preds, cfg, clock, k := ad.csr, ad.preds, ad.cfg, ad.clock, ad.menuK()
+	csr, preds, cfg, clock := ad.csr, ad.preds, ad.cfg, ad.clock
 	parallel.Default().Go(func() {
 		defer close(job.done)
-		job.result = runStage2(csr, preds, cfg, clock, k, remaining, float64(remaining), job.canceled.Load)
+		job.result = runStage2(csr, preds, cfg, clock, remaining, float64(remaining), job.canceled.Load)
 	})
 }
 

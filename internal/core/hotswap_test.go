@@ -12,9 +12,11 @@ import (
 
 // TestHotSwapRaceHammer drives SafeAdaptive SpMV/solve-style traffic from
 // many goroutines while another goroutine hot-swaps predictor bundles with
-// strictly increasing generations mid-flight. Under -race this is the
-// retrainer's concurrency contract: no torn reads of the bundle pointer,
-// and every reader observes a monotonically non-decreasing generation.
+// strictly increasing generations mid-flight and two more run lock-free
+// blocked products. Under -race this is the retrainer's concurrency contract
+// — no torn reads of the bundle pointer, and every reader observes a
+// monotonically non-decreasing generation — and SpMM's: whatever the pipeline
+// is doing to the handle meanwhile, every product is the CSR master's own.
 func TestHotSwapRaceHammer(t *testing.T) {
 	preds := predictors(t)
 	m := genCSR(t, matgen.FamBanded, 1500, 11)
@@ -42,6 +44,29 @@ func TestHotSwapRaceHammer(t *testing.T) {
 			swapped.Store(g)
 		}
 	}()
+
+	const k = 3
+	xp, wantp := make([]float64, cols*k), make([]float64, rows*k)
+	for i := range xp {
+		xp[i] = float64(i%9) - 4
+	}
+	m.SpMM(wantp, xp, k)
+	wg.Add(2)
+	for w := 0; w < 2; w++ {
+		go func() {
+			defer wg.Done()
+			yp := make([]float64, rows*k)
+			for i := 0; i < perReader; i++ {
+				sa.SpMM(yp, xp, k)
+				for j := range yp {
+					if yp[j] != wantp[j] {
+						t.Errorf("blocked product differs from the master's at %d: %g vs %g", j, yp[j], wantp[j])
+						return
+					}
+				}
+			}
+		}()
+	}
 
 	wg.Add(readers)
 	for w := 0; w < readers; w++ {

@@ -15,8 +15,8 @@ import (
 // never overlap (each SpMV is internally goroutine-parallel already, so
 // serializing requests costs little throughput), and the lazy-and-light
 // pipeline still runs exactly once, no matter how many goroutines feed
-// progress concurrently. The one exception is the blocked SpMM kernel, which
-// runs outside the lock (see SpMM).
+// progress concurrently. The one exception is SpMM, which needs no lock
+// (see SpMM).
 //
 // SafeAdaptive satisfies the same Operator contract as Adaptive, so it
 // drops into the solvers unchanged.
@@ -38,27 +38,11 @@ func (s *SafeAdaptive) SpMV(y, x []float64) {
 	s.ad.SpMV(y, x)
 }
 
-// SpMM computes k blocked products Y = A*X. X and Y are row-major panels (row
-// j occupies x[j*k : j*k+k]). The handle lock covers the bookkeeping before
-// and after, not the kernel: a blocked product holds the machine for k SpMVs'
-// worth of time, and with the lock held across it every other request on the
-// handle — each a fraction of that long — would queue behind it. The kernel
-// runs on the operator that was current when the call began; a format swap in
-// the meantime takes effect from the next call, as it does between SpMVs.
-// What the selector measures is unchanged: a timing sample, of an SpMV or of
-// a product, that overlapped another kernel of this handle is dropped rather
-// than fed to the gate or the ledger.
-func (s *SafeAdaptive) SpMM(y, x []float64, k int) {
-	s.mu.Lock()
-	c := s.ad.beginSpMM(k)
-	s.mu.Unlock()
-	s.ad.runSpMM(c, y, x)
-	if c.timed {
-		s.mu.Lock()
-		s.ad.endSpMM(c)
-		s.mu.Unlock()
-	}
-}
+// SpMM computes the blocked product Y = A*X; X and Y are row-major panels
+// (row j occupies x[j*k : j*k+k]). It takes no lock: Adaptive.SpMM runs on
+// the immutable CSR master and two atomic counters, so a blocked product in
+// flight blocks nothing and nothing blocks it.
+func (s *SafeAdaptive) SpMM(y, x []float64, k int) { s.ad.SpMM(y, x, k) }
 
 // Dims returns the matrix dimensions.
 func (s *SafeAdaptive) Dims() (int, int) {

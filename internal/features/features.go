@@ -95,16 +95,29 @@ func FromVector(v []float64) *Set {
 // pace with the parallel SpMV kernel for the paper's "T_predict is 2x-4x
 // of one SpMV call" premise to hold.
 func Extract(a *sparse.CSR) *Set {
+	s, _ := ExtractBlocks(a, 0)
+	return s
+}
+
+// ExtractBlocks is Extract plus CountBlocks(a, bs) — the BSR validity input
+// Table I lacks — for what stage 2 needs of a matrix in one call. On the
+// fused parallel pass the bs-blocks are counted inside the same sweep (it
+// already marks the 2x2 blocks they are made of, when bs is a power of two)
+// rather than in a second, serial one over the matrix. bs <= 0 skips the
+// count.
+func ExtractBlocks(a *sparse.CSR, bs int) (s *Set, blocks int) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
-	s := &Set{M: float64(rows), N: float64(cols), NNZ: float64(nnz)}
+	s = &Set{M: float64(rows), N: float64(cols), NNZ: float64(nnz)}
 	if rows == 0 || cols == 0 {
-		return s
+		return s, 0
 	}
 	s.Density = float64(nnz) / (float64(rows) * float64(cols))
 	if nnz >= parallelExtractMinNNZ && parallel.Workers() > 1 && rows >= 2*BlockEdge {
-		extractParallel(a, s)
-		return s
+		return s, extractParallel(a, s, bs)
+	}
+	if bs > 0 {
+		blocks = CountBlocks(a, bs)
 	}
 
 	// Row-degree statistics.
@@ -149,7 +162,7 @@ func Extract(a *sparse.CSR) *Set {
 
 	s.Blocks = float64(CountBlocks(a, BlockEdge))
 	s.MeanNeighbor = meanNeighbor(a)
-	return s
+	return s, blocks
 }
 
 // fillRowStats finalizes the row-degree features from the raw accumulators.

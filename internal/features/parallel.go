@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/parallel"
 	"repro/internal/sparse"
@@ -10,10 +11,10 @@ import (
 // extractParallel is the multi-goroutine implementation behind Extract for
 // large matrices. One fused pass over disjoint row ranges gathers, per
 // worker: row-degree statistics, column-degree counts, diagonal occupancy,
-// the neighbor count and the 2x2 block count; a short merge builds the final
-// Set. The result is bit-identical to the serial path (all merges are
-// order-independent integer sums; the float statistics are computed once
-// from the merged integers).
+// the neighbor count, the 2x2 block count and — for ExtractBlocks — the count
+// of bs x bs blocks; a short merge builds the final Set. The result is
+// bit-identical to the serial path (all merges are order-independent integer
+// sums; the float statistics are computed once from the merged integers).
 //
 // Keeping extraction at SpMV-parallel speed matters beyond politeness: the
 // paper's premise is that T_predict costs only 2x-4x of one SpMV call, and
@@ -26,11 +27,12 @@ type workerScratch struct {
 	bounce         float64
 	neighbor       int
 	blocks         int
+	bsBlocks       int     // blocks at the caller's size, when counted in the pass
 	cd             []int32 // column degrees
 	diag           []int32 // diagonal occupancy, shifted by rows-1
 }
 
-func extractParallel(a *sparse.CSR, s *Set) {
+func extractParallel(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
 
@@ -38,9 +40,20 @@ func extractParallel(a *sparse.CSR, s *Set) {
 	if p > rows {
 		p = rows
 	}
-	// Row ranges aligned to BlockEdge so each 2-row block band has exactly
+	// A bs x bs block is made of whole 2x2 blocks when bs is a power-of-two
+	// multiple of BlockEdge, so its first nonzero is also the first of some
+	// 2x2 block: the bs count then needs a shift and a second mark test per
+	// new 2x2 block, not per nonzero. Any other bs is counted by CountBlocks
+	// afterwards.
+	fused := bs >= BlockEdge && bs&(bs-1) == 0
+	// Row ranges aligned to the block edge so each block band has exactly
 	// one owner and block counting cannot double-count.
-	ranges := alignedRanges(rows, p, BlockEdge)
+	align, bsShift := BlockEdge, 0
+	if fused {
+		align, bsShift = bs, bits.TrailingZeros(uint(bs))
+	}
+	subShift := bsShift - bits.TrailingZeros(BlockEdge) // 2x2 block column -> bs block column
+	ranges := alignedRanges(rows, p, align)
 	scratch := make([]workerScratch, len(ranges))
 
 	// Dispatch through the shared worker team: scratch is indexed by range,
@@ -54,6 +67,13 @@ func extractParallel(a *sparse.CSR, s *Set) {
 		mark := make([]int32, (cols+BlockEdge-1)/BlockEdge)
 		for i := range mark {
 			mark[i] = -1
+		}
+		var markBS []int32
+		if fused {
+			markBS = make([]int32, (cols+bs-1)/bs)
+			for i := range markBS {
+				markBS[i] = -1
+			}
 		}
 		for i := lo; i < hi; i++ {
 			rd := a.Ptr[i+1] - a.Ptr[i]
@@ -81,6 +101,12 @@ func extractParallel(a *sparse.CSR, s *Set) {
 				if mark[bj] != bi {
 					mark[bj] = bi
 					ws.blocks++
+					if fused {
+						if band := int32(i >> bsShift); markBS[bj>>subShift] != band {
+							markBS[bj>>subShift] = band
+							ws.bsBlocks++
+						}
+					}
 				}
 			}
 			// Vertical matches with row i+1 (read-only on that row).
@@ -120,6 +146,7 @@ func extractParallel(a *sparse.CSR, s *Set) {
 		bounce += ws.bounce
 		neighbor += ws.neighbor
 		blocks += ws.blocks
+		bsBlocks += ws.bsBlocks
 	}
 	// Column and diagonal arrays merge in parallel over index chunks.
 	cd := scratch[0].cd
@@ -149,6 +176,10 @@ func extractParallel(a *sparse.CSR, s *Set) {
 	fillDerived(s, nnz, maxRD)
 	s.Blocks = float64(blocks)
 	s.MeanNeighbor = float64(neighbor) / float64(nnz)
+	if bs > 0 && !fused {
+		bsBlocks = CountBlocks(a, bs)
+	}
+	return bsBlocks
 }
 
 // alignedRanges splits [0, n) into at most parts ranges whose boundaries

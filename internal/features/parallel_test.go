@@ -2,6 +2,7 @@ package features
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/matgen"
@@ -81,6 +82,43 @@ func TestParallelExtractMatchesSerial(t *testing.T) {
 			if gv[i] != wv[i] {
 				t.Errorf("%v: feature %s = %v (parallel) vs %v (serial)", fam, Names[i], gv[i], wv[i])
 			}
+		}
+	}
+}
+
+// TestExtractBlocksMatchesSeparatePasses: stage 2's one call returns what its
+// two calls used to — Extract's set and CountBlocks at the BSR block size —
+// whether the count is fused into the parallel pass (bs a power of two),
+// falls back to a pass of its own (bs = 3, 6), or the whole extraction runs
+// serially (one worker).
+func TestExtractBlocksMatchesSeparatePasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, fam := range matgen.AllFamilies {
+		m, err := matgen.Generate(matgen.Spec{
+			Name: fam.String(), Family: fam, Size: 8001, Degree: 12, Seed: rng.Int63(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Extract(m).Vector()
+		for _, procs := range []int{1, 2, 3} {
+			old := runtime.GOMAXPROCS(procs)
+			for _, bs := range []int{0, 1, 2, 3, 4, 6, 8} {
+				got, blocks := ExtractBlocks(m, bs)
+				wantBlocks := 0
+				if bs > 0 {
+					wantBlocks = CountBlocks(m, bs)
+				}
+				if blocks != wantBlocks {
+					t.Errorf("%v procs=%d bs=%d: %d blocks, CountBlocks says %d", fam, procs, bs, blocks, wantBlocks)
+				}
+				for i, v := range got.Vector() {
+					if v != want[i] {
+						t.Errorf("%v procs=%d bs=%d: feature %s = %v, Extract says %v", fam, procs, bs, Names[i], v, want[i])
+					}
+				}
+			}
+			runtime.GOMAXPROCS(old)
 		}
 	}
 }

@@ -148,9 +148,12 @@ func Train(train *Dataset, valid *Dataset, p Params) (*Model, error) {
 	rng := rand.New(rand.NewSource(p.Seed))
 	var bins *binner
 	var binned [][]uint16
+	var order [][]int32
 	if p.Method == MethodHist {
 		bins = newBinner(train.X, p.MaxBins)
 		binned = bins.binAll(train.X)
+	} else {
+		order = presort(train.X)
 	}
 
 	var base float64
@@ -191,7 +194,7 @@ func Train(train *Dataset, valid *Dataset, p Params) (*Model, error) {
 			tree = &Tree{Root: hb.build(rows, 0)}
 		} else {
 			b := &treeBuilder{x: train.X, grad: grad, hess: hess, cols: cols, p: p, importance: m.Importance}
-			tree = &Tree{Root: b.build(rows, 0)}
+			tree = &Tree{Root: b.build(b.rootLists(order, rows), 0)}
 		}
 		m.Trees = append(m.Trees, tree)
 		for i := range pred {

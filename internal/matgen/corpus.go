@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -43,7 +44,10 @@ type Entry struct {
 
 // Corpus generates cfg.Count matrices. Specs cycle through the families so
 // every family is represented; sizes are log-uniform between MinSize and
-// MaxSize. The generation is deterministic for a fixed config.
+// MaxSize. The generation is deterministic for a fixed config: every spec,
+// its own seed included, is drawn from cfg.Seed up front, and only then are
+// the matrices generated — concurrently on the worker team, each from its
+// spec alone.
 func Corpus(cfg CorpusConfig) ([]Entry, error) {
 	if cfg.Count <= 0 {
 		return nil, fmt.Errorf("matgen: corpus count %d", cfg.Count)
@@ -56,23 +60,27 @@ func Corpus(cfg CorpusConfig) ([]Entry, error) {
 		fams = AllFamilies
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	entries := make([]Entry, 0, cfg.Count)
-	for i := 0; i < cfg.Count; i++ {
+	entries := make([]Entry, cfg.Count)
+	for i := range entries {
 		fam := fams[i%len(fams)]
 		size := logUniform(cfg.MinSize, cfg.MaxSize, rng)
 		deg := 4 + rng.Intn(24)
-		spec := Spec{
+		entries[i].Spec = Spec{
 			Name:   fmt.Sprintf("%s-%05d", fam, i),
 			Family: fam,
 			Size:   size,
 			Degree: deg,
 			Seed:   rng.Int63(),
 		}
-		m, err := Generate(spec)
+	}
+	errs := make([]error, len(entries))
+	parallel.ForEach(len(entries), func(i int) {
+		entries[i].Matrix, errs[i] = Generate(entries[i].Spec)
+	})
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("matgen: generating %q: %w", spec.Name, err)
+			return nil, fmt.Errorf("matgen: generating %q: %w", entries[i].Spec.Name, err)
 		}
-		entries = append(entries, Entry{Spec: spec, Matrix: m})
 	}
 	return entries, nil
 }

@@ -2,6 +2,7 @@ package matgen
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -277,5 +278,32 @@ func TestQuickGeneratorsProduceValidCSR(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCorpusSameAtAnyWorkerCount: entries are generated concurrently, each
+// from a spec drawn up front, so the corpus is the one a single worker
+// generates one entry after another — same names, structure and values.
+func TestCorpusSameAtAnyWorkerCount(t *testing.T) {
+	cfg := CorpusConfig{Count: 20, Seed: 42, MinSize: 200, MaxSize: 3000}
+	identity := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		entries, err := Corpus(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(entries))
+		for i, e := range entries {
+			ids[i] = e.Spec.Name + " " + e.Matrix.Fingerprint() + " " + e.Matrix.ValueDigest()
+		}
+		return ids
+	}
+	want := identity(1)
+	for _, procs := range []int{2, 4} {
+		for i, got := range identity(procs) {
+			if got != want[i] {
+				t.Errorf("GOMAXPROCS=%d entry %d: %s, one worker generated %s", procs, i, got, want[i])
+			}
+		}
 	}
 }

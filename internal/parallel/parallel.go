@@ -66,6 +66,17 @@ func ForRanges(ranges [][2]int, body func(lo, hi int)) {
 	Default().ForRanges(ranges, body)
 }
 
+// ForEach runs body(i) for every i in [0, n), each index its own dynamically
+// claimed task: for a handful of coarse jobs of uneven cost (one model fit,
+// one generated matrix), where For's equal chunks would leave workers idle.
+func ForEach(n int, body func(i int)) {
+	ForRanges(EvenRanges(n, n), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			body(i)
+		}
+	})
+}
+
 // ForRangesAffine is ForRanges with sticky worker→range affinity through
 // the default team (see Affinity). Callers keep one Affinity per recurring
 // region — e.g. a matrix's cached row partition — and pass it on every

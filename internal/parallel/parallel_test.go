@@ -168,3 +168,15 @@ func TestForRanges(t *testing.T) {
 	}
 	ForRanges(nil, func(lo, hi int) { t.Error("body called for empty ranges") })
 }
+
+func TestForEach(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 37} {
+		hits := make([]int32, n)
+		ForEach(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		for i, h := range hits {
+			if h != 1 {
+				t.Errorf("n=%d: index %d visited %d times", n, i, h)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"math"
 	"net/http"
 	"strings"
@@ -198,21 +199,22 @@ func TestSpMMEndpoint(t *testing.T) {
 		}
 	}
 
-	// Partial row range: the shard-side half of distributed SpMM.
+	// Partial row range: the shard-side half of distributed SpMM. The rows are
+	// the whole product's own, bit for bit.
 	lo, hi := 10, 50
+	var part PanelResponse
 	code, body = call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm",
-		PanelRequest{X: xs, RowLo: lo, RowHi: hi}, &resp)
+		PanelRequest{X: xs, RowLo: lo, RowHi: hi}, &part)
 	if code != http.StatusOK {
 		t.Fatalf("partial spmm: status %d body %s", code, body)
 	}
 	for i := range xs {
-		local.SpMV(want, xs[i])
-		if len(resp.Y[i]) != hi-lo {
-			t.Fatalf("partial rows: got %d, want %d", len(resp.Y[i]), hi-lo)
+		if len(part.Y[i]) != hi-lo {
+			t.Fatalf("partial rows: got %d, want %d", len(part.Y[i]), hi-lo)
 		}
 		for r := lo; r < hi; r++ {
-			if resp.Y[i][r-lo] != want[r] {
-				t.Fatalf("partial y[%d][%d] = %g, want %g", i, r, resp.Y[i][r-lo], want[r])
+			if part.Y[i][r-lo] != resp.Y[i][r] {
+				t.Fatalf("partial y[%d][%d] = %g, the whole product has %g", i, r, part.Y[i][r-lo], resp.Y[i][r])
 			}
 		}
 	}
@@ -235,5 +237,50 @@ func TestSpMMEndpoint(t *testing.T) {
 	}
 	if got := s.Metrics().SpMMColumns.Load(); got != 2*k {
 		t.Errorf("spmm_columns = %d, want %d", got, 2*k)
+	}
+}
+
+// TestSpMMReplySameBytesAcrossFormatSwap: blocked products run on the CSR
+// master whatever the selector has done to the handle, so the same request
+// gets the same reply, byte for byte, before and after a solve converts the
+// handle's SpMV format.
+func TestSpMMReplySameBytesAcrossFormatSwap(t *testing.T) {
+	clk := timing.NewFakeClock()
+	clk.SetAutoStep(time.Millisecond)
+	_, ts := newTestServer(t, Config{
+		Preds:    constBundle(t, 0.05, 0.0),
+		Selector: retrainSelector(clk),
+	})
+	info := register(t, ts.URL, RegisterRequest{
+		Name:     "swap",
+		Generate: &GenerateSpec{Family: "stencil2d", Size: 3600},
+	})
+	xs := make([][]float64, 5)
+	for i := range xs {
+		xs[i] = make([]float64, info.Cols)
+		for j := range xs[i] {
+			xs[i][j] = float64((i+3)*(j%13))/7 - 2.25
+		}
+	}
+	spmm := func() []byte {
+		t.Helper()
+		code, body := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm", PanelRequest{X: xs}, nil)
+		if code != http.StatusOK {
+			t.Fatalf("spmm: status %d body %s", code, body)
+		}
+		return body
+	}
+	before := spmm()
+	var sol SolveResponse
+	code, body := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/solve",
+		SolveRequest{App: "jacobi", Tol: 1e-12, MaxIters: 120}, &sol)
+	if code != http.StatusOK {
+		t.Fatalf("solve: status %d body %s", code, body)
+	}
+	if !sol.Selector.Converted || sol.Selector.Format != "ELL" {
+		t.Fatalf("the solve did not convert the handle to ELL: %+v", sol.Selector)
+	}
+	if after := spmm(); !bytes.Equal(before, after) {
+		t.Fatalf("/spmm reply changed with the handle's SpMV format:\nbefore %.120s\nafter  %.120s", before, after)
 	}
 }

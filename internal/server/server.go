@@ -715,6 +715,16 @@ var (
 	opSpMM = panelOp{name: "spmm", widthAttr: "k", blocked: true}
 )
 
+// format is the format the op's products run on, for the reply, the compute
+// span and the per-format call counter: the handle's current one for SpMV
+// calls, always the CSR master for the blocked pass.
+func (op panelOp) format(h *Handle) sparse.Format {
+	if op.blocked {
+		return sparse.FmtCSR
+	}
+	return h.SA.Format()
+}
+
 // panel is one product's pooled operands: decode fills the k input vectors
 // from a scanned request body, compute runs inside the pool slot, result
 // returns rows [lo, hi) of the k product vectors as wire.AppendReply takes
@@ -770,9 +780,9 @@ func (h *Handle) columnPanel(ctx context.Context, k int) panel {
 }
 
 // blockedPanel holds the k vectors as one row-major panel (row j holds
-// column j of every input vector, so the blocked kernels stream k-wide
-// contiguous stripes) and multiplies it in a single SpMM pass: the matrix is
-// traversed once for all k columns instead of k times. The request is decoded
+// column j of every input vector, so the blocked kernel reads one contiguous
+// k-wide stripe per nonzero) and multiplies it in a single SpMM pass: the
+// matrix is traversed once for all k columns instead of k times. The request is decoded
 // straight into the operand panel and the reply encoded straight out of the
 // product panel, column i striding by k from offset i.
 func (h *Handle) blockedPanel(k int) panel {
@@ -884,7 +894,7 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 				secs := watch.Seconds()
 				hist.ObserveExemplar(secs, traceHex)
 				s.env.RecordSpan(sc, op.name+".compute", computeStart, secs,
-					[2]string{"format", h.SA.Format().String()},
+					[2]string{"format", op.format(h).String()},
 					[2]string{op.widthAttr, strconv.Itoa(k)})
 			}()
 			return p.compute()
@@ -895,11 +905,11 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		}
 		requests.Add(1)
 		columns.Add(int64(k))
-		s.metrics.CountSpMV(h.SA.Format(), int64(k))
+		s.metrics.CountSpMV(op.format(h), int64(k))
 		h.countUse(s.metrics, int64(k), 0)
 
 		encodeStart := time.Now()
-		tail := wire.Tail{Format: h.SA.Format().String()}
+		tail := wire.Tail{Format: op.format(h).String()}
 		if op.blocked {
 			tail.K = k
 		}

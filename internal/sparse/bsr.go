@@ -162,66 +162,6 @@ func (m *BSR) spmvRange(y, x []float64, blo, bhi int) {
 	}
 }
 
-// SpMM implements SpMMer: a dense bs x bs times bs x k micro-GEMM per
-// block, accumulated into a block row's rlim x k panel. The dense inner
-// product reuses each loaded block value across all k columns, the best
-// matrix-traffic amortization of any format here.
-func (m *BSR) SpMM(y, x []float64, k int) {
-	checkSpMMShape(m.rows, m.cols, y, x, k)
-	m.spmmRange(y, x, k, 0, m.BlockRows())
-}
-
-func (m *BSR) spmmRange(y, x []float64, k, blo, bhi int) {
-	bs := m.BlockSize
-	scratch := make([]float64, bs*k)
-	for bi := blo; bi < bhi; bi++ {
-		rbase := bi * bs
-		rlim := bs
-		if rbase+rlim > m.rows {
-			rlim = m.rows - rbase
-		}
-		sums := scratch[:rlim*k]
-		for i := range sums {
-			sums[i] = 0
-		}
-		for b := m.RowPtr[bi]; b < m.RowPtr[bi+1]; b++ {
-			cbase := int(m.ColInd[b]) * bs
-			clim := bs
-			if cbase+clim > m.cols {
-				clim = m.cols - cbase
-			}
-			blk := m.Data[b*bs*bs : (b+1)*bs*bs]
-			for ii := 0; ii < rlim; ii++ {
-				row := blk[ii*bs : ii*bs+clim]
-				yRow := sums[ii*k : ii*k+k]
-				for jj, v := range row {
-					if v == 0 {
-						continue
-					}
-					xRow := x[(cbase+jj)*k : (cbase+jj)*k+k]
-					for cc := range yRow {
-						yRow[cc] += v * xRow[cc]
-					}
-				}
-			}
-		}
-		copy(y[rbase*k:rbase*k+rlim*k], sums)
-	}
-}
-
-// SpMMParallel implements SpMMer over the cached nnz-balanced block-row
-// partition.
-func (m *BSR) SpMMParallel(y, x []float64, k int) {
-	checkSpMMShape(m.rows, m.cols, y, x, k)
-	if len(m.blockRanges) <= 1 || len(m.Data)*k < parallel.MinParallelWork {
-		m.SpMM(y, x, k)
-		return
-	}
-	parallel.ForRanges(m.blockRanges, func(lo, hi int) {
-		m.spmmRange(y, x, k, lo, hi)
-	})
-}
-
 // SpMVParallel implements Matrix, partitioning block rows by block count so
 // dense block rows do not serialize the kernel.
 func (m *BSR) SpMVParallel(y, x []float64) {

@@ -113,49 +113,6 @@ func (m *ELL) SpMV(y, x []float64) {
 	m.spmvRows(y, x, 0, m.rows)
 }
 
-// SpMM implements SpMMer: the fixed-width row loop with a k-wide
-// accumulator panel per output row. The early break on padding mirrors
-// spmvRows; each x row the kernel touches feeds all k accumulators, so the
-// gather cost of ELL's indexed loads is amortized k ways.
-func (m *ELL) SpMM(y, x []float64, k int) {
-	checkSpMMShape(m.rows, m.cols, y, x, k)
-	m.spmmRows(y, x, k, 0, m.rows)
-}
-
-func (m *ELL) spmmRows(y, x []float64, k, lo, hi int) {
-	w := m.Width
-	for i := lo; i < hi; i++ {
-		yRow := y[i*k : i*k+k]
-		for c := range yRow {
-			yRow[c] = 0
-		}
-		base := i * w
-		for j := 0; j < w; j++ {
-			c := m.Cols[base+j]
-			if c == ELLPad {
-				break
-			}
-			v := m.Data[base+j]
-			xRow := x[int(c)*k : int(c)*k+k]
-			for cc := range yRow {
-				yRow[cc] += v * xRow[cc]
-			}
-		}
-	}
-}
-
-// SpMMParallel implements SpMMer over even row chunks, like SpMVParallel.
-func (m *ELL) SpMMParallel(y, x []float64, k int) {
-	checkSpMMShape(m.rows, m.cols, y, x, k)
-	if m.rows*m.Width*k < parallel.MinParallelWork {
-		m.SpMM(y, x, k)
-		return
-	}
-	parallel.ForThreshold(m.rows, 1, func(lo, hi int) {
-		m.spmmRows(y, x, k, lo, hi)
-	})
-}
-
 // SpMVParallel implements Matrix, splitting rows evenly: ELL rows all cost
 // the same by construction, so no weighted partition is needed.
 func (m *ELL) SpMVParallel(y, x []float64) {

@@ -257,63 +257,6 @@ func (m *JDS) SpMV(y, x []float64) {
 	m.scratch.Put(yp)
 }
 
-// spmmStorageRows computes the permuted result panel yp (rows x k,
-// row-major in storage order) for storage rows [lo, hi), then scatters
-// finished row panels into y through Perm. Ranges write disjoint yp and y
-// segments, mirroring spmvStorageRows.
-func (m *JDS) spmmStorageRows(y, yp, x []float64, k, lo, hi int) {
-	for i := lo * k; i < hi*k; i++ {
-		yp[i] = 0
-	}
-	ndiags := m.NumDiags()
-	for j := 0; j < ndiags; j++ {
-		cnt := m.DiagPtr[j+1] - m.DiagPtr[j]
-		if cnt <= lo {
-			break // counts are non-increasing: later diagonals end before lo too
-		}
-		end := hi
-		if cnt < end {
-			end = cnt
-		}
-		base := m.DiagPtr[j]
-		for r := lo; r < end; r++ {
-			v := m.Data[base+r]
-			xRow := x[int(m.Col[base+r])*k : int(m.Col[base+r])*k+k]
-			yRow := yp[r*k : r*k+k]
-			for cc := range yRow {
-				yRow[cc] += v * xRow[cc]
-			}
-		}
-	}
-	for r := lo; r < hi; r++ {
-		dst := int(m.Perm[r]) * k
-		copy(y[dst:dst+k], yp[r*k:r*k+k])
-	}
-}
-
-// SpMM implements SpMMer: diagonal-major accumulation into a permuted
-// rows x k panel, then a scatter back through Perm. The panel is allocated
-// per call (not pooled like the SpMV scratch) because its size depends on k.
-func (m *JDS) SpMM(y, x []float64, k int) {
-	checkSpMMShape(m.rows, m.cols, y, x, k)
-	yp := make([]float64, m.rows*k)
-	m.spmmStorageRows(y, yp, x, k, 0, m.rows)
-}
-
-// SpMMParallel implements SpMMer over the cached nnz-balanced storage-row
-// partition with sticky worker affinity, like SpMVParallel.
-func (m *JDS) SpMMParallel(y, x []float64, k int) {
-	checkSpMMShape(m.rows, m.cols, y, x, k)
-	if len(m.permRanges) <= 1 || m.NNZ()*k < parallel.MinParallelWork {
-		m.SpMM(y, x, k)
-		return
-	}
-	yp := make([]float64, m.rows*k)
-	parallel.ForRangesAffine(m.aff, m.permRanges, func(lo, hi int) {
-		m.spmmStorageRows(y, yp, x, k, lo, hi)
-	})
-}
-
 // SpMVParallel implements Matrix: storage rows are partitioned by nonzero
 // weight (the sorted lengths make the heavy rows lead), with sticky
 // worker→range affinity like CSR.

@@ -9,7 +9,8 @@ import (
 // noasm builds) the CSR, ELL, SELL and JDS SpMV inner loops dispatch to the
 // hand-written assembly kernels in kernels_amd64.s: 4-lane FMA accumulation,
 // VGATHERQPD for the x gathers, software prefetch on the streamed col/data
-// arrays, and masked gathers over the padded layouts. Everything else — other
+// arrays, and masked gathers over the padded layouts; the blocked CSR SpMM
+// (spmm.go) dispatches to the row-panel kernel there. Everything else — other
 // architectures, noasm builds, hosts without the features, or tests that
 // force the fallback — runs the pure-Go loops that live next to each format.
 //

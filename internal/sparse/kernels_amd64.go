@@ -33,3 +33,12 @@ func sellSliceAsm(cols *int32, data *float64, x *float64, sums *float64, width i
 //
 //go:noescape
 func jdsAccumAsm(col *int32, data *float64, x *float64, yp *float64, n int)
+
+// spmmRowsAsm computes rows consecutive rows of the row-major panel product
+// Y = A*X with k columns: ptr points at the first row's entry of the CSR row
+// pointer (rows+1 entries are read), y at that row's k outputs; col, data and
+// x are the whole arrays. Y[i][c] is summed in an order fixed by row i alone
+// (see kernels_amd64.s).
+//
+//go:noescape
+func spmmRowsAsm(ptr *int, col *int32, data *float64, x *float64, y *float64, k, rows int)

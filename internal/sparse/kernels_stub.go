@@ -23,3 +23,7 @@ func sellSliceAsm(cols *int32, data *float64, x *float64, sums *float64, width i
 func jdsAccumAsm(col *int32, data *float64, x *float64, yp *float64, n int) {
 	panic("sparse: assembly kernel called on a build without assembly")
 }
+
+func spmmRowsAsm(ptr *int, col *int32, data *float64, x *float64, y *float64, k, rows int) {
+	panic("sparse: assembly kernel called on a build without assembly")
+}

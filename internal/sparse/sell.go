@@ -254,66 +254,6 @@ func (m *SELL) spmvSlices(y, x []float64, slo, shi int) {
 	}
 }
 
-// SpMM implements SpMMer: the lane-major slice loop widened to a k-column
-// accumulator panel. Each slice accumulates into a height x k scratch block
-// and scatters finished row panels through Perm, exactly like spmvSlices
-// scatters scalars.
-func (m *SELL) SpMM(y, x []float64, k int) {
-	checkSpMMShape(m.rows, m.cols, y, x, k)
-	m.spmmSlices(y, x, k, 0, m.NumSlices())
-}
-
-func (m *SELL) spmmSlices(y, x []float64, k, slo, shi int) {
-	sums := make([]float64, SELLC*k)
-	for s := slo; s < shi; s++ {
-		lo := s * SELLC
-		hi := lo + SELLC
-		if hi > m.rows {
-			hi = m.rows
-		}
-		height := hi - lo
-		base := m.SlicePtr[s]
-		w := int(m.SliceWidth[s])
-		buf := sums[:height*k]
-		for i := range buf {
-			buf[i] = 0
-		}
-		for j := 0; j < w; j++ {
-			off := base + j*height
-			for r := 0; r < height; r++ {
-				c := m.Cols[off+r]
-				if c == ELLPad {
-					continue
-				}
-				v := m.Data[off+r]
-				xRow := x[int(c)*k : int(c)*k+k]
-				yRow := buf[r*k : r*k+k]
-				for cc := range yRow {
-					yRow[cc] += v * xRow[cc]
-				}
-			}
-		}
-		for r := 0; r < height; r++ {
-			dst := int(m.Perm[lo+r]) * k
-			copy(y[dst:dst+k], buf[r*k:r*k+k])
-		}
-	}
-}
-
-// SpMMParallel implements SpMMer: like SpMVParallel, slices own disjoint
-// permuted rows, so a plain parallel-for over slices is race-free.
-func (m *SELL) SpMMParallel(y, x []float64, k int) {
-	checkSpMMShape(m.rows, m.cols, y, x, k)
-	nslices := m.NumSlices()
-	if len(m.Data)*k < parallel.MinParallelWork || nslices < 2 {
-		m.SpMM(y, x, k)
-		return
-	}
-	parallel.ForThreshold(nslices, 1, func(lo, hi int) {
-		m.spmmSlices(y, x, k, lo, hi)
-	})
-}
-
 // SpMVParallel implements Matrix: slices are independent (they own disjoint
 // permuted rows), so a plain parallel-for over slices is race-free.
 func (m *SELL) SpMVParallel(y, x []float64) {

@@ -44,9 +44,9 @@ func TestSpMMParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSpMMCrossFormat checks every format's SpMM (native blocked kernel or
-// the dispatcher's column fallback) against the CSR reference, serial and
-// parallel, at a couple of block widths.
+// TestSpMMCrossFormat checks the dispatcher's column fallback on every
+// non-CSR format against the blocked CSR kernel, serial and parallel, at a
+// couple of block widths.
 func TestSpMMCrossFormat(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []*CSR{

@@ -297,31 +297,6 @@ func (o *ModelOracle) ConvertTime(a *sparse.CSR, f sparse.Format) (float64, bool
 	return ops * o.ElementOp * o.jitter(s, f, 2), true
 }
 
-// SpMMTime implements SpMMOracle. Formats with a native blocked kernel
-// (CSR, ELL, SELL, BSR, JDS) amortize matrix and index traffic across the k
-// columns, so the per-column cost shrinks toward ~60% of a lone SpMV as k
-// grows; the rest run the dispatcher's column-at-a-time fallback, paying
-// full per-column cost plus the gather/scatter of the column scratch.
-func (o *ModelOracle) SpMMTime(a *sparse.CSR, f sparse.Format, k int) (float64, bool) {
-	if k <= 0 {
-		return 0, false
-	}
-	s := o.statsOf(a)
-	ops, ok := o.spmvOps(s, f)
-	if !ok {
-		return 0, false
-	}
-	kk := float64(k)
-	var total float64
-	switch f {
-	case sparse.FmtCSR, sparse.FmtELL, sparse.FmtSELL, sparse.FmtBSR, sparse.FmtJDS:
-		total = ops * kk * (0.6 + 0.4/kk)
-	default:
-		total = ops*kk + kk*float64(s.rows+s.cols)*0.5
-	}
-	return total * o.ElementOp * o.jitter(s, f, 4), true
-}
-
 // FeatureTime implements Oracle. Feature extraction makes several passes
 // over the CSR arrays plus a log-factor neighbor search, landing in the
 // paper's observed "2x-4x of a SpMV call" band.

@@ -29,15 +29,6 @@ type Oracle interface {
 	Limits() sparse.Limits
 }
 
-// SpMMOracle is the optional fourth question: the time of one blocked
-// Y = A*X with k dense right-hand sides in format f. It is a separate
-// interface rather than an Oracle method so existing Oracle implementations
-// (and test fakes) stay valid; the trainer type-asserts and simply skips
-// SpMM models when the oracle cannot answer.
-type SpMMOracle interface {
-	SpMMTime(a *sparse.CSR, f sparse.Format, k int) (seconds float64, ok bool)
-}
-
 // MeasureOptions controls wall-clock measurement.
 type MeasureOptions struct {
 	// Reps is the number of repetitions per measurement; the median is
@@ -68,7 +59,6 @@ type MeasuredOracle struct {
 
 	mu       sync.Mutex
 	spmv     map[cacheKey]timedResult
-	spmm     map[spmmKey]timedResult
 	conv     map[cacheKey]timedResult
 	feat     map[*sparse.CSR]float64
 	converts map[cacheKey]sparse.Matrix
@@ -77,12 +67,6 @@ type MeasuredOracle struct {
 type cacheKey struct {
 	m *sparse.CSR
 	f sparse.Format
-}
-
-type spmmKey struct {
-	m *sparse.CSR
-	f sparse.Format
-	k int
 }
 
 type timedResult struct {
@@ -99,7 +83,6 @@ func NewMeasuredOracle(opt MeasureOptions) *MeasuredOracle {
 		opt:      opt,
 		clk:      orWall(opt.Clock),
 		spmv:     make(map[cacheKey]timedResult),
-		spmm:     make(map[spmmKey]timedResult),
 		conv:     make(map[cacheKey]timedResult),
 		feat:     make(map[*sparse.CSR]float64),
 		converts: make(map[cacheKey]sparse.Matrix),
@@ -229,55 +212,6 @@ func (o *MeasuredOracle) SpMVTime(a *sparse.CSR, f sparse.Format) (float64, bool
 	r := timedResult{seconds: secs, ok: true}
 	o.mu.Lock()
 	o.spmv[key] = r
-	o.mu.Unlock()
-	return r.seconds, true
-}
-
-// SpMMTime implements SpMMOracle: one blocked Y = A*X with k row-major
-// right-hand sides, through the package dispatcher (native kernel when the
-// format has one, column fallback otherwise — the same code path serving
-// traffic takes).
-func (o *MeasuredOracle) SpMMTime(a *sparse.CSR, f sparse.Format, k int) (float64, bool) {
-	if k <= 0 {
-		return 0, false
-	}
-	key := spmmKey{a, f, k}
-	o.mu.Lock()
-	if r, hit := o.spmm[key]; hit {
-		o.mu.Unlock()
-		return r.seconds, r.ok
-	}
-	o.mu.Unlock()
-
-	m, ok := o.converted(a, f)
-	if !ok {
-		o.mu.Lock()
-		o.spmm[key] = timedResult{ok: false}
-		o.mu.Unlock()
-		return 0, false
-	}
-	rows, cols := m.Dims()
-	x := make([]float64, cols*k)
-	for i := range x {
-		x[i] = 1.0 / float64(cols+1)
-	}
-	y := make([]float64, rows*k)
-	// Warm-up run outside the timed region.
-	if o.opt.Parallel {
-		sparse.SpMMParallel(m, y, x, k)
-	} else {
-		sparse.SpMM(m, y, x, k)
-	}
-	secs := medianTime(o.clk, o.opt.Reps, func() {
-		if o.opt.Parallel {
-			sparse.SpMMParallel(m, y, x, k)
-		} else {
-			sparse.SpMM(m, y, x, k)
-		}
-	})
-	r := timedResult{seconds: secs, ok: true}
-	o.mu.Lock()
-	o.spmm[key] = r
 	o.mu.Unlock()
 	return r.seconds, true
 }

@@ -30,10 +30,6 @@ type Manifest struct {
 	Oracle string `json:"oracle"`
 	// Formats lists the formats with trained models.
 	Formats []string `json:"formats"`
-	// SpMMFormats lists formats with a trained blocked-SpMM cost model
-	// (may include csr); absent in bundles saved before the SpMM menu
-	// existed, which load fine without SpMM models.
-	SpMMFormats []string `json:"spmm_formats,omitempty"`
 	// CVErrors records the per-format 5-fold CV relative errors at
 	// training time (index-aligned with Formats): conversion then SpMV.
 	CVConvErrors []float64 `json:"cv_conv_errors,omitempty"`
@@ -69,22 +65,6 @@ func SaveBundle(dir string, p *core.Predictors, man Manifest) error {
 			if err := os.WriteFile(path, blob, 0o644); err != nil {
 				return fmt.Errorf("trainer: %w", err)
 			}
-		}
-	}
-	man.SpMMFormats = man.SpMMFormats[:0]
-	for _, f := range sparse.AllFormats {
-		m := p.SpMMTime[f]
-		if m == nil {
-			continue
-		}
-		man.SpMMFormats = append(man.SpMMFormats, f.String())
-		blob, err := m.Save()
-		if err != nil {
-			return fmt.Errorf("trainer: saving spmm model for %v: %w", f, err)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("spmm_%s.json", f))
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			return fmt.Errorf("trainer: %w", err)
 		}
 	}
 	blob, err := json.MarshalIndent(man, "", "  ")
@@ -133,17 +113,6 @@ func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, erro
 	}
 	if len(p.ConvTime) == 0 {
 		return nil, nil, fmt.Errorf("trainer: manifest lists no formats")
-	}
-	for _, name := range man.SpMMFormats {
-		f, err := sparse.ParseFormat(name)
-		if err != nil {
-			return nil, nil, fmt.Errorf("trainer: manifest lists spmm %q: %w", name, err)
-		}
-		mm, err := loadModel(filepath.Join(dir, fmt.Sprintf("spmm_%s.json", f)))
-		if err != nil {
-			return nil, nil, err
-		}
-		p.SpMMTime[f] = mm
 	}
 	return p, &man, nil
 }

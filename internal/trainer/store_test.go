@@ -3,6 +3,7 @@ package trainer
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -102,5 +103,102 @@ func TestLoadBundleRejectsFeatureCountMismatch(t *testing.T) {
 func TestLoadBundleMissingDir(t *testing.T) {
 	if _, _, err := LoadBundle(t.TempDir(), features.NumFeatures); err == nil {
 		t.Error("empty directory accepted")
+	}
+}
+
+// bundleFiles saves p and returns every file SaveBundle wrote, by name.
+func bundleFiles(t *testing.T, p *core.Predictors) map[string]string {
+	t.Helper()
+	dir := t.TempDir()
+	man := Manifest{NumFeatures: features.NumFeatures, CreatedAt: "2026-01-01T00:00:00Z"}
+	if err := SaveBundle(dir, p, man); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(ents))
+	for _, e := range ents {
+		blob, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(blob)
+	}
+	return files
+}
+
+// TestTrainConcurrentFitMatchesSequential: the models are fitted concurrently
+// on the worker team, and the saved bundle must be the sequential fit's
+// (GOMAXPROCS 1 runs the fits one after another) byte for byte.
+func TestTrainConcurrentFitMatchesSequential(t *testing.T) {
+	samples, err := Collect(corpus(t, 32), timing.NewModelOracle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := gbt.DefaultParams()
+	p.NumRounds = 20
+	fitAt := func(procs int) map[string]string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		preds, err := Train(samples, p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bundleFiles(t, preds)
+	}
+	want := fitAt(1)
+	if len(want) < 3 {
+		t.Fatalf("sequential bundle has only %d files", len(want))
+	}
+	for _, procs := range []int{2, 4} {
+		got := fitAt(procs)
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS=%d: %d files, sequential fit wrote %d", procs, len(got), len(want))
+		}
+		for name, blob := range want {
+			if got[name] != blob {
+				t.Errorf("GOMAXPROCS=%d: %s differs from the sequential fit", procs, name)
+			}
+		}
+	}
+}
+
+// TestLoadBundleIgnoresRetiredSpMMModels: bundles saved while the selector
+// still priced blocked products list spmm_formats in their manifest and hold
+// spmm_<format>.json files; they must keep loading, those models ignored.
+func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
+	preds := trainedBundle(t)
+	dir := t.TempDir()
+	if err := SaveBundle(dir, preds, Manifest{NumFeatures: features.NumFeatures}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(string(blob), `"formats":`, `"spmm_formats": ["CSR", "ELL"],`+"\n  "+`"formats":`, 1)
+	if old == string(blob) {
+		t.Fatal("test could not add spmm_formats to the manifest")
+	}
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	model, err := os.ReadFile(filepath.Join(dir, "spmv_ELL.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"spmm_CSR.json", "spmm_ELL.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), model, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loaded, _, err := LoadBundle(dir, features.NumFeatures)
+	if err != nil {
+		t.Fatalf("bundle with retired SpMM models no longer loads: %v", err)
+	}
+	if len(loaded.ConvTime) != len(preds.ConvTime) || len(loaded.SpMVTime) != len(preds.SpMVTime) {
+		t.Errorf("loaded %d/%d models, want %d/%d", len(loaded.ConvTime), len(loaded.SpMVTime), len(preds.ConvTime), len(preds.SpMVTime))
 	}
 }

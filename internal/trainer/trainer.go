@@ -13,6 +13,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/gbt"
 	"repro/internal/matgen"
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 	"repro/internal/timing"
 )
@@ -32,19 +33,9 @@ type Sample struct {
 	// SpMVNorm[f] = T_spmv(f) / CSRTime, present only for valid formats.
 	// CSR is always present with a value near 1.
 	SpMVNorm map[sparse.Format]float64
-	// SpMMNorm[f] = T_spmm(f, SpMMRefK) / (CSRTime * SpMMRefK): the
-	// per-column cost of a blocked multi-vector product in CSR-SpMV units.
-	// Present (including for CSR itself, whose blocked kernel beats k lone
-	// SpMVs) only when the oracle implements timing.SpMMOracle.
-	SpMMNorm map[sparse.Format]float64
 	// FeatureNorm = T_featureExtraction / CSRTime, the T_predict component.
 	FeatureNorm float64
 }
-
-// SpMMRefK is the block width the SpMM targets are measured at. The
-// per-column normalization makes the trained model usable at other widths:
-// amortization varies slowly past a handful of columns.
-const SpMMRefK = 8
 
 // Collect measures (or models, depending on the oracle) every corpus entry.
 // Matrices whose CSR SpMV time comes back non-positive are skipped.
@@ -77,14 +68,6 @@ func CollectOne(name string, m *sparse.CSR, oracle timing.Oracle) (Sample, error
 		SpMVNorm: map[sparse.Format]float64{sparse.FmtCSR: 1},
 	}
 	s.FeatureNorm = oracle.FeatureTime(m) / csrTime
-	spmmOracle, _ := oracle.(timing.SpMMOracle)
-	if spmmOracle != nil {
-		if t, ok := spmmOracle.SpMMTime(m, sparse.FmtCSR, SpMMRefK); ok && t > 0 {
-			s.SpMMNorm = map[sparse.Format]float64{
-				sparse.FmtCSR: t / (csrTime * SpMMRefK),
-			}
-		}
-	}
 	for _, f := range sparse.AllFormats {
 		if f == sparse.FmtCSR {
 			continue
@@ -96,11 +79,6 @@ func CollectOne(name string, m *sparse.CSR, oracle timing.Oracle) (Sample, error
 		}
 		s.ConvNorm[f] = conv / csrTime
 		s.SpMVNorm[f] = spmv / csrTime
-		if s.SpMMNorm != nil {
-			if t, ok := spmmOracle.SpMMTime(m, f, SpMMRefK); ok && t > 0 {
-				s.SpMMNorm[f] = t / (csrTime * SpMMRefK)
-			}
-		}
 	}
 	return s, nil
 }
@@ -135,71 +113,47 @@ func Datasets(samples []Sample) (conv, spmv map[sparse.Format]*gbt.Dataset) {
 	return conv, spmv
 }
 
-// spmmDatasets extracts the per-format SpMM training sets (CSR included —
-// the blocked CSR kernel's per-column cost is itself a learned quantity).
-func spmmDatasets(samples []Sample) map[sparse.Format]*gbt.Dataset {
-	out := make(map[sparse.Format]*gbt.Dataset)
-	for _, f := range sparse.AllFormats {
-		d := &gbt.Dataset{}
-		for _, smp := range samples {
-			if v, ok := smp.SpMMNorm[f]; ok {
-				d.X = append(d.X, smp.Features)
-				d.Y = append(d.Y, v)
-			}
-		}
-		if len(d.Y) > 0 {
-			out[f] = d
-		}
-	}
-	return out
-}
-
 // Train fits the full predictor bundle. Formats with fewer than minSamples
 // valid matrices are skipped (the selector then never picks them), matching
-// the paper's "only valid runs are considered".
+// the paper's "only valid runs are considered". The (target, format) models
+// are independent — each fit reads its own dataset and seeds its own
+// generator — so they are fitted concurrently on the worker team; the bundle
+// is the one a sequential fit produces, bit for bit, at any worker count.
 func Train(samples []Sample, p gbt.Params, minSamples int) (*core.Predictors, error) {
 	if minSamples < 1 {
 		minSamples = 1
 	}
 	convDS, spmvDS := Datasets(samples)
 	preds := core.NewPredictors()
+	type fit struct {
+		f     sparse.Format
+		kind  string
+		ds    *gbt.Dataset
+		into  map[sparse.Format]*gbt.Model
+		model *gbt.Model
+		err   error
+	}
+	var fits []fit
 	for _, f := range sparse.AllFormats {
-		if f == sparse.FmtCSR {
-			continue
-		}
 		cds, sds := convDS[f], spmvDS[f]
 		if cds == nil || sds == nil || len(cds.Y) < minSamples || len(sds.Y) < minSamples {
-			continue
+			continue // CSR has no datasets: it needs no models
 		}
-		cm, err := gbt.Train(cds, nil, p)
-		if err != nil {
-			return nil, fmt.Errorf("trainer: conversion model for %v: %w", f, err)
-		}
-		sm, err := gbt.Train(sds, nil, p)
-		if err != nil {
-			return nil, fmt.Errorf("trainer: SpMV model for %v: %w", f, err)
-		}
-		preds.ConvTime[f] = cm
-		preds.SpMVTime[f] = sm
+		fits = append(fits,
+			fit{f: f, kind: "conversion", ds: cds, into: preds.ConvTime},
+			fit{f: f, kind: "SpMV", ds: sds, into: preds.SpMVTime})
 	}
-	if len(preds.ConvTime) == 0 {
+	if len(fits) == 0 {
 		return nil, fmt.Errorf("trainer: no format had >= %d valid samples", minSamples)
 	}
-	// SpMM models ride along when the oracle answered blocked-product
-	// questions; a format needs its SpMV/conv pair (or to be CSR) so the
-	// menu never prices a format the SpMV selector cannot reach.
-	for f, ds := range spmmDatasets(samples) {
-		if len(ds.Y) < minSamples {
-			continue
+	parallel.ForEach(len(fits), func(i int) {
+		fits[i].model, fits[i].err = gbt.Train(fits[i].ds, nil, p)
+	})
+	for _, ft := range fits {
+		if ft.err != nil {
+			return nil, fmt.Errorf("trainer: %s model for %v: %w", ft.kind, ft.f, ft.err)
 		}
-		if f != sparse.FmtCSR && preds.SpMVTime[f] == nil {
-			continue
-		}
-		mm, err := gbt.Train(ds, nil, p)
-		if err != nil {
-			return nil, fmt.Errorf("trainer: SpMM model for %v: %w", f, err)
-		}
-		preds.SpMMTime[f] = mm
+		ft.into[ft.f] = ft.model
 	}
 	return preds, nil
 }

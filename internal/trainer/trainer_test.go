@@ -178,3 +178,22 @@ func TestEvaluateProducesTable5(t *testing.T) {
 		t.Error("Evaluate accepted fewer samples than folds")
 	}
 }
+
+// BenchmarkTrain is the fit every `ocsd -train` boot, retrain tick and
+// benchmark run pays: the default corpus size and boosting parameters.
+func BenchmarkTrain(b *testing.B) {
+	entries, err := matgen.Corpus(matgen.CorpusConfig{Count: 96, Seed: 42, MinSize: 500, MaxSize: 6000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples, err := Collect(entries, timing.NewModelOracle())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(samples, gbt.DefaultParams(), 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
