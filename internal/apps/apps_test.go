@@ -37,7 +37,9 @@ func checkSolution(t *testing.T, a *sparse.CSR, x, b []float64, tol float64, lab
 	n, _ := a.Dims()
 	r := make([]float64, n)
 	a.SpMV(r, x)
-	vec.Sub(r, b, r)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
 	rel := vec.Nrm2(r) / vec.Nrm2(b)
 	if rel > tol {
 		t.Errorf("%s: relative residual %g > %g", label, rel, tol)

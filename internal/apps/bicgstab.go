@@ -32,7 +32,11 @@ func BiCGSTAB(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, er
 	if bnorm == 0 {
 		return Result{Converged: true, X: x}, nil
 	}
+	ps := vec.NewPass(n)
 	rho, alpha, omega := 1.0, 1.0, 1.0
+	// rnorm and rhoNew are ||r|| and rhat'r for the r the iteration starts
+	// from: b here, afterwards whatever the pass that wrote r summed.
+	rnorm, rhoNew := bnorm, ps.Dot(rhat, r)
 	res := Result{}
 	record := func(iter int, rnorm float64) {
 		res.Iterations = iter
@@ -42,38 +46,33 @@ func BiCGSTAB(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, er
 			hook(iter, rnorm)
 		}
 	}
+	// Five passes and eighteen vector streams an iteration.
 	for iter := 1; iter <= opt.MaxIters; iter++ {
 		if err := canceled(opt.Ctx); err != nil {
 			res.X = x
 			return res, fmt.Errorf("apps: BiCGSTAB canceled at iteration %d: %w", iter, err)
 		}
 		swapPoint(op)
-		rhoNew := vec.Dot(rhat, r)
 		if math.Abs(rhoNew) < 1e-300 {
-			record(iter, vec.Nrm2(r))
+			record(iter, rnorm)
 			res.X = x
 			return res, fmt.Errorf("apps: BiCGSTAB breakdown, rho = %g", rhoNew)
 		}
 		beta := (rhoNew / rho) * (alpha / omega)
 		rho = rhoNew
-		for i := range p {
-			p[i] = r[i] + beta*(p[i]-omega*v[i])
-		}
+		ps.BiCGSTABDirection(p, r, beta, omega, v)
 		op.SpMV(v, p)
 		res.SpMVs++
-		den := vec.Dot(rhat, v)
+		den := ps.Dot(rhat, v)
 		if math.Abs(den) < 1e-300 {
-			record(iter, vec.Nrm2(r))
+			record(iter, rnorm)
 			res.X = x
 			return res, fmt.Errorf("apps: BiCGSTAB breakdown, rhat'v = %g", den)
 		}
 		alpha = rho / den
-		for i := range s {
-			s[i] = r[i] - alpha*v[i]
-		}
-		snorm := vec.Nrm2(s)
+		snorm := vec.Norm(ps.AxpyTo(s, -alpha, v, r), s)
 		if snorm <= opt.Tol*bnorm {
-			vec.Axpy(alpha, p, x)
+			ps.Axpy(alpha, p, x)
 			record(iter, snorm)
 			res.Converged = true
 			res.X = x
@@ -81,25 +80,21 @@ func BiCGSTAB(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, er
 		}
 		op.SpMV(t, s)
 		res.SpMVs++
-		tt := vec.Dot(t, t)
+		tt, ts := ps.Dot2(t, s)
 		if tt < 1e-300 {
 			record(iter, snorm)
 			res.X = x
 			return res, fmt.Errorf("apps: BiCGSTAB breakdown, ||t|| = 0")
 		}
-		omega = vec.Dot(t, s) / tt
+		omega = ts / tt
 		if math.Abs(omega) < 1e-300 {
 			record(iter, snorm)
 			res.X = x
 			return res, fmt.Errorf("apps: BiCGSTAB breakdown, omega = 0")
 		}
-		for i := range x {
-			x[i] += alpha*p[i] + omega*s[i]
-		}
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		rnorm := vec.Nrm2(r)
+		var rr float64
+		rr, rhoNew = ps.BiCGSTABUpdate(x, r, alpha, p, omega, s, t, rhat)
+		rnorm = vec.Norm(rr, r)
 		record(iter, rnorm)
 		if rnorm <= opt.Tol*bnorm {
 			res.Converged = true

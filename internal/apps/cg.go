@@ -3,7 +3,6 @@ package apps
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/vec"
 )
@@ -60,7 +59,8 @@ func CG(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error) {
 	if bnorm == 0 {
 		return Result{Converged: true, X: x}, nil
 	}
-	rsold := vec.Dot(r, r)
+	ps := vec.NewPass(n)
+	rsold := ps.Dot(r, r)
 	res := Result{}
 	for iter := 1; iter <= opt.MaxIters; iter++ {
 		if err := canceled(opt.Ctx); err != nil {
@@ -70,17 +70,15 @@ func CG(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error) {
 		swapPoint(op)
 		op.SpMV(ap, p)
 		res.SpMVs++
-		pap := vec.Dot(p, ap)
+		pap := ps.Dot(p, ap)
 		if pap <= 0 {
 			// Not SPD (or numerical breakdown): stop with what we have.
 			res.X = x
 			return res, fmt.Errorf("apps: CG breakdown, p'Ap = %g (matrix not SPD?)", pap)
 		}
 		alpha := rsold / pap
-		vec.Axpy(alpha, p, x)
-		vec.Axpy(-alpha, ap, r)
-		rsnew := vec.Dot(r, r)
-		rnorm := math.Sqrt(rsnew)
+		rsnew := ps.AxpyTo(r, -alpha, ap, r)
+		rnorm := vec.Norm(rsnew, r)
 		res.Iterations = iter
 		res.Residual = rnorm
 		res.Progress = append(res.Progress, rnorm)
@@ -88,13 +86,13 @@ func CG(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error) {
 			hook(iter, rnorm)
 		}
 		if rnorm <= opt.Tol*bnorm {
+			ps.Axpy(alpha, p, x)
 			res.Converged = true
 			break
 		}
-		beta := rsnew / rsold
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
+		// x += alpha*p rides in the pass that turns p into the next
+		// direction: three passes and ten vector streams an iteration.
+		ps.CGDirection(x, alpha, p, r, rsnew/rsold)
 		rsold = rsnew
 	}
 	res.X = x

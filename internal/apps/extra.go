@@ -37,6 +37,7 @@ func Jacobi(op Operator, diag, b []float64, omega float64, opt SolveOptions, hoo
 		return Result{Converged: true, X: x}, nil
 	}
 	ax := make([]float64, n)
+	ps := vec.NewPass(n)
 	res := Result{}
 	for iter := 1; iter <= opt.MaxIters; iter++ {
 		if err := canceled(opt.Ctx); err != nil {
@@ -46,13 +47,14 @@ func Jacobi(op Operator, diag, b []float64, omega float64, opt SolveOptions, hoo
 		swapPoint(op)
 		op.SpMV(ax, x)
 		res.SpMVs++
-		var rnorm float64
-		for i := range x {
-			r := b[i] - ax[i]
-			rnorm += r * r
-			x[i] += omega * r / diag[i]
+		rr := ps.JacobiSweep(x, b, ax, omega, diag)
+		rnorm := math.Sqrt(rr)
+		if !vec.SafeSumSq(rr) {
+			// The sweep keeps no residual to take the scaled norm of;
+			// rebuild it in ax, which the next SpMV overwrites anyway.
+			ps.AxpyTo(ax, -1, ax, b)
+			rnorm = vec.Nrm2(ax)
 		}
-		rnorm = math.Sqrt(rnorm)
 		res.Iterations = iter
 		res.Residual = rnorm
 		res.Progress = append(res.Progress, rnorm)
@@ -89,8 +91,12 @@ func PowerMethod(op Operator, opt SolveOptions, hook Hook) (PowerResult, error) 
 		return PowerResult{}, err
 	}
 	x := make([]float64, n)
-	vec.Fill(x, 1/math.Sqrt(float64(n)))
+	x0 := 1 / math.Sqrt(float64(n))
+	for i := range x {
+		x[i] = x0
+	}
 	ax := make([]float64, n)
+	ps := vec.NewPass(n)
 	out := PowerResult{}
 	lambda := 0.0
 	for iter := 1; iter <= opt.MaxIters; iter++ {
@@ -101,8 +107,8 @@ func PowerMethod(op Operator, opt SolveOptions, hook Hook) (PowerResult, error) 
 		swapPoint(op)
 		op.SpMV(ax, x)
 		out.SpMVs++
-		newLambda := vec.Dot(x, ax)
-		norm := vec.Nrm2(ax)
+		ss, newLambda := ps.Dot2(ax, x)
+		norm := vec.Norm(ss, ax)
 		if norm == 0 {
 			// A x = 0: x is in the null space; the dominant eigenvalue of
 			// the restriction is 0 and iteration cannot continue.
@@ -111,10 +117,7 @@ func PowerMethod(op Operator, opt SolveOptions, hook Hook) (PowerResult, error) 
 			out.X = x
 			return out, nil
 		}
-		inv := 1 / norm
-		for i := range x {
-			x[i] = ax[i] * inv
-		}
+		ps.ScaleTo(x, 1/norm, ax)
 		delta := math.Abs(newLambda - lambda)
 		lambda = newLambda
 		out.Iterations = iter

@@ -50,6 +50,8 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 	cs := make([]float64, m)
 	sn := make([]float64, m)
 	g := make([]float64, m+1)
+	y := make([]float64, m)
+	ps := vec.NewPass(n)
 
 	totalIter := 0
 	for totalIter < opt.MaxIters {
@@ -57,16 +59,12 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 		swapPoint(op)
 		op.SpMV(r, x)
 		res.SpMVs++
-		vec.Sub(r, b, r)
-		beta := vec.Nrm2(r)
+		beta := vec.Norm(ps.AxpyTo(r, -1, r, b), r)
 		if beta <= opt.Tol*bnorm {
 			res.Converged = true
 			break
 		}
-		inv := 1 / beta
-		for i := range r {
-			V[0][i] = r[i] * inv
-		}
+		ps.ScaleTo(V[0], 1/beta, r)
 		for i := range g {
 			g[i] = 0
 		}
@@ -81,17 +79,17 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 			swapPoint(op)
 			op.SpMV(w, V[j])
 			res.SpMVs++
-			// Modified Gram-Schmidt.
-			for i := 0; i <= j; i++ {
-				h[i][j] = vec.Dot(w, V[i])
-				vec.Axpy(-h[i][j], V[i], w)
+			// Modified Gram-Schmidt, each projection fused with the next
+			// coefficient and the last one with ||w||².
+			hij := ps.Dot(w, V[0])
+			for i := 0; i < j; i++ {
+				h[i][j] = hij
+				hij = ps.AxpyDot(-hij, V[i], w, V[i+1])
 			}
-			h[j+1][j] = vec.Nrm2(w)
+			h[j][j] = hij
+			h[j+1][j] = vec.Norm(ps.AxpyTo(w, -hij, V[j], w), w)
 			if h[j+1][j] > 1e-300 {
-				winv := 1 / h[j+1][j]
-				for i := range w {
-					V[j+1][i] = w[i] * winv
-				}
+				ps.ScaleTo(V[j+1], 1/h[j+1][j], w)
 			}
 			// Apply previous Givens rotations to the new column.
 			for i := 0; i < j; i++ {
@@ -126,7 +124,6 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 			}
 		}
 		// Solve the j x j triangular system and update x.
-		y := make([]float64, j)
 		for i := j - 1; i >= 0; i-- {
 			s := g[i]
 			for k := i + 1; k < j; k++ {
@@ -139,7 +136,7 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 			y[i] = s / h[i][i]
 		}
 		for i := 0; i < j; i++ {
-			vec.Axpy(y[i], V[i], x)
+			ps.Axpy(y[i], V[i], x)
 		}
 		if res.Residual <= opt.Tol*bnorm {
 			res.Converged = true

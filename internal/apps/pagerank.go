@@ -88,8 +88,18 @@ func PageRank(op Operator, dangling []bool, opt PageRankOptions, hook Hook) (Res
 		return Result{}, fmt.Errorf("apps: invalid MaxIters %d / Tol %g", opt.MaxIters, opt.Tol)
 	}
 	x := make([]float64, n)
-	vec.Fill(x, 1/float64(n))
+	// The mass on dangling nodes, to be spread uniformly: every entry
+	// starts at 1/n, afterwards the update pass sums it as it writes x.
+	var mass float64
+	x0 := 1 / float64(n)
+	for i := range x {
+		x[i] = x0
+		if dangling[i] {
+			mass += x0
+		}
+	}
 	next := make([]float64, n)
+	ps := vec.NewPass(n)
 	res := Result{}
 	for iter := 1; iter <= opt.MaxIters; iter++ {
 		if err := canceled(opt.Ctx); err != nil {
@@ -97,24 +107,11 @@ func PageRank(op Operator, dangling []bool, opt PageRankOptions, hook Hook) (Res
 			return res, fmt.Errorf("apps: PageRank canceled at iteration %d: %w", iter, err)
 		}
 		swapPoint(op)
-		var danglingMass float64
-		for i, d := range dangling {
-			if d {
-				danglingMass += x[i]
-			}
-		}
 		op.SpMV(next, x)
 		res.SpMVs++
-		teleport := ((1 - opt.Damping) + opt.Damping*danglingMass) / float64(n)
+		teleport := ((1 - opt.Damping) + opt.Damping*mass) / float64(n)
 		var delta float64
-		for i := range next {
-			next[i] = opt.Damping*next[i] + teleport
-			d := next[i] - x[i]
-			if d < 0 {
-				d = -d
-			}
-			delta += d
-		}
+		delta, mass = ps.PageRankUpdate(next, x, dangling, opt.Damping, teleport)
 		x, next = next, x
 		res.Iterations = iter
 		res.Residual = delta

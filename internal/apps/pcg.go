@@ -32,11 +32,7 @@ func NewJacobiPreconditioner(diag []float64) (*JacobiPreconditioner, error) {
 }
 
 // Apply implements Preconditioner.
-func (p *JacobiPreconditioner) Apply(z, r []float64) {
-	for i := range z {
-		z[i] = r[i] * p.invDiag[i]
-	}
-}
+func (p *JacobiPreconditioner) Apply(z, r []float64) { vec.MulParallel(z, r, p.invDiag) }
 
 // IdentityPreconditioner turns PCG back into plain CG; useful for testing
 // and as a no-op default.
@@ -68,12 +64,18 @@ func PCG(op Operator, m Preconditioner, b []float64, opt SolveOptions, hook Hook
 	if bnorm == 0 {
 		return Result{Converged: true, X: x}, nil
 	}
+	ps := vec.NewPass(n)
+	apply := m.Apply
+	if j, ok := m.(*JacobiPreconditioner); ok {
+		// This package's own preconditioner runs as a pass of the solve.
+		apply = func(z, r []float64) { ps.MulTo(z, r, j.invDiag) }
+	}
 	r := append([]float64(nil), b...)
 	z := make([]float64, n)
-	m.Apply(z, r)
+	apply(z, r)
 	p := append([]float64(nil), z...)
 	ap := make([]float64, n)
-	rz := vec.Dot(r, z)
+	rz := ps.Dot(r, z)
 	res := Result{}
 	for iter := 1; iter <= opt.MaxIters; iter++ {
 		if err := canceled(opt.Ctx); err != nil {
@@ -83,15 +85,13 @@ func PCG(op Operator, m Preconditioner, b []float64, opt SolveOptions, hook Hook
 		swapPoint(op)
 		op.SpMV(ap, p)
 		res.SpMVs++
-		pap := vec.Dot(p, ap)
+		pap := ps.Dot(p, ap)
 		if pap <= 0 {
 			res.X = x
 			return res, fmt.Errorf("apps: PCG breakdown, p'Ap = %g (matrix not SPD?)", pap)
 		}
 		alpha := rz / pap
-		vec.Axpy(alpha, p, x)
-		vec.Axpy(-alpha, ap, r)
-		rnorm := vec.Nrm2(r)
+		rnorm := vec.Norm(ps.AxpyTo(r, -alpha, ap, r), r)
 		res.Iterations = iter
 		res.Residual = rnorm
 		res.Progress = append(res.Progress, rnorm)
@@ -99,19 +99,19 @@ func PCG(op Operator, m Preconditioner, b []float64, opt SolveOptions, hook Hook
 			hook(iter, rnorm)
 		}
 		if rnorm <= opt.Tol*bnorm {
+			ps.Axpy(alpha, p, x)
 			res.Converged = true
 			break
 		}
-		m.Apply(z, r)
-		rzNew := vec.Dot(r, z)
+		apply(z, r)
+		rzNew := ps.Dot(r, z)
 		if math.Abs(rz) < 1e-300 {
+			ps.Axpy(alpha, p, x)
 			res.X = x
 			return res, fmt.Errorf("apps: PCG breakdown, r'z = %g", rz)
 		}
-		beta := rzNew / rz
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
+		// As in CG, x += alpha*p rides in the direction pass.
+		ps.CGDirection(x, alpha, p, z, rzNew/rz)
 		rz = rzNew
 	}
 	res.X = x

@@ -77,6 +77,38 @@ func SpMVBounds(a *sparse.CSR, x []float64) []float64 {
 	return bounds
 }
 
+// ReductionBound returns the absolute error bound for the inner product
+// Σ xᵢ·yᵢ accumulated in float64 in any order — serially, in blocks, with
+// interleaved accumulators, as a tree: γₙ·Σ|xᵢ·yᵢ| (Higham §3.1; n − 1
+// additions and one multiplication touch any term). The vector layer's
+// blocked reductions are held to it against CompensatedDot; a plain sum is
+// the case y = 1.
+func ReductionBound(x, y []float64) float64 {
+	var absSum float64
+	for i := range x {
+		absSum += math.Abs(x[i] * y[i])
+	}
+	return gamma(len(x)) * absSum
+}
+
+// CompensatedDot returns Σ xᵢ·yᵢ as if accumulated in twice the working
+// precision and rounded once (Ogita, Rump and Oishi's Dot2: each product's
+// and each addition's rounding error is recovered exactly and summed on the
+// side). It is the reference a reordered reduction is compared against: its
+// own error is one rounding of the result plus a γₙ² term.
+func CompensatedDot(x, y []float64) float64 {
+	var s, c float64
+	for i := range x {
+		p := x[i] * y[i]
+		pe := math.FMA(x[i], y[i], -p)
+		t := s + p
+		bv := t - s
+		c += ((s - (t - bv)) + (p - bv)) + pe
+		s = t
+	}
+	return s + c
+}
+
 // compareVec checks |got−ref| ≤ bound elementwise. NaN anywhere is an
 // immediate failure: no generated matrix produces one, so a NaN means a
 // kernel read uninitialized or out-of-range state.

@@ -280,8 +280,9 @@ func (ad *Adaptive) runPipeline() {
 // stage 2. This part always runs inline — its cost is a handful of scalar
 // ops, and the gates need the self-measured SpMV baseline that lives on the
 // solver goroutine — so it is always *paid* overhead, even under Async.
-// ok reports whether stage 2 should run.
-func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, remaining int, ok bool) {
+// calls is the forecast of SpMV calls still to come; ok reports whether
+// stage 2 should run.
+func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 	start := ad.clock.Now()
 	total, err := ad.cfg.Tripcount.PredictTotal(ad.progress, ad.tol)
 	stage1 := timing.Since(ad.clock, start).Seconds()
@@ -301,20 +302,30 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, remaining int, ok bool) {
 	}
 	ad.stats.PredictedTotal = total
 	tr.PredictedTotal = total
-	remaining = total - len(ad.progress)
+	remaining := total - len(ad.progress)
+	// The forecast is in iterations, and so is the paper's TH; everything
+	// past it — the overhead gate and stage 2's cost model — counts SpMV
+	// calls, which a loop may issue more than one of per iteration
+	// (BiCGSTAB two, restarted GMRES one and a bit). The wrapper has seen
+	// both counts, so their ratio converts; a loop that reports progress
+	// without calling, or 1:1, is left exactly as forecast.
+	calls = float64(remaining)
+	if perIter := float64(ad.stats.SpMVCalls) / float64(len(ad.progress)); perIter > 1 {
+		calls *= perIter
+	}
 	tr.Gates = append(tr.Gates, obs.GateCheck{
 		Name: "remaining>=TH", LHS: float64(remaining), RHS: float64(ad.cfg.TH),
 		Passed: remaining >= ad.cfg.TH,
 	})
 	if remaining < ad.cfg.TH {
-		return tr, remaining, false // loop predicted too short: conversion can't pay off
+		return tr, calls, false // loop predicted too short: conversion can't pay off
 	}
 	if ad.preds == nil {
-		return tr, remaining, false
+		return tr, calls, false
 	}
 	// Overhead-conscious gate on stage 2 itself: estimate the feature
 	// extraction cost in units of this run's self-measured SpMV time and
-	// require enough remaining iterations to plausibly amortize it.
+	// require enough remaining calls to plausibly amortize it.
 	if ad.cfg.GateOverheadFactor > 0 && ad.cfg.FeatureSecondsPerNNZ > 0 && ad.spmvCalls > 0 {
 		avgSpMV := ad.spmvSeconds / float64(ad.spmvCalls)
 		if avgSpMV > 0 {
@@ -322,11 +333,11 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, remaining int, ok bool) {
 			overheadNorm := est / avgSpMV
 			threshold := ad.cfg.GateOverheadFactor * overheadNorm
 			tr.Gates = append(tr.Gates, obs.GateCheck{
-				Name: "remaining>=gate*overhead", LHS: float64(remaining), RHS: threshold,
-				Passed: float64(remaining) >= threshold,
+				Name: "remaining>=gate*overhead", LHS: calls, RHS: threshold,
+				Passed: calls >= threshold,
 			})
-			if float64(remaining) < threshold {
-				return tr, remaining, false
+			if calls < threshold {
+				return tr, calls, false
 			}
 		}
 	}
@@ -345,10 +356,10 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, remaining int, ok bool) {
 		if stay {
 			ad.stats.Stage0Skip = true
 			tr.Stage0Skip = true
-			return tr, remaining, false
+			return tr, calls, false
 		}
 	}
-	return tr, remaining, true
+	return tr, calls, true
 }
 
 // stage2Result is everything one stage-2 run produced. A zero region start
@@ -383,7 +394,7 @@ type stage2Result struct {
 // between phases so an abandoned job stops working soon after Close; in
 // particular the conversion — the expensive phase — never starts for a
 // canceled job.
-func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Clock, remaining int, overlap float64, canceled func() bool) (r stage2Result) {
+func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Clock, remaining, overlap float64, canceled func() bool) (r stage2Result) {
 	if canceled() {
 		return r
 	}
@@ -396,7 +407,7 @@ func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Cloc
 	cached := cachedFormats(&cfg)
 	r.predictAt = clock.Now()
 	r.d = preds.DecideQuery(fs, Query{
-		BSRBlocks: bsrBlocks, Remaining: float64(remaining), Overlap: overlap,
+		BSRBlocks: bsrBlocks, Remaining: remaining, Overlap: overlap,
 		Cached: cached, Lim: cfg.Lim, Margin: cfg.Margin,
 	})
 	r.predict = timing.Since(clock, r.predictAt).Seconds()

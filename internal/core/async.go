@@ -32,13 +32,13 @@ type stage2Job struct {
 // launchStage2 dispatches runStage2 to a background worker and returns
 // immediately; the predictor bundle is captured here, so a later hot-swap
 // never tears the decision in half. The argmin runs with an
-// overlap budget of the full remaining-iteration count: by construction
-// every iteration up to adoption can cover conversion time, so only the
+// overlap budget of the full remaining-call count: by construction
+// every call up to adoption can cover conversion time, so only the
 // residual max(0, T_convert − T_overlap) is charged against a candidate.
 // Post-launch SpMV calls are untimed until adoption (decided is set and no
 // ledger is armed yet), which keeps a FakeClock replay deterministic: only
 // the background job consumes clock steps while it runs.
-func (ad *Adaptive) launchStage2(tr obs.DecisionTrace, remaining int) {
+func (ad *Adaptive) launchStage2(tr obs.DecisionTrace, remaining float64) {
 	tr.Async = true
 	job := &stage2Job{tr: tr, done: make(chan struct{})}
 	ad.pending = job
@@ -46,7 +46,7 @@ func (ad *Adaptive) launchStage2(tr obs.DecisionTrace, remaining int) {
 	csr, preds, cfg, clock := ad.csr, ad.preds, ad.cfg, ad.clock
 	parallel.Default().Go(func() {
 		defer close(job.done)
-		job.result = runStage2(csr, preds, cfg, clock, remaining, float64(remaining), job.canceled.Load)
+		job.result = runStage2(csr, preds, cfg, clock, remaining, remaining, job.canceled.Load)
 	})
 }
 

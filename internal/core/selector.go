@@ -53,8 +53,13 @@ type Config struct {
 	GateOverheadFactor float64
 	// FeatureSecondsPerNNZ estimates extraction cost before paying it
 	// (used with the wrapper's self-measured SpMV time to compute the
-	// gate threshold). The default is calibrated to this repo's parallel
-	// extractor.
+	// gate threshold). The default is measured, not hoped for:
+	// features.ExtractBlocks costs 8-28 ns per nonzero from 2k to 300k rows
+	// (stencils 8-17, power-law 16, uniform rows 20-28) and 12-19 inside a
+	// solver loop, so 12e-9 is its low middle. The benchmark's
+	// features.extract_ns_per_nnz probe reads the same quantity on every
+	// traced run: when extraction gets cheaper, that number says by how
+	// much to lower this one.
 	FeatureSecondsPerNNZ float64
 	// PredictFixedSeconds is the size-independent part of the stage-2
 	// overhead estimate (model inference, allocations, cold caches). On
@@ -128,7 +133,7 @@ func DefaultConfig() Config {
 		TH:                   15,
 		Margin:               0.10,
 		GateOverheadFactor:   5,
-		FeatureSecondsPerNNZ: 3e-9,
+		FeatureSecondsPerNNZ: 12e-9,
 		PredictFixedSeconds:  300e-6,
 		Lim:                  sparse.DefaultLimits,
 		Tripcount:            arima.DefaultTripcount(),
@@ -208,7 +213,7 @@ type Decision struct {
 	// time against what post-conversion SpMV calls actually measure.
 	PredictedSpMV map[sparse.Format]float64
 	PredictedConv map[sparse.Format]float64
-	// Remaining is the iteration count the costs were evaluated against.
+	// Remaining is the count of SpMV calls the costs were evaluated against.
 	Remaining float64
 }
 
