@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzCSR5Tiles FuzzSELLSlices FuzzJDSPerm FuzzWireDecodePanel FuzzWireEncodeVector
 
-.PHONY: build test bench-check race vet bench bench-compare fuzz fuzz-smoke serve clean
+.PHONY: build test bench-check race vet fuzz fuzz-smoke serve clean
 
 build:
 	$(GO) build ./...
@@ -24,17 +24,6 @@ race:
 
 vet:
 	$(GO) vet ./...
-
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/parallel/
-	$(GO) run ./cmd/ocsbench -async -out BENCH_spmv.json
-
-# Diff a fresh (unwritten) bench run against the checked-in baseline; exits
-# nonzero on >25% dispatch/SpMV regressions. Advisory in CI — absolute
-# timings on shared runners are noisy.
-bench-compare:
-	$(GO) run ./cmd/ocsbench -out "" -compare BENCH_spmv.json
 
 # Mutational fuzzing, $(FUZZTIME) per target (override: make fuzz FUZZTIME=5m).
 fuzz:

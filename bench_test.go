@@ -274,7 +274,13 @@ func pow(x, p float64) float64 {
 // ---------------------------------------------------------------------------
 // Kernel benchmarks: the substrate the experiments run on.
 
-// benchMatrices caches per-family matrices for the kernel benches.
+// benchMatrices caches the kernel benches' matrices: per structural family a
+// 30 000-row one (2-4 MB of CSR, inside the reference box's 4 MiB L2) and a
+// 320 000-row one ("<family>-large", 1.6-3.2M nonzeros, 20-41 MB, streamed
+// from past it: L3 or DRAM, depending on how much of a shared L3 the host
+// leaves), because SpMV format rankings invert across that boundary (Chen et
+// al., arXiv:1805.11938). BenchmarkSpMV and BenchmarkConvert over these ten
+// classes are the home-turf panel DESIGN.md §19 judges the measured menu by.
 var (
 	benchMatOnce sync.Once
 	benchMats    map[string]*sparse.CSR
@@ -284,12 +290,14 @@ func kernelMatrices(b *testing.B) map[string]*sparse.CSR {
 	b.Helper()
 	benchMatOnce.Do(func() {
 		benchMats = map[string]*sparse.CSR{}
-		for _, fam := range []matgen.Family{matgen.FamBanded, matgen.FamRandom, matgen.FamPowerLaw, matgen.FamBlock} {
-			m, err := matgen.Generate(matgen.Spec{
-				Name: fam.String(), Family: fam, Size: 30000, Degree: 10, Seed: 9,
-			})
-			if err == nil {
-				benchMats[fam.String()] = m
+		for _, fam := range []matgen.Family{matgen.FamBanded, matgen.FamStencil2D, matgen.FamRandom, matgen.FamPowerLaw, matgen.FamBlock} {
+			for suffix, size := range map[string]int{"": 30_000, "-large": 320_000} {
+				m, err := matgen.Generate(matgen.Spec{
+					Name: fam.String(), Family: fam, Size: size, Degree: 10, Seed: 9,
+				})
+				if err == nil {
+					benchMats[fam.String()+suffix] = m
+				}
 			}
 		}
 	})

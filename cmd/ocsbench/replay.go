@@ -1,10 +1,11 @@
-package main
-
-// ocsbench replay — an open-loop traffic-replay load harness for a live
-// ocsd or ocsrouter:
+// Command ocsbench is the open-loop traffic-replay client for a live ocsd or
+// ocsrouter. Its one mode is replay:
 //
 //	go run ./cmd/ocsbench replay -target http://localhost:8080 \
 //	    -rate 50 -duration 10s -mix spmv=6,spmm=2,solve=1,register=1
+//
+// (Kernel, conversion and end-to-end timings are recorded by
+// `bash benchmark/run.sh` and the root `go test -bench` suite, not here.)
 //
 // Open-loop means arrivals follow a fixed schedule (Poisson or fixed-rate)
 // computed before the run: a slow server does not slow the arrival process
@@ -19,6 +20,7 @@ package main
 // run it pulls the span trees of the slowest requests back out of the
 // target (/v1/trace/{id} on a router, /v1/spans/{id} on a shard) and
 // reports a per-stage breakdown of where the slow tail spends its time.
+package main
 
 import (
 	"bytes"
@@ -313,6 +315,14 @@ func windowName(w time.Duration) string {
 	return fmt.Sprintf("%dm", w/time.Minute)
 }
 
+func main() {
+	if len(os.Args) < 2 || os.Args[1] != "replay" {
+		fmt.Fprintln(os.Stderr, "usage: ocsbench replay -target URL [flags]  (ocsbench replay -h lists them)")
+		os.Exit(2)
+	}
+	replayMain(os.Args[2:])
+}
+
 // replayMain is the replay subcommand entry point.
 func replayMain(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
@@ -327,8 +337,6 @@ func replayMain(args []string) {
 	degree := fs.Int("degree", 8, "row degree of the workload matrix")
 	out := fs.String("out", "BENCH_replay.json", "output JSON path (empty = don't write)")
 	metricsOut := fs.String("metrics-out", "", "also write the harness-side SLO gauges as Prometheus text (promcheck-compatible)")
-	compare := fs.String("compare", "", "baseline BENCH_replay.json to diff p99 against; exit 1 past threshold")
-	threshold := fs.Float64("threshold", 0.5, "fractional p99 growth tolerated by -compare")
 	_ = fs.Parse(args)
 	if *target == "" {
 		log.Fatal("replay: -target is required")
@@ -412,15 +420,6 @@ func replayMain(args []string) {
 			log.Fatal(werr)
 		}
 		fmt.Printf("wrote replay SLO gauges to %s\n", *metricsOut)
-	}
-	if *compare != "" {
-		failed, cerr := runReplayCompare(*compare, &report, *threshold)
-		if cerr != nil {
-			log.Fatal(cerr)
-		}
-		if failed {
-			os.Exit(1)
-		}
 	}
 }
 
@@ -593,70 +592,4 @@ func (c *replayClient) getJSON(path string, out any) error {
 		return fmt.Errorf("%s: status %d", path, resp.StatusCode)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// loadReplayReport reads a previously written BENCH_replay.json.
-func loadReplayReport(path string) (*ReplayReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r ReplayReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// replayRegression is one endpoint whose p99 grew past the threshold.
-type replayRegression struct {
-	Endpoint string
-	Baseline float64
-	Fresh    float64
-	Ratio    float64
-}
-
-// compareReplay diffs per-endpoint p99 latency against a baseline replay
-// report. Endpoints present on only one side are skipped (the mix may have
-// changed); zero-valued baselines cannot form a ratio and are skipped too.
-func compareReplay(baseline, fresh *ReplayReport, threshold float64) (regs []replayRegression, matched int) {
-	base := map[string]float64{}
-	for _, ep := range baseline.Endpoints {
-		base[ep.Endpoint] = ep.P99
-	}
-	for _, ep := range fresh.Endpoints {
-		b, ok := base[ep.Endpoint]
-		if !ok || b <= 0 || math.IsNaN(b) || math.IsNaN(ep.P99) {
-			continue
-		}
-		matched++
-		if ratio := ep.P99 / b; ratio > 1+threshold {
-			regs = append(regs, replayRegression{Endpoint: ep.Endpoint, Baseline: b, Fresh: ep.P99, Ratio: ratio})
-		}
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].Ratio > regs[j].Ratio })
-	return regs, matched
-}
-
-// runReplayCompare loads the baseline, diffs, prints a verdict and reports
-// whether the run regressed.
-func runReplayCompare(baselinePath string, fresh *ReplayReport, threshold float64) (failed bool, err error) {
-	baseline, err := loadReplayReport(baselinePath)
-	if err != nil {
-		return false, fmt.Errorf("loading replay baseline: %w", err)
-	}
-	regs, matched := compareReplay(baseline, fresh, threshold)
-	if matched == 0 {
-		return false, fmt.Errorf("replay baseline %s shares no endpoints with this run", baselinePath)
-	}
-	fmt.Printf("replay compare: %d endpoints matched against %s (threshold +%.0f%%)\n",
-		matched, baselinePath, threshold*100)
-	for _, r := range regs {
-		fmt.Printf("REPLAY REGRESSION %-9s baseline p99 %8.2fms, now %8.2fms (%.2fx)\n",
-			r.Endpoint, 1e3*r.Baseline, 1e3*r.Fresh, r.Ratio)
-	}
-	if len(regs) == 0 {
-		fmt.Println("replay compare: no p99 regressions")
-	}
-	return len(regs) > 0, nil
 }

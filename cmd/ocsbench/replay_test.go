@@ -210,27 +210,3 @@ func TestBuildReportBurn(t *testing.T) {
 		t.Errorf("solve stats = %+v", solve)
 	}
 }
-
-func TestCompareReplay(t *testing.T) {
-	base := &ReplayReport{Endpoints: []EndpointReport{
-		{Endpoint: "spmv", P99: 0.010},
-		{Endpoint: "solve", P99: 0.100},
-		{Endpoint: "register", P99: 0}, // zero baseline: no ratio, skipped
-	}}
-	fresh := &ReplayReport{Endpoints: []EndpointReport{
-		{Endpoint: "spmv", P99: 0.030},  // 3x: regression
-		{Endpoint: "solve", P99: 0.120}, // 1.2x: inside a 50% threshold
-		{Endpoint: "register", P99: 0.5},
-		{Endpoint: "list", P99: 0.1}, // not in baseline: skipped
-	}}
-	regs, matched := compareReplay(base, fresh, 0.5)
-	if matched != 2 {
-		t.Errorf("matched %d endpoints, want 2", matched)
-	}
-	if len(regs) != 1 || regs[0].Endpoint != "spmv" || math.Abs(regs[0].Ratio-3) > 1e-9 {
-		t.Errorf("regressions = %+v", regs)
-	}
-	if regs, _ := compareReplay(base, fresh, 2.5); len(regs) != 0 {
-		t.Errorf("3x inside a 250%% threshold still flagged: %+v", regs)
-	}
-}

@@ -23,7 +23,7 @@
 // Run with trained predictors for real format selection:
 //
 //	ocsd -models models           # saved by `ocsel train -out models`
-//	ocsd -train                   # train at startup (tens of seconds)
+//	ocsd -train                   # train at startup on the measured menu (seconds)
 //
 // Without predictors only stage 1 (tripcount prediction) runs and matrices
 // never convert — useful for functional testing.
@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -95,21 +96,23 @@ func main() {
 			os.Exit(1)
 		}
 		preds = p
-		logger.Info("predictors loaded", "dir", *modelsDir)
 	case *train:
-		logger.Info("training default predictors, this takes tens of seconds...", "seed", *seed)
+		logger.Info("training default predictors on this machine's kernels...", "seed", *seed)
 		p, err := ocs.TrainDefaultPredictors(*seed)
 		if err != nil {
 			logger.Error("training predictors failed", "error", err)
 			os.Exit(1)
 		}
 		preds = p
-		if err := preds.Validate(); err != nil {
-			logger.Warn("predictor bundle incomplete", "error", err)
-		}
-		logger.Info("training done")
 	default:
 		logger.Info("no predictors (-models/-train): stage 2 disabled, matrices stay on CSR")
+	}
+	if preds != nil {
+		if err := preds.Validate(); err != nil {
+			logger.Warn("predictor bundle malformed: a format missing one of its two models is never selected", "error", err)
+		}
+		// The menu this daemon selects among, in its own output.
+		logger.Info("predictors ready", "formats", fmt.Sprint(preds.Formats()), "generation", preds.Generation)
 	}
 	var selCfg *core.Config
 	if *stage0 {

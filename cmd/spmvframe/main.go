@@ -53,7 +53,8 @@ func main() {
 	for _, f := range sparse.AllFormats {
 		spmv, ok := sample.SpMVNorm[f]
 		if !ok {
-			fmt.Printf("%-6s %12s %12s\n", f, "invalid", "invalid")
+			// Off the measured menu, or refused by the storage limits.
+			fmt.Printf("%-6s %12s %12s\n", f, "unpriced", "unpriced")
 			continue
 		}
 		fmt.Printf("%-6s %12.1f %12.3f\n", f, sample.ConvNorm[f], spmv)

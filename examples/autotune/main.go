@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	ocs "repro"
 )
@@ -24,7 +25,6 @@ func main() {
 		{"powerlaw", func() (*ocs.CSRMatrix, error) { return ocs.PowerLawMatrix(8000, 10, 3) }},
 	}
 	loopBounds := []int{1, 10, 50, 200, 1000, 5000}
-	formats := []ocs.Format{ocs.CSR, ocs.COO, ocs.DIA, ocs.ELL, ocs.HYB, ocs.BSR, ocs.CSR5}
 
 	for _, w := range workloads {
 		a, err := w.gen()
@@ -38,14 +38,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// costs holds the measured-menu formats this matrix admits.
+		formats := make([]ocs.Format, 0, len(costs))
+		for f := range costs {
+			formats = append(formats, f)
+		}
+		slices.Sort(formats)
 		fmt.Printf("%-6s %14s %14s\n", "format", "convert(xSpMV)", "spmv(xCSR)")
 		for _, f := range formats {
-			c, ok := costs[f]
-			if !ok {
-				fmt.Printf("%-6v %14s %14s\n", f, "invalid", "invalid")
-				continue
-			}
-			fmt.Printf("%-6v %14.1f %14.3f\n", f, c.ConvertNorm, c.SpMVNorm)
+			fmt.Printf("%-6v %14.1f %14.3f\n", f, costs[f].ConvertNorm, costs[f].SpMVNorm)
 		}
 
 		fmt.Printf("\n%-8s %-8s %10s\n", "loops", "winner", "speedup")

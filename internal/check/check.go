@@ -280,8 +280,6 @@ func payload(m sparse.Matrix) any {
 		return []any{dims, a.Ptr, a.Col, a.Data}
 	case *sparse.COO:
 		return []any{dims, a.Row, a.Col, a.Data}
-	case *sparse.CSC:
-		return []any{dims, a.ColPtr, a.RowIdx, a.Data}
 	case *sparse.DIA:
 		return []any{dims, a.Offsets, a.Data}
 	case *sparse.ELL:

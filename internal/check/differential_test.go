@@ -21,11 +21,10 @@ func TestDifferentialPathological(t *testing.T) {
 				r, cl := c.A.Dims()
 				t.Fatalf("rows×cols %dx%d nnz %d: %v", r, cl, c.A.NNZ(), err)
 			}
-			// CSR, COO, CSC, CSR5, HYB, SELL and JDS can represent anything;
+			// CSR, COO, CSR5, HYB, SELL and JDS can represent anything;
 			// a sweep that skipped one of them checked nothing.
 			for _, f := range []sparse.Format{sparse.FmtCSR, sparse.FmtCOO,
-				sparse.FmtCSC, sparse.FmtCSR5, sparse.FmtHYB, sparse.FmtSELL,
-				sparse.FmtJDS} {
+				sparse.FmtCSR5, sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS} {
 				if !covered[f] {
 					t.Errorf("universal format %v was skipped", f)
 				}

@@ -3,6 +3,8 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,15 +146,40 @@ func TestOverheadObliviousDecide(t *testing.T) {
 	}
 }
 
+// TestPredictorsValidate: which formats a bundle covers is data, so a
+// five-format bundle (the measured menu) is well-formed; what is malformed is
+// a format holding one model of its pair, or a bundle holding nothing.
 func TestPredictorsValidate(t *testing.T) {
-	p := core.NewPredictors()
-	if err := p.Validate(); err == nil {
-		t.Error("empty predictors validated")
+	if err := core.NewPredictors().Validate(); err == nil {
+		t.Error("empty bundle validated")
 	}
-	if err := predictors(t).Validate(); err != nil {
-		// A 64-matrix corpus trains every format; if not, the bundle must
-		// say which is missing.
-		t.Logf("predictors incomplete (acceptable for tiny corpus): %v", err)
+	full := predictors(t)
+	if err := full.Validate(); err != nil {
+		t.Errorf("trained bundle: %v", err)
+	}
+	menu := []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS}
+	five := core.NewPredictors()
+	for _, f := range menu {
+		if full.ConvTime[f] == nil || full.SpMVTime[f] == nil {
+			t.Fatalf("test bundle has no %v models", f)
+		}
+		five.ConvTime[f], five.SpMVTime[f] = full.ConvTime[f], full.SpMVTime[f]
+	}
+	if err := five.Validate(); err != nil {
+		t.Errorf("five-format bundle: %v", err)
+	}
+	if got := five.Formats(); !slices.Equal(got, menu) {
+		t.Errorf("Formats() = %v, want %v", got, menu)
+	}
+	noSpMV := five.Clone()
+	delete(noSpMV.SpMVTime, sparse.FmtELL)
+	if err := noSpMV.Validate(); err == nil || !strings.Contains(err.Error(), "ELL") {
+		t.Errorf("conversion model without SpMV model: err = %v, want one naming ELL", err)
+	}
+	noConv := five.Clone()
+	delete(noConv.ConvTime, sparse.FmtJDS)
+	if err := noConv.Validate(); err == nil || !strings.Contains(err.Error(), "JDS") {
+		t.Errorf("SpMV model without conversion model: err = %v, want one naming JDS", err)
 	}
 }
 

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -180,18 +181,37 @@ func NewPredictors() *Predictors {
 	}
 }
 
-// Validate checks that every non-CSR format has both models.
-func (p *Predictors) Validate() error {
+// Formats lists the formats the bundle can price — those holding both
+// models — in sparse.AllFormats order.
+func (p *Predictors) Formats() []sparse.Format {
+	var fs []sparse.Format
 	for _, f := range sparse.AllFormats {
-		if f == sparse.FmtCSR {
-			continue
+		if p.ConvTime[f] != nil && p.SpMVTime[f] != nil {
+			fs = append(fs, f)
 		}
-		if p.ConvTime[f] == nil {
-			return fmt.Errorf("core: missing conversion-time model for %v", f)
+	}
+	return fs
+}
+
+// Validate rejects a malformed bundle: a format with a conversion-time model
+// but no SpMV-time model or the reverse (the decision would silently never
+// pick it), or no format at all. Which formats a bundle covers is data, not
+// schema — the oracle prices some, the trainer fits those with enough
+// samples — so an absent format is not an error.
+func (p *Predictors) Validate() error {
+	paired := false
+	for _, f := range sparse.AllFormats {
+		switch conv, spmv := p.ConvTime[f] != nil, p.SpMVTime[f] != nil; {
+		case conv && !spmv:
+			return fmt.Errorf("core: %v has a conversion-time model but no SpMV-time model", f)
+		case spmv && !conv:
+			return fmt.Errorf("core: %v has an SpMV-time model but no conversion-time model", f)
+		case conv:
+			paired = true
 		}
-		if p.SpMVTime[f] == nil {
-			return fmt.Errorf("core: missing SpMV-time model for %v", f)
-		}
+	}
+	if !paired {
+		return errors.New("core: predictor bundle holds no format's models")
 	}
 	return nil
 }

@@ -3,10 +3,6 @@
 // XGETBV, to confirm the OS actually saves the YMM register state); every
 // other platform — and any build with the noasm tag — reports no features,
 // which routes all kernels to their pure-Go fallbacks.
-//
-// The feature list is also recorded into BENCH_spmv.json so ocsbench
-// -compare can warn when a baseline was measured on a machine whose kernel
-// dispatch differs from the current host's.
 package cpufeat
 
 // X86 reports the features the kernel layer cares about. Populated at init
@@ -18,9 +14,7 @@ var X86 struct {
 	// HasFMA is true when FMA3 is available (always checked together with
 	// AVX2 by the dispatcher: the kernels use VFMADD).
 	HasFMA bool
-	// HasAVX512F is informational only — no kernel uses it yet, but the
-	// bench records carry it so a future AVX-512 port can tell baselines
-	// apart.
+	// HasAVX512F is informational only — no kernel uses it yet.
 	HasAVX512F bool
 }
 
@@ -30,8 +24,7 @@ func VectorKernels() bool { return X86.HasAVX2 && X86.HasFMA }
 
 // Features returns the detected feature names in a fixed order, for
 // machine-readable environment records. Empty on hosts with none (or on
-// noasm / non-amd64 builds, which is exactly what the bench comparison
-// wants: a noasm binary genuinely has no vector kernels).
+// noasm / non-amd64 builds: a noasm binary genuinely has no vector kernels).
 func Features() []string {
 	var fs []string
 	if X86.HasAVX2 {

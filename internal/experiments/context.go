@@ -150,15 +150,6 @@ func table(header []string, rows [][]string) string {
 	return b.String()
 }
 
-// sampleByName indexes eval samples by matrix name.
-func (c *Context) sampleByName() map[string]*trainer.Sample {
-	m := make(map[string]*trainer.Sample, len(c.EvalSamples))
-	for i := range c.EvalSamples {
-		m[c.EvalSamples[i].Name] = &c.EvalSamples[i]
-	}
-	return m
-}
-
 // decideOC runs the trained stage-2 decision for an eval sample.
 func (c *Context) decideOC(entry matgen.Entry, s *trainer.Sample, remaining float64) core.Decision {
 	fs := features.FromVector(s.Features)

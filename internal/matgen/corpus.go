@@ -25,17 +25,6 @@ type CorpusConfig struct {
 	SquareOnly bool
 }
 
-// DefaultCorpusConfig returns the configuration used by the experiments: a
-// mixed-family corpus with sizes spanning two orders of magnitude.
-func DefaultCorpusConfig() CorpusConfig {
-	return CorpusConfig{
-		Count:   120,
-		Seed:    42,
-		MinSize: 500,
-		MaxSize: 20000,
-	}
-}
-
 // Entry is one corpus matrix with its provenance.
 type Entry struct {
 	Spec   Spec

@@ -100,20 +100,3 @@ func TestForRangesAffineSizeMismatchFallsBack(t *testing.T) {
 		}
 	}
 }
-
-func TestFirstTouchFloat64(t *testing.T) {
-	ranges := EvenRanges(100000, 4)
-	aff := NewAffinity(len(ranges))
-	v := FirstTouchFloat64(100000, ranges, aff)
-	if len(v) != 100000 {
-		t.Fatalf("len = %d, want 100000", len(v))
-	}
-	for i, x := range v {
-		if x != 0 {
-			t.Fatalf("v[%d] = %v, want 0", i, x)
-		}
-	}
-	if got := FirstTouchFloat64(7, nil, nil); len(got) != 7 {
-		t.Fatalf("nil-ranges allocation len = %d, want 7", len(got))
-	}
-}

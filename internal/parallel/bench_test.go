@@ -6,12 +6,10 @@ import (
 	"testing"
 )
 
-// BenchmarkDispatch compares the per-call cost of the three dispatch
-// strategies on a simple streaming body: serial (no dispatch at all),
-// spawn-per-call (P fresh goroutines + WaitGroup, the pre-Team design) and
-// the persistent team (parked workers woken per region). The gap between
-// spawn and team at small n is exactly the per-call overhead the team
-// amortizes; at large n the body dominates and the strategies converge.
+// BenchmarkDispatch measures the per-call cost of team dispatch on a simple
+// streaming body against running it serially (no dispatch at all): the gap
+// at small n is the overhead every parallel region pays; at large n the body
+// dominates and the two converge.
 //
 // GOMAXPROCS is pinned to at least 4 so the parallel paths engage even on
 // small CI machines (goroutines then time-slice; the dispatch cost being
@@ -32,11 +30,6 @@ func BenchmarkDispatch(b *testing.B) {
 		b.Run(fmt.Sprintf("serial/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				body(0, n)
-			}
-		})
-		b.Run(fmt.Sprintf("spawn/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				SpawnForThreshold(n, 1, body)
 			}
 		})
 		b.Run(fmt.Sprintf("team/n=%d", n), func(b *testing.B) {
@@ -64,14 +57,8 @@ func BenchmarkDispatchRanges(b *testing.B) {
 			x[i]++
 		}
 	}
-	b.Run("spawn", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			SpawnForRanges(ranges, body)
-		}
-	})
-	b.Run("team", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			team.ForRanges(ranges, body)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		team.ForRanges(ranges, body)
+	}
 }

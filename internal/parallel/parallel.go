@@ -1,16 +1,12 @@
 // Package parallel provides the data-parallel substrate for the SpMV,
 // conversion and vector kernels: a persistent worker team (Team) with
-// chunked parallel-for entry points, an nnz-balanced row partitioner, and
-// the spawn-per-call reference implementations kept for benchmarking the
-// dispatch overhead the team removes. All helpers are synchronous: they
-// return only after every worker has finished, so callers never need
-// additional synchronization for the data the workers wrote.
+// chunked parallel-for entry points and an nnz-balanced row partitioner.
+// All helpers are synchronous: they return only after every worker has
+// finished, so callers never need additional synchronization for the data
+// the workers wrote.
 package parallel
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // MinParallelWork is the smallest amount of work (loop iterations) for which
 // For will bother going parallel. Below this the loop runs inline: even the
@@ -97,25 +93,6 @@ func ForRangesAffine(aff *Affinity, ranges [][2]int, body func(lo, hi int)) {
 	Default().ForRangesAffine(aff, ranges, body)
 }
 
-// FirstTouchFloat64 allocates an n-element vector and faults its pages in
-// parallel under the same partition (and affinity) its consumers will use.
-// On NUMA hosts with pinned workers, first-touch placement puts each page
-// on the memory node of the worker that will stream it in every subsequent
-// SpMV; elsewhere it merely pre-commits the pages off the hot path.
-func FirstTouchFloat64(n int, ranges [][2]int, aff *Affinity) []float64 {
-	v := make([]float64, n)
-	if len(ranges) == 0 {
-		return v
-	}
-	ForRangesAffine(aff, ranges, func(lo, hi int) {
-		// One store per 4 KiB page commits it; the values are already zero.
-		for i := lo; i < hi; i += 512 {
-			v[i] = 0
-		}
-	})
-	return v
-}
-
 // ForRangesIndexed is ForRanges for bodies that need the range's index,
 // typically to address per-range scratch state merged after the call. Range
 // w always runs as index w no matter which worker claims it.
@@ -133,68 +110,6 @@ func ForRangesIndexed(ranges [][2]int, body func(w, lo, hi int)) {
 		return
 	}
 	Default().ForRangesIndexed(ranges, body)
-}
-
-// ---------------------------------------------------------------------------
-// Spawn-per-call reference implementations.
-//
-// These are the pre-Team dispatchers: P fresh goroutines plus a WaitGroup
-// per call. They are kept (and exported) so benchmarks and tests can compare
-// team dispatch against them — the difference is the per-call overhead the
-// team amortizes away.
-
-// SpawnForThreshold is ForThreshold implemented by spawning one goroutine
-// per chunk on every call.
-func SpawnForThreshold(n, threshold int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	p := Workers()
-	if p <= 1 || n < threshold {
-		body(0, n)
-		return
-	}
-	if p > n {
-		p = n
-	}
-	var wg sync.WaitGroup
-	wg.Add(p)
-	chunk := (n + p - 1) / p
-	for w := 0; w < p; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		go func(lo, hi int) {
-			defer wg.Done()
-			if lo < hi {
-				body(lo, hi)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// SpawnForRanges is ForRanges implemented by spawning one goroutine per
-// range on every call.
-func SpawnForRanges(ranges [][2]int, body func(lo, hi int)) {
-	switch len(ranges) {
-	case 0:
-		return
-	case 1:
-		body(ranges[0][0], ranges[0][1])
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(len(ranges))
-	for _, r := range ranges {
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(r[0], r[1])
-	}
-	wg.Wait()
 }
 
 // ---------------------------------------------------------------------------

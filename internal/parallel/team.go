@@ -15,11 +15,11 @@ const maxTeamWorkers = 1024
 // semantics: a fixed set of goroutines parked on per-worker wake channels,
 // woken only when a parallel region is dispatched, with the dispatching
 // goroutine always participating as a worker itself. Compared to spawning
-// goroutines per call (see SpawnForThreshold), a team amortizes goroutine
-// creation, stack allocation and scheduler warm-up across every SpMV,
-// conversion and vector kernel in the process — which is exactly the
-// per-call overhead the paper's T_spmv·N accounting says the runtime cannot
-// afford to pay thousands of times per solve.
+// goroutines per call, a team amortizes goroutine creation, stack
+// allocation and scheduler warm-up across every SpMV, conversion and vector
+// kernel in the process — which is exactly the per-call overhead the paper's
+// T_spmv·N accounting says the runtime cannot afford to pay thousands of
+// times per solve.
 //
 // Work is split into chunks claimed from a shared atomic counter, so a
 // dispatch stays correct (and merely less parallel) when some workers are

@@ -162,24 +162,6 @@ func TestDefaultTeamGrowsWithGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func TestSpawnMatchesTeamSemantics(t *testing.T) {
-	for _, n := range []int{1, 100, MinParallelWork * 2} {
-		var a, b int64
-		SpawnForThreshold(n, 1, func(lo, hi int) { atomic.AddInt64(&a, int64(hi-lo)) })
-		ForThreshold(n, 1, func(lo, hi int) { atomic.AddInt64(&b, int64(hi-lo)) })
-		if a != b || a != int64(n) {
-			t.Errorf("n=%d: spawn covered %d, team covered %d", n, a, b)
-		}
-	}
-	ranges := [][2]int{{0, 3}, {3, 9}, {9, 10}}
-	var a, b int64
-	SpawnForRanges(ranges, func(lo, hi int) { atomic.AddInt64(&a, int64(hi-lo)) })
-	ForRanges(ranges, func(lo, hi int) { atomic.AddInt64(&b, int64(hi-lo)) })
-	if a != b || a != 10 {
-		t.Errorf("ranges: spawn covered %d, team covered %d, want 10", a, b)
-	}
-}
-
 func TestEvenRanges(t *testing.T) {
 	cases := []struct {
 		n, parts int

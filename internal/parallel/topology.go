@@ -42,9 +42,6 @@ func Domains() []Domain {
 	return topoDoms
 }
 
-// NumDomains returns len(Domains()).
-func NumDomains() int { return len(Domains()) }
-
 // readDomains groups logical CPUs 0..NumCPU-1 by (package, L3) from a sysfs
 // root. Separated from Domains so tests can point it at a fabricated tree.
 func readDomains(root string) []Domain {

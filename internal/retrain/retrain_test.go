@@ -122,12 +122,30 @@ func TestTickEmptyJournalNoOp(t *testing.T) {
 // predicted 1.0x, relative error 2/3). MaxSamples=12 has evicted every
 // round-1 sample by then, so the candidate trains purely on 3.0x truth,
 // beats generation 1 on the holdout, and generation 2 installs.
+//
+// Round 3: the incumbent is widened to eight formats (a model-oracle seed
+// bundle's shape) and the candidate to five (what training on the measured
+// menu yields). Reality shifts again, on ELL only. The merge must take the
+// candidate's ELL pair, keep the incumbent's pair for the four menu formats
+// the holdout has no evidence on, and keep COO/BSR/CSR5, which the candidate
+// does not model at all: a narrower candidate never shrinks the bundle.
 func TestDriftRetrainSwapGolden(t *testing.T) {
 	j := obs.NewJournal(0)
 	tgt := &fakeTarget{handles: 7}
 	dir := t.TempDir()
 	cfg := loopConfig(j, tgt)
 	cfg.SaveDir = dir
+	menu := []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS}
+	fiveFormatCandidate := false
+	cfg.TrainFunc = func(s []trainer.Sample, p gbt.Params, minSamples int) (*core.Predictors, error) {
+		cand, err := trainer.Train(s, p, minSamples)
+		if err == nil && fiveFormatCandidate {
+			for _, f := range menu {
+				cand.ConvTime[f], cand.SpMVTime[f] = cand.ConvTime[sparse.FmtELL], cand.SpMVTime[sparse.FmtELL]
+			}
+		}
+		return cand, err
+	}
 	l, err := retrain.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -199,6 +217,33 @@ func TestDriftRetrainSwapGolden(t *testing.T) {
 		}
 		if got := p.SpMVTime[sparse.FmtELL].Predict(fv); !closeTo(got, want) {
 			t.Errorf("%s predicts %g, want %g", gen, got, want)
+		}
+	}
+
+	// Round 3: five-format candidate over an eight-format incumbent.
+	eight := tgt.preds.Clone()
+	others := []sparse.Format{sparse.FmtCOO, sparse.FmtDIA, sparse.FmtHYB, sparse.FmtBSR, sparse.FmtCSR5, sparse.FmtSELL, sparse.FmtJDS}
+	for _, f := range others {
+		eight.ConvTime[f], eight.SpMVTime[f] = eight.ConvTime[sparse.FmtELL], eight.SpMVTime[sparse.FmtELL]
+	}
+	tgt.preds = eight
+	fiveFormatCandidate = true
+	for seed := int64(41); seed <= 52; seed++ {
+		appendConverted(j, featVec(t, seed), 3.0, 9.0, 0.004)
+	}
+	res = l.Tick()
+	if !res.Swapped || res.Generation != 3 {
+		t.Fatalf("round 3 = %+v, want swap to generation 3", res)
+	}
+	if got := tgt.preds.Formats(); len(got) != 8 {
+		t.Fatalf("merged bundle holds %v, want all eight of the incumbent's formats", got)
+	}
+	if got := tgt.preds.SpMVTime[sparse.FmtELL].Predict(fv); !closeTo(got, 9.0) {
+		t.Errorf("gen-3 ELL SpMV norm prediction = %g, want the candidate's 9.0", got)
+	}
+	for _, f := range others {
+		if tgt.preds.SpMVTime[f] != eight.SpMVTime[f] || tgt.preds.ConvTime[f] != eight.ConvTime[f] {
+			t.Errorf("%v: the merge replaced the incumbent's models without holdout evidence", f)
 		}
 	}
 }

@@ -493,74 +493,6 @@ func sortBlockRow(cols []int32, data []float64, bs int) {
 	}
 }
 
-// BSRBlockSizeCandidates are the block edges CSRToBSRAuto considers.
-var BSRBlockSizeCandidates = []int{2, 3, 4, 8}
-
-// BestBSRBlockSize returns the candidate block size with the smallest
-// storage fill (padded slots per nonzero), and that fill. An empty matrix
-// reports the first candidate with fill 0.
-func BestBSRBlockSize(a *CSR) (int, float64) {
-	nnz := a.NNZ()
-	best := BSRBlockSizeCandidates[0]
-	bestFill := 0.0
-	if nnz == 0 {
-		return best, 0
-	}
-	fills := make([]float64, len(BSRBlockSizeCandidates))
-	minFill := 1e308
-	for i, bs := range BSRBlockSizeCandidates {
-		blocks := countBlocksAt(a, bs)
-		fills[i] = float64(blocks*bs*bs) / float64(nnz)
-		if fills[i] < minFill {
-			minFill = fills[i]
-		}
-	}
-	// Among near-ties (within 1%), prefer the largest block size: equal
-	// storage with fewer blocks means fewer index loads per nonzero.
-	bestFill = minFill
-	for i, bs := range BSRBlockSizeCandidates {
-		if fills[i] <= minFill*1.01 {
-			best = bs
-			bestFill = fills[i]
-		}
-	}
-	return best, bestFill
-}
-
-// countBlocksAt counts occupied bs x bs blocks (same last-touch trick as
-// the BSR conversion).
-func countBlocksAt(a *CSR, bs int) int {
-	rows, cols := a.Dims()
-	bcols := (cols + bs - 1) / bs
-	if bcols == 0 {
-		return 0
-	}
-	mark := make([]int, bcols)
-	for i := range mark {
-		mark[i] = -1
-	}
-	count := 0
-	for i := 0; i < rows; i++ {
-		bi := i / bs
-		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			bj := int(a.Col[k]) / bs
-			if mark[bj] != bi {
-				mark[bj] = bi
-				count++
-			}
-		}
-	}
-	return count
-}
-
-// CSRToBSRAuto converts to BSR with the block size that minimizes storage
-// fill, still subject to lim.BSRFill.
-func CSRToBSRAuto(a *CSR, lim Limits) (*BSR, error) {
-	bs, _ := BestBSRBlockSize(a)
-	lim.BSRBlockSize = bs
-	return CSRToBSR(a, lim)
-}
-
 // BSRToCSR converts a BSR matrix back to CSR, dropping zero padding (and
 // explicit zeros inside blocks, which BSR cannot distinguish from padding).
 func BSRToCSR(a *BSR) (*CSR, error) {
@@ -633,8 +565,6 @@ func ConvertFromCSR(a *CSR, to Format, lim Limits) (Matrix, error) {
 		return NewCSR5FromCSR(a)
 	case FmtSELL:
 		return NewSELLFromCSR(a)
-	case FmtCSC:
-		return CSRToCSC(a)
 	case FmtJDS:
 		return NewJDSFromCSR(a)
 	default:
@@ -662,8 +592,6 @@ func ToCSR(m Matrix) (*CSR, error) {
 		return a.ToCSR()
 	case *SELL:
 		return a.ToCSR()
-	case *CSC:
-		return a.ToCSR()
 	case *JDS:
 		return a.ToCSR()
 	default:
@@ -690,7 +618,7 @@ func CanConvert(a *CSR, to Format, lim Limits) bool {
 	nnz := a.NNZ()
 	rows, _ := a.Dims()
 	switch to {
-	case FmtCSR, FmtCOO, FmtCSC, FmtCSR5, FmtHYB, FmtSELL, FmtJDS:
+	case FmtCSR, FmtCOO, FmtCSR5, FmtHYB, FmtSELL, FmtJDS:
 		// JDS is always representable: jagged diagonals store exactly nnz
 		// entries, so there is no padding blowup to guard against.
 		return true

@@ -1,13 +1,17 @@
-// Package sparse implements the seven sparse-matrix storage formats the
-// paper selects among — COO, CSR, DIA, ELL, HYB, BSR and CSR5 — plus the
-// SELL-C-sigma, CSC and JDS extensions, together with their SpMV kernels
-// (serial, goroutine-parallel, and AVX2-vectorized where the host supports
-// it; see kernels.go) and the format conversions whose runtime cost is the
-// subject of the paper.
+// Package sparse implements nine sparse-matrix storage formats: the seven
+// the paper selects among — COO, CSR, DIA, ELL, HYB, BSR and CSR5 — plus the
+// SELL-C-sigma and JDS extensions, together with their SpMV kernels (serial,
+// goroutine-parallel, and AVX2-vectorized where the host supports it; see
+// kernels.go) and the format conversions whose runtime cost is the subject
+// of the paper.
 //
 // CSR is the hub format: every other format converts to and from CSR, and
 // CSR is the default format applications start from, matching the paper's
-// experimental setup.
+// experimental setup. Six of the nine — CSR, DIA, ELL, HYB, SELL, JDS — are
+// the measured menu the runtime trains and selects among (MeasuredMenu);
+// COO, BSR and CSR5 never win a measured T_affected on this CPU and are
+// study-only: implemented, checked, fuzzed and priced by the analytic model
+// oracle the experiments run on, but not timed at training (DESIGN.md §19).
 package sparse
 
 import "fmt"
@@ -27,20 +31,32 @@ const (
 	FmtBSR
 	FmtCSR5
 	FmtSELL
-	FmtCSC
+	// 8 was CSC, deleted. The number is retired rather than reused:
+	// timing.ModelOracle hashes a format's number into its jitter, so a
+	// renumbered JDS would move every JDS figure in exp_output.txt.
+	_
 	FmtJDS
 	numFormats
 )
 
 // AllFormats lists every supported format, CSR first since it is the
 // default. The slice is shared; callers must not mutate it.
-var AllFormats = []Format{FmtCSR, FmtCOO, FmtCSC, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtCSR5, FmtSELL, FmtJDS}
+var AllFormats = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtCSR5, FmtSELL, FmtJDS}
 
 // PaperFormats is the subset the paper's evaluation covers (AllFormats
-// minus the SELL-C-sigma extension).
+// minus the SELL-C-sigma and JDS extensions).
 var PaperFormats = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtCSR5}
 
-// NumFormats is the number of supported formats.
+// MeasuredMenu is the set timing.MeasuredOracle prices, and so the set a
+// bundle trained on this machine's kernels can hold and the runtime can
+// select: CSR plus every format that is the measured T_convert + N*T_spmv
+// argmin for some loop length N on some class of the home-turf panel
+// (DESIGN.md §19, which also says how a format gets back on: one entry
+// here, with the benchmark row that justifies it).
+var MeasuredMenu = []Format{FmtCSR, FmtDIA, FmtELL, FmtHYB, FmtSELL, FmtJDS}
+
+// NumFormats bounds the Format values (one number below it is retired), for
+// arrays indexed by Format.
 const NumFormats = int(numFormats)
 
 var formatNames = [...]string{
@@ -52,26 +68,25 @@ var formatNames = [...]string{
 	FmtBSR:  "BSR",
 	FmtCSR5: "CSR5",
 	FmtSELL: "SELL",
-	FmtCSC:  "CSC",
 	FmtJDS:  "JDS",
 }
 
 // String returns the conventional upper-case name of the format.
 func (f Format) String() string {
-	if f < 0 || int(f) >= len(formatNames) {
+	if !f.Valid() {
 		return fmt.Sprintf("Format(%d)", int(f))
 	}
 	return formatNames[f]
 }
 
 // Valid reports whether f is one of the supported formats.
-func (f Format) Valid() bool { return f >= 0 && f < numFormats }
+func (f Format) Valid() bool { return f >= 0 && f < numFormats && formatNames[f] != "" }
 
 // ParseFormat converts a format name (as produced by String, case-sensitive)
 // back to a Format.
 func ParseFormat(s string) (Format, error) {
 	for i, name := range formatNames {
-		if name == s {
+		if name != "" && name == s {
 			return Format(i), nil
 		}
 	}

@@ -112,6 +112,24 @@ func TestFormatString(t *testing.T) {
 	if _, err := ParseFormat("NOPE"); err == nil {
 		t.Error("ParseFormat(NOPE) succeeded")
 	}
+	// Number 8 was CSC: the slot is retired, not reused, so JDS keeps 9
+	// (the model oracle hashes the number) and nothing answers to 8.
+	if FmtJDS != 9 || FmtSELL != 7 {
+		t.Errorf("FmtSELL, FmtJDS = %d, %d; want 7, 9", FmtSELL, FmtJDS)
+	}
+	if Format(8).Valid() || Format(8).String() != "Format(8)" {
+		t.Errorf("retired Format(8): Valid %v, String %q", Format(8).Valid(), Format(8).String())
+	}
+	for _, name := range []string{"", "CSC"} {
+		if f, err := ParseFormat(name); err == nil {
+			t.Errorf("ParseFormat(%q) = %v, want an error", name, f)
+		}
+	}
+	for _, f := range AllFormats {
+		if !f.Valid() {
+			t.Errorf("AllFormats holds invalid %v", f)
+		}
+	}
 }
 
 func TestAllFormatsSpMVMatchesDense(t *testing.T) {

@@ -101,49 +101,3 @@ func TestSpMMValidation(t *testing.T) {
 	mustPanic("short y", func() { a.SpMM(make([]float64, 10), make([]float64, 16), 2) })
 	mustPanic("short x", func() { a.SpMM(make([]float64, 20), make([]float64, 15), 2) })
 }
-
-func TestBestBSRBlockSize(t *testing.T) {
-	// Dense 4x4 blocks on the diagonal: block size 4 must win with fill 1.
-	const bs = 4
-	rows := 64
-	dense := make([]float64, rows*rows)
-	for b := 0; b < rows/bs; b++ {
-		for ii := 0; ii < bs; ii++ {
-			for jj := 0; jj < bs; jj++ {
-				dense[(b*bs+ii)*rows+b*bs+jj] = 1
-			}
-		}
-	}
-	a, err := FromDense(rows, rows, dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, fill := BestBSRBlockSize(a)
-	if got != 4 || fill != 1 {
-		t.Errorf("BestBSRBlockSize = %d (fill %.2f), want 4 (1.00)", got, fill)
-	}
-	m, err := CSRToBSRAuto(a, DefaultLimits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.BlockSize != 4 {
-		t.Errorf("CSRToBSRAuto used block size %d", m.BlockSize)
-	}
-	// Empty matrix: first candidate, fill 0, no panic.
-	empty, err := NewCSR(8, 8, make([]int, 9), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, fill := BestBSRBlockSize(empty); fill != 0 || got != BSRBlockSizeCandidates[0] {
-		t.Errorf("empty: %d/%g", got, fill)
-	}
-}
-
-func TestBestBSRBlockSizePrefersSmallOnScatter(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randCSR(t, rng, 300, 300, 0.01)
-	got, fill := BestBSRBlockSize(a)
-	if got != 2 {
-		t.Errorf("scatter matrix best block size %d (fill %.1f), want 2", got, fill)
-	}
-}

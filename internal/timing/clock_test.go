@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -95,6 +96,96 @@ func TestMeasuredOracleScriptedClock(t *testing.T) {
 	// CSR conversion is free by definition, fake clock or not.
 	if s, ok := o.ConvertTime(a, sparse.FmtCSR); !ok || s != 0 {
 		t.Errorf("CSR ConvertTime = %g, %v; want 0, true", s, ok)
+	}
+}
+
+// TestMeasuredOracleMenu: the measuring oracle prices exactly
+// sparse.MeasuredMenu. A study-only format is answered ok = false before any
+// clock read or conversion; every menu format is priced on a matrix that
+// admits them all; and once a pair's SpMV time is cached the oracle no
+// longer holds that pair's converted matrix.
+func TestMeasuredOracleMenu(t *testing.T) {
+	c := NewFakeClock()
+	c.SetAutoStep(time.Millisecond)
+	opt := DefaultMeasureOptions()
+	opt.Reps = 3
+	opt.Clock = c
+	o := NewMeasuredOracle(opt)
+	a := testTriDiag(t, 64)
+
+	for _, f := range []sparse.Format{sparse.FmtCOO, sparse.FmtBSR, sparse.FmtCSR5} {
+		if !sparse.CanConvert(a, f, opt.Lim) {
+			t.Fatalf("%v refused by the limits: the test would not see the menu", f)
+		}
+		if _, ok := o.ConvertTime(a, f); ok {
+			t.Errorf("%v: conversion priced, want ok = false", f)
+		}
+		if _, ok := o.SpMVTime(a, f); ok {
+			t.Errorf("%v: SpMV priced, want ok = false", f)
+		}
+	}
+	if n := c.NowCalls(); n != 0 {
+		t.Errorf("study-only formats read the clock %d times, want 0", n)
+	}
+	if n := len(o.converts); n != 0 {
+		t.Errorf("study-only formats left %d converted matrices behind, want none built", n)
+	}
+
+	for _, f := range sparse.MeasuredMenu {
+		wantConv := 0.001
+		if f == sparse.FmtCSR {
+			wantConv = 0
+		}
+		if s, ok := o.ConvertTime(a, f); !ok || s != wantConv {
+			t.Errorf("%v: ConvertTime = %g, %v; want exactly %g, true", f, s, ok, wantConv)
+		}
+		if s, ok := o.SpMVTime(a, f); !ok || s != 0.001 {
+			t.Errorf("%v: SpMVTime = %g, %v; want exactly 0.001, true", f, s, ok)
+		}
+		if n := len(o.converts); n != 0 {
+			t.Errorf("%v: oracle still holds %d converted matrices after caching the SpMV time", f, n)
+		}
+		calls := c.NowCalls()
+		if s, ok := o.SpMVTime(a, f); !ok || s != 0.001 || c.NowCalls() != calls {
+			t.Errorf("%v: second SpMVTime = %g, %v with %d more clock reads; want the cached 0.001",
+				f, s, ok, c.NowCalls()-calls)
+		}
+	}
+}
+
+// TestMeasuredOracleConcurrentSamePair: the oracle is shared (Oracle
+// implementations must be safe for concurrent use), and dropping a converted
+// matrix after its first SpMV measurement must not starve a second caller
+// that was measuring the same pair at the same time, nor leave a matrix
+// parked that no later call will collect.
+func TestMeasuredOracleConcurrentSamePair(t *testing.T) {
+	c := NewFakeClock()
+	c.SetAutoStep(time.Millisecond)
+	opt := DefaultMeasureOptions()
+	opt.Reps = 1
+	opt.Clock = c
+	o := NewMeasuredOracle(opt)
+	a := testTriDiag(t, 256)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, f := range sparse.MeasuredMenu {
+				if _, ok := o.ConvertTime(a, f); !ok {
+					t.Errorf("%v: ConvertTime not ok", f)
+				}
+				// Concurrent readers share the fake clock, so a region may
+				// span several steps: only ok and positivity are scripted.
+				if s, ok := o.SpMVTime(a, f); !ok || s <= 0 {
+					t.Errorf("%v: SpMVTime = %g, %v; want > 0, true", f, s, ok)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(o.converts); n != 0 {
+		t.Errorf("%d converted matrices still parked after every pair was timed", n)
 	}
 }
 

@@ -208,11 +208,6 @@ func (o *ModelOracle) spmvOps(s *modelStats, f sparse.Format) (float64, bool) {
 		// Regular slice-local layout: a lower per-slot coefficient than
 		// ELL, padding bounded by the sigma sorting.
 		return float64(s.sellSlots)*1.1*s.gather + float64(s.sellSlices)*2 + rows*0.5, true
-	case sparse.FmtCSC:
-		// Column-major scatter: every nonzero writes y non-contiguously, so
-		// the gather penalty applies to the STORE side and the kernel loses
-		// to CSR almost everywhere.
-		return nnz*3.0*s.gather + float64(s.cols)*0.5, true
 	case sparse.FmtJDS:
 		// Jagged diagonals: padding-free contiguous streams with a partially
 		// suppressed gather penalty (like CSR5's tiles, slightly weaker),
@@ -265,9 +260,6 @@ func (o *ModelOracle) convertOps(s *modelStats, f sparse.Format) (float64, bool)
 	case sparse.FmtSELL:
 		// Window sorting plus the padded scatter.
 		return nnz*15 + float64(s.sellSlots)*3 + rows*2 + 2000, true
-	case sparse.FmtCSC:
-		// A structural transpose: counting pass plus scatter.
-		return nnz*8 + float64(s.cols)*2 + 2000, true
 	case sparse.FmtJDS:
 		// A counting sort over row lengths plus one padding-free scatter:
 		// roughly a tenth of CSR5's conversion bill.

@@ -8,6 +8,7 @@
 package timing
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -50,17 +51,21 @@ func DefaultMeasureOptions() MeasureOptions {
 	return MeasureOptions{Reps: 5, Parallel: true, Lim: sparse.DefaultLimits}
 }
 
-// MeasuredOracle times the real kernels. Results are cached per (matrix,
-// format), so asking twice is free; the cache is keyed by pointer identity,
-// matching the immutability convention of sparse matrices.
+// MeasuredOracle times the real kernels of the formats on
+// sparse.MeasuredMenu; any other format is unpriced (ok = false). Results
+// are cached per (matrix, format), so asking twice is free; the cache is
+// keyed by pointer identity, matching the immutability convention of sparse
+// matrices.
 type MeasuredOracle struct {
 	opt MeasureOptions
 	clk Clock
 
-	mu       sync.Mutex
-	spmv     map[cacheKey]timedResult
-	conv     map[cacheKey]timedResult
-	feat     map[*sparse.CSR]float64
+	mu   sync.Mutex
+	spmv map[cacheKey]timedResult
+	conv map[cacheKey]timedResult
+	feat map[*sparse.CSR]float64
+	// converts parks a timed conversion's result until its SpMV time has
+	// been measured.
 	converts map[cacheKey]sparse.Matrix
 }
 
@@ -112,22 +117,25 @@ func medianTime(clk Clock, reps int, fn func()) float64 {
 	return times[reps/2]
 }
 
-// converted returns (and caches) the matrix in format f.
+// converted returns the matrix in format f. The first touch of a (matrix,
+// format) pair pays one timed conversion, whose result waits in o.converts
+// for the SpMV measurement that follows it.
 func (o *MeasuredOracle) converted(a *sparse.CSR, f sparse.Format) (sparse.Matrix, bool) {
-	key := cacheKey{a, f}
-	o.mu.Lock()
-	m, hit := o.converts[key]
-	o.mu.Unlock()
-	if hit {
-		return m, m != nil
+	if !o.measureConvert(a, f).ok {
+		return nil, false
 	}
-	// Measure the conversion while we are at it: first touch of a
-	// (matrix, format) pair pays one timed conversion.
-	o.measureConvert(a, f)
 	o.mu.Lock()
-	m = o.converts[key]
+	m := o.converts[cacheKey{a, f}]
 	o.mu.Unlock()
-	return m, m != nil
+	if m == nil {
+		// A concurrent SpMVTime of the same pair took it first: build it
+		// again, untimed.
+		var err error
+		if m, err = sparse.ConvertFromCSR(a, f, o.opt.Lim); err != nil {
+			return nil, false
+		}
+	}
+	return m, true
 }
 
 func (o *MeasuredOracle) measureConvert(a *sparse.CSR, f sparse.Format) timedResult {
@@ -139,11 +147,14 @@ func (o *MeasuredOracle) measureConvert(a *sparse.CSR, f sparse.Format) timedRes
 	}
 	o.mu.Unlock()
 
-	if !sparse.CanConvert(a, f, o.opt.Lim) {
+	// The one place the measured menu is consulted: a format off it is
+	// answered like one the limits refuse, with no clock read and no
+	// conversion, and everything downstream (trainer, selector, bundle
+	// store, retrainer) skips a format that has no price.
+	if !slices.Contains(sparse.MeasuredMenu, f) || !sparse.CanConvert(a, f, o.opt.Lim) {
 		r := timedResult{ok: false}
 		o.mu.Lock()
 		o.conv[key] = r
-		o.converts[key] = nil
 		o.mu.Unlock()
 		return r
 	}
@@ -159,7 +170,11 @@ func (o *MeasuredOracle) measureConvert(a *sparse.CSR, f sparse.Format) timedRes
 	r := timedResult{seconds: secs, ok: last != nil}
 	o.mu.Lock()
 	o.conv[key] = r
-	o.converts[key] = last
+	// Park the result for the SpMV measurement, unless a concurrent caller
+	// has already made it: then nothing would ever collect it.
+	if _, timed := o.spmv[key]; last != nil && !timed {
+		o.converts[key] = last
+	}
 	o.mu.Unlock()
 	return r
 }
@@ -212,6 +227,10 @@ func (o *MeasuredOracle) SpMVTime(a *sparse.CSR, f sparse.Format) (float64, bool
 	r := timedResult{seconds: secs, ok: true}
 	o.mu.Lock()
 	o.spmv[key] = r
+	// spmv[key] answers every later call, so this was the converted
+	// matrix's last reader: holding it any longer pins one copy of every
+	// corpus matrix per format for the oracle's life.
+	delete(o.converts, key)
 	o.mu.Unlock()
 	return r.seconds, true
 }

@@ -51,10 +51,7 @@ func SaveBundle(dir string, p *core.Predictors, man Manifest) error {
 		man.CreatedAt = time.Now().UTC().Format(time.RFC3339)
 	}
 	man.Formats = man.Formats[:0]
-	for _, f := range sparse.AllFormats {
-		if p.ConvTime[f] == nil || p.SpMVTime[f] == nil {
-			continue
-		}
+	for _, f := range p.Formats() {
 		man.Formats = append(man.Formats, f.String())
 		for kind, m := range map[string]*gbt.Model{"conv": p.ConvTime[f], "spmv": p.SpMVTime[f]} {
 			blob, err := m.Save()
@@ -98,7 +95,9 @@ func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, erro
 	for _, name := range man.Formats {
 		f, err := sparse.ParseFormat(name)
 		if err != nil {
-			return nil, nil, fmt.Errorf("trainer: manifest lists %q: %w", name, err)
+			// A format this build no longer has (bundles saved before CSC
+			// was deleted list it): its models are left on disk, unread.
+			continue
 		}
 		cm, err := loadModel(filepath.Join(dir, fmt.Sprintf("conv_%s.json", f)))
 		if err != nil {
@@ -112,7 +111,7 @@ func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, erro
 		p.SpMVTime[f] = sm
 	}
 	if len(p.ConvTime) == 0 {
-		return nil, nil, fmt.Errorf("trainer: manifest lists no formats")
+		return nil, nil, fmt.Errorf("trainer: manifest lists no format this build knows")
 	}
 	return p, &man, nil
 }

@@ -4,12 +4,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/gbt"
+	"repro/internal/sparse"
 	"repro/internal/timing"
 )
 
@@ -164,23 +166,46 @@ func TestTrainConcurrentFitMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestLoadBundleIgnoresRetiredSpMMModels: bundles saved while the selector
-// still priced blocked products list spmm_formats in their manifest and hold
-// spmm_<format>.json files; they must keep loading, those models ignored.
+// TestLoadBundleIgnoresRetiredSpMMModels: a bundle is whatever formats its
+// manifest lists. A five-format bundle (the measured menu) round-trips with a
+// manifest naming exactly those five. Bundles saved by earlier builds must
+// keep loading: ones that still priced blocked products list spmm_formats and
+// hold spmm_<format>.json files, and ones from before CSC was deleted list
+// it — all of that is ignored — while a format this build still has (CSR5)
+// is carried whether or not a freshly trained bundle would hold it.
 func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
-	preds := trainedBundle(t)
+	full := trainedBundle(t)
+	menu := []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS}
+	preds := core.NewPredictors()
+	for _, f := range menu {
+		if full.ConvTime[f] == nil || full.SpMVTime[f] == nil {
+			t.Fatalf("test bundle has no %v models", f)
+		}
+		preds.ConvTime[f], preds.SpMVTime[f] = full.ConvTime[f], full.SpMVTime[f]
+	}
 	dir := t.TempDir()
 	if err := SaveBundle(dir, preds, Manifest{NumFeatures: features.NumFeatures}); err != nil {
 		t.Fatal(err)
 	}
+	loaded, man, err := LoadBundle(dir, features.NumFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"DIA", "ELL", "HYB", "SELL", "JDS"}; !slices.Equal(man.Formats, want) {
+		t.Errorf("manifest lists %v, want exactly %v", man.Formats, want)
+	}
+	if got := loaded.Formats(); !slices.Equal(got, menu) {
+		t.Errorf("round trip loaded %v, want %v", got, menu)
+	}
+
 	path := filepath.Join(dir, manifestName)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(string(blob), `"formats":`, `"spmm_formats": ["CSR", "ELL"],`+"\n  "+`"formats":`, 1)
+	old := strings.Replace(string(blob), `"formats": [`, `"spmm_formats": ["CSR", "ELL"],`+"\n  "+`"formats": [`+"\n    "+`"CSC", "CSR5",`, 1)
 	if old == string(blob) {
-		t.Fatal("test could not add spmm_formats to the manifest")
+		t.Fatal("test could not add the retired entries to the manifest")
 	}
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
@@ -189,16 +214,17 @@ func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"spmm_CSR.json", "spmm_ELL.json"} {
+	for _, name := range []string{"spmm_CSR.json", "spmm_ELL.json", "conv_CSC.json", "spmv_CSC.json", "conv_CSR5.json", "spmv_CSR5.json"} {
 		if err := os.WriteFile(filepath.Join(dir, name), model, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	loaded, _, err := LoadBundle(dir, features.NumFeatures)
+	loaded, _, err = LoadBundle(dir, features.NumFeatures)
 	if err != nil {
-		t.Fatalf("bundle with retired SpMM models no longer loads: %v", err)
+		t.Fatalf("bundle with retired SpMM and CSC models no longer loads: %v", err)
 	}
-	if len(loaded.ConvTime) != len(preds.ConvTime) || len(loaded.SpMVTime) != len(preds.SpMVTime) {
-		t.Errorf("loaded %d/%d models, want %d/%d", len(loaded.ConvTime), len(loaded.SpMVTime), len(preds.ConvTime), len(preds.SpMVTime))
+	want := []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtCSR5, sparse.FmtSELL, sparse.FmtJDS}
+	if got := loaded.Formats(); !slices.Equal(got, want) || len(loaded.ConvTime) != len(want) || len(loaded.SpMVTime) != len(want) {
+		t.Errorf("loaded %v (%d/%d models), want %v", got, len(loaded.ConvTime), len(loaded.SpMVTime), want)
 	}
 }

@@ -1,7 +1,9 @@
 package trainer
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/gbt"
 	"repro/internal/matgen"
@@ -71,6 +73,55 @@ func TestCollectProducesValidSamples(t *testing.T) {
 	}
 }
 
+// TestTrainedFormatsFollowTheOracle: the trainer has no menu of its own — a
+// bundle covers exactly what the oracle priced. Through the measuring oracle
+// that is a subset of sparse.MeasuredMenu and nothing else; the same calls
+// through the model oracle still fit the study-only formats.
+func TestTrainedFormatsFollowTheOracle(t *testing.T) {
+	entries := corpus(t, 32)
+	p := gbt.DefaultParams()
+	p.NumRounds = 10
+	train := func(o timing.Oracle) []sparse.Format {
+		t.Helper()
+		samples, err := Collect(entries, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds, err := Train(samples, p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(preds.ConvTime) != len(preds.Formats()) || len(preds.SpMVTime) != len(preds.Formats()) {
+			t.Errorf("bundle holds %d/%d models for %v", len(preds.ConvTime), len(preds.SpMVTime), preds.Formats())
+		}
+		return preds.Formats()
+	}
+
+	clk := timing.NewFakeClock()
+	clk.SetAutoStep(time.Millisecond)
+	opt := timing.DefaultMeasureOptions()
+	opt.Reps = 1
+	opt.Clock = clk
+	measured := train(timing.NewMeasuredOracle(opt))
+	for _, f := range measured {
+		if f == sparse.FmtCSR || !slices.Contains(sparse.MeasuredMenu, f) {
+			t.Errorf("measured bundle models %v, which is not on the measured menu", f)
+		}
+	}
+	for _, f := range []sparse.Format{sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS} {
+		if !slices.Contains(measured, f) {
+			t.Errorf("measured bundle %v lacks always-valid menu format %v", measured, f)
+		}
+	}
+
+	model := train(timing.NewModelOracle())
+	for _, f := range []sparse.Format{sparse.FmtCOO, sparse.FmtBSR, sparse.FmtCSR5} {
+		if !slices.Contains(model, f) {
+			t.Errorf("model-oracle bundle %v no longer fits %v", model, f)
+		}
+	}
+}
+
 func TestDatasetsShape(t *testing.T) {
 	entries := corpus(t, 16)
 	samples, err := Collect(entries, timing.NewModelOracle())
@@ -108,12 +159,13 @@ func TestTrainAndPredictEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := preds.Validate(); err != nil {
-		// DIA/ELL/BSR may miss the minSamples bar in a small corpus; the
-		// always-valid formats must be present though.
-		for _, f := range []sparse.Format{sparse.FmtCOO, sparse.FmtHYB, sparse.FmtCSR5} {
-			if preds.ConvTime[f] == nil || preds.SpMVTime[f] == nil {
-				t.Fatalf("always-valid format %v untrained: %v", f, err)
-			}
+		t.Fatal(err)
+	}
+	// DIA/ELL/BSR may miss the minSamples bar in a small corpus; the
+	// always-valid formats must be present though.
+	for _, f := range []sparse.Format{sparse.FmtCOO, sparse.FmtHYB, sparse.FmtCSR5} {
+		if preds.ConvTime[f] == nil || preds.SpMVTime[f] == nil {
+			t.Fatalf("always-valid format %v untrained", f)
 		}
 	}
 	// In-sample predictions should be in the right ballpark: mean relative

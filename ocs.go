@@ -5,9 +5,14 @@
 //
 // The library consists of
 //
-//   - the paper's seven sparse storage formats (COO, CSR, DIA, ELL, HYB,
-//     BSR, CSR5) plus the SELL-C-sigma and CSC extensions, with serial and
-//     parallel SpMV kernels and conversions,
+//   - nine sparse storage formats — the paper's seven (COO, CSR, DIA, ELL,
+//     HYB, BSR, CSR5) plus the SELL-C-sigma and JDS extensions — with serial
+//     and parallel SpMV kernels and conversions. CSR, DIA, ELL, HYB, SELL
+//     and JDS are the measured menu: what TrainDefaultPredictors times,
+//     MeasureFormatCosts reports and the selector can choose. COO, BSR and
+//     CSR5 never win a measured T_affected on this CPU and are study-only:
+//     convertible and checked, priced only by the analytic model oracle the
+//     experiments run on (DESIGN.md §19),
 //   - the paper's feature set and gradient-boosted regression models that
 //     predict normalized conversion and SpMV times,
 //   - the two-stage lazy-and-light selector that converts a matrix at
@@ -57,8 +62,6 @@ const (
 	// SELL is the SELL-C-sigma extension format (not part of the paper's
 	// original seven).
 	SELL = sparse.FmtSELL
-	// CSC is the compressed-sparse-column extension format.
-	CSC = sparse.FmtCSC
 	// JDS is the jagged-diagonal-storage extension format: descending
 	// row-length permutation, padding-free diagonal-major layout.
 	JDS = sparse.FmtJDS
@@ -162,7 +165,7 @@ func NewAdaptive(a *CSRMatrix, tol float64, preds *Predictors) *Adaptive {
 // TrainDefaultPredictors trains the stage-2 predictor bundle on the default
 // synthetic corpus, timing the real kernels of this machine. The result can
 // be persisted with SavePredictors. Training measures every (matrix,
-// format) pair once; expect tens of seconds.
+// measured-menu format) pair once; expect a few seconds.
 func TrainDefaultPredictors(seed int64) (*Predictors, error) {
 	entries, err := matgen.Corpus(matgen.CorpusConfig{
 		Count: 96, Seed: seed, MinSize: 500, MaxSize: 6000,
@@ -187,9 +190,10 @@ type FormatCost struct {
 	SpMVNorm float64
 }
 
-// MeasureFormatCosts wall-clock-measures, for every format valid for the
-// matrix under the default limits, the conversion cost and per-call SpMV
-// cost on this machine. CSR is always present with SpMVNorm == 1.
+// MeasureFormatCosts wall-clock-measures, for every measured-menu format
+// valid for the matrix under the default limits, the conversion cost and
+// per-call SpMV cost on this machine. CSR is always present with
+// SpMVNorm == 1.
 func MeasureFormatCosts(a *CSRMatrix) (map[Format]FormatCost, error) {
 	oracle := timing.NewMeasuredOracle(timing.DefaultMeasureOptions())
 	s, err := trainer.CollectOne("matrix", a, oracle)
@@ -212,41 +216,8 @@ func SavePredictors(dir string, p *Predictors) error {
 }
 
 // LoadPredictors restores a bundle saved by SavePredictors, verifying the
-// manifest's feature schema against the running code. Directories written
-// by older versions without a manifest are loaded by scanning for model
-// files directly.
+// manifest's feature schema against the running code.
 func LoadPredictors(dir string) (*Predictors, error) {
 	p, _, err := trainer.LoadBundle(dir, features.NumFeatures)
-	if err == nil {
-		return p, nil
-	}
-	if _, statErr := os.Stat(fmt.Sprintf("%s/manifest.json", dir)); statErr == nil {
-		return nil, err // a manifest exists but is unusable: surface that
-	}
-	// Legacy layout: bare model files, no manifest.
-	p = core.NewPredictors()
-	for _, f := range sparse.AllFormats {
-		if f == sparse.FmtCSR {
-			continue
-		}
-		cblob, cerr := os.ReadFile(fmt.Sprintf("%s/conv_%s.json", dir, f))
-		sblob, serr := os.ReadFile(fmt.Sprintf("%s/spmv_%s.json", dir, f))
-		if cerr != nil || serr != nil {
-			continue
-		}
-		cm, err := gbt.Load(cblob)
-		if err != nil {
-			return nil, fmt.Errorf("ocs: loading conversion model %v: %w", f, err)
-		}
-		sm, err := gbt.Load(sblob)
-		if err != nil {
-			return nil, fmt.Errorf("ocs: loading SpMV model %v: %w", f, err)
-		}
-		p.ConvTime[f] = cm
-		p.SpMVTime[f] = sm
-	}
-	if len(p.ConvTime) == 0 {
-		return nil, fmt.Errorf("ocs: no models found in %s", dir)
-	}
-	return p, nil
+	return p, err
 }

@@ -209,26 +209,6 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func TestLoadPredictorsLegacyLayout(t *testing.T) {
-	// A directory with bare model files and no manifest (the pre-manifest
-	// layout) must still load.
-	preds := facadePredictors(t)
-	dir := t.TempDir()
-	if err := SavePredictors(dir, preds); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "manifest.json")); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadPredictors(dir)
-	if err != nil {
-		t.Fatalf("legacy layout: %v", err)
-	}
-	if len(loaded.ConvTime) != len(preds.ConvTime) {
-		t.Errorf("legacy load found %d formats, want %d", len(loaded.ConvTime), len(preds.ConvTime))
-	}
-}
-
 func TestSavePredictorsWritesManifest(t *testing.T) {
 	preds := facadePredictors(t)
 	dir := t.TempDir()
