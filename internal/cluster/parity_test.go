@@ -3,9 +3,11 @@ package cluster
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"repro/internal/mmio"
 	"repro/internal/server"
 )
 
@@ -108,6 +110,76 @@ func TestTierParityBadRequests(t *testing.T) {
 				}
 				if code != tc.want {
 					t.Errorf("%s answered %d, want %d like every tier: %s", tier.name, code, tc.want, body)
+				}
+			}
+		})
+	}
+}
+
+// TestDiagonalCallSitesAgree: the diagonal a solver is handed is the same
+// vector wherever it is read — sparse.CSR.Diag itself, an ocsd handle's lazy
+// copy and the router's copy for a partitioned handle — and equals At(i, i)
+// over the leading min(rows, cols) entries.
+func TestDiagonalCallSitesAgree(t *testing.T) {
+	cases := []struct {
+		name string
+		mtx  string
+	}{
+		{"banded", "%%MatrixMarket matrix coordinate real general\n5 5 11\n" +
+			"1 1 4\n1 2 -1\n2 1 -1\n2 2 5\n2 3 -1\n3 2 -1\n3 3 6\n4 3 -1\n4 4 7\n5 4 -1\n5 5 8\n"},
+		{"zero diagonal", "%%MatrixMarket matrix coordinate real general\n4 4 6\n" +
+			"1 2 1\n2 1 2\n2 2 3\n3 1 4\n3 4 5\n4 3 6\n"},
+		{"rectangular", "%%MatrixMarket matrix coordinate real general\n6 3 8\n" +
+			"1 1 1\n2 1 2\n2 3 3\n3 2 4\n3 3 5\n4 1 6\n5 3 7\n6 2 8\n"},
+	}
+	bare := server.New(server.Config{Logger: quietLogger()})
+	bts := httptest.NewServer(bare.Handler())
+	defer bts.Close()
+	_, router, rts := newCluster(t, 2, nil)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := mmio.Read(strings.NewReader(tc.mtx))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, cols := a.Dims()
+			want := make([]float64, min(rows, cols))
+			for i := range want {
+				want[i] = a.At(i, i)
+			}
+
+			reg := server.RegisterRequest{Name: tc.name, MatrixMarket: tc.mtx}
+			var info struct {
+				ID string `json:"id"`
+			}
+			if code, body := callJSON(t, http.MethodPost, bts.URL+"/v1/matrices", reg, &info); code != http.StatusCreated {
+				t.Fatalf("ocsd register: %d %s", code, body)
+			}
+			h, ok := bare.Registry().Get(info.ID)
+			if !ok {
+				t.Fatalf("ocsd lost handle %s", info.ID)
+			}
+			preg := RegisterRequest{RegisterRequest: reg, Partition: &PartitionSpec{Parts: 2}}
+			if code, body := callJSON(t, http.MethodPost, rts.URL+"/v1/matrices", preg, &info); code != http.StatusCreated {
+				t.Fatalf("router register: %d %s", code, body)
+			}
+			router.mu.Lock()
+			rt := router.routes[info.ID]
+			router.mu.Unlock()
+			if rt == nil || !rt.partitioned {
+				t.Fatalf("router route %s: %+v", info.ID, rt)
+			}
+
+			for _, site := range []struct {
+				name string
+				got  []float64
+			}{
+				{"sparse.CSR.Diag", a.Diag()},
+				{"server.Handle.Diag", h.Diag()},
+				{"cluster route.diag", rt.diag},
+			} {
+				if !bitEqual(site.got, want) {
+					t.Errorf("%s = %v, want %v", site.name, site.got, want)
 				}
 			}
 		})

@@ -64,19 +64,3 @@ func MarshalBlock(b RowBlock) (string, error) {
 	}
 	return sb.String(), nil
 }
-
-// diagonal extracts the main diagonal of a (router-side copy for the
-// preconditioned solvers, which need it before the blocks scatter).
-func diagonal(a *sparse.CSR) []float64 {
-	rows, _ := a.Dims()
-	d := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			if int(a.Col[k]) == i {
-				d[i] = a.Data[k]
-				break
-			}
-		}
-	}
-	return d
-}

@@ -673,7 +673,7 @@ func (r *Router) registerPartitioned(w http.ResponseWriter, req *http.Request, i
 		valueDigest: csr.ValueDigest(),
 		transition:  dangling != nil,
 		dangling:    dangling,
-		diag:        diagonal(csr),
+		diag:        csr.Diag(),
 		partitioned: true,
 		parts:       parts,
 	}

@@ -14,27 +14,8 @@ var X86 struct {
 	// HasFMA is true when FMA3 is available (always checked together with
 	// AVX2 by the dispatcher: the kernels use VFMADD).
 	HasFMA bool
-	// HasAVX512F is informational only — no kernel uses it yet.
-	HasAVX512F bool
 }
 
 // VectorKernels reports whether the AVX2+FMA kernel set is usable on this
 // host (the single condition the sparse package's dispatcher tests).
 func VectorKernels() bool { return X86.HasAVX2 && X86.HasFMA }
-
-// Features returns the detected feature names in a fixed order, for
-// machine-readable environment records. Empty on hosts with none (or on
-// noasm / non-amd64 builds: a noasm binary genuinely has no vector kernels).
-func Features() []string {
-	var fs []string
-	if X86.HasAVX2 {
-		fs = append(fs, "avx2")
-	}
-	if X86.HasFMA {
-		fs = append(fs, "fma")
-	}
-	if X86.HasAVX512F {
-		fs = append(fs, "avx512f")
-	}
-	return fs
-}

@@ -31,20 +31,11 @@ func init() {
 	if !osYMM {
 		return
 	}
+	X86.HasFMA = hasFMA
 	if maxLeaf < 7 {
-		X86.HasFMA = hasFMA
 		return
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const (
-		cpuidAVX2    = 1 << 5
-		cpuidAVX512F = 1 << 16
-	)
-	X86.HasFMA = hasFMA
+	const cpuidAVX2 = 1 << 5
 	X86.HasAVX2 = ebx7&cpuidAVX2 != 0
-	// AVX-512 additionally needs XCR0 opmask/ZMM bits (5-7).
-	if ebx7&cpuidAVX512F != 0 {
-		xlo, _ := xgetbv()
-		X86.HasAVX512F = xlo&0xe6 == 0xe6
-	}
 }

@@ -1,14 +1,13 @@
 // Package features extracts the sparse-matrix feature set of the paper's
 // Table I. These features feed the regression models; their extraction cost
 // is itself part of the prediction overhead T_predict that the paper's
-// two-stage scheme exists to control, so Extract is written as a small
-// number of linear passes over the CSR arrays and the experiments time it.
+// two-stage scheme exists to control, so Extract is one fused pass over the
+// CSR arrays, the same body at every size, and the experiments time it.
 package features
 
 import (
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -90,21 +89,20 @@ func FromVector(v []float64) *Set {
 	}
 }
 
-// Extract computes the full feature set of a matrix. Large matrices use a
-// fused goroutine-parallel pass (see parallel.go); extraction must keep
-// pace with the parallel SpMV kernel for the paper's "T_predict is 2x-4x
-// of one SpMV call" premise to hold.
+// Extract computes the full feature set of a matrix in one fused sweep over
+// its rows (see parallel.go), at every size: extraction must keep pace with
+// the parallel SpMV kernel for the paper's "T_predict is 2x-4x of one SpMV
+// call" premise to hold.
 func Extract(a *sparse.CSR) *Set {
 	s, _ := ExtractBlocks(a, 0)
 	return s
 }
 
 // ExtractBlocks is Extract plus CountBlocks(a, bs) — the BSR validity input
-// Table I lacks — for what stage 2 needs of a matrix in one call. On the
-// fused parallel pass the bs-blocks are counted inside the same sweep (it
-// already marks the 2x2 blocks they are made of, when bs is a power of two)
-// rather than in a second, serial one over the matrix. bs <= 0 skips the
-// count.
+// Table I lacks — for what stage 2 needs of a matrix in one call. The
+// bs-blocks are counted inside the same sweep (it already marks the 2x2
+// blocks they are made of, when bs is a power of two) rather than in a
+// second one over the matrix. bs <= 0 skips the count.
 func ExtractBlocks(a *sparse.CSR, bs int) (s *Set, blocks int) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
@@ -113,56 +111,7 @@ func ExtractBlocks(a *sparse.CSR, bs int) (s *Set, blocks int) {
 		return s, 0
 	}
 	s.Density = float64(nnz) / (float64(rows) * float64(cols))
-	if nnz >= parallelExtractMinNNZ && parallel.Workers() > 1 && rows >= 2*BlockEdge {
-		return s, extractParallel(a, s, bs)
-	}
-	if bs > 0 {
-		blocks = CountBlocks(a, bs)
-	}
-
-	// Row-degree statistics.
-	minRD, maxRD := math.MaxInt64, 0
-	var sumRD, sumSqRD float64
-	var bounce float64
-	prev := -1
-	for i := 0; i < rows; i++ {
-		rd := a.RowNNZ(i)
-		if rd < minRD {
-			minRD = rd
-		}
-		if rd > maxRD {
-			maxRD = rd
-		}
-		sumRD += float64(rd)
-		sumSqRD += float64(rd) * float64(rd)
-		if prev >= 0 {
-			bounce += math.Abs(float64(rd - prev))
-		}
-		prev = rd
-	}
-	fillRowStats(s, rows, minRD, maxRD, sumRD, sumSqRD, bounce)
-
-	// Column-degree counts.
-	cd := make([]int32, cols)
-	for _, c := range a.Col {
-		cd[c]++
-	}
-	fillColStats(s, cd)
-
-	// Diagonal occupancy (dense counter shifted by rows-1; a map here costs
-	// hundreds of SpMV-equivalents on large matrices).
-	diagCount := make([]int32, rows+cols-1)
-	for i := 0; i < rows; i++ {
-		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			diagCount[int(a.Col[k])-i+rows-1]++
-		}
-	}
-	fillDiagStats(s, rows, cols, diagCount)
-	fillDerived(s, nnz, maxRD)
-
-	s.Blocks = float64(CountBlocks(a, BlockEdge))
-	s.MeanNeighbor = meanNeighbor(a)
-	return s, blocks
+	return s, extract(a, s, bs)
 }
 
 // fillRowStats finalizes the row-degree features from the raw accumulators.
@@ -296,45 +245,4 @@ func CountBlocks(a *sparse.CSR, bs int) int {
 		}
 	}
 	return count
-}
-
-// meanNeighbor computes the average number of nonzero 4-neighbors
-// ((i,j±1) and (i±1,j)) over all nonzeros. Horizontal neighbors come from
-// adjacency in the sorted row; vertical matches between consecutive rows
-// come from a two-pointer merge, keeping the whole computation O(nnz).
-// Every vertical match (i,c)~(i+1,c) contributes one neighbor to each of
-// the two entries, hence the x2.
-func meanNeighbor(a *sparse.CSR) float64 {
-	rows, _ := a.Dims()
-	nnz := a.NNZ()
-	if nnz == 0 {
-		return 0
-	}
-	total := 0
-	for i := 0; i < rows; i++ {
-		lo, hi := a.Ptr[i], a.Ptr[i+1]
-		for k := lo + 1; k < hi; k++ {
-			if a.Col[k-1] == a.Col[k]-1 {
-				total += 2 // (i,c) has right neighbor, (i,c+1) has left
-			}
-		}
-		if i+1 >= rows {
-			continue
-		}
-		p, q := lo, a.Ptr[i+1]
-		pEnd, qEnd := hi, a.Ptr[i+2]
-		for p < pEnd && q < qEnd {
-			switch {
-			case a.Col[p] < a.Col[q]:
-				p++
-			case a.Col[p] > a.Col[q]:
-				q++
-			default:
-				total += 2 // vertical pair
-				p++
-				q++
-			}
-		}
-	}
-	return float64(total) / float64(nnz)
 }

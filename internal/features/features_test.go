@@ -123,8 +123,8 @@ func TestExtractEmptyAndDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := Extract(empty)
-	if s.NNZ != 0 || s.Density != 0 || s.Ndiags != 0 {
-		t.Errorf("empty: NNZ=%v d=%v Ndiags=%v", s.NNZ, s.Density, s.Ndiags)
+	if s.NNZ != 0 || s.Density != 0 || s.Ndiags != 0 || s.MeanNeighbor != 0 {
+		t.Errorf("empty: NNZ=%v d=%v Ndiags=%v mean_neighbor=%v", s.NNZ, s.Density, s.Ndiags, s.MeanNeighbor)
 	}
 	for i, v := range s.Vector() {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -133,7 +133,7 @@ func TestExtractEmptyAndDegenerate(t *testing.T) {
 	}
 	single := mustCSR(t, 1, 1, []float64{5})
 	s = Extract(single)
-	if s.NNZ != 1 || s.Density != 1 || s.NTdiagsRatio != 1 {
+	if s.NNZ != 1 || s.Density != 1 || s.NTdiagsRatio != 1 || s.MeanNeighbor != 0 {
 		t.Errorf("single: %+v", s)
 	}
 }

@@ -8,17 +8,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// extractParallel is the multi-goroutine implementation behind Extract for
-// large matrices. One fused pass over disjoint row ranges gathers, per
-// worker: row-degree statistics, column-degree counts, diagonal occupancy,
-// the neighbor count, the 2x2 block count and — for ExtractBlocks — the count
-// of bs x bs blocks; a short merge builds the final Set. The result is
-// bit-identical to the serial path (all merges are order-independent integer
-// sums; the float statistics are computed once from the merged integers).
-//
-// Keeping extraction at SpMV-parallel speed matters beyond politeness: the
-// paper's premise is that T_predict costs only 2x-4x of one SpMV call, and
-// the SpMV it runs against is the parallel kernel.
+// parallelExtractMinNNZ is the size below which the sweep runs over a single
+// row range, inline on the caller: a team dispatch and the per-range cols-
+// and (rows+cols)-sized counters cost more than a second worker saves.
 const parallelExtractMinNNZ = 1 << 15
 
 type workerScratch struct {
@@ -32,13 +24,21 @@ type workerScratch struct {
 	diag           []int32 // diagonal occupancy, shifted by rows-1
 }
 
-func extractParallel(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
+// extract is the one extraction body. One fused pass over disjoint row
+// ranges gathers, per range: row-degree statistics, column-degree counts,
+// diagonal occupancy, the neighbor count, the 2x2 block count and — for
+// ExtractBlocks — the count of bs x bs blocks; a short merge builds the
+// final Set. The result does not depend on the number of ranges (all merges
+// are order-independent integer sums; the float statistics are computed once
+// from the merged integers), so a small matrix, or a process at one worker,
+// runs the same sweep over one range.
+func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
 
-	p := parallel.Workers()
-	if p > rows {
-		p = rows
+	p := 1
+	if nnz >= parallelExtractMinNNZ {
+		p = min(parallel.Workers(), rows)
 	}
 	// A bs x bs block is made of whole 2x2 blocks when bs is a power-of-two
 	// multiple of BlockEdge, so its first nonzero is also the first of some
@@ -56,9 +56,9 @@ func extractParallel(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 	ranges := alignedRanges(rows, p, align)
 	scratch := make([]workerScratch, len(ranges))
 
-	// Dispatch through the shared worker team: scratch is indexed by range,
-	// not by executing worker, so results are identical no matter which team
-	// worker claims which range.
+	// Dispatch through the shared worker team (inline for a single range):
+	// scratch is indexed by range, not by executing worker, so results are
+	// identical no matter which team worker claims which range.
 	parallel.ForRangesIndexed(ranges, func(w, lo, hi int) {
 		ws := &scratch[w]
 		ws.minRD = math.MaxInt64
@@ -175,7 +175,9 @@ func extractParallel(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 	fillDiagStats(s, rows, cols, diag)
 	fillDerived(s, nnz, maxRD)
 	s.Blocks = float64(blocks)
-	s.MeanNeighbor = float64(neighbor) / float64(nnz)
+	if nnz > 0 {
+		s.MeanNeighbor = float64(neighbor) / float64(nnz)
+	}
 	if bs > 0 && !fused {
 		bsBlocks = CountBlocks(a, bs)
 	}

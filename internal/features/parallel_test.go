@@ -5,15 +5,14 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
 
-// serialExtract forces the single-threaded path regardless of matrix size,
-// by replicating Extract's serial body through a small matrix trick: we
-// simply compare against a fresh Set built with the exported helpers on the
-// raw accumulators. Easiest correct approach: temporarily require the
-// matrix to be small enough — instead we just compute both paths directly.
+// serialReference is the multi-pass extraction the fused sweep is checked
+// against: one plain loop per feature group, sharing only the fill* helpers
+// that turn merged counters into features.
 func serialReference(a *sparse.CSR) *Set {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
@@ -63,7 +62,58 @@ func serialReference(a *sparse.CSR) *Set {
 	return s
 }
 
+// meanNeighbor computes the average number of nonzero 4-neighbors
+// ((i,j±1) and (i±1,j)) over all nonzeros. Horizontal neighbors come from
+// adjacency in the sorted row; vertical matches between consecutive rows
+// come from a two-pointer merge, keeping the whole computation O(nnz).
+// Every vertical match (i,c)~(i+1,c) contributes one neighbor to each of
+// the two entries, hence the x2.
+func meanNeighbor(a *sparse.CSR) float64 {
+	rows, _ := a.Dims()
+	nnz := a.NNZ()
+	if nnz == 0 {
+		return 0
+	}
+	total := 0
+	for i := 0; i < rows; i++ {
+		lo, hi := a.Ptr[i], a.Ptr[i+1]
+		for k := lo + 1; k < hi; k++ {
+			if a.Col[k-1] == a.Col[k]-1 {
+				total += 2 // (i,c) has right neighbor, (i,c+1) has left
+			}
+		}
+		if i+1 >= rows {
+			continue
+		}
+		p, q := lo, a.Ptr[i+1]
+		pEnd, qEnd := hi, a.Ptr[i+2]
+		for p < pEnd && q < qEnd {
+			switch {
+			case a.Col[p] < a.Col[q]:
+				p++
+			case a.Col[p] > a.Col[q]:
+				q++
+			default:
+				total += 2 // vertical pair
+				p++
+				q++
+			}
+		}
+	}
+	return float64(total) / float64(nnz)
+}
+
+// TestParallelExtractMatchesSerial: the fused sweep agrees bit for bit with
+// the multi-pass reference, and its fused 4x4 count with CountBlocks, on both
+// sides of parallelExtractMinNNZ — every family at 8000 rows, the default
+// training corpus (two thirds of it below the gate) and the pathological
+// shapes — over one range (GOMAXPROCS 1), two, and the suite's default.
 func TestParallelExtractMatchesSerial(t *testing.T) {
+	type namedCSR struct {
+		name string
+		a    *sparse.CSR
+	}
+	var cases []namedCSR
 	rng := rand.New(rand.NewSource(1))
 	for _, fam := range matgen.AllFamilies {
 		m, err := matgen.Generate(matgen.Spec{
@@ -72,25 +122,50 @@ func TestParallelExtractMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.NNZ() < parallelExtractMinNNZ {
-			t.Logf("%v: only %d nnz, parallel path not engaged", fam, m.NNZ())
+		cases = append(cases, namedCSR{fam.String(), m})
+	}
+	corpus, err := matgen.Corpus(matgen.CorpusConfig{Count: 96, Seed: 42, MinSize: 500, MaxSize: 6000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range corpus {
+		cases = append(cases, namedCSR{e.Spec.Name, e.Matrix})
+	}
+	for _, c := range check.Pathological(1) {
+		cases = append(cases, namedCSR{c.Name, c.A})
+	}
+
+	const bs = 4
+	small := 0
+	ambient := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(ambient)
+	for _, c := range cases {
+		if c.a.NNZ() < parallelExtractMinNNZ {
+			small++
 		}
-		got := Extract(m)
-		want := serialReference(m)
-		gv, wv := got.Vector(), want.Vector()
-		for i := range gv {
-			if gv[i] != wv[i] {
-				t.Errorf("%v: feature %s = %v (parallel) vs %v (serial)", fam, Names[i], gv[i], wv[i])
+		want, wantBlocks := serialReference(c.a).Vector(), CountBlocks(c.a, bs)
+		for _, procs := range []int{1, 2, ambient} {
+			runtime.GOMAXPROCS(procs)
+			got, blocks := ExtractBlocks(c.a, bs)
+			if blocks != wantBlocks {
+				t.Errorf("%s procs=%d: %d %dx%d blocks, CountBlocks says %d", c.name, procs, blocks, bs, bs, wantBlocks)
+			}
+			for i, v := range got.Vector() {
+				if v != want[i] {
+					t.Errorf("%s procs=%d: feature %s = %v (sweep) vs %v (reference)", c.name, procs, Names[i], v, want[i])
+				}
 			}
 		}
+	}
+	if small == 0 || small == len(cases) {
+		t.Errorf("%d of %d matrices below the width gate: one side of it is untested", small, len(cases))
 	}
 }
 
 // TestExtractBlocksMatchesSeparatePasses: stage 2's one call returns what its
 // two calls used to — Extract's set and CountBlocks at the BSR block size —
-// whether the count is fused into the parallel pass (bs a power of two),
-// falls back to a pass of its own (bs = 3, 6), or the whole extraction runs
-// serially (one worker).
+// whether the count is fused into the sweep (bs a power of two) or falls back
+// to a pass of its own (bs = 1, 3, 6), over one range (one worker) or several.
 func TestExtractBlocksMatchesSeparatePasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, fam := range matgen.AllFamilies {

@@ -28,18 +28,8 @@ func For(n int, body func(lo, hi int)) {
 
 // ForThreshold is For with an explicit serial-fallback threshold.
 func ForThreshold(n, threshold int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
 	p := Workers()
-	if p <= 1 || n < threshold {
-		body(0, n)
-		return
-	}
-	if p > n {
-		p = n
-	}
-	Default().parFor(n, p, body)
+	defaultFor(p).forThreshold(p, n, threshold, body)
 }
 
 // ForRanges runs body over the given precomputed ranges (pairs of [lo,hi)),
@@ -47,19 +37,8 @@ func ForThreshold(n, threshold int, body func(lo, hi int)) {
 // PartitionByWeight for load-balanced row partitioning where rows have
 // wildly different costs.
 func ForRanges(ranges [][2]int, body func(lo, hi int)) {
-	switch {
-	case len(ranges) == 0:
-		return
-	case len(ranges) == 1:
-		body(ranges[0][0], ranges[0][1])
-		return
-	case Workers() <= 1:
-		for _, r := range ranges {
-			body(r[0], r[1])
-		}
-		return
-	}
-	Default().ForRanges(ranges, body)
+	p := Workers()
+	defaultFor(p).forRanges(p, ranges, body)
 }
 
 // ForEach runs body(i) for every i in [0, n), each index its own dynamically
@@ -73,43 +52,12 @@ func ForEach(n int, body func(i int)) {
 	})
 }
 
-// ForRangesAffine is ForRanges with sticky worker→range affinity through
-// the default team (see Affinity). Callers keep one Affinity per recurring
-// region — e.g. a matrix's cached row partition — and pass it on every
-// dispatch.
-func ForRangesAffine(aff *Affinity, ranges [][2]int, body func(lo, hi int)) {
-	switch {
-	case len(ranges) == 0:
-		return
-	case len(ranges) == 1:
-		body(ranges[0][0], ranges[0][1])
-		return
-	case Workers() <= 1:
-		for _, r := range ranges {
-			body(r[0], r[1])
-		}
-		return
-	}
-	Default().ForRangesAffine(aff, ranges, body)
-}
-
 // ForRangesIndexed is ForRanges for bodies that need the range's index,
 // typically to address per-range scratch state merged after the call. Range
 // w always runs as index w no matter which worker claims it.
 func ForRangesIndexed(ranges [][2]int, body func(w, lo, hi int)) {
-	switch {
-	case len(ranges) == 0:
-		return
-	case len(ranges) == 1:
-		body(0, ranges[0][0], ranges[0][1])
-		return
-	case Workers() <= 1:
-		for w, r := range ranges {
-			body(w, r[0], r[1])
-		}
-		return
-	}
-	Default().ForRangesIndexed(ranges, body)
+	p := Workers()
+	defaultFor(p).forRangesIndexed(p, ranges, body)
 }
 
 // ---------------------------------------------------------------------------

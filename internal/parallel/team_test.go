@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestTeamForCoversRangeExactlyOnce(t *testing.T) {
@@ -123,6 +124,49 @@ func TestTeamCloseIdempotentAndInlineAfter(t *testing.T) {
 	})
 	if count != 1000 {
 		t.Errorf("closed team covered %d of 1000", count)
+	}
+}
+
+// TestTeamCloseWaitsForBusyWorker: Close while a Go job holds a worker
+// returns only after the job ends, and none of the team's goroutines
+// outlives it.
+func TestTeamCloseWaitsForBusyWorker(t *testing.T) {
+	before := runtime.NumGoroutine()
+	team := NewTeam(3)
+	started, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	team.Go(func() {
+		close(started)
+		<-release
+		finished.Store(true)
+	})
+	<-started
+	closing, closed := make(chan struct{}), make(chan struct{})
+	go func() {
+		close(closing)
+		team.Close()
+		close(closed)
+	}()
+	<-closing
+	for i := 0; i < 100; i++ {
+		runtime.Gosched()
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job still held a worker")
+	default:
+	}
+	close(release)
+	<-closed
+	if !finished.Load() {
+		t.Error("Close returned before the job finished")
+	}
+	// A worker is past its last instruction that matters once its wake
+	// channel is closed, but the runtime retires it a moment later.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before NewTeam", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

@@ -66,17 +66,7 @@ func (h *Handle) Diag() []float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.diag == nil {
-		n := h.Rows
-		d := make([]float64, n)
-		for i := 0; i < n; i++ {
-			for k := h.csr.Ptr[i]; k < h.csr.Ptr[i+1]; k++ {
-				if int(h.csr.Col[k]) == i {
-					d[i] = h.csr.Data[k]
-					break
-				}
-			}
-		}
-		h.diag = d
+		h.diag = h.csr.Diag()
 	}
 	return h.diag
 }

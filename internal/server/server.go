@@ -45,7 +45,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/retrain"
 	"repro/internal/sparse"
-	"repro/internal/timing"
 	"repro/internal/wire"
 )
 
@@ -877,10 +876,10 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 			traceHex = sc.Trace.String()
 		}
 		waitStart := time.Now()
-		wait := timing.StartStopwatch(nil)
 		err = s.pool.Do(r.Context(), func() error {
-			s.metrics.QueueWaitSeconds.Observe(wait.Seconds())
-			s.env.RecordSpan(sc, "queue.wait", waitStart, wait.Seconds())
+			waited := time.Since(waitStart).Seconds()
+			s.metrics.QueueWaitSeconds.Observe(waited)
+			s.env.RecordSpan(sc, "queue.wait", waitStart, waited)
 			// A router-driven partial product forwards the solve loop's progress
 			// indicator so the shard-side selector pipeline advances: without
 			// it a shard that only ever sees gather fan-out would never open
@@ -889,9 +888,8 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 				h.SA.RecordProgress(*progress)
 			}
 			computeStart := time.Now()
-			watch := timing.StartStopwatch(nil)
 			defer func() {
-				secs := watch.Seconds()
+				secs := time.Since(computeStart).Seconds()
 				hist.ObserveExemplar(secs, traceHex)
 				s.env.RecordSpan(sc, op.name+".compute", computeStart, secs,
 					[2]string{"format", op.format(h).String()},
@@ -1044,15 +1042,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		eig       *float64
 		start     = time.Now()
 		waitStart = time.Now()
-		wait      = timing.StartStopwatch(nil)
 	)
 	err := s.pool.Do(ctx, func() (err error) {
-		s.metrics.QueueWaitSeconds.Observe(wait.Seconds())
-		s.env.RecordSpan(sc, "queue.wait", waitStart, wait.Seconds())
+		waited := time.Since(waitStart).Seconds()
+		s.metrics.QueueWaitSeconds.Observe(waited)
+		s.env.RecordSpan(sc, "queue.wait", waitStart, waited)
 		computeStart := time.Now()
-		compute := timing.StartStopwatch(nil)
 		defer func() {
-			secs := compute.Seconds()
+			secs := time.Since(computeStart).Seconds()
 			s.metrics.SolveSeconds.ObserveExemplar(secs, traceHex)
 			s.env.RecordSpan(sc, "solve.compute", computeStart, secs,
 				[2]string{"app", req.App},

@@ -18,12 +18,8 @@ type CSR struct {
 
 	// rowRanges caches the nnz-balanced row partition used by the parallel
 	// kernel; it is computed once at construction since the matrix is
-	// immutable afterwards. aff makes the partition sticky across SpMV
-	// calls: iterative solvers re-run the same partition hundreds of times,
-	// and handing each worker the same row ranges every iteration keeps its
-	// rows and vector segments cache-resident.
+	// immutable afterwards.
 	rowRanges [][2]int
-	aff       *parallel.Affinity
 }
 
 // NewCSR builds a CSR matrix from raw arrays, validating the structure:
@@ -63,7 +59,6 @@ func NewCSR(rows, cols int, ptr []int, col []int32, data []float64) (*CSR, error
 	}
 	m := &CSR{rows: rows, cols: cols, Ptr: ptr, Col: col, Data: data}
 	m.rowRanges = parallel.PartitionByWeight(rows, parallel.Workers(), ptr)
-	m.aff = parallel.NewAffinity(len(m.rowRanges))
 	return m, nil
 }
 
@@ -151,7 +146,7 @@ func (m *CSR) SpMVParallel(y, x []float64) {
 		m.SpMV(y, x)
 		return
 	}
-	parallel.ForRangesAffine(m.aff, m.rowRanges, func(lo, hi int) {
+	parallel.ForRanges(m.rowRanges, func(lo, hi int) {
 		m.spmvRows(y, x, lo, hi)
 	})
 }

@@ -29,11 +29,10 @@ type JDS struct {
 
 	// permPtr are prefix sums of storage-row lengths: the weight array for
 	// nnz-balanced partitioning of storage rows (sorted desc, so the first
-	// ranges are the dense ones). permRanges/aff cache the sticky parallel
-	// partition, scratch pools the permuted result vector.
+	// ranges are the dense ones). permRanges caches the parallel partition,
+	// scratch pools the permuted result vector.
 	permPtr    []int
 	permRanges [][2]int
-	aff        *parallel.Affinity
 	scratch    sync.Pool
 }
 
@@ -111,7 +110,6 @@ func (m *JDS) finish() {
 		m.permPtr[r+1] = m.permPtr[r] + n
 	}
 	m.permRanges = parallel.PartitionByWeight(m.rows, parallel.Workers(), m.permPtr)
-	m.aff = parallel.NewAffinity(len(m.permRanges))
 	rows := m.rows
 	m.scratch.New = func() any {
 		s := make([]float64, rows)
@@ -258,8 +256,7 @@ func (m *JDS) SpMV(y, x []float64) {
 }
 
 // SpMVParallel implements Matrix: storage rows are partitioned by nonzero
-// weight (the sorted lengths make the heavy rows lead), with sticky
-// worker→range affinity like CSR.
+// weight (the sorted lengths make the heavy rows lead).
 func (m *JDS) SpMVParallel(y, x []float64) {
 	checkSpMVDims(m.rows, m.cols, y, x)
 	if len(m.permRanges) <= 1 || m.NNZ() < parallel.MinParallelWork {
@@ -267,7 +264,7 @@ func (m *JDS) SpMVParallel(y, x []float64) {
 		return
 	}
 	yp := m.getScratch()
-	parallel.ForRangesAffine(m.aff, m.permRanges, func(lo, hi int) {
+	parallel.ForRanges(m.permRanges, func(lo, hi int) {
 		m.spmvStorageRows(y, *yp, x, lo, hi)
 	})
 	m.scratch.Put(yp)
