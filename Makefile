@@ -4,7 +4,7 @@ GO ?= go
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzCSR5Tiles FuzzSELLSlices FuzzJDSPerm FuzzWireDecodePanel FuzzWireEncodeVector
 
-.PHONY: build test bench-check race vet fuzz fuzz-smoke serve clean
+.PHONY: check build test bench-check race vet fuzz fuzz-smoke serve clean
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# CI's first step as one command, in this order: an internal/... API change
+# that breaks benchmark/'s compile surface fails here before it fails there.
+check: build vet test bench-check race
 
 # Mutational fuzzing, $(FUZZTIME) per target (override: make fuzz FUZZTIME=5m).
 fuzz:

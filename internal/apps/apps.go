@@ -24,21 +24,13 @@ type Operator interface {
 // solver's convergence indicator at that iteration (residual norm or delta).
 type Hook func(iter int, progress float64)
 
-// SwapPointer is the optional Operator extension the adaptive wrapper
-// implements: a solver calls SwapPoint once per iteration boundary — a
-// point where none of its SpMV calls is in flight — giving the operator a
-// safe instant to swap in a matrix format that finished converting in the
-// background. Operators without background work simply don't implement it.
+// SwapPointer is implemented and called by nothing in this module: the
+// adaptive wrapper's background conversion installs itself, so a solver has
+// no iteration-boundary duty. The declaration remains only because
+// benchmark/ compiles against it and leaves with that module's next change
+// (ROADMAP 6(b)).
 type SwapPointer interface {
 	SwapPoint()
-}
-
-// swapPoint invokes op's SwapPoint hook when it has one. Every solver calls
-// this at the top of its iteration loop.
-func swapPoint(op Operator) {
-	if sp, ok := op.(SwapPointer); ok {
-		sp.SwapPoint()
-	}
 }
 
 // Result summarizes a solver run.

@@ -52,7 +52,6 @@ func BiCGSTAB(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, er
 			res.X = x
 			return res, fmt.Errorf("apps: BiCGSTAB canceled at iteration %d: %w", iter, err)
 		}
-		swapPoint(op)
 		if math.Abs(rhoNew) < 1e-300 {
 			record(iter, rnorm)
 			res.X = x

@@ -67,7 +67,6 @@ func CG(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error) {
 			res.X = x
 			return res, fmt.Errorf("apps: CG canceled at iteration %d: %w", iter, err)
 		}
-		swapPoint(op)
 		op.SpMV(ap, p)
 		res.SpMVs++
 		pap := ps.Dot(p, ap)

@@ -44,7 +44,6 @@ func Jacobi(op Operator, diag, b []float64, omega float64, opt SolveOptions, hoo
 			res.X = x
 			return res, fmt.Errorf("apps: Jacobi canceled at iteration %d: %w", iter, err)
 		}
-		swapPoint(op)
 		op.SpMV(ax, x)
 		res.SpMVs++
 		rr := ps.JacobiSweep(x, b, ax, omega, diag)
@@ -104,7 +103,6 @@ func PowerMethod(op Operator, opt SolveOptions, hook Hook) (PowerResult, error) 
 			out.X = x
 			return out, fmt.Errorf("apps: power method canceled at iteration %d: %w", iter, err)
 		}
-		swapPoint(op)
 		op.SpMV(ax, x)
 		out.SpMVs++
 		ss, newLambda := ps.Dot2(ax, x)

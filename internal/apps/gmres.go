@@ -56,7 +56,6 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 	totalIter := 0
 	for totalIter < opt.MaxIters {
 		// r = b - A x
-		swapPoint(op)
 		op.SpMV(r, x)
 		res.SpMVs++
 		beta := vec.Norm(ps.AxpyTo(r, -1, r, b), r)
@@ -76,7 +75,6 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 				res.X = x
 				return res, fmt.Errorf("apps: GMRES canceled at iteration %d: %w", totalIter+1, err)
 			}
-			swapPoint(op)
 			op.SpMV(w, V[j])
 			res.SpMVs++
 			// Modified Gram-Schmidt, each projection fused with the next

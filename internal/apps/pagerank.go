@@ -106,7 +106,6 @@ func PageRank(op Operator, dangling []bool, opt PageRankOptions, hook Hook) (Res
 			res.X = x
 			return res, fmt.Errorf("apps: PageRank canceled at iteration %d: %w", iter, err)
 		}
-		swapPoint(op)
 		op.SpMV(next, x)
 		res.SpMVs++
 		teleport := ((1 - opt.Damping) + opt.Damping*mass) / float64(n)

@@ -82,7 +82,6 @@ func PCG(op Operator, m Preconditioner, b []float64, opt SolveOptions, hook Hook
 			res.X = x
 			return res, fmt.Errorf("apps: PCG canceled at iteration %d: %w", iter, err)
 		}
-		swapPoint(op)
 		op.SpMV(ap, p)
 		res.SpMVs++
 		pap := ps.Dot(p, ap)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,11 +52,11 @@ type Stats struct {
 	// Async reports that stage 2 was dispatched to a background worker
 	// (Config.Async) instead of running inline at the gate.
 	Async bool
-	// Pending reports a background stage-2 job launched but not yet adopted
-	// at a swap point (nor canceled).
+	// Pending reports a background stage-2 job launched that has neither
+	// installed its result yet nor been canceled.
 	Pending bool
 	// Canceled reports a background stage-2 job abandoned via Close before
-	// its result could be adopted.
+	// it could install its result.
 	Canceled bool
 	// PaidSeconds and HiddenSeconds partition the three overheads above by
 	// whether they stalled the solver (inline on the critical path) or ran
@@ -63,7 +64,7 @@ type Stats struct {
 	// conversion adopted from the cache additionally credits its publisher's
 	// conversion bill as hidden time (machine work that happened once, for
 	// another tenant), so in both modes, once the pipeline has run or a
-	// launched job has been adopted,
+	// launched job has installed its result,
 	//
 	//	PaidSeconds + HiddenSeconds = FeatureSeconds + PredictSeconds + ConvertSeconds + credit
 	//
@@ -78,23 +79,28 @@ type Stats struct {
 // indicator once per loop iteration via RecordProgress; after K iterations
 // the wrapper may transparently convert the matrix to a better format.
 //
-// Adaptive is not safe for concurrent use (it mirrors a single solver
-// loop): SpMV, RecordProgress and the accessors must all run on one
-// goroutine. To share a wrapped matrix across goroutines — e.g. one
-// registry handle serving many requests — use SafeAdaptive, which
-// serializes every access behind a mutex. SpMM is the exception: it reads
-// only what never changes after construction and may run from any goroutine
-// at any time.
+// Adaptive is safe for concurrent use: one solver loop or many requests
+// sharing a registry handle. One mutex serialises SpMV calls (each is
+// goroutine-parallel inside already, and the timing samples rest on one
+// SpMV running alone) and the selection pipeline, which therefore runs
+// exactly once however many goroutines feed progress; Stats, SetPredictors
+// and Close take it too. SpMM, Format, TraceID, SetSpanParent and Dims do
+// not: they touch only what never changes after construction, or an atomic.
 type Adaptive struct {
 	cfg      Config
-	preds    *Predictors
 	tol      float64
 	parallel bool
 	clock    timing.Clock
 
 	csr *sparse.CSR
-	cur sparse.Matrix
+	// op is the matrix SpMV currently runs on. Installing a format is one
+	// store (under mu, so no SpMV is mid-flight on the old one); Format is a
+	// load.
+	op atomic.Pointer[operator]
 
+	// mu serialises SpMV and the pipeline and guards every field below it.
+	mu       sync.Mutex
+	preds    *Predictors
 	progress []float64
 	decided  bool
 	stats    Stats
@@ -105,32 +111,38 @@ type Adaptive struct {
 	spmvSeconds float64
 	spmvCalls   int
 
+	// ledger is true while post-decision SpMV calls are still being timed to
+	// maintain the decision trace's T_affected ledger.
+	ledger bool
+
+	// job is the background stage-2 run under Config.Async: set at launch,
+	// cleared only by a Close that abandons it.
+	job *stage2Job
+
+	// spanNotes buffers per-stage timings until the decision trace is
+	// journaled, when they flush to Config.SpanSink tagged with the
+	// decision ID.
+	spanNotes []spanNote
+
 	// spmmCalls counts blocked products begun and spmmInFlight those running
 	// right now. SpMM touches nothing else of the wrapper; SpMV reads the pair
 	// to drop a timing sample that shared the cores with a blocked product.
 	spmmCalls    atomic.Int64
 	spmmInFlight atomic.Int32
 
-	// Decision-journal state: once the pipeline has run with a journal
-	// attached, traceID addresses this wrapper's obs.DecisionTrace and
-	// ledger is true while post-decision SpMV calls are still being timed
-	// to maintain the trace's T_affected ledger.
-	traceID uint64
-	ledger  bool
-
-	// pending is the in-flight background stage-2 job under Config.Async,
-	// nil otherwise. Only the solver goroutine touches this field; the
-	// background goroutine communicates through the job's done channel.
-	pending *stage2Job
+	// traceID addresses this wrapper's obs.DecisionTrace once the pipeline
+	// has run with a journal attached; 0 until then.
+	traceID atomic.Uint64
 
 	// spanParent is the request-scoped parent for the spans the pipeline
-	// emits (SetSpanParent); the zero value means "no active trace" and
-	// suppresses emission. spanNotes buffers per-stage timings until the
-	// decision trace is journaled, when they flush to Config.SpanSink
-	// tagged with the decision ID.
-	spanParent obs.SpanContext
-	spanNotes  []spanNote
+	// emits (SetSpanParent); nil or the zero value means "no active trace"
+	// and suppresses emission.
+	spanParent atomic.Pointer[obs.SpanContext]
 }
+
+// operator is the matrix SpMV runs on, published whole behind
+// Adaptive.op.
+type operator struct{ sparse.Matrix }
 
 // spanNote is one buffered stage timing awaiting flush to the span sink.
 type spanNote struct {
@@ -161,16 +173,16 @@ func NewAdaptive(a *sparse.CSR, tol float64, preds *Predictors, cfg Config, para
 	if clock == nil {
 		clock = timing.WallClock{}
 	}
-	return &Adaptive{
+	ad := &Adaptive{
 		cfg:      cfg,
 		preds:    preds,
 		tol:      tol,
 		parallel: parallel,
 		clock:    clock,
 		csr:      a,
-		cur:      a,
-		stats:    Stats{Format: sparse.FmtCSR},
 	}
+	ad.op.Store(&operator{a})
+	return ad
 }
 
 // Dims implements the solver Operator contract.
@@ -182,6 +194,8 @@ func (ad *Adaptive) Dims() (int, int) { return ad.csr.Dims() }
 // units; once a decision trace exists, timing continues so its T_affected
 // ledger can compare the measured payoff against the model's promise.
 func (ad *Adaptive) SpMV(y, x []float64) {
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
 	ad.stats.SpMVCalls++
 	if ad.decided && !ad.ledger {
 		ad.run(y, x)
@@ -202,7 +216,7 @@ func (ad *Adaptive) SpMV(y, x []float64) {
 		return
 	}
 	// Post-decision: stream the observation into the journal's ledger.
-	if !ad.cfg.Journal.Update(ad.traceID, func(t *obs.DecisionTrace) {
+	if !ad.cfg.Journal.Update(ad.traceID.Load(), func(t *obs.DecisionTrace) {
 		t.Ledger.RecordPost(elapsed)
 	}) {
 		ad.ledger = false // trace evicted: stop paying for timing
@@ -211,10 +225,11 @@ func (ad *Adaptive) SpMV(y, x []float64) {
 
 // run executes one SpMV on the current format.
 func (ad *Adaptive) run(y, x []float64) {
+	op := ad.op.Load()
 	if ad.parallel {
-		ad.cur.SpMVParallel(y, x)
+		op.SpMVParallel(y, x)
 	} else {
-		ad.cur.SpMV(y, x)
+		op.SpMV(y, x)
 	}
 }
 
@@ -224,7 +239,7 @@ func (ad *Adaptive) run(y, x []float64) {
 // one pass of it costs less than column-at-a-time SpMV on any format. The
 // reply is therefore independent of selector state — the same bits before
 // and after a format swap — and the call touches two atomic counters and
-// nothing else of the wrapper, so it needs no lock and blocks no one.
+// nothing else of the wrapper, so it takes no lock and blocks no one.
 func (ad *Adaptive) SpMM(y, x []float64, k int) {
 	ad.spmmInFlight.Add(1) // before spmmCalls: see the sample rule in SpMV
 	ad.spmmCalls.Add(1)
@@ -238,17 +253,14 @@ func (ad *Adaptive) SpMM(y, x []float64, k int) {
 
 // RecordProgress feeds one loop iteration's progress indicator (e.g. the
 // residual norm a solver computes anyway). After the K-th call the
-// lazy-and-light pipeline runs exactly once. Post-decision calls double as
-// swap points: a finished background stage-2 job is adopted here, so loops
-// that only ever call SpMV + RecordProgress still pick up async conversions.
+// lazy-and-light pipeline runs exactly once, across all goroutines, with the
+// lock held, so concurrent SpMV callers see the format change atomically.
 func (ad *Adaptive) RecordProgress(v float64) {
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
 	ad.progress = append(ad.progress, v)
 	ad.stats.Iterations = len(ad.progress)
-	if ad.decided {
-		ad.adoptPending()
-		return
-	}
-	if len(ad.progress) < ad.cfg.K {
+	if ad.decided || len(ad.progress) < ad.cfg.K {
 		return
 	}
 	ad.decided = true
@@ -259,8 +271,8 @@ func (ad *Adaptive) RecordProgress(v float64) {
 // dispatched to a background worker under Config.Async. When a journal is
 // configured it also assembles the decision trace: every gate inequality is
 // recorded with both of its sides, so a trace shows how close each call
-// was, not just its verdict. An async launch defers the journal append to
-// adoption time, when the measured overheads exist.
+// was, not just its verdict. An async launch leaves the journal append to
+// the job, for when the measured overheads exist.
 func (ad *Adaptive) runPipeline() {
 	tr, remaining, ok := ad.runStage1()
 	if !ok {
@@ -387,10 +399,10 @@ type stage2Result struct {
 // pipeline: features → decide → cache lookup → convert → publish, each
 // region timed with the wrapper's clock. Everything it touches is immutable
 // (the CSR master copy, the predictor bundle) or copied (the config, the
-// clock interface), so a background run never races the solver goroutine on
-// the wrapper itself. overlap is the argmin's budget of iterations that can
+// clock interface), so a background run needs no lock and never races the
+// wrapper's callers. overlap is the argmin's budget of iterations that can
 // cover conversion time (0 inline; the full remaining count in the
-// background, where every iteration up to adoption can). canceled is polled
+// background, where every iteration up to the install can). canceled is polled
 // between phases so an abandoned job stops working soon after Close; in
 // particular the conversion — the expensive phase — never starts for a
 // canceled job.
@@ -455,15 +467,14 @@ func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Cloc
 	return r
 }
 
-// applyStage2 folds a stage-2 run into the wrapper on the solver goroutine:
-// overhead accounting, the buffered stage spans, the format swap and the
-// trace with its T_affected ledger. hidden says the run was overlapped with
+// applyStage2 folds a stage-2 run into the wrapper, under mu: overhead
+// accounting, the buffered stage spans, the format swap and the trace with
+// its T_affected ledger. hidden says the run was overlapped with
 // in-flight iterations on a background worker — the solver never stalled for
 // any of its seconds; otherwise it ran on the critical path and every second
 // was paid. Either way a cache hit credits the publisher's conversion bill
 // as hidden time, so the ledger stays honest about machine work that once
-// happened. SafeAdaptive holds its lock across the call, so concurrent
-// readers observe the format flip atomically.
+// happened.
 func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result, hidden bool) {
 	ad.stats.FeatureSeconds = r.feature
 	ad.stats.PredictSeconds += r.predict + r.lookup
@@ -473,7 +484,7 @@ func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result, hidden bo
 		mode[1] = "hidden"
 		ad.stats.HiddenSeconds += r.feature + r.predict + r.convert + r.lookup
 	} else {
-		ad.stats.PaidSeconds = ad.OverheadSeconds()
+		ad.stats.PaidSeconds = ad.overhead()
 	}
 	if r.cacheHit {
 		ad.stats.ConvCacheHit = true
@@ -506,9 +517,8 @@ func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result, hidden bo
 	ad.recordStage2(tr, r)
 	switch {
 	case r.m != nil:
-		ad.cur = r.m
+		ad.op.Store(&operator{r.m})
 		ad.stats.Converted = true
-		ad.stats.Format = r.d.Format
 		tr.Converted = true
 	case r.convertErr != "":
 		tr.ConvertErr = r.convertErr
@@ -552,7 +562,7 @@ func (ad *Adaptive) recordStage2(tr *obs.DecisionTrace, r stage2Result) {
 // to the span sink now that the decision ID they reference exists.
 func (ad *Adaptive) journalTrace(tr obs.DecisionTrace) {
 	if ad.cfg.Journal != nil {
-		ad.traceID = ad.cfg.Journal.Append(tr)
+		ad.traceID.Store(ad.cfg.Journal.Append(tr))
 		ad.ledger = tr.Stage2Ran
 	}
 	ad.flushSpans(tr)
@@ -574,24 +584,25 @@ func (ad *Adaptive) noteSpan(name string, start time.Time, secs float64, attrs .
 func (ad *Adaptive) flushSpans(tr obs.DecisionTrace) {
 	notes := ad.spanNotes
 	ad.spanNotes = nil
-	sink := ad.cfg.SpanSink
-	if sink == nil || len(notes) == 0 || ad.spanParent.Trace.IsZero() {
+	sink, parent := ad.cfg.SpanSink, ad.spanParent.Load()
+	if sink == nil || len(notes) == 0 || parent == nil || parent.Trace.IsZero() {
 		return
 	}
+	traceID := ad.traceID.Load()
 	fmtFloat := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, n := range notes {
 		sp := obs.Span{
-			Trace:   ad.spanParent.Trace,
+			Trace:   parent.Trace,
 			ID:      obs.NewSpanID(),
-			Parent:  ad.spanParent.Span,
+			Parent:  parent.Span,
 			Name:    n.name,
 			Service: "selector",
 			Start:   n.start,
 			Seconds: n.secs,
 			Attrs:   make(map[string]string, len(n.attrs)+4),
 		}
-		if ad.traceID != 0 {
-			sp.Attrs["decision_id"] = strconv.FormatUint(ad.traceID, 10)
+		if traceID != 0 {
+			sp.Attrs["decision_id"] = strconv.FormatUint(traceID, 10)
 		}
 		if tr.Label != "" {
 			sp.Attrs["label"] = tr.Label
@@ -608,9 +619,10 @@ func (ad *Adaptive) flushSpans(tr obs.DecisionTrace) {
 }
 
 // SetSpanParent installs the request-scoped span context under which the
-// pipeline's stage spans are emitted; the zero value clears it. Like every
-// Adaptive method this runs on the solver goroutine.
-func (ad *Adaptive) SetSpanParent(sc obs.SpanContext) { ad.spanParent = sc }
+// pipeline's stage spans are emitted; the zero value clears it. Request
+// handlers set it at admission so pipeline work triggered by their traffic is
+// attributed to their trace. One atomic store: it waits for no one.
+func (ad *Adaptive) SetSpanParent(sc obs.SpanContext) { ad.spanParent.Store(&sc) }
 
 // finishTrace fills the trace's measured-overhead fields and seeds the
 // ledger with the model-side quantities the payoff will be judged against.
@@ -639,6 +651,11 @@ func (ad *Adaptive) finishTrace(tr *obs.DecisionTrace, d Decision) {
 	}
 	tr.Ledger.InitPredictions(baseline, predictedNorm,
 		ad.stats.PaidSeconds, ad.stats.HiddenSeconds, ad.stats.Converted)
+}
+
+// overhead is OverheadSeconds for callers that hold mu.
+func (ad *Adaptive) overhead() float64 {
+	return ad.stats.FeatureSeconds + ad.stats.PredictSeconds + ad.stats.ConvertSeconds
 }
 
 // formatKeyed re-keys a per-format map by the formats' names for the
@@ -671,28 +688,34 @@ func bestAlternative(d Decision) (float64, bool) {
 
 // Stats returns a copy of the run's bookkeeping.
 func (ad *Adaptive) Stats() Stats {
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
 	st := ad.stats
 	st.SpMMCalls = ad.spmmCalls.Load()
-	st.Pending = ad.pending != nil
+	st.Format = ad.Format()
 	return st
 }
 
 // Format returns the format SpMV currently runs on.
-func (ad *Adaptive) Format() sparse.Format { return ad.stats.Format }
+func (ad *Adaptive) Format() sparse.Format { return ad.op.Load().Format() }
 
 // SetPredictors hot-swaps the stage-2 model bundle. A wrapper whose
 // pipeline has not fired yet will decide with the new bundle; one that has
 // already decided keeps its outcome (decisions are final per handle) but
 // records nothing stale — the bundle pointer is only read at decision time.
 // An in-flight background stage-2 job keeps the bundle it captured at
-// launch, so a swap never tears a decision in half. Like every Adaptive
-// method this must run on the solver goroutine; SafeAdaptive provides the
-// concurrent version.
-func (ad *Adaptive) SetPredictors(p *Predictors) { ad.preds = p }
+// launch, so a swap never tears a decision in half.
+func (ad *Adaptive) SetPredictors(p *Predictors) {
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
+	ad.preds = p
+}
 
 // ModelGeneration reports the generation of the bundle the wrapper would
 // decide (or decided) with, 0 when no bundle is installed.
 func (ad *Adaptive) ModelGeneration() int64 {
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
 	if ad.preds == nil {
 		return 0
 	}
@@ -701,10 +724,15 @@ func (ad *Adaptive) ModelGeneration() int64 {
 
 // TraceID returns the journal ID of this wrapper's decision trace, with
 // ok=false before the pipeline has run or when no journal is configured.
-func (ad *Adaptive) TraceID() (uint64, bool) { return ad.traceID, ad.traceID != 0 }
+func (ad *Adaptive) TraceID() (uint64, bool) {
+	id := ad.traceID.Load()
+	return id, id != 0
+}
 
 // OverheadSeconds is the total measured selector overhead (T_predict +
 // T_convert) of this run.
 func (ad *Adaptive) OverheadSeconds() float64 {
-	return ad.stats.FeatureSeconds + ad.stats.PredictSeconds + ad.stats.ConvertSeconds
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
+	return ad.overhead()
 }

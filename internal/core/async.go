@@ -11,106 +11,88 @@ import (
 // once the lazy gate opens, feature extraction, model inference and the
 // format conversion run on a background worker borrowed from the process
 // parallel.Team while the solver keeps iterating on the current format. The
-// result is installed at the next *swap point* — an iteration boundary
-// where the caller guarantees no SpMV is in flight on this operator — so
-// readers never observe a torn matrix. The overhead the paper charges as
+// job installs its own result the moment it has one, under the wrapper's
+// mutex — the one SpMV holds — so no SpMV is in flight across the swap and
+// nobody has to come by and collect it. The overhead the paper charges as
 // T_predict + T_convert mostly turns into *hidden* time: machine work
 // overlapped with useful iterations instead of a stall.
 
-// stage2Job is one in-flight background stage-2 run. tr is immutable after
-// launch; canceled is an atomic flag both sides may touch; result is written
-// by the background goroutine before it closes done and must only be read
-// after observing the close (that close is the happens-before edge adoption
-// synchronizes on).
+// stage2Job is one background stage-2 run. tr is immutable after launch;
+// canceled is an atomic flag both sides may touch; done closes once the job
+// has installed its result or found itself abandoned.
 type stage2Job struct {
 	tr       obs.DecisionTrace // stage-1 trace snapshot
 	canceled atomic.Bool
 	done     chan struct{}
-	result   stage2Result
 }
 
 // launchStage2 dispatches runStage2 to a background worker and returns
 // immediately; the predictor bundle is captured here, so a later hot-swap
 // never tears the decision in half. The argmin runs with an
 // overlap budget of the full remaining-call count: by construction
-// every call up to adoption can cover conversion time, so only the
+// every call up to the install can cover conversion time, so only the
 // residual max(0, T_convert − T_overlap) is charged against a candidate.
-// Post-launch SpMV calls are untimed until adoption (decided is set and no
+// SpMV calls between launch and install are untimed (decided is set and no
 // ledger is armed yet), which keeps a FakeClock replay deterministic: only
-// the background job consumes clock steps while it runs.
+// the background job consumes clock steps while it runs. Caller holds mu.
 func (ad *Adaptive) launchStage2(tr obs.DecisionTrace, remaining float64) {
 	tr.Async = true
 	job := &stage2Job{tr: tr, done: make(chan struct{})}
-	ad.pending = job
+	ad.job = job
 	ad.stats.Async = true
+	ad.stats.Pending = true
 	csr, preds, cfg, clock := ad.csr, ad.preds, ad.cfg, ad.clock
 	parallel.Default().Go(func() {
 		defer close(job.done)
-		job.result = runStage2(csr, preds, cfg, clock, remaining, remaining, job.canceled.Load)
+		r := runStage2(csr, preds, cfg, clock, remaining, remaining, job.canceled.Load)
+		ad.mu.Lock()
+		defer ad.mu.Unlock()
+		if ad.job != job {
+			return // abandoned by Close: the result, even a complete one, is dropped
+		}
+		// All of the job's overhead is hidden, and the trace is journaled now
+		// that the measured overheads exist.
+		ad.stats.Pending = false
+		tr := job.tr
+		ad.applyStage2(&tr, r, true)
+		ad.journalTrace(tr)
 	})
 }
 
-// SwapPoint is the iteration-boundary hook: solvers (and ocsd's request
-// handlers) call it at a point where no SpMV is in flight on this operator,
-// giving the wrapper a safe instant to install the result of a background
-// stage-2 run. It never blocks — a job still running is left to finish —
-// and it is a bare nil check when nothing is pending, so calling it every
-// iteration costs nothing measurable.
-func (ad *Adaptive) SwapPoint() {
-	ad.adoptPending()
-}
-
-// WaitPending blocks until the in-flight background stage-2 job completes,
-// adopts its result, and reports whether there was one. Benchmarks and
-// tests use it to make adoption deterministic; production loops never need
-// it (RecordProgress and SwapPoint adopt opportunistically).
+// WaitPending blocks until the background stage-2 job, if one was launched
+// and not abandoned, has installed its result, and reports whether there was
+// one. Benchmarks and tests use it to make the install deterministic;
+// production loops never need it.
 func (ad *Adaptive) WaitPending() bool {
-	j := ad.pending
+	ad.mu.Lock()
+	j := ad.job
+	ad.mu.Unlock()
 	if j == nil {
 		return false
 	}
 	<-j.done
-	ad.adoptPending()
 	return true
 }
 
-// Close abandons any in-flight background stage-2 job without blocking: the
-// solver converged (or the handle is being torn down) before the conversion
-// could pay off, so the job's result — even a completed one — is dropped,
-// never adopted. The background goroutine observes the canceled flag
-// between phases and exits early. The abandoned run is journaled with
-// Canceled set so the decision trail stays complete. Close is idempotent
-// and the wrapper remains usable (on its current format) afterwards.
+// Close abandons a background stage-2 job that has not installed its result
+// yet, without waiting for it: the solver converged (or the handle is being
+// torn down) before the conversion could pay off. The background goroutine
+// observes the canceled flag between phases and exits early; whatever it
+// had, it drops. The abandoned run is journaled with Canceled set so the
+// decision trail stays complete. Close is idempotent and the wrapper
+// remains usable (on its current format) afterwards.
 func (ad *Adaptive) Close() {
-	j := ad.pending
-	if j == nil {
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
+	if !ad.stats.Pending {
 		return
 	}
+	j := ad.job
 	j.canceled.Store(true)
-	ad.pending = nil
+	ad.job = nil
+	ad.stats.Pending = false
 	ad.stats.Canceled = true
 	tr := j.tr
 	tr.Canceled = true
-	ad.journalTrace(tr)
-}
-
-// adoptPending installs the pending job's result if the background work has
-// finished — at a swap point, on the solver goroutine: all of the job's
-// overhead is hidden, and the deferred decision trace is journaled now that
-// the measured overheads exist. A job still running leaves the wrapper
-// iterating on its current format.
-func (ad *Adaptive) adoptPending() {
-	j := ad.pending
-	if j == nil {
-		return
-	}
-	select {
-	case <-j.done:
-	default:
-		return
-	}
-	ad.pending = nil
-	tr := j.tr
-	ad.applyStage2(&tr, j.result, true)
 	ad.journalTrace(tr)
 }

@@ -15,22 +15,28 @@ import (
 )
 
 // The asynchronous pipeline's timed regions run on a background goroutine,
-// but the FakeClock replay stays deterministic: post-launch solver SpMV calls
-// are untimed (the decision is made, no ledger is armed yet), so the
-// background job is the only clock consumer while it runs, and every region
-// it brackets measures exactly the scripted step.
+// but the FakeClock replay stays deterministic: solver SpMV calls between the
+// launch and the install are untimed (the decision is made, no ledger is
+// armed yet), so the background job is the only clock consumer while it runs,
+// and every region it brackets measures exactly the scripted step.
 
 // TestAsyncDeferredSwapGoldenReplay drives the loop to the gate under a 1ms
-// auto-step, asserts the swap is deferred (the solver keeps its current
-// format until a swap point), then adopts and checks the paid/hidden split
-// and the journaled ledger arithmetic to the exact scripted values:
+// auto-step with the background job pinned at its first clock read, asserts
+// the swap is deferred while the job runs (the solver keeps its current
+// format, nothing is journaled), then releases it, waits for it to install
+// its own result and checks the paid/hidden split and the journaled ledger
+// arithmetic to the exact scripted values:
 //
 //	paid   = stage-1 forecast          = 0.001
 //	hidden = features + decide + convert = 0.003
 func TestAsyncDeferredSwapGoldenReplay(t *testing.T) {
 	preds := predictors(t)
-	clk := timing.NewFakeClock()
-	clk.SetAutoStep(time.Millisecond)
+	fake := timing.NewFakeClock()
+	fake.SetAutoStep(time.Millisecond)
+	// Clock call schedule: the 15 pre-decision SpMV calls bracket calls 1-30
+	// and stage 1 calls 31-32 on the solver goroutine; the background job's
+	// feature region opens at call 33.
+	clk := newLatchClock(fake, 33)
 	journal := obs.NewJournal(0)
 	cfg := replayConfig(clk)
 	cfg.Async = true
@@ -39,9 +45,13 @@ func TestAsyncDeferredSwapGoldenReplay(t *testing.T) {
 	ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
 	driveLoop(ad, 15, 1, 0.995)
 
-	// The pipeline fired at iteration 15 and dispatched stage 2; nothing can
-	// be installed before the next swap point, whether or not the background
-	// work already finished.
+	// The pipeline fired at iteration 15 and dispatched stage 2; nothing is
+	// installed while the job is still at work.
+	select {
+	case <-clk.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("background pipeline never reached feature extraction")
+	}
 	st := ad.Stats()
 	if !st.Async || !st.Pending {
 		t.Fatalf("after launch: Async=%v Pending=%v, want true/true", st.Async, st.Pending)
@@ -50,9 +60,10 @@ func TestAsyncDeferredSwapGoldenReplay(t *testing.T) {
 		t.Fatalf("swap not deferred: %+v (format %v)", st, ad.Format())
 	}
 	if _, ok := ad.TraceID(); ok {
-		t.Fatal("trace journaled before adoption")
+		t.Fatal("trace journaled before the install")
 	}
 
+	close(clk.gate)
 	if !ad.WaitPending() {
 		t.Fatal("WaitPending found no job")
 	}
@@ -61,7 +72,7 @@ func TestAsyncDeferredSwapGoldenReplay(t *testing.T) {
 		t.Fatal("still pending after WaitPending")
 	}
 	if !st.Stage2Ran || !st.Converted || st.Format == sparse.FmtCSR {
-		t.Fatalf("banded long loop did not adopt a conversion: %+v", st)
+		t.Fatalf("banded long loop did not install a conversion: %+v", st)
 	}
 	ms := time.Millisecond.Seconds()
 	if st.PaidSeconds != ms {
@@ -81,11 +92,11 @@ func TestAsyncDeferredSwapGoldenReplay(t *testing.T) {
 		t.Errorf("paid %g + hidden %g != total %g", st.PaidSeconds, st.HiddenSeconds, ad.OverheadSeconds())
 	}
 
-	// The trace was journaled at adoption with the split and a ledger that
+	// The trace was journaled at the install with the split and a ledger that
 	// charges only the paid share.
 	id, ok := ad.TraceID()
 	if !ok {
-		t.Fatal("no trace after adoption")
+		t.Fatal("no trace after the install")
 	}
 	tr, found := journal.Get(id)
 	if !found {
@@ -106,12 +117,12 @@ func TestAsyncDeferredSwapGoldenReplay(t *testing.T) {
 			tr.Ledger.NetSeconds, tr.Ledger.RegretSeconds, -ms, ms)
 	}
 
-	// Post-adoption SpMV calls are timed again for the ledger. Script them at
+	// Post-install SpMV calls are timed again for the ledger. Script them at
 	// 0.5ms (each timed region consumes two Now calls; the elapsed time is
 	// the opening call's advance): with a 1ms baseline, three such calls save
 	// 3 * 0.5ms = 1.5ms, repaying the 1ms paid share — net arithmetic exact.
 	halfMS := (500 * time.Microsecond).Seconds()
-	clk.Script(500*time.Microsecond, 0, 500*time.Microsecond, 0, 500*time.Microsecond, 0)
+	fake.Script(500*time.Microsecond, 0, 500*time.Microsecond, 0, 500*time.Microsecond, 0)
 	rows, cols := ad.Dims()
 	x := make([]float64, cols)
 	y := make([]float64, rows)
@@ -255,16 +266,84 @@ func TestAsyncCancelBeforeAdoption(t *testing.T) {
 	}
 }
 
-// TestAsyncConcurrentSpMVDuringSwap hammers a SafeAdaptive with concurrent
-// SpMV and SwapPoint callers while the background pipeline converts — under
-// -race this is the torn-matrix check: the swap happens under the handle
-// lock, so every concurrent reader must compute the same y as the CSR
+// TestAsyncJobInstallsItsOwnResult pins the background job at the start of
+// its conversion region — decided, nothing to install yet — and asserts the
+// wrapper still answers as CSR with the job pending and no trace; once the
+// job is released and WaitPending returns, the operator, the stats, the
+// journaled trace and its ledger seed are all in place with no further
+// SpMV, RecordProgress or other call on the handle to collect them.
+func TestAsyncJobInstallsItsOwnResult(t *testing.T) {
+	preds := predictors(t)
+	fake := timing.NewFakeClock()
+	fake.SetAutoStep(time.Millisecond)
+	// Clock call schedule (no SpMV calls, as in TestAsyncCancelBeforeAdoption):
+	// stage 1 is calls 1-2, the job's feature region 3-4, decide 5-6, and the
+	// conversion region opens at call 7.
+	clk := newLatchClock(fake, 7)
+	journal := obs.NewJournal(0)
+	cfg := core.Config{K: 15, TH: 15, Margin: 0.1, Async: true, Clock: clk, Journal: journal}
+	m := genCSR(t, matgen.FamBanded, 4000, 7)
+	ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
+	driveLoop(ad, 15, 0, 0.995)
+
+	select {
+	case <-clk.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("background pipeline never reached the conversion")
+	}
+	if st := ad.Stats(); !st.Pending || st.Stage2Ran || ad.Format() != sparse.FmtCSR {
+		t.Fatalf("job pinned mid-flight: %+v (format %v), want pending on CSR", st, ad.Format())
+	}
+	if _, ok := ad.TraceID(); ok {
+		t.Fatal("trace journaled while the job is still converting")
+	}
+
+	close(clk.gate)
+	if !ad.WaitPending() {
+		t.Fatal("WaitPending found no job")
+	}
+	st := ad.Stats()
+	if st.Pending || !st.Stage2Ran || !st.Converted || st.Format == sparse.FmtCSR || ad.Format() != st.Format {
+		t.Fatalf("job did not install its result: %+v (format %v)", st, ad.Format())
+	}
+	id, ok := ad.TraceID()
+	if !ok {
+		t.Fatal("job did not journal its trace")
+	}
+	tr, _ := journal.Get(id)
+	if !tr.Async || !tr.Converted || tr.Chosen != st.Format.String() {
+		t.Fatalf("trace: Async=%v Converted=%v Chosen=%q, want the installed %v", tr.Async, tr.Converted, tr.Chosen, st.Format)
+	}
+	ms := time.Millisecond.Seconds()
+	if tr.Ledger.OverheadSeconds != ms || tr.Ledger.HiddenSeconds != 3*ms || tr.Ledger.NetSeconds != -ms {
+		t.Errorf("ledger seed = paid %g hidden %g net %g, want %g/%g/%g",
+			tr.Ledger.OverheadSeconds, tr.Ledger.HiddenSeconds, tr.Ledger.NetSeconds, ms, 3*ms, -ms)
+	}
+	// The installed operator multiplies like the master.
+	rows, cols := ad.Dims()
+	x, y, want := make([]float64, cols), make([]float64, rows), make([]float64, rows)
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	ad.SpMV(y, x)
+	m.SpMV(want, x)
+	for i := range y {
+		if math.Abs(y[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
+			t.Fatalf("installed operator differs at row %d: %g vs %g", i, y[i], want[i])
+		}
+	}
+}
+
+// TestAsyncConcurrentSpMVDuringSwap hammers an Adaptive with concurrent SpMV
+// callers while the background pipeline converts and installs its own result
+// — under -race this is the torn-matrix check: the swap happens under the
+// handle lock, so every concurrent reader must compute the same y as the CSR
 // reference, before and after the flip.
 func TestAsyncConcurrentSpMVDuringSwap(t *testing.T) {
 	preds := predictors(t)
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
 	cfg := core.Config{K: 15, TH: 15, Margin: 0.1, Async: true}
-	sa := core.NewSafeAdaptive(core.NewAdaptive(m, 1e-8, preds, cfg, false))
+	sa := core.NewAdaptive(m, 1e-8, preds, cfg, false)
 	rows, cols := m.Dims()
 	x := make([]float64, cols)
 	for i := range x {
@@ -278,10 +357,10 @@ func TestAsyncConcurrentSpMVDuringSwap(t *testing.T) {
 	errc := make(chan string, 4)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
 			y := make([]float64, rows)
-			for n := 0; ; n++ {
+			for {
 				select {
 				case <-stop:
 					return
@@ -297,11 +376,8 @@ func TestAsyncConcurrentSpMVDuringSwap(t *testing.T) {
 						return
 					}
 				}
-				if n%3 == g {
-					sa.SwapPoint()
-				}
 			}
-		}(g)
+		}()
 	}
 	// Feed progress from the main goroutine: the 15th report launches the
 	// background pipeline while the readers keep multiplying.

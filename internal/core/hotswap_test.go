@@ -10,7 +10,7 @@ import (
 	"repro/internal/matgen"
 )
 
-// TestHotSwapRaceHammer drives SafeAdaptive SpMV/solve-style traffic from
+// TestHotSwapRaceHammer drives SpMV/solve-style traffic at one Adaptive from
 // many goroutines while another goroutine hot-swaps predictor bundles with
 // strictly increasing generations mid-flight and two more run lock-free
 // blocked products. Under -race this is the retrainer's concurrency contract
@@ -20,8 +20,7 @@ import (
 func TestHotSwapRaceHammer(t *testing.T) {
 	preds := predictors(t)
 	m := genCSR(t, matgen.FamBanded, 1500, 11)
-	ad := core.NewAdaptive(m, 1e-8, preds, core.DefaultConfig(), false)
-	sa := core.NewSafeAdaptive(ad)
+	sa := core.NewAdaptive(m, 1e-8, preds, core.DefaultConfig(), false)
 	rows, cols := sa.Dims()
 
 	const (
@@ -128,8 +127,7 @@ func TestHotSwapAsyncPipeline(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 1500, 13)
 	cfg := core.DefaultConfig()
 	cfg.Async = true
-	ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
-	sa := core.NewSafeAdaptive(ad)
+	sa := core.NewAdaptive(m, 1e-8, preds, cfg, false)
 	rows, cols := sa.Dims()
 
 	var wg sync.WaitGroup

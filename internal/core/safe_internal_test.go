@@ -28,7 +28,7 @@ func denseCSR(t *testing.T, n int) *sparse.CSR {
 
 // TestSafeAdaptiveSpMMInFlightBlocksNothing holds a real blocked product in
 // flight (a wide one, milliseconds long) and requires the handle's other
-// callers — SpMV, RecordProgress, a swap point, a predictor swap, Stats — to
+// callers — SpMV, RecordProgress, a predictor swap, Stats — to
 // get through before it ends: the product takes no lock. What the selector
 // measures must not change with that: the SpMV that shared the cores with the
 // product is served but is no sample of an SpMV's cost, for the gate before
@@ -37,7 +37,6 @@ func TestSafeAdaptiveSpMMInFlightBlocksNothing(t *testing.T) {
 	const n, k = 64, 4096
 	a := denseCSR(t, n)
 	ad := NewAdaptive(a, 1e-8, nil, DefaultConfig(), false)
-	sa := NewSafeAdaptive(ad)
 	xp, yp := make([]float64, n*k), make([]float64, n*k)
 	x, y := make([]float64, n), make([]float64, n)
 
@@ -51,7 +50,7 @@ func TestSafeAdaptiveSpMMInFlightBlocksNothing(t *testing.T) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				sa.SpMM(yp, xp, k)
+				ad.SpMM(yp, xp, k)
 			}()
 			for ad.spmmCalls.Load() == began {
 				runtime.Gosched()
@@ -72,31 +71,30 @@ func TestSafeAdaptiveSpMMInFlightBlocksNothing(t *testing.T) {
 
 	gate := func() int64 { return int64(ad.spmvCalls) }
 	overlapped(gate, func() {
-		sa.SpMV(y, x)
-		sa.RecordProgress(1)
-		sa.SwapPoint()
-		sa.SetPredictors(nil)
-		if st := sa.Stats(); st.SpMMCalls == 0 {
+		ad.SpMV(y, x)
+		ad.RecordProgress(1)
+		ad.SetPredictors(nil)
+		if st := ad.Stats(); st.SpMMCalls == 0 {
 			t.Errorf("SpMMCalls = 0 while a product is in flight: it counts when it begins")
 		}
 	})
 	before := gate()
-	sa.SpMV(y, x)
+	ad.SpMV(y, x)
 	if got := gate(); got != before+1 {
 		t.Errorf("an SpMV that ran alone moved the gate's samples %d -> %d, want +1", before, got)
 	}
 
 	journal := obs.NewJournal(4)
 	ad.cfg.Journal = journal
-	ad.traceID = journal.Append(obs.DecisionTrace{})
+	ad.traceID.Store(journal.Append(obs.DecisionTrace{}))
 	ad.decided, ad.ledger = true, true
 	ledger := func() int64 {
-		tr, _ := journal.Get(ad.traceID)
+		tr, _ := journal.Get(ad.traceID.Load())
 		return tr.Ledger.PostSpMVCalls
 	}
-	overlapped(ledger, func() { sa.SpMV(y, x) })
+	overlapped(ledger, func() { ad.SpMV(y, x) })
 	before = ledger()
-	sa.SpMV(y, x)
+	ad.SpMV(y, x)
 	if got := ledger(); got != before+1 {
 		t.Errorf("an SpMV that ran alone moved the ledger's samples %d -> %d, want +1", before, got)
 	}
@@ -128,19 +126,18 @@ func TestSafeAdaptiveSpMMInsideSpMVDropsSample(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clock = clk
 	ad := NewAdaptive(a, 1e-8, nil, cfg, false)
-	sa := NewSafeAdaptive(ad)
 	xp, yp := make([]float64, n*k), make([]float64, n*k)
 	x, y := make([]float64, n), make([]float64, n)
 
-	clk.hook = func() { sa.SpMM(yp, xp, k) }
-	sa.SpMV(y, x)
-	if got := sa.Stats().SpMMCalls; got != 1 {
+	clk.hook = func() { ad.SpMM(yp, xp, k) }
+	ad.SpMV(y, x)
+	if got := ad.Stats().SpMMCalls; got != 1 {
 		t.Fatalf("SpMMCalls = %d, want 1: the hooked product did not run", got)
 	}
 	if ad.spmvCalls != 0 {
 		t.Errorf("an SpMV that a blocked product joined midway left %d timing samples, want 0", ad.spmvCalls)
 	}
-	sa.SpMV(y, x)
+	ad.SpMV(y, x)
 	if ad.spmvCalls != 1 {
 		t.Errorf("an SpMV that ran alone left %d timing samples, want 1", ad.spmvCalls)
 	}

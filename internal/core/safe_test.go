@@ -5,19 +5,18 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
 
-// TestSafeAdaptiveConcurrentHammer drives one SafeAdaptive from many
-// goroutines mixing SpMV, RecordProgress and stats reads. Run under -race
-// this is the concurrency-contract test: the raw Adaptive would trip the
-// detector immediately.
+// TestSafeAdaptiveConcurrentHammer drives one Adaptive from many goroutines
+// mixing SpMV, RecordProgress and stats reads. Run under -race this is the
+// concurrency-contract test.
 func TestSafeAdaptiveConcurrentHammer(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 1500, 11)
-	ad := core.NewAdaptive(m, 1e-8, core.NewPredictors(), core.DefaultConfig(), false)
-	sa := core.NewSafeAdaptive(ad)
+	sa := core.NewAdaptive(m, 1e-8, core.NewPredictors(), core.DefaultConfig(), false)
 	rows, cols := sa.Dims()
 
 	const workers = 8
@@ -69,7 +68,7 @@ func TestSafeAdaptiveConcurrentHammer(t *testing.T) {
 	m.SpMV(want, x)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 1e-12*(1+math.Abs(want[i])) {
-			t.Fatalf("SpMV through SafeAdaptive differs at %d", i)
+			t.Fatalf("SpMV after the hammer differs at %d", i)
 		}
 	}
 }
@@ -78,8 +77,7 @@ func TestSafeAdaptiveConcurrentHammer(t *testing.T) {
 // once even when the K-th progress report races with others.
 func TestSafeAdaptivePipelineOnce(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 1000, 12)
-	ad := core.NewAdaptive(m, 1e-8, core.NewPredictors(), core.DefaultConfig(), false)
-	sa := core.NewSafeAdaptive(ad)
+	sa := core.NewAdaptive(m, 1e-8, core.NewPredictors(), core.DefaultConfig(), false)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -100,5 +98,63 @@ func TestSafeAdaptivePipelineOnce(t *testing.T) {
 	sa.RecordProgress(0.5)
 	if sa.Stats().FeatureSeconds != f1 {
 		t.Error("pipeline ran more than once")
+	}
+}
+
+// TestAdaptiveLibraryShapeUnderHammer is the plain library use — apps.CG on
+// an async Adaptive whose hook reports progress and does nothing else — while
+// other goroutines multiply on and read the same handle. Nobody collects the
+// background conversion: the job installs it between two of the solver's
+// SpMV calls, and the solve must come out as it does on the CSR master.
+func TestAdaptiveLibraryShapeUnderHammer(t *testing.T) {
+	m := genCSR(t, matgen.FamStencil2D, 3600, 5)
+	cfg := core.Config{K: 15, TH: 15, Margin: 0.1, Async: true}
+	ad := core.NewAdaptive(m, 1e-12, ellPreds(t, m), cfg, false)
+	rows, cols := ad.Dims()
+	b := make([]float64, rows)
+	for i := range b {
+		b[i] = 1
+	}
+	opt := apps.DefaultSolveOptions()
+	opt.Tol = 1e-10
+	want, err := apps.CG(apps.Ser(m), b, opt, nil)
+	if err != nil || !want.Converged {
+		t.Fatalf("reference CG: converged=%v err=%v", want.Converged, err)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x, y := make([]float64, cols), make([]float64, rows)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ad.SpMV(y, x)
+				_, _ = ad.Format(), ad.Stats()
+			}
+		}()
+	}
+	got, err := apps.CG(ad, b, opt, func(_ int, p float64) { ad.RecordProgress(p) })
+	close(stop)
+	wg.Wait()
+	if err != nil || !got.Converged {
+		t.Fatalf("CG on the adaptive handle: converged=%v err=%v", got.Converged, err)
+	}
+	for i := range got.X {
+		if math.Abs(got.X[i]-want.X[i]) > 1e-6*(1+math.Abs(want.X[i])) {
+			t.Fatalf("x[%d] = %g, want %g", i, got.X[i], want.X[i])
+		}
+	}
+	if !ad.WaitPending() {
+		t.Fatal("stage 2 was never launched: the hammer did not exercise the install")
+	}
+	if st := ad.Stats(); !st.Async || !st.Converted || st.Format != sparse.FmtELL {
+		t.Fatalf("the job did not install ELL: %+v", st)
 	}
 }

@@ -70,14 +70,13 @@ type Config struct {
 	// Async moves stage 2 off the solver's critical path: when the gate
 	// opens, feature extraction, model inference and the conversion run on a
 	// background worker (parallel.Team.Go) while the solver keeps iterating
-	// on the current format; the result is swapped in atomically at the next
-	// iteration boundary (Adaptive.SwapPoint / RecordProgress). The
-	// cost-benefit argmin then charges each candidate only the conversion
-	// time that cannot be hidden behind the remaining iterations — the
-	// effective T_convert becomes max(0, T_convert − T_overlap) — which
-	// makes conversion profitable for shorter loops than the paper's inline
-	// model allows. The decision trace splits the overhead into paid vs
-	// hidden seconds accordingly.
+	// on the current format; the job swaps its result in itself, between two
+	// SpMV calls. The cost-benefit argmin then charges each candidate only
+	// the conversion time that cannot be hidden behind the remaining
+	// iterations — the effective T_convert becomes max(0, T_convert −
+	// T_overlap) — which makes conversion profitable for shorter loops than
+	// the paper's inline model allows. The decision trace splits the overhead
+	// into paid vs hidden seconds accordingly.
 	Async bool
 	// Stage0 configures the near-zero-cost structural classifier in front
 	// of stage 2 (see stage0.go): obvious keep-CSR matrices skip feature

@@ -263,12 +263,7 @@ func (t *Team) forRangesIndexed(width int, ranges [][2]int, body func(w, lo, hi 
 	t.dispatch(job, min(width, len(ranges)))
 }
 
-// For runs body over [0, n) on the team, inline below MinParallelWork.
-func (t *Team) For(n int, body func(lo, hi int)) {
-	t.ForThreshold(n, MinParallelWork, body)
-}
-
-// ForThreshold is For with an explicit serial-fallback threshold. The
+// ForThreshold runs body over [0, n) on the team, inline below threshold. The
 // parallel width is the team's width: an explicit team runs the region it
 // was sized for even when GOMAXPROCS is lower (goroutines then time-slice),
 // matching OpenMP team semantics; the package-level wrappers are the ones

@@ -69,8 +69,7 @@ type SelectorStats struct {
 	Canceled      bool    `json:"canceled,omitempty"`
 	PaidSeconds   float64 `json:"paid_seconds,omitempty"`
 	HiddenSeconds float64 `json:"hidden_seconds,omitempty"`
-	// SpMMCalls counts blocked multi-vector products served by this handle;
-	// when they dominate, the selector prices candidates with the SpMM menu.
+	// SpMMCalls counts blocked multi-vector products served by this handle.
 	SpMMCalls int64 `json:"spmm_calls,omitempty"`
 	// ConvCacheHit reports that stage 2 adopted a conversion published by an
 	// earlier tenant: convert_seconds stays 0 and the publisher's bill

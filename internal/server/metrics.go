@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -119,7 +118,7 @@ var histogramHelp = map[string]string{
 
 // Families assembles the Prometheus metric families for WriteText, in a
 // deterministic order. extra families (e.g. build info) are appended last.
-func (m *Metrics) Families(team *parallel.Team, extra ...obs.Family) []obs.Family {
+func (m *Metrics) Families(extra ...obs.Family) []obs.Family {
 	fams := []obs.Family{
 		obs.ScalarFamily("ocsd_requests_total", "Requests routed to /v1 handlers.", obs.KindCounter, float64(m.RequestsTotal.Load())),
 		obs.ScalarFamily("ocsd_request_errors_total", "Requests answered with a 4xx/5xx status.", obs.KindCounter, float64(m.RequestErrors.Load())),
@@ -171,30 +170,18 @@ func (m *Metrics) Families(team *parallel.Team, extra ...obs.Family) []obs.Famil
 		fams = append(fams, obs.HistFamily("ocsd_"+name, histogramHelp[name], h.Snapshot()))
 	}
 
-	if team != nil {
-		st := team.Stats()
-		fams = append(fams,
-			obs.ScalarFamily("ocsd_team_width", "Parallel width of the worker team.", obs.KindGauge, float64(st.Width)),
-			obs.ScalarFamily("ocsd_team_dispatches_total", "Parallel regions dispatched through the worker team.", obs.KindCounter, float64(st.Dispatches)),
-			obs.ScalarFamily("ocsd_team_woken_total", "Workers woken across all team dispatches.", obs.KindCounter, float64(st.Woken)),
-			obs.ScalarFamily("ocsd_team_async_jobs_total", "Standalone background jobs (async stage-2 pipelines) run through the team.", obs.KindCounter, float64(st.AsyncJobs)),
-		)
-	}
 	fams = append(fams, runtimeFamilies()...)
 	fams = append(fams, extra...)
 	return fams
 }
 
-// runtimeFamilies renders the Go runtime gauges.
+// runtimeFamilies renders the two Go runtime gauges a leak shows up in; the
+// rest of the runtime is net/http/pprof's to report.
 func runtimeFamilies() []obs.Family {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return []obs.Family{
 		obs.ScalarFamily("ocsd_goroutines", "Live goroutine count.", obs.KindGauge, float64(runtime.NumGoroutine())),
-		obs.ScalarFamily("ocsd_gomaxprocs", "Value of GOMAXPROCS.", obs.KindGauge, float64(runtime.GOMAXPROCS(0))),
 		obs.ScalarFamily("ocsd_heap_alloc_bytes", "Bytes of allocated heap objects.", obs.KindGauge, float64(ms.HeapAlloc)),
-		obs.ScalarFamily("ocsd_heap_sys_bytes", "Bytes of heap obtained from the OS.", obs.KindGauge, float64(ms.HeapSys)),
-		obs.ScalarFamily("ocsd_gc_cycles_total", "Completed GC cycles.", obs.KindCounter, float64(ms.NumGC)),
-		obs.ScalarFamily("ocsd_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", obs.KindCounter, float64(ms.PauseTotalNs)/1e9),
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/sparse"
 )
 
-// Handle is one registered matrix: the CSR master copy, the concurrency-safe
-// adaptive wrapper running the two-stage selector for it, and usage
+// Handle is one registered matrix: the CSR master copy, the adaptive wrapper
+// running the two-stage selector for it (safe for concurrent use), and usage
 // bookkeeping. Handles live in the Registry and are shared by every request
 // that names their ID; the adaptive state therefore accumulates progress
 // across requests, which is exactly how conversion cost amortizes in the
@@ -38,7 +38,7 @@ type Handle struct {
 	AliasOf string
 
 	// SA is the selector state; safe for concurrent use.
-	SA *core.SafeAdaptive
+	SA *core.Adaptive
 
 	// csr is the master copy (also referenced inside SA); kept for
 	// diagonal extraction and other whole-matrix reads.
@@ -72,34 +72,38 @@ func (h *Handle) Diag() []float64 {
 }
 
 // countUse records request-level usage and, once per handle, folds the
-// selector's pipeline outcome into the server metrics.
+// selector's pipeline outcome into the server metrics. A decision trace
+// exists exactly when that outcome is final (stopped at a gate, decided,
+// installed or canceled), and asking for it is one atomic load, so a request
+// waits for the handle only the one time there is something to read.
 func (h *Handle) countUse(m *Metrics, spmvs, solves int64) {
+	_, settled := h.SA.TraceID()
 	h.mu.Lock()
 	h.spmvCalls += spmvs
 	h.solveCalls += solves
-	counted := h.stage2Seen
-	var st core.Stats
-	if !counted {
-		st = h.SA.Stats()
-		if st.Stage2Ran {
-			h.stage2Seen = true
-		}
+	fold := settled && !h.stage2Seen
+	if fold {
+		h.stage2Seen = true
 	}
 	h.mu.Unlock()
-	if !counted && st.Stage2Ran {
-		if st.Converted {
-			m.Conversions.Add(1)
-		} else {
-			m.ConversionsAvoided.Add(1)
-		}
-		// The selector's measured stage-2 overheads, observed exactly once
-		// per handle. ConvertSeconds is only meaningful when a conversion
-		// actually ran.
-		m.FeatureSeconds.Observe(st.FeatureSeconds)
-		m.PredictSeconds.Observe(st.PredictSeconds)
-		if st.Converted {
-			m.ConvertSeconds.Observe(st.ConvertSeconds)
-		}
+	if !fold {
+		return
+	}
+	st := h.SA.Stats()
+	if !st.Stage2Ran {
+		return
+	}
+	if st.Converted {
+		m.Conversions.Add(1)
+	} else {
+		m.ConversionsAvoided.Add(1)
+	}
+	// The selector's measured stage-2 overheads. ConvertSeconds is only
+	// meaningful when a conversion actually ran.
+	m.FeatureSeconds.Observe(st.FeatureSeconds)
+	m.PredictSeconds.Observe(st.PredictSeconds)
+	if st.Converted {
+		m.ConvertSeconds.Observe(st.ConvertSeconds)
 	}
 }
 
@@ -199,6 +203,15 @@ func (r *Registry) FindDuplicate(fp, vd string) (*Handle, bool) {
 func (r *Registry) Add(h *Handle) (evicted []string, err error) {
 	nnz := int64(h.NNZ)
 	key := h.dedupKey()
+	// Evicted handles are closed once r.mu is released (deferred first, so it
+	// runs last): Close waits for the handle's own mutex, which a kernel or an
+	// inline stage 2 may hold for a long time, and no lookup should wait with it.
+	var victims []*Handle
+	defer func() {
+		for _, v := range victims {
+			v.SA.Close()
+		}
+	}()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.groups[key]
@@ -226,6 +239,7 @@ func (r *Registry) Add(h *Handle) (evicted []string, err error) {
 		victim := back.Value.(*Handle)
 		r.removeLocked(victim.ID)
 		r.metrics.Evictions.Add(1)
+		victims = append(victims, victim)
 		evicted = append(evicted, victim.ID)
 	}
 	r.nextID++
@@ -258,29 +272,29 @@ func (r *Registry) Get(id string) (*Handle, bool) {
 	return e.h, true
 }
 
-// Delete removes a handle by ID.
+// Delete removes a handle by ID and abandons any background conversion it
+// still has in flight, after r.mu is released (see Add).
 func (r *Registry) Delete(id string) bool {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.entries[id]; !ok {
-		return false
+	e, ok := r.entries[id]
+	if ok {
+		r.removeLocked(id)
 	}
-	r.removeLocked(id)
-	return true
+	r.mu.Unlock()
+	if ok {
+		e.h.SA.Close()
+	}
+	return ok
 }
 
 // removeLocked unlinks an entry and updates occupancy metrics. Caller holds
-// r.mu and has verified the ID exists. For deduplicated handles, removing
+// r.mu, has verified the ID exists, and closes the handle's wrapper once it
+// has let r.mu go. For deduplicated handles, removing
 // the charged member while aliases survive transfers the charge (the shared
 // arrays are still resident); only the group's last member releases
 // capacity.
 func (r *Registry) removeLocked(id string) {
 	e := r.entries[id]
-	// Abandon any in-flight background conversion: a deleted or evicted
-	// handle will never adopt it, and Close must not wait for it (the
-	// background worker only takes the handle's own lock, never r.mu, so
-	// calling it here cannot deadlock).
-	e.h.SA.Close()
 	r.lru.Remove(e.elem)
 	delete(r.entries, id)
 	r.metrics.RegistryMatrices.Add(-1)

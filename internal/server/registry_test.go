@@ -2,12 +2,57 @@ package server
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/matgen"
 )
+
+// parkClock blocks the first Now call made on it until release is closed,
+// and closes parked once that call is in; every other call is the wall
+// clock's. A wrapper reads its clock inside SpMV, under its mutex, so the
+// parked caller holds that mutex for as long as the test likes.
+type parkClock struct {
+	mu              sync.Mutex
+	taken           bool
+	let             sync.Once
+	parked, release chan struct{}
+}
+
+// newParkClock also releases the clock when the test ends, so a failed test
+// leaves nothing parked behind it.
+func newParkClock(t *testing.T) *parkClock {
+	c := &parkClock{parked: make(chan struct{}), release: make(chan struct{})}
+	t.Cleanup(c.Release)
+	return c
+}
+
+func (c *parkClock) Now() time.Time {
+	c.mu.Lock()
+	first := !c.taken
+	c.taken = true
+	c.mu.Unlock()
+	if first {
+		close(c.parked)
+		<-c.release
+	}
+	return time.Now()
+}
+
+// Release lets the parked call go; it is idempotent.
+func (c *parkClock) Release() { c.let.Do(func() { close(c.release) }) }
+
+// within fails the test unless done closes inside the timeout.
+func within(t *testing.T, what string, done <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s is still waiting after 5s", what)
+	}
+}
 
 // makeHandle builds an unregistered handle around an n x n single-diagonal
 // matrix (nnz == n), so capacity arithmetic in the tests is exact.
@@ -24,7 +69,7 @@ func makeHandle(t *testing.T, name string, n int) *Handle {
 	rows, cols := csr.Dims()
 	return &Handle{
 		Name: name, Rows: rows, Cols: cols, NNZ: csr.NNZ(),
-		Tol: 1e-8, Created: time.Now(), SA: core.NewSafeAdaptive(ad), csr: csr,
+		Tol: 1e-8, Created: time.Now(), SA: ad, csr: csr,
 	}
 }
 
@@ -142,4 +187,64 @@ func TestHandleDiag(t *testing.T) {
 			t.Errorf("diag[%d] = %g, want %g", i, v, h.csr.At(i, i))
 		}
 	}
+}
+
+// TestRegistryNeverWaitsForAHandleUnderItsLock parks an SpMV inside handle
+// A's mutex and deletes A: Close has to wait for that mutex, and it must do
+// so after the registry has let go of its own lock — a lookup of B, and an
+// insert that evicts B, go through while the delete is still waiting.
+func TestRegistryNeverWaitsForAHandleUnderItsLock(t *testing.T) {
+	r := NewRegistry(250, &Metrics{})
+	clk := newParkClock(t)
+	a := makeHandle(t, "a", 100)
+	cfg := core.DefaultConfig()
+	cfg.Clock = clk
+	a.SA = core.NewAdaptive(a.csr, 1e-8, nil, cfg, false)
+	b, c := makeHandle(t, "b", 100), makeHandle(t, "c", 200)
+	for _, h := range []*Handle{a, b} {
+		if _, err := r.Add(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spmv := make(chan struct{})
+	go func() {
+		defer close(spmv)
+		a.SA.SpMV(make([]float64, a.Rows), make([]float64, a.Cols))
+	}()
+	within(t, "the SpMV that parks on the clock", clk.parked)
+
+	deleted := make(chan struct{})
+	go func() {
+		defer close(deleted)
+		if !r.Delete(a.ID) {
+			t.Error("Delete(a) found nothing")
+		}
+	}()
+	looked := make(chan struct{})
+	go func() {
+		defer close(looked)
+		// Get(a) fails only once Delete has unlinked it, which it does under
+		// r.mu, just before it goes on to Close.
+		for {
+			if _, ok := r.Get(a.ID); !ok {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if _, ok := r.Get(b.ID); !ok {
+			t.Error("Get(b) found nothing")
+		}
+		if evicted, err := r.Add(c); err != nil || len(evicted) != 1 {
+			t.Errorf("Add(c) evicted %v, err %v; want b evicted", evicted, err)
+		}
+	}()
+	within(t, "a lookup and an insert beside a delete that waits for its handle", looked)
+	select {
+	case <-deleted:
+		t.Error("Delete(a) returned while a's mutex was held: the test parked nothing")
+	default:
+	}
+	clk.Release()
+	within(t, "the parked SpMV", spmv)
+	within(t, "Delete(a)", deleted)
 }

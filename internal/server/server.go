@@ -9,8 +9,8 @@
 //
 //   - Registry: upload/generate a matrix → opaque handle, LRU-bounded by
 //     total nnz with eviction stats;
-//   - Handle: a mutex-guarded core.SafeAdaptive per matrix, so the
-//     selector state is shared safely across concurrent requests;
+//   - Handle: one core.Adaptive per matrix, safe for concurrent use, so the
+//     selector state is shared across concurrent requests;
 //   - Pool: an admission layer capping concurrent compute at the machine's
 //     worker count with a bounded queue (overload sheds as 503s);
 //   - HTTP/JSON API: register, stats, batched spmv, solve (CG, PCG,
@@ -79,9 +79,8 @@ type Config struct {
 	Selector *core.Config
 	// Async runs each handle's stage-2 pipeline (feature extraction, model
 	// inference, format conversion) on a background worker instead of
-	// stalling the request that triggered it; the converted matrix is
-	// swapped in atomically at the next request boundary. See
-	// core.Config.Async.
+	// stalling the request that triggered it; the job swaps the converted
+	// matrix in itself, between two SpMV calls. See core.Config.Async.
 	Async bool
 	// SerialKernels switches the handles to the serial SpMV kernels
 	// (useful when the pool already saturates all cores with many small
@@ -169,13 +168,6 @@ type Server struct {
 	// AttachRetrain was called. Atomic for the same reason as preds:
 	// /metrics and /debug/retrain may race the attach.
 	retrainLoop atomic.Pointer[retrain.Loop]
-	// team is the process-wide parallel worker team every kernel (SpMV,
-	// conversion, vector ops) dispatches through. The server warms it at
-	// construction so the first request never pays worker spawn latency,
-	// and the admission pool above it caps concurrent solves — one parked
-	// team plus a bounded job count means no goroutine explosion no matter
-	// how many clients hammer /v1. nil when SerialKernels is set.
-	team *parallel.Team
 
 	// drainMu guards the graceful-shutdown state: once draining is set new
 	// /v1 requests are refused, and idle is closed when the last in-flight
@@ -223,7 +215,11 @@ func New(cfg Config) *Server {
 		s.preds.Store(cfg.Preds)
 	}
 	if !cfg.SerialKernels {
-		s.team = parallel.Default()
+		// Warm the process-wide worker team every kernel dispatches through, so
+		// the first request never pays worker spawn latency. The admission pool
+		// caps concurrent jobs above it: one parked team plus a bounded job
+		// count means no goroutine explosion however many clients hammer /v1.
+		parallel.Default()
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -275,7 +271,7 @@ func (s *Server) Predictors() *core.Predictors { return s.preds.Load() }
 // SetPredictors hot-swaps the stage-2 predictor bundle: future
 // registrations build on it immediately, and every currently registered
 // handle whose pipeline has not decided yet receives it under its own
-// handle lock (a handle that already decided keeps its outcome — decisions
+// lock (a handle that already decided keeps its outcome — decisions
 // are final per handle, the paper's one-conversion-per-lifetime model).
 // Returns how many live handles were updated. p must be treated as
 // immutable after the call.
@@ -422,7 +418,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if l := s.retrainLoop.Load(); l != nil {
 		extra = append(extra, l.MetricFamilies()...)
 	}
-	_ = obs.WriteText(w, s.metrics.Families(s.team, extra...))
+	_ = obs.WriteText(w, s.metrics.Families(extra...))
 }
 
 // handleBuildInfo reports how this binary was built — module version, VCS
@@ -630,7 +626,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Fingerprint: fp,
 		ValueDigest: vd,
 		AliasOf:     dupOf,
-		SA:          core.NewSafeAdaptive(ad),
+		SA:          ad,
 		csr:         csr,
 		Dangling:    dangling,
 	}
@@ -716,7 +712,8 @@ var (
 
 // format is the format the op's products run on, for the reply, the compute
 // span and the per-format call counter: the handle's current one for SpMV
-// calls, always the CSR master for the blocked pass.
+// calls, always the CSR master for the blocked pass. A request reads it once,
+// after its products, so the three agree.
 func (op panelOp) format(h *Handle) sparse.Format {
 	if op.blocked {
 		return sparse.FmtCSR
@@ -818,8 +815,9 @@ func (h *Handle) blockedPanel(k int) panel {
 // the handle's matrix, as k SpMV calls or one blocked SpMM pass (op). The
 // body is read into one pooled buffer, scanned, decoded into the product's
 // pooled operands, and — its bytes dead by then — overwritten with the
-// encoded reply. Decode and encode run outside the admission-pool slot and
-// the handle lock.
+// encoded reply. Decode and encode run outside the admission-pool slot, and
+// the request waits for the handle's mutex inside SpMV and RecordProgress
+// only: /spmm never does.
 func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 	hist, requests, columns := s.metrics.SpMVSeconds, &s.metrics.SpMVRequests, &s.metrics.SpMVVectors
 	if op.blocked {
@@ -866,15 +864,12 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		}
 		s.env.WireSpan(sc, "wire.decode", decodeStart, len(*buf), k)
 
-		// A request boundary is a swap point: no product of ours is in flight
-		// yet, so a background conversion that finished since the last request
-		// is installed here, atomically under the handle lock.
-		h.SA.SwapPoint()
 		traceHex := ""
 		if traced {
 			h.SA.SetSpanParent(sc)
 			traceHex = sc.Trace.String()
 		}
+		var format sparse.Format
 		waitStart := time.Now()
 		err = s.pool.Do(r.Context(), func() error {
 			waited := time.Since(waitStart).Seconds()
@@ -890,9 +885,10 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 			computeStart := time.Now()
 			defer func() {
 				secs := time.Since(computeStart).Seconds()
+				format = op.format(h)
 				hist.ObserveExemplar(secs, traceHex)
 				s.env.RecordSpan(sc, op.name+".compute", computeStart, secs,
-					[2]string{"format", op.format(h).String()},
+					[2]string{"format", format.String()},
 					[2]string{op.widthAttr, strconv.Itoa(k)})
 			}()
 			return p.compute()
@@ -903,11 +899,11 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		}
 		requests.Add(1)
 		columns.Add(int64(k))
-		s.metrics.CountSpMV(op.format(h), int64(k))
+		s.metrics.CountSpMV(format, int64(k))
 		h.countUse(s.metrics, int64(k), 0)
 
 		encodeStart := time.Now()
-		tail := wire.Tail{Format: op.format(h).String()}
+		tail := wire.Tail{Format: format.String()}
 		if op.blocked {
 			tail.K = k
 		}
@@ -1040,6 +1036,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var (
 		res       apps.Result
 		eig       *float64
+		format    sparse.Format
 		start     = time.Now()
 		waitStart = time.Now()
 	)
@@ -1050,10 +1047,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		computeStart := time.Now()
 		defer func() {
 			secs := time.Since(computeStart).Seconds()
+			format = h.SA.Format()
 			s.metrics.SolveSeconds.ObserveExemplar(secs, traceHex)
 			s.env.RecordSpan(sc, "solve.compute", computeStart, secs,
 				[2]string{"app", req.App},
-				[2]string{"format", h.SA.Format().String()})
+				[2]string{"format", format.String()})
 		}()
 		res, eig, err = RunSolve(ctx, h.SA, h.ID, req, h.Diag, h.Dangling, hook)
 		return err
@@ -1062,7 +1060,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.failWork(w, err)
 		return
 	}
-	format := h.SA.Format()
 	s.metrics.SolveRequests.Add(1)
 	s.metrics.SolveIters.Add(int64(res.Iterations))
 	s.metrics.SolveSpMVs.Add(int64(res.SpMVs))
