@@ -11,16 +11,19 @@ package ocs
 //	go test -bench=. -benchmem
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/arima"
 	"repro/internal/experiments"
 	"repro/internal/features"
 	"repro/internal/gbt"
 	"repro/internal/matgen"
+	"repro/internal/mmio"
 	"repro/internal/sparse"
 	"repro/internal/timing"
 )
@@ -392,6 +395,115 @@ func BenchmarkSpMM(b *testing.B) {
 				a.SpMVParallel(yc, xc)
 			}
 		}
+	})
+}
+
+// BenchmarkIngest prices bringing a matrix in — T_ingest, the cost no
+// selector decision can avoid — per nonzero, next to the CSR SpMV it precedes:
+//
+//   - generate/<family>: matgen.Generate end to end (draws, triplets, assembly),
+//     with the matrix's parallel CSR SpMV and their ratio as extra metrics;
+//   - assemble/<order>: sparse.CSRFromTriplets alone on 2M prepared triplets,
+//     in the input orders the generators and real files produce;
+//   - mmio-read, mmio-write: Matrix Market text, the registration wire format.
+func BenchmarkIngest(b *testing.B) {
+	perNNZ := func(b *testing.B, nnz int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nnz), "ns/nnz")
+	}
+	for _, fam := range matgen.AllFamilies {
+		spec := matgen.Spec{Name: fam.String(), Family: fam, Size: 200_000, Degree: 10, Seed: 9}
+		b.Run("generate/"+fam.String(), func(b *testing.B) {
+			var a *sparse.CSR
+			for i := 0; i < b.N; i++ {
+				var err error
+				if a, err = matgen.Generate(spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perNNZ(b, a.NNZ())
+			gen := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			rows, cols := a.Dims()
+			x, y := make([]float64, cols), make([]float64, rows)
+			for i := range x {
+				x[i] = 1
+			}
+			spmv := math.Inf(1)
+			for r := 0; r < 7; r++ {
+				t0 := time.Now()
+				a.SpMVParallel(y, x)
+				spmv = math.Min(spmv, float64(time.Since(t0).Nanoseconds()))
+			}
+			b.ReportMetric(spmv/float64(a.NNZ()), "spmv-ns/nnz")
+			b.ReportMetric(gen/spmv, "spmv-equiv")
+		})
+	}
+
+	// 200k x 200k, 10 a row, as triplets in four orders.
+	const n, deg = 200_000, 10
+	rng := rand.New(rand.NewSource(9))
+	type triplets struct {
+		ri, ci []int32
+		v      []float64
+	}
+	add := func(t *triplets, i, j int) {
+		t.ri, t.ci, t.v = append(t.ri, int32(i)), append(t.ci, int32(j)), append(t.v, rng.Float64())
+	}
+	var sorted, diagonal, unsorted, dups triplets
+	for i := 0; i < n; i++ {
+		base := rng.Intn(n - 100*deg)
+		for d := 0; d < deg; d++ {
+			add(&sorted, i, base+100*d) // row-major, each row ascending
+			add(&unsorted, i, rng.Intn(n))
+			add(&dups, rng.Intn(n), rng.Intn(n)&^0x3ff) // any order, ~10 hits per coordinate
+		}
+	}
+	for d := 0; d < deg; d++ { // diagonal by diagonal, as Banded emits
+		for i := 0; i < n-7*d; i++ {
+			add(&diagonal, i, i+7*d)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		t    *triplets
+	}{{"row-major-sorted", &sorted}, {"diagonal-major", &diagonal}, {"row-major-unsorted", &unsorted}, {"scattered-duplicates", &dups}} {
+		b.Run("assemble/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sparse.CSRFromTriplets(n, n, c.t.ri, c.t.ci, c.t.v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perNNZ(b, len(c.t.v))
+		})
+	}
+
+	mm, err := matgen.UniformRows(30_000, 30_000, 12, rand.New(rand.NewSource(9)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var text bytes.Buffer
+	b.Run("mmio-write", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			text.Reset()
+			if err := mmio.Write(&text, mm); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.SetBytes(int64(text.Len()))
+		perNNZ(b, mm.NNZ())
+	})
+	if text.Len() == 0 { // -bench selected mmio-read alone
+		if err := mmio.Write(&text, mm); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("mmio-read", func(b *testing.B) {
+		b.SetBytes(int64(text.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, err := mmio.Read(bytes.NewReader(text.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perNNZ(b, mm.NNZ())
 	})
 }
 

@@ -54,12 +54,14 @@ type Config struct {
 	GateOverheadFactor float64
 	// FeatureSecondsPerNNZ estimates extraction cost before paying it
 	// (used with the wrapper's self-measured SpMV time to compute the
-	// gate threshold). The default is measured, not hoped for:
-	// features.ExtractBlocks costs 8-28 ns per nonzero from 2k to 300k rows
-	// (stencils 8-17, power-law 16, uniform rows 20-28) and 12-19 inside a
-	// solver loop, so 12e-9 is its low middle. The benchmark's
-	// features.extract_ns_per_nnz probe reads the same quantity on every
-	// traced run: when extraction gets cheaper, that number says by how
+	// gate threshold). The default is measured, not hoped for, and measured
+	// where it is paid: inside a solver loop, on caches the solver just
+	// filled, features.ExtractBlocks costs 7-17 ns per nonzero on the
+	// benchmark's 2M-nonzero matrices (3D stencil 7-11, median 8.0;
+	// power-law transition 7.5-17, median 9.1; twenty solve_short passes),
+	// so 8e-9 is its low middle. Warm and alone it is faster: the
+	// benchmark's features.extract_ns_per_nnz probe reads 5-9 on every
+	// traced run, and when extraction gets cheaper that number says by how
 	// much to lower this one.
 	FeatureSecondsPerNNZ float64
 	// PredictFixedSeconds is the size-independent part of the stage-2
@@ -133,7 +135,7 @@ func DefaultConfig() Config {
 		TH:                   15,
 		Margin:               0.10,
 		GateOverheadFactor:   5,
-		FeatureSecondsPerNNZ: 12e-9,
+		FeatureSecondsPerNNZ: 8e-9,
 		PredictFixedSeconds:  300e-6,
 		Lim:                  sparse.DefaultLimits,
 		Tripcount:            arima.DefaultTripcount(),

@@ -19,10 +19,24 @@ type workerScratch struct {
 	bounce         float64
 	neighbor       int
 	blocks         int
-	bsBlocks       int     // blocks at the caller's size, when counted in the pass
-	cd             []int32 // column degrees
-	diag           []int32 // diagonal occupancy, shifted by rows-1
+	bsBlocks       int       // blocks at the caller's size, when counted in the pass
+	cells          []colCell // per column, plus one pad cell
+	diag           []int32   // diagonal occupancy, shifted by rows-1
 }
+
+// colCell is everything the sweep keeps per column, in one word so that a
+// nonzero costs one scattered access for all of it: the column's degree and a
+// stamp of the last row that had an entry there. The stamp answers both
+// questions that need the row above — is (i-1, c) a vertical neighbour, and
+// did row i-1 already open this 2x2 block.
+type colCell struct {
+	deg  int32
+	last uint32 // rowStamp of the last row seen in this column; 0 = none
+}
+
+// rowStamp is row i's stamp. Offset by two so that row 0's "row above" (stamp
+// 1) is a value no cell ever holds: 0 means never touched, real rows start at 2.
+func rowStamp(i int) uint32 { return uint32(i + 2) }
 
 // extract is the one extraction body. One fused pass over disjoint row
 // ranges gathers, per range: row-degree statistics, column-degree counts,
@@ -62,12 +76,11 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 	parallel.ForRangesIndexed(ranges, func(w, lo, hi int) {
 		ws := &scratch[w]
 		ws.minRD = math.MaxInt64
-		ws.cd = make([]int32, cols)
+		// The pad cell is column `cols`: the block partner (c^1) of the last
+		// column when cols is odd. Nothing stamps it.
+		cells := make([]colCell, cols+1)
+		ws.cells = cells
 		ws.diag = make([]int32, rows+cols-1)
-		mark := make([]int32, (cols+BlockEdge-1)/BlockEdge)
-		for i := range mark {
-			mark[i] = -1
-		}
 		var markBS []int32
 		if fused {
 			markBS = make([]int32, (cols+bs-1)/bs)
@@ -75,8 +88,20 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 				markBS[i] = -1
 			}
 		}
+		// The pair (i-1, i) belongs to the range that holds row i, so a range
+		// starts by stamping the row above it (degrees untouched).
+		if lo > 0 {
+			up := rowStamp(lo - 1)
+			for _, c := range a.Col[a.Ptr[lo-1]:a.Ptr[lo]] {
+				cells[c].last = up
+			}
+		}
+		// Counters live in registers for the sweep: through ws they would be
+		// stores the compiler must order against the scatters.
+		neighbor, blocks, bsBlocks := 0, 0, 0
 		for i := lo; i < hi; i++ {
-			rd := a.Ptr[i+1] - a.Ptr[i]
+			row := a.Col[a.Ptr[i]:a.Ptr[i+1]]
+			rd := len(row)
 			if rd < ws.minRD {
 				ws.minRD = rd
 			}
@@ -89,44 +114,45 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 				prev := a.Ptr[i] - a.Ptr[i-1]
 				ws.bounce += math.Abs(float64(rd - prev))
 			}
-			bi := int32(i / BlockEdge)
-			for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-				c := a.Col[k]
-				ws.cd[c]++
-				ws.diag[int(c)-i+rows-1]++
-				if k > a.Ptr[i] && a.Col[k-1] == c-1 {
-					ws.neighbor += 2
+			up, here := rowStamp(i-1), rowStamp(i)
+			diag := ws.diag[rows-1-i:] // diag[c] is diagonal c-i
+			secondRow := i%BlockEdge == 1
+			prev := int32(-2) // the row's previous column; -2 is adjacent to none
+			for _, c := range row {
+				cell := &cells[c]
+				above := cell.last == up
+				cell.last = here
+				cell.deg++
+				diag[c]++
+				if above {
+					neighbor += 2 // vertical pair, counted once for both ends
 				}
-				bj := int(c) / BlockEdge
-				if mark[bj] != bi {
-					mark[bj] = bi
-					ws.blocks++
+				if prev == c-1 {
+					neighbor += 2
+				}
+				// Sorted row: the entries of one block column are adjacent, so
+				// a block can only be new at the first of them. In the band's
+				// second row it is new only if the first row left it empty;
+				// cells[c^1] is either ahead of this row or, when it is c-1,
+				// was not this row's previous entry, so it still shows row i-1.
+				newBlock := prev>>1 != c>>1
+				prev = c
+				if newBlock && secondRow && (above || cells[c^1].last == up) {
+					newBlock = false
+				}
+				if newBlock {
+					blocks++
 					if fused {
+						bj := int(c) / BlockEdge
 						if band := int32(i >> bsShift); markBS[bj>>subShift] != band {
 							markBS[bj>>subShift] = band
-							ws.bsBlocks++
+							bsBlocks++
 						}
 					}
 				}
 			}
-			// Vertical matches with row i+1 (read-only on that row).
-			if i+1 < rows {
-				pp, q := a.Ptr[i], a.Ptr[i+1]
-				pEnd, qEnd := a.Ptr[i+1], a.Ptr[i+2]
-				for pp < pEnd && q < qEnd {
-					switch {
-					case a.Col[pp] < a.Col[q]:
-						pp++
-					case a.Col[pp] > a.Col[q]:
-						q++
-					default:
-						ws.neighbor += 2
-						pp++
-						q++
-					}
-				}
-			}
 		}
+		ws.neighbor, ws.blocks, ws.bsBlocks = neighbor, blocks, bsBlocks
 	})
 
 	// Merge worker scratch. Row stats and counters are order-independent.
@@ -148,18 +174,18 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 		blocks += ws.blocks
 		bsBlocks += ws.bsBlocks
 	}
-	// Column and diagonal arrays merge in parallel over index chunks.
-	cd := scratch[0].cd
+	// Column degrees and diagonal counts merge in parallel over index chunks.
+	cd := make([]int32, cols)
+	parallel.For(cols, func(lo, hi int) {
+		for w := range scratch {
+			src := scratch[w].cells
+			for j := lo; j < hi; j++ {
+				cd[j] += src[j].deg
+			}
+		}
+	})
 	diag := scratch[0].diag
 	if len(scratch) > 1 {
-		parallel.For(cols, func(lo, hi int) {
-			for w := 1; w < len(scratch); w++ {
-				src := scratch[w].cd
-				for j := lo; j < hi; j++ {
-					cd[j] += src[j]
-				}
-			}
-		})
 		parallel.For(len(diag), func(lo, hi int) {
 			for w := 1; w < len(scratch); w++ {
 				src := scratch[w].diag

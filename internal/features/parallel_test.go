@@ -218,3 +218,54 @@ func TestAlignedRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepCellEdges aims at what the packed column cells could get wrong:
+// an odd column count (the last column's block partner is the pad cell), a
+// full column 0 and a full last column (every range boundary splits a
+// vertical pair, and every second band row meets a block the first row
+// opened), a full row 0 (its "row above" must match no stamp, including the
+// never-touched one), stretches of empty rows (a stale stamp must not read as
+// the row above), and range counts that do not divide the rows.
+func TestSweepCellEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const rows, cols = 2003, 1999
+	ptr := make([]int, rows+1)
+	var col []int32
+	for i := 0; i < rows; i++ {
+		empty := i%97 >= 90 && i > 0 // seven empty rows in every 97
+		for c := 0; c < cols && !empty; c++ {
+			switch {
+			case i == 0, c == 0, c == cols-1:
+			case rng.Intn(100) < 1:
+			case i%2 == 1 && c%2 == 1 && rng.Intn(100) < 2: // the block's last corner alone
+			default:
+				continue
+			}
+			col = append(col, int32(c))
+		}
+		ptr[i+1] = len(col)
+	}
+	a, err := sparse.NewCSR(rows, cols, ptr, col, make([]float64, len(col)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NNZ() < parallelExtractMinNNZ {
+		t.Fatalf("%d nonzeros: below the width gate, the sweep would run over one range", a.NNZ())
+	}
+	want := serialReference(a).Vector()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 4, 7} {
+		runtime.GOMAXPROCS(procs)
+		for _, bs := range []int{0, 2, 4, 8} {
+			got, blocks := ExtractBlocks(a, bs)
+			if bs > 0 && blocks != CountBlocks(a, bs) {
+				t.Errorf("procs=%d bs=%d: %d blocks, CountBlocks says %d", procs, bs, blocks, CountBlocks(a, bs))
+			}
+			for i, v := range got.Vector() {
+				if v != want[i] {
+					t.Errorf("procs=%d bs=%d: feature %s = %v (sweep) vs %v (reference)", procs, bs, Names[i], v, want[i])
+				}
+			}
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/sparse"
@@ -137,14 +138,26 @@ func gridEdge3D(rows int) int {
 	return k
 }
 
-// fromTriplets assembles a CSR matrix from triplets via COO normalization,
-// so generators may emit duplicates or unsorted entries freely.
-func fromTriplets(rows, cols int, ri, ci []int32, v []float64) (*sparse.CSR, error) {
-	coo, err := sparse.NewCOO(rows, cols, ri, ci, v)
-	if err != nil {
-		return nil, err
-	}
-	return sparse.COOToCSR(coo)
+// triplets is the buffer a generator emits into before the one assembly
+// (sparse.CSRFromTriplets), sized once from the count the generator already
+// knows so that 4M entries do not regrow three slices forty times each.
+type triplets struct {
+	ri, ci []int32
+	v      []float64
+}
+
+func newTriplets(n int) *triplets {
+	return &triplets{ri: make([]int32, 0, n), ci: make([]int32, 0, n), v: make([]float64, 0, n)}
+}
+
+func (t *triplets) add(i, j int, val float64) {
+	t.ri = append(t.ri, int32(i))
+	t.ci = append(t.ci, int32(j))
+	t.v = append(t.v, val)
+}
+
+func (t *triplets) csr(rows, cols int) (*sparse.CSR, error) {
+	return sparse.CSRFromTriplets(rows, cols, t.ri, t.ci, t.v)
 }
 
 // Banded generates an n x n matrix with nd fully occupied diagonals at
@@ -163,12 +176,15 @@ func Banded(n, nd int, rng *rand.Rand) (*sparse.CSR, error) {
 		offsets[rng.Intn(2*half+1)-half] = true
 	}
 	offs := make([]int, 0, len(offsets))
+	total := 0
 	for k := range offsets {
 		offs = append(offs, k)
+		total += n - max(k, -k)
 	}
 	sort.Ints(offs)
-	var ri, ci []int32
-	var v []float64
+	// Diagonal by diagonal, the order the values have always been drawn in;
+	// the assembly's bucketing turns it into rows that are already sorted.
+	t := newTriplets(total)
 	for _, k := range offs {
 		lo, hi := 0, n
 		if k < 0 {
@@ -178,103 +194,90 @@ func Banded(n, nd int, rng *rand.Rand) (*sparse.CSR, error) {
 			hi = n - k
 		}
 		for i := lo; i < hi; i++ {
-			ri = append(ri, int32(i))
-			ci = append(ci, int32(i+k))
-			v = append(v, 0.5+rng.Float64())
+			t.add(i, i+k, 0.5+rng.Float64())
 		}
 	}
-	return fromTriplets(n, n, ri, ci, v)
+	return t.csr(n, n)
 }
 
 // Stencil2D generates the five-point Laplacian on a k x k grid: an SPD
-// matrix of k^2 rows with at most 5 diagonals.
+// matrix of k^2 rows with at most 5 diagonals. The family has no random
+// part: a Spec's Seed is ignored, and every stencil of one size is the same
+// matrix.
 func Stencil2D(k int) (*sparse.CSR, error) {
 	n := k * k
-	var ri, ci []int32
-	var v []float64
-	add := func(i, j int, val float64) {
-		ri = append(ri, int32(i))
-		ci = append(ci, int32(j))
-		v = append(v, val)
-	}
+	t := newTriplets(5 * n)
 	for y := 0; y < k; y++ {
 		for x := 0; x < k; x++ {
 			i := y*k + x
-			add(i, i, 4)
+			t.add(i, i, 4)
 			if x > 0 {
-				add(i, i-1, -1)
+				t.add(i, i-1, -1)
 			}
 			if x < k-1 {
-				add(i, i+1, -1)
+				t.add(i, i+1, -1)
 			}
 			if y > 0 {
-				add(i, i-k, -1)
+				t.add(i, i-k, -1)
 			}
 			if y < k-1 {
-				add(i, i+k, -1)
+				t.add(i, i+k, -1)
 			}
 		}
 	}
-	return fromTriplets(n, n, ri, ci, v)
+	return t.csr(n, n)
 }
 
-// Stencil3D generates the seven-point Laplacian on a k^3 grid.
+// Stencil3D generates the seven-point Laplacian on a k^3 grid. Like
+// Stencil2D it takes no seed.
 func Stencil3D(k int) (*sparse.CSR, error) {
 	n := k * k * k
-	var ri, ci []int32
-	var v []float64
-	add := func(i, j int, val float64) {
-		ri = append(ri, int32(i))
-		ci = append(ci, int32(j))
-		v = append(v, val)
-	}
+	t := newTriplets(7 * n)
 	for z := 0; z < k; z++ {
 		for y := 0; y < k; y++ {
 			for x := 0; x < k; x++ {
 				i := (z*k+y)*k + x
-				add(i, i, 6)
+				t.add(i, i, 6)
 				if x > 0 {
-					add(i, i-1, -1)
+					t.add(i, i-1, -1)
 				}
 				if x < k-1 {
-					add(i, i+1, -1)
+					t.add(i, i+1, -1)
 				}
 				if y > 0 {
-					add(i, i-k, -1)
+					t.add(i, i-k, -1)
 				}
 				if y < k-1 {
-					add(i, i+k, -1)
+					t.add(i, i+k, -1)
 				}
 				if z > 0 {
-					add(i, i-k*k, -1)
+					t.add(i, i-k*k, -1)
 				}
 				if z < k-1 {
-					add(i, i+k*k, -1)
+					t.add(i, i+k*k, -1)
 				}
 			}
 		}
 	}
-	return fromTriplets(n, n, ri, ci, v)
+	return t.csr(n, n)
 }
 
 // Random generates an m x n matrix where each row holds Poisson-ish
 // (1 + Binomial-approximated) random entries averaging deg per row, at
 // uniform random columns.
 func Random(m, n, deg int, rng *rand.Rand) (*sparse.CSR, error) {
-	var ri, ci []int32
-	var v []float64
+	t := newTriplets(m * min(deg, n)) // the mean; append absorbs the rest
+	var cs colSampler
 	for i := 0; i < m; i++ {
 		k := 1 + rng.Intn(2*deg-1) // uniform on [1, 2*deg-1], mean deg
 		if k > n {
 			k = n
 		}
-		for _, c := range sampleColumns(n, k, rng) {
-			ri = append(ri, int32(i))
-			ci = append(ci, int32(c))
-			v = append(v, rng.NormFloat64())
+		for _, c := range cs.sample(n, k, rng) {
+			t.add(i, c, rng.NormFloat64())
 		}
 	}
-	return fromTriplets(m, n, ri, ci, v)
+	return t.csr(m, n)
 }
 
 // UniformRows generates an m x n matrix with exactly deg entries in every
@@ -283,16 +286,14 @@ func UniformRows(m, n, deg int, rng *rand.Rand) (*sparse.CSR, error) {
 	if deg > n {
 		deg = n
 	}
-	var ri, ci []int32
-	var v []float64
+	t := newTriplets(m * deg)
+	var cs colSampler
 	for i := 0; i < m; i++ {
-		for _, c := range sampleColumns(n, deg, rng) {
-			ri = append(ri, int32(i))
-			ci = append(ci, int32(c))
-			v = append(v, rng.NormFloat64())
+		for _, c := range cs.sample(n, deg, rng) {
+			t.add(i, c, rng.NormFloat64())
 		}
 	}
-	return fromTriplets(m, n, ri, ci, v)
+	return t.csr(m, n)
 }
 
 // PowerLaw generates an m x n matrix whose row degrees follow a truncated
@@ -303,20 +304,18 @@ func PowerLaw(m, n, deg int, exponent float64, rng *rand.Rand) (*sparse.CSR, err
 	if maxDeg < deg {
 		maxDeg = deg
 	}
-	var ri, ci []int32
-	var v []float64
+	t := newTriplets(m * min(deg, n)) // near the mean the degrees are scaled to
+	var cs colSampler
 	for i := 0; i < m; i++ {
 		k := powerLawDegree(deg, maxDeg, exponent, rng)
 		if k > n {
 			k = n
 		}
-		for _, c := range sampleColumns(n, k, rng) {
-			ri = append(ri, int32(i))
-			ci = append(ci, int32(c))
-			v = append(v, rng.NormFloat64())
+		for _, c := range cs.sample(n, k, rng) {
+			t.add(i, c, rng.NormFloat64())
 		}
 	}
-	return fromTriplets(m, n, ri, ci, v)
+	return t.csr(m, n)
 }
 
 // powerLawDegree samples a degree in [1, maxDeg] with P(k) proportional to
@@ -350,14 +349,13 @@ func Block(n, bs, deg int, rng *rand.Rand) (*sparse.CSR, error) {
 	if blocksPerRow < 1 {
 		blocksPerRow = 1
 	}
-	var ri, ci []int32
-	var v []float64
+	if blocksPerRow > bn {
+		blocksPerRow = bn
+	}
+	t := newTriplets(bn * blocksPerRow * bs * bs)
+	var cs colSampler
 	for bi := 0; bi < bn; bi++ {
-		k := blocksPerRow
-		if k > bn {
-			k = bn
-		}
-		for _, bj := range sampleColumns(bn, k, rng) {
+		for _, bj := range cs.sample(bn, blocksPerRow, rng) {
 			for ii := 0; ii < bs; ii++ {
 				for jj := 0; jj < bs; jj++ {
 					r := bi*bs + ii
@@ -365,14 +363,12 @@ func Block(n, bs, deg int, rng *rand.Rand) (*sparse.CSR, error) {
 					if r >= n || c >= n {
 						continue
 					}
-					ri = append(ri, int32(r))
-					ci = append(ci, int32(c))
-					v = append(v, rng.NormFloat64())
+					t.add(r, c, rng.NormFloat64())
 				}
 			}
 		}
 	}
-	return fromTriplets(n, n, ri, ci, v)
+	return t.csr(n, n)
 }
 
 // MakeSPD symmetrizes a square matrix and adds a diagonal shift just large
@@ -392,44 +388,22 @@ func makeSPDMargin(a *sparse.CSR, margin, floor float64) (*sparse.CSR, error) {
 	if rows != cols {
 		return nil, fmt.Errorf("matgen: MakeSPD needs a square matrix, got %dx%d", rows, cols)
 	}
+	// (A + A^T)/2, a row of A then the same row of A^T: each half arrives
+	// sorted, the assembly merges the two and sums where they overlap.
 	at := a.Transpose()
-	var ri, ci []int32
-	var v []float64
-	emit := func(m *sparse.CSR) {
-		for i := 0; i < rows; i++ {
+	t := newTriplets(2 * a.NNZ())
+	for i := 0; i < rows; i++ {
+		for _, m := range [2]*sparse.CSR{a, at} {
 			for k := m.Ptr[i]; k < m.Ptr[i+1]; k++ {
-				ri = append(ri, int32(i))
-				ci = append(ci, m.Col[k])
-				v = append(v, 0.5*m.Data[k])
+				t.add(i, int(m.Col[k]), 0.5*m.Data[k])
 			}
 		}
 	}
-	emit(a)
-	emit(at)
-	sym, err := fromTriplets(rows, cols, ri, ci, v)
+	sym, err := t.csr(rows, cols)
 	if err != nil {
 		return nil, err
 	}
-	// Diagonal shift: raise row i's diagonal to at least
-	// (1 + margin) * sum_{j != i} |S_ij| + floor, accounting for whatever
-	// diagonal value the symmetrization already produced (possibly
-	// negative).
-	for i := 0; i < rows; i++ {
-		var rowAbs, diag float64
-		for k := sym.Ptr[i]; k < sym.Ptr[i+1]; k++ {
-			if int(sym.Col[k]) != i {
-				rowAbs += abs(sym.Data[k])
-			} else {
-				diag = sym.Data[k]
-			}
-		}
-		if add := rowAbs*(1+margin) + floor - diag; add > 0 {
-			ri = append(ri, int32(i))
-			ci = append(ci, int32(i))
-			v = append(v, add)
-		}
-	}
-	return fromTriplets(rows, cols, ri, ci, v)
+	return raiseDiagonal(sym, margin, floor)
 }
 
 // MakeDominant raises a square matrix's diagonal until it strictly
@@ -441,27 +415,58 @@ func MakeDominant(a *sparse.CSR, margin float64) (*sparse.CSR, error) {
 	if rows != cols {
 		return nil, fmt.Errorf("matgen: MakeDominant needs a square matrix, got %dx%d", rows, cols)
 	}
-	var ri, ci []int32
-	var v []float64
+	return raiseDiagonal(a, margin, spdFloor)
+}
+
+// raiseDiagonal returns a copy of the square matrix a whose diagonal is at
+// least (1 + margin) * sum_{j != i} |a_ij| + floor in every row, accounting
+// for whatever diagonal value is already there (possibly negative). A stored
+// diagonal entry is added to; a missing one is inserted in column order. The
+// matrix is not re-assembled to move one entry a row.
+func raiseDiagonal(a *sparse.CSR, margin, floor float64) (*sparse.CSR, error) {
+	rows, cols := a.Dims()
+	add := make([]float64, rows) // > 0 where the diagonal must rise
+	inserts := 0
 	for i := 0; i < rows; i++ {
 		var rowAbs, diag float64
+		stored := false
 		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			ri = append(ri, int32(i))
-			ci = append(ci, a.Col[k])
-			v = append(v, a.Data[k])
-			if int(a.Col[k]) == i {
-				diag = a.Data[k]
-			} else {
+			if int(a.Col[k]) != i {
 				rowAbs += abs(a.Data[k])
+			} else {
+				diag, stored = a.Data[k], true
 			}
 		}
-		if add := rowAbs*(1+margin) + spdFloor - diag; add > 0 {
-			ri = append(ri, int32(i))
-			ci = append(ci, int32(i))
-			v = append(v, add)
+		if add[i] = rowAbs*(1+margin) + floor - diag; add[i] > 0 && !stored {
+			inserts++
 		}
 	}
-	return fromTriplets(rows, cols, ri, ci, v)
+	ptr := make([]int, rows+1)
+	col := make([]int32, 0, a.NNZ()+inserts)
+	data := make([]float64, 0, a.NNZ()+inserts)
+	for i := 0; i < rows; i++ {
+		placed := add[i] <= 0
+		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
+			c, v := a.Col[k], a.Data[k]
+			if !placed && int(c) >= i {
+				placed = true
+				if int(c) == i {
+					v += add[i]
+				} else {
+					col = append(col, int32(i))
+					data = append(data, add[i])
+				}
+			}
+			col = append(col, c)
+			data = append(data, v)
+		}
+		if !placed {
+			col = append(col, int32(i))
+			data = append(data, add[i])
+		}
+		ptr[i+1] = len(col)
+	}
+	return sparse.NewCSR(rows, cols, ptr, col, data)
 }
 
 // spdMargin and spdFloor control how strongly MakeSPD dominates the
@@ -478,29 +483,55 @@ func abs(x float64) float64 {
 	return x
 }
 
-// sampleColumns draws k distinct column indices from [0, n) uniformly.
-// For small k it rejection-samples; for large k it does a partial
-// Fisher-Yates. The result is unsorted (COO normalization sorts later).
-func sampleColumns(n, k int, rng *rand.Rand) []int {
+// colSampler draws distinct column indices, reusing its buffers from row to
+// row. Its sequence of rng calls is part of every seeded matrix's identity
+// (TestGeneratorsBitIdenticalToRecorded): how "already drawn" is answered may
+// change, which draws are made and which are kept may not.
+type colSampler struct {
+	out   []int
+	stamp []int32 // stamp[c] == epoch: c is in out
+	epoch int32
+}
+
+// scanLimit is the sample size up to which "already drawn" is a scan of the
+// sample itself: at most 120 comparisons in one cache line or two, against a
+// stamp lookup that misses once n columns stop fitting the cache.
+const scanLimit = 16
+
+// sample draws k distinct column indices from [0, n) uniformly. For small k
+// it rejection-samples; for large k it does a partial Fisher-Yates. The
+// result is unsorted (the assembly sorts later) and valid until the next call.
+func (s *colSampler) sample(n, k int, rng *rand.Rand) []int {
 	if k >= n {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
+		s.out = s.out[:0]
+		for i := 0; i < n; i++ {
+			s.out = append(s.out, i)
 		}
-		return out
+		return s.out
 	}
-	if k*8 < n {
-		seen := make(map[int]bool, k)
-		out := make([]int, 0, k)
-		for len(out) < k {
+	if k*8 >= n {
+		return rng.Perm(n)[:k]
+	}
+	s.out = s.out[:0]
+	if k <= scanLimit {
+		for len(s.out) < k {
 			c := rng.Intn(n)
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
+			if !slices.Contains(s.out, c) {
+				s.out = append(s.out, c)
 			}
 		}
-		return out
+		return s.out
 	}
-	perm := rng.Perm(n)
-	return perm[:k]
+	if len(s.stamp) < n || s.epoch == math.MaxInt32 {
+		s.stamp, s.epoch = make([]int32, n), 0
+	}
+	s.epoch++
+	for len(s.out) < k {
+		c := rng.Intn(n)
+		if s.stamp[c] != s.epoch {
+			s.stamp[c] = s.epoch
+			s.out = append(s.out, c)
+		}
+	}
+	return s.out
 }

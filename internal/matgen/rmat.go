@@ -76,11 +76,7 @@ func RMAT(cfg RMATConfig, rng *rand.Rand) (*sparse.CSR, error) {
 		ci = append(ci, int32(c))
 		vv = append(vv, 1)
 	}
-	coo, err := sparse.NewCOO(n, n, ri, ci, vv)
-	if err != nil {
-		return nil, err
-	}
-	csr, err := sparse.COOToCSR(coo)
+	csr, err := sparse.CSRFromTriplets(n, n, ri, ci, vv)
 	if err != nil {
 		return nil, err
 	}

@@ -13,11 +13,14 @@ package mmio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/sparse"
 )
@@ -97,9 +100,71 @@ func (lr *lineReader) scan() bool {
 
 func (lr *lineReader) text() string { return lr.sc.Text() }
 
+// raw is the current line without a copy; valid until the next scan.
+func (lr *lineReader) raw() []byte { return lr.sc.Bytes() }
+
 // fail builds a ParseError at the current line.
 func (lr *lineReader) fail(cause error, format string, args ...any) error {
 	return &ParseError{Name: lr.name, Line: lr.line, Msg: fmt.Sprintf(format, args...), Err: cause}
+}
+
+// nextField splits the first whitespace-delimited field off b, with
+// strings.Fields' notion of whitespace (unicode.IsSpace, so a stray NBSP
+// still separates); field is empty when b holds nothing but whitespace.
+func nextField(b []byte) (field, rest []byte) {
+	// Printable ASCII, nearly every byte of a numeric file, is settled by two
+	// comparisons; only the rest asks spaceWidth.
+	i := 0
+	for i < len(b) {
+		if c := b[i]; c > ' ' && c < utf8.RuneSelf {
+			break
+		}
+		n := spaceWidth(b, i)
+		if n == 0 {
+			break
+		}
+		i += n
+	}
+	j := i
+	for j < len(b) {
+		if c := b[j]; (c <= ' ' || c >= utf8.RuneSelf) && spaceWidth(b, j) != 0 {
+			break
+		}
+		j++ // a byte, not a rune: continuation bytes are not whitespace either
+	}
+	return b[i:j], b[j:]
+}
+
+// spaceWidth is the byte length of the whitespace rune at b[i], 0 if anything
+// else starts there. Only non-ASCII text decodes.
+func spaceWidth(b []byte, i int) int {
+	c := b[i]
+	if c == ' ' || ('\t' <= c && c <= '\r') {
+		return 1
+	}
+	if c >= utf8.RuneSelf {
+		if r, n := utf8.DecodeRune(b[i:]); unicode.IsSpace(r) {
+			return n
+		}
+	}
+	return 0
+}
+
+// parseIndex is strconv.Atoi with a fast path for what an index nearly always
+// is, a short run of digits; everything else (a sign, an overflow, garbage)
+// goes to Atoi, so every error is Atoi's.
+func parseIndex(f []byte) (int, error) {
+	if len(f) == 0 || len(f) > 9 {
+		return strconv.Atoi(string(f))
+	}
+	n := 0
+	for _, c := range f {
+		if c < '0' || c > '9' {
+			return strconv.Atoi(string(f))
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, nil
 }
 
 // Read parses a Matrix Market stream into a CSR matrix. Errors carry line
@@ -112,7 +177,10 @@ func Read(r io.Reader) (*sparse.CSR, error) {
 // errors to the given input name (typically the file path).
 func ReadNamed(r io.Reader, name string) (*sparse.CSR, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Lines are short, and most registrations are a few KB in all: the
+	// buffer starts just large enough to make reads from a file coarse, and
+	// grows to hold a line of up to 16 MiB.
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
 	lr := &lineReader{sc: sc, name: name}
 	if !lr.scan() {
 		if err := sc.Err(); err != nil {
@@ -177,6 +245,12 @@ func ReadNamed(r io.Reader, name string) (*sparse.CSR, error) {
 	ri := make([]int32, 0, hint)
 	ci := make([]int32, 0, hint)
 	vv := make([]float64, 0, hint)
+	pattern := h.field == "pattern" // entries are "i j", the value an implied 1
+	wantFields := 3
+	if pattern {
+		wantFields = 2
+	}
+	general, skew := h.symmetry == "general", h.symmetry == "skew-symmetric"
 	read := 0
 	for read < nnz {
 		if !lr.scan() {
@@ -185,55 +259,56 @@ func ReadNamed(r io.Reader, name string) (*sparse.CSR, error) {
 			}
 			return nil, lr.fail(nil, "expected %d entries, got %d", nnz, read)
 		}
-		line := strings.TrimSpace(lr.text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		// The line is split in place: no string per line, no slice of fields.
+		// The string conversions below are arguments that do not escape.
+		fi, rest := nextField(lr.raw())
+		if len(fi) == 0 || fi[0] == '%' {
 			continue
 		}
-		fields := strings.Fields(line)
-		wantFields := 3
-		if h.field == "pattern" {
-			wantFields = 2
+		fj, rest := nextField(rest)
+		var fv []byte
+		if !pattern {
+			fv, _ = nextField(rest)
 		}
-		if len(fields) < wantFields {
-			return nil, lr.fail(nil, "malformed entry %q (want %d fields)", line, wantFields)
+		if len(fj) == 0 || (!pattern && len(fv) == 0) {
+			return nil, lr.fail(nil, "malformed entry %q (want %d fields)", bytes.TrimSpace(lr.raw()), wantFields)
 		}
-		i, err := strconv.Atoi(fields[0])
+		i, err := parseIndex(fi)
 		if err != nil {
-			return nil, lr.fail(err, "bad row index %q", fields[0])
+			return nil, lr.fail(err, "bad row index %q", fi)
 		}
-		j, err := strconv.Atoi(fields[1])
+		j, err := parseIndex(fj)
 		if err != nil {
-			return nil, lr.fail(err, "bad column index %q", fields[1])
+			return nil, lr.fail(err, "bad column index %q", fj)
 		}
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, lr.fail(nil, "entry (%d,%d) outside %dx%d", i, j, rows, cols)
 		}
 		v := 1.0
-		if h.field != "pattern" {
-			v, err = strconv.ParseFloat(fields[2], 64)
+		if !pattern {
+			v, err = strconv.ParseFloat(string(fv), 64)
 			if err != nil {
-				return nil, lr.fail(err, "bad value %q", fields[2])
+				return nil, lr.fail(err, "bad value %q", fv)
 			}
 		}
 		ri = append(ri, int32(i-1))
 		ci = append(ci, int32(j-1))
 		vv = append(vv, v)
-		if h.symmetry != "general" && i != j {
+		if !general && i != j {
 			ri = append(ri, int32(j-1))
 			ci = append(ci, int32(i-1))
-			if h.symmetry == "skew-symmetric" {
-				vv = append(vv, -v)
-			} else {
-				vv = append(vv, v)
+			if skew {
+				v = -v
 			}
+			vv = append(vv, v)
 		}
 		read++
 	}
-	coo, err := sparse.NewCOO(rows, cols, ri, ci, vv)
+	m, err := sparse.CSRFromTriplets(rows, cols, ri, ci, vv)
 	if err != nil {
 		return nil, fmt.Errorf("mmio: assembling matrix: %w", err)
 	}
-	return sparse.COOToCSR(coo)
+	return m, nil
 }
 
 // Write emits a matrix in "coordinate real general" form with 1-based
@@ -248,9 +323,18 @@ func Write(w io.Writer, m sparse.Matrix) error {
 	if _, err := fmt.Fprintf(bw, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", rows, cols, csr.NNZ()); err != nil {
 		return fmt.Errorf("mmio: writing header: %w", err)
 	}
+	// One reused line buffer and strconv's appenders produce the bytes of
+	// fmt's "%d %d %.17g\n" at half its cost per entry.
+	line := make([]byte, 0, 64)
 	for i := 0; i < rows; i++ {
 		for k := csr.Ptr[i]; k < csr.Ptr[i+1]; k++ {
-			if _, err := fmt.Fprintf(bw, "%d %d %.17g\n", i+1, csr.Col[k]+1, csr.Data[k]); err != nil {
+			line = strconv.AppendInt(line[:0], int64(i+1), 10)
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(csr.Col[k])+1, 10)
+			line = append(line, ' ')
+			line = strconv.AppendFloat(line, csr.Data[k], 'g', 17, 64)
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return fmt.Errorf("mmio: writing entry: %w", err)
 			}
 		}

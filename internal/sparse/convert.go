@@ -375,14 +375,10 @@ func HYBToCSR(a *HYB) (*CSR, error) {
 		return nil, err
 	}
 	rows, cols := a.Dims()
-	merged, err := NewCOO(rows, cols,
+	return CSRFromTriplets(rows, cols,
 		append(ellCOO.Row, a.Coo.Row...),
 		append(ellCOO.Col, a.Coo.Col...),
 		append(ellCOO.Data, a.Coo.Data...))
-	if err != nil {
-		return nil, err
-	}
-	return COOToCSR(merged)
 }
 
 // CSRToBSR converts to BSR with lim.BSRBlockSize dense blocks, rejecting

@@ -1,8 +1,6 @@
 package sparse
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/parallel"
@@ -20,64 +18,22 @@ type COO struct {
 }
 
 // NewCOO builds a COO matrix from the given triplets. The inputs are copied,
-// sorted by (row, col) and duplicate coordinates are summed. Entries with a
-// zero value are kept (some generators emit explicit zeros, as SuiteSparse
-// files do). Returns an error on inconsistent lengths or out-of-range
-// indices.
+// sorted by (row, col) and duplicate coordinates are summed in input order
+// (CSRFromTriplets does the assembly and documents it). Entries with a zero
+// value are kept (some generators emit explicit zeros, as SuiteSparse files
+// do). Returns an error on inconsistent lengths or out-of-range indices.
 func NewCOO(rows, cols int, row, col []int32, data []float64) (*COO, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
+	ptr, ccol, cdata, err := assembleTriplets(rows, cols, row, col, data)
+	if err != nil {
+		return nil, err
 	}
-	if len(row) != len(col) || len(col) != len(data) {
-		return nil, fmt.Errorf("sparse: COO triplet lengths differ: %d, %d, %d", len(row), len(col), len(data))
-	}
-	for i := range row {
-		if row[i] < 0 || int(row[i]) >= rows || col[i] < 0 || int(col[i]) >= cols {
-			return nil, fmt.Errorf("sparse: COO entry %d at (%d,%d) outside %dx%d", i, row[i], col[i], rows, cols)
+	crow := make([]int32, len(ccol))
+	for i := 0; i < rows; i++ {
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			crow[k] = int32(i)
 		}
 	}
-	m := &COO{
-		rows: rows,
-		cols: cols,
-		Row:  append([]int32(nil), row...),
-		Col:  append([]int32(nil), col...),
-		Data: append([]float64(nil), data...),
-	}
-	m.normalize()
-	return m, nil
-}
-
-// normalize sorts triplets by (row, col) and merges duplicates in place.
-func (m *COO) normalize() {
-	n := len(m.Data)
-	if n == 0 {
-		return
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if m.Row[ia] != m.Row[ib] {
-			return m.Row[ia] < m.Row[ib]
-		}
-		return m.Col[ia] < m.Col[ib]
-	})
-	row := make([]int32, 0, n)
-	col := make([]int32, 0, n)
-	data := make([]float64, 0, n)
-	for _, i := range idx {
-		k := len(row)
-		if k > 0 && row[k-1] == m.Row[i] && col[k-1] == m.Col[i] {
-			data[k-1] += m.Data[i]
-			continue
-		}
-		row = append(row, m.Row[i])
-		col = append(col, m.Col[i])
-		data = append(data, m.Data[i])
-	}
-	m.Row, m.Col, m.Data = row, col, data
+	return &COO{rows: rows, cols: cols, Row: crow, Col: ccol, Data: cdata}, nil
 }
 
 // Format implements Matrix.

@@ -57,9 +57,15 @@ func NewCSR(rows, cols int, ptr []int, col []int32, data []float64) (*CSR, error
 			prev = c
 		}
 	}
+	return newCSR(rows, cols, ptr, col, data), nil
+}
+
+// newCSR wraps arrays already known to be canonical — NewCSR has just checked
+// them, or the assembler has just built them — and caches the row partition.
+func newCSR(rows, cols int, ptr []int, col []int32, data []float64) *CSR {
 	m := &CSR{rows: rows, cols: cols, Ptr: ptr, Col: col, Data: data}
 	m.rowRanges = parallel.PartitionByWeight(rows, parallel.Workers(), ptr)
-	return m, nil
+	return m
 }
 
 // Format implements Matrix.
