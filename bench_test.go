@@ -531,7 +531,7 @@ func BenchmarkGBTPredict(b *testing.B) {
 		ds.X = append(ds.X, row)
 		ds.Y = append(ds.Y, rng.Float64())
 	}
-	m, err := gbt.Train(ds, nil, gbt.DefaultParams())
+	m, err := gbt.Train(ds, gbt.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}

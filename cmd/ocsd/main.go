@@ -70,7 +70,6 @@ func main() {
 		serial       = flag.Bool("serial", false, "use serial SpMV kernels (pool provides the parallelism)")
 		async        = flag.Bool("async", true, "run stage-2 selection (features, prediction, conversion) on a background worker instead of stalling the triggering request")
 		journalCap   = flag.Int("journal", 0, "decision journal capacity (0 = default)")
-		stage0       = flag.Bool("stage0", false, "enable the stage-0 structural classifier (obvious keep-CSR matrices skip stage 2)")
 		retrainOn    = flag.Bool("retrain", false, "enable the online retraining loop: drift-triggered model refresh with hot-swap")
 		retrainIv    = flag.Duration("retrain-interval", 30*time.Second, "how often the retrainer scans the decision journal")
 		retrainMin   = flag.Int("retrain-min-samples", 8, "harvested samples required before drift triggers retraining")
@@ -114,12 +113,6 @@ func main() {
 		// The menu this daemon selects among, in its own output.
 		logger.Info("predictors ready", "formats", fmt.Sprint(preds.Formats()), "generation", preds.Generation)
 	}
-	var selCfg *core.Config
-	if *stage0 {
-		c := core.DefaultConfig()
-		c.Stage0 = core.DefaultStage0()
-		selCfg = &c
-	}
 	srv := server.New(server.Config{
 		MaxRegistryNNZ:      *maxNNZ,
 		ConvCacheNNZ:        *convCacheNNZ,
@@ -127,7 +120,6 @@ func main() {
 		QueueDepth:          *queue,
 		DefaultSolveTimeout: *solveTimeout,
 		Preds:               preds,
-		Selector:            selCfg,
 		SerialKernels:       *serial,
 		Async:               *async,
 		JournalCapacity:     *journalCap,

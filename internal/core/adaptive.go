@@ -33,9 +33,6 @@ type Stats struct {
 	Stage1Ran bool
 	// PredictedTotal is stage 1's tripcount estimate (0 if stage 1 never ran).
 	PredictedTotal int
-	// Stage0Skip reports that the structural classifier short-circuited
-	// stage 2 as an obvious keep-CSR case (Config.Stage0).
-	Stage0Skip bool
 	// Stage2Ran reports whether feature extraction + model inference ran.
 	Stage2Ran bool
 	// Decision is the stage-2 outcome (zero value if stage 2 never ran).
@@ -351,24 +348,6 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 			if calls < threshold {
 				return tr, calls, false
 			}
-		}
-	}
-	// Stage-0 structural classifier: one cheap pass that recognizes obvious
-	// keep-CSR matrices before the expensive Table I extraction runs. Its
-	// (tiny) cost is part of T_predict and always paid — it runs inline on
-	// the solver's critical path even under Async.
-	if ad.cfg.Stage0.Enabled {
-		start := ad.clock.Now()
-		stay := ad.cfg.Stage0.ObviousStay(ExtractCheap(ad.csr))
-		stage0 := timing.Since(ad.clock, start).Seconds()
-		ad.stats.PredictSeconds += stage0
-		ad.stats.PaidSeconds += stage0
-		ad.noteSpan("selector.stage0", start, stage0,
-			[2]string{"mode", "paid"}, [2]string{"obvious_stay", strconv.FormatBool(stay)})
-		if stay {
-			ad.stats.Stage0Skip = true
-			tr.Stage0Skip = true
-			return tr, calls, false
 		}
 	}
 	return tr, calls, true

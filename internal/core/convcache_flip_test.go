@@ -22,7 +22,7 @@ import (
 func constModel(t *testing.T, fvec []float64, c float64) *gbt.Model {
 	t.Helper()
 	ds := &gbt.Dataset{X: [][]float64{fvec, fvec}, Y: []float64{c, c}}
-	m, err := gbt.Train(ds, nil, gbt.DefaultParams())
+	m, err := gbt.Train(ds, gbt.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,12 +80,6 @@ type Config struct {
 	// the paper's inline model allows. The decision trace splits the overhead
 	// into paid vs hidden seconds accordingly.
 	Async bool
-	// Stage0 configures the near-zero-cost structural classifier in front
-	// of stage 2 (see stage0.go): obvious keep-CSR matrices skip feature
-	// extraction and model inference entirely, recorded in the trace as
-	// stage0_skip. The zero value disables it; DefaultStage0() enables it
-	// with conservative bands.
-	Stage0 Stage0
 	// ConvCache, when non-nil, is the cross-handle conversion cache: stage 2
 	// consults it before pricing candidates (a cached format's T_convert is
 	// zero, which can flip a stay decision into a convert), adopts a
@@ -118,12 +112,12 @@ type Config struct {
 	// server's matrix handle name).
 	TraceLabel string
 	// SpanSink, when non-nil, receives one completed obs.Span per selector
-	// stage boundary — stage-1 tripcount prediction, stage-0 classify,
-	// stage-2 feature extraction, decide, and conversion — parented under
-	// the request span installed via Adaptive.SetSpanParent. The conversion
-	// span carries the paid/hidden overhead split and the decision trace ID,
-	// tying the distributed trace tree back to the journal's T_affected
-	// ledger. nil (the default) disables span emission.
+	// stage boundary — stage-1 tripcount prediction, stage-2 feature
+	// extraction, decide, and conversion — parented under the request span
+	// installed via Adaptive.SetSpanParent. The conversion span carries the
+	// paid/hidden overhead split and the decision trace ID, tying the
+	// distributed trace tree back to the journal's T_affected ledger. nil
+	// (the default) disables span emission.
 	SpanSink func(obs.Span)
 }
 

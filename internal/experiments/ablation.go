@@ -63,7 +63,7 @@ func (c *Context) RunAblationImplicit(iters ...float64) (*AblationImplicit, erro
 		if len(ds.Y) < 5*len(implicitTrainIters) {
 			continue
 		}
-		m, err := gbt.Train(ds, nil, c.Opt.Params)
+		m, err := gbt.Train(ds, c.Opt.Params)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: implicit model %v: %w", f, err)
 		}

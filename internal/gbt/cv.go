@@ -2,7 +2,6 @@ package gbt
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -47,7 +46,7 @@ func KFold(data *Dataset, k int, p Params, seed int64, relFloor float64) (*CVRes
 				trY = append(trY, data.Y[i])
 			}
 		}
-		m, err := Train(&Dataset{X: trX, Y: trY}, nil, p)
+		m, err := Train(&Dataset{X: trX, Y: trY}, p)
 		if err != nil {
 			return nil, fmt.Errorf("gbt: fold %d: %w", fold, err)
 		}
@@ -63,92 +62,4 @@ func KFold(data *Dataset, k int, p Params, seed int64, relFloor float64) (*CVRes
 	res.MeanRMS /= float64(k)
 	res.MeanRel /= float64(k)
 	return res, nil
-}
-
-// Grid describes the hyperparameter grid searched by GridSearch. Empty
-// slices fall back to the base parameter's value.
-type Grid struct {
-	MaxDepth     []int
-	NumRounds    []int
-	LearningRate []float64
-	Lambda       []float64
-}
-
-// DefaultGrid is a small grid adequate for the selector's datasets.
-func DefaultGrid() Grid {
-	return Grid{
-		MaxDepth:     []int{3, 4, 6},
-		NumRounds:    []int{50, 100},
-		LearningRate: []float64{0.05, 0.1, 0.2},
-		Lambda:       []float64{0.5, 1.0},
-	}
-}
-
-// GridSearch evaluates every grid point with k-fold CV and returns the
-// parameters with the lowest mean relative error, along with that score.
-func GridSearch(data *Dataset, k int, base Params, grid Grid, seed int64, relFloor float64) (Params, float64, error) {
-	depths := grid.MaxDepth
-	if len(depths) == 0 {
-		depths = []int{base.MaxDepth}
-	}
-	rounds := grid.NumRounds
-	if len(rounds) == 0 {
-		rounds = []int{base.NumRounds}
-	}
-	rates := grid.LearningRate
-	if len(rates) == 0 {
-		rates = []float64{base.LearningRate}
-	}
-	lambdas := grid.Lambda
-	if len(lambdas) == 0 {
-		lambdas = []float64{base.Lambda}
-	}
-	best := base
-	bestScore := math.Inf(1)
-	for _, depth := range depths {
-		for _, nr := range rounds {
-			for _, lr := range rates {
-				for _, lam := range lambdas {
-					p := base
-					p.MaxDepth = depth
-					p.NumRounds = nr
-					p.LearningRate = lr
-					p.Lambda = lam
-					cv, err := KFold(data, k, p, seed, relFloor)
-					if err != nil {
-						return base, 0, err
-					}
-					if cv.MeanRel < bestScore {
-						bestScore = cv.MeanRel
-						best = p
-					}
-				}
-			}
-		}
-	}
-	return best, bestScore, nil
-}
-
-// PruneFeatures retrains the model keeping only the keep most important
-// features (per trained model m) and reports the retained feature indices.
-// This mirrors the paper's importance-based feature pruning: features with
-// low importance scores are dropped until the minimal set remains.
-func PruneFeatures(data *Dataset, m *Model, keep int, p Params) ([]int, *Model, error) {
-	if keep <= 0 || keep > m.NumFeature {
-		return nil, nil, fmt.Errorf("gbt: keep %d of %d features", keep, m.NumFeature)
-	}
-	top := m.TopFeatures()[:keep]
-	reduced := &Dataset{Y: data.Y, X: make([][]float64, len(data.X))}
-	for i, row := range data.X {
-		r := make([]float64, keep)
-		for j, f := range top {
-			r[j] = row[f]
-		}
-		reduced.X[i] = r
-	}
-	m2, err := Train(reduced, nil, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return top, m2, nil
 }

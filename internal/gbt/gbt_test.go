@@ -35,7 +35,7 @@ func synthDataset(n, d int, noise float64, seed int64) *Dataset {
 
 func TestTrainReducesError(t *testing.T) {
 	ds := synthDataset(500, 5, 0.05, 1)
-	m, err := Train(ds, nil, DefaultParams())
+	m, err := Train(ds, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestTrainReducesError(t *testing.T) {
 func TestGeneralizesToTestSet(t *testing.T) {
 	train := synthDataset(800, 5, 0.05, 2)
 	test := synthDataset(200, 5, 0.05, 3)
-	m, err := Train(train, nil, DefaultParams())
+	m, err := Train(train, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestConstantTarget(t *testing.T) {
 		ds.X = append(ds.X, []float64{float64(i)})
 		ds.Y = append(ds.Y, 7.0)
 	}
-	m, err := Train(ds, nil, DefaultParams())
+	m, err := Train(ds, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,17 +86,17 @@ func TestConstantTarget(t *testing.T) {
 }
 
 func TestSingleRowAndValidation(t *testing.T) {
-	if _, err := Train(&Dataset{}, nil, DefaultParams()); err == nil {
+	if _, err := Train(&Dataset{}, DefaultParams()); err == nil {
 		t.Error("empty dataset accepted")
 	}
-	if _, err := Train(&Dataset{X: [][]float64{{1}}, Y: []float64{1, 2}}, nil, DefaultParams()); err == nil {
+	if _, err := Train(&Dataset{X: [][]float64{{1}}, Y: []float64{1, 2}}, DefaultParams()); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if _, err := Train(&Dataset{X: [][]float64{{1}, {1, 2}}, Y: []float64{1, 2}}, nil, DefaultParams()); err == nil {
+	if _, err := Train(&Dataset{X: [][]float64{{1}, {1, 2}}, Y: []float64{1, 2}}, DefaultParams()); err == nil {
 		t.Error("ragged rows accepted")
 	}
 	// Single row trains to its own value.
-	m, err := Train(&Dataset{X: [][]float64{{3}}, Y: []float64{4}}, nil, DefaultParams())
+	m, err := Train(&Dataset{X: [][]float64{{3}}, Y: []float64{4}}, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSingleRowAndValidation(t *testing.T) {
 }
 
 func TestPredictDimensionPanics(t *testing.T) {
-	m, err := Train(synthDataset(30, 3, 0, 4), nil, DefaultParams())
+	m, err := Train(synthDataset(30, 3, 0, 4), DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,72 +131,37 @@ func TestFeatureImportanceFindsSignal(t *testing.T) {
 		ds.X = append(ds.X, row)
 		ds.Y = append(ds.Y, y)
 	}
-	m, err := Train(ds, nil, DefaultParams())
+	m, err := Train(ds, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if top := m.TopFeatures(); top[0] != 0 {
-		t.Errorf("top feature = %d, want 0 (importance %v)", top[0], m.Importance)
-	}
-}
-
-func TestEarlyStopping(t *testing.T) {
-	train := synthDataset(300, 4, 0.3, 6)
-	valid := synthDataset(100, 4, 0.3, 7)
-	p := DefaultParams()
-	p.NumRounds = 500
-	p.EarlyStopRounds = 10
-	m, err := Train(train, valid, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rounds >= 500 {
-		t.Errorf("early stopping never fired: %d rounds", m.Rounds)
-	}
-	if m.Rounds != len(m.Trees) {
-		t.Errorf("Rounds %d != len(Trees) %d", m.Rounds, len(m.Trees))
-	}
-}
-
-func TestSubsamplingStillLearns(t *testing.T) {
-	ds := synthDataset(600, 5, 0.05, 8)
-	p := DefaultParams()
-	p.SubsampleRows = 0.7
-	p.SubsampleCols = 0.8
-	p.Seed = 9
-	m, err := Train(ds, nil, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse := RMSE(m.PredictBatch(ds.X), ds.Y)
-	if rmse > 1.0 {
-		t.Errorf("subsampled RMSE %.4f too high", rmse)
+	for f, v := range m.Importance[1:] {
+		if v >= m.Importance[0] {
+			t.Errorf("feature %d importance %g >= feature 0's %g", f+1, v, m.Importance[0])
+		}
 	}
 }
 
 func TestDeterministicTraining(t *testing.T) {
 	ds := synthDataset(200, 4, 0.1, 10)
-	p := DefaultParams()
-	p.SubsampleRows = 0.8
-	p.Seed = 11
-	m1, err := Train(ds, nil, p)
+	m1, err := Train(ds, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Train(ds, nil, p)
+	m2, err := Train(ds, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ds.X {
 		if m1.Predict(ds.X[i]) != m2.Predict(ds.X[i]) {
-			t.Fatal("same seed produced different models")
+			t.Fatal("the same data produced different models")
 		}
 	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds := synthDataset(150, 4, 0.1, 12)
-	m, err := Train(ds, nil, DefaultParams())
+	m, err := Train(ds, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +180,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load([]byte("not json")); err == nil {
 		t.Error("Load accepted garbage")
+	}
+}
+
+// TestLoadRejectsMalformedTrees: a model that loads must not panic in
+// Predict on a vector of its own width.
+func TestLoadRejectsMalformedTrees(t *testing.T) {
+	for name, blob := range map[string]string{
+		"nil tree":        `{"num_features":2,"trees":[null]}`,
+		"nil root":        `{"num_features":2,"trees":[{}]}`,
+		"missing child":   `{"num_features":2,"trees":[{"root":{"feature":0,"split":1,"left":{"feature":-1}}}]}`,
+		"deep nil child":  `{"num_features":2,"trees":[{"root":{"feature":0,"left":{"feature":-1},"right":{"feature":1,"right":{"feature":-1}}}}]}`,
+		"feature = width": `{"num_features":2,"trees":[{"root":{"feature":2,"left":{"feature":-1},"right":{"feature":-1}}}]}`,
+		"no width":        `{"trees":[{"root":{"feature":0,"left":{"feature":-1},"right":{"feature":-1}}}]}`,
+	} {
+		if _, err := Load([]byte(blob)); err == nil {
+			t.Errorf("%s: Load accepted %s", name, blob)
+		}
 	}
 }
 
@@ -239,50 +221,6 @@ func TestKFoldCV(t *testing.T) {
 	}
 	if _, err := KFold(ds, 1000, DefaultParams(), 1, 1e-6); err == nil {
 		t.Error("k > n accepted")
-	}
-}
-
-func TestGridSearchPicksReasonableParams(t *testing.T) {
-	ds := synthDataset(200, 4, 0.1, 14)
-	grid := Grid{MaxDepth: []int{1, 4}, NumRounds: []int{5, 60}}
-	best, score, err := GridSearch(ds, 3, DefaultParams(), grid, 1, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if score <= 0 || math.IsNaN(score) {
-		t.Errorf("score = %v", score)
-	}
-	// Depth 4 with 60 rounds must beat a 5-round stump ensemble here.
-	if best.MaxDepth == 1 && best.NumRounds == 5 {
-		t.Errorf("grid search picked the weakest corner: %+v", best)
-	}
-}
-
-func TestPruneFeatures(t *testing.T) {
-	ds := synthDataset(300, 6, 0.05, 15)
-	m, err := Train(ds, nil, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, m2, err := PruneFeatures(ds, m, 3, DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept) != 3 || m2.NumFeature != 3 {
-		t.Fatalf("kept %v, model features %d", kept, m2.NumFeature)
-	}
-	// The informative features (0, 1, 2) must be the ones retained.
-	seen := map[int]bool{}
-	for _, f := range kept {
-		seen[f] = true
-	}
-	for _, want := range []int{0, 1, 2} {
-		if !seen[want] {
-			t.Errorf("informative feature %d pruned; kept %v", want, kept)
-		}
-	}
-	if _, _, err := PruneFeatures(ds, m, 0, DefaultParams()); err == nil {
-		t.Error("keep=0 accepted")
 	}
 }
 
@@ -326,7 +264,7 @@ func TestQuickModelIsFiniteAndBounded(t *testing.T) {
 				hi = ds.Y[i]
 			}
 		}
-		m, err := Train(ds, nil, Params{NumRounds: 20, MaxDepth: 3})
+		m, err := Train(ds, Params{NumRounds: 20})
 		if err != nil {
 			return false
 		}

@@ -32,13 +32,10 @@ func (t *Tree) Predict(x []float64) float64 {
 }
 
 // treeBuilder carries the state shared across the recursive construction of
-// one tree: the training matrix, per-instance gradients and Hessians, and
-// the hyperparameters.
+// one tree: the training matrix and per-instance gradients and Hessians.
 type treeBuilder struct {
 	x          [][]float64
 	grad, hess []float64
-	cols       []int // candidate feature subset for this tree
-	p          Params
 	importance []float64 // accumulated split gain per feature
 }
 
@@ -60,66 +57,36 @@ func presort(x [][]float64) [][]int32 {
 	return order
 }
 
-// rootLists returns the per-feature sorted instance lists of a tree grown on
-// rows, for the tree's candidate features (the rest stay nil): the presorted
-// order itself when the tree sees every instance, its sampled subset
-// otherwise.
-func (b *treeBuilder) rootLists(order [][]int32, rows []int) [][]int32 {
-	lists := make([][]int32, len(order))
-	if len(rows) == len(b.x) {
-		for _, f := range b.cols {
-			lists[f] = order[f]
-		}
-		return lists
-	}
-	sampled := make([]bool, len(b.x))
-	for _, i := range rows {
-		sampled[i] = true
-	}
-	for _, f := range b.cols {
-		l := make([]int32, 0, len(rows))
-		for _, i := range order[f] {
-			if sampled[i] {
-				l = append(l, i)
-			}
-		}
-		lists[f] = l
-	}
-	return lists
-}
-
 // leafWeight is the Newton-step optimal leaf value -G/(H+lambda).
-func (b *treeBuilder) leafWeight(g, h float64) float64 {
-	return -g / (h + b.p.Lambda)
+func leafWeight(g, h float64) float64 {
+	return -g / (h + lambda)
 }
 
 // scoreTerm is the structure-score contribution G^2/(H+lambda) of one side.
-func (b *treeBuilder) scoreTerm(g, h float64) float64 {
-	return g * g / (h + b.p.Lambda)
+func scoreTerm(g, h float64) float64 {
+	return g * g / (h + lambda)
 }
 
-// splitCandidate holds the best split found for a node; left and right are
-// the histogram builder's partition of the node's instances.
+// splitCandidate holds the best split found for a node.
 type splitCandidate struct {
-	feature     int
-	split       float64
-	gain        float64
-	left, right []int
+	feature int
+	split   float64
+	gain    float64
 }
 
 // build constructs the subtree over one node's instances: sorted holds them
-// once per candidate feature, in that feature's order.
+// once per feature, in that feature's order.
 func (b *treeBuilder) build(sorted [][]int32, depth int) *Node {
-	node := sorted[b.cols[0]] // any list enumerates the node
+	node := sorted[0] // any list enumerates the node
 	var gSum, hSum float64
 	for _, i := range node {
 		gSum += b.grad[i]
 		hSum += b.hess[i]
 	}
 	leaf := func() *Node {
-		return &Node{Feature: -1, Weight: b.p.LearningRate * b.leafWeight(gSum, hSum)}
+		return &Node{Feature: -1, Weight: learningRate * leafWeight(gSum, hSum)}
 	}
-	if depth >= b.p.MaxDepth || len(node) < 2*b.p.MinSamplesLeaf || hSum < 2*b.p.MinChildWeight {
+	if depth >= maxDepth || len(node) < 2*minSamplesLeaf || hSum < 2*minChildWeight {
 		return leaf()
 	}
 	best := b.bestSplit(sorted, gSum, hSum)
@@ -127,7 +94,7 @@ func (b *treeBuilder) build(sorted [][]int32, depth int) *Node {
 		return leaf()
 	}
 	left, right := b.split(sorted, best)
-	if len(left[b.cols[0]]) == 0 || len(right[b.cols[0]]) == 0 {
+	if len(left[0]) == 0 || len(right[0]) == 0 {
 		return leaf() // the midpoint rounded onto one of its neighbours
 	}
 	b.importance[best.feature] += best.gain
@@ -140,18 +107,17 @@ func (b *treeBuilder) build(sorted [][]int32, depth int) *Node {
 	}
 }
 
-// bestSplit scans every candidate feature with the exact greedy algorithm:
-// walk the node's instances in feature order and evaluate the XGBoost gain
+// bestSplit scans every feature with the exact greedy algorithm: walk the
+// node's instances in feature order and evaluate the XGBoost gain
 //
-//	1/2 [ GL^2/(HL+λ) + GR^2/(HR+λ) − G^2/(H+λ) ] − γ
+//	1/2 [ GL^2/(HL+λ) + GR^2/(HR+λ) − G^2/(H+λ) ]
 //
-// at every boundary between distinct values. Returns nil when no split
-// clears the Gamma threshold and the child constraints.
+// at every boundary between distinct values. Returns nil when no split has
+// positive gain within the child constraints.
 func (b *treeBuilder) bestSplit(sorted [][]int32, gSum, hSum float64) *splitCandidate {
 	var best *splitCandidate
-	parentScore := b.scoreTerm(gSum, hSum)
-	for _, f := range b.cols {
-		ord := sorted[f]
+	parentScore := scoreTerm(gSum, hSum)
+	for f, ord := range sorted {
 		var gl, hl float64
 		for k := 0; k < len(ord)-1; k++ {
 			i := ord[k]
@@ -163,15 +129,15 @@ func (b *treeBuilder) bestSplit(sorted [][]int32, gSum, hSum float64) *splitCand
 			}
 			nl := k + 1
 			nr := len(ord) - nl
-			if nl < b.p.MinSamplesLeaf || nr < b.p.MinSamplesLeaf {
+			if nl < minSamplesLeaf || nr < minSamplesLeaf {
 				continue
 			}
 			gr := gSum - gl
 			hr := hSum - hl
-			if hl < b.p.MinChildWeight || hr < b.p.MinChildWeight {
+			if hl < minChildWeight || hr < minChildWeight {
 				continue
 			}
-			gain := 0.5*(b.scoreTerm(gl, hl)+b.scoreTerm(gr, hr)-parentScore) - b.p.Gamma
+			gain := 0.5 * (scoreTerm(gl, hl) + scoreTerm(gr, hr) - parentScore)
 			if gain <= 0 {
 				continue
 			}
@@ -183,21 +149,19 @@ func (b *treeBuilder) bestSplit(sorted [][]int32, gSum, hSum float64) *splitCand
 	return best
 }
 
-// split partitions every candidate feature's sorted list by the winning
-// split. The partition is stable, so each child's lists are still in
-// feature order.
+// split partitions every feature's sorted list by the winning split. The
+// partition is stable, so each child's lists are still in feature order.
 func (b *treeBuilder) split(sorted [][]int32, best *splitCandidate) (left, right [][]int32) {
 	left, right = make([][]int32, len(sorted)), make([][]int32, len(sorted))
-	node := sorted[b.cols[0]]
 	nl := 0
-	for _, i := range node {
+	for _, i := range sorted[0] {
 		if b.x[i][best.feature] < best.split {
 			nl++
 		}
 	}
-	for _, f := range b.cols {
-		l, r := make([]int32, 0, nl), make([]int32, 0, len(node)-nl)
-		for _, i := range sorted[f] {
+	for f, ord := range sorted {
+		l, r := make([]int32, 0, nl), make([]int32, 0, len(ord)-nl)
+		for _, i := range ord {
 			if b.x[i][best.feature] < best.split {
 				l = append(l, i)
 			} else {

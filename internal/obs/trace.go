@@ -147,11 +147,6 @@ type DecisionTrace struct {
 	// Gates are the inequalities evaluated on the way to stage 2, in order.
 	Gates []GateCheck `json:"gates"`
 
-	// Stage0Skip reports that the near-zero-cost structural classifier
-	// short-circuited stage 2: the matrix was an obvious keep-CSR case (no
-	// diagonal structure, mid-band row-length variation, unblocked), so
-	// neither feature extraction nor model inference ever ran.
-	Stage0Skip bool `json:"stage0_skip,omitempty"`
 	// Stage2Ran reports whether feature extraction + model inference ran.
 	Stage2Ran bool `json:"stage2_ran"`
 	// ModelGen is the generation of the predictor bundle the stage-2
@@ -232,10 +227,6 @@ func (t DecisionTrace) Render() string {
 	}
 	if t.Canceled {
 		b.WriteString("  stage2: canceled (solver finished before the background pipeline was adopted)\n")
-		return b.String()
-	}
-	if t.Stage0Skip {
-		b.WriteString("  stage0: structural classifier kept CSR (stage 2 skipped)\n")
 		return b.String()
 	}
 	if !t.Stage2Ran {

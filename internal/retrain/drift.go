@@ -26,10 +26,10 @@ type classState struct {
 	seen   int64     // traces attributed to this class
 }
 
-func (cs *classState) push(relErr float64, window int) {
+func (cs *classState) push(relErr float64) {
 	cs.errs = append(cs.errs, relErr)
-	if len(cs.errs) > window {
-		cs.errs = cs.errs[len(cs.errs)-window:]
+	if len(cs.errs) > errWindow {
+		cs.errs = cs.errs[len(cs.errs)-errWindow:]
 	}
 }
 
@@ -56,11 +56,10 @@ func (l *Loop) driftedLocked(cs *classState) bool {
 
 // classKey buckets a Table I feature vector into a coarse workload class:
 // density band x row-irregularity (CV) band x diagonal-structure band. The
-// three axes are the same near-zero-cost structure the stage-0 classifier
-// reads, so a class groups matrices the cost model treats alike — drift in
-// one band (say, diag-heavy matrices suddenly mispredicted after a kernel
-// regression) does not need the whole population to misbehave before it
-// trips the threshold.
+// three axes are coarse structural summaries, so a class groups matrices the
+// cost model treats alike — drift in one band (say, diag-heavy matrices
+// suddenly mispredicted after a kernel regression) does not need the whole
+// population to misbehave before it trips the threshold.
 func classKey(fv []float64) string {
 	// Canonical Vector() indices: 18 = "d" (density), 19 = "cv"
 	// (row-length coefficient of variation), 4 = "NTdiags_ratio".
@@ -83,7 +82,7 @@ func classKey(fv []float64) string {
 // harvestLocked walks the journal from the last fully-processed ID and
 // ingests every consumable trace. A stage-2 trace whose ledger has no post
 // calls yet blocks the walk (its realized time is not measured yet) until
-// PendingGrace newer IDs exist, after which it is skipped for good.
+// pendingGrace newer IDs exist, after which it is skipped for good.
 // Returns how many traces became samples. Caller holds l.mu.
 func (l *Loop) harvestLocked() int {
 	j := l.cfg.Journal
@@ -96,8 +95,8 @@ func (l *Loop) harvestLocked() int {
 			l.tracesSeen++
 			continue
 		}
-		if !consumable(tr, l.cfg.MinPostCalls) {
-			if pending(tr, l.cfg.MinPostCalls) && last-id < l.cfg.PendingGrace {
+		if !consumable(tr) {
+			if pending(tr) && last-id < pendingGrace {
 				// Its ledger may still fill in; resume here next tick.
 				break
 			}
@@ -115,22 +114,23 @@ func (l *Loop) harvestLocked() int {
 
 // consumable reports whether a trace carries everything a training sample
 // needs: a completed stage-2 decision with the feature vector recorded and a
-// ledger that has measured at least minPost post-decision calls.
-func consumable(tr obs.DecisionTrace, minPost int64) bool {
+// ledger that has measured at least one post-decision call (its realized
+// per-call time is meaningless before the first).
+func consumable(tr obs.DecisionTrace) bool {
 	return tr.Stage2Ran && !tr.Canceled &&
 		len(tr.Features) == features.NumFeatures &&
 		tr.Ledger.BaselineSpMVSeconds > 0 &&
-		tr.Ledger.PostSpMVCalls >= minPost &&
+		tr.Ledger.PostSpMVCalls > 0 &&
 		tr.Ledger.RealizedSpMVSeconds > 0
 }
 
 // pending reports whether a not-yet-consumable trace could still become
 // consumable (its handle just hasn't served post-decision calls yet).
-func pending(tr obs.DecisionTrace, minPost int64) bool {
+func pending(tr obs.DecisionTrace) bool {
 	return tr.Stage2Ran && !tr.Canceled &&
 		len(tr.Features) == features.NumFeatures &&
 		tr.Ledger.BaselineSpMVSeconds > 0 &&
-		tr.Ledger.PostSpMVCalls < minPost
+		tr.Ledger.PostSpMVCalls == 0
 }
 
 // ingestLocked converts one consumable trace into a trainer.Sample and
@@ -185,7 +185,7 @@ func (l *Loop) ingestLocked(tr obs.DecisionTrace) {
 	if relErr < 0 {
 		relErr = -relErr
 	}
-	cs.push(relErr, l.cfg.Window)
+	cs.push(relErr)
 	cs.regret += led.RegretSeconds
 	cs.seen++
 }

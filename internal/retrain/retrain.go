@@ -54,10 +54,6 @@ type Config struct {
 	// Clock supplies timestamps (status, bundle manifests); nil = wall
 	// clock. Inject a timing.FakeClock for deterministic tests.
 	Clock timing.Clock
-	// Team is the worker team each tick's work is dispatched through; nil =
-	// parallel.Default(). The loop's own goroutine only sleeps and
-	// dispatches — it never parks on a team worker between ticks.
-	Team *parallel.Team
 	// Interval is the tick period of the background loop (default 30s).
 	// Tests skip Start entirely and call Tick directly.
 	Interval time.Duration
@@ -67,8 +63,6 @@ type Config struct {
 	MinSamples int
 	// MaxSamples bounds the sample ring; oldest are dropped (default 512).
 	MaxSamples int
-	// Window is the per-class relative-error window length (default 32).
-	Window int
 	// MinWindow is how many observations a class needs before its windowed
 	// mean error counts as evidence (default 4).
 	MinWindow int
@@ -79,23 +73,9 @@ type Config struct {
 	// class above which it is drifted regardless of relative error
 	// (default 1s).
 	RegretThreshold float64
-	// HoldoutFrac is the fraction of the newest samples reserved for
-	// candidate validation, never trained on (default 0.25).
-	HoldoutFrac float64
-	// MinPostCalls is how many post-decision SpMV calls a trace's ledger
-	// needs before the trace is harvested — its realized per-call time is
-	// meaningless before the first (default 1).
-	MinPostCalls int64
-	// PendingGrace bounds how long harvesting waits for a stage-2 trace
-	// whose ledger has no post calls yet: once the journal has advanced
-	// this many IDs past it, the trace is skipped for good (default 64).
-	PendingGrace uint64
 
-	// GBT are the training hyperparameters (zero = gbt.DefaultParams()).
-	GBT gbt.Params
-	// GBTMinSamples is trainer.Train's per-format sample floor (default 2).
-	GBTMinSamples int
-	// TrainFunc builds a candidate bundle from the training split; nil =
+	// TrainFunc builds a candidate bundle from the training split with
+	// gbt.DefaultParams() and a per-format floor of trainMinSamples; nil =
 	// trainer.Train. Tests inject poisoned candidates through it.
 	TrainFunc func(samples []trainer.Sample, p gbt.Params, minSamples int) (*core.Predictors, error)
 
@@ -111,6 +91,21 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// The loop's fixed tuning.
+const (
+	// errWindow is the per-class relative-error window length.
+	errWindow = 32
+	// holdoutFrac is the fraction of the newest samples reserved for
+	// candidate validation, never trained on.
+	holdoutFrac = 0.25
+	// pendingGrace bounds how long harvesting waits for a stage-2 trace
+	// whose ledger has no post-decision calls yet: once the journal has
+	// advanced this many IDs past it, the trace is skipped for good.
+	pendingGrace = 64
+	// trainMinSamples is trainer.Train's per-format sample floor.
+	trainMinSamples = 2
+)
+
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = timing.WallClock{}
@@ -124,9 +119,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSamples <= 0 {
 		c.MaxSamples = 512
 	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
 	if c.MinWindow <= 0 {
 		c.MinWindow = 4
 	}
@@ -135,21 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RegretThreshold <= 0 {
 		c.RegretThreshold = 1.0
-	}
-	if c.HoldoutFrac <= 0 || c.HoldoutFrac >= 1 {
-		c.HoldoutFrac = 0.25
-	}
-	if c.MinPostCalls <= 0 {
-		c.MinPostCalls = 1
-	}
-	if c.PendingGrace == 0 {
-		c.PendingGrace = 64
-	}
-	if c.GBT.NumRounds == 0 {
-		c.GBT = gbt.DefaultParams()
-	}
-	if c.GBTMinSamples <= 0 {
-		c.GBTMinSamples = 2
 	}
 	if c.TrainFunc == nil {
 		c.TrainFunc = trainer.Train
@@ -196,13 +173,6 @@ func New(cfg Config) (*Loop, error) {
 	return &Loop{cfg: cfg.withDefaults(), classes: make(map[string]*classState)}, nil
 }
 
-func (l *Loop) team() *parallel.Team {
-	if l.cfg.Team != nil {
-		return l.cfg.Team
-	}
-	return parallel.Default()
-}
-
 // Start launches the background loop: a ticker goroutine that dispatches
 // each tick's work through the worker team and waits for it before sleeping
 // again, so ticks never overlap and the loop never parks on a team worker
@@ -229,7 +199,7 @@ func (l *Loop) Start() {
 				return
 			case <-tick.C:
 				done := make(chan struct{})
-				l.team().Go(func() {
+				parallel.Default().Go(func() {
 					defer close(done)
 					l.Tick()
 				})

@@ -80,8 +80,8 @@ func loopConfig(j *obs.Journal, tgt retrain.Target) retrain.Config {
 		MinSamples: 8,
 		MaxSamples: 12,
 		MinWindow:  4,
-		// Defaults elsewhere: ErrThreshold 0.5, RegretThreshold 1s,
-		// HoldoutFrac 0.25, GBT deterministic (subsample 1.0).
+		// Defaults elsewhere: ErrThreshold 0.5, RegretThreshold 1s; the
+		// holdout is the newest quarter of the samples.
 	}
 }
 
@@ -321,7 +321,7 @@ func TestPoisonedCandidateRejected(t *testing.T) {
 }
 
 // TestHarvestFiltersAndPending pins the harvest contract: canceled traces,
-// stage-0 skips and stage-1-only traces are consumed silently; a completed
+// gated stage-1-only traces and failed forecasts are consumed silently; a completed
 // stage-2 trace with no post-decision calls yet *blocks* the walk until its
 // ledger fills in (journal Update), then harvests.
 func TestHarvestFiltersAndPending(t *testing.T) {
@@ -334,7 +334,8 @@ func TestHarvestFiltersAndPending(t *testing.T) {
 	fv := featVec(t, 1)
 
 	j.Append(obs.DecisionTrace{Canceled: true, Stage2Ran: true, Features: fv})
-	j.Append(obs.DecisionTrace{Stage0Skip: true}) // stage 2 never ran
+	j.Append(obs.DecisionTrace{PredictedTotal: 20, Gates: []obs.GateCheck{
+		{Name: "remaining>=TH", LHS: 5, RHS: 15}}}) // stage 2 never ran
 	j.Append(obs.DecisionTrace{Stage1Err: "too noisy"})
 	if res := l.Tick(); res.Harvested != 0 {
 		t.Fatalf("harvested %d from unusable traces, want 0", res.Harvested)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/features"
+	"repro/internal/gbt"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/trainer"
@@ -30,7 +31,7 @@ func (l *Loop) retrainLocked(res *TickResult) {
 	l.retrains++
 	res.Retrained = true
 
-	nHold := int(math.Ceil(l.cfg.HoldoutFrac * float64(len(l.samples))))
+	nHold := int(math.Ceil(holdoutFrac * float64(len(l.samples))))
 	if nHold < 1 {
 		nHold = 1
 	}
@@ -40,7 +41,7 @@ func (l *Loop) retrainLocked(res *TickResult) {
 	train := l.samples[:len(l.samples)-nHold]
 	holdout := l.samples[len(l.samples)-nHold:]
 
-	cand, err := l.cfg.TrainFunc(train, l.cfg.GBT, l.cfg.GBTMinSamples)
+	cand, err := l.cfg.TrainFunc(train, gbt.DefaultParams(), trainMinSamples)
 	if err != nil {
 		l.rejections++
 		l.lastErr = fmt.Sprintf("training candidate: %v", err)

@@ -48,12 +48,9 @@ type GenerateSpec struct {
 // selector did for this handle and what it cost (the paper's T_predict and
 // T_convert, measured).
 type SelectorStats struct {
-	Iterations     int  `json:"iterations"`
-	Stage1Ran      bool `json:"stage1_ran"`
-	PredictedTotal int  `json:"predicted_total,omitempty"`
-	// Stage0Skip reports that the structural classifier answered "obviously
-	// stay on CSR" and stage 2 never ran for this handle.
-	Stage0Skip     bool    `json:"stage0_skip,omitempty"`
+	Iterations     int     `json:"iterations"`
+	Stage1Ran      bool    `json:"stage1_ran"`
+	PredictedTotal int     `json:"predicted_total,omitempty"`
 	Stage2Ran      bool    `json:"stage2_ran"`
 	Converted      bool    `json:"converted"`
 	Format         string  `json:"format"`
@@ -82,7 +79,6 @@ func selectorStats(st core.Stats) SelectorStats {
 		Iterations:     st.Iterations,
 		Stage1Ran:      st.Stage1Ran,
 		PredictedTotal: st.PredictedTotal,
-		Stage0Skip:     st.Stage0Skip,
 		Stage2Ran:      st.Stage2Ran,
 		Converted:      st.Converted,
 		Format:         st.Format.String(),

@@ -601,7 +601,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if selCfg.TraceLabel == "" {
 		selCfg.TraceLabel = req.Name
 	}
-	// Selector stage spans (stage0/stage1/features/decide/convert) land in
+	// Selector stage spans (stage1/features/decide/convert) land in
 	// the shard's span store, parented under whatever request span was
 	// current when the pipeline fired (see SetSpanParent in handlePanel/handleSolve).
 	selCfg.SpanSink = s.env.Tracer.Record

@@ -155,7 +155,7 @@ func Train(samples []Sample, p gbt.Params, minSamples int) (*Predictors, error) 
 		if len(ds.Y) < minSamples {
 			continue
 		}
-		m, err := gbt.Train(ds, nil, p)
+		m, err := gbt.Train(ds, p)
 		if err != nil {
 			return nil, fmt.Errorf("solversel: training %v model: %w", sv, err)
 		}

@@ -75,7 +75,8 @@ func SaveBundle(dir string, p *core.Predictors, man Manifest) error {
 }
 
 // LoadBundle restores a bundle saved by SaveBundle, checking the manifest's
-// schema version and feature count against the running code.
+// schema version and feature count against the running code, and every
+// model's own width against the manifest's.
 func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -99,11 +100,11 @@ func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, erro
 			// was deleted list it): its models are left on disk, unread.
 			continue
 		}
-		cm, err := loadModel(filepath.Join(dir, fmt.Sprintf("conv_%s.json", f)))
+		cm, err := loadModel(filepath.Join(dir, fmt.Sprintf("conv_%s.json", f)), man.NumFeatures)
 		if err != nil {
 			return nil, nil, err
 		}
-		sm, err := loadModel(filepath.Join(dir, fmt.Sprintf("spmv_%s.json", f)))
+		sm, err := loadModel(filepath.Join(dir, fmt.Sprintf("spmv_%s.json", f)), man.NumFeatures)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -116,7 +117,7 @@ func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, erro
 	return p, &man, nil
 }
 
-func loadModel(path string) (*gbt.Model, error) {
+func loadModel(path string, width int) (*gbt.Model, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("trainer: %w", err)
@@ -124,6 +125,9 @@ func loadModel(path string) (*gbt.Model, error) {
 	m, err := gbt.Load(blob)
 	if err != nil {
 		return nil, fmt.Errorf("trainer: loading %s: %w", path, err)
+	}
+	if m.NumFeature != width {
+		return nil, fmt.Errorf("trainer: %s takes %d features, the manifest says %d", path, m.NumFeature, width)
 	}
 	return m, nil
 }

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -99,6 +100,58 @@ func TestLoadBundleRejectsFeatureCountMismatch(t *testing.T) {
 	}
 	if _, _, err := LoadBundle(dir, features.NumFeatures+1); err == nil {
 		t.Error("feature-count mismatch accepted")
+	}
+}
+
+// TestLoadBundleRejectsMalformedModels: a hand-edited or truncated model file
+// is a load error (what ocsd -models exits with), never a model that panics
+// in Predict on the first stage-2 decision — which under -async happens on a
+// team worker and takes the process down.
+func TestLoadBundleRejectsMalformedModels(t *testing.T) {
+	preds := trainedBundle(t)
+	dir := t.TempDir()
+	if err := SaveBundle(dir, preds, Manifest{NumFeatures: features.NumFeatures}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "spmv_ELL.json")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := `{"feature":-1}`
+	node := func(feature int, left, right string) string {
+		s := fmt.Sprintf(`{"feature":%d,"split":0.5`, feature)
+		if left != "" {
+			s += `,"left":` + left
+		}
+		if right != "" {
+			s += `,"right":` + right
+		}
+		return s + "}"
+	}
+	model := func(width int, root string) string {
+		return fmt.Sprintf(`{"base":1,"num_features":%d,"trees":[{"root":%s}]}`, width, root)
+	}
+	w := features.NumFeatures
+	for name, blob := range map[string]string{
+		"nil child":      model(w, node(0, leaf, node(3, "", leaf))),
+		"narrower model": model(w-1, node(0, leaf, leaf)),
+		"wider model":    model(w+1, node(w, leaf, leaf)),
+	} {
+		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadBundle(dir, features.NumFeatures); err == nil {
+			t.Errorf("%s: LoadBundle accepted %s", name, blob)
+		} else if !strings.Contains(err.Error(), "spmv_ELL.json") {
+			t.Errorf("%s: error %q does not name the file", name, err)
+		}
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadBundle(dir, features.NumFeatures); err != nil {
+		t.Fatalf("restored bundle no longer loads: %v", err)
 	}
 }
 

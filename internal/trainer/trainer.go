@@ -116,9 +116,9 @@ func Datasets(samples []Sample) (conv, spmv map[sparse.Format]*gbt.Dataset) {
 // Train fits the full predictor bundle. Formats with fewer than minSamples
 // valid matrices are skipped (the selector then never picks them), matching
 // the paper's "only valid runs are considered". The (target, format) models
-// are independent — each fit reads its own dataset and seeds its own
-// generator — so they are fitted concurrently on the worker team; the bundle
-// is the one a sequential fit produces, bit for bit, at any worker count.
+// are independent — each fit reads only its own dataset — so they are fitted
+// concurrently on the worker team; the bundle is the one a sequential fit
+// produces, bit for bit, at any worker count.
 func Train(samples []Sample, p gbt.Params, minSamples int) (*core.Predictors, error) {
 	if minSamples < 1 {
 		minSamples = 1
@@ -147,7 +147,7 @@ func Train(samples []Sample, p gbt.Params, minSamples int) (*core.Predictors, er
 		return nil, fmt.Errorf("trainer: no format had >= %d valid samples", minSamples)
 	}
 	parallel.ForEach(len(fits), func(i int) {
-		fits[i].model, fits[i].err = gbt.Train(fits[i].ds, nil, p)
+		fits[i].model, fits[i].err = gbt.Train(fits[i].ds, p)
 	})
 	for _, ft := range fits {
 		if ft.err != nil {
