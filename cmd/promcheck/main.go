@@ -6,7 +6,7 @@
 // scrapeable and that new metric families actually show up.
 //
 //	curl -fsS localhost:8080/metrics | promcheck -min-hist 6
-//	curl -fsS localhost:8080/metrics | promcheck -require ocsd_slo_burn_rate,ocsd_spmv_seconds
+//	curl -fsS localhost:8080/metrics | promcheck -require ocsd_registry_bytes,ocsd_spmv_seconds
 package main
 
 import (

@@ -1,9 +1,8 @@
-// Package arima implements ARIMA(p,d,q) time-series models fitted with the
-// Hannan-Rissanen two-stage procedure (a long autoregression provides
-// innovation estimates, then AR and MA coefficients come from one least
-// squares regression). The paper's stage-1 "lazy-and-light" predictor uses
-// an ARIMA model over a loop's progress indicators to forecast the loop
-// tripcount; see the Tripcount type in tripcount.go.
+// Package arima fits the ARIMA(1,1,0) model with an intercept by ordinary
+// least squares on the first differences. The paper's stage-1
+// "lazy-and-light" predictor runs that model over a loop's progress
+// indicators to forecast the loop tripcount; see the Tripcount type in
+// tripcount.go.
 package arima
 
 import (
@@ -11,224 +10,63 @@ import (
 	"math"
 )
 
-// Model is a fitted ARIMA(p,d,q) model with an intercept on the differenced
-// scale. It retains the training series so Forecast can integrate back to
-// the original scale.
+// Model is a fitted ARIMA(1,1,0) model: the first differences
+// z_t = x_t − x_{t−1} follow z_t = Intercept + Phi·z_{t−1} + e_t. It keeps
+// the series' final value and final difference, all Forecast needs to
+// continue the series on its original scale.
 type Model struct {
-	P, D, Q   int
-	Phi       []float64 // AR coefficients, Phi[0] multiplies z_{t-1}
-	Theta     []float64 // MA coefficients, Theta[0] multiplies e_{t-1}
+	Phi       float64
 	Intercept float64
 
-	series []float64 // original series
-	z      []float64 // differenced series
-	resid  []float64 // in-sample innovations on the differenced scale
+	last  float64 // final value of the series
+	lastZ float64 // final first difference
 }
 
-// Fit estimates an ARIMA(p,d,q) model from the series. The series must be
-// long enough that after d differences at least p+q+8 observations remain.
-func Fit(series []float64, p, d, q int) (*Model, error) {
-	if p < 0 || d < 0 || q < 0 {
-		return nil, fmt.Errorf("arima: negative order (%d,%d,%d)", p, d, q)
-	}
+// minDiffs is the fewest first differences Fit accepts.
+const minDiffs = 9
+
+// Fit estimates an ARIMA(1,1,0) model from the series, which needs at least
+// minDiffs+1 observations.
+func Fit(series []float64) (*Model, error) {
 	for _, v := range series {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("arima: series contains NaN/Inf")
 		}
 	}
-	z := append([]float64(nil), series...)
-	for i := 0; i < d; i++ {
-		z = diff(z)
+	if len(series)-1 < minDiffs {
+		return nil, fmt.Errorf("arima: %d observations, need >= %d", len(series), minDiffs+1)
 	}
-	minObs := p + q + 8
-	if len(z) < minObs {
-		return nil, fmt.Errorf("arima: %d observations after differencing, need >= %d", len(z), minObs)
+	z := make([]float64, len(series)-1)
+	for i := range z {
+		z[i] = series[i+1] - series[i]
 	}
-	m := &Model{P: p, D: d, Q: q, series: append([]float64(nil), series...), z: z}
-
-	// Stage 1: long AR to estimate innovations (only needed when q > 0).
-	var innov []float64
-	if q > 0 {
-		long := p + q + 4
-		if long > len(z)/2 {
-			long = len(z) / 2
-		}
-		if long < 1 {
-			long = 1
-		}
-		arPhi, arC, err := fitARLS(z, long)
-		if err != nil {
-			return nil, err
-		}
-		innov = make([]float64, len(z))
-		for t := long; t < len(z); t++ {
-			pred := arC
-			for i, ph := range arPhi {
-				pred += ph * z[t-1-i]
-			}
-			innov[t] = z[t] - pred
-		}
+	// Regress z_t on an intercept and z_{t-1}.
+	X := make([][]float64, len(z)-1)
+	for t := 1; t < len(z); t++ {
+		X[t-1] = []float64{1, z[t-1]}
 	}
-
-	// Stage 2: regress z_t on its own lags and lagged innovations.
-	start := p
-	if q > 0 {
-		// Innovations are only valid from index long onward; be safe and
-		// start late enough for both.
-		if s := p + q + 4; s > start {
-			start = s
-		}
-		if start+q > len(z) {
-			start = len(z) - 1
-		}
-	}
-	nobs := len(z) - start
-	if nobs < p+q+2 {
-		return nil, fmt.Errorf("arima: too few observations (%d) for order (%d,%d,%d)", nobs, p, d, q)
-	}
-	cols := 1 + p + q
-	X := make([][]float64, nobs)
-	y := make([]float64, nobs)
-	for t := start; t < len(z); t++ {
-		row := make([]float64, cols)
-		row[0] = 1
-		for i := 0; i < p; i++ {
-			row[1+i] = z[t-1-i]
-		}
-		for j := 0; j < q; j++ {
-			row[1+p+j] = innov[t-1-j]
-		}
-		X[t-start] = row
-		y[t-start] = z[t]
-	}
-	beta, err := solveOLS(X, y, 1e-8)
+	beta, err := solveOLS(X, z[1:], 1e-8)
 	if err != nil {
 		return nil, err
 	}
-	m.Intercept = beta[0]
-	m.Phi = beta[1 : 1+p]
-	m.Theta = beta[1+p:]
-
-	// In-sample residuals under the fitted model (for MA forecasting).
-	m.resid = make([]float64, len(z))
-	for t := 0; t < len(z); t++ {
-		pred := m.Intercept
-		ok := true
-		for i, ph := range m.Phi {
-			if t-1-i < 0 {
-				ok = false
-				break
-			}
-			pred += ph * z[t-1-i]
-		}
-		if ok {
-			for j, th := range m.Theta {
-				if t-1-j < 0 {
-					ok = false
-					break
-				}
-				pred += th * m.resid[t-1-j]
-			}
-		}
-		if ok {
-			m.resid[t] = z[t] - pred
-		}
-	}
-	return m, nil
+	return &Model{Phi: beta[1], Intercept: beta[0], last: series[len(series)-1], lastZ: z[len(z)-1]}, nil
 }
 
-// Forecast predicts the next h values of the original series.
+// Forecast predicts the next h values of the original series: each step
+// forecasts the next difference (future innovations are zero) and adds it to
+// the running level.
 func (m *Model) Forecast(h int) []float64 {
 	if h <= 0 {
 		return nil
 	}
-	// Forecast on the differenced scale with future innovations = 0.
-	z := append([]float64(nil), m.z...)
-	resid := append([]float64(nil), m.resid...)
-	zf := make([]float64, 0, h)
-	for step := 0; step < h; step++ {
-		t := len(z)
-		pred := m.Intercept
-		for i, ph := range m.Phi {
-			idx := t - 1 - i
-			if idx >= 0 {
-				pred += ph * z[idx]
-			}
-		}
-		for j, th := range m.Theta {
-			idx := t - 1 - j
-			if idx >= 0 {
-				pred += th * resid[idx]
-			}
-		}
-		z = append(z, pred)
-		resid = append(resid, 0)
-		zf = append(zf, pred)
-	}
-	// Integrate back d times. After one integration level the forecast of
-	// the less-differenced series is lastValue + cumulative sum.
-	out := zf
-	for level := m.D; level >= 1; level-- {
-		base := lastOfDiff(m.series, level-1)
-		integ := make([]float64, len(out))
-		acc := base
-		for i, v := range out {
-			acc += v
-			integ[i] = acc
-		}
-		out = integ
+	out := make([]float64, h)
+	z, level := m.lastZ, m.last
+	for i := range out {
+		z = m.Intercept + m.Phi*z
+		level += z
+		out[i] = level
 	}
 	return out
-}
-
-// lastOfDiff returns the final value of the series differenced `level`
-// times.
-func lastOfDiff(series []float64, level int) float64 {
-	z := append([]float64(nil), series...)
-	for i := 0; i < level; i++ {
-		z = diff(z)
-	}
-	if len(z) == 0 {
-		return 0
-	}
-	return z[len(z)-1]
-}
-
-// diff returns the first difference of the series.
-func diff(x []float64) []float64 {
-	if len(x) <= 1 {
-		return nil
-	}
-	out := make([]float64, len(x)-1)
-	for i := 1; i < len(x); i++ {
-		out[i-1] = x[i] - x[i-1]
-	}
-	return out
-}
-
-// fitARLS fits an AR(p) model with intercept by least squares, returning
-// the coefficients and intercept.
-func fitARLS(z []float64, p int) (phi []float64, c float64, err error) {
-	n := len(z) - p
-	if n < p+2 {
-		return nil, 0, fmt.Errorf("arima: series too short for AR(%d)", p)
-	}
-	X := make([][]float64, n)
-	y := make([]float64, n)
-	for t := p; t < len(z); t++ {
-		row := make([]float64, p+1)
-		row[0] = 1
-		for i := 0; i < p; i++ {
-			row[1+i] = z[t-1-i]
-		}
-		X[t-p] = row
-		y[t-p] = z[t]
-	}
-	beta, err := solveOLS(X, y, 1e-8)
-	if err != nil {
-		return nil, 0, err
-	}
-	return beta[1:], beta[0], nil
 }
 
 // solveOLS solves min ||X b - y||^2 via ridge-stabilized normal equations

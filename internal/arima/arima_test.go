@@ -8,13 +8,14 @@ import (
 )
 
 func TestFitLinearTrend(t *testing.T) {
-	// x_t = 3 + 2t: one difference makes it constant; ARIMA(0,1,0) with
-	// intercept should forecast the trend exactly.
+	// x_t = 3 + 2t: one difference makes it constant, so the intercept and
+	// the lag are collinear; the ridge splits the weight and the forecast
+	// must still continue the trend.
 	series := make([]float64, 30)
 	for i := range series {
 		series[i] = 3 + 2*float64(i)
 	}
-	m, err := Fit(series, 0, 1, 0)
+	m, err := Fit(series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,41 +29,21 @@ func TestFitLinearTrend(t *testing.T) {
 }
 
 func TestFitAR1(t *testing.T) {
-	// x_t = 0.8 x_{t-1} + e: the fitted phi should be near 0.8.
+	// z_t = 0.8 z_{t-1} + e integrated once: the fitted phi should be near
+	// 0.8.
 	rng := rand.New(rand.NewSource(1))
 	series := make([]float64, 500)
+	z := 0.0
 	for i := 1; i < len(series); i++ {
-		series[i] = 0.8*series[i-1] + rng.NormFloat64()*0.1
+		z = 0.8*z + rng.NormFloat64()*0.1
+		series[i] = series[i-1] + z
 	}
-	m, err := Fit(series, 1, 0, 0)
+	m, err := Fit(series)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(m.Phi[0]-0.8) > 0.1 {
-		t.Errorf("phi = %v, want ~0.8", m.Phi[0])
-	}
-}
-
-func TestFitARMA11Runs(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	series := make([]float64, 300)
-	e := make([]float64, 300)
-	for i := 1; i < len(series); i++ {
-		e[i] = rng.NormFloat64() * 0.2
-		series[i] = 0.6*series[i-1] + e[i] + 0.3*e[i-1]
-	}
-	m, err := Fit(series, 1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Phi) != 1 || len(m.Theta) != 1 {
-		t.Fatalf("order mismatch: %d AR, %d MA", len(m.Phi), len(m.Theta))
-	}
-	fc := m.Forecast(10)
-	for i, v := range fc {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("forecast[%d] = %v", i, v)
-		}
+	if math.Abs(m.Phi-0.8) > 0.1 {
+		t.Errorf("phi = %v, want ~0.8", m.Phi)
 	}
 }
 
@@ -73,7 +54,7 @@ func TestFitGeometricDecayInLogSpace(t *testing.T) {
 	for i := range logs {
 		logs[i] = math.Log(10) + float64(i)*math.Log(0.7)
 	}
-	m, err := Fit(logs, 1, 1, 0)
+	m, err := Fit(logs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,19 +69,16 @@ func TestFitGeometricDecayInLogSpace(t *testing.T) {
 
 func TestFitValidation(t *testing.T) {
 	short := []float64{1, 2, 3}
-	if _, err := Fit(short, 1, 1, 0); err == nil {
+	if _, err := Fit(short); err == nil {
 		t.Error("short series accepted")
-	}
-	if _, err := Fit(make([]float64, 50), -1, 0, 0); err == nil {
-		t.Error("negative order accepted")
 	}
 	bad := make([]float64, 50)
 	bad[10] = math.NaN()
-	if _, err := Fit(bad, 1, 0, 0); err == nil {
+	if _, err := Fit(bad); err == nil {
 		t.Error("NaN series accepted")
 	}
 	bad[10] = math.Inf(1)
-	if _, err := Fit(bad, 1, 0, 0); err == nil {
+	if _, err := Fit(bad); err == nil {
 		t.Error("Inf series accepted")
 	}
 }
@@ -110,7 +88,7 @@ func TestForecastZeroHorizon(t *testing.T) {
 	for i := range series {
 		series[i] = float64(i)
 	}
-	m, err := Fit(series, 0, 1, 0)
+	m, err := Fit(series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +144,6 @@ func TestTripcountZeroResidual(t *testing.T) {
 
 func TestTripcountStagnantLoop(t *testing.T) {
 	tc := DefaultTripcount()
-	tc.MaxIters = 5000
 	progress := make([]float64, 15)
 	for i := range progress {
 		progress[i] = 1.0 // no progress at all
@@ -175,14 +152,13 @@ func TestTripcountStagnantLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 5000 {
-		t.Errorf("stagnant loop predicted %d, want MaxIters 5000", total)
+	if total != 100000 {
+		t.Errorf("stagnant loop predicted %d, want MaxIters 100000", total)
 	}
 }
 
 func TestTripcountDivergingLoop(t *testing.T) {
 	tc := DefaultTripcount()
-	tc.MaxIters = 1000
 	progress := make([]float64, 15)
 	r := 1.0
 	for i := range progress {
@@ -193,8 +169,8 @@ func TestTripcountDivergingLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != 1000 {
-		t.Errorf("diverging loop predicted %d, want MaxIters", total)
+	if total != 100000 {
+		t.Errorf("diverging loop predicted %d, want MaxIters 100000", total)
 	}
 }
 
@@ -266,7 +242,6 @@ func TestSolveOLSShapeErrors(t *testing.T) {
 func TestQuickTripcountWithinBounds(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(3))}
 	tc := DefaultTripcount()
-	tc.MaxIters = 2000
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := rng.Intn(20) + 2
@@ -281,7 +256,7 @@ func TestQuickTripcountWithinBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return total >= 1 && total <= tc.MaxIters
+		return total >= 1 && total <= 100000
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
@@ -290,19 +265,16 @@ func TestQuickTripcountWithinBounds(t *testing.T) {
 
 func TestQuickForecastFinite(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(4))}
-	prop := func(seed int64, pRaw, dRaw, qRaw uint8) bool {
+	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := int(pRaw) % 3
-		d := int(dRaw) % 2
-		q := int(qRaw) % 2
 		n := 60 + rng.Intn(60)
 		series := make([]float64, n)
 		for i := 1; i < n; i++ {
 			series[i] = 0.5*series[i-1] + rng.NormFloat64()
 		}
-		m, err := Fit(series, p, d, q)
+		m, err := Fit(series)
 		if err != nil {
-			return true // legitimately rejected orders are fine
+			return false
 		}
 		for _, v := range m.Forecast(20) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -313,5 +285,36 @@ func TestQuickForecastFinite(t *testing.T) {
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTripcountNearZeroSlopeIsCapped covers a log-slope so close to zero that
+// the remaining-iteration quotient passes every int: both the forecast tail
+// and the geometric fallback must answer MaxIters, never a negative count or
+// the prefix length.
+func TestTripcountNearZeroSlopeIsCapped(t *testing.T) {
+	tc := DefaultTripcount()
+	for _, c := range []struct {
+		k    int
+		path string
+	}{
+		{3, "geometric fallback"},
+		{9, "geometric fallback"},
+		{12, "forecast tail"},
+		{15, "forecast tail"},
+		{30, "forecast tail"},
+	} {
+		progress := make([]float64, c.k)
+		for i := range progress {
+			progress[i] = 1
+		}
+		progress[c.k-1] = math.Nextafter(1, 0)
+		total, err := tc.PredictTotal(progress, 1e-300)
+		if err != nil {
+			t.Fatalf("k=%d: %v", c.k, err)
+		}
+		if total != 100000 {
+			t.Errorf("k=%d (%s): predicted %d, want MaxIters 100000", c.k, c.path, total)
+		}
 	}
 }

@@ -9,21 +9,17 @@ import (
 // the progress indicators (residual norms, rank deltas, ...) of its first k
 // iterations — the paper's stage-1 "lazy-and-light" predictor. The model is
 // fitted on the logarithm of the indicators (convergence loops shrink their
-// residuals roughly geometrically, so the log series is near-linear and an
-// ARIMA with one difference extrapolates it well).
-type Tripcount struct {
-	// P, D, Q are the ARIMA order; the default (1,1,0) captures
-	// geometric convergence with a drifting rate.
-	P, D, Q int
-	// MaxIters caps the forecast horizon, mirroring the iteration cap every
-	// real solver has (the paper's BiCGSTAB uses 100000).
-	MaxIters int
-}
+// residuals roughly geometrically, so the log series is near-linear and
+// ARIMA(1,1,0) — geometric convergence with a drifting rate — extrapolates it
+// well).
+type Tripcount struct{}
 
-// DefaultTripcount returns the configuration used in the experiments.
-func DefaultTripcount() Tripcount {
-	return Tripcount{P: 1, D: 1, Q: 0, MaxIters: 100000}
-}
+// MaxIters caps the forecast, mirroring the iteration cap every real solver
+// has (the paper's BiCGSTAB uses 100000).
+const MaxIters = 100000
+
+// DefaultTripcount returns the stage-1 predictor.
+func DefaultTripcount() Tripcount { return Tripcount{} }
 
 // PredictTotal estimates the loop's total number of iterations given the
 // progress indicators of the first len(progress) iterations and the
@@ -33,17 +29,13 @@ func DefaultTripcount() Tripcount {
 // Conservative fallbacks keep the gate usable when the series is
 // uninformative: an already-converged series returns len(progress); a
 // non-converging (flat or growing) series returns MaxIters.
-func (tc Tripcount) PredictTotal(progress []float64, tol float64) (int, error) {
+func (Tripcount) PredictTotal(progress []float64, tol float64) (int, error) {
 	k := len(progress)
 	if k == 0 {
 		return 0, fmt.Errorf("arima: no progress indicators")
 	}
 	if tol <= 0 {
 		return 0, fmt.Errorf("arima: non-positive tolerance %g", tol)
-	}
-	maxIters := tc.MaxIters
-	if maxIters <= 0 {
-		maxIters = 100000
 	}
 	// Already converged during the observed prefix.
 	if progress[k-1] <= tol {
@@ -60,18 +52,18 @@ func (tc Tripcount) PredictTotal(progress []float64, tol float64) (int, error) {
 	}
 	logTol := math.Log(tol)
 
-	model, err := Fit(logs, tc.P, tc.D, tc.Q)
+	model, err := Fit(logs)
 	if err != nil {
-		// Not enough history for the ARIMA order: fall back to a two-point
+		// Not enough history for the fit: fall back to a two-point
 		// geometric extrapolation.
-		return tc.geometricFallback(logs, logTol, maxIters), nil
+		return geometricFallback(logs, logTol), nil
 	}
 	// Forecast a bounded horizon explicitly; stage 1 must stay "light", and
 	// an ARIMA forecast converges to a straight line quickly, so beyond the
 	// cap the tail is continued analytically from the final slope.
-	horizon := maxIters - k
+	horizon := MaxIters - k
 	if horizon <= 0 {
-		return maxIters, nil
+		return MaxIters, nil
 	}
 	if horizon > forecastCap {
 		horizon = forecastCap
@@ -86,12 +78,7 @@ func (tc Tripcount) PredictTotal(progress []float64, tol float64) (int, error) {
 		last := forecast[len(forecast)-1]
 		slope := last - forecast[len(forecast)-2]
 		if slope < 0 {
-			extra := int(math.Ceil((logTol - last) / slope))
-			total := k + len(forecast) + extra
-			if total > maxIters {
-				total = maxIters
-			}
-			return total, nil
+			return capped(k+len(forecast), (logTol-last)/slope), nil
 		}
 	}
 	// The ARIMA forecast flattened out before crossing the tolerance (a
@@ -99,9 +86,9 @@ func (tc Tripcount) PredictTotal(progress []float64, tol float64) (int, error) {
 	// trend still points down, trust the cruder geometric extrapolation
 	// over the pessimistic MaxIters answer.
 	if logs[k-1] < logs[0] {
-		return tc.geometricFallback(logs, logTol, maxIters), nil
+		return geometricFallback(logs, logTol), nil
 	}
-	return maxIters, nil
+	return MaxIters, nil
 }
 
 // forecastCap bounds the explicit ARIMA forecast length; the tail beyond it
@@ -110,22 +97,25 @@ const forecastCap = 512
 
 // geometricFallback extrapolates the average log-slope of the observed
 // prefix.
-func (tc Tripcount) geometricFallback(logs []float64, logTol float64, maxIters int) int {
+func geometricFallback(logs []float64, logTol float64) int {
 	k := len(logs)
 	if k < 2 {
-		return maxIters
+		return MaxIters
 	}
 	slope := (logs[k-1] - logs[0]) / float64(k-1)
 	if slope >= 0 {
-		return maxIters
+		return MaxIters
 	}
-	remaining := (logTol - logs[k-1]) / slope
-	total := k + int(math.Ceil(remaining))
-	if total > maxIters {
-		return maxIters
+	return capped(k, (logTol-logs[k-1])/slope)
+}
+
+// capped returns done plus the ceiling of the remaining iterations, or
+// MaxIters when that would pass it. remaining is compared before it becomes
+// an int: a log-slope near zero makes it exceed every int, and converting
+// such a float yields a negative count.
+func capped(done int, remaining float64) int {
+	if rest := math.Ceil(remaining); rest <= float64(MaxIters-done) {
+		return done + int(rest)
 	}
-	if total < k {
-		total = k
-	}
-	return total
+	return MaxIters
 }

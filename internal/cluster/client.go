@@ -295,37 +295,6 @@ func (c *ShardClient) Export(ctx context.Context, id string) (server.ExportRespo
 	return exp, err
 }
 
-// Panel runs a batched (possibly partial-row) product on the shard: op
-// "spmv" multiplies the vectors one at a time, "spmm" in one blocked pass.
-// It is the typed wrapper over panelRaw, for callers that hold floats.
-func (c *ShardClient) Panel(ctx context.Context, op, id string, req server.PanelRequest) (server.PanelResponse, error) {
-	var resp server.PanelResponse
-	size := 64
-	for _, x := range req.X {
-		size += len(x) * wire.MaxFloatLen
-	}
-	body := wire.GetBuf(size)
-	defer wire.PutBuf(body)
-	var err error
-	if *body, err = wire.AppendRequest(*body, req.X, req.RowLo, req.RowHi, req.Progress); err != nil {
-		return resp, fmt.Errorf("cluster: encoding request: %w", err)
-	}
-	reply, lay, err := c.panelRaw(ctx, op, id, *body)
-	if err != nil {
-		return resp, err
-	}
-	defer wire.PutBuf(reply)
-	resp.Tail = lay.Tail
-	resp.Y = make([][]float64, len(lay.Vectors))
-	for i, sp := range lay.Vectors {
-		resp.Y[i] = make([]float64, sp.N)
-		if err := wire.DecodeVector((*reply)[sp.Lo:sp.Hi], resp.Y[i], 1); err != nil {
-			return resp, &ReplyError{err}
-		}
-	}
-	return resp, nil
-}
-
 // Solve runs a solver on the shard.
 func (c *ShardClient) Solve(ctx context.Context, id string, req server.SolveRequest) (server.SolveResponse, error) {
 	var resp server.SolveResponse

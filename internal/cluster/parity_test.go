@@ -26,8 +26,8 @@ func diagMatrix(diag ...float64) string {
 // partitioned handle, and asserts all three answer with the same status: the
 // router shares ocsd's register materializer, solve runner and error
 // mapping, so a client cannot tell the tiers apart by how they say no — and
-// a solver-level refusal (4xx) never burns the router's error budget as a
-// 5xx.
+// a solver-level refusal (4xx) is never logged as a 5xx breach of the
+// router's objective.
 func TestTierParityBadRequests(t *testing.T) {
 	spd := spdSpec("parity").RegisterRequest
 	negDef := server.RegisterRequest{Name: "negdef", MatrixMarket: diagMatrix(-1, -2, -3, -4)}

@@ -47,11 +47,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// Logger receives structured logs; nil uses slog.Default().
 	Logger *slog.Logger
-	// SLOs are the router-level latency/error objectives the burn-rate
-	// gauges (ocsrouter_slo_burn_rate) and slow-request logging are computed
-	// against; nil uses DefaultSLOs(). Router targets are looser than shard
-	// targets — they include the shard round trips.
-	SLOs []obs.Objective
 	// SlowTraceCount sizes the /debug/slow ring (default 32).
 	SlowTraceCount int
 	// TraceCapacity bounds how many recent traces the router's span store
@@ -59,14 +54,14 @@ type Config struct {
 	TraceCapacity int
 }
 
-// DefaultSLOs are the router-level objectives applied when Config.SLOs is
-// nil. They budget the shard round trips on top of the shard-side targets.
-func DefaultSLOs() []obs.Objective {
+// routerSLOs are the router-level objectives. They are looser than the
+// shard-side targets: they budget the shard round trips on top.
+func routerSLOs() []obs.Objective {
 	return []obs.Objective{
-		{Endpoint: "register", LatencyTarget: 5, Target: 0.99},
-		{Endpoint: "spmv", LatencyTarget: 0.5, Target: 0.99},
-		{Endpoint: "spmm", LatencyTarget: 1, Target: 0.99},
-		{Endpoint: "solve", LatencyTarget: 10, Target: 0.95},
+		{Endpoint: "register", LatencyTarget: 5},
+		{Endpoint: "spmv", LatencyTarget: 0.5},
+		{Endpoint: "spmm", LatencyTarget: 1},
+		{Endpoint: "solve", LatencyTarget: 10},
 	}
 }
 
@@ -155,8 +150,8 @@ type Router struct {
 	metrics *Metrics
 	mux     *http.ServeMux
 	// env is the request envelope shared with ocsd: the logger, the store of
-	// router-side spans (request envelope + per-shard RPC spans), the SLO
-	// tracker and the /debug/slow ring.
+	// router-side spans (request envelope + per-shard RPC spans), the
+	// objective table and the /debug/slow ring.
 	env server.Envelope
 
 	mu     sync.Mutex
@@ -181,10 +176,6 @@ func New(cfg Config) (*Router, error) {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	slos := cfg.SLOs
-	if slos == nil {
-		slos = DefaultSLOs()
-	}
 	m := NewMetrics()
 	r := &Router{
 		cfg:     cfg,
@@ -193,7 +184,7 @@ func New(cfg Config) (*Router, error) {
 		env: server.Envelope{
 			Log:          logger,
 			Tracer:       obs.NewTracer("ocsrouter", cfg.TraceCapacity),
-			SLO:          obs.NewSLOTracker(slos, nil, nil),
+			SLOs:         routerSLOs(),
 			Slow:         obs.NewSlowTraces(cfg.SlowTraceCount),
 			MaxBodyBytes: cfg.MaxBodyBytes,
 			Requests:     &m.RequestsTotal,
@@ -410,7 +401,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		obs.ScalarFamily("ocsrouter_handles", "Global handles currently routed.", obs.KindGauge, float64(handles)),
 		obs.ScalarFamily("ocsrouter_ring_members", "Shards currently on the hash ring.", obs.KindGauge, float64(members)),
 	}
-	extra = append(extra, r.env.SLO.Families("ocsrouter")...)
 	_ = obs.WriteText(w, r.metrics.Families(shards, extra...))
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arima"
 	"repro/internal/convcache"
 	"repro/internal/features"
 	"repro/internal/obs"
@@ -163,9 +164,6 @@ func NewAdaptive(a *sparse.CSR, tol float64, preds *Predictors, cfg Config, para
 	if cfg.Lim == (sparse.Limits{}) {
 		cfg.Lim = sparse.DefaultLimits
 	}
-	if cfg.Tripcount.MaxIters <= 0 {
-		cfg.Tripcount = DefaultConfig().Tripcount
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = timing.WallClock{}
@@ -293,7 +291,7 @@ func (ad *Adaptive) runPipeline() {
 // stage 2 should run.
 func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 	start := ad.clock.Now()
-	total, err := ad.cfg.Tripcount.PredictTotal(ad.progress, ad.tol)
+	total, err := arima.DefaultTripcount().PredictTotal(ad.progress, ad.tol)
 	stage1 := timing.Since(ad.clock, start).Seconds()
 	ad.stats.PredictSeconds += stage1
 	ad.stats.PaidSeconds += stage1

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/arima"
 	"repro/internal/convcache"
 	"repro/internal/features"
 	"repro/internal/gbt"
@@ -93,8 +92,6 @@ type Config struct {
 	CacheValues      string
 	// Lim bounds format conversions.
 	Lim sparse.Limits
-	// Tripcount configures the stage-1 ARIMA predictor.
-	Tripcount arima.Tripcount
 	// Clock supplies the timestamps the wrapper's self-measurements and the
 	// overhead accounting are computed from; nil means the wall clock.
 	// Injecting a timing.FakeClock makes every timing-gated decision (the
@@ -132,7 +129,6 @@ func DefaultConfig() Config {
 		FeatureSecondsPerNNZ: 8e-9,
 		PredictFixedSeconds:  300e-6,
 		Lim:                  sparse.DefaultLimits,
-		Tripcount:            arima.DefaultTripcount(),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/arima"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/matgen"
@@ -61,7 +62,7 @@ func (c *Context) Simulate(tr *Trace) SimOutcome {
 	}
 	stage1n := c.Opt.Stage1Seconds / s.CSRTime
 	out.Stage1Ran = true
-	predTotal, err := c.Opt.Cfg.Tripcount.PredictTotal(tr.Progress[:k], tr.Tol)
+	predTotal, err := arima.DefaultTripcount().PredictTotal(tr.Progress[:k], tr.Tol)
 	if err != nil {
 		out.OCCost += stage1n
 		return out

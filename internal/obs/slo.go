@@ -1,236 +1,10 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-)
-
-// Objective is one endpoint's service-level objective: requests answering
-// within LatencyTarget and without server error are "good", and at least
-// Target fraction of requests must be good.
+// Objective is one endpoint's service-level objective: a request that
+// fails or answers later than LatencyTarget breaches it.
 type Objective struct {
 	// Endpoint names the request class ("spmv", "solve", ...).
-	Endpoint string `json:"endpoint"`
-	// LatencyTarget is the good/bad latency threshold in seconds.
-	LatencyTarget float64 `json:"latency_target_seconds"`
-	// Target is the required good fraction, e.g. 0.99 for a 99% objective.
-	Target float64 `json:"objective"`
-}
-
-// DefaultSLOWindows are the multi-window burn-rate horizons: a short window
-// catches fast burns, the long ones distinguish a blip from a sustained
-// breach (the classic multi-window multi-burn alerting shape).
-var DefaultSLOWindows = []time.Duration{5 * time.Minute, 30 * time.Minute, time.Hour}
-
-// sloBucketDur is the ring granularity; windows are rounded up to it.
-const sloBucketDur = 10 * time.Second
-
-type sloBucket struct {
-	start     time.Time
-	good, bad uint64
-}
-
-// SLOTracker records request outcomes per endpoint into a ring of time
-// buckets and answers "at the current bad-request rate, how fast is the
-// error budget burning?" for each configured window:
-//
-//	burn(w) = badFraction(w) / (1 − Target)
-//
-// Burn 1 spends the budget exactly at the objective's allowed rate; burn N
-// exhausts it N× faster. Endpoints without a configured objective are not
-// tracked.
-type SLOTracker struct {
-	mu         sync.Mutex
-	objectives map[string]Objective
-	order      []string // endpoints in registration order
-	windows    []time.Duration
-	rings      map[string][]sloBucket
-	ringLen    int
-	now        func() time.Time
-}
-
-// NewSLOTracker builds a tracker over the given objectives. windows == nil
-// selects DefaultSLOWindows; now == nil selects time.Now (tests inject a
-// fake clock).
-func NewSLOTracker(objs []Objective, windows []time.Duration, now func() time.Time) *SLOTracker {
-	if len(windows) == 0 {
-		windows = DefaultSLOWindows
-	}
-	if now == nil {
-		now = time.Now
-	}
-	longest := windows[0]
-	for _, w := range windows {
-		if w > longest {
-			longest = w
-		}
-	}
-	t := &SLOTracker{
-		objectives: make(map[string]Objective, len(objs)),
-		windows:    append([]time.Duration(nil), windows...),
-		rings:      make(map[string][]sloBucket, len(objs)),
-		ringLen:    int(longest/sloBucketDur) + 1,
-		now:        now,
-	}
-	for _, o := range objs {
-		if o.Target >= 1 || o.Target < 0 {
-			o.Target = 0.99
-		}
-		if _, dup := t.objectives[o.Endpoint]; dup {
-			continue
-		}
-		t.objectives[o.Endpoint] = o
-		t.order = append(t.order, o.Endpoint)
-		t.rings[o.Endpoint] = make([]sloBucket, t.ringLen)
-	}
-	return t
-}
-
-// Objective returns the configured objective for an endpoint.
-func (t *SLOTracker) Objective(endpoint string) (Objective, bool) {
-	if t == nil {
-		return Objective{}, false
-	}
-	o, ok := t.objectives[endpoint]
-	return o, ok
-}
-
-// Record scores one request: bad when it failed or exceeded the endpoint's
-// latency target. Unconfigured endpoints are ignored.
-func (t *SLOTracker) Record(endpoint string, seconds float64, failed bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	obj, ok := t.objectives[endpoint]
-	if !ok {
-		return
-	}
-	b := t.bucketLocked(endpoint)
-	if failed || seconds > obj.LatencyTarget {
-		b.bad++
-	} else {
-		b.good++
-	}
-}
-
-// bucketLocked returns the current time bucket of an endpoint's ring,
-// resetting the slot if it last served an older epoch.
-func (t *SLOTracker) bucketLocked(endpoint string) *sloBucket {
-	now := t.now()
-	start := now.Truncate(sloBucketDur)
-	ring := t.rings[endpoint]
-	idx := int(start.UnixNano()/int64(sloBucketDur)) % t.ringLen
-	if idx < 0 {
-		idx += t.ringLen
-	}
-	b := &ring[idx]
-	if !b.start.Equal(start) {
-		*b = sloBucket{start: start}
-	}
-	return b
-}
-
-// Burn returns the burn rate for one endpoint over one window, plus the
-// good/bad totals it was computed from. Zero traffic burns nothing.
-func (t *SLOTracker) Burn(endpoint string, window time.Duration) (burn float64, good, bad uint64) {
-	if t == nil {
-		return 0, 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	obj, ok := t.objectives[endpoint]
-	if !ok {
-		return 0, 0, 0
-	}
-	cutoff := t.now().Add(-window)
-	for i := range t.rings[endpoint] {
-		b := &t.rings[endpoint][i]
-		if b.start.IsZero() || b.start.Before(cutoff) {
-			continue
-		}
-		good += b.good
-		bad += b.bad
-	}
-	total := good + bad
-	if total == 0 || obj.Target >= 1 {
-		return 0, good, bad
-	}
-	badFrac := float64(bad) / float64(total)
-	return badFrac / (1 - obj.Target), good, bad
-}
-
-// windowLabel renders a window duration compactly: 5m, 30m, 1h.
-func windowLabel(d time.Duration) string {
-	switch {
-	case d%time.Hour == 0:
-		return fmt.Sprintf("%dh", d/time.Hour)
-	case d%time.Minute == 0:
-		return fmt.Sprintf("%dm", d/time.Minute)
-	default:
-		return fmt.Sprintf("%ds", d/time.Second)
-	}
-}
-
-// BurnRates returns every (endpoint, window) burn rate, keyed
-// "endpoint/window" — the replay harness's report shape.
-func (t *SLOTracker) BurnRates() map[string]float64 {
-	out := make(map[string]float64)
-	if t == nil {
-		return out
-	}
-	for _, ep := range t.endpoints() {
-		for _, w := range t.windows {
-			burn, _, _ := t.Burn(ep, w)
-			out[ep+"/"+windowLabel(w)] = burn
-		}
-	}
-	return out
-}
-
-func (t *SLOTracker) endpoints() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	eps := append([]string(nil), t.order...)
-	sort.Strings(eps)
-	return eps
-}
-
-// Families renders the tracker as two Prometheus gauge families:
-// <prefix>_slo_burn_rate{endpoint,window} and
-// <prefix>_slo_latency_target_seconds{endpoint}. Every configured
-// endpoint/window pair is present even before any traffic, so scrapes see
-// the family immediately.
-func (t *SLOTracker) Families(prefix string) []Family {
-	if t == nil {
-		return nil
-	}
-	burnFam := Family{
-		Name: prefix + "_slo_burn_rate",
-		Help: "Error-budget burn rate per endpoint and window (1 = burning exactly at the objective's allowed rate).",
-		Kind: KindGauge,
-	}
-	targetFam := Family{
-		Name: prefix + "_slo_latency_target_seconds",
-		Help: "Configured SLO latency target per endpoint.",
-		Kind: KindGauge,
-	}
-	for _, ep := range t.endpoints() {
-		obj, _ := t.Objective(ep)
-		targetFam.Samples = append(targetFam.Samples, Sample{
-			Labels: []Label{{"endpoint", ep}},
-			Value:  obj.LatencyTarget,
-		})
-		for _, w := range t.windows {
-			burn, _, _ := t.Burn(ep, w)
-			burnFam.Samples = append(burnFam.Samples, Sample{
-				Labels: []Label{{"endpoint", ep}, {"window", windowLabel(w)}},
-				Value:  burn,
-			})
-		}
-	}
-	return []Family{burnFam, targetFam}
+	Endpoint string
+	// LatencyTarget is the latency threshold in seconds.
+	LatencyTarget float64
 }

@@ -204,8 +204,8 @@ type DecisionTrace struct {
 	Ledger Ledger `json:"ledger"`
 }
 
-// Render formats a trace as indented human-readable text — what the -trace
-// flags of ocsel and ocsbench print.
+// Render formats a trace as indented human-readable text — what ocsel's
+// -trace flag prints.
 func (t DecisionTrace) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "decision #%d", t.ID)

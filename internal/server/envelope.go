@@ -25,7 +25,7 @@ import (
 type Envelope struct {
 	Log          *slog.Logger
 	Tracer       *obs.Tracer
-	SLO          *obs.SLOTracker
+	SLOs         []obs.Objective // read-only once built: Track reads it without a lock
 	Slow         *obs.SlowTraces
 	MaxBodyBytes int64
 	// Requests counts requests routed to a tracked handler, Errors those
@@ -35,7 +35,7 @@ type Envelope struct {
 
 // traceWriter decorates the response writer with the request-scoped logger
 // (carrying trace_id) and the final status code, so Fail logs correlated
-// lines and Track can score the request against its SLO.
+// lines and Track can check the request against its objective.
 type traceWriter struct {
 	http.ResponseWriter
 	status int
@@ -69,9 +69,9 @@ func (e *Envelope) ReqLog(w http.ResponseWriter) *slog.Logger {
 // opened under the OCS-Trace header's parent (or a fresh trace), the new
 // context is echoed back on the response and threaded through the request
 // context (the router's shard round trips parent their rpc.* spans under
-// it), the body is capped at MaxBodyBytes, the outcome is scored against the
-// endpoint's SLO, and requests breaching it are logged at Warn with their
-// span breakdown.
+// it), the body is capped at MaxBodyBytes, and a request that fails or
+// outlasts its endpoint's objective is logged at Warn with its span
+// breakdown.
 func (e *Envelope) Track(endpoint string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		e.Requests.Add(1)
@@ -89,10 +89,8 @@ func (e *Envelope) Track(endpoint string, h http.HandlerFunc) http.Handler {
 		}
 		sp.SetAttr("status", strconv.Itoa(tw.status))
 		secs := sp.End()
-		failed := tw.status >= 500
-		e.SLO.Record(endpoint, secs, failed)
 		e.Slow.Offer(obs.SlowTrace{Trace: sc.Trace, Endpoint: endpoint, Seconds: secs, Start: sp.StartTime()})
-		if obj, ok := e.SLO.Objective(endpoint); ok && (failed || secs > obj.LatencyTarget) {
+		if target, ok := e.latencyTarget(endpoint); ok && (tw.status >= 500 || secs > target) {
 			spans := e.Tracer.Spans(sc.Trace)
 			parts := make([]string, 0, len(spans))
 			for _, s := range spans {
@@ -100,10 +98,21 @@ func (e *Envelope) Track(endpoint string, h http.HandlerFunc) http.Handler {
 			}
 			tw.log.Warn("request breached SLO",
 				"endpoint", endpoint, "status", tw.status,
-				"seconds", secs, "target_seconds", obj.LatencyTarget,
+				"seconds", secs, "target_seconds", target,
 				"spans", strings.Join(parts, " "))
 		}
 	})
+}
+
+// latencyTarget looks up the endpoint's objective; the first entry for an
+// endpoint wins.
+func (e *Envelope) latencyTarget(endpoint string) (float64, bool) {
+	for _, o := range e.SLOs {
+		if o.Endpoint == endpoint {
+			return o.LatencyTarget, true
+		}
+	}
+	return 0, false
 }
 
 // RecordSpan stores one completed child span under the request span sc (from

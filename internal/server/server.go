@@ -95,9 +95,8 @@ type Config struct {
 	EnablePprof bool
 	// Logger receives the server's structured logs; nil uses slog.Default().
 	Logger *slog.Logger
-	// SLOs are the per-endpoint latency/error objectives the burn-rate
-	// gauges (ocsd_slo_burn_rate) and slow-request logging are computed
-	// against; nil uses DefaultSLOs().
+	// SLOs are the per-endpoint latency objectives the slow-request Warn
+	// line is checked against; nil uses DefaultSLOs().
 	SLOs []obs.Objective
 	// SlowTraceCount sizes the /debug/slow ring of slowest traces
 	// (default 32).
@@ -111,10 +110,10 @@ type Config struct {
 // interactive endpoints get tight targets, solves get room to iterate.
 func DefaultSLOs() []obs.Objective {
 	return []obs.Objective{
-		{Endpoint: "register", LatencyTarget: 2, Target: 0.99},
-		{Endpoint: "spmv", LatencyTarget: 0.25, Target: 0.99},
-		{Endpoint: "spmm", LatencyTarget: 0.25, Target: 0.99},
-		{Endpoint: "solve", LatencyTarget: 5, Target: 0.95},
+		{Endpoint: "register", LatencyTarget: 2},
+		{Endpoint: "spmv", LatencyTarget: 0.25},
+		{Endpoint: "spmm", LatencyTarget: 0.25},
+		{Endpoint: "solve", LatencyTarget: 5},
 	}
 }
 
@@ -152,8 +151,8 @@ type Server struct {
 	journal *obs.Journal
 	mux     *http.ServeMux
 	// env is the request envelope shared with the router: the logger, the
-	// span store holding this shard's spans per trace, the SLO tracker
-	// scoring request outcomes, and the /debug/slow ring.
+	// span store holding this shard's spans per trace, the objective table
+	// and the /debug/slow ring.
 	env Envelope
 	// convCache is the cross-handle conversion cache every handle's
 	// selector consults and publishes into; nil when disabled.
@@ -200,7 +199,7 @@ func New(cfg Config) *Server {
 		env: Envelope{
 			Log:          logger,
 			Tracer:       obs.NewTracer("ocsd", cfg.TraceCapacity),
-			SLO:          obs.NewSLOTracker(slos, nil, nil),
+			SLOs:         slos,
 			Slow:         obs.NewSlowTraces(cfg.SlowTraceCount),
 			MaxBodyBytes: cfg.MaxBodyBytes,
 			Requests:     &m.RequestsTotal,
@@ -414,7 +413,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			obs.ScalarFamily("ocsd_convcache_nnz", "Total nonzeros held by the conversion cache.", obs.KindGauge, float64(cs.NNZ)),
 		)
 	}
-	extra = append(extra, s.env.SLO.Families("ocsd")...)
 	if l := s.retrainLoop.Load(); l != nil {
 		extra = append(extra, l.MetricFamilies()...)
 	}

@@ -42,7 +42,7 @@ func TestRequestTracePropagation(t *testing.T) {
 		Logger: slog.New(slog.NewTextHandler(logBuf, nil)),
 		// An impossible spmv latency target: every request breaches, so the
 		// slow-request Warn path is deterministic.
-		SLOs: []obs.Objective{{Endpoint: "spmv", LatencyTarget: 1e-12, Target: 0.99}},
+		SLOs: []obs.Objective{{Endpoint: "spmv", LatencyTarget: 1e-12}},
 	})
 	info := register(t, ts.URL, RegisterRequest{
 		Name:     "traced",

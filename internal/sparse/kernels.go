@@ -52,8 +52,8 @@ func init() {
 func HasVectorKernels() bool { return asmAvailable() }
 
 // KernelVariant names the SpMV kernel set currently dispatched to: "avx2"
-// or "generic". Recorded in bench reports and surfaced by ocsbench -compare
-// so cross-machine baselines can be told apart.
+// or "generic". Recorded in bench reports so cross-machine baselines can be
+// told apart.
 func KernelVariant() string {
 	if vectorOn.Load() {
 		return "avx2"
