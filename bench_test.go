@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -366,6 +367,73 @@ func BenchmarkConvert(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkConvertCorpus prices the measured menu's conversions at training
+// size — the 96-entry, seed-42, 500-6000 corpus every predictor bundle is
+// fitted on, where allocation and per-pass fixed costs weigh most. One op
+// converts every corpus matrix the format accepts; spmv_equiv divides that
+// by one parallel CSR SpMV over the same matrices, the unit the selector's
+// conversion labels are in.
+func BenchmarkConvertCorpus(b *testing.B) {
+	corpus, err := matgen.Corpus(matgen.CorpusConfig{Count: 96, Seed: 42, MinSize: 500, MaxSize: 6000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range sparse.MeasuredMenu[1:] {
+		var mats []*sparse.CSR
+		for _, e := range corpus {
+			if sparse.CanConvert(e.Matrix, f, sparse.DefaultLimits) {
+				mats = append(mats, e.Matrix)
+			}
+		}
+		convertAll := func() {
+			for _, a := range mats {
+				if _, err := sparse.ConvertFromCSR(a, f, sparse.DefaultLimits); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.Run(f.String(), func(b *testing.B) {
+			csrS := csrSpMVPass(mats)
+			convertAll()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				convertAll()
+			}
+			perOp := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(perOp/csrS, "spmv_equiv")
+			b.ReportMetric(float64(len(mats)), "matrices")
+		})
+	}
+}
+
+// csrSpMVPass is the median of seven timed passes of one parallel CSR SpMV
+// over each matrix, after a warm-up pass.
+func csrSpMVPass(mats []*sparse.CSR) float64 {
+	xs := make([][]float64, len(mats))
+	ys := make([][]float64, len(mats))
+	for i, a := range mats {
+		rows, cols := a.Dims()
+		xs[i], ys[i] = make([]float64, cols), make([]float64, rows)
+		for j := range xs[i] {
+			xs[i][j] = 1
+		}
+	}
+	pass := func() {
+		for i, a := range mats {
+			a.SpMVParallel(ys[i], xs[i])
+		}
+	}
+	pass()
+	times := make([]float64, 7)
+	for r := range times {
+		start := time.Now()
+		pass()
+		times[r] = time.Since(start).Seconds()
+	}
+	slices.Sort(times)
+	return times[len(times)/2]
 }
 
 // BenchmarkSpMM measures the multi-vector product against k separate SpMV

@@ -94,7 +94,7 @@ func (c *Context) RunAblationReorder(iters ...float64) (*AblationReorder, error)
 		if err != nil {
 			return
 		}
-		rs, err := trainer.CollectOne(name+"-rcm", rm, c.Oracle)
+		rs, err := collectOne(name+"-rcm", rm, c.Oracle)
 		if err != nil {
 			return
 		}
@@ -127,7 +127,7 @@ func (c *Context) RunAblationReorder(iters ...float64) (*AblationReorder, error)
 		return nil, err
 	}
 	for i := range hidden {
-		s, err := trainer.CollectOne(fmt.Sprintf("hiddenband-%02d", i), hidden[i], c.Oracle)
+		s, err := collectOne(fmt.Sprintf("hiddenband-%02d", i), hidden[i], c.Oracle)
 		if err != nil {
 			continue
 		}

@@ -137,7 +137,7 @@ func (c *Context) buildTrace(app AppKind, e matgen.Entry) (Trace, error) {
 	if !res.Converged || res.Iterations == 0 {
 		return Trace{}, fmt.Errorf("experiments: %v did not converge", app)
 	}
-	sample, err := trainer.CollectOne(e.Spec.Name, operand, c.Oracle)
+	sample, err := collectOne(e.Spec.Name, operand, c.Oracle)
 	if err != nil {
 		return Trace{}, err
 	}

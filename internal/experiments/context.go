@@ -94,11 +94,11 @@ func NewContext(opt Options, oracle timing.Oracle) (*Context, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: evaluation corpus: %w", err)
 	}
-	trainSamples, err := trainer.Collect(trainEntries, oracle)
+	trainSamples, err := collect(trainEntries, oracle)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: collecting training samples: %w", err)
 	}
-	evalSamples, err := trainer.Collect(evalEntries, oracle)
+	evalSamples, err := collect(evalEntries, oracle)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: collecting evaluation samples: %w", err)
 	}
@@ -115,6 +115,34 @@ func NewContext(opt Options, oracle timing.Oracle) (*Context, error) {
 		EvalSamples:  evalSamples,
 		Preds:        preds,
 	}, nil
+}
+
+// collect is trainer.Collect plus every sample's FeatureNorm (collectOne).
+func collect(entries []matgen.Entry, oracle timing.Oracle) ([]trainer.Sample, error) {
+	samples, err := trainer.Collect(entries, oracle)
+	if err != nil {
+		return nil, err
+	}
+	byName := make(map[string]*sparse.CSR, len(entries))
+	for _, e := range entries {
+		byName[e.Spec.Name] = e.Matrix
+	}
+	for i := range samples {
+		samples[i].FeatureNorm = oracle.FeatureTime(byName[samples[i].Name]) / samples[i].CSRTime
+	}
+	return samples, nil
+}
+
+// collectOne is trainer.CollectOne plus the sample's FeatureNorm, the
+// feature-extraction cost the cost simulations charge to T_predict; the
+// trainer leaves it unset because no model learns it.
+func collectOne(name string, m *sparse.CSR, oracle timing.Oracle) (trainer.Sample, error) {
+	s, err := trainer.CollectOne(name, m, oracle)
+	if err != nil {
+		return s, err
+	}
+	s.FeatureNorm = oracle.FeatureTime(m) / s.CSRTime
+	return s, nil
 }
 
 // geomean returns the geometric mean of strictly positive values (the

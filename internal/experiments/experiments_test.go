@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/matgen"
 	"repro/internal/sparse"
 	"repro/internal/timing"
+	"repro/internal/trainer"
 )
 
 // testContext builds a small, fast context on the model oracle, shared by
@@ -34,6 +36,33 @@ func ctx(t testing.TB) *Context {
 func TestNewContextValidation(t *testing.T) {
 	if _, err := NewContext(Options{}, timing.NewModelOracle()); err == nil {
 		t.Error("empty options accepted")
+	}
+}
+
+// TestContextFillsFeatureNorm: the trainer leaves FeatureNorm unset, so the
+// context is what prices T_predict's feature share for every train and eval
+// sample, and collectOne for the operands the app traces and the reorder
+// ablation collect themselves — from the same oracle that priced the rest
+// of the sample.
+func TestContextFillsFeatureNorm(t *testing.T) {
+	c := ctx(t)
+	e := c.EvalEntries[0]
+	if s, err := collectOne(e.Spec.Name, e.Matrix, c.Oracle); err != nil || s.FeatureNorm != c.EvalSamples[0].FeatureNorm {
+		t.Errorf("collectOne: FeatureNorm %g (err %v), the context's %g", s.FeatureNorm, err, c.EvalSamples[0].FeatureNorm)
+	}
+	for _, set := range []struct {
+		entries []matgen.Entry
+		samples []trainer.Sample
+	}{{c.TrainEntries, c.TrainSamples}, {c.EvalEntries, c.EvalSamples}} {
+		if len(set.samples) != len(set.entries) {
+			t.Fatalf("%d samples from %d entries", len(set.samples), len(set.entries))
+		}
+		for i, s := range set.samples {
+			want := c.Oracle.FeatureTime(set.entries[i].Matrix) / s.CSRTime
+			if s.FeatureNorm <= 0 || s.FeatureNorm != want {
+				t.Errorf("%s: FeatureNorm %g, want %g", s.Name, s.FeatureNorm, want)
+			}
+		}
 	}
 }
 

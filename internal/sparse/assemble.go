@@ -2,13 +2,14 @@ package sparse
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/parallel"
 )
 
 // insertionCutoff is the row length up to which an unsorted row is sorted by
-// insertion; longer rows sort packed (column, position) keys.
+// insertion; longer rows radix-sort packed (column, position) keys.
 const insertionCutoff = 24
 
 // CSRFromTriplets assembles a CSR matrix from coordinate triplets in any
@@ -117,8 +118,9 @@ func assembleTriplets(rows, cols int, ri, ci []int32, v []float64) ([]int, []int
 
 // rowSorter carries the scratch for sorting long rows, reused along a range.
 type rowSorter struct {
-	keys []uint64
-	vals []float64
+	keys, buf []uint64
+	vals      []float64
+	count     [4][256]uint32
 }
 
 // canonicalize sorts one row stably by column unless it is already strictly
@@ -149,15 +151,8 @@ func (s *rowSorter) canonicalize(col []int32, data []float64) int {
 			col[j], data[j] = c, d
 		}
 	} else if unsorted {
-		// One machine word per entry, column above position: an ordinary
-		// sort of the words is a stable sort of the row.
-		s.keys = slices.Grow(s.keys[:0], len(col))[:len(col)]
 		s.vals = append(s.vals[:0], data...)
-		for k, c := range col {
-			s.keys[k] = uint64(c)<<32 | uint64(k)
-		}
-		slices.Sort(s.keys)
-		for k, key := range s.keys {
+		for k, key := range s.sortColumns(col) {
 			col[k] = int32(key >> 32)
 			data[k] = s.vals[uint32(key)]
 		}
@@ -175,4 +170,57 @@ func (s *rowSorter) canonicalize(col []int32, data []float64) int {
 		col[k] = -1
 	}
 	return len(col) - 1 - w
+}
+
+// sortColumns returns the row's entries as one machine word each, column
+// above position, in the order a sort of the words gives: by column, equal
+// columns by position. The words start in position order, so stable LSD
+// radix passes over the column alone produce it — 8-bit digits, only as many
+// passes as the row's largest column has bytes, and none for a byte every
+// column shares. One counting sweep histograms every pass's digit; the top
+// pass clears and sums only the digits up to the largest column's. col is
+// an unsorted row, so its largest column is positive and needs a pass.
+func (s *rowSorter) sortColumns(col []int32) []uint64 {
+	n := len(col)
+	keys := slices.Grow(s.keys[:0], n)[:n]
+	buf := slices.Grow(s.buf[:0], n)[:n]
+	s.keys, s.buf = keys, buf
+	var maxCol int32
+	for _, c := range col {
+		maxCol = max(maxCol, c)
+	}
+	passes := (bits.Len32(uint32(maxCol)) + 7) / 8
+	var digits [4]int
+	for p := range passes {
+		digits[p] = 256
+	}
+	digits[passes-1] = int(uint32(maxCol)>>(8*(passes-1))) + 1
+	for p := range passes {
+		clear(s.count[p][:digits[p]])
+	}
+	for k, c := range col {
+		keys[k] = uint64(c)<<32 | uint64(k)
+		for p := range passes {
+			s.count[p][byte(uint32(c)>>(8*p))]++
+		}
+	}
+	for p := range passes {
+		cnt := s.count[p][:digits[p]]
+		if cnt[byte(uint32(col[0])>>(8*p))] == uint32(n) {
+			continue // every column has this digit: the pass is the identity
+		}
+		var sum uint32
+		for d, c := range cnt {
+			cnt[d] = sum
+			sum += c
+		}
+		shift := 32 + 8*p
+		for _, key := range keys {
+			d := byte(key >> shift)
+			buf[cnt[d]] = key
+			cnt[d]++
+		}
+		keys, buf = buf, keys
+	}
+	return keys
 }

@@ -217,3 +217,74 @@ func TestCSRFromTripletsErrors(t *testing.T) {
 		}
 	}
 }
+
+// packedSortCanonicalize is canonicalize with its long-row sort as it was
+// before the radix sort: slices.Sort over the packed column<<32|position
+// words, then the same front-to-back merge of equal columns.
+func packedSortCanonicalize(col []int32, data []float64) int {
+	keys := make([]uint64, len(col))
+	vals := append([]float64(nil), data...)
+	for k, c := range col {
+		keys[k] = uint64(c)<<32 | uint64(k)
+	}
+	slices.Sort(keys)
+	for k, key := range keys {
+		col[k] = int32(key >> 32)
+		data[k] = vals[uint32(key)]
+	}
+	w := 0
+	for k := 1; k < len(col); k++ {
+		if col[k] == col[w] {
+			data[w] += data[k]
+			continue
+		}
+		w++
+		col[w], data[w] = col[k], data[k]
+	}
+	for k := w + 1; k < len(col); k++ {
+		col[k] = -1
+	}
+	return len(col) - 1 - w
+}
+
+// TestRadixRowSortMatchesPackedSort holds the long-row radix sort to the
+// packed-key sort it replaced, bit for bit: random rows of 25 to 5000
+// entries, with repeated columns summing order-sensitive values, over column
+// ranges that take one radix pass (below 256) up to four (to MaxInt32). One
+// rowSorter serves every row, as along an assembly range.
+func TestRadixRowSortMatchesPackedSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	var s rowSorter
+	for _, maxCol := range []int64{1, 255, 256, 1 << 16, 1<<24 + 5, math.MaxInt32} {
+		for trial := 0; trial < 40; trial++ {
+			n := insertionCutoff + 1 + rng.Intn(5000-insertionCutoff)
+			// A pool smaller than the row forces duplicates on most trials.
+			pool := make([]int32, 1+rng.Intn(2*n))
+			for k := range pool {
+				pool[k] = int32(rng.Int63n(maxCol + 1))
+			}
+			pool[0] = int32(maxCol) // the top byte is present: every pass runs
+			col := make([]int32, n)
+			data := make([]float64, n)
+			for k := range col {
+				col[k] = pool[rng.Intn(len(pool))]
+				data[k] = orderSensitive(rng)
+			}
+			if !slices.Contains(col, int32(maxCol)) {
+				col[rng.Intn(n)] = int32(maxCol)
+			}
+			wantCol, wantData := slices.Clone(col), slices.Clone(data)
+			wantDropped := packedSortCanonicalize(wantCol, wantData)
+			dropped := s.canonicalize(col, data)
+			if dropped != wantDropped {
+				t.Fatalf("max %d, n %d: dropped %d, want %d", maxCol, n, dropped, wantDropped)
+			}
+			for k := range col {
+				if col[k] != wantCol[k] || math.Float64bits(data[k]) != math.Float64bits(wantData[k]) {
+					t.Fatalf("max %d, n %d: slot %d is (%d, %v), want (%d, %v)",
+						maxCol, n, k, col[k], data[k], wantCol[k], wantData[k])
+				}
+			}
+		}
+	}
+}

@@ -19,6 +19,34 @@ func convParts(work int) int {
 	return parallel.Workers()
 }
 
+// checkedFill runs fill over the ranges on the worker team (w is the range's
+// index) and returns the error of the first range, in range order, that
+// reported one. A fill stops at its first bad row, so the error names the
+// same row at any worker count.
+func checkedFill(ranges [][2]int, fill func(w, lo, hi int) error) error {
+	errs := make([]error, len(ranges))
+	parallel.ForRangesIndexed(ranges, func(w, lo, hi int) { errs[w] = fill(w, lo, hi) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// colOrderError explains why column c failed the check in row i. The
+// conversions write their layouts in one pass and check the source CSR's
+// columns as they copy them — c <= prev || c >= cols, with prev = -1 before
+// a row's first entry so the first comparison also catches a negative
+// column — because a CSR's exported arrays can be changed after NewCSR
+// checked them.
+func colOrderError(i int, c int32, cols int) error {
+	if c < 0 || int(c) >= cols {
+		return fmt.Errorf("sparse: CSR column %d out of range in row %d", c, i)
+	}
+	return fmt.Errorf("sparse: CSR columns not strictly ascending in row %d", i)
+}
+
 // Limits bounds the storage blowup a conversion may incur, mirroring the
 // library restrictions the paper mentions ("the DIA and ELL require the fill
 // ratio ... within some threshold"). A conversion whose padded storage would
@@ -85,24 +113,40 @@ func CSRToCOO(a *CSR) (*COO, error) {
 // the selector calls it at runtime, so it must stay cheap relative to SpMV.
 // Large matrices mark per-worker bitmaps over nnz-balanced row ranges and
 // OR-merge them; the merged bitmap is scanned in order, so the result is
-// identical at any worker count.
+// identical at any worker count. It panics on a CSR whose columns were
+// changed after NewCSR; CSRToDIA and CanConvert report that instead.
 func CSRDiagonals(a *CSR) []int {
+	offs, err := csrDiagonals(a)
+	if err != nil {
+		panic(err)
+	}
+	return offs
+}
+
+// csrDiagonals is CSRDiagonals with the column check of every conversion
+// fused into the marking pass.
+func csrDiagonals(a *CSR) ([]int, error) {
 	rows, cols := a.Dims()
 	if rows == 0 || cols == 0 {
-		return nil
+		return nil, nil
 	}
 	ndiag := rows + cols - 1
 	var seen []bool
 	if parts := convParts(a.NNZ()); parts <= 1 {
 		seen = make([]bool, ndiag)
-		markDiagonals(a, seen, 0, rows)
+		if err := markDiagonals(a, seen, 0, rows); err != nil {
+			return nil, err
+		}
 	} else {
 		ranges := parallel.PartitionByWeight(rows, parts, a.Ptr)
 		local := make([][]bool, len(ranges))
-		parallel.ForRangesIndexed(ranges, func(w, lo, hi int) {
+		err := checkedFill(ranges, func(w, lo, hi int) error {
 			local[w] = make([]bool, ndiag)
-			markDiagonals(a, local[w], lo, hi)
+			return markDiagonals(a, local[w], lo, hi)
 		})
+		if err != nil {
+			return nil, err
+		}
 		seen = local[0]
 		parallel.For(ndiag, func(lo, hi int) {
 			for w := 1; w < len(local); w++ {
@@ -127,51 +171,76 @@ func CSRDiagonals(a *CSR) []int {
 			offs = append(offs, d-(rows-1))
 		}
 	}
-	return offs
+	return offs, nil
 }
 
-// markDiagonals sets seen[d] for every diagonal occupied by rows [lo, hi).
-func markDiagonals(a *CSR, seen []bool, lo, hi int) {
-	rows, _ := a.Dims()
+// markDiagonals sets seen[d] for every diagonal occupied by rows [lo, hi),
+// checking each row's columns before they index the bitmap.
+func markDiagonals(a *CSR, seen []bool, lo, hi int) error {
+	rows, cols := a.Dims()
 	for i := lo; i < hi; i++ {
+		prev := int32(-1)
 		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			seen[int(a.Col[k])-i+rows-1] = true
+			c := a.Col[k]
+			if c <= prev || int(c) >= cols {
+				return colOrderError(i, c, cols)
+			}
+			prev = c
+			seen[int(c)-i+rows-1] = true
 		}
 	}
+	return nil
 }
 
 // CSRToDIA converts to DIA, rejecting matrices whose diagonal structure
-// would exceed lim.DIAFill storage blowup.
+// would exceed lim.DIAFill storage blowup. The layout is written once:
+// csrDiagonals checks the columns while it marks the diagonals (so the
+// offsets ascend inside the matrix by construction), the scatter counts the
+// nonzero values NewDIA would count, and every other slot stays the zero
+// padding make left there.
 func CSRToDIA(a *CSR, lim Limits) (*DIA, error) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
-	offs := CSRDiagonals(a)
+	offs, err := csrDiagonals(a)
+	if err != nil {
+		return nil, err
+	}
 	if nnz > 0 && float64(len(offs))*float64(rows) > lim.DIAFill*float64(nnz) {
 		return nil, fmt.Errorf("sparse: DIA fill ratio %.1f exceeds limit %.1f (%d diagonals)",
 			float64(len(offs))*float64(rows)/float64(nnz), lim.DIAFill, len(offs))
 	}
-	data := make([]float64, len(offs)*rows)
-	if nnz > 0 {
-		// Dense offset -> diagonal-slot lookup (every stored offset is
-		// present, so no sentinel is needed); much faster than a map in the
-		// scatter loop.
-		diagIdx := make([]int32, rows+cols-1)
-		for d, k := range offs {
-			diagIdx[k+rows-1] = int32(d)
-		}
-		// Scatter in parallel over row ranges: element (d, i) lands at
-		// d*rows+i, and each worker owns a disjoint set of i, so all writes
-		// are disjoint.
-		parallel.ForRanges(parallel.PartitionByWeight(rows, convParts(nnz), a.Ptr), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-					d := int(diagIdx[int(a.Col[k])-i+rows-1])
-					data[d*rows+i] = a.Data[k]
+	m := &DIA{rows: rows, cols: cols, Offsets: offs, Data: make([]float64, len(offs)*rows)}
+	if nnz == 0 {
+		return m, nil
+	}
+	// Dense offset -> diagonal-slot lookup (every stored offset is present,
+	// so no sentinel is needed); much faster than a map in the scatter loop.
+	diagIdx := make([]int32, rows+cols-1)
+	for d, k := range offs {
+		diagIdx[k+rows-1] = int32(d)
+	}
+	// Scatter in parallel over row ranges: element (d, i) lands at
+	// d*rows+i, and each worker owns a disjoint set of i, so all writes are
+	// disjoint.
+	ranges := parallel.PartitionByWeight(rows, convParts(nnz), a.Ptr)
+	nonzero := make([]int, len(ranges))
+	parallel.ForRangesIndexed(ranges, func(w, lo, hi int) {
+		n := 0
+		for i := lo; i < hi; i++ {
+			for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
+				v := a.Data[k]
+				m.Data[int(diagIdx[int(a.Col[k])-i+rows-1])*rows+i] = v
+				if v != 0 {
+					n++
 				}
 			}
-		})
+		}
+		nonzero[w] = n
+	})
+	for _, n := range nonzero {
+		m.nnz += n
 	}
-	return NewDIA(rows, cols, offs, data)
+	return m, nil
 }
 
 // DIAToCSR converts a DIA matrix to CSR, dropping the zero padding (and any
@@ -214,7 +283,10 @@ func DIAToCSR(a *DIA) (*CSR, error) {
 }
 
 // CSRToELL converts to ELL with width = max row nnz, rejecting matrices
-// whose padding would exceed lim.ELLFill storage blowup.
+// whose padding would exceed lim.ELLFill storage blowup. One fused pass per
+// row copies the entries, checks their columns and writes the ELLPad
+// markers (padding values are the zeros make left); each row owns its
+// width-slot segment, so the row loop parallelizes with disjoint writes.
 func CSRToELL(a *CSR, lim Limits) (*ELL, error) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
@@ -223,26 +295,33 @@ func CSRToELL(a *CSR, lim Limits) (*ELL, error) {
 		return nil, fmt.Errorf("sparse: ELL fill ratio %.1f exceeds limit %.1f (width %d)",
 			float64(rows)*float64(width)/float64(nnz), lim.ELLFill, width)
 	}
-	colIdx := make([]int32, rows*width)
-	data := make([]float64, rows*width)
-	// One fused scatter-and-pad pass per row: each row owns its width-slot
-	// segment, so the row loop parallelizes with disjoint writes, and fusing
-	// the ELLPad fill into it avoids a second sweep over the padded array.
-	parallel.ForRanges(parallel.EvenRanges(rows, convParts(rows*width)), func(lo, hi int) {
+	m := &ELL{rows: rows, cols: cols, nnz: nnz, Width: width,
+		Cols: make([]int32, rows*width), Data: make([]float64, rows*width)}
+	err := checkedFill(parallel.EvenRanges(rows, convParts(rows*width)), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			base := i * width
 			n := 0
+			prev := int32(-1)
 			for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-				colIdx[base+n] = a.Col[k]
-				data[base+n] = a.Data[k]
+				c := a.Col[k]
+				if c <= prev || int(c) >= cols {
+					return colOrderError(i, c, cols)
+				}
+				prev = c
+				m.Cols[base+n] = c
+				m.Data[base+n] = a.Data[k]
 				n++
 			}
 			for ; n < width; n++ {
-				colIdx[base+n] = ELLPad
+				m.Cols[base+n] = ELLPad
 			}
 		}
+		return nil
 	})
-	return NewELL(rows, cols, width, colIdx, data)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // ELLToCSR converts an ELL matrix to CSR, dropping padding.
@@ -306,8 +385,11 @@ func HYBWidth(a *CSR, rowFraction float64) int {
 
 // CSRToHYB converts to HYB using the width heuristic in lim.HYBRowFraction.
 // A serial counting pass sizes the COO overflow exactly (prefix sums give
-// each row its output offset), then one parallel pass scatters the ELL part,
-// its padding, and the overflow triplets with disjoint writes per row.
+// each row its output offset), then one parallel pass checks the columns
+// and scatters the ELL part, its padding, and the overflow triplets with
+// disjoint writes per row. The overflow is written row-major with ascending
+// columns, which is COO's canonical order, so it becomes the COO part as it
+// stands.
 func CSRToHYB(a *CSR, lim Limits) (*HYB, error) {
 	rows, cols := a.Dims()
 	width := HYBWidth(a, lim.HYBRowFraction)
@@ -315,32 +397,31 @@ func CSRToHYB(a *CSR, lim Limits) (*HYB, error) {
 	data := make([]float64, rows*width)
 	over := make([]int, rows+1)
 	for i := 0; i < rows; i++ {
-		ov := a.RowNNZ(i) - width
-		if ov < 0 {
-			ov = 0
-		}
-		over[i+1] = over[i] + ov
+		over[i+1] = over[i] + max(a.RowNNZ(i)-width, 0)
 	}
-	var orow, ocol []int32
-	var oval []float64
-	if total := over[rows]; total > 0 {
-		orow = make([]int32, total)
-		ocol = make([]int32, total)
-		oval = make([]float64, total)
-	}
-	parallel.ForRanges(parallel.PartitionByWeight(rows, convParts(a.NNZ()+rows*width), a.Ptr), func(lo, hi int) {
+	total := over[rows]
+	orow := make([]int32, total)
+	ocol := make([]int32, total)
+	oval := make([]float64, total)
+	err := checkedFill(parallel.PartitionByWeight(rows, convParts(a.NNZ()+rows*width), a.Ptr), func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			base := i * width
 			n := 0
 			o := over[i]
+			prev := int32(-1)
 			for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
+				c := a.Col[k]
+				if c <= prev || int(c) >= cols {
+					return colOrderError(i, c, cols)
+				}
+				prev = c
 				if n < width {
-					colIdx[base+n] = a.Col[k]
+					colIdx[base+n] = c
 					data[base+n] = a.Data[k]
 					n++
 				} else {
 					orow[o] = int32(i)
-					ocol[o] = a.Col[k]
+					ocol[o] = c
 					oval[o] = a.Data[k]
 					o++
 				}
@@ -349,16 +430,16 @@ func CSRToHYB(a *CSR, lim Limits) (*HYB, error) {
 				colIdx[base+n] = ELLPad
 			}
 		}
+		return nil
 	})
-	ell, err := NewELL(rows, cols, width, colIdx, data)
 	if err != nil {
 		return nil, err
 	}
-	coo, err := NewCOO(rows, cols, orow, ocol, oval)
-	if err != nil {
-		return nil, err
-	}
-	return NewHYB(ell, coo)
+	return &HYB{
+		rows: rows, cols: cols,
+		Ell: &ELL{rows: rows, cols: cols, nnz: a.NNZ() - total, Width: width, Cols: colIdx, Data: data},
+		Coo: &COO{rows: rows, cols: cols, Row: orow, Col: ocol, Data: oval},
+	}, nil
 }
 
 // HYBToCSR converts a HYB matrix back to CSR by merging the parts.
@@ -622,7 +703,8 @@ func CanConvert(a *CSR, to Format, lim Limits) bool {
 		if nnz == 0 {
 			return true
 		}
-		return float64(len(CSRDiagonals(a)))*float64(rows) <= lim.DIAFill*float64(nnz)
+		offs, err := csrDiagonals(a)
+		return err == nil && float64(len(offs))*float64(rows) <= lim.DIAFill*float64(nnz)
 	case FmtELL:
 		if nnz == 0 {
 			return true

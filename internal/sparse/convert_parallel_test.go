@@ -1,9 +1,11 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -207,6 +209,121 @@ func TestCSRDiagLinearMerge(t *testing.T) {
 			if want := a.At(i, i); d[i] != want {
 				t.Errorf("%dx%d: Diag[%d] = %g, want %g", sh.rows, sh.cols, i, d[i], want)
 			}
+		}
+	}
+}
+
+// TestConversionsRejectChangedColumns: a CSR's exported Col can be changed
+// after NewCSR checked it. Every menu conversion checks the columns in the
+// pass that copies them and returns an error — no panic, and no layout
+// whose SpMV would gather x out of bounds — naming the same row at one
+// worker and at four.
+func TestConversionsRejectChangedColumns(t *testing.T) {
+	mutations := []struct {
+		name   string
+		mutate func(a *CSR, row int)
+		want   string
+	}{
+		{"descending pair", func(a *CSR, row int) {
+			k := a.Ptr[row]
+			a.Col[k], a.Col[k+1] = a.Col[k+1], a.Col[k]
+		}, "not strictly ascending"},
+		{"column >= cols", func(a *CSR, row int) {
+			_, cols := a.Dims()
+			a.Col[a.Ptr[row+1]-1] = int32(cols)
+		}, "out of range"},
+	}
+	formats := []Format{FmtDIA, FmtELL, FmtHYB, FmtSELL, FmtJDS}
+	for _, size := range []int{12, 3000} { // serial fill, and ranges on the team
+		for _, mu := range mutations {
+			for _, f := range formats {
+				t.Run(fmt.Sprintf("%d/%s/%v", size, mu.name, f), func(t *testing.T) {
+					a := bandedCSR(t, size, 2)
+					row := size / 2
+					mu.mutate(a, row)
+					var msgs []string
+					for _, procs := range []int{1, 4} {
+						old := runtime.GOMAXPROCS(procs)
+						m, err := ConvertFromCSR(a, f, DefaultLimits)
+						runtime.GOMAXPROCS(old)
+						if err == nil {
+							t.Fatalf("GOMAXPROCS=%d: accepted, returned %T", procs, m)
+						}
+						msgs = append(msgs, err.Error())
+					}
+					if want := fmt.Sprintf("%s in row %d", mu.want, row); !strings.Contains(msgs[0], want) {
+						t.Errorf("error %q, want it to contain %q", msgs[0], want)
+					}
+					if msgs[0] != msgs[1] {
+						t.Errorf("error depends on the worker count: %q vs %q", msgs[0], msgs[1])
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestConversionsMatchTheirConstructors: DIA, ELL and HYB build their structs
+// directly instead of through NewDIA/NewELL/NewCOO/NewHYB. Handing the
+// conversion's arrays to those constructors must accept them and rebuild the
+// same struct, nonzero counts included (DIA counts nonzero values, so the
+// band carries explicit zeros); and the constructors still reject the
+// malformed caller arrays they always rejected.
+func TestConversionsMatchTheirConstructors(t *testing.T) {
+	band := bandedCSR(t, 3000, 3)
+	for k := range band.Data {
+		if k%5 == 0 {
+			band.Data[k] = 0
+		}
+	}
+	for _, a := range []*CSR{band, skewedCSR(t, 3000), bandedCSR(t, 9, 1)} {
+		rows, cols := a.Dims()
+		if d, err := CSRToDIA(a, DefaultLimits); err == nil {
+			rebuilt, err := NewDIA(rows, cols, d.Offsets, d.Data)
+			if err != nil || !reflect.DeepEqual(rebuilt, d) {
+				t.Errorf("%dx%d DIA: NewDIA over the conversion's arrays: %v, equal %v", rows, cols, err, reflect.DeepEqual(rebuilt, d))
+			}
+		}
+		e, err := CSRToELL(a, DefaultLimits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rebuilt, err := NewELL(rows, cols, e.Width, e.Cols, e.Data); err != nil || !reflect.DeepEqual(rebuilt, e) {
+			t.Errorf("%dx%d ELL: NewELL over the conversion's arrays: %v", rows, cols, err)
+		}
+		h, err := CSRToHYB(a, DefaultLimits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ell, err1 := NewELL(rows, cols, h.Ell.Width, h.Ell.Cols, h.Ell.Data)
+		coo, err2 := NewCOO(rows, cols, h.Coo.Row, h.Coo.Col, h.Coo.Data)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%dx%d HYB parts rejected: %v, %v", rows, cols, err1, err2)
+		}
+		if rebuilt, err := NewHYB(ell, coo); err != nil || !reflect.DeepEqual(rebuilt, h) {
+			t.Errorf("%dx%d HYB: NewHYB over the conversion's parts: %v", rows, cols, err)
+		}
+	}
+
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"ELL nonzero padding", func() error { _, err := NewELL(1, 3, 2, []int32{0, ELLPad}, []float64{1, 2}); return err }()},
+		{"ELL entry after padding", func() error { _, err := NewELL(1, 3, 2, []int32{ELLPad, 1}, []float64{0, 2}); return err }()},
+		{"ELL descending", func() error { _, err := NewELL(1, 3, 2, []int32{2, 1}, []float64{1, 2}); return err }()},
+		{"ELL column >= cols", func() error { _, err := NewELL(1, 3, 2, []int32{0, 3}, []float64{1, 2}); return err }()},
+		{"DIA offsets descending", func() error { _, err := NewDIA(2, 2, []int{1, 0}, make([]float64, 4)); return err }()},
+		{"DIA offset outside", func() error { _, err := NewDIA(2, 2, []int{2}, make([]float64, 2)); return err }()},
+		{"HYB part shapes differ", func() error {
+			ell, _ := NewELL(2, 2, 0, nil, nil)
+			coo, _ := NewCOO(3, 2, nil, nil, nil)
+			_, err := NewHYB(ell, coo)
+			return err
+		}()},
+	} {
+		if c.err == nil {
+			t.Errorf("%s: accepted", c.name)
 		}
 	}
 }

@@ -119,8 +119,9 @@ func (m *JDS) finish() {
 
 // NewJDSFromCSR converts a CSR matrix to JDS. The permutation is a counting
 // sort by descending row length with ties broken by ascending row id, so
-// the layout is deterministic; the fill pass parallelizes over storage-row
-// ranges since entry (r, j) has the unique destination DiagPtr[j]+r.
+// the layout is deterministic; the fill pass checks the columns as it copies
+// them and parallelizes over storage-row ranges since entry (r, j) has the
+// unique destination DiagPtr[j]+r.
 func NewJDSFromCSR(a *CSR) (*JDS, error) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
@@ -160,18 +161,27 @@ func NewJDSFromCSR(a *CSR) (*JDS, error) {
 	m.Col = make([]int32, nnz)
 	m.Data = make([]float64, nnz)
 	m.finish()
-	parallel.ForRanges(parallel.PartitionByWeight(rows, convParts(nnz), m.permPtr), func(lo, hi int) {
+	err := checkedFill(parallel.PartitionByWeight(rows, convParts(nnz), m.permPtr), func(_, lo, hi int) error {
 		for r := lo; r < hi; r++ {
 			orig := int(m.Perm[r])
-			k := a.Ptr[orig]
-			n := a.Ptr[orig+1] - k
-			for j := 0; j < n; j++ {
+			rcol := a.Col[a.Ptr[orig]:a.Ptr[orig+1]]
+			rdata := a.Data[a.Ptr[orig]:a.Ptr[orig+1]]
+			prev := int32(-1)
+			for j, c := range rcol {
+				if c <= prev || int(c) >= cols {
+					return colOrderError(orig, c, cols)
+				}
+				prev = c
 				pos := m.DiagPtr[j] + r
-				m.Col[pos] = a.Col[k+j]
-				m.Data[pos] = a.Data[k+j]
+				m.Col[pos] = c
+				m.Data[pos] = rdata[j]
 			}
 		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/parallel"
 )
@@ -63,54 +62,40 @@ func (m *SELL) FillRatio() float64 {
 	return float64(len(m.Data)) / float64(m.nnz)
 }
 
-// NewSELLFromCSR converts a CSR matrix to SELL-C-sigma. All three passes
-// parallelize on disjoint state: sigma windows sort independent Perm
-// segments, slice widths touch independent slices (a serial prefix sum then
-// places them), and the scatter-and-pad pass writes only inside each slice's
-// own Cols/Data span. Every pass is deterministic (stable sorts, fixed
-// offsets), so the layout is identical at any worker count.
+// NewSELLFromCSR converts a CSR matrix to SELL-C-sigma in two passes, both
+// parallel on disjoint state. The first sorts each sigma window's rows by
+// descending length — a stable insertion sort over the window's lengths,
+// ties in row order — and reads each slice's width off its first row:
+// windows hold whole slices, so that row is the slice's longest. A serial
+// prefix sum places the slices; the second pass checks the columns and
+// scatters and pads each slice inside its own Cols/Data span. Both passes
+// are deterministic, so the layout is identical at any worker count.
 func NewSELLFromCSR(a *CSR) (*SELL, error) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
-	m := &SELL{rows: rows, cols: cols, nnz: nnz}
-	m.Perm = make([]int32, rows)
-	for i := range m.Perm {
-		m.Perm[i] = int32(i)
-	}
-	// Sort rows by descending length inside sigma windows.
+	nslices := (rows + SELLC - 1) / SELLC
+	m := &SELL{rows: rows, cols: cols, nnz: nnz,
+		Perm: make([]int32, rows), SliceWidth: make([]int32, nslices), SlicePtr: make([]int, nslices+1)}
 	nwin := (rows + SELLSigma - 1) / SELLSigma
 	parallel.ForRanges(parallel.EvenRanges(nwin, convParts(nnz)), func(wlo, whi int) {
+		var lens [SELLSigma]int
 		for wdx := wlo; wdx < whi; wdx++ {
 			lo := wdx * SELLSigma
-			hi := lo + SELLSigma
-			if hi > rows {
-				hi = rows
-			}
+			hi := min(lo+SELLSigma, rows)
 			window := m.Perm[lo:hi]
-			sort.SliceStable(window, func(x, y int) bool {
-				return a.RowNNZ(int(window[x])) > a.RowNNZ(int(window[y]))
-			})
-		}
-	})
-	nslices := (rows + SELLC - 1) / SELLC
-	m.SliceWidth = make([]int32, nslices)
-	m.SlicePtr = make([]int, nslices+1)
-	sliceRanges := parallel.EvenRanges(nslices, convParts(nnz))
-	parallel.ForRanges(sliceRanges, func(slo, shi int) {
-		for s := slo; s < shi; s++ {
-			lo := s * SELLC
-			hi := lo + SELLC
-			if hi > rows {
-				hi = rows
-			}
-			w := 0
-			for r := lo; r < hi; r++ {
-				if n := a.RowNNZ(int(m.Perm[r])); n > w {
-					w = n
+			for r := range window {
+				n := a.RowNNZ(lo + r)
+				j := r
+				for ; j > 0 && lens[j-1] < n; j-- {
+					lens[j], window[j] = lens[j-1], window[j-1]
 				}
+				lens[j], window[j] = n, int32(lo+r)
 			}
-			m.SliceWidth[s] = int32(w)
-			m.SlicePtr[s+1] = w * (hi - lo)
+			for r := lo; r < hi; r += SELLC {
+				w := lens[r-lo]
+				m.SliceWidth[r/SELLC] = int32(w)
+				m.SlicePtr[r/SELLC+1] = w * (min(r+SELLC, hi) - r)
+			}
 		}
 	})
 	for s := 0; s < nslices; s++ {
@@ -119,31 +104,38 @@ func NewSELLFromCSR(a *CSR) (*SELL, error) {
 	total := m.SlicePtr[nslices]
 	m.Cols = make([]int32, total)
 	m.Data = make([]float64, total)
-	parallel.ForRanges(sliceRanges, func(slo, shi int) {
+	err := checkedFill(parallel.EvenRanges(nslices, convParts(nnz)), func(_, slo, shi int) error {
 		for s := slo; s < shi; s++ {
 			lo := s * SELLC
-			hi := lo + SELLC
-			if hi > rows {
-				hi = rows
-			}
+			hi := min(lo+SELLC, rows)
 			height := hi - lo
 			base := m.SlicePtr[s]
 			w := int(m.SliceWidth[s])
 			for r := lo; r < hi; r++ {
 				orig := int(m.Perm[r])
 				local := r - lo
-				j := 0
-				for k := a.Ptr[orig]; k < a.Ptr[orig+1]; j, k = j+1, k+1 {
+				rcol := a.Col[a.Ptr[orig]:a.Ptr[orig+1]]
+				rdata := a.Data[a.Ptr[orig]:a.Ptr[orig+1]]
+				prev := int32(-1)
+				for j, c := range rcol {
+					if c <= prev || int(c) >= cols {
+						return colOrderError(orig, c, cols)
+					}
+					prev = c
 					pos := base + j*height + local
-					m.Cols[pos] = a.Col[k]
-					m.Data[pos] = a.Data[k]
+					m.Cols[pos] = c
+					m.Data[pos] = rdata[j]
 				}
-				for ; j < w; j++ {
+				for j := len(rcol); j < w; j++ {
 					m.Cols[base+j*height+local] = ELLPad
 				}
 			}
 		}
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -268,7 +260,7 @@ func (m *SELL) SpMVParallel(y, x []float64) {
 	})
 }
 
-// validateSELL is used by tests: it checks the structural invariants.
+// validate is used by tests: it checks the structural invariants.
 func (m *SELL) validate() error {
 	if len(m.Perm) != m.rows {
 		return fmt.Errorf("sparse: SELL perm length %d, want %d", len(m.Perm), m.rows)

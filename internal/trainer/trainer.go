@@ -2,8 +2,11 @@
 // selector's trained predictor bundle, following §IV-C of the paper: for
 // every matrix it extracts the Table I features and the two normalized
 // targets per format (conversion time and SpMV time, both divided by the
-// matrix's CSR SpMV time), trains one gradient-boosted regression model per
-// (target, format) pair, and evaluates them with 5-fold cross validation.
+// matrix's CSR SpMV time) and Train fits one gradient-boosted regression
+// model per (target, format) pair. Evaluate scores the same models by k-fold
+// cross validation (5-fold for the paper's Table V). Collection prices only
+// what the models learn: the feature-extraction cost the experiments charge
+// to T_predict (Sample.FeatureNorm) is theirs to fill.
 package trainer
 
 import (
@@ -33,7 +36,9 @@ type Sample struct {
 	// SpMVNorm[f] = T_spmv(f) / CSRTime, present only for valid formats.
 	// CSR is always present with a value near 1.
 	SpMVNorm map[sparse.Format]float64
-	// FeatureNorm = T_featureExtraction / CSRTime, the T_predict component.
+	// FeatureNorm = T_featureExtraction / CSRTime, the T_predict component
+	// of the cost simulations. No model trains on it, so Collect leaves it
+	// zero; experiments.NewContext fills it from the same oracle.
 	FeatureNorm float64
 }
 
@@ -67,7 +72,6 @@ func CollectOne(name string, m *sparse.CSR, oracle timing.Oracle) (Sample, error
 		ConvNorm: make(map[sparse.Format]float64),
 		SpMVNorm: map[sparse.Format]float64{sparse.FmtCSR: 1},
 	}
-	s.FeatureNorm = oracle.FeatureTime(m) / csrTime
 	for _, f := range sparse.AllFormats {
 		if f == sparse.FmtCSR {
 			continue
