@@ -1,7 +1,7 @@
 // Command ocsrouter is the cluster routing node: it fronts N ocsd shard
 // processes behind the same /v1 JSON API, placing each registered matrix on
-// the shard its global ID consistent-hashes to, replicating hot read-only
-// handles, and row-partitioning large matrices across shards with the
+// the shard its global ID consistent-hashes to, giving hot whole handles a
+// second copy, and row-partitioning large matrices across shards with the
 // partial products gathered at the router (see internal/cluster).
 //
 // Endpoints (client-facing, ocsd-compatible):
@@ -10,10 +10,13 @@
 //	GET    /v1/matrices            list routes + shard membership
 //	GET    /v1/matrices/{id}       route document + per-placement shard stats
 //	POST   /v1/matrices/{id}/spmv  batched y = A*x (whole or distributed)
+//	POST   /v1/matrices/{id}/spmm  blocked Y = A*X over k vectors (whole or distributed)
 //	POST   /v1/matrices/{id}/solve solvers; partitioned handles solve at the router
 //	DELETE /v1/matrices/{id}       unregister everywhere
+//	GET    /v1/trace/{id}          one trace's span tree, router and shard spans joined
 //	GET    /healthz                503 when no shard is healthy
 //	GET    /metrics                Prometheus text exposition
+//	GET    /debug/slow             the slowest routed requests, slowest first
 //
 // Admin:
 //
@@ -44,9 +47,7 @@ func main() {
 	var (
 		addr            = flag.String("addr", ":8080", "listen address")
 		shards          = flag.String("shards", "", "comma-separated shard base URLs (required)")
-		vnodes          = flag.Int("vnodes", 64, "virtual nodes per shard on the hash ring")
-		replication     = flag.Int("replication", 2, "target copies per hot handle, primary included")
-		replicateAfter  = flag.Int64("replicate-after", 256, "spmv vectors before a handle is replicated (0 disables)")
+		replicateAfter  = flag.Int64("replicate-after", 256, "spmv vectors before a whole handle gets a second copy (0 disables)")
 		partitionMaxNNZ = flag.Int64("partition-max-nnz", 0, "auto-partition matrices above this many nonzeros (0 disables)")
 		timeout         = flag.Duration("timeout", 2*time.Minute, "per-shard request timeout")
 		probeInterval   = flag.Duration("probe-interval", 2*time.Second, "health probe cadence per shard")
@@ -67,14 +68,12 @@ func main() {
 		os.Exit(1)
 	}
 	router, err := cluster.New(cluster.Config{
-		Shards:            urls,
-		VNodes:            *vnodes,
-		ReplicationFactor: *replication,
-		ReplicateAfter:    *replicateAfter,
-		PartitionMaxNNZ:   *partitionMaxNNZ,
-		RequestTimeout:    *timeout,
-		ProbeInterval:     *probeInterval,
-		Logger:            logger,
+		Shards:          urls,
+		ReplicateAfter:  *replicateAfter,
+		PartitionMaxNNZ: *partitionMaxNNZ,
+		RequestTimeout:  *timeout,
+		ProbeInterval:   *probeInterval,
+		Logger:          logger,
 	})
 	if err != nil {
 		logger.Error("building router failed", "error", err)
@@ -88,8 +87,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("ocsrouter listening", "addr", *addr, "shards", urls,
-			"vnodes", *vnodes, "replication", *replication)
+		logger.Info("ocsrouter listening", "addr", *addr, "shards", urls)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 

@@ -19,7 +19,8 @@ type RegisterRequest struct {
 
 // PartitionSpec requests row-block placement.
 type PartitionSpec struct {
-	// Parts is the number of row blocks (capped at the healthy shard count).
+	// Parts is the number of row blocks; the nnz-balanced cut may yield
+	// fewer, and a cut into one block registers a whole handle.
 	Parts int `json:"parts"`
 }
 

@@ -270,7 +270,6 @@ func TestRouterFailoverToReplicaOn503(t *testing.T) {
 	_, x, _, _ := oracle(t)
 	shards, router, ts := newCluster(t, 2, func(cfg *Config) {
 		cfg.ReplicateAfter = 1
-		cfg.ReplicationFactor = 2
 	})
 
 	var info RouteInfo

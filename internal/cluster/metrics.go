@@ -20,13 +20,13 @@ type Metrics struct {
 	SolveRequests    atomic.Int64
 
 	// Placement/balancing outcomes.
-	PrimaryHits     atomic.Int64 // reads served by a handle's primary copy
-	ReplicaHits     atomic.Int64 // reads served by a replica copy
-	Failovers       atomic.Int64 // per-request shard switches after a retryable failure
+	PrimaryHits     atomic.Int64 // row-block reads served by the block's primary copy
+	ReplicaHits     atomic.Int64 // row-block reads served by a replica copy
+	Failovers       atomic.Int64 // switches to a different copy or shard after a retryable failure
 	Replications    atomic.Int64 // hot handles copied onto an additional shard
 	ReplicaAliases  atomic.Int64 // replications the target shard dedup-aliased (identical matrix already resident)
-	Rebalances      atomic.Int64 // handles re-homed off a draining shard
-	PartialFanouts  atomic.Int64 // distributed SpMV gathers (one per batched request... per SpMV call)
+	Rebalances      atomic.Int64 // row blocks re-homed off a draining shard
+	PartialFanouts  atomic.Int64 // gathers over several row blocks: one per partitioned /spmv or /spmm, one per SpMV of a router-side solve
 	PartitionedRegs atomic.Int64 // registrations that row-partitioned
 
 	// Router-side end-to-end latency (includes shard round trips).
@@ -81,13 +81,13 @@ func (m *Metrics) Families(shards []*ShardClient, extra ...obs.Family) []obs.Fam
 		obs.ScalarFamily("ocsrouter_spmv_requests_total", "SpMV requests routed.", obs.KindCounter, float64(m.SpMVRequests.Load())),
 		obs.ScalarFamily("ocsrouter_spmm_requests_total", "Blocked SpMM requests routed.", obs.KindCounter, float64(m.SpMMRequests.Load())),
 		obs.ScalarFamily("ocsrouter_solve_requests_total", "Solve requests routed.", obs.KindCounter, float64(m.SolveRequests.Load())),
-		obs.ScalarFamily("ocsrouter_primary_hits_total", "Reads served by a handle's primary copy.", obs.KindCounter, float64(m.PrimaryHits.Load())),
-		obs.ScalarFamily("ocsrouter_replica_hits_total", "Reads served by a replica copy.", obs.KindCounter, float64(m.ReplicaHits.Load())),
-		obs.ScalarFamily("ocsrouter_failovers_total", "Requests retried on another copy after a retryable shard failure.", obs.KindCounter, float64(m.Failovers.Load())),
+		obs.ScalarFamily("ocsrouter_primary_hits_total", "Row-block reads served by the block's primary copy.", obs.KindCounter, float64(m.PrimaryHits.Load())),
+		obs.ScalarFamily("ocsrouter_replica_hits_total", "Row-block reads served by a replica copy.", obs.KindCounter, float64(m.ReplicaHits.Load())),
+		obs.ScalarFamily("ocsrouter_failovers_total", "Requests retried on another copy or shard after a retryable shard failure.", obs.KindCounter, float64(m.Failovers.Load())),
 		obs.ScalarFamily("ocsrouter_replications_total", "Hot handles replicated onto an additional shard.", obs.KindCounter, float64(m.Replications.Load())),
 		obs.ScalarFamily("ocsrouter_replica_aliases_total", "Replications the target shard dedup-aliased instead of storing a second copy.", obs.KindCounter, float64(m.ReplicaAliases.Load())),
-		obs.ScalarFamily("ocsrouter_rebalances_total", "Handles re-homed off a draining shard.", obs.KindCounter, float64(m.Rebalances.Load())),
-		obs.ScalarFamily("ocsrouter_partial_fanouts_total", "Distributed SpMV fan-out/gather operations.", obs.KindCounter, float64(m.PartialFanouts.Load())),
+		obs.ScalarFamily("ocsrouter_rebalances_total", "Row blocks re-homed off a draining shard.", obs.KindCounter, float64(m.Rebalances.Load())),
+		obs.ScalarFamily("ocsrouter_partial_fanouts_total", "Gathers over several row blocks (partitioned products and router-side solve SpMVs).", obs.KindCounter, float64(m.PartialFanouts.Load())),
 		obs.ScalarFamily("ocsrouter_partitioned_registers_total", "Registrations placed as row-partitioned blocks.", obs.KindCounter, float64(m.PartitionedRegs.Load())),
 	}
 

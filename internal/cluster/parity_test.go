@@ -166,7 +166,7 @@ func TestDiagonalCallSitesAgree(t *testing.T) {
 			router.mu.Lock()
 			rt := router.routes[info.ID]
 			router.mu.Unlock()
-			if rt == nil || !rt.partitioned {
+			if rt == nil || !rt.partitioned() {
 				t.Fatalf("router route %s: %+v", info.ID, rt)
 			}
 

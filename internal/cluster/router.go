@@ -16,7 +16,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/sparse"
 	"repro/internal/wire"
 )
 
@@ -24,15 +23,8 @@ import (
 type Config struct {
 	// Shards lists the initial shard base URLs (scheme://host:port).
 	Shards []string
-	// VNodes is the virtual-node count per shard on the hash ring
-	// (default 64).
-	VNodes int
-	// ReplicationFactor is the target number of copies for a hot whole
-	// handle, primary included (default 2).
-	ReplicationFactor int
 	// ReplicateAfter is the spmv-vector count past which a whole handle is
-	// considered hot and replicated toward ReplicationFactor; 0 disables
-	// replication.
+	// considered hot and gets a second copy; 0 disables replication.
 	ReplicateAfter int64
 	// PartitionMaxNNZ auto-partitions matrices with more nonzeros than this
 	// into row blocks of at most roughly this many nnz each; 0 disables
@@ -43,16 +35,17 @@ type Config struct {
 	// ProbeInterval is the health-check cadence per shard (default 2s);
 	// consecutive failures back the cadence off exponentially.
 	ProbeInterval time.Duration
-	// MaxBodyBytes bounds request bodies (default 64 MB).
-	MaxBodyBytes int64
 	// Logger receives structured logs; nil uses slog.Default().
 	Logger *slog.Logger
-	// SlowTraceCount sizes the /debug/slow ring (default 32).
-	SlowTraceCount int
-	// TraceCapacity bounds how many recent traces the router's span store
-	// retains (default obs.DefaultTraceCapacity).
-	TraceCapacity int
 }
+
+const (
+	// hotCopies is how many copies replication brings a hot whole handle
+	// to, primary included.
+	hotCopies = 2
+	// maxBodyBytes bounds request bodies.
+	maxBodyBytes = 64 << 20
+)
 
 // routerSLOs are the router-level objectives. They are looser than the
 // shard-side targets: they budget the shard round trips on top.
@@ -66,40 +59,34 @@ func routerSLOs() []obs.Objective {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.ReplicationFactor <= 0 {
-		c.ReplicationFactor = 2
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Minute
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
 	return c
 }
 
-// shardRef is one hosted copy of a whole handle.
+// shardRef is one hosted copy of a row block: the shard and the ID the
+// shard gave the handle.
 type shardRef struct {
 	shard    *ShardClient
 	remoteID string
 }
 
-// partRef is one hosted row block of a partitioned handle.
-type partRef struct {
-	lo, hi   int
-	shard    *ShardClient
-	remoteID string
+// block is one contiguous row range [lo, hi) of a handle and the shards
+// hosting a copy of it. copies[0] is the primary: a forwarded solve starts
+// there, so its selector keeps the handle's solve history.
+type block struct {
+	lo, hi int
+	copies []shardRef
 }
 
 // route is the router's record of one global handle: identity, geometry,
-// and where its copies or blocks live. The route mutex guards placement and
-// usage counters; it is never held across a shard round trip.
+// and where its row blocks live. The route mutex guards the copies, the
+// deleted mark and the usage counters; it is never held across a shard
+// round trip.
 type route struct {
 	mu          sync.Mutex
 	id          string
@@ -117,27 +104,30 @@ type route struct {
 	dangling []bool
 	diag     []float64
 
-	partitioned bool
-	primary     shardRef
-	replicas    []shardRef
-	parts       []partRef
+	// blocks tile [0, rows) in row order. A whole handle is one block, which
+	// may have several copies; a partitioned handle is several blocks. The
+	// slice and each block's range are fixed at registration: replication
+	// and drain change only a block's copies.
+	blocks []block
 
+	deleted     bool // the handle is gone: a copy registered now must go too
 	replicating bool // a replication attempt is in flight
 	rr          int  // round-robin cursor over copies
 	spmvCalls   int64
 	solveCalls  int64
 }
 
-// placements snapshots every hosted copy or row block of the handle.
+// partitioned reports whether the handle is cut into several row blocks,
+// whose products the router gathers and whose solves it runs itself.
+func (rt *route) partitioned() bool { return len(rt.blocks) > 1 }
+
+// placements snapshots every hosted copy of every row block of the handle.
 func (rt *route) placements() []shardRef {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if !rt.partitioned {
-		return append([]shardRef{rt.primary}, rt.replicas...)
-	}
-	refs := make([]shardRef, len(rt.parts))
-	for i, p := range rt.parts {
-		refs[i] = shardRef{shard: p.shard, remoteID: p.remoteID}
+	var refs []shardRef
+	for _, b := range rt.blocks {
+		refs = append(refs, b.copies...)
 	}
 	return refs
 }
@@ -183,14 +173,14 @@ func New(cfg Config) (*Router, error) {
 		mux:     http.NewServeMux(),
 		env: server.Envelope{
 			Log:          logger,
-			Tracer:       obs.NewTracer("ocsrouter", cfg.TraceCapacity),
+			Tracer:       obs.NewTracer("ocsrouter", 0),
 			SLOs:         routerSLOs(),
-			Slow:         obs.NewSlowTraces(cfg.SlowTraceCount),
-			MaxBodyBytes: cfg.MaxBodyBytes,
+			Slow:         obs.NewSlowTraces(0),
+			MaxBodyBytes: maxBodyBytes,
 			Requests:     &m.RequestsTotal,
 			Errors:       &m.RequestErrors,
 		},
-		ring:   NewRing(cfg.VNodes),
+		ring:   NewRing(0),
 		shards: make(map[string]*ShardClient),
 		routes: make(map[string]*route),
 		stopCh: make(chan struct{}),
@@ -279,12 +269,14 @@ func (r *Router) shardList() []*ShardClient {
 	return out
 }
 
-// successorClients resolves the ring's placement sequence for a key into
-// clients, healthy ones first (ring order preserved within each class), so
-// callers can walk the list as a failover chain.
-func (r *Router) successorClients(key string, n int) []*ShardClient {
+// successorClients resolves the ring's placement sequence for a key,
+// rotated by rot, into clients: healthy ones first (order preserved within
+// each class), draining ones never, so callers walk the list as a failover
+// chain. Row block i of a handle walks rotation i, so with every shard
+// healthy consecutive blocks start on consecutive successors.
+func (r *Router) successorClients(key string, rot int) []*ShardClient {
 	r.mu.Lock()
-	names := r.ring.Successors(key, n)
+	names := r.ring.Successors(key, len(r.shards))
 	clients := make([]*ShardClient, 0, len(names))
 	for _, name := range names {
 		if sc, ok := r.shards[name]; ok {
@@ -292,6 +284,10 @@ func (r *Router) successorClients(key string, n int) []*ShardClient {
 		}
 	}
 	r.mu.Unlock()
+	if len(clients) > 0 {
+		rot %= len(clients)
+		clients = slices.Concat(clients[rot:], clients[:rot])
+	}
 	healthy := make([]*ShardClient, 0, len(clients))
 	var rest []*ShardClient
 	for _, sc := range clients {
@@ -305,6 +301,10 @@ func (r *Router) successorClients(key string, n int) []*ShardClient {
 }
 
 // ---- plumbing ----
+
+// errNoShards answers a registration with nowhere to go like a shard that
+// is out of capacity.
+var errNoShards = &StatusError{Code: http.StatusServiceUnavailable, Msg: "no shards available"}
 
 // failShard maps a shard round-trip error onto the router's response: shard
 // HTTP statuses pass through (a 404/400 means the same thing one hop up), a
@@ -368,6 +368,103 @@ func callShard[T any](r *Router, ctx context.Context, op string, sc *ShardClient
 		sc.markSuccess()
 	}
 	return v, err
+}
+
+// walk runs one call (op names it) against block bi of rt, trying the
+// block's copies in turn until one answers or a failure is not worth
+// retrying: a 4xx is the client's answer on every copy. Healthy copies go
+// first. A read (spmv, spmm) starts at the route's round-robin cursor, so
+// copies share the load, and retries a lone copy once in place; a forwarded
+// solve starts at the primary and never runs twice on one copy. Moving on to
+// a different copy is a failover. walk returns the copy it tried last.
+func walk[T any](r *Router, ctx context.Context, rt *route, bi int, op string, f func(context.Context, shardRef) (T, error)) (T, shardRef, error) {
+	read := op != "solve"
+	rt.mu.Lock()
+	copies := rt.blocks[bi].copies
+	start := 0
+	if read && len(copies) > 1 {
+		start = rt.rr % len(copies)
+		rt.rr++
+	}
+	order := make([]shardRef, 0, len(copies)+1)
+	for _, healthy := range []bool{true, false} {
+		for i := range copies {
+			if ref := copies[(start+i)%len(copies)]; ref.shard.Healthy() == healthy {
+				order = append(order, ref)
+			}
+		}
+	}
+	primary := copies[0]
+	rt.mu.Unlock()
+	if read && len(order) == 1 {
+		order = append(order, order[0])
+	}
+
+	var v T
+	var err error
+	var ref shardRef
+	for i := range order {
+		if i > 0 && order[i] != ref {
+			r.metrics.Failovers.Add(1)
+		}
+		ref = order[i]
+		v, err = callShard(r, ctx, op, ref.shard, func(ctx context.Context) (T, error) { return f(ctx, ref) })
+		if err == nil {
+			if read {
+				hits := &r.metrics.ReplicaHits
+				if ref == primary {
+					hits = &r.metrics.PrimaryHits
+				}
+				hits.Add(1)
+			}
+			return v, ref, nil
+		}
+		if !Retryable(err) {
+			break
+		}
+	}
+	return v, ref, err
+}
+
+// drop deletes copies on their shards, best effort: a failure leaves behind
+// nothing the router still points at. The deletes outlive the request that
+// asked for them.
+func (r *Router) drop(ctx context.Context, refs []shardRef) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), r.cfg.RequestTimeout)
+	defer cancel()
+	for _, ref := range refs {
+		_, _ = callShard(r, ctx, "delete", ref.shard, func(ctx context.Context) (struct{}, error) {
+			return struct{}{}, ref.shard.Delete(ctx, ref.remoteID)
+		})
+	}
+}
+
+// install records a copy just registered for block bi of rt. A new replica
+// (from nil) joins the back of the block's copies; a copy re-homed off shard
+// from replaces the block's copies there and becomes its primary. If the
+// handle was deleted while the copy was being made, nothing would ever
+// delete the copy on its shard, so install deletes it and reports false.
+func (r *Router) install(ctx context.Context, rt *route, bi int, ref shardRef, from *ShardClient) bool {
+	rt.mu.Lock()
+	deleted := rt.deleted
+	switch b := &rt.blocks[bi]; {
+	case deleted:
+	case from == nil:
+		b.copies = append(b.copies, ref)
+	default:
+		kept := []shardRef{ref}
+		for _, c := range b.copies {
+			if c.shard != from {
+				kept = append(kept, c)
+			}
+		}
+		b.copies = kept
+	}
+	rt.mu.Unlock()
+	if deleted {
+		r.drop(ctx, []shardRef{ref})
+	}
+	return !deleted
 }
 
 // ---- endpoints ----
@@ -509,6 +606,14 @@ func (r *Router) newID() string {
 	return fmt.Sprintf("g%d", r.nextID.Add(1))
 }
 
+// handleRegister places a new handle as row blocks. A handle that stays one
+// block is the client's request forwarded unchanged, and the router reads
+// its geometry from the shard's reply. The router materializes the matrix
+// (with the shard's own server.Materialize, so both tiers accept and build
+// the same operator) only when a partitioning decision needs its geometry.
+// A cut into several blocks sends each as Matrix Market text and keeps the
+// diagonal and dangling flags router-side, so the router can drive solves
+// itself; a cut into one block is a whole handle.
 func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	var body RegisterRequest
 	if !r.env.Decode(w, req, &body) {
@@ -516,166 +621,112 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	}
 	r.metrics.RegisterRequests.Add(1)
 
-	// Only materialize the matrix router-side (with the shard's own
-	// server.Materialize, so both tiers accept and build the same operator)
-	// when a partitioning decision needs its geometry; plain registrations
-	// stream through to one shard.
-	wantParts := 0
-	var csr *sparse.CSR
-	var dangling []bool
+	rt := &route{name: body.Name}
+	var cut []RowBlock
 	if body.Partition != nil || r.cfg.PartitionMaxNNZ > 0 {
-		var err error
-		csr, dangling, err = server.Materialize(body.RegisterRequest)
+		csr, dangling, err := server.Materialize(body.RegisterRequest)
 		if err != nil {
 			r.env.Fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
+		wantParts := 0
 		switch {
 		case body.Partition != nil:
 			wantParts = body.Partition.Parts
 		case int64(csr.NNZ()) > r.cfg.PartitionMaxNNZ:
 			wantParts = int((int64(csr.NNZ()) + r.cfg.PartitionMaxNNZ - 1) / r.cfg.PartitionMaxNNZ)
 		}
-	}
-
-	id := r.newID()
-	if wantParts > 1 {
-		r.registerPartitioned(w, req, id, body, csr, dangling, wantParts)
-		return
-	}
-	r.registerWhole(w, req, id, body)
-}
-
-// registerWhole places the handle on one shard: the ring's owner for the
-// new global ID, failing over down the successor chain.
-func (r *Router) registerWhole(w http.ResponseWriter, req *http.Request, id string, body RegisterRequest) {
-	candidates := r.successorClients(id, len(r.shardList()))
-	if len(candidates) == 0 {
-		r.env.Fail(w, http.StatusServiceUnavailable, "no shards available")
-		return
-	}
-	var info server.MatrixInfo
-	var sc *ShardClient
-	var err error
-	for _, cand := range candidates {
-		sc = cand
-		info, err = callShard(r, req.Context(), "register", sc, func(ctx context.Context) (server.MatrixInfo, error) {
-			return sc.Register(ctx, body.RegisterRequest)
-		})
-		if err == nil {
-			break
+		if wantParts > 1 {
+			if cut, err = PartitionRows(csr, wantParts); err != nil {
+				r.env.Fail(w, http.StatusBadRequest, "%v", err)
+				return
+			}
 		}
-		if !Retryable(err) {
-			r.failShard(w, err)
-			return
+		if len(cut) > 1 {
+			rt.rows, rt.cols = csr.Dims()
+			rt.nnz, rt.tol = csr.NNZ(), body.Tol
+			rt.fingerprint, rt.valueDigest = csr.Fingerprint(), csr.ValueDigest()
+			rt.transition, rt.dangling, rt.diag = dangling != nil, dangling, csr.Diag()
 		}
-		r.metrics.Failovers.Add(1)
 	}
+	rt.id = r.newID()
+
+	request := func(int) server.RegisterRequest { return body.RegisterRequest }
+	rt.blocks = make([]block, max(len(cut), 1))
+	if len(cut) > 1 {
+		name := body.Name
+		if name == "" {
+			name = "upload"
+		}
+		for i, b := range cut {
+			rt.blocks[i] = block{lo: b.Lo, hi: b.Hi}
+		}
+		request = func(i int) server.RegisterRequest {
+			b := cut[i]
+			return server.RegisterRequest{
+				Name:         fmt.Sprintf("%s#%d/%d[%d,%d)", name, i+1, len(cut), b.Lo, b.Hi),
+				MatrixMarket: MarshalBlock(b),
+				Tol:          body.Tol,
+			}
+		}
+	}
+	infos, err := r.place(req.Context(), rt, request)
 	if err != nil {
 		r.failShard(w, err)
 		return
 	}
-	rt := &route{
-		id:          id,
-		name:        body.Name,
-		rows:        info.Rows,
-		cols:        info.Cols,
-		nnz:         info.NNZ,
-		tol:         info.Tol,
-		fingerprint: info.Fingerprint,
-		valueDigest: info.ValueDigest,
-		transition:  info.Transition,
-		primary:     shardRef{shard: sc, remoteID: info.ID},
+	if !rt.partitioned() {
+		info := infos[0]
+		rt.rows, rt.cols, rt.nnz, rt.tol = info.Rows, info.Cols, info.NNZ, info.Tol
+		rt.fingerprint, rt.valueDigest, rt.transition = info.Fingerprint, info.ValueDigest, info.Transition
+		rt.blocks[0].hi = info.Rows
+	} else {
+		r.metrics.PartitionedRegs.Add(1)
 	}
 	r.insertRoute(rt)
-	r.env.Log.Info("matrix routed", "id", id, "shard", sc.Name(), "remote_id", info.ID,
-		"nnz", info.NNZ, "fingerprint", info.Fingerprint, "duplicate_of", rt.duplicateOf)
+	shards := make([]string, len(rt.blocks))
+	for i, b := range rt.blocks {
+		shards[i] = b.copies[0].shard.Name()
+	}
+	r.env.Log.Info("matrix routed", "id", rt.id, "blocks", len(rt.blocks), "shards", shards,
+		"nnz", rt.nnz, "fingerprint", rt.fingerprint, "duplicate_of", rt.duplicateOf)
 	out := r.routeInfo(rt)
-	out.Handles = []server.MatrixInfo{info}
+	out.Handles = infos
 	r.env.WriteJSON(w, http.StatusCreated, out)
 }
 
-// registerPartitioned cuts the matrix into nnz-balanced row blocks and
-// spreads them over the ring's successor shards; the route keeps the
-// diagonal and dangling flags so the router can drive solves itself.
-func (r *Router) registerPartitioned(w http.ResponseWriter, req *http.Request, id string, body RegisterRequest, csr *sparse.CSR, dangling []bool, wantParts int) {
-	targets := r.successorClients(id, wantParts)
-	healthy := targets[:0]
-	for _, sc := range targets {
-		if sc.Healthy() {
-			healthy = append(healthy, sc)
+// place registers every row block of rt, block i from request(i), and
+// returns the shards' documents. Block i walks the ring successors of the
+// route's ID rotated by i, failing over down that list on a retryable
+// error, so with every shard healthy the blocks land on consecutive
+// successors. If a block cannot be placed, the blocks placed before it are
+// deleted again.
+func (r *Router) place(ctx context.Context, rt *route, request func(i int) server.RegisterRequest) ([]server.MatrixInfo, error) {
+	infos := make([]server.MatrixInfo, len(rt.blocks))
+	for i := range rt.blocks {
+		breq := request(i)
+		var err error = errNoShards
+		for j, sc := range r.successorClients(rt.id, i) {
+			if j > 0 {
+				r.metrics.Failovers.Add(1)
+			}
+			infos[i], err = callShard(r, ctx, "register", sc, func(ctx context.Context) (server.MatrixInfo, error) {
+				return sc.Register(ctx, breq)
+			})
+			if err == nil {
+				rt.blocks[i].copies = []shardRef{{shard: sc, remoteID: infos[i].ID}}
+				break
+			}
+			if !Retryable(err) {
+				break
+			}
+		}
+		if err != nil {
+			r.drop(ctx, rt.placements())
+			return nil, err
 		}
 	}
-	if len(healthy) == 0 {
-		r.env.Fail(w, http.StatusServiceUnavailable, "no healthy shards for partitioned placement")
-		return
-	}
-	blocks, err := PartitionRows(csr, wantParts)
-	if err != nil {
-		r.env.Fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rows, cols := csr.Dims()
-	name := body.Name
-	if name == "" {
-		name = "upload"
-	}
-	tol := body.Tol
-	parts := make([]partRef, 0, len(blocks))
-	cleanup := func() {
-		for _, p := range parts {
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.RequestTimeout)
-			_ = p.shard.Delete(ctx, p.remoteID)
-			cancel()
-		}
-	}
-	for i, b := range blocks {
-		text, merr := MarshalBlock(b)
-		if merr != nil {
-			cleanup()
-			r.env.Fail(w, http.StatusInternalServerError, "serializing block: %v", merr)
-			return
-		}
-		breq := server.RegisterRequest{
-			Name:         fmt.Sprintf("%s#%d/%d[%d,%d)", name, i+1, len(blocks), b.Lo, b.Hi),
-			MatrixMarket: text,
-			Tol:          tol,
-		}
-		sc := healthy[i%len(healthy)]
-		info, rerr := callShard(r, req.Context(), "register", sc, func(ctx context.Context) (server.MatrixInfo, error) {
-			return sc.Register(ctx, breq)
-		})
-		if rerr != nil {
-			cleanup()
-			r.failShard(w, rerr)
-			return
-		}
-		parts = append(parts, partRef{lo: b.Lo, hi: b.Hi, shard: sc, remoteID: info.ID})
-	}
-	rt := &route{
-		id:          id,
-		name:        body.Name,
-		rows:        rows,
-		cols:        cols,
-		nnz:         csr.NNZ(),
-		tol:         tol,
-		fingerprint: csr.Fingerprint(),
-		valueDigest: csr.ValueDigest(),
-		transition:  dangling != nil,
-		dangling:    dangling,
-		diag:        csr.Diag(),
-		partitioned: true,
-		parts:       parts,
-	}
-	r.insertRoute(rt)
-	r.metrics.PartitionedRegs.Add(1)
-	shardsUsed := make([]string, len(parts))
-	for i, p := range parts {
-		shardsUsed[i] = p.shard.Name()
-	}
-	r.env.Log.Info("matrix partitioned", "id", id, "parts", len(parts), "shards", shardsUsed,
-		"nnz", rt.nnz, "fingerprint", rt.fingerprint)
-	r.env.WriteJSON(w, http.StatusCreated, r.routeInfo(rt))
+	return infos, nil
 }
 
 // insertRoute records the route, tagging structure duplicates (same
@@ -693,7 +744,9 @@ func (r *Router) insertRoute(rt *route) {
 	r.routes[rt.id] = rt
 }
 
-// routeInfo renders the route document (placement + usage, no shard calls).
+// routeInfo renders the route document (placement + usage, no shard calls):
+// a whole handle's copies as its primary and replicas, a partitioned
+// handle's as its parts.
 func (r *Router) routeInfo(rt *route) RouteInfo {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -707,18 +760,21 @@ func (r *Router) routeInfo(rt *route) RouteInfo {
 		Transition:  rt.transition,
 		Fingerprint: rt.fingerprint,
 		DuplicateOf: rt.duplicateOf,
-		Partitioned: rt.partitioned,
+		Partitioned: rt.partitioned(),
 		SpMVCalls:   rt.spmvCalls,
 		SolveCalls:  rt.solveCalls,
 	}
-	if rt.partitioned {
-		for _, p := range rt.parts {
-			info.Parts = append(info.Parts, Placement{Shard: p.shard.Name(), RemoteID: p.remoteID, RowLo: p.lo, RowHi: p.hi})
-		}
-	} else {
-		info.Primary = &Placement{Shard: rt.primary.shard.Name(), RemoteID: rt.primary.remoteID, RowLo: 0, RowHi: rt.rows}
-		for _, rep := range rt.replicas {
-			info.Replicas = append(info.Replicas, Placement{Shard: rep.shard.Name(), RemoteID: rep.remoteID, RowLo: 0, RowHi: rt.rows})
+	for _, b := range rt.blocks {
+		for ci, c := range b.copies {
+			p := Placement{Shard: c.shard.Name(), RemoteID: c.remoteID, RowLo: b.lo, RowHi: b.hi}
+			switch {
+			case info.Partitioned:
+				info.Parts = append(info.Parts, p)
+			case ci == 0:
+				info.Primary = &p
+			default:
+				info.Replicas = append(info.Replicas, p)
+			}
 		}
 	}
 	return info
@@ -748,7 +804,6 @@ func (r *Router) handleGet(w http.ResponseWriter, req *http.Request) {
 	// Pull the shard-side stats for every placement so the caller sees the
 	// full ledger: each copy's selector state and paid/hidden overhead.
 	for _, ref := range rt.placements() {
-		ref := ref
 		mi, err := callShard(r, req.Context(), "get", ref.shard, func(ctx context.Context) (server.MatrixInfo, error) {
 			return ref.shard.Get(ctx, ref.remoteID)
 		})
@@ -760,6 +815,9 @@ func (r *Router) handleGet(w http.ResponseWriter, req *http.Request) {
 	r.env.WriteJSON(w, http.StatusOK, info)
 }
 
+// handleDelete forgets the handle and deletes every copy. The route is
+// marked deleted before its copies are listed, so a copy that replication
+// or a drain registers afterwards is deleted by install instead.
 func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	r.mu.Lock()
@@ -772,51 +830,20 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 		r.env.Fail(w, http.StatusNotFound, "no matrix %q", id)
 		return
 	}
-	for _, ref := range rt.placements() {
-		ref := ref
-		_, _ = callShard(r, req.Context(), "delete", ref.shard, func(ctx context.Context) (struct{}, error) {
-			return struct{}{}, ref.shard.Delete(ctx, ref.remoteID)
-		})
-	}
+	rt.mu.Lock()
+	rt.deleted = true
+	rt.mu.Unlock()
+	r.drop(req.Context(), rt.placements())
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // ---- spmv / spmm ----
 
-// copies returns a whole handle's copies in the order to try them: healthy
-// ones first, unhealthy ones as a last resort. Reads (rotate) start from the
-// round-robin cursor so replicas genuinely share fan-out load; solves start
-// from the primary, whose selector accumulates the handle's solve history,
-// and fall back to replicas only on failure.
-func (rt *route) copies(rotate bool) (attempts []shardRef, primary shardRef) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	all := make([]shardRef, 0, 1+len(rt.replicas))
-	all = append(all, rt.primary)
-	all = append(all, rt.replicas...)
-	if rotate {
-		start := rt.rr % len(all)
-		rt.rr++
-		all = slices.Concat(all[start:], all[:start])
-	}
-	healthy := make([]shardRef, 0, len(all))
-	var rest []shardRef
-	for _, ref := range all {
-		if ref.shard.Healthy() {
-			healthy = append(healthy, ref)
-		} else {
-			rest = append(rest, ref)
-		}
-	}
-	return append(healthy, rest...), rt.primary
-}
-
-// handlePanel routes /spmv and /spmm (op names the endpoint): a whole handle
-// forwards the request to one of its copies, a partitioned handle fans it
-// out over the row blocks and gathers the product. The router converts no
-// float on this path: the body is scanned for its shape, the client's bytes
-// go to the shards unchanged, and the reply is spliced from the byte spans
-// of the shards' product vectors.
+// handlePanel routes /spmv and /spmm (op names the endpoint): the request
+// fans out over the handle's row blocks, one copy of each, and the product
+// is gathered. The router converts no float on this path: the body is
+// scanned for its shape, the client's bytes go to the shards unchanged, and
+// the reply is spliced from the byte spans of the shards' product vectors.
 func (r *Router) handlePanel(op string) http.HandlerFunc {
 	requests, seconds := &r.metrics.SpMVRequests, r.metrics.SpMVSeconds
 	if op == "spmm" {
@@ -843,72 +870,37 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 		}
 		defer func() { seconds.ObserveExemplar(time.Since(start).Seconds(), traceHex) }()
 
-		if rt.partitioned {
-			if lay.RowLo != 0 || lay.RowHi != 0 {
-				r.env.Fail(w, http.StatusBadRequest, "row_lo/row_hi are not supported on partitioned handles")
-				return
-			}
-			blocks, served, err := r.gather(req.Context(), rt, op, *body, k)
-			if err != nil {
-				r.failShard(w, err)
-				return
-			}
-			tail := wire.Tail{Format: "distributed", ServedBy: served}
-			if op == "spmm" {
-				tail.K = k
-			}
-			body = r.replyPanel(w, sc, rt, blocks, tail, body)
+		if (lay.RowLo != 0 || lay.RowHi != 0) && rt.partitioned() {
+			r.env.Fail(w, http.StatusBadRequest, "row_lo/row_hi are not supported on partitioned handles")
 			return
 		}
-
-		// A whole copy answers whatever valid row range the client asked for.
-		rows := rt.rows
-		if lay.RowLo != 0 || lay.RowHi != 0 {
-			rows = lay.RowHi - lay.RowLo
-		}
-		attempts, primary := rt.copies(true)
-		var lastErr error
-		for i, ref := range attempts {
-			if i > 0 {
-				r.metrics.Failovers.Add(1)
-			}
-			ref := ref
-			block, err := callShard(r, req.Context(), op, ref.shard, func(ctx context.Context) (blockReply, error) {
-				return panelBlock(ctx, ref.shard, op, ref.remoteID, *body, k, rows)
-			})
-			if err != nil {
-				lastErr = err
-				if !Retryable(err) {
-					break
-				}
-				continue
-			}
-			if ref == primary {
-				r.metrics.PrimaryHits.Add(1)
-			} else {
-				r.metrics.ReplicaHits.Add(1)
-			}
-			body = r.replyPanel(w, sc, rt, []blockReply{block},
-				wire.Tail{K: block.lay.K, Format: block.lay.Format, ServedBy: []string{ref.shard.Name()}}, body)
-			r.maybeReplicate(rt)
+		replies, served, err := r.gather(req.Context(), rt, op, *body, k, lay.RowLo, lay.RowHi)
+		if err != nil {
+			r.failShard(w, err)
 			return
 		}
-		r.failShard(w, lastErr)
+		// One block answers in its shard's own format; a gather is
+		// "distributed".
+		tail := wire.Tail{K: replies[0].lay.K, Format: replies[0].lay.Format, ServedBy: served}
+		if rt.partitioned() {
+			tail.Format = "distributed"
+		}
+		body = r.replyPanel(w, sc, rt, replies, tail, body)
+		r.maybeReplicate(rt)
 	}
 }
 
 // replyPanel answers a panel request by splicing the shards' product vectors
-// (one block for a whole copy, the row blocks in order for a partitioned
-// handle) under the router's own tail, and releases the blocks. The reply is
-// built over the request body when that buffer has the room: every shard has
-// answered, so the request's bytes are dead. It returns the buffer the caller
-// now owns.
-func (r *Router) replyPanel(w http.ResponseWriter, sc obs.SpanContext, rt *route, blocks []blockReply, tail wire.Tail, buf *[]byte) *[]byte {
-	defer releaseBlocks(blocks)
+// (the row blocks' replies in row order) under the router's own tail, and
+// releases the replies. The reply is built over the request body when that
+// buffer has the room: every shard has answered, so the request's bytes are
+// dead. It returns the buffer the caller now owns.
+func (r *Router) replyPanel(w http.ResponseWriter, sc obs.SpanContext, rt *route, replies []blockReply, tail wire.Tail, buf *[]byte) *[]byte {
+	defer releaseBlocks(replies)
 	start := time.Now()
-	bodies, lays := make([][]byte, len(blocks)), make([]wire.Layout, len(blocks))
+	bodies, lays := make([][]byte, len(replies)), make([]wire.Layout, len(replies))
 	size := 256 // the tail
-	for i, b := range blocks {
+	for i, b := range replies {
 		bodies[i], lays[i] = *b.body, b.lay
 		size += len(*b.body)
 	}
@@ -929,8 +921,8 @@ type blockReply struct {
 	lay  wire.Layout
 }
 
-func releaseBlocks(blocks []blockReply) {
-	for _, b := range blocks {
+func releaseBlocks(replies []blockReply) {
+	for _, b := range replies {
 		wire.PutBuf(b.body)
 	}
 }
@@ -958,69 +950,69 @@ func panelBlock(ctx context.Context, sc *ShardClient, op, id string, body []byte
 	return blockReply{body: reply, lay: lay}, nil
 }
 
-// gather runs the distributed product (op "spmv" or "spmm"): the same
-// encoded k-vector request (body; it carries the progress indicator, if any,
-// so the shard-side selector pipelines advance — a distributed solve's loop
-// runs router-side) goes to every row block in parallel and each shard
-// returns its block of the product, handed back as scanned bytes in block
-// order; release them with releaseBlocks. The HTTP path splices them into
-// the reply, the solver path decodes them into its vector. Every row is
-// summed entirely on one shard, so the gathered vectors are bit-identical to
-// the single-process product no matter how the rows were cut.
-func (r *Router) gather(ctx context.Context, rt *route, op string, body []byte, k int) ([]blockReply, []string, error) {
-	rt.mu.Lock()
-	parts := append([]partRef(nil), rt.parts...)
-	rt.mu.Unlock()
-
-	blocks := make([]blockReply, len(parts))
-	served := make([]string, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for pi := range parts {
-		wg.Add(1)
-		go func(pi int, p partRef) {
-			defer wg.Done()
-			served[pi] = p.shard.Name()
-			var err error
-			// One in-place retry absorbs transient queue-full rejections;
-			// blocks have a single placement, so there is no replica to
-			// fail over to (whole-handle replicas cover that case).
-			for attempt := 0; attempt < 2; attempt++ {
-				blocks[pi], err = callShard(r, ctx, op, p.shard, func(ctx context.Context) (blockReply, error) {
-					return panelBlock(ctx, p.shard, op, p.remoteID, body, k, p.hi-p.lo)
-				})
-				if err == nil || !Retryable(err) {
-					break
-				}
-			}
-			if err != nil {
-				errs[pi] = fmt.Errorf("block [%d,%d) on %s: %w", p.lo, p.hi, p.shard.Name(), err)
-			}
-		}(pi, parts[pi])
+// gather runs a product (op "spmv" or "spmm") over every row block of rt in
+// parallel: the same encoded k-vector request (body; it carries the
+// progress indicator, if any, so the shard-side selector pipelines advance —
+// a distributed solve's loop runs router-side) goes to one copy of each
+// block, and each returns its block of the product, handed back as scanned
+// bytes in block order with the shard that served it; release them with
+// releaseBlocks. The HTTP path splices them into the reply, the solver path
+// decodes them into its vector. Every row is summed entirely on one shard,
+// so the gathered vectors are bit-identical to the single-process product
+// no matter how the rows were cut. rowLo and rowHi are a client's
+// row_lo/row_hi on a one-block route, or 0 and 0 for every block's own rows.
+func (r *Router) gather(ctx context.Context, rt *route, op string, body []byte, k, rowLo, rowHi int) ([]blockReply, []string, error) {
+	replies := make([]blockReply, len(rt.blocks))
+	served := make([]string, len(rt.blocks))
+	errs := make([]error, len(rt.blocks))
+	fetch := func(bi int) {
+		b := &rt.blocks[bi]
+		rows := b.hi - b.lo
+		if rowLo != 0 || rowHi != 0 {
+			rows = rowHi - rowLo
+		}
+		reply, ref, err := walk(r, ctx, rt, bi, op, func(ctx context.Context, ref shardRef) (blockReply, error) {
+			return panelBlock(ctx, ref.shard, op, ref.remoteID, body, k, rows)
+		})
+		if err != nil {
+			errs[bi] = fmt.Errorf("block [%d,%d) on %s: %w", b.lo, b.hi, ref.shard.Name(), err)
+			return
+		}
+		replies[bi], served[bi] = reply, ref.shard.Name()
 	}
+	var wg sync.WaitGroup
+	for bi := 1; bi < len(rt.blocks); bi++ {
+		wg.Add(1)
+		go func(bi int) {
+			defer wg.Done()
+			fetch(bi)
+		}(bi)
+	}
+	fetch(0)
 	wg.Wait()
-	r.metrics.PartialFanouts.Add(1)
+	if rt.partitioned() {
+		r.metrics.PartialFanouts.Add(1)
+	}
 	for _, err := range errs {
 		if err != nil {
-			releaseBlocks(blocks)
+			releaseBlocks(replies)
 			return nil, nil, err
 		}
 	}
-	return blocks, served, nil
+	return replies, served, nil
 }
 
 // ---- replication ----
 
 // maybeReplicate kicks off a background copy of a hot whole handle onto the
-// next shard in its placement sequence, toward the configured replication
-// factor. At most one attempt is in flight per route.
+// next shard in its placement sequence, up to hotCopies copies. At most one
+// attempt is in flight per route.
 func (r *Router) maybeReplicate(rt *route) {
-	if r.cfg.ReplicateAfter <= 0 {
+	if r.cfg.ReplicateAfter <= 0 || rt.partitioned() {
 		return
 	}
 	rt.mu.Lock()
-	hot := !rt.partitioned && rt.spmvCalls >= r.cfg.ReplicateAfter &&
-		1+len(rt.replicas) < r.cfg.ReplicationFactor && !rt.replicating
+	hot := rt.spmvCalls >= r.cfg.ReplicateAfter && len(rt.blocks[0].copies) < hotCopies && !rt.replicating
 	if hot {
 		rt.replicating = true
 	}
@@ -1035,7 +1027,7 @@ func (r *Router) maybeReplicate(rt *route) {
 	}()
 }
 
-// replicate copies a route's handle onto one additional shard. Runs off the
+// replicate copies a whole handle onto one additional shard. Runs off the
 // request path: the client that made the handle hot never waits on it — in
 // ledger terms the copy's full T_convert+transfer is hidden overhead, paid
 // by no request.
@@ -1049,21 +1041,20 @@ func (r *Router) replicate(rt *route) {
 		}
 	}
 	rt.mu.Lock()
-	hosting := map[string]bool{rt.primary.shard.Name(): true}
-	for _, rep := range rt.replicas {
-		hosting[rep.shard.Name()] = true
-	}
-	source := rt.primary
-	id := rt.id
+	copies := slices.Clone(rt.blocks[0].copies)
 	rt.mu.Unlock()
+	source := copies[0]
+	hosting := func(sc *ShardClient) bool {
+		return slices.ContainsFunc(copies, func(c shardRef) bool { return c.shard == sc })
+	}
 
 	// Prefer a shard that already hosts an identical matrix through another
 	// route: its registry dedups the registration into an alias of the
 	// resident copy, so the replica costs the target nothing but a handle.
 	prefer := r.aliasTargets(rt)
 	var target, fallback *ShardClient
-	for _, sc := range r.successorClients(id, len(r.shardList())) {
-		if hosting[sc.Name()] || !sc.Healthy() {
+	for _, sc := range r.successorClients(rt.id, 0) {
+		if hosting(sc) || !sc.Healthy() {
 			continue
 		}
 		if prefer[sc.Name()] {
@@ -1087,26 +1078,26 @@ func (r *Router) replicate(rt *route) {
 		return source.shard.Export(ctx, source.remoteID)
 	})
 	if err != nil {
-		r.env.Log.Warn("replication export failed", "id", id, "source", source.shard.Name(), "error", err)
+		r.env.Log.Warn("replication export failed", "id", rt.id, "source", source.shard.Name(), "error", err)
 		done(false)
 		return
 	}
 	info, err := r.registerExport(ctx, target, exp)
 	if err != nil {
-		r.env.Log.Warn("replication register failed", "id", id, "target", target.Name(), "error", err)
+		r.env.Log.Warn("replication register failed", "id", rt.id, "target", target.Name(), "error", err)
 		done(false)
 		return
 	}
-	rt.mu.Lock()
-	rt.replicas = append(rt.replicas, shardRef{shard: target, remoteID: info.ID})
-	copies := 1 + len(rt.replicas)
-	rt.mu.Unlock()
+	if !r.install(ctx, rt, 0, shardRef{shard: target, remoteID: info.ID}, nil) {
+		done(false)
+		return
+	}
 	done(true)
 	if info.DuplicateOf != "" {
 		r.metrics.ReplicaAliases.Add(1)
 	}
-	r.env.Log.Info("handle replicated", "id", id, "target", target.Name(), "remote_id", info.ID,
-		"copies", copies, "aliased", info.DuplicateOf != "")
+	r.env.Log.Info("handle replicated", "id", rt.id, "target", target.Name(), "remote_id", info.ID,
+		"copies", len(copies)+1, "aliased", info.DuplicateOf != "")
 }
 
 // aliasTargets returns the shards hosting, via some other route, a whole
@@ -1114,32 +1105,33 @@ func (r *Router) replicate(rt *route) {
 // digest). Registering rt's replica on one of them dedup-aliases the
 // resident arrays instead of storing a second copy.
 func (r *Router) aliasTargets(rt *route) map[string]bool {
-	rt.mu.Lock()
-	fp, vd := rt.fingerprint, rt.valueDigest
-	rt.mu.Unlock()
 	out := map[string]bool{}
-	if fp == "" || vd == "" {
+	if rt.fingerprint == "" || rt.valueDigest == "" {
 		return out
 	}
 	r.mu.Lock()
 	others := make([]*route, 0, len(r.routes))
 	for _, other := range r.routes {
-		if other != rt {
+		if other != rt && !other.partitioned() && other.fingerprint == rt.fingerprint && other.valueDigest == rt.valueDigest {
 			others = append(others, other)
 		}
 	}
 	r.mu.Unlock()
 	for _, other := range others {
-		other.mu.Lock()
-		if !other.partitioned && other.fingerprint == fp && other.valueDigest == vd {
-			out[other.primary.shard.Name()] = true
-			for _, rep := range other.replicas {
-				out[rep.shard.Name()] = true
-			}
+		for _, ref := range other.placements() {
+			out[ref.shard.Name()] = true
 		}
-		other.mu.Unlock()
 	}
 	return out
+}
+
+// registerExport re-registers an exported handle verbatim on target.
+func (r *Router) registerExport(ctx context.Context, target *ShardClient, exp server.ExportResponse) (server.MatrixInfo, error) {
+	return callShard(r, ctx, "register", target, func(ctx context.Context) (server.MatrixInfo, error) {
+		return target.Register(ctx, server.RegisterRequest{
+			Name: exp.Name, MatrixMarket: exp.MatrixMarket, Tol: exp.Tol, Dangling: exp.Dangling,
+		})
+	})
 }
 
 // ---- solve ----
@@ -1161,36 +1153,23 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	}
 	defer func() { r.metrics.SolveSeconds.ObserveExemplar(time.Since(start).Seconds(), traceHex) }()
 
-	if rt.partitioned {
+	if rt.partitioned() {
 		r.distSolve(w, req, rt, body)
 		return
 	}
-	attempts, _ := rt.copies(false)
-	var lastErr error
-	for i, ref := range attempts {
-		if i > 0 {
-			r.metrics.Failovers.Add(1)
-		}
-		ref := ref
-		resp, err := callShard(r, req.Context(), "solve", ref.shard, func(ctx context.Context) (server.SolveResponse, error) {
-			return ref.shard.Solve(ctx, ref.remoteID, body)
-		})
-		if err != nil {
-			lastErr = err
-			if !Retryable(err) {
-				break
-			}
-			continue
-		}
-		rt.mu.Lock()
-		rt.solveCalls++
-		rt.spmvCalls += int64(resp.SpMVCalls)
-		rt.mu.Unlock()
-		r.maybeReplicate(rt)
-		r.env.WriteJSON(w, http.StatusOK, SolveResponse{SolveResponse: resp, ServedBy: []string{ref.shard.Name()}})
+	resp, ref, err := walk(r, req.Context(), rt, 0, "solve", func(ctx context.Context, ref shardRef) (server.SolveResponse, error) {
+		return ref.shard.Solve(ctx, ref.remoteID, body)
+	})
+	if err != nil {
+		r.failShard(w, err)
 		return
 	}
-	r.failShard(w, lastErr)
+	rt.mu.Lock()
+	rt.solveCalls++
+	rt.spmvCalls += int64(resp.SpMVCalls)
+	rt.mu.Unlock()
+	r.maybeReplicate(rt)
+	r.env.WriteJSON(w, http.StatusOK, SolveResponse{SolveResponse: resp, ServedBy: []string{ref.shard.Name()}})
 }
 
 // distPanic carries a shard failure out of an Operator.SpMV call (whose
@@ -1219,13 +1198,13 @@ func (d *distOp) SpMV(y, x []float64) {
 	if *body, err = wire.AppendRequest(*body, [][]float64{x}, 0, 0, d.progress); err != nil {
 		panic(distPanic{err})
 	}
-	blocks, _, err := d.r.gather(d.ctx, d.rt, "spmv", *body, 1)
+	replies, _, err := d.r.gather(d.ctx, d.rt, "spmv", *body, 1, 0, 0)
 	if err != nil {
 		panic(distPanic{err})
 	}
-	defer releaseBlocks(blocks)
+	defer releaseBlocks(replies)
 	lo := 0
-	for _, b := range blocks {
+	for _, b := range replies {
 		sp := b.lay.Vectors[0]
 		if err := wire.DecodeVector((*b.body)[sp.Lo:sp.Hi], y[lo:lo+sp.N], 1); err != nil {
 			panic(distPanic{&ReplyError{err}})
@@ -1288,14 +1267,13 @@ func (r *Router) distSolve(w http.ResponseWriter, req *http.Request, rt *route, 
 	rt.mu.Lock()
 	rt.solveCalls++
 	rt.spmvCalls += int64(res.SpMVs)
-	parts := append([]partRef(nil), rt.parts...)
 	rt.mu.Unlock()
 
 	// Aggregate the shard-side ledgers: the cross-shard request's selector
 	// overheads are the sum over blocks (each block ran its own pipeline),
 	// keeping the T_affected split (paid on some shard's request path,
 	// hidden behind its in-flight work) visible one hop up.
-	agg, served := r.aggregateSelector(req.Context(), parts)
+	agg, served := r.aggregateSelector(req.Context(), rt.placements())
 	resp := server.SolveResponse{
 		App:            body.App,
 		Iterations:     res.Iterations,
@@ -1313,18 +1291,17 @@ func (r *Router) distSolve(w http.ResponseWriter, req *http.Request, rt *route, 
 	r.env.WriteJSON(w, http.StatusOK, SolveResponse{SolveResponse: resp, ServedBy: served})
 }
 
-// aggregateSelector sums the per-block selector stats into one document and
-// returns the serving shard names.
-func (r *Router) aggregateSelector(ctx context.Context, parts []partRef) (server.SelectorStats, []string) {
+// aggregateSelector sums the selector stats of the given placements into one
+// document and returns the serving shard names.
+func (r *Router) aggregateSelector(ctx context.Context, refs []shardRef) (server.SelectorStats, []string) {
 	var agg server.SelectorStats
-	formats := make([]string, 0, len(parts))
-	served := make([]string, 0, len(parts))
+	formats := make([]string, 0, len(refs))
+	served := make([]string, 0, len(refs))
 	seen := map[string]bool{}
-	for _, p := range parts {
-		p := p
-		served = append(served, p.shard.Name())
-		mi, err := callShard(r, ctx, "get", p.shard, func(ctx context.Context) (server.MatrixInfo, error) {
-			return p.shard.Get(ctx, p.remoteID)
+	for _, ref := range refs {
+		served = append(served, ref.shard.Name())
+		mi, err := callShard(r, ctx, "get", ref.shard, func(ctx context.Context) (server.MatrixInfo, error) {
+			return ref.shard.Get(ctx, ref.remoteID)
 		})
 		if err != nil {
 			continue
@@ -1376,11 +1353,12 @@ func (r *Router) handleDrain(w http.ResponseWriter, req *http.Request) {
 	r.env.WriteJSON(w, http.StatusOK, resp)
 }
 
-// drainShard re-homes every placement off sc: whole handles promote an
-// existing replica when one is healthy, otherwise export+register to the
-// ring's new owner; row blocks always export+register. The drained shard
-// stays a member (admin-visible, probed) but owns no ring points, so
-// nothing new lands on it.
+// drainShard moves every row block off sc. A block's copies on sc are
+// dropped; if a healthy copy is left it serves on, promoted to primary when
+// sc held the primary (no data moves); otherwise the block is exported from
+// sc and re-homed on the first healthy shard in the order its registration
+// walked. The drained shard stays a member (admin-visible, probed) but owns
+// no ring points, so nothing new lands on it.
 func (r *Router) drainShard(ctx context.Context, sc *ShardClient) DrainResponse {
 	resp := DrainResponse{Shard: sc.Name()}
 	r.mu.Lock()
@@ -1391,122 +1369,67 @@ func (r *Router) drainShard(ctx context.Context, sc *ShardClient) DrainResponse 
 	r.mu.Unlock()
 	sort.Slice(rts, func(i, j int) bool { return rts[i].id < rts[j].id })
 
-	var abandoned []shardRef // handles to delete from the drained shard
+	var abandoned []shardRef // copies to delete from the drained shard
 	for _, rt := range rts {
-		rt.mu.Lock()
-		if rt.partitioned {
-			moves := make([]int, 0, 1)
-			for pi, p := range rt.parts {
-				if p.shard == sc {
-					moves = append(moves, pi)
+		for bi := range rt.blocks {
+			rt.mu.Lock()
+			b := &rt.blocks[bi]
+			var kept, gone []shardRef
+			for _, c := range b.copies {
+				if c.shard == sc {
+					gone = append(gone, c)
+				} else {
+					kept = append(kept, c)
 				}
+			}
+			i := slices.IndexFunc(kept, func(c shardRef) bool { return c.shard.Healthy() })
+			if len(gone) > 0 && i >= 0 {
+				if b.copies[0].shard == sc {
+					kept = slices.Concat(kept[i:i+1], kept[:i], kept[i+1:])
+					resp.Promoted++
+				}
+				b.copies = kept
+				abandoned = append(abandoned, gone...)
 			}
 			rt.mu.Unlock()
-			for _, pi := range moves {
-				rt.mu.Lock()
-				p := rt.parts[pi]
-				rt.mu.Unlock()
-				if ref, ok := r.rehome(ctx, fmt.Sprintf("%s#%d", rt.id, pi), shardRef{shard: sc, remoteID: p.remoteID}); ok {
-					rt.mu.Lock()
-					rt.parts[pi] = partRef{lo: p.lo, hi: p.hi, shard: ref.shard, remoteID: ref.remoteID}
-					rt.mu.Unlock()
-					resp.Moved++
-					r.metrics.Rebalances.Add(1)
-				} else {
-					resp.Lost = append(resp.Lost, fmt.Sprintf("%s part %d", rt.id, pi))
-				}
-			}
-			continue
-		}
-		// Whole handle: drop replicas on the shard, re-home the primary.
-		kept := rt.replicas[:0]
-		var healthyReplica *shardRef
-		for i := range rt.replicas {
-			rep := rt.replicas[i]
-			if rep.shard == sc {
-				abandoned = append(abandoned, rep)
+			if len(gone) == 0 || i >= 0 {
 				continue
 			}
-			kept = append(kept, rep)
-			if healthyReplica == nil && rep.shard.Healthy() {
-				healthyReplica = &kept[len(kept)-1]
-			}
-		}
-		rt.replicas = kept
-		primaryHere := rt.primary.shard == sc
-		var oldPrimary shardRef
-		if primaryHere {
-			oldPrimary = rt.primary
-			if healthyReplica != nil {
-				// Promote: the replica becomes authoritative, no data moves.
-				rt.primary = *healthyReplica
-				rt.replicas = removeRef(rt.replicas, *healthyReplica)
-				resp.Promoted++
-			}
-		}
-		promoted := primaryHere && healthyReplica != nil
-		rt.mu.Unlock()
-		if primaryHere && !promoted {
-			if ref, ok := r.rehome(ctx, rt.id, oldPrimary); ok {
-				rt.mu.Lock()
-				rt.primary = ref
-				rt.mu.Unlock()
+			if r.rehome(ctx, rt, bi, gone[0]) {
 				resp.Moved++
 				r.metrics.Rebalances.Add(1)
-				abandoned = append(abandoned, oldPrimary)
+				abandoned = append(abandoned, gone...)
 			} else {
-				resp.Lost = append(resp.Lost, rt.id)
+				resp.Lost = append(resp.Lost, fmt.Sprintf("%s[%d,%d)", rt.id, b.lo, b.hi))
 			}
-		} else if promoted {
-			abandoned = append(abandoned, oldPrimary)
 		}
 	}
 	// Best-effort cleanup on the drained shard; failures are fine (the
 	// shard may already be gone).
-	for _, ref := range abandoned {
-		_ = ref.shard.Delete(ctx, ref.remoteID)
-	}
+	r.drop(ctx, abandoned)
 	return resp
 }
 
-// removeRef filters one ref out of a slice.
-func removeRef(refs []shardRef, drop shardRef) []shardRef {
-	out := refs[:0]
-	for _, ref := range refs {
-		if ref != drop {
-			out = append(out, ref)
-		}
-	}
-	return out
-}
-
-// registerExport re-registers an exported handle verbatim on target.
-func (r *Router) registerExport(ctx context.Context, target *ShardClient, exp server.ExportResponse) (server.MatrixInfo, error) {
-	return callShard(r, ctx, "register", target, func(ctx context.Context) (server.MatrixInfo, error) {
-		return target.Register(ctx, server.RegisterRequest{
-			Name: exp.Name, MatrixMarket: exp.MatrixMarket, Tol: exp.Tol, Dangling: exp.Dangling,
-		})
-	})
-}
-
-// rehome exports one placement — a whole copy or a row block — from its
-// (possibly still reachable) old shard and registers it on the first healthy
-// shard of key's ring successors, returning the new placement.
-func (r *Router) rehome(ctx context.Context, key string, from shardRef) (shardRef, bool) {
+// rehome exports block bi's copy from the shard being drained and registers
+// it on the first healthy shard in the order the block's registration
+// walked; install then makes it the block's primary in place of the copies
+// on the drained shard.
+func (r *Router) rehome(ctx context.Context, rt *route, bi int, from shardRef) bool {
 	exp, err := callShard(r, ctx, "export", from.shard, func(ctx context.Context) (server.ExportResponse, error) {
 		return from.shard.Export(ctx, from.remoteID)
 	})
 	if err != nil {
-		r.env.Log.Warn("drain export failed", "placement", key, "from", from.shard.Name(), "error", err)
-		return shardRef{}, false
+		r.env.Log.Warn("drain export failed", "id", rt.id, "block", bi, "from", from.shard.Name(), "error", err)
+		return false
 	}
-	for _, target := range r.successorClients(key, len(r.shardList())) {
-		if target == from.shard || !target.Healthy() {
+	for _, target := range r.successorClients(rt.id, bi) {
+		if !target.Healthy() {
 			continue
 		}
 		if info, rerr := r.registerExport(ctx, target, exp); rerr == nil {
-			return shardRef{shard: target, remoteID: info.ID}, true
+			r.install(ctx, rt, bi, shardRef{shard: target, remoteID: info.ID}, from.shard)
+			return true
 		}
 	}
-	return shardRef{}, false
+	return false
 }

@@ -98,7 +98,6 @@ func TestRouterSpMMGatherBitIdentical(t *testing.T) {
 func TestReplicationDedupAliasesOnTarget(t *testing.T) {
 	shards, router, ts := newCluster(t, 2, func(cfg *Config) {
 		cfg.ReplicateAfter = 1
-		cfg.ReplicationFactor = 2
 	})
 	// Seed the identical matrix directly on each shard (not via the router).
 	for _, f := range shards {

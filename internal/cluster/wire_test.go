@@ -179,7 +179,6 @@ func TestRoundTripReturnsBodyWhenTransportIsDone(t *testing.T) {
 func TestNonFiniteProductLeavesShardsHealthy(t *testing.T) {
 	_, router, ts := newCluster(t, 2, func(cfg *Config) {
 		cfg.ReplicateAfter = 1
-		cfg.ReplicationFactor = 2
 	})
 	huge := make([]float64, 400)
 	for i := range huge {

@@ -98,12 +98,6 @@ type Config struct {
 	// SLOs are the per-endpoint latency objectives the slow-request Warn
 	// line is checked against; nil uses DefaultSLOs().
 	SLOs []obs.Objective
-	// SlowTraceCount sizes the /debug/slow ring of slowest traces
-	// (default 32).
-	SlowTraceCount int
-	// TraceCapacity bounds how many recent traces the span store retains
-	// (default obs.DefaultTraceCapacity).
-	TraceCapacity int
 }
 
 // DefaultSLOs are the serving objectives applied when Config.SLOs is nil:
@@ -198,9 +192,9 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		env: Envelope{
 			Log:          logger,
-			Tracer:       obs.NewTracer("ocsd", cfg.TraceCapacity),
+			Tracer:       obs.NewTracer("ocsd", 0),
 			SLOs:         slos,
-			Slow:         obs.NewSlowTraces(cfg.SlowTraceCount),
+			Slow:         obs.NewSlowTraces(0),
 			MaxBodyBytes: cfg.MaxBodyBytes,
 			Requests:     &m.RequestsTotal,
 			Errors:       &m.RequestErrors,
