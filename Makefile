@@ -2,7 +2,7 @@ GO ?= go
 # Per-target budget for `make fuzz`. The native fuzzer accepts only one
 # -fuzz pattern per invocation, hence the loop.
 FUZZTIME ?= 30s
-FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzCSR5Tiles FuzzSELLSlices FuzzJDSPerm FuzzWireDecodePanel FuzzWireEncodeVector
+FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzSELLSlices FuzzJDSPerm FuzzWireDecodePanel FuzzWireEncodeVector
 
 .PHONY: check build test bench-check race vet fuzz fuzz-smoke serve clean
 

@@ -308,26 +308,13 @@ func kernelMatrices(b *testing.B) map[string]*sparse.CSR {
 	return benchMats
 }
 
-// benchLimits relax the BSR fill cap so blocky-vs-not comparisons appear,
-// but keep the DIA/ELL caps at their defaults: with unbounded caps a
-// 30000-row scatter matrix pads DIA to a ~60000-diagonal, >100 GB array —
-// a configuration no sane library (or this one, under DefaultLimits) would
-// ever build. Formats invalid for a matrix are skipped, exactly as the
-// selector skips them.
-var benchLimits = sparse.Limits{
-	DIAFill:        sparse.DefaultLimits.DIAFill,
-	ELLFill:        sparse.DefaultLimits.ELLFill,
-	BSRFill:        1e9,
-	BSRBlockSize:   4,
-	HYBRowFraction: 1.0 / 3.0,
-}
-
-// BenchmarkSpMV measures the parallel SpMV kernel of every format on every
-// structural family.
+// BenchmarkSpMV measures the parallel SpMV kernel of every implemented
+// format on every structural family. Formats the default limits refuse for a
+// matrix are skipped, exactly as the selector skips them.
 func BenchmarkSpMV(b *testing.B) {
 	for name, a := range kernelMatrices(b) {
-		for _, f := range sparse.AllFormats {
-			m, err := sparse.ConvertFromCSR(a, f, benchLimits)
+		for _, f := range sparse.Implemented {
+			m, err := sparse.ConvertFromCSR(a, f, sparse.DefaultLimits)
 			if err != nil {
 				continue
 			}
@@ -351,16 +338,13 @@ func BenchmarkSpMV(b *testing.B) {
 // whole paper is about).
 func BenchmarkConvert(b *testing.B) {
 	for name, a := range kernelMatrices(b) {
-		for _, f := range sparse.AllFormats {
-			if f == sparse.FmtCSR {
-				continue
-			}
-			if _, err := sparse.ConvertFromCSR(a, f, benchLimits); err != nil {
+		for _, f := range sparse.Implemented[1:] {
+			if _, err := sparse.ConvertFromCSR(a, f, sparse.DefaultLimits); err != nil {
 				continue
 			}
 			b.Run(name+"/"+f.String(), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := sparse.ConvertFromCSR(a, f, benchLimits); err != nil {
+					if _, err := sparse.ConvertFromCSR(a, f, sparse.DefaultLimits); err != nil {
 						b.Fatal(err)
 					}
 				}

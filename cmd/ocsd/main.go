@@ -69,7 +69,6 @@ func main() {
 		drainWait    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		serial       = flag.Bool("serial", false, "use serial SpMV kernels (pool provides the parallelism)")
 		async        = flag.Bool("async", true, "run stage-2 selection (features, prediction, conversion) on a background worker instead of stalling the triggering request")
-		journalCap   = flag.Int("journal", 0, "decision journal capacity (0 = default)")
 		retrainOn    = flag.Bool("retrain", false, "enable the online retraining loop: drift-triggered model refresh with hot-swap")
 		retrainIv    = flag.Duration("retrain-interval", 30*time.Second, "how often the retrainer scans the decision journal")
 		retrainMin   = flag.Int("retrain-min-samples", 8, "harvested samples required before drift triggers retraining")
@@ -122,7 +121,6 @@ func main() {
 		Preds:               preds,
 		SerialKernels:       *serial,
 		Async:               *async,
-		JournalCapacity:     *journalCap,
 		EnablePprof:         *enablePprof,
 		Logger:              logger,
 	})

@@ -11,17 +11,18 @@
 //     round trip back to CSR must reproduce the original payload exactly
 //     — same Ptr, same Col, same Data bits.
 //  2. Every format computes the same y = A*x. Kernels are free to
-//     reassociate the per-row sums (CSR5's segmented tiles, DIA's
-//     per-diagonal accumulation), so agreement is asserted against a
-//     sequential float64 reference within a principled floating-point
-//     bound: two summations of the same n terms in different orders
-//     differ by at most 2·γₙ·Σ|terms| where γₙ = n·u/(1−n·u) and u is
-//     the unit roundoff (Higham, Accuracy and Stability of Numerical
-//     Algorithms, §4.2). No tolerance knobs to tune, no flaky epsilons.
+//     reassociate the per-row sums (DIA's per-diagonal accumulation, the
+//     AVX2 kernels' four interleaved accumulators), so agreement is
+//     asserted against a sequential float64 reference within a principled
+//     floating-point bound: two summations of the same n terms in
+//     different orders differ by at most 2·γₙ·Σ|terms| where
+//     γₙ = n·u/(1−n·u) and u is the unit roundoff (Higham, Accuracy and
+//     Stability of Numerical Algorithms, §4.2). No tolerance knobs to tune,
+//     no flaky epsilons.
 //
-// Differential applies both invariants to one matrix across all formats
-// and worker counts; the fuzz targets in fuzz_test.go apply them to
-// adversarial inputs decoded from raw bytes.
+// Differential applies both invariants to one matrix across every
+// implemented format and worker count; the fuzz targets in fuzz_test.go
+// apply them to adversarial inputs decoded from raw bytes.
 package check
 
 import (
@@ -286,11 +287,6 @@ func payload(m sparse.Matrix) any {
 		return []any{dims, a.Width, a.Cols, a.Data}
 	case *sparse.HYB:
 		return []any{dims, payload(a.Ell), payload(a.Coo)}
-	case *sparse.BSR:
-		return []any{dims, a.BlockSize, a.RowPtr, a.ColInd, a.Data}
-	case *sparse.CSR5:
-		return []any{dims, a.Val, a.Col, a.BitFlag, a.TileFirstRow,
-			a.RowStartPtr, a.RowStartRows, a.TailRow, a.TailCol, a.TailVal}
 	case *sparse.SELL:
 		return []any{dims, a.Perm, a.SliceWidth, a.SlicePtr, a.Cols, a.Data}
 	case *sparse.JDS:
@@ -311,7 +307,7 @@ type Options struct {
 	// original GOMAXPROCS before returning; it must not run concurrently
 	// with other GOMAXPROCS-sensitive work.
 	Workers []int
-	// Formats lists the formats to verify; empty means sparse.AllFormats.
+	// Formats lists the formats to verify; empty means sparse.Implemented.
 	Formats []sparse.Format
 	// SpMMColumns is the column count of the SpMM check, applied to every
 	// format (blocked kernel or fallback) at every worker count; 0 disables
@@ -400,7 +396,7 @@ func convertAt(a *sparse.CSR, f sparse.Format, lim sparse.Limits, w int) (sparse
 func Differential(a *sparse.CSR, opt Options) (map[sparse.Format]bool, error) {
 	formats := opt.Formats
 	if len(formats) == 0 {
-		formats = sparse.AllFormats
+		formats = sparse.Implemented
 	}
 	covered := make(map[sparse.Format]bool, len(formats))
 	for _, f := range formats {

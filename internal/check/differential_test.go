@@ -8,9 +8,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// TestDifferentialPathological sweeps the full oracle — every format, the
-// {1, 2, max} worker grid, round trip, SpMV, SpMM — over the pathological
-// shape catalog.
+// TestDifferentialPathological sweeps the full oracle — every implemented
+// format, the {1, 2, max} worker grid, round trip, SpMV, SpMM — over the
+// pathological shape catalog.
 func TestDifferentialPathological(t *testing.T) {
 	opt := Options{Workers: DefaultWorkers(), SpMMColumns: 3}
 	for _, c := range Pathological(1) {
@@ -21,10 +21,10 @@ func TestDifferentialPathological(t *testing.T) {
 				r, cl := c.A.Dims()
 				t.Fatalf("rows×cols %dx%d nnz %d: %v", r, cl, c.A.NNZ(), err)
 			}
-			// CSR, COO, CSR5, HYB, SELL and JDS can represent anything;
-			// a sweep that skipped one of them checked nothing.
+			// CSR, COO, HYB, SELL and JDS can represent anything; a sweep
+			// that skipped one of them checked nothing.
 			for _, f := range []sparse.Format{sparse.FmtCSR, sparse.FmtCOO,
-				sparse.FmtCSR5, sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS} {
+				sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS} {
 				if !covered[f] {
 					t.Errorf("universal format %v was skipped", f)
 				}
@@ -75,9 +75,9 @@ func TestDifferentialBandedWorkerGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A 7-diagonal band is exactly what DIA, ELL and BSR exist for; the
-	// limits must not have rejected them.
-	for _, f := range []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtBSR} {
+	// A 7-diagonal band is exactly what DIA and ELL exist for; the limits
+	// must not have rejected them.
+	for _, f := range []sparse.Format{sparse.FmtDIA, sparse.FmtELL} {
 		if !covered[f] {
 			t.Errorf("banded matrix should be representable as %v", f)
 		}

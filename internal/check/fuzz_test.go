@@ -88,7 +88,8 @@ func FuzzMMIORead(f *testing.F) {
 }
 
 // FuzzConvertRoundTrip decodes bytes into a small CSR and runs the full
-// differential oracle over every format at the ambient worker count.
+// differential oracle over every implemented format at the ambient worker
+// count.
 func FuzzConvertRoundTrip(f *testing.F) {
 	addDecodeSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -99,24 +100,6 @@ func FuzzConvertRoundTrip(f *testing.F) {
 		if _, err := Differential(a, Options{SpMMColumns: 2}); err != nil {
 			r, c := a.Dims()
 			t.Fatalf("%dx%d nnz %d: %v", r, c, a.NNZ(), err)
-		}
-	})
-}
-
-// FuzzCSR5Tiles focuses the oracle on CSR5, whose tiled layout (bit flags,
-// segmented sums, tail handling) has the most intricate index arithmetic of
-// any format here. Matrices near multiples of the tile size are the
-// interesting region, so the decoder's size cap keeps inputs straddling
-// the one-tile boundary.
-func FuzzCSR5Tiles(f *testing.F) {
-	addDecodeSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a := DecodeCSR(data)
-		if a == nil {
-			t.Skip("input too short to decode")
-		}
-		if _, err := CheckFormat(a, sparse.FmtCSR5, Options{}); err != nil {
-			t.Fatal(err)
 		}
 	})
 }

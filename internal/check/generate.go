@@ -66,7 +66,7 @@ func distinctColumns(cols, k int, rng *rand.Rand) []int {
 }
 
 // Pathological generates the shapes where format conversions historically
-// go wrong: empty rows (CSR5 tile row tracking, HYB width heuristics),
+// go wrong: empty rows (JDS row permutation, HYB width heuristics),
 // a single dense row (nnz-balanced partitions collapse to one range),
 // wide bands (DIA's diagonal bookkeeping), power-law rows (SELL's sorting
 // windows and HYB's overflow), duplicate-free random scatter, degenerate
@@ -187,7 +187,7 @@ func Pathological(seed int64) []Case {
 	}
 
 	// Fully dense tiny matrix: ELL width == cols, DIA stores every
-	// diagonal, BSR has zero padding — the opposite extreme from scatter.
+	// diagonal — the opposite extreme from scatter.
 	{
 		rows, cols := 40, 40
 		rc := make([][]int, rows)
@@ -203,7 +203,7 @@ func Pathological(seed int64) []Case {
 	}
 
 	// Ragged rows cycling 0..16 entries: interleaves empty rows with long
-	// ones inside every SELL sorting window and CSR5 tile.
+	// ones inside every SELL sorting window and slice.
 	{
 		rows, cols := 2600, 2600
 		rc := make([][]int, rows)

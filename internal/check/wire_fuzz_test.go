@@ -30,7 +30,7 @@ func wireLeniency(data []byte) string {
 		}
 		key, _ := tok.(string)
 		switch key {
-		case "x", "row_lo", "row_hi", "progress":
+		case "x", "progress":
 		default:
 			return "case-folded key"
 		}
@@ -68,7 +68,6 @@ func wireDecode(body []byte) (req server.PanelRequest, err error) {
 	if err != nil {
 		return req, err
 	}
-	req.RowLo, req.RowHi = lay.RowLo, lay.RowHi
 	if req.Progress, err = lay.Progress(body); err != nil {
 		return req, err
 	}
@@ -91,6 +90,8 @@ func wireDecode(body []byte) (req server.PanelRequest, err error) {
 // three documented leniencies. Never an acceptance json refuses, never a
 // different value.
 func FuzzWireDecodePanel(f *testing.F) {
+	// row_lo/row_hi are not request fields (there are no partial products):
+	// every seed carrying one is a rejection the two decoders must share.
 	full := `{"x":[[1,-2.5e3,0.1],[4,5,6e-7]],"row_lo":1,"row_hi":2,"progress":0.5}`
 	for i := 0; i <= len(full); i++ {
 		f.Add([]byte(full[:i])) // the body cut at every byte
@@ -144,9 +145,6 @@ func FuzzWireDecodePanel(f *testing.F) {
 				}
 			}
 		}
-		if got.RowLo != want.RowLo || got.RowHi != want.RowHi {
-			t.Fatalf("rows [%d,%d), encoding/json [%d,%d)", got.RowLo, got.RowHi, want.RowLo, want.RowHi)
-		}
 		if (got.Progress == nil) != (want.Progress == nil) ||
 			(got.Progress != nil && math.Float64bits(*got.Progress) != math.Float64bits(*want.Progress)) {
 			t.Fatalf("progress %v, encoding/json %v", got.Progress, want.Progress)
@@ -185,7 +183,7 @@ func FuzzWireEncodeVector(f *testing.F) {
 		}
 		xs := [][]float64{v}
 		want, wantErr := json.Marshal(server.PanelRequest{X: xs})
-		got, err := wire.AppendRequest(nil, xs, 0, 0, nil)
+		got, err := wire.AppendRequest(nil, xs, nil)
 		if bad >= 0 {
 			var nf *wire.NonFiniteError
 			if wantErr == nil || !errors.As(err, &nf) || nf.Vector != 0 || nf.Index != bad {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -41,6 +42,9 @@ func TestTierParityBadRequests(t *testing.T) {
 	// Jacobi's iteration matrix has spectral radius 20/3 here: the iterate
 	// overflows long before max_iters.
 	diverging := server.RegisterRequest{Name: "diverging", MatrixMarket: "%%MatrixMarket matrix coordinate real general\n2 2 4\n1 1 1\n1 2 10\n2 1 10\n2 2 1\n"}
+	// A row range asked for a partial product; both tiers now refuse it as an
+	// unknown field instead of answering with the full product.
+	ranged := json.RawMessage(`{"x":[[` + strings.Repeat("0,", 399) + `0]],"row_lo":10,"row_hi":50}`)
 
 	cases := []struct {
 		name string
@@ -53,10 +57,10 @@ func TestTierParityBadRequests(t *testing.T) {
 	}{
 		{"spmv empty x", spd, "/spmv", server.PanelRequest{}, http.StatusBadRequest},
 		{"spmv wrong length", spd, "/spmv", server.PanelRequest{X: [][]float64{short}}, http.StatusBadRequest},
-		{"spmv bad row range", spd, "/spmv", server.PanelRequest{X: [][]float64{full}, RowLo: 50, RowHi: 10}, http.StatusBadRequest},
+		{"spmv bad row range", spd, "/spmv", ranged, http.StatusBadRequest},
 		{"spmm empty x", spd, "/spmm", server.PanelRequest{}, http.StatusBadRequest},
 		{"spmm wrong length", spd, "/spmm", server.PanelRequest{X: [][]float64{full, short}}, http.StatusBadRequest},
-		{"spmm bad row range", spd, "/spmm", server.PanelRequest{X: [][]float64{full}, RowLo: 50, RowHi: 10}, http.StatusBadRequest},
+		{"spmm bad row range", spd, "/spmm", ranged, http.StatusBadRequest},
 		{"spmv product overflows", spd, "/spmv", server.PanelRequest{X: [][]float64{full, huge}}, http.StatusUnprocessableEntity},
 		{"spmm product overflows", spd, "/spmm", server.PanelRequest{X: [][]float64{huge, full}}, http.StatusUnprocessableEntity},
 		{"solve whose iterate overflows", diverging, "/solve", server.SolveRequest{App: "jacobi", MaxIters: 3000, IncludeX: true}, http.StatusUnprocessableEntity},

@@ -39,13 +39,9 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-const (
-	// hotCopies is how many copies replication brings a hot whole handle
-	// to, primary included.
-	hotCopies = 2
-	// maxBodyBytes bounds request bodies.
-	maxBodyBytes = 64 << 20
-)
+// hotCopies is how many copies replication brings a hot whole handle to,
+// primary included.
+const hotCopies = 2
 
 // routerSLOs are the router-level objectives. They are looser than the
 // shard-side targets: they budget the shard round trips on top.
@@ -172,13 +168,12 @@ func New(cfg Config) (*Router, error) {
 		metrics: m,
 		mux:     http.NewServeMux(),
 		env: server.Envelope{
-			Log:          logger,
-			Tracer:       obs.NewTracer("ocsrouter", 0),
-			SLOs:         routerSLOs(),
-			Slow:         obs.NewSlowTraces(0),
-			MaxBodyBytes: maxBodyBytes,
-			Requests:     &m.RequestsTotal,
-			Errors:       &m.RequestErrors,
+			Log:      logger,
+			Tracer:   obs.NewTracer("ocsrouter", 0),
+			SLOs:     routerSLOs(),
+			Slow:     obs.NewSlowTraces(0),
+			Requests: &m.RequestsTotal,
+			Errors:   &m.RequestErrors,
 		},
 		ring:   NewRing(0),
 		shards: make(map[string]*ShardClient),
@@ -624,7 +619,8 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	rt := &route{name: body.Name}
 	var cut []RowBlock
 	if body.Partition != nil || r.cfg.PartitionMaxNNZ > 0 {
-		csr, dangling, err := server.Materialize(body.RegisterRequest)
+		// No registry stands behind the router, so nothing bounds the spec.
+		csr, dangling, err := server.Materialize(body.RegisterRequest, 0)
 		if err != nil {
 			r.env.Fail(w, http.StatusBadRequest, "%v", err)
 			return
@@ -856,7 +852,7 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 		}
 		sc, traced := obs.SpanFromContext(req.Context())
 		scanStart := time.Now()
-		body, lay, k, ok := r.env.ReadPanel(w, req, rt.cols)
+		body, _, k, ok := r.env.ReadPanel(w, req, rt.cols)
 		if !ok {
 			return
 		}
@@ -870,11 +866,7 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 		}
 		defer func() { seconds.ObserveExemplar(time.Since(start).Seconds(), traceHex) }()
 
-		if (lay.RowLo != 0 || lay.RowHi != 0) && rt.partitioned() {
-			r.env.Fail(w, http.StatusBadRequest, "row_lo/row_hi are not supported on partitioned handles")
-			return
-		}
-		replies, served, err := r.gather(req.Context(), rt, op, *body, k, lay.RowLo, lay.RowHi)
+		replies, served, err := r.gather(req.Context(), rt, op, *body, k)
 		if err != nil {
 			r.failShard(w, err)
 			return
@@ -959,20 +951,15 @@ func panelBlock(ctx context.Context, sc *ShardClient, op, id string, body []byte
 // releaseBlocks. The HTTP path splices them into the reply, the solver path
 // decodes them into its vector. Every row is summed entirely on one shard,
 // so the gathered vectors are bit-identical to the single-process product
-// no matter how the rows were cut. rowLo and rowHi are a client's
-// row_lo/row_hi on a one-block route, or 0 and 0 for every block's own rows.
-func (r *Router) gather(ctx context.Context, rt *route, op string, body []byte, k, rowLo, rowHi int) ([]blockReply, []string, error) {
+// no matter how the rows were cut.
+func (r *Router) gather(ctx context.Context, rt *route, op string, body []byte, k int) ([]blockReply, []string, error) {
 	replies := make([]blockReply, len(rt.blocks))
 	served := make([]string, len(rt.blocks))
 	errs := make([]error, len(rt.blocks))
 	fetch := func(bi int) {
 		b := &rt.blocks[bi]
-		rows := b.hi - b.lo
-		if rowLo != 0 || rowHi != 0 {
-			rows = rowHi - rowLo
-		}
 		reply, ref, err := walk(r, ctx, rt, bi, op, func(ctx context.Context, ref shardRef) (blockReply, error) {
-			return panelBlock(ctx, ref.shard, op, ref.remoteID, body, k, rows)
+			return panelBlock(ctx, ref.shard, op, ref.remoteID, body, k, b.hi-b.lo)
 		})
 		if err != nil {
 			errs[bi] = fmt.Errorf("block [%d,%d) on %s: %w", b.lo, b.hi, ref.shard.Name(), err)
@@ -1195,10 +1182,10 @@ func (d *distOp) SpMV(y, x []float64) {
 	body := wire.GetBuf(len(x)*wire.MaxFloatLen + 64)
 	defer wire.PutBuf(body)
 	var err error
-	if *body, err = wire.AppendRequest(*body, [][]float64{x}, 0, 0, d.progress); err != nil {
+	if *body, err = wire.AppendRequest(*body, [][]float64{x}, d.progress); err != nil {
 		panic(distPanic{err})
 	}
-	replies, _, err := d.r.gather(d.ctx, d.rt, "spmv", *body, 1, 0, 0)
+	replies, _, err := d.r.gather(d.ctx, d.rt, "spmv", *body, 1)
 	if err != nil {
 		panic(distPanic{err})
 	}

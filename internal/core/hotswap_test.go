@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/matgen"
+	"repro/internal/sparse"
 )
 
 // TestHotSwapRaceHammer drives SpMV/solve-style traffic at one Adaptive from
@@ -121,9 +122,16 @@ func TestHotSwapRaceHammer(t *testing.T) {
 // TestHotSwapAsyncPipeline races bundle swaps against the background
 // stage-2 worker: the async job must keep using the bundle it captured at
 // launch (never a torn mix), and the trace's recorded generation must be
-// one that was actually published.
+// one that was actually published. The bundle is the model-oracle one
+// without its BSR and CSR5 models, as trainer.LoadBundle would hand it over:
+// those formats are priced only, so with them the pipeline would decide a
+// conversion that cannot be built and never adopt anything.
 func TestHotSwapAsyncPipeline(t *testing.T) {
-	preds := predictors(t)
+	preds := predictors(t).Clone()
+	for _, f := range []sparse.Format{sparse.FmtBSR, sparse.FmtCSR5} {
+		delete(preds.ConvTime, f)
+		delete(preds.SpMVTime, f)
+	}
 	m := genCSR(t, matgen.FamBanded, 1500, 13)
 	cfg := core.DefaultConfig()
 	cfg.Async = true
@@ -165,6 +173,9 @@ func TestHotSwapAsyncPipeline(t *testing.T) {
 	st := sa.Stats()
 	if !st.Stage1Ran {
 		t.Fatal("pipeline never fired under swap pressure")
+	}
+	if !st.Converted {
+		t.Fatalf("async pipeline adopted no conversion (format %v): the test covers no swap", st.Format)
 	}
 	// Exact multiply still holds after the async adoption.
 	got := make([]float64, rows)

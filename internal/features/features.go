@@ -215,8 +215,8 @@ func diagLength(rows, cols, off int) int {
 }
 
 // CountBlocks counts the bs x bs grid blocks containing at least one
-// nonzero, using a last-touch mark per block column (same trick as the BSR
-// conversion, O(nnz)).
+// nonzero, using a last-touch mark per block column (O(nnz)): the block
+// count BSR is priced and validated by, since no BSR is ever built.
 func CountBlocks(a *sparse.CSR, bs int) int {
 	rows, cols := a.Dims()
 	brows := (rows + bs - 1) / bs

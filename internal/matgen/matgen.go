@@ -106,7 +106,7 @@ func Generate(s Spec) (*sparse.CSR, error) {
 	case FamPowerLaw:
 		return PowerLaw(s.Size, s.Size, deg, 2.1, rng)
 	case FamBlock:
-		return Block(s.Size, 4, deg, rng)
+		return Block(s.Size, blockEdge, deg, rng)
 	case FamSPD:
 		base, err := Random(s.Size, s.Size, deg, rng)
 		if err != nil {
@@ -118,6 +118,50 @@ func Generate(s Spec) (*sparse.CSR, error) {
 	default:
 		return nil, fmt.Errorf("matgen: unknown family %v", s.Family)
 	}
+}
+
+// blockEdge is the dense block edge of the block family.
+const blockEdge = 4
+
+// EstimateNNZ estimates how many nonzeros Generate(s) makes, without making
+// them: rows times the family's mean row degree, for most families the size
+// its generator reserves up front. For a matrix with more rows than its
+// degree the realized count is within a factor of two of it, so a caller
+// with a nonzero budget can refuse a spec before paying for it. A
+// non-positive Size estimates 0 (Generate refuses it).
+func EstimateNNZ(s Spec) int64 {
+	if s.Size <= 0 {
+		return 0
+	}
+	n, deg := float64(s.Size), float64(s.Degree)
+	if s.Degree <= 0 {
+		deg = 8
+	}
+	var est float64
+	switch s.Family {
+	case FamStencil2D:
+		k := max(2, math.Floor(math.Sqrt(n)+1e-9)) // gridEdge2D without the loop
+		n = k * k
+		est = 5 * n
+	case FamStencil3D:
+		k := max(2, math.Floor(math.Cbrt(n)+1e-9))
+		n = k * k * k
+		est = 7 * n
+	case FamBlock:
+		bn := math.Ceil(n / blockEdge)
+		est = bn * min(max(math.Floor(deg/blockEdge), 1), bn) * blockEdge * blockEdge
+	case FamPowerLaw:
+		// The truncated power law's mean row degree is 0.5-0.9 deg between
+		// 10^3 and 10^9 rows (its tail grows with the n/2 cap), never below 1.
+		est = n * max(deg/2, 1)
+	case FamSPD:
+		// A + Aᵀ over a random base, plus the diagonal.
+		est = n * (2*deg + 1)
+	default:
+		// Banded, random and uniform rows: deg entries a row on average.
+		est = n * deg
+	}
+	return int64(min(est, n*n, 1<<62)) // n rows of at most n entries
 }
 
 // gridEdge2D converts a target row count into a grid edge >= 2.

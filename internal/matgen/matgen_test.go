@@ -1,11 +1,13 @@
 package matgen
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/features"
 	"repro/internal/sparse"
 )
 
@@ -143,12 +145,36 @@ func TestBlockIsBSRFriendly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sparse.CSRToBSR(m, sparse.DefaultLimits)
-	if err != nil {
-		t.Fatalf("block matrix rejected by BSR: %v", err)
-	}
-	if fr := b.FillRatio(); fr > 1.01 {
+	bs := sparse.DefaultLimits.BSRBlockSize
+	if fr := float64(features.CountBlocks(m, bs)*bs*bs) / float64(m.NNZ()); fr > 1.01 {
 		t.Errorf("block matrix BSR fill ratio %.2f, want ~1", fr)
+	}
+}
+
+// TestEstimateNNZWithinTwoX holds every family's realized nonzero count
+// within a factor of two of EstimateNNZ, the number a server compares with
+// its capacity before generating anything.
+func TestEstimateNNZWithinTwoX(t *testing.T) {
+	for _, fam := range AllFamilies {
+		for _, size := range []int{100, 2000, 30000} {
+			for _, deg := range []int{0, 3, 20} {
+				spec := Spec{Family: fam, Size: size, Degree: deg, Seed: 3}
+				m, err := Generate(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				est, got := EstimateNNZ(spec), int64(m.NNZ())
+				if est > 2*got || got > 2*est {
+					t.Errorf("%v size %d degree %d: %d nonzeros, estimated %d", fam, size, deg, got, est)
+				}
+			}
+		}
+	}
+	if got := EstimateNNZ(Spec{Family: FamUniformRows, Size: 3_000_000_000, Degree: 8}); got != 24_000_000_000 {
+		t.Errorf("3e9-row uniform spec estimated at %d, want 2.4e10", got)
+	}
+	if got := EstimateNNZ(Spec{Family: FamStencil2D, Size: math.MaxInt}); got <= 0 {
+		t.Errorf("the largest stencil spec estimated at %d, want a positive count", got)
 	}
 }
 

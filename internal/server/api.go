@@ -20,8 +20,7 @@ type RegisterRequest struct {
 	Generate *GenerateSpec `json:"generate,omitempty"`
 	// Tol is the convergence tolerance of the loops this matrix will be
 	// used in, on the scale of the progress indicator fed to the selector
-	// (absolute residual norm for the linear solvers). Defaults to the
-	// server's configured tolerance.
+	// (absolute residual norm for the linear solvers). Defaults to 1e-8.
 	Tol float64 `json:"tol,omitempty"`
 	// AsTransition converts the uploaded adjacency matrix into the
 	// column-stochastic PageRank transition operator at registration and
@@ -144,12 +143,6 @@ type ListResponse struct {
 // columns.
 type PanelRequest struct {
 	X [][]float64 `json:"x"`
-	// RowLo/RowHi restrict the returned product to rows [RowLo, RowHi) — a
-	// partial product, the shard-side half of a distributed SpMV/SpMM (the
-	// router gathers per-shard row blocks into the full vectors). Both zero
-	// means all rows.
-	RowLo int `json:"row_lo,omitempty"`
-	RowHi int `json:"row_hi,omitempty"`
 	// Progress, when set, feeds the caller's loop-progress indicator (e.g.
 	// a distributed solve's residual norm) to this shard's selector before
 	// computing, so shards that only ever serve gather fan-out still open

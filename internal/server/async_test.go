@@ -29,7 +29,7 @@ func TestSpMVPooledBuffersInterleavedSizes(t *testing.T) {
 	var ms []mat
 	for _, sp := range specs {
 		info := register(t, ts.URL, RegisterRequest{Name: sp.Family, Generate: &sp})
-		local, _, err := Materialize(RegisterRequest{Name: sp.Family, Generate: &sp})
+		local, _, err := Materialize(RegisterRequest{Name: sp.Family, Generate: &sp}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"strings"
@@ -199,27 +200,22 @@ func TestSpMMEndpoint(t *testing.T) {
 		}
 	}
 
-	// Partial row range: the shard-side half of distributed SpMM. The rows are
-	// the whole product's own, bit for bit.
-	lo, hi := 10, 50
-	var part PanelResponse
-	code, body = call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm",
-		PanelRequest{X: xs, RowLo: lo, RowHi: hi}, &part)
+	// The same panel again is the same product, bit for bit.
+	var again PanelResponse
+	code, body = call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm", PanelRequest{X: xs}, &again)
 	if code != http.StatusOK {
-		t.Fatalf("partial spmm: status %d body %s", code, body)
+		t.Fatalf("second spmm: status %d body %s", code, body)
 	}
 	for i := range xs {
-		if len(part.Y[i]) != hi-lo {
-			t.Fatalf("partial rows: got %d, want %d", len(part.Y[i]), hi-lo)
-		}
-		for r := lo; r < hi; r++ {
-			if part.Y[i][r-lo] != resp.Y[i][r] {
-				t.Fatalf("partial y[%d][%d] = %g, the whole product has %g", i, r, part.Y[i][r-lo], resp.Y[i][r])
+		for r := range want {
+			if again.Y[i][r] != resp.Y[i][r] {
+				t.Fatalf("second y[%d][%d] = %g, the first product has %g", i, r, again.Y[i][r], resp.Y[i][r])
 			}
 		}
 	}
 
-	// Error paths: empty batch, ragged vector, bad row range.
+	// Error paths: empty batch, ragged vector, and a row range, which is an
+	// unknown field since partial products were retired.
 	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm", PanelRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("empty x: status %d, want 400", code)
 	}
@@ -227,9 +223,12 @@ func TestSpMMEndpoint(t *testing.T) {
 		PanelRequest{X: [][]float64{make([]float64, info.Cols-1)}}, nil); code != http.StatusBadRequest {
 		t.Errorf("ragged x: status %d, want 400", code)
 	}
-	if code, _ := call(t, "POST", ts.URL+"/v1/matrices/"+info.ID+"/spmm",
-		PanelRequest{X: xs, RowLo: 50, RowHi: 10}, nil); code != http.StatusBadRequest {
-		t.Errorf("bad row range: status %d, want 400", code)
+	ranged, err := json.Marshal(map[string]any{"x": xs, "row_lo": 10, "row_hi": 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, reply, _ := postRaw(t, ts.URL+"/v1/matrices/"+info.ID+"/spmm", ranged); code != http.StatusBadRequest || !strings.Contains(string(reply), "unknown field") {
+		t.Errorf("row range: status %d body %s, want 400 unknown field", code, reply)
 	}
 
 	if got := s.Metrics().SpMMRequests.Load(); got != 2 {

@@ -23,15 +23,17 @@ import (
 // log the same lines and score requests the same way. The tracer's service
 // name ("ocsd", "ocsrouter") prefixes the request spans.
 type Envelope struct {
-	Log          *slog.Logger
-	Tracer       *obs.Tracer
-	SLOs         []obs.Objective // read-only once built: Track reads it without a lock
-	Slow         *obs.SlowTraces
-	MaxBodyBytes int64
+	Log    *slog.Logger
+	Tracer *obs.Tracer
+	SLOs   []obs.Objective // read-only once built: Track reads it without a lock
+	Slow   *obs.SlowTraces
 	// Requests counts requests routed to a tracked handler, Errors those
 	// answered with a 4xx/5xx status (the tier's own metrics counters).
 	Requests, Errors *atomic.Int64
 }
+
+// maxBodyBytes bounds a request body on both tiers.
+const maxBodyBytes = 64 << 20
 
 // traceWriter decorates the response writer with the request-scoped logger
 // (carrying trace_id) and the final status code, so Fail logs correlated
@@ -69,7 +71,7 @@ func (e *Envelope) ReqLog(w http.ResponseWriter) *slog.Logger {
 // opened under the OCS-Trace header's parent (or a fresh trace), the new
 // context is echoed back on the response and threaded through the request
 // context (the router's shard round trips parent their rpc.* spans under
-// it), the body is capped at MaxBodyBytes, and a request that fails or
+// it), the body is capped at maxBodyBytes, and a request that fails or
 // outlasts its endpoint's objective is logged at Warn with its span
 // breakdown.
 func (e *Envelope) Track(endpoint string, h http.HandlerFunc) http.Handler {
@@ -82,7 +84,7 @@ func (e *Envelope) Track(endpoint string, h http.HandlerFunc) http.Handler {
 		w.Header().Set(obs.TraceHeader, sc.Header())
 		tw := &traceWriter{ResponseWriter: w, log: e.Log.With("trace_id", sc.Trace.String())}
 		r = r.WithContext(obs.ContextWithSpan(r.Context(), sc))
-		r.Body = http.MaxBytesReader(tw, r.Body, e.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(tw, r.Body, maxBodyBytes)
 		h(tw, r)
 		if tw.status == 0 {
 			tw.status = http.StatusOK

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -88,6 +89,30 @@ func TestRegisterOversizedMatrixRejected(t *testing.T) {
 	}
 	if got := s.Metrics().Evictions.Load(); got != 0 {
 		t.Errorf("%d evictions recorded for a rejected register", got)
+	}
+}
+
+// TestGenerateSpecPastCapacityRefusedBeforeGenerating: a generate spec is
+// priced by its estimated nonzeros before anything is built, so a spec no
+// registry of this capacity could hold costs a 413, not the allocation. (A
+// 3e9-row spec used to end the process with an unrecoverable out-of-memory
+// fatal error inside the generator.) 200 000 uniform rows of 8 would
+// allocate about 50 MB before the registry said no.
+func TestGenerateSpecPastCapacityRefusedBeforeGenerating(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxRegistryNNZ: 10_000, Selector: testSelector()})
+	req := RegisterRequest{Name: "huge", Generate: &GenerateSpec{Family: "uniform", Size: 200_000, Degree: 8}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code, body := call(t, "POST", ts.URL+"/v1/matrices", req, nil)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "registry capacity") {
+		t.Fatalf("status %d body %s, want 413 naming the registry capacity", code, body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("the refused spec allocated %d bytes, want under 1 MB", alloc)
+	}
+	if got := s.Metrics().Evictions.Load(); got != 0 {
+		t.Errorf("%d evictions for a refused spec", got)
 	}
 }
 

@@ -61,11 +61,6 @@ type Config struct {
 	// DefaultSolveTimeout applies when a solve request names none
 	// (default 60s).
 	DefaultSolveTimeout time.Duration
-	// DefaultTol is the selector tolerance for handles registered without
-	// one (default 1e-8).
-	DefaultTol float64
-	// MaxBodyBytes bounds request bodies (default 64 MB).
-	MaxBodyBytes int64
 	// ConvCacheNNZ bounds the cross-handle conversion cache's total stored
 	// nonzeros (default half of MaxRegistryNNZ; negative disables the
 	// cache). Converted operators published here are adopted by later
@@ -86,9 +81,6 @@ type Config struct {
 	// (useful when the pool already saturates all cores with many small
 	// matrices).
 	SerialKernels bool
-	// JournalCapacity bounds the decision journal's ring buffer
-	// (default obs.DefaultJournalCapacity).
-	JournalCapacity int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: the profiling endpoints expose internals (heap contents,
 	// command line) that do not belong on an unauthenticated service port.
@@ -99,6 +91,13 @@ type Config struct {
 	// line is checked against; nil uses DefaultSLOs().
 	SLOs []obs.Objective
 }
+
+// defaultTol is the selector tolerance of a handle registered without one.
+const defaultTol = 1e-8
+
+// errTooLarge is Materialize's refusal of a generate spec bigger than its
+// bound, which handleRegister answers with 413.
+var errTooLarge = errors.New("matrix exceeds the registry capacity")
 
 // DefaultSLOs are the serving objectives applied when Config.SLOs is nil:
 // interactive endpoints get tight targets, solves get room to iterate.
@@ -123,12 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultSolveTimeout <= 0 {
 		c.DefaultSolveTimeout = 60 * time.Second
-	}
-	if c.DefaultTol <= 0 {
-		c.DefaultTol = 1e-8
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	if c.ConvCacheNNZ == 0 {
 		c.ConvCacheNNZ = c.MaxRegistryNNZ / 2
@@ -188,16 +181,15 @@ func New(cfg Config) *Server {
 		reg:     NewRegistry(cfg.MaxRegistryNNZ, m),
 		pool:    NewPool(cfg.Workers, cfg.QueueDepth),
 		metrics: m,
-		journal: obs.NewJournal(cfg.JournalCapacity),
+		journal: obs.NewJournal(obs.DefaultJournalCapacity),
 		mux:     http.NewServeMux(),
 		env: Envelope{
-			Log:          logger,
-			Tracer:       obs.NewTracer("ocsd", 0),
-			SLOs:         slos,
-			Slow:         obs.NewSlowTraces(0),
-			MaxBodyBytes: cfg.MaxBodyBytes,
-			Requests:     &m.RequestsTotal,
-			Errors:       &m.RequestErrors,
+			Log:      logger,
+			Tracer:   obs.NewTracer("ocsd", 0),
+			SLOs:     slos,
+			Slow:     obs.NewSlowTraces(0),
+			Requests: &m.RequestsTotal,
+			Errors:   &m.RequestErrors,
 		},
 		idle: make(chan struct{}),
 	}
@@ -502,8 +494,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // with precomputed flags (dangling). ocsd registers the result; the router
 // calls it when it must see the matrix to partition it, so partitioned
 // placement accepts, rejects and builds exactly what a single shard would.
-// Every error is the client's (400).
-func Materialize(req RegisterRequest) (csr *sparse.CSR, dangling []bool, err error) {
+// A generate spec whose matgen.EstimateNNZ exceeds maxNNZ is refused before
+// anything is generated (maxNNZ <= 0 sets no bound): one spec cannot make
+// the process allocate more than the registry could ever hold. Every error
+// is the client's: 413 for that refusal, 400 for the rest.
+func Materialize(req RegisterRequest, maxNNZ int64) (csr *sparse.CSR, dangling []bool, err error) {
 	switch {
 	case req.MatrixMarket != "" && req.Generate != nil:
 		return nil, nil, errors.New("matrix_market and generate are mutually exclusive")
@@ -524,9 +519,11 @@ func Materialize(req RegisterRequest) (csr *sparse.CSR, dangling []bool, err err
 		if fi < 0 {
 			return nil, nil, fmt.Errorf("generate: unknown family %q", g.Family)
 		}
-		csr, err = matgen.Generate(matgen.Spec{
-			Name: req.Name, Family: matgen.AllFamilies[fi], Size: g.Size, Degree: g.Degree, Seed: g.Seed,
-		})
+		spec := matgen.Spec{Name: req.Name, Family: matgen.AllFamilies[fi], Size: g.Size, Degree: g.Degree, Seed: g.Seed}
+		if est := matgen.EstimateNNZ(spec); maxNNZ > 0 && est > maxNNZ {
+			return nil, nil, fmt.Errorf("generate: %w: an estimated %d nonzeros, registry capacity %d", errTooLarge, est, maxNNZ)
+		}
+		csr, err = matgen.Generate(spec)
 		if err != nil {
 			return nil, nil, fmt.Errorf("generate: %w", err)
 		}
@@ -560,15 +557,19 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !s.env.Decode(w, r, &req) {
 		return
 	}
-	csr, dangling, err := Materialize(req)
+	csr, dangling, err := Materialize(req, s.cfg.MaxRegistryNNZ)
 	if err != nil {
-		s.env.Fail(w, http.StatusBadRequest, "%v", err)
+		code := http.StatusBadRequest
+		if errors.Is(err, errTooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.env.Fail(w, code, "%v", err)
 		return
 	}
 
 	tol := req.Tol
 	if tol <= 0 {
-		tol = s.cfg.DefaultTol
+		tol = defaultTol
 	}
 	// Dedup: an identical resident matrix (same structure AND values) lends
 	// its CSR arrays to the new handle, so the duplicate aliases one backing
@@ -715,13 +716,13 @@ func (op panelOp) format(h *Handle) sparse.Format {
 
 // panel is one product's pooled operands: decode fills the k input vectors
 // from a scanned request body, compute runs inside the pool slot, result
-// returns rows [lo, hi) of the k product vectors as wire.AppendReply takes
-// them (vector i is ys[i][0], ys[i][stride], …), and release hands the
-// buffers back once the reply has been encoded.
+// returns the k product vectors as wire.AppendReply takes them (vector i is
+// ys[i][0], ys[i][stride], …), and release hands the buffers back once the
+// reply has been encoded.
 type panel struct {
 	decode  func(body []byte, lay wire.Layout) error
 	compute func() error
-	result  func(lo, hi int) (ys [][]float64, stride int)
+	result  func() (ys [][]float64, stride int)
 	release func()
 }
 
@@ -753,12 +754,7 @@ func (h *Handle) columnPanel(ctx context.Context, k int) panel {
 			}
 			return nil
 		},
-		result: func(lo, hi int) ([][]float64, int) {
-			for i := range ys {
-				ys[i] = ys[i][lo:hi]
-			}
-			return ys, 1
-		},
+		result: func() ([][]float64, int) { return ys, 1 },
 		release: func() {
 			for _, b := range bufs {
 				wire.PutVec(b)
@@ -789,10 +785,10 @@ func (h *Handle) blockedPanel(k int) panel {
 			h.SA.SpMM(yp, xp, k)
 			return nil
 		},
-		result: func(lo, hi int) ([][]float64, int) {
+		result: func() ([][]float64, int) {
 			ys := make([][]float64, k)
 			for i := range ys {
-				ys[i] = yp[lo*k+i : hi*k]
+				ys[i] = yp[i:]
 			}
 			return ys, k
 		},
@@ -827,18 +823,6 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 			return
 		}
 		defer func() { wire.PutBuf(buf) }() // the reply may move to another buffer
-		// A partial product restricts the response to rows [lo, hi): the
-		// distributed contract where a router gathers row blocks from several
-		// shards. The kernel still computes all rows (formats do not expose
-		// row-range kernels); only the response is sliced, so a whole-handle
-		// replica can serve any block without re-registration.
-		lo, hi := lay.RowLo, lay.RowHi
-		if lo == 0 && hi == 0 {
-			hi = h.Rows
-		} else if lo < 0 || hi <= lo || hi > h.Rows {
-			s.env.Fail(w, http.StatusBadRequest, "row range [%d,%d) invalid for %d rows", lo, hi, h.Rows)
-			return
-		}
 		var p panel
 		if op.blocked {
 			p = h.blockedPanel(k)
@@ -867,7 +851,7 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 			waited := time.Since(waitStart).Seconds()
 			s.metrics.QueueWaitSeconds.Observe(waited)
 			s.env.RecordSpan(sc, "queue.wait", waitStart, waited)
-			// A router-driven partial product forwards the solve loop's progress
+			// A router-driven block product forwards the solve loop's progress
 			// indicator so the shard-side selector pipeline advances: without
 			// it a shard that only ever sees gather fan-out would never open
 			// its lazy gate.
@@ -899,13 +883,13 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		if op.blocked {
 			tail.K = k
 		}
-		ys, stride := p.result(lo, hi)
-		buf = wire.Recycle(buf, k*(hi-lo)*wire.MaxFloatLen+64)
+		ys, stride := p.result()
+		buf = wire.Recycle(buf, k*h.Rows*wire.MaxFloatLen+64)
 		if *buf, err = wire.AppendReply(*buf, ys, stride, tail); err != nil {
 			// JSON has no NaN or ±Inf: the product overflowed.
 			var nf *wire.NonFiniteError
 			if errors.As(err, &nf) {
-				err = fmt.Errorf("product is not finite (y[%d][%d])", nf.Vector, lo+nf.Index)
+				err = fmt.Errorf("product is not finite (y[%d][%d])", nf.Vector, nf.Index)
 			}
 			s.env.Fail(w, http.StatusUnprocessableEntity, "%v", err)
 			return

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -56,9 +57,11 @@ type Limits struct {
 	DIAFill float64
 	// ELLFill caps (rows * width) / nnz for ELL.
 	ELLFill float64
-	// BSRFill caps (blocks * blockSize^2) / nnz for BSR.
+	// BSRFill caps (blocks * blockSize^2) / nnz for BSR, which is priced,
+	// not built: the model oracle and stage 2's validity check read it.
 	BSRFill float64
-	// BSRBlockSize is the dense block edge used when converting to BSR.
+	// BSRBlockSize is the dense block edge BSR is priced at (the block count
+	// comes from features.CountBlocks).
 	BSRBlockSize int
 	// HYBRowFraction sets the CUSP-style ELL-width heuristic for HYB: slot
 	// column w is kept in the ELL part while at least HYBRowFraction of the
@@ -462,166 +465,6 @@ func HYBToCSR(a *HYB) (*CSR, error) {
 		append(ellCOO.Data, a.Coo.Data...))
 }
 
-// CSRToBSR converts to BSR with lim.BSRBlockSize dense blocks, rejecting
-// matrices whose block padding would exceed lim.BSRFill storage blowup.
-func CSRToBSR(a *CSR, lim Limits) (*BSR, error) {
-	rows, cols := a.Dims()
-	nnz := a.NNZ()
-	bs := lim.BSRBlockSize
-	if bs <= 0 {
-		return nil, fmt.Errorf("sparse: BSR block size %d, want > 0", bs)
-	}
-	brows := (rows + bs - 1) / bs
-	bcols := (cols + bs - 1) / bs
-	ranges := parallel.EvenRanges(brows, convParts(nnz))
-	// Pass 1: count distinct blocks per block row. Block rows are
-	// independent, so the counting parallelizes with one last-touch mark
-	// array per worker range; a serial prefix sum then builds rowPtr.
-	rowPtr := make([]int, brows+1)
-	parallel.ForRanges(ranges, func(blo, bhi int) {
-		mark := make([]int32, bcols) // last block row that used block col
-		for i := range mark {
-			mark[i] = -1
-		}
-		for bi := blo; bi < bhi; bi++ {
-			count := 0
-			rhi := (bi + 1) * bs
-			if rhi > rows {
-				rhi = rows
-			}
-			for i := bi * bs; i < rhi; i++ {
-				for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-					bj := int(a.Col[k]) / bs
-					if mark[bj] != int32(bi) {
-						mark[bj] = int32(bi)
-						count++
-					}
-				}
-			}
-			rowPtr[bi+1] = count
-		}
-	})
-	for bi := 0; bi < brows; bi++ {
-		rowPtr[bi+1] += rowPtr[bi]
-	}
-	totalBlocks := rowPtr[brows]
-	if nnz > 0 && float64(totalBlocks)*float64(bs*bs) > lim.BSRFill*float64(nnz) {
-		return nil, fmt.Errorf("sparse: BSR fill ratio %.1f exceeds limit %.1f (%d blocks of %dx%d)",
-			float64(totalBlocks)*float64(bs*bs)/float64(nnz), lim.BSRFill, totalBlocks, bs, bs)
-	}
-	// Pass 2: fill blocks, again parallel over block rows — block row bi owns
-	// colInd[rowPtr[bi]:rowPtr[bi+1]] and the matching data chunk, so writes
-	// are disjoint. blockAt[bj] is the block slot for block column bj in the
-	// current block row, valid while mark[bj] == bi.
-	colInd := make([]int32, totalBlocks)
-	data := make([]float64, totalBlocks*bs*bs)
-	parallel.ForRanges(ranges, func(blo, bhi int) {
-		mark := make([]int32, bcols)
-		blockAt := make([]int, bcols)
-		for i := range mark {
-			mark[i] = -1
-		}
-		for bi := blo; bi < bhi; bi++ {
-			next := rowPtr[bi]
-			rhi := (bi + 1) * bs
-			if rhi > rows {
-				rhi = rows
-			}
-			for i := bi * bs; i < rhi; i++ {
-				for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-					bj := int(a.Col[k]) / bs
-					if mark[bj] != int32(bi) {
-						mark[bj] = int32(bi)
-						blockAt[bj] = next
-						colInd[next] = int32(bj)
-						next++
-					}
-					b := blockAt[bj]
-					ii := i - bi*bs
-					jj := int(a.Col[k]) - bj*bs
-					data[b*bs*bs+ii*bs+jj] = a.Data[k]
-				}
-			}
-			// Block columns within a block row must ascend for NewBSR; CSR
-			// rows ascend per row but interleaving rows can break the order,
-			// so sort the slice of this block row's blocks.
-			sortBlockRow(colInd[rowPtr[bi]:rowPtr[bi+1]], data[rowPtr[bi]*bs*bs:rowPtr[bi+1]*bs*bs], bs)
-		}
-	})
-	return NewBSR(rows, cols, bs, rowPtr, colInd, data)
-}
-
-// sortBlockRow sorts the blocks of one block row by block column, moving the
-// bs*bs data chunks along with the indices (insertion sort: block rows are
-// short and nearly sorted).
-func sortBlockRow(cols []int32, data []float64, bs int) {
-	n := len(cols)
-	sq := bs * bs
-	tmp := make([]float64, sq)
-	for i := 1; i < n; i++ {
-		j := i
-		for j > 0 && cols[j-1] > cols[j] {
-			cols[j-1], cols[j] = cols[j], cols[j-1]
-			copy(tmp, data[(j-1)*sq:j*sq])
-			copy(data[(j-1)*sq:j*sq], data[j*sq:(j+1)*sq])
-			copy(data[j*sq:(j+1)*sq], tmp)
-			j--
-		}
-	}
-}
-
-// BSRToCSR converts a BSR matrix back to CSR, dropping zero padding (and
-// explicit zeros inside blocks, which BSR cannot distinguish from padding).
-func BSRToCSR(a *BSR) (*CSR, error) {
-	rows, cols := a.Dims()
-	bs := a.BlockSize
-	ptr := make([]int, rows+1)
-	for bi := 0; bi < a.BlockRows(); bi++ {
-		for b := a.RowPtr[bi]; b < a.RowPtr[bi+1]; b++ {
-			for ii := 0; ii < bs; ii++ {
-				i := bi*bs + ii
-				if i >= rows {
-					break
-				}
-				for jj := 0; jj < bs; jj++ {
-					if a.Data[b*bs*bs+ii*bs+jj] != 0 {
-						ptr[i+1]++
-					}
-				}
-			}
-		}
-	}
-	for i := 0; i < rows; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	nnz := ptr[rows]
-	col := make([]int32, nnz)
-	data := make([]float64, nnz)
-	next := make([]int, rows)
-	copy(next, ptr[:rows])
-	for bi := 0; bi < a.BlockRows(); bi++ {
-		for b := a.RowPtr[bi]; b < a.RowPtr[bi+1]; b++ {
-			cbase := int(a.ColInd[b]) * bs
-			for ii := 0; ii < bs; ii++ {
-				i := bi*bs + ii
-				if i >= rows {
-					break
-				}
-				for jj := 0; jj < bs; jj++ {
-					v := a.Data[b*bs*bs+ii*bs+jj]
-					if v == 0 {
-						continue
-					}
-					col[next[i]] = int32(cbase + jj)
-					data[next[i]] = v
-					next[i]++
-				}
-			}
-		}
-	}
-	return NewCSR(rows, cols, ptr, col, data)
-}
-
 // ConvertFromCSR converts a CSR matrix into the requested format under the
 // given limits. Converting to CSR returns the input unchanged.
 func ConvertFromCSR(a *CSR, to Format, lim Limits) (Matrix, error) {
@@ -636,21 +479,19 @@ func ConvertFromCSR(a *CSR, to Format, lim Limits) (Matrix, error) {
 		return CSRToELL(a, lim)
 	case FmtHYB:
 		return CSRToHYB(a, lim)
-	case FmtBSR:
-		return CSRToBSR(a, lim)
-	case FmtCSR5:
-		return NewCSR5FromCSR(a)
 	case FmtSELL:
 		return NewSELLFromCSR(a)
 	case FmtJDS:
 		return NewJDSFromCSR(a)
-	default:
-		return nil, fmt.Errorf("sparse: cannot convert to %v", to)
 	}
+	if to.Valid() && !slices.Contains(Implemented, to) {
+		return nil, fmt.Errorf("sparse: %v is priced only: this build has no %v kernel or conversion", to, to)
+	}
+	return nil, fmt.Errorf("sparse: cannot convert to %v", to)
 }
 
 // ToCSR converts any supported matrix back to CSR. Formats that store
-// padding (DIA, ELL, BSR) drop explicitly stored zeros in the round trip.
+// padding (DIA, ELL) drop explicitly stored zeros in the round trip.
 func ToCSR(m Matrix) (*CSR, error) {
 	switch a := m.(type) {
 	case *CSR:
@@ -663,10 +504,6 @@ func ToCSR(m Matrix) (*CSR, error) {
 		return ELLToCSR(a)
 	case *HYB:
 		return HYBToCSR(a)
-	case *BSR:
-		return BSRToCSR(a)
-	case *CSR5:
-		return a.ToCSR()
 	case *SELL:
 		return a.ToCSR()
 	case *JDS:
@@ -689,16 +526,14 @@ func Convert(m Matrix, to Format, lim Limits) (Matrix, error) {
 }
 
 // CanConvert reports whether a can be represented in the given format under
-// the limits, without building the full target representation where a cheap
-// test exists.
+// the limits, without building the target representation. A format outside
+// Implemented never can; of the rest only DIA and ELL have a fill limit (JDS,
+// for one, stores exactly nnz entries, so there is no padding blowup to
+// guard against).
 func CanConvert(a *CSR, to Format, lim Limits) bool {
 	nnz := a.NNZ()
 	rows, _ := a.Dims()
 	switch to {
-	case FmtCSR, FmtCOO, FmtCSR5, FmtHYB, FmtSELL, FmtJDS:
-		// JDS is always representable: jagged diagonals store exactly nnz
-		// entries, so there is no padding blowup to guard against.
-		return true
 	case FmtDIA:
 		if nnz == 0 {
 			return true
@@ -710,10 +545,7 @@ func CanConvert(a *CSR, to Format, lim Limits) bool {
 			return true
 		}
 		return float64(rows)*float64(a.MaxRowNNZ()) <= lim.ELLFill*float64(nnz)
-	case FmtBSR:
-		_, err := CSRToBSR(a, lim)
-		return err == nil
 	default:
-		return false
+		return slices.Contains(Implemented, to)
 	}
 }

@@ -73,16 +73,6 @@ func sortRowSegment(col []int32, data []float64) {
 	}
 }
 
-// payload strips construction-time caches that are sized to the current
-// worker count by design (BSR's nnz-balanced block-row partition), leaving
-// only the stored matrix content for the determinism comparison.
-func payload(m any) any {
-	if b, ok := m.(*BSR); ok {
-		return []any{b.BlockSize, b.RowPtr, b.ColInd, b.Data}
-	}
-	return m
-}
-
 // convertAt runs conv with GOMAXPROCS pinned to procs, restoring it after.
 func convertAt(t *testing.T, procs int, conv func() (any, error)) any {
 	t.Helper()
@@ -99,7 +89,7 @@ func convertAt(t *testing.T, procs int, conv func() (any, error)) any {
 // parallel conversion kernels were designed around: the produced matrix is
 // bit-identical at GOMAXPROCS 1 (serial path), 2, and the test maximum. The
 // comparison is reflect.DeepEqual over the full structs, so every internal
-// array (pointers, permutations, padding, tile metadata) must match, not
+// array (pointers, permutations, padding) must match, not
 // just the SpMV result.
 func TestConversionsDeterministicAcrossWorkerCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -116,23 +106,20 @@ func TestConversionsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}{
 		// Banded structure converts everywhere, with enough nnz for the
 		// parallel paths (rows*(2b+1) ~ 14k > MinParallelWork).
-		{"banded", bandedCSR(t, 2000, 3), []string{"DIA", "ELL", "HYB", "BSR", "CSR5", "SELL"}},
+		{"banded", bandedCSR(t, 2000, 3), []string{"DIA", "ELL", "HYB", "SELL"}},
 		// Skewed row lengths exercise HYB overflow and SELL sorting; the
-		// diagonal count is too high for DIA and the blocks too scattered
-		// for BSR, so those stay out.
-		{"skewed", skewedCSR(t, 3000), []string{"ELL", "HYB", "CSR5", "SELL"}},
-		{"random", randCSR(t, rng, 600, 600, 0.02), []string{"ELL", "HYB", "CSR5", "SELL"}},
+		// diagonal count is too high for DIA, so it stays out.
+		{"skewed", skewedCSR(t, 3000), []string{"ELL", "HYB", "SELL"}},
+		{"random", randCSR(t, rng, 600, 600, 0.02), []string{"ELL", "HYB", "SELL"}},
 		// Tiny matrix: all conversions take the serial fallback at every
 		// worker count; guards the threshold gate itself.
-		{"tiny", randCSR(t, rng, 12, 12, 0.3), []string{"DIA", "ELL", "HYB", "BSR", "CSR5", "SELL"}},
+		{"tiny", randCSR(t, rng, 12, 12, 0.3), []string{"DIA", "ELL", "HYB", "SELL"}},
 	}
 
 	convs := map[string]func(a *CSR) (any, error){
 		"DIA":  func(a *CSR) (any, error) { return CSRToDIA(a, lim) },
 		"ELL":  func(a *CSR) (any, error) { return CSRToELL(a, lim) },
 		"HYB":  func(a *CSR) (any, error) { return CSRToHYB(a, lim) },
-		"BSR":  func(a *CSR) (any, error) { return CSRToBSR(a, lim) },
-		"CSR5": func(a *CSR) (any, error) { return NewCSR5FromCSR(a) },
 		"SELL": func(a *CSR) (any, error) { return NewSELLFromCSR(a) },
 	}
 
@@ -143,7 +130,7 @@ func TestConversionsDeterministicAcrossWorkerCounts(t *testing.T) {
 				ref := convertAt(t, 1, func() (any, error) { return conv(c.a) })
 				for _, p := range []int{2, maxP} {
 					got := convertAt(t, p, func() (any, error) { return conv(c.a) })
-					if !reflect.DeepEqual(payload(got), payload(ref)) {
+					if !reflect.DeepEqual(got, ref) {
 						t.Errorf("GOMAXPROCS=%d conversion differs from serial result", p)
 					}
 				}

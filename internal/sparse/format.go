@@ -1,17 +1,20 @@
-// Package sparse implements nine sparse-matrix storage formats: the seven
-// the paper selects among — COO, CSR, DIA, ELL, HYB, BSR and CSR5 — plus the
-// SELL-C-sigma and JDS extensions, together with their SpMV kernels (serial,
+// Package sparse implements the storage formats the runtime converts to —
+// COO, CSR, DIA, ELL and HYB from the paper's seven, plus the SELL-C-sigma
+// and JDS extensions — together with their SpMV kernels (serial,
 // goroutine-parallel, and AVX2-vectorized where the host supports it; see
 // kernels.go) and the format conversions whose runtime cost is the subject
 // of the paper.
 //
 // CSR is the hub format: every other format converts to and from CSR, and
 // CSR is the default format applications start from, matching the paper's
-// experimental setup. Six of the nine — CSR, DIA, ELL, HYB, SELL, JDS — are
-// the measured menu the runtime trains and selects among (MeasuredMenu);
-// COO, BSR and CSR5 never win a measured T_affected on this CPU and are
-// study-only: implemented, checked, fuzzed and priced by the analytic model
-// oracle the experiments run on, but not timed at training (DESIGN.md §19).
+// experimental setup. Six formats — CSR, DIA, ELL, HYB, SELL, JDS — are the
+// measured menu the runtime trains and selects among (MeasuredMenu); COO
+// never wins a measured T_affected on this CPU and is study-only:
+// implemented, checked and fuzzed but not timed at training. The paper's
+// other two, BSR and CSR5, are priced only: they keep their Format numbers
+// and the analytic model oracle the experiments run on prices them from
+// structure, but this build has no kernel or conversion for them
+// (Implemented; DESIGN.md §19).
 package sparse
 
 import "fmt"
@@ -39,13 +42,32 @@ const (
 	numFormats
 )
 
-// AllFormats lists every supported format, CSR first since it is the
-// default. The slice is shared; callers must not mutate it.
+// AllFormats lists every format the selector and the model oracle know, CSR
+// first since it is the default. The slice is shared; callers must not
+// mutate it.
 var AllFormats = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtCSR5, FmtSELL, FmtJDS}
 
 // PaperFormats is the subset the paper's evaluation covers (AllFormats
 // minus the SELL-C-sigma and JDS extensions).
 var PaperFormats = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtCSR5}
+
+// Implemented is the one answer to "can this build convert to f": the formats
+// with a kernel and a conversion from CSR, CSR first. It is AllFormats minus
+// BSR and CSR5, which are the argmin on no class of the home-turf panel
+// (DESIGN.md §19) and stay only as prices: CanConvert answers false for them,
+// ConvertFromCSR names them priced-only, and a saved predictor bundle's
+// models for them are dropped at load.
+var Implemented = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtSELL, FmtJDS}
+
+// CSR5 tile geometry, which timing.ModelOracle's CSR5 price reads. A tile
+// holds Sigma*Omega consecutive nonzeros, written column-major into a
+// Sigma x Omega block, the tile-transposed layout of Liu & Vinter's CSR5.
+const (
+	CSR5Omega = 4  // lanes per tile
+	CSR5Sigma = 16 // elements per lane
+	// CSR5Tile is the number of nonzeros per full tile.
+	CSR5Tile = CSR5Omega * CSR5Sigma
+)
 
 // MeasuredMenu is the set timing.MeasuredOracle prices, and so the set a
 // bundle trained on this machine's kernels can hold and the runtime can
@@ -79,7 +101,7 @@ func (f Format) String() string {
 	return formatNames[f]
 }
 
-// Valid reports whether f is one of the supported formats.
+// Valid reports whether f is one of the known formats (Implemented or not).
 func (f Format) Valid() bool { return f >= 0 && f < numFormats && formatNames[f] != "" }
 
 // ParseFormat converts a format name (as produced by String, case-sensitive)

@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -73,16 +75,15 @@ func vecsClose(t *testing.T, got, want []float64, tol float64, label string) {
 var testLimits = Limits{
 	DIAFill:        1e9,
 	ELLFill:        1e9,
-	BSRFill:        1e9,
-	BSRBlockSize:   4,
 	HYBRowFraction: 1.0 / 3.0,
 }
 
-// allFormatsOf converts a CSR matrix into every format under relaxed limits.
+// allFormatsOf converts a CSR matrix into every implemented format under
+// relaxed limits.
 func allFormatsOf(t *testing.T, a *CSR) map[Format]Matrix {
 	t.Helper()
 	out := make(map[Format]Matrix, NumFormats)
-	for _, f := range AllFormats {
+	for _, f := range Implemented {
 		m, err := ConvertFromCSR(a, f, testLimits)
 		if err != nil {
 			t.Fatalf("convert to %v: %v", f, err)
@@ -132,6 +133,37 @@ func TestFormatString(t *testing.T) {
 	}
 }
 
+// TestPricedOnlyFormatsRefuseConversion: BSR and CSR5 keep their numbers,
+// names and places in AllFormats and PaperFormats (the model oracle prices
+// them), but nothing converts to them: CanConvert says no even where the old
+// fill limit said yes, and ConvertFromCSR names the format as priced only.
+func TestPricedOnlyFormatsRefuseConversion(t *testing.T) {
+	if FmtBSR != 5 || FmtCSR5 != 6 {
+		t.Errorf("FmtBSR, FmtCSR5 = %d, %d; want 5, 6", FmtBSR, FmtCSR5)
+	}
+	a, err := FromDense(4, 4, []float64{1, 2, 0, 0, 3, 4, 0, 0, 0, 0, 5, 6, 0, 0, 7, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Format{FmtBSR, FmtCSR5} {
+		if !slices.Contains(AllFormats, f) || !slices.Contains(PaperFormats, f) || slices.Contains(Implemented, f) {
+			t.Errorf("%v: in AllFormats %v, PaperFormats %v, Implemented %v; want true, true, false", f,
+				slices.Contains(AllFormats, f), slices.Contains(PaperFormats, f), slices.Contains(Implemented, f))
+		}
+		if CanConvert(a, f, testLimits) {
+			t.Errorf("CanConvert(%v) = true", f)
+		}
+		if m, err := ConvertFromCSR(a, f, testLimits); err == nil || !strings.Contains(err.Error(), f.String()+" is priced only") {
+			t.Errorf("ConvertFromCSR(%v) = %T, %v; want a priced-only error", f, m, err)
+		}
+	}
+	for _, f := range AllFormats {
+		if !slices.Contains(Implemented, f) && f != FmtBSR && f != FmtCSR5 {
+			t.Errorf("%v is neither implemented nor priced only", f)
+		}
+	}
+}
+
 func TestAllFormatsSpMVMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	shapes := []struct {
@@ -141,7 +173,7 @@ func TestAllFormatsSpMVMatchesDense(t *testing.T) {
 		{1, 1, 1.0},
 		{7, 5, 0.4},
 		{20, 20, 0.15},
-		{63, 65, 0.1}, // straddles a CSR5 tile boundary
+		{63, 65, 0.1}, // 63 rows: a ragged last SELL slice
 		{64, 64, 0.05},
 		{128, 96, 0.03},
 		{200, 200, 0.02},
@@ -191,7 +223,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 func TestParallelSkewedRows(t *testing.T) {
 	// One enormous row plus many tiny ones stresses the weighted partition
-	// and the boundary-row merging in COO/CSR5 parallel kernels.
+	// and the boundary-row merging in the COO parallel kernel.
 	rng := rand.New(rand.NewSource(3))
 	rows, cols := 400, 400
 	ptr := make([]int, rows+1)
@@ -244,12 +276,12 @@ func TestRoundTripThroughCSR(t *testing.T) {
 func TestConvertBetweenAllPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := randCSR(t, rng, 40, 40, 0.2)
-	for _, from := range AllFormats {
+	for _, from := range Implemented {
 		src, err := ConvertFromCSR(a, from, testLimits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, to := range AllFormats {
+		for _, to := range Implemented {
 			dst, err := Convert(src, to, testLimits)
 			if err != nil {
 				t.Fatalf("%v -> %v: %v", from, to, err)
@@ -493,156 +525,6 @@ func TestHYBWidthHeuristic(t *testing.T) {
 	}
 }
 
-func TestBSRBlockStructure(t *testing.T) {
-	// Block-diagonal matrix with 4x4 blocks: block count must equal the
-	// number of diagonal blocks and fill ratio must be modest.
-	const bs = 4
-	rows := 32
-	dense := make([]float64, rows*rows)
-	for b := 0; b < rows/bs; b++ {
-		for ii := 0; ii < bs; ii++ {
-			for jj := 0; jj < bs; jj++ {
-				dense[(b*bs+ii)*rows+b*bs+jj] = float64(1 + ii + jj)
-			}
-		}
-	}
-	a, err := FromDense(rows, rows, dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := CSRToBSR(a, DefaultLimits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumBlocks() != rows/bs {
-		t.Errorf("NumBlocks = %d, want %d", m.NumBlocks(), rows/bs)
-	}
-	if m.FillRatio() != 1 {
-		t.Errorf("FillRatio = %g, want 1", m.FillRatio())
-	}
-}
-
-func TestBSRRaggedEdge(t *testing.T) {
-	// 10x10 with block size 4 leaves a 2-wide fringe; SpMV must still match.
-	rng := rand.New(rand.NewSource(8))
-	a := randCSR(t, rng, 10, 10, 0.5)
-	m, err := CSRToBSR(a, testLimits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randVec(rng, 10)
-	want := make([]float64, 10)
-	a.SpMV(want, x)
-	got := make([]float64, 10)
-	m.SpMV(got, x)
-	vecsClose(t, got, want, 1e-12, "BSR ragged")
-}
-
-func TestCSR5TileGeometry(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, nnzTarget := range []int{0, 1, 63, 64, 65, 128, 200} {
-		rows := 50
-		// Build a matrix with exactly nnzTarget entries spread over rows.
-		ptr := make([]int, rows+1)
-		var col []int32
-		var data []float64
-		for k := 0; k < nnzTarget; k++ {
-			col = append(col, int32(k%rows))
-			data = append(data, rng.NormFloat64())
-		}
-		per := nnzTarget / rows
-		extra := nnzTarget % rows
-		pos := 0
-		for i := 0; i < rows; i++ {
-			n := per
-			if i < extra {
-				n++
-			}
-			// Reassign sorted columns per row.
-			for j := 0; j < n; j++ {
-				col[pos+j] = int32(j)
-			}
-			pos += n
-			ptr[i+1] = pos
-		}
-		a, err := NewCSR(rows, rows, ptr, col, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := NewCSR5FromCSR(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTiles := nnzTarget / CSR5Tile
-		if m.NumTiles() != wantTiles {
-			t.Errorf("nnz=%d: NumTiles = %d, want %d", nnzTarget, m.NumTiles(), wantTiles)
-		}
-		if len(m.TailVal) != nnzTarget-wantTiles*CSR5Tile {
-			t.Errorf("nnz=%d: tail = %d, want %d", nnzTarget, len(m.TailVal), nnzTarget-wantTiles*CSR5Tile)
-		}
-		x := randVec(rng, rows)
-		want := make([]float64, rows)
-		a.SpMV(want, x)
-		got := make([]float64, rows)
-		m.SpMV(got, x)
-		vecsClose(t, got, want, 1e-12, "CSR5 tiles")
-	}
-}
-
-func TestCSR5EmptyRows(t *testing.T) {
-	// Rows 0, 2, 4... empty; ensures row-start bookkeeping skips them.
-	rows := 130
-	ptr := make([]int, rows+1)
-	var col []int32
-	var data []float64
-	for i := 0; i < rows; i++ {
-		if i%2 == 1 {
-			for j := 0; j < 3; j++ {
-				col = append(col, int32(j*7%rows))
-				data = append(data, float64(i+j))
-			}
-			// sort the 3 columns
-			c := col[len(col)-3:]
-			d := data[len(data)-3:]
-			for a1 := 0; a1 < 3; a1++ {
-				for b1 := a1 + 1; b1 < 3; b1++ {
-					if c[b1] < c[a1] {
-						c[a1], c[b1] = c[b1], c[a1]
-						d[a1], d[b1] = d[b1], d[a1]
-					}
-				}
-			}
-		}
-		ptr[i+1] = len(data)
-	}
-	a, err := NewCSR(rows, rows, ptr, col, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewCSR5FromCSR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	x := randVec(rng, rows)
-	want := make([]float64, rows)
-	a.SpMV(want, x)
-	got := make([]float64, rows)
-	m.SpMV(got, x)
-	vecsClose(t, got, want, 1e-12, "CSR5 empty rows")
-	back, err := m.ToCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, err := EqualValues(a, back, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq {
-		t.Error("CSR5 round trip with empty rows changed values")
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := randCSR(t, rng, 30, 50, 0.1)
@@ -695,7 +577,7 @@ func TestQuickSpMVAgreement(t *testing.T) {
 		x := randVec(rng, cols)
 		want := make([]float64, rows)
 		a.SpMV(want, x)
-		for _, f := range AllFormats {
+		for _, f := range Implemented {
 			m, err := ConvertFromCSR(a, f, testLimits)
 			if err != nil {
 				return false
@@ -723,7 +605,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		n := int(nRaw)%60 + 1
 		var tt testing.T
 		a := randCSR(&tt, rng, n, n, 0.2)
-		for _, f := range AllFormats {
+		for _, f := range Implemented {
 			m, err := ConvertFromCSR(a, f, testLimits)
 			if err != nil {
 				return false
@@ -756,7 +638,7 @@ func TestQuickParallelAgreement(t *testing.T) {
 		x := randVec(rng, cols)
 		want := make([]float64, rows)
 		a.SpMV(want, x)
-		for _, f := range AllFormats {
+		for _, f := range Implemented {
 			m, err := ConvertFromCSR(a, f, testLimits)
 			if err != nil {
 				return false

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -76,7 +77,8 @@ func SaveBundle(dir string, p *core.Predictors, man Manifest) error {
 
 // LoadBundle restores a bundle saved by SaveBundle, checking the manifest's
 // schema version and feature count against the running code, and every
-// model's own width against the manifest's.
+// model's own width against the manifest's. Only formats in
+// sparse.Implemented are loaded.
 func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, error) {
 	blob, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -95,9 +97,12 @@ func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, erro
 	p := core.NewPredictors()
 	for _, name := range man.Formats {
 		f, err := sparse.ParseFormat(name)
-		if err != nil {
+		if err != nil || !slices.Contains(sparse.Implemented, f) {
 			// A format this build no longer has (bundles saved before CSC
-			// was deleted list it): its models are left on disk, unread.
+			// was deleted list it) or cannot convert to (BSR and CSR5 are
+			// priced only, so a model-oracle bundle may list them): its
+			// models are left on disk, unread, and the runtime never
+			// selects a format it cannot build.
 			continue
 		}
 		cm, err := loadModel(filepath.Join(dir, fmt.Sprintf("conv_%s.json", f)), man.NumFeatures)
@@ -112,7 +117,7 @@ func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, erro
 		p.SpMVTime[f] = sm
 	}
 	if len(p.ConvTime) == 0 {
-		return nil, nil, fmt.Errorf("trainer: manifest lists no format this build knows")
+		return nil, nil, fmt.Errorf("trainer: manifest lists no format this build implements")
 	}
 	return p, &man, nil
 }

@@ -23,7 +23,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 				xs[i][j] = float64(j)*1.0000001 - float64(i)
 			}
 		}
-		body, err := AppendRequest(nil, xs, 0, 0, nil)
+		body, err := AppendRequest(nil, xs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,7 +37,7 @@ func benchPanel() [][]float64 {
 }
 
 func benchBody(b *testing.B) []byte {
-	body, err := AppendRequest(nil, benchPanel(), 0, 0, nil)
+	body, err := AppendRequest(nil, benchPanel(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

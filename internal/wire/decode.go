@@ -19,8 +19,6 @@ type Span struct {
 type Layout struct {
 	// Vectors are the entries of "x" (request) or "y" (reply), in order.
 	Vectors []Span
-	// RowLo and RowHi are a request's row range, zero when absent.
-	RowLo, RowHi int
 	// Tail is everything a reply says besides "y".
 	Tail
 	// progress spans a request's progress number when one is present.
@@ -104,8 +102,6 @@ type fieldKind uint8
 
 const (
 	kindVectors fieldKind = iota
-	kindRowLo
-	kindRowHi
 	kindProgress
 )
 
@@ -115,7 +111,7 @@ type field struct {
 }
 
 var (
-	requestFields = []field{{"x", kindVectors}, {"row_lo", kindRowLo}, {"row_hi", kindRowHi}, {"progress", kindProgress}}
+	requestFields = []field{{"x", kindVectors}, {"progress", kindProgress}}
 	replyFields   = []field{{"y", kindVectors}}
 )
 
@@ -190,14 +186,10 @@ func scan(b []byte, fields []field, skipUnknown bool) (lay Layout, vectors Span,
 			vectors.Lo = i
 			lay.Vectors, i, err = scanVectors(b, i)
 			vectors.Hi = i
-		case fields[fi].kind == kindProgress:
+		default:
 			lay.progress.Lo = i
 			i, err = scanNumber(b, i)
 			lay.progress.Hi = i
-		case fields[fi].kind == kindRowLo:
-			lay.RowLo, i, err = scanInt(b, i)
-		default:
-			lay.RowHi, i, err = scanInt(b, i)
 		}
 		if err != nil {
 			return lay, vectors, i, fmt.Errorf("field %q: %w", key, err)
@@ -311,19 +303,6 @@ func scanNumber(b []byte, i int) (int, error) {
 		}
 	}
 	return i, nil
-}
-
-// scanInt reads a JSON number that is an integer literal fitting an int, the
-// only numbers encoding/json stores into an int field.
-func scanInt(b []byte, i int) (n, end int, err error) {
-	if end, err = scanNumber(b, i); err != nil {
-		return 0, end, err
-	}
-	v, err := strconv.ParseInt(string(b[i:end]), 10, strconv.IntSize)
-	if err != nil {
-		return 0, end, fmt.Errorf("cannot use number %s as an integer", b[i:end])
-	}
-	return int(v), end, nil
 }
 
 // parseFloat converts a grammar-checked number; off locates it in messages

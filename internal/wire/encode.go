@@ -71,19 +71,12 @@ func appendVectors(dst []byte, vs [][]float64, stride int) ([]byte, error) {
 }
 
 // AppendRequest appends the panel request body: the bytes json.Marshal
-// produces for server.PanelRequest{X: xs, RowLo: rowLo, RowHi: rowHi,
-// Progress: progress}.
-func AppendRequest(dst []byte, xs [][]float64, rowLo, rowHi int, progress *float64) ([]byte, error) {
+// produces for server.PanelRequest{X: xs, Progress: progress}.
+func AppendRequest(dst []byte, xs [][]float64, progress *float64) ([]byte, error) {
 	dst = append(dst, `{"x":`...)
 	dst, err := appendVectors(dst, xs, 1)
 	if err != nil {
 		return dst, err
-	}
-	if rowLo != 0 {
-		dst = strconv.AppendInt(append(dst, `,"row_lo":`...), int64(rowLo), 10)
-	}
-	if rowHi != 0 {
-		dst = strconv.AppendInt(append(dst, `,"row_hi":`...), int64(rowHi), 10)
 	}
 	if progress != nil {
 		var ok bool

@@ -1,7 +1,7 @@
 // Package wire is the only code that turns a float panel into JSON text or
 // back. A panel is the body of /spmv and /spmm on both tiers: a request
 //
-//	{"x":[[…],[…]],"row_lo":0,"row_hi":0,"progress":0.5}
+//	{"x":[[…],[…]],"progress":0.5}
 //
 // or a reply
 //
@@ -36,7 +36,7 @@
 // streaming decoder ignores them), except that three things encoding/json
 // lets through leniently are rejected:
 //
-//   - a key that matches a field only case-insensitively ("X", "Row_Lo");
+//   - a key that matches a field only case-insensitively ("X", "Progress");
 //   - a key that appears twice;
 //   - null in place of a vector or of a number inside "x"/"y" (encoding/json
 //     leaves the element untouched, i.e. a silent zero).

@@ -26,9 +26,8 @@ var edgeFloats = []float64{
 // decoded is a panel request decoded the way the server does it: scan, then
 // every vector and the progress indicator converted.
 type decoded struct {
-	X            [][]float64
-	RowLo, RowHi int
-	Progress     *float64
+	X        [][]float64
+	Progress *float64
 }
 
 func decodeRequest(body []byte) (*decoded, error) {
@@ -36,7 +35,7 @@ func decodeRequest(body []byte) (*decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &decoded{RowLo: lay.RowLo, RowHi: lay.RowHi}
+	d := &decoded{}
 	if d.Progress, err = lay.Progress(body); err != nil {
 		return nil, err
 	}
@@ -55,24 +54,22 @@ func decodeRequest(body []byte) (*decoded, error) {
 func TestEncodeMatchesEncodingJSON(t *testing.T) {
 	xs := [][]float64{edgeFloats, {}, {42}}
 	progress := 1e-7
-	got, err := AppendRequest(nil, xs, 3, 9, &progress)
+	got, err := AppendRequest(nil, xs, &progress)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := json.Marshal(struct {
 		X        [][]float64 `json:"x"`
-		RowLo    int         `json:"row_lo,omitempty"`
-		RowHi    int         `json:"row_hi,omitempty"`
 		Progress *float64    `json:"progress,omitempty"`
-	}{xs, 3, 9, &progress})
+	}{xs, &progress})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("request differs from json.Marshal:\n got %s\nwant %s", got, want)
 	}
-	if got, _ = AppendRequest(nil, [][]float64{{1}}, 0, 0, nil); string(got) != `{"x":[[1]]}` {
-		t.Errorf("zero row range and nil progress must be omitted: %s", got)
+	if got, _ = AppendRequest(nil, [][]float64{{1}}, nil); string(got) != `{"x":[[1]]}` {
+		t.Errorf("nil progress must be omitted: %s", got)
 	}
 
 	for _, tail := range []Tail{{Format: "csr"}, {K: 3, Format: "sell"}, {K: 3, Format: "distributed", ServedBy: []string{"http://a:1/?q=<&>", "b"}}} {
@@ -135,7 +132,7 @@ func TestEncodeNonFinite(t *testing.T) {
 		if !errors.As(err, &nf) || nf.Vector != 0 || nf.Index != 2 {
 			t.Errorf("strided reply with %v: error %v, want NonFiniteError{0,2}", bad, err)
 		}
-		_, err = AppendRequest(nil, [][]float64{{1}}, 0, 0, &bad)
+		_, err = AppendRequest(nil, [][]float64{{1}}, &bad)
 		if !errors.As(err, &nf) || nf.Vector >= 0 {
 			t.Errorf("progress %v: error %v, want NonFiniteError for progress", bad, err)
 		}
@@ -147,18 +144,16 @@ func TestDecodeRequest(t *testing.T) {
 	for _, tc := range []struct {
 		body     string
 		x        [][]float64
-		lo, hi   int
 		progress *float64
 	}{
-		{`{"x":[[1,2,3],[4,5,6]]}`, [][]float64{{1, 2, 3}, {4, 5, 6}}, 0, 0, nil},
-		{" \t\r\n{ \"x\" : [ [ 1 , -2.5e3 ] , [ ] ] , \"row_lo\" : 1 , \"row_hi\" : 2 , \"progress\" : 0.5 } trailing", [][]float64{{1, -2500}, {}}, 1, 2, &half},
-		{`{"progress":5e-1,"row_hi":7,"x":[[-0,1E2,1e+2,0.1e-2]]}`, [][]float64{{math.Copysign(0, -1), 100, 100, 0.001}}, 0, 7, &half},
-		{`{}`, nil, 0, 0, nil},
-		{`null`, nil, 0, 0, nil},
-		{`{"x":null,"row_lo":null,"progress":null}`, nil, 0, 0, nil},
-		{`{"x":[]}`, [][]float64{}, 0, 0, nil},
-		{`{"x":[[1]],"row_lo":3}`, [][]float64{{1}}, 3, 0, nil},
-		{`{"x":[[1e-400,4.9e-324,1.7976931348623157e308]]}`, [][]float64{{0, 5e-324, math.MaxFloat64}}, 0, 0, nil},
+		{`{"x":[[1,2,3],[4,5,6]]}`, [][]float64{{1, 2, 3}, {4, 5, 6}}, nil},
+		{" \t\r\n{ \"x\" : [ [ 1 , -2.5e3 ] , [ ] ] , \"progress\" : 0.5 } trailing", [][]float64{{1, -2500}, {}}, &half},
+		{`{"progress":5e-1,"x":[[-0,1E2,1e+2,0.1e-2]]}`, [][]float64{{math.Copysign(0, -1), 100, 100, 0.001}}, &half},
+		{`{}`, nil, nil},
+		{`null`, nil, nil},
+		{`{"x":null,"progress":null}`, nil, nil},
+		{`{"x":[]}`, [][]float64{}, nil},
+		{`{"x":[[1e-400,4.9e-324,1.7976931348623157e308]]}`, [][]float64{{0, 5e-324, math.MaxFloat64}}, nil},
 	} {
 		req, err := decodeRequest([]byte(tc.body))
 		if err != nil {
@@ -179,9 +174,6 @@ func TestDecodeRequest(t *testing.T) {
 				}
 			}
 		}
-		if req.RowLo != tc.lo || req.RowHi != tc.hi {
-			t.Errorf("%s: rows [%d,%d), want [%d,%d)", tc.body, req.RowLo, req.RowHi, tc.lo, tc.hi)
-		}
 		if (req.Progress == nil) != (tc.progress == nil) || (req.Progress != nil && *req.Progress != *tc.progress) {
 			t.Errorf("%s: progress %v, want %v", tc.body, req.Progress, tc.progress)
 		}
@@ -191,15 +183,16 @@ func TestDecodeRequest(t *testing.T) {
 func TestDecodeRejects(t *testing.T) {
 	for _, body := range []string{
 		``, ` `, `{`, `[`, `[[1]]`, `1`, `"x"`, `true`, `nul`, `{"x"}`, `{"x":}`, `{"x":[[1]]`, `{"x":[[1]`, `{"x":[[1`,
-		`{"x":[[1]],}`, `{,}`, `{"x":[[1]] "row_lo":1}`, `{x:[[1]]}`,
-		`{"y":[[1]]}`, `{"x":[[1]],"extra":1}`, `{"X":[[1]]}`, `{"Row_Lo":1}`, `{"x":[[1]],"x":[[2]]}`,
+		`{"x":[[1]],}`, `{,}`, `{"x":[[1]] "progress":1}`, `{x:[[1]]}`,
+		`{"y":[[1]]}`, `{"x":[[1]],"extra":1}`, `{"X":[[1]]}`, `{"Progress":1}`, `{"x":[[1]],"x":[[2]]}`,
+		// The retired partial-product range is an unknown field.
+		`{"x":[[1]],"row_lo":1,"row_hi":2}`, `{"row_hi":0}`, `{"row_lo":null}`,
 		`{"x":1}`, `{"x":"1"}`, `{"x":{}}`, `{"x":[1]}`, `{"x":[[[1]]]}`, `{"x":[[1],2]}`, `{"x":[null]}`, `{"x":[[1,null]]}`,
 		`{"x":[["1"]]}`, `{"x":[[true]]}`, `{"x":[[1,]]}`, `{"x":[[,1]]}`, `{"x":[[1,,2]]}`, `{"x":[[1 2]]}`, `{"x":[[1],]}`, `{"x":[,[1]]}`,
 		`{"x":[[+1]]}`, `{"x":[[.5]]}`, `{"x":[[1.]]}`, `{"x":[[01]]}`, `{"x":[[-]]}`, `{"x":[[1e]]}`, `{"x":[[1e+]]}`, `{"x":[[0x10]]}`,
 		`{"x":[[NaN]]}`, `{"x":[[Infinity]]}`, `{"x":[[1_000]]}`, `{"x":[[1e999]]}`, `{"x":[[-1e999]]}`,
-		`{"row_lo":1.0}`, `{"row_lo":1e2}`, `{"row_lo":"1"}`, `{"row_lo":99999999999999999999}`, `{"row_hi":[1]}`,
 		`{"progress":"0.5"}`, `{"progress":1e999}`, `{"progress":[1]}`, `{"progress":.5}`,
-		"{\"x\x01\":[[1]]}", `{"x\q":[[1]]}`, `{"x":[[1]],"row_lo":nul}`,
+		"{\"x\x01\":[[1]]}", `{"x\q":[[1]]}`, `{"x":[[1]],"progress":nul}`,
 	} {
 		if req, err := decodeRequest([]byte(body)); err == nil {
 			t.Errorf("%q decoded to %+v, want an error", body, req)
@@ -208,11 +201,11 @@ func TestDecodeRejects(t *testing.T) {
 }
 
 func TestScanAndSplice(t *testing.T) {
-	lay, err := ScanRequest([]byte(`{"x":[[1,2,3],[ ],[4.5]],"row_lo":2,"row_hi":4,"progress":1}`))
+	lay, err := ScanRequest([]byte(`{"x":[[1,2,3],[ ],[4.5]],"progress":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lay.Vectors) != 3 || lay.Vectors[0].N != 3 || lay.Vectors[1].N != 0 || lay.Vectors[2].N != 1 || lay.RowLo != 2 || lay.RowHi != 4 {
+	if len(lay.Vectors) != 3 || lay.Vectors[0].N != 3 || lay.Vectors[1].N != 0 || lay.Vectors[2].N != 1 {
 		t.Errorf("request layout %+v", lay)
 	}
 	// Scan sizes vectors without reading their numbers: what it lets through
@@ -432,7 +425,7 @@ func TestPoolReuseHammer(t *testing.T) {
 				}
 				out := GetBuf(0)
 				var err error
-				if *out, err = AppendRequest(*out, xs, 0, 0, nil); err != nil {
+				if *out, err = AppendRequest(*out, xs, nil); err != nil {
 					t.Error(err)
 					return
 				}

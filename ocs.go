@@ -5,14 +5,15 @@
 //
 // The library consists of
 //
-//   - nine sparse storage formats — the paper's seven (COO, CSR, DIA, ELL,
-//     HYB, BSR, CSR5) plus the SELL-C-sigma and JDS extensions — with serial
-//     and parallel SpMV kernels and conversions. CSR, DIA, ELL, HYB, SELL
-//     and JDS are the measured menu: what TrainDefaultPredictors times,
-//     MeasureFormatCosts reports and the selector can choose. COO, BSR and
-//     CSR5 never win a measured T_affected on this CPU and are study-only:
-//     convertible and checked, priced only by the analytic model oracle the
-//     experiments run on (DESIGN.md §19),
+//   - seven sparse storage formats with serial and parallel SpMV kernels
+//     and conversions: five of the paper's seven (COO, CSR, DIA, ELL, HYB)
+//     plus the SELL-C-sigma and JDS extensions. CSR, DIA, ELL, HYB, SELL and
+//     JDS are the measured menu: what TrainDefaultPredictors times,
+//     MeasureFormatCosts reports and the selector can choose. COO never wins
+//     a measured T_affected on this CPU and is study-only: convertible and
+//     checked. The paper's other two, BSR and CSR5, are priced only: the
+//     analytic model oracle the experiments run on prices them from
+//     structure, and nothing converts to them (DESIGN.md §19),
 //   - the paper's feature set and gradient-boosted regression models that
 //     predict normalized conversion and SpMV times,
 //   - the two-stage lazy-and-light selector that converts a matrix at
@@ -50,7 +51,7 @@ import (
 // Format identifies a sparse storage format.
 type Format = sparse.Format
 
-// The supported storage formats.
+// The storage formats. BSR and CSR5 are priced only: Convert refuses them.
 const (
 	COO  = sparse.FmtCOO
 	CSR  = sparse.FmtCSR

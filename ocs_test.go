@@ -37,7 +37,7 @@ func TestGeneratorsAndConvert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []Format{COO, CSR, DIA, ELL, HYB, CSR5} {
+	for _, f := range []Format{COO, CSR, DIA, ELL, HYB} {
 		m, err := Convert(a, f)
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
@@ -97,21 +97,18 @@ func TestSaveLoadPredictors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.ConvTime) != len(preds.ConvTime) {
-		t.Errorf("loaded %d conversion models, want %d", len(loaded.ConvTime), len(preds.ConvTime))
+	// The model-oracle bundle prices BSR and CSR5, which load drops: this
+	// build cannot convert to them.
+	if want := len(preds.ConvTime) - 2; len(loaded.ConvTime) != want || loaded.ConvTime[BSR] != nil || loaded.ConvTime[CSR5] != nil {
+		t.Errorf("loaded %v, want the saved formats but BSR and CSR5 (%d conversion models)", loaded.Formats(), want)
 	}
 	// Same predictions after the round trip.
-	a, err := BandedMatrix(1000, 5, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = a
-	for f, m := range preds.SpMVTime {
+	for f, m := range loaded.SpMVTime {
 		x := make([]float64, m.NumFeature)
 		for i := range x {
 			x[i] = float64(i)
 		}
-		if got, want := loaded.SpMVTime[f].Predict(x), m.Predict(x); got != want {
+		if got, want := m.Predict(x), preds.SpMVTime[f].Predict(x); got != want {
 			t.Errorf("%v: loaded model predicts %g, want %g", f, got, want)
 		}
 	}
