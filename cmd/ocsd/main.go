@@ -17,7 +17,6 @@
 //	GET    /metrics               Prometheus text exposition
 //	GET    /buildinfo             module version, VCS revision, Go version, GOMAXPROCS
 //	GET    /debug/decisions       recent decision traces as JSON (?n= bounds the count)
-//	GET    /debug/retrain         online retrainer status (generation, drift, swaps)
 //	GET    /debug/pprof/          net/http/pprof (only with -pprof)
 //
 // Run with trained predictors for real format selection:
@@ -26,13 +25,9 @@
 //	ocsd -train                   # train at startup on the measured menu (seconds)
 //
 // Without predictors only stage 1 (tripcount prediction) runs and matrices
-// never convert — useful for functional testing.
-//
-// With -retrain the daemon self-tunes: a background loop harvests completed
-// decision traces from the journal, watches per-workload-class drift
-// (prediction error, regret), retrains the stage-2 cost models on locally
-// measured timings, and hot-swaps validated bundles into the live registry
-// (see internal/retrain and DESIGN.md §14).
+// never convert — useful for functional testing. The bundle is fixed for
+// the life of the process; to change it, re-run `ocsel train` and restart
+// (DESIGN.md §14).
 package main
 
 import (
@@ -49,7 +44,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/parallel"
-	"repro/internal/retrain"
 	"repro/internal/server"
 
 	ocs "repro"
@@ -69,11 +63,6 @@ func main() {
 		drainWait    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 		serial       = flag.Bool("serial", false, "use serial SpMV kernels (pool provides the parallelism)")
 		async        = flag.Bool("async", true, "run stage-2 selection (features, prediction, conversion) on a background worker instead of stalling the triggering request")
-		retrainOn    = flag.Bool("retrain", false, "enable the online retraining loop: drift-triggered model refresh with hot-swap")
-		retrainIv    = flag.Duration("retrain-interval", 30*time.Second, "how often the retrainer scans the decision journal")
-		retrainMin   = flag.Int("retrain-min-samples", 8, "harvested samples required before drift triggers retraining")
-		retrainDir   = flag.String("retrain-dir", "", "directory to persist accepted model bundles (empty = no persistence)")
-		retrainErr   = flag.Float64("retrain-err-threshold", 0.5, "windowed mean relative prediction error that counts as drift")
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -110,7 +99,7 @@ func main() {
 			logger.Warn("predictor bundle malformed: a format missing one of its two models is never selected", "error", err)
 		}
 		// The menu this daemon selects among, in its own output.
-		logger.Info("predictors ready", "formats", fmt.Sprint(preds.Formats()), "generation", preds.Generation)
+		logger.Info("predictors ready", "formats", fmt.Sprint(preds.Formats()))
 	}
 	srv := server.New(server.Config{
 		MaxRegistryNNZ:      *maxNNZ,
@@ -124,29 +113,6 @@ func main() {
 		EnablePprof:         *enablePprof,
 		Logger:              logger,
 	})
-	var loop *retrain.Loop
-	if *retrainOn {
-		l, err := retrain.New(retrain.Config{
-			Journal:      srv.Journal(),
-			Target:       srv,
-			Interval:     *retrainIv,
-			MinSamples:   *retrainMin,
-			ErrThreshold: *retrainErr,
-			SaveDir:      *retrainDir,
-			Logger:       logger,
-			Tracer:       srv.Tracer(),
-		})
-		if err != nil {
-			logger.Error("building retrain loop failed", "error", err)
-			os.Exit(1)
-		}
-		loop = l
-		srv.AttachRetrain(loop)
-		loop.Start()
-		logger.Info("online retraining enabled",
-			"interval", retrainIv.String(), "min_samples", *retrainMin,
-			"err_threshold", *retrainErr, "save_dir", *retrainDir)
-	}
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),
@@ -171,9 +137,6 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
-	if loop != nil {
-		loop.Stop()
-	}
 	if err := srv.Drain(ctx); err != nil {
 		logger.Warn("drain incomplete", "error", err)
 	}

@@ -81,9 +81,9 @@ type Stats struct {
 // sharing a registry handle. One mutex serialises SpMV calls (each is
 // goroutine-parallel inside already, and the timing samples rest on one
 // SpMV running alone) and the selection pipeline, which therefore runs
-// exactly once however many goroutines feed progress; Stats, SetPredictors
-// and Close take it too. SpMM, Format, TraceID, SetSpanParent and Dims do
-// not: they touch only what never changes after construction, or an atomic.
+// exactly once however many goroutines feed progress; Stats and Close take
+// it too. SpMM, Format, TraceID, SetSpanParent and Dims do not: they touch
+// only what never changes after construction, or an atomic.
 type Adaptive struct {
 	cfg      Config
 	tol      float64
@@ -91,6 +91,9 @@ type Adaptive struct {
 	clock    timing.Clock
 
 	csr *sparse.CSR
+	// preds is the stage-2 bundle, fixed at construction (nil = stage 1
+	// only).
+	preds *Predictors
 	// op is the matrix SpMV currently runs on. Installing a format is one
 	// store (under mu, so no SpMV is mid-flight on the old one); Format is a
 	// load.
@@ -98,7 +101,6 @@ type Adaptive struct {
 
 	// mu serialises SpMV and the pipeline and guards every field below it.
 	mu       sync.Mutex
-	preds    *Predictors
 	progress []float64
 	decided  bool
 	stats    Stats
@@ -358,7 +360,6 @@ type stage2Result struct {
 	decided bool          // false only for a run canceled before the argmin
 	m       sparse.Matrix // operator to install; nil when staying on CSR or conversion failed
 	fvec    []float64     // Table I vector for the journal, when one is kept
-	gen     int64         // generation of the bundle that decided
 
 	convertErr string
 	// Measured regions in seconds — features, model inference + argmin,
@@ -407,7 +408,6 @@ func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Cloc
 	})
 	r.predict = timing.Since(clock, r.predictAt).Seconds()
 	r.decided = true
-	r.gen = preds.Generation
 	if cfg.Journal != nil {
 		r.fvec = fs.Vector()
 	}
@@ -507,16 +507,14 @@ func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result, hidden bo
 // recordStage2 folds a stage-2 decision into the stats and the trace,
 // including the margin inequality the argmin applied: the cheapest non-CSR
 // candidate had to undercut staying — the decision's own CSR cost — by
-// Margin to win. The feature vector the decision consumed and the generation
-// of the bundle that made it are recorded so a completed trace is
-// self-contained training data for the online retrainer.
+// Margin to win. The feature vector the decision consumed is recorded so a
+// trace explains its decision without re-extracting the matrix.
 func (ad *Adaptive) recordStage2(tr *obs.DecisionTrace, r stage2Result) {
 	d := r.d
 	ad.stats.Stage2Ran = true
 	ad.stats.Decision = d
 	tr.Stage2Ran = true
 	tr.Chosen = d.Format.String()
-	tr.ModelGen = r.gen
 	if ad.cfg.Journal == nil {
 		return
 	}
@@ -675,29 +673,6 @@ func (ad *Adaptive) Stats() Stats {
 
 // Format returns the format SpMV currently runs on.
 func (ad *Adaptive) Format() sparse.Format { return ad.op.Load().Format() }
-
-// SetPredictors hot-swaps the stage-2 model bundle. A wrapper whose
-// pipeline has not fired yet will decide with the new bundle; one that has
-// already decided keeps its outcome (decisions are final per handle) but
-// records nothing stale — the bundle pointer is only read at decision time.
-// An in-flight background stage-2 job keeps the bundle it captured at
-// launch, so a swap never tears a decision in half.
-func (ad *Adaptive) SetPredictors(p *Predictors) {
-	ad.mu.Lock()
-	defer ad.mu.Unlock()
-	ad.preds = p
-}
-
-// ModelGeneration reports the generation of the bundle the wrapper would
-// decide (or decided) with, 0 when no bundle is installed.
-func (ad *Adaptive) ModelGeneration() int64 {
-	ad.mu.Lock()
-	defer ad.mu.Unlock()
-	if ad.preds == nil {
-		return 0
-	}
-	return ad.preds.Generation
-}
 
 // TraceID returns the journal ID of this wrapper's decision trace, with
 // ok=false before the pipeline has run or when no journal is configured.

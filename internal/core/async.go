@@ -27,11 +27,11 @@ type stage2Job struct {
 }
 
 // launchStage2 dispatches runStage2 to a background worker and returns
-// immediately; the predictor bundle is captured here, so a later hot-swap
-// never tears the decision in half. The argmin runs with an
-// overlap budget of the full remaining-call count: by construction
-// every call up to the install can cover conversion time, so only the
-// residual max(0, T_convert − T_overlap) is charged against a candidate.
+// immediately; the job takes the bundle pointer here, at launch. The argmin
+// runs with an overlap budget of the full remaining-call count: by
+// construction every call up to the install can cover conversion time, so
+// only the residual max(0, T_convert − T_overlap) is charged against a
+// candidate.
 // SpMV calls between launch and install are untimed (decided is set and no
 // ledger is armed yet), which keeps a FakeClock replay deterministic: only
 // the background job consumes clock steps while it runs. Caller holds mu.

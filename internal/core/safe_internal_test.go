@@ -73,7 +73,6 @@ func TestSafeAdaptiveSpMMInFlightBlocksNothing(t *testing.T) {
 	overlapped(gate, func() {
 		ad.SpMV(y, x)
 		ad.RecordProgress(1)
-		ad.SetPredictors(nil)
 		if st := ad.Stats(); st.SpMMCalls == 0 {
 			t.Errorf("SpMMCalls = 0 while a product is in flight: it counts when it begins")
 		}

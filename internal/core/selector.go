@@ -135,33 +135,11 @@ func DefaultConfig() Config {
 // Predictors is the trained stage-2 model bundle. ConvTime[f] predicts
 // T_convert(CSR->f) / T_spmv(CSR); SpMVTime[f] predicts
 // T_spmv(f) / T_spmv(CSR). CSR itself needs no models (its normalized SpMV
-// time is 1 and conversion is free).
+// time is 1 and conversion is free). A bundle is immutable once a handle
+// holds it.
 type Predictors struct {
 	ConvTime map[sparse.Format]*gbt.Model
 	SpMVTime map[sparse.Format]*gbt.Model
-	// Generation identifies the bundle's era: 0 for an offline-trained seed
-	// bundle, incremented by the online retrainer on every accepted
-	// hot-swap. Decision traces record the generation they were made with,
-	// so regret can be attributed to a model era. A bundle is immutable
-	// once published — the retrainer swaps whole bundles, never mutates.
-	Generation int64
-}
-
-// Clone returns a new bundle sharing the (immutable) models, so a caller
-// can replace some formats' models without mutating the published bundle.
-func (p *Predictors) Clone() *Predictors {
-	c := NewPredictors()
-	if p == nil {
-		return c
-	}
-	c.Generation = p.Generation
-	for f, m := range p.ConvTime {
-		c.ConvTime[f] = m
-	}
-	for f, m := range p.SpMVTime {
-		c.SpMVTime[f] = m
-	}
-	return c
 }
 
 // NewPredictors allocates an empty bundle.

@@ -107,10 +107,3 @@ func (j *Journal) Len() int {
 	defer j.mu.Unlock()
 	return len(j.buf)
 }
-
-// LastID reports the most recently assigned trace ID (0 when none).
-func (j *Journal) LastID() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextID
-}

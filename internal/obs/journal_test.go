@@ -14,8 +14,8 @@ func TestJournalAppendGet(t *testing.T) {
 	if id1 != 1 || id2 != 2 {
 		t.Fatalf("ids = %d, %d, want 1, 2", id1, id2)
 	}
-	if j.Len() != 2 || j.LastID() != 2 {
-		t.Errorf("len %d lastID %d, want 2 / 2", j.Len(), j.LastID())
+	if j.Len() != 2 {
+		t.Errorf("len %d, want 2", j.Len())
 	}
 	tr, ok := j.Get(id1)
 	if !ok || tr.Label != "a" || tr.ID != id1 {
@@ -93,8 +93,8 @@ func TestJournalConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if j.LastID() != 800 || j.Len() != 8 {
-		t.Errorf("lastID %d len %d, want 800 / 8", j.LastID(), j.Len())
+	if next := j.Append(DecisionTrace{}); next != 801 || j.Len() != 8 {
+		t.Errorf("next ID %d len %d, want 801 / 8", next, j.Len())
 	}
 }
 
@@ -203,9 +203,9 @@ func TestTraceRender(t *testing.T) {
 	}
 }
 
-// TestJournalUpdateEvictedNoOp is the retrainer-era regression test: the
-// selector may stream a ledger update for a trace the ring just evicted
-// (the handle outlives its journal slot). That Update must be a clean
+// TestJournalUpdateEvictedNoOp pins the ledger's write path against
+// eviction: the selector may stream a ledger update for a trace the ring
+// just evicted (the handle outlives its journal slot). That Update must be a clean
 // no-op — the callback must never run, the evicted trace must not be
 // resurrected, and the slot's new occupant must be untouched even though
 // it reuses the evictee's ring position.
@@ -233,8 +233,8 @@ func TestJournalUpdateEvictedNoOp(t *testing.T) {
 	if !ok || tr.Label != "heir" || tr.Ledger.PostSpMVCalls != 0 {
 		t.Fatalf("slot heir corrupted by the stale update: %+v, %v", tr, ok)
 	}
-	if j.Len() != 2 || j.LastID() != heir {
-		t.Errorf("len %d lastID %d after no-op, want 2 / %d", j.Len(), j.LastID(), heir)
+	if newest := j.Recent(1)[0].ID; j.Len() != 2 || newest != heir {
+		t.Errorf("len %d newest ID %d after no-op, want 2 / %d", j.Len(), newest, heir)
 	}
 }
 
@@ -264,8 +264,8 @@ func TestJournalUpdateEvictionRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if j.LastID() != 1000 {
-		t.Fatalf("lastID = %d, want 1000", j.LastID())
+	if last := max(ids[0][len(ids[0])-1], ids[1][len(ids[1])-1]); last != 1000 {
+		t.Fatalf("last ID = %d, want 1000", last)
 	}
 	// Whatever survives must self-identify: Iterations == own ID, or the
 	// stale marker only if that exact ID was old enough to be re-targeted

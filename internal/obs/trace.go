@@ -149,15 +149,9 @@ type DecisionTrace struct {
 
 	// Stage2Ran reports whether feature extraction + model inference ran.
 	Stage2Ran bool `json:"stage2_ran"`
-	// ModelGen is the generation of the predictor bundle the stage-2
-	// decision was made with (0 for the seed bundle). The online retrainer
-	// bumps it on every accepted hot-swap, so traces record which model era
-	// produced each decision.
-	ModelGen int64 `json:"model_generation,omitempty"`
-	// Features is the Table I feature vector stage 2 extracted, recorded so
-	// a completed trace is self-contained training data: together with the
-	// ledger's measured baseline/realized times and ConvertSeconds it is
-	// exactly one trainer.Sample (see internal/retrain).
+	// Features is the Table I feature vector stage 2 extracted: the input
+	// that explains the decision, recorded so a trace can be read without
+	// re-extracting the matrix.
 	Features []float64 `json:"features,omitempty"`
 	// Async reports that stage 2 was dispatched to a background worker and
 	// its result adopted at a later iteration boundary, rather than running
@@ -248,9 +242,6 @@ func (t DecisionTrace) Render() string {
 	}
 	fmt.Fprintf(&b, "  chosen %s converted=%v overhead: feature %.3gs predict %.3gs convert %.3gs\n",
 		t.Chosen, t.Converted, t.FeatureSeconds, t.PredictSeconds, t.ConvertSeconds)
-	if t.ModelGen > 0 {
-		fmt.Fprintf(&b, "  model: generation %d (online retrain)\n", t.ModelGen)
-	}
 	if t.Async {
 		fmt.Fprintf(&b, "  async: paid %.3gs on the critical path, %.3gs hidden behind in-flight iterations\n",
 			t.PaidSeconds, t.HiddenSeconds)

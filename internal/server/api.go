@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/retrain"
 	"repro/internal/wire"
 )
 
@@ -227,13 +226,6 @@ type BuildInfo struct {
 type DecisionsResponse struct {
 	Count  int                 `json:"count"`
 	Traces []obs.DecisionTrace `json:"traces"`
-}
-
-// RetrainResponse is the body of GET /debug/retrain: the online
-// retrainer's status, or just {"enabled": false} when no loop is attached.
-type RetrainResponse struct {
-	Enabled bool            `json:"enabled"`
-	Status  *retrain.Status `json:"status,omitempty"`
 }
 
 // SpansResponse is the body of GET /v1/spans/{trace}: this shard's local

@@ -9,8 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/features"
+	"repro/internal/gbt"
 	"repro/internal/matgen"
+	"repro/internal/sparse"
 	"repro/internal/timing"
+	"repro/internal/trainer"
 )
 
 // These tests cover the multi-tenant serving features: registry dedup (a
@@ -97,7 +102,7 @@ func TestSecondTenantAdoptsCachedConversion(t *testing.T) {
 	seed := constBundle(t, 0.05, 0.0)
 	_, ts := newTestServer(t, Config{
 		Preds:         seed,
-		Selector:      retrainSelector(clk),
+		Selector:      scriptedSelector(clk),
 		SerialKernels: true,
 		Workers:       1,
 	})
@@ -248,7 +253,7 @@ func TestSpMMReplySameBytesAcrossFormatSwap(t *testing.T) {
 	clk.SetAutoStep(time.Millisecond)
 	_, ts := newTestServer(t, Config{
 		Preds:    constBundle(t, 0.05, 0.0),
-		Selector: retrainSelector(clk),
+		Selector: scriptedSelector(clk),
 	})
 	info := register(t, ts.URL, RegisterRequest{
 		Name:     "swap",
@@ -282,4 +287,60 @@ func TestSpMMReplySameBytesAcrossFormatSwap(t *testing.T) {
 	if after := spmm(); !bytes.Equal(before, after) {
 		t.Fatalf("/spmm reply changed with the handle's SpMV format:\nbefore %.120s\nafter  %.120s", before, after)
 	}
+}
+
+// constBundle trains a deterministic constant predictor bundle: GBT on
+// constant targets reproduces the constant exactly, for any input vector.
+func constBundle(t *testing.T, spmvNorm, convNorm float64) *core.Predictors {
+	t.Helper()
+	samples := make([]trainer.Sample, 2)
+	for i := range samples {
+		m, err := matgen.Generate(matgen.Spec{
+			Name: "seed", Family: matgen.FamBanded, Size: 300, Degree: 8, Seed: int64(90 + i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples[i] = trainer.Sample{
+			Name:     "seed",
+			Features: features.Extract(m).Vector(),
+			CSRTime:  1e-3,
+			SpMVNorm: map[sparse.Format]float64{sparse.FmtCSR: 1, sparse.FmtELL: spmvNorm},
+			ConvNorm: map[sparse.Format]float64{sparse.FmtELL: convNorm},
+		}
+	}
+	p, err := trainer.Train(samples, gbt.DefaultParams(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// scriptedSelector scripts every selector timing with a fake clock (each
+// timed region measures exactly one auto-step), mirroring the core replay
+// tests so the whole server pipeline becomes deterministic.
+func scriptedSelector(clk timing.Clock) *core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Clock = clk
+	cfg.GateOverheadFactor = 10
+	cfg.PredictFixedSeconds = 1e-3
+	cfg.FeatureSecondsPerNNZ = 1e-15
+	return &cfg
+}
+
+// solveJacobi registers a stencil matrix and runs the non-converging
+// 120-iteration Jacobi workload (decision at K=15, 105 post-decision calls).
+func solveJacobi(t *testing.T, base string, seed int64) (MatrixInfo, SolveResponse) {
+	t.Helper()
+	info := register(t, base, RegisterRequest{
+		Name:     "drift",
+		Generate: &GenerateSpec{Family: "stencil2d", Size: 3600, Seed: seed},
+	})
+	var sol SolveResponse
+	code, body := call(t, "POST", base+"/v1/matrices/"+info.ID+"/solve",
+		SolveRequest{App: "jacobi", Tol: 1e-12, MaxIters: 120}, &sol)
+	if code != http.StatusOK {
+		t.Fatalf("solve: status %d body %s", code, body)
+	}
+	return info, sol
 }

@@ -3,6 +3,9 @@ package server
 import (
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,6 +111,32 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 	if !strings.Contains(body, "ocsd_solve_seconds_count 1") {
 		t.Error("solve histogram count != 1")
+	}
+}
+
+// TestMetricFamiliesPinned compares the families a default server with a
+// predictor bundle exposes — name and type, in exposition order — with the
+// checked-in list in testdata/metric_families.txt, so a family added to or
+// dropped from /metrics shows up as a diff in review.
+func TestMetricFamiliesPinned(t *testing.T) {
+	_, ts := newTestServer(t, Config{Preds: core.NewPredictors()})
+	_, _, body := get(t, ts.URL+"/metrics")
+	fams, err := ParseExposition(t, body)
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	var got []string
+	for _, f := range fams {
+		got = append(got, f.Name+" "+f.Type)
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "metric_families.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if !slices.Equal(got, want) {
+		t.Errorf("/metrics families differ from testdata/metric_families.txt; got %d:\n%s\nwant %d:\n%s",
+			len(got), strings.Join(got, "\n"), len(want), strings.Join(want, "\n"))
 	}
 }
 

@@ -33,8 +33,8 @@ type Handle struct {
 	ValueDigest string
 	// AliasOf is the ID of the previously registered handle whose CSR
 	// storage this handle shares (registration detected an identical
-	// matrix); empty for an original. Aliases charge nothing against the
-	// registry's nnz budget.
+	// matrix); empty for an original. Registry.Add sets it from the group the
+	// handle joins. Aliases charge nothing against the registry's nnz budget.
 	AliasOf string
 
 	// SA is the selector state; safe for concurrent use.
@@ -199,7 +199,9 @@ func (r *Registry) FindDuplicate(fp, vd string) (*Handle, bool) {
 // needed. It fails if the matrix alone exceeds the registry bound. Returns
 // the IDs evicted to make room. A handle whose (fingerprint, value digest)
 // matches a resident group joins it as an alias: zero nnz charged, no
-// eviction pressure, AliasOf filled in when the caller has not already.
+// eviction pressure, AliasOf set to the group's charged member. A handle that
+// opens a group is an original and leaves with AliasOf empty, whatever the
+// caller set: the member a FindDuplicate named may be gone by now.
 func (r *Registry) Add(h *Handle) (evicted []string, err error) {
 	nnz := int64(h.NNZ)
 	key := h.dedupKey()
@@ -218,9 +220,7 @@ func (r *Registry) Add(h *Handle) (evicted []string, err error) {
 	if key != "" && g != nil && len(g.members) > 0 {
 		r.nextID++
 		h.ID = fmt.Sprintf("m%d", r.nextID)
-		if h.AliasOf == "" {
-			h.AliasOf = g.chargedID
-		}
+		h.AliasOf = g.chargedID
 		g.members[h.ID] = h
 		r.entries[h.ID] = &regEntry{h: h, elem: r.lru.PushFront(h)}
 		r.metrics.RegistryMatrices.Add(1)
@@ -244,6 +244,7 @@ func (r *Registry) Add(h *Handle) (evicted []string, err error) {
 	}
 	r.nextID++
 	h.ID = fmt.Sprintf("m%d", r.nextID)
+	h.AliasOf = ""
 	r.entries[h.ID] = &regEntry{h: h, elem: r.lru.PushFront(h)}
 	if key != "" {
 		r.groups[key] = &dedupGroup{

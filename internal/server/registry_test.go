@@ -176,6 +176,59 @@ func TestRegistryDeleteLifecycle(t *testing.T) {
 	}
 }
 
+// TestRegistryAliasOfFollowsTheGroupJoined replays the register path's
+// check-then-act window: FindDuplicate names m1, m1 is deleted, then Add
+// runs. The new handle opens a fresh group, so it is an original — charged
+// the full nnz and naming no duplicate — not an alias of a handle that is
+// gone. A later copy that does join a group names the group's charged
+// member, whatever its caller had put in AliasOf.
+func TestRegistryAliasOfFollowsTheGroupJoined(t *testing.T) {
+	m := &Metrics{}
+	r := NewRegistry(1000, m)
+	keyed := func(name string) *Handle {
+		h := makeHandle(t, name, 100)
+		h.Fingerprint, h.ValueDigest = h.csr.Fingerprint(), h.csr.ValueDigest()
+		return h
+	}
+	orig := keyed("orig")
+	if _, err := r.Add(orig); err != nil {
+		t.Fatal(err)
+	}
+	dup, ok := r.FindDuplicate(orig.Fingerprint, orig.ValueDigest)
+	if !ok || dup.ID != orig.ID {
+		t.Fatalf("FindDuplicate = %v, %v; want %s", dup, ok, orig.ID)
+	}
+	late := keyed("late")
+	late.AliasOf = dup.ID
+	if !r.Delete(orig.ID) {
+		t.Fatal("Delete failed")
+	}
+	if _, err := r.Add(late); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.Get(orig.ID); ok {
+		t.Fatalf("%s still resolves after Delete", orig.ID)
+	}
+	if late.AliasOf != "" {
+		t.Errorf("handle that opened a new group has AliasOf %q, a deleted handle", late.AliasOf)
+	}
+	if cur, _ := r.Occupancy(); cur != 100 {
+		t.Errorf("occupancy %d, want 100: the new original is charged in full", cur)
+	}
+
+	twin := keyed("twin")
+	twin.AliasOf = orig.ID
+	if _, err := r.Add(twin); err != nil {
+		t.Fatal(err)
+	}
+	if twin.AliasOf != late.ID {
+		t.Errorf("copy joining %s's group has AliasOf %q", late.ID, twin.AliasOf)
+	}
+	if cur, _ := r.Occupancy(); cur != 100 || m.DedupHits.Load() != 1 {
+		t.Errorf("occupancy %d, dedup hits %d after the copy; want 100, 1", cur, m.DedupHits.Load())
+	}
+}
+
 func TestHandleDiag(t *testing.T) {
 	h := makeHandle(t, "d", 10)
 	d := h.Diag()

@@ -33,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/apps"
@@ -43,7 +42,6 @@ import (
 	"repro/internal/mmio"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/retrain"
 	"repro/internal/sparse"
 	"repro/internal/wire"
 )
@@ -144,16 +142,6 @@ type Server struct {
 	// convCache is the cross-handle conversion cache every handle's
 	// selector consults and publishes into; nil when disabled.
 	convCache *convcache.Cache
-	// preds is the live stage-2 predictor bundle new handles are built
-	// with. It is an atomic pointer — not cfg.Preds read directly — because
-	// the online retrainer hot-swaps whole bundles while registrations are
-	// in flight; bundles themselves are immutable once published. nil means
-	// stage 1 only.
-	preds atomic.Pointer[core.Predictors]
-	// retrainLoop is the attached online retrainer, nil unless
-	// AttachRetrain was called. Atomic for the same reason as preds:
-	// /metrics and /debug/retrain may race the attach.
-	retrainLoop atomic.Pointer[retrain.Loop]
 
 	// drainMu guards the graceful-shutdown state: once draining is set new
 	// /v1 requests are refused, and idle is closed when the last in-flight
@@ -196,9 +184,6 @@ func New(cfg Config) *Server {
 	if cfg.ConvCacheNNZ > 0 {
 		s.convCache = convcache.New(cfg.ConvCacheNNZ)
 	}
-	if cfg.Preds != nil {
-		s.preds.Store(cfg.Preds)
-	}
 	if !cfg.SerialKernels {
 		// Warm the process-wide worker team every kernel dispatches through, so
 		// the first request never pays worker spawn latency. The admission pool
@@ -210,7 +195,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /buildinfo", s.handleBuildInfo)
 	s.mux.HandleFunc("GET /debug/decisions", s.handleDecisions)
-	s.mux.HandleFunc("GET /debug/retrain", s.handleRetrain)
 	s.mux.HandleFunc("GET /debug/slow", s.handleSlow)
 	s.mux.HandleFunc("GET /v1/spans/{trace}", s.handleSpans)
 	s.mux.Handle("POST /v1/matrices", s.track("register", s.handleRegister))
@@ -247,44 +231,6 @@ func (s *Server) Registry() *Registry { return s.reg }
 
 // Tracer exposes the span store (primarily for tests and the router).
 func (s *Server) Tracer() *obs.Tracer { return s.env.Tracer }
-
-// Predictors returns the live stage-2 bundle new handles are built with
-// (nil = stage 1 only). Together with SetPredictors it makes the Server a
-// retrain.Target.
-func (s *Server) Predictors() *core.Predictors { return s.preds.Load() }
-
-// SetPredictors hot-swaps the stage-2 predictor bundle: future
-// registrations build on it immediately, and every currently registered
-// handle whose pipeline has not decided yet receives it under its own
-// lock (a handle that already decided keeps its outcome — decisions
-// are final per handle, the paper's one-conversion-per-lifetime model).
-// Returns how many live handles were updated. p must be treated as
-// immutable after the call.
-func (s *Server) SetPredictors(p *core.Predictors) int {
-	s.preds.Store(p)
-	hs := s.reg.List()
-	for _, h := range hs {
-		h.SA.SetPredictors(p)
-	}
-	return len(hs)
-}
-
-// AttachRetrain connects an online retraining loop: /debug/retrain starts
-// serving its status and /metrics picks up its counter families. The caller
-// owns the loop's lifecycle (Start/Stop).
-func (s *Server) AttachRetrain(l *retrain.Loop) { s.retrainLoop.Store(l) }
-
-// handleRetrain serves the retrainer's status, or {"enabled": false} when
-// no loop is attached.
-func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
-	l := s.retrainLoop.Load()
-	if l == nil {
-		s.env.WriteJSON(w, http.StatusOK, RetrainResponse{Enabled: false})
-		return
-	}
-	st := l.Status()
-	s.env.WriteJSON(w, http.StatusOK, RetrainResponse{Enabled: true, Status: &st})
-}
 
 // track wraps a /v1 handler with the shared request envelope behind the
 // drain gate: once Drain has been called, new work is refused with 503 while
@@ -398,9 +344,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			obs.ScalarFamily("ocsd_convcache_entries", "Conversions currently cached.", obs.KindGauge, float64(cs.Entries)),
 			obs.ScalarFamily("ocsd_convcache_nnz", "Total nonzeros held by the conversion cache.", obs.KindGauge, float64(cs.NNZ)),
 		)
-	}
-	if l := s.retrainLoop.Load(); l != nil {
-		extra = append(extra, l.MetricFamilies()...)
 	}
 	_ = obs.WriteText(w, s.metrics.Families(extra...))
 }
@@ -575,10 +518,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// its CSR arrays to the new handle, so the duplicate aliases one backing
 	// copy instead of storing a second. The registry charges it zero nnz.
 	fp, vd := csr.Fingerprint(), csr.ValueDigest()
-	var dupOf string
 	if dup, ok := s.reg.FindDuplicate(fp, vd); ok {
 		csr = dup.CSR()
-		dupOf = dup.ID
 	}
 	selCfg := core.DefaultConfig()
 	if s.cfg.Selector != nil {
@@ -607,7 +548,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		selCfg.CacheFingerprint = fp
 		selCfg.CacheValues = vd
 	}
-	ad := core.NewAdaptive(csr, tol, s.Predictors(), selCfg, !s.cfg.SerialKernels)
+	ad := core.NewAdaptive(csr, tol, s.cfg.Preds, selCfg, !s.cfg.SerialKernels)
 	rows, cols := csr.Dims()
 	h := &Handle{
 		Name:        req.Name,
@@ -618,7 +559,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Created:     time.Now(),
 		Fingerprint: fp,
 		ValueDigest: vd,
-		AliasOf:     dupOf,
 		SA:          ad,
 		csr:         csr,
 		Dangling:    dangling,

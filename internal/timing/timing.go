@@ -150,7 +150,7 @@ func (o *MeasuredOracle) measureConvert(a *sparse.CSR, f sparse.Format) timedRes
 	// The one place the measured menu is consulted: a format off it is
 	// answered like one the limits refuse, with no clock read and no
 	// conversion, and everything downstream (trainer, selector, bundle
-	// store, retrainer) skips a format that has no price.
+	// store) skips a format that has no price.
 	if !slices.Contains(sparse.MeasuredMenu, f) || !sparse.CanConvert(a, f, o.opt.Lim) {
 		r := timedResult{ok: false}
 		o.mu.Lock()

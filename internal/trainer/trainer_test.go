@@ -231,8 +231,8 @@ func TestEvaluateProducesTable5(t *testing.T) {
 	}
 }
 
-// BenchmarkTrain is the fit every `ocsd -train` boot, retrain tick and
-// benchmark run pays: the default corpus size and boosting parameters.
+// BenchmarkTrain is the fit every `ocsd -train` boot and benchmark run
+// pays: the default corpus size and boosting parameters.
 func BenchmarkTrain(b *testing.B) {
 	entries, err := matgen.Corpus(matgen.CorpusConfig{Count: 96, Seed: 42, MinSize: 500, MaxSize: 6000})
 	if err != nil {
