@@ -18,7 +18,9 @@
 //     different orders differ by at most 2·γₙ·Σ|terms| where
 //     γₙ = n·u/(1−n·u) and u is the unit roundoff (Higham, Accuracy and
 //     Stability of Numerical Algorithms, §4.2). No tolerance knobs to tune,
-//     no flaky epsilons.
+//     no flaky epsilons. Within one format and kernel variant the order is
+//     the row's alone, so the parallel product equals the serial one bit
+//     for bit at any worker count.
 //
 // Differential applies both invariants to one matrix across every
 // implemented format and worker count; the fuzz targets in fuzz_test.go
@@ -142,8 +144,10 @@ func testVector(cols int) []float64 {
 	return x
 }
 
-// CheckSpMV verifies m's serial and parallel SpMV against the sequential
-// reference on a within the reordering bound.
+// CheckSpMV verifies m's serial SpMV against the sequential reference on a
+// within the reordering bound, and requires its parallel SpMV to equal the
+// serial one bit for bit: every kernel funnels both entry points through one
+// body whose summation order is fixed by the row, not by the worker count.
 func CheckSpMV(a *sparse.CSR, m sparse.Matrix) error {
 	rows, cols := a.Dims()
 	if mr, mc := m.Dims(); mr != rows || mc != cols {
@@ -158,9 +162,26 @@ func CheckSpMV(a *sparse.CSR, m sparse.Matrix) error {
 	if err := compareVec(fmt.Sprintf("%v SpMV", m.Format()), ref, y, bounds); err != nil {
 		return err
 	}
-	// Reuse y unzeroed: kernels must overwrite, not accumulate into, y.
-	m.SpMVParallel(y, x)
-	return compareVec(fmt.Sprintf("%v SpMVParallel", m.Format()), ref, y, bounds)
+	// Fill yp with garbage: kernels must overwrite, not accumulate into, y.
+	yp := make([]float64, rows)
+	for i := range yp {
+		yp[i] = math.NaN()
+	}
+	m.SpMVParallel(yp, x)
+	return equalBits(fmt.Sprintf("%v SpMVParallel", m.Format()), y, yp)
+}
+
+// equalBits requires got to hold exactly want's float64 bit patterns.
+func equalBits(label string, want, got []float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s: length %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return fmt.Errorf("%s: y[%d] = %.17g, want bit-identical %.17g", label, i, got[i], want[i])
+		}
+	}
+	return nil
 }
 
 // CheckSpMM verifies the blocked CSR kernel (serial and parallel) against k

@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"sync"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // COO stores a matrix in coordinate format: three parallel arrays of row
 // indices, column indices, and values. Entries are kept sorted by (row, col)
@@ -55,90 +51,73 @@ func (m *COO) Bytes() int64 {
 // paper's Figure 3.
 func (m *COO) SpMV(y, x []float64) {
 	checkSpMVDims(m.rows, m.cols, y, x)
-	for i := range y {
-		y[i] = 0
-	}
-	for k, v := range m.Data {
-		y[m.Row[k]] += v * x[m.Col[k]]
+	clear(y)
+	m.accum(y, x, 0, len(m.Data))
+}
+
+// accum adds entries [lo, hi) into y in storage order: y[Row[k]] +=
+// Data[k]*x[Col[k]].
+func (m *COO) accum(y, x []float64, lo, hi int) {
+	row, col := m.Row[lo:hi], m.Col[lo:hi]
+	for k, v := range m.Data[lo:hi] {
+		y[row[k]] += v * x[col[k]]
 	}
 }
 
-// SpMVParallel implements Matrix. The nonzeros are split into contiguous
-// chunks; chunk boundaries may split a row, so each worker accumulates its
-// boundary rows locally and the fix-up pass merges them, keeping the kernel
-// race-free without atomics.
+// rowRuns splits the entries into at most parts runs of near-equal length,
+// each cut moved forward to the start of a row, so every row's entries sit
+// in one run and are summed in storage order there, exactly as SpMV sums
+// them.
+func (m *COO) rowRuns(parts int) [][2]int {
+	nnz := len(m.Data)
+	runs := make([][2]int, 0, parts)
+	lo := 0
+	for w := 1; w <= parts && lo < nnz; w++ {
+		hi := nnz
+		if w < parts {
+			hi = max(w*nnz/parts, lo)
+			for hi > 0 && hi < nnz && m.Row[hi] == m.Row[hi-1] {
+				hi++
+			}
+		}
+		if hi > lo {
+			runs = append(runs, [2]int{lo, hi})
+			lo = hi
+		}
+	}
+	return runs
+}
+
+// runRows returns the rows [lo, hi) a run of entries owns: from its first
+// entry's row (0 for the first run) up to the next run's first row (rows
+// for the last), so the empty rows between two runs belong to the later one
+// and every row belongs to exactly one run.
+func (m *COO) runRows(klo, khi int) (lo, hi int) {
+	lo, hi = 0, m.rows
+	if klo > 0 {
+		lo = int(m.Row[klo])
+	}
+	if khi < len(m.Data) {
+		hi = int(m.Row[khi])
+	}
+	return lo, hi
+}
+
+// SpMVParallel implements Matrix. The entries are cut on row boundaries
+// (rowRuns), and each worker zeroes and accumulates the rows its runs own,
+// so no row is shared and the result is SpMV's bit for bit.
 func (m *COO) SpMVParallel(y, x []float64) {
 	checkSpMVDims(m.rows, m.cols, y, x)
-	nnz := len(m.Data)
 	p := parallel.Workers()
-	if p <= 1 || nnz < parallel.MinParallelWork {
+	if p <= 1 || len(m.Data) < parallel.MinParallelWork {
 		m.SpMV(y, x)
 		return
 	}
-	if p > nnz {
-		p = nnz
-	}
-	parallel.For(m.rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] = 0
-		}
+	parallel.ForRanges(m.rowRuns(p), func(klo, khi int) {
+		lo, hi := m.runRows(klo, khi)
+		clear(y[lo:hi])
+		m.accum(y, x, klo, khi)
 	})
-	type edge struct {
-		firstRow, lastRow int32
-		firstSum, lastSum float64
-		oneRow            bool
-	}
-	edges := make([]edge, p)
-	chunk := (nnz + p - 1) / p
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func(w int) {
-			defer wg.Done()
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > nnz {
-				hi = nnz
-			}
-			if lo >= hi {
-				edges[w] = edge{firstRow: -1, lastRow: -1}
-				return
-			}
-			first := m.Row[lo]
-			last := m.Row[hi-1]
-			var firstSum float64
-			k := lo
-			for ; k < hi && m.Row[k] == first; k++ {
-				firstSum += m.Data[k] * x[m.Col[k]]
-			}
-			if k == hi {
-				// The whole chunk is one row.
-				edges[w] = edge{firstRow: first, lastRow: last, firstSum: firstSum, oneRow: true}
-				return
-			}
-			var lastSum float64
-			end := hi
-			for end > k && m.Row[end-1] == last {
-				end--
-				lastSum += m.Data[end] * x[m.Col[end]]
-			}
-			// Interior rows are fully owned by this chunk: write directly.
-			for i := k; i < end; i++ {
-				y[m.Row[i]] += m.Data[i] * x[m.Col[i]]
-			}
-			edges[w] = edge{firstRow: first, lastRow: last, firstSum: firstSum, lastSum: lastSum}
-		}(w)
-	}
-	wg.Wait()
-	for _, e := range edges {
-		if e.firstRow < 0 {
-			continue
-		}
-		y[e.firstRow] += e.firstSum
-		if !e.oneRow {
-			y[e.lastRow] += e.lastSum
-		}
-	}
 }
 
 // Clone returns a deep copy of the matrix.

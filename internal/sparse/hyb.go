@@ -48,31 +48,23 @@ func (m *HYB) EllWidth() int { return m.Ell.Width }
 func (m *HYB) SpMV(y, x []float64) {
 	checkSpMVDims(m.rows, m.cols, y, x)
 	m.Ell.SpMV(y, x)
-	for k, v := range m.Coo.Data {
-		y[m.Coo.Row[k]] += v * x[m.Coo.Col[k]]
-	}
+	m.Coo.accum(y, x, 0, m.Coo.NNZ())
 }
 
 // SpMVParallel implements Matrix. The ELL part runs fully parallel; the COO
-// overflow is typically tiny, so it is applied serially afterwards unless it
-// is itself large.
+// overflow is typically tiny, so it is added serially afterwards unless it is
+// itself large, when the team adds it in place over runs cut on row
+// boundaries. Either way each row's overflow lands on its ELL sum in storage
+// order, as in SpMV, so the two agree bit for bit.
 func (m *HYB) SpMVParallel(y, x []float64) {
 	checkSpMVDims(m.rows, m.cols, y, x)
 	m.Ell.SpMVParallel(y, x)
-	if m.Coo.NNZ() >= parallel.MinParallelWork {
-		// Accumulate the overflow into a scratch vector in parallel, then
-		// add. The overflow COO kernel zeroes its output, so scratch is
-		// required to avoid clobbering the ELL result.
-		scratch := make([]float64, m.rows)
-		m.Coo.SpMVParallel(scratch, x)
-		parallel.For(m.rows, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				y[i] += scratch[i]
-			}
-		})
+	nnz := m.Coo.NNZ()
+	if nnz < parallel.MinParallelWork {
+		m.Coo.accum(y, x, 0, nnz)
 		return
 	}
-	for k, v := range m.Coo.Data {
-		y[m.Coo.Row[k]] += v * x[m.Coo.Col[k]]
-	}
+	parallel.ForRanges(m.Coo.rowRuns(parallel.Workers()), func(klo, khi int) {
+		m.Coo.accum(y, x, klo, khi)
+	})
 }

@@ -30,10 +30,13 @@ type JDS struct {
 	// permPtr are prefix sums of storage-row lengths: the weight array for
 	// nnz-balanced partitioning of storage rows (sorted desc, so the first
 	// ranges are the dense ones). permRanges caches the parallel partition,
-	// scratch pools the permuted result vector.
+	// scratch pools the permuted result vector. The pool is its own object:
+	// the runtime lists every pool that holds items until the next
+	// collection, and a pool embedded here would keep a dropped matrix's
+	// whole layout live through that collection, doubling into the heap goal.
 	permPtr    []int
 	permRanges [][2]int
-	scratch    sync.Pool
+	scratch    *sync.Pool
 }
 
 // NewJDS builds a JDS matrix from raw arrays, validating the layout: perm a
@@ -111,10 +114,10 @@ func (m *JDS) finish() {
 	}
 	m.permRanges = parallel.PartitionByWeight(m.rows, parallel.Workers(), m.permPtr)
 	rows := m.rows
-	m.scratch.New = func() any {
+	m.scratch = &sync.Pool{New: func() any {
 		s := make([]float64, rows)
 		return &s
-	}
+	}}
 }
 
 // NewJDSFromCSR converts a CSR matrix to JDS. The permutation is a counting

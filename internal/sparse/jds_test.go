@@ -3,7 +3,9 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // jdsTestCSR builds the 4x5 example
@@ -182,5 +184,28 @@ func TestJDSEmptyAndEdgeShapes(t *testing.T) {
 				t.Fatalf("%dx%d empty: y[%d] = %g", tc.rows, tc.cols, i, v)
 			}
 		}
+	}
+}
+
+// TestDroppedJDSCollectedAtNextGC: once a product has parked its scratch
+// vector in the pool, a JDS nobody references must be freed by the next
+// collection. A pool embedded in the struct kept the whole layout reachable
+// from the runtime's pool list through that collection, so a solve that
+// ended on JDS raised the next heap goal by twice the layout.
+func TestDroppedJDSCollectedAtNextGC(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		m, err := NewJDSFromCSR(jdsTestCSR(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SpMV(make([]float64, 4), make([]float64, 5))
+		runtime.SetFinalizer(m, func(*JDS) { close(freed) })
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dropped JDS survived a full collection")
 	}
 }

@@ -6,10 +6,11 @@ import (
 )
 
 // The vectorized kernel layer. On amd64 hosts with AVX2+FMA (and outside
-// noasm builds) the CSR, ELL, SELL and JDS SpMV inner loops dispatch to the
-// hand-written assembly kernels in kernels_amd64.s: 4-lane FMA accumulation,
-// VGATHERQPD for the x gathers, software prefetch on the streamed col/data
-// arrays, and masked gathers over the padded layouts; the blocked CSR SpMM
+// noasm builds) the CSR, ELL, SELL, JDS and DIA SpMV inner loops dispatch to
+// the hand-written assembly kernels in kernels_amd64.s: 4-lane FMA
+// accumulation, VGATHERQPD for the x gathers, software prefetch on the
+// streamed col/data arrays, masked gathers over the padded layouts, and
+// DIA's gather-free 8-lane diagonal accumulator; the blocked CSR SpMM
 // (spmm.go) dispatches to the row-panel kernel there. Everything else — other
 // architectures, noasm builds, hosts without the features, or tests that
 // force the fallback — runs the pure-Go loops that live next to each format.
@@ -95,12 +96,30 @@ func csrRowDot(col []int32, data []float64, x []float64) float64 {
 // jdsAccum computes yp[r] += data[r] * x[col[r]] over the whole slice — the
 // jagged-diagonal inner loop. The arrays are contiguous except the x
 // gather, which is exactly the shape the assembly kernel streams best.
+// Every segment, however short, goes to the assembly kernel when it is on:
+// its scalar tail is an FMA like its lanes, so an entry's rounding does not
+// depend on where a worker's range cut the diagonal.
 func jdsAccum(col []int32, data, x, yp []float64) {
-	if len(yp) >= 4 && vectorOn.Load() {
+	if len(yp) > 0 && vectorOn.Load() {
 		jdsAccumAsm(&col[0], &data[0], &x[0], &yp[0], len(yp))
 		return
 	}
 	for r := range yp {
 		yp[r] += data[r] * x[col[r]]
+	}
+}
+
+// diaAccum computes y[i] += d[i] * x[i] over the whole slice — one DIA
+// diagonal's segment of a row tile. The generic loop rounds the product and
+// the sum apart; the assembly kernel FMAs every element, lanes and tail
+// alike, so neither variant's rounding depends on where a segment starts.
+func diaAccum(y, d, x []float64) {
+	if len(y) > 0 && vectorOn.Load() {
+		diaAccumAsm(&d[0], &x[0], &y[0], len(y))
+		return
+	}
+	d, x = d[:len(y)], x[:len(y)]
+	for i := range y {
+		y[i] += d[i] * x[i]
 	}
 }

@@ -34,6 +34,12 @@ func sellSliceAsm(cols *int32, data *float64, x *float64, sums *float64, width i
 //go:noescape
 func jdsAccumAsm(col *int32, data *float64, x *float64, yp *float64, n int)
 
+// diaAccumAsm performs y[i] += d[i] * x[i] for i in [0, n): one DIA
+// diagonal's segment of a row tile, contiguous on all three arrays.
+//
+//go:noescape
+func diaAccumAsm(d *float64, x *float64, y *float64, n int)
+
 // spmmRowsAsm computes rows consecutive rows of the row-major panel product
 // Y = A*X with k columns: ptr points at the first row's entry of the CSR row
 // pointer (rows+1 entries are read), y at that row's k outputs; col, data and

@@ -215,6 +215,51 @@ done:
 	VZEROUPPER
 	RET
 
+// func diaAccumAsm(d *float64, x *float64, y *float64, n int)
+//
+// y[i] += d[i] * x[i] for i in [0, n): one DIA diagonal's segment of a row
+// tile. All three streams are contiguous, so there is no gather and no mask;
+// 8 lanes a step in two independent YMM chains, then a scalar tail. Every
+// element, vector lane or tail, is one FMA of its own row, so the result does
+// not depend on where a segment starts or how long it is.
+TEXT ·diaAccumAsm(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DX
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	MOVQ n+24(FP), BX
+
+	XORQ AX, AX            // i
+	MOVQ BX, R9
+	SUBQ $7, R9            // n-7: last i with a full 8-lane step
+
+vec8:
+	CMPQ AX, R9
+	JGE  tail
+	VMOVUPD     (DI)(AX*8), Y0
+	VMOVUPD     32(DI)(AX*8), Y1
+	VMOVUPD     (SI)(AX*8), Y2
+	VMOVUPD     32(SI)(AX*8), Y3
+	VFMADD231PD (DX)(AX*8), Y2, Y0
+	VFMADD231PD 32(DX)(AX*8), Y3, Y1
+	VMOVUPD     Y0, (DI)(AX*8)
+	VMOVUPD     Y1, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  vec8
+
+tail:
+	CMPQ AX, BX
+	JGE  done
+	VMOVSD      (DI)(AX*8), X0
+	VMOVSD      (SI)(AX*8), X2
+	VFMADD231SD (DX)(AX*8), X2, X0
+	VMOVSD      X0, (DI)(AX*8)
+	INCQ AX
+	JMP  tail
+
+done:
+	VZEROUPPER
+	RET
+
 // The blocked row-panel kernel: Y[i][c] = sum_p data[p] * X[col[p]][c] over
 // row i's nonzeros, X and Y row-major with k columns. A nonzero's x access
 // is one contiguous load at X + col*k*8 — no gather — so the kernel costs

@@ -24,6 +24,10 @@ func jdsAccumAsm(col *int32, data *float64, x *float64, yp *float64, n int) {
 	panic("sparse: assembly kernel called on a build without assembly")
 }
 
+func diaAccumAsm(d *float64, x *float64, y *float64, n int) {
+	panic("sparse: assembly kernel called on a build without assembly")
+}
+
 func spmmRowsAsm(ptr *int, col *int32, data *float64, x *float64, y *float64, k, rows int) {
 	panic("sparse: assembly kernel called on a build without assembly")
 }
