@@ -20,7 +20,7 @@ bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 race:
-	$(GO) test -race ./internal/server/... ./internal/wire/... ./internal/convcache/... ./internal/cluster/... ./internal/core/... ./internal/obs/... ./internal/parallel/... ./internal/sparse/... ./internal/vec/... ./internal/features/... ./internal/arima/... ./internal/gbt/... ./internal/apps/... ./internal/check/... ./internal/matgen/... ./internal/mmio/...
+	$(GO) test -race ./internal/server/... ./internal/wire/... ./internal/convcache/... ./internal/cluster/... ./internal/core/... ./internal/trainer/... ./internal/timing/... ./internal/obs/... ./internal/parallel/... ./internal/sparse/... ./internal/vec/... ./internal/features/... ./internal/arima/... ./internal/gbt/... ./internal/apps/... ./internal/check/... ./internal/matgen/... ./internal/mmio/...
 
 vet:
 	$(GO) vet ./...

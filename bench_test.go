@@ -254,8 +254,8 @@ func BenchmarkPredictionOverhead(b *testing.B) {
 	rows, cols := a.Dims()
 	x := make([]float64, cols)
 	y := make([]float64, rows)
-	oracle := timing.NewMeasuredOracle(timing.MeasureOptions{Reps: 5, Parallel: true, Lim: sparse.DefaultLimits})
-	spmvT, _ := oracle.SpMVTime(a, sparse.FmtCSR)
+	oracle := timing.NewMeasuredOracle(timing.DefaultMeasureOptions())
+	spmvT := oracle.Costs(a).CSR
 	featT := oracle.FeatureTime(a)
 	if spmvT > 0 {
 		b.ReportMetric(featT/spmvT, "real-feat-xSpMV")

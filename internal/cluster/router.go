@@ -850,7 +850,7 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		sc, traced := obs.SpanFromContext(req.Context())
+		sc, _ := obs.SpanFromContext(req.Context())
 		scanStart := time.Now()
 		body, _, k, ok := r.env.ReadPanel(w, req, rt.cols)
 		if !ok {
@@ -860,11 +860,7 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 		r.env.WireSpan(sc, "wire.scan", scanStart, len(*body), k)
 		requests.Add(1)
 		start := time.Now()
-		traceHex := ""
-		if traced {
-			traceHex = sc.Trace.String()
-		}
-		defer func() { seconds.ObserveExemplar(time.Since(start).Seconds(), traceHex) }()
+		defer func() { seconds.Observe(time.Since(start).Seconds()) }()
 
 		replies, served, err := r.gather(req.Context(), rt, op, *body, k)
 		if err != nil {
@@ -1134,11 +1130,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	}
 	r.metrics.SolveRequests.Add(1)
 	start := time.Now()
-	traceHex := ""
-	if sc, ok := obs.SpanFromContext(req.Context()); ok {
-		traceHex = sc.Trace.String()
-	}
-	defer func() { r.metrics.SolveSeconds.ObserveExemplar(time.Since(start).Seconds(), traceHex) }()
+	defer func() { r.metrics.SolveSeconds.Observe(time.Since(start).Seconds()) }()
 
 	if rt.partitioned() {
 		r.distSolve(w, req, rt, body)

@@ -388,14 +388,14 @@ func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Cloc
 	if canceled() {
 		return r
 	}
+	r.featureAt = clock.Now()
+	fs := features.Extract(csr)
 	// The block count is BSR's validity input and nothing else: a bundle
 	// with no BSR model (every measured one) skips the count.
-	bs := cfg.Lim.BSRBlockSize
-	if preds.ConvTime[sparse.FmtBSR] == nil {
-		bs = 0
+	bsrBlocks := 0
+	if preds.ConvTime[sparse.FmtBSR] != nil {
+		bsrBlocks = features.CountBlocks(csr, cfg.Lim.BSRBlockSize)
 	}
-	r.featureAt = clock.Now()
-	fs, bsrBlocks := features.ExtractBlocks(csr, bs)
 	r.feature = timing.Since(clock, r.featureAt).Seconds()
 	if canceled() {
 		return r

@@ -417,19 +417,15 @@ func TestJDSChoosableByOracleOnSkewedMidLoop(t *testing.T) {
 	o := timing.NewModelOracle()
 	o.Noise = 0
 	m := genCSR(t, matgen.FamPowerLaw, 4000, 8)
-	csrTime, ok := o.SpMVTime(m, sparse.FmtCSR)
-	if !ok || csrTime <= 0 {
+	c := o.Costs(m)
+	if c.CSR <= 0 {
 		t.Fatal("no CSR baseline time")
 	}
-	conv := map[sparse.Format]float64{}
-	spmv := map[sparse.Format]float64{}
-	for _, f := range sparse.AllFormats {
-		st, ok1 := o.SpMVTime(m, f)
-		ct, ok2 := o.ConvertTime(m, f)
-		if ok1 && ok2 {
-			spmv[f] = st / csrTime
-			conv[f] = ct / csrTime
-		}
+	conv := map[sparse.Format]float64{sparse.FmtCSR: 0}
+	spmv := map[sparse.Format]float64{sparse.FmtCSR: 1}
+	for f, ct := range c.Convert {
+		spmv[f] = c.SpMV[f] / c.CSR
+		conv[f] = ct / c.CSR
 	}
 	if _, ok := spmv[sparse.FmtJDS]; !ok {
 		t.Fatal("oracle did not cost JDS")

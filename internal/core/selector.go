@@ -55,7 +55,7 @@ type Config struct {
 	// (used with the wrapper's self-measured SpMV time to compute the
 	// gate threshold). The default is measured, not hoped for, and measured
 	// where it is paid: inside a solver loop, on caches the solver just
-	// filled, features.ExtractBlocks costs 7-17 ns per nonzero on the
+	// filled, features.Extract costs 7-17 ns per nonzero on the
 	// benchmark's 2M-nonzero matrices (3D stencil 7-11, median 8.0;
 	// power-law transition 7.5-17, median 9.1; twenty solve_short passes),
 	// so 8e-9 is its low middle. Warm and alone it is faster: the

@@ -98,10 +98,6 @@ func (c *Context) RunAblationReorder(iters ...float64) (*AblationReorder, error)
 		if err != nil {
 			return
 		}
-		csrT, ok := c.Oracle.SpMVTime(m, sparse.FmtCSR)
-		if !ok || csrT <= 0 {
-			return
-		}
 		// Reorder cost in CSR-SpMV units, using the oracle's element-op
 		// scale implied by the matrix's own SpMV time.
 		spmvOpsApprox := 2.0 * float64(m.NNZ())

@@ -94,24 +94,15 @@ func FromVector(v []float64) *Set {
 // the parallel SpMV kernel for the paper's "T_predict is 2x-4x of one SpMV
 // call" premise to hold.
 func Extract(a *sparse.CSR) *Set {
-	s, _ := ExtractBlocks(a, 0)
-	return s
-}
-
-// ExtractBlocks is Extract plus CountBlocks(a, bs) — the BSR validity input
-// Table I lacks — for what stage 2 needs of a matrix in one call. The
-// bs-blocks are counted inside the same sweep (it already marks the 2x2
-// blocks they are made of, when bs is a power of two) rather than in a
-// second one over the matrix. bs <= 0 skips the count.
-func ExtractBlocks(a *sparse.CSR, bs int) (s *Set, blocks int) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
-	s = &Set{M: float64(rows), N: float64(cols), NNZ: float64(nnz)}
+	s := &Set{M: float64(rows), N: float64(cols), NNZ: float64(nnz)}
 	if rows == 0 || cols == 0 {
-		return s, 0
+		return s
 	}
 	s.Density = float64(nnz) / (float64(rows) * float64(cols))
-	return s, extract(a, s, bs)
+	extract(a, s)
+	return s
 }
 
 // fillRowStats finalizes the row-degree features from the raw accumulators.

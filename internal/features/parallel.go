@@ -2,7 +2,6 @@ package features
 
 import (
 	"math"
-	"math/bits"
 
 	"repro/internal/parallel"
 	"repro/internal/sparse"
@@ -19,7 +18,6 @@ type workerScratch struct {
 	bounce         float64
 	neighbor       int
 	blocks         int
-	bsBlocks       int       // blocks at the caller's size, when counted in the pass
 	cells          []colCell // per column, plus one pad cell
 	diag           []int32   // diagonal occupancy, shifted by rows-1
 }
@@ -40,13 +38,12 @@ func rowStamp(i int) uint32 { return uint32(i + 2) }
 
 // extract is the one extraction body. One fused pass over disjoint row
 // ranges gathers, per range: row-degree statistics, column-degree counts,
-// diagonal occupancy, the neighbor count, the 2x2 block count and — for
-// ExtractBlocks — the count of bs x bs blocks; a short merge builds the
-// final Set. The result does not depend on the number of ranges (all merges
-// are order-independent integer sums; the float statistics are computed once
-// from the merged integers), so a small matrix, or a process at one worker,
-// runs the same sweep over one range.
-func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
+// diagonal occupancy, the neighbor count and the 2x2 block count; a short
+// merge builds the final Set. The result does not depend on the number of
+// ranges (all merges are order-independent integer sums; the float statistics
+// are computed once from the merged integers), so a small matrix, or a
+// process at one worker, runs the same sweep over one range.
+func extract(a *sparse.CSR, s *Set) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
 
@@ -54,20 +51,9 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 	if nnz >= parallelExtractMinNNZ {
 		p = min(parallel.Workers(), rows)
 	}
-	// A bs x bs block is made of whole 2x2 blocks when bs is a power-of-two
-	// multiple of BlockEdge, so its first nonzero is also the first of some
-	// 2x2 block: the bs count then needs a shift and a second mark test per
-	// new 2x2 block, not per nonzero. Any other bs is counted by CountBlocks
-	// afterwards.
-	fused := bs >= BlockEdge && bs&(bs-1) == 0
 	// Row ranges aligned to the block edge so each block band has exactly
 	// one owner and block counting cannot double-count.
-	align, bsShift := BlockEdge, 0
-	if fused {
-		align, bsShift = bs, bits.TrailingZeros(uint(bs))
-	}
-	subShift := bsShift - bits.TrailingZeros(BlockEdge) // 2x2 block column -> bs block column
-	ranges := alignedRanges(rows, p, align)
+	ranges := alignedRanges(rows, p, BlockEdge)
 	scratch := make([]workerScratch, len(ranges))
 
 	// Dispatch through the shared worker team (inline for a single range):
@@ -81,13 +67,6 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 		cells := make([]colCell, cols+1)
 		ws.cells = cells
 		ws.diag = make([]int32, rows+cols-1)
-		var markBS []int32
-		if fused {
-			markBS = make([]int32, (cols+bs-1)/bs)
-			for i := range markBS {
-				markBS[i] = -1
-			}
-		}
 		// The pair (i-1, i) belongs to the range that holds row i, so a range
 		// starts by stamping the row above it (degrees untouched).
 		if lo > 0 {
@@ -98,7 +77,7 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 		}
 		// Counters live in registers for the sweep: through ws they would be
 		// stores the compiler must order against the scatters.
-		neighbor, blocks, bsBlocks := 0, 0, 0
+		neighbor, blocks := 0, 0
 		for i := lo; i < hi; i++ {
 			row := a.Col[a.Ptr[i]:a.Ptr[i+1]]
 			rd := len(row)
@@ -142,17 +121,10 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 				}
 				if newBlock {
 					blocks++
-					if fused {
-						bj := int(c) / BlockEdge
-						if band := int32(i >> bsShift); markBS[bj>>subShift] != band {
-							markBS[bj>>subShift] = band
-							bsBlocks++
-						}
-					}
 				}
 			}
 		}
-		ws.neighbor, ws.blocks, ws.bsBlocks = neighbor, blocks, bsBlocks
+		ws.neighbor, ws.blocks = neighbor, blocks
 	})
 
 	// Merge worker scratch. Row stats and counters are order-independent.
@@ -172,7 +144,6 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 		bounce += ws.bounce
 		neighbor += ws.neighbor
 		blocks += ws.blocks
-		bsBlocks += ws.bsBlocks
 	}
 	// Column degrees and diagonal counts merge in parallel over index chunks.
 	cd := make([]int32, cols)
@@ -204,10 +175,6 @@ func extract(a *sparse.CSR, s *Set, bs int) (bsBlocks int) {
 	if nnz > 0 {
 		s.MeanNeighbor = float64(neighbor) / float64(nnz)
 	}
-	if bs > 0 && !fused {
-		bsBlocks = CountBlocks(a, bs)
-	}
-	return bsBlocks
 }
 
 // alignedRanges splits [0, n) into at most parts ranges whose boundaries

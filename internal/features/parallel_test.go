@@ -104,8 +104,7 @@ func meanNeighbor(a *sparse.CSR) float64 {
 }
 
 // TestParallelExtractMatchesSerial: the fused sweep agrees bit for bit with
-// the multi-pass reference, and its fused 4x4 count with CountBlocks, on both
-// sides of parallelExtractMinNNZ — every family at 8000 rows, the default
+// the multi-pass reference on both sides of parallelExtractMinNNZ — every family at 8000 rows, the default
 // training corpus (two thirds of it below the gate) and the pathological
 // shapes — over one range (GOMAXPROCS 1), two, and the suite's default.
 func TestParallelExtractMatchesSerial(t *testing.T) {
@@ -135,7 +134,6 @@ func TestParallelExtractMatchesSerial(t *testing.T) {
 		cases = append(cases, namedCSR{c.Name, c.A})
 	}
 
-	const bs = 4
 	small := 0
 	ambient := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(ambient)
@@ -143,14 +141,10 @@ func TestParallelExtractMatchesSerial(t *testing.T) {
 		if c.a.NNZ() < parallelExtractMinNNZ {
 			small++
 		}
-		want, wantBlocks := serialReference(c.a).Vector(), CountBlocks(c.a, bs)
+		want := serialReference(c.a).Vector()
 		for _, procs := range []int{1, 2, ambient} {
 			runtime.GOMAXPROCS(procs)
-			got, blocks := ExtractBlocks(c.a, bs)
-			if blocks != wantBlocks {
-				t.Errorf("%s procs=%d: %d %dx%d blocks, CountBlocks says %d", c.name, procs, blocks, bs, bs, wantBlocks)
-			}
-			for i, v := range got.Vector() {
+			for i, v := range Extract(c.a).Vector() {
 				if v != want[i] {
 					t.Errorf("%s procs=%d: feature %s = %v (sweep) vs %v (reference)", c.name, procs, Names[i], v, want[i])
 				}
@@ -159,42 +153,6 @@ func TestParallelExtractMatchesSerial(t *testing.T) {
 	}
 	if small == 0 || small == len(cases) {
 		t.Errorf("%d of %d matrices below the width gate: one side of it is untested", small, len(cases))
-	}
-}
-
-// TestExtractBlocksMatchesSeparatePasses: stage 2's one call returns what its
-// two calls used to — Extract's set and CountBlocks at the BSR block size —
-// whether the count is fused into the sweep (bs a power of two) or falls back
-// to a pass of its own (bs = 1, 3, 6), over one range (one worker) or several.
-func TestExtractBlocksMatchesSeparatePasses(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, fam := range matgen.AllFamilies {
-		m, err := matgen.Generate(matgen.Spec{
-			Name: fam.String(), Family: fam, Size: 8001, Degree: 12, Seed: rng.Int63(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := Extract(m).Vector()
-		for _, procs := range []int{1, 2, 3} {
-			old := runtime.GOMAXPROCS(procs)
-			for _, bs := range []int{0, 1, 2, 3, 4, 6, 8} {
-				got, blocks := ExtractBlocks(m, bs)
-				wantBlocks := 0
-				if bs > 0 {
-					wantBlocks = CountBlocks(m, bs)
-				}
-				if blocks != wantBlocks {
-					t.Errorf("%v procs=%d bs=%d: %d blocks, CountBlocks says %d", fam, procs, bs, blocks, wantBlocks)
-				}
-				for i, v := range got.Vector() {
-					if v != want[i] {
-						t.Errorf("%v procs=%d bs=%d: feature %s = %v, Extract says %v", fam, procs, bs, Names[i], v, want[i])
-					}
-				}
-			}
-			runtime.GOMAXPROCS(old)
-		}
 	}
 }
 
@@ -256,15 +214,9 @@ func TestSweepCellEdges(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3, 4, 7} {
 		runtime.GOMAXPROCS(procs)
-		for _, bs := range []int{0, 2, 4, 8} {
-			got, blocks := ExtractBlocks(a, bs)
-			if bs > 0 && blocks != CountBlocks(a, bs) {
-				t.Errorf("procs=%d bs=%d: %d blocks, CountBlocks says %d", procs, bs, blocks, CountBlocks(a, bs))
-			}
-			for i, v := range got.Vector() {
-				if v != want[i] {
-					t.Errorf("procs=%d bs=%d: feature %s = %v (sweep) vs %v (reference)", procs, bs, Names[i], v, want[i])
-				}
+		for i, v := range Extract(a).Vector() {
+			if v != want[i] {
+				t.Errorf("procs=%d: feature %s = %v (sweep) vs %v (reference)", procs, Names[i], v, want[i])
 			}
 		}
 	}

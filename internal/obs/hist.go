@@ -54,15 +54,6 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf overflow bucket
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, updated by CAS
-	// exemplars holds at most one exemplar per bucket (last write wins).
-	exemplars []atomic.Pointer[Exemplar]
-}
-
-// Exemplar ties one concrete observation to the trace that produced it, so
-// a histogram bucket in the exposition points at a debuggable request.
-type Exemplar struct {
-	Value   float64 `json:"value"`
-	TraceID string  `json:"trace_id"`
 }
 
 // NewHistogram builds a histogram over the given ascending upper bounds.
@@ -72,11 +63,7 @@ func NewHistogram(bounds []float64) *Histogram {
 		bounds = ExpBuckets(DefaultBucketStart, 2, DefaultBucketCount)
 	}
 	b := append([]float64(nil), bounds...)
-	return &Histogram{
-		bounds:    b,
-		counts:    make([]atomic.Uint64, len(b)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(b)+1),
-	}
+	return &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // NewLatencyHistogram builds a histogram with the default exponential
@@ -112,20 +99,6 @@ func (h *Histogram) bucketIndex(v float64) int {
 	return len(h.bounds)
 }
 
-// ObserveExemplar records the value like Observe and additionally pins an
-// exemplar (value + trace ID) on the bucket it landed in, last write wins.
-// An empty trace ID degrades to a plain Observe.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	if h == nil || math.IsNaN(v) || v < 0 {
-		return
-	}
-	h.Observe(v)
-	if traceID == "" {
-		return
-	}
-	h.exemplars[h.bucketIndex(v)].Store(&Exemplar{Value: v, TraceID: traceID})
-}
-
 // HistSnapshot is a point-in-time copy of a histogram: per-bucket counts
 // (not cumulative; the last entry is the +Inf overflow), total count, and
 // value sum. Snapshots are plain data — mergeable and JSON-friendly.
@@ -140,9 +113,6 @@ type HistSnapshot struct {
 	Count uint64 `json:"count"`
 	// Sum is the sum of all observed values.
 	Sum float64 `json:"sum"`
-	// Exemplars, when non-nil, parallels Counts: at most one exemplar per
-	// bucket (nil entries for buckets without one).
-	Exemplars []*Exemplar `json:"exemplars,omitempty"`
 }
 
 // Snapshot copies the histogram's current state without blocking observers.
@@ -158,14 +128,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
-	}
-	for i := range h.exemplars {
-		if e := h.exemplars[i].Load(); e != nil {
-			if s.Exemplars == nil {
-				s.Exemplars = make([]*Exemplar, len(h.counts))
-			}
-			s.Exemplars[i] = e
-		}
 	}
 	return s
 }
@@ -202,9 +164,6 @@ func (s *HistSnapshot) Merge(o HistSnapshot) bool {
 		s.Counts = append([]uint64(nil), o.Counts...)
 		s.Count = o.Count
 		s.Sum = o.Sum
-		if o.Exemplars != nil {
-			s.Exemplars = append([]*Exemplar(nil), o.Exemplars...)
-		}
 		return true
 	}
 	if len(s.Bounds) != len(o.Bounds) || len(s.Counts) != len(o.Counts) {
@@ -220,17 +179,6 @@ func (s *HistSnapshot) Merge(o HistSnapshot) bool {
 	}
 	s.Count += o.Count
 	s.Sum += o.Sum
-	for i, e := range o.Exemplars {
-		if e == nil {
-			continue
-		}
-		if s.Exemplars == nil {
-			s.Exemplars = make([]*Exemplar, len(s.Counts))
-		}
-		if i < len(s.Exemplars) && s.Exemplars[i] == nil {
-			s.Exemplars[i] = e
-		}
-	}
 	return true
 }
 

@@ -227,23 +227,3 @@ func TestSnapshotMergeCommutative(t *testing.T) {
 		t.Error("zero-snapshot merge changed the accumulator")
 	}
 }
-
-// TestSnapshotMergeExemplars: the accumulator keeps its own exemplar and
-// adopts the other side's only where it has none.
-func TestSnapshotMergeExemplars(t *testing.T) {
-	ha := NewHistogram([]float64{1})
-	ha.ObserveExemplar(0.5, "aaaa")
-	hb := NewHistogram([]float64{1})
-	hb.ObserveExemplar(0.6, "bbbb")
-	hb.ObserveExemplar(5, "cccc") // overflow bucket
-	sa, sb := ha.Snapshot(), hb.Snapshot()
-	if !sa.Merge(sb) {
-		t.Fatal("merge refused")
-	}
-	if sa.Exemplars[0] == nil || sa.Exemplars[0].TraceID != "aaaa" {
-		t.Errorf("own exemplar overwritten: %+v", sa.Exemplars[0])
-	}
-	if sa.Exemplars[1] == nil || sa.Exemplars[1].TraceID != "cccc" {
-		t.Errorf("missing exemplar not adopted: %+v", sa.Exemplars[1])
-	}
-}

@@ -17,15 +17,6 @@ type ParsedSample struct {
 	Labels []Label
 	// Value is the parsed sample value.
 	Value float64
-	// Exemplar is the optional OpenMetrics-style exemplar attached after
-	// the sample (`... # {labels} value`), nil when absent.
-	Exemplar *ParsedExemplar
-}
-
-// ParsedExemplar is a parsed exemplar annotation.
-type ParsedExemplar struct {
-	Labels []Label
-	Value  float64
 }
 
 // ParsedFamily is one metric family reconstructed from an exposition.
@@ -42,7 +33,8 @@ type ParsedFamily struct {
 // It validates:
 //
 //   - metric and label names against the Prometheus grammar,
-//   - label value escaping and sample values parsing as floats,
+//   - label value escaping, sample values parsing as floats, and nothing
+//     after a value but an optional integer timestamp,
 //   - # TYPE appearing at most once per family, before its samples,
 //   - histogram families carrying _bucket/_sum/_count series, with
 //     cumulative non-decreasing bucket counts, an le="+Inf" bucket, and
@@ -188,19 +180,16 @@ func parseSampleLine(line string) (ParsedSample, error) {
 		s.Labels = labels
 		rest = rest[close+1:]
 	}
-	// An exemplar rides after the value (and optional timestamp) as
-	// " # {labels} value" — split it off before counting value fields.
-	if at := strings.Index(rest, " # "); at >= 0 {
-		ex, err := parseExemplar(strings.TrimSpace(rest[at+3:]))
-		if err != nil {
-			return s, fmt.Errorf("sample %q: %w", line, err)
-		}
-		s.Exemplar = ex
-		rest = rest[:at]
-	}
+	// A sample ends at its value or its integer timestamp: v0.0.4 has no
+	// exemplars, so an OpenMetrics ` # {labels} value` tail is an error.
 	fields := strings.Fields(rest)
-	if len(fields) < 1 || len(fields) > 2 { // optional trailing timestamp
+	if len(fields) < 1 || len(fields) > 2 {
 		return s, fmt.Errorf("sample %q has %d value fields", line, len(fields))
+	}
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return s, fmt.Errorf("sample %q: timestamp %q is not an integer", line, fields[1])
+		}
 	}
 	v, err := parseValue(fields[0])
 	if err != nil {
@@ -208,31 +197,6 @@ func parseSampleLine(line string) (ParsedSample, error) {
 	}
 	s.Value = v
 	return s, nil
-}
-
-// parseExemplar parses the `{labels} value [timestamp]` tail of an
-// exemplar annotation.
-func parseExemplar(body string) (*ParsedExemplar, error) {
-	if !strings.HasPrefix(body, "{") {
-		return nil, fmt.Errorf("exemplar %q must start with a label set", body)
-	}
-	close := strings.Index(body, "}")
-	if close < 0 {
-		return nil, fmt.Errorf("exemplar %q has an unterminated label set", body)
-	}
-	labels, err := parseLabels(body[1:close])
-	if err != nil {
-		return nil, fmt.Errorf("exemplar: %w", err)
-	}
-	fields := strings.Fields(body[close+1:])
-	if len(fields) < 1 || len(fields) > 2 { // optional trailing timestamp
-		return nil, fmt.Errorf("exemplar %q has %d value fields", body, len(fields))
-	}
-	v, err := parseValue(fields[0])
-	if err != nil {
-		return nil, fmt.Errorf("exemplar: %w", err)
-	}
-	return &ParsedExemplar{Labels: labels, Value: v}, nil
 }
 
 func parseLabels(body string) ([]Label, error) {

@@ -115,15 +115,7 @@ func writeSample(w io.Writer, f Family, s Sample) error {
 				le = formatFloat(s.Hist.Bounds[i])
 			}
 			labels := append(append([]Label(nil), s.Labels...), Label{"le", le})
-			exem := ""
-			if i < len(s.Hist.Exemplars) && s.Hist.Exemplars[i] != nil {
-				e := s.Hist.Exemplars[i]
-				// OpenMetrics exemplar syntax: ` # {labels} value` after
-				// the bucket sample. Plain v0.0.4 scrapers that split on
-				// whitespace must strip it; our parser understands it.
-				exem = fmt.Sprintf(" # {trace_id=\"%s\"} %s", escapeLabelValue(e.TraceID), formatFloat(e.Value))
-			}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", f.Name, renderLabels(labels), cum, exem); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.Name, renderLabels(labels), cum); err != nil {
 				return err
 			}
 		}

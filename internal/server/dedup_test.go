@@ -101,10 +101,9 @@ func TestSecondTenantAdoptsCachedConversion(t *testing.T) {
 	clk.SetAutoStep(time.Millisecond)
 	seed := constBundle(t, 0.05, 0.0)
 	_, ts := newTestServer(t, Config{
-		Preds:         seed,
-		Selector:      scriptedSelector(clk),
-		SerialKernels: true,
-		Workers:       1,
+		Preds:    seed,
+		Selector: scriptedSelector(clk),
+		Workers:  1,
 	})
 
 	info1, sol1 := solveJacobi(t, ts.URL, 1)

@@ -75,10 +75,6 @@ type Config struct {
 	// stalling the request that triggered it; the job swaps the converted
 	// matrix in itself, between two SpMV calls. See core.Config.Async.
 	Async bool
-	// SerialKernels switches the handles to the serial SpMV kernels
-	// (useful when the pool already saturates all cores with many small
-	// matrices).
-	SerialKernels bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: the profiling endpoints expose internals (heap contents,
 	// command line) that do not belong on an unauthenticated service port.
@@ -184,13 +180,11 @@ func New(cfg Config) *Server {
 	if cfg.ConvCacheNNZ > 0 {
 		s.convCache = convcache.New(cfg.ConvCacheNNZ)
 	}
-	if !cfg.SerialKernels {
-		// Warm the process-wide worker team every kernel dispatches through, so
-		// the first request never pays worker spawn latency. The admission pool
-		// caps concurrent jobs above it: one parked team plus a bounded job
-		// count means no goroutine explosion however many clients hammer /v1.
-		parallel.Default()
-	}
+	// Warm the process-wide worker team every kernel dispatches through, so
+	// the first request never pays worker spawn latency. The admission pool
+	// caps concurrent jobs above it: one parked team plus a bounded job count
+	// means no goroutine explosion however many clients hammer /v1.
+	parallel.Default()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /buildinfo", s.handleBuildInfo)
@@ -548,7 +542,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		selCfg.CacheFingerprint = fp
 		selCfg.CacheValues = vd
 	}
-	ad := core.NewAdaptive(csr, tol, s.cfg.Preds, selCfg, !s.cfg.SerialKernels)
+	ad := core.NewAdaptive(csr, tol, s.cfg.Preds, selCfg, true)
 	rows, cols := csr.Dims()
 	h := &Handle{
 		Name:        req.Name,
@@ -780,10 +774,8 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		}
 		s.env.WireSpan(sc, "wire.decode", decodeStart, len(*buf), k)
 
-		traceHex := ""
 		if traced {
 			h.SA.SetSpanParent(sc)
-			traceHex = sc.Trace.String()
 		}
 		var format sparse.Format
 		waitStart := time.Now()
@@ -802,7 +794,7 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 			defer func() {
 				secs := time.Since(computeStart).Seconds()
 				format = op.format(h)
-				hist.ObserveExemplar(secs, traceHex)
+				hist.Observe(secs)
 				s.env.RecordSpan(sc, op.name+".compute", computeStart, secs,
 					[2]string{"format", format.String()},
 					[2]string{op.widthAttr, strconv.Itoa(k)})
@@ -943,10 +935,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	hook := func(_ int, p float64) { h.SA.RecordProgress(p) }
 	sc, traced := obs.SpanFromContext(r.Context())
-	traceHex := ""
 	if traced {
 		h.SA.SetSpanParent(sc)
-		traceHex = sc.Trace.String()
 	}
 
 	var (
@@ -964,7 +954,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			secs := time.Since(computeStart).Seconds()
 			format = h.SA.Format()
-			s.metrics.SolveSeconds.ObserveExemplar(secs, traceHex)
+			s.metrics.SolveSeconds.Observe(secs)
 			s.env.RecordSpan(sc, "solve.compute", computeStart, secs,
 				[2]string{"app", req.App},
 				[2]string{"format", format.String()})

@@ -1,7 +1,6 @@
 package timing
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -84,110 +83,69 @@ func TestMeasuredOracleScriptedClock(t *testing.T) {
 	o := NewMeasuredOracle(opt)
 
 	a := testTriDiag(t, 64)
-	if s, ok := o.ConvertTime(a, sparse.FmtELL); !ok || s != 0.004 {
-		t.Errorf("ConvertTime = %g, %v; want exactly 0.004, true", s, ok)
+	costs := o.Costs(a)
+	if costs.CSR != 0.004 {
+		t.Errorf("CSR SpMV = %g, want exactly 0.004", costs.CSR)
 	}
-	if s, ok := o.SpMVTime(a, sparse.FmtELL); !ok || s != 0.004 {
-		t.Errorf("SpMVTime = %g, %v; want exactly 0.004, true", s, ok)
+	if s, ok := costs.Convert[sparse.FmtELL]; !ok || s != 0.004 {
+		t.Errorf("ELL conversion = %g, %v; want exactly 0.004, true", s, ok)
+	}
+	if s, ok := costs.SpMV[sparse.FmtELL]; !ok || s != 0.004 {
+		t.Errorf("ELL SpMV = %g, %v; want exactly 0.004, true", s, ok)
 	}
 	if s := o.FeatureTime(a); s != 0.004 {
 		t.Errorf("FeatureTime = %g, want exactly 0.004", s)
 	}
-	// CSR conversion is free by definition, fake clock or not.
-	if s, ok := o.ConvertTime(a, sparse.FmtCSR); !ok || s != 0 {
-		t.Errorf("CSR ConvertTime = %g, %v; want 0, true", s, ok)
-	}
 }
 
-// TestMeasuredOracleMenu: the measuring oracle prices exactly
-// sparse.MeasuredMenu. A study-only format is answered ok = false before any
-// clock read or conversion; every menu format is priced on a matrix that
-// admits them all; and once a pair's SpMV time is cached the oracle no
-// longer holds that pair's converted matrix.
+// TestMeasuredOracleMenu: one Costs call prices exactly sparse.MeasuredMenu,
+// each region at the scripted step, on a matrix that admits every menu
+// format and COO. It reads the clock 2·Reps times for CSR's SpMV and 2·Reps
+// times each for every other menu format's conversion and SpMV, and no more:
+// nothing is converted twice, CSR is not "converted" to itself, and a format
+// off the menu costs no clock read.
 func TestMeasuredOracleMenu(t *testing.T) {
 	c := NewFakeClock()
 	c.SetAutoStep(time.Millisecond)
-	opt := DefaultMeasureOptions()
-	opt.Reps = 3
-	opt.Clock = c
-	o := NewMeasuredOracle(opt)
+	const reps = 3
+	o := NewMeasuredOracle(MeasureOptions{Reps: reps, Clock: c})
 	a := testTriDiag(t, 64)
 
 	// COO converts here, so only the menu can refuse it; BSR and CSR5 are
 	// priced only and convert nowhere.
-	if !sparse.CanConvert(a, sparse.FmtCOO, opt.Lim) {
+	if !sparse.CanConvert(a, sparse.FmtCOO, sparse.DefaultLimits) {
 		t.Fatal("COO refused by the limits: the test would not see the menu")
 	}
-	for _, f := range []sparse.Format{sparse.FmtCOO, sparse.FmtBSR, sparse.FmtCSR5} {
-		if _, ok := o.ConvertTime(a, f); ok {
-			t.Errorf("%v: conversion priced, want ok = false", f)
-		}
-		if _, ok := o.SpMVTime(a, f); ok {
-			t.Errorf("%v: SpMV priced, want ok = false", f)
-		}
+	costs := o.Costs(a)
+	if costs.CSR != 0.001 {
+		t.Errorf("CSR SpMV = %g, want exactly 0.001", costs.CSR)
 	}
-	if n := c.NowCalls(); n != 0 {
-		t.Errorf("study-only formats read the clock %d times, want 0", n)
-	}
-	if n := len(o.converts); n != 0 {
-		t.Errorf("study-only formats left %d converted matrices behind, want none built", n)
-	}
-
+	others := 0
 	for _, f := range sparse.MeasuredMenu {
-		wantConv := 0.001
 		if f == sparse.FmtCSR {
-			wantConv = 0
+			continue
 		}
-		if s, ok := o.ConvertTime(a, f); !ok || s != wantConv {
-			t.Errorf("%v: ConvertTime = %g, %v; want exactly %g, true", f, s, ok, wantConv)
+		others++
+		if s, ok := costs.Convert[f]; !ok || s != 0.001 {
+			t.Errorf("%v: conversion = %g, %v; want exactly 0.001, true", f, s, ok)
 		}
-		if s, ok := o.SpMVTime(a, f); !ok || s != 0.001 {
-			t.Errorf("%v: SpMVTime = %g, %v; want exactly 0.001, true", f, s, ok)
-		}
-		if n := len(o.converts); n != 0 {
-			t.Errorf("%v: oracle still holds %d converted matrices after caching the SpMV time", f, n)
-		}
-		calls := c.NowCalls()
-		if s, ok := o.SpMVTime(a, f); !ok || s != 0.001 || c.NowCalls() != calls {
-			t.Errorf("%v: second SpMVTime = %g, %v with %d more clock reads; want the cached 0.001",
-				f, s, ok, c.NowCalls()-calls)
+		if s, ok := costs.SpMV[f]; !ok || s != 0.001 {
+			t.Errorf("%v: SpMV = %g, %v; want exactly 0.001, true", f, s, ok)
 		}
 	}
-}
-
-// TestMeasuredOracleConcurrentSamePair: the oracle is shared (Oracle
-// implementations must be safe for concurrent use), and dropping a converted
-// matrix after its first SpMV measurement must not starve a second caller
-// that was measuring the same pair at the same time, nor leave a matrix
-// parked that no later call will collect.
-func TestMeasuredOracleConcurrentSamePair(t *testing.T) {
-	c := NewFakeClock()
-	c.SetAutoStep(time.Millisecond)
-	opt := DefaultMeasureOptions()
-	opt.Reps = 1
-	opt.Clock = c
-	o := NewMeasuredOracle(opt)
-	a := testTriDiag(t, 256)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, f := range sparse.MeasuredMenu {
-				if _, ok := o.ConvertTime(a, f); !ok {
-					t.Errorf("%v: ConvertTime not ok", f)
-				}
-				// Concurrent readers share the fake clock, so a region may
-				// span several steps: only ok and positivity are scripted.
-				if s, ok := o.SpMVTime(a, f); !ok || s <= 0 {
-					t.Errorf("%v: SpMVTime = %g, %v; want > 0, true", f, s, ok)
-				}
-			}
-		}()
+	for _, f := range []sparse.Format{sparse.FmtCSR, sparse.FmtCOO, sparse.FmtBSR, sparse.FmtCSR5} {
+		if _, ok := costs.Convert[f]; ok {
+			t.Errorf("%v: conversion priced, want absent", f)
+		}
+		if _, ok := costs.SpMV[f]; ok {
+			t.Errorf("%v: SpMV priced, want absent", f)
+		}
 	}
-	wg.Wait()
-	if n := len(o.converts); n != 0 {
-		t.Errorf("%d converted matrices still parked after every pair was timed", n)
+	if len(costs.Convert) != others || len(costs.SpMV) != others {
+		t.Errorf("%d conversions and %d SpMVs priced, want %d each", len(costs.Convert), len(costs.SpMV), others)
+	}
+	if n := c.NowCalls(); others != 5 || n != 2*reps*(1+2*5) {
+		t.Errorf("%d clock reads over %d non-CSR menu formats, want 2·%d·(1 + 2·5) = 66", n, others, reps)
 	}
 }
 

@@ -2,7 +2,6 @@ package timing
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/features"
 	"repro/internal/sparse"
@@ -16,42 +15,29 @@ import (
 // (padding included), index-based formats additionally pay a gather penalty
 // that grows with intra-row column jumps, and conversions pay a large
 // per-element coefficient, landing in the paper's "9-270 SpMV calls"
-// regime.
+// regime. It prices every format in sparse.AllFormats under
+// sparse.DefaultLimits, the limits the measured oracle converts under.
 type ModelOracle struct {
-	// ElementOp is the nominal cost of one element operation in seconds.
-	ElementOp float64
 	// Noise adds deterministic multiplicative jitter of the given relative
 	// magnitude (0 disables), so trained predictors face realistic,
 	// imperfectly learnable targets.
 	Noise float64
-	// Lim bounds conversions exactly like the measured oracle.
-	Lim sparse.Limits
-
-	mu    sync.Mutex
-	stats map[*sparse.CSR]*modelStats
 }
+
+// elementOp is the nominal cost of one element operation in seconds.
+const elementOp = 1e-9
 
 // NewModelOracle builds the model oracle used across tests and fast sweeps.
-func NewModelOracle() *ModelOracle {
-	return &ModelOracle{
-		ElementOp: 1e-9,
-		Noise:     0.03,
-		Lim:       sparse.DefaultLimits,
-		stats:     make(map[*sparse.CSR]*modelStats),
-	}
-}
+func NewModelOracle() *ModelOracle { return &ModelOracle{Noise: 0.03} }
 
-// Limits implements Oracle.
-func (o *ModelOracle) Limits() sparse.Limits { return o.Lim }
-
-// modelStats caches the structural quantities the cost formulas need.
+// modelStats holds the structural quantities the cost formulas need.
 type modelStats struct {
 	rows, cols int
 	nnz        int
 	ndiags     int
 	maxRD      int
 	hybWidth   int
-	blocks     int // BSR blocks at Lim.BSRBlockSize
+	blocks     int // BSR blocks at DefaultLimits.BSRBlockSize
 	ntiles     int
 	sellSlots  int // padded slots of the SELL-C-sigma layout
 	sellSlices int
@@ -59,19 +45,13 @@ type modelStats struct {
 	gather     float64 // gather penalty factor in [1, 3]
 }
 
-func (o *ModelOracle) statsOf(a *sparse.CSR) *modelStats {
-	o.mu.Lock()
-	s, hit := o.stats[a]
-	o.mu.Unlock()
-	if hit {
-		return s
-	}
+func statsOf(a *sparse.CSR) *modelStats {
 	rows, cols := a.Dims()
-	s = &modelStats{rows: rows, cols: cols, nnz: a.NNZ()}
+	s := &modelStats{rows: rows, cols: cols, nnz: a.NNZ()}
 	s.ndiags = len(sparse.CSRDiagonals(a))
 	s.maxRD = a.MaxRowNNZ()
-	s.hybWidth = sparse.HYBWidth(a, o.Lim.HYBRowFraction)
-	s.blocks = features.CountBlocks(a, o.Lim.BSRBlockSize)
+	s.hybWidth = sparse.HYBWidth(a, sparse.DefaultLimits.HYBRowFraction)
+	s.blocks = features.CountBlocks(a, sparse.DefaultLimits.BSRBlockSize)
 	s.ntiles = s.nnz / sparse.CSR5Tile
 	s.sellSlots, s.sellSlices = sellGeometry(a)
 	var jumps float64
@@ -86,9 +66,6 @@ func (o *ModelOracle) statsOf(a *sparse.CSR) *modelStats {
 		s.spread = jumps / float64(njumps)
 	}
 	s.gather = 1 + 2*(1-math.Exp(-s.spread/512))
-	o.mu.Lock()
-	o.stats[a] = s
-	o.mu.Unlock()
 	return s
 }
 
@@ -136,11 +113,11 @@ func sortDesc(x []int) {
 // jitter returns a deterministic multiplicative factor near 1 derived from
 // the (matrix, format, kind) triple, so repeated queries agree but different
 // matrices see different "measurement" noise.
-func (o *ModelOracle) jitter(s *modelStats, f sparse.Format, kind uint64) float64 {
+func (o *ModelOracle) jitter(nnz, rows int, f sparse.Format, kind uint64) float64 {
 	if o.Noise <= 0 {
 		return 1
 	}
-	h := uint64(s.nnz)*0x9E3779B97F4A7C15 ^ uint64(s.rows)*0xBF58476D1CE4E5B9 ^
+	h := uint64(nnz)*0x9E3779B97F4A7C15 ^ uint64(rows)*0xBF58476D1CE4E5B9 ^
 		uint64(f+1)*0x94D049BB133111EB ^ kind*0xD6E8FEB86659FD93
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
@@ -161,7 +138,7 @@ func (o *ModelOracle) jitter(s *modelStats, f sparse.Format, kind uint64) float6
 // generically fastest formats (the paper's Table IV: OO picks BSR for 943
 // and CSR5 for 582 of 1911 matrices) while their conversions are the most
 // expensive (up to the "270 SpMV calls" end of Table III).
-func (o *ModelOracle) spmvOps(s *modelStats, f sparse.Format) (float64, bool) {
+func spmvOps(s *modelStats, f sparse.Format) (float64, bool) {
 	nnz := float64(s.nnz)
 	rows := float64(s.rows)
 	switch f {
@@ -171,13 +148,13 @@ func (o *ModelOracle) spmvOps(s *modelStats, f sparse.Format) (float64, bool) {
 		return nnz*2.6*s.gather + rows*0.5, true
 	case sparse.FmtDIA:
 		padded := float64(s.ndiags) * rows
-		if s.nnz > 0 && padded > o.Lim.DIAFill*nnz {
+		if s.nnz > 0 && padded > sparse.DefaultLimits.DIAFill*nnz {
 			return 0, false
 		}
 		return padded*0.85 + rows*0.5, true
 	case sparse.FmtELL:
 		padded := rows * float64(s.maxRD)
-		if s.nnz > 0 && padded > o.Lim.ELLFill*nnz {
+		if s.nnz > 0 && padded > sparse.DefaultLimits.ELLFill*nnz {
 			return 0, false
 		}
 		return padded*1.0*s.gather + rows*0.5, true
@@ -189,9 +166,9 @@ func (o *ModelOracle) spmvOps(s *modelStats, f sparse.Format) (float64, bool) {
 		}
 		return ell + over*2.6*s.gather + rows*0.5, true
 	case sparse.FmtBSR:
-		bs := float64(o.Lim.BSRBlockSize)
+		bs := float64(sparse.DefaultLimits.BSRBlockSize)
 		padded := float64(s.blocks) * bs * bs
-		if s.nnz > 0 && padded > o.Lim.BSRFill*nnz {
+		if s.nnz > 0 && padded > sparse.DefaultLimits.BSRFill*nnz {
 			return 0, false
 		}
 		return padded*0.95 + float64(s.blocks)*2 + rows*1.0, true
@@ -226,7 +203,7 @@ func (o *ModelOracle) spmvOps(s *modelStats, f sparse.Format) (float64, bool) {
 // (the equivalent of roughly 9-270 SpMV calls): DIA/ELL/HYB/COO are
 // cheap-to-moderate rearrangements, BSR pays block discovery and per-block
 // scatter, CSR5 pays the tile transposition and flag construction.
-func (o *ModelOracle) convertOps(s *modelStats, f sparse.Format) (float64, bool) {
+func convertOps(s *modelStats, f sparse.Format) (float64, bool) {
 	nnz := float64(s.nnz)
 	rows := float64(s.rows)
 	switch f {
@@ -236,22 +213,22 @@ func (o *ModelOracle) convertOps(s *modelStats, f sparse.Format) (float64, bool)
 		return nnz*8 + rows*2, true
 	case sparse.FmtDIA:
 		padded := float64(s.ndiags) * rows
-		if s.nnz > 0 && padded > o.Lim.DIAFill*nnz {
+		if s.nnz > 0 && padded > sparse.DefaultLimits.DIAFill*nnz {
 			return 0, false
 		}
 		return nnz*20 + padded*4 + 2000, true
 	case sparse.FmtELL:
 		padded := rows * float64(s.maxRD)
-		if s.nnz > 0 && padded > o.Lim.ELLFill*nnz {
+		if s.nnz > 0 && padded > sparse.DefaultLimits.ELLFill*nnz {
 			return 0, false
 		}
 		return nnz*12 + padded*3 + 2000, true
 	case sparse.FmtHYB:
 		return nnz*20 + rows*float64(s.hybWidth)*3 + rows*4 + 2000, true
 	case sparse.FmtBSR:
-		bs := float64(o.Lim.BSRBlockSize)
+		bs := float64(sparse.DefaultLimits.BSRBlockSize)
 		padded := float64(s.blocks) * bs * bs
-		if s.nnz > 0 && padded > o.Lim.BSRFill*nnz {
+		if s.nnz > 0 && padded > sparse.DefaultLimits.BSRFill*nnz {
 			return 0, false
 		}
 		return nnz*120 + padded*6 + 2000, true
@@ -269,31 +246,41 @@ func (o *ModelOracle) convertOps(s *modelStats, f sparse.Format) (float64, bool)
 	}
 }
 
-// SpMVTime implements Oracle.
-func (o *ModelOracle) SpMVTime(a *sparse.CSR, f sparse.Format) (float64, bool) {
-	s := o.statsOf(a)
-	ops, ok := o.spmvOps(s, f)
-	if !ok {
-		return 0, false
+// Costs implements Oracle: a format is priced when both its SpMV and its
+// conversion are valid under the limits.
+func (o *ModelOracle) Costs(a *sparse.CSR) Costs {
+	s := statsOf(a)
+	csr, _ := o.spmvTime(s, sparse.FmtCSR)
+	c := newCosts(csr)
+	for _, f := range sparse.AllFormats {
+		if f == sparse.FmtCSR {
+			continue
+		}
+		spmv, oks := o.spmvTime(s, f)
+		conv, okc := o.convertTime(s, f)
+		if oks && okc {
+			c.Convert[f], c.SpMV[f] = conv, spmv
+		}
 	}
-	return ops * o.ElementOp * o.jitter(s, f, 1), true
+	return c
 }
 
-// ConvertTime implements Oracle.
-func (o *ModelOracle) ConvertTime(a *sparse.CSR, f sparse.Format) (float64, bool) {
-	s := o.statsOf(a)
-	ops, ok := o.convertOps(s, f)
-	if !ok {
-		return 0, false
-	}
-	return ops * o.ElementOp * o.jitter(s, f, 2), true
+func (o *ModelOracle) spmvTime(s *modelStats, f sparse.Format) (float64, bool) {
+	ops, ok := spmvOps(s, f)
+	return ops * elementOp * o.jitter(s.nnz, s.rows, f, 1), ok
+}
+
+func (o *ModelOracle) convertTime(s *modelStats, f sparse.Format) (float64, bool) {
+	ops, ok := convertOps(s, f)
+	return ops * elementOp * o.jitter(s.nnz, s.rows, f, 2), ok
 }
 
 // FeatureTime implements Oracle. Feature extraction makes several passes
 // over the CSR arrays plus a log-factor neighbor search, landing in the
 // paper's observed "2x-4x of a SpMV call" band.
 func (o *ModelOracle) FeatureTime(a *sparse.CSR) float64 {
-	s := o.statsOf(a)
-	ops := float64(s.nnz)*6 + float64(s.rows)*2 + float64(s.cols)
-	return ops * o.ElementOp * o.jitter(s, sparse.FmtCSR, 3)
+	rows, cols := a.Dims()
+	nnz := a.NNZ()
+	ops := float64(nnz)*6 + float64(rows)*2 + float64(cols)
+	return ops * elementOp * o.jitter(nnz, rows, sparse.FmtCSR, 3)
 }

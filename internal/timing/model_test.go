@@ -37,20 +37,20 @@ func TestModelOracleSELLCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spmv, ok := o.SpMVTime(m, sparse.FmtSELL)
+	c := o.Costs(m)
+	spmv, ok := c.SpMV[sparse.FmtSELL]
 	if !ok || spmv <= 0 {
 		t.Fatalf("SELL SpMV time unavailable")
 	}
-	conv, ok := o.ConvertTime(m, sparse.FmtSELL)
-	if !ok || conv <= 0 {
+	if conv := c.Convert[sparse.FmtSELL]; conv <= 0 {
 		t.Fatalf("SELL conversion time unavailable")
 	}
 	// SELL bounds padding where plain ELL blows up: on a power-law matrix
 	// SELL must be valid and its modeled cost finite while ELL is invalid.
-	if _, ok := o.SpMVTime(m, sparse.FmtELL); ok {
+	if _, ok := c.SpMV[sparse.FmtELL]; ok {
 		t.Log("ELL unexpectedly valid for this power-law instance (acceptable)")
 	}
-	csr, _ := o.SpMVTime(m, sparse.FmtCSR)
+	csr := c.CSR
 	if spmv >= 2*csr {
 		t.Errorf("SELL spmv %g not competitive with CSR %g on power-law", spmv, csr)
 	}

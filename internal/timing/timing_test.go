@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,17 +23,9 @@ func TestModelOracleDeterministic(t *testing.T) {
 	m := genMatrix(t, matgen.FamRandom, 500, 1)
 	o1 := NewModelOracle()
 	o2 := NewModelOracle()
-	for _, f := range sparse.AllFormats {
-		t1, ok1 := o1.SpMVTime(m, f)
-		t2, ok2 := o2.SpMVTime(m, f)
-		if ok1 != ok2 || t1 != t2 {
-			t.Errorf("%v: SpMVTime not deterministic: %g/%v vs %g/%v", f, t1, ok1, t2, ok2)
-		}
-		c1, okc1 := o1.ConvertTime(m, f)
-		c2, okc2 := o2.ConvertTime(m, f)
-		if okc1 != okc2 || c1 != c2 {
-			t.Errorf("%v: ConvertTime not deterministic", f)
-		}
+	c1, c2 := o1.Costs(m), o2.Costs(m)
+	if c1.CSR != c2.CSR || !maps.Equal(c1.Convert, c2.Convert) || !maps.Equal(c1.SpMV, c2.SpMV) {
+		t.Errorf("Costs not deterministic: %+v vs %+v", c1, c2)
 	}
 	if o1.FeatureTime(m) != o2.FeatureTime(m) {
 		t.Error("FeatureTime not deterministic")
@@ -44,41 +37,34 @@ func TestModelOracleShape(t *testing.T) {
 	o.Noise = 0
 
 	// Banded matrix: DIA must beat CSR per call.
-	banded := genMatrix(t, matgen.FamBanded, 3000, 2)
-	csrT, ok := o.SpMVTime(banded, sparse.FmtCSR)
-	if !ok {
-		t.Fatal("CSR time unavailable")
-	}
-	diaT, ok := o.SpMVTime(banded, sparse.FmtDIA)
+	banded := o.Costs(genMatrix(t, matgen.FamBanded, 3000, 2))
+	diaT, ok := banded.SpMV[sparse.FmtDIA]
 	if !ok {
 		t.Fatal("DIA rejected a banded matrix")
 	}
-	if diaT >= csrT {
-		t.Errorf("DIA %g >= CSR %g on banded matrix", diaT, csrT)
+	if diaT >= banded.CSR {
+		t.Errorf("DIA %g >= CSR %g on banded matrix", diaT, banded.CSR)
 	}
 
-	// Scatter matrix: DIA must be invalid, CSR valid.
-	scatter := genMatrix(t, matgen.FamRandom, 3000, 3)
-	if _, ok := o.SpMVTime(scatter, sparse.FmtDIA); ok {
+	// Scatter matrix: DIA must be invalid.
+	scatter := o.Costs(genMatrix(t, matgen.FamRandom, 3000, 3))
+	if _, ok := scatter.SpMV[sparse.FmtDIA]; ok {
 		t.Error("DIA accepted a scatter matrix under default limits")
 	}
 
 	// Block matrix: BSR must beat CSR.
-	block := genMatrix(t, matgen.FamBlock, 2048, 4)
-	bsrT, ok := o.SpMVTime(block, sparse.FmtBSR)
+	block := o.Costs(genMatrix(t, matgen.FamBlock, 2048, 4))
+	bsrT, ok := block.SpMV[sparse.FmtBSR]
 	if !ok {
 		t.Fatal("BSR rejected a block matrix")
 	}
-	csrB, _ := o.SpMVTime(block, sparse.FmtCSR)
-	if bsrT >= csrB {
-		t.Errorf("BSR %g >= CSR %g on block matrix", bsrT, csrB)
+	if bsrT >= block.CSR {
+		t.Errorf("BSR %g >= CSR %g on block matrix", bsrT, block.CSR)
 	}
 
 	// COO is never the fastest.
-	cooT, _ := o.SpMVTime(scatter, sparse.FmtCOO)
-	csrS, _ := o.SpMVTime(scatter, sparse.FmtCSR)
-	if cooT <= csrS {
-		t.Errorf("COO %g <= CSR %g", cooT, csrS)
+	if cooT := scatter.SpMV[sparse.FmtCOO]; cooT <= scatter.CSR {
+		t.Errorf("COO %g <= CSR %g", cooT, scatter.CSR)
 	}
 }
 
@@ -89,18 +75,9 @@ func TestModelOracleConversionCostRegime(t *testing.T) {
 	o := NewModelOracle()
 	o.Noise = 0
 	for _, fam := range []matgen.Family{matgen.FamRandom, matgen.FamBanded, matgen.FamUniformRows, matgen.FamBlock} {
-		m := genMatrix(t, fam, 5000, int64(fam))
-		csrT, _ := o.SpMVTime(m, sparse.FmtCSR)
-		for _, f := range sparse.AllFormats {
-			if f == sparse.FmtCSR {
-				continue
-			}
-			conv, ok := o.ConvertTime(m, f)
-			if !ok {
-				continue
-			}
-			ratio := conv / csrT
-			if ratio < 1 || ratio > 500 {
+		c := o.Costs(genMatrix(t, fam, 5000, int64(fam)))
+		for f, conv := range c.Convert {
+			if ratio := conv / c.CSR; ratio < 1 || ratio > 500 {
 				t.Errorf("%v/%v: conversion = %.1f SpMV calls, outside [1, 500]", fam, f, ratio)
 			}
 		}
@@ -112,8 +89,7 @@ func TestModelOracleFeatureTimeBand(t *testing.T) {
 	o := NewModelOracle()
 	o.Noise = 0
 	m := genMatrix(t, matgen.FamRandom, 4000, 5)
-	csrT, _ := o.SpMVTime(m, sparse.FmtCSR)
-	ratio := o.FeatureTime(m) / csrT
+	ratio := o.FeatureTime(m) / o.Costs(m).CSR
 	if ratio < 1 || ratio > 10 {
 		t.Errorf("feature extraction = %.1f SpMV calls, outside [1, 10]", ratio)
 	}
@@ -122,41 +98,38 @@ func TestModelOracleFeatureTimeBand(t *testing.T) {
 func TestMeasuredOracleBasics(t *testing.T) {
 	opt := DefaultMeasureOptions()
 	opt.Reps = 3
-	opt.Parallel = false
 	o := NewMeasuredOracle(opt)
 	m := genMatrix(t, matgen.FamStencil2D, 2500, 6)
 
-	csrT, ok := o.SpMVTime(m, sparse.FmtCSR)
-	if !ok || csrT <= 0 {
-		t.Fatalf("CSR SpMV time %g, ok=%v", csrT, ok)
+	c := o.Costs(m)
+	if c.CSR <= 0 {
+		t.Fatalf("CSR SpMV time %g", c.CSR)
 	}
-	if zero, ok := o.ConvertTime(m, sparse.FmtCSR); !ok || zero != 0 {
-		t.Errorf("CSR->CSR conversion = %g, ok=%v", zero, ok)
+	if _, ok := c.Convert[sparse.FmtCSR]; ok {
+		t.Error("CSR->CSR conversion priced")
 	}
-	diaConv, ok := o.ConvertTime(m, sparse.FmtDIA)
+	diaConv, ok := c.Convert[sparse.FmtDIA]
 	if !ok || diaConv <= 0 {
 		t.Fatalf("stencil rejected by DIA: %v", ok)
 	}
-	if diaConv < csrT {
-		t.Errorf("conversion (%g) cheaper than one SpMV (%g): implausible", diaConv, csrT)
+	if diaConv < c.CSR {
+		t.Errorf("conversion (%g) cheaper than one SpMV (%g): implausible", diaConv, c.CSR)
+	}
+	if s := c.SpMV[sparse.FmtDIA]; s <= 0 {
+		t.Errorf("DIA SpMV time %g", s)
 	}
 	if ft := o.FeatureTime(m); ft <= 0 {
 		t.Errorf("feature time %g", ft)
-	}
-	// Cache: identical answer on re-query.
-	again, _ := o.SpMVTime(m, sparse.FmtCSR)
-	if again != csrT {
-		t.Errorf("cache miss: %g vs %g", again, csrT)
 	}
 }
 
 func TestMeasuredOracleRespectsLimits(t *testing.T) {
 	o := NewMeasuredOracle(DefaultMeasureOptions())
-	scatter := genMatrix(t, matgen.FamRandom, 2000, 7)
-	if _, ok := o.ConvertTime(scatter, sparse.FmtDIA); ok {
+	c := o.Costs(genMatrix(t, matgen.FamRandom, 2000, 7))
+	if _, ok := c.Convert[sparse.FmtDIA]; ok {
 		t.Error("measured oracle converted a scatter matrix to DIA")
 	}
-	if _, ok := o.SpMVTime(scatter, sparse.FmtDIA); ok {
+	if _, ok := c.SpMV[sparse.FmtDIA]; ok {
 		t.Error("measured oracle timed DIA SpMV on an invalid matrix")
 	}
 }
@@ -170,11 +143,12 @@ func TestQuickModelOracleFiniteAndPositive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, f := range sparse.AllFormats {
-			if tm, ok := o.SpMVTime(m, f); ok && tm <= 0 {
-				return false
-			}
-			if cv, ok := o.ConvertTime(m, f); ok && cv < 0 {
+		c := o.Costs(m)
+		if c.CSR <= 0 {
+			return false
+		}
+		for f, cv := range c.Convert {
+			if cv < 0 || c.SpMV[f] <= 0 {
 				return false
 			}
 		}

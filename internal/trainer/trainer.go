@@ -59,30 +59,23 @@ func Collect(entries []matgen.Entry, oracle timing.Oracle) ([]Sample, error) {
 	return samples, nil
 }
 
-// CollectOne builds the sample of a single matrix.
+// CollectOne builds the sample of a single matrix: one Costs call, each
+// price divided by the CSR SpMV time.
 func CollectOne(name string, m *sparse.CSR, oracle timing.Oracle) (Sample, error) {
-	csrTime, ok := oracle.SpMVTime(m, sparse.FmtCSR)
-	if !ok || csrTime <= 0 {
+	c := oracle.Costs(m)
+	if c.CSR <= 0 {
 		return Sample{}, fmt.Errorf("trainer: no CSR SpMV time for %q", name)
 	}
 	s := Sample{
 		Name:     name,
 		Features: features.Extract(m).Vector(),
-		CSRTime:  csrTime,
-		ConvNorm: make(map[sparse.Format]float64),
+		CSRTime:  c.CSR,
+		ConvNorm: make(map[sparse.Format]float64, len(c.Convert)),
 		SpMVNorm: map[sparse.Format]float64{sparse.FmtCSR: 1},
 	}
-	for _, f := range sparse.AllFormats {
-		if f == sparse.FmtCSR {
-			continue
-		}
-		conv, okc := oracle.ConvertTime(m, f)
-		spmv, oks := oracle.SpMVTime(m, f)
-		if !okc || !oks {
-			continue
-		}
-		s.ConvNorm[f] = conv / csrTime
-		s.SpMVNorm[f] = spmv / csrTime
+	for f, conv := range c.Convert {
+		s.ConvNorm[f] = conv / c.CSR
+		s.SpMVNorm[f] = c.SpMV[f] / c.CSR
 	}
 	return s, nil
 }
