@@ -1,10 +1,11 @@
 GO ?= go
+GOFMT ?= gofmt
 # Per-target budget for `make fuzz`. The native fuzzer accepts only one
 # -fuzz pattern per invocation, hence the loop.
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzSELLSlices FuzzJDSPerm FuzzWireDecodePanel FuzzWireEncodeVector
 
-.PHONY: check build test bench-check race vet fuzz fuzz-smoke serve clean
+.PHONY: check fmt build test bench-check race vet fuzz fuzz-smoke serve clean
 
 build:
 	$(GO) build ./...
@@ -22,12 +23,19 @@ bench-check:
 race:
 	$(GO) test -race ./internal/server/... ./internal/wire/... ./internal/convcache/... ./internal/cluster/... ./internal/core/... ./internal/trainer/... ./internal/timing/... ./internal/obs/... ./internal/parallel/... ./internal/sparse/... ./internal/vec/... ./internal/features/... ./internal/arima/... ./internal/gbt/... ./internal/apps/... ./internal/check/... ./internal/matgen/... ./internal/mmio/...
 
+# kernels_stub.go compiles only under -tags noasm, so the second pass is the
+# only vet it gets.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags noasm ./...
+
+# gofmt -l names every file whose formatting differs; the gate wants none.
+fmt:
+	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # CI's first step as one command, in this order: an internal/... API change
 # that breaks benchmark/'s compile surface fails here before it fails there.
-check: build vet test bench-check race
+check: fmt build vet test bench-check race
 
 # Mutational fuzzing, $(FUZZTIME) per target (override: make fuzz FUZZTIME=5m).
 fuzz:

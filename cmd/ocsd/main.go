@@ -61,7 +61,6 @@ func main() {
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = 4x workers, negative = none)")
 		solveTimeout = flag.Duration("timeout", 60*time.Second, "default solve timeout")
 		drainWait    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-		async        = flag.Bool("async", true, "run stage-2 selection (features, prediction, conversion) on a background worker instead of stalling the triggering request")
 		enablePprof  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 		logLevel     = flag.String("log-level", "info", "log level: debug, info, warn, error")
@@ -107,7 +106,6 @@ func main() {
 		QueueDepth:          *queue,
 		DefaultSolveTimeout: *solveTimeout,
 		Preds:               preds,
-		Async:               *async,
 		EnablePprof:         *enablePprof,
 		Logger:              logger,
 	})

@@ -95,7 +95,6 @@ func cmdRun(args []string) error {
 	app := fs.String("app", "cg", "application: pagerank, cg, bicgstab, gmres")
 	models := fs.String("models", "", "predictor model directory (enables -adaptive)")
 	adaptive := fs.Bool("adaptive", false, "use the overhead-conscious selector")
-	async := fs.Bool("async", false, "overlap stage-2 selection with solver iterations (with -adaptive)")
 	trace := fs.Bool("trace", false, "print the selector's decision trace (with -adaptive)")
 	tol := fs.Float64("tol", 1e-8, "solver tolerance")
 	seed := fs.Int64("seed", 1, "rhs seed")
@@ -141,7 +140,6 @@ func cmdRun(args []string) error {
 	hook := apps.Hook(nil)
 	absTol := *tol * nrm2(b)
 	selCfg := core.DefaultConfig()
-	selCfg.Async = *async
 	var journal *obs.Journal
 	if *trace {
 		journal = obs.NewJournal(0)
@@ -185,12 +183,6 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	if ad != nil {
-		// If a background stage-2 pipeline is still in flight the solver beat
-		// it: abandon the conversion (journaling a canceled trace) rather
-		// than wait for work that can no longer pay off. No-op otherwise.
-		ad.Close()
-	}
 	fmt.Printf("app=%s converged=%v iterations=%d residual=%.3g elapsed=%v\n",
 		*app, res.Converged, res.Iterations, res.Residual, elapsed.Round(time.Microsecond))
 	if ad != nil {
@@ -198,10 +190,6 @@ func cmdRun(args []string) error {
 		fmt.Printf("selector: stage1=%v stage2=%v converted=%v format=%v predictedTotal=%d overhead=%.3gms\n",
 			st.Stage1Ran, st.Stage2Ran, st.Converted, st.Format, st.PredictedTotal,
 			1e3*(st.FeatureSeconds+st.PredictSeconds+st.ConvertSeconds))
-		if st.Async {
-			fmt.Printf("async: paid=%.3gms hidden=%.3gms canceled=%v\n",
-				1e3*st.PaidSeconds, 1e3*st.HiddenSeconds, st.Canceled)
-		}
 	}
 	if journal != nil && ad != nil {
 		if id, ok := ad.TraceID(); ok {

@@ -25,10 +25,10 @@ type Operator interface {
 type Hook func(iter int, progress float64)
 
 // SwapPointer is implemented and called by nothing in this module: the
-// adaptive wrapper's background conversion installs itself, so a solver has
-// no iteration-boundary duty. The declaration remains only because
-// benchmark/ compiles against it and leaves with that module's next change
-// (ROADMAP 6(b)).
+// adaptive wrapper installs a conversion itself, inside RecordProgress, so a
+// solver has no iteration-boundary duty. The declaration remains only
+// because benchmark/ compiles against it and leaves with that module's next
+// change (ROADMAP 10(d)).
 type SwapPointer interface {
 	SwapPoint()
 }

@@ -1251,7 +1251,7 @@ func (r *Router) distSolve(w http.ResponseWriter, req *http.Request, rt *route, 
 	// Aggregate the shard-side ledgers: the cross-shard request's selector
 	// overheads are the sum over blocks (each block ran its own pipeline),
 	// keeping the T_affected split (paid on some shard's request path,
-	// hidden behind its in-flight work) visible one hop up.
+	// hidden as a conversion-cache credit) visible one hop up.
 	agg, served := r.aggregateSelector(req.Context(), rt.placements())
 	resp := server.SolveResponse{
 		App:            body.App,
@@ -1293,8 +1293,6 @@ func (r *Router) aggregateSelector(ctx context.Context, refs []shardRef) (server
 		agg.FeatureSeconds += st.FeatureSeconds
 		agg.PredictSeconds += st.PredictSeconds
 		agg.ConvertSeconds += st.ConvertSeconds
-		agg.Async = agg.Async || st.Async
-		agg.Pending = agg.Pending || st.Pending
 		agg.PaidSeconds += st.PaidSeconds
 		agg.HiddenSeconds += st.HiddenSeconds
 		agg.SpMMCalls += st.SpMMCalls

@@ -152,7 +152,7 @@ func TestDistributedSolveTraceTree(t *testing.T) {
 	rpcShards := map[string]bool{}
 	services := map[string]bool{}
 	count := map[string]int{}
-	var convertPaid, convertHidden float64
+	var convertPaid float64
 	converts := 0
 	for _, sp := range spans {
 		count[sp.Name]++
@@ -163,10 +163,6 @@ func TestDistributedSolveTraceTree(t *testing.T) {
 		if sp.Name == "selector.convert" {
 			converts++
 			convertPaid += atof(t, sp.Attrs["paid_seconds"])
-			convertHidden += atof(t, sp.Attrs["hidden_seconds"])
-			if sp.Attrs["mode"] != "paid" {
-				t.Errorf("synchronous conversion span mode %q, want paid", sp.Attrs["mode"])
-			}
 			if sp.Attrs["decision_id"] == "" {
 				t.Error("conversion span lacks its DecisionTrace linkage")
 			}
@@ -187,14 +183,13 @@ func TestDistributedSolveTraceTree(t *testing.T) {
 		t.Errorf("%d conversion spans, want one per block", converts)
 	}
 
-	// Ledger agreement: the conversion spans' paid/hidden attributes must
-	// sum to the aggregated selector ledger the solve response reported.
+	// Ledger agreement: the conversion spans' paid attributes must sum to
+	// the aggregated selector ledger the solve response reported.
 	if !near(convertPaid, sol.Selector.PaidSeconds) {
 		t.Errorf("conversion spans paid %g, ledger says %g", convertPaid, sol.Selector.PaidSeconds)
 	}
-	if convertHidden != 0 || sol.Selector.HiddenSeconds != 0 {
-		t.Errorf("synchronous pipeline reported hidden overhead: spans %g, ledger %g",
-			convertHidden, sol.Selector.HiddenSeconds)
+	if sol.Selector.HiddenSeconds != 0 {
+		t.Errorf("a pipeline with no cache hit reported hidden overhead %g", sol.Selector.HiddenSeconds)
 	}
 }
 

@@ -52,7 +52,7 @@ type Stats struct {
 }
 
 // Cache is an nnz-bounded LRU of published conversions, safe for
-// concurrent use by every handle's selector (inline or async).
+// concurrent use by every handle's selector.
 type Cache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64

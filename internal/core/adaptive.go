@@ -47,27 +47,17 @@ type Stats struct {
 	FeatureSeconds float64
 	PredictSeconds float64
 	ConvertSeconds float64
-	// Async reports that stage 2 was dispatched to a background worker
-	// (Config.Async) instead of running inline at the gate.
-	Async bool
-	// Pending reports a background stage-2 job launched that has neither
-	// installed its result yet nor been canceled.
-	Pending bool
-	// Canceled reports a background stage-2 job abandoned via Close before
-	// it could install its result.
-	Canceled bool
-	// PaidSeconds and HiddenSeconds partition the three overheads above by
-	// whether they stalled the solver (inline on the critical path) or ran
-	// overlapped with in-flight iterations on a background worker. A
-	// conversion adopted from the cache additionally credits its publisher's
-	// conversion bill as hidden time (machine work that happened once, for
-	// another tenant), so in both modes, once the pipeline has run or a
-	// launched job has installed its result,
+	// PaidSeconds is the overhead the solver stalled for: stage 1 plus the
+	// three stage-2 regions above, every one of which runs inline on the
+	// goroutine that reported the K-th progress value. HiddenSeconds is the
+	// conversion-cache credit: a conversion adopted from the cache credits
+	// its publisher's conversion bill (machine work that happened once, for
+	// another tenant) and nothing else is hidden, so once the pipeline has
+	// run
 	//
 	//	PaidSeconds + HiddenSeconds = FeatureSeconds + PredictSeconds + ConvertSeconds + credit
 	//
-	// with credit = 0 unless ConvCacheHit. Inline pipelines pay everything:
-	// their HiddenSeconds is the credit alone.
+	// with HiddenSeconds = credit, 0 unless ConvCacheHit.
 	PaidSeconds   float64
 	HiddenSeconds float64
 }
@@ -81,9 +71,9 @@ type Stats struct {
 // sharing a registry handle. One mutex serialises SpMV calls (each is
 // goroutine-parallel inside already, and the timing samples rest on one
 // SpMV running alone) and the selection pipeline, which therefore runs
-// exactly once however many goroutines feed progress; Stats and Close take
-// it too. SpMM, Format, TraceID, SetSpanParent and Dims do not: they touch
-// only what never changes after construction, or an atomic.
+// exactly once however many goroutines feed progress; Stats takes it too.
+// SpMM, Format, TraceID, SetSpanParent and Dims do not: they touch only what
+// never changes after construction, or an atomic.
 type Adaptive struct {
 	cfg      Config
 	tol      float64
@@ -114,10 +104,6 @@ type Adaptive struct {
 	// ledger is true while post-decision SpMV calls are still being timed to
 	// maintain the decision trace's T_affected ledger.
 	ledger bool
-
-	// job is the background stage-2 run under Config.Async: set at launch,
-	// cleared only by a Close that abandons it.
-	job *stage2Job
 
 	// spanNotes buffers per-stage timings until the decision trace is
 	// journaled, when they flush to Config.SpanSink tagged with the
@@ -264,33 +250,23 @@ func (ad *Adaptive) RecordProgress(v float64) {
 	ad.runPipeline()
 }
 
-// runPipeline executes stage 1 and, if the gate opens, stage 2 — inline, or
-// dispatched to a background worker under Config.Async. When a journal is
+// runPipeline executes stage 1 and, if the gate opens, stage 2, inline on
+// the goroutine that reported the K-th progress value. When a journal is
 // configured it also assembles the decision trace: every gate inequality is
 // recorded with both of its sides, so a trace shows how close each call
-// was, not just its verdict. An async launch leaves the journal append to
-// the job, for when the measured overheads exist.
+// was, not just its verdict.
 func (ad *Adaptive) runPipeline() {
 	tr, remaining, ok := ad.runStage1()
-	if !ok {
-		ad.journalTrace(tr)
-		return
+	if ok {
+		ad.applyStage2(&tr, ad.runStage2(remaining))
 	}
-	if ad.cfg.Async {
-		ad.launchStage2(tr, remaining)
-		return
-	}
-	r := runStage2(ad.csr, ad.preds, ad.cfg, ad.clock, remaining, 0, func() bool { return false })
-	ad.applyStage2(&tr, r, false)
 	ad.journalTrace(tr)
 }
 
 // runStage1 runs the lazy tripcount prediction and the gates in front of
-// stage 2. This part always runs inline — its cost is a handful of scalar
-// ops, and the gates need the self-measured SpMV baseline that lives on the
-// solver goroutine — so it is always *paid* overhead, even under Async.
-// calls is the forecast of SpMV calls still to come; ok reports whether
-// stage 2 should run.
+// stage 2: a handful of scalar ops, gated on the self-measured SpMV
+// baseline. calls is the forecast of SpMV calls still to come; ok reports
+// whether stage 2 should run.
 func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 	start := ad.clock.Now()
 	total, err := arima.DefaultTripcount().PredictTotal(ad.progress, ad.tol)
@@ -298,7 +274,7 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 	ad.stats.PredictSeconds += stage1
 	ad.stats.PaidSeconds += stage1
 	ad.stats.Stage1Ran = true
-	ad.noteSpan("selector.stage1", start, stage1, [2]string{"mode", "paid"})
+	ad.noteSpan("selector.stage1", start, stage1)
 	tr = obs.DecisionTrace{
 		Label:      ad.cfg.TraceLabel,
 		At:         start,
@@ -356,10 +332,9 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 // stage2Result is everything one stage-2 run produced. A zero region start
 // means that region never ran.
 type stage2Result struct {
-	d       Decision
-	decided bool          // false only for a run canceled before the argmin
-	m       sparse.Matrix // operator to install; nil when staying on CSR or conversion failed
-	fvec    []float64     // Table I vector for the journal, when one is kept
+	d    Decision
+	m    sparse.Matrix // operator to install; nil when staying on CSR or conversion failed
+	fvec []float64     // Table I vector for the journal, when one is kept
 
 	convertErr string
 	// Measured regions in seconds — features, model inference + argmin,
@@ -373,21 +348,10 @@ type stage2Result struct {
 	published bool
 }
 
-// runStage2 is the one stage-2 body, shared by the inline and the background
-// pipeline: features → decide → cache lookup → convert → publish, each
-// region timed with the wrapper's clock. Everything it touches is immutable
-// (the CSR master copy, the predictor bundle) or copied (the config, the
-// clock interface), so a background run needs no lock and never races the
-// wrapper's callers. overlap is the argmin's budget of iterations that can
-// cover conversion time (0 inline; the full remaining count in the
-// background, where every iteration up to the install can). canceled is polled
-// between phases so an abandoned job stops working soon after Close; in
-// particular the conversion — the expensive phase — never starts for a
-// canceled job.
-func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Clock, remaining, overlap float64, canceled func() bool) (r stage2Result) {
-	if canceled() {
-		return r
-	}
+// runStage2 is the one stage-2 body: features → decide → cache lookup →
+// convert → publish, each region timed with the wrapper's clock.
+func (ad *Adaptive) runStage2(remaining float64) (r stage2Result) {
+	csr, preds, cfg, clock := ad.csr, ad.preds, &ad.cfg, ad.clock
 	r.featureAt = clock.Now()
 	fs := features.Extract(csr)
 	// The block count is BSR's validity input and nothing else: a bundle
@@ -397,29 +361,25 @@ func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Cloc
 		bsrBlocks = features.CountBlocks(csr, cfg.Lim.BSRBlockSize)
 	}
 	r.feature = timing.Since(clock, r.featureAt).Seconds()
-	if canceled() {
-		return r
-	}
-	cached := cachedFormats(&cfg)
+	cached := cachedFormats(cfg)
 	r.predictAt = clock.Now()
 	r.d = preds.DecideQuery(fs, Query{
-		BSRBlocks: bsrBlocks, Remaining: remaining, Overlap: overlap,
+		BSRBlocks: bsrBlocks, Remaining: remaining,
 		Cached: cached, Lim: cfg.Lim, Margin: cfg.Margin,
 	})
 	r.predict = timing.Since(clock, r.predictAt).Seconds()
-	r.decided = true
 	if cfg.Journal != nil {
 		r.fvec = fs.Vector()
 	}
-	if r.d.Format == sparse.FmtCSR || canceled() {
+	if r.d.Format == sparse.FmtCSR {
 		return r
 	}
 	// Conversion-cache consult: an earlier tenant may have already paid for
 	// this exact (structure, values, format) conversion. A hit adopts the
 	// shared matrix — zero conversion work on this handle.
-	if cacheUsable(&cfg) {
+	if cacheUsable(cfg) {
 		r.lookupAt = clock.Now()
-		e, hit := cfg.ConvCache.Lookup(cacheKeyFor(&cfg, r.d.Format))
+		e, hit := cfg.ConvCache.Lookup(cacheKeyFor(cfg, r.d.Format))
 		r.lookup = timing.Since(clock, r.lookupAt).Seconds()
 		if hit {
 			r.cacheHit, r.credit, r.m = true, e.ConvertSeconds, e.M
@@ -434,8 +394,8 @@ func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Cloc
 		r.convertErr = err.Error()
 		return r
 	}
-	if cacheUsable(&cfg) {
-		cfg.ConvCache.Publish(cacheKeyFor(&cfg, r.d.Format), convcache.Entry{
+	if cacheUsable(cfg) {
+		cfg.ConvCache.Publish(cacheKeyFor(cfg, r.d.Format), convcache.Entry{
 			M: m, ConvertSeconds: r.convert, NNZ: m.NNZ(),
 		})
 		r.published = true
@@ -446,35 +406,23 @@ func runStage2(csr *sparse.CSR, preds *Predictors, cfg Config, clock timing.Cloc
 
 // applyStage2 folds a stage-2 run into the wrapper, under mu: overhead
 // accounting, the buffered stage spans, the format swap and the trace with
-// its T_affected ledger. hidden says the run was overlapped with
-// in-flight iterations on a background worker — the solver never stalled for
-// any of its seconds; otherwise it ran on the critical path and every second
-// was paid. Either way a cache hit credits the publisher's conversion bill
-// as hidden time, so the ledger stays honest about machine work that once
+// its T_affected ledger. Every second of the run stalled the solver and is
+// paid; a cache hit additionally credits the publisher's conversion bill as
+// hidden time, so the ledger stays honest about machine work that once
 // happened.
-func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result, hidden bool) {
+func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result) {
 	ad.stats.FeatureSeconds = r.feature
 	ad.stats.PredictSeconds += r.predict + r.lookup
 	ad.stats.ConvertSeconds = r.convert
-	mode := [2]string{"mode", "paid"}
-	if hidden {
-		mode[1] = "hidden"
-		ad.stats.HiddenSeconds += r.feature + r.predict + r.convert + r.lookup
-	} else {
-		ad.stats.PaidSeconds = ad.overhead()
-	}
+	ad.stats.PaidSeconds = ad.overhead()
 	if r.cacheHit {
 		ad.stats.ConvCacheHit = true
 		ad.stats.HiddenSeconds += r.credit
 		tr.ConvCacheHit = true
 	}
 	format := [2]string{"format", r.d.Format.String()}
-	if !r.featureAt.IsZero() {
-		ad.noteSpan("selector.features", r.featureAt, r.feature, mode)
-	}
-	if !r.predictAt.IsZero() {
-		ad.noteSpan("selector.decide", r.predictAt, r.predict, mode, format)
-	}
+	ad.noteSpan("selector.features", r.featureAt, r.feature)
+	ad.noteSpan("selector.decide", r.predictAt, r.predict, format)
 	switch {
 	case r.cacheHit:
 		ad.noteSpan("convcache.hit", r.lookupAt, r.lookup, format,
@@ -483,13 +431,10 @@ func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result, hidden bo
 		ad.noteSpan("convcache.miss", r.lookupAt, r.lookup, format)
 	}
 	if !r.convertAt.IsZero() {
-		ad.noteSpan("selector.convert", r.convertAt, r.convert, mode, format)
+		ad.noteSpan("selector.convert", r.convertAt, r.convert, format)
 	}
 	if r.published {
 		ad.noteSpan("convcache.publish", r.convertAt, r.convert, format)
-	}
-	if !r.decided {
-		return // canceled before the argmin: nothing to record, stay on CSR
 	}
 	ad.recordStage2(tr, r)
 	switch {
@@ -554,8 +499,8 @@ func (ad *Adaptive) noteSpan(name string, start time.Time, secs float64, attrs .
 
 // flushSpans emits the buffered stage notes as spans under the current
 // request parent. The conversion span additionally carries the trace's
-// final paid/hidden overhead split, so its attributes agree with the
-// ledger seeded by finishTrace.
+// paid overhead, so its attributes agree with the ledger seeded by
+// finishTrace.
 func (ad *Adaptive) flushSpans(tr obs.DecisionTrace) {
 	notes := ad.spanNotes
 	ad.spanNotes = nil
@@ -564,7 +509,6 @@ func (ad *Adaptive) flushSpans(tr obs.DecisionTrace) {
 		return
 	}
 	traceID := ad.traceID.Load()
-	fmtFloat := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, n := range notes {
 		sp := obs.Span{
 			Trace:   parent.Trace,
@@ -586,8 +530,7 @@ func (ad *Adaptive) flushSpans(tr obs.DecisionTrace) {
 			sp.Attrs[kv[0]] = kv[1]
 		}
 		if n.name == "selector.convert" {
-			sp.Attrs["paid_seconds"] = fmtFloat(tr.PaidSeconds)
-			sp.Attrs["hidden_seconds"] = fmtFloat(tr.HiddenSeconds)
+			sp.Attrs["paid_seconds"] = strconv.FormatFloat(tr.PaidSeconds, 'g', -1, 64)
 		}
 		sink(sp)
 	}
@@ -601,8 +544,9 @@ func (ad *Adaptive) SetSpanParent(sc obs.SpanContext) { ad.spanParent.Store(&sc)
 
 // finishTrace fills the trace's measured-overhead fields and seeds the
 // ledger with the model-side quantities the payoff will be judged against.
-// Only the paid share of the overhead enters the ledger's net balance;
-// hidden (overlapped) seconds are reported but never charged.
+// Only the paid share of the overhead enters the ledger's net balance; the
+// hidden seconds (the conversion-cache credit) are reported but never
+// charged.
 func (ad *Adaptive) finishTrace(tr *obs.DecisionTrace, d Decision) {
 	if ad.cfg.Journal == nil {
 		return

@@ -68,17 +68,6 @@ type Config struct {
 	// tiny matrices whose whole solve lasts milliseconds this fixed cost
 	// is what dominates, so the gate must know about it.
 	PredictFixedSeconds float64
-	// Async moves stage 2 off the solver's critical path: when the gate
-	// opens, feature extraction, model inference and the conversion run on a
-	// background worker (parallel.Team.Go) while the solver keeps iterating
-	// on the current format; the job swaps its result in itself, between two
-	// SpMV calls. The cost-benefit argmin then charges each candidate only
-	// the conversion time that cannot be hidden behind the remaining
-	// iterations — the effective T_convert becomes max(0, T_convert −
-	// T_overlap) — which makes conversion profitable for shorter loops than
-	// the paper's inline model allows. The decision trace splits the overhead
-	// into paid vs hidden seconds accordingly.
-	Async bool
 	// ConvCache, when non-nil, is the cross-handle conversion cache: stage 2
 	// consults it before pricing candidates (a cached format's T_convert is
 	// zero, which can flip a stay decision into a convert), adopts a
@@ -112,7 +101,7 @@ type Config struct {
 	// stage boundary — stage-1 tripcount prediction, stage-2 feature
 	// extraction, decide, and conversion — parented under the request span
 	// installed via Adaptive.SetSpanParent. The conversion span carries the
-	// paid/hidden overhead split and the decision trace ID, tying the
+	// paid overhead and the decision trace ID, tying the
 	// distributed trace tree back to the journal's T_affected ledger. nil
 	// (the default) disables span emission.
 	SpanSink func(obs.Span)
@@ -229,26 +218,13 @@ func formatValid(f sparse.Format, s *features.Set, bsrBlocks int, lim sparse.Lim
 
 // Query is everything a stage-2 cost-benefit evaluation depends on besides
 // the matrix features. The zero value of each optional field reproduces the
-// paper's inline SpMV model: Overlap = 0 hides no conversion time, a nil
-// Cached set means no conversion is free.
+// paper's inline SpMV model: a nil Cached set means no conversion is free.
 type Query struct {
 	// BSRBlocks is the matrix's block count at Lim.BSRBlockSize, the one
 	// validity input Table I lacks.
 	BSRBlocks int
 	// Remaining is how many more calls the loop is predicted to make.
 	Remaining float64
-	// Overlap is how many calls' worth of conversion work can run
-	// concurrently with solver iterations still in flight (the async
-	// pipeline passes Remaining — every iteration up to adoption can cover
-	// conversion time). A hidden conversion does not stall the loop, but the
-	// h calls covering it still run at CSR speed (1, in CSR-SpMV units) and
-	// only the rest enjoy the converted format, so a candidate's cost becomes
-	//
-	//	max(0, conv − h) + h + (Remaining − h)·new,  h = min(conv, Overlap, Remaining)
-	//
-	// — the paper's T_affected with the effective conversion cost shrunk to
-	// max(0, T_convert − T_overlap).
-	Overlap float64
 	// Cached marks formats whose converted matrix is already published in
 	// the conversion cache for this exact (structure, values) pair: their
 	// T_convert is zero — adoption is a map lookup — which can flip a stay
@@ -260,18 +236,17 @@ type Query struct {
 	Margin float64
 }
 
-// Decide is the paper's inline SpMV decision: DecideQuery with no overlap
-// and no cache.
+// Decide is the paper's inline SpMV decision: DecideQuery with no cache.
 func (p *Predictors) Decide(s *features.Set, bsrBlocks int, remaining float64, lim sparse.Limits, margin float64) Decision {
 	return p.DecideQuery(s, Query{BSRBlocks: bsrBlocks, Remaining: remaining, Lim: lim, Margin: margin})
 }
 
 // DecideQuery runs the stage-2 cost-benefit analysis: for every valid
 // format, predicted total cost over the remaining calls (in CSR-SpMV units)
-// is the conversion bill plus the per-call cost times Remaining, adjusted
-// for overlap (see Query.Overlap); staying on CSR costs Remaining. The argmin
-// wins, but a conversion must additionally undercut staying by the margin
-// fraction (risk control against prediction noise on marginal wins).
+// is the conversion bill plus the per-call cost times Remaining; staying on
+// CSR costs Remaining. The argmin wins, but a conversion must additionally
+// undercut staying by the margin fraction (risk control against prediction
+// noise on marginal wins).
 func (p *Predictors) DecideQuery(s *features.Set, q Query) Decision {
 	x := s.Vector()
 	d := Decision{
@@ -299,7 +274,7 @@ func (p *Predictors) DecideQuery(s *features.Set, q Query) Decision {
 		if q.Cached[f] {
 			conv = 0
 		}
-		cost := overlapCost(conv, spmv, q.Remaining, q.Overlap)
+		cost := conv + spmv*q.Remaining
 		d.PredictedCost[f] = cost
 		d.PredictedSpMV[f] = spmv
 		d.PredictedConv[f] = conv
@@ -309,19 +284,6 @@ func (p *Predictors) DecideQuery(s *features.Set, q Query) Decision {
 		}
 	}
 	return d
-}
-
-// overlapCost is the overlap-aware candidate cost in CSR-SpMV units (see
-// Query.Overlap): spmv is the per-call cost after conversion, conv the
-// conversion bill, overlap the budget in calls. h calls elapse while the
-// conversion hides (at most conv of them fit inside the conversion window),
-// each billed at CSR speed; the residual conversion time stalls; the rest
-// run converted. With overlap = 0 it degenerates to the inline model
-// conv + spmv·remaining exactly (h = 0 leaves both terms untouched, no
-// floating-point rewriting).
-func overlapCost(conv, spmv, remaining, overlap float64) float64 {
-	h := min(remaining, overlap, conv)
-	return (conv - h) + h + (remaining-h)*spmv
 }
 
 // OracleDecide is the oracle ("upper bound") variant of Decide used by the

@@ -45,17 +45,14 @@ type Ledger struct {
 	// saving is non-positive (can never break even).
 	PredictedBreakEvenCalls int `json:"predicted_break_even_calls"`
 
-	// OverheadSeconds is the measured stage-2 overhead that stalled the
-	// solver's critical path — the *paid* share. With the inline pipeline
-	// this is all of FeatureSeconds + PredictSeconds + ConvertSeconds; with
-	// the asynchronous pipeline it is only the stage that still runs inline
-	// (stage 1), because everything dispatched to the background overlaps
-	// in-flight iterations instead of stalling them.
+	// OverheadSeconds is the measured selector overhead that stalled the
+	// solver's critical path — the *paid* share, all of FeatureSeconds +
+	// PredictSeconds + ConvertSeconds, since the pipeline runs inline.
 	OverheadSeconds float64 `json:"overhead_seconds"`
-	// HiddenSeconds is the overhead that ran concurrently with in-flight
-	// iterations (async stage 2) and therefore never stalled the solver. It
-	// is excluded from the net/regret arithmetic: hidden time is only lost
-	// machine work, not lost solver latency. Always 0 for inline pipelines.
+	// HiddenSeconds is the conversion-cache credit: the conversion bill an
+	// earlier tenant paid for the matrix this handle adopted. It is excluded
+	// from the net/regret arithmetic: this handle's solver never waited for
+	// it. 0 unless the conversion was adopted from the cache.
 	HiddenSeconds float64 `json:"hidden_overhead_seconds"`
 
 	// PostSpMVCalls / PostSpMVSeconds accumulate the timed SpMV calls
@@ -97,12 +94,9 @@ func (l *Ledger) RecordPost(seconds float64) {
 }
 
 // InitPredictions fills the model-side fields from the baseline, the chosen
-// format's normalized SpMV prediction, and the measured overhead split into
-// its paid (critical-path) and hidden (overlapped) shares. Only the paid
-// share enters the net balance and the break-even count: a conversion whose
-// overhead was fully hidden starts at net 0 and breaks even on its first
-// faster call. Inline pipelines pass hidden = 0, which reproduces the
-// original arithmetic exactly.
+// format's normalized SpMV prediction, the paid overhead and the hidden
+// conversion-cache credit. Only the paid share enters the net balance and
+// the break-even count.
 func (l *Ledger) InitPredictions(baseline, predictedNorm, paid, hidden float64, converted bool) {
 	l.BaselineSpMVSeconds = baseline
 	l.PredictedSpMVSeconds = predictedNorm * baseline
@@ -153,14 +147,6 @@ type DecisionTrace struct {
 	// that explains the decision, recorded so a trace can be read without
 	// re-extracting the matrix.
 	Features []float64 `json:"features,omitempty"`
-	// Async reports that stage 2 was dispatched to a background worker and
-	// its result adopted at a later iteration boundary, rather than running
-	// inline at the gate.
-	Async bool `json:"async,omitempty"`
-	// Canceled reports an asynchronous stage-2 job that was abandoned — the
-	// solver converged (or the handle was closed) before the background work
-	// could be adopted. A canceled trace carries stage-1 data only.
-	Canceled bool `json:"canceled,omitempty"`
 	// PredictedCostByFormat maps each candidate format to stage 2's total
 	// predicted cost over the remaining iterations, in CSR-SpMV units.
 	PredictedCostByFormat map[string]float64 `json:"predicted_cost_by_format,omitempty"`
@@ -186,11 +172,10 @@ type DecisionTrace struct {
 	FeatureSeconds float64 `json:"feature_seconds"`
 	PredictSeconds float64 `json:"predict_seconds"`
 	ConvertSeconds float64 `json:"convert_seconds"`
-	// PaidSeconds / HiddenSeconds partition the overheads above by whether
-	// they stalled the solver (paid, on the critical path) or ran overlapped
-	// with in-flight iterations (hidden, async stage 2). Their sum equals
-	// FeatureSeconds + PredictSeconds + ConvertSeconds; for an inline
-	// pipeline HiddenSeconds is 0.
+	// PaidSeconds is the overhead that stalled the solver: all of
+	// FeatureSeconds + PredictSeconds + ConvertSeconds, since the pipeline
+	// runs inline. HiddenSeconds is the conversion-cache credit, the
+	// publisher's conversion bill on a ConvCacheHit and 0 otherwise.
 	PaidSeconds   float64 `json:"paid_seconds"`
 	HiddenSeconds float64 `json:"hidden_seconds"`
 
@@ -219,10 +204,6 @@ func (t DecisionTrace) Render() string {
 		}
 		fmt.Fprintf(&b, "  gate %-24s %.4g >= %.4g  %s\n", g.Name+":", g.LHS, g.RHS, verdict)
 	}
-	if t.Canceled {
-		b.WriteString("  stage2: canceled (solver finished before the background pipeline was adopted)\n")
-		return b.String()
-	}
 	if !t.Stage2Ran {
 		b.WriteString("  stage2: not run\n")
 		return b.String()
@@ -242,10 +223,6 @@ func (t DecisionTrace) Render() string {
 	}
 	fmt.Fprintf(&b, "  chosen %s converted=%v overhead: feature %.3gs predict %.3gs convert %.3gs\n",
 		t.Chosen, t.Converted, t.FeatureSeconds, t.PredictSeconds, t.ConvertSeconds)
-	if t.Async {
-		fmt.Fprintf(&b, "  async: paid %.3gs on the critical path, %.3gs hidden behind in-flight iterations\n",
-			t.PaidSeconds, t.HiddenSeconds)
-	}
 	l := t.Ledger
 	fmt.Fprintf(&b, "  ledger: baseline %.3gs predicted %.3gs (%.2fx) realized %.3gs (%.2fx)\n",
 		l.BaselineSpMVSeconds, l.PredictedSpMVSeconds, l.PredictedSpeedup,

@@ -42,7 +42,6 @@ type Team struct {
 	size       atomic.Int32 // spawned workers (excludes the dispatcher)
 	dispatches atomic.Int64 // parallel regions dispatched
 	woken      atomic.Int64 // workers woken across all dispatches
-	asyncJobs  atomic.Int64 // one-off background jobs started via Go
 	closed     atomic.Bool
 }
 
@@ -56,8 +55,6 @@ type TeamStats struct {
 	// below Width-1 means dispatches overlapped (or the team outgrew
 	// GOMAXPROCS).
 	Woken int64 `json:"woken"`
-	// AsyncJobs counts one-off background jobs started via Go.
-	AsyncJobs int64 `json:"async_jobs"`
 }
 
 // teamJob is one parallel region: a body plus a set of chunks claimed via an
@@ -154,37 +151,11 @@ func (t *Team) Stats() TeamStats {
 		Width:      t.Width(),
 		Dispatches: t.dispatches.Load(),
 		Woken:      t.woken.Load(),
-		AsyncJobs:  t.asyncJobs.Load(),
-	}
-}
-
-// Go runs fn once in the background and returns immediately. It prefers a
-// parked team worker — reusing a warm goroutine whose stack and scheduler
-// state every kernel already paid for — and falls back to a fresh goroutine
-// when no worker is idle, so Go never blocks and never steals a worker from
-// a parallel region that is about to dispatch. The asynchronous stage-2
-// pipeline runs its feature-extraction + conversion job this way.
-//
-// fn must not itself call Close on this team. fn may dispatch parallel
-// regions: a borrowed worker running fn participates in them like any
-// dispatcher would.
-func (t *Team) Go(fn func()) {
-	t.asyncJobs.Add(1)
-	job := &teamJob{
-		body: func(int, int) { fn() },
-		n:    1, chunk: 1, total: 1,
-		done: make(chan struct{}),
-	}
-	select {
-	case w := <-t.idle:
-		w <- job
-	default:
-		go job.run()
 	}
 }
 
 // Close terminates the team's workers, waiting for any that are mid-job
-// (a dispatch's chunk, a Go job) to finish first: every worker returns to
+// (a dispatch's chunk) to finish first: every worker returns to
 // the free-list between jobs, so one blocking receive per worker reaches
 // them all. Dispatches after Close run inline on the caller. Close is
 // idempotent.

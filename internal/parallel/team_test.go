@@ -127,20 +127,28 @@ func TestTeamCloseIdempotentAndInlineAfter(t *testing.T) {
 	}
 }
 
-// TestTeamCloseWaitsForBusyWorker: Close while a Go job holds a worker
-// returns only after the job ends, and none of the team's goroutines
-// outlives it.
+// TestTeamCloseWaitsForBusyWorker: Close while a dispatched chunk holds a
+// worker returns only after the chunk ends, and none of the team's
+// goroutines outlives it.
 func TestTeamCloseWaitsForBusyWorker(t *testing.T) {
 	before := runtime.NumGoroutine()
 	team := NewTeam(3)
-	started, release := make(chan struct{}), make(chan struct{})
-	var finished atomic.Bool
-	team.Go(func() {
-		close(started)
-		<-release
-		finished.Store(true)
-	})
-	<-started
+	// Two chunks that both block: the dispatcher runs at most one of them,
+	// so once both have started a woken worker holds the other.
+	var started sync.WaitGroup
+	started.Add(2)
+	release := make(chan struct{})
+	var finished atomic.Int32
+	dispatched := make(chan struct{})
+	go func() {
+		defer close(dispatched)
+		team.ForRanges([][2]int{{0, 1}, {1, 2}}, func(lo, hi int) {
+			started.Done()
+			<-release
+			finished.Add(1)
+		})
+	}()
+	started.Wait()
 	closing, closed := make(chan struct{}), make(chan struct{})
 	go func() {
 		close(closing)
@@ -153,14 +161,15 @@ func TestTeamCloseWaitsForBusyWorker(t *testing.T) {
 	}
 	select {
 	case <-closed:
-		t.Fatal("Close returned while a job still held a worker")
+		t.Fatal("Close returned while a chunk still held a worker")
 	default:
 	}
 	close(release)
 	<-closed
-	if !finished.Load() {
-		t.Error("Close returned before the job finished")
+	if finished.Load() == 0 {
+		t.Error("Close returned before the worker's chunk finished")
 	}
+	<-dispatched
 	// A worker is past its last instruction that matters once its wake
 	// channel is closed, but the runtime retires it a moment later.
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {

@@ -55,13 +55,8 @@ type SelectorStats struct {
 	FeatureSeconds float64 `json:"feature_seconds"`
 	PredictSeconds float64 `json:"predict_seconds"`
 	ConvertSeconds float64 `json:"convert_seconds"`
-	// Async pipeline state: Pending means stage 2 is still running in the
-	// background; Canceled means it was abandoned at handle teardown. Paid
-	// and hidden split the overhead between seconds spent on the request
-	// path and seconds overlapped with in-flight work.
-	Async         bool    `json:"async,omitempty"`
-	Pending       bool    `json:"pending,omitempty"`
-	Canceled      bool    `json:"canceled,omitempty"`
+	// Paid is the overhead spent on the request path; hidden is the
+	// conversion-cache credit (see ConvCacheHit).
 	PaidSeconds   float64 `json:"paid_seconds,omitempty"`
 	HiddenSeconds float64 `json:"hidden_seconds,omitempty"`
 	// SpMMCalls counts blocked multi-vector products served by this handle.
@@ -83,9 +78,6 @@ func selectorStats(st core.Stats) SelectorStats {
 		FeatureSeconds: st.FeatureSeconds,
 		PredictSeconds: st.PredictSeconds,
 		ConvertSeconds: st.ConvertSeconds,
-		Async:          st.Async,
-		Pending:        st.Pending,
-		Canceled:       st.Canceled,
 		PaidSeconds:    st.PaidSeconds,
 		HiddenSeconds:  st.HiddenSeconds,
 		SpMMCalls:      st.SpMMCalls,

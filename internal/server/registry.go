@@ -205,15 +205,6 @@ func (r *Registry) FindDuplicate(fp, vd string) (*Handle, bool) {
 func (r *Registry) Add(h *Handle) (evicted []string, err error) {
 	nnz := int64(h.NNZ)
 	key := h.dedupKey()
-	// Evicted handles are closed once r.mu is released (deferred first, so it
-	// runs last): Close waits for the handle's own mutex, which a kernel or an
-	// inline stage 2 may hold for a long time, and no lookup should wait with it.
-	var victims []*Handle
-	defer func() {
-		for _, v := range victims {
-			v.SA.Close()
-		}
-	}()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.groups[key]
@@ -239,7 +230,6 @@ func (r *Registry) Add(h *Handle) (evicted []string, err error) {
 		victim := back.Value.(*Handle)
 		r.removeLocked(victim.ID)
 		r.metrics.Evictions.Add(1)
-		victims = append(victims, victim)
 		evicted = append(evicted, victim.ID)
 	}
 	r.nextID++
@@ -273,24 +263,19 @@ func (r *Registry) Get(id string) (*Handle, bool) {
 	return e.h, true
 }
 
-// Delete removes a handle by ID and abandons any background conversion it
-// still has in flight, after r.mu is released (see Add).
+// Delete removes a handle by ID.
 func (r *Registry) Delete(id string) bool {
 	r.mu.Lock()
-	e, ok := r.entries[id]
+	defer r.mu.Unlock()
+	_, ok := r.entries[id]
 	if ok {
 		r.removeLocked(id)
-	}
-	r.mu.Unlock()
-	if ok {
-		e.h.SA.Close()
 	}
 	return ok
 }
 
 // removeLocked unlinks an entry and updates occupancy metrics. Caller holds
-// r.mu, has verified the ID exists, and closes the handle's wrapper once it
-// has let r.mu go. For deduplicated handles, removing
+// r.mu and has verified the ID exists. For deduplicated handles, removing
 // the charged member while aliases survive transfers the charge (the shared
 // arrays are still resident); only the group's last member releases
 // capacity.

@@ -243,9 +243,9 @@ func TestHandleDiag(t *testing.T) {
 }
 
 // TestRegistryNeverWaitsForAHandleUnderItsLock parks an SpMV inside handle
-// A's mutex and deletes A: Close has to wait for that mutex, and it must do
-// so after the registry has let go of its own lock — a lookup of B, and an
-// insert that evicts B, go through while the delete is still waiting.
+// A's mutex: deleting A, a lookup of B and an insert that evicts B all go
+// through while the SpMV is still parked, because the registry never takes
+// a handle's mutex.
 func TestRegistryNeverWaitsForAHandleUnderItsLock(t *testing.T) {
 	r := NewRegistry(250, &Metrics{})
 	clk := newParkClock(t)
@@ -266,23 +266,14 @@ func TestRegistryNeverWaitsForAHandleUnderItsLock(t *testing.T) {
 	}()
 	within(t, "the SpMV that parks on the clock", clk.parked)
 
-	deleted := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
-		defer close(deleted)
+		defer close(done)
 		if !r.Delete(a.ID) {
 			t.Error("Delete(a) found nothing")
 		}
-	}()
-	looked := make(chan struct{})
-	go func() {
-		defer close(looked)
-		// Get(a) fails only once Delete has unlinked it, which it does under
-		// r.mu, just before it goes on to Close.
-		for {
-			if _, ok := r.Get(a.ID); !ok {
-				break
-			}
-			time.Sleep(time.Millisecond)
+		if _, ok := r.Get(a.ID); ok {
+			t.Error("Get(a) found a deleted handle")
 		}
 		if _, ok := r.Get(b.ID); !ok {
 			t.Error("Get(b) found nothing")
@@ -291,13 +282,12 @@ func TestRegistryNeverWaitsForAHandleUnderItsLock(t *testing.T) {
 			t.Errorf("Add(c) evicted %v, err %v; want b evicted", evicted, err)
 		}
 	}()
-	within(t, "a lookup and an insert beside a delete that waits for its handle", looked)
+	within(t, "a delete, a lookup and an insert beside a parked handle", done)
 	select {
-	case <-deleted:
-		t.Error("Delete(a) returned while a's mutex was held: the test parked nothing")
+	case <-spmv:
+		t.Error("the SpMV returned before its release: the test parked nothing")
 	default:
 	}
 	clk.Release()
 	within(t, "the parked SpMV", spmv)
-	within(t, "Delete(a)", deleted)
 }

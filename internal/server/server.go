@@ -70,10 +70,10 @@ type Config struct {
 	// Selector overrides the selector configuration; nil uses
 	// core.DefaultConfig().
 	Selector *core.Config
-	// Async runs each handle's stage-2 pipeline (feature extraction, model
-	// inference, format conversion) on a background worker instead of
-	// stalling the request that triggered it; the job swaps the converted
-	// matrix in itself, between two SpMV calls. See core.Config.Async.
+	// Async is ignored: every handle runs stage 2 inline, inside the
+	// request whose progress report opens the gate. The field remains only
+	// because benchmark/ compiles against it and leaves with that module's
+	// next change (ROADMAP 10(d)).
 	Async bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: the profiling endpoints expose internals (heap contents,
@@ -518,9 +518,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	selCfg := core.DefaultConfig()
 	if s.cfg.Selector != nil {
 		selCfg = *s.cfg.Selector
-	}
-	if s.cfg.Async {
-		selCfg.Async = true
 	}
 	// Every handle's selector writes into the shared journal; the label
 	// carries the caller-facing name (the handle ID is not assigned yet —

@@ -113,8 +113,7 @@ func TestLoadBundleRejectsFeatureCountMismatch(t *testing.T) {
 
 // TestLoadBundleRejectsMalformedModels: a hand-edited or truncated model file
 // is a load error (what ocsd -models exits with), never a model that panics
-// in Predict on the first stage-2 decision — which under -async happens on a
-// team worker and takes the process down.
+// in Predict on the first stage-2 decision.
 func TestLoadBundleRejectsMalformedModels(t *testing.T) {
 	preds := trainedBundle(t)
 	dir := t.TempDir()
