@@ -5,7 +5,7 @@ GOFMT ?= gofmt
 FUZZTIME ?= 30s
 FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzSELLSlices FuzzJDSPerm FuzzWireDecodePanel FuzzWireEncodeVector
 
-.PHONY: check fmt build test bench-check race vet fuzz fuzz-smoke serve clean
+.PHONY: check fmt build test bench-check race vet noasm fuzz fuzz-smoke serve clean
 
 build:
 	$(GO) build ./...
@@ -29,13 +29,20 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags noasm ./...
 
+# The pure-Go kernels: -tags noasm compiles the assembly out, so these
+# packages' tests run the generic range bodies the SpMV driver dispatches to
+# (the amd64 default runs the AVX2 twins). `make check`, and so CI, runs it.
+noasm:
+	$(GO) build -tags noasm ./...
+	$(GO) test -tags noasm ./internal/sparse/ ./internal/parallel/ ./internal/check/ ./internal/apps/ ./internal/core/ ./internal/trainer/ .
+
 # gofmt -l names every file whose formatting differs; the gate wants none.
 fmt:
 	@out="$$($(GOFMT) -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # CI's first step as one command, in this order: an internal/... API change
 # that breaks benchmark/'s compile surface fails here before it fails there.
-check: fmt build vet test bench-check race
+check: fmt build vet test noasm bench-check race
 
 # Mutational fuzzing, $(FUZZTIME) per target (override: make fuzz FUZZTIME=5m).
 fuzz:

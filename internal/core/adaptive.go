@@ -75,10 +75,9 @@ type Stats struct {
 // SpMM, Format, TraceID, SetSpanParent and Dims do not: they touch only what
 // never changes after construction, or an atomic.
 type Adaptive struct {
-	cfg      Config
-	tol      float64
-	parallel bool
-	clock    timing.Clock
+	cfg   Config
+	tol   float64
+	clock timing.Clock
 
 	csr *sparse.CSR
 	// preds is the stage-2 bundle, fixed at construction (nil = stage 1
@@ -140,8 +139,11 @@ type spanNote struct {
 
 // NewAdaptive wraps a matrix in its default CSR format. tol is the
 // convergence tolerance of the surrounding loop (the stage-1 predictor
-// forecasts when the progress indicator will cross it). parallel selects
-// the goroutine-parallel kernels.
+// forecasts when the progress indicator will cross it). parallel is
+// ignored: every product runs through its format's SpMVParallel, which
+// sparse's one gate runs inline when the matrix is too small to split. The
+// parameter remains only because benchmark/ compiles against it and leaves
+// with that module's next change (ROADMAP 10(d)).
 func NewAdaptive(a *sparse.CSR, tol float64, preds *Predictors, cfg Config, parallel bool) *Adaptive {
 	if cfg.K <= 0 {
 		cfg.K = DefaultConfig().K
@@ -157,12 +159,11 @@ func NewAdaptive(a *sparse.CSR, tol float64, preds *Predictors, cfg Config, para
 		clock = timing.WallClock{}
 	}
 	ad := &Adaptive{
-		cfg:      cfg,
-		preds:    preds,
-		tol:      tol,
-		parallel: parallel,
-		clock:    clock,
-		csr:      a,
+		cfg:   cfg,
+		preds: preds,
+		tol:   tol,
+		clock: clock,
+		csr:   a,
 	}
 	ad.op.Store(&operator{a})
 	return ad
@@ -181,14 +182,14 @@ func (ad *Adaptive) SpMV(y, x []float64) {
 	defer ad.mu.Unlock()
 	ad.stats.SpMVCalls++
 	if ad.decided && !ad.ledger {
-		ad.run(y, x)
+		ad.op.Load().SpMVParallel(y, x)
 		return
 	}
 	// A sample is one SpMV alone on the handle: not one that found a blocked
 	// product in flight, nor one that a blocked product joined before it ended.
 	began, shared := ad.spmmCalls.Load(), ad.spmmInFlight.Load() > 0
 	start := ad.clock.Now()
-	ad.run(y, x)
+	ad.op.Load().SpMVParallel(y, x)
 	elapsed := timing.Since(ad.clock, start).Seconds()
 	if shared || ad.spmmCalls.Load() != began {
 		return
@@ -206,16 +207,6 @@ func (ad *Adaptive) SpMV(y, x []float64) {
 	}
 }
 
-// run executes one SpMV on the current format.
-func (ad *Adaptive) run(y, x []float64) {
-	op := ad.op.Load()
-	if ad.parallel {
-		op.SpMVParallel(y, x)
-	} else {
-		op.SpMV(y, x)
-	}
-}
-
 // SpMM computes the blocked product Y = A*X with k row-major right-hand
 // sides, on the CSR master whatever format SpMV currently runs on: the
 // row-panel kernel has no gather for a format to improve on, and for k >= 2
@@ -227,11 +218,7 @@ func (ad *Adaptive) SpMM(y, x []float64, k int) {
 	ad.spmmInFlight.Add(1) // before spmmCalls: see the sample rule in SpMV
 	ad.spmmCalls.Add(1)
 	defer ad.spmmInFlight.Add(-1)
-	if ad.parallel {
-		ad.csr.SpMMParallel(y, x, k)
-	} else {
-		ad.csr.SpMM(y, x, k)
-	}
+	ad.csr.SpMMParallel(y, x, k)
 }
 
 // RecordProgress feeds one loop iteration's progress indicator (e.g. the

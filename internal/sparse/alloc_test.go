@@ -16,7 +16,8 @@ import (
 // TestSpMVParallelSteadyStateAllocs: a parallel SpMV allocates its body
 // closure, the team job and the job's done channel — three objects, whose
 // size does not grow with the matrix — in every format the measured menu
-// holds. Counted from runtime.MemStats like testing.Benchmark's AllocsPerOp
+// holds, and in HYB with an overflow past parallel.MinParallelWork, which
+// used to dispatch twice and cut its overflow into runs on every call. Counted from runtime.MemStats like testing.Benchmark's AllocsPerOp
 // and AllocedBytesPerOp, without its second of wall time per format and size
 // (testing.AllocsPerRun is no use: it runs at GOMAXPROCS 1, where nothing
 // dispatches); the least of three rounds, so a collection that empties JDS's
@@ -57,7 +58,7 @@ func TestSpMVParallelSteadyStateAllocs(t *testing.T) {
 		}
 		return a
 	}
-	var bytesAt [2]map[Format]uint64
+	var bytesAt [2]map[string]uint64
 	for s, n := range []int{30_000, 300_000} {
 		a := tridiagonal(n)
 		if a.NNZ() < parallel.MinParallelWork || len(a.rowRanges) < 2 {
@@ -67,7 +68,8 @@ func TestSpMVParallelSteadyStateAllocs(t *testing.T) {
 		for i := range x {
 			x[i] = float64(i%13) - 6
 		}
-		bytesAt[s] = make(map[Format]uint64)
+		bytesAt[s] = make(map[string]uint64)
+		cases := map[string]Matrix{}
 		for _, f := range MeasuredMenu {
 			if !CanConvert(a, f, DefaultLimits) {
 				t.Fatalf("n=%d: %v refuses a tridiagonal matrix", n, f)
@@ -76,17 +78,51 @@ func TestSpMVParallelSteadyStateAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cases[f.String()] = m
+		}
+		h, err := ConvertFromCSR(overflowShape(t, n).a, FmtHYB, DefaultLimits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nnz := h.(*HYB).Coo.NNZ(); nnz < parallel.MinParallelWork {
+			t.Fatalf("n=%d: HYB overflow holds %d entries, want >= %d", n, nnz, parallel.MinParallelWork)
+		}
+		cases["HYB overflow"] = h
+		for name, m := range cases {
 			allocs, bytes := perCall(m, y, x)
 			if allocs > 3 {
-				t.Errorf("n=%d %v: %d allocations per SpMVParallel, want at most 3", n, f, allocs)
+				t.Errorf("n=%d %s: %d allocations per SpMVParallel, want at most 3", n, name, allocs)
 			}
-			bytesAt[s][f] = bytes
+			bytesAt[s][name] = bytes
 		}
 	}
-	for _, f := range MeasuredMenu {
-		small, large := bytesAt[0][f], bytesAt[1][f]
+	for name, small := range bytesAt[0] {
+		large := bytesAt[1][name]
 		if large > small+64 || small > large+64 {
-			t.Errorf("%v: %d B per call at 30k rows, %d B at 300k: a dispatch's allocation grows with the matrix", f, small, large)
+			t.Errorf("%s: %d B per call at 30k rows, %d B at 300k: a dispatch's allocation grows with the matrix", name, small, large)
+		}
+	}
+}
+
+// TestSpMVSerialAllocatesNothing: the serial product of every implemented
+// format allocates nothing — no closure, no partition, no scratch beyond
+// JDS's pooled vector — on a matrix large enough that the parallel entry
+// point would dispatch. A partition cut per call (COO's runs) belongs on
+// the parallel branch only.
+func TestSpMVSerialAllocatesNothing(t *testing.T) {
+	a := overflowShape(t, 30_000).a
+	if a.NNZ() < parallel.MinParallelWork {
+		t.Fatalf("%d nnz never dispatches", a.NNZ())
+	}
+	rows, cols := a.Dims()
+	x, y := make([]float64, cols), make([]float64, rows)
+	for i := range x {
+		x[i] = float64(i%13) - 6
+	}
+	for f, m := range allFormatsOf(t, a) {
+		m.SpMV(y, x) // fills JDS's scratch pool
+		if allocs := testing.AllocsPerRun(16, func() { m.SpMV(y, x) }); allocs != 0 {
+			t.Errorf("%v: %v allocations per serial SpMV, want 0", f, allocs)
 		}
 	}
 }

@@ -49,10 +49,23 @@ func (m *COO) Bytes() int64 {
 // SpMV implements Matrix. The triplet scan accumulates per-row partial sums
 // exploiting the sorted order, mirroring the scalar COO kernel in the
 // paper's Figure 3.
-func (m *COO) SpMV(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	clear(y)
-	m.accum(y, x, 0, len(m.Data))
+func (m *COO) SpMV(y, x []float64) { spmv(m, y, x, false) }
+
+// SpMVParallel implements Matrix over runs of entries cut on row boundaries.
+func (m *COO) SpMVParallel(y, x []float64) { spmv(m, y, x, true) }
+
+// plan and partition implement kernel: entries, cut into one row-aligned
+// run per worker (rowRuns) so no row is shared between workers.
+func (m *COO) plan() (units, slots int) { return len(m.Data), len(m.Data) }
+func (m *COO) partition() [][2]int      { return m.rowRuns(parallel.Workers()) }
+
+// spmvRange implements kernel for a run of entries that starts and ends on
+// a row boundary: it zeroes the rows the run owns and adds its entries in
+// storage order, exactly as the whole-matrix scan sums them.
+func (m *COO) spmvRange(y, x, _ []float64, klo, khi int) {
+	lo, hi := m.runRows(klo, khi)
+	clear(y[lo:hi])
+	m.accum(y, x, klo, khi)
 }
 
 // accum adds entries [lo, hi) into y in storage order: y[Row[k]] +=
@@ -66,8 +79,7 @@ func (m *COO) accum(y, x []float64, lo, hi int) {
 
 // rowRuns splits the entries into at most parts runs of near-equal length,
 // each cut moved forward to the start of a row, so every row's entries sit
-// in one run and are summed in storage order there, exactly as SpMV sums
-// them.
+// in one run.
 func (m *COO) rowRuns(parts int) [][2]int {
 	nnz := len(m.Data)
 	runs := make([][2]int, 0, parts)
@@ -101,23 +113,6 @@ func (m *COO) runRows(klo, khi int) (lo, hi int) {
 		hi = int(m.Row[khi])
 	}
 	return lo, hi
-}
-
-// SpMVParallel implements Matrix. The entries are cut on row boundaries
-// (rowRuns), and each worker zeroes and accumulates the rows its runs own,
-// so no row is shared and the result is SpMV's bit for bit.
-func (m *COO) SpMVParallel(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	p := parallel.Workers()
-	if p <= 1 || len(m.Data) < parallel.MinParallelWork {
-		m.SpMV(y, x)
-		return
-	}
-	parallel.ForRanges(m.rowRuns(p), func(klo, khi int) {
-		lo, hi := m.runRows(klo, khi)
-		clear(y[lo:hi])
-		m.accum(y, x, klo, khi)
-	})
 }
 
 // Clone returns a deep copy of the matrix.

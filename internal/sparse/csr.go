@@ -85,10 +85,14 @@ func (m *CSR) Bytes() int64 {
 // RowNNZ returns the number of stored entries in row i.
 func (m *CSR) RowNNZ(i int) int { return m.Ptr[i+1] - m.Ptr[i] }
 
-// spmvRows computes y = A*x over rows [lo, hi). Both the serial and the
-// parallel kernel funnel through this one body, so their summation order —
-// and therefore their rounding — is identical at any worker count.
-func (m *CSR) spmvRows(y, x []float64, lo, hi int) {
+// plan and partition implement kernel: rows, in contiguous chunks of about
+// equal nonzero counts (not row counts) cut once at construction, so a few
+// pathologically dense rows do not serialize the kernel.
+func (m *CSR) plan() (units, slots int) { return m.rows, len(m.Data) }
+func (m *CSR) partition() [][2]int      { return m.rowRanges }
+
+// spmvRange implements kernel: y = A*x over rows [lo, hi).
+func (m *CSR) spmvRange(y, x, _ []float64, lo, hi int) {
 	if vectorOn.Load() {
 		m.spmvRowsVector(y, x, lo, hi)
 		return
@@ -138,24 +142,10 @@ func (m *CSR) spmvRowsVector(y, x []float64, lo, hi int) {
 }
 
 // SpMV implements Matrix: the classic row-wise scalar CSR kernel.
-func (m *CSR) SpMV(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	m.spmvRows(y, x, 0, m.rows)
-}
+func (m *CSR) SpMV(y, x []float64) { spmv(m, y, x, false) }
 
-// SpMVParallel implements Matrix. Rows are partitioned into contiguous
-// chunks of approximately equal nonzero counts (not equal row counts), so a
-// few pathologically dense rows do not serialize the kernel.
-func (m *CSR) SpMVParallel(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	if len(m.rowRanges) <= 1 || m.NNZ() < parallel.MinParallelWork {
-		m.SpMV(y, x)
-		return
-	}
-	parallel.ForRanges(m.rowRanges, func(lo, hi int) {
-		m.spmvRows(y, x, lo, hi)
-	})
-}
+// SpMVParallel implements Matrix over the nnz-balanced row chunks.
+func (m *CSR) SpMVParallel(y, x []float64) { spmv(m, y, x, true) }
 
 // Transpose returns the transposed matrix in CSR form using a counting pass
 // followed by a scatter pass (the standard O(nnz + n) algorithm).

@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-
-	"repro/internal/parallel"
-)
+import "fmt"
 
 // DIA stores a matrix by diagonals: Offsets lists the stored diagonals
 // (0 = main diagonal, positive = super-diagonals, negative = sub-diagonals,
@@ -92,13 +88,12 @@ func (m *DIA) Bytes() int64 {
 // and y once, where a whole-range sweep per diagonal moves up to 32.
 const diaTileRows = 2048
 
-// spmvRows computes y = A*x over rows [lo, hi), one row tile at a time: it
-// zeroes the tile, then accumulates each diagonal's segment of it in
-// ascending offset order — the paper's Figure 3 kernel, contiguous on Data,
-// x and y with no index loads, blocked for the cache. Both entry points
-// funnel through it, and every row is summed in the same order wherever a
-// tile or a worker's range begins, so serial and parallel agree bit for bit.
-func (m *DIA) spmvRows(y, x []float64, lo, hi int) {
+// spmvRange implements kernel: y = A*x over rows [lo, hi), one row tile at
+// a time. It zeroes the tile, then accumulates each diagonal's segment of
+// it in ascending offset order — the paper's Figure 3 kernel, contiguous on
+// Data, x and y with no index loads, blocked for the cache. Every row is
+// summed in the same order wherever a tile or a worker's range begins.
+func (m *DIA) spmvRange(y, x, _ []float64, lo, hi int) {
 	for tlo := lo; tlo < hi; tlo += diaTileRows {
 		thi := min(tlo+diaTileRows, hi)
 		clear(y[tlo:thi])
@@ -115,22 +110,13 @@ func (m *DIA) spmvRows(y, x []float64, lo, hi int) {
 }
 
 // SpMV implements Matrix.
-func (m *DIA) SpMV(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	m.spmvRows(y, x, 0, m.rows)
-}
+func (m *DIA) SpMV(y, x []float64) { spmv(m, y, x, false) }
 
-// SpMVParallel implements Matrix, splitting the rows evenly among the team
-// so each worker tiles its own disjoint slice of y and races are impossible.
-// Splitting rows rather than whole tiles keeps every worker busy on a matrix
-// of only a tile or two.
-func (m *DIA) SpMVParallel(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	if len(m.Offsets)*m.rows < parallel.MinParallelWork {
-		m.SpMV(y, x)
-		return
-	}
-	parallel.ForThreshold(m.rows, 1, func(lo, hi int) {
-		m.spmvRows(y, x, lo, hi)
-	})
-}
+// SpMVParallel implements Matrix, splitting the rows evenly among the team.
+func (m *DIA) SpMVParallel(y, x []float64) { spmv(m, y, x, true) }
+
+// plan and partition implement kernel: rows, split evenly so each worker
+// tiles its own slice of y; splitting rows rather than whole tiles keeps
+// every worker busy on a matrix of only a tile or two.
+func (m *DIA) plan() (units, slots int) { return m.rows, len(m.Data) }
+func (m *DIA) partition() [][2]int      { return nil }

@@ -1,10 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-
-	"repro/internal/parallel"
-)
+import "fmt"
 
 // ELLPad is the column index used to mark padding slots in ELL storage.
 const ELLPad int32 = -1
@@ -83,11 +79,11 @@ func (m *ELL) FillRatio() float64 {
 	return float64(m.rows*m.Width) / float64(m.nnz)
 }
 
-// spmvRows computes rows [lo, hi); both entry points funnel through it.
-// The generic loop's early break on padding is valid because padding is
+// spmvRange implements kernel: y = A*x over rows [lo, hi). The generic
+// loop's early break on padding is valid because padding is
 // always trailing; the assembly kernel instead masks padded lanes out of
 // its gathers, which only pays off once the width covers a 4-lane chunk.
-func (m *ELL) spmvRows(y, x []float64, lo, hi int) {
+func (m *ELL) spmvRange(y, x, _ []float64, lo, hi int) {
 	w := m.Width
 	if w >= 4 && hi > lo && vectorOn.Load() {
 		ellRowsAsm(&m.Cols[lo*w], &m.Data[lo*w], &x[0], &y[lo], w, hi-lo)
@@ -108,20 +104,12 @@ func (m *ELL) spmvRows(y, x []float64, lo, hi int) {
 }
 
 // SpMV implements Matrix: fixed-width row loop.
-func (m *ELL) SpMV(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	m.spmvRows(y, x, 0, m.rows)
-}
+func (m *ELL) SpMV(y, x []float64) { spmv(m, y, x, false) }
 
-// SpMVParallel implements Matrix, splitting rows evenly: ELL rows all cost
-// the same by construction, so no weighted partition is needed.
-func (m *ELL) SpMVParallel(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	if m.rows*m.Width < parallel.MinParallelWork {
-		m.SpMV(y, x)
-		return
-	}
-	parallel.ForThreshold(m.rows, 1, func(lo, hi int) {
-		m.spmvRows(y, x, lo, hi)
-	})
-}
+// SpMVParallel implements Matrix, splitting the rows evenly among the team.
+func (m *ELL) SpMVParallel(y, x []float64) { spmv(m, y, x, true) }
+
+// plan and partition implement kernel: rows, split evenly, since ELL rows
+// all cost the same by construction.
+func (m *ELL) plan() (units, slots int) { return m.rows, len(m.Data) }
+func (m *ELL) partition() [][2]int      { return nil }

@@ -133,13 +133,3 @@ type Matrix interface {
 	// padding. This is what the cost model and the feature set use.
 	Bytes() int64
 }
-
-// checkSpMVDims panics unless len(y) == rows and len(x) == cols.
-func checkSpMVDims(rows, cols int, y, x []float64) {
-	if len(y) != rows {
-		panic(fmt.Sprintf("sparse: SpMV output length %d, want %d rows", len(y), rows))
-	}
-	if len(x) != cols {
-		panic(fmt.Sprintf("sparse: SpMV input length %d, want %d cols", len(x), cols))
-	}
-}

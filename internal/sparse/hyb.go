@@ -2,8 +2,7 @@ package sparse
 
 import (
 	"fmt"
-
-	"repro/internal/parallel"
+	"slices"
 )
 
 // HYB stores a matrix as an ELL part holding the first EllWidth entries of
@@ -43,28 +42,24 @@ func (m *HYB) Bytes() int64 { return m.Ell.Bytes() + m.Coo.Bytes() }
 // EllWidth returns the width of the ELL part.
 func (m *HYB) EllWidth() int { return m.Ell.Width }
 
-// SpMV implements Matrix: ELL part first (writes y), then COO overflow
-// accumulates on top.
-func (m *HYB) SpMV(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	m.Ell.SpMV(y, x)
-	m.Coo.accum(y, x, 0, m.Coo.NNZ())
-}
+// SpMV implements Matrix.
+func (m *HYB) SpMV(y, x []float64) { spmv(m, y, x, false) }
 
-// SpMVParallel implements Matrix. The ELL part runs fully parallel; the COO
-// overflow is typically tiny, so it is added serially afterwards unless it is
-// itself large, when the team adds it in place over runs cut on row
-// boundaries. Either way each row's overflow lands on its ELL sum in storage
-// order, as in SpMV, so the two agree bit for bit.
-func (m *HYB) SpMVParallel(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	m.Ell.SpMVParallel(y, x)
-	nnz := m.Coo.NNZ()
-	if nnz < parallel.MinParallelWork {
-		m.Coo.accum(y, x, 0, nnz)
-		return
-	}
-	parallel.ForRanges(m.Coo.rowRuns(parallel.Workers()), func(klo, khi int) {
-		m.Coo.accum(y, x, klo, khi)
-	})
+// SpMVParallel implements Matrix, splitting the rows evenly among the team.
+func (m *HYB) SpMVParallel(y, x []float64) { spmv(m, y, x, true) }
+
+// plan and partition implement kernel: rows, which read both parts' slots
+// and split evenly as ELL's do (the overflow is typically a small share).
+func (m *HYB) plan() (units, slots int) { return m.rows, len(m.Ell.Data) + len(m.Coo.Data) }
+func (m *HYB) partition() [][2]int      { return nil }
+
+// spmvRange implements kernel: the ELL part writes rows [lo, hi), then
+// those rows' overflow entries, found by binary search on the sorted
+// Coo.Row, are added on top in storage order, as the whole-matrix pass adds
+// them.
+func (m *HYB) spmvRange(y, x, _ []float64, lo, hi int) {
+	m.Ell.spmvRange(y, x, nil, lo, hi)
+	klo, _ := slices.BinarySearch(m.Coo.Row, int32(lo))
+	khi, _ := slices.BinarySearch(m.Coo.Row, int32(hi))
+	m.Coo.accum(y, x, klo, khi)
 }

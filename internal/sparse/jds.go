@@ -228,12 +228,24 @@ func (m *JDS) Bytes() int64 {
 		int64(len(m.Col))*4 + int64(len(m.Data))*8
 }
 
-// spmvStorageRows computes the permuted result yp for storage rows
-// [lo, hi): for each jagged diagonal that still covers the range, one
-// contiguous accumulation (vectorized by jdsAccum), then scatters yp into y
-// through the permutation. Ranges write disjoint yp and y segments, so the
-// parallel kernel needs no further synchronization.
-func (m *JDS) spmvStorageRows(y, yp, x []float64, lo, hi int) {
+// SpMV implements Matrix: diagonal-major accumulation into a pooled
+// permuted vector, then a gather back through Perm.
+func (m *JDS) SpMV(y, x []float64) { spmv(m, y, x, false) }
+
+// SpMVParallel implements Matrix over the nnz-balanced storage-row ranges.
+func (m *JDS) SpMVParallel(y, x []float64) { spmv(m, y, x, true) }
+
+// plan and partition implement kernel: storage rows, balanced by nonzero
+// weight once at construction (the sorted lengths make the heavy rows lead).
+func (m *JDS) plan() (units, slots int) { return m.rows, len(m.Data) }
+func (m *JDS) partition() [][2]int      { return m.permRanges }
+
+// spmvRange implements kernel: it computes the permuted result yp for
+// storage rows [lo, hi) — for each jagged diagonal that still covers the
+// range, one contiguous accumulation (vectorized by jdsAccum) — then
+// scatters yp into y through the permutation. yp is the call's pooled
+// scratch vector; ranges write disjoint segments of it and of y.
+func (m *JDS) spmvRange(y, x, yp []float64, lo, hi int) {
 	for r := lo; r < hi; r++ {
 		yp[r] = 0
 	}
@@ -253,32 +265,4 @@ func (m *JDS) spmvStorageRows(y, yp, x []float64, lo, hi int) {
 	for r := lo; r < hi; r++ {
 		y[m.Perm[r]] = yp[r]
 	}
-}
-
-func (m *JDS) getScratch() *[]float64 {
-	return m.scratch.Get().(*[]float64)
-}
-
-// SpMV implements Matrix: diagonal-major accumulation into a pooled
-// permuted vector, then a gather back through Perm.
-func (m *JDS) SpMV(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	yp := m.getScratch()
-	m.spmvStorageRows(y, *yp, x, 0, m.rows)
-	m.scratch.Put(yp)
-}
-
-// SpMVParallel implements Matrix: storage rows are partitioned by nonzero
-// weight (the sorted lengths make the heavy rows lead).
-func (m *JDS) SpMVParallel(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	if len(m.permRanges) <= 1 || m.NNZ() < parallel.MinParallelWork {
-		m.SpMV(y, x)
-		return
-	}
-	yp := m.getScratch()
-	parallel.ForRanges(m.permRanges, func(lo, hi int) {
-		m.spmvStorageRows(y, *yp, x, lo, hi)
-	})
-	m.scratch.Put(yp)
 }

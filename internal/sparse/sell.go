@@ -198,12 +198,18 @@ func (m *SELL) ToCSR() (*CSR, error) {
 
 // SpMV implements Matrix: slice-major loop with lane-major inner access
 // (the layout real SELL kernels vectorize over).
-func (m *SELL) SpMV(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	m.spmvSlices(y, x, 0, m.NumSlices())
-}
+func (m *SELL) SpMV(y, x []float64) { spmv(m, y, x, false) }
 
-func (m *SELL) spmvSlices(y, x []float64, slo, shi int) {
+// SpMVParallel implements Matrix, splitting the slices evenly among the team.
+func (m *SELL) SpMVParallel(y, x []float64) { spmv(m, y, x, true) }
+
+// plan and partition implement kernel: slices, which own disjoint permuted
+// rows, split evenly.
+func (m *SELL) plan() (units, slots int) { return m.NumSlices(), len(m.Data) }
+func (m *SELL) partition() [][2]int      { return nil }
+
+// spmvRange implements kernel: y = A*x over the rows slices [slo, shi) hold.
+func (m *SELL) spmvRange(y, x, _ []float64, slo, shi int) {
 	var acc [SELLC]float64
 	vec := vectorOn.Load()
 	for s := slo; s < shi; s++ {
@@ -244,20 +250,6 @@ func (m *SELL) spmvSlices(y, x []float64, slo, shi int) {
 			y[m.Perm[lo+r]] = sums[r]
 		}
 	}
-}
-
-// SpMVParallel implements Matrix: slices are independent (they own disjoint
-// permuted rows), so a plain parallel-for over slices is race-free.
-func (m *SELL) SpMVParallel(y, x []float64) {
-	checkSpMVDims(m.rows, m.cols, y, x)
-	nslices := m.NumSlices()
-	if len(m.Data) < parallel.MinParallelWork || nslices < 2 {
-		m.SpMV(y, x)
-		return
-	}
-	parallel.ForThreshold(nslices, 1, func(lo, hi int) {
-		m.spmvSlices(y, x, lo, hi)
-	})
 }
 
 // validate is used by tests: it checks the structural invariants.

@@ -225,26 +225,8 @@ func TestParallelSkewedRows(t *testing.T) {
 	// One enormous row plus many tiny ones stresses the weighted partition
 	// and the boundary-row merging in the COO parallel kernel.
 	rng := rand.New(rand.NewSource(3))
-	rows, cols := 400, 400
-	ptr := make([]int, rows+1)
-	var col []int32
-	var data []float64
-	for j := 0; j < cols; j++ { // dense row 0
-		col = append(col, int32(j))
-		data = append(data, rng.NormFloat64())
-	}
-	ptr[1] = len(data)
-	for i := 1; i < rows; i++ {
-		if i%3 == 0 { // two thirds of remaining rows are empty
-			col = append(col, int32(rng.Intn(cols)))
-			data = append(data, rng.NormFloat64())
-		}
-		ptr[i+1] = len(data)
-	}
-	a, err := NewCSR(rows, cols, ptr, col, data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := skewedShape(t, rng, 400).a
+	rows, cols := a.Dims()
 	x := randVec(rng, cols)
 	want := make([]float64, rows)
 	a.SpMV(want, x)
@@ -333,6 +315,8 @@ func TestZeroDimMatrix(t *testing.T) {
 	}
 }
 
+// TestSpMVDimensionPanics: both entry points of every implemented format
+// refuse a y or an x of the wrong length.
 func TestSpMVDimensionPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := randCSR(t, rng, 10, 8, 0.3)
@@ -344,8 +328,12 @@ func TestSpMVDimensionPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("short y", func() { a.SpMV(make([]float64, 9), make([]float64, 8)) })
-	mustPanic("short x", func() { a.SpMV(make([]float64, 10), make([]float64, 7)) })
+	for f, m := range allFormatsOf(t, a) {
+		for name, product := range map[string]func(y, x []float64){"SpMV": m.SpMV, "SpMVParallel": m.SpMVParallel} {
+			mustPanic(f.String()+" "+name+" short y", func() { product(make([]float64, 9), make([]float64, 8)) })
+			mustPanic(f.String()+" "+name+" short x", func() { product(make([]float64, 10), make([]float64, 7)) })
+		}
+	}
 }
 
 func TestNewCSRValidation(t *testing.T) {
@@ -626,7 +614,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: SpMVParallel always equals SpMV.
+// Property: every format's SpMVParallel equals its own SpMV bit for bit.
 func TestQuickParallelAgreement(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 15, Rand: rand.New(rand.NewSource(14))}
 	prop := func(seed int64) bool {
@@ -636,19 +624,17 @@ func TestQuickParallelAgreement(t *testing.T) {
 		var tt testing.T
 		a := randCSR(&tt, rng, rows, cols, 0.05)
 		x := randVec(rng, cols)
-		want := make([]float64, rows)
-		a.SpMV(want, x)
 		for _, f := range Implemented {
 			m, err := ConvertFromCSR(a, f, testLimits)
 			if err != nil {
 				return false
 			}
-			y := make([]float64, rows)
+			want, y := make([]float64, rows), make([]float64, rows)
+			m.SpMV(want, x)
 			m.SpMVParallel(y, x)
-			for i := range y {
-				if math.Abs(y[i]-want[i]) > 1e-10*(1+math.Abs(want[i])) {
-					return false
-				}
+			if err := sameBits(want, y); err != nil {
+				t.Logf("seed %d %v: %v", seed, f, err)
+				return false
 			}
 		}
 		return true

@@ -60,15 +60,16 @@ func spmmColumns(m Matrix, y, x []float64, k int, par bool) {
 // alone, so its bits depend on row i and column c of X and on nothing else —
 // not on k, on where the column sits in the panel, on how rows are split
 // across workers or handles, or on the worker count.
-func (m *CSR) SpMM(y, x []float64, k int) {
-	checkSpMMShape(m.rows, m.cols, y, x, k)
-	m.spmmRows(y, x, k, 0, m.rows)
-}
+func (m *CSR) SpMM(y, x []float64, k int) { m.spmm(y, x, k, false) }
 
 // SpMMParallel is SpMM over the nnz-balanced row chunks.
-func (m *CSR) SpMMParallel(y, x []float64, k int) {
+func (m *CSR) SpMMParallel(y, x []float64, k int) { m.spmm(y, x, k, true) }
+
+// spmm runs the panel rows inline or on the team, through the gate every
+// SpMV takes (onTeam); a product reads each stored slot k times.
+func (m *CSR) spmm(y, x []float64, k int, par bool) {
 	checkSpMMShape(m.rows, m.cols, y, x, k)
-	if len(m.rowRanges) <= 1 || m.NNZ()*k < parallel.MinParallelWork {
+	if !onTeam(par, len(m.Data)*k) {
 		m.spmmRows(y, x, k, 0, m.rows)
 		return
 	}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -104,6 +105,33 @@ func staircaseShape(t *testing.T, n int) parallelShape {
 	return parallelShape{"staircase", a}
 }
 
+// skewedShape is one dense row followed by n-1 rows of which two thirds are
+// empty, drawn from rng: a weighted partition gives the dense row a range of
+// its own, and COO's runs after it start on empty rows.
+func skewedShape(t *testing.T, rng *rand.Rand, n int) parallelShape {
+	t.Helper()
+	ptr := make([]int, n+1)
+	var col []int32
+	var data []float64
+	for j := 0; j < n; j++ { // dense row 0
+		col = append(col, int32(j))
+		data = append(data, rng.NormFloat64())
+	}
+	ptr[1] = len(data)
+	for i := 1; i < n; i++ {
+		if i%3 == 0 { // two thirds of remaining rows are empty
+			col = append(col, int32(rng.Intn(n)))
+			data = append(data, rng.NormFloat64())
+		}
+		ptr[i+1] = len(data)
+	}
+	a, err := NewCSR(n, n, ptr, col, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parallelShape{"skewed", a}
+}
+
 // TestSpMVParallelBitIdenticalToSerial: every implemented format's parallel
 // product equals its serial one bit for bit at GOMAXPROCS 1, 2 and 4, with
 // the assembly kernels and with the generic loops, on shapes aimed at each
@@ -111,7 +139,9 @@ func staircaseShape(t *testing.T, n int) parallelShape {
 // and cols unequal both ways, DIA diagonals starting and ending mid-tile,
 // segments shorter than the assembly kernel's 8 lanes, a HYB overflow (and
 // COO) past MinParallelWork, where a row cut between workers would show, and
-// JDS diagonals ending a few storage rows into a worker's range.
+// JDS diagonals ending a few storage rows into a worker's range, and one
+// dense row over mostly empty ones, where a weighted range holds a single
+// row and COO's runs start on empty rows.
 // The generic DIA body must also equal the untiled diagonal-major loop.
 func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 	const rows = 2*diaTileRows + 3
@@ -124,6 +154,7 @@ func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 		bandShape(t, rows, 4200, offsets),
 		overflowShape(t, rows),
 		staircaseShape(t, 200),
+		skewedShape(t, rand.New(rand.NewSource(3)), 6000),
 	}
 	variants := []bool{false}
 	if HasVectorKernels() {
@@ -175,7 +206,7 @@ func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 			}
 		}
 		want := []Format{FmtCSR, FmtCOO, FmtHYB, FmtJDS}
-		if s.name != "overflow" {
+		if s.name != "overflow" && s.name != "skewed" {
 			want = append(want, FmtDIA, FmtELL, FmtSELL)
 		}
 		for _, f := range want {
