@@ -24,12 +24,7 @@ func cmdFeatures(args []string) error {
 	if *matrixPath == "" {
 		return fmt.Errorf("features: -matrix is required")
 	}
-	f, err := os.Open(*matrixPath)
-	if err != nil {
-		return err
-	}
-	a, err := mmio.Read(f)
-	f.Close()
+	a, err := readMatrix(*matrixPath)
 	if err != nil {
 		return err
 	}
@@ -58,12 +53,7 @@ func cmdPredict(args []string) error {
 	if *matrixPath == "" {
 		return fmt.Errorf("predict: -matrix is required")
 	}
-	f, err := os.Open(*matrixPath)
-	if err != nil {
-		return err
-	}
-	a, err := mmio.Read(f)
-	f.Close()
+	a, err := readMatrix(*matrixPath)
 	if err != nil {
 		return err
 	}
@@ -95,4 +85,14 @@ func cmdPredict(args []string) error {
 		fmt.Printf("%-6v %16.1f%s\n", r.f, r.c, marker)
 	}
 	return nil
+}
+
+// readMatrix reads a Matrix Market file.
+func readMatrix(path string) (*sparse.CSR, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return mmio.Read(f)
 }

@@ -6,6 +6,7 @@
 //	ocsel exp <id> [flags]     regenerate a paper table/figure
 //	ocsel train [flags]        train and persist the predictor bundle
 //	ocsel run [flags]          run an application on a .mtx file
+//	ocsel audit [-matrix FILE] print the measured crossover table (DESIGN.md §19)
 //
 // Experiment ids: table3 table4 table5 fig2 fig5 fig6 table6 table7 table8
 // stage1 overhead solversel ablation-implicit ablation-nogate
@@ -16,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"repro/internal/experiments"
 	"repro/internal/timing"
@@ -34,6 +36,8 @@ func main() {
 		err = cmdTrain(os.Args[2:])
 	case "run":
 		err = cmdRun(os.Args[2:])
+	case "audit":
+		err = cmdAudit(os.Args[2:])
 	case "features":
 		err = cmdFeatures(os.Args[2:])
 	case "predict":
@@ -53,12 +57,37 @@ func usage() {
   ocsel exp <id> [-oracle model|measured] [-train N] [-eval N] [-min N] [-max N] [-seed N]
   ocsel train [-out DIR] [-count N] [-seed N] [-oracle model|measured]
   ocsel run -matrix FILE [-app pagerank|cg|bicgstab|gmres] [-models DIR] [-adaptive]
+  ocsel audit [-matrix FILE]
   ocsel features -matrix FILE
   ocsel predict -matrix FILE [-models DIR] [-iters N]
 
 experiment ids: table3 table4 table5 fig2 fig5 fig6 table6 table7 table8
                 stage1 overhead solversel ablation-implicit ablation-nogate
                 ablation-absolute ablation-sell ablation-reorder all`)
+}
+
+// cmdAudit prices the home-turf panel, or one Matrix Market file, through
+// the measuring oracle and prints the crossover table.
+func cmdAudit(args []string) error {
+	fs := flag.NewFlagSet("audit", flag.ContinueOnError)
+	path := fs.String("matrix", "", "audit this Matrix Market file instead of the panel")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	o := timing.NewMeasuredOracle(timing.DefaultMeasureOptions())
+	if *path == "" {
+		audit, err := experiments.RunAudit(o, experiments.Panel())
+		if err == nil {
+			fmt.Print(audit.Render())
+		}
+		return err
+	}
+	a, err := readMatrix(*path)
+	if err == nil {
+		audit := experiments.Audit{Rows: []experiments.AuditRow{experiments.AuditMatrix(o, filepath.Base(*path), a)}}
+		fmt.Print(audit.Render())
+	}
+	return err
 }
 
 // buildContext parses the shared experiment flags and constructs a Context.

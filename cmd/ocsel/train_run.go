@@ -13,7 +13,6 @@ import (
 	"repro/internal/features"
 	"repro/internal/gbt"
 	"repro/internal/matgen"
-	"repro/internal/mmio"
 	"repro/internal/obs"
 	"repro/internal/timing"
 	"repro/internal/trainer"
@@ -104,12 +103,7 @@ func cmdRun(args []string) error {
 	if *matrixPath == "" {
 		return fmt.Errorf("run: -matrix is required")
 	}
-	f, err := os.Open(*matrixPath)
-	if err != nil {
-		return err
-	}
-	a, err := mmio.Read(f)
-	f.Close()
+	a, err := readMatrix(*matrixPath)
 	if err != nil {
 		return err
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	ocs "repro"
+	"repro/internal/core"
 	"repro/internal/reorder"
 	"repro/internal/sparse"
 )
@@ -68,15 +69,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bestFmt, bestCost := ocs.CSR, 1.0
-	const horizon = 1000.0 // assume a long solve
+	conv, spmv := map[ocs.Format]float64{}, map[ocs.Format]float64{}
 	for f, c := range costs {
-		total := (c.ConvertNorm + horizon*c.SpMVNorm) / horizon
-		if total < bestCost {
-			bestCost = total
-			bestFmt = f
-		}
+		conv[f], spmv[f] = c.ConvertNorm, c.SpMVNorm
 	}
+	const horizon = 1000.0 // assume a long solve
+	bestFmt := core.OracleDecide(conv, spmv, horizon)
+	bestCost := (conv[bestFmt] + horizon*spmv[bestFmt]) / horizon
 	fmt.Printf("best format at %d calls on the reordered matrix: %v\n", int(horizon), bestFmt)
 
 	// The overhead-conscious question, one level up: at how many SpMV

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/matgen"
 	"repro/internal/reorder"
 	"repro/internal/sparse"
@@ -141,14 +142,14 @@ func (c *Context) RunAblationReorder(iters ...float64) (*AblationReorder, error)
 			if p.diaGain {
 				row.DIAUnlocked++
 			}
-			fPlain := oracleDecidePool(p.orig, it, sparse.AllFormats)
+			fPlain := core.OracleDecide(p.orig.ConvNorm, p.orig.SpMVNorm, it)
 			costPlain := realizedCost(p.orig, fPlain, it)
 
 			// Reorder branch: the reordered matrix's SpMV times are
 			// normalized by ITS OWN CSR time; rescale to the original
 			// matrix's units through the two absolute CSR times.
 			scale := p.reordered.CSRTime / p.orig.CSRTime
-			fRe := oracleDecidePool(&p.reordered, it, sparse.AllFormats)
+			fRe := core.OracleDecide(p.reordered.ConvNorm, p.reordered.SpMVNorm, it)
 			costRe := p.reorderN + realizedCost(&p.reordered, fRe, it)*scale
 
 			costExt := costPlain

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/sparse"
-	"repro/internal/trainer"
 )
 
 // ---------------------------------------------------------------------------
@@ -42,8 +44,11 @@ func (c *Context) RunAblationSELL(iters ...float64) *AblationSELL {
 		var paper, ext []float64
 		for i := range c.EvalSamples {
 			s := &c.EvalSamples[i]
-			fPaper := oracleDecidePool(s, it, sparse.PaperFormats)
-			fExt := oracleDecidePool(s, it, sparse.AllFormats)
+			// The paper pool: OracleDecide skips a format with no conversion price.
+			paperConv := maps.Clone(s.ConvNorm)
+			maps.DeleteFunc(paperConv, func(f sparse.Format, _ float64) bool { return !slices.Contains(sparse.PaperFormats, f) })
+			fPaper := core.OracleDecide(paperConv, s.SpMVNorm, it)
+			fExt := core.OracleDecide(s.ConvNorm, s.SpMVNorm, it)
 			paper = append(paper, it/realizedCost(s, fPaper, it))
 			ext = append(ext, it/realizedCost(s, fExt, it))
 			if fExt == sparse.FmtSELL {
@@ -55,28 +60,6 @@ func (c *Context) RunAblationSELL(iters ...float64) *AblationSELL {
 		out.Rows = append(out.Rows, row)
 	}
 	return out
-}
-
-// oracleDecidePool is core.OracleDecide restricted to a format pool.
-func oracleDecidePool(s *trainer.Sample, remaining float64, pool []sparse.Format) sparse.Format {
-	best := sparse.FmtCSR
-	bestCost := remaining
-	for _, f := range pool {
-		if f == sparse.FmtCSR {
-			continue
-		}
-		conv, ok1 := s.ConvNorm[f]
-		spmv, ok2 := s.SpMVNorm[f]
-		if !ok1 || !ok2 {
-			continue
-		}
-		cost := conv + spmv*remaining
-		if cost < bestCost {
-			bestCost = cost
-			best = f
-		}
-	}
-	return best
 }
 
 // Render prints the comparison.

@@ -183,26 +183,16 @@ func (c *Context) RunFig5(iters ...float64) *Fig5 {
 			if it >= float64(c.Opt.Cfg.TH) {
 				d := c.decideOC(entry, s, it)
 				predOverhead := s.FeatureNorm + c.Opt.Stage2ModelSeconds/s.CSRTime
-				conv, okc := s.ConvNorm[d.Format]
-				spmv, oks := s.SpMVNorm[d.Format]
-				if d.Format == sparse.FmtCSR || !okc || !oks {
-					ocCost = predOverhead + it
-				} else {
-					ocCost = predOverhead + conv + spmv*it
-				}
+				ocCost = predOverhead + realizedCost(s, d.Format, it)
 			}
 			oc = append(oc, base/ocCost)
 
 			// Upper bound OC: oracle cost-benefit, no prediction overhead.
-			fOC := core.OracleDecide(s.ConvNorm, s.SpMVNorm, it)
-			ubocCost := s.ConvNorm[fOC] + s.SpMVNorm[fOC]*it
-			uboc = append(uboc, base/ubocCost)
+			uboc = append(uboc, base/realizedCost(s, core.OracleDecide(s.ConvNorm, s.SpMVNorm, it), it))
 
 			// Upper bound OO: true fastest-SpMV format; its conversion must
 			// still happen at runtime.
-			fOO := core.OverheadObliviousDecide(s.SpMVNorm)
-			ubooCost := s.ConvNorm[fOO] + s.SpMVNorm[fOO]*it
-			uboo = append(uboo, base/ubooCost)
+			uboo = append(uboo, base/realizedCost(s, core.OverheadObliviousDecide(s.SpMVNorm), it))
 		}
 		out.Points = append(out.Points, Fig5Point{
 			Iters:     it,

@@ -53,7 +53,7 @@ var PaperFormats = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtC
 
 // Implemented is the one answer to "can this build convert to f": the formats
 // with a kernel and a conversion from CSR, CSR first. It is AllFormats minus
-// BSR and CSR5, which are the argmin on no class of the home-turf panel
+// BSR and CSR5, which were the argmin on no class of the home-turf panel
 // (DESIGN.md §19) and stay only as prices: CanConvert answers false for them,
 // ConvertFromCSR names them priced-only, and a saved predictor bundle's
 // models for them are dropped at load.
@@ -72,9 +72,9 @@ const (
 // MeasuredMenu is the set timing.MeasuredOracle prices, and so the set a
 // bundle trained on this machine's kernels can hold and the runtime can
 // select: CSR plus every format that is the measured T_convert + N*T_spmv
-// argmin for some loop length N on some class of the home-turf panel
-// (DESIGN.md §19, which also says how a format gets back on: one entry
-// here, with the benchmark row that justifies it).
+// argmin for some loop length N on some class of the home-turf panel, as
+// `ocsel audit` prints it (DESIGN.md §19). A format joins or leaves with one
+// entry here, in the same change as the audit output that justifies it.
 var MeasuredMenu = []Format{FmtCSR, FmtDIA, FmtELL, FmtHYB, FmtSELL, FmtJDS}
 
 // NumFormats bounds the Format values (one number below it is retired), for

@@ -8,10 +8,11 @@
 //   - seven sparse storage formats with serial and parallel SpMV kernels
 //     and conversions: five of the paper's seven (COO, CSR, DIA, ELL, HYB)
 //     plus the SELL-C-sigma and JDS extensions. CSR, DIA, ELL, HYB, SELL and
-//     JDS are the measured menu: what TrainDefaultPredictors times,
-//     MeasureFormatCosts reports and the selector can choose. COO never wins
-//     a measured T_affected on this CPU and is study-only: convertible and
-//     checked. The paper's other two, BSR and CSR5, are priced only: the
+//     JDS are the measured menu, each the measured T_convert + N*T_spmv
+//     argmin on some class of `ocsel audit`'s panel: what
+//     TrainDefaultPredictors times, MeasureFormatCosts reports and the
+//     selector can choose. COO never wins a measured T_affected on this CPU
+//     and is study-only: convertible and checked. The paper's other two, BSR and CSR5, are priced only: the
 //     analytic model oracle the experiments run on prices them from
 //     structure, and nothing converts to them (DESIGN.md §19),
 //   - the paper's feature set and gradient-boosted regression models that
