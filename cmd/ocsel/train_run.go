@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"time"
@@ -13,9 +12,9 @@ import (
 	"repro/internal/features"
 	"repro/internal/gbt"
 	"repro/internal/matgen"
-	"repro/internal/obs"
 	"repro/internal/timing"
 	"repro/internal/trainer"
+	"repro/internal/vec"
 )
 
 // cmdTrain trains the predictor bundle and persists it as JSON model files.
@@ -132,14 +131,8 @@ func cmdRun(args []string) error {
 	var op apps.Operator = apps.Par(a)
 	var ad *core.Adaptive
 	hook := apps.Hook(nil)
-	absTol := *tol * nrm2(b)
+	absTol := *tol * vec.Nrm2(b)
 	selCfg := core.DefaultConfig()
-	var journal *obs.Journal
-	if *trace {
-		journal = obs.NewJournal(0)
-		selCfg.Journal = journal
-		selCfg.TraceLabel = *matrixPath
-	}
 	if *adaptive {
 		if *app == "pagerank" {
 			absTol = apps.DefaultPageRankOptions().Tol
@@ -185,22 +178,13 @@ func cmdRun(args []string) error {
 			st.Stage1Ran, st.Stage2Ran, st.Converted, st.Format, st.PredictedTotal,
 			1e3*(st.FeatureSeconds+st.PredictSeconds+st.ConvertSeconds))
 	}
-	if journal != nil && ad != nil {
-		if id, ok := ad.TraceID(); ok {
-			if tr, found := journal.Get(id); found {
-				fmt.Print(tr.Render())
-			}
+	if *trace && ad != nil {
+		if tr, ok := ad.Trace(); ok {
+			tr.Label = *matrixPath
+			fmt.Print(tr.Render())
 		} else {
 			fmt.Println("trace: the selector pipeline never ran (loop shorter than K iterations?)")
 		}
 	}
 	return nil
-}
-
-func nrm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

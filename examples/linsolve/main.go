@@ -7,10 +7,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math"
 	"time"
 
 	ocs "repro"
+	"repro/internal/vec"
 )
 
 func main() {
@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bnorm := nrm2(b)
+	bnorm := vec.Nrm2(b)
 	ad := ocs.NewAdaptive(a, opt.Tol*bnorm, preds)
 	start := time.Now()
 	res, err := ocs.CG(ad, b, opt, func(it int, p float64) { ad.RecordProgress(p) })
@@ -72,12 +72,4 @@ func main() {
 	fmt.Printf("selector: predictedTotal=%d converted=%v format=%v overhead=%.3gms\n",
 		st.PredictedTotal, st.Converted, st.Format,
 		1e3*(st.FeatureSeconds+st.PredictSeconds+st.ConvertSeconds))
-}
-
-func nrm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

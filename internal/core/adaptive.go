@@ -15,7 +15,8 @@ import (
 )
 
 // Stats records what the adaptive wrapper did during one run, for the
-// experiment harness and for users who want to audit the selector.
+// experiment harness and for users who want to audit the selector: a view of
+// the decision record (Trace) plus the call counters.
 type Stats struct {
 	// Iterations is the number of progress indicators observed.
 	Iterations int
@@ -71,9 +72,15 @@ type Stats struct {
 // sharing a registry handle. One mutex serialises SpMV calls (each is
 // goroutine-parallel inside already, and the timing samples rest on one
 // SpMV running alone) and the selection pipeline, which therefore runs
-// exactly once however many goroutines feed progress; Stats takes it too.
-// SpMM, Format, TraceID, SetSpanParent and Dims do not: they touch only what
-// never changes after construction, or an atomic.
+// exactly once however many goroutines feed progress; Stats takes it too,
+// and so does Trace once there is a record to copy. SpMM, Format and Dims do
+// not: they touch only what never changes after construction, or an atomic.
+//
+// The wrapper keeps one decision record (obs.DecisionTrace) from stage 1 on:
+// every timed region of the pipeline is written there once, as a field and
+// as a Stage, and when stage 2 ran every later SpMV folds into its ledger.
+// Stats and Trace are views of it; what to do with the record — journal it,
+// emit its spans — is the caller's business.
 type Adaptive struct {
 	cfg   Config
 	tol   float64
@@ -88,11 +95,18 @@ type Adaptive struct {
 	// load.
 	op atomic.Pointer[operator]
 
+	// decided is set, under mu, once the pipeline has run: from then on rec
+	// is final but for its ledger. Trace reads it without the lock.
+	decided atomic.Bool
+
 	// mu serialises SpMV and the pipeline and guards every field below it.
 	mu       sync.Mutex
 	progress []float64
-	decided  bool
-	stats    Stats
+	calls    int64 // SpMV calls served, before and after the decision
+	// rec is the decision record; decision is stage 2's outcome in the
+	// format-keyed form Stats reports.
+	rec      obs.DecisionTrace
+	decision Decision
 
 	// Self-measured SpMV cost, gathered until the pipeline decision: the
 	// overhead-conscious gate needs to know what one SpMV costs here to
@@ -100,42 +114,16 @@ type Adaptive struct {
 	spmvSeconds float64
 	spmvCalls   int
 
-	// ledger is true while post-decision SpMV calls are still being timed to
-	// maintain the decision trace's T_affected ledger.
-	ledger bool
-
-	// spanNotes buffers per-stage timings until the decision trace is
-	// journaled, when they flush to Config.SpanSink tagged with the
-	// decision ID.
-	spanNotes []spanNote
-
 	// spmmCalls counts blocked products begun and spmmInFlight those running
 	// right now. SpMM touches nothing else of the wrapper; SpMV reads the pair
 	// to drop a timing sample that shared the cores with a blocked product.
 	spmmCalls    atomic.Int64
 	spmmInFlight atomic.Int32
-
-	// traceID addresses this wrapper's obs.DecisionTrace once the pipeline
-	// has run with a journal attached; 0 until then.
-	traceID atomic.Uint64
-
-	// spanParent is the request-scoped parent for the spans the pipeline
-	// emits (SetSpanParent); nil or the zero value means "no active trace"
-	// and suppresses emission.
-	spanParent atomic.Pointer[obs.SpanContext]
 }
 
 // operator is the matrix SpMV runs on, published whole behind
 // Adaptive.op.
 type operator struct{ sparse.Matrix }
-
-// spanNote is one buffered stage timing awaiting flush to the span sink.
-type spanNote struct {
-	name  string
-	start time.Time
-	secs  float64
-	attrs [][2]string
-}
 
 // NewAdaptive wraps a matrix in its default CSR format. tol is the
 // convergence tolerance of the surrounding loop (the stage-1 predictor
@@ -175,13 +163,14 @@ func (ad *Adaptive) Dims() (int, int) { return ad.csr.Dims() }
 // SpMV computes y = A*x on whichever format the matrix currently has.
 // Until the pipeline decision the calls are timed (two clock observations,
 // nanoseconds of overhead on the wall clock) so the gate can reason in SpMV
-// units; once a decision trace exists, timing continues so its T_affected
+// units; when stage 2 ran, timing continues so the record's T_affected
 // ledger can compare the measured payoff against the model's promise.
 func (ad *Adaptive) SpMV(y, x []float64) {
 	ad.mu.Lock()
 	defer ad.mu.Unlock()
-	ad.stats.SpMVCalls++
-	if ad.decided && !ad.ledger {
+	ad.calls++
+	decided := ad.decided.Load()
+	if decided && !ad.rec.Stage2Ran {
 		ad.op.Load().SpMVParallel(y, x)
 		return
 	}
@@ -194,17 +183,12 @@ func (ad *Adaptive) SpMV(y, x []float64) {
 	if shared || ad.spmmCalls.Load() != began {
 		return
 	}
-	if !ad.decided {
-		ad.spmvSeconds += elapsed
-		ad.spmvCalls++
+	if decided {
+		ad.rec.Ledger.RecordPost(elapsed)
 		return
 	}
-	// Post-decision: stream the observation into the journal's ledger.
-	if !ad.cfg.Journal.Update(ad.traceID.Load(), func(t *obs.DecisionTrace) {
-		t.Ledger.RecordPost(elapsed)
-	}) {
-		ad.ledger = false // trace evicted: stop paying for timing
-	}
+	ad.spmvSeconds += elapsed
+	ad.spmvCalls++
 }
 
 // SpMM computes the blocked product Y = A*X with k row-major right-hand
@@ -229,50 +213,38 @@ func (ad *Adaptive) RecordProgress(v float64) {
 	ad.mu.Lock()
 	defer ad.mu.Unlock()
 	ad.progress = append(ad.progress, v)
-	ad.stats.Iterations = len(ad.progress)
-	if ad.decided || len(ad.progress) < ad.cfg.K {
+	if ad.decided.Load() || len(ad.progress) < ad.cfg.K {
 		return
 	}
-	ad.decided = true
-	ad.runPipeline()
-}
-
-// runPipeline executes stage 1 and, if the gate opens, stage 2, inline on
-// the goroutine that reported the K-th progress value. When a journal is
-// configured it also assembles the decision trace: every gate inequality is
-// recorded with both of its sides, so a trace shows how close each call
-// was, not just its verdict.
-func (ad *Adaptive) runPipeline() {
-	tr, remaining, ok := ad.runStage1()
-	if ok {
-		ad.applyStage2(&tr, ad.runStage2(remaining))
+	if remaining, ok := ad.runStage1(); ok {
+		ad.applyStage2(ad.runStage2(remaining))
 	}
-	ad.journalTrace(tr)
+	ad.decided.Store(true)
 }
 
 // runStage1 runs the lazy tripcount prediction and the gates in front of
-// stage 2: a handful of scalar ops, gated on the self-measured SpMV
-// baseline. calls is the forecast of SpMV calls still to come; ok reports
+// stage 2 — a handful of scalar ops, gated on the self-measured SpMV
+// baseline — and opens the record. Every gate inequality is recorded with
+// both of its sides, so the record shows how close each call was, not just
+// its verdict. calls is the forecast of SpMV calls still to come; ok reports
 // whether stage 2 should run.
-func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
+func (ad *Adaptive) runStage1() (calls float64, ok bool) {
 	start := ad.clock.Now()
 	total, err := arima.DefaultTripcount().PredictTotal(ad.progress, ad.tol)
 	stage1 := timing.Since(ad.clock, start).Seconds()
-	ad.stats.PredictSeconds += stage1
-	ad.stats.PaidSeconds += stage1
-	ad.stats.Stage1Ran = true
-	ad.noteSpan("selector.stage1", start, stage1)
-	tr = obs.DecisionTrace{
-		Label:      ad.cfg.TraceLabel,
-		At:         start,
-		Iterations: len(ad.progress),
-		Chosen:     sparse.FmtCSR.String(),
+	ad.rec = obs.DecisionTrace{
+		At:             start,
+		Iterations:     len(ad.progress),
+		Chosen:         sparse.FmtCSR.String(),
+		PredictSeconds: stage1,
+		PaidSeconds:    stage1,
+		Stages:         []obs.Stage{{Name: "selector.stage1", Start: start, Seconds: stage1}},
 	}
+	tr := &ad.rec
 	if err != nil {
 		tr.Stage1Err = err.Error()
-		return tr, 0, false
+		return 0, false
 	}
-	ad.stats.PredictedTotal = total
 	tr.PredictedTotal = total
 	remaining := total - len(ad.progress)
 	// The forecast is in iterations, and so is the paper's TH; everything
@@ -282,7 +254,7 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 	// both counts, so their ratio converts; a loop that reports progress
 	// without calling, or 1:1, is left exactly as forecast.
 	calls = float64(remaining)
-	if perIter := float64(ad.stats.SpMVCalls) / float64(len(ad.progress)); perIter > 1 {
+	if perIter := float64(ad.calls) / float64(len(ad.progress)); perIter > 1 {
 		calls *= perIter
 	}
 	tr.Gates = append(tr.Gates, obs.GateCheck{
@@ -290,10 +262,10 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 		Passed: remaining >= ad.cfg.TH,
 	})
 	if remaining < ad.cfg.TH {
-		return tr, calls, false // loop predicted too short: conversion can't pay off
+		return calls, false // loop predicted too short: conversion can't pay off
 	}
 	if ad.preds == nil {
-		return tr, calls, false
+		return calls, false
 	}
 	// Overhead-conscious gate on stage 2 itself: estimate the feature
 	// extraction cost in units of this run's self-measured SpMV time and
@@ -309,11 +281,11 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 				Passed: calls >= threshold,
 			})
 			if calls < threshold {
-				return tr, calls, false
+				return calls, false
 			}
 		}
 	}
-	return tr, calls, true
+	return calls, true
 }
 
 // stage2Result is everything one stage-2 run produced. A zero region start
@@ -321,7 +293,7 @@ func (ad *Adaptive) runStage1() (tr obs.DecisionTrace, calls float64, ok bool) {
 type stage2Result struct {
 	d    Decision
 	m    sparse.Matrix // operator to install; nil when staying on CSR or conversion failed
-	fvec []float64     // Table I vector for the journal, when one is kept
+	fvec []float64     // Table I vector, for the record
 
 	convertErr string
 	// Measured regions in seconds — features, model inference + argmin,
@@ -355,9 +327,7 @@ func (ad *Adaptive) runStage2(remaining float64) (r stage2Result) {
 		Cached: cached, Lim: cfg.Lim, Margin: cfg.Margin,
 	})
 	r.predict = timing.Since(clock, r.predictAt).Seconds()
-	if cfg.Journal != nil {
-		r.fvec = fs.Vector()
-	}
+	r.fvec = fs.Vector()
 	if r.d.Format == sparse.FmtCSR {
 		return r
 	}
@@ -391,65 +361,63 @@ func (ad *Adaptive) runStage2(remaining float64) (r stage2Result) {
 	return r
 }
 
-// applyStage2 folds a stage-2 run into the wrapper, under mu: overhead
-// accounting, the buffered stage spans, the format swap and the trace with
-// its T_affected ledger. Every second of the run stalled the solver and is
-// paid; a cache hit additionally credits the publisher's conversion bill as
-// hidden time, so the ledger stays honest about machine work that once
-// happened.
-func (ad *Adaptive) applyStage2(tr *obs.DecisionTrace, r stage2Result) {
-	ad.stats.FeatureSeconds = r.feature
-	ad.stats.PredictSeconds += r.predict + r.lookup
-	ad.stats.ConvertSeconds = r.convert
-	ad.stats.PaidSeconds = ad.overhead()
+// applyStage2 folds a stage-2 run into the record, under mu: overhead
+// accounting, the stages, the format swap and the T_affected ledger. Every
+// second of the run stalled the solver and is paid; a cache hit additionally
+// credits the publisher's conversion bill as hidden time, so the ledger stays
+// honest about machine work that once happened.
+func (ad *Adaptive) applyStage2(r stage2Result) {
+	tr := &ad.rec
+	tr.FeatureSeconds = r.feature
+	tr.PredictSeconds += r.predict + r.lookup
+	tr.ConvertSeconds = r.convert
+	tr.PaidSeconds = ad.overhead()
 	if r.cacheHit {
-		ad.stats.ConvCacheHit = true
-		ad.stats.HiddenSeconds += r.credit
 		tr.ConvCacheHit = true
+		tr.HiddenSeconds = r.credit
 	}
-	format := [2]string{"format", r.d.Format.String()}
-	ad.noteSpan("selector.features", r.featureAt, r.feature)
-	ad.noteSpan("selector.decide", r.predictAt, r.predict, format)
+	chosen := r.d.Format.String()
+	format := map[string]string{"format": chosen}
+	stage := func(name string, start time.Time, secs float64, attrs map[string]string) {
+		tr.Stages = append(tr.Stages, obs.Stage{Name: name, Start: start, Seconds: secs, Attrs: attrs})
+	}
+	stage("selector.features", r.featureAt, r.feature, nil)
+	stage("selector.decide", r.predictAt, r.predict, format)
 	switch {
 	case r.cacheHit:
-		ad.noteSpan("convcache.hit", r.lookupAt, r.lookup, format,
-			[2]string{"hidden_seconds", strconv.FormatFloat(r.credit, 'g', -1, 64)})
+		stage("convcache.hit", r.lookupAt, r.lookup, map[string]string{
+			"format": chosen, "hidden_seconds": strconv.FormatFloat(r.credit, 'g', -1, 64)})
 	case !r.lookupAt.IsZero():
-		ad.noteSpan("convcache.miss", r.lookupAt, r.lookup, format)
+		stage("convcache.miss", r.lookupAt, r.lookup, format)
 	}
 	if !r.convertAt.IsZero() {
-		ad.noteSpan("selector.convert", r.convertAt, r.convert, format)
+		stage("selector.convert", r.convertAt, r.convert, format)
 	}
 	if r.published {
-		ad.noteSpan("convcache.publish", r.convertAt, r.convert, format)
+		stage("convcache.publish", r.convertAt, r.convert, format)
 	}
-	ad.recordStage2(tr, r)
+	ad.recordStage2(r)
 	switch {
 	case r.m != nil:
 		ad.op.Store(&operator{r.m})
-		ad.stats.Converted = true
 		tr.Converted = true
 	case r.convertErr != "":
 		tr.ConvertErr = r.convertErr
 		tr.Chosen = sparse.FmtCSR.String()
 	}
-	ad.finishTrace(tr, r.d)
+	ad.seedLedger()
 }
 
-// recordStage2 folds a stage-2 decision into the stats and the trace,
-// including the margin inequality the argmin applied: the cheapest non-CSR
-// candidate had to undercut staying — the decision's own CSR cost — by
-// Margin to win. The feature vector the decision consumed is recorded so a
-// trace explains its decision without re-extracting the matrix.
-func (ad *Adaptive) recordStage2(tr *obs.DecisionTrace, r stage2Result) {
-	d := r.d
-	ad.stats.Stage2Ran = true
-	ad.stats.Decision = d
+// recordStage2 writes a stage-2 decision into the record, including the
+// margin inequality the argmin applied: the cheapest non-CSR candidate had
+// to undercut staying — the decision's own CSR cost — by Margin to win. The
+// feature vector the decision consumed is recorded so the record explains
+// its decision without re-extracting the matrix.
+func (ad *Adaptive) recordStage2(r stage2Result) {
+	d, tr := r.d, &ad.rec
+	ad.decision = d
 	tr.Stage2Ran = true
 	tr.Chosen = d.Format.String()
-	if ad.cfg.Journal == nil {
-		return
-	}
 	tr.Features = r.fvec
 	tr.PredictedCostByFormat = formatKeyed(d.PredictedCost)
 	tr.PredictedSpMVNormByFormat = formatKeyed(d.PredictedSpMV)
@@ -463,86 +431,12 @@ func (ad *Adaptive) recordStage2(tr *obs.DecisionTrace, r stage2Result) {
 	}
 }
 
-// journalTrace appends the finished trace to the journal, arms the
-// post-decision SpMV timing that maintains its T_affected ledger (only
-// traces whose stage 2 ran get one), and flushes the buffered stage spans
-// to the span sink now that the decision ID they reference exists.
-func (ad *Adaptive) journalTrace(tr obs.DecisionTrace) {
-	if ad.cfg.Journal != nil {
-		ad.traceID.Store(ad.cfg.Journal.Append(tr))
-		ad.ledger = tr.Stage2Ran
-	}
-	ad.flushSpans(tr)
-}
-
-// noteSpan buffers one stage timing for flushSpans. A nil sink makes it
-// free, so the pipeline calls it unconditionally.
-func (ad *Adaptive) noteSpan(name string, start time.Time, secs float64, attrs ...[2]string) {
-	if ad.cfg.SpanSink == nil {
-		return
-	}
-	ad.spanNotes = append(ad.spanNotes, spanNote{name: name, start: start, secs: secs, attrs: attrs})
-}
-
-// flushSpans emits the buffered stage notes as spans under the current
-// request parent. The conversion span additionally carries the trace's
-// paid overhead, so its attributes agree with the ledger seeded by
-// finishTrace.
-func (ad *Adaptive) flushSpans(tr obs.DecisionTrace) {
-	notes := ad.spanNotes
-	ad.spanNotes = nil
-	sink, parent := ad.cfg.SpanSink, ad.spanParent.Load()
-	if sink == nil || len(notes) == 0 || parent == nil || parent.Trace.IsZero() {
-		return
-	}
-	traceID := ad.traceID.Load()
-	for _, n := range notes {
-		sp := obs.Span{
-			Trace:   parent.Trace,
-			ID:      obs.NewSpanID(),
-			Parent:  parent.Span,
-			Name:    n.name,
-			Service: "selector",
-			Start:   n.start,
-			Seconds: n.secs,
-			Attrs:   make(map[string]string, len(n.attrs)+4),
-		}
-		if traceID != 0 {
-			sp.Attrs["decision_id"] = strconv.FormatUint(traceID, 10)
-		}
-		if tr.Label != "" {
-			sp.Attrs["label"] = tr.Label
-		}
-		for _, kv := range n.attrs {
-			sp.Attrs[kv[0]] = kv[1]
-		}
-		if n.name == "selector.convert" {
-			sp.Attrs["paid_seconds"] = strconv.FormatFloat(tr.PaidSeconds, 'g', -1, 64)
-		}
-		sink(sp)
-	}
-}
-
-// SetSpanParent installs the request-scoped span context under which the
-// pipeline's stage spans are emitted; the zero value clears it. Request
-// handlers set it at admission so pipeline work triggered by their traffic is
-// attributed to their trace. One atomic store: it waits for no one.
-func (ad *Adaptive) SetSpanParent(sc obs.SpanContext) { ad.spanParent.Store(&sc) }
-
-// finishTrace fills the trace's measured-overhead fields and seeds the
-// ledger with the model-side quantities the payoff will be judged against.
-// Only the paid share of the overhead enters the ledger's net balance; the
-// hidden seconds (the conversion-cache credit) are reported but never
-// charged.
-func (ad *Adaptive) finishTrace(tr *obs.DecisionTrace, d Decision) {
-	if ad.cfg.Journal == nil {
-		return
-	}
-	tr.FeatureSeconds = ad.stats.FeatureSeconds
-	tr.PredictSeconds = ad.stats.PredictSeconds
-	tr.ConvertSeconds = ad.stats.ConvertSeconds
-	tr.PaidSeconds = ad.stats.PaidSeconds
-	tr.HiddenSeconds = ad.stats.HiddenSeconds
+// seedLedger seeds the ledger with the model-side quantities the payoff will
+// be judged against. Only the paid share of the overhead enters the ledger's
+// net balance; the hidden seconds (the conversion-cache credit) are reported
+// but never charged.
+func (ad *Adaptive) seedLedger() {
+	tr, d := &ad.rec, ad.decision
 	var baseline float64
 	if ad.spmvCalls > 0 {
 		baseline = ad.spmvSeconds / float64(ad.spmvCalls)
@@ -550,18 +444,17 @@ func (ad *Adaptive) finishTrace(tr *obs.DecisionTrace, d Decision) {
 	// The format the wrapper actually runs on: the decision's pick, or CSR
 	// when conversion failed.
 	predictedNorm := 1.0
-	if ad.stats.Converted {
+	if tr.Converted {
 		if v, ok := d.PredictedSpMV[d.Format]; ok {
 			predictedNorm = v
 		}
 	}
-	tr.Ledger.InitPredictions(baseline, predictedNorm,
-		ad.stats.PaidSeconds, ad.stats.HiddenSeconds, ad.stats.Converted)
+	tr.Ledger.InitPredictions(baseline, predictedNorm, tr.PaidSeconds, tr.HiddenSeconds, tr.Converted)
 }
 
 // overhead is OverheadSeconds for callers that hold mu.
 func (ad *Adaptive) overhead() float64 {
-	return ad.stats.FeatureSeconds + ad.stats.PredictSeconds + ad.stats.ConvertSeconds
+	return ad.rec.FeatureSeconds + ad.rec.PredictSeconds + ad.rec.ConvertSeconds
 }
 
 // formatKeyed re-keys a per-format map by the formats' names for the
@@ -592,25 +485,46 @@ func bestAlternative(d Decision) (float64, bool) {
 	return best, ok
 }
 
-// Stats returns a copy of the run's bookkeeping.
+// Stats returns the run's bookkeeping: the record's fields and the call
+// counters.
 func (ad *Adaptive) Stats() Stats {
 	ad.mu.Lock()
 	defer ad.mu.Unlock()
-	st := ad.stats
-	st.SpMMCalls = ad.spmmCalls.Load()
-	st.Format = ad.Format()
-	return st
+	r := &ad.rec
+	return Stats{
+		Iterations:     len(ad.progress),
+		SpMVCalls:      ad.calls,
+		SpMMCalls:      ad.spmmCalls.Load(),
+		ConvCacheHit:   r.ConvCacheHit,
+		Stage1Ran:      ad.decided.Load(),
+		PredictedTotal: r.PredictedTotal,
+		Stage2Ran:      r.Stage2Ran,
+		Decision:       ad.decision,
+		Converted:      r.Converted,
+		Format:         ad.Format(),
+		FeatureSeconds: r.FeatureSeconds,
+		PredictSeconds: r.PredictSeconds,
+		ConvertSeconds: r.ConvertSeconds,
+		PaidSeconds:    r.PaidSeconds,
+		HiddenSeconds:  r.HiddenSeconds,
+	}
+}
+
+// Trace returns a copy of the decision record, ok=false until the pipeline
+// has run; until then it takes no lock. The copy's ledger is current as of
+// the call; its slices and maps are shared with the record, which never
+// writes them again, so the caller must not either.
+func (ad *Adaptive) Trace() (obs.DecisionTrace, bool) {
+	if !ad.decided.Load() {
+		return obs.DecisionTrace{}, false
+	}
+	ad.mu.Lock()
+	defer ad.mu.Unlock()
+	return ad.rec, true
 }
 
 // Format returns the format SpMV currently runs on.
 func (ad *Adaptive) Format() sparse.Format { return ad.op.Load().Format() }
-
-// TraceID returns the journal ID of this wrapper's decision trace, with
-// ok=false before the pipeline has run or when no journal is configured.
-func (ad *Adaptive) TraceID() (uint64, bool) {
-	id := ad.traceID.Load()
-	return id, id != 0
-}
 
 // OverheadSeconds is the total measured selector overhead (T_predict +
 // T_convert) of this run.

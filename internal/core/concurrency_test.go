@@ -136,7 +136,8 @@ func TestHotSwapAsyncPipeline(t *testing.T) {
 // SpMV callers while the main goroutine reports progress: the K-th report
 // runs the whole pipeline inside RecordProgress, under the handle mutex, and
 // installs ELL. Under -race this is the torn-matrix check: every reader must
-// compute the CSR reference's y before, across and after the swap.
+// compute the CSR reference's y before, across and after the swap, and a
+// decision record it reads is the finished one.
 func TestConcurrentSpMVAcrossInlineSwap(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
 	sa := core.NewAdaptive(m, 1e-8, ellPreds(t, m), core.Config{K: 15, TH: 15, Margin: 0.1}, false)
@@ -171,9 +172,15 @@ func TestConcurrentSpMVAcrossInlineSwap(t *testing.T) {
 				default:
 				}
 				sa.SpMV(y, x)
+				msg := ""
 				if !same(y) {
+					msg = "torn or wrong SpMV result during swap"
+				} else if tr, ok := sa.Trace(); ok && (!tr.Converted || tr.Chosen != "ELL") {
+					msg = "a record read beside the swap is half written"
+				}
+				if msg != "" {
 					select {
-					case errc <- "torn or wrong SpMV result during swap":
+					case errc <- msg:
 					default:
 					}
 					return
@@ -196,6 +203,9 @@ func TestConcurrentSpMVAcrossInlineSwap(t *testing.T) {
 	}
 	if st := sa.Stats(); !st.Stage2Ran || !st.Converted || st.Format != sparse.FmtELL {
 		t.Fatalf("the pipeline did not install ELL: %+v", st)
+	}
+	if tr, _ := sa.Trace(); tr.Ledger.PostSpMVCalls == 0 {
+		t.Error("the readers' products after the swap never reached the record's ledger")
 	}
 	y := make([]float64, rows)
 	sa.SpMV(y, x)

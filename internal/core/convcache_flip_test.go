@@ -67,8 +67,7 @@ func TestConvCacheHitFlipsStayIntoConvert(t *testing.T) {
 	run := func(cache *convcache.Cache) (core.Stats, obs.DecisionTrace, float64) {
 		clk := timing.NewFakeClock()
 		clk.SetAutoStep(time.Millisecond)
-		journal := obs.NewJournal(0)
-		cfg := traceConfig(clk, journal)
+		cfg := replayConfig(clk)
 		if cache != nil {
 			cfg.ConvCache = cache
 			cfg.CacheFingerprint = m.Fingerprint()
@@ -80,7 +79,7 @@ func TestConvCacheHitFlipsStayIntoConvert(t *testing.T) {
 		if !st.Stage2Ran {
 			t.Fatalf("stage 2 never ran: %+v", st)
 		}
-		return st, fetchTrace(t, ad, journal), ad.OverheadSeconds()
+		return st, fetchTrace(t, ad), ad.OverheadSeconds()
 	}
 
 	// Cache-blind: stay on CSR.
@@ -153,11 +152,10 @@ func TestConvCacheAdoptAndPublish(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
 	cache := convcache.New(0)
 
-	newAd := func(journal *obs.Journal) *core.Adaptive {
+	newAd := func() *core.Adaptive {
 		clk := timing.NewFakeClock()
 		clk.SetAutoStep(time.Millisecond)
 		cfg := replayConfig(clk)
-		cfg.Journal = journal
 		cfg.ConvCache = cache
 		cfg.CacheFingerprint = m.Fingerprint()
 		cfg.CacheValues = m.ValueDigest()
@@ -165,7 +163,7 @@ func TestConvCacheAdoptAndPublish(t *testing.T) {
 	}
 
 	// Tenant 1: miss, convert, publish.
-	ad1 := newAd(obs.NewJournal(0))
+	ad1 := newAd()
 	driveLoop(ad1, 15, 1, 0.995)
 	st1 := ad1.Stats()
 	if !st1.Converted || st1.Format == sparse.FmtCSR {
@@ -179,8 +177,7 @@ func TestConvCacheAdoptAndPublish(t *testing.T) {
 	}
 
 	// Tenant 2: same structure and values, adopts tenant 1's conversion.
-	j2 := obs.NewJournal(0)
-	ad2 := newAd(j2)
+	ad2 := newAd()
 	driveLoop(ad2, 15, 1, 0.995)
 	st2 := ad2.Stats()
 	if !st2.Converted || st2.Format != st1.Format {
@@ -200,7 +197,7 @@ func TestConvCacheAdoptAndPublish(t *testing.T) {
 	if st2.PaidSeconds != ad2.OverheadSeconds() {
 		t.Errorf("tenant 2 PaidSeconds = %g, want all of its overhead %g", st2.PaidSeconds, ad2.OverheadSeconds())
 	}
-	if tr := fetchTrace(t, ad2, j2); !tr.ConvCacheHit {
+	if tr := fetchTrace(t, ad2); !tr.ConvCacheHit {
 		t.Error("tenant 2 trace does not record the cache hit")
 	}
 	if s := cache.Snapshot(); s.Hits != 1 {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/timing"
 )
@@ -83,12 +82,10 @@ func TestSafeAdaptiveSpMMInFlightBlocksNothing(t *testing.T) {
 		t.Errorf("an SpMV that ran alone moved the gate's samples %d -> %d, want +1", before, got)
 	}
 
-	journal := obs.NewJournal(4)
-	ad.cfg.Journal = journal
-	ad.traceID.Store(journal.Append(obs.DecisionTrace{}))
-	ad.decided, ad.ledger = true, true
+	ad.rec.Stage2Ran = true
+	ad.decided.Store(true)
 	ledger := func() int64 {
-		tr, _ := journal.Get(ad.traceID.Load())
+		tr, _ := ad.Trace()
 		return tr.Ledger.PostSpMVCalls
 	}
 	overlapped(ledger, func() { ad.SpMV(y, x) })

@@ -22,7 +22,6 @@ import (
 	"repro/internal/convcache"
 	"repro/internal/features"
 	"repro/internal/gbt"
-	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/timing"
 )
@@ -87,24 +86,6 @@ type Config struct {
 	// stage-2 overhead gate in particular) reproducible under any machine
 	// load — the selector replay tests in replay_test.go rely on this.
 	Clock timing.Clock
-	// Journal, when non-nil, receives one obs.DecisionTrace per pipeline
-	// run — stage-1 forecast, every gate inequality with both sides, the
-	// per-format stage-2 predictions, and measured overheads — and the
-	// wrapper keeps timing SpMV calls after the decision to maintain the
-	// trace's live T_affected ledger (realized vs. predicted payoff).
-	// nil (the default) disables tracing and the post-decision timing.
-	Journal *obs.Journal
-	// TraceLabel tags this wrapper's traces in the journal (e.g. the
-	// server's matrix handle name).
-	TraceLabel string
-	// SpanSink, when non-nil, receives one completed obs.Span per selector
-	// stage boundary — stage-1 tripcount prediction, stage-2 feature
-	// extraction, decide, and conversion — parented under the request span
-	// installed via Adaptive.SetSpanParent. The conversion span carries the
-	// paid overhead and the decision trace ID, tying the
-	// distributed trace tree back to the journal's T_affected ledger. nil
-	// (the default) disables span emission.
-	SpanSink func(obs.Span)
 }
 
 // DefaultConfig mirrors the paper's empirical settings plus a 10% decision
@@ -186,7 +167,7 @@ type Decision struct {
 	// the costs were assembled from: normalized SpMV time and normalized
 	// conversion time per candidate format. CSR is present in PredictedSpMV
 	// with its defining value 1 and in PredictedConv with 0. Kept so the
-	// decision journal can show both regressors' verdicts, and so the
+	// decision record can show both regressors' verdicts, and so the
 	// T_affected ledger can compare the chosen format's predicted per-call
 	// time against what post-conversion SpMV calls actually measure.
 	PredictedSpMV map[sparse.Format]float64

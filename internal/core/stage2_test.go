@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"strconv"
 	"testing"
 	"time"
 
@@ -32,9 +31,10 @@ func ellPreds(t *testing.T, m *sparse.CSR) *core.Predictors {
 //
 // where credit is the publisher's conversion bill on a cache hit. The fake
 // clock steps by 0.25 s — a dyadic value, so every sum below is exact in
-// float64 and == is the honest comparison. It also checks the
-// selector.convert span (present only when a conversion ran here) carries
-// the same paid seconds.
+// float64 and == is the honest comparison. It also checks the record's
+// stages: their seconds, convcache.publish aside (it relabels the
+// conversion's interval), sum to the paid seconds, and the selector.convert
+// stage is there only when a conversion ran here, lasting ConvertSeconds.
 func TestStage2OverheadConservation(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 4000, 11)
 	preds := ellPreds(t, m)
@@ -58,9 +58,7 @@ func TestStage2OverheadConservation(t *testing.T) {
 		t.Run("paid/"+oc.name, func(t *testing.T) {
 			clk := timing.NewFakeClock()
 			clk.SetAutoStep(step)
-			var spans []obs.Span
-			cfg := traceConfig(clk, obs.NewJournal(0))
-			cfg.SpanSink = func(sp obs.Span) { spans = append(spans, sp) }
+			cfg := replayConfig(clk)
 			if oc.margin > 0 {
 				cfg.Margin = oc.margin
 			}
@@ -75,7 +73,6 @@ func TestStage2OverheadConservation(t *testing.T) {
 				}
 			}
 			ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
-			ad.SetSpanParent(obs.SpanContext{Trace: obs.NewTraceID(), Span: obs.NewSpanID()})
 			driveLoop(ad, 15, 1, 0.995)
 			st := ad.Stats()
 			if !st.Stage2Ran {
@@ -101,33 +98,36 @@ func TestStage2OverheadConservation(t *testing.T) {
 				t.Error("miss did not publish its conversion")
 			}
 
-			var convert []obs.Span
-			for _, sp := range spans {
-				if sp.Name == "selector.convert" {
-					convert = append(convert, sp)
+			var staged float64
+			var convert []obs.Stage
+			for _, sg := range fetchTrace(t, ad).Stages {
+				if sg.Name != "convcache.publish" {
+					staged += sg.Seconds
 				}
+				if sg.Name == "selector.convert" {
+					convert = append(convert, sg)
+				}
+			}
+			if staged != st.PaidSeconds {
+				t.Errorf("stages sum to %g s, want the paid %g s", staged, st.PaidSeconds)
 			}
 			if !oc.wantConvert {
 				if len(convert) != 0 {
-					t.Errorf("selector.convert span without a conversion: %+v", convert)
+					t.Errorf("selector.convert stage without a conversion: %+v", convert)
 				}
 				return
 			}
 			if len(convert) != 1 {
-				t.Fatalf("got %d selector.convert spans, want 1", len(convert))
+				t.Fatalf("got %d selector.convert stages, want 1", len(convert))
 			}
-			sp := convert[0]
-			if got, err := strconv.ParseFloat(sp.Attrs["paid_seconds"], 64); err != nil || got != st.PaidSeconds {
-				t.Errorf("convert span paid_seconds = %q, want %g", sp.Attrs["paid_seconds"], st.PaidSeconds)
-			}
-			if sp.Seconds != st.ConvertSeconds {
-				t.Errorf("convert span lasted %g, stats say %g", sp.Seconds, st.ConvertSeconds)
+			if convert[0].Seconds != st.ConvertSeconds {
+				t.Errorf("convert stage lasted %g, stats say %g", convert[0].Seconds, st.ConvertSeconds)
 			}
 		})
 	}
 }
 
-// TestTraceMarginGateUsesDecisionStayCost: the journaled margin gate shows
+// TestTraceMarginGateUsesDecisionStayCost: the recorded margin gate shows
 // the two numbers the argmin compared — the decision's own stay cost shrunk
 // by the margin against the cheapest alternative's cost — and a verdict that
 // agrees with them.
@@ -137,8 +137,7 @@ func TestTraceMarginGateUsesDecisionStayCost(t *testing.T) {
 
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(time.Millisecond)
-	journal := obs.NewJournal(0)
-	cfg := traceConfig(clk, journal)
+	cfg := replayConfig(clk)
 	ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
 	driveLoop(ad, 15, 1, 0.995)
 	st := ad.Stats()
@@ -149,7 +148,7 @@ func TestTraceMarginGateUsesDecisionStayCost(t *testing.T) {
 	if got := st.Decision.PredictedCost[sparse.FmtCSR]; got != stay {
 		t.Fatalf("decision stay cost %g, want the remaining calls %g", got, stay)
 	}
-	tr := fetchTrace(t, ad, journal)
+	tr := fetchTrace(t, ad)
 	for _, g := range tr.Gates {
 		if g.Name != "stay_cost*(1-margin)>=best_alt" {
 			continue

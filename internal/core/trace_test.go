@@ -11,25 +11,12 @@ import (
 	"repro/internal/timing"
 )
 
-// traceConfig is replayConfig plus a journal, so every pipeline run leaves a
-// DecisionTrace whose numbers are fully scripted by the fake clock.
-func traceConfig(clk timing.Clock, j *obs.Journal) core.Config {
-	cfg := replayConfig(clk)
-	cfg.Journal = j
-	cfg.TraceLabel = "replay"
-	return cfg
-}
-
-// fetchTrace resolves the wrapper's trace or fails the test.
-func fetchTrace(t *testing.T, ad *core.Adaptive, j *obs.Journal) obs.DecisionTrace {
+// fetchTrace returns the wrapper's decision record or fails the test.
+func fetchTrace(t *testing.T, ad *core.Adaptive) obs.DecisionTrace {
 	t.Helper()
-	id, ok := ad.TraceID()
+	tr, ok := ad.Trace()
 	if !ok {
-		t.Fatal("no trace ID after the pipeline ran")
-	}
-	tr, ok := j.Get(id)
-	if !ok {
-		t.Fatalf("trace %d not in the journal", id)
+		t.Fatal("no decision record after the pipeline ran")
 	}
 	return tr
 }
@@ -42,16 +29,15 @@ func TestTraceLedgerConverted(t *testing.T) {
 	preds := predictors(t)
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(time.Millisecond)
-	journal := obs.NewJournal(0)
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
-	ad := core.NewAdaptive(m, 1e-8, preds, traceConfig(clk, journal), false)
+	ad := core.NewAdaptive(m, 1e-8, preds, replayConfig(clk), false)
 	driveLoop(ad, 20, 1, 0.995)
 
 	st := ad.Stats()
 	if !st.Converted {
 		t.Fatalf("banded long loop did not convert: %+v", st.Decision)
 	}
-	tr := fetchTrace(t, ad, journal)
+	tr := fetchTrace(t, ad)
 
 	// The trace must reproduce core.Stats exactly — same clock, same regions.
 	if tr.FeatureSeconds != st.FeatureSeconds || tr.PredictSeconds != st.PredictSeconds ||
@@ -70,8 +56,8 @@ func TestTraceLedgerConverted(t *testing.T) {
 	if tr.Iterations != 15 {
 		t.Errorf("pipeline fired at iteration %d, want K=15", tr.Iterations)
 	}
-	if tr.Label != "replay" {
-		t.Errorf("trace label %q", tr.Label)
+	if tr.ID != 0 || tr.Label != "" {
+		t.Errorf("record carries ID %d label %q: both are its owner's to set", tr.ID, tr.Label)
 	}
 
 	// Both gates must appear with both sides: remaining>=TH and the
@@ -137,8 +123,7 @@ func TestTraceLedgerStay(t *testing.T) {
 	preds := predictors(t)
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(time.Millisecond)
-	journal := obs.NewJournal(0)
-	cfg := traceConfig(clk, journal)
+	cfg := replayConfig(clk)
 	cfg.Margin = 0.9999 // a conversion would need ~free cost to win
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
 	ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
@@ -148,7 +133,7 @@ func TestTraceLedgerStay(t *testing.T) {
 	if !st.Stage2Ran || st.Converted {
 		t.Fatalf("want stage2-ran decide-stay, got %+v", st)
 	}
-	tr := fetchTrace(t, ad, journal)
+	tr := fetchTrace(t, ad)
 	if tr.Chosen != sparse.FmtCSR.String() || tr.Converted {
 		t.Fatalf("trace chose %q converted=%v, want CSR stay", tr.Chosen, tr.Converted)
 	}
@@ -198,9 +183,8 @@ func TestTraceLedgerBreakEven(t *testing.T) {
 	preds := predictors(t)
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(time.Millisecond)
-	journal := obs.NewJournal(0)
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
-	ad := core.NewAdaptive(m, 1e-8, preds, traceConfig(clk, journal), false)
+	ad := core.NewAdaptive(m, 1e-8, preds, replayConfig(clk), false)
 	// 15 iterations at 1ms trip the pipeline on the 15th progress report.
 	driveLoop(ad, 15, 1, 0.995)
 	if st := ad.Stats(); !st.Converted {
@@ -215,7 +199,7 @@ func TestTraceLedgerBreakEven(t *testing.T) {
 		ad.SpMV(y, x)
 	}
 
-	l := fetchTrace(t, ad, journal).Ledger
+	l := fetchTrace(t, ad).Ledger
 	// Saved = (1ms - 0.1ms) x 10 = 9ms against 4ms overhead: net +5ms.
 	if l.PostSpMVCalls != 10 || !approx(l.RealizedSpMVSeconds, 0.0001) {
 		t.Fatalf("post %d calls realized %g, want 10 / 0.0001", l.PostSpMVCalls, l.RealizedSpMVSeconds)
@@ -246,39 +230,34 @@ func approx(got, want float64) bool {
 }
 
 // TestTraceEarlyReturnPaths asserts that every pipeline outcome — stage-1
-// failure modes aside — leaves a retrievable trace: the "predicted too
-// short" return must still journal the failed TH gate, and a sub-K loop
-// must leave no trace at all.
+// failure modes aside — leaves a retrievable record: the "predicted too
+// short" return must still record the failed TH gate, and a sub-K loop
+// must leave no record at all.
 func TestTraceEarlyReturnPaths(t *testing.T) {
 	preds := predictors(t)
 
 	t.Run("below-K-no-trace", func(t *testing.T) {
 		clk := timing.NewFakeClock()
 		clk.SetAutoStep(time.Millisecond)
-		journal := obs.NewJournal(0)
 		m := genCSR(t, matgen.FamBanded, 4000, 7)
-		ad := core.NewAdaptive(m, 1e-8, preds, traceConfig(clk, journal), false)
+		ad := core.NewAdaptive(m, 1e-8, preds, replayConfig(clk), false)
 		driveLoop(ad, 10, 1, 0.1)
-		if _, ok := ad.TraceID(); ok {
-			t.Error("trace exists but the pipeline never ran")
-		}
-		if journal.Len() != 0 {
-			t.Errorf("journal holds %d traces, want 0", journal.Len())
+		if tr, ok := ad.Trace(); ok {
+			t.Errorf("record %+v exists but the pipeline never ran", tr)
 		}
 	})
 
 	t.Run("th-gate-blocks", func(t *testing.T) {
 		clk := timing.NewFakeClock()
 		clk.SetAutoStep(time.Millisecond)
-		journal := obs.NewJournal(0)
 		m := genCSR(t, matgen.FamBanded, 4000, 7)
-		ad := core.NewAdaptive(m, 1e-8, preds, traceConfig(clk, journal), false)
+		ad := core.NewAdaptive(m, 1e-8, preds, replayConfig(clk), false)
 		driveLoop(ad, 16, 1, 0.1) // fast convergence: few remaining iterations
 		st := ad.Stats()
 		if !st.Stage1Ran || st.Stage2Ran {
 			t.Fatalf("want stage-1-only run, got %+v", st)
 		}
-		tr := fetchTrace(t, ad, journal)
+		tr := fetchTrace(t, ad)
 		if tr.Stage2Ran || tr.Chosen != sparse.FmtCSR.String() {
 			t.Errorf("trace = %+v, want un-run stage 2 staying CSR", tr)
 		}
@@ -298,7 +277,7 @@ func TestTraceStatsSpMVCalls(t *testing.T) {
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(time.Millisecond)
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
-	// No journal: post-decision calls go untimed, but must still count.
+	// Post-decision calls are timed for the ledger and must count too.
 	ad := core.NewAdaptive(m, 1e-8, preds, replayConfig(clk), false)
 	driveLoop(ad, 20, 2, 0.995)
 	if got := ad.Stats().SpMVCalls; got != 40 {

@@ -196,13 +196,6 @@ func quartilePicks(n, k int) []int {
 	return uniq
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Render prints the table.
 func (t *Table8) Render() string {
 	var rows [][]string

@@ -9,10 +9,10 @@ const DefaultJournalCapacity = 256
 
 // Journal is a bounded ring buffer of DecisionTraces. Appends are O(1) and
 // evict the oldest entry once the capacity is reached; entries stay
-// addressable by their monotonically increasing ID until evicted. All
-// methods are safe for concurrent use — the journal is the only
-// synchronization point between the selector goroutine writing ledger
-// updates and HTTP handlers reading traces.
+// addressable by their monotonically increasing ID until evicted. An entry is
+// a snapshot: the record it was appended from lives on with its owner, which
+// keeps its ledger current without this journal's lock. All methods are safe
+// for concurrent use.
 type Journal struct {
 	mu     sync.Mutex
 	cap    int
@@ -67,21 +67,6 @@ func (j *Journal) Get(id uint64) (DecisionTrace, bool) {
 		return DecisionTrace{}, false
 	}
 	return j.buf[i], true
-}
-
-// Update applies fn to the trace with the given ID under the journal lock,
-// returning false when the trace has been evicted. It is how the selector
-// streams ledger updates into a trace that readers may be snapshotting
-// concurrently.
-func (j *Journal) Update(id uint64, fn func(*DecisionTrace)) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	i := j.locate(id)
-	if i < 0 {
-		return false
-	}
-	fn(&j.buf[i])
-	return true
 }
 
 // Recent returns copies of up to n traces, newest first (n <= 0 means all).

@@ -117,15 +117,28 @@ func (l *Ledger) InitPredictions(baseline, predictedNorm, paid, hidden float64, 
 	}
 }
 
+// Stage is one timed region of a pipeline run, in the order it ran: what a
+// selector span carries (name, start, seconds, attributes), kept in the
+// record so the server can emit the span once the record is folded. Attrs is
+// read-only once the stage is recorded; stages may share one map.
+type Stage struct {
+	Name    string            `json:"name"`
+	Start   time.Time         `json:"start"`
+	Seconds float64           `json:"seconds"`
+	Attrs   map[string]string `json:"attrs,omitempty"`
+}
+
 // DecisionTrace is the structured record of one run of the two-stage
 // selector pipeline: what stage 1 forecast, which gates opened (with both
 // sides of every inequality), what stage 2 predicted per format, what was
 // chosen, what the overhead measured — and, via the Ledger, whether the
 // promised payoff is materializing.
 type DecisionTrace struct {
-	// ID is the journal-assigned sequence number (1-based).
+	// ID is the journal-assigned sequence number (1-based); 0 on a record
+	// no journal holds.
 	ID uint64 `json:"id"`
-	// Label identifies the matrix/handle the decision was made for.
+	// Label identifies the matrix/handle the decision was made for; the
+	// record's owner sets it, the selector does not know it.
 	Label string `json:"label,omitempty"`
 	// At is the pipeline start timestamp on the selector's clock (the fake
 	// epoch under test replay; wall time in production).
@@ -179,6 +192,11 @@ type DecisionTrace struct {
 	PaidSeconds   float64 `json:"paid_seconds"`
 	HiddenSeconds float64 `json:"hidden_seconds"`
 
+	// Stages are the pipeline's timed regions in order. Every one but
+	// convcache.publish, which relabels the conversion's interval, is paid:
+	// their seconds sum to PaidSeconds.
+	Stages []Stage `json:"stages,omitempty"`
+
 	// Ledger tracks measured-vs-predicted payoff; valid once Stage2Ran.
 	Ledger Ledger `json:"ledger"`
 }
@@ -187,7 +205,10 @@ type DecisionTrace struct {
 // -trace flag prints.
 func (t DecisionTrace) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "decision #%d", t.ID)
+	b.WriteString("decision")
+	if t.ID != 0 {
+		fmt.Fprintf(&b, " #%d", t.ID)
+	}
 	if t.Label != "" {
 		fmt.Fprintf(&b, " [%s]", t.Label)
 	}

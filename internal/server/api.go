@@ -112,8 +112,9 @@ type MatrixInfo struct {
 	// against the registry budget, and any conversion either pays is
 	// published for both.
 	DuplicateOf string `json:"duplicate_of,omitempty"`
-	// TraceID addresses this handle's decision trace in the journal
-	// (GET /v1/trace/{matrix-id} resolves it); 0 until the pipeline runs.
+	// TraceID is the journal ID of this handle's decision (GET
+	// /v1/trace/{matrix-id} serves the handle's record under it); 0 until
+	// the request that ran the pipeline has ended.
 	TraceID uint64 `json:"trace_id,omitempty"`
 	// Evicted lists handles that were removed to make room; only set on
 	// the registration response.

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -52,7 +53,11 @@ type Handle struct {
 	diag       []float64 // lazily extracted
 	spmvCalls  int64
 	solveCalls int64
-	stage2Seen bool // whether the selector pipeline outcome was counted
+
+	// folded is set by the one Server.fold that turns SA's decision record
+	// into a journal entry, spans and metrics; traceID is that entry's ID.
+	folded  atomic.Bool
+	traceID atomic.Uint64
 }
 
 // CSR returns the master CSR copy. The matrix is immutable after
@@ -71,40 +76,12 @@ func (h *Handle) Diag() []float64 {
 	return h.diag
 }
 
-// countUse records request-level usage and, once per handle, folds the
-// selector's pipeline outcome into the server metrics. A decision trace
-// exists exactly when that outcome is final (stopped at a gate, decided,
-// installed or canceled), and asking for it is one atomic load, so a request
-// waits for the handle only the one time there is something to read.
-func (h *Handle) countUse(m *Metrics, spmvs, solves int64) {
-	_, settled := h.SA.TraceID()
+// countUse records request-level usage.
+func (h *Handle) countUse(spmvs, solves int64) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.spmvCalls += spmvs
 	h.solveCalls += solves
-	fold := settled && !h.stage2Seen
-	if fold {
-		h.stage2Seen = true
-	}
-	h.mu.Unlock()
-	if !fold {
-		return
-	}
-	st := h.SA.Stats()
-	if !st.Stage2Ran {
-		return
-	}
-	if st.Converted {
-		m.Conversions.Add(1)
-	} else {
-		m.ConversionsAvoided.Add(1)
-	}
-	// The selector's measured stage-2 overheads. ConvertSeconds is only
-	// meaningful when a conversion actually ran.
-	m.FeatureSeconds.Observe(st.FeatureSeconds)
-	m.PredictSeconds.Observe(st.PredictSeconds)
-	if st.Converted {
-		m.ConvertSeconds.Observe(st.ConvertSeconds)
-	}
 }
 
 // Usage returns the handle's cumulative request counters.

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -217,9 +218,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Metrics exposes the counter set (primarily for tests and the daemon).
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Journal exposes the decision journal (primarily for tests and the daemon).
-func (s *Server) Journal() *obs.Journal { return s.journal }
-
 // Registry exposes the matrix registry (primarily for tests and the daemon).
 func (s *Server) Registry() *Registry { return s.reg }
 
@@ -289,9 +287,8 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Handle, bool) 
 
 func (s *Server) info(h *Handle) MatrixInfo {
 	spmv, solve := h.Usage()
-	traceID, _ := h.SA.TraceID()
 	return MatrixInfo{
-		TraceID:     traceID,
+		TraceID:     h.traceID.Load(),
 		ID:          h.ID,
 		Name:        h.Name,
 		Rows:        h.Rows,
@@ -369,8 +366,9 @@ func (s *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 	s.env.WriteJSON(w, http.StatusOK, info)
 }
 
-// handleDecisions dumps the journal's recent traces (newest first) as JSON.
-// ?n= bounds the count; default all held.
+// handleDecisions dumps the journal's recent traces (newest first) as JSON,
+// each as it stood when the request that ran its pipeline ended (the live
+// ledger is /v1/trace/{id}'s). ?n= bounds the count; default all held.
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	n := 0
 	if q := r.URL.Query().Get("n"); q != "" {
@@ -404,24 +402,22 @@ func (s *Server) handleSlow(w http.ResponseWriter, r *http.Request) {
 	s.env.WriteJSON(w, http.StatusOK, SlowResponse{Slowest: s.env.Slow.List()})
 }
 
-// handleTrace resolves a matrix handle to its decision trace. 404 separates
-// "no such matrix" from "pipeline has not run yet" (409) and "trace evicted
-// from the journal" (410), so clients can tell waiting from gone.
+// handleTrace serves a matrix handle's decision record with its ledger as of
+// now, under the ID and label of its journal entry (0 and the handle's name
+// until the request that ran the pipeline has ended). 404 separates "no such
+// matrix" from "pipeline has not run yet" (409). The record lives as long as
+// its handle, whatever the journal has since evicted.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	h, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	id, ok := h.SA.TraceID()
+	tr, ok := h.SA.Trace()
 	if !ok {
 		s.env.Fail(w, http.StatusConflict, "matrix %s: selector pipeline has not run yet", h.ID)
 		return
 	}
-	tr, ok := s.journal.Get(id)
-	if !ok {
-		s.env.Fail(w, http.StatusGone, "matrix %s: trace %d evicted from the journal", h.ID, id)
-		return
-	}
+	tr.ID, tr.Label = h.traceID.Load(), h.Name
 	s.env.WriteJSON(w, http.StatusOK, tr)
 }
 
@@ -519,17 +515,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Selector != nil {
 		selCfg = *s.cfg.Selector
 	}
-	// Every handle's selector writes into the shared journal; the label
-	// carries the caller-facing name (the handle ID is not assigned yet —
-	// /v1/trace/{id} resolves ID → trace through the handle instead).
-	selCfg.Journal = s.journal
-	if selCfg.TraceLabel == "" {
-		selCfg.TraceLabel = req.Name
-	}
-	// Selector stage spans (stage1/features/decide/convert) land in
-	// the shard's span store, parented under whatever request span was
-	// current when the pipeline fired (see SetSpanParent in handlePanel/handleSolve).
-	selCfg.SpanSink = s.env.Tracer.Record
 	// Wire the conversion cache: any conversion this handle's pipeline pays
 	// for is published under the matrix identity, and a conversion already
 	// published by an earlier tenant is adopted with zero residual
@@ -747,7 +732,8 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		sc, traced := obs.SpanFromContext(r.Context())
+		sc, _ := obs.SpanFromContext(r.Context())
+		defer s.fold(h, sc)
 		decodeStart := time.Now()
 		buf, lay, k, ok := s.env.ReadPanel(w, r, h.Cols)
 		if !ok {
@@ -771,9 +757,6 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		}
 		s.env.WireSpan(sc, "wire.decode", decodeStart, len(*buf), k)
 
-		if traced {
-			h.SA.SetSpanParent(sc)
-		}
 		var format sparse.Format
 		waitStart := time.Now()
 		err = s.pool.Do(r.Context(), func() error {
@@ -805,7 +788,7 @@ func (s *Server) handlePanel(op panelOp) http.HandlerFunc {
 		requests.Add(1)
 		columns.Add(int64(k))
 		s.metrics.CountSpMV(format, int64(k))
-		h.countUse(s.metrics, int64(k), 0)
+		h.countUse(int64(k), 0)
 
 		encodeStart := time.Now()
 		tail := wire.Tail{Format: format.String()}
@@ -837,6 +820,63 @@ func (s *Server) failWork(w http.ResponseWriter, err error) {
 		s.metrics.Timeouts.Add(1)
 	}
 	s.env.Fail(w, WorkStatus(err), "%v", err)
+}
+
+// fold turns a handle's decision record into the server's three accounts of
+// it — a journal entry, the selector spans under the request span sc, and the
+// stage-2 metrics — once per handle. Every request that touches a handle
+// defers it, so the request whose progress report fired the pipeline folds
+// the record however it ends, 504 included. Until the pipeline has run, and
+// after the fold, it costs a request at most two atomic loads and no handle
+// lock.
+func (s *Server) fold(h *Handle, sc obs.SpanContext) {
+	if h.folded.Load() {
+		return
+	}
+	tr, ok := h.SA.Trace()
+	if !ok || h.folded.Swap(true) {
+		return
+	}
+	tr.Label = h.Name
+	tr.ID = s.journal.Append(tr)
+	h.traceID.Store(tr.ID)
+	decision := strconv.FormatUint(tr.ID, 10)
+	for _, st := range tr.Stages {
+		sp := obs.Span{
+			Trace:   sc.Trace,
+			ID:      obs.NewSpanID(),
+			Parent:  sc.Span,
+			Name:    st.Name,
+			Service: "selector",
+			Start:   st.Start,
+			Seconds: st.Seconds,
+			Attrs:   map[string]string{"decision_id": decision},
+		}
+		if tr.Label != "" {
+			sp.Attrs["label"] = tr.Label
+		}
+		maps.Copy(sp.Attrs, st.Attrs)
+		if st.Name == "selector.convert" {
+			sp.Attrs["paid_seconds"] = strconv.FormatFloat(tr.PaidSeconds, 'g', -1, 64)
+		}
+		s.env.Tracer.Record(sp)
+	}
+	if !tr.Stage2Ran {
+		return
+	}
+	m := s.metrics
+	if tr.Converted {
+		m.Conversions.Add(1)
+	} else {
+		m.ConversionsAvoided.Add(1)
+	}
+	// The selector's measured stage-2 overheads. ConvertSeconds is only
+	// meaningful when a conversion actually ran.
+	m.FeatureSeconds.Observe(tr.FeatureSeconds)
+	m.PredictSeconds.Observe(tr.PredictSeconds)
+	if tr.Converted {
+		m.ConvertSeconds.Observe(tr.ConvertSeconds)
+	}
 }
 
 // RunSolve runs one solve request against op — ocsd's per-handle selector
@@ -931,10 +971,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	hook := func(_ int, p float64) { h.SA.RecordProgress(p) }
-	sc, traced := obs.SpanFromContext(r.Context())
-	if traced {
-		h.SA.SetSpanParent(sc)
-	}
+	sc, _ := obs.SpanFromContext(r.Context())
+	defer s.fold(h, sc)
 
 	var (
 		res       apps.Result
@@ -970,7 +1008,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// approximation: BiCGSTAB issues two per iteration, restarted GMRES one
 	// per Arnoldi step plus one per restart).
 	s.metrics.CountSpMV(format, int64(res.SpMVs))
-	h.countUse(s.metrics, int64(res.SpMVs), 1)
+	h.countUse(int64(res.SpMVs), 1)
 	resp := SolveResponse{
 		App:            req.App,
 		Iterations:     res.Iterations,
