@@ -55,7 +55,7 @@ func main() {
 		modelsDir    = flag.String("models", "", "directory of trained predictors (see ocsel train)")
 		train        = flag.Bool("train", false, "train default predictors at startup")
 		seed         = flag.Int64("seed", 42, "training corpus seed (with -train)")
-		maxNNZ       = flag.Int64("max-nnz", 50_000_000, "registry capacity in total stored nonzeros")
+		maxNNZ       = flag.Int64("max-nnz", server.DefaultMaxRegistryNNZ, "registry capacity in total stored nonzeros")
 		convCacheNNZ = flag.Int64("conv-cache-nnz", 0, "cross-handle conversion cache capacity in stored nonzeros (0 = half of -max-nnz, negative = disabled)")
 		workers      = flag.Int("workers", parallel.Workers(), "max concurrent SpMV/solve jobs")
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = 4x workers, negative = none)")

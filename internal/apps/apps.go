@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/sparse"
+	"repro/internal/vec"
 )
 
 // Operator is the matrix contract the solvers need: y = A*x plus the
@@ -72,23 +73,84 @@ func (s serOp) Dims() (r, c int)    { return s.m.Dims() }
 // Ser adapts a sparse matrix into a serial-kernel Operator.
 func Ser(m sparse.Matrix) Operator { return serOp{m} }
 
-// canceled reports the context's error, tolerating a nil context so the
-// pre-existing call sites (which never set SolveOptions.Ctx) keep working.
-func canceled(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
+// solve is the scaffold the seven solvers share: the one counted SpMV site,
+// the one iteration record and the one cancellation error. Its Result is
+// what the solver returns.
+type solve struct {
+	Result
+	name string
+	op   Operator
+	ctx  context.Context
+	hook Hook
 }
 
-// squareDims validates the operator is square and returns n.
-func squareDims(op Operator) (int, error) {
+// newSolve checks that op is square and returns the scaffold for its n
+// unknowns. name is the solver's name in error text.
+func newSolve(name string, op Operator, ctx context.Context, hook Hook) (*solve, int, error) {
+	s := &solve{name: name, op: op, ctx: ctx, hook: hook}
 	r, c := op.Dims()
 	if r != c {
-		return 0, fmt.Errorf("apps: operator is %dx%d, want square", r, c)
+		return s, 0, fmt.Errorf("apps: operator is %dx%d, want square", r, c)
 	}
 	if r == 0 {
-		return 0, fmt.Errorf("apps: empty operator")
+		return s, 0, fmt.Errorf("apps: empty operator")
 	}
-	return r, nil
+	return s, r, nil
+}
+
+// begin is the prologue of CG, PCG, BiCGSTAB and GMRES: a square operator,
+// valid options and a right-hand side of matching length. It returns
+// ||b||; when that is 0 the solve is over, x = 0 has converged and s.Result
+// says so.
+func begin(name string, op Operator, b []float64, opt SolveOptions, hook Hook) (*solve, float64, error) {
+	s, n, err := newSolve(name, op, opt.Ctx, hook)
+	if err == nil {
+		err = opt.validate()
+	}
+	if err == nil && len(b) != n {
+		err = fmt.Errorf("apps: rhs length %d for %d unknowns", len(b), n)
+	}
+	if err != nil {
+		return s, 0, err
+	}
+	bnorm := vec.Nrm2(b)
+	if bnorm == 0 {
+		s.Converged, s.X = true, make([]float64, n)
+	}
+	return s, bnorm, nil
+}
+
+// apply is y = A*x, counted in SpMVs: the solvers' one SpMV site.
+func (s *solve) apply(y, x []float64) {
+	s.op.SpMV(y, x)
+	s.SpMVs++
+}
+
+// record is iteration iter's progress value: it becomes the Residual, joins
+// the trace and goes to the hook.
+func (s *solve) record(iter int, progress float64) {
+	s.Iterations = iter
+	s.Residual = progress
+	s.Progress = append(s.Progress, progress)
+	if s.hook != nil {
+		s.hook(iter, progress)
+	}
+}
+
+// canceled returns the error that stops the solve before iteration iter
+// once its context is done. A nil context never cancels.
+func (s *solve) canceled(iter int) error {
+	if s.ctx == nil {
+		return nil
+	}
+	if err := s.ctx.Err(); err != nil {
+		return fmt.Errorf("apps: %s canceled at iteration %d: %w", s.name, iter, err)
+	}
+	return nil
+}
+
+// exit hands back the iterate x with the Result and err.
+func (s *solve) exit(x []float64, err error) (Result, error) {
+	s.X = x
+	return s.Result, err
 }

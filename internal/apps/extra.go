@@ -13,11 +13,11 @@ import (
 // (the Operator interface intentionally hides storage, so the caller
 // extracts it once up front).
 func Jacobi(op Operator, diag, b []float64, omega float64, opt SolveOptions, hook Hook) (Result, error) {
-	n, err := squareDims(op)
-	if err != nil {
-		return Result{}, err
+	sv, n, err := newSolve("Jacobi", op, opt.Ctx, hook)
+	if err == nil {
+		err = opt.validate()
 	}
-	if err := opt.validate(); err != nil {
+	if err != nil {
 		return Result{}, err
 	}
 	if len(b) != n || len(diag) != n {
@@ -38,14 +38,11 @@ func Jacobi(op Operator, diag, b []float64, omega float64, opt SolveOptions, hoo
 	}
 	ax := make([]float64, n)
 	ps := vec.NewPass(n)
-	res := Result{}
 	for iter := 1; iter <= opt.MaxIters; iter++ {
-		if err := canceled(opt.Ctx); err != nil {
-			res.X = x
-			return res, fmt.Errorf("apps: Jacobi canceled at iteration %d: %w", iter, err)
+		if err := sv.canceled(iter); err != nil {
+			return sv.exit(x, err)
 		}
-		op.SpMV(ax, x)
-		res.SpMVs++
+		sv.apply(ax, x)
 		rr := ps.JacobiSweep(x, b, ax, omega, diag)
 		rnorm := math.Sqrt(rr)
 		if !vec.SafeSumSq(rr) {
@@ -54,19 +51,13 @@ func Jacobi(op Operator, diag, b []float64, omega float64, opt SolveOptions, hoo
 			ps.AxpyTo(ax, -1, ax, b)
 			rnorm = vec.Nrm2(ax)
 		}
-		res.Iterations = iter
-		res.Residual = rnorm
-		res.Progress = append(res.Progress, rnorm)
-		if hook != nil {
-			hook(iter, rnorm)
-		}
+		sv.record(iter, rnorm)
 		if rnorm <= opt.Tol*bnorm {
-			res.Converged = true
+			sv.Converged = true
 			break
 		}
 	}
-	res.X = x
-	return res, nil
+	return sv.exit(x, nil)
 }
 
 // PowerMethod computes the dominant eigenvalue and eigenvector of A by
@@ -82,11 +73,11 @@ type PowerResult struct {
 
 // PowerMethod runs the power iteration from the all-ones vector.
 func PowerMethod(op Operator, opt SolveOptions, hook Hook) (PowerResult, error) {
-	n, err := squareDims(op)
-	if err != nil {
-		return PowerResult{}, err
+	sv, n, err := newSolve("power method", op, opt.Ctx, hook)
+	if err == nil {
+		err = opt.validate()
 	}
-	if err := opt.validate(); err != nil {
+	if err != nil {
 		return PowerResult{}, err
 	}
 	x := make([]float64, n)
@@ -94,42 +85,31 @@ func PowerMethod(op Operator, opt SolveOptions, hook Hook) (PowerResult, error) 
 	for i := range x {
 		x[i] = x0
 	}
+	sv.X = x // updated in place
 	ax := make([]float64, n)
 	ps := vec.NewPass(n)
-	out := PowerResult{}
 	lambda := 0.0
 	for iter := 1; iter <= opt.MaxIters; iter++ {
-		if err := canceled(opt.Ctx); err != nil {
-			out.X = x
-			return out, fmt.Errorf("apps: power method canceled at iteration %d: %w", iter, err)
+		if err := sv.canceled(iter); err != nil {
+			return PowerResult{Result: sv.Result}, err
 		}
-		op.SpMV(ax, x)
-		out.SpMVs++
+		sv.apply(ax, x)
 		ss, newLambda := ps.Dot2(ax, x)
 		norm := vec.Norm(ss, ax)
 		if norm == 0 {
 			// A x = 0: x is in the null space; the dominant eigenvalue of
 			// the restriction is 0 and iteration cannot continue.
-			out.Eigenvalue = 0
-			out.Converged = true
-			out.X = x
-			return out, nil
+			sv.Converged = true
+			return PowerResult{Result: sv.Result}, nil
 		}
 		ps.ScaleTo(x, 1/norm, ax)
 		delta := math.Abs(newLambda - lambda)
 		lambda = newLambda
-		out.Iterations = iter
-		out.Residual = delta
-		out.Progress = append(out.Progress, delta)
-		if hook != nil {
-			hook(iter, delta)
-		}
+		sv.record(iter, delta)
 		if iter > 1 && delta <= opt.Tol*math.Max(1, math.Abs(lambda)) {
-			out.Converged = true
+			sv.Converged = true
 			break
 		}
 	}
-	out.Eigenvalue = lambda
-	out.X = x
-	return out, nil
+	return PowerResult{Result: sv.Result, Eigenvalue: lambda}, nil
 }

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/vec"
@@ -12,16 +11,11 @@ import (
 // Givens rotations maintain a running residual estimate, which is the
 // progress indicator reported once per inner iteration (one SpMV each).
 func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error) {
-	n, err := squareDims(op)
-	if err != nil {
-		return Result{}, err
+	sv, bnorm, err := begin("GMRES", op, b, opt, hook)
+	if err != nil || bnorm == 0 {
+		return sv.Result, err
 	}
-	if err := opt.validate(); err != nil {
-		return Result{}, err
-	}
-	if len(b) != n {
-		return Result{}, fmt.Errorf("apps: rhs length %d for %d unknowns", len(b), n)
-	}
+	n := len(b)
 	m := opt.Restart
 	if m <= 0 {
 		m = 30
@@ -29,13 +23,7 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 	if m > n {
 		m = n
 	}
-	bnorm := vec.Nrm2(b)
 	x := make([]float64, n)
-	if bnorm == 0 {
-		return Result{Converged: true, X: x}, nil
-	}
-
-	res := Result{}
 	r := make([]float64, n)
 	w := make([]float64, n)
 	// Krylov basis (m+1 vectors) and Hessenberg column storage.
@@ -56,11 +44,10 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 	totalIter := 0
 	for totalIter < opt.MaxIters {
 		// r = b - A x
-		op.SpMV(r, x)
-		res.SpMVs++
+		sv.apply(r, x)
 		beta := vec.Norm(ps.AxpyTo(r, -1, r, b), r)
 		if beta <= opt.Tol*bnorm {
-			res.Converged = true
+			sv.Converged = true
 			break
 		}
 		ps.ScaleTo(V[0], 1/beta, r)
@@ -71,12 +58,10 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 
 		j := 0
 		for ; j < m && totalIter < opt.MaxIters; j++ {
-			if err := canceled(opt.Ctx); err != nil {
-				res.X = x
-				return res, fmt.Errorf("apps: GMRES canceled at iteration %d: %w", totalIter+1, err)
+			if err := sv.canceled(totalIter + 1); err != nil {
+				return sv.exit(x, err)
 			}
-			op.SpMV(w, V[j])
-			res.SpMVs++
+			sv.apply(w, V[j])
 			// Modified Gram-Schmidt, each projection fused with the next
 			// coefficient and the last one with ||w||².
 			hij := ps.Dot(w, V[0])
@@ -110,12 +95,7 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 
 			totalIter++
 			rnorm := math.Abs(g[j+1])
-			res.Iterations = totalIter
-			res.Residual = rnorm
-			res.Progress = append(res.Progress, rnorm)
-			if hook != nil {
-				hook(totalIter, rnorm)
-			}
+			sv.record(totalIter, rnorm)
 			if rnorm <= opt.Tol*bnorm {
 				j++
 				break
@@ -136,11 +116,10 @@ func GMRES(op Operator, b []float64, opt SolveOptions, hook Hook) (Result, error
 		for i := 0; i < j; i++ {
 			ps.Axpy(y[i], V[i], x)
 		}
-		if res.Residual <= opt.Tol*bnorm {
-			res.Converged = true
+		if sv.Residual <= opt.Tol*bnorm {
+			sv.Converged = true
 			break
 		}
 	}
-	res.X = x
-	return res, nil
+	return sv.exit(x, nil)
 }

@@ -74,7 +74,7 @@ func BuildTransition(adj *sparse.CSR) (*sparse.CSR, []bool, error) {
 // on a column-stochastic transition operator (see BuildTransition). The
 // progress indicator is the L1 delta ||x' - x||_1.
 func PageRank(op Operator, dangling []bool, opt PageRankOptions, hook Hook) (Result, error) {
-	n, err := squareDims(op)
+	sv, n, err := newSolve("PageRank", op, opt.Ctx, hook)
 	if err != nil {
 		return Result{}, err
 	}
@@ -100,29 +100,20 @@ func PageRank(op Operator, dangling []bool, opt PageRankOptions, hook Hook) (Res
 	}
 	next := make([]float64, n)
 	ps := vec.NewPass(n)
-	res := Result{}
 	for iter := 1; iter <= opt.MaxIters; iter++ {
-		if err := canceled(opt.Ctx); err != nil {
-			res.X = x
-			return res, fmt.Errorf("apps: PageRank canceled at iteration %d: %w", iter, err)
+		if err := sv.canceled(iter); err != nil {
+			return sv.exit(x, err)
 		}
-		op.SpMV(next, x)
-		res.SpMVs++
+		sv.apply(next, x)
 		teleport := ((1 - opt.Damping) + opt.Damping*mass) / float64(n)
 		var delta float64
 		delta, mass = ps.PageRankUpdate(next, x, dangling, opt.Damping, teleport)
 		x, next = next, x
-		res.Iterations = iter
-		res.Residual = delta
-		res.Progress = append(res.Progress, delta)
-		if hook != nil {
-			hook(iter, delta)
-		}
+		sv.record(iter, delta)
 		if delta <= opt.Tol {
-			res.Converged = true
+			sv.Converged = true
 			break
 		}
 	}
-	res.X = x
-	return res, nil
+	return sv.exit(x, nil)
 }

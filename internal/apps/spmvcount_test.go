@@ -46,7 +46,7 @@ func TestResultSpMVAttribution(t *testing.T) {
 
 	t.Run("pcg", func(t *testing.T) {
 		op := &countingOp{Operator: Ser(a)}
-		res, err := PCG(op, IdentityPreconditioner{}, b, opt, nil)
+		res, err := PCG(op, nil, b, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -176,9 +176,15 @@ func TestBreakdownExitsSurvive(t *testing.T) {
 	t.Run("pcg r'z", func(t *testing.T) {
 		// r'z = b·b = 8e-302 is below the guard while p'Ap is not zero:
 		// the step is taken, recorded, and then the recurrence gives up.
+		// The guard is the preconditioned recurrence's, so M = I is given
+		// explicitly: a nil M is plain CG, which has no r'z.
 		a := fromDense(t, 2, []float64{1, 0, 0, 3})
 		b := []float64{tiny / 10, tiny / 10}
-		res, err := PCG(Ser(a), nil, b, opt, nil)
+		id, err := NewJacobiPreconditioner([]float64{1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := PCG(Ser(a), id, b, opt, nil)
 		if err == nil || !strings.Contains(err.Error(), "r'z") {
 			t.Fatalf("err = %v, want the r'z breakdown", err)
 		}

@@ -408,6 +408,41 @@ func TestRouterDrainRebalances(t *testing.T) {
 	_ = shards
 }
 
+// TestRouterRefusesOversizedPartitionedSpec: a partitioned registration is
+// materialized at the router, so its generate spec is bounded there — by
+// what the cluster could hold at ocsd's default capacity, shards × the
+// default — and refused with 413 before anything is generated. A stencil
+// estimated at 105e6 nonzeros fits no two default shards; the shards stay
+// healthy and hold nothing.
+func TestRouterRefusesOversizedPartitionedSpec(t *testing.T) {
+	_, _, ts := newCluster(t, 2, nil)
+	req := RegisterRequest{
+		RegisterRequest: server.RegisterRequest{
+			Name:     "huge",
+			Generate: &server.GenerateSpec{Family: "stencil2d", Size: 21_000_000},
+		},
+		Partition: &PartitionSpec{Parts: 2},
+	}
+	code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices", req, nil)
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized partitioned spec: %d %s, want 413", code, body)
+	}
+	if want := fmt.Sprintf("registry capacity %d", 2*server.DefaultMaxRegistryNNZ); !bytes.Contains(body, []byte(want)) {
+		t.Errorf("413 body %s does not name the cluster's capacity (%s)", body, want)
+	}
+	var sh ShardsResponse
+	callJSON(t, http.MethodGet, ts.URL+"/admin/shards", nil, &sh)
+	for _, st := range sh.Shards {
+		if !st.Healthy || st.Handles != 0 {
+			t.Errorf("shard after the refusal: %+v, want healthy with no handles", st)
+		}
+	}
+	var ok RouteInfo
+	if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices", spdSpec("after"), &ok); code != http.StatusCreated {
+		t.Fatalf("register after the refusal: %d %s", code, body)
+	}
+}
+
 func TestRouterMetricsScrape(t *testing.T) {
 	_, x, _, _ := oracle(t)
 	_, _, ts := newCluster(t, 2, nil)

@@ -619,10 +619,19 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	rt := &route{name: body.Name}
 	var cut []RowBlock
 	if body.Partition != nil || r.cfg.PartitionMaxNNZ > 0 {
-		// No registry stands behind the router, so nothing bounds the spec.
-		csr, dangling, err := server.Materialize(body.RegisterRequest, 0)
+		// No registry stands behind the router: a spec is bounded by what
+		// the cluster could hold at ocsd's default capacity (and by one
+		// shard's when there are none, for 0 would set no bound).
+		r.mu.Lock()
+		capacity := int64(max(len(r.shards), 1)) * server.DefaultMaxRegistryNNZ
+		r.mu.Unlock()
+		csr, dangling, err := server.Materialize(body.RegisterRequest, capacity)
 		if err != nil {
-			r.env.Fail(w, http.StatusBadRequest, "%v", err)
+			code := http.StatusBadRequest
+			if errors.Is(err, server.ErrTooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			r.env.Fail(w, code, "%v", err)
 			return
 		}
 		wantParts := 0

@@ -176,25 +176,12 @@ type Decision struct {
 	Remaining float64
 }
 
-// formatValid applies the same storage-blowup limits the conversions
-// enforce, computed from already-extracted features so stage 2 does not pay
-// a second pass. BSR's block count at the conversion block size is the one
+// formatValid asks Limits.Fits, the storage-blowup rule the conversions
+// enforce, with the geometry of already-extracted features, so stage 2 does
+// not pay a second pass. BSR's block count at the conversion block size is the one
 // quantity Table I lacks, so it is passed in separately.
 func formatValid(f sparse.Format, s *features.Set, bsrBlocks int, lim sparse.Limits) bool {
-	if s.NNZ == 0 {
-		return true
-	}
-	switch f {
-	case sparse.FmtDIA:
-		return s.Ndiags*s.M <= lim.DIAFill*s.NNZ
-	case sparse.FmtELL:
-		return s.M*s.MaxRD <= lim.ELLFill*s.NNZ
-	case sparse.FmtBSR:
-		bs := float64(lim.BSRBlockSize)
-		return float64(bsrBlocks)*bs*bs <= lim.BSRFill*s.NNZ
-	default:
-		return true
-	}
+	return lim.Fits(f, sparse.Geometry{Rows: s.M, NNZ: s.NNZ, Diags: s.Ndiags, MaxRow: s.MaxRD, Blocks: float64(bsrBlocks)})
 }
 
 // Query is everything a stage-2 cost-benefit evaluation depends on besides

@@ -50,7 +50,7 @@ import (
 // Config sizes the server. Zero values get production-ready defaults.
 type Config struct {
 	// MaxRegistryNNZ bounds the registry's total stored nonzeros
-	// (default 50e6, roughly 800 MB of CSR arrays).
+	// (default DefaultMaxRegistryNNZ).
 	MaxRegistryNNZ int64
 	// Workers caps concurrent SpMV/solve jobs (default parallel.Workers()).
 	Workers int
@@ -90,9 +90,13 @@ type Config struct {
 // defaultTol is the selector tolerance of a handle registered without one.
 const defaultTol = 1e-8
 
-// errTooLarge is Materialize's refusal of a generate spec bigger than its
-// bound, which handleRegister answers with 413.
-var errTooLarge = errors.New("matrix exceeds the registry capacity")
+// DefaultMaxRegistryNNZ is the registry capacity of an ocsd started without
+// one: 50e6 stored nonzeros, roughly 800 MB of CSR arrays.
+const DefaultMaxRegistryNNZ = 50_000_000
+
+// ErrTooLarge is Materialize's refusal of a generate spec bigger than its
+// bound, which ocsd and the router answer with 413.
+var ErrTooLarge = errors.New("matrix exceeds the registry capacity")
 
 // DefaultSLOs are the serving objectives applied when Config.SLOs is nil:
 // interactive endpoints get tight targets, solves get room to iterate.
@@ -107,7 +111,7 @@ func DefaultSLOs() []obs.Objective {
 
 func (c Config) withDefaults() Config {
 	if c.MaxRegistryNNZ <= 0 {
-		c.MaxRegistryNNZ = 50_000_000
+		c.MaxRegistryNNZ = DefaultMaxRegistryNNZ
 	}
 	if c.Workers <= 0 {
 		c.Workers = parallel.Workers()
@@ -454,7 +458,7 @@ func Materialize(req RegisterRequest, maxNNZ int64) (csr *sparse.CSR, dangling [
 		}
 		spec := matgen.Spec{Name: req.Name, Family: matgen.AllFamilies[fi], Size: g.Size, Degree: g.Degree, Seed: g.Seed}
 		if est := matgen.EstimateNNZ(spec); maxNNZ > 0 && est > maxNNZ {
-			return nil, nil, fmt.Errorf("generate: %w: an estimated %d nonzeros, registry capacity %d", errTooLarge, est, maxNNZ)
+			return nil, nil, fmt.Errorf("generate: %w: an estimated %d nonzeros, registry capacity %d", ErrTooLarge, est, maxNNZ)
 		}
 		csr, err = matgen.Generate(spec)
 		if err != nil {
@@ -493,7 +497,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	csr, dangling, err := Materialize(req, s.cfg.MaxRegistryNNZ)
 	if err != nil {
 		code := http.StatusBadRequest
-		if errors.Is(err, errTooLarge) {
+		if errors.Is(err, ErrTooLarge) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		s.env.Fail(w, code, "%v", err)

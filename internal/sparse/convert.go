@@ -80,6 +80,37 @@ var DefaultLimits = Limits{
 	HYBRowFraction: 1.0 / 3.0,
 }
 
+// Geometry is what the storage-blowup rule reads of a matrix. A check
+// fills in only the fields its formats need.
+type Geometry struct {
+	Rows, NNZ float64
+	Diags     float64 // occupied diagonals, DIA's stored rows
+	MaxRow    float64 // the widest row, ELL's slots per row
+	Blocks    float64 // nonempty BSRBlockSize² blocks
+}
+
+// Fits is the storage-blowup rule: whether storing g in format f pads to no
+// more than f's fill limit times its nonzeros. An empty matrix fits, and so
+// does every format without a fill limit. The conversions, CanConvert,
+// stage 2's validity check and the model oracle all ask this one method, so
+// stage 2 never picks a format its conversion refuses.
+func (l Limits) Fits(f Format, g Geometry) bool {
+	if g.NNZ == 0 {
+		return true
+	}
+	switch f {
+	case FmtDIA:
+		return g.Diags*g.Rows <= l.DIAFill*g.NNZ
+	case FmtELL:
+		return g.Rows*g.MaxRow <= l.ELLFill*g.NNZ
+	case FmtBSR:
+		bs := float64(l.BSRBlockSize)
+		return g.Blocks*bs*bs <= l.BSRFill*g.NNZ
+	default:
+		return true
+	}
+}
+
 // COOToCSR converts a (normalized, sorted) COO matrix to CSR.
 func COOToCSR(a *COO) (*CSR, error) {
 	rows, cols := a.Dims()
@@ -208,7 +239,7 @@ func CSRToDIA(a *CSR, lim Limits) (*DIA, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nnz > 0 && float64(len(offs))*float64(rows) > lim.DIAFill*float64(nnz) {
+	if !lim.Fits(FmtDIA, Geometry{Rows: float64(rows), NNZ: float64(nnz), Diags: float64(len(offs))}) {
 		return nil, fmt.Errorf("sparse: DIA fill ratio %.1f exceeds limit %.1f (%d diagonals)",
 			float64(len(offs))*float64(rows)/float64(nnz), lim.DIAFill, len(offs))
 	}
@@ -294,7 +325,7 @@ func CSRToELL(a *CSR, lim Limits) (*ELL, error) {
 	rows, cols := a.Dims()
 	nnz := a.NNZ()
 	width := a.MaxRowNNZ()
-	if nnz > 0 && float64(rows)*float64(width) > lim.ELLFill*float64(nnz) {
+	if !lim.Fits(FmtELL, Geometry{Rows: float64(rows), NNZ: float64(nnz), MaxRow: float64(width)}) {
 		return nil, fmt.Errorf("sparse: ELL fill ratio %.1f exceeds limit %.1f (width %d)",
 			float64(rows)*float64(width)/float64(nnz), lim.ELLFill, width)
 	}
@@ -531,20 +562,19 @@ func Convert(m Matrix, to Format, lim Limits) (Matrix, error) {
 // for one, stores exactly nnz entries, so there is no padding blowup to
 // guard against).
 func CanConvert(a *CSR, to Format, lim Limits) bool {
-	nnz := a.NNZ()
 	rows, _ := a.Dims()
+	g := Geometry{Rows: float64(rows), NNZ: float64(a.NNZ())}
 	switch to {
 	case FmtDIA:
-		if nnz == 0 {
+		if g.NNZ == 0 {
 			return true
 		}
 		offs, err := csrDiagonals(a)
-		return err == nil && float64(len(offs))*float64(rows) <= lim.DIAFill*float64(nnz)
+		g.Diags = float64(len(offs))
+		return err == nil && lim.Fits(to, g)
 	case FmtELL:
-		if nnz == 0 {
-			return true
-		}
-		return float64(rows)*float64(a.MaxRowNNZ()) <= lim.ELLFill*float64(nnz)
+		g.MaxRow = float64(a.MaxRowNNZ())
+		return lim.Fits(to, g)
 	default:
 		return slices.Contains(Implemented, to)
 	}

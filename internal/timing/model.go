@@ -45,6 +45,12 @@ type modelStats struct {
 	gather     float64 // gather penalty factor in [1, 3]
 }
 
+// geometry is what the fill rule reads of the matrix.
+func (s *modelStats) geometry() sparse.Geometry {
+	return sparse.Geometry{Rows: float64(s.rows), NNZ: float64(s.nnz),
+		Diags: float64(s.ndiags), MaxRow: float64(s.maxRD), Blocks: float64(s.blocks)}
+}
+
 func statsOf(a *sparse.CSR) *modelStats {
 	rows, cols := a.Dims()
 	s := &modelStats{rows: rows, cols: cols, nnz: a.NNZ()}
@@ -128,7 +134,7 @@ func (o *ModelOracle) jitter(nnz, rows int, f sparse.Format, kind uint64) float6
 }
 
 // spmvOps returns the element-op count of one SpMV in format f, or ok=false
-// when the format is invalid for this matrix under the limits.
+// for a format the model does not price.
 //
 // Calibration notes. Index-based formats (CSR, COO, ELL, HYB) pay the
 // gather penalty on the x accesses; DIA is the one contiguous,
@@ -147,17 +153,9 @@ func spmvOps(s *modelStats, f sparse.Format) (float64, bool) {
 	case sparse.FmtCOO:
 		return nnz*2.6*s.gather + rows*0.5, true
 	case sparse.FmtDIA:
-		padded := float64(s.ndiags) * rows
-		if s.nnz > 0 && padded > sparse.DefaultLimits.DIAFill*nnz {
-			return 0, false
-		}
-		return padded*0.85 + rows*0.5, true
+		return float64(s.ndiags)*rows*0.85 + rows*0.5, true
 	case sparse.FmtELL:
-		padded := rows * float64(s.maxRD)
-		if s.nnz > 0 && padded > sparse.DefaultLimits.ELLFill*nnz {
-			return 0, false
-		}
-		return padded*1.0*s.gather + rows*0.5, true
+		return rows*float64(s.maxRD)*1.0*s.gather + rows*0.5, true
 	case sparse.FmtHYB:
 		ell := rows * float64(s.hybWidth) * 1.0 * s.gather
 		over := nnz - rows*float64(s.hybWidth)
@@ -167,11 +165,7 @@ func spmvOps(s *modelStats, f sparse.Format) (float64, bool) {
 		return ell + over*2.6*s.gather + rows*0.5, true
 	case sparse.FmtBSR:
 		bs := float64(sparse.DefaultLimits.BSRBlockSize)
-		padded := float64(s.blocks) * bs * bs
-		if s.nnz > 0 && padded > sparse.DefaultLimits.BSRFill*nnz {
-			return 0, false
-		}
-		return padded*0.95 + float64(s.blocks)*2 + rows*1.0, true
+		return float64(s.blocks)*bs*bs*0.95 + float64(s.blocks)*2 + rows*1.0, true
 	case sparse.FmtCSR5:
 		// Tiling shrinks the gather penalty (load-balanced, locality-
 		// tiled) at the price of per-tile segmented-sum overhead. The low
@@ -212,26 +206,14 @@ func convertOps(s *modelStats, f sparse.Format) (float64, bool) {
 	case sparse.FmtCOO:
 		return nnz*8 + rows*2, true
 	case sparse.FmtDIA:
-		padded := float64(s.ndiags) * rows
-		if s.nnz > 0 && padded > sparse.DefaultLimits.DIAFill*nnz {
-			return 0, false
-		}
-		return nnz*20 + padded*4 + 2000, true
+		return nnz*20 + float64(s.ndiags)*rows*4 + 2000, true
 	case sparse.FmtELL:
-		padded := rows * float64(s.maxRD)
-		if s.nnz > 0 && padded > sparse.DefaultLimits.ELLFill*nnz {
-			return 0, false
-		}
-		return nnz*12 + padded*3 + 2000, true
+		return nnz*12 + rows*float64(s.maxRD)*3 + 2000, true
 	case sparse.FmtHYB:
 		return nnz*20 + rows*float64(s.hybWidth)*3 + rows*4 + 2000, true
 	case sparse.FmtBSR:
 		bs := float64(sparse.DefaultLimits.BSRBlockSize)
-		padded := float64(s.blocks) * bs * bs
-		if s.nnz > 0 && padded > sparse.DefaultLimits.BSRFill*nnz {
-			return 0, false
-		}
-		return nnz*120 + padded*6 + 2000, true
+		return nnz*120 + float64(s.blocks)*bs*bs*6 + 2000, true
 	case sparse.FmtCSR5:
 		return nnz*100 + float64(s.ntiles)*40 + 2000, true
 	case sparse.FmtSELL:
@@ -246,8 +228,8 @@ func convertOps(s *modelStats, f sparse.Format) (float64, bool) {
 	}
 }
 
-// Costs implements Oracle: a format is priced when both its SpMV and its
-// conversion are valid under the limits.
+// Costs implements Oracle: a format is priced when it fits
+// sparse.DefaultLimits, the limits the conversions enforce.
 func (o *ModelOracle) Costs(a *sparse.CSR) Costs {
 	s := statsOf(a)
 	csr, _ := o.spmvTime(s, sparse.FmtCSR)
@@ -258,7 +240,7 @@ func (o *ModelOracle) Costs(a *sparse.CSR) Costs {
 		}
 		spmv, oks := o.spmvTime(s, f)
 		conv, okc := o.convertTime(s, f)
-		if oks && okc {
+		if oks && okc && sparse.DefaultLimits.Fits(f, s.geometry()) {
 			c.Convert[f], c.SpMV[f] = conv, spmv
 		}
 	}
