@@ -40,8 +40,9 @@ func cmdFeatures(args []string) error {
 }
 
 // cmdPredict loads a predictor bundle and prints the stage-2 decision for a
-// matrix at a given remaining-iterations horizon, next to the measured
-// ground truth so the prediction quality is visible.
+// matrix at a given horizon of remaining SpMV calls, with every candidate's
+// predicted cost in CSR SpMV calls. Nothing is measured: `ocsel audit
+// -matrix` prices the same matrix on this machine.
 func cmdPredict(args []string) error {
 	fs := flag.NewFlagSet("predict", flag.ContinueOnError)
 	matrixPath := fs.String("matrix", "", "Matrix Market file (required)")

@@ -75,7 +75,7 @@ func main() {
 	}
 	const horizon = 1000.0 // assume a long solve
 	bestFmt := core.OracleDecide(conv, spmv, horizon)
-	bestCost := (conv[bestFmt] + horizon*spmv[bestFmt]) / horizon
+	bestCost := core.Cost(conv, spmv, bestFmt, horizon, 0, 0) / horizon
 	fmt.Printf("best format at %d calls on the reordered matrix: %v\n", int(horizon), bestFmt)
 
 	// The overhead-conscious question, one level up: at how many SpMV

@@ -222,12 +222,10 @@ func (ad *Adaptive) RecordProgress(v float64) {
 	ad.decided.Store(true)
 }
 
-// runStage1 runs the lazy tripcount prediction and the gates in front of
-// stage 2 — a handful of scalar ops, gated on the self-measured SpMV
-// baseline — and opens the record. Every gate inequality is recorded with
-// both of its sides, so the record shows how close each call was, not just
-// its verdict. calls is the forecast of SpMV calls still to come; ok reports
-// whether stage 2 should run.
+// runStage1 runs the lazy tripcount prediction, judges it with Gates — a
+// handful of scalar ops on the self-measured SpMV baseline — and opens the
+// record with what the gates returned. calls is the forecast of SpMV calls
+// still to come; ok reports whether stage 2 should run.
 func (ad *Adaptive) runStage1() (calls float64, ok bool) {
 	start := ad.clock.Now()
 	total, err := arima.DefaultTripcount().PredictTotal(ad.progress, ad.tol)
@@ -240,52 +238,71 @@ func (ad *Adaptive) runStage1() (calls float64, ok bool) {
 		PaidSeconds:    stage1,
 		Stages:         []obs.Stage{{Name: "selector.stage1", Start: start, Seconds: stage1}},
 	}
-	tr := &ad.rec
 	if err != nil {
-		tr.Stage1Err = err.Error()
+		ad.rec.Stage1Err = err.Error()
 		return 0, false
 	}
-	tr.PredictedTotal = total
-	remaining := total - len(ad.progress)
-	// The forecast is in iterations, and so is the paper's TH; everything
-	// past it — the overhead gate and stage 2's cost model — counts SpMV
-	// calls, which a loop may issue more than one of per iteration
-	// (BiCGSTAB two, restarted GMRES one and a bit). The wrapper has seen
-	// both counts, so their ratio converts; a loop that reports progress
-	// without calling, or 1:1, is left exactly as forecast.
+	ad.rec.PredictedTotal = total
+	in := GateInput{Total: total, Iterations: len(ad.progress), Calls: ad.calls, NNZ: ad.csr.NNZ()}
+	// With no stage 2 to gate, SpMVSeconds stays 0 and the record stops at TH.
+	if ad.spmvCalls > 0 && ad.preds != nil {
+		in.SpMVSeconds = ad.spmvSeconds / float64(ad.spmvCalls)
+	}
+	calls, ad.rec.Gates, ok = Gates(in, ad.cfg)
+	return calls, ok && ad.preds != nil
+}
+
+// GateInput is what the gates in front of stage 2 judge: stage 1's forecast
+// Total in iterations, the Iterations (progress values) and SpMV Calls seen
+// so far, their mean SpMVSeconds (0 = unmeasured, and the overhead gate
+// stays out) and the matrix's NNZ, which feature extraction scales with.
+type GateInput struct {
+	Total, Iterations int
+	Calls             int64
+	SpMVSeconds       float64
+	NNZ               int
+}
+
+// Gates is the gate sequence in front of stage 2, the one the wrapper runs
+// and the experiments replay. The forecast is in iterations, and so is the
+// paper's TH; everything past it — the overhead gate and stage 2's cost
+// model — counts SpMV calls, which a loop may issue more than one of per
+// iteration (BiCGSTAB two, restarted GMRES one and a bit), so the calls
+// seen per iteration convert when above 1. calls is that forecast of SpMV
+// calls still to come. Every gate inequality is returned with both of its
+// sides, so a record shows how close each call was; gates[0] is
+// remaining>=TH. run reports whether stage 2 should run.
+func Gates(in GateInput, cfg Config) (calls float64, gates []obs.GateCheck, run bool) {
+	remaining := in.Total - in.Iterations
 	calls = float64(remaining)
-	if perIter := float64(ad.calls) / float64(len(ad.progress)); perIter > 1 {
-		calls *= perIter
-	}
-	tr.Gates = append(tr.Gates, obs.GateCheck{
-		Name: "remaining>=TH", LHS: float64(remaining), RHS: float64(ad.cfg.TH),
-		Passed: remaining >= ad.cfg.TH,
-	})
-	if remaining < ad.cfg.TH {
-		return calls, false // loop predicted too short: conversion can't pay off
-	}
-	if ad.preds == nil {
-		return calls, false
-	}
-	// Overhead-conscious gate on stage 2 itself: estimate the feature
-	// extraction cost in units of this run's self-measured SpMV time and
-	// require enough remaining calls to plausibly amortize it.
-	if ad.cfg.GateOverheadFactor > 0 && ad.cfg.FeatureSecondsPerNNZ > 0 && ad.spmvCalls > 0 {
-		avgSpMV := ad.spmvSeconds / float64(ad.spmvCalls)
-		if avgSpMV > 0 {
-			est := ad.cfg.PredictFixedSeconds + ad.cfg.FeatureSecondsPerNNZ*float64(ad.csr.NNZ())
-			overheadNorm := est / avgSpMV
-			threshold := ad.cfg.GateOverheadFactor * overheadNorm
-			tr.Gates = append(tr.Gates, obs.GateCheck{
-				Name: "remaining>=gate*overhead", LHS: calls, RHS: threshold,
-				Passed: calls >= threshold,
-			})
-			if calls < threshold {
-				return calls, false
-			}
+	if in.Iterations > 0 {
+		if perIter := float64(in.Calls) / float64(in.Iterations); perIter > 1 {
+			calls *= perIter
 		}
 	}
-	return calls, true
+	gates = append(gates, obs.GateCheck{
+		Name: "remaining>=TH", LHS: float64(remaining), RHS: float64(cfg.TH),
+		Passed: remaining >= cfg.TH,
+	})
+	if remaining < cfg.TH {
+		return calls, gates, false // loop predicted too short: conversion can't pay off
+	}
+	// Overhead-conscious gate on stage 2 itself: estimate the feature
+	// extraction cost in units of the measured SpMV time and require enough
+	// remaining calls to plausibly amortize it.
+	if cfg.GateOverheadFactor > 0 && cfg.FeatureSecondsPerNNZ > 0 && in.SpMVSeconds > 0 {
+		est := cfg.PredictFixedSeconds + cfg.FeatureSecondsPerNNZ*float64(in.NNZ)
+		overheadNorm := est / in.SpMVSeconds
+		threshold := cfg.GateOverheadFactor * overheadNorm
+		gates = append(gates, obs.GateCheck{
+			Name: "remaining>=gate*overhead", LHS: calls, RHS: threshold,
+			Passed: calls >= threshold,
+		})
+		if calls < threshold {
+			return calls, gates, false
+		}
+	}
+	return calls, gates, true
 }
 
 // stage2Result is everything one stage-2 run produced. A zero region start

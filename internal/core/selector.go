@@ -257,26 +257,33 @@ func (p *Predictors) DecideQuery(s *features.Set, q Query) Decision {
 // OracleDecide is the oracle ("upper bound") variant of Decide used by the
 // experiments: instead of model predictions it consumes the true normalized
 // times. convNorm and spmvNorm map each valid format to its actual
-// normalized cost (CSR must be present in spmvNorm with value 1).
+// normalized cost (CSR must be present in spmvNorm with value 1). Each
+// candidate is priced by Cost over remaining calls with nothing sunk.
 func OracleDecide(convNorm, spmvNorm map[sparse.Format]float64, remaining float64) sparse.Format {
 	best := sparse.FmtCSR
 	bestCost := remaining
 	for _, f := range sparse.AllFormats {
-		if f == sparse.FmtCSR {
-			continue
-		}
-		conv, ok1 := convNorm[f]
-		spmv, ok2 := spmvNorm[f]
-		if !ok1 || !ok2 {
-			continue
-		}
-		cost := conv + spmv*remaining
-		if cost < bestCost {
+		if cost := Cost(convNorm, spmvNorm, f, remaining, 0, 0); cost < bestCost {
 			bestCost = cost
 			best = f
 		}
 	}
 	return best
+}
+
+// Cost is the overhead-charged price of a run of n SpMV calls that moved to
+// format f after its first k calls on CSR, in CSR SpMV calls: the k calls,
+// the selector's overhead (stage 1 and stage 2, normalized), f's conversion
+// and the remaining n-k calls at f's normalized SpMV time. A run that stays
+// on CSR, or picks a format the maps do not price, costs n plus the
+// overhead.
+func Cost(convNorm, spmvNorm map[sparse.Format]float64, f sparse.Format, n, k, overhead float64) float64 {
+	conv, okc := convNorm[f]
+	spmv, oks := spmvNorm[f]
+	if f == sparse.FmtCSR || !okc || !oks {
+		return n + overhead
+	}
+	return k + overhead + conv + (n-k)*spmv
 }
 
 // OverheadObliviousDecide picks the format minimizing per-call SpMV time

@@ -75,13 +75,12 @@ func (c *Context) RunAblationImplicit(iters ...float64) (*AblationImplicit, erro
 	var expSp, impSp []float64
 	for i := range c.EvalSamples {
 		s := &c.EvalSamples[i]
-		entry := c.EvalEntries[i]
+		m := c.EvalEntries[i].Matrix
 		for _, it := range iters {
 			oracleF := core.OracleDecide(s.ConvNorm, s.SpMVNorm, it)
 
 			// Explicit scheme.
-			dExp := c.decideOC(entry, s, it)
-			fExp := dExp.Format
+			fExp := c.decide(s, m, it)
 
 			// Implicit scheme: argmin over format models of amortized cost.
 			fImp := sparse.FmtCSR
@@ -104,8 +103,8 @@ func (c *Context) RunAblationImplicit(iters ...float64) (*AblationImplicit, erro
 			if fImp == oracleF {
 				impAgree++
 			}
-			expSp = append(expSp, it/realizedCost(s, fExp, it))
-			impSp = append(impSp, it/realizedCost(s, fImp, it))
+			expSp = append(expSp, it/core.Cost(s.ConvNorm, s.SpMVNorm, fExp, it, 0, 0))
+			impSp = append(impSp, it/core.Cost(s.ConvNorm, s.SpMVNorm, fImp, it, 0, 0))
 		}
 	}
 	out.ExplicitAgreement = expAgree / total
@@ -113,19 +112,6 @@ func (c *Context) RunAblationImplicit(iters ...float64) (*AblationImplicit, erro
 	out.ExplicitSpeedup = geomean(expSp)
 	out.ImplicitSpeedup = geomean(impSp)
 	return out, nil
-}
-
-// realizedCost prices a chosen format with the true (oracle) costs.
-func realizedCost(s *trainer.Sample, f sparse.Format, it float64) float64 {
-	if f == sparse.FmtCSR {
-		return it
-	}
-	conv, okc := s.ConvNorm[f]
-	spmv, oks := s.SpMVNorm[f]
-	if !okc || !oks {
-		return it
-	}
-	return conv + spmv*it
 }
 
 // Render prints the comparison.
@@ -176,8 +162,6 @@ func (c *Context) RunAblationGate(assumedHorizon float64) (*AblationGate, error)
 		var gated, ungated []float64
 		for _, o := range sim.Outcomes {
 			s := &o.Trace.Sample
-			w := o.Trace.App.SpMVPerIter()
-			n := float64(o.Trace.Iterations)
 
 			g := o.Baseline / o.OCCost
 			gated = append(gated, g)
@@ -185,11 +169,12 @@ func (c *Context) RunAblationGate(assumedHorizon float64) (*AblationGate, error)
 				row.GatedWorst = g
 			}
 
-			// Ungated: decide at iteration 0 with the assumed horizon,
-			// always paying the prediction overhead.
-			d := c.Preds.Decide(featureSet(s), blocksOf(o.Trace.Operand, c.Opt.Cfg.Lim.BSRBlockSize), assumedHorizon*w, c.Opt.Cfg.Lim, c.Opt.Cfg.Margin)
-			predn := s.FeatureNorm + c.Opt.Stage2ModelSeconds/s.CSRTime
-			cost := predn + realizedCost(s, d.Format, n*w)
+			// Ungated: decide at iteration 0 with the assumed horizon, in
+			// the solve's own SpMV calls per iteration, always paying the
+			// prediction overhead.
+			perIter := o.Baseline / float64(o.Trace.Iterations)
+			f := c.decide(s, o.Trace.Operand, assumedHorizon*perIter)
+			cost := core.Cost(s.ConvNorm, s.SpMVNorm, f, o.Baseline, 0, c.stage2Norm(s))
 			u := o.Baseline / cost
 			ungated = append(ungated, u)
 			if u < row.UngatedWorst {
@@ -285,7 +270,7 @@ func (a *AblationNormalize) Render() string {
 	var rows [][]string
 	for _, r := range a.Rows {
 		rows = append(rows, []string{
-			formatName(r.Format),
+			r.Format.String(),
 			fmt.Sprintf("%.1f%%", 100*r.NormalizedErr),
 			fmt.Sprintf("%.1f%%", 100*r.AbsoluteErr),
 		})

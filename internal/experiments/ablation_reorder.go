@@ -134,23 +134,26 @@ func (c *Context) RunAblationReorder(iters ...float64) (*AblationReorder, error)
 		return nil, fmt.Errorf("experiments: no reorderable matrices in corpus")
 	}
 
+	unlocked := 0
+	for _, p := range pairs {
+		if p.diaGain {
+			unlocked++
+		}
+	}
 	out := &AblationReorder{}
 	for _, it := range iters {
-		row := AblationReorderRow{Iters: it}
+		row := AblationReorderRow{Iters: it, DIAUnlocked: unlocked}
 		var plain, ext []float64
 		for _, p := range pairs {
-			if p.diaGain {
-				row.DIAUnlocked++
-			}
 			fPlain := core.OracleDecide(p.orig.ConvNorm, p.orig.SpMVNorm, it)
-			costPlain := realizedCost(p.orig, fPlain, it)
+			costPlain := core.Cost(p.orig.ConvNorm, p.orig.SpMVNorm, fPlain, it, 0, 0)
 
 			// Reorder branch: the reordered matrix's SpMV times are
 			// normalized by ITS OWN CSR time; rescale to the original
 			// matrix's units through the two absolute CSR times.
 			scale := p.reordered.CSRTime / p.orig.CSRTime
 			fRe := core.OracleDecide(p.reordered.ConvNorm, p.reordered.SpMVNorm, it)
-			costRe := p.reorderN + realizedCost(&p.reordered, fRe, it)*scale
+			costRe := p.reorderN + core.Cost(p.reordered.ConvNorm, p.reordered.SpMVNorm, fRe, it, 0, 0)*scale
 
 			costExt := costPlain
 			if costRe < costExt {
@@ -160,20 +163,9 @@ func (c *Context) RunAblationReorder(iters ...float64) (*AblationReorder, error)
 			plain = append(plain, it/costPlain)
 			ext = append(ext, it/costExt)
 		}
-		row.DIAUnlocked /= len(iters) // counted once per pair, not per iter
 		row.FormatsOnly = geomean(plain)
 		row.WithReorder = geomean(ext)
 		out.Rows = append(out.Rows, row)
-	}
-	// DIAUnlocked is per-corpus, not per-iteration: recompute cleanly.
-	unlocked := 0
-	for _, p := range pairs {
-		if p.diaGain {
-			unlocked++
-		}
-	}
-	for i := range out.Rows {
-		out.Rows[i].DIAUnlocked = unlocked
 	}
 	return out, nil
 }

@@ -49,8 +49,8 @@ func (c *Context) RunAblationSELL(iters ...float64) *AblationSELL {
 			maps.DeleteFunc(paperConv, func(f sparse.Format, _ float64) bool { return !slices.Contains(sparse.PaperFormats, f) })
 			fPaper := core.OracleDecide(paperConv, s.SpMVNorm, it)
 			fExt := core.OracleDecide(s.ConvNorm, s.SpMVNorm, it)
-			paper = append(paper, it/realizedCost(s, fPaper, it))
-			ext = append(ext, it/realizedCost(s, fExt, it))
+			paper = append(paper, it/core.Cost(s.ConvNorm, s.SpMVNorm, fPaper, it, 0, 0))
+			ext = append(ext, it/core.Cost(s.ConvNorm, s.SpMVNorm, fExt, it, 0, 0))
 			if fExt == sparse.FmtSELL {
 				row.SELLWins++
 			}

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/arima"
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/matgen"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
@@ -17,7 +17,7 @@ import (
 // SpMV call on the operand matrix, so Baseline/Cost is the speedup.
 type SimOutcome struct {
 	Trace *Trace
-	// Baseline is the default-CSR cost: iterations x SpMV-per-iter.
+	// Baseline is the default-CSR cost: the solve's SpMV calls.
 	Baseline float64
 	// OOFormat/OOCost: the overhead-oblivious upper bound — convert to the
 	// true fastest-SpMV format no matter what, conversion paid at runtime.
@@ -28,71 +28,58 @@ type SimOutcome struct {
 	UBOCFormat sparse.Format
 	UBOCCost   float64
 	// OCFormat/OCCost: the paper's actual two-stage scheme with trained
-	// predictors, all overheads charged.
+	// predictors, all overheads charged. OCFormat is stage 2's pick, CSR
+	// when stage 2 never ran.
 	OCFormat sparse.Format
 	OCCost   float64
-	// Stage bookkeeping for the stage-1 accuracy report.
+	// Stage bookkeeping, as a core.Adaptive's decision record holds it:
+	// whether each stage ran, stage 1's forecast and the gates it was
+	// judged by (core.Gates).
 	Stage1Ran      bool
 	Stage2Ran      bool
-	Converted      bool
 	PredictedTotal int
+	Gates          []obs.GateCheck
 }
 
-// Simulate prices one trace under the three schemes.
+// Simulate prices one trace under the three schemes. The two-stage scheme
+// is core.Adaptive's pipeline replayed on the trace: at the K-th progress
+// value the ARIMA forecast, core.Gates on the calls counted so far and the
+// sample's CSR SpMV time, then the trained decision; core.Cost charges every
+// scheme the same way.
 func (c *Context) Simulate(tr *Trace) SimOutcome {
 	s := &tr.Sample
-	w := tr.App.SpMVPerIter()
-	n := float64(tr.Iterations)
-	out := SimOutcome{Trace: tr, Baseline: n * w}
-
-	// Overhead-oblivious upper bound.
+	n := float64(tr.SpMVs)
+	price := func(f sparse.Format, k, overhead float64) float64 {
+		return core.Cost(s.ConvNorm, s.SpMVNorm, f, n, k, overhead)
+	}
+	out := SimOutcome{Trace: tr, Baseline: n, OCFormat: sparse.FmtCSR, OCCost: n}
 	out.OOFormat = core.OverheadObliviousDecide(s.SpMVNorm)
-	out.OOCost = s.ConvNorm[out.OOFormat] + n*w*s.SpMVNorm[out.OOFormat]
-
-	// Overhead-conscious upper bound.
-	out.UBOCFormat = core.OracleDecide(s.ConvNorm, s.SpMVNorm, n*w)
-	out.UBOCCost = s.ConvNorm[out.UBOCFormat] + n*w*s.SpMVNorm[out.UBOCFormat]
+	out.OOCost = price(out.OOFormat, 0, 0)
+	out.UBOCFormat = core.OracleDecide(s.ConvNorm, s.SpMVNorm, n)
+	out.UBOCCost = price(out.UBOCFormat, 0, 0)
 
 	// The real two-stage scheme.
-	out.OCFormat = sparse.FmtCSR
-	out.OCCost = out.Baseline
 	k := c.Opt.Cfg.K
 	if tr.Iterations < k {
 		return out // lazy: the pipeline never woke up
 	}
-	stage1n := c.Opt.Stage1Seconds / s.CSRTime
 	out.Stage1Ran = true
-	predTotal, err := arima.DefaultTripcount().PredictTotal(tr.Progress[:k], tr.Tol)
-	if err != nil {
-		out.OCCost += stage1n
-		return out
+	overhead := c.Opt.Stage1Seconds / s.CSRTime
+	seen := tr.Calls[k-1]
+	total, err := arima.DefaultTripcount().PredictTotal(tr.Progress[:k], tr.Tol)
+	if err == nil {
+		out.PredictedTotal = total
+		var remaining float64
+		remaining, out.Gates, out.Stage2Ran = core.Gates(core.GateInput{
+			Total: total, Iterations: k, Calls: int64(seen),
+			SpMVSeconds: s.CSRTime, NNZ: tr.Operand.NNZ(),
+		}, c.Opt.Cfg)
+		if out.Stage2Ran {
+			out.OCFormat = c.decide(s, tr.Operand, remaining)
+			overhead += c.stage2Norm(s)
+		}
 	}
-	out.PredictedTotal = predTotal
-	remaining := predTotal - k
-	if remaining < c.Opt.Cfg.TH {
-		out.OCCost += stage1n
-		return out
-	}
-	// Overhead-conscious gate on stage 2 itself (mirrors core.Adaptive):
-	// the known feature cost must be amortizable by the remaining work.
-	if f := c.Opt.Cfg.GateOverheadFactor; f > 0 && float64(remaining)*w < f*s.FeatureNorm {
-		out.OCCost += stage1n
-		return out
-	}
-	out.Stage2Ran = true
-	fs := features.FromVector(s.Features)
-	blocks := features.CountBlocks(tr.Operand, c.Opt.Cfg.Lim.BSRBlockSize)
-	d := c.Preds.Decide(fs, blocks, float64(remaining)*w, c.Opt.Cfg.Lim, c.Opt.Cfg.Margin)
-	predn := s.FeatureNorm + c.Opt.Stage2ModelSeconds/s.CSRTime
-	conv, okc := s.ConvNorm[d.Format]
-	spmv, oks := s.SpMVNorm[d.Format]
-	if d.Format == sparse.FmtCSR || !okc || !oks {
-		out.OCCost = n*w + stage1n + predn
-		return out
-	}
-	out.Converted = true
-	out.OCFormat = d.Format
-	out.OCCost = float64(k)*w + stage1n + predn + conv + (n-float64(k))*w*spmv
+	out.OCCost = price(out.OCFormat, float64(seen), overhead)
 	return out
 }
 
@@ -271,7 +258,7 @@ func (t *Table7) Render() string {
 	}
 	var rows [][]string
 	for _, f := range sparse.AllFormats {
-		row := []string{formatName(f)}
+		row := []string{f.String()}
 		any := false
 		for _, app := range t.Apps {
 			oo := t.OO[app][f]
@@ -372,24 +359,23 @@ func (h *Histogram) Render() string {
 // overhead-oblivious oracle selection (the paper's motivating Figure 2:
 // even perfect OO predictions cause widespread slowdowns).
 func (c *Context) RunFig2() (*Histogram, error) {
-	sim, err := c.RunApp(AppPageRank)
-	if err != nil {
-		return nil, err
-	}
-	return buildHistogram(
-		"Figure 2: PageRank overall speedups, oracle overhead-oblivious selection",
-		sim.speedups(func(o SimOutcome) float64 { return o.OOCost })), nil
+	return c.pageRankHistogram("Figure 2: PageRank overall speedups, oracle overhead-oblivious selection",
+		func(o SimOutcome) float64 { return o.OOCost })
 }
 
 // RunFig6 builds the histogram of PageRank speedups under the trained
 // overhead-conscious selector (the paper's Figure 6: slowdowns largely
 // avoided).
 func (c *Context) RunFig6() (*Histogram, error) {
+	return c.pageRankHistogram("Figure 6: PageRank overall speedups, overhead-conscious selector",
+		func(o SimOutcome) float64 { return o.OCCost })
+}
+
+// pageRankHistogram buckets the PageRank runs' speedups under one scheme.
+func (c *Context) pageRankHistogram(title string, cost func(SimOutcome) float64) (*Histogram, error) {
 	sim, err := c.RunApp(AppPageRank)
 	if err != nil {
 		return nil, err
 	}
-	return buildHistogram(
-		"Figure 6: PageRank overall speedups, overhead-conscious selector",
-		sim.speedups(func(o SimOutcome) float64 { return o.OCCost })), nil
+	return buildHistogram(title, sim.speedups(cost)), nil
 }

@@ -20,7 +20,6 @@ const (
 	AppBiCGSTAB
 	AppCG
 	AppGMRES
-	numApps
 )
 
 // AllApps lists the applications in the paper's Table VI order.
@@ -41,18 +40,11 @@ func (a AppKind) String() string {
 	return appNames[a]
 }
 
-// SpMVPerIter is the number of SpMV calls per loop iteration.
-func (a AppKind) SpMVPerIter() float64 {
-	if a == AppBiCGSTAB {
-		return 2
-	}
-	return 1
-}
-
-// Trace is one application run on one matrix: the true iteration count and
-// progress-indicator series from an actual solver execution, plus the
-// oracle costs of the operand matrix (the matrix SpMV actually runs on —
-// for PageRank that is the transition matrix, not the adjacency input).
+// Trace is one application run on one matrix: the true iteration count,
+// progress-indicator series and SpMV call counts from an actual solver
+// execution, plus the oracle costs of the operand matrix (the matrix SpMV
+// actually runs on — for PageRank that is the transition matrix, not the
+// adjacency input).
 type Trace struct {
 	App        AppKind
 	Name       string
@@ -60,8 +52,24 @@ type Trace struct {
 	Sample     trainer.Sample
 	Iterations int
 	Progress   []float64
-	Tol        float64 // absolute tolerance on the progress indicator
-	Converged  bool
+	// Calls[i] is the number of SpMV calls the solve had issued when it
+	// reported Progress[i], the count the selector's wrapper sees; SpMVs is
+	// the whole solve's (restarted GMRES checks its residual with one more
+	// call after the last report).
+	Calls []int
+	SpMVs int
+	Tol   float64 // absolute tolerance on the progress indicator
+}
+
+// countedOp counts the SpMV calls a solve issues.
+type countedOp struct {
+	apps.Operator
+	calls int
+}
+
+func (c *countedOp) SpMV(y, x []float64) {
+	c.Operator.SpMV(y, x)
+	c.calls++
 }
 
 // appTolerance is the relative solver tolerance used across the app
@@ -100,34 +108,32 @@ func (c *Context) buildTrace(app AppKind, e matgen.Entry) (Trace, error) {
 	opt := apps.DefaultSolveOptions()
 	opt.Tol = appTolerance
 
+	operand := e.Matrix
 	var (
-		operand *sparse.CSR
-		res     apps.Result
-		tol     float64
-		err     error
+		dangling []bool
+		res      apps.Result
+		err      error
 	)
+	if app == AppPageRank {
+		if operand, dangling, err = apps.BuildTransition(e.Matrix); err != nil {
+			return Trace{}, err
+		}
+	}
+	op := &countedOp{Operator: apps.Ser(operand)}
+	var calls []int
+	hook := func(int, float64) { calls = append(calls, op.calls) }
+	tol := opt.Tol * nrm2(b)
 	switch app {
 	case AppPageRank:
-		p, dangling, errT := apps.BuildTransition(e.Matrix)
-		if errT != nil {
-			return Trace{}, errT
-		}
-		operand = p
 		prOpt := apps.DefaultPageRankOptions()
-		res, err = apps.PageRank(apps.Ser(p), dangling, prOpt, nil)
+		res, err = apps.PageRank(op, dangling, prOpt, hook)
 		tol = prOpt.Tol
 	case AppCG:
-		operand = e.Matrix
-		res, err = apps.CG(apps.Ser(operand), b, opt, nil)
-		tol = opt.Tol * nrm2(b)
+		res, err = apps.CG(op, b, opt, hook)
 	case AppBiCGSTAB:
-		operand = e.Matrix
-		res, err = apps.BiCGSTAB(apps.Ser(operand), b, opt, nil)
-		tol = opt.Tol * nrm2(b)
+		res, err = apps.BiCGSTAB(op, b, opt, hook)
 	case AppGMRES:
-		operand = e.Matrix
-		res, err = apps.GMRES(apps.Ser(operand), b, opt, nil)
-		tol = opt.Tol * nrm2(b)
+		res, err = apps.GMRES(op, b, opt, hook)
 	default:
 		return Trace{}, fmt.Errorf("experiments: unknown app %v", app)
 	}
@@ -148,8 +154,9 @@ func (c *Context) buildTrace(app AppKind, e matgen.Entry) (Trace, error) {
 		Sample:     sample,
 		Iterations: res.Iterations,
 		Progress:   res.Progress,
+		Calls:      calls,
+		SpMVs:      res.SpMVs,
 		Tol:        tol,
-		Converged:  res.Converged,
 	}, nil
 }
 

@@ -178,22 +178,16 @@ func table(header []string, rows [][]string) string {
 	return b.String()
 }
 
-// decideOC runs the trained stage-2 decision for an eval sample.
-func (c *Context) decideOC(entry matgen.Entry, s *trainer.Sample, remaining float64) core.Decision {
-	fs := features.FromVector(s.Features)
-	blocks := features.CountBlocks(entry.Matrix, c.Opt.Cfg.Lim.BSRBlockSize)
-	return c.Preds.Decide(fs, blocks, remaining, c.Opt.Cfg.Lim, c.Opt.Cfg.Margin)
+// decide is stage 2's decision on a priced sample of operand m at remaining
+// SpMV calls: the trained bundle's Decide, with no conversion cache.
+func (c *Context) decide(s *trainer.Sample, m *sparse.CSR, remaining float64) sparse.Format {
+	lim := c.Opt.Cfg.Lim
+	blocks := features.CountBlocks(m, lim.BSRBlockSize)
+	return c.Preds.Decide(features.FromVector(s.Features), blocks, remaining, lim, c.Opt.Cfg.Margin).Format
 }
 
-// featureSet rebuilds the feature Set of a sample.
-func featureSet(s *trainer.Sample) *features.Set {
-	return features.FromVector(s.Features)
+// stage2Norm is stage 2's bill on a sample in CSR SpMV calls: the oracle's
+// feature extraction plus model inference.
+func (c *Context) stage2Norm(s *trainer.Sample) float64 {
+	return s.FeatureNorm + c.Opt.Stage2ModelSeconds/s.CSRTime
 }
-
-// blocksOf counts a matrix's BSR blocks at the conversion block size.
-func blocksOf(m *sparse.CSR, bs int) int {
-	return features.CountBlocks(m, bs)
-}
-
-// formatName renders a format for tables.
-func formatName(f sparse.Format) string { return f.String() }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/sparse"
 	"repro/internal/trainer"
 )
@@ -33,7 +34,7 @@ func (t *Table5) Render() string {
 	var rows [][]string
 	for _, r := range t.Rows {
 		rows = append(rows, []string{
-			formatName(r.Format),
+			r.Format.String(),
 			fmt.Sprintf("%d", r.NumValid),
 			fmt.Sprintf("%.1f%%", 100*r.ConvError),
 			fmt.Sprintf("%.1f%%", 100*r.SpMVError),
@@ -69,6 +70,12 @@ type Stage1Report struct {
 // RunStage1 evaluates the lazy tripcount predictor inside all four apps.
 func (c *Context) RunStage1() (*Stage1Report, error) {
 	out := &Stage1Report{}
+	// thPassed is core.Gates' remaining>=TH verdict (its first gate) on a
+	// forecast total; a failed forecast counts as 0.
+	thPassed := func(total int) bool {
+		_, gates, _ := core.Gates(core.GateInput{Total: total, Iterations: c.Opt.Cfg.K}, c.Opt.Cfg)
+		return gates[0].Passed
+	}
 	for _, app := range AllApps {
 		sim, err := c.RunApp(app)
 		if err != nil {
@@ -85,9 +92,7 @@ func (c *Context) RunStage1() (*Stage1Report, error) {
 			actual := o.Trace.Iterations
 			relErr := math.Abs(float64(o.PredictedTotal-actual)) / float64(actual)
 			row.MeanRelError += relErr
-			gateTrue := actual-c.Opt.Cfg.K >= c.Opt.Cfg.TH
-			gatePred := o.PredictedTotal-c.Opt.Cfg.K >= c.Opt.Cfg.TH
-			if gateTrue == gatePred {
+			if thPassed(actual) == thPassed(o.PredictedTotal) {
 				correct++
 			}
 		}
@@ -206,8 +211,8 @@ func (t *Table8) Render() string {
 			fmt.Sprintf("%d", r.NNZ),
 			fmt.Sprintf("%d", r.Rows),
 			fmt.Sprintf("%d", r.Iters),
-			formatName(r.FormatOO),
-			formatName(r.FormatOC),
+			r.FormatOO.String(),
+			r.FormatOC.String(),
 			fmt.Sprintf("%.3f", r.SpeedupOO),
 			fmt.Sprintf("%.3f", r.SpeedupOC),
 		})

@@ -66,7 +66,7 @@ func (t *Table3) Render() string {
 	rows := make([][]string, 0, len(t.Rows))
 	for _, r := range t.Rows {
 		rows = append(rows, []string{
-			formatName(r.Format),
+			r.Format.String(),
 			fmt.Sprintf("%d", r.NumValid),
 			fmt.Sprintf("%.1f", r.Min),
 			fmt.Sprintf("%.1f", r.Median),
@@ -123,7 +123,7 @@ func (t *Table4) Render() string {
 	}
 	var rows [][]string
 	for _, f := range sparse.AllFormats {
-		row := []string{formatName(f), fmt.Sprintf("%d", t.OO[f])}
+		row := []string{f.String(), fmt.Sprintf("%d", t.OO[f])}
 		any := t.OO[f] > 0
 		for _, it := range t.Iters {
 			n := t.OC[it][f]
@@ -173,26 +173,27 @@ func (c *Context) RunFig5(iters ...float64) *Fig5 {
 		var oc, uboc, uboo []float64
 		for i := range c.EvalSamples {
 			s := &c.EvalSamples[i]
-			entry := c.EvalEntries[i]
-			base := it // cost of staying on CSR, in CSR-SpMV units
-
-			// Trained OC: stage-2 prediction overhead = feature extraction
-			// + model inference; SpMVframe has a known loop bound, so the
-			// stage-1 gate is the trivial comparison it >= TH.
-			ocCost := base
-			if it >= float64(c.Opt.Cfg.TH) {
-				d := c.decideOC(entry, s, it)
-				predOverhead := s.FeatureNorm + c.Opt.Stage2ModelSeconds/s.CSRTime
-				ocCost = predOverhead + realizedCost(s, d.Format, it)
+			m := c.EvalEntries[i].Matrix
+			price := func(f sparse.Format, overhead float64) float64 {
+				return it / core.Cost(s.ConvNorm, s.SpMVNorm, f, it, 0, overhead)
 			}
-			oc = append(oc, base/ocCost)
+
+			// Trained OC: SpMVframe knows its loop bound, so N is the
+			// forecast and the pipeline decides before the first call,
+			// through the gates core.Adaptive runs.
+			f, overhead := sparse.FmtCSR, 0.0
+			gate := core.GateInput{Total: int(it), SpMVSeconds: s.CSRTime, NNZ: m.NNZ()}
+			if remaining, _, run := core.Gates(gate, c.Opt.Cfg); run {
+				f, overhead = c.decide(s, m, remaining), c.stage2Norm(s)
+			}
+			oc = append(oc, price(f, overhead))
 
 			// Upper bound OC: oracle cost-benefit, no prediction overhead.
-			uboc = append(uboc, base/realizedCost(s, core.OracleDecide(s.ConvNorm, s.SpMVNorm, it), it))
+			uboc = append(uboc, price(core.OracleDecide(s.ConvNorm, s.SpMVNorm, it), 0))
 
 			// Upper bound OO: true fastest-SpMV format; its conversion must
 			// still happen at runtime.
-			uboo = append(uboo, base/realizedCost(s, core.OverheadObliviousDecide(s.SpMVNorm), it))
+			uboo = append(uboo, price(core.OverheadObliviousDecide(s.SpMVNorm), 0))
 		}
 		out.Points = append(out.Points, Fig5Point{
 			Iters:     it,
