@@ -309,9 +309,7 @@ func payload(m sparse.Matrix) any {
 	case *sparse.HYB:
 		return []any{dims, payload(a.Ell), payload(a.Coo)}
 	case *sparse.SELL:
-		return []any{dims, a.Perm, a.SliceWidth, a.SlicePtr, a.Cols, a.Data}
-	case *sparse.JDS:
-		return []any{dims, a.Perm, a.DiagPtr, a.Col, a.Data}
+		return []any{dims, a.Sigma, a.Perm, a.SliceWidth, a.SlicePtr, a.Cols, a.Data}
 	default:
 		return m
 	}

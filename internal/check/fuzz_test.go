@@ -104,63 +104,75 @@ func FuzzConvertRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSELLSlices focuses the oracle on SELL-C-σ: slice-local row sorting,
-// permutation bookkeeping, and padded slice widths.
+// FuzzSELLSlices focuses the oracle on SELL-C-σ: window sorting,
+// permutation bookkeeping, and padded slice widths. The decoded matrix is
+// stacked 1 + copies%512 times, so an input reaches the tall matrices whose
+// σ climbs past the ladder's first rung; the checked-in power-law seeds
+// (one long row, a few medium ones, a tail of short ones, stacked 256 and
+// 401 times) do.
 func FuzzSELLSlices(f *testing.F) {
-	addDecodeSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	for _, seed := range decodeSeeds() {
+		f.Add(seed, uint16(0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, copies uint16) {
 		a := DecodeCSR(data)
 		if a == nil {
 			t.Skip("input too short to decode")
 		}
+		a = stackRows(t, a, 1+int(copies)%512)
 		if _, err := CheckFormat(a, sparse.FmtSELL, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
-// FuzzJDSPerm hammers the JDS permutation and jagged-diagonal layout:
-// conversion, re-validation through NewJDS, round trip, and Higham-bounded
-// SpMV/SpMM on arbitrary decoded shapes. The counting sort and the
-// DiagPtr/permPtr duality have off-by-one territory exactly where fuzzing
-// shines (empty rows, all-equal lengths, single long row).
-func FuzzJDSPerm(f *testing.F) {
-	addDecodeSeeds(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a := DecodeCSR(data)
-		if a == nil {
-			t.Skip("input too short to decode")
+// stackRows returns a repeated copies times, each copy under the last.
+func stackRows(t *testing.T, a *sparse.CSR, copies int) *sparse.CSR {
+	t.Helper()
+	rows, cols := a.Dims()
+	ptr := make([]int, 1, rows*copies+1)
+	var col []int32
+	var data []float64
+	for range copies {
+		for i := 0; i < rows; i++ {
+			col = append(col, a.Col[a.Ptr[i]:a.Ptr[i+1]]...)
+			data = append(data, a.Data[a.Ptr[i]:a.Ptr[i+1]]...)
+			ptr = append(ptr, len(col))
 		}
-		if _, err := CheckFormat(a, sparse.FmtJDS, Options{}); err != nil {
-			t.Fatal(err)
-		}
-	})
+	}
+	s, err := sparse.NewCSR(rows*copies, cols, ptr, col, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
-// addDecodeSeeds registers the shared DecodeCSR seed inputs: empty, 1×1,
-// a dense block, a diagonal run, and a tall single column — enough for the
-// mutator to reach every format's edge cases quickly.
+// addDecodeSeeds registers the shared DecodeCSR seed inputs.
 func addDecodeSeeds(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x00})
-	f.Add([]byte{0x2f, 0x2f, 1, 1, 0x40, 0x00, 2, 2, 0xc0, 0x00})
+	for _, seed := range decodeSeeds() {
+		f.Add(seed)
+	}
+}
+
+// decodeSeeds are the shared DecodeCSR seed inputs: empty, 1×1, a dense
+// block, a diagonal run, and a tall single column — enough for the mutator
+// to reach every format's edge cases quickly.
+func decodeSeeds() [][]byte {
 	diag := []byte{0x1f, 0x1f}
 	for i := byte(0); i < 32; i++ {
 		diag = append(diag, i, i, 0x01, i)
 	}
-	f.Add(diag)
 	tall := []byte{0x2f, 0x00}
 	for i := byte(0); i < 48; i += 2 {
 		tall = append(tall, i, 0, 0x00, i+1)
 	}
-	f.Add(tall)
 	dense := []byte{0x07, 0x07}
 	for r := byte(0); r < 8; r++ {
 		for c := byte(0); c < 8; c++ {
 			dense = append(dense, r, c, r+1, c+1)
 		}
 	}
-	f.Add(dense)
+	return [][]byte{{}, {0x00, 0x00}, {0x2f, 0x2f, 1, 1, 0x40, 0x00, 2, 2, 0xc0, 0x00}, diag, tall, dense}
 }
 
 // TestDecodeCSRProperties pins the decoder's contract directly: valid CSR,

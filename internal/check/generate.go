@@ -66,7 +66,7 @@ func distinctColumns(cols, k int, rng *rand.Rand) []int {
 }
 
 // Pathological generates the shapes where format conversions historically
-// go wrong: empty rows (JDS row permutation, HYB width heuristics),
+// go wrong: empty rows (SELL row permutation, HYB width heuristics),
 // a single dense row (nnz-balanced partitions collapse to one range),
 // wide bands (DIA's diagonal bookkeeping), power-law rows (SELL's sorting
 // windows and HYB's overflow), duplicate-free random scatter, degenerate

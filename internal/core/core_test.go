@@ -174,29 +174,29 @@ func TestPredictorsValidate(t *testing.T) {
 	if err := full.Validate(); err != nil {
 		t.Errorf("trained bundle: %v", err)
 	}
-	menu := []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS}
-	five := core.NewPredictors()
+	menu := []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL}
+	four := core.NewPredictors()
 	for _, f := range menu {
 		if full.ConvTime[f] == nil || full.SpMVTime[f] == nil {
 			t.Fatalf("test bundle has no %v models", f)
 		}
-		five.ConvTime[f], five.SpMVTime[f] = full.ConvTime[f], full.SpMVTime[f]
+		four.ConvTime[f], four.SpMVTime[f] = full.ConvTime[f], full.SpMVTime[f]
 	}
-	if err := five.Validate(); err != nil {
-		t.Errorf("five-format bundle: %v", err)
+	if err := four.Validate(); err != nil {
+		t.Errorf("four-format bundle: %v", err)
 	}
-	if got := five.Formats(); !slices.Equal(got, menu) {
+	if got := four.Formats(); !slices.Equal(got, menu) {
 		t.Errorf("Formats() = %v, want %v", got, menu)
 	}
-	noSpMV := bundleWithout(five)
+	noSpMV := bundleWithout(four)
 	delete(noSpMV.SpMVTime, sparse.FmtELL)
 	if err := noSpMV.Validate(); err == nil || !strings.Contains(err.Error(), "ELL") {
 		t.Errorf("conversion model without SpMV model: err = %v, want one naming ELL", err)
 	}
-	noConv := bundleWithout(five)
-	delete(noConv.ConvTime, sparse.FmtJDS)
-	if err := noConv.Validate(); err == nil || !strings.Contains(err.Error(), "JDS") {
-		t.Errorf("SpMV model without conversion model: err = %v, want one naming JDS", err)
+	noConv := bundleWithout(four)
+	delete(noConv.ConvTime, sparse.FmtSELL)
+	if err := noConv.Validate(); err == nil || !strings.Contains(err.Error(), "SELL") {
+		t.Errorf("SpMV model without conversion model: err = %v, want one naming SELL", err)
 	}
 }
 
@@ -397,8 +397,9 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 }
 
 func TestDecideCostsJDS(t *testing.T) {
-	// JDS is universal (no fill limit), so every Decide must price it —
-	// the "participates in selection" half of wiring a new format in.
+	// JDS is priced but not built: a bundle trained on the model oracle
+	// holds its models, and having no fill limit it is valid for every
+	// matrix, so every Decide over that bundle must price it.
 	preds := predictors(t)
 	m := genCSR(t, matgen.FamPowerLaw, 3000, 7)
 	fs := features.Extract(m)

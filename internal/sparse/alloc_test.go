@@ -10,8 +10,8 @@ import (
 	"repro/internal/parallel"
 )
 
-// Under the race detector sync.Pool drops items at random, so JDS's pooled
-// scratch vector allocates now and then.
+// The counts below hold for normal builds; the race detector's
+// instrumentation changes what allocates.
 
 // TestSpMVParallelSteadyStateAllocs: a parallel SpMV allocates its body
 // closure, the team job and the job's done channel — three objects, whose
@@ -20,15 +20,14 @@ import (
 // used to dispatch twice and cut its overflow into runs on every call. Counted from runtime.MemStats like testing.Benchmark's AllocsPerOp
 // and AllocedBytesPerOp, without its second of wall time per format and size
 // (testing.AllocsPerRun is no use: it runs at GOMAXPROCS 1, where nothing
-// dispatches); the least of three rounds, so a collection that empties JDS's
-// scratch pool mid-round does not count against the dispatch.
+// dispatches); the least of three rounds.
 func TestSpMVParallelSteadyStateAllocs(t *testing.T) {
 	const rounds, calls = 3, 16
 	perCall := func(m Matrix, y, x []float64) (allocs, bytes uint64) {
 		allocs, bytes = math.MaxUint64, math.MaxUint64
 		var before, after runtime.MemStats
 		for r := 0; r < rounds; r++ {
-			m.SpMVParallel(y, x) // fills JDS's scratch pool
+			m.SpMVParallel(y, x)
 			runtime.ReadMemStats(&before)
 			for i := 0; i < calls; i++ {
 				m.SpMVParallel(y, x)
@@ -105,10 +104,9 @@ func TestSpMVParallelSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSpMVSerialAllocatesNothing: the serial product of every implemented
-// format allocates nothing — no closure, no partition, no scratch beyond
-// JDS's pooled vector — on a matrix large enough that the parallel entry
-// point would dispatch. A partition cut per call (COO's runs) belongs on
-// the parallel branch only.
+// format allocates nothing — no closure, no partition, no scratch — on a
+// matrix large enough that the parallel entry point would dispatch. A
+// partition cut per call (COO's runs) belongs on the parallel branch only.
 func TestSpMVSerialAllocatesNothing(t *testing.T) {
 	a := overflowShape(t, 30_000).a
 	if a.NNZ() < parallel.MinParallelWork {
@@ -120,7 +118,6 @@ func TestSpMVSerialAllocatesNothing(t *testing.T) {
 		x[i] = float64(i%13) - 6
 	}
 	for f, m := range allFormatsOf(t, a) {
-		m.SpMV(y, x) // fills JDS's scratch pool
 		if allocs := testing.AllocsPerRun(16, func() { m.SpMV(y, x) }); allocs != 0 {
 			t.Errorf("%v: %v allocations per serial SpMV, want 0", f, allocs)
 		}

@@ -30,10 +30,10 @@ type goldenMatrix struct {
 }
 
 // conversionInputs enumerates the matrices the table covers: every matgen
-// family at a serial and a parallel size, an R-MAT graph, and hand-built
+// family at a serial and a parallel size, an R-MAT graph, hand-built
 // shapes the generators never emit — explicit zeros, empty rows, rows far
 // longer than the assembler's insertion cutoff, rectangular and degenerate
-// matrices.
+// matrices — and a power law whose SELL sigma climbs past the first rung.
 func conversionInputs(t *testing.T) []goldenMatrix {
 	t.Helper()
 	var in []goldenMatrix
@@ -76,6 +76,7 @@ func conversionInputs(t *testing.T) []goldenMatrix {
 	add("no-entries-7x5", a, err)
 	a, err = handBuilt(rng, 0, 0, nil, 0)
 	add("empty-0x0", a, err)
+	add("powerlaw-16384", sparse.PowerLawCSR(t, 16384), nil)
 	return in
 }
 
@@ -154,7 +155,7 @@ func conversionLines(t *testing.T, g goldenMatrix) []string {
 	emit := func(format string, fields ...string) {
 		lines = append(lines, g.name+" "+format+" "+strings.Join(fields, " "))
 	}
-	for _, f := range []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS} {
+	for _, f := range []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL} {
 		m, err := sparse.ConvertFromCSR(g.a, f, sparse.DefaultLimits)
 		if err != nil {
 			if f != sparse.FmtDIA && f != sparse.FmtELL {
@@ -177,9 +178,6 @@ func conversionLines(t *testing.T, g goldenMatrix) []string {
 		case *sparse.SELL:
 			emit("SELL", nnz, "perm="+digest(m.Perm), "slicewidth="+digest(m.SliceWidth),
 				"sliceptr="+digest(m.SlicePtr), "cols="+digest(m.Cols), "data="+digest(m.Data))
-		case *sparse.JDS:
-			emit("JDS", nnz, "perm="+digest(m.Perm), "diagptr="+digest(m.DiagPtr),
-				"col="+digest(m.Col), "data="+digest(m.Data))
 		default:
 			t.Fatalf("%s: ConvertFromCSR(%v) returned %T", g.name, f, m)
 		}
@@ -188,7 +186,7 @@ func conversionLines(t *testing.T, g goldenMatrix) []string {
 }
 
 // TestConversionsBitIdenticalToRecorded pins what CSR -> {DIA, ELL, HYB,
-// SELL, JDS} writes, array by array, at one worker and at four. The table
+// SELL} writes, array by array, at one worker and at four. The table
 // was recorded before the conversions fused their validation into the fill
 // pass, so it proves the single-pass layouts equal the two-pass ones.
 // Re-record with -record-conversions only for an intended layout change.

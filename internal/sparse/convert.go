@@ -388,15 +388,17 @@ func ELLToCSR(a *ELL) (*CSR, error) {
 	return NewCSR(rows, cols, ptr, col, data)
 }
 
-// HYBWidth computes the CUSP-style ELL width for the hybrid format: keep
-// slot column w while at least rowFraction of the rows have > w entries.
+// HYBWidth computes the CUSP-style ELL width for the hybrid format: the
+// widest slot column w that at least rowFraction of the rows reach (have w
+// or more entries).
 func HYBWidth(a *CSR, rowFraction float64) int {
 	rows, _ := a.Dims()
 	if rows == 0 {
 		return 0
 	}
 	maxW := a.MaxRowNNZ()
-	// hist[w] = number of rows with at least w entries.
+	// hist[w] = number of rows with exactly w entries; atLeast sums it from
+	// the widest row down.
 	hist := make([]int, maxW+2)
 	for i := 0; i < rows; i++ {
 		hist[a.RowNNZ(i)]++
@@ -512,8 +514,6 @@ func ConvertFromCSR(a *CSR, to Format, lim Limits) (Matrix, error) {
 		return CSRToHYB(a, lim)
 	case FmtSELL:
 		return NewSELLFromCSR(a)
-	case FmtJDS:
-		return NewJDSFromCSR(a)
 	}
 	if to.Valid() && !slices.Contains(Implemented, to) {
 		return nil, fmt.Errorf("sparse: %v is priced only: this build has no %v kernel or conversion", to, to)
@@ -537,8 +537,6 @@ func ToCSR(m Matrix) (*CSR, error) {
 		return HYBToCSR(a)
 	case *SELL:
 		return a.ToCSR()
-	case *JDS:
-		return a.ToCSR()
 	default:
 		return nil, fmt.Errorf("sparse: cannot convert %v to CSR", m.Format())
 	}
@@ -558,9 +556,9 @@ func Convert(m Matrix, to Format, lim Limits) (Matrix, error) {
 
 // CanConvert reports whether a can be represented in the given format under
 // the limits, without building the target representation. A format outside
-// Implemented never can; of the rest only DIA and ELL have a fill limit (JDS,
-// for one, stores exactly nnz entries, so there is no padding blowup to
-// guard against).
+// Implemented (BSR, CSR5, JDS) never can; of the rest only DIA and ELL have a
+// fill limit (SELL, for one, pads each slice only to its own longest row,
+// and its window sort keeps that padding bounded).
 func CanConvert(a *CSR, to Format, lim Limits) bool {
 	rows, _ := a.Dims()
 	g := Geometry{Rows: float64(rows), NNZ: float64(a.NNZ())}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -63,6 +64,41 @@ func skewedCSR(t testing.TB, rows int) *CSR {
 	return m
 }
 
+// powerLawCSR builds a rows x rows matrix whose row lengths follow a power
+// law (Pareto, exponent 2.1, mean about 10, as matgen's power-law family
+// draws them) over distinct random columns. At 16384 rows its SELL sigma
+// climbs past the ladder's first rung. Deterministic.
+func powerLawCSR(t testing.TB, rows int) *CSR {
+	t.Helper()
+	rng := rand.New(rand.NewSource(16))
+	ptr := make([]int, rows+1)
+	var col []int32
+	var data []float64
+	for i := 0; i < rows; i++ {
+		n := int(10 * 0.1 / 1.1 / math.Pow(1-rng.Float64(), 1/1.1))
+		n = min(max(n, 1), rows/4)
+		seen := make(map[int32]bool, n)
+		for len(seen) < n {
+			c := int32(rng.Intn(rows))
+			if !seen[c] {
+				seen[c] = true
+				col = append(col, c)
+				data = append(data, float64(rng.Intn(2000)-1000)/64)
+			}
+		}
+		sortRowSegment(col[ptr[i]:], data[ptr[i]:])
+		ptr[i+1] = len(col)
+	}
+	m, err := NewCSR(rows, rows, ptr, col, data)
+	if err != nil {
+		t.Fatalf("powerLawCSR: %v", err)
+	}
+	return m
+}
+
+// PowerLawCSR is powerLawCSR for the package's external tests.
+var PowerLawCSR = powerLawCSR
+
 // sortRowSegment insertion-sorts one row's (col, data) pairs by column.
 func sortRowSegment(col []int32, data []float64) {
 	for i := 1; i < len(col); i++ {
@@ -81,6 +117,17 @@ func convertAt(t *testing.T, procs int, conv func() (any, error)) any {
 	m, err := conv()
 	if err != nil {
 		t.Fatalf("conversion at GOMAXPROCS=%d: %v", procs, err)
+	}
+	return m
+}
+
+// layoutOnly drops SELL's slice partition, which is cut for the worker
+// count at construction the way CSR's row partition is.
+func layoutOnly(m any) any {
+	if s, ok := m.(*SELL); ok {
+		c := *s
+		c.sliceRanges = nil
+		return &c
 	}
 	return m
 }
@@ -114,6 +161,9 @@ func TestConversionsDeterministicAcrossWorkerCounts(t *testing.T) {
 		// Tiny matrix: all conversions take the serial fallback at every
 		// worker count; guards the threshold gate itself.
 		{"tiny", randCSR(t, rng, 12, 12, 0.3), []string{"DIA", "ELL", "HYB", "SELL"}},
+		// A power law whose SELL sigma climbs past the first rung: wide
+		// windows and slot-balanced fill ranges.
+		{"powerlaw", powerLawCSR(t, 16384), []string{"HYB", "SELL"}},
 	}
 
 	convs := map[string]func(a *CSR) (any, error){
@@ -127,9 +177,9 @@ func TestConversionsDeterministicAcrossWorkerCounts(t *testing.T) {
 		for _, f := range c.formats {
 			conv := convs[f]
 			t.Run(c.name+"/"+f, func(t *testing.T) {
-				ref := convertAt(t, 1, func() (any, error) { return conv(c.a) })
+				ref := layoutOnly(convertAt(t, 1, func() (any, error) { return conv(c.a) }))
 				for _, p := range []int{2, maxP} {
-					got := convertAt(t, p, func() (any, error) { return conv(c.a) })
+					got := layoutOnly(convertAt(t, p, func() (any, error) { return conv(c.a) }))
 					if !reflect.DeepEqual(got, ref) {
 						t.Errorf("GOMAXPROCS=%d conversion differs from serial result", p)
 					}
@@ -220,7 +270,7 @@ func TestConversionsRejectChangedColumns(t *testing.T) {
 			a.Col[a.Ptr[row+1]-1] = int32(cols)
 		}, "out of range"},
 	}
-	formats := []Format{FmtDIA, FmtELL, FmtHYB, FmtSELL, FmtJDS}
+	formats := []Format{FmtDIA, FmtELL, FmtHYB, FmtSELL}
 	for _, size := range []int{12, 3000} { // serial fill, and ranges on the team
 		for _, mu := range mutations {
 			for _, f := range formats {

@@ -62,7 +62,7 @@ func (m *COO) partition() [][2]int      { return m.rowRuns(parallel.Workers()) }
 // spmvRange implements kernel for a run of entries that starts and ends on
 // a row boundary: it zeroes the rows the run owns and adds its entries in
 // storage order, exactly as the whole-matrix scan sums them.
-func (m *COO) spmvRange(y, x, _ []float64, klo, khi int) {
+func (m *COO) spmvRange(y, x []float64, klo, khi int) {
 	lo, hi := m.runRows(klo, khi)
 	clear(y[lo:hi])
 	m.accum(y, x, klo, khi)

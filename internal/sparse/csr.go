@@ -92,7 +92,7 @@ func (m *CSR) plan() (units, slots int) { return m.rows, len(m.Data) }
 func (m *CSR) partition() [][2]int      { return m.rowRanges }
 
 // spmvRange implements kernel: y = A*x over rows [lo, hi).
-func (m *CSR) spmvRange(y, x, _ []float64, lo, hi int) {
+func (m *CSR) spmvRange(y, x []float64, lo, hi int) {
 	if vectorOn.Load() {
 		m.spmvRowsVector(y, x, lo, hi)
 		return

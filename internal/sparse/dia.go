@@ -93,7 +93,7 @@ const diaTileRows = 2048
 // it in ascending offset order — the paper's Figure 3 kernel, contiguous on
 // Data, x and y with no index loads, blocked for the cache. Every row is
 // summed in the same order wherever a tile or a worker's range begins.
-func (m *DIA) spmvRange(y, x, _ []float64, lo, hi int) {
+func (m *DIA) spmvRange(y, x []float64, lo, hi int) {
 	for tlo := lo; tlo < hi; tlo += diaTileRows {
 		thi := min(tlo+diaTileRows, hi)
 		clear(y[tlo:thi])

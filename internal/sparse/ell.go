@@ -83,7 +83,7 @@ func (m *ELL) FillRatio() float64 {
 // loop's early break on padding is valid because padding is
 // always trailing; the assembly kernel instead masks padded lanes out of
 // its gathers, which only pays off once the width covers a 4-lane chunk.
-func (m *ELL) spmvRange(y, x, _ []float64, lo, hi int) {
+func (m *ELL) spmvRange(y, x []float64, lo, hi int) {
 	w := m.Width
 	if w >= 4 && hi > lo && vectorOn.Load() {
 		ellRowsAsm(&m.Cols[lo*w], &m.Data[lo*w], &x[0], &y[lo], w, hi-lo)

@@ -57,8 +57,8 @@ func (m *HYB) partition() [][2]int      { return nil }
 // those rows' overflow entries, found by binary search on the sorted
 // Coo.Row, are added on top in storage order, as the whole-matrix pass adds
 // them.
-func (m *HYB) spmvRange(y, x, _ []float64, lo, hi int) {
-	m.Ell.spmvRange(y, x, nil, lo, hi)
+func (m *HYB) spmvRange(y, x []float64, lo, hi int) {
+	m.Ell.spmvRange(y, x, lo, hi)
 	klo, _ := slices.BinarySearch(m.Coo.Row, int32(lo))
 	khi, _ := slices.BinarySearch(m.Coo.Row, int32(hi))
 	m.Coo.accum(y, x, klo, khi)

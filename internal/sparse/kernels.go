@@ -6,7 +6,7 @@ import (
 )
 
 // The vectorized kernel layer. On amd64 hosts with AVX2+FMA (and outside
-// noasm builds) the CSR, ELL, SELL, JDS and DIA SpMV inner loops dispatch to
+// noasm builds) the CSR, ELL, SELL and DIA SpMV inner loops dispatch to
 // the hand-written assembly kernels in kernels_amd64.s: 4-lane FMA
 // accumulation, VGATHERQPD for the x gathers, software prefetch on the
 // streamed col/data arrays, masked gathers over the padded layouts, and
@@ -91,22 +91,6 @@ func csrRowDot(col []int32, data []float64, x []float64) float64 {
 		sum += gatherDotAsm(&col[lo], &data[lo], &x[0], hi-lo)
 	}
 	return sum
-}
-
-// jdsAccum computes yp[r] += data[r] * x[col[r]] over the whole slice — the
-// jagged-diagonal inner loop. The arrays are contiguous except the x
-// gather, which is exactly the shape the assembly kernel streams best.
-// Every segment, however short, goes to the assembly kernel when it is on:
-// its scalar tail is an FMA like its lanes, so an entry's rounding does not
-// depend on where a worker's range cut the diagonal.
-func jdsAccum(col []int32, data, x, yp []float64) {
-	if len(yp) > 0 && vectorOn.Load() {
-		jdsAccumAsm(&col[0], &data[0], &x[0], &yp[0], len(yp))
-		return
-	}
-	for r := range yp {
-		yp[r] += data[r] * x[col[r]]
-	}
 }
 
 // diaAccum computes y[i] += d[i] * x[i] over the whole slice — one DIA

@@ -28,12 +28,6 @@ func ellRowsAsm(cols *int32, data *float64, x *float64, y *float64, width, rows 
 //go:noescape
 func sellSliceAsm(cols *int32, data *float64, x *float64, sums *float64, width int)
 
-// jdsAccumAsm performs yp[r] += data[r] * x[col[r]] for r in [0, n): one
-// jagged diagonal's accumulation into the permuted result vector.
-//
-//go:noescape
-func jdsAccumAsm(col *int32, data *float64, x *float64, yp *float64, n int)
-
 // diaAccumAsm performs y[i] += d[i] * x[i] for i in [0, n): one DIA
 // diagonal's segment of a row tile, contiguous on all three arrays.
 //

@@ -171,50 +171,6 @@ store:
 	VZEROUPPER
 	RET
 
-// func jdsAccumAsm(col *int32, data *float64, x *float64, yp *float64, n int)
-TEXT ·jdsAccumAsm(SB), NOSPLIT, $0-40
-	MOVQ col+0(FP), CX
-	MOVQ data+8(FP), DX
-	MOVQ x+16(FP), SI
-	MOVQ yp+24(FP), DI
-	MOVQ n+32(FP), BX
-
-	XORQ AX, AX            // r
-	MOVQ BX, R9
-	SUBQ $3, R9            // n-3
-
-vec4:
-	CMPQ AX, R9
-	JGE  tail
-	VMOVDQU    (CX)(AX*4), X1
-	VPMOVSXDQ  X1, Y1
-	VPCMPEQD   Y2, Y2, Y2
-	VXORPD     Y3, Y3, Y3
-	VGATHERQPD Y2, (SI)(Y1*8), Y3
-	VMOVUPD    (DI)(AX*8), Y4
-	VFMADD231PD (DX)(AX*8), Y3, Y4
-	VMOVUPD    Y4, (DI)(AX*8)
-	PREFETCHT0 384(DX)(AX*8)
-	PREFETCHT0 384(DI)(AX*8)
-	PREFETCHT0 192(CX)(AX*4)
-	ADDQ $4, AX
-	JMP  vec4
-
-tail:
-	CMPQ AX, BX
-	JGE  done
-	MOVLQSX (CX)(AX*4), R8
-	VMOVSD  (SI)(R8*8), X5
-	VMOVSD  (DI)(AX*8), X6
-	VFMADD231SD (DX)(AX*8), X5, X6
-	VMOVSD  X6, (DI)(AX*8)
-	INCQ AX
-	JMP  tail
-
-done:
-	VZEROUPPER
-	RET
-
 // func diaAccumAsm(d *float64, x *float64, y *float64, n int)
 //
 // y[i] += d[i] * x[i] for i in [0, n): one DIA diagonal's segment of a row

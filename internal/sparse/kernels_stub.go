@@ -20,10 +20,6 @@ func sellSliceAsm(cols *int32, data *float64, x *float64, sums *float64, width i
 	panic("sparse: assembly kernel called on a build without assembly")
 }
 
-func jdsAccumAsm(col *int32, data *float64, x *float64, yp *float64, n int) {
-	panic("sparse: assembly kernel called on a build without assembly")
-}
-
 func diaAccumAsm(d *float64, x *float64, y *float64, n int) {
 	panic("sparse: assembly kernel called on a build without assembly")
 }

@@ -68,17 +68,23 @@ func TestSELLBoundsPaddingOnSkewedRows(t *testing.T) {
 
 func TestSELLWindowSortingIsLocal(t *testing.T) {
 	// The permutation must only move rows within sigma windows (that is
-	// the "sigma" in SELL-C-sigma: bounded reordering).
+	// the "sigma" in SELL-C-sigma: bounded reordering), and validate checks
+	// exactly that and the descending lengths inside each window.
 	rng := rand.New(rand.NewSource(3))
 	a := randCSR(t, rng, 300, 300, 0.03)
 	m, err := NewSELLFromCSR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, orig := range m.Perm {
-		if int(orig)/SELLSigma != r/SELLSigma {
-			t.Fatalf("row %d moved across sigma windows to %d", orig, r)
-		}
+	if m.Sigma != sellSigmas[0] {
+		t.Errorf("sigma %d on a 300-row matrix, want %d", m.Sigma, sellSigmas[0])
+	}
+	if err := m.validate(); err != nil {
+		t.Fatal(err)
+	}
+	m.Perm[0], m.Perm[len(m.Perm)-1] = m.Perm[len(m.Perm)-1], m.Perm[0]
+	if err := m.validate(); err == nil {
+		t.Error("validate accepted a row moved across sigma windows")
 	}
 }
 

@@ -133,21 +133,22 @@ func TestFormatString(t *testing.T) {
 	}
 }
 
-// TestPricedOnlyFormatsRefuseConversion: BSR and CSR5 keep their numbers,
-// names and places in AllFormats and PaperFormats (the model oracle prices
-// them), but nothing converts to them: CanConvert says no even where the old
-// fill limit said yes, and ConvertFromCSR names the format as priced only.
+// TestPricedOnlyFormatsRefuseConversion: BSR, CSR5 and JDS keep their
+// numbers, names and places in AllFormats (and the first two in
+// PaperFormats; the model oracle prices all three), but nothing converts to
+// them: CanConvert says no even where the old fill limit said yes, and
+// ConvertFromCSR names the format as priced only.
 func TestPricedOnlyFormatsRefuseConversion(t *testing.T) {
-	if FmtBSR != 5 || FmtCSR5 != 6 {
-		t.Errorf("FmtBSR, FmtCSR5 = %d, %d; want 5, 6", FmtBSR, FmtCSR5)
+	if FmtBSR != 5 || FmtCSR5 != 6 || FmtJDS != 9 {
+		t.Errorf("FmtBSR, FmtCSR5, FmtJDS = %d, %d, %d; want 5, 6, 9", FmtBSR, FmtCSR5, FmtJDS)
 	}
 	a, err := FromDense(4, 4, []float64{1, 2, 0, 0, 3, 4, 0, 0, 0, 0, 5, 6, 0, 0, 7, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []Format{FmtBSR, FmtCSR5} {
-		if !slices.Contains(AllFormats, f) || !slices.Contains(PaperFormats, f) || slices.Contains(Implemented, f) {
-			t.Errorf("%v: in AllFormats %v, PaperFormats %v, Implemented %v; want true, true, false", f,
+	for _, f := range []Format{FmtBSR, FmtCSR5, FmtJDS} {
+		if !slices.Contains(AllFormats, f) || slices.Contains(PaperFormats, f) != (f != FmtJDS) || slices.Contains(Implemented, f) {
+			t.Errorf("%v: in AllFormats %v, PaperFormats %v, Implemented %v", f,
 				slices.Contains(AllFormats, f), slices.Contains(PaperFormats, f), slices.Contains(Implemented, f))
 		}
 		if CanConvert(a, f, testLimits) {
@@ -158,7 +159,7 @@ func TestPricedOnlyFormatsRefuseConversion(t *testing.T) {
 		}
 	}
 	for _, f := range AllFormats {
-		if !slices.Contains(Implemented, f) && f != FmtBSR && f != FmtCSR5 {
+		if !slices.Contains(Implemented, f) && f != FmtBSR && f != FmtCSR5 && f != FmtJDS {
 			t.Errorf("%v is neither implemented nor priced only", f)
 		}
 	}

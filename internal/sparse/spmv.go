@@ -18,35 +18,27 @@ type kernel interface {
 	// partition cuts the units into ranges for the team, nil when they cost
 	// the same and split evenly. Only the parallel branch calls it.
 	partition() [][2]int
-	// spmvRange overwrites every entry of y that units [lo, hi) own. tmp is
-	// the call's scratch vector, shared by its ranges: JDS's permuted
-	// result, nil for every other format.
-	spmvRange(y, x, tmp []float64, lo, hi int)
+	// spmvRange overwrites every entry of y that units [lo, hi) own.
+	spmvRange(y, x []float64, lo, hi int)
 }
 
 // spmv is every format's SpMV (par false) and SpMVParallel (par true).
 func spmv(k kernel, y, x []float64, par bool) {
 	rows, cols := k.Dims()
 	checkSpMVDims(rows, cols, y, x)
-	var tmp []float64
-	if j, ok := k.(*JDS); ok {
-		yp := j.scratch.Get().(*[]float64)
-		defer j.scratch.Put(yp)
-		tmp = *yp
-	}
 	units, slots := k.plan()
 	if !onTeam(par, slots) {
-		k.spmvRange(y, x, tmp, 0, units)
+		k.spmvRange(y, x, 0, units)
 		return
 	}
-	spmvTeam(k, y, x, tmp, units)
+	spmvTeam(k, y, x, units)
 }
 
 // spmvTeam is spmv's parallel branch, a function of its own so that the
 // closure and what it captures exist on this branch only: the serial product
 // allocates nothing.
-func spmvTeam(k kernel, y, x, tmp []float64, units int) {
-	body := func(lo, hi int) { k.spmvRange(y, x, tmp, lo, hi) }
+func spmvTeam(k kernel, y, x []float64, units int) {
+	body := func(lo, hi int) { k.spmvRange(y, x, lo, hi) }
 	if parts := k.partition(); parts != nil {
 		parallel.ForRanges(parts, body)
 		return

@@ -84,8 +84,8 @@ func overflowShape(t *testing.T, n int) parallelShape {
 }
 
 // staircaseShape gives row i of n the n-i leading columns: every row length
-// is distinct, so wherever a worker's range of JDS storage rows begins, some
-// jagged diagonals end a row or two past it.
+// is distinct, so every SELL slice has its own width and a slot-balanced
+// range boundary falls between slices of different widths.
 func staircaseShape(t *testing.T, n int) parallelShape {
 	t.Helper()
 	ptr := make([]int, n+1)
@@ -138,10 +138,10 @@ func skewedShape(t *testing.T, rng *rand.Rand, n int) parallelShape {
 // kernel's cut points: rows of 2·diaTileRows + 3 (a short last tile), rows
 // and cols unequal both ways, DIA diagonals starting and ending mid-tile,
 // segments shorter than the assembly kernel's 8 lanes, a HYB overflow (and
-// COO) past MinParallelWork, where a row cut between workers would show, and
-// JDS diagonals ending a few storage rows into a worker's range, and one
-// dense row over mostly empty ones, where a weighted range holds a single
-// row and COO's runs start on empty rows.
+// COO) past MinParallelWork, where a row cut between workers would show,
+// SELL slices of distinct widths, a power law whose SELL windows are wider
+// than the first rung, and one dense row over mostly empty ones, where a
+// weighted range holds a single row and COO's runs start on empty rows.
 // The generic DIA body must also equal the untiled diagonal-major loop.
 func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 	const rows = 2*diaTileRows + 3
@@ -154,6 +154,7 @@ func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 		bandShape(t, rows, 4200, offsets),
 		overflowShape(t, rows),
 		staircaseShape(t, 200),
+		{"powerlaw", powerLawCSR(t, 16384)},
 		skewedShape(t, rand.New(rand.NewSource(3)), 6000),
 	}
 	variants := []bool{false}
@@ -205,9 +206,9 @@ func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 				ForceGenericKernels(prev)
 			}
 		}
-		want := []Format{FmtCSR, FmtCOO, FmtHYB, FmtJDS}
-		if s.name != "overflow" && s.name != "skewed" {
-			want = append(want, FmtDIA, FmtELL, FmtSELL)
+		want := []Format{FmtCSR, FmtCOO, FmtHYB, FmtSELL}
+		if s.name != "overflow" && s.name != "skewed" && s.name != "powerlaw" {
+			want = append(want, FmtDIA, FmtELL)
 		}
 		for _, f := range want {
 			if !covered[f] {

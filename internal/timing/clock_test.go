@@ -133,7 +133,7 @@ func TestMeasuredOracleMenu(t *testing.T) {
 			t.Errorf("%v: SpMV = %g, %v; want exactly 0.001, true", f, s, ok)
 		}
 	}
-	for _, f := range []sparse.Format{sparse.FmtCSR, sparse.FmtCOO, sparse.FmtBSR, sparse.FmtCSR5} {
+	for _, f := range []sparse.Format{sparse.FmtCSR, sparse.FmtCOO, sparse.FmtBSR, sparse.FmtCSR5, sparse.FmtJDS} {
 		if _, ok := costs.Convert[f]; ok {
 			t.Errorf("%v: conversion priced, want absent", f)
 		}
@@ -144,8 +144,8 @@ func TestMeasuredOracleMenu(t *testing.T) {
 	if len(costs.Convert) != others || len(costs.SpMV) != others {
 		t.Errorf("%d conversions and %d SpMVs priced, want %d each", len(costs.Convert), len(costs.SpMV), others)
 	}
-	if n := c.NowCalls(); others != 5 || n != 2*reps*(1+2*5) {
-		t.Errorf("%d clock reads over %d non-CSR menu formats, want 2·%d·(1 + 2·5) = 66", n, others, reps)
+	if n := c.NowCalls(); others != 4 || n != 2*reps*(1+2*4) {
+		t.Errorf("%d clock reads over %d non-CSR menu formats, want 2·%d·(1 + 2·4) = 54", n, others, reps)
 	}
 }
 

@@ -39,7 +39,7 @@ type modelStats struct {
 	hybWidth   int
 	blocks     int // BSR blocks at DefaultLimits.BSRBlockSize
 	ntiles     int
-	sellSlots  int // padded slots of the SELL-C-sigma layout
+	sellSlots  int // padded slots of the SELL-C-sigma layout NewSELLFromCSR builds
 	sellSlices int
 	spread     float64 // mean intra-row column jump, the gather proxy
 	gather     float64 // gather penalty factor in [1, 3]
@@ -59,7 +59,8 @@ func statsOf(a *sparse.CSR) *modelStats {
 	s.hybWidth = sparse.HYBWidth(a, sparse.DefaultLimits.HYBRowFraction)
 	s.blocks = features.CountBlocks(a, sparse.DefaultLimits.BSRBlockSize)
 	s.ntiles = s.nnz / sparse.CSR5Tile
-	s.sellSlots, s.sellSlices = sellGeometry(a)
+	sell := sparse.NewSELLLayout(a)
+	s.sellSlots, s.sellSlices = sell.Slots(), sell.NumSlices()
 	var jumps float64
 	var njumps int
 	for i := 0; i < rows; i++ {
@@ -73,47 +74,6 @@ func statsOf(a *sparse.CSR) *modelStats {
 	}
 	s.gather = 1 + 2*(1-math.Exp(-s.spread/512))
 	return s
-}
-
-// sellGeometry computes the padded slot count and slice count of the
-// SELL-C-sigma layout without building it: row lengths are sorted
-// descending inside sigma windows and each C-slice pads to its max.
-func sellGeometry(a *sparse.CSR) (slots, slices int) {
-	rows, _ := a.Dims()
-	lens := make([]int, 0, sparse.SELLSigma)
-	for lo := 0; lo < rows; lo += sparse.SELLSigma {
-		hi := lo + sparse.SELLSigma
-		if hi > rows {
-			hi = rows
-		}
-		lens = lens[:0]
-		for i := lo; i < hi; i++ {
-			lens = append(lens, a.RowNNZ(i))
-		}
-		sortDesc(lens)
-		for slo := 0; slo < len(lens); slo += sparse.SELLC {
-			shi := slo + sparse.SELLC
-			if shi > len(lens) {
-				shi = len(lens)
-			}
-			slices++
-			slots += lens[slo] * (shi - slo) // lens sorted desc: first is max
-		}
-	}
-	return slots, slices
-}
-
-func sortDesc(x []int) {
-	// insertion sort: windows are at most SELLSigma elements
-	for i := 1; i < len(x); i++ {
-		v := x[i]
-		j := i
-		for j > 0 && x[j-1] < v {
-			x[j] = x[j-1]
-			j--
-		}
-		x[j] = v
-	}
 }
 
 // jitter returns a deterministic multiplicative factor near 1 derived from

@@ -1,34 +1,11 @@
 package timing
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/matgen"
 	"repro/internal/sparse"
 )
-
-func TestSellGeometryMatchesRealLayout(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, fam := range []matgen.Family{matgen.FamRandom, matgen.FamPowerLaw, matgen.FamBanded} {
-		m, err := matgen.Generate(matgen.Spec{Name: fam.String(), Family: fam, Size: 700, Degree: 9, Seed: rng.Int63()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		slots, slices := sellGeometry(m)
-		real, err := sparse.NewSELLFromCSR(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slices != real.NumSlices() {
-			t.Errorf("%v: predicted %d slices, real %d", fam, slices, real.NumSlices())
-		}
-		realSlots := len(real.Data)
-		if slots != realSlots {
-			t.Errorf("%v: predicted %d slots, real %d", fam, slots, realSlots)
-		}
-	}
-}
 
 func TestModelOracleSELLCosts(t *testing.T) {
 	o := NewModelOracle()

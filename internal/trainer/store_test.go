@@ -227,15 +227,16 @@ func TestTrainConcurrentFitMatchesSequential(t *testing.T) {
 }
 
 // TestLoadBundleIgnoresRetiredSpMMModels: a bundle is whatever formats its
-// manifest lists. A five-format bundle (the measured menu) round-trips with a
-// manifest naming exactly those five. Bundles saved by earlier builds must
-// keep loading: ones that still priced blocked products list spmm_formats and
-// hold spmm_<format>.json files, and ones from before CSC was deleted list
-// it — all of that is ignored — and a format this build knows but cannot
-// convert to (CSR5, priced only) is dropped like CSC.
+// manifest lists. A four-format bundle (the measured menu past CSR)
+// round-trips with a manifest naming exactly those four. Bundles saved by
+// earlier builds must keep loading: ones that still priced blocked products
+// list spmm_formats and hold spmm_<format>.json files, and ones from before
+// CSC was deleted list it — all of that is ignored — and a format this build
+// knows but cannot convert to (CSR5 and JDS, priced only) is dropped like
+// CSC.
 func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	full := trainedBundle(t)
-	menu := []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL, sparse.FmtJDS}
+	menu := []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL}
 	preds := core.NewPredictors()
 	for _, f := range menu {
 		if full.ConvTime[f] == nil || full.SpMVTime[f] == nil {
@@ -251,7 +252,7 @@ func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"DIA", "ELL", "HYB", "SELL", "JDS"}; !slices.Equal(man.Formats, want) {
+	if want := []string{"DIA", "ELL", "HYB", "SELL"}; !slices.Equal(man.Formats, want) {
 		t.Errorf("manifest lists %v, want exactly %v", man.Formats, want)
 	}
 	if got := loaded.Formats(); !slices.Equal(got, menu) {
@@ -263,7 +264,7 @@ func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(string(blob), `"formats": [`, `"spmm_formats": ["CSR", "ELL"],`+"\n  "+`"formats": [`+"\n    "+`"CSC", "CSR5",`, 1)
+	old := strings.Replace(string(blob), `"formats": [`, `"spmm_formats": ["CSR", "ELL"],`+"\n  "+`"formats": [`+"\n    "+`"CSC", "CSR5", "JDS",`, 1)
 	if old == string(blob) {
 		t.Fatal("test could not add the retired entries to the manifest")
 	}
@@ -274,7 +275,7 @@ func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"spmm_CSR.json", "spmm_ELL.json", "conv_CSC.json", "spmv_CSC.json", "conv_CSR5.json", "spmv_CSR5.json"} {
+	for _, name := range []string{"spmm_CSR.json", "spmm_ELL.json", "conv_CSC.json", "spmv_CSC.json", "conv_CSR5.json", "spmv_CSR5.json", "conv_JDS.json", "spmv_JDS.json"} {
 		if err := os.WriteFile(filepath.Join(dir, name), model, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -5,16 +5,18 @@
 //
 // The library consists of
 //
-//   - seven sparse storage formats with serial and parallel SpMV kernels
+//   - six sparse storage formats with serial and parallel SpMV kernels
 //     and conversions: five of the paper's seven (COO, CSR, DIA, ELL, HYB)
-//     plus the SELL-C-sigma and JDS extensions. CSR, DIA, ELL, HYB, SELL and
-//     JDS are the measured menu, each the measured T_convert + N*T_spmv
-//     argmin on some class of `ocsel audit`'s panel: what
-//     TrainDefaultPredictors times, MeasureFormatCosts reports and the
-//     selector can choose. COO never wins a measured T_affected on this CPU
-//     and is study-only: convertible and checked. The paper's other two, BSR and CSR5, are priced only: the
-//     analytic model oracle the experiments run on prices them from
-//     structure, and nothing converts to them (DESIGN.md §19),
+//     plus the SELL-C-sigma extension, whose sorting window follows the
+//     matrix's row lengths. CSR, DIA, ELL, HYB and SELL are the measured
+//     menu, each the measured T_convert + N*T_spmv argmin on some class of
+//     `ocsel audit`'s panel: what TrainDefaultPredictors times,
+//     MeasureFormatCosts reports and the selector can choose. COO never wins
+//     a measured T_affected on this CPU and is study-only: convertible and
+//     checked. The paper's other two, BSR and CSR5, and the JDS extension
+//     are priced but not built: the analytic model oracle the experiments
+//     run on prices them from structure, and nothing converts to them
+//     (DESIGN.md §19),
 //   - the paper's feature set and gradient-boosted regression models that
 //     predict normalized conversion and SpMV times,
 //   - the two-stage lazy-and-light selector that converts a matrix at
@@ -52,7 +54,8 @@ import (
 // Format identifies a sparse storage format.
 type Format = sparse.Format
 
-// The storage formats. BSR and CSR5 are priced only: Convert refuses them.
+// The storage formats. BSR, CSR5 and JDS are priced only: Convert refuses
+// them.
 const (
 	COO  = sparse.FmtCOO
 	CSR  = sparse.FmtCSR
@@ -65,7 +68,9 @@ const (
 	// original seven).
 	SELL = sparse.FmtSELL
 	// JDS is the jagged-diagonal-storage extension format: descending
-	// row-length permutation, padding-free diagonal-major layout.
+	// row-length permutation, padding-free diagonal-major layout. It is
+	// priced but not built: the model oracle prices it, and SELL with a
+	// sigma that follows the matrix does its job at run time.
 	JDS = sparse.FmtJDS
 )
 

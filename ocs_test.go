@@ -97,10 +97,10 @@ func TestSaveLoadPredictors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The model-oracle bundle prices BSR and CSR5, which load drops: this
-	// build cannot convert to them.
-	if want := len(preds.ConvTime) - 2; len(loaded.ConvTime) != want || loaded.ConvTime[BSR] != nil || loaded.ConvTime[CSR5] != nil {
-		t.Errorf("loaded %v, want the saved formats but BSR and CSR5 (%d conversion models)", loaded.Formats(), want)
+	// The model-oracle bundle prices BSR, CSR5 and JDS, which load drops:
+	// this build cannot convert to them.
+	if want := len(preds.ConvTime) - 3; len(loaded.ConvTime) != want || loaded.ConvTime[BSR] != nil || loaded.ConvTime[CSR5] != nil || loaded.ConvTime[JDS] != nil {
+		t.Errorf("loaded %v, want the saved formats but BSR, CSR5 and JDS (%d conversion models)", loaded.Formats(), want)
 	}
 	// Same predictions after the round trip.
 	for f, m := range loaded.SpMVTime {
