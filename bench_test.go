@@ -281,10 +281,9 @@ func pow(x, p float64) float64 {
 // benchMats caches the kernel benches' matrices, the crossover audit's panel
 // classes (experiments.Panel) keyed by class name. BenchmarkSpMV and
 // BenchmarkConvert time every implemented format's kernel and conversion on
-// them: per-kernel numbers, and the only panel timing of the study-only
-// formats. Which formats the selector may pick is `ocsel audit`'s table
-// (DESIGN.md §19), priced through the oracle call that labels the training
-// data.
+// them: per-kernel numbers beside `ocsel audit`'s table (DESIGN.md §19),
+// which prices the same formats through the oracle call that labels the
+// training data and decides which stay built.
 var (
 	benchMatOnce sync.Once
 	benchMats    map[string]*sparse.CSR
@@ -359,7 +358,7 @@ func BenchmarkConvertCorpus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, f := range sparse.MeasuredMenu[1:] {
+	for _, f := range sparse.Implemented[1:] {
 		var mats []*sparse.CSR
 		for _, e := range corpus {
 			if sparse.CanConvert(e.Matrix, f, sparse.DefaultLimits) {

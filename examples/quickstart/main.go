@@ -28,7 +28,7 @@ func main() {
 		x[i] = 1
 	}
 	y := make([]float64, rows)
-	for _, f := range []ocs.Format{ocs.CSR, ocs.COO, ocs.DIA, ocs.ELL, ocs.HYB} {
+	for _, f := range []ocs.Format{ocs.CSR, ocs.DIA, ocs.ELL, ocs.SELL} {
 		m, err := ocs.Convert(a, f)
 		if err != nil {
 			fmt.Printf("%-5v  not representable under default limits (%v)\n", f, err)

@@ -111,11 +111,7 @@ func TestBiCGSTABSolvesGeneral(t *testing.T) {
 		ci = append(ci, int32(i))
 		v = append(v, rowAbs+1)
 	}
-	coo, err := sparse.NewCOO(n, n, ri, ci, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := sparse.COOToCSR(coo)
+	a, err := sparse.CSRFromTriplets(n, n, ri, ci, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +192,7 @@ func TestPageRankUniformOnCycle(t *testing.T) {
 		ci[i] = int32((i + 1) % n)
 		v[i] = 1
 	}
-	coo, err := sparse.NewCOO(n, n, ri, ci, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj, err := sparse.COOToCSR(coo)
+	adj, err := sparse.CSRFromTriplets(n, n, ri, ci, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +224,7 @@ func TestPageRankMassConservedWithDangling(t *testing.T) {
 		ci = append(ci, 0)
 		v = append(v, 1)
 	}
-	coo, err := sparse.NewCOO(n, n, ri, ci, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adj, err := sparse.COOToCSR(coo)
+	adj, err := sparse.CSRFromTriplets(n, n, ri, ci, v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -300,14 +300,10 @@ func payload(m sparse.Matrix) any {
 	switch a := m.(type) {
 	case *sparse.CSR:
 		return []any{dims, a.Ptr, a.Col, a.Data}
-	case *sparse.COO:
-		return []any{dims, a.Row, a.Col, a.Data}
 	case *sparse.DIA:
 		return []any{dims, a.Offsets, a.Data}
 	case *sparse.ELL:
 		return []any{dims, a.Width, a.Cols, a.Data}
-	case *sparse.HYB:
-		return []any{dims, payload(a.Ell), payload(a.Coo)}
 	case *sparse.SELL:
 		return []any{dims, a.Sigma, a.Perm, a.SliceWidth, a.SlicePtr, a.Cols, a.Data}
 	default:

@@ -21,10 +21,9 @@ func TestDifferentialPathological(t *testing.T) {
 				r, cl := c.A.Dims()
 				t.Fatalf("rows×cols %dx%d nnz %d: %v", r, cl, c.A.NNZ(), err)
 			}
-			// CSR, COO, HYB and SELL can represent anything; a sweep that
-			// skipped one of them checked nothing.
-			for _, f := range []sparse.Format{sparse.FmtCSR, sparse.FmtCOO,
-				sparse.FmtHYB, sparse.FmtSELL} {
+			// CSR and SELL can represent anything; a sweep that skipped
+			// one of them checked nothing.
+			for _, f := range []sparse.Format{sparse.FmtCSR, sparse.FmtSELL} {
 				if !covered[f] {
 					t.Errorf("universal format %v was skipped", f)
 				}

@@ -66,10 +66,10 @@ func distinctColumns(cols, k int, rng *rand.Rand) []int {
 }
 
 // Pathological generates the shapes where format conversions historically
-// go wrong: empty rows (SELL row permutation, HYB width heuristics),
+// go wrong: empty rows (SELL row permutation and slice widths),
 // a single dense row (nnz-balanced partitions collapse to one range),
 // wide bands (DIA's diagonal bookkeeping), power-law rows (SELL's sorting
-// windows and HYB's overflow), duplicate-free random scatter, degenerate
+// windows), duplicate-free random scatter, degenerate
 // 1×N / N×1 shapes, and the all-zero matrix. Sizes are chosen so the
 // larger cases cross the parallel-work threshold and exercise the
 // team-parallel conversion paths, while the small ones pin the serial
@@ -134,7 +134,7 @@ func Pathological(seed int64) []Case {
 	}
 
 	// Power-law row lengths: a few huge rows, a long tail of tiny ones —
-	// the shape that stresses HYB's overflow split and SELL's slice widths.
+	// the shape that stresses SELL's slice widths and ELL's fill limit.
 	{
 		rows, cols := 2000, 2000
 		rc := make([][]int, rows)

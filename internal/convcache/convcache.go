@@ -33,12 +33,14 @@ type Key struct {
 
 // Entry is one published conversion: the converted operator plus what the
 // publisher paid to build it (so adopters can credit that cost as hidden
-// overhead in their ledgers) and its nonzero count (the eviction budget
-// currency, matching the registry's nnz-denominated capacity).
+// overhead in their ledgers) and the slots it stores, padding included
+// (sparse.StoredSlots: the eviction budget's currency, in the unit of the
+// registry's nnz-denominated capacity). A DIA padded to its fill limit is
+// charged its padded slots, not its nonzeros.
 type Entry struct {
 	M              sparse.Matrix
 	ConvertSeconds float64
-	NNZ            int
+	NNZ            int // stored slots, padding included
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -48,10 +50,10 @@ type Stats struct {
 	Publishes int64
 	Evictions int64
 	Entries   int
-	NNZ       int64
+	NNZ       int64 // the entries' stored slots, summed
 }
 
-// Cache is an nnz-bounded LRU of published conversions, safe for
+// Cache is a slot-bounded LRU of published conversions, safe for
 // concurrent use by every handle's selector.
 type Cache struct {
 	hits      atomic.Int64
@@ -71,9 +73,10 @@ type node struct {
 	entry Entry
 }
 
-// New returns a cache that holds at most maxNNZ total stored nonzeros
-// (<= 0 means unbounded). One matrix's conversions count once per format,
-// the same way the registry charges per handle.
+// New returns a cache that holds at most maxNNZ stored slots, padding
+// included, over all its entries (<= 0 means unbounded). One matrix's
+// conversions count once per format, the same way the registry charges per
+// handle.
 func New(maxNNZ int64) *Cache {
 	return &Cache{
 		maxNNZ:  maxNNZ,

@@ -370,7 +370,7 @@ func (ad *Adaptive) runStage2(remaining float64) (r stage2Result) {
 	}
 	if cacheUsable(cfg) {
 		cfg.ConvCache.Publish(cacheKeyFor(cfg, r.d.Format), convcache.Entry{
-			M: m, ConvertSeconds: r.convert, NNZ: m.NNZ(),
+			M: m, ConvertSeconds: r.convert, NNZ: sparse.StoredSlots(m),
 		})
 		r.published = true
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -91,12 +92,18 @@ func TestSpMMExactUnderConcurrentTraffic(t *testing.T) {
 // TestHotSwapAsyncPipeline runs stage 2 to a format swap under solver
 // traffic: the K-th progress report runs the pipeline inline, it adopts a
 // conversion and installs it, and the handle still multiplies exactly
-// afterwards. The bundle is the model-oracle one without its BSR, CSR5 and
-// JDS models, as trainer.LoadBundle would hand it over: those formats are
-// priced only, so with them the pipeline could decide a conversion that
-// cannot be built and never adopt anything.
+// afterwards. The bundle is the model-oracle one without the models of the
+// formats outside sparse.Implemented, as trainer.LoadBundle would hand it
+// over: those formats are priced only, so with them the pipeline could
+// decide a conversion that cannot be built and never adopt anything.
 func TestHotSwapAsyncPipeline(t *testing.T) {
-	preds := bundleWithout(predictors(t), sparse.FmtBSR, sparse.FmtCSR5, sparse.FmtJDS)
+	var pricedOnly []sparse.Format
+	for _, f := range sparse.AllFormats {
+		if !slices.Contains(sparse.Implemented, f) {
+			pricedOnly = append(pricedOnly, f)
+		}
+	}
+	preds := bundleWithout(predictors(t), pricedOnly...)
 	m := genCSR(t, matgen.FamBanded, 1500, 13)
 	sa := core.NewAdaptive(m, 1e-8, preds, core.DefaultConfig(), false)
 	rows, cols := sa.Dims()

@@ -240,3 +240,67 @@ func TestAdaptiveSpMMMatchesCSR(t *testing.T) {
 		t.Errorf("SpMMCalls = %d, want 2", got)
 	}
 }
+
+// TestConvCacheChargesStoredSlots: a published conversion is charged the
+// slots it stores, padding included, in the unit the cache's budget counts.
+// A main diagonal plus ten corner diagonals holding 1–10 entries each stays
+// inside DIAFill but pads to about eleven slots per nonzero, so the stage-2
+// DIA conversion is charged len(DIA.Data), not its nonzeros; and under a
+// budget its nonzeros fit but its slots do not, the cache refuses it.
+func TestConvCacheChargesStoredSlots(t *testing.T) {
+	const n = 4000
+	var ri, ci []int32
+	var v []float64
+	for i := 0; i < n; i++ {
+		ri, ci, v = append(ri, int32(i)), append(ci, int32(i)), append(v, 4)
+	}
+	for k := 1; k <= 10; k++ { // offset n-k holds k entries
+		for i := 0; i < k; i++ {
+			ri, ci, v = append(ri, int32(i)), append(ci, int32(n-k+i)), append(v, -1)
+		}
+	}
+	m, err := sparse.CSRFromTriplets(n, n, ri, ci, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fvec := features.Extract(m).Vector()
+	preds := core.NewPredictors()
+	preds.ConvTime[sparse.FmtDIA] = constModel(t, fvec, 20)
+	preds.SpMVTime[sparse.FmtDIA] = constModel(t, fvec, 0.5)
+
+	run := func(cache *convcache.Cache) core.Stats {
+		clk := timing.NewFakeClock()
+		clk.SetAutoStep(time.Millisecond)
+		cfg := replayConfig(clk)
+		cfg.ConvCache = cache
+		cfg.CacheFingerprint = m.Fingerprint()
+		cfg.CacheValues = m.ValueDigest()
+		ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
+		driveLoop(ad, 15, 1, 0.995)
+		st := ad.Stats()
+		if !st.Converted || st.Format != sparse.FmtDIA {
+			t.Fatalf("the scripted bundle did not convert to DIA: %+v", st)
+		}
+		return st
+	}
+
+	cache := convcache.New(0)
+	run(cache)
+	e, ok := cache.Lookup(cacheKey(m, sparse.FmtDIA))
+	if !ok {
+		t.Fatal("the DIA conversion was not published")
+	}
+	slots := len(e.M.(*sparse.DIA).Data)
+	if slots < 10*m.NNZ() {
+		t.Fatalf("DIA stores %d slots for %d nonzeros: the matrix does not pad", slots, m.NNZ())
+	}
+	if e.NNZ != slots || cache.Snapshot().NNZ != int64(slots) {
+		t.Errorf("entry charged %d, cache holds %d; want the %d stored slots (nnz %d)", e.NNZ, cache.Snapshot().NNZ, slots, m.NNZ())
+	}
+
+	small := convcache.New(int64(2 * m.NNZ()))
+	run(small)
+	if small.Has(cacheKey(m, sparse.FmtDIA)) || small.Snapshot().Entries != 0 {
+		t.Errorf("a %d-slot DIA entry was kept under a %d-slot budget its %d nonzeros fit", slots, 2*m.NNZ(), m.NNZ())
+	}
+}

@@ -133,7 +133,7 @@ func TestAuditMeasuredCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 		admitted := 0
-		for _, f := range sparse.MeasuredMenu[1:] {
+		for _, f := range sparse.Implemented[1:] {
 			if sparse.CanConvert(a, f, sparse.DefaultLimits) {
 				admitted++
 			}
@@ -149,7 +149,7 @@ func TestAuditMeasuredCalls(t *testing.T) {
 		all.Rows = append(all.Rows, audit.Rows...)
 	}
 	header, _ := auditCells(t, all.Render())
-	for _, f := range sparse.MeasuredMenu[1:] {
+	for _, f := range sparse.Implemented[1:] {
 		if !strings.Contains(strings.Join(header, "|"), "|"+f.String()+"|") {
 			t.Errorf("menu format %v has no column in %v", f, header)
 		}

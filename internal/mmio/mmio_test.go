@@ -192,12 +192,12 @@ func TestWriteNonCSRInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := sparse.CSRToHYB(csr, sparse.DefaultLimits)
+	sell, err := sparse.NewSELLFromCSR(csr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, hyb); err != nil {
+	if err := Write(&buf, sell); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Read(&buf)
@@ -209,7 +209,7 @@ func TestWriteNonCSRInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !eq {
-		t.Error("HYB write round trip changed values")
+		t.Error("SELL write round trip changed values")
 	}
 }
 

@@ -61,9 +61,10 @@ type Config struct {
 	// (default 60s).
 	DefaultSolveTimeout time.Duration
 	// ConvCacheNNZ bounds the cross-handle conversion cache's total stored
-	// nonzeros (default half of MaxRegistryNNZ; negative disables the
-	// cache). Converted operators published here are adopted by later
-	// handles over the same matrix with zero residual conversion cost.
+	// slots, padding included, so a padded DIA costs its padded size
+	// (default half of MaxRegistryNNZ; negative disables the cache).
+	// Converted operators published here are adopted by later handles over
+	// the same matrix with zero residual conversion cost.
 	ConvCacheNNZ int64
 	// Preds is the trained stage-2 predictor bundle; nil runs stage 1 only
 	// (matrices then never convert, but tripcount stats still accumulate).
@@ -335,9 +336,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			obs.ScalarFamily("ocsd_convcache_hits_total", "Conversions adopted from the cross-handle cache.", obs.KindCounter, float64(cs.Hits)),
 			obs.ScalarFamily("ocsd_convcache_misses_total", "Cache lookups that found no published conversion.", obs.KindCounter, float64(cs.Misses)),
 			obs.ScalarFamily("ocsd_convcache_publishes_total", "Conversions published into the cross-handle cache.", obs.KindCounter, float64(cs.Publishes)),
-			obs.ScalarFamily("ocsd_convcache_evictions_total", "Cached conversions evicted under the nnz budget.", obs.KindCounter, float64(cs.Evictions)),
+			obs.ScalarFamily("ocsd_convcache_evictions_total", "Cached conversions evicted under the stored-slot budget.", obs.KindCounter, float64(cs.Evictions)),
 			obs.ScalarFamily("ocsd_convcache_entries", "Conversions currently cached.", obs.KindGauge, float64(cs.Entries)),
-			obs.ScalarFamily("ocsd_convcache_nnz", "Total nonzeros held by the conversion cache.", obs.KindGauge, float64(cs.NNZ)),
+			obs.ScalarFamily("ocsd_convcache_nnz", "Total stored slots, padding included, held by the conversion cache.", obs.KindGauge, float64(cs.NNZ)),
 		)
 	}
 	_ = obs.WriteText(w, s.metrics.Families(extra...))

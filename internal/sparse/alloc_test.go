@@ -15,9 +15,8 @@ import (
 
 // TestSpMVParallelSteadyStateAllocs: a parallel SpMV allocates its body
 // closure, the team job and the job's done channel — three objects, whose
-// size does not grow with the matrix — in every format the measured menu
-// holds, and in HYB with an overflow past parallel.MinParallelWork, which
-// used to dispatch twice and cut its overflow into runs on every call. Counted from runtime.MemStats like testing.Benchmark's AllocsPerOp
+// size does not grow with the matrix — in every implemented format. Counted
+// from runtime.MemStats like testing.Benchmark's AllocsPerOp
 // and AllocedBytesPerOp, without its second of wall time per format and size
 // (testing.AllocsPerRun is no use: it runs at GOMAXPROCS 1, where nothing
 // dispatches); the least of three rounds.
@@ -69,7 +68,7 @@ func TestSpMVParallelSteadyStateAllocs(t *testing.T) {
 		}
 		bytesAt[s] = make(map[string]uint64)
 		cases := map[string]Matrix{}
-		for _, f := range MeasuredMenu {
+		for _, f := range Implemented {
 			if !CanConvert(a, f, DefaultLimits) {
 				t.Fatalf("n=%d: %v refuses a tridiagonal matrix", n, f)
 			}
@@ -79,14 +78,6 @@ func TestSpMVParallelSteadyStateAllocs(t *testing.T) {
 			}
 			cases[f.String()] = m
 		}
-		h, err := ConvertFromCSR(overflowShape(t, n).a, FmtHYB, DefaultLimits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nnz := h.(*HYB).Coo.NNZ(); nnz < parallel.MinParallelWork {
-			t.Fatalf("n=%d: HYB overflow holds %d entries, want >= %d", n, nnz, parallel.MinParallelWork)
-		}
-		cases["HYB overflow"] = h
 		for name, m := range cases {
 			allocs, bytes := perCall(m, y, x)
 			if allocs > 3 {
@@ -105,10 +96,9 @@ func TestSpMVParallelSteadyStateAllocs(t *testing.T) {
 
 // TestSpMVSerialAllocatesNothing: the serial product of every implemented
 // format allocates nothing — no closure, no partition, no scratch — on a
-// matrix large enough that the parallel entry point would dispatch. A
-// partition cut per call (COO's runs) belongs on the parallel branch only.
+// matrix large enough that the parallel entry point would dispatch.
 func TestSpMVSerialAllocatesNothing(t *testing.T) {
-	a := overflowShape(t, 30_000).a
+	a := longRowsShape(t, 30_000).a
 	if a.NNZ() < parallel.MinParallelWork {
 		t.Fatalf("%d nnz never dispatches", a.NNZ())
 	}

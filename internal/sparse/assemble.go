@@ -14,8 +14,8 @@ const insertionCutoff = 24
 
 // CSRFromTriplets assembles a CSR matrix from coordinate triplets in any
 // order, in O(nnz) for input whose rows arrive sorted. It is the one assembly
-// every ingest path funnels into — the generators, the Matrix Market reader,
-// NewCOO — so what a matrix costs to bring in is this routine plus whatever
+// every ingest path funnels into — the generators and the Matrix Market
+// reader — so what a matrix costs to bring in is this routine plus whatever
 // produced the triplets.
 //
 // Entries are bucketed by row with a stable counting sort whose prefix sum is
@@ -27,24 +27,14 @@ const insertionCutoff = 24
 // result depends on that row alone, so the matrix is the same at any worker
 // count.
 //
-// Errors are NewCOO's: inconsistent lengths, negative dimensions, or the
-// first entry outside rows x cols.
+// Errors: inconsistent lengths, negative dimensions, or the first entry
+// outside rows x cols.
 func CSRFromTriplets(rows, cols int, ri, ci []int32, v []float64) (*CSR, error) {
-	ptr, col, data, err := assembleTriplets(rows, cols, ri, ci, v)
-	if err != nil {
-		return nil, err
-	}
-	return newCSR(rows, cols, ptr, col, data), nil
-}
-
-// assembleTriplets returns canonical CSR arrays (Ptr monotone from 0, columns
-// strictly ascending in every row) for the triplets.
-func assembleTriplets(rows, cols int, ri, ci []int32, v []float64) ([]int, []int32, []float64, error) {
 	if rows < 0 || cols < 0 {
-		return nil, nil, nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
+		return nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
 	}
 	if len(ri) != len(ci) || len(ci) != len(v) {
-		return nil, nil, nil, fmt.Errorf("sparse: COO triplet lengths differ: %d, %d, %d", len(ri), len(ci), len(v))
+		return nil, fmt.Errorf("sparse: COO triplet lengths differ: %d, %d, %d", len(ri), len(ci), len(v))
 	}
 	// Row r is counted two slots up, so that after the prefix sum ptr[r+1] is
 	// where row r starts; the scatter advances it to where row r ends, which
@@ -54,7 +44,7 @@ func assembleTriplets(rows, cols int, ri, ci []int32, v []float64) ([]int, []int
 	prev := int32(0)
 	for k, r := range ri {
 		if c := ci[k]; r < 0 || int(r) >= rows || c < 0 || int(c) >= cols {
-			return nil, nil, nil, fmt.Errorf("sparse: COO entry %d at (%d,%d) outside %dx%d", k, r, c, rows, cols)
+			return nil, fmt.Errorf("sparse: COO entry %d at (%d,%d) outside %dx%d", k, r, c, rows, cols)
 		}
 		ptr[r+2]++
 		rowMajor = rowMajor && r >= prev
@@ -96,7 +86,7 @@ func assembleTriplets(rows, cols int, ri, ci []int32, v []float64) ([]int, []int
 		total += d
 	}
 	if total == 0 {
-		return ptr, col, data, nil
+		return newCSR(rows, cols, ptr, col, data), nil
 	}
 	// Something merged: the rows' tails hold -1 columns. Close the gaps into
 	// arrays of the exact size, so a matrix of many duplicates (an R-MAT
@@ -113,7 +103,7 @@ func assembleTriplets(rows, cols int, ri, ci []int32, v []float64) ([]int, []int
 		ptr[i+1] = len(ccol)
 		lo = hi
 	}
-	return ptr, ccol, cdata, nil
+	return newCSR(rows, cols, ptr, ccol, cdata), nil
 }
 
 // rowSorter carries the scratch for sorting long rows, reused along a range.

@@ -141,8 +141,7 @@ func assemblyCases() []tripletCase {
 // reference bit for bit — Ptr, columns and every summed value — on unsorted
 // rows, order-sensitive duplicates, empty rows, single-row and single-column
 // shapes and rows on both sides of the insertion cutoff, at 1, 2 and 4
-// workers; NewCOO is the same arrays with Row expanded; the inputs are left
-// as they were.
+// workers; the inputs are left as they were.
 func TestCSRFromTripletsMatchesReference(t *testing.T) {
 	ambient := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(ambient)
@@ -173,17 +172,6 @@ func TestCSRFromTripletsMatchesReference(t *testing.T) {
 			if _, err := NewCSR(c.rows, c.cols, m.Ptr, m.Col, m.Data); err != nil {
 				t.Fatalf("%s procs=%d: %v", c.name, procs, err)
 			}
-			coo, err := NewCOO(c.rows, c.cols, c.ri, c.ci, c.v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := COOToCSR(coo)
-			if err != nil {
-				t.Fatalf("%s procs=%d: NewCOO's arrays: %v", c.name, procs, err)
-			}
-			if !slices.Equal(back.Ptr, ptr) || !slices.Equal(coo.Col, col) || !slices.Equal(coo.Data, m.Data) {
-				t.Fatalf("%s procs=%d: NewCOO differs from CSRFromTriplets", c.name, procs)
-			}
 		}
 		if !slices.Equal(ri, c.ri) || !slices.Equal(ci, c.ci) || !slices.Equal(v, c.v) {
 			t.Errorf("%s: assembly modified its inputs", c.name)
@@ -191,7 +179,7 @@ func TestCSRFromTripletsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCSRFromTripletsErrors: the reference's (NewCOO's) error, text and all,
+// TestCSRFromTripletsErrors: the reference's error, text and all,
 // including which of several bad entries is reported.
 func TestCSRFromTripletsErrors(t *testing.T) {
 	for _, c := range []tripletCase{
@@ -211,9 +199,6 @@ func TestCSRFromTripletsErrors(t *testing.T) {
 		}
 		if _, err := CSRFromTriplets(c.rows, c.cols, c.ri, c.ci, c.v); err == nil || err.Error() != want.Error() {
 			t.Errorf("%s: CSRFromTriplets error %v, want %v", c.name, err, want)
-		}
-		if _, err := NewCOO(c.rows, c.cols, c.ri, c.ci, c.v); err == nil || err.Error() != want.Error() {
-			t.Errorf("%s: NewCOO error %v, want %v", c.name, err, want)
 		}
 	}
 }

@@ -155,7 +155,7 @@ func conversionLines(t *testing.T, g goldenMatrix) []string {
 	emit := func(format string, fields ...string) {
 		lines = append(lines, g.name+" "+format+" "+strings.Join(fields, " "))
 	}
-	for _, f := range []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL} {
+	for _, f := range sparse.Implemented[1:] {
 		m, err := sparse.ConvertFromCSR(g.a, f, sparse.DefaultLimits)
 		if err != nil {
 			if f != sparse.FmtDIA && f != sparse.FmtELL {
@@ -170,11 +170,6 @@ func conversionLines(t *testing.T, g goldenMatrix) []string {
 			emit("DIA", nnz, "offsets="+digest(m.Offsets), "data="+digest(m.Data))
 		case *sparse.ELL:
 			emit("ELL", nnz, fmt.Sprintf("width=%d", m.Width), "cols="+digest(m.Cols), "data="+digest(m.Data))
-		case *sparse.HYB:
-			emit("HYB", nnz, fmt.Sprintf("width=%d", m.EllWidth()), fmt.Sprintf("ellnnz=%d", m.Ell.NNZ()),
-				fmt.Sprintf("overflow=%d", m.Coo.NNZ()),
-				"ell.cols="+digest(m.Ell.Cols), "ell.data="+digest(m.Ell.Data),
-				"coo.row="+digest(m.Coo.Row), "coo.col="+digest(m.Coo.Col), "coo.data="+digest(m.Coo.Data))
 		case *sparse.SELL:
 			emit("SELL", nnz, "perm="+digest(m.Perm), "slicewidth="+digest(m.SliceWidth),
 				"sliceptr="+digest(m.SlicePtr), "cols="+digest(m.Cols), "data="+digest(m.Data))
@@ -185,8 +180,8 @@ func conversionLines(t *testing.T, g goldenMatrix) []string {
 	return lines
 }
 
-// TestConversionsBitIdenticalToRecorded pins what CSR -> {DIA, ELL, HYB,
-// SELL} writes, array by array, at one worker and at four. The table
+// TestConversionsBitIdenticalToRecorded pins what CSR -> {DIA, ELL, SELL}
+// writes, array by array, at one worker and at four. The table
 // was recorded before the conversions fused their validation into the fill
 // pass, so it proves the single-pass layouts equal the two-pass ones.
 // Re-record with -record-conversions only for an intended layout change.

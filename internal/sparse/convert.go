@@ -63,9 +63,9 @@ type Limits struct {
 	// BSRBlockSize is the dense block edge BSR is priced at (the block count
 	// comes from features.CountBlocks).
 	BSRBlockSize int
-	// HYBRowFraction sets the CUSP-style ELL-width heuristic for HYB: slot
-	// column w is kept in the ELL part while at least HYBRowFraction of the
-	// rows have w or more entries.
+	// HYBRowFraction sets the CUSP-style ELL-width heuristic HYB is priced
+	// at (HYBWidth): slot column w is kept in the ELL part while at least
+	// HYBRowFraction of the rows have w or more entries.
 	HYBRowFraction float64
 }
 
@@ -109,37 +109,6 @@ func (l Limits) Fits(f Format, g Geometry) bool {
 	default:
 		return true
 	}
-}
-
-// COOToCSR converts a (normalized, sorted) COO matrix to CSR.
-func COOToCSR(a *COO) (*CSR, error) {
-	rows, cols := a.Dims()
-	nnz := a.NNZ()
-	ptr := make([]int, rows+1)
-	for _, r := range a.Row {
-		ptr[r+1]++
-	}
-	for i := 0; i < rows; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	col := make([]int32, nnz)
-	data := make([]float64, nnz)
-	copy(col, a.Col)
-	copy(data, a.Data)
-	return NewCSR(rows, cols, ptr, col, data)
-}
-
-// CSRToCOO converts a CSR matrix to COO.
-func CSRToCOO(a *CSR) (*COO, error) {
-	rows, cols := a.Dims()
-	nnz := a.NNZ()
-	row := make([]int32, nnz)
-	for i := 0; i < rows; i++ {
-		for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-			row[k] = int32(i)
-		}
-	}
-	return NewCOO(rows, cols, row, a.Col, a.Data)
 }
 
 // CSRDiagonals returns the sorted offsets of the nonempty diagonals of a.
@@ -390,7 +359,7 @@ func ELLToCSR(a *ELL) (*CSR, error) {
 
 // HYBWidth computes the CUSP-style ELL width for the hybrid format: the
 // widest slot column w that at least rowFraction of the rows reach (have w
-// or more entries).
+// or more entries). HYB is priced, not built: timing.ModelOracle reads it.
 func HYBWidth(a *CSR, rowFraction float64) int {
 	rows, _ := a.Dims()
 	if rows == 0 {
@@ -419,99 +388,16 @@ func HYBWidth(a *CSR, rowFraction float64) int {
 	return width
 }
 
-// CSRToHYB converts to HYB using the width heuristic in lim.HYBRowFraction.
-// A serial counting pass sizes the COO overflow exactly (prefix sums give
-// each row its output offset), then one parallel pass checks the columns
-// and scatters the ELL part, its padding, and the overflow triplets with
-// disjoint writes per row. The overflow is written row-major with ascending
-// columns, which is COO's canonical order, so it becomes the COO part as it
-// stands.
-func CSRToHYB(a *CSR, lim Limits) (*HYB, error) {
-	rows, cols := a.Dims()
-	width := HYBWidth(a, lim.HYBRowFraction)
-	colIdx := make([]int32, rows*width)
-	data := make([]float64, rows*width)
-	over := make([]int, rows+1)
-	for i := 0; i < rows; i++ {
-		over[i+1] = over[i] + max(a.RowNNZ(i)-width, 0)
-	}
-	total := over[rows]
-	orow := make([]int32, total)
-	ocol := make([]int32, total)
-	oval := make([]float64, total)
-	err := checkedFill(parallel.PartitionByWeight(rows, convParts(a.NNZ()+rows*width), a.Ptr), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			base := i * width
-			n := 0
-			o := over[i]
-			prev := int32(-1)
-			for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-				c := a.Col[k]
-				if c <= prev || int(c) >= cols {
-					return colOrderError(i, c, cols)
-				}
-				prev = c
-				if n < width {
-					colIdx[base+n] = c
-					data[base+n] = a.Data[k]
-					n++
-				} else {
-					orow[o] = int32(i)
-					ocol[o] = c
-					oval[o] = a.Data[k]
-					o++
-				}
-			}
-			for ; n < width; n++ {
-				colIdx[base+n] = ELLPad
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &HYB{
-		rows: rows, cols: cols,
-		Ell: &ELL{rows: rows, cols: cols, nnz: a.NNZ() - total, Width: width, Cols: colIdx, Data: data},
-		Coo: &COO{rows: rows, cols: cols, Row: orow, Col: ocol, Data: oval},
-	}, nil
-}
-
-// HYBToCSR converts a HYB matrix back to CSR by merging the parts.
-func HYBToCSR(a *HYB) (*CSR, error) {
-	ellCSR, err := ELLToCSR(a.Ell)
-	if err != nil {
-		return nil, err
-	}
-	if a.Coo.NNZ() == 0 {
-		return ellCSR, nil
-	}
-	ellCOO, err := CSRToCOO(ellCSR)
-	if err != nil {
-		return nil, err
-	}
-	rows, cols := a.Dims()
-	return CSRFromTriplets(rows, cols,
-		append(ellCOO.Row, a.Coo.Row...),
-		append(ellCOO.Col, a.Coo.Col...),
-		append(ellCOO.Data, a.Coo.Data...))
-}
-
 // ConvertFromCSR converts a CSR matrix into the requested format under the
 // given limits. Converting to CSR returns the input unchanged.
 func ConvertFromCSR(a *CSR, to Format, lim Limits) (Matrix, error) {
 	switch to {
 	case FmtCSR:
 		return a, nil
-	case FmtCOO:
-		return CSRToCOO(a)
 	case FmtDIA:
 		return CSRToDIA(a, lim)
 	case FmtELL:
 		return CSRToELL(a, lim)
-	case FmtHYB:
-		return CSRToHYB(a, lim)
 	case FmtSELL:
 		return NewSELLFromCSR(a)
 	}
@@ -521,20 +407,17 @@ func ConvertFromCSR(a *CSR, to Format, lim Limits) (Matrix, error) {
 	return nil, fmt.Errorf("sparse: cannot convert to %v", to)
 }
 
-// ToCSR converts any supported matrix back to CSR. Formats that store
-// padding (DIA, ELL) drop explicitly stored zeros in the round trip.
+// ToCSR converts a matrix of any Implemented format back to CSR. Formats
+// that store padding (DIA, ELL) drop explicitly stored zeros in the round
+// trip.
 func ToCSR(m Matrix) (*CSR, error) {
 	switch a := m.(type) {
 	case *CSR:
 		return a, nil
-	case *COO:
-		return COOToCSR(a)
 	case *DIA:
 		return DIAToCSR(a)
 	case *ELL:
 		return ELLToCSR(a)
-	case *HYB:
-		return HYBToCSR(a)
 	case *SELL:
 		return a.ToCSR()
 	default:
@@ -556,8 +439,8 @@ func Convert(m Matrix, to Format, lim Limits) (Matrix, error) {
 
 // CanConvert reports whether a can be represented in the given format under
 // the limits, without building the target representation. A format outside
-// Implemented (BSR, CSR5, JDS) never can; of the rest only DIA and ELL have a
-// fill limit (SELL, for one, pads each slice only to its own longest row,
+// Implemented (COO, HYB, BSR, CSR5, JDS) never can; of the rest only DIA and
+// ELL have a fill limit (SELL pads each slice only to its own longest row,
 // and its window sort keeps that padding bounded).
 func CanConvert(a *CSR, to Format, lim Limits) bool {
 	rows, _ := a.Dims()

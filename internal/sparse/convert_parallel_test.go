@@ -34,8 +34,8 @@ func bandedCSR(t testing.TB, rows, b int) *CSR {
 	return m
 }
 
-// skewedCSR builds a matrix whose row lengths cycle 1..13, giving HYB a real
-// COO overflow and SELL real per-window sorting work. Deterministic.
+// skewedCSR builds a matrix whose row lengths cycle 1..13, giving SELL real
+// per-window sorting work. Deterministic.
 func skewedCSR(t testing.TB, rows int) *CSR {
 	t.Helper()
 	cols := rows
@@ -153,23 +153,22 @@ func TestConversionsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}{
 		// Banded structure converts everywhere, with enough nnz for the
 		// parallel paths (rows*(2b+1) ~ 14k > MinParallelWork).
-		{"banded", bandedCSR(t, 2000, 3), []string{"DIA", "ELL", "HYB", "SELL"}},
-		// Skewed row lengths exercise HYB overflow and SELL sorting; the
+		{"banded", bandedCSR(t, 2000, 3), []string{"DIA", "ELL", "SELL"}},
+		// Skewed row lengths exercise SELL sorting; the
 		// diagonal count is too high for DIA, so it stays out.
-		{"skewed", skewedCSR(t, 3000), []string{"ELL", "HYB", "SELL"}},
-		{"random", randCSR(t, rng, 600, 600, 0.02), []string{"ELL", "HYB", "SELL"}},
+		{"skewed", skewedCSR(t, 3000), []string{"ELL", "SELL"}},
+		{"random", randCSR(t, rng, 600, 600, 0.02), []string{"ELL", "SELL"}},
 		// Tiny matrix: all conversions take the serial fallback at every
 		// worker count; guards the threshold gate itself.
-		{"tiny", randCSR(t, rng, 12, 12, 0.3), []string{"DIA", "ELL", "HYB", "SELL"}},
+		{"tiny", randCSR(t, rng, 12, 12, 0.3), []string{"DIA", "ELL", "SELL"}},
 		// A power law whose SELL sigma climbs past the first rung: wide
 		// windows and slot-balanced fill ranges.
-		{"powerlaw", powerLawCSR(t, 16384), []string{"HYB", "SELL"}},
+		{"powerlaw", powerLawCSR(t, 16384), []string{"SELL"}},
 	}
 
 	convs := map[string]func(a *CSR) (any, error){
 		"DIA":  func(a *CSR) (any, error) { return CSRToDIA(a, lim) },
 		"ELL":  func(a *CSR) (any, error) { return CSRToELL(a, lim) },
-		"HYB":  func(a *CSR) (any, error) { return CSRToHYB(a, lim) },
 		"SELL": func(a *CSR) (any, error) { return NewSELLFromCSR(a) },
 	}
 
@@ -270,10 +269,9 @@ func TestConversionsRejectChangedColumns(t *testing.T) {
 			a.Col[a.Ptr[row+1]-1] = int32(cols)
 		}, "out of range"},
 	}
-	formats := []Format{FmtDIA, FmtELL, FmtHYB, FmtSELL}
 	for _, size := range []int{12, 3000} { // serial fill, and ranges on the team
 		for _, mu := range mutations {
-			for _, f := range formats {
+			for _, f := range Implemented[1:] {
 				t.Run(fmt.Sprintf("%d/%s/%v", size, mu.name, f), func(t *testing.T) {
 					a := bandedCSR(t, size, 2)
 					row := size / 2
@@ -300,8 +298,8 @@ func TestConversionsRejectChangedColumns(t *testing.T) {
 	}
 }
 
-// TestConversionsMatchTheirConstructors: DIA, ELL and HYB build their structs
-// directly instead of through NewDIA/NewELL/NewCOO/NewHYB. Handing the
+// TestConversionsMatchTheirConstructors: DIA and ELL build their structs
+// directly instead of through NewDIA/NewELL. Handing the
 // conversion's arrays to those constructors must accept them and rebuild the
 // same struct, nonzero counts included (DIA counts nonzero values, so the
 // band carries explicit zeros); and the constructors still reject the
@@ -328,18 +326,6 @@ func TestConversionsMatchTheirConstructors(t *testing.T) {
 		if rebuilt, err := NewELL(rows, cols, e.Width, e.Cols, e.Data); err != nil || !reflect.DeepEqual(rebuilt, e) {
 			t.Errorf("%dx%d ELL: NewELL over the conversion's arrays: %v", rows, cols, err)
 		}
-		h, err := CSRToHYB(a, DefaultLimits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ell, err1 := NewELL(rows, cols, h.Ell.Width, h.Ell.Cols, h.Ell.Data)
-		coo, err2 := NewCOO(rows, cols, h.Coo.Row, h.Coo.Col, h.Coo.Data)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%dx%d HYB parts rejected: %v, %v", rows, cols, err1, err2)
-		}
-		if rebuilt, err := NewHYB(ell, coo); err != nil || !reflect.DeepEqual(rebuilt, h) {
-			t.Errorf("%dx%d HYB: NewHYB over the conversion's parts: %v", rows, cols, err)
-		}
 	}
 
 	for _, c := range []struct {
@@ -352,12 +338,6 @@ func TestConversionsMatchTheirConstructors(t *testing.T) {
 		{"ELL column >= cols", func() error { _, err := NewELL(1, 3, 2, []int32{0, 3}, []float64{1, 2}); return err }()},
 		{"DIA offsets descending", func() error { _, err := NewDIA(2, 2, []int{1, 0}, make([]float64, 4)); return err }()},
 		{"DIA offset outside", func() error { _, err := NewDIA(2, 2, []int{2}, make([]float64, 2)); return err }()},
-		{"HYB part shapes differ", func() error {
-			ell, _ := NewELL(2, 2, 0, nil, nil)
-			coo, _ := NewCOO(3, 2, nil, nil, nil)
-			_, err := NewHYB(ell, coo)
-			return err
-		}()},
 	} {
 		if c.err == nil {
 			t.Errorf("%s: accepted", c.name)

@@ -1,20 +1,18 @@
 // Package sparse implements the storage formats the runtime converts to —
-// COO, CSR, DIA, ELL and HYB from the paper's seven, plus the SELL-C-sigma
-// extension — together with their SpMV kernels (serial, goroutine-parallel,
-// and AVX2-vectorized where the host supports it; see kernels.go) and the
-// format conversions whose runtime cost is the subject of the paper.
+// CSR, DIA and ELL from the paper's seven, plus the SELL-C-sigma extension —
+// together with their SpMV kernels (serial, goroutine-parallel, and
+// AVX2-vectorized where the host supports it; see kernels.go) and the format
+// conversions whose runtime cost is the subject of the paper.
 //
 // CSR is the hub format: every other format converts to and from CSR, and
 // CSR is the default format applications start from, matching the paper's
-// experimental setup. Five formats — CSR, DIA, ELL, HYB, SELL — are the
-// measured menu the runtime trains and selects among (MeasuredMenu); COO
-// never wins a measured T_affected on this CPU and is study-only:
-// implemented, checked and fuzzed but not timed at training. The paper's
-// BSR and CSR5 and the JDS extension are priced only: they keep their Format
+// experimental setup. The four built formats are the measured menu the
+// runtime trains and selects among (Implemented). The paper's COO, HYB, BSR
+// and CSR5 and the JDS extension are priced only: they keep their Format
 // numbers and the analytic model oracle the experiments run on prices them
 // from structure, but this build has no kernel or conversion for them
-// (Implemented; DESIGN.md §19). SELL's sorting window follows the matrix's
-// row lengths, which makes JDS, its sigma = rows corner, redundant.
+// (DESIGN.md §19). SELL's sorting window follows the matrix's row lengths,
+// which makes JDS, its sigma = rows corner, redundant.
 package sparse
 
 import "fmt"
@@ -51,14 +49,17 @@ var AllFormats = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtCSR
 // minus the SELL-C-sigma and JDS extensions).
 var PaperFormats = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtCSR5}
 
-// Implemented is the one answer to "can this build convert to f": the formats
-// with a kernel and a conversion from CSR, CSR first. It is AllFormats minus
-// BSR and CSR5, which were the argmin on no class of the home-turf panel,
-// and JDS, whose skewed-row classes SELL covers once its sigma follows the
-// matrix (DESIGN.md §19). They stay only as prices: CanConvert answers false
-// for them, ConvertFromCSR names them priced-only, and a saved predictor
-// bundle's models for them are dropped at load.
-var Implemented = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtSELL}
+// Implemented is the one answer to "can this build convert to f", and the
+// measured menu: the formats with a kernel and a conversion from CSR, CSR
+// first, which timing.MeasuredOracle prices, a bundle trained on this
+// machine's kernels holds and the runtime can select. A format is built iff,
+// without it, the best measured T_convert + N*T_spmv on some class of the
+// home-turf panel leaves the band of runs with it at some loop length N, as
+// `ocsel audit` prints it (DESIGN.md §19). COO, HYB, BSR, CSR5 and JDS are
+// AllFormats' rest and stay only as prices: CanConvert answers false for them,
+// ConvertFromCSR names them priced-only, and a saved predictor bundle's
+// models for them are dropped at load.
+var Implemented = []Format{FmtCSR, FmtDIA, FmtELL, FmtSELL}
 
 // CSR5 tile geometry, which timing.ModelOracle's CSR5 price reads. A tile
 // holds Sigma*Omega consecutive nonzeros, written column-major into a
@@ -69,14 +70,6 @@ const (
 	// CSR5Tile is the number of nonzeros per full tile.
 	CSR5Tile = CSR5Omega * CSR5Sigma
 )
-
-// MeasuredMenu is the set timing.MeasuredOracle prices, and so the set a
-// bundle trained on this machine's kernels can hold and the runtime can
-// select: CSR plus every format that is the measured T_convert + N*T_spmv
-// argmin for some loop length N on some class of the home-turf panel, as
-// `ocsel audit` prints it (DESIGN.md §19). A format joins or leaves with one
-// entry here, in the same change as the audit output that justifies it.
-var MeasuredMenu = []Format{FmtCSR, FmtDIA, FmtELL, FmtHYB, FmtSELL}
 
 // NumFormats bounds the Format values (one number below it is retired), for
 // arrays indexed by Format.

@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // The vectorized kernel layer. On amd64 hosts with AVX2+FMA (and outside
 // noasm builds) the CSR, ELL, SELL and DIA SpMV inner loops dispatch to
@@ -39,13 +36,12 @@ const vecMinRow = 16
 const csrSegmentNNZ = 1 << 15
 
 // vectorOn is the dispatch switch, set at init and flipped only by
-// ForceGenericKernels (tests and the noasm escape hatch OCS_NOASM=1).
-// Kernels read it once per parallel region or row range, not per row.
+// ForceGenericKernels (tests). A binary without the assembly kernels is
+// built with -tags noasm. Kernels read it once per parallel region or row
+// range, not per row.
 var vectorOn atomic.Bool
 
-func init() {
-	vectorOn.Store(asmAvailable() && os.Getenv("OCS_NOASM") == "")
-}
+func init() { vectorOn.Store(asmAvailable()) }
 
 // HasVectorKernels reports whether this binary carries assembly kernels the
 // current CPU can run (independent of whether they are currently forced
@@ -65,8 +61,7 @@ func KernelVariant() string {
 // ForceGenericKernels forces (or un-forces) the pure-Go fallback kernels,
 // returning the previous forced state so callers can restore it. Used by
 // the differential tests that compare the assembly kernels against the
-// fallback, and available to operators via OCS_NOASM=1. Un-forcing is a
-// no-op on hosts without assembly kernels.
+// fallback. Un-forcing is a no-op on hosts without assembly kernels.
 func ForceGenericKernels(force bool) (prev bool) {
 	prev = !vectorOn.Load()
 	vectorOn.Store(!force && asmAvailable())

@@ -22,6 +22,19 @@ type kernel interface {
 	spmvRange(y, x []float64, lo, hi int)
 }
 
+// StoredSlots returns the slots m stores, padding included: the slots one
+// product reads, which its kernel's plan returns. It is what a converted
+// matrix holds in memory in the unit of nonzeros, and so what a budget
+// counted in stored nonzeros charges it. A matrix of no built format is
+// charged its NNZ.
+func StoredSlots(m Matrix) int {
+	if k, ok := m.(kernel); ok {
+		_, slots := k.plan()
+		return slots
+	}
+	return m.NNZ()
+}
+
 // spmv is every format's SpMV (par false) and SpMVParallel (par true).
 func spmv(k kernel, y, x []float64, par bool) {
 	rows, cols := k.Dims()

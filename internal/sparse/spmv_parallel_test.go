@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // diaSpMVDiagonalMajor is the untiled DIA kernel the row-tiled body replaced:
@@ -54,9 +52,10 @@ func bandShape(t *testing.T, rows, cols int, offsets []int) parallelShape {
 	return parallelShape{fmt.Sprintf("band-%dx%d", rows, cols), a}
 }
 
-// overflowShape is a tridiagonal matrix with long rows on top, so HYB keeps
-// a narrow ELL part and its COO overflow is past parallel.MinParallelWork.
-func overflowShape(t *testing.T, n int) parallelShape {
+// longRowsShape is a tridiagonal matrix with a 150-entry row every 61 rows:
+// too wide for ELL's fill limit, and rows of very different cost for the
+// weighted partition.
+func longRowsShape(t *testing.T, n int) parallelShape {
 	t.Helper()
 	var ri, ci []int32
 	var v []float64
@@ -80,7 +79,7 @@ func overflowShape(t *testing.T, n int) parallelShape {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return parallelShape{"overflow", a}
+	return parallelShape{"long-rows", a}
 }
 
 // staircaseShape gives row i of n the n-i leading columns: every row length
@@ -107,7 +106,7 @@ func staircaseShape(t *testing.T, n int) parallelShape {
 
 // skewedShape is one dense row followed by n-1 rows of which two thirds are
 // empty, drawn from rng: a weighted partition gives the dense row a range of
-// its own, and COO's runs after it start on empty rows.
+// its own.
 func skewedShape(t *testing.T, rng *rand.Rand, n int) parallelShape {
 	t.Helper()
 	ptr := make([]int, n+1)
@@ -137,11 +136,11 @@ func skewedShape(t *testing.T, rng *rand.Rand, n int) parallelShape {
 // the assembly kernels and with the generic loops, on shapes aimed at each
 // kernel's cut points: rows of 2·diaTileRows + 3 (a short last tile), rows
 // and cols unequal both ways, DIA diagonals starting and ending mid-tile,
-// segments shorter than the assembly kernel's 8 lanes, a HYB overflow (and
-// COO) past MinParallelWork, where a row cut between workers would show,
+// segments shorter than the assembly kernel's 8 lanes, long rows among short
+// ones past MinParallelWork, where a row cut between workers would show,
 // SELL slices of distinct widths, a power law whose SELL windows are wider
 // than the first rung, and one dense row over mostly empty ones, where a
-// weighted range holds a single row and COO's runs start on empty rows.
+// weighted range holds a single row.
 // The generic DIA body must also equal the untiled diagonal-major loop.
 func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 	const rows = 2*diaTileRows + 3
@@ -152,7 +151,7 @@ func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 		bandShape(t, rows, rows, offsets),
 		bandShape(t, rows, 4000, offsets),
 		bandShape(t, rows, 4200, offsets),
-		overflowShape(t, rows),
+		longRowsShape(t, rows),
 		staircaseShape(t, 200),
 		{"powerlaw", powerLawCSR(t, 16384)},
 		skewedShape(t, rand.New(rand.NewSource(3)), 6000),
@@ -177,9 +176,6 @@ func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 				t.Fatalf("%s: convert to %v: %v", s.name, f, err)
 			}
 			covered[f] = true
-			if h, ok := m.(*HYB); ok && s.name == "overflow" && h.Coo.NNZ() < parallel.MinParallelWork {
-				t.Fatalf("%s: HYB overflow holds %d entries, want >= %d", s.name, h.Coo.NNZ(), parallel.MinParallelWork)
-			}
 			for _, vec := range variants {
 				prev := ForceGenericKernels(!vec)
 				serial := make([]float64, sr)
@@ -206,8 +202,8 @@ func TestSpMVParallelBitIdenticalToSerial(t *testing.T) {
 				ForceGenericKernels(prev)
 			}
 		}
-		want := []Format{FmtCSR, FmtCOO, FmtHYB, FmtSELL}
-		if s.name != "overflow" && s.name != "skewed" && s.name != "powerlaw" {
+		want := []Format{FmtCSR, FmtSELL}
+		if s.name != "long-rows" && s.name != "skewed" && s.name != "powerlaw" {
 			want = append(want, FmtDIA, FmtELL)
 		}
 		for _, f := range want {

@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -98,12 +99,12 @@ func TestMeasuredOracleScriptedClock(t *testing.T) {
 	}
 }
 
-// TestMeasuredOracleMenu: one Costs call prices exactly sparse.MeasuredMenu,
-// each region at the scripted step, on a matrix that admits every menu
-// format and COO. It reads the clock 2·Reps times for CSR's SpMV and 2·Reps
-// times each for every other menu format's conversion and SpMV, and no more:
-// nothing is converted twice, CSR is not "converted" to itself, and a format
-// off the menu costs no clock read.
+// TestMeasuredOracleMenu: one Costs call prices exactly sparse.Implemented,
+// each region at the scripted step, on a matrix that admits every built
+// format. It reads the clock 2·Reps times for CSR's SpMV and 2·Reps times
+// each for every other built format's conversion and SpMV, and no more:
+// nothing is converted twice, CSR is not "converted" to itself, and a
+// priced-only format costs no clock read.
 func TestMeasuredOracleMenu(t *testing.T) {
 	c := NewFakeClock()
 	c.SetAutoStep(time.Millisecond)
@@ -111,41 +112,32 @@ func TestMeasuredOracleMenu(t *testing.T) {
 	o := NewMeasuredOracle(MeasureOptions{Reps: reps, Clock: c})
 	a := testTriDiag(t, 64)
 
-	// COO converts here, so only the menu can refuse it; BSR and CSR5 are
-	// priced only and convert nowhere.
-	if !sparse.CanConvert(a, sparse.FmtCOO, sparse.DefaultLimits) {
-		t.Fatal("COO refused by the limits: the test would not see the menu")
-	}
 	costs := o.Costs(a)
 	if costs.CSR != 0.001 {
 		t.Errorf("CSR SpMV = %g, want exactly 0.001", costs.CSR)
 	}
-	others := 0
-	for _, f := range sparse.MeasuredMenu {
-		if f == sparse.FmtCSR {
+	others := sparse.Implemented[1:]
+	for _, f := range sparse.AllFormats {
+		conv, convOK := costs.Convert[f]
+		spmv, spmvOK := costs.SpMV[f]
+		if !slices.Contains(others, f) {
+			if convOK || spmvOK {
+				t.Errorf("%v: conversion or SpMV priced, want absent", f)
+			}
 			continue
 		}
-		others++
-		if s, ok := costs.Convert[f]; !ok || s != 0.001 {
-			t.Errorf("%v: conversion = %g, %v; want exactly 0.001, true", f, s, ok)
+		if !sparse.CanConvert(a, f, sparse.DefaultLimits) {
+			t.Fatalf("%v refused by the limits: the test would not see the menu", f)
 		}
-		if s, ok := costs.SpMV[f]; !ok || s != 0.001 {
-			t.Errorf("%v: SpMV = %g, %v; want exactly 0.001, true", f, s, ok)
-		}
-	}
-	for _, f := range []sparse.Format{sparse.FmtCSR, sparse.FmtCOO, sparse.FmtBSR, sparse.FmtCSR5, sparse.FmtJDS} {
-		if _, ok := costs.Convert[f]; ok {
-			t.Errorf("%v: conversion priced, want absent", f)
-		}
-		if _, ok := costs.SpMV[f]; ok {
-			t.Errorf("%v: SpMV priced, want absent", f)
+		if !convOK || conv != 0.001 || !spmvOK || spmv != 0.001 {
+			t.Errorf("%v: conversion %g, %v and SpMV %g, %v; want exactly 0.001, true", f, conv, convOK, spmv, spmvOK)
 		}
 	}
-	if len(costs.Convert) != others || len(costs.SpMV) != others {
-		t.Errorf("%d conversions and %d SpMVs priced, want %d each", len(costs.Convert), len(costs.SpMV), others)
+	if len(costs.Convert) != len(others) || len(costs.SpMV) != len(others) {
+		t.Errorf("%d conversions and %d SpMVs priced, want %d each", len(costs.Convert), len(costs.SpMV), len(others))
 	}
-	if n := c.NowCalls(); others != 4 || n != 2*reps*(1+2*4) {
-		t.Errorf("%d clock reads over %d non-CSR menu formats, want 2·%d·(1 + 2·4) = 54", n, others, reps)
+	if n, want := c.NowCalls(), 2*reps*(1+2*len(others)); n != want {
+		t.Errorf("%d clock reads over %d non-CSR built formats, want 2·%d·(1 + 2·%d) = %d", n, len(others), reps, len(others), want)
 	}
 }
 

@@ -53,8 +53,8 @@ type MeasureOptions struct {
 func DefaultMeasureOptions() MeasureOptions { return MeasureOptions{Reps: 5} }
 
 // MeasuredOracle times the real parallel kernels, the configuration
-// applications run, of the formats on sparse.MeasuredMenu under
-// sparse.DefaultLimits; any other format is unpriced.
+// applications run, of the built formats (sparse.Implemented, the measured
+// menu) under sparse.DefaultLimits; any other format is unpriced.
 type MeasuredOracle struct {
 	reps int
 	clk  Clock
@@ -86,7 +86,7 @@ func medianTime(clk Clock, reps int, fn func()) float64 {
 }
 
 // Costs implements Oracle. It times CSR's SpMV, then, in menu order, each
-// other menu format the limits admit: the conversion Reps times, and the
+// other built format the limits admit: the conversion Reps times, and the
 // SpMV Reps times on the last conversion's result after one untimed warm-up.
 // Each converted matrix is garbage once its SpMV is timed.
 func (o *MeasuredOracle) Costs(a *sparse.CSR) Costs {
@@ -101,8 +101,8 @@ func (o *MeasuredOracle) Costs(a *sparse.CSR) Costs {
 		return medianTime(o.clk, o.reps, func() { m.SpMVParallel(y, x) })
 	}
 	c := newCosts(spmv(a))
-	for _, f := range sparse.MeasuredMenu {
-		if f == sparse.FmtCSR || !sparse.CanConvert(a, f, sparse.DefaultLimits) {
+	for _, f := range sparse.Implemented[1:] {
+		if !sparse.CanConvert(a, f, sparse.DefaultLimits) {
 			continue
 		}
 		var m sparse.Matrix

@@ -99,8 +99,9 @@ func LoadBundle(dir string, wantFeatures int) (*core.Predictors, *Manifest, erro
 		f, err := sparse.ParseFormat(name)
 		if err != nil || !slices.Contains(sparse.Implemented, f) {
 			// A format this build no longer has (bundles saved before CSC
-			// was deleted list it) or cannot convert to (BSR and CSR5 are
-			// priced only, so a model-oracle bundle may list them): its
+			// was deleted list it) or cannot convert to (COO, HYB, BSR,
+			// CSR5 and JDS are priced only, so a model-oracle bundle, or
+			// one saved while HYB was built, may list them): its
 			// models are left on disk, unread, and the runtime never
 			// selects a format it cannot build.
 			continue

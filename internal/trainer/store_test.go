@@ -227,16 +227,24 @@ func TestTrainConcurrentFitMatchesSequential(t *testing.T) {
 }
 
 // TestLoadBundleIgnoresRetiredSpMMModels: a bundle is whatever formats its
-// manifest lists. A four-format bundle (the measured menu past CSR)
-// round-trips with a manifest naming exactly those four. Bundles saved by
-// earlier builds must keep loading: ones that still priced blocked products
-// list spmm_formats and hold spmm_<format>.json files, and ones from before
-// CSC was deleted list it — all of that is ignored — and a format this build
-// knows but cannot convert to (CSR5 and JDS, priced only) is dropped like
-// CSC.
+// manifest lists. A bundle of the built formats past CSR round-trips with a
+// manifest naming exactly those. Bundles saved by earlier builds must keep
+// loading: ones that still priced blocked products list spmm_formats and
+// hold spmm_<format>.json files, and ones from before CSC was deleted list
+// it — all of that is ignored — and every format this build knows but
+// cannot convert to (AllFormats outside Implemented, priced only) is
+// dropped like CSC.
 func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	full := trainedBundle(t)
-	menu := []sparse.Format{sparse.FmtDIA, sparse.FmtELL, sparse.FmtHYB, sparse.FmtSELL}
+	menu := sparse.Implemented[1:]
+	var names, retired []string
+	for _, f := range sparse.AllFormats {
+		if slices.Contains(menu, f) {
+			names = append(names, f.String())
+		} else if f != sparse.FmtCSR {
+			retired = append(retired, f.String())
+		}
+	}
 	preds := core.NewPredictors()
 	for _, f := range menu {
 		if full.ConvTime[f] == nil || full.SpMVTime[f] == nil {
@@ -252,8 +260,8 @@ func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"DIA", "ELL", "HYB", "SELL"}; !slices.Equal(man.Formats, want) {
-		t.Errorf("manifest lists %v, want exactly %v", man.Formats, want)
+	if !slices.Equal(man.Formats, names) {
+		t.Errorf("manifest lists %v, want exactly %v", man.Formats, names)
 	}
 	if got := loaded.Formats(); !slices.Equal(got, menu) {
 		t.Errorf("round trip loaded %v, want %v", got, menu)
@@ -264,7 +272,8 @@ func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := strings.Replace(string(blob), `"formats": [`, `"spmm_formats": ["CSR", "ELL"],`+"\n  "+`"formats": [`+"\n    "+`"CSC", "CSR5", "JDS",`, 1)
+	retired = append(retired, "CSC")
+	old := strings.Replace(string(blob), `"formats": [`, `"spmm_formats": ["CSR", "ELL"],`+"\n  "+`"formats": [`+"\n    "+`"`+strings.Join(retired, `", "`)+`",`, 1)
 	if old == string(blob) {
 		t.Fatal("test could not add the retired entries to the manifest")
 	}
@@ -275,14 +284,18 @@ func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"spmm_CSR.json", "spmm_ELL.json", "conv_CSC.json", "spmv_CSC.json", "conv_CSR5.json", "spmv_CSR5.json", "conv_JDS.json", "spmv_JDS.json"} {
+	files := []string{"spmm_CSR.json", "spmm_ELL.json"}
+	for _, name := range retired {
+		files = append(files, "conv_"+name+".json", "spmv_"+name+".json")
+	}
+	for _, name := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), model, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	loaded, _, err = LoadBundle(dir, features.NumFeatures)
 	if err != nil {
-		t.Fatalf("bundle with retired SpMM and CSC models no longer loads: %v", err)
+		t.Fatalf("bundle with retired SpMM, CSC and priced-only models no longer loads: %v", err)
 	}
 	want := menu
 	if got := loaded.Formats(); !slices.Equal(got, want) || len(loaded.ConvTime) != len(want) || len(loaded.SpMVTime) != len(want) {

@@ -75,8 +75,9 @@ func TestCollectProducesValidSamples(t *testing.T) {
 
 // TestTrainedFormatsFollowTheOracle: the trainer has no menu of its own — a
 // bundle covers exactly what the oracle priced. Through the measuring oracle
-// that is a subset of sparse.MeasuredMenu and nothing else; the same calls
-// through the model oracle still fit the study-only formats.
+// that is every non-CSR format in sparse.Implemented (the measured menu:
+// three formats, six models) and nothing else; the same calls through the
+// model oracle still fit the priced-only formats.
 func TestTrainedFormatsFollowTheOracle(t *testing.T) {
 	entries := corpus(t, 32)
 	p := gbt.DefaultParams()
@@ -103,21 +104,14 @@ func TestTrainedFormatsFollowTheOracle(t *testing.T) {
 	opt.Reps = 1
 	opt.Clock = clk
 	measured := train(timing.NewMeasuredOracle(opt))
-	for _, f := range measured {
-		if f == sparse.FmtCSR || !slices.Contains(sparse.MeasuredMenu, f) {
-			t.Errorf("measured bundle models %v, which is not on the measured menu", f)
-		}
-	}
-	for _, f := range []sparse.Format{sparse.FmtHYB, sparse.FmtSELL} {
-		if !slices.Contains(measured, f) {
-			t.Errorf("measured bundle %v lacks always-valid menu format %v", measured, f)
-		}
+	if !slices.Equal(measured, sparse.Implemented[1:]) {
+		t.Errorf("measured bundle models %v, want the built formats %v", measured, sparse.Implemented[1:])
 	}
 
 	model := train(timing.NewModelOracle())
-	for _, f := range []sparse.Format{sparse.FmtCOO, sparse.FmtBSR, sparse.FmtCSR5, sparse.FmtJDS} {
-		if !slices.Contains(model, f) {
-			t.Errorf("model-oracle bundle %v no longer fits %v", model, f)
+	for _, f := range sparse.AllFormats {
+		if f != sparse.FmtCSR && !slices.Contains(sparse.Implemented, f) && !slices.Contains(model, f) {
+			t.Errorf("model-oracle bundle %v no longer fits priced-only %v", model, f)
 		}
 	}
 }

@@ -5,17 +5,15 @@
 //
 // The library consists of
 //
-//   - six sparse storage formats with serial and parallel SpMV kernels
-//     and conversions: five of the paper's seven (COO, CSR, DIA, ELL, HYB)
-//     plus the SELL-C-sigma extension, whose sorting window follows the
-//     matrix's row lengths. CSR, DIA, ELL, HYB and SELL are the measured
-//     menu, each the measured T_convert + N*T_spmv argmin on some class of
-//     `ocsel audit`'s panel: what TrainDefaultPredictors times,
-//     MeasureFormatCosts reports and the selector can choose. COO never wins
-//     a measured T_affected on this CPU and is study-only: convertible and
-//     checked. The paper's other two, BSR and CSR5, and the JDS extension
-//     are priced but not built: the analytic model oracle the experiments
-//     run on prices them from structure, and nothing converts to them
+//   - four sparse storage formats with serial and parallel SpMV kernels
+//     and conversions: three of the paper's seven (CSR, DIA, ELL) plus the
+//     SELL-C-sigma extension, whose sorting window follows the matrix's row
+//     lengths. They are the measured menu, the formats `ocsel audit`'s panel
+//     cannot do without: what TrainDefaultPredictors times,
+//     MeasureFormatCosts reports and the selector can choose. The paper's
+//     other four, COO, HYB, BSR and CSR5, and the JDS extension are priced
+//     but not built: the analytic model oracle the experiments run on
+//     prices them from structure, and nothing converts to them
 //     (DESIGN.md §19),
 //   - the paper's feature set and gradient-boosted regression models that
 //     predict normalized conversion and SpMV times,
@@ -54,8 +52,8 @@ import (
 // Format identifies a sparse storage format.
 type Format = sparse.Format
 
-// The storage formats. BSR, CSR5 and JDS are priced only: Convert refuses
-// them.
+// The storage formats. CSR, DIA, ELL and SELL are built; COO, HYB, BSR,
+// CSR5 and JDS are priced only: Convert refuses them.
 const (
 	COO  = sparse.FmtCOO
 	CSR  = sparse.FmtCSR
