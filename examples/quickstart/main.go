@@ -28,10 +28,10 @@ func main() {
 		x[i] = 1
 	}
 	y := make([]float64, rows)
-	for _, f := range []ocs.Format{ocs.CSR, ocs.DIA, ocs.ELL, ocs.SELL} {
+	for _, f := range []ocs.Format{ocs.CSR, ocs.DIA, ocs.SELL} {
 		m, err := ocs.Convert(a, f)
 		if err != nil {
-			fmt.Printf("%-5v  not representable under default limits (%v)\n", f, err)
+			fmt.Printf("%-5v  %v\n", f, err)
 			continue
 		}
 		start := time.Now()

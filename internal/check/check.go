@@ -302,8 +302,6 @@ func payload(m sparse.Matrix) any {
 		return []any{dims, a.Ptr, a.Col, a.Data}
 	case *sparse.DIA:
 		return []any{dims, a.Offsets, a.Data}
-	case *sparse.ELL:
-		return []any{dims, a.Width, a.Cols, a.Data}
 	case *sparse.SELL:
 		return []any{dims, a.Sigma, a.Perm, a.SliceWidth, a.SlicePtr, a.Cols, a.Data}
 	default:

@@ -74,9 +74,9 @@ func TestDifferentialBandedWorkerGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A 7-diagonal band is exactly what DIA and ELL exist for; the limits
+	// A 7-diagonal band is exactly what DIA and SELL exist for; the limits
 	// must not have rejected them.
-	for _, f := range []sparse.Format{sparse.FmtDIA, sparse.FmtELL} {
+	for _, f := range []sparse.Format{sparse.FmtDIA, sparse.FmtSELL} {
 		if !covered[f] {
 			t.Errorf("banded matrix should be representable as %v", f)
 		}

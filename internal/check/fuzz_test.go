@@ -105,11 +105,13 @@ func FuzzConvertRoundTrip(f *testing.F) {
 }
 
 // FuzzSELLSlices focuses the oracle on SELL-C-σ: window sorting,
-// permutation bookkeeping, and padded slice widths. The decoded matrix is
-// stacked 1 + copies%512 times, so an input reaches the tall matrices whose
-// σ climbs past the ladder's first rung; the checked-in power-law seeds
-// (one long row, a few medium ones, a tail of short ones, stacked 256 and
-// 401 times) do.
+// permutation bookkeeping, and padded slice widths, and compares the layout
+// with referenceSELLLayout. The decoded matrix is stacked 1 + copies%512
+// times, so an input reaches the tall matrices whose σ climbs past the
+// ladder's first rung; the checked-in power-law seeds (one long row, a few
+// medium ones, a tail of short ones, stacked 256 and 401 times) do, and the
+// equal-rows seed (32 rows of 4, stacked 301 times) reaches the rung the
+// padding bound skips.
 func FuzzSELLSlices(f *testing.F) {
 	for _, seed := range decodeSeeds() {
 		f.Add(seed, uint16(0))
@@ -123,6 +125,11 @@ func FuzzSELLSlices(f *testing.F) {
 		if _, err := CheckFormat(a, sparse.FmtSELL, Options{}); err != nil {
 			t.Fatal(err)
 		}
+		m, err := sparse.NewSELLFromCSR(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSELLLayout(t, a, m.SELLLayout)
 	})
 }
 

@@ -134,7 +134,7 @@ func Pathological(seed int64) []Case {
 	}
 
 	// Power-law row lengths: a few huge rows, a long tail of tiny ones —
-	// the shape that stresses SELL's slice widths and ELL's fill limit.
+	// the shape that stresses SELL's slice widths and the fill limits.
 	{
 		rows, cols := 2000, 2000
 		rc := make([][]int, rows)
@@ -186,7 +186,7 @@ func Pathological(seed int64) []Case {
 		add("all-zero", a, err)
 	}
 
-	// Fully dense tiny matrix: ELL width == cols, DIA stores every
+	// Fully dense tiny matrix: SELL width == cols, DIA stores every
 	// diagonal — the opposite extreme from scatter.
 	{
 		rows, cols := 40, 40

@@ -10,7 +10,7 @@ import (
 
 // asmKernelFormats are the formats whose SpMV has a hand-written assembly
 // kernel variant (see internal/sparse/kernels_amd64.s).
-var asmKernelFormats = []sparse.Format{sparse.FmtCSR, sparse.FmtELL, sparse.FmtSELL, sparse.FmtDIA}
+var asmKernelFormats = []sparse.Format{sparse.FmtCSR, sparse.FmtSELL, sparse.FmtDIA}
 
 // TestAsmKernelsMatchGenericOnPathological is the differential oracle for
 // the vectorized kernel layer: for every pathological shape, every format

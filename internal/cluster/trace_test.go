@@ -21,7 +21,7 @@ import (
 )
 
 // clusterBundle trains a deterministic constant predictor bundle (GBT on
-// constant targets reproduces the constant for any input): ELL SpMV at half
+// constant targets reproduces the constant for any input): SELL SpMV at half
 // the CSR per-call cost, conversion worth two CSR calls — so any solve with
 // a healthy remaining-iteration estimate converts.
 func clusterBundle(t *testing.T) *core.Predictors {
@@ -38,8 +38,8 @@ func clusterBundle(t *testing.T) *core.Predictors {
 			Name:     "seed",
 			Features: features.Extract(m).Vector(),
 			CSRTime:  1e-3,
-			SpMVNorm: map[sparse.Format]float64{sparse.FmtCSR: 1, sparse.FmtELL: 0.5},
-			ConvNorm: map[sparse.Format]float64{sparse.FmtELL: 2},
+			SpMVNorm: map[sparse.Format]float64{sparse.FmtCSR: 1, sparse.FmtSELL: 0.5},
+			ConvNorm: map[sparse.Format]float64{sparse.FmtSELL: 2},
 		}
 	}
 	p, err := trainer.Train(samples, gbt.DefaultParams(), 1)

@@ -34,11 +34,11 @@ func keyOf(a *sparse.CSR, f sparse.Format) Key {
 func TestLookupPublishHitMiss(t *testing.T) {
 	c := New(0)
 	a := diagCSR(t, 8, 1.0)
-	k := keyOf(a, sparse.FmtELL)
+	k := keyOf(a, sparse.FmtSELL)
 	if _, ok := c.Lookup(k); ok {
 		t.Fatal("hit on empty cache")
 	}
-	m, err := sparse.ConvertFromCSR(a, sparse.FmtELL, sparse.DefaultLimits)
+	m, err := sparse.ConvertFromCSR(a, sparse.FmtSELL, sparse.DefaultLimits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,14 @@ func TestLookupPublishHitMiss(t *testing.T) {
 	if b.Fingerprint() != a.Fingerprint() {
 		t.Fatal("test setup: fingerprints should match")
 	}
-	if _, ok := c.Lookup(keyOf(b, sparse.FmtELL)); ok {
+	if _, ok := c.Lookup(keyOf(b, sparse.FmtSELL)); ok {
 		t.Fatal("cache crossed a value-digest boundary")
 	}
 	st := c.Snapshot()
 	if st.Hits != 1 || st.Misses != 2 || st.Publishes != 1 || st.Entries != 1 {
 		t.Fatalf("counters: %+v", st)
 	}
-	if !c.Has(k) || c.Has(keyOf(b, sparse.FmtELL)) {
+	if !c.Has(k) || c.Has(keyOf(b, sparse.FmtSELL)) {
 		t.Fatal("Has disagrees with contents")
 	}
 	if got := c.Snapshot(); got.Hits != st.Hits || got.Misses != st.Misses {
@@ -74,8 +74,8 @@ func TestLookupPublishHitMiss(t *testing.T) {
 func TestEvictionDoesNotInvalidateAdopted(t *testing.T) {
 	c := New(20)
 	a := diagCSR(t, 10, 1.0)
-	ka := keyOf(a, sparse.FmtELL)
-	ma, err := sparse.ConvertFromCSR(a, sparse.FmtELL, sparse.DefaultLimits)
+	ka := keyOf(a, sparse.FmtSELL)
+	ma, err := sparse.ConvertFromCSR(a, sparse.FmtSELL, sparse.DefaultLimits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestEvictionDoesNotInvalidateAdopted(t *testing.T) {
 	// others are touched, so it goes.
 	for i, n := range []int{11, 12} {
 		b := diagCSR(t, n, 1.0)
-		mb, err := sparse.ConvertFromCSR(b, sparse.FmtELL, sparse.DefaultLimits)
+		mb, err := sparse.ConvertFromCSR(b, sparse.FmtSELL, sparse.DefaultLimits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Publish(keyOf(b, sparse.FmtELL), Entry{M: mb, ConvertSeconds: 0.1, NNZ: b.NNZ()})
+		c.Publish(keyOf(b, sparse.FmtSELL), Entry{M: mb, ConvertSeconds: 0.1, NNZ: b.NNZ()})
 		_ = i
 	}
 	if c.Has(ka) {
@@ -119,11 +119,11 @@ func TestEvictionDoesNotInvalidateAdopted(t *testing.T) {
 func TestOversizedEntryRefused(t *testing.T) {
 	c := New(5)
 	a := diagCSR(t, 10, 1.0)
-	m, err := sparse.ConvertFromCSR(a, sparse.FmtELL, sparse.DefaultLimits)
+	m, err := sparse.ConvertFromCSR(a, sparse.FmtSELL, sparse.DefaultLimits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Publish(keyOf(a, sparse.FmtELL), Entry{M: m, NNZ: a.NNZ()})
+	c.Publish(keyOf(a, sparse.FmtSELL), Entry{M: m, NNZ: a.NNZ()})
 	if st := c.Snapshot(); st.Entries != 0 || st.Publishes != 0 {
 		t.Fatalf("oversized entry accepted: %+v", st)
 	}
@@ -132,9 +132,9 @@ func TestOversizedEntryRefused(t *testing.T) {
 func TestFirstPublisherWins(t *testing.T) {
 	c := New(0)
 	a := diagCSR(t, 6, 1.0)
-	k := keyOf(a, sparse.FmtELL)
-	m1, _ := sparse.ConvertFromCSR(a, sparse.FmtELL, sparse.DefaultLimits)
-	m2, _ := sparse.ConvertFromCSR(a, sparse.FmtELL, sparse.DefaultLimits)
+	k := keyOf(a, sparse.FmtSELL)
+	m1, _ := sparse.ConvertFromCSR(a, sparse.FmtSELL, sparse.DefaultLimits)
+	m2, _ := sparse.ConvertFromCSR(a, sparse.FmtSELL, sparse.DefaultLimits)
 	c.Publish(k, Entry{M: m1, ConvertSeconds: 1, NNZ: a.NNZ()})
 	c.Publish(k, Entry{M: m2, ConvertSeconds: 2, NNZ: a.NNZ()})
 	e, ok := c.Lookup(k)
@@ -156,7 +156,7 @@ func TestConcurrent(t *testing.T) {
 	ells := make([]sparse.Matrix, 12)
 	for i := range mats {
 		mats[i] = diagCSR(t, 20+i, 1.0)
-		m, err := sparse.ConvertFromCSR(mats[i], sparse.FmtELL, sparse.DefaultLimits)
+		m, err := sparse.ConvertFromCSR(mats[i], sparse.FmtSELL, sparse.DefaultLimits)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				idx := (g + i) % len(mats)
-				k := keyOf(mats[idx], sparse.FmtELL)
+				k := keyOf(mats[idx], sparse.FmtSELL)
 				if e, ok := c.Lookup(k); ok {
 					n, _ := e.M.Dims()
 					x := make([]float64, n)

@@ -23,9 +23,10 @@ func cacheUsable(cfg *Config) bool {
 	return cfg.ConvCache != nil && cfg.CacheFingerprint != "" && cfg.CacheValues != ""
 }
 
-// cachedFormats probes which candidate formats already have a published
+// cachedFormats probes which built formats already have a published
 // conversion for this exact matrix, using Has (which leaves the hit/miss
-// counters alone — only an adoption counts as a hit). The result feeds
+// counters alone — only an adoption counts as a hit). Only a built format is
+// ever published, so only the menu is probed. The result feeds
 // Query.Cached, where a cached format's T_convert is zero: the cache changes
 // the decision, not just its cost.
 func cachedFormats(cfg *Config) map[sparse.Format]bool {
@@ -33,10 +34,7 @@ func cachedFormats(cfg *Config) map[sparse.Format]bool {
 		return nil
 	}
 	var m map[sparse.Format]bool
-	for _, f := range sparse.AllFormats {
-		if f == sparse.FmtCSR {
-			continue
-		}
+	for _, f := range sparse.Implemented[1:] {
 		if cfg.ConvCache.Has(cacheKeyFor(cfg, f)) {
 			if m == nil {
 				m = make(map[sparse.Format]bool)

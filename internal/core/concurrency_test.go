@@ -142,12 +142,12 @@ func TestHotSwapAsyncPipeline(t *testing.T) {
 // TestConcurrentSpMVAcrossInlineSwap hammers an Adaptive with concurrent
 // SpMV callers while the main goroutine reports progress: the K-th report
 // runs the whole pipeline inside RecordProgress, under the handle mutex, and
-// installs ELL. Under -race this is the torn-matrix check: every reader must
+// installs SELL. Under -race this is the torn-matrix check: every reader must
 // compute the CSR reference's y before, across and after the swap, and a
 // decision record it reads is the finished one.
 func TestConcurrentSpMVAcrossInlineSwap(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
-	sa := core.NewAdaptive(m, 1e-8, ellPreds(t, m), core.Config{K: 15, TH: 15, Margin: 0.1}, false)
+	sa := core.NewAdaptive(m, 1e-8, sellPreds(t, m), core.Config{K: 15, TH: 15, Margin: 0.1}, false)
 	rows, cols := m.Dims()
 	x := make([]float64, cols)
 	for i := range x {
@@ -182,7 +182,7 @@ func TestConcurrentSpMVAcrossInlineSwap(t *testing.T) {
 				msg := ""
 				if !same(y) {
 					msg = "torn or wrong SpMV result during swap"
-				} else if tr, ok := sa.Trace(); ok && (!tr.Converted || tr.Chosen != "ELL") {
+				} else if tr, ok := sa.Trace(); ok && (!tr.Converted || tr.Chosen != "SELL") {
 					msg = "a record read beside the swap is half written"
 				}
 				if msg != "" {
@@ -208,8 +208,8 @@ func TestConcurrentSpMVAcrossInlineSwap(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
-	if st := sa.Stats(); !st.Stage2Ran || !st.Converted || st.Format != sparse.FmtELL {
-		t.Fatalf("the pipeline did not install ELL: %+v", st)
+	if st := sa.Stats(); !st.Stage2Ran || !st.Converted || st.Format != sparse.FmtSELL {
+		t.Fatalf("the pipeline did not install SELL: %+v", st)
 	}
 	if tr, _ := sa.Trace(); tr.Ledger.PostSpMVCalls == 0 {
 		t.Error("the readers' products after the swap never reached the record's ledger")

@@ -34,35 +34,35 @@ func cacheKey(m *sparse.CSR, f sparse.Format) convcache.Key {
 	return convcache.Key{Fingerprint: m.Fingerprint(), Values: m.ValueDigest(), Format: f}
 }
 
-// publishELL converts m to ELL out-of-band and publishes it with a scripted
+// publishSELL converts m to SELL out-of-band and publishes it with a scripted
 // conversion bill, playing the role of the first tenant.
-func publishELL(t *testing.T, cache *convcache.Cache, m *sparse.CSR, bill float64) sparse.Matrix {
+func publishSELL(t *testing.T, cache *convcache.Cache, m *sparse.CSR, bill float64) sparse.Matrix {
 	t.Helper()
-	ell, err := sparse.ConvertFromCSR(m, sparse.FmtELL, sparse.DefaultLimits)
+	sell, err := sparse.ConvertFromCSR(m, sparse.FmtSELL, sparse.DefaultLimits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache.Publish(cacheKey(m, sparse.FmtELL), convcache.Entry{
-		M: ell, ConvertSeconds: bill, NNZ: ell.NNZ(),
+	cache.Publish(cacheKey(m, sparse.FmtSELL), convcache.Entry{
+		M: sell, ConvertSeconds: bill, NNZ: sell.NNZ(),
 	})
-	return ell
+	return sell
 }
 
 // TestConvCacheHitFlipsStayIntoConvert is the golden-trace flip test: with a
-// scripted cost table where ELL's conversion is ruinously expensive, the
+// scripted cost table where SELL's conversion is ruinously expensive, the
 // selector stays on CSR — unless an earlier tenant already published the
-// converted ELL matrix, in which case T_convert drops to zero in the argmin
+// converted SELL matrix, in which case T_convert drops to zero in the argmin
 // and the very same workload converts. The cache changes the decision, not
 // just its price. All overheads are exact under the 1ms fake clock.
 func TestConvCacheHitFlipsStayIntoConvert(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 4000, 11)
 	fvec := features.Extract(m).Vector()
 	preds := core.NewPredictors()
-	// ELL runs at half CSR speed per call but costs 10000 CSR-SpMVs to
+	// SELL runs at half CSR speed per call but costs 10000 CSR-SpMVs to
 	// build: with ~6600 predicted remaining iterations, 10000 + 0.5*r > r,
 	// so a cache-blind selector must stay.
-	preds.ConvTime[sparse.FmtELL] = constModel(t, fvec, 10000)
-	preds.SpMVTime[sparse.FmtELL] = constModel(t, fvec, 0.5)
+	preds.ConvTime[sparse.FmtSELL] = constModel(t, fvec, 10000)
+	preds.SpMVTime[sparse.FmtSELL] = constModel(t, fvec, 0.5)
 
 	run := func(cache *convcache.Cache) (core.Stats, obs.DecisionTrace, float64) {
 		clk := timing.NewFakeClock()
@@ -91,12 +91,12 @@ func TestConvCacheHitFlipsStayIntoConvert(t *testing.T) {
 		t.Fatal("trace claims a cache hit without a cache")
 	}
 
-	// Same workload, same models, but a prior tenant published the ELL
+	// Same workload, same models, but a prior tenant published the SELL
 	// conversion: the argmin sees T_convert = 0 and flips to convert.
 	cache := convcache.New(0)
-	publishELL(t, cache, m, 0.123)
+	publishSELL(t, cache, m, 0.123)
 	st, tr, overhead := run(cache)
-	if !st.Converted || st.Format != sparse.FmtELL {
+	if !st.Converted || st.Format != sparse.FmtSELL {
 		t.Fatalf("cached conversion did not flip the decision: %+v", st)
 	}
 	if !st.ConvCacheHit || !tr.ConvCacheHit || !tr.Converted {
@@ -129,7 +129,7 @@ func TestConvCacheHitFlipsStayIntoConvert(t *testing.T) {
 		x[i] = 1
 	}
 	got, want := make([]float64, rows), make([]float64, rows)
-	cacheEntry, ok := cache.Lookup(cacheKey(m, sparse.FmtELL))
+	cacheEntry, ok := cache.Lookup(cacheKey(m, sparse.FmtSELL))
 	if !ok {
 		t.Fatal("entry vanished after adoption")
 	}
@@ -211,7 +211,7 @@ func TestConvCacheAdoptAndPublish(t *testing.T) {
 // conversion.
 func TestAdaptiveSpMMMatchesCSR(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 2000, 13)
-	ad := core.NewAdaptive(m, 1e-8, ellPreds(t, m), core.DefaultConfig(), false)
+	ad := core.NewAdaptive(m, 1e-8, sellPreds(t, m), core.DefaultConfig(), false)
 	rows, cols := m.Dims()
 	const k = 5
 	x := make([]float64, cols*k)
@@ -232,8 +232,8 @@ func TestAdaptiveSpMMMatchesCSR(t *testing.T) {
 	}
 	check("pre-pipeline")
 	driveLoop(ad, 20, 1, 0.995)
-	if st := ad.Stats(); !st.Converted || st.Format != sparse.FmtELL {
-		t.Fatalf("pipeline did not convert to ELL: %+v", st)
+	if st := ad.Stats(); !st.Converted || st.Format != sparse.FmtSELL {
+		t.Fatalf("pipeline did not convert to SELL: %+v", st)
 	}
 	check("post-conversion")
 	if got := ad.Stats().SpMMCalls; got != 2 {

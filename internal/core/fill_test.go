@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/check"
@@ -16,8 +17,9 @@ import (
 // from extracted features, the conversions from the matrix itself, and the
 // model oracle from its own statistics; all three ask sparse.Limits.Fits.
 // On check's pathological catalog and the audit panel, stage 2 accepts
-// exactly the DIA and ELL matrices CanConvert does, and exactly the DIA,
-// ELL and BSR matrices the model oracle prices.
+// exactly the DIA matrices CanConvert does (ELL and BSR are priced only, so
+// CanConvert refuses them everywhere), and exactly the DIA, ELL and BSR
+// matrices the model oracle prices.
 func TestStage2ValidityAgreesWithConversion(t *testing.T) {
 	lim := sparse.DefaultLimits
 	model := timing.NewModelOracle()
@@ -39,7 +41,7 @@ func TestStage2ValidityAgreesWithConversion(t *testing.T) {
 			if !valid {
 				rejected[f]++
 			}
-			if f != sparse.FmtBSR {
+			if slices.Contains(sparse.Implemented, f) {
 				if can := sparse.CanConvert(c.A, f, lim); valid != can {
 					t.Errorf("%s %v: stage 2 says valid=%v, CanConvert %v", c.Name, f, valid, can)
 				}

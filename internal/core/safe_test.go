@@ -109,7 +109,7 @@ func TestSafeAdaptivePipelineOnce(t *testing.T) {
 func TestAdaptiveLibraryShapeUnderHammer(t *testing.T) {
 	m := genCSR(t, matgen.FamStencil2D, 3600, 5)
 	cfg := core.Config{K: 15, TH: 15, Margin: 0.1}
-	ad := core.NewAdaptive(m, 1e-12, ellPreds(t, m), cfg, false)
+	ad := core.NewAdaptive(m, 1e-12, sellPreds(t, m), cfg, false)
 	rows, cols := ad.Dims()
 	b := make([]float64, rows)
 	for i := range b {
@@ -151,7 +151,7 @@ func TestAdaptiveLibraryShapeUnderHammer(t *testing.T) {
 			t.Fatalf("x[%d] = %g, want %g", i, got.X[i], want.X[i])
 		}
 	}
-	if st := ad.Stats(); !st.Stage2Ran || !st.Converted || st.Format != sparse.FmtELL {
-		t.Fatalf("the pipeline did not install ELL: %+v", st)
+	if st := ad.Stats(); !st.Stage2Ran || !st.Converted || st.Format != sparse.FmtSELL {
+		t.Fatalf("the pipeline did not install SELL: %+v", st)
 	}
 }

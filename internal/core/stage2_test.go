@@ -13,14 +13,14 @@ import (
 	"repro/internal/timing"
 )
 
-// ellPreds scripts a cost table where ELL halves the per-call cost for a
-// 20-SpMV conversion bill: any long loop converts to ELL.
-func ellPreds(t *testing.T, m *sparse.CSR) *core.Predictors {
+// sellPreds scripts a cost table where SELL halves the per-call cost for a
+// 20-SpMV conversion bill: any long loop converts to SELL.
+func sellPreds(t *testing.T, m *sparse.CSR) *core.Predictors {
 	t.Helper()
 	fvec := features.Extract(m).Vector()
 	preds := core.NewPredictors()
-	preds.ConvTime[sparse.FmtELL] = constModel(t, fvec, 20)
-	preds.SpMVTime[sparse.FmtELL] = constModel(t, fvec, 0.5)
+	preds.ConvTime[sparse.FmtSELL] = constModel(t, fvec, 20)
+	preds.SpMVTime[sparse.FmtSELL] = constModel(t, fvec, 0.5)
 	return preds
 }
 
@@ -37,7 +37,7 @@ func ellPreds(t *testing.T, m *sparse.CSR) *core.Predictors {
 // stage is there only when a conversion ran here, lasting ConvertSeconds.
 func TestStage2OverheadConservation(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 4000, 11)
-	preds := ellPreds(t, m)
+	preds := sellPreds(t, m)
 	const step = 250 * time.Millisecond
 	const bill = 0.5 // the publisher's scripted conversion seconds
 
@@ -69,7 +69,7 @@ func TestStage2OverheadConservation(t *testing.T) {
 				cfg.CacheFingerprint = m.Fingerprint()
 				cfg.CacheValues = m.ValueDigest()
 				if oc.prepublish {
-					publishELL(t, cache, m, bill)
+					publishSELL(t, cache, m, bill)
 				}
 			}
 			ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
@@ -94,7 +94,7 @@ func TestStage2OverheadConservation(t *testing.T) {
 			if st.HiddenSeconds != oc.wantCredit {
 				t.Errorf("HiddenSeconds = %g, want the credit %g alone", st.HiddenSeconds, oc.wantCredit)
 			}
-			if oc.cache && !oc.prepublish && !cache.Has(cacheKey(m, sparse.FmtELL)) {
+			if oc.cache && !oc.prepublish && !cache.Has(cacheKey(m, sparse.FmtSELL)) {
 				t.Error("miss did not publish its conversion")
 			}
 
@@ -133,7 +133,7 @@ func TestStage2OverheadConservation(t *testing.T) {
 // agrees with them.
 func TestTraceMarginGateUsesDecisionStayCost(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 3000, 17)
-	preds := ellPreds(t, m)
+	preds := sellPreds(t, m)
 
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(time.Millisecond)
@@ -156,8 +156,8 @@ func TestTraceMarginGateUsesDecisionStayCost(t *testing.T) {
 		if want := stay * (1 - cfg.Margin); g.LHS != want {
 			t.Errorf("margin gate LHS = %g, want stay cost x (1-margin) = %g", g.LHS, want)
 		}
-		if alt := st.Decision.PredictedCost[sparse.FmtELL]; g.RHS != alt {
-			t.Errorf("margin gate RHS = %g, want ELL's cost %g", g.RHS, alt)
+		if alt := st.Decision.PredictedCost[sparse.FmtSELL]; g.RHS != alt {
+			t.Errorf("margin gate RHS = %g, want SELL's cost %g", g.RHS, alt)
 		}
 		if g.Passed != (g.RHS < g.LHS) {
 			t.Errorf("margin gate verdict %v contradicts its sides %g vs %g", g.Passed, g.LHS, g.RHS)

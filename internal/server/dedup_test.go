@@ -90,10 +90,10 @@ func TestDedupAliasAndDeleteLifecycle(t *testing.T) {
 }
 
 // TestSecondTenantAdoptsCachedConversion is the acceptance test for the
-// conversion cache: with a bundle that sends every tenant to ELL, the first
+// conversion cache: with a bundle that sends every tenant to SELL, the first
 // registration pays the conversion and publishes it; a second registration of
 // the identical matrix dedup-aliases the storage and its stage 2 adopts the
-// cached ELL copy — zero conversion work on its own ledger, the publisher's
+// cached SELL copy — zero conversion work on its own ledger, the publisher's
 // bill accounted as hidden, and the convcache/dedup metric families visible
 // on /metrics.
 func TestSecondTenantAdoptsCachedConversion(t *testing.T) {
@@ -107,8 +107,8 @@ func TestSecondTenantAdoptsCachedConversion(t *testing.T) {
 	})
 
 	info1, sol1 := solveJacobi(t, ts.URL, 1)
-	if !sol1.Selector.Converted || sol1.Selector.Format != "ELL" {
-		t.Fatalf("first tenant did not convert to ELL: %+v", sol1.Selector)
+	if !sol1.Selector.Converted || sol1.Selector.Format != "SELL" {
+		t.Fatalf("first tenant did not convert to SELL: %+v", sol1.Selector)
 	}
 	if sol1.Selector.ConvCacheHit {
 		t.Fatalf("first tenant cannot hit an empty cache: %+v", sol1.Selector)
@@ -125,8 +125,8 @@ func TestSecondTenantAdoptsCachedConversion(t *testing.T) {
 	if !st.ConvCacheHit {
 		t.Fatalf("second tenant missed the conversion cache: %+v", st)
 	}
-	if !st.Converted || st.Format != "ELL" {
-		t.Fatalf("second tenant did not adopt the cached ELL copy: %+v", st)
+	if !st.Converted || st.Format != "SELL" {
+		t.Fatalf("second tenant did not adopt the cached SELL copy: %+v", st)
 	}
 	// Zero conversion work on this handle; the publisher's measured bill is
 	// credited as hidden overhead, never as paid conversion time.
@@ -280,8 +280,8 @@ func TestSpMMReplySameBytesAcrossFormatSwap(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("solve: status %d body %s", code, body)
 	}
-	if !sol.Selector.Converted || sol.Selector.Format != "ELL" {
-		t.Fatalf("the solve did not convert the handle to ELL: %+v", sol.Selector)
+	if !sol.Selector.Converted || sol.Selector.Format != "SELL" {
+		t.Fatalf("the solve did not convert the handle to SELL: %+v", sol.Selector)
 	}
 	if after := spmm(); !bytes.Equal(before, after) {
 		t.Fatalf("/spmm reply changed with the handle's SpMV format:\nbefore %.120s\nafter  %.120s", before, after)
@@ -304,8 +304,8 @@ func constBundle(t *testing.T, spmvNorm, convNorm float64) *core.Predictors {
 			Name:     "seed",
 			Features: features.Extract(m).Vector(),
 			CSRTime:  1e-3,
-			SpMVNorm: map[sparse.Format]float64{sparse.FmtCSR: 1, sparse.FmtELL: spmvNorm},
-			ConvNorm: map[sparse.Format]float64{sparse.FmtELL: convNorm},
+			SpMVNorm: map[sparse.Format]float64{sparse.FmtCSR: 1, sparse.FmtSELL: spmvNorm},
+			ConvNorm: map[sparse.Format]float64{sparse.FmtSELL: convNorm},
 		}
 	}
 	p, err := trainer.Train(samples, gbt.DefaultParams(), 1)

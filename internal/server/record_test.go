@@ -131,7 +131,7 @@ func TestFoldRunsOnFailure(t *testing.T) {
 	if got, err := strconv.ParseFloat(convert.Attrs["paid_seconds"], 64); err != nil || got != rec.PaidSeconds {
 		t.Errorf("selector.convert paid_seconds = %q, want the record's %g", convert.Attrs["paid_seconds"], rec.PaidSeconds)
 	}
-	if convert.Attrs["format"] != "ELL" || convert.Attrs["label"] != "deadline" {
+	if convert.Attrs["format"] != "SELL" || convert.Attrs["label"] != "deadline" {
 		t.Errorf("selector.convert attrs = %v", convert.Attrs)
 	}
 }

@@ -30,7 +30,7 @@ func TestAsyncConfigRunsStage2Inline(t *testing.T) {
 		t.Errorf("paid_seconds = %g, want feature %g + predict %g + convert %g = %g",
 			st.PaidSeconds, st.FeatureSeconds, st.PredictSeconds, st.ConvertSeconds, want)
 	}
-	if !st.Stage2Ran || !st.Converted || st.Format != "ELL" || st.ConvCacheHit || st.ConvertSeconds <= 0 {
-		t.Fatalf("the solve did not convert to ELL on its own: %+v", st)
+	if !st.Stage2Ran || !st.Converted || st.Format != "SELL" || st.ConvCacheHit || st.ConvertSeconds <= 0 {
+		t.Fatalf("the solve did not convert to SELL on its own: %+v", st)
 	}
 }

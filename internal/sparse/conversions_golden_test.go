@@ -158,7 +158,7 @@ func conversionLines(t *testing.T, g goldenMatrix) []string {
 	for _, f := range sparse.Implemented[1:] {
 		m, err := sparse.ConvertFromCSR(g.a, f, sparse.DefaultLimits)
 		if err != nil {
-			if f != sparse.FmtDIA && f != sparse.FmtELL {
+			if f != sparse.FmtDIA {
 				t.Fatalf("%s %v: %v", g.name, f, err)
 			}
 			emit(f.String(), "rejected")
@@ -168,8 +168,6 @@ func conversionLines(t *testing.T, g goldenMatrix) []string {
 		switch m := m.(type) {
 		case *sparse.DIA:
 			emit("DIA", nnz, "offsets="+digest(m.Offsets), "data="+digest(m.Data))
-		case *sparse.ELL:
-			emit("ELL", nnz, fmt.Sprintf("width=%d", m.Width), "cols="+digest(m.Cols), "data="+digest(m.Data))
 		case *sparse.SELL:
 			emit("SELL", nnz, "perm="+digest(m.Perm), "slicewidth="+digest(m.SliceWidth),
 				"sliceptr="+digest(m.SlicePtr), "cols="+digest(m.Cols), "data="+digest(m.Data))
@@ -180,7 +178,7 @@ func conversionLines(t *testing.T, g goldenMatrix) []string {
 	return lines
 }
 
-// TestConversionsBitIdenticalToRecorded pins what CSR -> {DIA, ELL, SELL}
+// TestConversionsBitIdenticalToRecorded pins what CSR -> {DIA, SELL}
 // writes, array by array, at one worker and at four. The table
 // was recorded before the conversions fused their validation into the fill
 // pass, so it proves the single-pass layouts equal the two-pass ones.

@@ -55,7 +55,8 @@ func colOrderError(i int, c int32, cols int) error {
 type Limits struct {
 	// DIAFill caps (ndiags * rows) / nnz for DIA.
 	DIAFill float64
-	// ELLFill caps (rows * width) / nnz for ELL.
+	// ELLFill caps (rows * width) / nnz for ELL, which is priced, not
+	// built: the model oracle and stage 2's validity check read it.
 	ELLFill float64
 	// BSRFill caps (blocks * blockSize^2) / nnz for BSR, which is priced,
 	// not built: the model oracle and stage 2's validity check read it.
@@ -285,78 +286,6 @@ func DIAToCSR(a *DIA) (*CSR, error) {
 	return NewCSR(rows, cols, ptr, col, data)
 }
 
-// CSRToELL converts to ELL with width = max row nnz, rejecting matrices
-// whose padding would exceed lim.ELLFill storage blowup. One fused pass per
-// row copies the entries, checks their columns and writes the ELLPad
-// markers (padding values are the zeros make left); each row owns its
-// width-slot segment, so the row loop parallelizes with disjoint writes.
-func CSRToELL(a *CSR, lim Limits) (*ELL, error) {
-	rows, cols := a.Dims()
-	nnz := a.NNZ()
-	width := a.MaxRowNNZ()
-	if !lim.Fits(FmtELL, Geometry{Rows: float64(rows), NNZ: float64(nnz), MaxRow: float64(width)}) {
-		return nil, fmt.Errorf("sparse: ELL fill ratio %.1f exceeds limit %.1f (width %d)",
-			float64(rows)*float64(width)/float64(nnz), lim.ELLFill, width)
-	}
-	m := &ELL{rows: rows, cols: cols, nnz: nnz, Width: width,
-		Cols: make([]int32, rows*width), Data: make([]float64, rows*width)}
-	err := checkedFill(parallel.EvenRanges(rows, convParts(rows*width)), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			base := i * width
-			n := 0
-			prev := int32(-1)
-			for k := a.Ptr[i]; k < a.Ptr[i+1]; k++ {
-				c := a.Col[k]
-				if c <= prev || int(c) >= cols {
-					return colOrderError(i, c, cols)
-				}
-				prev = c
-				m.Cols[base+n] = c
-				m.Data[base+n] = a.Data[k]
-				n++
-			}
-			for ; n < width; n++ {
-				m.Cols[base+n] = ELLPad
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// ELLToCSR converts an ELL matrix to CSR, dropping padding.
-func ELLToCSR(a *ELL) (*CSR, error) {
-	rows, cols := a.Dims()
-	ptr := make([]int, rows+1)
-	for i := 0; i < rows; i++ {
-		n := 0
-		for j := 0; j < a.Width; j++ {
-			if a.Cols[i*a.Width+j] == ELLPad {
-				break
-			}
-			n++
-		}
-		ptr[i+1] = ptr[i] + n
-	}
-	nnz := ptr[rows]
-	col := make([]int32, 0, nnz)
-	data := make([]float64, 0, nnz)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < a.Width; j++ {
-			c := a.Cols[i*a.Width+j]
-			if c == ELLPad {
-				break
-			}
-			col = append(col, c)
-			data = append(data, a.Data[i*a.Width+j])
-		}
-	}
-	return NewCSR(rows, cols, ptr, col, data)
-}
-
 // HYBWidth computes the CUSP-style ELL width for the hybrid format: the
 // widest slot column w that at least rowFraction of the rows reach (have w
 // or more entries). HYB is priced, not built: timing.ModelOracle reads it.
@@ -396,8 +325,6 @@ func ConvertFromCSR(a *CSR, to Format, lim Limits) (Matrix, error) {
 		return a, nil
 	case FmtDIA:
 		return CSRToDIA(a, lim)
-	case FmtELL:
-		return CSRToELL(a, lim)
 	case FmtSELL:
 		return NewSELLFromCSR(a)
 	}
@@ -407,17 +334,14 @@ func ConvertFromCSR(a *CSR, to Format, lim Limits) (Matrix, error) {
 	return nil, fmt.Errorf("sparse: cannot convert to %v", to)
 }
 
-// ToCSR converts a matrix of any Implemented format back to CSR. Formats
-// that store padding (DIA, ELL) drop explicitly stored zeros in the round
-// trip.
+// ToCSR converts a matrix of any Implemented format back to CSR. DIA drops
+// explicitly stored zeros in the round trip: its padding is zeros too.
 func ToCSR(m Matrix) (*CSR, error) {
 	switch a := m.(type) {
 	case *CSR:
 		return a, nil
 	case *DIA:
 		return DIAToCSR(a)
-	case *ELL:
-		return ELLToCSR(a)
 	case *SELL:
 		return a.ToCSR()
 	default:
@@ -439,9 +363,9 @@ func Convert(m Matrix, to Format, lim Limits) (Matrix, error) {
 
 // CanConvert reports whether a can be represented in the given format under
 // the limits, without building the target representation. A format outside
-// Implemented (COO, HYB, BSR, CSR5, JDS) never can; of the rest only DIA and
-// ELL have a fill limit (SELL pads each slice only to its own longest row,
-// and its window sort keeps that padding bounded).
+// Implemented (COO, ELL, HYB, BSR, CSR5, JDS) never can; of the rest only DIA
+// has a fill limit (SELL pads each slice only to its own longest row, and its
+// window sort keeps that padding bounded).
 func CanConvert(a *CSR, to Format, lim Limits) bool {
 	rows, _ := a.Dims()
 	g := Geometry{Rows: float64(rows), NNZ: float64(a.NNZ())}
@@ -453,9 +377,6 @@ func CanConvert(a *CSR, to Format, lim Limits) bool {
 		offs, err := csrDiagonals(a)
 		g.Diags = float64(len(offs))
 		return err == nil && lim.Fits(to, g)
-	case FmtELL:
-		g.MaxRow = float64(a.MaxRowNNZ())
-		return lim.Fits(to, g)
 	default:
 		return slices.Contains(Implemented, to)
 	}

@@ -153,14 +153,14 @@ func TestConversionsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}{
 		// Banded structure converts everywhere, with enough nnz for the
 		// parallel paths (rows*(2b+1) ~ 14k > MinParallelWork).
-		{"banded", bandedCSR(t, 2000, 3), []string{"DIA", "ELL", "SELL"}},
+		{"banded", bandedCSR(t, 2000, 3), []string{"DIA", "SELL"}},
 		// Skewed row lengths exercise SELL sorting; the
 		// diagonal count is too high for DIA, so it stays out.
-		{"skewed", skewedCSR(t, 3000), []string{"ELL", "SELL"}},
-		{"random", randCSR(t, rng, 600, 600, 0.02), []string{"ELL", "SELL"}},
+		{"skewed", skewedCSR(t, 3000), []string{"SELL"}},
+		{"random", randCSR(t, rng, 600, 600, 0.02), []string{"SELL"}},
 		// Tiny matrix: all conversions take the serial fallback at every
 		// worker count; guards the threshold gate itself.
-		{"tiny", randCSR(t, rng, 12, 12, 0.3), []string{"DIA", "ELL", "SELL"}},
+		{"tiny", randCSR(t, rng, 12, 12, 0.3), []string{"DIA", "SELL"}},
 		// A power law whose SELL sigma climbs past the first rung: wide
 		// windows and slot-balanced fill ranges.
 		{"powerlaw", powerLawCSR(t, 16384), []string{"SELL"}},
@@ -168,7 +168,6 @@ func TestConversionsDeterministicAcrossWorkerCounts(t *testing.T) {
 
 	convs := map[string]func(a *CSR) (any, error){
 		"DIA":  func(a *CSR) (any, error) { return CSRToDIA(a, lim) },
-		"ELL":  func(a *CSR) (any, error) { return CSRToELL(a, lim) },
 		"SELL": func(a *CSR) (any, error) { return NewSELLFromCSR(a) },
 	}
 
@@ -298,12 +297,12 @@ func TestConversionsRejectChangedColumns(t *testing.T) {
 	}
 }
 
-// TestConversionsMatchTheirConstructors: DIA and ELL build their structs
-// directly instead of through NewDIA/NewELL. Handing the
-// conversion's arrays to those constructors must accept them and rebuild the
-// same struct, nonzero counts included (DIA counts nonzero values, so the
-// band carries explicit zeros); and the constructors still reject the
-// malformed caller arrays they always rejected.
+// TestConversionsMatchTheirConstructors: DIA builds its struct directly
+// instead of through NewDIA. Handing the conversion's arrays to that
+// constructor must accept them and rebuild the same struct, nonzero count
+// included (DIA counts nonzero values, so the band carries explicit zeros);
+// and the constructor still rejects the malformed caller arrays it always
+// rejected.
 func TestConversionsMatchTheirConstructors(t *testing.T) {
 	band := bandedCSR(t, 3000, 3)
 	for k := range band.Data {
@@ -319,23 +318,12 @@ func TestConversionsMatchTheirConstructors(t *testing.T) {
 				t.Errorf("%dx%d DIA: NewDIA over the conversion's arrays: %v, equal %v", rows, cols, err, reflect.DeepEqual(rebuilt, d))
 			}
 		}
-		e, err := CSRToELL(a, DefaultLimits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rebuilt, err := NewELL(rows, cols, e.Width, e.Cols, e.Data); err != nil || !reflect.DeepEqual(rebuilt, e) {
-			t.Errorf("%dx%d ELL: NewELL over the conversion's arrays: %v", rows, cols, err)
-		}
 	}
 
 	for _, c := range []struct {
 		name string
 		err  error
 	}{
-		{"ELL nonzero padding", func() error { _, err := NewELL(1, 3, 2, []int32{0, ELLPad}, []float64{1, 2}); return err }()},
-		{"ELL entry after padding", func() error { _, err := NewELL(1, 3, 2, []int32{ELLPad, 1}, []float64{0, 2}); return err }()},
-		{"ELL descending", func() error { _, err := NewELL(1, 3, 2, []int32{2, 1}, []float64{1, 2}); return err }()},
-		{"ELL column >= cols", func() error { _, err := NewELL(1, 3, 2, []int32{0, 3}, []float64{1, 2}); return err }()},
 		{"DIA offsets descending", func() error { _, err := NewDIA(2, 2, []int{1, 0}, make([]float64, 4)); return err }()},
 		{"DIA offset outside", func() error { _, err := NewDIA(2, 2, []int{2}, make([]float64, 2)); return err }()},
 	} {

@@ -1,18 +1,19 @@
 // Package sparse implements the storage formats the runtime converts to —
-// CSR, DIA and ELL from the paper's seven, plus the SELL-C-sigma extension —
+// CSR and DIA from the paper's seven, plus the SELL-C-sigma extension —
 // together with their SpMV kernels (serial, goroutine-parallel, and
 // AVX2-vectorized where the host supports it; see kernels.go) and the format
 // conversions whose runtime cost is the subject of the paper.
 //
 // CSR is the hub format: every other format converts to and from CSR, and
 // CSR is the default format applications start from, matching the paper's
-// experimental setup. The four built formats are the measured menu the
-// runtime trains and selects among (Implemented). The paper's COO, HYB, BSR
-// and CSR5 and the JDS extension are priced only: they keep their Format
+// experimental setup. The three built formats are the measured menu the
+// runtime trains and selects among (Implemented). The paper's COO, ELL, HYB,
+// BSR and CSR5 and the JDS extension are priced only: they keep their Format
 // numbers and the analytic model oracle the experiments run on prices them
 // from structure, but this build has no kernel or conversion for them
 // (DESIGN.md §19). SELL's sorting window follows the matrix's row lengths,
-// which makes JDS, its sigma = rows corner, redundant.
+// which makes JDS, its sigma = rows corner, redundant, and SELL's per-slice
+// padding covers ELL, its sigma = 1 corner, on every class ELL won.
 package sparse
 
 import "fmt"
@@ -55,11 +56,11 @@ var PaperFormats = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtC
 // machine's kernels holds and the runtime can select. A format is built iff,
 // without it, the best measured T_convert + N*T_spmv on some class of the
 // home-turf panel leaves the band of runs with it at some loop length N, as
-// `ocsel audit` prints it (DESIGN.md §19). COO, HYB, BSR, CSR5 and JDS are
-// AllFormats' rest and stay only as prices: CanConvert answers false for them,
-// ConvertFromCSR names them priced-only, and a saved predictor bundle's
+// `ocsel audit` prints it (DESIGN.md §19). COO, ELL, HYB, BSR, CSR5 and JDS
+// are AllFormats' rest and stay only as prices: CanConvert answers false for
+// them, ConvertFromCSR names them priced-only, and a saved predictor bundle's
 // models for them are dropped at load.
-var Implemented = []Format{FmtCSR, FmtDIA, FmtELL, FmtSELL}
+var Implemented = []Format{FmtCSR, FmtDIA, FmtSELL}
 
 // CSR5 tile geometry, which timing.ModelOracle's CSR5 price reads. A tile
 // holds Sigma*Omega consecutive nonzeros, written column-major into a

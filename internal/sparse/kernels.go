@@ -3,10 +3,10 @@ package sparse
 import "sync/atomic"
 
 // The vectorized kernel layer. On amd64 hosts with AVX2+FMA (and outside
-// noasm builds) the CSR, ELL, SELL and DIA SpMV inner loops dispatch to
+// noasm builds) the CSR, SELL and DIA SpMV inner loops dispatch to
 // the hand-written assembly kernels in kernels_amd64.s: 4-lane FMA
 // accumulation, VGATHERQPD for the x gathers, software prefetch on the
-// streamed col/data arrays, masked gathers over the padded layouts, and
+// streamed col/data arrays, masked gathers over SELL's padding, and
 // DIA's gather-free 8-lane diagonal accumulator; the blocked CSR SpMM
 // (spmm.go) dispatches to the row-panel kernel there. Everything else — other
 // architectures, noasm builds, hosts without the features, or tests that

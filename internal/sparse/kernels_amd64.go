@@ -13,13 +13,6 @@ func asmAvailable() bool { return cpufeat.VectorKernels() }
 //go:noescape
 func gatherDotAsm(col *int32, data *float64, x *float64, n int) float64
 
-// ellRowsAsm computes rows consecutive ELL rows of width entries each,
-// starting at cols/data (already offset to the first row). Column -1 marks
-// padding; padded lanes are masked out of the gather and contribute zero.
-//
-//go:noescape
-func ellRowsAsm(cols *int32, data *float64, x *float64, y *float64, width, rows int)
-
 // sellSliceAsm computes one SELL slice of height exactly 8 and the given
 // width, accumulating the 8 per-lane sums into sums[0:8] (caller zeroes).
 // The layout is lane-major: entry (r, j) lives at cols[j*8+r]. Padding uses

@@ -6,7 +6,7 @@
 //
 //   - Column indices are int32, sign-extended to qword lanes with VPMOVSXDQ
 //     so VGATHERQPD can scale them by 8.
-//   - Padded layouts (ELL, SELL) mark absent entries with column -1. The
+//   - The padded layout (SELL) marks absent entries with column -1. The
 //     gather mask is built as (col > -1) via VPCMPGTQ against all-ones, so
 //     padded lanes are never dereferenced; their data is 0.0, making the
 //     FMA contribution exactly zero.
@@ -62,67 +62,6 @@ tail:
 done:
 	VZEROUPPER
 	MOVSD X0, ret+32(FP)
-	RET
-
-// func ellRowsAsm(cols *int32, data *float64, x *float64, y *float64, width, rows int)
-TEXT ·ellRowsAsm(SB), NOSPLIT, $0-48
-	MOVQ cols+0(FP), CX
-	MOVQ data+8(FP), DX
-	MOVQ x+16(FP), SI
-	MOVQ y+24(FP), DI
-	MOVQ width+32(FP), R10
-	MOVQ rows+40(FP), R11
-
-	MOVQ R10, R13
-	SUBQ $3, R13           // width-3
-	XORQ R12, R12          // row
-
-rowloop:
-	CMPQ R12, R11
-	JGE  alldone
-	MOVQ  R12, AX
-	IMULQ R10, AX          // element base = row*width
-	VXORPD Y0, Y0, Y0      // row acc
-	XORQ   BX, BX          // j
-
-chunk:
-	CMPQ BX, R13
-	JGE  rowhsum
-	LEAQ (AX)(BX*1), R8              // element index base+j
-	VMOVDQU    (CX)(R8*4), X1
-	VPMOVSXDQ  X1, Y1
-	VPCMPEQD   Y2, Y2, Y2            // all-ones = -1 per qword lane
-	VPCMPGTQ   Y2, Y1, Y3            // mask = col > -1 (real entries)
-	VXORPD     Y4, Y4, Y4
-	VGATHERQPD Y3, (SI)(Y1*8), Y4
-	VFMADD231PD (DX)(R8*8), Y4, Y0   // padded lanes: 0.0 * 0 = 0
-	ADDQ $4, BX
-	JMP  chunk
-
-rowhsum:
-	VEXTRACTF128 $1, Y0, X5
-	VADDPD       X5, X0, X0
-	VHADDPD      X0, X0, X0
-
-rowtail:
-	CMPQ BX, R10
-	JGE  rowstore
-	LEAQ (AX)(BX*1), R8
-	MOVLQSX (CX)(R8*4), R9
-	TESTQ R9, R9
-	JS    rowstore                   // pad column: trailing, row is done
-	VMOVSD (SI)(R9*8), X6
-	VFMADD231SD (DX)(R8*8), X6, X0
-	INCQ BX
-	JMP  rowtail
-
-rowstore:
-	VMOVSD X0, (DI)(R12*8)
-	INCQ R12
-	JMP  rowloop
-
-alldone:
-	VZEROUPPER
 	RET
 
 // func sellSliceAsm(cols *int32, data *float64, x *float64, sums *float64, width int)

@@ -12,10 +12,6 @@ func gatherDotAsm(col *int32, data *float64, x *float64, n int) float64 {
 	panic("sparse: assembly kernel called on a build without assembly")
 }
 
-func ellRowsAsm(cols *int32, data *float64, x *float64, y *float64, width, rows int) {
-	panic("sparse: assembly kernel called on a build without assembly")
-}
-
 func sellSliceAsm(cols *int32, data *float64, x *float64, sums *float64, width int) {
 	panic("sparse: assembly kernel called on a build without assembly")
 }

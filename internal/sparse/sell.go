@@ -12,12 +12,17 @@ import (
 // SELLC rows; each slice is padded only to its own maximum row length, which
 // bounds ELL's padding blowup while keeping a rectangular, vectorizable
 // layout. ELL (sigma 1, one slice) and JDS (sigma = rows, slices of one row)
-// are its corners. This format is not part of the paper's original set — it
-// is the "easily extended to other formats" exercise the paper proposes,
-// wired through the same selection machinery.
+// are its corners; both are priced, not built (DESIGN.md §19). This format
+// is not part of the paper's original set — it is the "easily extended to
+// other formats" exercise the paper proposes, wired through the same
+// selection machinery.
 
 // SELLC is the slice height.
 const SELLC = 8
+
+// SELLPad is the column index that marks a padding slot in SELL storage;
+// its value slot holds 0.
+const SELLPad int32 = -1
 
 // sellSigmas is the ladder of sorting-window heights, each a multiple of
 // SELLC. sigma climbs a rung only while the rung stays at most half the
@@ -51,13 +56,16 @@ func (l *SELLLayout) Slots() int { return l.SlicePtr[len(l.SliceWidth)] }
 // it and timing.ModelOracle prices it. It reads only a's row lengths. sigma
 // starts at the ladder's first rung and climbs by the rule on sellSigmas;
 // every window's rows are ordered by descending length, ties in row order.
+// No rung stores fewer slots than a has nonzeros, so once a rung's padding
+// is at most sellClimbCut of its slots no higher rung can pass the rule,
+// and the climb stops without sorting one.
 func NewSELLLayout(a *CSR) SELLLayout {
 	rows, _ := a.Dims()
 	sigma, perm := sellSigmas[0], make([]int32, rows)
 	slots := sortWindows(a, sigma, perm)
 	var trial []int32
 	for _, s := range sellSigmas[1:] {
-		if 2*s > rows {
+		if 2*s > rows || float64(a.NNZ()) >= (1-sellClimbCut)*float64(slots) {
 			break
 		}
 		if trial == nil {
@@ -134,7 +142,7 @@ type SELL struct {
 	rows, cols int
 	nnz        int
 	SELLLayout
-	Cols []int32 // ELLPad marks padding
+	Cols []int32 // SELLPad marks padding
 	Data []float64
 
 	// sliceRanges caches the slot-balanced slice partition the parallel
@@ -202,7 +210,7 @@ func NewSELLFromCSR(a *CSR) (*SELL, error) {
 					m.Data[pos] = rdata[j]
 				}
 				for j := len(rcol); j < w; j++ {
-					m.Cols[base+j*height+local] = ELLPad
+					m.Cols[base+j*height+local] = SELLPad
 				}
 			}
 		}
@@ -232,7 +240,7 @@ func (m *SELL) ToCSR() (*CSR, error) {
 			orig := m.Perm[lo+local]
 			n := 0
 			for j := 0; j < w; j++ {
-				if m.Cols[base+j*height+local] == ELLPad {
+				if m.Cols[base+j*height+local] == SELLPad {
 					break
 				}
 				n++
@@ -259,7 +267,7 @@ func (m *SELL) ToCSR() (*CSR, error) {
 			next := ptr[orig]
 			for j := 0; j < w; j++ {
 				c := m.Cols[base+j*height+local]
-				if c == ELLPad {
+				if c == SELLPad {
 					break
 				}
 				col[next] = c
@@ -316,7 +324,7 @@ func (m *SELL) spmvRange(y, x []float64, slo, shi int) {
 			off := base + j*height
 			for r := 0; r < height; r++ {
 				c := m.Cols[off+r]
-				if c == ELLPad {
+				if c == SELLPad {
 					continue
 				}
 				sums[r] += m.Data[off+r] * x[c]
@@ -358,7 +366,7 @@ func (m *SELL) validate() error {
 		s := r / SELLC
 		height := min((s+1)*SELLC, m.rows) - s*SELLC
 		n := 0
-		for n < int(m.SliceWidth[s]) && m.Cols[m.SlicePtr[s]+n*height+r%SELLC] != ELLPad {
+		for n < int(m.SliceWidth[s]) && m.Cols[m.SlicePtr[s]+n*height+r%SELLC] != SELLPad {
 			n++
 		}
 		return n

@@ -405,8 +405,11 @@ func TestDIAFillLimitRejects(t *testing.T) {
 	}
 }
 
+// TestELLFillLimitRejects: ELL is priced, not built, but its fill limit
+// still decides whether the model oracle and stage 2 may price it. One dense
+// row among single-entry rows blows up ELL's width past the default limit;
+// SELL, which pads only that row's slice, converts it.
 func TestELLFillLimitRejects(t *testing.T) {
-	// One dense row among thousands of single-entry rows blows up ELL width.
 	rows, cols := 1000, 1000
 	ptr := make([]int, rows+1)
 	var col []int32
@@ -425,11 +428,18 @@ func TestELLFillLimitRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CSRToELL(a, DefaultLimits); err == nil {
-		t.Error("ELL conversion of skewed matrix accepted under default limits")
+	g := Geometry{Rows: float64(rows), NNZ: float64(a.NNZ()), MaxRow: float64(a.MaxRowNNZ())}
+	if DefaultLimits.Fits(FmtELL, g) {
+		t.Error("ELL fill rule accepts the skewed matrix under default limits")
 	}
-	if CanConvert(a, FmtELL, DefaultLimits) {
-		t.Error("CanConvert(ELL) = true for skewed matrix")
+	if !testLimits.Fits(FmtELL, g) {
+		t.Error("ELL fill rule refuses the skewed matrix under loose limits")
+	}
+	if CanConvert(a, FmtELL, testLimits) {
+		t.Error("CanConvert(ELL) = true: ELL is priced only")
+	}
+	if _, err := ConvertFromCSR(a, FmtSELL, DefaultLimits); err != nil {
+		t.Errorf("SELL of the skewed matrix: %v", err)
 	}
 }
 

@@ -88,11 +88,11 @@ func TestMeasuredOracleScriptedClock(t *testing.T) {
 	if costs.CSR != 0.004 {
 		t.Errorf("CSR SpMV = %g, want exactly 0.004", costs.CSR)
 	}
-	if s, ok := costs.Convert[sparse.FmtELL]; !ok || s != 0.004 {
-		t.Errorf("ELL conversion = %g, %v; want exactly 0.004, true", s, ok)
+	if s, ok := costs.Convert[sparse.FmtSELL]; !ok || s != 0.004 {
+		t.Errorf("SELL conversion = %g, %v; want exactly 0.004, true", s, ok)
 	}
-	if s, ok := costs.SpMV[sparse.FmtELL]; !ok || s != 0.004 {
-		t.Errorf("ELL SpMV = %g, %v; want exactly 0.004, true", s, ok)
+	if s, ok := costs.SpMV[sparse.FmtSELL]; !ok || s != 0.004 {
+		t.Errorf("SELL SpMV = %g, %v; want exactly 0.004, true", s, ok)
 	}
 	if s := o.FeatureTime(a); s != 0.004 {
 		t.Errorf("FeatureTime = %g, want exactly 0.004", s)

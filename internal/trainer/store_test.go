@@ -120,7 +120,7 @@ func TestLoadBundleRejectsMalformedModels(t *testing.T) {
 	if err := SaveBundle(dir, preds, Manifest{NumFeatures: features.NumFeatures}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "spmv_ELL.json")
+	path := filepath.Join(dir, "spmv_SELL.json")
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestLoadBundleRejectsMalformedModels(t *testing.T) {
 		}
 		if _, _, err := LoadBundle(dir, features.NumFeatures); err == nil {
 			t.Errorf("%s: LoadBundle accepted %s", name, blob)
-		} else if !strings.Contains(err.Error(), "spmv_ELL.json") {
+		} else if !strings.Contains(err.Error(), "spmv_SELL.json") {
 			t.Errorf("%s: error %q does not name the file", name, err)
 		}
 	}
@@ -280,7 +280,7 @@ func TestLoadBundleIgnoresRetiredSpMMModels(t *testing.T) {
 	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	model, err := os.ReadFile(filepath.Join(dir, "spmv_ELL.json"))
+	model, err := os.ReadFile(filepath.Join(dir, "spmv_SELL.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,15 +5,15 @@
 //
 // The library consists of
 //
-//   - four sparse storage formats with serial and parallel SpMV kernels
-//     and conversions: three of the paper's seven (CSR, DIA, ELL) plus the
+//   - three sparse storage formats with serial and parallel SpMV kernels
+//     and conversions: two of the paper's seven (CSR, DIA) plus the
 //     SELL-C-sigma extension, whose sorting window follows the matrix's row
 //     lengths. They are the measured menu, the formats `ocsel audit`'s panel
 //     cannot do without: what TrainDefaultPredictors times,
 //     MeasureFormatCosts reports and the selector can choose. The paper's
-//     other four, COO, HYB, BSR and CSR5, and the JDS extension are priced
-//     but not built: the analytic model oracle the experiments run on
-//     prices them from structure, and nothing converts to them
+//     other five, COO, ELL, HYB, BSR and CSR5, and the JDS extension are
+//     priced but not built: the analytic model oracle the experiments run
+//     on prices them from structure, and nothing converts to them
 //     (DESIGN.md §19),
 //   - the paper's feature set and gradient-boosted regression models that
 //     predict normalized conversion and SpMV times,
@@ -52,7 +52,7 @@ import (
 // Format identifies a sparse storage format.
 type Format = sparse.Format
 
-// The storage formats. CSR, DIA, ELL and SELL are built; COO, HYB, BSR,
+// The storage formats. CSR, DIA and SELL are built; COO, ELL, HYB, BSR,
 // CSR5 and JDS are priced only: Convert refuses them.
 const (
 	COO  = sparse.FmtCOO
@@ -63,7 +63,8 @@ const (
 	BSR  = sparse.FmtBSR
 	CSR5 = sparse.FmtCSR5
 	// SELL is the SELL-C-sigma extension format (not part of the paper's
-	// original seven).
+	// original seven). Its slices pad only to their own longest row, which
+	// covers ELL, its one-window corner, at run time.
 	SELL = sparse.FmtSELL
 	// JDS is the jagged-diagonal-storage extension format: descending
 	// row-length permutation, padding-free diagonal-major layout. It is

@@ -39,7 +39,7 @@ func TestGeneratorsAndConvert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []Format{CSR, DIA, ELL, SELL} {
+	for _, f := range []Format{CSR, DIA, SELL} {
 		m, err := Convert(a, f)
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
