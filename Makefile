@@ -20,8 +20,14 @@ test:
 bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
+# Every package but two, so a new package is raced without being named here.
+# internal/experiments (23 s without -race) and internal/solversel (5.5 s)
+# run the paper's experiment drivers end to end, which the race detector
+# stretches several-fold; the packages they drive are raced by their own tests.
+RACE_PKGS = $(shell $(GO) list ./... | grep -vE '/internal/(experiments|solversel)$$')
+
 race:
-	$(GO) test -race ./internal/server/... ./internal/wire/... ./internal/convcache/... ./internal/cluster/... ./internal/core/... ./internal/trainer/... ./internal/timing/... ./internal/obs/... ./internal/parallel/... ./internal/sparse/... ./internal/vec/... ./internal/features/... ./internal/arima/... ./internal/gbt/... ./internal/apps/... ./internal/check/... ./internal/matgen/... ./internal/mmio/...
+	$(GO) test -race $(RACE_PKGS)
 
 # kernels_stub.go compiles only under -tags noasm, so the second pass is the
 # only vet it gets.

@@ -56,7 +56,6 @@ func main() {
 		train        = flag.Bool("train", false, "train default predictors at startup")
 		seed         = flag.Int64("seed", 42, "training corpus seed (with -train)")
 		maxNNZ       = flag.Int64("max-nnz", server.DefaultMaxRegistryNNZ, "registry capacity in total stored nonzeros")
-		convCacheNNZ = flag.Int64("conv-cache-nnz", 0, "cross-handle conversion cache capacity in stored slots, padding included (0 = half of -max-nnz, negative = disabled)")
 		workers      = flag.Int("workers", parallel.Workers(), "max concurrent SpMV/solve jobs")
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = 4x workers, negative = none)")
 		solveTimeout = flag.Duration("timeout", 60*time.Second, "default solve timeout")
@@ -101,7 +100,6 @@ func main() {
 	}
 	srv := server.New(server.Config{
 		MaxRegistryNNZ:      *maxNNZ,
-		ConvCacheNNZ:        *convCacheNNZ,
 		Workers:             *workers,
 		QueueDepth:          *queue,
 		DefaultSolveTimeout: *solveTimeout,

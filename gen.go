@@ -47,5 +47,5 @@ func SPDMatrix(n, deg int, seed int64) (*CSRMatrix, error) {
 // RMATGraph generates a 2^scale-vertex R-MAT (Kronecker) web graph with the
 // classic (0.57, 0.19, 0.19, 0.05) parameterization.
 func RMATGraph(scale int, seed int64) (*CSRMatrix, error) {
-	return matgen.RMAT(matgen.DefaultRMATConfig(scale), rand.New(rand.NewSource(seed)))
+	return matgen.RMAT(scale, rand.New(rand.NewSource(seed)))
 }

@@ -349,9 +349,7 @@ func TestSolversAgreeAcrossFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range sparse.Implemented {
-		m, err := sparse.ConvertFromCSR(a, f, sparse.Limits{
-			DIAFill: 1e9, ELLFill: 1e9, HYBRowFraction: 1.0 / 3.0,
-		})
+		m, err := sparse.ConvertFromCSR(a, f, sparse.Limits{DIAFill: 1e9})
 		if err != nil {
 			t.Fatal(err)
 		}

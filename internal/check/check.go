@@ -311,8 +311,6 @@ func payload(m sparse.Matrix) any {
 
 // Options configures a Differential run.
 type Options struct {
-	// Lim bounds the conversions; zero value means sparse.DefaultLimits.
-	Lim sparse.Limits
 	// Workers lists the GOMAXPROCS values to convert under (typically
 	// {1, 2, max}). Empty means "current setting only, don't touch
 	// GOMAXPROCS" — the mode the fuzz targets use, since mutating global
@@ -320,8 +318,6 @@ type Options struct {
 	// original GOMAXPROCS before returning; it must not run concurrently
 	// with other GOMAXPROCS-sensitive work.
 	Workers []int
-	// Formats lists the formats to verify; empty means sparse.Implemented.
-	Formats []sparse.Format
 	// SpMMColumns is the column count of the SpMM check, applied to every
 	// format (blocked kernel or fallback) at every worker count; 0 disables
 	// it.
@@ -344,17 +340,13 @@ func DefaultWorkers() []int {
 
 // CheckFormat runs the conversion invariants for one format on one matrix
 // at the worker counts in opt: identical layout at every count, lossless
-// round trip, and SpMV agreement with the reference. Formats the limits
-// reject are verified to fail conversion consistently and then skipped.
-// The returned bool reports whether the format was representable.
+// round trip, and SpMV agreement with the reference. Formats the default
+// limits reject are verified to fail conversion consistently and then
+// skipped. The returned bool reports whether the format was representable.
 func CheckFormat(a *sparse.CSR, f sparse.Format, opt Options) (bool, error) {
-	lim := opt.Lim
-	if lim == (sparse.Limits{}) {
-		lim = sparse.DefaultLimits
-	}
-	if !sparse.CanConvert(a, f, lim) {
+	if !sparse.CanConvert(a, f, sparse.DefaultLimits) {
 		// The negative answer must be consistent with the real conversion.
-		if _, err := sparse.ConvertFromCSR(a, f, lim); err == nil {
+		if _, err := sparse.ConvertFromCSR(a, f, sparse.DefaultLimits); err == nil {
 			return false, fmt.Errorf("%v: CanConvert says no but conversion succeeded", f)
 		}
 		return false, nil
@@ -366,7 +358,7 @@ func CheckFormat(a *sparse.CSR, f sparse.Format, opt Options) (bool, error) {
 	var first any
 	firstW := 0
 	for _, w := range workers {
-		m, err := convertAt(a, f, lim, w)
+		m, err := convertAt(a, f, w)
 		if err != nil {
 			return true, fmt.Errorf("%v at %d workers: %w", f, w, err)
 		}
@@ -393,26 +385,22 @@ func CheckFormat(a *sparse.CSR, f sparse.Format, opt Options) (bool, error) {
 
 // convertAt runs the conversion with GOMAXPROCS pinned to w (w <= 0 leaves
 // it alone), restoring the previous setting before returning.
-func convertAt(a *sparse.CSR, f sparse.Format, lim sparse.Limits, w int) (sparse.Matrix, error) {
+func convertAt(a *sparse.CSR, f sparse.Format, w int) (sparse.Matrix, error) {
 	if w > 0 {
 		old := runtime.GOMAXPROCS(w)
 		defer runtime.GOMAXPROCS(old)
 	}
-	return sparse.ConvertFromCSR(a, f, lim)
+	return sparse.ConvertFromCSR(a, f, sparse.DefaultLimits)
 }
 
 // Differential runs the full oracle on one matrix: every format in
-// opt.Formats through CheckFormat, plus the SpMM check. It returns the
-// first failure, wrapped with enough context to reproduce it, and the set
-// of formats that were actually representable (so callers can assert the
-// sweep did not silently skip everything).
+// sparse.Implemented through CheckFormat, plus the SpMM check. It returns
+// the first failure, wrapped with enough context to reproduce it, and the
+// set of formats that were actually representable (so callers can assert
+// the sweep did not silently skip everything).
 func Differential(a *sparse.CSR, opt Options) (map[sparse.Format]bool, error) {
-	formats := opt.Formats
-	if len(formats) == 0 {
-		formats = sparse.Implemented
-	}
-	covered := make(map[sparse.Format]bool, len(formats))
-	for _, f := range formats {
+	covered := make(map[sparse.Format]bool, len(sparse.Implemented))
+	for _, f := range sparse.Implemented {
 		ok, err := CheckFormat(a, f, opt)
 		if err != nil {
 			return covered, err

@@ -44,9 +44,9 @@ type RouteInfo struct {
 	Tol         float64 `json:"tol"`
 	Transition  bool    `json:"transition"`
 	Fingerprint string  `json:"fingerprint"`
-	// DuplicateOf names an earlier live handle with the same structure
-	// fingerprint: the upload is (structurally) a duplicate the registry
-	// could dedupe. Detection only — both handles stay live.
+	// DuplicateOf names an earlier live handle over the same matrix (same
+	// structure fingerprint and value digest), the identity the shards'
+	// registries dedup on. Detection only — both handles stay live.
 	DuplicateOf string `json:"duplicate_of,omitempty"`
 	Partitioned bool   `json:"partitioned"`
 	// Primary is the authoritative copy for whole handles; nil for

@@ -443,6 +443,37 @@ func TestRouterRefusesOversizedPartitionedSpec(t *testing.T) {
 	}
 }
 
+// TestRouterDuplicateOfMeansSameMatrix: a route's duplicate_of names an
+// earlier route over the same matrix, structure AND values, as a shard's
+// does; an upload that shares only the sparsity pattern names nothing.
+func TestRouterDuplicateOfMeansSameMatrix(t *testing.T) {
+	_, _, ts := newCluster(t, 2, nil)
+	register := func(name, mtx string) RouteInfo {
+		t.Helper()
+		var info RouteInfo
+		req := RegisterRequest{RegisterRequest: server.RegisterRequest{Name: name, MatrixMarket: mtx}}
+		if code, body := callJSON(t, http.MethodPost, ts.URL+"/v1/matrices", req, &info); code != http.StatusCreated {
+			t.Fatalf("register %s: %d %s", name, code, body)
+		}
+		return info
+	}
+	first := register("first", diagMatrix(1, 2, 3, 4))
+	second := register("second", diagMatrix(1, 2, 3, 4))
+	other := register("other", diagMatrix(1, 2, 3, 5))
+	if first.DuplicateOf != "" {
+		t.Errorf("first upload duplicate_of %q, want none", first.DuplicateOf)
+	}
+	if second.DuplicateOf != first.ID {
+		t.Errorf("identical upload duplicate_of %q, want %q", second.DuplicateOf, first.ID)
+	}
+	if other.Fingerprint != first.Fingerprint {
+		t.Fatalf("scenario needs one sparsity pattern: fingerprints %s and %s", first.Fingerprint, other.Fingerprint)
+	}
+	if other.DuplicateOf != "" {
+		t.Errorf("same pattern, different values: duplicate_of %q, want none", other.DuplicateOf)
+	}
+}
+
 func TestRouterMetricsScrape(t *testing.T) {
 	_, x, _, _ := oracle(t)
 	_, _, ts := newCluster(t, 2, nil)

@@ -734,13 +734,14 @@ func (r *Router) place(ctx context.Context, rt *route, request func(i int) serve
 	return infos, nil
 }
 
-// insertRoute records the route, tagging structure duplicates (same
-// fingerprint as an earlier live handle) for the future dedupe layer.
+// insertRoute records the route, tagging it a duplicate of an earlier
+// live route over the same matrix: structure fingerprint AND value digest,
+// the identity a shard's registry dedups on.
 func (r *Router) insertRoute(rt *route) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, other := range r.routes {
-		if other.fingerprint != "" && other.fingerprint == rt.fingerprint {
+		if other.fingerprint != "" && other.fingerprint == rt.fingerprint && other.valueDigest == rt.valueDigest {
 			if rt.duplicateOf == "" || other.id < rt.duplicateOf {
 				rt.duplicateOf = other.id
 			}

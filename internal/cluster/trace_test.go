@@ -61,7 +61,7 @@ func tracedCluster(t *testing.T, n int) ([]*flakyShard, *Router, *httptest.Serve
 		s := server.New(server.Config{
 			Logger:   quietLogger(),
 			Preds:    preds,
-			Selector: &core.Config{K: 15, TH: 15, Margin: 0.1},
+			Selector: &core.Config{Margin: 0.1},
 		})
 		f := &flakyShard{}
 		f.ts = httptest.NewServer(s.Handler())

@@ -133,12 +133,6 @@ type operator struct{ sparse.Matrix }
 // parameter remains only because benchmark/ compiles against it and leaves
 // with that module's next change (ROADMAP 10(d)).
 func NewAdaptive(a *sparse.CSR, tol float64, preds *Predictors, cfg Config, parallel bool) *Adaptive {
-	if cfg.K <= 0 {
-		cfg.K = DefaultConfig().K
-	}
-	if cfg.TH <= 0 {
-		cfg.TH = DefaultConfig().TH
-	}
 	if cfg.Lim == (sparse.Limits{}) {
 		cfg.Lim = sparse.DefaultLimits
 	}
@@ -213,7 +207,7 @@ func (ad *Adaptive) RecordProgress(v float64) {
 	ad.mu.Lock()
 	defer ad.mu.Unlock()
 	ad.progress = append(ad.progress, v)
-	if ad.decided.Load() || len(ad.progress) < ad.cfg.K {
+	if ad.decided.Load() || len(ad.progress) < K {
 		return
 	}
 	if remaining, ok := ad.runStage1(); ok {
@@ -281,10 +275,10 @@ func Gates(in GateInput, cfg Config) (calls float64, gates []obs.GateCheck, run 
 		}
 	}
 	gates = append(gates, obs.GateCheck{
-		Name: "remaining>=TH", LHS: float64(remaining), RHS: float64(cfg.TH),
-		Passed: remaining >= cfg.TH,
+		Name: "remaining>=TH", LHS: float64(remaining), RHS: TH,
+		Passed: remaining >= TH,
 	})
-	if remaining < cfg.TH {
+	if remaining < TH {
 		return calls, gates, false // loop predicted too short: conversion can't pay off
 	}
 	// Overhead-conscious gate on stage 2 itself: estimate the feature

@@ -147,7 +147,7 @@ func TestHotSwapAsyncPipeline(t *testing.T) {
 // decision record it reads is the finished one.
 func TestConcurrentSpMVAcrossInlineSwap(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
-	sa := core.NewAdaptive(m, 1e-8, sellPreds(t, m), core.Config{K: 15, TH: 15, Margin: 0.1}, false)
+	sa := core.NewAdaptive(m, 1e-8, sellPreds(t, m), core.Config{Margin: 0.1}, false)
 	rows, cols := m.Dims()
 	x := make([]float64, cols)
 	for i := range x {

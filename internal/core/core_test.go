@@ -390,9 +390,8 @@ func vecNorm(x []float64) float64 {
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
-	cfg := core.DefaultConfig()
-	if cfg.K != 15 || cfg.TH != 15 {
-		t.Errorf("K=%d TH=%d, paper uses 15/15", cfg.K, cfg.TH)
+	if core.K != 15 || core.TH != 15 {
+		t.Errorf("K=%d TH=%d, paper uses 15/15", core.K, core.TH)
 	}
 }
 

@@ -224,7 +224,7 @@ func remainingAfterK(t *testing.T, preds *core.Predictors, m *sparse.CSR) int {
 	ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
 	driveLoop(ad, 20, 1, 0.664)
 	st := ad.Stats()
-	left := st.PredictedTotal - cfg.K
+	left := st.PredictedTotal - core.K
 	if !st.Stage2Ran || left < 25 || left > 35 {
 		t.Fatalf("scenario needs about 30 iterations left and an open TH gate; stage 1 predicts %d in all, stage 2 ran: %v", st.PredictedTotal, st.Stage2Ran)
 	}

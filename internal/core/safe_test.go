@@ -108,7 +108,7 @@ func TestSafeAdaptivePipelineOnce(t *testing.T) {
 // and the solve must come out as it does on the CSR master.
 func TestAdaptiveLibraryShapeUnderHammer(t *testing.T) {
 	m := genCSR(t, matgen.FamStencil2D, 3600, 5)
-	cfg := core.Config{K: 15, TH: 15, Margin: 0.1}
+	cfg := core.Config{Margin: 0.1}
 	ad := core.NewAdaptive(m, 1e-12, sellPreds(t, m), cfg, false)
 	rows, cols := ad.Dims()
 	b := make([]float64, rows)

@@ -26,15 +26,18 @@ import (
 	"repro/internal/timing"
 )
 
-// Config holds the selector's knobs. The defaults (K = TH = 15) are the
-// values the paper settled on empirically.
-type Config struct {
+// The paper's empirical settings, which it never varies at run time.
+const (
 	// K is the number of loop iterations observed before the stage-1
 	// prediction runs ("lazy": short loops never pay anything).
-	K int
+	K = 15
 	// TH is the minimum predicted number of REMAINING iterations for
 	// stage 2 to be worth invoking.
-	TH int
+	TH = 15
+)
+
+// Config holds the selector's knobs.
+type Config struct {
 	// Margin is the risk-control threshold of the stage-2 decision: a
 	// conversion happens only when its predicted total cost undercuts
 	// staying on CSR by at least this fraction. Format benefits on real
@@ -88,12 +91,10 @@ type Config struct {
 	Clock timing.Clock
 }
 
-// DefaultConfig mirrors the paper's empirical settings plus a 10% decision
-// margin and the overhead-conscious gate factor.
+// DefaultConfig is a 10% decision margin, the overhead-conscious gate and
+// the default conversion limits.
 func DefaultConfig() Config {
 	return Config{
-		K:                    15,
-		TH:                   15,
 		Margin:               0.10,
 		GateOverheadFactor:   5,
 		FeatureSecondsPerNNZ: 8e-9,
@@ -178,7 +179,7 @@ type Decision struct {
 
 // formatValid asks Limits.Fits, the storage-blowup rule the conversions
 // enforce, with the geometry of already-extracted features, so stage 2 does
-// not pay a second pass. BSR's block count at the conversion block size is the one
+// not pay a second pass. BSR's block count at the pricing block size is the one
 // quantity Table I lacks, so it is passed in separately.
 func formatValid(f sparse.Format, s *features.Set, bsrBlocks int, lim sparse.Limits) bool {
 	return lim.Fits(f, sparse.Geometry{Rows: s.M, NNZ: s.NNZ, Diags: s.Ndiags, MaxRow: s.MaxRD, Blocks: float64(bsrBlocks)})

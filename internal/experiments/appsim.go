@@ -59,21 +59,20 @@ func (c *Context) Simulate(tr *Trace) SimOutcome {
 	out.UBOCCost = price(out.UBOCFormat, 0, 0)
 
 	// The real two-stage scheme.
-	k := c.Opt.Cfg.K
-	if tr.Iterations < k {
+	if tr.Iterations < core.K {
 		return out // lazy: the pipeline never woke up
 	}
 	out.Stage1Ran = true
-	overhead := c.Opt.Stage1Seconds / s.CSRTime
-	seen := tr.Calls[k-1]
-	total, err := arima.DefaultTripcount().PredictTotal(tr.Progress[:k], tr.Tol)
+	overhead := stage1Seconds / s.CSRTime
+	seen := tr.Calls[core.K-1]
+	total, err := arima.DefaultTripcount().PredictTotal(tr.Progress[:core.K], tr.Tol)
 	if err == nil {
 		out.PredictedTotal = total
 		var remaining float64
 		remaining, out.Gates, out.Stage2Ran = core.Gates(core.GateInput{
-			Total: total, Iterations: k, Calls: int64(seen),
+			Total: total, Iterations: core.K, Calls: int64(seen),
 			SpMVSeconds: s.CSRTime, NNZ: tr.Operand.NNZ(),
-		}, c.Opt.Cfg)
+		}, core.DefaultConfig())
 		if out.Stage2Ran {
 			out.OCFormat = c.decide(s, tr.Operand, remaining)
 			overhead += c.stage2Norm(s)

@@ -34,29 +34,28 @@ type Options struct {
 	Seed int64
 	// Params are the GBT hyperparameters.
 	Params gbt.Params
-	// Cfg is the selector configuration (K, TH, limits).
-	Cfg core.Config
-	// Stage1Seconds / Stage2ModelSeconds model the constant inference cost
-	// of the two stages in the cost simulations (the paper reports ~2ms
-	// and ~5ms for its ARIMA and XGBoost models; our Go models are
-	// cheaper). Feature-extraction cost comes from the oracle.
-	Stage1Seconds, Stage2ModelSeconds float64
 }
+
+// stage1Seconds and stage2ModelSeconds model the constant inference cost of
+// the two stages in the cost simulations (the paper reports ~2ms and ~5ms
+// for its ARIMA and XGBoost models; our Go models are cheaper).
+// Feature-extraction cost comes from the oracle.
+const (
+	stage1Seconds      = 20e-6
+	stage2ModelSeconds = 50e-6
+)
 
 // DefaultOptions is the configuration used by the committed EXPERIMENTS.md.
 func DefaultOptions() Options {
 	p := gbt.DefaultParams()
 	p.NumRounds = 60
 	return Options{
-		TrainCount:         96,
-		EvalCount:          48,
-		MinSize:            500,
-		MaxSize:            6000,
-		Seed:               42,
-		Params:             p,
-		Cfg:                core.DefaultConfig(),
-		Stage1Seconds:      20e-6,
-		Stage2ModelSeconds: 50e-6,
+		TrainCount: 96,
+		EvalCount:  48,
+		MinSize:    500,
+		MaxSize:    6000,
+		Seed:       42,
+		Params:     p,
 	}
 }
 
@@ -181,13 +180,13 @@ func table(header []string, rows [][]string) string {
 // decide is stage 2's decision on a priced sample of operand m at remaining
 // SpMV calls: the trained bundle's Decide, with no conversion cache.
 func (c *Context) decide(s *trainer.Sample, m *sparse.CSR, remaining float64) sparse.Format {
-	lim := c.Opt.Cfg.Lim
-	blocks := features.CountBlocks(m, lim.BSRBlockSize)
-	return c.Preds.Decide(features.FromVector(s.Features), blocks, remaining, lim, c.Opt.Cfg.Margin).Format
+	cfg := core.DefaultConfig()
+	blocks := features.CountBlocks(m, cfg.Lim.BSRBlockSize)
+	return c.Preds.Decide(features.FromVector(s.Features), blocks, remaining, cfg.Lim, cfg.Margin).Format
 }
 
 // stage2Norm is stage 2's bill on a sample in CSR SpMV calls: the oracle's
 // feature extraction plus model inference.
 func (c *Context) stage2Norm(s *trainer.Sample) float64 {
-	return s.FeatureNorm + c.Opt.Stage2ModelSeconds/s.CSRTime
+	return s.FeatureNorm + stage2ModelSeconds/s.CSRTime
 }

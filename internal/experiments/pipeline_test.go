@@ -33,7 +33,7 @@ func TestSimulateAgreesWithAdaptive(t *testing.T) {
 
 			clk := timing.NewFakeClock()
 			clk.SetAutoStep(step)
-			cfg := c.Opt.Cfg
+			cfg := core.DefaultConfig()
 			cfg.Clock = clk
 			ad := core.NewAdaptive(tr.Operand, tr.Tol, c.Preds, cfg, false)
 			replay(ad, &tr)

@@ -73,7 +73,7 @@ func (c *Context) RunStage1() (*Stage1Report, error) {
 	// thPassed is core.Gates' remaining>=TH verdict (its first gate) on a
 	// forecast total; a failed forecast counts as 0.
 	thPassed := func(total int) bool {
-		_, gates, _ := core.Gates(core.GateInput{Total: total, Iterations: c.Opt.Cfg.K}, c.Opt.Cfg)
+		_, gates, _ := core.Gates(core.GateInput{Total: total, Iterations: core.K}, core.DefaultConfig())
 		return gates[0].Passed
 	}
 	for _, app := range AllApps {
@@ -229,7 +229,6 @@ func (t *Table8) Render() string {
 // constant model-inference times.
 type OverheadReport struct {
 	FeatureMin, FeatureMedian, FeatureMax float64 // in CSR SpMV calls
-	Stage1Seconds, Stage2ModelSeconds     float64
 }
 
 // RunOverhead summarizes prediction overheads over the evaluation corpus.
@@ -239,10 +238,7 @@ func (c *Context) RunOverhead() *OverheadReport {
 		ratios = append(ratios, s.FeatureNorm)
 	}
 	sort.Float64s(ratios)
-	r := &OverheadReport{
-		Stage1Seconds:      c.Opt.Stage1Seconds,
-		Stage2ModelSeconds: c.Opt.Stage2ModelSeconds,
-	}
+	r := &OverheadReport{}
 	if len(ratios) > 0 {
 		r.FeatureMin = ratios[0]
 		r.FeatureMedian = ratios[len(ratios)/2]
@@ -258,5 +254,5 @@ feature extraction: min %.1fx, median %.1fx, max %.1fx of one CSR SpMV call
 stage-1 model inference: %.3f ms (constant)
 stage-2 model inference: %.3f ms (constant)
 `, r.FeatureMin, r.FeatureMedian, r.FeatureMax,
-		r.Stage1Seconds*1e3, r.Stage2ModelSeconds*1e3)
+		stage1Seconds*1e3, stage2ModelSeconds*1e3)
 }

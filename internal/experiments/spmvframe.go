@@ -183,7 +183,7 @@ func (c *Context) RunFig5(iters ...float64) *Fig5 {
 			// through the gates core.Adaptive runs.
 			f, overhead := sparse.FmtCSR, 0.0
 			gate := core.GateInput{Total: int(it), SpMVSeconds: s.CSRTime, NNZ: m.NNZ()}
-			if remaining, _, run := core.Gates(gate, c.Opt.Cfg); run {
+			if remaining, _, run := core.Gates(gate, core.DefaultConfig()); run {
 				f, overhead = c.decide(s, m, remaining), c.stage2Norm(s)
 			}
 			oc = append(oc, price(f, overhead))

@@ -21,8 +21,6 @@ type CorpusConfig struct {
 	MinSize, MaxSize int
 	// Families restricts generation to the given families; nil means all.
 	Families []Family
-	// SquareOnly forces square matrices (the solver experiments need them).
-	SquareOnly bool
 }
 
 // Entry is one corpus matrix with its provenance.
@@ -79,12 +77,11 @@ func Corpus(cfg CorpusConfig) ([]Entry, error) {
 // banded matrices, and SPD-symmetrized randoms in equal shares.
 func SolverCorpus(count int, seed int64, minSize, maxSize int) ([]Entry, error) {
 	entries, err := Corpus(CorpusConfig{
-		Count:      count,
-		Seed:       seed,
-		MinSize:    minSize,
-		MaxSize:    maxSize,
-		Families:   []Family{FamStencil2D, FamBanded, FamSPD, FamStencil3D},
-		SquareOnly: true,
+		Count:    count,
+		Seed:     seed,
+		MinSize:  minSize,
+		MaxSize:  maxSize,
+		Families: []Family{FamStencil2D, FamBanded, FamSPD, FamStencil3D},
 	})
 	if err != nil {
 		return nil, err

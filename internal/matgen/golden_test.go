@@ -40,7 +40,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	}
 	cases = append(cases,
 		goldenCase{name: "rmat-14", build: func() (*sparse.CSR, error) {
-			return RMAT(DefaultRMATConfig(14), rand.New(rand.NewSource(14)))
+			return RMAT(14, rand.New(rand.NewSource(14)))
 		}},
 		goldenCase{name: "dominant-banded-5000", build: func() (*sparse.CSR, error) {
 			a, err := Banded(5000, 9, rand.New(rand.NewSource(5)))

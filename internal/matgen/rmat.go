@@ -7,57 +7,37 @@ import (
 	"repro/internal/sparse"
 )
 
-// RMATConfig parameterizes the recursive-matrix (R-MAT / Kronecker) graph
-// generator of Chakrabarti, Zhan and Faloutsos. The four quadrant
-// probabilities (A, B, C, D) must sum to ~1; the classic web-graph setting
-// is (0.57, 0.19, 0.19, 0.05).
-type RMATConfig struct {
-	Scale       int     // 2^Scale vertices
-	EdgesPerVtx int     // target edges per vertex
-	A, B, C, D  float64 // quadrant probabilities
-	// NoiseAtEachLevel perturbs the probabilities per recursion level,
-	// which avoids the perfectly self-similar degree staircase.
-	Noise float64
-}
+// The classic web-graph parameterization of the recursive-matrix (R-MAT /
+// Kronecker) graph generator of Chakrabarti, Zhan and Faloutsos: the four
+// quadrant probabilities sum to 1, and a symmetric per-level noise on them
+// avoids the perfectly self-similar degree staircase.
+const (
+	rmatEdgesPerVtx     = 16
+	rmatA, rmatB, rmatC = 0.57, 0.19, 0.19 // D = 0.05 takes the rest
+	rmatNoise           = 0.05
+)
 
-// DefaultRMATConfig is the classic web-graph parameterization.
-func DefaultRMATConfig(scale int) RMATConfig {
-	return RMATConfig{
-		Scale: scale, EdgesPerVtx: 16,
-		A: 0.57, B: 0.19, C: 0.19, D: 0.05,
-		Noise: 0.05,
+// RMAT generates a directed 2^scale-vertex R-MAT graph as a CSR adjacency
+// matrix with unit weights. Duplicate edges collapse (so the realized edge
+// count is slightly below the target); self-loops are kept, as web graphs
+// have them.
+func RMAT(scale int, rng *rand.Rand) (*sparse.CSR, error) {
+	if scale < 1 || scale > 30 {
+		return nil, fmt.Errorf("matgen: RMAT scale %d outside [1, 30]", scale)
 	}
-}
-
-// RMAT generates a directed R-MAT graph as a CSR adjacency matrix with
-// unit weights. Duplicate edges collapse (so the realized edge count is
-// slightly below the target); self-loops are kept, as web graphs have them.
-func RMAT(cfg RMATConfig, rng *rand.Rand) (*sparse.CSR, error) {
-	if cfg.Scale < 1 || cfg.Scale > 30 {
-		return nil, fmt.Errorf("matgen: RMAT scale %d outside [1, 30]", cfg.Scale)
-	}
-	if cfg.EdgesPerVtx < 1 {
-		return nil, fmt.Errorf("matgen: RMAT edges-per-vertex %d", cfg.EdgesPerVtx)
-	}
-	sum := cfg.A + cfg.B + cfg.C + cfg.D
-	if sum < 0.99 || sum > 1.01 {
-		return nil, fmt.Errorf("matgen: RMAT probabilities sum to %g", sum)
-	}
-	n := 1 << cfg.Scale
-	edges := n * cfg.EdgesPerVtx
+	n := 1 << scale
+	edges := n * rmatEdgesPerVtx
 	ri := make([]int32, 0, edges)
 	ci := make([]int32, 0, edges)
 	vv := make([]float64, 0, edges)
 	for e := 0; e < edges; e++ {
 		r, c := 0, 0
-		for level := 0; level < cfg.Scale; level++ {
-			a, b, cc := cfg.A, cfg.B, cfg.C
-			if cfg.Noise > 0 {
-				// Symmetric perturbation keeps the expected sums intact.
-				a += cfg.Noise * (rng.Float64() - 0.5)
-				b += cfg.Noise * (rng.Float64() - 0.5)
-				cc += cfg.Noise * (rng.Float64() - 0.5)
-			}
+		for level := 0; level < scale; level++ {
+			// Symmetric perturbation keeps the expected sums intact.
+			a, b, cc := rmatA, rmatB, rmatC
+			a += rmatNoise * (rng.Float64() - 0.5)
+			b += rmatNoise * (rng.Float64() - 0.5)
+			cc += rmatNoise * (rng.Float64() - 0.5)
 			u := rng.Float64()
 			half := n >> (level + 1)
 			switch {

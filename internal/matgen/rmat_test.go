@@ -9,7 +9,7 @@ import (
 
 func TestRMATBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g, err := RMAT(DefaultRMATConfig(10), rng)
+	g, err := RMAT(10, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestRMATDegreeSkew(t *testing.T) {
 	// The 0.57/0.19/0.19/0.05 parameterization concentrates edges in the
 	// low-index corner: the max out-degree must dwarf the average.
 	rng := rand.New(rand.NewSource(2))
-	g, err := RMAT(DefaultRMATConfig(12), rng)
+	g, err := RMAT(12, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestRMATDegreeSkew(t *testing.T) {
 }
 
 func TestRMATDeterministic(t *testing.T) {
-	g1, err := RMAT(DefaultRMATConfig(8), rand.New(rand.NewSource(3)))
+	g1, err := RMAT(8, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := RMAT(DefaultRMATConfig(8), rand.New(rand.NewSource(3)))
+	g2, err := RMAT(8, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +66,7 @@ func TestRMATDeterministic(t *testing.T) {
 
 func TestRMATValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	if _, err := RMAT(RMATConfig{Scale: 0, EdgesPerVtx: 4, A: 0.25, B: 0.25, C: 0.25, D: 0.25}, rng); err == nil {
+	if _, err := RMAT(0, rng); err == nil {
 		t.Error("scale 0 accepted")
-	}
-	if _, err := RMAT(RMATConfig{Scale: 5, EdgesPerVtx: 0, A: 0.25, B: 0.25, C: 0.25, D: 0.25}, rng); err == nil {
-		t.Error("0 edges accepted")
-	}
-	if _, err := RMAT(RMATConfig{Scale: 5, EdgesPerVtx: 4, A: 0.9, B: 0.3, C: 0.2, D: 0.1}, rng); err == nil {
-		t.Error("probabilities summing to 1.5 accepted")
 	}
 }

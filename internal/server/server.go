@@ -60,12 +60,6 @@ type Config struct {
 	// DefaultSolveTimeout applies when a solve request names none
 	// (default 60s).
 	DefaultSolveTimeout time.Duration
-	// ConvCacheNNZ bounds the cross-handle conversion cache's total stored
-	// slots, padding included, so a padded DIA costs its padded size
-	// (default half of MaxRegistryNNZ; negative disables the cache).
-	// Converted operators published here are adopted by later handles over
-	// the same matrix with zero residual conversion cost.
-	ConvCacheNNZ int64
 	// Preds is the trained stage-2 predictor bundle; nil runs stage 1 only
 	// (matrices then never convert, but tripcount stats still accumulate).
 	Preds *core.Predictors
@@ -83,9 +77,6 @@ type Config struct {
 	EnablePprof bool
 	// Logger receives the server's structured logs; nil uses slog.Default().
 	Logger *slog.Logger
-	// SLOs are the per-endpoint latency objectives the slow-request Warn
-	// line is checked against; nil uses DefaultSLOs().
-	SLOs []obs.Objective
 }
 
 // defaultTol is the selector tolerance of a handle registered without one.
@@ -99,8 +90,9 @@ const DefaultMaxRegistryNNZ = 50_000_000
 // bound, which ocsd and the router answer with 413.
 var ErrTooLarge = errors.New("matrix exceeds the registry capacity")
 
-// DefaultSLOs are the serving objectives applied when Config.SLOs is nil:
-// interactive endpoints get tight targets, solves get room to iterate.
+// DefaultSLOs are ocsd's per-endpoint latency objectives, the ones the
+// slow-request Warn line is checked against: interactive endpoints get tight
+// targets, solves get room to iterate.
 func DefaultSLOs() []obs.Objective {
 	return []obs.Objective{
 		{Endpoint: "register", LatencyTarget: 2},
@@ -123,9 +115,6 @@ func (c Config) withDefaults() Config {
 	if c.DefaultSolveTimeout <= 0 {
 		c.DefaultSolveTimeout = 60 * time.Second
 	}
-	if c.ConvCacheNNZ == 0 {
-		c.ConvCacheNNZ = c.MaxRegistryNNZ / 2
-	}
 	return c
 }
 
@@ -142,7 +131,10 @@ type Server struct {
 	// and the /debug/slow ring.
 	env Envelope
 	// convCache is the cross-handle conversion cache every handle's
-	// selector consults and publishes into; nil when disabled.
+	// selector consults and publishes into. It holds at most half the
+	// registry's capacity in stored slots, padding included, so a padded DIA
+	// costs its padded size; later handles over the same matrix adopt its
+	// operators with zero residual conversion cost.
 	convCache *convcache.Cache
 
 	// drainMu guards the graceful-shutdown state: once draining is set new
@@ -162,10 +154,6 @@ func New(cfg Config) *Server {
 		logger = slog.Default()
 	}
 	m := NewMetrics()
-	slos := cfg.SLOs
-	if slos == nil {
-		slos = DefaultSLOs()
-	}
 	s := &Server{
 		cfg:     cfg,
 		reg:     NewRegistry(cfg.MaxRegistryNNZ, m),
@@ -176,15 +164,15 @@ func New(cfg Config) *Server {
 		env: Envelope{
 			Log:      logger,
 			Tracer:   obs.NewTracer("ocsd", 0),
-			SLOs:     slos,
+			SLOs:     DefaultSLOs(),
 			Slow:     obs.NewSlowTraces(0),
 			Requests: &m.RequestsTotal,
 			Errors:   &m.RequestErrors,
 		},
-		idle: make(chan struct{}),
-	}
-	if cfg.ConvCacheNNZ > 0 {
-		s.convCache = convcache.New(cfg.ConvCacheNNZ)
+		// A bound of 0 would mean unbounded, so a one-slot registry gets a
+		// one-slot cache.
+		convCache: convcache.New(max(cfg.MaxRegistryNNZ/2, 1)),
+		idle:      make(chan struct{}),
 	}
 	// Warm the process-wide worker team every kernel dispatches through, so
 	// the first request never pays worker spawn latency. The admission pool
@@ -327,19 +315,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	w.WriteHeader(http.StatusOK)
+	cs := s.convCache.Snapshot()
 	extra := []obs.Family{
 		obs.ScalarFamily("ocsd_decision_traces", "Decision traces currently held in the journal.", obs.KindGauge, float64(s.journal.Len())),
-	}
-	if s.convCache != nil {
-		cs := s.convCache.Snapshot()
-		extra = append(extra,
-			obs.ScalarFamily("ocsd_convcache_hits_total", "Conversions adopted from the cross-handle cache.", obs.KindCounter, float64(cs.Hits)),
-			obs.ScalarFamily("ocsd_convcache_misses_total", "Cache lookups that found no published conversion.", obs.KindCounter, float64(cs.Misses)),
-			obs.ScalarFamily("ocsd_convcache_publishes_total", "Conversions published into the cross-handle cache.", obs.KindCounter, float64(cs.Publishes)),
-			obs.ScalarFamily("ocsd_convcache_evictions_total", "Cached conversions evicted under the stored-slot budget.", obs.KindCounter, float64(cs.Evictions)),
-			obs.ScalarFamily("ocsd_convcache_entries", "Conversions currently cached.", obs.KindGauge, float64(cs.Entries)),
-			obs.ScalarFamily("ocsd_convcache_nnz", "Total stored slots, padding included, held by the conversion cache.", obs.KindGauge, float64(cs.NNZ)),
-		)
+		obs.ScalarFamily("ocsd_convcache_hits_total", "Conversions adopted from the cross-handle cache.", obs.KindCounter, float64(cs.Hits)),
+		obs.ScalarFamily("ocsd_convcache_misses_total", "Cache lookups that found no published conversion.", obs.KindCounter, float64(cs.Misses)),
+		obs.ScalarFamily("ocsd_convcache_publishes_total", "Conversions published into the cross-handle cache.", obs.KindCounter, float64(cs.Publishes)),
+		obs.ScalarFamily("ocsd_convcache_evictions_total", "Cached conversions evicted under the stored-slot budget.", obs.KindCounter, float64(cs.Evictions)),
+		obs.ScalarFamily("ocsd_convcache_entries", "Conversions currently cached.", obs.KindGauge, float64(cs.Entries)),
+		obs.ScalarFamily("ocsd_convcache_nnz", "Total stored slots, padding included, held by the conversion cache.", obs.KindGauge, float64(cs.NNZ)),
 	}
 	_ = obs.WriteText(w, s.metrics.Families(extra...))
 }
@@ -524,11 +508,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	// for is published under the matrix identity, and a conversion already
 	// published by an earlier tenant is adopted with zero residual
 	// T_convert — the selector sees cached formats as free to reach.
-	if s.convCache != nil {
-		selCfg.ConvCache = s.convCache
-		selCfg.CacheFingerprint = fp
-		selCfg.CacheValues = vd
-	}
+	selCfg.ConvCache, selCfg.CacheFingerprint, selCfg.CacheValues = s.convCache, fp, vd
 	ad := core.NewAdaptive(csr, tol, s.cfg.Preds, selCfg, true)
 	rows, cols := csr.Dims()
 	h := &Handle{

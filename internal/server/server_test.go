@@ -23,7 +23,7 @@ import (
 // behavior in tests is deterministic: stage 2 runs whenever stage 1
 // predicts >= TH remaining iterations.
 func testSelector() *core.Config {
-	return &core.Config{K: 15, TH: 15, Margin: 0.1}
+	return &core.Config{Margin: 0.1}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {

@@ -34,28 +34,21 @@ func (b *syncBuffer) String() string {
 // TestRequestTracePropagation: a request carrying an OCS-Trace header joins
 // the caller's trace; the response echoes the context; the shard's span
 // store serves the request's span tree including admission wait and kernel
-// execution; and a request over its SLO target is Warn-logged with the
+// execution; and a request that breaches its SLO is Warn-logged with the
 // trace ID and a span breakdown.
 func TestRequestTracePropagation(t *testing.T) {
 	logBuf := &syncBuffer{}
-	_, ts := newTestServer(t, Config{
-		Logger: slog.New(slog.NewTextHandler(logBuf, nil)),
-		// An impossible spmv latency target: every request breaches, so the
-		// slow-request Warn path is deterministic.
-		SLOs: []obs.Objective{{Endpoint: "spmv", LatencyTarget: 1e-12}},
-	})
+	_, ts := newTestServer(t, Config{Logger: slog.New(slog.NewTextHandler(logBuf, nil))})
 	info := register(t, ts.URL, RegisterRequest{
 		Name:     "traced",
-		Generate: &GenerateSpec{Family: "banded", Size: 60, Degree: 4, Seed: 3},
+		Generate: &GenerateSpec{Family: "stencil2d", Size: 3600},
 	})
 
+	// A solve that runs into its deadline answers 504, and a 5xx breaches
+	// every objective, so the slow-request Warn path is deterministic.
 	parent := obs.SpanContext{Trace: obs.NewTraceID(), Span: obs.NewSpanID()}
-	x := make([]float64, info.Cols)
-	for i := range x {
-		x[i] = 1
-	}
-	blob, _ := json.Marshal(PanelRequest{X: [][]float64{x}})
-	req, err := http.NewRequest("POST", ts.URL+"/v1/matrices/"+info.ID+"/spmv", bytes.NewReader(blob))
+	blob, _ := json.Marshal(SolveRequest{App: "jacobi", Tol: 1e-300, MaxIters: 10_000_000, TimeoutMillis: 30})
+	req, err := http.NewRequest("POST", ts.URL+"/v1/matrices/"+info.ID+"/solve", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +58,8 @@ func TestRequestTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("spmv status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("solve status %d, want 504", resp.StatusCode)
 	}
 
 	echoed, ok := obs.ParseTraceHeader(resp.Header.Get(obs.TraceHeader))
@@ -89,23 +82,23 @@ func TestRequestTracePropagation(t *testing.T) {
 	for _, sp := range spans.Spans {
 		byName[sp.Name] = sp
 	}
-	for _, want := range []string{"ocsd.spmv", "queue.wait", "spmv.compute"} {
+	for _, want := range []string{"ocsd.solve", "queue.wait", "solve.compute"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("span %q missing (have %v)", want, spanNames(spans.Spans))
 		}
 	}
-	if root := byName["ocsd.spmv"]; root.Parent != parent.Span {
+	if root := byName["ocsd.solve"]; root.Parent != parent.Span {
 		t.Errorf("request span parent %v, want caller's span %v", root.Parent, parent.Span)
 	}
-	if k := byName["spmv.compute"]; k.Parent != byName["ocsd.spmv"].ID {
-		t.Errorf("kernel span parent %v, want request span %v", k.Parent, byName["ocsd.spmv"].ID)
+	if k := byName["solve.compute"]; k.Parent != byName["ocsd.solve"].ID {
+		t.Errorf("kernel span parent %v, want request span %v", k.Parent, byName["ocsd.solve"].ID)
 	}
 
 	logs := logBuf.String()
 	if !strings.Contains(logs, "trace_id="+parent.Trace.String()) {
 		t.Errorf("logs lack trace_id correlation:\n%s", logs)
 	}
-	if !strings.Contains(logs, "request breached SLO") || !strings.Contains(logs, "spmv.compute=") {
+	if !strings.Contains(logs, "request breached SLO") || !strings.Contains(logs, "solve.compute=") {
 		t.Errorf("slow-request Warn with span breakdown missing:\n%s", logs)
 	}
 
@@ -115,7 +108,7 @@ func TestRequestTracePropagation(t *testing.T) {
 	}
 	found := false
 	for _, st := range slow.Slowest {
-		if st.Trace == parent.Trace && st.Endpoint == "spmv" {
+		if st.Trace == parent.Trace && st.Endpoint == "solve" {
 			found = true
 		}
 	}

@@ -49,7 +49,7 @@ func conversionInputs(t *testing.T) []goldenMatrix {
 			add(fmt.Sprintf("%s-%d", fam, size), a, err)
 		}
 	}
-	a, err := matgen.RMAT(matgen.DefaultRMATConfig(11), rand.New(rand.NewSource(11)))
+	a, err := matgen.RMAT(11, rand.New(rand.NewSource(11)))
 	add("rmat-11", a, err)
 
 	rng := rand.New(rand.NewSource(28))

@@ -55,31 +55,30 @@ func colOrderError(i int, c int32, cols int) error {
 type Limits struct {
 	// DIAFill caps (ndiags * rows) / nnz for DIA.
 	DIAFill float64
-	// ELLFill caps (rows * width) / nnz for ELL, which is priced, not
-	// built: the model oracle and stage 2's validity check read it.
-	ELLFill float64
-	// BSRFill caps (blocks * blockSize^2) / nnz for BSR, which is priced,
-	// not built: the model oracle and stage 2's validity check read it.
-	BSRFill float64
 	// BSRBlockSize is the dense block edge BSR is priced at (the block count
 	// comes from features.CountBlocks).
 	BSRBlockSize int
-	// HYBRowFraction sets the CUSP-style ELL-width heuristic HYB is priced
-	// at (HYBWidth): slot column w is kept in the ELL part while at least
-	// HYBRowFraction of the rows have w or more entries.
-	HYBRowFraction float64
 }
 
 // DefaultLimits are the limits used throughout the experiments. They mirror
-// CUSP's defaults: DIA and ELL allowed up to a 20x / 10x storage blowup,
-// HYB keeps a slot column while a third of the rows use it.
+// CUSP's defaults: DIA allowed up to a 20x storage blowup.
 var DefaultLimits = Limits{
-	DIAFill:        20,
-	ELLFill:        10,
-	BSRFill:        8,
-	BSRBlockSize:   4,
-	HYBRowFraction: 1.0 / 3.0,
+	DIAFill:      20,
+	BSRBlockSize: 4,
 }
+
+// The fill limits and HYB's width heuristic of the priced-only formats: the
+// model oracle and stage 2's validity check read them, no conversion does.
+const (
+	// ellFill caps (rows * width) / nnz for ELL, CUSP's 10x blowup.
+	ellFill = 10
+	// bsrFill caps (blocks * blockSize^2) / nnz for BSR.
+	bsrFill = 8
+	// hybRowFraction sets the CUSP-style ELL width HYB is priced at
+	// (HYBWidth): slot column w is kept in the ELL part while at least a
+	// third of the rows have w or more entries.
+	hybRowFraction = 1.0 / 3.0
+)
 
 // Geometry is what the storage-blowup rule reads of a matrix. A check
 // fills in only the fields its formats need.
@@ -103,10 +102,10 @@ func (l Limits) Fits(f Format, g Geometry) bool {
 	case FmtDIA:
 		return g.Diags*g.Rows <= l.DIAFill*g.NNZ
 	case FmtELL:
-		return g.Rows*g.MaxRow <= l.ELLFill*g.NNZ
+		return g.Rows*g.MaxRow <= ellFill*g.NNZ
 	case FmtBSR:
 		bs := float64(l.BSRBlockSize)
-		return g.Blocks*bs*bs <= l.BSRFill*g.NNZ
+		return g.Blocks*bs*bs <= bsrFill*g.NNZ
 	default:
 		return true
 	}
@@ -287,9 +286,9 @@ func DIAToCSR(a *DIA) (*CSR, error) {
 }
 
 // HYBWidth computes the CUSP-style ELL width for the hybrid format: the
-// widest slot column w that at least rowFraction of the rows reach (have w
-// or more entries). HYB is priced, not built: timing.ModelOracle reads it.
-func HYBWidth(a *CSR, rowFraction float64) int {
+// widest slot column w that at least a third of the rows reach (have w or
+// more entries). HYB is priced, not built: timing.ModelOracle reads it.
+func HYBWidth(a *CSR) int {
 	rows, _ := a.Dims()
 	if rows == 0 {
 		return 0
@@ -302,7 +301,7 @@ func HYBWidth(a *CSR, rowFraction float64) int {
 		hist[a.RowNNZ(i)]++
 	}
 	atLeast := 0
-	threshold := int(rowFraction * float64(rows))
+	threshold := int(hybRowFraction * float64(rows))
 	if threshold < 1 {
 		threshold = 1
 	}

@@ -70,9 +70,9 @@ func vecsClose(t *testing.T, got, want []float64, tol float64, label string) {
 	}
 }
 
-// testLimits relaxes every fill limit so conversions are exercised on random
+// testLimits relaxes DIA's fill limit so conversions are exercised on random
 // matrices that real limits would reject.
-var testLimits = Limits{DIAFill: 1e9, ELLFill: 1e9}
+var testLimits = Limits{DIAFill: 1e9}
 
 // allFormatsOf converts a CSR matrix into every implemented format under
 // relaxed limits.
@@ -432,9 +432,6 @@ func TestELLFillLimitRejects(t *testing.T) {
 	if DefaultLimits.Fits(FmtELL, g) {
 		t.Error("ELL fill rule accepts the skewed matrix under default limits")
 	}
-	if !testLimits.Fits(FmtELL, g) {
-		t.Error("ELL fill rule refuses the skewed matrix under loose limits")
-	}
 	if CanConvert(a, FmtELL, testLimits) {
 		t.Error("CanConvert(ELL) = true: ELL is priced only")
 	}
@@ -444,11 +441,8 @@ func TestELLFillLimitRejects(t *testing.T) {
 }
 
 func TestHYBWidthHeuristic(t *testing.T) {
-	// 10 rows: 7 rows with 2 entries, 3 rows with 5 entries. With
-	// rowFraction 1/3, width should be 2 (only 3 rows have >= 3 entries,
-	// which meets the ceil(10/3) = 3 threshold... so width is 5). Verify
-	// the exact CUSP-style semantics: the largest w where at least
-	// threshold rows have >= w entries.
+	// 10 rows: 7 rows with 2 entries, 3 rows with 5 entries. The CUSP-style
+	// width is the largest w that at least a third of the rows reach.
 	rows, cols := 10, 10
 	ptr := make([]int, rows+1)
 	var col []int32
@@ -469,12 +463,8 @@ func TestHYBWidthHeuristic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// threshold = floor(1/3 * 10) = 3 rows; 3 rows have >= 5 entries.
-	if w := HYBWidth(a, 1.0/3.0); w != 5 {
-		t.Errorf("HYBWidth(1/3) = %d, want 5", w)
-	}
-	// With a majority threshold only the 2-wide bulk qualifies.
-	if w := HYBWidth(a, 0.5); w != 2 {
-		t.Errorf("HYBWidth(0.5) = %d, want 2", w)
+	if w := HYBWidth(a); w != 5 {
+		t.Errorf("HYBWidth = %d, want 5", w)
 	}
 }
 

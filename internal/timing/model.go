@@ -56,7 +56,7 @@ func statsOf(a *sparse.CSR) *modelStats {
 	s := &modelStats{rows: rows, cols: cols, nnz: a.NNZ()}
 	s.ndiags = len(sparse.CSRDiagonals(a))
 	s.maxRD = a.MaxRowNNZ()
-	s.hybWidth = sparse.HYBWidth(a, sparse.DefaultLimits.HYBRowFraction)
+	s.hybWidth = sparse.HYBWidth(a)
 	s.blocks = features.CountBlocks(a, sparse.DefaultLimits.BSRBlockSize)
 	s.ntiles = s.nnz / sparse.CSR5Tile
 	sell := sparse.NewSELLLayout(a)
