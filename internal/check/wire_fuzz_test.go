@@ -5,9 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/floattext"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -220,6 +224,49 @@ func FuzzWireEncodeVector(f *testing.F) {
 		reply, err := wire.AppendReply(nil, [][]float64{col}, 2, wire.Tail{K: 2, Format: "csr"})
 		if err != nil || !bytes.Equal(reply, ref.Bytes()) {
 			t.Fatalf("reply text differs (%v):\nwire %s\njson %s", err, reply, ref.Bytes())
+		}
+	})
+}
+
+// FuzzParseFloat is the differential fuzz of the service's one float reader
+// with strconv.ParseFloat as the oracle. For any text, floattext.ParseFloat
+// (what mmio reads a value with) returns strconv's bits and strconv's error;
+// and a panel vector holding the text as its one entry (what wire decodes)
+// is accepted exactly when the text is a JSON number strconv converts
+// without a range error, to strconv's bits.
+func FuzzParseFloat(f *testing.F) {
+	for _, s := range []string{
+		"1234567890123456789", "12345678901234567890", "-9999999999999999999", "99999999999999999999",
+		"0.1234567890123456789", "1.2345678901234567890e-5",
+		// 800-digit mantissas: all nines, and 1 + 2^-53 (halfway between
+		// two float64s) nudged up by its last digit.
+		strings.Repeat("9", 800), "1.00000000000000011102230246251565404236316680908203125" + strings.Repeat("0", 744) + "1",
+		"1e348", "1e-348", "1e350", "1e-350", "1e347", "-1e-347", "1e99999", "1e-99999", "0e99999",
+		"2.2250738585072011e-308", "4.9406564584124654e-324", "9007199254740993",
+		"-0", "0e0", "1E+2", "0", "-0.0", "1.7976931348623157e308", "1.7976931348623159e308",
+		"+1", "01", ".5", "5.", "-", "1e", "1.e2", "inf", "-Infinity", "NaN", "0x1p-2", "1_0", " 1", "1 ", "1,2", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want, wantErr := strconv.ParseFloat(s, 64)
+		got, err := floattext.ParseFloat([]byte(s))
+		if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("ParseFloat(%q) = %v (%#016x), %v; strconv %v (%#016x), %v",
+				s, got, math.Float64bits(got), err, want, math.Float64bits(want), wantErr)
+		}
+
+		// A vector's text may pad its entry with JSON whitespace.
+		num := strings.Trim(s, " \t\r\n")
+		isNumber := json.Valid([]byte(num)) && num != "" && (num[0] == '-' || '0' <= num[0] && num[0] <= '9')
+		want, wantErr = strconv.ParseFloat(num, 64)
+		var dst [1]float64
+		err = wire.DecodeVector([]byte(s), dst[:], 1)
+		switch ok := isNumber && wantErr == nil; {
+		case ok != (err == nil):
+			t.Fatalf("DecodeVector(%q): %v; a JSON number: %v, strconv: %v", s, err, isNumber, wantErr)
+		case ok && math.Float64bits(dst[0]) != math.Float64bits(want):
+			t.Fatalf("DecodeVector(%q) = %v (%#016x); strconv %v (%#016x)", s, dst[0], math.Float64bits(dst[0]), want, math.Float64bits(want))
 		}
 	})
 }

@@ -9,6 +9,12 @@
 // Parse failures are reported as *ParseError carrying the input name and
 // the 1-based line number, so a user staring at a 100 MB .mtx file knows
 // where to look.
+//
+// A value field is read by floattext.ParseFloat, the reader the JSON wire
+// uses: text in JSON's number grammar (all that Write prints) converts in one
+// pass, and anything else strconv.ParseFloat accepts — a '+' sign, leading
+// zeros, "inf", hex — goes to strconv, so every value and every error is
+// strconv.ParseFloat's.
 package mmio
 
 import (
@@ -22,6 +28,7 @@ import (
 	"unicode"
 	"unicode/utf8"
 
+	"repro/internal/floattext"
 	"repro/internal/sparse"
 )
 
@@ -286,7 +293,7 @@ func ReadNamed(r io.Reader, name string) (*sparse.CSR, error) {
 		}
 		v := 1.0
 		if !pattern {
-			v, err = strconv.ParseFloat(string(fv), 64)
+			v, err = floattext.ParseFloat(fv)
 			if err != nil {
 				return nil, lr.fail(err, "bad value %q", fv)
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 // The benchmark's own /spmm body: k = 4 vectors of 78 400 random float64s,
-// 5.9 MB of text. ns/number is ns/op divided by 313 600.
+// 5.9 MB of text. Decode and encode report ns/number, ns/op over 313 600.
 const (
 	benchK    = 4
 	benchCols = 78_400
@@ -56,6 +56,11 @@ func loop(b *testing.B, op func()) {
 	}
 }
 
+// perNumber reports the time per number of the panel.
+func perNumber(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(benchK*benchCols), "ns/number")
+}
+
 // BenchmarkDecodeWire is the shard's decode of a /spmm body: scan, then every
 // vector converted straight into its column of the pooled operand panel.
 func BenchmarkDecodeWire(b *testing.B) {
@@ -74,6 +79,7 @@ func BenchmarkDecodeWire(b *testing.B) {
 		}
 		PutVec(xp)
 	})
+	perNumber(b)
 }
 
 func BenchmarkDecodeEncodingJSON(b *testing.B) {
@@ -109,6 +115,7 @@ func BenchmarkEncodeWire(b *testing.B) {
 		*p = out
 		PutBuf(p)
 	})
+	perNumber(b)
 }
 
 func BenchmarkEncodeEncodingJSON(b *testing.B) {

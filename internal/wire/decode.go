@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"unsafe"
+
+	"repro/internal/floattext"
 )
 
 // Span locates one vector inside a scanned body: body[Lo:Hi] is the text
@@ -61,9 +61,9 @@ func (l Layout) Progress(body []byte) (*float64, error) {
 	if sp.Hi == sp.Lo {
 		return nil, nil
 	}
-	f, err := parseFloat(body[sp.Lo:sp.Hi], sp.Lo)
-	if err != nil {
-		return nil, err
+	f, end, st := floattext.ReadJSON(body[:sp.Hi], sp.Lo)
+	if st != floattext.OK {
+		return nil, numberErr(body, sp.Lo, end, st)
 	}
 	return &f, nil
 }
@@ -81,13 +81,11 @@ func DecodeVector(text []byte, dst []float64, stride int) error {
 			}
 			i = skipSpace(text, i+1)
 		}
-		end, err := scanNumber(text, i)
-		if err != nil {
-			return err
+		f, end, st := floattext.ReadJSON(text, i)
+		if st != floattext.OK {
+			return numberErr(text, i, end, st)
 		}
-		if dst[n], err = parseFloat(text[i:end], i); err != nil {
-			return err
-		}
+		dst[n] = f
 		i = skipSpace(text, end)
 	}
 	if i != len(text) {
@@ -187,8 +185,13 @@ func scan(b []byte, fields []field, skipUnknown bool) (lay Layout, vectors Span,
 			lay.Vectors, i, err = scanVectors(b, i)
 			vectors.Hi = i
 		default:
+			// Only the grammar is the scan's business: a number out of
+			// float64's range is the decoding side's error (Progress).
 			lay.progress.Lo = i
-			i, err = scanNumber(b, i)
+			var st floattext.Status
+			if _, i, st = floattext.ReadJSON(b, i); st != floattext.OK && st != floattext.OutOfRange {
+				err = numberErr(b, lay.progress.Lo, i, st)
+			}
 			lay.progress.Hi = i
 		}
 		if err != nil {
@@ -269,54 +272,19 @@ func scanString(b []byte, i int) (s []byte, end int, err error) {
 	return nil, len(b), syntaxErr(b, len(b), "in string literal")
 }
 
-// scanNumber checks the JSON number grammar at b[i:] and returns the offset
-// past it: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
-func scanNumber(b []byte, i int) (int, error) {
-	digits := func() bool {
-		start := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > start
+// numberErr is the error for the number at b[i:] that floattext.ReadJSON
+// ended at end with status st: encoding/json's wording for a malformed
+// number, and one of its own for a number beyond float64's range.
+func numberErr(b []byte, i, end int, st floattext.Status) error {
+	switch st {
+	case floattext.BadInteger:
+		return syntaxErr(b, end, "in numeric literal")
+	case floattext.BadFraction:
+		return syntaxErr(b, end, "after decimal point in numeric literal")
+	case floattext.BadExponent:
+		return syntaxErr(b, end, "in exponent of numeric literal")
 	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if !digits() {
-		return i, syntaxErr(b, i, "in numeric literal")
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			return i, syntaxErr(b, i, "after decimal point in numeric literal")
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			return i, syntaxErr(b, i, "in exponent of numeric literal")
-		}
-	}
-	return i, nil
-}
-
-// parseFloat converts a grammar-checked number; off locates it in messages
-// (relative to whatever slice the caller scanned).
-// The conversion is the one encoding/json performs, so the value is
-// bit-identical, and like it a number beyond float64's range is an error.
-func parseFloat(num []byte, off int) (float64, error) {
-	// strconv does not retain its argument (errors clone it), so the bytes
-	// can be viewed as a string without the copy string(num) would make.
-	f, err := strconv.ParseFloat(unsafe.String(unsafe.SliceData(num), len(num)), 64)
-	if err != nil {
-		return 0, fmt.Errorf("number %s at offset %d does not fit a float64", num, off)
-	}
-	return f, nil
+	return fmt.Errorf("number %s at offset %d does not fit a float64", b[i:end], i)
 }
 
 // scanVectors reads [[…],[…]] at b[i:]: each vector is closed by the first

@@ -16,15 +16,17 @@
 //     dropping the body;
 //   - decode (DecodeVector, Layout.Progress) parses the numbers of a scanned
 //     body in place, straight into the caller's pooled operands, with
-//     strconv.ParseFloat, the conversion encoding/json itself uses, so
-//     values are bit-identical;
+//     floattext.ReadJSON: one pass checks each number's grammar and
+//     converts it, and every value has the bits of strconv.ParseFloat, the
+//     conversion encoding/json itself uses (what the fast paths cannot
+//     certify is handed to strconv.ParseFloat);
 //   - scan (ScanRequest, ScanReply) locates each vector's byte span and entry
 //     count without converting a number, and Splice builds a reply out of
 //     such spans: the router forwards and gathers panels as bytes.
 //
 // A vector is located by its closing bracket and sized by its commas (no
 // valid vector interior contains a ']'), so scan is a memchr-speed pass and
-// never validates the numbers; decode does. A body that scans but does not
+// never validates the numbers inside "x" or "y"; decode does. A body that scans but does not
 // decode is rejected by the shard that decodes it.
 //
 // # Differences from encoding/json

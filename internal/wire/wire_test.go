@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
@@ -350,6 +351,62 @@ func TestDecodeVector(t *testing.T) {
 	}
 	if err := DecodeVector([]byte("7,8"), panel[1:], 3); err == nil {
 		t.Error("two entries into a three-row column succeeded")
+	}
+}
+
+// The messages and offsets a malformed or out-of-range number gets, recorded
+// from the decoder that scanned the grammar and then called
+// strconv.ParseFloat: the single-pass reader must say the same thing about
+// the same byte.
+func TestNumberErrorsMatchRecorded(t *testing.T) {
+	for _, c := range []struct{ text, err string }{
+		{"-", "unexpected end of JSON input in numeric literal"},
+		{" -a", "invalid character 'a' at offset 2 in numeric literal"},
+		{"1,+1", "invalid character '+' at offset 2 in numeric literal"},
+		{"1,.5", "invalid character '.' at offset 2 in numeric literal"},
+		{"1.", "unexpected end of JSON input after decimal point in numeric literal"},
+		{"1,2.e3", "invalid character 'e' at offset 4 after decimal point in numeric literal"},
+		{"1e", "unexpected end of JSON input in exponent of numeric literal"},
+		{"1, 1e+", "unexpected end of JSON input in exponent of numeric literal"},
+		{"1E-x", "invalid character 'x' at offset 3 in exponent of numeric literal"},
+		{"01", "invalid character '1' at offset 1 after vector entry"},
+		{"1 2", "invalid character '2' at offset 2 after vector entry"},
+		{"1.5x", "invalid character 'x' at offset 3 after vector entry"},
+		{"x", "invalid character 'x' at offset 0 in numeric literal"},
+		{"1e999", "number 1e999 at offset 0 does not fit a float64"},
+		{"1,-1e999", "number -1e999 at offset 2 does not fit a float64"},
+		{"1, 2e400 ", "number 2e400 at offset 3 does not fit a float64"},
+		{"123456789012345678901234567890e400", "number 123456789012345678901234567890e400 at offset 0 does not fit a float64"},
+		{"1,", "unexpected end of JSON input in numeric literal"},
+		{"", "unexpected end of JSON input in numeric literal"},
+		{"1,2,3", "invalid character ',' at offset 3 after vector entry"},
+		{"0.1,1e-99999,0x1", "invalid character ',' at offset 12 after vector entry"},
+	} {
+		err := DecodeVector([]byte(c.text), make([]float64, 2), 1)
+		if fmt.Sprint(err) != c.err {
+			t.Errorf("DecodeVector(%q): %v, recorded %s", c.text, err, c.err)
+		}
+	}
+	for _, c := range []struct{ body, err string }{
+		{`{"progress":-}`, `field "progress": invalid character '}' at offset 13 in numeric literal`},
+		{`{"progress":1.}`, `field "progress": invalid character '}' at offset 14 after decimal point in numeric literal`},
+		{`{"progress":1e+}`, `field "progress": invalid character '}' at offset 15 in exponent of numeric literal`},
+		{`{"progress":01}`, `invalid character '1' at offset 13 after object key:value pair`},
+		{`{"progress":1e999}`, `number 1e999 at offset 12 does not fit a float64`},
+		{`{"x":[[1]], "progress": -1.5e400 }`, `number -1.5e400 at offset 24 does not fit a float64`},
+		{`{"progress":+1}`, `field "progress": invalid character '+' at offset 12 in numeric literal`},
+		{`{"progress":.5}`, `field "progress": invalid character '.' at offset 12 in numeric literal`},
+		{`{"progress":0.25}`, `<nil>`},
+		{`{"progress":1e-400}`, `<nil>`},
+		{`{"progress":1`, `unexpected end of JSON input after object key:value pair`},
+	} {
+		lay, err := ScanRequest([]byte(c.body))
+		if err == nil {
+			_, err = lay.Progress([]byte(c.body))
+		}
+		if fmt.Sprint(err) != c.err {
+			t.Errorf("%s: %v, recorded %s", c.body, err, c.err)
+		}
 	}
 }
 
