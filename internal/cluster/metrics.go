@@ -15,18 +15,15 @@ type Metrics struct {
 	RequestsTotal    atomic.Int64 // requests routed to /v1 handlers
 	RequestErrors    atomic.Int64 // requests answered 4xx/5xx
 	RegisterRequests atomic.Int64
-	SpMVRequests     atomic.Int64
 	SpMMRequests     atomic.Int64
 	SolveRequests    atomic.Int64
 
 	// Placement/balancing outcomes.
 	PrimaryHits     atomic.Int64 // row-block reads served by the block's primary copy
-	ReplicaHits     atomic.Int64 // row-block reads served by a replica copy
 	Failovers       atomic.Int64 // switches to a different copy or shard after a retryable failure
 	Replications    atomic.Int64 // hot handles copied onto an additional shard
 	ReplicaAliases  atomic.Int64 // replications the target shard dedup-aliased (identical matrix already resident)
 	Rebalances      atomic.Int64 // row blocks re-homed off a draining shard
-	PartialFanouts  atomic.Int64 // gathers over several row blocks: one per partitioned /spmv or /spmm, one per SpMV of a router-side solve
 	PartitionedRegs atomic.Int64 // registrations that row-partitioned
 
 	// Router-side end-to-end latency (includes shard round trips).
@@ -71,48 +68,36 @@ func (m *Metrics) ObserveShard(shard string, seconds float64, failed bool) {
 }
 
 // Families assembles the Prometheus families, deterministic order. shards
-// supplies the current membership so health gauges appear even before a
-// shard has served a request.
-func (m *Metrics) Families(shards []*ShardClient, extra ...obs.Family) []obs.Family {
+// supplies the current membership so the failure gauges appear even before
+// a shard has served a request.
+func (m *Metrics) Families(shards []*ShardClient) []obs.Family {
 	fams := []obs.Family{
 		obs.ScalarFamily("ocsrouter_requests_total", "Requests routed to /v1 handlers.", obs.KindCounter, float64(m.RequestsTotal.Load())),
 		obs.ScalarFamily("ocsrouter_request_errors_total", "Requests answered with a 4xx/5xx status.", obs.KindCounter, float64(m.RequestErrors.Load())),
 		obs.ScalarFamily("ocsrouter_register_requests_total", "Matrix registrations routed.", obs.KindCounter, float64(m.RegisterRequests.Load())),
-		obs.ScalarFamily("ocsrouter_spmv_requests_total", "SpMV requests routed.", obs.KindCounter, float64(m.SpMVRequests.Load())),
 		obs.ScalarFamily("ocsrouter_spmm_requests_total", "Blocked SpMM requests routed.", obs.KindCounter, float64(m.SpMMRequests.Load())),
 		obs.ScalarFamily("ocsrouter_solve_requests_total", "Solve requests routed.", obs.KindCounter, float64(m.SolveRequests.Load())),
 		obs.ScalarFamily("ocsrouter_primary_hits_total", "Row-block reads served by the block's primary copy.", obs.KindCounter, float64(m.PrimaryHits.Load())),
-		obs.ScalarFamily("ocsrouter_replica_hits_total", "Row-block reads served by a replica copy.", obs.KindCounter, float64(m.ReplicaHits.Load())),
 		obs.ScalarFamily("ocsrouter_failovers_total", "Requests retried on another copy or shard after a retryable shard failure.", obs.KindCounter, float64(m.Failovers.Load())),
 		obs.ScalarFamily("ocsrouter_replications_total", "Hot handles replicated onto an additional shard.", obs.KindCounter, float64(m.Replications.Load())),
 		obs.ScalarFamily("ocsrouter_replica_aliases_total", "Replications the target shard dedup-aliased instead of storing a second copy.", obs.KindCounter, float64(m.ReplicaAliases.Load())),
 		obs.ScalarFamily("ocsrouter_rebalances_total", "Row blocks re-homed off a draining shard.", obs.KindCounter, float64(m.Rebalances.Load())),
-		obs.ScalarFamily("ocsrouter_partial_fanouts_total", "Gathers over several row blocks (partitioned products and router-side solve SpMVs).", obs.KindCounter, float64(m.PartialFanouts.Load())),
 		obs.ScalarFamily("ocsrouter_partitioned_registers_total", "Registrations placed as row-partitioned blocks.", obs.KindCounter, float64(m.PartitionedRegs.Load())),
 	}
 
-	up := obs.Family{
-		Name: "ocsrouter_shard_up",
-		Help: "Shard health as seen by the router (1 healthy, 0 unreachable or draining).",
-		Kind: obs.KindGauge,
-	}
 	fails := obs.Family{
 		Name: "ocsrouter_shard_consecutive_failures",
 		Help: "Consecutive failed probes/requests per shard (drives probe backoff).",
 		Kind: obs.KindGauge,
 	}
 	for _, sc := range shards {
-		v := 0.0
-		if sc.Healthy() {
-			v = 1
-		}
-		label := []obs.Label{{Key: "shard", Value: sc.Name()}}
-		up.Samples = append(up.Samples, obs.Sample{Labels: label, Value: v})
-		fails.Samples = append(fails.Samples, obs.Sample{Labels: label, Value: float64(sc.ConsecutiveFailures())})
+		fails.Samples = append(fails.Samples, obs.Sample{
+			Labels: []obs.Label{{Key: "shard", Value: sc.Name()}},
+			Value:  float64(sc.ConsecutiveFailures()),
+		})
 	}
-	obs.SortSamples(&up)
 	obs.SortSamples(&fails)
-	fams = append(fams, up, fails)
+	fams = append(fams, fails)
 
 	fams = append(fams,
 		obs.HistFamily("ocsrouter_spmv_seconds", "End-to-end router time for spmv requests, shard round trips included.", m.SpMVSeconds.Snapshot()),
@@ -151,13 +136,10 @@ func (m *Metrics) Families(shards []*ShardClient, extra ...obs.Family) []obs.Fam
 		rollup.Merge(snap)
 	}
 	m.mu.Unlock()
-	fams = append(fams, lat, errs)
-	fams = append(fams, obs.Family{
+	return append(fams, lat, errs, obs.Family{
 		Name:    "ocsrouter_cluster_shard_request_seconds",
 		Help:    "Latency of shard round trips merged across all shards (cluster-wide rollup).",
 		Kind:    obs.KindHistogram,
 		Samples: []obs.Sample{{Hist: rollup}},
 	})
-	fams = append(fams, extra...)
-	return fams
 }

@@ -405,12 +405,8 @@ func walk[T any](r *Router, ctx context.Context, rt *route, bi int, op string, f
 		ref = order[i]
 		v, err = callShard(r, ctx, op, ref.shard, func(ctx context.Context) (T, error) { return f(ctx, ref) })
 		if err == nil {
-			if read {
-				hits := &r.metrics.ReplicaHits
-				if ref == primary {
-					hits = &r.metrics.PrimaryHits
-				}
-				hits.Add(1)
+			if read && ref == primary {
+				r.metrics.PrimaryHits.Add(1)
 			}
 			return v, ref, nil
 		}
@@ -483,17 +479,9 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	shards := r.shardList()
-	r.mu.Lock()
-	handles := len(r.routes)
-	members := len(r.ring.Members())
-	r.mu.Unlock()
 	w.Header().Set("Content-Type", obs.ContentType)
 	w.WriteHeader(http.StatusOK)
-	extra := []obs.Family{
-		obs.ScalarFamily("ocsrouter_handles", "Global handles currently routed.", obs.KindGauge, float64(handles)),
-		obs.ScalarFamily("ocsrouter_ring_members", "Shards currently on the hash ring.", obs.KindGauge, float64(members)),
-	}
-	_ = obs.WriteText(w, r.metrics.Families(shards, extra...))
+	_ = obs.WriteText(w, r.metrics.Families(shards))
 }
 
 // handleSlow serves the ring of slowest router requests, slowest first.
@@ -851,9 +839,9 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 // scanned for its shape, the client's bytes go to the shards unchanged, and
 // the reply is spliced from the byte spans of the shards' product vectors.
 func (r *Router) handlePanel(op string) http.HandlerFunc {
-	requests, seconds := &r.metrics.SpMVRequests, r.metrics.SpMVSeconds
+	seconds := r.metrics.SpMVSeconds
 	if op == "spmm" {
-		requests, seconds = &r.metrics.SpMMRequests, r.metrics.SpMMSeconds
+		seconds = r.metrics.SpMMSeconds
 	}
 	return func(w http.ResponseWriter, req *http.Request) {
 		rt, ok := r.lookup(w, req)
@@ -868,7 +856,9 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 		}
 		defer func() { wire.PutBuf(body) }() // the reply may move to another buffer
 		r.env.WireSpan(sc, "wire.scan", scanStart, len(*body), k)
-		requests.Add(1)
+		if op == "spmm" {
+			r.metrics.SpMMRequests.Add(1)
+		}
 		start := time.Now()
 		defer func() { seconds.Observe(time.Since(start).Seconds()) }()
 
@@ -983,9 +973,6 @@ func (r *Router) gather(ctx context.Context, rt *route, op string, body []byte, 
 	}
 	fetch(0)
 	wg.Wait()
-	if rt.partitioned() {
-		r.metrics.PartialFanouts.Add(1)
-	}
 	for _, err := range errs {
 		if err != nil {
 			releaseBlocks(replies)
@@ -1167,8 +1154,9 @@ type distPanic struct{ err error }
 
 // distOp adapts the partitioned route into the apps.Operator contract: each
 // SpMV is one fan-out/gather round trip across the blocks. progress carries
-// the solve loop's latest progress indicator (set by the solver hook, read
-// by the next fan-out) so the shard-side selectors see iteration progress.
+// the solve loop's latest progress indicator (set by the solver hook, sent
+// and cleared by the next fan-out) so the shard-side selectors see each
+// iteration once, however many SpMVs it issues (BiCGSTAB issues two).
 type distOp struct {
 	r        *Router
 	rt       *route
@@ -1187,6 +1175,7 @@ func (d *distOp) SpMV(y, x []float64) {
 	if *body, err = wire.AppendRequest(*body, [][]float64{x}, d.progress); err != nil {
 		panic(distPanic{err})
 	}
+	d.progress = nil
 	replies, _, err := d.r.gather(d.ctx, d.rt, "spmv", *body, 1)
 	if err != nil {
 		panic(distPanic{err})
@@ -1218,8 +1207,8 @@ func (r *Router) distSolve(w http.ResponseWriter, req *http.Request, rt *route, 
 	defer cancel()
 	op := &distOp{r: r, rt: rt, ctx: ctx}
 	// The hook runs on the solver goroutine between iterations — the same
-	// goroutine that calls op.SpMV — so the next fan-out forwards the value
-	// without synchronization.
+	// goroutine that calls op.SpMV — so the next fan-out forwards the value,
+	// once, without synchronization.
 	hook := func(_ int, v float64) { op.progress = &v }
 
 	var (

@@ -39,22 +39,8 @@ type Team struct {
 	// parked (or about to park) on it.
 	idle chan chan *teamJob
 
-	size       atomic.Int32 // spawned workers (excludes the dispatcher)
-	dispatches atomic.Int64 // parallel regions dispatched
-	woken      atomic.Int64 // workers woken across all dispatches
-	closed     atomic.Bool
-}
-
-// TeamStats is a snapshot of a team's activity counters.
-type TeamStats struct {
-	// Width is the team's parallel width: parked workers + the caller.
-	Width int `json:"width"`
-	// Dispatches counts parallel regions run through the team.
-	Dispatches int64 `json:"dispatches"`
-	// Woken counts workers woken across all dispatches; Woken/Dispatches
-	// below Width-1 means dispatches overlapped (or the team outgrew
-	// GOMAXPROCS).
-	Woken int64 `json:"woken"`
+	size   atomic.Int32 // spawned workers (excludes the dispatcher)
+	closed atomic.Bool
 }
 
 // teamJob is one parallel region: a body plus a set of chunks claimed via an
@@ -145,15 +131,6 @@ func (t *Team) worker(wake chan *teamJob) {
 // Width reports the team's parallel width (parked workers + caller).
 func (t *Team) Width() int { return int(t.size.Load()) + 1 }
 
-// Stats returns a snapshot of the team's activity counters.
-func (t *Team) Stats() TeamStats {
-	return TeamStats{
-		Width:      t.Width(),
-		Dispatches: t.dispatches.Load(),
-		Woken:      t.woken.Load(),
-	}
-}
-
 // Close terminates the team's workers, waiting for any that are mid-job
 // (a dispatch's chunk) to finish first: every worker returns to
 // the free-list between jobs, so one blocking receive per worker reaches
@@ -172,19 +149,14 @@ func (t *Team) Close() {
 // dry — chunks not claimed by a worker fall to the caller), participates in
 // the job, and waits for the last chunk to finish.
 func (t *Team) dispatch(job *teamJob, width int) {
-	t.dispatches.Add(1)
-	woken := 0
 wake:
-	for ; woken < width-1; woken++ {
+	for woken := 0; woken < width-1; woken++ {
 		select {
 		case w := <-t.idle:
 			w <- job
 		default:
 			break wake
 		}
-	}
-	if woken > 0 {
-		t.woken.Add(int64(woken))
 	}
 	job.run()
 	<-job.done
@@ -289,13 +261,4 @@ func defaultFor(p int) *Team {
 		t.grow(p - 1)
 	}
 	return t
-}
-
-// DefaultStats reports the default team's counters without creating it: the
-// zero TeamStats means no parallel region has run yet.
-func DefaultStats() TeamStats {
-	if t := defaultTeam.Load(); t != nil {
-		return t.Stats()
-	}
-	return TeamStats{}
 }

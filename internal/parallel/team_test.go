@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -69,7 +70,9 @@ func TestTeamConcurrentHammer(t *testing.T) {
 				for i := range hits {
 					hits[i] = 0
 				}
+				var chunks atomic.Int32
 				team.ForThreshold(n, 1, func(lo, hi int) {
+					chunks.Add(1)
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&hits[i], 1)
 					}
@@ -80,6 +83,11 @@ func TestTeamConcurrentHammer(t *testing.T) {
 						return
 					}
 				}
+				// A region split at the team's width, not run inline.
+				if c := chunks.Load(); c != 4 {
+					errs <- fmt.Sprintf("region ran as %d chunks, want 4", c)
+					return
+				}
 			}
 		}(g)
 	}
@@ -87,10 +95,6 @@ func TestTeamConcurrentHammer(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
-	}
-	st := team.Stats()
-	if st.Dispatches == 0 {
-		t.Error("hammer made no team dispatches")
 	}
 }
 
@@ -179,16 +183,16 @@ func TestTeamCloseWaitsForBusyWorker(t *testing.T) {
 	}
 }
 
-func TestTeamWidthAndStats(t *testing.T) {
+func TestTeamWidthSetsChunkCount(t *testing.T) {
 	team := NewTeam(5)
 	defer team.Close()
 	if w := team.Width(); w != 5 {
 		t.Errorf("Width = %d, want 5", w)
 	}
-	team.ForThreshold(MinParallelWork*2, 1, func(lo, hi int) {})
-	st := team.Stats()
-	if st.Dispatches != 1 {
-		t.Errorf("Dispatches = %d, want 1", st.Dispatches)
+	var chunks atomic.Int32
+	team.ForThreshold(MinParallelWork*2, 1, func(lo, hi int) { chunks.Add(1) })
+	if c := chunks.Load(); c != 5 {
+		t.Errorf("region ran as %d chunks, want one per participant (5)", c)
 	}
 }
 
@@ -204,14 +208,15 @@ func TestDefaultTeamGrowsWithGOMAXPROCS(t *testing.T) {
 	if count != MinParallelWork*2 {
 		t.Fatalf("covered %d of %d", count, MinParallelWork*2)
 	}
-	if st := DefaultStats(); st.Width < 2 {
-		t.Errorf("default team width %d after GOMAXPROCS(2), want >= 2", st.Width)
+	// defaultTeam, not Default(): Default would grow the team itself.
+	if w := defaultTeam.Load().Width(); w < 2 {
+		t.Errorf("default team width %d after GOMAXPROCS(2), want >= 2", w)
 	}
 
 	runtime.GOMAXPROCS(4)
 	For(MinParallelWork*2, func(lo, hi int) {})
-	if st := DefaultStats(); st.Width < 4 {
-		t.Errorf("default team width %d after GOMAXPROCS(4), want >= 4", st.Width)
+	if w := defaultTeam.Load().Width(); w < 4 {
+		t.Errorf("default team width %d after GOMAXPROCS(4), want >= 4", w)
 	}
 }
 

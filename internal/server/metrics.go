@@ -1,7 +1,6 @@
 package server
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -28,9 +27,7 @@ type Metrics struct {
 	SpMVVectors   atomic.Int64 // individual x-vectors multiplied
 	SpMMRequests  atomic.Int64 // spmm endpoint calls (blocked multi-vector products)
 	SpMMColumns   atomic.Int64 // columns multiplied through the spmm endpoint
-	SolveRequests atomic.Int64 // solve endpoint calls
 	SolveIters    atomic.Int64 // solver iterations executed server-side
-	SolveSpMVs    atomic.Int64 // exact solver-issued SpMV calls (apps.Result.SpMVs)
 	QueueRejected atomic.Int64 // requests bounced because the queue was full
 	Timeouts      atomic.Int64 // requests that hit their deadline
 
@@ -92,30 +89,6 @@ func (m *Metrics) CountSpMV(f sparse.Format, n int64) {
 	}
 }
 
-// histograms names the histogram set.
-func (m *Metrics) histograms() map[string]*obs.Histogram {
-	return map[string]*obs.Histogram{
-		"spmv_seconds":       m.SpMVSeconds,
-		"spmm_seconds":       m.SpMMSeconds,
-		"solve_seconds":      m.SolveSeconds,
-		"queue_wait_seconds": m.QueueWaitSeconds,
-		"feature_seconds":    m.FeatureSeconds,
-		"predict_seconds":    m.PredictSeconds,
-		"convert_seconds":    m.ConvertSeconds,
-	}
-}
-
-// histogramHelp documents each histogram family for the exposition.
-var histogramHelp = map[string]string{
-	"spmv_seconds":       "Compute time of /v1 spmv requests inside their pool slot.",
-	"spmm_seconds":       "Compute time of /v1 spmm requests inside their pool slot.",
-	"solve_seconds":      "Compute time of /v1 solve requests inside their pool slot.",
-	"queue_wait_seconds": "Time requests waited for a pool slot before computing.",
-	"feature_seconds":    "Selector stage-2 feature extraction time per pipeline run (part of T_predict).",
-	"predict_seconds":    "Selector stage-1 forecast plus stage-2 model inference time per pipeline run (part of T_predict).",
-	"convert_seconds":    "Format conversion time per pipeline run (T_convert).",
-}
-
 // Families assembles the Prometheus metric families for WriteText, in a
 // deterministic order. extra families (e.g. build info) are appended last.
 func (m *Metrics) Families(extra ...obs.Family) []obs.Family {
@@ -127,9 +100,7 @@ func (m *Metrics) Families(extra ...obs.Family) []obs.Family {
 		obs.ScalarFamily("ocsd_spmv_vectors_total", "Individual x-vectors multiplied by the spmv endpoint.", obs.KindCounter, float64(m.SpMVVectors.Load())),
 		obs.ScalarFamily("ocsd_spmm_requests_total", "Calls to the spmm endpoint (blocked multi-vector products).", obs.KindCounter, float64(m.SpMMRequests.Load())),
 		obs.ScalarFamily("ocsd_spmm_columns_total", "Columns multiplied through the spmm endpoint.", obs.KindCounter, float64(m.SpMMColumns.Load())),
-		obs.ScalarFamily("ocsd_solve_requests_total", "Calls to the solve endpoint.", obs.KindCounter, float64(m.SolveRequests.Load())),
 		obs.ScalarFamily("ocsd_solve_iterations_total", "Solver iterations executed server-side.", obs.KindCounter, float64(m.SolveIters.Load())),
-		obs.ScalarFamily("ocsd_solve_spmv_calls_total", "Exact SpMV calls issued by server-side solvers (2/iter for BiCGSTAB, 1 per Arnoldi step + 1 per restart for GMRES).", obs.KindCounter, float64(m.SolveSpMVs.Load())),
 		obs.ScalarFamily("ocsd_queue_rejected_total", "Requests bounced because the admission queue was full.", obs.KindCounter, float64(m.QueueRejected.Load())),
 		obs.ScalarFamily("ocsd_timeouts_total", "Requests that hit their deadline.", obs.KindCounter, float64(m.Timeouts.Load())),
 		obs.ScalarFamily("ocsd_conversions_total", "Stage-2 decisions that re-formatted a matrix.", obs.KindCounter, float64(m.Conversions.Load())),
@@ -158,30 +129,21 @@ func (m *Metrics) Families(extra ...obs.Family) []obs.Family {
 	obs.SortSamples(&byFormat)
 	fams = append(fams, byFormat)
 
-	// Histograms, in a fixed order (map iteration would shuffle them).
-	for _, name := range []string{
-		"spmv_seconds", "spmm_seconds", "solve_seconds", "queue_wait_seconds",
-		"feature_seconds", "predict_seconds", "convert_seconds",
+	for _, h := range []struct {
+		name, help string
+		h          *obs.Histogram
+	}{
+		{"ocsd_spmv_seconds", "Compute time of /v1 spmv requests inside their pool slot.", m.SpMVSeconds},
+		{"ocsd_spmm_seconds", "Compute time of /v1 spmm requests inside their pool slot.", m.SpMMSeconds},
+		{"ocsd_solve_seconds", "Compute time of /v1 solve requests inside their pool slot.", m.SolveSeconds},
+		{"ocsd_queue_wait_seconds", "Time requests waited for a pool slot before computing.", m.QueueWaitSeconds},
+		{"ocsd_feature_seconds", "Selector stage-2 feature extraction time per pipeline run (part of T_predict).", m.FeatureSeconds},
+		{"ocsd_predict_seconds", "Selector stage-1 forecast plus stage-2 model inference time per pipeline run (part of T_predict).", m.PredictSeconds},
+		{"ocsd_convert_seconds", "Format conversion time per pipeline run (T_convert).", m.ConvertSeconds},
 	} {
-		h := m.histograms()[name]
-		if h == nil {
-			continue
+		if h.h != nil {
+			fams = append(fams, obs.HistFamily(h.name, h.help, h.h.Snapshot()))
 		}
-		fams = append(fams, obs.HistFamily("ocsd_"+name, histogramHelp[name], h.Snapshot()))
 	}
-
-	fams = append(fams, runtimeFamilies()...)
-	fams = append(fams, extra...)
-	return fams
-}
-
-// runtimeFamilies renders the two Go runtime gauges a leak shows up in; the
-// rest of the runtime is net/http/pprof's to report.
-func runtimeFamilies() []obs.Family {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return []obs.Family{
-		obs.ScalarFamily("ocsd_goroutines", "Live goroutine count.", obs.KindGauge, float64(runtime.NumGoroutine())),
-		obs.ScalarFamily("ocsd_heap_alloc_bytes", "Bytes of allocated heap objects.", obs.KindGauge, float64(ms.HeapAlloc)),
-	}
+	return append(fams, extra...)
 }

@@ -986,9 +986,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.failWork(w, err)
 		return
 	}
-	s.metrics.SolveRequests.Add(1)
 	s.metrics.SolveIters.Add(int64(res.Iterations))
-	s.metrics.SolveSpMVs.Add(int64(res.SpMVs))
 	// Attribute the solver's exact SpMV count (not an iterations-based
 	// approximation: BiCGSTAB issues two per iteration, restarted GMRES one
 	// per Arnoldi step plus one per restart).

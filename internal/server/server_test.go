@@ -295,8 +295,8 @@ func TestSolveDrivesTwoStageSelector(t *testing.T) {
 			metrics[key] = smp.Value
 		}
 	}
-	if metrics["ocsd_solve_requests_total"] != 1 {
-		t.Errorf("metrics solve_requests = %v, want 1", metrics["ocsd_solve_requests_total"])
+	if metrics["ocsd_solve_iterations_total"] != 120 {
+		t.Errorf("metrics solve_iterations = %v, want 120", metrics["ocsd_solve_iterations_total"])
 	}
 	if metrics["ocsd_conversions_avoided_total"] != 1 {
 		t.Errorf("metrics conversions_avoided = %v", metrics["ocsd_conversions_avoided_total"])
