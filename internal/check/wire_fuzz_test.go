@@ -270,3 +270,62 @@ func FuzzParseFloat(f *testing.F) {
 		}
 	})
 }
+
+// FuzzWireWindow holds the router's column window to its contract: for any
+// request body that decodes, and any window [lo, hi) of its shortest vector,
+// wire.Window's text decodes to entries [lo, hi) of every vector, bit for
+// bit, with the body's progress.
+func FuzzWireWindow(f *testing.F) {
+	for _, s := range []string{
+		`{"x":[[1,-2.5e3,0.1,7,8]],"progress":0.5}`,
+		`{"x":[[1,2,3],[4,5,6],[7,8,9],[1e-7,5e-324,-0]]}`,
+		" { \"x\" : [ [ 1 ,\n2 ,\t3 ] , [ 4,5,6 ] ] , \"progress\" : 1e-3 } ",
+		`{"progress":2,"x":[[1,2],[3,4]]}`,
+		`{"x":[[]]}`, `{"x":[[1]]}`, `{"x":[]}`, `{}`, `null`,
+	} {
+		for _, w := range [][2]uint16{{0, 0}, {0, 1}, {1, 1}, {1, 5}, {2, 0}} {
+			f.Add([]byte(s), w[0], w[1])
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, a, b uint16) {
+		want, err := wireDecode(body)
+		if err != nil {
+			return
+		}
+		lay, err := wire.ScanRequest(body)
+		if err != nil {
+			t.Fatalf("a body that decodes does not scan: %v", err)
+		}
+		n := math.MaxInt
+		for _, x := range want.X {
+			n = min(n, len(x))
+		}
+		if len(want.X) == 0 {
+			n = 0
+		}
+		lo := int(a) % (n + 1)
+		hi := lo + int(b)%(n-lo+1)
+		text := wire.Window(nil, body, lay, lo, hi)
+		got, err := wireDecode(text)
+		if err != nil {
+			t.Fatalf("window [%d,%d) %q does not decode: %v", lo, hi, text, err)
+		}
+		if len(got.X) != len(want.X) {
+			t.Fatalf("window holds %d vectors, the body %d", len(got.X), len(want.X))
+		}
+		for v := range want.X {
+			if len(got.X[v]) != hi-lo {
+				t.Fatalf("window vector %d holds %d entries, want %d", v, len(got.X[v]), hi-lo)
+			}
+			for i, x := range got.X[v] {
+				if math.Float64bits(x) != math.Float64bits(want.X[v][lo+i]) {
+					t.Fatalf("window vector %d entry %d = %v, want x[%d] = %v", v, i, x, lo+i, want.X[v][lo+i])
+				}
+			}
+		}
+		if (got.Progress == nil) != (want.Progress == nil) ||
+			(got.Progress != nil && math.Float64bits(*got.Progress) != math.Float64bits(*want.Progress)) {
+			t.Fatalf("window progress %v, body %v", got.Progress, want.Progress)
+		}
+	})
+}

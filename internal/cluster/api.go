@@ -32,6 +32,10 @@ type Placement struct {
 	// whole copies).
 	RowLo int `json:"row_lo"`
 	RowHi int `json:"row_hi"`
+	// ColLo/ColHi delimit the columns the block reads, the window of x the
+	// router sends its shard ([0, cols) for whole copies).
+	ColLo int `json:"col_lo"`
+	ColHi int `json:"col_hi"`
 }
 
 // RouteInfo is the router's document for one global handle.

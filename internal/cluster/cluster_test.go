@@ -298,10 +298,16 @@ func TestDistributedSolveForwardsEachProgressOnce(t *testing.T) {
 	if sol.Iterations < 2 {
 		t.Fatalf("solve ran %d iterations; the check needs several", sol.Iterations)
 	}
-	for i, n := range seen() {
+	after := seen()
+	for i, n := range after {
 		if grew := n - before[i]; grew > sol.Iterations {
 			t.Errorf("block %d selector saw %d progress values for a %d-iteration solve", i, grew, sol.Iterations)
 		}
+	}
+	// The solve's own selector document counts the iterations once, as one
+	// block's selector saw them, not once per block.
+	if sol.Selector.Iterations != after[0] || after[0] != after[1] {
+		t.Errorf("solve selector iterations = %d, blocks saw %v", sol.Selector.Iterations, after)
 	}
 }
 

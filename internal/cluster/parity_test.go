@@ -45,6 +45,10 @@ func TestTierParityBadRequests(t *testing.T) {
 	// A row range asked for a partial product; both tiers now refuse it as an
 	// unknown field instead of answering with the full product.
 	ranged := json.RawMessage(`{"x":[[` + strings.Repeat("0,", 399) + `0]],"row_lo":10,"row_hi":50}`)
+	// No row reads columns 2 and 3: two row blocks are sent x's first and
+	// last entries only, and the router itself must refuse a number between.
+	holed := server.RegisterRequest{Name: "holed", MatrixMarket: "%%MatrixMarket matrix coordinate real general\n4 4 4\n1 1 1\n2 1 2\n3 4 3\n4 4 4\n"}
+	unreadBad := json.RawMessage(`{"x":[[1,2,1e999,4]]}`)
 
 	cases := []struct {
 		name string
@@ -61,6 +65,8 @@ func TestTierParityBadRequests(t *testing.T) {
 		{"spmm empty x", spd, "/spmm", server.PanelRequest{}, http.StatusBadRequest},
 		{"spmm wrong length", spd, "/spmm", server.PanelRequest{X: [][]float64{full, short}}, http.StatusBadRequest},
 		{"spmm bad row range", spd, "/spmm", ranged, http.StatusBadRequest},
+		{"spmv bad number in an unread column", holed, "/spmv", unreadBad, http.StatusBadRequest},
+		{"spmm bad number in an unread column", holed, "/spmm", unreadBad, http.StatusBadRequest},
 		{"spmv product overflows", spd, "/spmv", server.PanelRequest{X: [][]float64{full, huge}}, http.StatusUnprocessableEntity},
 		{"spmm product overflows", spd, "/spmm", server.PanelRequest{X: [][]float64{huge, full}}, http.StatusUnprocessableEntity},
 		{"solve whose iterate overflows", diverging, "/solve", server.SolveRequest{App: "jacobi", MaxIters: 3000, IncludeX: true}, http.StatusUnprocessableEntity},

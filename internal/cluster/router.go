@@ -71,12 +71,15 @@ type shardRef struct {
 	remoteID string
 }
 
-// block is one contiguous row range [lo, hi) of a handle and the shards
-// hosting a copy of it. copies[0] is the primary: a forwarded solve starts
-// there, so its selector keeps the handle's solve history.
+// block is one contiguous row range [lo, hi) of a handle, its column window
+// [colLo, colHi) (the columns its entries read, RowBlock's; [0, cols) for a
+// whole handle) and the shards hosting a copy of it. copies[0] is the
+// primary: a forwarded solve starts there, so its selector keeps the handle's
+// solve history.
 type block struct {
-	lo, hi int
-	copies []shardRef
+	lo, hi       int
+	colLo, colHi int
+	copies       []shardRef
 }
 
 // route is the router's record of one global handle: identity, geometry,
@@ -99,6 +102,9 @@ type route struct {
 	// while PCG/Jacobi need the diagonal before the blocks scatter.
 	dangling []bool
 	diag     []float64
+	// unread are the column ranges no block's window covers; a panel
+	// request's text there is decoded, and dropped, at the router.
+	unread [][2]int
 
 	// blocks tile [0, rows) in row order. A whole handle is one block, which
 	// may have several copies; a partitioned handle is several blocks. The
@@ -640,6 +646,7 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 			rt.nnz, rt.tol = csr.NNZ(), body.Tol
 			rt.fingerprint, rt.valueDigest = csr.Fingerprint(), csr.ValueDigest()
 			rt.transition, rt.dangling, rt.diag = dangling != nil, dangling, csr.Diag()
+			rt.unread = unreadColumns(cut, rt.cols)
 		}
 	}
 	rt.id = r.newID()
@@ -652,7 +659,7 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 			name = "upload"
 		}
 		for i, b := range cut {
-			rt.blocks[i] = block{lo: b.Lo, hi: b.Hi}
+			rt.blocks[i] = block{lo: b.Lo, hi: b.Hi, colLo: b.ColLo, colHi: b.ColHi}
 		}
 		request = func(i int) server.RegisterRequest {
 			b := cut[i]
@@ -672,7 +679,7 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 		info := infos[0]
 		rt.rows, rt.cols, rt.nnz, rt.tol = info.Rows, info.Cols, info.NNZ, info.Tol
 		rt.fingerprint, rt.valueDigest, rt.transition = info.Fingerprint, info.ValueDigest, info.Transition
-		rt.blocks[0].hi = info.Rows
+		rt.blocks[0].hi, rt.blocks[0].colHi = info.Rows, info.Cols
 	} else {
 		r.metrics.PartitionedRegs.Add(1)
 	}
@@ -688,38 +695,59 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	r.env.WriteJSON(w, http.StatusCreated, out)
 }
 
-// place registers every row block of rt, block i from request(i), and
-// returns the shards' documents. Block i walks the ring successors of the
-// route's ID rotated by i, failing over down that list on a retryable
-// error, so with every shard healthy the blocks land on consecutive
-// successors. If a block cannot be placed, the blocks placed before it are
-// deleted again.
+// place registers every row block of rt concurrently, block i from
+// request(i) built on its own goroutine, and returns the shards' documents.
+// Block i walks the ring successors of the route's ID rotated by i, failing
+// over down that list on a retryable error, so with every shard healthy the
+// blocks land on consecutive successors. If any block cannot be placed,
+// every block that was is deleted again, and the first failure in block
+// order is the error.
 func (r *Router) place(ctx context.Context, rt *route, request func(i int) server.RegisterRequest) ([]server.MatrixInfo, error) {
 	infos := make([]server.MatrixInfo, len(rt.blocks))
-	for i := range rt.blocks {
+	errs := make([]error, len(rt.blocks))
+	each(len(rt.blocks), func(i int) {
 		breq := request(i)
-		var err error = errNoShards
+		errs[i] = errNoShards
 		for j, sc := range r.successorClients(rt.id, i) {
 			if j > 0 {
 				r.metrics.Failovers.Add(1)
 			}
-			infos[i], err = callShard(r, ctx, "register", sc, func(ctx context.Context) (server.MatrixInfo, error) {
+			infos[i], errs[i] = callShard(r, ctx, "register", sc, func(ctx context.Context) (server.MatrixInfo, error) {
 				return sc.Register(ctx, breq)
 			})
-			if err == nil {
+			if errs[i] == nil {
+				rt.mu.Lock()
 				rt.blocks[i].copies = []shardRef{{shard: sc, remoteID: infos[i].ID}}
-				break
+				rt.mu.Unlock()
+				return
 			}
-			if !Retryable(err) {
-				break
+			if !Retryable(errs[i]) {
+				return
 			}
 		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			r.drop(ctx, rt.placements())
 			return nil, err
 		}
 	}
 	return infos, nil
+}
+
+// each runs f(0), …, f(n-1) concurrently, f(0) on the caller's goroutine,
+// and returns when all have.
+func each(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f(i)
+		}(i)
+	}
+	f(0)
+	wg.Wait()
 }
 
 // insertRoute records the route, tagging it a duplicate of an earlier
@@ -760,7 +788,7 @@ func (r *Router) routeInfo(rt *route) RouteInfo {
 	}
 	for _, b := range rt.blocks {
 		for ci, c := range b.copies {
-			p := Placement{Shard: c.shard.Name(), RemoteID: c.remoteID, RowLo: b.lo, RowHi: b.hi}
+			p := Placement{Shard: c.shard.Name(), RemoteID: c.remoteID, RowLo: b.lo, RowHi: b.hi, ColLo: b.colLo, ColHi: b.colHi}
 			switch {
 			case info.Partitioned:
 				info.Parts = append(info.Parts, p)
@@ -835,9 +863,12 @@ func (r *Router) handleDelete(w http.ResponseWriter, req *http.Request) {
 
 // handlePanel routes /spmv and /spmm (op names the endpoint): the request
 // fans out over the handle's row blocks, one copy of each, and the product
-// is gathered. The router converts no float on this path: the body is
-// scanned for its shape, the client's bytes go to the shards unchanged, and
-// the reply is spliced from the byte spans of the shards' product vectors.
+// is gathered. The router converts no float a block reads: the body is
+// scanned for its shape, each block is sent its column window of the
+// client's bytes (the bytes themselves when it reads every column), and the
+// reply is spliced from the byte spans of the shards' product vectors. Only
+// the text of columns no block reads is decoded here, to be refused as a
+// shard would refuse it.
 func (r *Router) handlePanel(op string) http.HandlerFunc {
 	seconds := r.metrics.SpMVSeconds
 	if op == "spmm" {
@@ -850,20 +881,29 @@ func (r *Router) handlePanel(op string) http.HandlerFunc {
 		}
 		sc, _ := obs.SpanFromContext(req.Context())
 		scanStart := time.Now()
-		body, _, k, ok := r.env.ReadPanel(w, req, rt.cols)
+		body, lay, k, ok := r.env.ReadPanel(w, req, rt.cols)
 		if !ok {
 			return
 		}
 		defer func() { wire.PutBuf(body) }() // the reply may move to another buffer
 		r.env.WireSpan(sc, "wire.scan", scanStart, len(*body), k)
+		if err := checkUnread(*body, lay, rt.unread); err != nil {
+			r.env.Fail(w, http.StatusBadRequest, "decoding request body: %v", err)
+			return
+		}
 		if op == "spmm" {
 			r.metrics.SpMMRequests.Add(1)
 		}
 		start := time.Now()
 		defer func() { seconds.Observe(time.Since(start).Seconds()) }()
 
-		replies, served, err := r.gather(req.Context(), rt, op, *body, k)
+		replies := make([]blockReply, len(rt.blocks))
+		served, err := r.gather(req.Context(), rt, op, *body, lay, func(bi int, reply blockReply) error {
+			replies[bi] = reply
+			return nil
+		})
 		if err != nil {
+			releaseBlocks(replies)
 			r.failShard(w, err)
 			return
 		}
@@ -903,6 +943,24 @@ func (r *Router) replyPanel(w http.ResponseWriter, sc obs.SpanContext, rt *route
 	return buf
 }
 
+// checkUnread decodes, into scratch it then drops, every vector's entries in
+// the column ranges gaps: the text no block's shard reads, which must still
+// be numbers, as on a whole handle.
+func checkUnread(body []byte, lay wire.Layout, gaps [][2]int) error {
+	for _, g := range gaps {
+		scratch := wire.GetVec(g[1] - g[0])
+		for v, sp := range lay.Vectors {
+			w := sp.Cut(body, g[0], g[1])
+			if err := wire.DecodeVector(body[w.Lo:w.Hi], *scratch, 1); err != nil {
+				wire.PutVec(scratch)
+				return fmt.Errorf("x[%d][%d:%d]: %w", v, g[0], g[1], err)
+			}
+		}
+		wire.PutVec(scratch)
+	}
+	return nil
+}
+
 // blockReply is one shard's scanned, unconverted panel reply; body is pooled.
 type blockReply struct {
 	body *[]byte
@@ -938,48 +996,52 @@ func panelBlock(ctx context.Context, sc *ShardClient, op, id string, body []byte
 	return blockReply{body: reply, lay: lay}, nil
 }
 
-// gather runs a product (op "spmv" or "spmm") over every row block of rt in
-// parallel: the same encoded k-vector request (body; it carries the
+// gather runs a product (op "spmv" or "spmm") over every row block of rt,
+// each block on its own goroutine, which does all of that block's work.
+// First it prepares the block's request: its column window of body, a
+// k-vector panel request over all of rt's columns scanned into lay (the body
+// itself when the block reads every column; either way it carries the
 // progress indicator, if any, so the shard-side selector pipelines advance —
-// a distributed solve's loop runs router-side) goes to one copy of each
-// block, and each returns its block of the product, handed back as scanned
-// bytes in block order with the shard that served it; release them with
-// releaseBlocks. The HTTP path splices them into the reply, the solver path
-// decodes them into its vector. Every row is summed entirely on one shard,
-// so the gathered vectors are bit-identical to the single-process product
-// no matter how the rows were cut.
-func (r *Router) gather(ctx context.Context, rt *route, op string, body []byte, k int) ([]blockReply, []string, error) {
-	replies := make([]blockReply, len(rt.blocks))
+// a distributed solve's loop runs router-side). walk sends that to one copy
+// of the block, and consume(bi, reply) takes the block's product as scanned
+// bytes, which are then consume's to release, even when some other block
+// fails. The HTTP path keeps them to splice into the reply, the solver path
+// decodes them into its vector. gather returns the shard that served each
+// block, or the first failure in block order. Every row is summed entirely
+// on one shard, so the gathered vectors are bit-identical to the
+// single-process product no matter how the rows were cut.
+func (r *Router) gather(ctx context.Context, rt *route, op string, body []byte, lay wire.Layout, consume func(bi int, reply blockReply) error) ([]string, error) {
 	served := make([]string, len(rt.blocks))
 	errs := make([]error, len(rt.blocks))
-	fetch := func(bi int) {
+	each(len(rt.blocks), func(bi int) {
 		b := &rt.blocks[bi]
+		req := body
+		if b.colLo > 0 || b.colHi < rt.cols {
+			// The window's share of the body, and a little over for entries
+			// longer than the body's average.
+			buf := wire.GetBuf(len(body)/rt.cols*(b.colHi-b.colLo) + len(body)/16 + 64)
+			defer wire.PutBuf(buf)
+			*buf = wire.Window(*buf, body, lay, b.colLo, b.colHi)
+			req = *buf
+		}
 		reply, ref, err := walk(r, ctx, rt, bi, op, func(ctx context.Context, ref shardRef) (blockReply, error) {
-			return panelBlock(ctx, ref.shard, op, ref.remoteID, body, k, b.hi-b.lo)
+			return panelBlock(ctx, ref.shard, op, ref.remoteID, req, len(lay.Vectors), b.hi-b.lo)
 		})
+		if err == nil {
+			err = consume(bi, reply)
+		}
 		if err != nil {
 			errs[bi] = fmt.Errorf("block [%d,%d) on %s: %w", b.lo, b.hi, ref.shard.Name(), err)
 			return
 		}
-		replies[bi], served[bi] = reply, ref.shard.Name()
-	}
-	var wg sync.WaitGroup
-	for bi := 1; bi < len(rt.blocks); bi++ {
-		wg.Add(1)
-		go func(bi int) {
-			defer wg.Done()
-			fetch(bi)
-		}(bi)
-	}
-	fetch(0)
-	wg.Wait()
+		served[bi] = ref.shard.Name()
+	})
 	for _, err := range errs {
 		if err != nil {
-			releaseBlocks(replies)
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return replies, served, nil
+	return served, nil
 }
 
 // ---- replication ----
@@ -1166,28 +1228,33 @@ type distOp struct {
 
 func (d *distOp) Dims() (int, int) { return d.rt.rows, d.rt.cols }
 
-// SpMV serialises x once for all blocks and decodes each block's reply
-// straight into its rows of y.
+// SpMV encodes x once for all blocks, as many disjoint pieces as there are
+// blocks encoded in parallel, so it prints each of the cols numbers once.
+// gather then sends each block its window of that text, and each block's
+// goroutine decodes the block's reply straight into its rows of y.
 func (d *distOp) SpMV(y, x []float64) {
 	body := wire.GetBuf(len(x)*wire.MaxFloatLen + 64)
 	defer wire.PutBuf(body)
 	var err error
-	if *body, err = wire.AppendRequest(*body, [][]float64{x}, d.progress); err != nil {
+	if *body, err = wire.AppendRequestParallel(*body, x, len(d.rt.blocks), d.progress); err != nil {
 		panic(distPanic{err})
 	}
 	d.progress = nil
-	replies, _, err := d.r.gather(d.ctx, d.rt, "spmv", *body, 1)
+	lay, err := wire.ScanRequest(*body)
+	if err != nil {
+		panic(err) // AppendRequestParallel's text always scans
+	}
+	_, err = d.r.gather(d.ctx, d.rt, "spmv", *body, lay, func(bi int, reply blockReply) error {
+		defer wire.PutBuf(reply.body)
+		b := &d.rt.blocks[bi]
+		sp := reply.lay.Vectors[0]
+		if err := wire.DecodeVector((*reply.body)[sp.Lo:sp.Hi], y[b.lo:b.hi], 1); err != nil {
+			return &ReplyError{err}
+		}
+		return nil
+	})
 	if err != nil {
 		panic(distPanic{err})
-	}
-	defer releaseBlocks(replies)
-	lo := 0
-	for _, b := range replies {
-		sp := b.lay.Vectors[0]
-		if err := wire.DecodeVector((*b.body)[sp.Lo:sp.Hi], y[lo:lo+sp.N], 1); err != nil {
-			panic(distPanic{&ReplyError{err}})
-		}
-		lo += sp.N
 	}
 }
 
@@ -1270,7 +1337,8 @@ func (r *Router) distSolve(w http.ResponseWriter, req *http.Request, rt *route, 
 }
 
 // aggregateSelector sums the selector stats of the given placements into one
-// document and returns the serving shard names.
+// document (the iteration count excepted) and returns the serving shard
+// names.
 func (r *Router) aggregateSelector(ctx context.Context, refs []shardRef) (server.SelectorStats, []string) {
 	var agg server.SelectorStats
 	formats := make([]string, 0, len(refs))
@@ -1285,7 +1353,9 @@ func (r *Router) aggregateSelector(ctx context.Context, refs []shardRef) (server
 			continue
 		}
 		st := mi.Selector
-		agg.Iterations += st.Iterations
+		// Every block sees the same progress stream: the solve's iteration
+		// count is one block's, not their sum.
+		agg.Iterations = max(agg.Iterations, st.Iterations)
 		agg.Stage1Ran = agg.Stage1Ran || st.Stage1Ran
 		agg.Stage2Ran = agg.Stage2Ran || st.Stage2Ran
 		agg.Converted = agg.Converted || st.Converted

@@ -169,18 +169,19 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// escapeLabelValue escapes backslash, double-quote and newline, the three
-// characters the exposition format requires escaping inside label values.
-func escapeLabelValue(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
+// The exposition's two escapers, built once: a strings.Replacer is safe for
+// concurrent use, and building one per call was most of a scrape's garbage.
+var (
+	// labelEscaper escapes backslash, double-quote and newline, the three
+	// characters the exposition format requires escaping inside label values.
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	// helpEscaper escapes backslash and newline in HELP text.
+	helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-// escapeHelp escapes backslash and newline in HELP text.
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
+func escapeLabelValue(s string) string { return labelEscaper.Replace(s) }
+
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }
 
 // validMetricName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*.
 func validMetricName(name string) bool {

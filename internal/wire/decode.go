@@ -14,6 +14,30 @@ type Span struct {
 	Lo, Hi, N int
 }
 
+// Cut returns the span, within body, of entries [lo, hi) of the vector sp
+// locates there (0 ≤ lo ≤ hi ≤ sp.N): from past the comma ahead of entry lo
+// to the comma behind entry hi-1, the whitespace around the entries
+// included. It walks the commas with bytes.IndexByte, a memchr-speed pass
+// that converts nothing; an empty range is an empty span at sp.Lo.
+func (sp Span) Cut(body []byte, lo, hi int) Span {
+	if lo == hi {
+		return Span{Lo: sp.Lo, Hi: sp.Lo}
+	}
+	i, n := sp.Lo, 0 // body[i:] starts entry n
+	next := func(to int) {
+		for ; n < to; n++ {
+			i += bytes.IndexByte(body[i:sp.Hi], ',') + 1
+		}
+	}
+	next(lo)
+	w := Span{Lo: i, Hi: sp.Hi, N: hi - lo}
+	if hi < sp.N {
+		next(hi)
+		w.Hi = i - 1
+	}
+	return w
+}
+
 // Layout is what a scan learns about a panel body without converting a
 // float. Spans index the scanned body.
 type Layout struct {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 )
 
 // NonFiniteError reports a NaN or ±Inf where JSON needs a number: entry
@@ -47,6 +48,22 @@ func appendFloat(b []byte, f float64) (_ []byte, ok bool) {
 	return b, true
 }
 
+// appendEntries appends v[0], v[stride], v[2*stride], … separated by commas,
+// and returns the position (in entries) of the first NaN or ±Inf, -1 when
+// there is none.
+func appendEntries(dst []byte, v []float64, stride int) (_ []byte, bad int) {
+	for i := 0; i < len(v); i += stride {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var ok bool
+		if dst, ok = appendFloat(dst, v[i]); !ok {
+			return dst, i / stride
+		}
+	}
+	return dst, -1
+}
+
 // appendVectors appends [[…],[…]]: vector i is the entries vs[i][0],
 // vs[i][stride], vs[i][2*stride], …
 func appendVectors(dst []byte, vs [][]float64, stride int) ([]byte, error) {
@@ -56,14 +73,9 @@ func appendVectors(dst []byte, vs [][]float64, stride int) ([]byte, error) {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '[')
-		for i := 0; i < len(v); i += stride {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			var ok bool
-			if dst, ok = appendFloat(dst, v[i]); !ok {
-				return dst, &NonFiniteError{Vector: vi, Index: i / stride}
-			}
+		var bad int
+		if dst, bad = appendEntries(dst, v, stride); bad >= 0 {
+			return dst, &NonFiniteError{Vector: vi, Index: bad}
 		}
 		dst = append(dst, ']')
 	}
@@ -78,6 +90,56 @@ func AppendRequest(dst []byte, xs [][]float64, progress *float64) ([]byte, error
 	if err != nil {
 		return dst, err
 	}
+	if progress != nil {
+		var ok bool
+		if dst, ok = appendFloat(append(dst, `,"progress":`...), *progress); !ok {
+			return dst, &NonFiniteError{Vector: -1}
+		}
+	}
+	return append(dst, '}'), nil
+}
+
+// AppendRequestParallel appends what AppendRequest appends for the
+// one-vector request {x, progress} (the same bytes, or the same error), with x
+// cut into parts contiguous pieces encoded concurrently, the first on the
+// caller's goroutine and each other on one of its own. It is for a caller that
+// encodes one long vector while the CPUs it would share it with wait for the
+// text: the router's distributed operator, once per SpMV for all its row
+// blocks.
+func AppendRequestParallel(dst []byte, x []float64, parts int, progress *float64) ([]byte, error) {
+	parts = min(parts, len(x))
+	if parts <= 1 {
+		return AppendRequest(dst, [][]float64{x}, progress)
+	}
+	cut := func(p int) int { return p * len(x) / parts }
+	pieces := make([]*[]byte, parts)
+	bad := make([]int, parts)
+	var wg sync.WaitGroup
+	for p := 1; p < parts; p++ {
+		pieces[p] = GetBuf((cut(p+1) - cut(p)) * MaxFloatLen)
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			*pieces[p], bad[p] = appendEntries(*pieces[p], x[cut(p):cut(p+1)], 1)
+		}(p)
+	}
+	dst = append(dst, `{"x":[[`...)
+	dst, bad[0] = appendEntries(dst, x[:cut(1)], 1)
+	wg.Wait()
+	defer func() {
+		for _, piece := range pieces {
+			PutBuf(piece)
+		}
+	}()
+	for p, piece := range pieces {
+		if bad[p] >= 0 {
+			return dst, &NonFiniteError{Vector: 0, Index: cut(p) + bad[p]}
+		}
+		if p > 0 {
+			dst = append(append(dst, ','), *piece...)
+		}
+	}
+	dst = append(dst, "]]"...)
 	if progress != nil {
 		var ok bool
 		if dst, ok = appendFloat(append(dst, `,"progress":`...), *progress); !ok {
@@ -130,6 +192,32 @@ func AppendReply(dst []byte, ys [][]float64, stride int, t Tail) ([]byte, error)
 		return dst, err
 	}
 	return appendTail(dst, t), nil
+}
+
+// Window appends a panel request whose vector v holds entries [lo, hi) of
+// vector v of a scanned request (body and its ScanRequest layout; every
+// vector must hold at least hi entries), each entry's text as the body has
+// it, and whose progress is the body's progress text, carried over unread.
+// The router sends each row block of a handle the window of x its entries
+// read. The cut is found by a comma walk (Span.Cut); no number is converted
+// or checked, which is the business of the shard that decodes the window.
+func Window(dst, body []byte, lay Layout, lo, hi int) []byte {
+	dst = append(dst, `{"x":[`...)
+	for v, sp := range lay.Vectors {
+		if v > 0 {
+			dst = append(dst, ',')
+		}
+		w := sp.Cut(body, lo, hi)
+		dst = append(dst, '[')
+		dst = append(dst, body[w.Lo:w.Hi]...)
+		dst = append(dst, ']')
+	}
+	dst = append(dst, ']')
+	if p := lay.progress; p.Hi > p.Lo {
+		dst = append(dst, `,"progress":`...)
+		dst = append(dst, body[p.Lo:p.Hi]...)
+	}
+	return append(dst, '}')
 }
 
 // Splice appends a panel reply whose vector v is the concatenation, block by

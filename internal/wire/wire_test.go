@@ -262,6 +262,128 @@ func TestScanAndSplice(t *testing.T) {
 	}
 }
 
+// TestWindow cuts column windows out of request bodies — compact, spaced
+// around every entry, with and without progress, one vector and four — and
+// requires each window to scan as a request holding entries [lo, hi) of
+// every vector, bit for bit, with the body's progress.
+func TestWindow(t *testing.T) {
+	n := len(edgeFloats)
+	xs := make([][]float64, 4)
+	for v := range xs {
+		xs[v] = make([]float64, n)
+		for i := range xs[v] {
+			xs[v][i] = edgeFloats[(i+7*v)%n]
+		}
+	}
+	progress := 0.25
+	compact, err := AppendRequest(nil, xs, &progress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := AppendRequest(nil, xs[:1], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same requests with JSON whitespace around every entry and token.
+	space := func(b []byte) []byte {
+		return []byte(strings.NewReplacer(`,`, " ,\n\t", `[`, "[ \r", `]`, " ]", `:`, " : ").Replace(string(b)))
+	}
+	bodies := map[string][]byte{
+		"k=4":             compact,
+		"k=4 spaced":      space(compact),
+		"k=4 no progress": append(bytes.Clone(compact[:bytes.LastIndex(compact, []byte(`,"progress"`))]), '}'),
+		"k=1 no progress": one,
+		"k=1 spaced":      space(one),
+	}
+	windows := [][2]int{{0, 5}, {5, 17}, {17, n}, {9, 9}, {0, n}, {0, 1}, {n - 1, n}}
+	for name, body := range bodies {
+		lay, err := ScanRequest(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := decodeRequest(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, w := range windows {
+			got := Window(nil, body, lay, w[0], w[1])
+			d, err := decodeRequest(got)
+			if err != nil {
+				t.Fatalf("%s window %v: %q does not decode: %v", name, w, got, err)
+			}
+			if len(d.X) != len(want.X) {
+				t.Fatalf("%s window %v: %d vectors, want %d", name, w, len(d.X), len(want.X))
+			}
+			for v := range d.X {
+				if !bitsEqual(d.X[v], want.X[v][w[0]:w[1]]) {
+					t.Errorf("%s window %v: vector %d = %v, want %v", name, w, v, d.X[v], want.X[v][w[0]:w[1]])
+				}
+			}
+			if (d.Progress == nil) != (want.Progress == nil) || d.Progress != nil && *d.Progress != *want.Progress {
+				t.Errorf("%s window %v: progress %v, want %v", name, w, d.Progress, want.Progress)
+			}
+			// A compact body's window is the request its window of x encodes to.
+			if name == "k=4" {
+				part := make([][]float64, len(xs))
+				for v := range xs {
+					part[v] = xs[v][w[0]:w[1]]
+				}
+				if enc, _ := AppendRequest(nil, part, &progress); !bytes.Equal(got, enc) {
+					t.Errorf("window %v of a compact body:\n got %s\nwant %s", w, got, enc)
+				}
+			}
+		}
+	}
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAppendRequestParallel: the pieces, however many, join into
+// AppendRequest's bytes, and a non-finite entry is reported at its index in
+// x, the first one when there are several.
+func TestAppendRequestParallel(t *testing.T) {
+	x := append(append([]float64(nil), edgeFloats...), edgeFloats...)
+	progress := 1e-7
+	for _, p := range []*float64{nil, &progress} {
+		want, err := AppendRequest(nil, [][]float64{x}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, parts := range []int{0, 1, 2, 3, 7, len(x), len(x) + 5} {
+			got, err := AppendRequestParallel([]byte("prefix"), x, parts, p)
+			if err != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
+				t.Errorf("%d parts, progress %v: %v\n got %s\nwant prefix%s", parts, p, err, got, want)
+			}
+		}
+	}
+	if got, err := AppendRequestParallel(nil, nil, 2, nil); err != nil || string(got) != `{"x":[[]]}` {
+		t.Errorf("empty x: %s, %v", got, err)
+	}
+	bad := append([]float64(nil), x...)
+	bad[len(x)-3], bad[len(x)/2+1] = math.Inf(1), math.NaN()
+	for _, parts := range []int{1, 2, 3, len(x)} {
+		_, err := AppendRequestParallel(nil, bad, parts, nil)
+		var nf *NonFiniteError
+		if !errors.As(err, &nf) || nf.Vector != 0 || nf.Index != len(x)/2+1 {
+			t.Errorf("%d parts: error %v, want NonFiniteError{0,%d}", parts, err, len(x)/2+1)
+		}
+	}
+	inf := math.Inf(-1)
+	if _, err := AppendRequestParallel(nil, x, 2, &inf); !errors.As(err, new(*NonFiniteError)) {
+		t.Errorf("progress -Inf: error %v", err)
+	}
+}
+
 // TestReplyGolden pins the panel reply's field names and order, which clients
 // parse and the benchmark's frozen surface names: Reply and Tail are their
 // one declaration, so nothing else would notice a tag edited there.
