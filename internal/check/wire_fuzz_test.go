@@ -271,6 +271,36 @@ func FuzzParseFloat(f *testing.F) {
 	})
 }
 
+// FuzzFormatFloat is the differential fuzz of the service's one float writer
+// with encoding/json as the oracle: the first eight bytes of the input, read
+// as a float64's bits, print as json.Marshal prints them, and are refused
+// exactly where it refuses (NaN, ±Inf).
+func FuzzFormatFloat(f *testing.F) {
+	for _, v := range []float64{
+		0, 1, 0.1, 1.0 / 3, 5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308, math.MaxFloat64,
+		1e-7, 9.999999999999999e-7, 1e-6, 1.0000000000000002e-6, 1e20, 9.999999999999999e20, 1e21, 1.0000000000000001e21,
+		1e22, 1e23, 5e-7, 0x1p-25, 123456789012345680, 9007199254740992, 9007199254740993, 4503599627370496.5, 0.30000000000000004,
+		math.NaN(), math.Inf(1),
+	} {
+		for _, sign := range []float64{1, -1} {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(math.Copysign(v, sign)))
+			f.Add(b[:])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 {
+			return
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+		want, err := json.Marshal(v)
+		got, ok := floattext.AppendJSON(nil, v)
+		if ok != (err == nil) || ok && !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON(%v [%#016x]) = %q, %v; encoding/json %q, %v", v, math.Float64bits(v), got, ok, want, err)
+		}
+	})
+}
+
 // FuzzWireWindow holds the router's column window to its contract: for any
 // request body that decodes, and any window [lo, hi) of its shortest vector,
 // wire.Window's text decodes to entries [lo, hi) of every vector, bit for

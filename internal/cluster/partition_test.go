@@ -1,11 +1,17 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/matgen"
+	"repro/internal/mmio"
+	"repro/internal/server"
 	"repro/internal/sparse"
 )
 
@@ -123,4 +129,110 @@ func TestPartitionRowsEmptyBlockGetsOneColumn(t *testing.T) {
 	if gaps := unreadColumns(blocks, 5); len(gaps) != 2 || gaps[0] != [2]int{1, 3} || gaps[1] != [2]int{4, 5} {
 		t.Errorf("unread columns %v, want [[1 3] [4 5]]", gaps)
 	}
+}
+
+// TestBlockBodyIsWhatEncodingJSONWrites: a block's registration body is
+// byte for byte the json.Marshal of the request it stands for, names that
+// need escaping and values of every kind included, and fits the buffer it
+// was sized for. registerBody's other fields (dangling, a tol of zero, an
+// empty or non-ASCII text) are held to the same oracle.
+func TestBlockBodyIsWhatEncodingJSONWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	a, err := matgen.UniformRows(300, 500, 7, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range a.Data {
+		switch k % 5 {
+		case 0:
+			a.Data[k] = float64(rng.Intn(2001) - 1000)
+		case 1:
+			a.Data[k] = math.Float64frombits(rng.Uint64() &^ (0x7FF << 52) >> 1)
+		case 2:
+			a.Data[k] = -1e300 * rng.Float64()
+		}
+	}
+	blocks, err := PartitionRows(a, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var texts []string
+	for i, name := range []string{"grid#1/2[0,150)", `a "quoted" \ name <&>`, "tab\tnew\nline\x00\x1f\x7f", "ünï c ode\xff\xfe"} {
+		b := blocks[i%len(blocks)]
+		tol := []float64{1e-8, 0, 0.25, 1e21}[i]
+		var text strings.Builder
+		if err := mmio.Write(&text, b.CSR); err != nil {
+			t.Fatal(err)
+		}
+		texts = append(texts, text.String())
+		want, err := json.Marshal(server.RegisterRequest{Name: name, MatrixMarket: text.String(), Tol: tol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := blockBody(name, b, tol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block %d named %q: body differs from json.Marshal's\n got %.200s\nwant %.200s", i, name, got, want)
+		}
+		if size := mtxSize(b.CSR) + len(name) + 64; len(got) > size {
+			t.Errorf("block %d: body of %d bytes outgrew its %d", i, len(got), size)
+		}
+	}
+	for _, req := range []server.RegisterRequest{
+		{Name: "h", MatrixMarket: texts[0], Tol: 1e-10, Dangling: []bool{true, false, false, true}},
+		{MatrixMarket: "%%MatrixMarket matrix coordinate real general\n% ünï  \"c\" <o>\n1 1 1\n"},
+		{Name: "empty"},
+		{},
+	} {
+		want, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := registerBody(0, req.Name, func(w io.Writer) error {
+			_, err := io.WriteString(w, req.MatrixMarket)
+			return err
+		}, req.Tol, req.Dangling)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("registerBody(%q, …): %v\n got %.200s\nwant %.200s", req.Name, err, got, want)
+		}
+	}
+}
+
+// BenchmarkBlockBody is one registration body of the cluster_partitioned
+// workload's handle (stencil2d on a 280×280 grid, two row blocks): written
+// straight into one buffer, and the way it was built before, Matrix Market
+// text in a strings.Builder that json.Marshal then copies and escapes. B/op
+// is the allocation per block.
+func BenchmarkBlockBody(b *testing.B) {
+	a, err := matgen.Stencil2D(280)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks, err := PartitionRows(a, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const name = "grid#1/2[0,39200)"
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := blockBody(name, blocks[0], 1e-8); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoding_json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var sb strings.Builder
+			if err := mmio.Write(&sb, blocks[0].CSR); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := json.Marshal(server.RegisterRequest{Name: name, MatrixMarket: sb.String(), Tol: 1e-8}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"slices"
@@ -651,7 +653,7 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	}
 	rt.id = r.newID()
 
-	request := func(int) server.RegisterRequest { return body.RegisterRequest }
+	request := func(int) ([]byte, error) { return json.Marshal(body.RegisterRequest) }
 	rt.blocks = make([]block, max(len(cut), 1))
 	if len(cut) > 1 {
 		name := body.Name
@@ -661,13 +663,9 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 		for i, b := range cut {
 			rt.blocks[i] = block{lo: b.Lo, hi: b.Hi, colLo: b.ColLo, colHi: b.ColHi}
 		}
-		request = func(i int) server.RegisterRequest {
+		request = func(i int) ([]byte, error) {
 			b := cut[i]
-			return server.RegisterRequest{
-				Name:         fmt.Sprintf("%s#%d/%d[%d,%d)", name, i+1, len(cut), b.Lo, b.Hi),
-				MatrixMarket: MarshalBlock(b),
-				Tol:          body.Tol,
-			}
+			return blockBody(fmt.Sprintf("%s#%d/%d[%d,%d)", name, i+1, len(cut), b.Lo, b.Hi), b, body.Tol)
 		}
 	}
 	infos, err := r.place(req.Context(), rt, request)
@@ -695,18 +693,22 @@ func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
 	r.env.WriteJSON(w, http.StatusCreated, out)
 }
 
-// place registers every row block of rt concurrently, block i from
+// place registers every row block of rt concurrently, block i with the body
 // request(i) built on its own goroutine, and returns the shards' documents.
 // Block i walks the ring successors of the route's ID rotated by i, failing
 // over down that list on a retryable error, so with every shard healthy the
 // blocks land on consecutive successors. If any block cannot be placed,
 // every block that was is deleted again, and the first failure in block
 // order is the error.
-func (r *Router) place(ctx context.Context, rt *route, request func(i int) server.RegisterRequest) ([]server.MatrixInfo, error) {
+func (r *Router) place(ctx context.Context, rt *route, request func(i int) ([]byte, error)) ([]server.MatrixInfo, error) {
 	infos := make([]server.MatrixInfo, len(rt.blocks))
 	errs := make([]error, len(rt.blocks))
 	each(len(rt.blocks), func(i int) {
-		breq := request(i)
+		breq, err := request(i)
+		if err != nil {
+			errs[i] = err
+			return
+		}
 		errs[i] = errNoShards
 		for j, sc := range r.successorClients(rt.id, i) {
 			if j > 0 {
@@ -1169,10 +1171,17 @@ func (r *Router) aliasTargets(rt *route) map[string]bool {
 
 // registerExport re-registers an exported handle verbatim on target.
 func (r *Router) registerExport(ctx context.Context, target *ShardClient, exp server.ExportResponse) (server.MatrixInfo, error) {
+	text := exp.MatrixMarket
+	size := len(exp.Name) + len(text) + strings.Count(text, "\n") + 6*len(exp.Dangling) + 128
+	body, err := registerBody(size, exp.Name, func(w io.Writer) error {
+		_, err := io.WriteString(w, text)
+		return err
+	}, exp.Tol, exp.Dangling)
+	if err != nil {
+		return server.MatrixInfo{}, err
+	}
 	return callShard(r, ctx, "register", target, func(ctx context.Context) (server.MatrixInfo, error) {
-		return target.Register(ctx, server.RegisterRequest{
-			Name: exp.Name, MatrixMarket: exp.MatrixMarket, Tol: exp.Tol, Dangling: exp.Dangling,
-		})
+		return target.Register(ctx, body)
 	})
 }
 

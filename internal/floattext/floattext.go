@@ -1,6 +1,8 @@
-// Package floattext is the one reader of decimal float text in the service:
-// the numbers of a JSON panel (internal/wire) and the value field of a
-// Matrix Market entry (internal/mmio) both go through it.
+// Package floattext is the one reader and the one writer of JSON float text
+// in the service: the numbers of a JSON panel (internal/wire) are read and
+// printed by it, and the value field of a Matrix Market entry
+// (internal/mmio) is read by it. The reader and the writer share one table,
+// the powers of ten from 10^-348 to 10^347 normalised to 128 bits.
 //
 // ReadJSON reads a JSON number in a single pass: it checks the grammar,
 // accumulates the first 19 significant digits (eight at a time where eight
@@ -18,6 +20,13 @@
 // result and error for error: text in JSON's grammar takes ReadJSON, and
 // everything else strconv accepts (a '+' sign, leading zeros, ".5", "inf",
 // hex mantissas, underscores after a base prefix) goes to strconv itself.
+//
+// AppendJSON prints a float64 as encoding/json does, byte for byte, with no
+// fallback: Schubfach's shortest search (Giulietti, "The Schubfach way to
+// render doubles", 2020) on the same table rows plus one, and the digits
+// written eight at a time straight into the destination. The shortest text
+// that reads back as a float, the closest of its length with ties to even,
+// is unique, and it is what strconv's search returns too.
 package floattext
 
 import (
@@ -316,7 +325,8 @@ func eiselLemire(man uint64, exp10 int, neg bool) (float64, bool) {
 
 // The powers of ten Eisel–Lemire multiplies by: row e-minExp10 is 10^e
 // normalised to [2^127, 2^128) and rounded down, {low word, high word}. The
-// range covers every exponent a float64 can need with 19 mantissa digits.
+// range covers every exponent a float64 can need with 19 mantissa digits,
+// and the 10^-292 … 10^324 the writer's shortest search multiplies by.
 const (
 	minExp10 = -348
 	maxExp10 = 347

@@ -151,3 +151,27 @@ func BenchmarkSpliceWire(b *testing.B) {
 		PutBuf(p)
 	})
 }
+
+// BenchmarkWindow is the router's cut of a cluster_partitioned /spmv body:
+// one 78 400-entry x, cut into the column windows of two row blocks of a
+// 280-wide stencil, each reaching one band past the middle.
+func BenchmarkWindow(b *testing.B) {
+	body, err := AppendRequest(nil, benchPanel()[:1], nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lay, err := ScanRequest(body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	const band = 280
+	loop(b, func() {
+		for _, w := range [][2]int{{0, benchCols/2 + band}, {benchCols/2 - band, benchCols}} {
+			p := GetBuf(len(body))
+			*p = Window(*p, body, lay, w[0], w[1])
+			PutBuf(p)
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/2/1e6, "ms/window")
+}

@@ -17,25 +17,44 @@ type Span struct {
 // Cut returns the span, within body, of entries [lo, hi) of the vector sp
 // locates there (0 ≤ lo ≤ hi ≤ sp.N): from past the comma ahead of entry lo
 // to the comma behind entry hi-1, the whitespace around the entries
-// included. It walks the commas with bytes.IndexByte, a memchr-speed pass
-// that converts nothing; an empty range is an empty span at sp.Lo.
+// included. It converts nothing; the commas are counted a block at a time
+// (skipCommas). An empty range is an empty span at sp.Lo.
 func (sp Span) Cut(body []byte, lo, hi int) Span {
 	if lo == hi {
 		return Span{Lo: sp.Lo, Hi: sp.Lo}
 	}
-	i, n := sp.Lo, 0 // body[i:] starts entry n
-	next := func(to int) {
-		for ; n < to; n++ {
-			i += bytes.IndexByte(body[i:sp.Hi], ',') + 1
-		}
-	}
-	next(lo)
+	text := body[:sp.Hi]
+	i := skipCommas(text, sp.Lo, lo) // body[i:] starts entry lo
 	w := Span{Lo: i, Hi: sp.Hi, N: hi - lo}
 	if hi < sp.N {
-		next(hi)
-		w.Hi = i - 1
+		w.Hi = skipCommas(text, i, hi-lo) - 1
 	}
 	return w
+}
+
+// skipBlock is how many bytes skipCommas counts at once: a few dozen
+// entries, so that the walk within the last block is short.
+const skipBlock = 512
+
+var comma = []byte{','}
+
+// skipCommas returns the offset in b past the n-th comma from b[i:], which
+// holds at least n. Whole blocks that hold fewer are counted with
+// bytes.Count, a vector pass; the block the n-th comma is in is walked with
+// bytes.IndexByte.
+func skipCommas(b []byte, i, n int) int {
+	for n > 0 && len(b)-i > skipBlock {
+		c := bytes.Count(b[i:i+skipBlock], comma)
+		if c >= n {
+			break
+		}
+		i += skipBlock
+		n -= c
+	}
+	for ; n > 0; n-- {
+		i += bytes.IndexByte(b[i:], ',') + 1
+	}
+	return i
 }
 
 // Layout is what a scan learns about a panel body without converting a

@@ -3,9 +3,9 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"strconv"
 	"sync"
+
+	"repro/internal/floattext"
 )
 
 // NonFiniteError reports a NaN or ±Inf where JSON needs a number: entry
@@ -22,30 +22,16 @@ func (e *NonFiniteError) Error() string {
 }
 
 // MaxFloatLen is the longest text one panel entry takes, comma included
-// (-2.2250738585072014e-308): what to reserve per float64 so that encoding
-// never grows its buffer.
-const MaxFloatLen = 25
+// (-0.0000012345678901234567, 17 digits at the smallest %f magnitude): what
+// to reserve per float64 so that encoding never grows its buffer.
+const MaxFloatLen = 26
 
-// appendFloat appends f exactly as encoding/json prints a float64: shortest
-// text that round-trips, %e form outside [1e-6, 1e21) with a two-digit
-// negative exponent trimmed to one. ok is false for NaN and ±Inf.
+// appendFloat appends f exactly as encoding/json prints a float64 (shortest
+// text that round-trips, %e form outside [1e-6, 1e21)): floattext's writer,
+// the same bytes as strconv's search at about half its cost. ok is false for
+// NaN and ±Inf.
 func appendFloat(b []byte, f float64) (_ []byte, ok bool) {
-	if f-f != 0 {
-		return b, false
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9, as encoding/json (and ES6) print it.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, true
+	return floattext.AppendJSON(b, f)
 }
 
 // appendEntries appends v[0], v[stride], v[2*stride], … separated by commas,

@@ -10,7 +10,8 @@
 // Three operations cover every hop:
 //
 //   - encode (AppendRequest, AppendReply) prints floats with encoding/json's
-//     exact number text, so the bytes on the wire are what json.Marshal of
+//     exact number text (floattext.AppendJSON), so the bytes on the wire are
+//     what json.Marshal of
 //     server.PanelRequest and of Reply (the reply document, declared here)
 //     produces, and reports a NaN or ±Inf as a *NonFiniteError instead of
 //     dropping the body;

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -333,6 +334,66 @@ func TestWindow(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCutLongVector cuts vectors long enough that Cut counts commas whole
+// blocks at a time, entries of every width from one byte ("0") to the
+// longest, some runs of short ones and some spaced, and holds every cut to
+// the one a walk from comma to comma makes.
+func TestCutLongVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var text []byte
+	n := 6000
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			text = append(text, ',')
+		}
+		switch {
+		case i%1000 < 300:
+			text = append(text, '0')
+		case i%7 == 0:
+			text = append(text, " \n 12 "...)
+		default:
+			text, _ = appendFloat(text, math.Float64frombits(rng.Uint64()>>2))
+		}
+	}
+	body := []byte(`{"x":[[` + string(text) + `]]}`)
+	lay, err := ScanRequest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := lay.Vectors[0]
+	commas := []int{sp.Lo - 1} // commas[j]: the comma ahead of entry j
+	for i := sp.Lo; i < sp.Hi; i++ {
+		if body[i] == ',' {
+			commas = append(commas, i)
+		}
+	}
+	commas = append(commas, sp.Hi)
+	for trial := 0; trial < 2000; trial++ {
+		lo := rng.Intn(n)
+		hi := lo + 1 + rng.Intn(n-lo)
+		want := Span{Lo: commas[lo] + 1, Hi: commas[hi], N: hi - lo}
+		if got := sp.Cut(body, lo, hi); got != want {
+			t.Fatalf("Cut(%d, %d) = %+v, want %+v", lo, hi, got, want)
+		}
+	}
+}
+
+// TestMaxFloatLen: the longest entries of both forms, comma included, fit
+// the reserve, and the longest takes all of it.
+func TestMaxFloatLen(t *testing.T) {
+	longest := 0
+	for _, f := range []float64{-1.2345678901234567e-6, -2.2250738585072014e-308, -1.2345678901234567e-100, -1.2345678901234567e20} {
+		b, ok := appendFloat([]byte{','}, f)
+		if !ok || len(b) > MaxFloatLen {
+			t.Errorf("%q takes %d bytes, MaxFloatLen is %d", b, len(b), MaxFloatLen)
+		}
+		longest = max(longest, len(b))
+	}
+	if longest != MaxFloatLen {
+		t.Errorf("the longest entry takes %d bytes, MaxFloatLen is %d", longest, MaxFloatLen)
 	}
 }
 
