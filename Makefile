@@ -3,7 +3,7 @@ GOFMT ?= gofmt
 # Per-target budget for `make fuzz`. The native fuzzer accepts only one
 # -fuzz pattern per invocation, hence the loop.
 FUZZTIME ?= 30s
-FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzSELLSlices FuzzWireDecodePanel FuzzWireEncodeVector FuzzParseFloat FuzzWireWindow FuzzFormatFloat
+FUZZ_TARGETS := FuzzMMIORead FuzzConvertRoundTrip FuzzSELLSlices FuzzWireDecodePanel FuzzWireEncodeVector FuzzParseFloat FuzzWireWindow FuzzFormatFloat FuzzMaterializeCSR
 
 .PHONY: check fmt build test bench-check race vet noasm fuzz fuzz-smoke serve clean
 

@@ -9,13 +9,11 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/floattext"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -281,101 +279,13 @@ func (c *ShardClient) panelRaw(ctx context.Context, op, id string, body []byte) 
 	return reply, lay, nil
 }
 
-// Register registers a matrix on the shard. body is a server.RegisterRequest
-// as json.Marshal or registerBody writes it.
+// Register registers a matrix on the shard. body is a
+// server.RegisterRequest as json.Marshal writes it.
 func (c *ShardClient) Register(ctx context.Context, body []byte) (server.MatrixInfo, error) {
 	var info server.MatrixInfo
 	err := c.send(ctx, http.MethodPost, "/v1/matrices", body, &info)
 	return info, err
 }
-
-// registerBody returns the bytes json.Marshal writes for
-// server.RegisterRequest{Name: name, MatrixMarket: text, Tol: tol, Dangling:
-// dangling}, where text is what mm writes, in one buffer of capacity size to
-// begin with: mm writes the text straight into the body, escaped on the way.
-func registerBody(size int, name string, mm func(io.Writer) error, tol float64, dangling []bool) ([]byte, error) {
-	w := &jsonString{b: make([]byte, 0, size)}
-	w.b = append(w.b, '{')
-	key := func(k string) {
-		if len(w.b) > 1 {
-			w.b = append(w.b, ',')
-		}
-		w.b = append(append(append(w.b, '"'), k...), `":`...)
-	}
-	if name != "" {
-		key("name")
-		w.b = append(w.b, '"')
-		_, _ = io.WriteString(w, name)
-		w.b = append(w.b, '"')
-	}
-	before := len(w.b)
-	key("matrix_market")
-	w.b = append(w.b, '"')
-	start := len(w.b)
-	if err := mm(w); err != nil {
-		return nil, err
-	}
-	if len(w.b) == start {
-		w.b = w.b[:before] // omitempty
-	} else {
-		w.b = append(w.b, '"')
-	}
-	if tol != 0 {
-		key("tol")
-		var ok bool
-		if w.b, ok = floattext.AppendJSON(w.b, tol); !ok {
-			return nil, fmt.Errorf("cluster: encoding request: tol %v is not finite", tol)
-		}
-	}
-	if len(dangling) > 0 {
-		key("dangling")
-		for i, d := range dangling {
-			w.b = append(w.b, "[,"[min(i, 1)])
-			w.b = strconv.AppendBool(w.b, d)
-		}
-		w.b = append(w.b, ']')
-	}
-	return append(w.b, '}'), nil
-}
-
-// jsonString is an io.Writer that appends what it is given to b as the
-// inside of a JSON string, escaped byte for byte as encoding/json escapes
-// it, provided no write splits a UTF-8 sequence (Matrix Market text from
-// mmio is ASCII).
-type jsonString struct{ b []byte }
-
-func (w *jsonString) Write(p []byte) (int, error) {
-	for i := 0; i < len(p); {
-		j := i
-		for j < len(p) && plainJSON[p[j]] {
-			j++
-		}
-		w.b = append(w.b, p[i:j]...)
-		switch {
-		case j == len(p):
-		case p[j] == '\n':
-			w.b = append(w.b, '\\', 'n')
-			j++
-		default:
-			// Anything else, rare here: encoding/json's own escape of the rest.
-			q, _ := json.Marshal(string(p[j:]))
-			w.b = append(w.b, q[1:len(q)-1]...)
-			j = len(p)
-		}
-		i = j
-	}
-	return len(p), nil
-}
-
-// plainJSON marks the bytes encoding/json copies into a string unescaped:
-// printable ASCII but the quote, the backslash and the HTML-sensitive <, >
-// and &.
-var plainJSON = func() (t [256]bool) {
-	for c := ' '; c < 0x80; c++ {
-		t[c] = !strings.ContainsRune(`"\<>&`, c)
-	}
-	return t
-}()
 
 // Get fetches a handle's stats document.
 func (c *ShardClient) Get(ctx context.Context, id string) (server.MatrixInfo, error) {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,10 +50,15 @@ func TestTierParityBadRequests(t *testing.T) {
 	// last entries only, and the router itself must refuse a number between.
 	holed := server.RegisterRequest{Name: "holed", MatrixMarket: "%%MatrixMarket matrix coordinate real general\n4 4 4\n1 1 1\n2 1 2\n3 4 3\n4 4 4\n"}
 	unreadBad := json.RawMessage(`{"x":[[1,2,1e999,4]]}`)
+	// A matrix as csr arrays; each row below that uses it breaks one thing.
+	arrays := func(rows, cols int, ptr []int, col []int32, val []float64) server.RegisterRequest {
+		return server.RegisterRequest{Name: "arrays", CSR: &server.CSRArrays{Rows: rows, Cols: cols, Ptr: ptr, Col: col, Val: val}}
+	}
+	valid := arrays(2, 4, []int{0, 2, 3}, []int32{0, 3, 1}, []float64{1, 2, 3})
 
 	cases := []struct {
 		name string
-		reg  server.RegisterRequest
+		reg  any // a server.RegisterRequest, or the raw body of one
 		// path and body of the request against the registered handle; an
 		// empty path means the registration itself is the request under test.
 		path string
@@ -88,6 +94,31 @@ func TestTierParityBadRequests(t *testing.T) {
 		{"unknown generate family", server.RegisterRequest{
 			Generate: &server.GenerateSpec{Family: "moebius", Size: 100},
 		}, "", nil, http.StatusBadRequest},
+		{"csr ptr not monotone", arrays(3, 4, []int{0, 2, 1, 3}, []int32{0, 1, 2}, []float64{1, 2, 3}), "", nil, http.StatusBadRequest},
+		{"csr ptr overshoots", arrays(2, 4, []int{0, 100, 3}, []int32{0, 1, 2}, []float64{1, 2, 3}), "", nil, http.StatusBadRequest},
+		{"csr ptr length disagrees", arrays(3, 4, []int{0, 2, 3}, []int32{0, 3, 1}, []float64{1, 2, 3}), "", nil, http.StatusBadRequest},
+		{"csr col and val lengths disagree", arrays(2, 4, []int{0, 2, 3}, []int32{0, 3, 1}, []float64{1, 2}), "", nil, http.StatusBadRequest},
+		{"csr column out of range", arrays(2, 4, []int{0, 2, 3}, []int32{0, 4, 1}, []float64{1, 2, 3}), "", nil, http.StatusBadRequest},
+		{"csr negative column", arrays(2, 4, []int{0, 2, 3}, []int32{-1, 3, 1}, []float64{1, 2, 3}), "", nil, http.StatusBadRequest},
+		{"csr columns unsorted", arrays(2, 4, []int{0, 2, 3}, []int32{3, 0, 1}, []float64{1, 2, 3}), "", nil, http.StatusBadRequest},
+		{"csr column duplicated", arrays(2, 4, []int{0, 2, 3}, []int32{3, 3, 1}, []float64{1, 2, 3}), "", nil, http.StatusBadRequest},
+		{"csr columns beyond int32", arrays(1, math.MaxInt32+1, []int{0, 1}, []int32{0}, []float64{1}), "", nil, http.StatusBadRequest},
+		{"csr rows beyond int32", arrays(math.MaxInt32+1, 1, []int{0}, nil, nil), "", nil, http.StatusBadRequest},
+		{"csr column number overflows int32", json.RawMessage(
+			`{"csr":{"rows":1,"cols":4,"ptr":[0,1],"col":[4294967296],"val":[1]}}`), "", nil, http.StatusBadRequest},
+		{"csr value out of range", json.RawMessage(
+			`{"csr":{"rows":1,"cols":4,"ptr":[0,1],"col":[0],"val":[1e999]}}`), "", nil, http.StatusBadRequest},
+		{"csr value not a number", json.RawMessage(
+			`{"csr":{"rows":1,"cols":4,"ptr":[0,2],"col":[0,1],"val":[1,null]}}`), "", nil, http.StatusBadRequest},
+		{"csr with matrix_market", server.RegisterRequest{
+			CSR: valid.CSR, MatrixMarket: diagMatrix(1, 2),
+		}, "", nil, http.StatusBadRequest},
+		{"csr with generate", server.RegisterRequest{
+			CSR: valid.CSR, Generate: spd.Generate,
+		}, "", nil, http.StatusBadRequest},
+		{"matrix_market with an infinite value", server.RegisterRequest{
+			MatrixMarket: "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 2 inf\n",
+		}, "", nil, http.StatusBadRequest},
 	}
 
 	bare := newShard(t)
@@ -104,9 +135,14 @@ func TestTierParityBadRequests(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, tier := range tiers {
-				var reg any = tc.reg
+				reg := tc.reg
 				if tier.parts > 0 {
-					reg = RegisterRequest{RegisterRequest: tc.reg, Partition: &PartitionSpec{Parts: tier.parts}}
+					switch r := tc.reg.(type) {
+					case server.RegisterRequest:
+						reg = RegisterRequest{RegisterRequest: r, Partition: &PartitionSpec{Parts: tier.parts}}
+					case json.RawMessage:
+						reg = json.RawMessage(fmt.Sprintf(`{"partition":{"parts":%d},%s`, tier.parts, r[1:]))
+					}
 				}
 				var info struct {
 					ID string `json:"id"`

@@ -1,13 +1,13 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 
-	"repro/internal/mmio"
 	"repro/internal/parallel"
+	"repro/internal/server"
 	"repro/internal/sparse"
 )
 
@@ -113,44 +113,7 @@ func unreadColumns(blocks []RowBlock, cols int) [][2]int {
 }
 
 // blockBody returns the registration body of block b under name and tol:
-// the bytes json.Marshal writes for server.RegisterRequest{Name: name,
-// MatrixMarket: <the block as mmio.Write's text>, Tol: tol}, written straight
-// into one buffer sized for it. mmio writes %.17g, so values survive the trip
-// bit-exact.
+// the block's CSR arrays, whose values survive the trip bit-exact.
 func blockBody(name string, b RowBlock, tol float64) ([]byte, error) {
-	return registerBody(mtxSize(b.CSR)+len(name)+64, name, func(w io.Writer) error {
-		return mmio.Write(w, b.CSR)
-	}, tol, nil)
-}
-
-// mtxSize bounds the length of a's Matrix Market text inside a JSON string
-// (each newline escaped to two bytes): the header, every entry's two indices
-// exactly, and its value as %.17g prints it, exactly for an integer below
-// 10^15 and at its longest, 24 bytes, otherwise.
-func mtxSize(a *sparse.CSR) int {
-	rows, _ := a.Dims()
-	n := 128 // the header
-	for i := 0; i < rows; i++ {
-		n += (a.Ptr[i+1] - a.Ptr[i]) * (decimalLen(i+1) + 4) // "i j v\n"
-	}
-	for k, c := range a.Col[:a.Ptr[rows]] {
-		n += decimalLen(int(c) + 1)
-		v := math.Abs(a.Data[k])
-		switch {
-		case v == math.Trunc(v) && v < 1e15:
-			n += decimalLen(int(v)) + int(math.Float64bits(a.Data[k])>>63)
-		default:
-			n += 24
-		}
-	}
-	return n
-}
-
-// decimalLen is the number of decimal digits of v ≥ 0.
-func decimalLen(v int) int {
-	n := 1
-	for ; v >= 10; v /= 10 {
-		n++
-	}
-	return n
+	return json.Marshal(server.RegisterRequest{Name: name, CSR: server.ArraysOf(b.CSR), Tol: tol})
 }

@@ -2,15 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"io"
 	"math"
 	"math/rand"
-	"strings"
+	"net/http"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/matgen"
-	"repro/internal/mmio"
 	"repro/internal/server"
 	"repro/internal/sparse"
 )
@@ -131,80 +132,79 @@ func TestPartitionRowsEmptyBlockGetsOneColumn(t *testing.T) {
 	}
 }
 
-// TestBlockBodyIsWhatEncodingJSONWrites: a block's registration body is
-// byte for byte the json.Marshal of the request it stands for, names that
-// need escaping and values of every kind included, and fits the buffer it
-// was sized for. registerBody's other fields (dangling, a tol of zero, an
-// empty or non-ASCII text) are held to the same oracle.
-func TestBlockBodyIsWhatEncodingJSONWrites(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	a, err := matgen.UniformRows(300, 500, 7, rng)
+// TestExportRegisterKeepsIdentity: a handle exported from one shard and
+// re-registered on another by the router's registerExport, the replication
+// and drain path, keeps its shape, tol, structure fingerprint and value
+// digest: for every generator family, for a transition handle (whose
+// dangling flags must come across too) and for a matrix registered as csr
+// arrays whose values are the hardest to print (-0, subnormals, the extremes).
+func TestExportRegisterKeepsIdentity(t *testing.T) {
+	shards, router, _ := newCluster(t, 2, nil)
+	src, err := NewShardClient(shards[0].ts.URL, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range a.Data {
-		switch k % 5 {
-		case 0:
-			a.Data[k] = float64(rng.Intn(2001) - 1000)
-		case 1:
-			a.Data[k] = math.Float64frombits(rng.Uint64() &^ (0x7FF << 52) >> 1)
-		case 2:
-			a.Data[k] = -1e300 * rng.Float64()
-		}
-	}
-	blocks, err := PartitionRows(a, 2)
+	dst, err := NewShardClient(shards[1].ts.URL, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var texts []string
-	for i, name := range []string{"grid#1/2[0,150)", `a "quoted" \ name <&>`, "tab\tnew\nline\x00\x1f\x7f", "ünï c ode\xff\xfe"} {
-		b := blocks[i%len(blocks)]
-		tol := []float64{1e-8, 0, 0.25, 1e21}[i]
-		var text strings.Builder
-		if err := mmio.Write(&text, b.CSR); err != nil {
-			t.Fatal(err)
-		}
-		texts = append(texts, text.String())
-		want, err := json.Marshal(server.RegisterRequest{Name: name, MatrixMarket: text.String(), Tol: tol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := blockBody(name, b, tol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("block %d named %q: body differs from json.Marshal's\n got %.200s\nwant %.200s", i, name, got, want)
-		}
-		if size := mtxSize(b.CSR) + len(name) + 64; len(got) > size {
-			t.Errorf("block %d: body of %d bytes outgrew its %d", i, len(got), size)
-		}
+	var reqs []server.RegisterRequest
+	for _, f := range matgen.AllFamilies {
+		reqs = append(reqs, server.RegisterRequest{Name: f.String(), Generate: &server.GenerateSpec{Family: f.String(), Size: 400, Seed: 5}, Tol: 1e-10})
 	}
-	for _, req := range []server.RegisterRequest{
-		{Name: "h", MatrixMarket: texts[0], Tol: 1e-10, Dangling: []bool{true, false, false, true}},
-		{MatrixMarket: "%%MatrixMarket matrix coordinate real general\n% ünï  \"c\" <o>\n1 1 1\n"},
-		{Name: "empty"},
-		{},
-	} {
-		want, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
+	reqs = append(reqs,
+		// Nodes 2 and 4 have no out-links: their flags are set.
+		server.RegisterRequest{Name: "web", CSR: &server.CSRArrays{
+			Rows: 5, Cols: 5,
+			Ptr: []int{0, 2, 3, 3, 5, 5},
+			Col: []int32{1, 3, 2, 0, 4},
+			Val: []float64{1, 1, 1, 1, 1},
+		}, AsTransition: true},
+		server.RegisterRequest{Name: "awkward", CSR: &server.CSRArrays{
+			Rows: 3, Cols: 4,
+			Ptr: []int{0, 3, 3, 7},
+			Col: []int32{0, 2, 3, 0, 1, 2, 3},
+			Val: []float64{math.Copysign(0, -1), 5e-324, math.MaxFloat64, -2.2250738585072014e-308, 0.1, 1.0 / 3, -1e23},
+		}},
+	)
+	ctx := context.Background()
+	for _, req := range reqs {
+		var want server.MatrixInfo
+		if code, body := callJSON(t, http.MethodPost, shards[0].ts.URL+"/v1/matrices", req, &want); code != http.StatusCreated {
+			t.Fatalf("%s: register: %d %s", req.Name, code, body)
 		}
-		got, err := registerBody(0, req.Name, func(w io.Writer) error {
-			_, err := io.WriteString(w, req.MatrixMarket)
-			return err
-		}, req.Tol, req.Dangling)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Errorf("registerBody(%q, …): %v\n got %.200s\nwant %.200s", req.Name, err, got, want)
+		exp, err := src.Export(ctx, want.ID)
+		if err != nil {
+			t.Fatalf("%s: export: %v", req.Name, err)
+		}
+		got, err := router.registerExport(ctx, dst, exp)
+		if err != nil {
+			t.Fatalf("%s: register export: %v", req.Name, err)
+		}
+		if got.Fingerprint != want.Fingerprint || got.ValueDigest != want.ValueDigest {
+			t.Errorf("%s: copy is %s/%s, source %s/%s", req.Name, got.Fingerprint, got.ValueDigest, want.Fingerprint, want.ValueDigest)
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols || got.NNZ != want.NNZ || got.Tol != want.Tol || got.Transition != want.Transition {
+			t.Errorf("%s: copy %dx%d nnz %d tol %g transition %v, source %dx%d nnz %d tol %g transition %v", req.Name,
+				got.Rows, got.Cols, got.NNZ, got.Tol, got.Transition, want.Rows, want.Cols, want.NNZ, want.Tol, want.Transition)
+		}
+		back, err := dst.Export(ctx, got.ID)
+		if err != nil {
+			t.Fatalf("%s: export copy: %v", req.Name, err)
+		}
+		if !slices.Equal(back.Dangling, exp.Dangling) {
+			t.Errorf("%s: copy's dangling flags differ from the source's", req.Name)
+		}
+		if req.AsTransition && !slices.Contains(exp.Dangling, true) {
+			t.Errorf("%s: no dangling node, so the flags were not put to the test", req.Name)
 		}
 	}
 }
 
-// BenchmarkBlockBody is one registration body of the cluster_partitioned
-// workload's handle (stencil2d on a 280×280 grid, two row blocks): written
-// straight into one buffer, and the way it was built before, Matrix Market
-// text in a strings.Builder that json.Marshal then copies and escapes. B/op
-// is the allocation per block.
+// BenchmarkBlockBody is one registration of a row block of the
+// cluster_partitioned workload's handle (stencil2d on a 280×280 grid, two
+// row blocks) on both sides of the hop: the router's body, and the shard's
+// decode of it into the CSR it hosts. B/op is the allocation per block.
 func BenchmarkBlockBody(b *testing.B) {
 	a, err := matgen.Stencil2D(280)
 	if err != nil {
@@ -215,22 +215,29 @@ func BenchmarkBlockBody(b *testing.B) {
 		b.Fatal(err)
 	}
 	const name = "grid#1/2[0,39200)"
-	b.Run("direct", func(b *testing.B) {
+	body, err := blockBody(name, blocks[0], 1e-8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
 		b.ReportAllocs()
+		b.ReportMetric(float64(len(body))/1e6, "body_MB")
 		for i := 0; i < b.N; i++ {
 			if _, err := blockBody(name, blocks[0], 1e-8); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("encoding_json", func(b *testing.B) {
+	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var sb strings.Builder
-			if err := mmio.Write(&sb, blocks[0].CSR); err != nil {
+			var req server.RegisterRequest
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&req); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := json.Marshal(server.RegisterRequest{Name: name, MatrixMarket: sb.String(), Tol: 1e-8}); err != nil {
+			if _, _, err := server.Materialize(req, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

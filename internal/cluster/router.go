@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"slices"
@@ -602,7 +601,7 @@ func (r *Router) newID() string {
 // its geometry from the shard's reply. The router materializes the matrix
 // (with the shard's own server.Materialize, so both tiers accept and build
 // the same operator) only when a partitioning decision needs its geometry.
-// A cut into several blocks sends each as Matrix Market text and keeps the
+// A cut into several blocks sends each as its CSR arrays and keeps the
 // diagonal and dangling flags router-side, so the router can drive solves
 // itself; a cut into one block is a whole handle.
 func (r *Router) handleRegister(w http.ResponseWriter, req *http.Request) {
@@ -1171,12 +1170,7 @@ func (r *Router) aliasTargets(rt *route) map[string]bool {
 
 // registerExport re-registers an exported handle verbatim on target.
 func (r *Router) registerExport(ctx context.Context, target *ShardClient, exp server.ExportResponse) (server.MatrixInfo, error) {
-	text := exp.MatrixMarket
-	size := len(exp.Name) + len(text) + strings.Count(text, "\n") + 6*len(exp.Dangling) + 128
-	body, err := registerBody(size, exp.Name, func(w io.Writer) error {
-		_, err := io.WriteString(w, text)
-		return err
-	}, exp.Tol, exp.Dangling)
+	body, err := json.Marshal(server.RegisterRequest{Name: exp.Name, CSR: &exp.CSR, Tol: exp.Tol, Dangling: exp.Dangling})
 	if err != nil {
 		return server.MatrixInfo{}, err
 	}

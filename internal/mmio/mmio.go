@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -237,8 +236,8 @@ func ReadNamed(r io.Reader, name string) (*sparse.CSR, error) {
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, lr.fail(nil, "negative sizes %d %d %d", rows, cols, nnz)
 	}
-	if rows > math.MaxInt32 || cols > math.MaxInt32 {
-		return nil, lr.fail(nil, "dimensions %dx%d exceed the int32 index range", rows, cols)
+	if err := sparse.CheckDims(rows, cols); err != nil {
+		return nil, lr.fail(err, "bad size line")
 	}
 
 	// The declared nnz is untrusted input: cap the preallocation hint so a

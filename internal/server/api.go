@@ -5,16 +5,23 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/sparse"
 	"repro/internal/wire"
 )
 
 // RegisterRequest is the body of POST /v1/matrices. Exactly one of
-// MatrixMarket (inline .mtx text) or Generate must be set.
+// MatrixMarket (inline .mtx text), CSR (the matrix's arrays) or Generate
+// must be set.
 type RegisterRequest struct {
 	// Name is an optional human label echoed back in stats.
 	Name string `json:"name,omitempty"`
 	// MatrixMarket is the matrix in Matrix Market exchange text.
 	MatrixMarket string `json:"matrix_market,omitempty"`
+	// CSR is the matrix as its compressed-sparse-row arrays, the form the
+	// cluster router sends row blocks, replicas and re-homed handles in:
+	// nothing is parsed as text or re-assembled, the arrays become the
+	// handle's once checked.
+	CSR *CSRArrays `json:"csr,omitempty"`
 	// Generate asks the server to synthesize a matrix instead.
 	Generate *GenerateSpec `json:"generate,omitempty"`
 	// Tol is the convergence tolerance of the loops this matrix will be
@@ -29,8 +36,27 @@ type RegisterRequest struct {
 	// already-built transition operator (len must equal the row count).
 	// The cluster router uses this to replicate or re-home a transition
 	// handle exported from another shard without re-deriving the operator;
-	// mutually exclusive with AsTransition, requires MatrixMarket.
+	// mutually exclusive with AsTransition, requires MatrixMarket or CSR.
 	Dangling []bool `json:"dangling,omitempty"`
+}
+
+// CSRArrays is a rows x cols matrix as sparse.CSR holds it: row i's entries
+// are Col[Ptr[i]:Ptr[i+1]] (0-based, strictly ascending) with the values
+// Val[Ptr[i]:Ptr[i+1]]. The values travel as JSON numbers, whose text
+// round-trips every finite float64 exactly, so a matrix keeps its
+// fingerprint and value digest across the hop.
+type CSRArrays struct {
+	Rows int         `json:"rows"`
+	Cols int         `json:"cols"`
+	Ptr  []int       `json:"ptr"`
+	Col  []int32     `json:"col"`
+	Val  wire.Floats `json:"val"`
+}
+
+// ArraysOf is a's arrays in their wire form, sharing a's slices.
+func ArraysOf(a *sparse.CSR) *CSRArrays {
+	rows, cols := a.Dims()
+	return &CSRArrays{Rows: rows, Cols: cols, Ptr: a.Ptr, Col: a.Col, Val: a.Data}
 }
 
 // GenerateSpec names a synthetic matrix family (see internal/matgen):
@@ -186,19 +212,18 @@ type SolveResponse struct {
 }
 
 // ExportResponse is the body of GET /v1/matrices/{id}/export: everything a
-// peer shard needs to re-register this handle verbatim — the matrix in
-// Matrix Market text (full %.17g precision, so values round-trip bit-exact)
-// plus the registration attributes that are not derivable from the text.
-// The cluster router uses it to replicate hot handles and to re-home
-// handles off a draining shard.
+// peer shard needs to re-register this handle verbatim — the matrix as its
+// CSR arrays, the form RegisterRequest.CSR takes back, plus the registration
+// attributes the arrays do not carry. The cluster router uses it to
+// replicate hot handles and to re-home handles off a draining shard.
 type ExportResponse struct {
-	ID           string  `json:"id"`
-	Name         string  `json:"name,omitempty"`
-	Tol          float64 `json:"tol"`
-	Transition   bool    `json:"transition"`
-	Dangling     []bool  `json:"dangling,omitempty"`
-	Fingerprint  string  `json:"fingerprint"`
-	MatrixMarket string  `json:"matrix_market"`
+	ID          string    `json:"id"`
+	Name        string    `json:"name,omitempty"`
+	Tol         float64   `json:"tol"`
+	Transition  bool      `json:"transition"`
+	Dangling    []bool    `json:"dangling,omitempty"`
+	Fingerprint string    `json:"fingerprint"`
+	CSR         CSRArrays `json:"csr"`
 }
 
 // BuildInfo is the body of GET /buildinfo.

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"log/slog"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -411,19 +412,29 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // Materialize builds the CSR (and, for PageRank handles, the dangling-node
-// flags) a registration describes: matrix_market text or a generate spec,
-// optionally turned into the transition operator (as_transition) or paired
-// with precomputed flags (dangling). ocsd registers the result; the router
-// calls it when it must see the matrix to partition it, so partitioned
-// placement accepts, rejects and builds exactly what a single shard would.
-// A generate spec whose matgen.EstimateNNZ exceeds maxNNZ is refused before
-// anything is generated (maxNNZ <= 0 sets no bound): one spec cannot make
-// the process allocate more than the registry could ever hold. Every error
-// is the client's: 413 for that refusal, 400 for the rest.
+// flags) a registration describes: matrix_market text, csr arrays or a
+// generate spec, optionally turned into the transition operator
+// (as_transition) or paired with precomputed flags (dangling). ocsd
+// registers the result; the router calls it when it must see the matrix to
+// partition it, so partitioned placement accepts, rejects and builds exactly
+// what a single shard would. A generate spec whose matgen.EstimateNNZ
+// exceeds maxNNZ is refused before anything is generated (maxNNZ <= 0 sets
+// no bound): one spec cannot make the process allocate more than the
+// registry could ever hold. A non-finite value is refused whatever the
+// source: every product it takes part in is non-finite, which both tiers
+// answer with 422, and JSON, the form a matrix crosses between them in, has
+// no number for it. Every error is the client's: 413 for the size refusal,
+// 400 for the rest.
 func Materialize(req RegisterRequest, maxNNZ int64) (csr *sparse.CSR, dangling []bool, err error) {
+	sources := 0
+	for _, set := range []bool{req.MatrixMarket != "", req.CSR != nil, req.Generate != nil} {
+		if set {
+			sources++
+		}
+	}
 	switch {
-	case req.MatrixMarket != "" && req.Generate != nil:
-		return nil, nil, errors.New("matrix_market and generate are mutually exclusive")
+	case sources > 1:
+		return nil, nil, errors.New("matrix_market, csr and generate are mutually exclusive")
 	case req.MatrixMarket != "":
 		name := req.Name
 		if name == "" {
@@ -432,6 +443,12 @@ func Materialize(req RegisterRequest, maxNNZ int64) (csr *sparse.CSR, dangling [
 		csr, err = mmio.ReadNamed(strings.NewReader(req.MatrixMarket), name)
 		if err != nil {
 			return nil, nil, fmt.Errorf("parsing matrix: %w", err)
+		}
+	case req.CSR != nil:
+		c := req.CSR
+		csr, err = sparse.NewCSR(c.Rows, c.Cols, c.Ptr, c.Col, c.Val)
+		if err != nil {
+			return nil, nil, fmt.Errorf("csr: %w", err)
 		}
 	case req.Generate != nil:
 		g := req.Generate
@@ -450,7 +467,12 @@ func Materialize(req RegisterRequest, maxNNZ int64) (csr *sparse.CSR, dangling [
 			return nil, nil, fmt.Errorf("generate: %w", err)
 		}
 	default:
-		return nil, nil, errors.New("one of matrix_market or generate is required")
+		return nil, nil, errors.New("one of matrix_market, csr or generate is required")
+	}
+	for k, v := range csr.Data {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return nil, nil, fmt.Errorf("matrix value %d is %v: values must be finite", k, v)
+		}
 	}
 	switch {
 	case req.AsTransition && req.Dangling != nil:
@@ -461,10 +483,10 @@ func Materialize(req RegisterRequest, maxNNZ int64) (csr *sparse.CSR, dangling [
 			return nil, nil, fmt.Errorf("building transition matrix: %w", err)
 		}
 	case req.Dangling != nil:
-		// The matrix text is an already-built transition operator (a peer
+		// The matrix is an already-built transition operator (a peer
 		// shard's export); install the flags verbatim instead of re-deriving.
-		if req.MatrixMarket == "" {
-			return nil, nil, errors.New("dangling requires matrix_market")
+		if req.Generate != nil {
+			return nil, nil, errors.New("dangling requires matrix_market or csr")
 		}
 		if rows, _ := csr.Dims(); len(req.Dangling) != rows {
 			return nil, nil, fmt.Errorf("dangling has %d flags, matrix has %d rows", len(req.Dangling), rows)
@@ -555,29 +577,23 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.env.WriteJSON(w, http.StatusOK, s.info(h))
 }
 
-// handleExport serializes a handle for a peer shard: the CSR master copy as
-// Matrix Market text (full precision, so values survive the round trip
-// bit-exact) plus the registration attributes a re-register needs. The
-// cluster router calls this to replicate hot handles onto other shards and
-// to re-home handles when a shard drains.
+// handleExport serializes a handle for a peer shard: the CSR master copy's
+// arrays plus the registration attributes a re-register needs. The cluster
+// router calls this to replicate hot handles onto other shards and to
+// re-home handles when a shard drains.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	h, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
-	var sb strings.Builder
-	if err := mmio.Write(&sb, h.CSR()); err != nil {
-		s.env.Fail(w, http.StatusInternalServerError, "serializing matrix: %v", err)
-		return
-	}
 	s.env.WriteJSON(w, http.StatusOK, ExportResponse{
-		ID:           h.ID,
-		Name:         h.Name,
-		Tol:          h.Tol,
-		Transition:   h.Dangling != nil,
-		Dangling:     h.Dangling,
-		Fingerprint:  h.Fingerprint,
-		MatrixMarket: sb.String(),
+		ID:          h.ID,
+		Name:        h.Name,
+		Tol:         h.Tol,
+		Transition:  h.Dangling != nil,
+		Dangling:    h.Dangling,
+		Fingerprint: h.Fingerprint,
+		CSR:         *ArraysOf(h.CSR()),
 	})
 }
 

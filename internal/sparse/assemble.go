@@ -30,8 +30,8 @@ const insertionCutoff = 24
 // Errors: inconsistent lengths, negative dimensions, or the first entry
 // outside rows x cols.
 func CSRFromTriplets(rows, cols int, ri, ci []int32, v []float64) (*CSR, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
+	if err := CheckDims(rows, cols); err != nil {
+		return nil, err
 	}
 	if len(ri) != len(ci) || len(ci) != len(v) {
 		return nil, fmt.Errorf("sparse: COO triplet lengths differ: %d, %d, %d", len(ri), len(ci), len(v))

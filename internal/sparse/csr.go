@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/parallel"
 )
@@ -23,11 +24,14 @@ type CSR struct {
 }
 
 // NewCSR builds a CSR matrix from raw arrays, validating the structure:
-// monotone Ptr, in-range sorted column indices per row. The slices are
-// retained, not copied; callers must not mutate them afterwards.
+// dimensions CheckDims accepts, a monotone Ptr within [0, nnz] (each row's
+// end is bounded before its entries are read), in-range sorted column
+// indices per row. Any arrays are safe to hand it, arrays decoded off the
+// network included. The slices are retained, not copied; callers must not
+// mutate them afterwards.
 func NewCSR(rows, cols int, ptr []int, col []int32, data []float64) (*CSR, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
+	if err := CheckDims(rows, cols); err != nil {
+		return nil, err
 	}
 	if len(ptr) != rows+1 {
 		return nil, fmt.Errorf("sparse: CSR ptr length %d, want %d", len(ptr), rows+1)
@@ -45,6 +49,9 @@ func NewCSR(rows, cols int, ptr []int, col []int32, data []float64) (*CSR, error
 		if ptr[i] > ptr[i+1] {
 			return nil, fmt.Errorf("sparse: CSR ptr not monotone at row %d", i)
 		}
+		if ptr[i+1] > len(col) {
+			return nil, fmt.Errorf("sparse: CSR ptr[%d] = %d past nnz %d", i+1, ptr[i+1], len(col))
+		}
 		prev := int32(-1)
 		for k := ptr[i]; k < ptr[i+1]; k++ {
 			c := col[k]
@@ -58,6 +65,18 @@ func NewCSR(rows, cols int, ptr []int, col []int32, data []float64) (*CSR, error
 		}
 	}
 	return newCSR(rows, cols, ptr, col, data), nil
+}
+
+// CheckDims refuses dimensions no matrix here can have: negative ones, and
+// ones past the int32 range of the column (and COO row) indices.
+func CheckDims(rows, cols int) error {
+	switch {
+	case rows < 0 || cols < 0:
+		return fmt.Errorf("sparse: negative dimensions %dx%d", rows, cols)
+	case rows > math.MaxInt32 || cols > math.MaxInt32:
+		return fmt.Errorf("sparse: dimensions %dx%d exceed the int32 index range", rows, cols)
+	}
+	return nil
 }
 
 // newCSR wraps arrays already known to be canonical — NewCSR has just checked

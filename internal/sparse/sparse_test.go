@@ -354,6 +354,10 @@ func TestNewCSRValidation(t *testing.T) {
 		{"cols unsorted", 1, 3, []int{0, 2}, []int32{2, 0}, []float64{1, 2}},
 		{"duplicate col", 1, 3, []int{0, 2}, []int32{1, 1}, []float64{1, 2}},
 		{"negative dims", -1, 2, []int{0}, nil, nil},
+		{"ptr overshoots mid-array", 2, 4, []int{0, 100, 3}, []int32{0, 1, 2}, []float64{1, 2, 3}},
+		{"ptr negative mid-array", 2, 4, []int{0, -1, 3}, []int32{0, 1, 2}, []float64{1, 2, 3}},
+		{"cols beyond int32", 1, math.MaxInt32 + 1, []int{0, 1}, []int32{0}, []float64{1}},
+		{"rows beyond int32", math.MaxInt32 + 1, 1, []int{0}, nil, nil},
 	}
 	for _, c := range cases {
 		if _, err := NewCSR(c.rows, c.cols, c.ptr, c.col, c.data); err == nil {

@@ -137,6 +137,36 @@ func DecodeVector(text []byte, dst []float64, stride int) error {
 	return nil
 }
 
+// Floats is a []float64 whose JSON decoding goes through DecodeVector, so a
+// long array of numbers (a matrix's values) is read with the panels' number
+// reader: its commas are counted, one slice of that length is allocated and
+// filled in place. It encodes and decodes null as a plain []float64 does,
+// but null inside the array is rejected.
+type Floats []float64
+
+// UnmarshalJSON implements json.Unmarshaler. encoding/json has already
+// checked b's grammar: it is one JSON value with nothing around it.
+func (f *Floats) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*f = nil
+		return nil
+	}
+	if len(b) < 2 || b[0] != '[' || b[len(b)-1] != ']' {
+		return fmt.Errorf("wire: cannot read %.20q as an array of numbers", b)
+	}
+	text := b[1 : len(b)-1]
+	n := 0
+	if skipSpace(text, 0) < len(text) {
+		n = bytes.Count(text, []byte{','}) + 1
+	}
+	v := make([]float64, n)
+	if err := DecodeVector(text, v, 1); err != nil {
+		return err
+	}
+	*f = v
+	return nil
+}
+
 // ---- the parser ----
 
 type fieldKind uint8

@@ -20,7 +20,8 @@
 //     floattext.ReadJSON: one pass checks each number's grammar and
 //     converts it, and every value has the bits of strconv.ParseFloat, the
 //     conversion encoding/json itself uses (what the fast paths cannot
-//     certify is handed to strconv.ParseFloat);
+//     certify is handed to strconv.ParseFloat); Floats gives a float array
+//     inside an encoding/json document (a matrix's values) the same reader;
 //   - scan (ScanRequest, ScanReply) locates each vector's byte span and entry
 //     count without converting a number, and Splice builds a reply out of
 //     such spans: the router forwards and gathers panels as bytes.
