@@ -35,7 +35,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -43,6 +42,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/server"
 
@@ -66,7 +66,7 @@ func main() {
 	)
 	flag.Parse()
 
-	logger := newLogger(*logJSON, *logLevel)
+	logger := obs.NewLogger(*logJSON, *logLevel)
 
 	var preds *core.Predictors
 	switch {
@@ -138,20 +138,4 @@ func main() {
 		logger.Warn("shutdown error", "error", err)
 	}
 	logger.Info("ocsd stopped")
-}
-
-// newLogger builds the process logger from the -log-json/-log-level flags.
-func newLogger(asJSON bool, level string) *slog.Logger {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		lv = slog.LevelInfo
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	var h slog.Handler
-	if asJSON {
-		h = slog.NewJSONHandler(os.Stderr, opts)
-	} else {
-		h = slog.NewTextHandler(os.Stderr, opts)
-	}
-	return slog.New(h)
 }

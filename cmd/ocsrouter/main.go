@@ -32,7 +32,6 @@ package main
 
 import (
 	"flag"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -41,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -56,7 +56,7 @@ func main() {
 	)
 	flag.Parse()
 
-	logger := newLogger(*logJSON, *logLevel)
+	logger := obs.NewLogger(*logJSON, *logLevel)
 	var urls []string
 	for _, s := range strings.Split(*shards, ",") {
 		if s = strings.TrimSpace(s); s != "" {
@@ -102,20 +102,4 @@ func main() {
 	}
 	router.Close()
 	logger.Info("ocsrouter stopped")
-}
-
-// newLogger builds the process logger from the -log-json/-log-level flags.
-func newLogger(asJSON bool, level string) *slog.Logger {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		lv = slog.LevelInfo
-	}
-	opts := &slog.HandlerOptions{Level: lv}
-	var h slog.Handler
-	if asJSON {
-		h = slog.NewJSONHandler(os.Stderr, opts)
-	} else {
-		h = slog.NewTextHandler(os.Stderr, opts)
-	}
-	return slog.New(h)
 }

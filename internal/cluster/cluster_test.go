@@ -77,11 +77,14 @@ func newCluster(t *testing.T, n int, tune func(*Config)) ([]*flakyShard, *Router
 	return shards, router, ts
 }
 
-// callJSON sends a JSON request and decodes the response into out.
+// callJSON sends in as a JSON request (an io.Reader is streamed as it is) and
+// decodes the response into out.
 func callJSON(t *testing.T, method, url string, in, out any) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
-	if in != nil {
+	if r, ok := in.(io.Reader); ok {
+		rd = r
+	} else if in != nil {
 		blob, err := json.Marshal(in)
 		if err != nil {
 			t.Fatal(err)

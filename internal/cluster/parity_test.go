@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -55,10 +56,17 @@ func TestTierParityBadRequests(t *testing.T) {
 		return server.RegisterRequest{Name: "arrays", CSR: &server.CSRArrays{Rows: rows, Cols: cols, Ptr: ptr, Col: col, Val: val}}
 	}
 	valid := arrays(2, 4, []int{0, 2, 3}, []int32{0, 3, 1}, []float64{1, 2, 3})
+	// A body one byte past the 64 MiB cap, made afresh for each request and
+	// streamed: an opening that the rest of the body, spaces, never closes.
+	pastCap := func(open string) func() io.Reader {
+		return func() io.Reader {
+			return io.MultiReader(strings.NewReader(open), io.LimitReader(spaces{}, 64<<20+1-int64(len(open))))
+		}
+	}
 
 	cases := []struct {
 		name string
-		reg  any // a server.RegisterRequest, or the raw body of one
+		reg  any // a server.RegisterRequest, the raw body of one, or a body maker
 		// path and body of the request against the registered handle; an
 		// empty path means the registration itself is the request under test.
 		path string
@@ -119,6 +127,8 @@ func TestTierParityBadRequests(t *testing.T) {
 		{"matrix_market with an infinite value", server.RegisterRequest{
 			MatrixMarket: "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n2 2 inf\n",
 		}, "", nil, http.StatusBadRequest},
+		{"register body past the cap", pastCap(`{"matrix_market":"`), "", nil, http.StatusRequestEntityTooLarge},
+		{"spmv body past the cap", spd, "/spmv", pastCap(`{"x":[[`), http.StatusRequestEntityTooLarge},
 	}
 
 	bare := newShard(t)
@@ -147,12 +157,12 @@ func TestTierParityBadRequests(t *testing.T) {
 				var info struct {
 					ID string `json:"id"`
 				}
-				code, body := callJSON(t, http.MethodPost, tier.base+"/v1/matrices", reg, &info)
+				code, body := callJSON(t, http.MethodPost, tier.base+"/v1/matrices", fresh(reg), &info)
 				if tc.path != "" {
 					if code != http.StatusCreated {
 						t.Fatalf("%s: register: %d %s", tier.name, code, body)
 					}
-					code, body = callJSON(t, http.MethodPost, tier.base+"/v1/matrices/"+info.ID+tc.path, tc.body, nil)
+					code, body = callJSON(t, http.MethodPost, tier.base+"/v1/matrices/"+info.ID+tc.path, fresh(tc.body), nil)
 				}
 				if code != tc.want {
 					t.Errorf("%s answered %d, want %d like every tier: %s", tier.name, code, tc.want, body)
@@ -160,6 +170,25 @@ func TestTierParityBadRequests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// fresh makes the body a case's body maker describes, and passes any other
+// body through.
+func fresh(body any) any {
+	if mk, ok := body.(func() io.Reader); ok {
+		return mk()
+	}
+	return body
 }
 
 // TestDiagonalCallSitesAgree: the diagonal a solver is handed is the same

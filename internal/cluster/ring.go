@@ -95,16 +95,6 @@ func (r *Ring) Remove(name string) {
 	r.points = kept
 }
 
-// Members returns the member names in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lookup returns the member owning key, or "" on an empty ring.
 func (r *Ring) Lookup(key string) string {
 	s := r.Successors(key, 1)

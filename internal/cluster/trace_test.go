@@ -17,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/sparse"
+	"repro/internal/timing"
 	"repro/internal/trainer"
 )
 
@@ -50,18 +51,21 @@ func clusterBundle(t *testing.T) *core.Predictors {
 }
 
 // tracedCluster builds n shards whose selectors can actually convert
-// (predictors + deterministic gate, synchronous stage 2 so all overhead is
-// paid) behind a router.
+// (predictors, and a fake clock on which every sampled SpMV takes 1 ms, so
+// the overhead gate — 5 · (300 µs + 8 ns · nnz) / 1 ms calls — opens for
+// any loop with TH iterations left) behind a router.
 func tracedCluster(t *testing.T, n int) ([]*flakyShard, *Router, *httptest.Server) {
 	t.Helper()
 	preds := clusterBundle(t)
 	shards := make([]*flakyShard, n)
 	urls := make([]string, n)
 	for i := range shards {
+		clk := timing.NewFakeClock()
+		clk.SetAutoStep(time.Millisecond)
 		s := server.New(server.Config{
-			Logger:   quietLogger(),
-			Preds:    preds,
-			Selector: &core.Config{Margin: 0.1},
+			Logger: quietLogger(),
+			Preds:  preds,
+			Clock:  clk,
 		})
 		f := &flakyShard{}
 		f.ts = httptest.NewServer(s.Handler())

@@ -37,8 +37,6 @@ type Stats struct {
 	PredictedTotal int
 	// Stage2Ran reports whether feature extraction + model inference ran.
 	Stage2Ran bool
-	// Decision is the stage-2 outcome (zero value if stage 2 never ran).
-	Decision Decision
 	// Converted reports whether the matrix was re-formatted.
 	Converted bool
 	// Format is the format SpMV is currently running on.
@@ -103,10 +101,8 @@ type Adaptive struct {
 	mu       sync.Mutex
 	progress []float64
 	calls    int64 // SpMV calls served, before and after the decision
-	// rec is the decision record; decision is stage 2's outcome in the
-	// format-keyed form Stats reports.
-	rec      obs.DecisionTrace
-	decision Decision
+	// rec is the decision record.
+	rec obs.DecisionTrace
 
 	// Self-measured SpMV cost, gathered until the pipeline decision: the
 	// overhead-conscious gate needs to know what one SpMV costs here to
@@ -127,15 +123,13 @@ type operator struct{ sparse.Matrix }
 
 // NewAdaptive wraps a matrix in its default CSR format. tol is the
 // convergence tolerance of the surrounding loop (the stage-1 predictor
-// forecasts when the progress indicator will cross it). parallel is
+// forecasts when the progress indicator will cross it). cfg is taken as
+// given, its Lim included: build it from DefaultConfig. parallel is
 // ignored: every product runs through its format's SpMVParallel, which
 // sparse's one gate runs inline when the matrix is too small to split. The
 // parameter remains only because benchmark/ compiles against it and leaves
 // with that module's next change (ROADMAP 10(d)).
 func NewAdaptive(a *sparse.CSR, tol float64, preds *Predictors, cfg Config, parallel bool) *Adaptive {
-	if cfg.Lim == (sparse.Limits{}) {
-		cfg.Lim = sparse.DefaultLimits
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = timing.WallClock{}
@@ -242,7 +236,7 @@ func (ad *Adaptive) runStage1() (calls float64, ok bool) {
 	if ad.spmvCalls > 0 && ad.preds != nil {
 		in.SpMVSeconds = ad.spmvSeconds / float64(ad.spmvCalls)
 	}
-	calls, ad.rec.Gates, ok = Gates(in, ad.cfg)
+	calls, ad.rec.Gates, ok = Gates(in)
 	return calls, ok && ad.preds != nil
 }
 
@@ -266,7 +260,7 @@ type GateInput struct {
 // calls still to come. Every gate inequality is returned with both of its
 // sides, so a record shows how close each call was; gates[0] is
 // remaining>=TH. run reports whether stage 2 should run.
-func Gates(in GateInput, cfg Config) (calls float64, gates []obs.GateCheck, run bool) {
+func Gates(in GateInput) (calls float64, gates []obs.GateCheck, run bool) {
 	remaining := in.Total - in.Iterations
 	calls = float64(remaining)
 	if in.Iterations > 0 {
@@ -284,10 +278,9 @@ func Gates(in GateInput, cfg Config) (calls float64, gates []obs.GateCheck, run 
 	// Overhead-conscious gate on stage 2 itself: estimate the feature
 	// extraction cost in units of the measured SpMV time and require enough
 	// remaining calls to plausibly amortize it.
-	if cfg.GateOverheadFactor > 0 && cfg.FeatureSecondsPerNNZ > 0 && in.SpMVSeconds > 0 {
-		est := cfg.PredictFixedSeconds + cfg.FeatureSecondsPerNNZ*float64(in.NNZ)
-		overheadNorm := est / in.SpMVSeconds
-		threshold := cfg.GateOverheadFactor * overheadNorm
+	if in.SpMVSeconds > 0 {
+		est := predictFixedSeconds + featureSecondsPerNNZ*float64(in.NNZ)
+		threshold := gateOverheadFactor * (est / in.SpMVSeconds)
 		gates = append(gates, obs.GateCheck{
 			Name: "remaining>=gate*overhead", LHS: calls, RHS: threshold,
 			Passed: calls >= threshold,
@@ -382,7 +375,7 @@ func (ad *Adaptive) applyStage2(r stage2Result) {
 	tr.FeatureSeconds = r.feature
 	tr.PredictSeconds += r.predict + r.lookup
 	tr.ConvertSeconds = r.convert
-	tr.PaidSeconds = ad.overhead()
+	tr.PaidSeconds = tr.FeatureSeconds + tr.PredictSeconds + tr.ConvertSeconds
 	if r.cacheHit {
 		tr.ConvCacheHit = true
 		tr.HiddenSeconds = r.credit
@@ -416,7 +409,7 @@ func (ad *Adaptive) applyStage2(r stage2Result) {
 		tr.ConvertErr = r.convertErr
 		tr.Chosen = sparse.FmtCSR.String()
 	}
-	ad.seedLedger()
+	ad.seedLedger(r.d)
 }
 
 // recordStage2 writes a stage-2 decision into the record, including the
@@ -426,7 +419,6 @@ func (ad *Adaptive) applyStage2(r stage2Result) {
 // its decision without re-extracting the matrix.
 func (ad *Adaptive) recordStage2(r stage2Result) {
 	d, tr := r.d, &ad.rec
-	ad.decision = d
 	tr.Stage2Ran = true
 	tr.Chosen = d.Format.String()
 	tr.Features = r.fvec
@@ -442,12 +434,12 @@ func (ad *Adaptive) recordStage2(r stage2Result) {
 	}
 }
 
-// seedLedger seeds the ledger with the model-side quantities the payoff will
-// be judged against. Only the paid share of the overhead enters the ledger's
-// net balance; the hidden seconds (the conversion-cache credit) are reported
-// but never charged.
-func (ad *Adaptive) seedLedger() {
-	tr, d := &ad.rec, ad.decision
+// seedLedger seeds the ledger with the model-side quantities of stage 2's
+// decision d that the payoff will be judged against. Only the paid share of
+// the overhead enters the ledger's net balance; the hidden seconds (the
+// conversion-cache credit) are reported but never charged.
+func (ad *Adaptive) seedLedger(d Decision) {
+	tr := &ad.rec
 	var baseline float64
 	if ad.spmvCalls > 0 {
 		baseline = ad.spmvSeconds / float64(ad.spmvCalls)
@@ -461,11 +453,6 @@ func (ad *Adaptive) seedLedger() {
 		}
 	}
 	tr.Ledger.InitPredictions(baseline, predictedNorm, tr.PaidSeconds, tr.HiddenSeconds, tr.Converted)
-}
-
-// overhead is OverheadSeconds for callers that hold mu.
-func (ad *Adaptive) overhead() float64 {
-	return ad.rec.FeatureSeconds + ad.rec.PredictSeconds + ad.rec.ConvertSeconds
 }
 
 // formatKeyed re-keys a per-format map by the formats' names for the
@@ -510,7 +497,6 @@ func (ad *Adaptive) Stats() Stats {
 		Stage1Ran:      ad.decided.Load(),
 		PredictedTotal: r.PredictedTotal,
 		Stage2Ran:      r.Stage2Ran,
-		Decision:       ad.decision,
 		Converted:      r.Converted,
 		Format:         ad.Format(),
 		FeatureSeconds: r.FeatureSeconds,
@@ -536,11 +522,3 @@ func (ad *Adaptive) Trace() (obs.DecisionTrace, bool) {
 
 // Format returns the format SpMV currently runs on.
 func (ad *Adaptive) Format() sparse.Format { return ad.op.Load().Format() }
-
-// OverheadSeconds is the total measured selector overhead (T_predict +
-// T_convert) of this run.
-func (ad *Adaptive) OverheadSeconds() float64 {
-	ad.mu.Lock()
-	defer ad.mu.Unlock()
-	return ad.overhead()
-}

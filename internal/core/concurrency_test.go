@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
+	"repro/internal/timing"
 )
 
 // TestSpMMExactUnderConcurrentTraffic drives SpMV/solve-style traffic at one
@@ -147,7 +148,9 @@ func TestHotSwapAsyncPipeline(t *testing.T) {
 // decision record it reads is the finished one.
 func TestConcurrentSpMVAcrossInlineSwap(t *testing.T) {
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
-	sa := core.NewAdaptive(m, 1e-8, sellPreds(t, m), core.Config{Margin: 0.1}, false)
+	clk := timing.NewFakeClock()
+	clk.SetAutoStep(time.Millisecond) // every SpMV 1 ms: the overhead gate opens
+	sa := core.NewAdaptive(m, 1e-8, sellPreds(t, m), replayConfig(clk), false)
 	rows, cols := m.Dims()
 	x := make([]float64, cols)
 	for i := range x {

@@ -64,7 +64,7 @@ func TestConvCacheHitFlipsStayIntoConvert(t *testing.T) {
 	preds.ConvTime[sparse.FmtSELL] = constModel(t, fvec, 10000)
 	preds.SpMVTime[sparse.FmtSELL] = constModel(t, fvec, 0.5)
 
-	run := func(cache *convcache.Cache) (core.Stats, obs.DecisionTrace, float64) {
+	run := func(cache *convcache.Cache) (core.Stats, obs.DecisionTrace) {
 		clk := timing.NewFakeClock()
 		clk.SetAutoStep(time.Millisecond)
 		cfg := replayConfig(clk)
@@ -79,11 +79,11 @@ func TestConvCacheHitFlipsStayIntoConvert(t *testing.T) {
 		if !st.Stage2Ran {
 			t.Fatalf("stage 2 never ran: %+v", st)
 		}
-		return st, fetchTrace(t, ad), ad.OverheadSeconds()
+		return st, fetchTrace(t, ad)
 	}
 
 	// Cache-blind: stay on CSR.
-	st, tr, _ := run(nil)
+	st, tr := run(nil)
 	if st.Converted || st.Format != sparse.FmtCSR || st.ConvCacheHit {
 		t.Fatalf("without a cache the scripted costs must keep CSR: %+v", st)
 	}
@@ -95,7 +95,7 @@ func TestConvCacheHitFlipsStayIntoConvert(t *testing.T) {
 	// conversion: the argmin sees T_convert = 0 and flips to convert.
 	cache := convcache.New(0)
 	publishSELL(t, cache, m, 0.123)
-	st, tr, overhead := run(cache)
+	st, tr = run(cache)
 	if !st.Converted || st.Format != sparse.FmtSELL {
 		t.Fatalf("cached conversion did not flip the decision: %+v", st)
 	}
@@ -112,8 +112,8 @@ func TestConvCacheHitFlipsStayIntoConvert(t *testing.T) {
 	}
 	// Golden overhead: stage-1 predict + features + decide + cache lookup,
 	// one scripted millisecond each, and no convert region.
-	if overhead != 0.004 {
-		t.Errorf("OverheadSeconds = %g, want exactly 0.004", overhead)
+	if overhead := st.FeatureSeconds + st.PredictSeconds + st.ConvertSeconds; overhead != 0.004 {
+		t.Errorf("overhead regions sum to %g, want exactly 0.004", overhead)
 	}
 	if st.PaidSeconds != 0.004 {
 		t.Errorf("PaidSeconds = %g, want exactly 0.004", st.PaidSeconds)
@@ -194,8 +194,8 @@ func TestConvCacheAdoptAndPublish(t *testing.T) {
 	if st2.HiddenSeconds != st1.ConvertSeconds {
 		t.Errorf("tenant 2 HiddenSeconds = %g, want the publisher's %g", st2.HiddenSeconds, st1.ConvertSeconds)
 	}
-	if st2.PaidSeconds != ad2.OverheadSeconds() {
-		t.Errorf("tenant 2 PaidSeconds = %g, want all of its overhead %g", st2.PaidSeconds, ad2.OverheadSeconds())
+	if overhead := st2.FeatureSeconds + st2.PredictSeconds + st2.ConvertSeconds; st2.PaidSeconds != overhead {
+		t.Errorf("tenant 2 PaidSeconds = %g, want all of its overhead %g", st2.PaidSeconds, overhead)
 	}
 	if tr := fetchTrace(t, ad2); !tr.ConvCacheHit {
 		t.Error("tenant 2 trace does not record the cache hit")

@@ -252,7 +252,7 @@ func TestAdaptiveLongLoopConvertsBanded(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Clock = clk
 	ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
-	// Slow convergence: 0.995x per iteration needs ~6600 more iterations.
+	// Slow convergence: 0.995x per iteration needs ~3700 iterations to 1e-8.
 	r := 1.0
 	for i := 0; i < 20; i++ {
 		r *= 0.995
@@ -266,7 +266,7 @@ func TestAdaptiveLongLoopConvertsBanded(t *testing.T) {
 		t.Errorf("predicted total %d, want >> 15", st.PredictedTotal)
 	}
 	if !st.Converted || st.Format == sparse.FmtCSR {
-		t.Errorf("banded long loop did not convert: decision %+v", st.Decision)
+		t.Errorf("banded long loop did not convert: %+v", st)
 	}
 	// SpMV must still compute correctly after conversion.
 	rows, cols := ad.Dims()
@@ -285,8 +285,8 @@ func TestAdaptiveLongLoopConvertsBanded(t *testing.T) {
 	}
 	// Four timed regions (stage-1 predict, features, decide, convert) at
 	// 1ms of scripted clock each.
-	if got := ad.OverheadSeconds(); got != 0.004 {
-		t.Errorf("OverheadSeconds = %g, want exactly 0.004", got)
+	if got := ad.Stats().PaidSeconds; got != 0.004 {
+		t.Errorf("PaidSeconds = %g, want exactly 0.004", got)
 	}
 }
 

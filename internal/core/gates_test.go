@@ -11,12 +11,12 @@ import (
 // TH gate in iterations, the forecast scaled by calls per iteration, and
 // the overhead gate's estimate over the mean SpMV time.
 func TestGatesSequence(t *testing.T) {
-	cfg := core.DefaultConfig() // TH 15, factor 5, 300 µs + 8 ns/nnz
+	// TH 15, factor 5, 300 µs + 8 ns/nnz.
 	// 100 forecast, 15 seen: 85 remaining iterations, 30 calls in 15 → 170
 	// calls. Estimate 300e-6 + 8e-9·50 000 = 700 µs over 10 µs = 70 calls,
 	// threshold 350: the overhead gate closes.
 	in := core.GateInput{Total: 100, Iterations: 15, Calls: 30, SpMVSeconds: 10e-6, NNZ: 50000}
-	calls, gates, run := core.Gates(in, cfg)
+	calls, gates, run := core.Gates(in)
 	if calls != 170 || run || len(gates) != 2 {
 		t.Fatalf("calls %g run %v gates %+v, want 170, false, two gates", calls, run, gates)
 	}
@@ -30,24 +30,24 @@ func TestGatesSequence(t *testing.T) {
 
 	// Four times the SpMV time: threshold 87.5, the gate opens.
 	in.SpMVSeconds = 40e-6
-	if _, gates, run := core.Gates(in, cfg); !run || !gates[1].Passed {
+	if _, gates, run := core.Gates(in); !run || !gates[1].Passed {
 		t.Errorf("40 µs SpMV: run %v gates %+v", run, gates)
 	}
 
 	// Unmeasured SpMV time: the overhead gate stays out of the record.
 	in.SpMVSeconds = 0
-	if _, gates, run := core.Gates(in, cfg); !run || len(gates) != 1 {
+	if _, gates, run := core.Gates(in); !run || len(gates) != 1 {
 		t.Errorf("unmeasured: run %v gates %+v", run, gates)
 	}
 
 	// A loop too short for TH stops there.
-	if _, gates, run := core.Gates(core.GateInput{Total: 20, Iterations: 15}, cfg); run || len(gates) != 1 || gates[0].Passed {
+	if _, gates, run := core.Gates(core.GateInput{Total: 20, Iterations: 15}); run || len(gates) != 1 || gates[0].Passed {
 		t.Errorf("short loop: run %v gates %+v", run, gates)
 	}
 
 	// Nothing seen (a known loop bound as the forecast): the forecast is
 	// the remaining calls as it stands.
-	if calls, _, run := core.Gates(core.GateInput{Total: 50}, cfg); calls != 50 || !run {
+	if calls, _, run := core.Gates(core.GateInput{Total: 50}); calls != 50 || !run {
 		t.Errorf("nothing seen: calls %g run %v, want 50, true", calls, run)
 	}
 }

@@ -19,16 +19,12 @@ import (
 // the gate compares *measured* quantities, so only a fake clock can pin
 // which side of the threshold a scenario lands on.
 
-// replayConfig builds a Config whose stage-2 gate depends only on scripted
-// quantities: the fixed predict cost dominates the per-nnz term, so with an
-// SpMV auto-step of s the gate threshold is ~GateOverheadFactor ·
-// PredictFixedSeconds / s remaining iterations.
+// replayConfig is the default Config on a scripted clock: with an SpMV
+// auto-step of s the overhead gate asks for 5 · (300 µs + 8 ns · nnz) / s
+// remaining calls, the threshold ocsd and the library run.
 func replayConfig(clk timing.Clock) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Clock = clk
-	cfg.GateOverheadFactor = 10
-	cfg.PredictFixedSeconds = 1e-3
-	cfg.FeatureSecondsPerNNZ = 1e-15 // must be > 0 to arm the gate; negligible
 	return cfg
 }
 
@@ -53,11 +49,13 @@ func driveLoop(ad *core.Adaptive, iters, spmvPerIter int, decay float64) {
 
 // TestReplayGateScriptedSpMVCost pins the overhead-conscious gate to both
 // sides of its threshold using only the injected SpMV cost. The progress
-// series is identical in both subtests — ~6600 predicted iterations — so
-// the gate's verdict is decided purely by the scripted clock:
+// series is identical in both subtests — ~3700 predicted iterations — so
+// the gate's verdict is decided purely by the scripted clock. The matrix
+// has 31 906 nonzeros, so the default gate estimates extraction at
+// 300 µs + 8 ns · 31 906 = 555 µs:
 //
-//	SpMV 1µs  → overhead ≈ 1000 SpMV-equivalents, threshold 10000 → blocked
-//	SpMV 1ms  → overhead ≈ 1 SpMV-equivalent,   threshold ≈ 10   → opens
+//	SpMV 100ns → overhead ≈ 5550 SpMV-equivalents, threshold ≈ 27 800 → blocked
+//	SpMV 1ms   → overhead ≈ 0.56 SpMV-equivalents, threshold ≈ 2.8    → opens
 func TestReplayGateScriptedSpMVCost(t *testing.T) {
 	preds := predictors(t)
 	cases := []struct {
@@ -65,7 +63,7 @@ func TestReplayGateScriptedSpMVCost(t *testing.T) {
 		spmvCost time.Duration
 		wantRun  bool
 	}{
-		{"slow-feature-extraction-blocks", time.Microsecond, false},
+		{"slow-feature-extraction-blocks", 100 * time.Nanosecond, false},
 		{"cheap-relative-overhead-opens", time.Millisecond, true},
 	}
 	for _, tc := range cases {
@@ -96,7 +94,7 @@ func TestReplayGateScriptedSpMVCost(t *testing.T) {
 // TestReplayOverheadAccountingExact asserts the overhead bookkeeping to the
 // exact scripted values: with a 1ms auto-step, stage 1 and the decide region
 // each measure 1ms (PredictSeconds = 2ms), feature extraction 1ms, and the
-// conversion 1ms — OverheadSeconds is exactly 4ms, not "> 0".
+// conversion 1ms — PaidSeconds is exactly 4ms, not "> 0".
 func TestReplayOverheadAccountingExact(t *testing.T) {
 	preds := predictors(t)
 	clk := timing.NewFakeClock()
@@ -109,7 +107,7 @@ func TestReplayOverheadAccountingExact(t *testing.T) {
 		t.Fatalf("stage 2 did not run: %+v", st)
 	}
 	if !st.Converted {
-		t.Fatalf("banded long loop did not convert: %+v", st.Decision)
+		t.Fatalf("banded long loop did not convert: %+v", st)
 	}
 	if st.PredictSeconds != 0.002 {
 		t.Errorf("PredictSeconds = %g, want exactly 0.002", st.PredictSeconds)
@@ -120,8 +118,8 @@ func TestReplayOverheadAccountingExact(t *testing.T) {
 	if st.ConvertSeconds != 0.001 {
 		t.Errorf("ConvertSeconds = %g, want exactly 0.001", st.ConvertSeconds)
 	}
-	if got := ad.OverheadSeconds(); got != 0.004 {
-		t.Errorf("OverheadSeconds = %g, want exactly 0.004", got)
+	if st.PaidSeconds != 0.004 {
+		t.Errorf("PaidSeconds = %g, want exactly 0.004", st.PaidSeconds)
 	}
 }
 
@@ -138,10 +136,10 @@ func TestReplayGoldenTrace(t *testing.T) {
 		decay    float64
 		spmvCost time.Duration
 	}{
-		{"short-loop", 10, 0.1, time.Millisecond},            // < K: pipeline never fires
-		{"nearly-done", 16, 0.1, time.Millisecond},           // stage 1 predicts < TH remaining
-		{"long-loop-slow-spmv", 20, 0.995, time.Microsecond}, // gate blocks stage 2
-		{"long-loop", 20, 0.995, time.Millisecond},           // full pipeline, converts
+		{"short-loop", 10, 0.1, time.Millisecond},                 // < K: pipeline never fires
+		{"nearly-done", 16, 0.1, time.Millisecond},                // stage 1 predicts < TH remaining
+		{"long-loop-slow-spmv", 20, 0.995, 100 * time.Nanosecond}, // gate blocks stage 2
+		{"long-loop", 20, 0.995, time.Millisecond},                // full pipeline, converts
 		// A growing residual never crosses the tolerance, so stage 1
 		// pessimistically answers MaxIters — the selector treats a divergent
 		// loop as endless and converts just like the long loop.
@@ -212,17 +210,23 @@ func TestReplayConvertedFormatStable(t *testing.T) {
 	}
 }
 
+// gateStep is the SpMV auto-step at which the default overhead gate asks
+// for exactly calls remaining SpMV calls on a matrix of nnz nonzeros: the
+// gate's threshold is 5 · (300 µs + 8 ns · nnz) / step.
+func gateStep(nnz int, calls float64) time.Duration {
+	return time.Duration(5 * (300e-6 + 8e-9*float64(nnz)) / calls * float64(time.Second))
+}
+
 // remainingAfterK replays the loop the two tests below share — geometric
 // decay 0.664 towards 1e-8, about 45 iterations in all — with no gate in the
-// way, and returns how many iterations stage 1 says are left at K = 15.
+// way (no SpMV is timed, so the overhead gate stays out), and returns how
+// many iterations stage 1 says are left at K = 15.
 func remainingAfterK(t *testing.T, preds *core.Predictors, m *sparse.CSR) int {
 	t.Helper()
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(time.Millisecond)
-	cfg := replayConfig(clk)
-	cfg.GateOverheadFactor = 0
-	ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
-	driveLoop(ad, 20, 1, 0.664)
+	ad := core.NewAdaptive(m, 1e-8, preds, replayConfig(clk), false)
+	driveLoop(ad, 20, 0, 0.664)
 	st := ad.Stats()
 	left := st.PredictedTotal - core.K
 	if !st.Stage2Ran || left < 25 || left > 35 {
@@ -232,61 +236,58 @@ func remainingAfterK(t *testing.T, preds *core.Predictors, m *sparse.CSR) int {
 }
 
 // TestReplayDefaultGateChargesMeasuredExtraction is a short solve like the
-// benchmark's cg-spd, scripted: extraction costs 7.3 SpMVs (the default's
-// measured 8 ns per nonzero against an SpMV of 12/11 ns per nonzero) and
-// about 30 iterations are left. The default gate asks for 5 x 7.3 = 37 and
-// keeps stage 2 out; at the 3e-9 the default once claimed, the same loop is
-// charged 2.75 SpMVs and let in to spend more than it can save.
+// benchmark's cg-spd, scripted: the default gate's extraction estimate
+// (300 µs + 8 ns per nonzero) comes to 7.3 SpMVs — the ratio of its
+// measured 8 ns per nonzero to an SpMV of 12/11 ns per nonzero — and about
+// 30 iterations are left. The gate asks for 5 x 7.3 = 37 and keeps stage 2
+// out. The control scripts an SpMV 8/3 as slow, so that the same estimate
+// is 2.75 SpMVs, what the 3e-9 per nonzero the default once claimed
+// charged: that gate asks for 14 and lets the loop in to spend more than it
+// can save.
 func TestReplayDefaultGateChargesMeasuredExtraction(t *testing.T) {
 	preds := predictors(t)
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
 	left := remainingAfterK(t, preds, m)
-	run := func(perNNZ float64) core.Stats {
+	run := func(extractionSpMVs float64) core.Stats {
 		clk := timing.NewFakeClock()
-		clk.SetAutoStep(time.Duration(m.NNZ()) * 12 / 11) // ns: one SpMV
-		cfg := core.DefaultConfig()
-		cfg.Clock = clk
-		cfg.PredictFixedSeconds = 0 // the per-nonzero term alone
-		if perNNZ != 0 {
-			cfg.FeatureSecondsPerNNZ = perNNZ
-		}
-		ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
+		clk.SetAutoStep(gateStep(m.NNZ(), 5*extractionSpMVs))
+		ad := core.NewAdaptive(m, 1e-8, preds, replayConfig(clk), false)
 		driveLoop(ad, 20, 1, 0.664)
 		return ad.Stats()
 	}
-	if st := run(0); !st.Stage1Ran || st.Stage2Ran || st.Converted {
+	const measured = 8.0 * 11 / 12 // 7.3 SpMVs
+	if st := run(measured); !st.Stage1Ran || st.Stage2Ran || st.Converted {
 		t.Errorf("default gate, 7.3-SpMV extraction, %d iterations left: stage 2 ran (%+v)", left, st)
 	}
-	if st := run(3e-9); !st.Stage2Ran {
-		t.Errorf("control: at 3e-9 per nonzero the gate should open with %d iterations left", left)
+	if st := run(measured * 3 / 8); !st.Stage2Ran {
+		t.Errorf("control: at a 2.75-SpMV extraction the gate should open with %d iterations left", left)
 	}
 }
 
 // TestReplayRemainingCountsSpMVCalls: a loop that issues two SpMVs per
 // progress report (BiCGSTAB) has twice the calls left that its iteration
-// forecast says, and it is calls a conversion is paid back in. The gate is
-// scripted to ask for 1.5x the iterations left: the 1:1 loop stays out, the
-// 2:1 loop of the same length gets in and decides on 2x.
+// forecast says, and it is calls a conversion is paid back in. The SpMV
+// time is scripted so the gate asks for 1.5x the iterations left: the 1:1
+// loop stays out, the 2:1 loop of the same length gets in and decides on 2x.
 func TestReplayRemainingCountsSpMVCalls(t *testing.T) {
 	preds := predictors(t)
 	m := genCSR(t, matgen.FamBanded, 4000, 7)
 	left := remainingAfterK(t, preds, m)
-	run := func(spmvPerIter int) core.Stats {
+	run := func(spmvPerIter int) *core.Adaptive {
 		clk := timing.NewFakeClock()
-		cfg := replayConfig(clk) // threshold = 10 * 1ms / SpMV cost
-		clk.SetAutoStep(time.Duration(float64(10*time.Millisecond) / (1.5 * float64(left))))
-		ad := core.NewAdaptive(m, 1e-8, preds, cfg, false)
+		clk.SetAutoStep(gateStep(m.NNZ(), 1.5*float64(left)))
+		ad := core.NewAdaptive(m, 1e-8, preds, replayConfig(clk), false)
 		driveLoop(ad, 20, spmvPerIter, 0.664)
-		return ad.Stats()
+		return ad
 	}
-	if st := run(1); st.Stage2Ran {
+	if st := run(1).Stats(); st.Stage2Ran {
 		t.Errorf("1:1 loop with %d iterations left passed a gate asking for %.0f calls", left, 1.5*float64(left))
 	}
-	st := run(2)
-	if !st.Stage2Ran {
+	ad := run(2)
+	if !ad.Stats().Stage2Ran {
 		t.Fatalf("2:1 loop with %d iterations (%d calls) left did not pass a gate asking for %.0f calls", left, 2*left, 1.5*float64(left))
 	}
-	if st.Decision.Remaining != float64(2*left) {
-		t.Errorf("Decision.Remaining = %g, want %d = 2 x %d iterations left", st.Decision.Remaining, 2*left, left)
+	if got := fetchTrace(t, ad).PredictedCostByFormat["CSR"]; got != float64(2*left) {
+		t.Errorf("decision's remaining calls (its stay cost) = %g, want %d = 2 x %d iterations left", got, 2*left, left)
 	}
 }

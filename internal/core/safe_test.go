@@ -4,11 +4,13 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
+	"repro/internal/timing"
 )
 
 // TestSafeAdaptiveConcurrentHammer drives one Adaptive from many goroutines
@@ -40,7 +42,6 @@ func TestSafeAdaptiveConcurrentHammer(t *testing.T) {
 				sa.RecordProgress(r)
 				_ = sa.Stats()
 				_ = sa.Format()
-				_ = sa.OverheadSeconds()
 			}
 		}(w)
 	}
@@ -108,8 +109,9 @@ func TestSafeAdaptivePipelineOnce(t *testing.T) {
 // and the solve must come out as it does on the CSR master.
 func TestAdaptiveLibraryShapeUnderHammer(t *testing.T) {
 	m := genCSR(t, matgen.FamStencil2D, 3600, 5)
-	cfg := core.Config{Margin: 0.1}
-	ad := core.NewAdaptive(m, 1e-12, sellPreds(t, m), cfg, false)
+	clk := timing.NewFakeClock()
+	clk.SetAutoStep(time.Millisecond) // every SpMV 1 ms: the overhead gate opens
+	ad := core.NewAdaptive(m, 1e-12, sellPreds(t, m), replayConfig(clk), false)
 	rows, cols := ad.Dims()
 	b := make([]float64, rows)
 	for i := range b {

@@ -34,6 +34,32 @@ const (
 	// TH is the minimum predicted number of REMAINING iterations for
 	// stage 2 to be worth invoking.
 	TH = 15
+
+	// gateOverheadFactor makes the stage-1 gate overhead-conscious about
+	// stage 2 itself: stage 2 runs only when the predicted remaining calls
+	// exceed gateOverheadFactor x the estimated feature-extraction cost (in
+	// SpMV calls), as well as TH. The paper's fixed TH = 15 assumes
+	// extraction costs 2-4 SpMV calls; when a platform's ratio is worse, a
+	// fixed threshold lets the predictor's own overhead cause the very
+	// slowdowns it exists to prevent (the §III-B chicken-egg dilemma).
+	gateOverheadFactor = 5
+	// featureSecondsPerNNZ estimates extraction cost before paying it
+	// (used with the wrapper's self-measured SpMV time to compute the gate
+	// threshold). It is measured, not hoped for, and measured where it is
+	// paid: inside a solver loop, on caches the solver just filled,
+	// features.Extract costs 7-17 ns per nonzero on the benchmark's
+	// 2M-nonzero matrices (3D stencil 7-11, median 8.0; power-law
+	// transition 7.5-17, median 9.1; twenty solve_short passes), so 8e-9 is
+	// its low middle. Warm and alone it is faster: the benchmark's
+	// features.extract_ns_per_nnz probe reads 5-9 on every traced run, and
+	// when extraction gets cheaper that number says by how much to lower
+	// this one.
+	featureSecondsPerNNZ = 8e-9
+	// predictFixedSeconds is the size-independent part of the stage-2
+	// overhead estimate (model inference, allocations, cold caches). On
+	// tiny matrices whose whole solve lasts milliseconds this fixed cost is
+	// what dominates, so the gate must know about it.
+	predictFixedSeconds = 300e-6
 )
 
 // Config holds the selector's knobs.
@@ -45,31 +71,6 @@ type Config struct {
 	// the margin, noise flips marginal decisions into slowdowns — the
 	// "maximize speedups while avoiding large slowdowns" goal of §IV-B.
 	Margin float64
-	// GateOverheadFactor makes the stage-1 gate overhead-conscious about
-	// stage 2 itself: stage 2 runs only when the predicted remaining
-	// iterations exceed both TH and GateOverheadFactor x the estimated
-	// feature-extraction cost (in SpMV calls). The paper's fixed TH = 15
-	// assumes extraction costs 2-4 SpMV calls; when a platform's ratio is
-	// worse, a fixed threshold lets the predictor's own overhead cause the
-	// very slowdowns it exists to prevent (the §III-B chicken-egg dilemma).
-	GateOverheadFactor float64
-	// FeatureSecondsPerNNZ estimates extraction cost before paying it
-	// (used with the wrapper's self-measured SpMV time to compute the
-	// gate threshold). The default is measured, not hoped for, and measured
-	// where it is paid: inside a solver loop, on caches the solver just
-	// filled, features.Extract costs 7-17 ns per nonzero on the
-	// benchmark's 2M-nonzero matrices (3D stencil 7-11, median 8.0;
-	// power-law transition 7.5-17, median 9.1; twenty solve_short passes),
-	// so 8e-9 is its low middle. Warm and alone it is faster: the
-	// benchmark's features.extract_ns_per_nnz probe reads 5-9 on every
-	// traced run, and when extraction gets cheaper that number says by how
-	// much to lower this one.
-	FeatureSecondsPerNNZ float64
-	// PredictFixedSeconds is the size-independent part of the stage-2
-	// overhead estimate (model inference, allocations, cold caches). On
-	// tiny matrices whose whole solve lasts milliseconds this fixed cost
-	// is what dominates, so the gate must know about it.
-	PredictFixedSeconds float64
 	// ConvCache, when non-nil, is the cross-handle conversion cache: stage 2
 	// consults it before pricing candidates (a cached format's T_convert is
 	// zero, which can flip a stay decision into a convert), adopts a
@@ -91,16 +92,9 @@ type Config struct {
 	Clock timing.Clock
 }
 
-// DefaultConfig is a 10% decision margin, the overhead-conscious gate and
-// the default conversion limits.
+// DefaultConfig is a 10% decision margin and the default conversion limits.
 func DefaultConfig() Config {
-	return Config{
-		Margin:               0.10,
-		GateOverheadFactor:   5,
-		FeatureSecondsPerNNZ: 8e-9,
-		PredictFixedSeconds:  300e-6,
-		Lim:                  sparse.DefaultLimits,
-	}
+	return Config{Margin: 0.10, Lim: sparse.DefaultLimits}
 }
 
 // Predictors is the trained stage-2 model bundle. ConvTime[f] predicts

@@ -145,10 +145,10 @@ func TestTraceMarginGateUsesDecisionStayCost(t *testing.T) {
 		t.Fatalf("stage 2 never ran: %+v", st)
 	}
 	stay := float64(st.PredictedTotal - 15)
-	if got := st.Decision.PredictedCost[sparse.FmtCSR]; got != stay {
+	tr := fetchTrace(t, ad)
+	if got := tr.PredictedCostByFormat["CSR"]; got != stay {
 		t.Fatalf("decision stay cost %g, want the remaining calls %g", got, stay)
 	}
-	tr := fetchTrace(t, ad)
 	for _, g := range tr.Gates {
 		if g.Name != "stay_cost*(1-margin)>=best_alt" {
 			continue
@@ -156,7 +156,7 @@ func TestTraceMarginGateUsesDecisionStayCost(t *testing.T) {
 		if want := stay * (1 - cfg.Margin); g.LHS != want {
 			t.Errorf("margin gate LHS = %g, want stay cost x (1-margin) = %g", g.LHS, want)
 		}
-		if alt := st.Decision.PredictedCost[sparse.FmtSELL]; g.RHS != alt {
+		if alt := tr.PredictedCostByFormat["SELL"]; g.RHS != alt {
 			t.Errorf("margin gate RHS = %g, want SELL's cost %g", g.RHS, alt)
 		}
 		if g.Passed != (g.RHS < g.LHS) {

@@ -35,7 +35,7 @@ func TestTraceLedgerConverted(t *testing.T) {
 
 	st := ad.Stats()
 	if !st.Converted {
-		t.Fatalf("banded long loop did not convert: %+v", st.Decision)
+		t.Fatalf("banded long loop did not convert: %+v", st)
 	}
 	tr := fetchTrace(t, ad)
 
@@ -188,7 +188,7 @@ func TestTraceLedgerBreakEven(t *testing.T) {
 	// 15 iterations at 1ms trip the pipeline on the 15th progress report.
 	driveLoop(ad, 15, 1, 0.995)
 	if st := ad.Stats(); !st.Converted {
-		t.Fatalf("pipeline did not convert: %+v", st.Decision)
+		t.Fatalf("pipeline did not convert: %+v", st)
 	}
 	// The "conversion payoff": post-decision SpMV calls measure 0.1ms.
 	clk.SetAutoStep(100 * time.Microsecond)

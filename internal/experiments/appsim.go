@@ -72,7 +72,7 @@ func (c *Context) Simulate(tr *Trace) SimOutcome {
 		remaining, out.Gates, out.Stage2Ran = core.Gates(core.GateInput{
 			Total: total, Iterations: core.K, Calls: int64(seen),
 			SpMVSeconds: s.CSRTime, NNZ: tr.Operand.NNZ(),
-		}, core.DefaultConfig())
+		})
 		if out.Stage2Ran {
 			out.OCFormat = c.decide(s, tr.Operand, remaining)
 			overhead += c.stage2Norm(s)

@@ -57,11 +57,15 @@ func TestSimulateAgreesWithAdaptive(t *testing.T) {
 			if !sameGates(gates, want.Gates) {
 				t.Errorf("%s: adaptive gates %+v, simulated %+v", name, gates, want.Gates)
 			}
-			got := sparse.FmtCSR
-			if st.Stage2Ran {
-				got = st.Decision.Format
+			// The decide stage names the argmin's pick, which Chosen falls
+			// back from to CSR when the format has no conversion.
+			got := sparse.FmtCSR.String()
+			for _, s := range rec.Stages {
+				if s.Name == "selector.decide" {
+					got = s.Attrs["format"]
+				}
 			}
-			if got != want.OCFormat {
+			if got != want.OCFormat.String() {
 				t.Errorf("%s: adaptive picked %v, simulated %v", name, got, want.OCFormat)
 			}
 		}

@@ -73,7 +73,7 @@ func (c *Context) RunStage1() (*Stage1Report, error) {
 	// thPassed is core.Gates' remaining>=TH verdict (its first gate) on a
 	// forecast total; a failed forecast counts as 0.
 	thPassed := func(total int) bool {
-		_, gates, _ := core.Gates(core.GateInput{Total: total, Iterations: core.K}, core.DefaultConfig())
+		_, gates, _ := core.Gates(core.GateInput{Total: total, Iterations: core.K})
 		return gates[0].Passed
 	}
 	for _, app := range AllApps {

@@ -87,10 +87,9 @@ func (t *Table3) Render() string {
 // overhead-conscious criterion at Iter = 100 and Iter = 1000 — the paper's
 // Table IV. Oracle costs, no prediction.
 type Table4 struct {
-	Iters  []float64
-	OO     map[sparse.Format]int
-	OC     map[float64]map[sparse.Format]int
-	Phases int
+	Iters []float64
+	OO    map[sparse.Format]int
+	OC    map[float64]map[sparse.Format]int
 }
 
 // RunTable4 computes the favorite-format distribution.
@@ -183,7 +182,7 @@ func (c *Context) RunFig5(iters ...float64) *Fig5 {
 			// through the gates core.Adaptive runs.
 			f, overhead := sparse.FmtCSR, 0.0
 			gate := core.GateInput{Total: int(it), SpMVSeconds: s.CSRTime, NNZ: m.NNZ()}
-			if remaining, _, run := core.Gates(gate, core.DefaultConfig()); run {
+			if remaining, _, run := core.Gates(gate); run {
 				f, overhead = c.decide(s, m, remaining), c.stage2Norm(s)
 			}
 			oc = append(oc, price(f, overhead))

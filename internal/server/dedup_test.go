@@ -7,14 +7,12 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/gbt"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
-	"repro/internal/timing"
 	"repro/internal/trainer"
 )
 
@@ -24,7 +22,7 @@ import (
 // published conversion for free), and the blocked SpMM endpoint.
 
 func TestDedupAliasAndDeleteLifecycle(t *testing.T) {
-	s, ts := newTestServer(t, Config{Selector: testSelector()})
+	s, ts := newTestServer(t, Config{})
 	spec := &GenerateSpec{Family: "banded", Size: 500, Degree: 5, Seed: 42}
 	a := register(t, ts.URL, RegisterRequest{Name: "orig", Generate: spec})
 	b := register(t, ts.URL, RegisterRequest{Name: "copy", Generate: spec})
@@ -97,14 +95,8 @@ func TestDedupAliasAndDeleteLifecycle(t *testing.T) {
 // bill accounted as hidden, and the convcache/dedup metric families visible
 // on /metrics.
 func TestSecondTenantAdoptsCachedConversion(t *testing.T) {
-	clk := timing.NewFakeClock()
-	clk.SetAutoStep(time.Millisecond)
 	seed := constBundle(t, 0.05, 0.0)
-	_, ts := newTestServer(t, Config{
-		Preds:    seed,
-		Selector: scriptedSelector(clk),
-		Workers:  1,
-	})
+	_, ts := newTestServer(t, Config{Preds: seed, Clock: gateClock(), Workers: 1})
 
 	info1, sol1 := solveJacobi(t, ts.URL, 1)
 	if !sol1.Selector.Converted || sol1.Selector.Format != "SELL" {
@@ -166,7 +158,7 @@ func TestSecondTenantAdoptsCachedConversion(t *testing.T) {
 }
 
 func TestSpMMEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, Config{Selector: testSelector()})
+	s, ts := newTestServer(t, Config{})
 	info := register(t, ts.URL, RegisterRequest{
 		Name:     "banded",
 		Generate: &GenerateSpec{Family: "banded", Size: 400, Degree: 5, Seed: 7},
@@ -248,12 +240,7 @@ func TestSpMMEndpoint(t *testing.T) {
 // gets the same reply, byte for byte, before and after a solve converts the
 // handle's SpMV format.
 func TestSpMMReplySameBytesAcrossFormatSwap(t *testing.T) {
-	clk := timing.NewFakeClock()
-	clk.SetAutoStep(time.Millisecond)
-	_, ts := newTestServer(t, Config{
-		Preds:    constBundle(t, 0.05, 0.0),
-		Selector: scriptedSelector(clk),
-	})
+	_, ts := newTestServer(t, Config{Preds: constBundle(t, 0.05, 0.0), Clock: gateClock()})
 	info := register(t, ts.URL, RegisterRequest{
 		Name:     "swap",
 		Generate: &GenerateSpec{Family: "stencil2d", Size: 3600},
@@ -313,18 +300,6 @@ func constBundle(t *testing.T, spmvNorm, convNorm float64) *core.Predictors {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// scriptedSelector scripts every selector timing with a fake clock (each
-// timed region measures exactly one auto-step), mirroring the core replay
-// tests so the whole server pipeline becomes deterministic.
-func scriptedSelector(clk timing.Clock) *core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Clock = clk
-	cfg.GateOverheadFactor = 10
-	cfg.PredictFixedSeconds = 1e-3
-	cfg.FeatureSecondsPerNNZ = 1e-15
-	return &cfg
 }
 
 // solveJacobi registers a stencil matrix and runs the non-converging

@@ -184,26 +184,37 @@ func (e *Envelope) Fail(w http.ResponseWriter, code int, format string, args ...
 }
 
 // Decode parses the JSON request body into v (unknown fields are rejected),
-// answering 400 itself on failure.
+// answering itself on failure: 413 for a body past maxBodyBytes, else 400.
 func (e *Envelope) Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		e.Fail(w, http.StatusBadRequest, "decoding request body: %v", err)
+		e.failBody(w, err)
 		return false
 	}
 	return true
 }
 
+// failBody answers a request whose body could not be read or parsed: 413
+// when the body ran past maxBodyBytes, 400 for anything else.
+func (e *Envelope) failBody(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	e.Fail(w, code, "decoding request body: %v", err)
+}
+
 // ReadPanel reads a /spmv or /spmm request into a pooled buffer (hand it back
 // with wire.PutBuf), scans it and checks its shape against a matrix of cols
 // columns — at least one vector, each of cols entries; k is how many. No
-// float is converted. It answers 400 itself on failure, like Decode, with the
-// same messages on both tiers.
+// float is converted. It answers itself on failure, like Decode, with the
+// same statuses and messages on both tiers.
 func (e *Envelope) ReadPanel(w http.ResponseWriter, r *http.Request, cols int) (body *[]byte, lay wire.Layout, k int, ok bool) {
 	body, err := wire.ReadBody(r.Body, r.ContentLength)
 	if err != nil {
-		e.Fail(w, http.StatusBadRequest, "decoding request body: %v", err)
+		e.failBody(w, err)
 		return nil, lay, 0, false
 	}
 	if lay, err = wire.ScanRequest(*body); err != nil {

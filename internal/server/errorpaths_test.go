@@ -67,7 +67,7 @@ func TestRegisterMalformedUploadSurfacesFileLine(t *testing.T) {
 }
 
 func TestRegisterOversizedMatrixRejected(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxRegistryNNZ: 1000, Selector: testSelector()})
+	s, ts := newTestServer(t, Config{MaxRegistryNNZ: 1000})
 	code, body := call(t, "POST", ts.URL+"/v1/matrices", RegisterRequest{
 		Name:     "too-big",
 		Generate: &GenerateSpec{Family: "banded", Size: 600, Degree: 5, Seed: 1},
@@ -99,7 +99,7 @@ func TestRegisterOversizedMatrixRejected(t *testing.T) {
 // fatal error inside the generator.) 200 000 uniform rows of 8 would
 // allocate about 50 MB before the registry said no.
 func TestGenerateSpecPastCapacityRefusedBeforeGenerating(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxRegistryNNZ: 10_000, Selector: testSelector()})
+	s, ts := newTestServer(t, Config{MaxRegistryNNZ: 10_000})
 	req := RegisterRequest{Name: "huge", Generate: &GenerateSpec{Family: "uniform", Size: 200_000, Degree: 8}}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -120,7 +120,7 @@ func TestEvictionUnderConcurrentSolve(t *testing.T) {
 	// Capacity fits exactly one of the matrices below, so every successful
 	// registration evicts the previous handle while solves may still be
 	// running against it.
-	s, ts := newTestServer(t, Config{MaxRegistryNNZ: 10_000, Selector: testSelector()})
+	s, ts := newTestServer(t, Config{MaxRegistryNNZ: 10_000})
 	spec := &GenerateSpec{Family: "stencil2d", Size: 1600, Seed: 3} // 40x40 grid, ~7.8k nnz
 	first := register(t, ts.URL, RegisterRequest{Name: "victim", Generate: spec})
 

@@ -13,10 +13,9 @@ import (
 // product on the same handle (it runs on the immutable CSR master), a blocked
 // product on another handle, and that other handle's deletion.
 func TestRequestsDoNotWaitForTheHandle(t *testing.T) {
-	sel := testSelector()
-	_, ts := newTestServer(t, Config{Selector: sel, Workers: 4})
-	clk := newParkClock(t) // after the server: released before it shuts down
-	sel.Clock = clk
+	clk := newParkClock(t)
+	_, ts := newTestServer(t, Config{Clock: clk, Workers: 4})
+	t.Cleanup(clk.Release) // after the server's: released before it shuts down
 	busy := register(t, ts.URL, RegisterRequest{Name: "busy", Generate: &GenerateSpec{Family: "banded", Size: 400, Degree: 5, Seed: 1}})
 	other := register(t, ts.URL, RegisterRequest{Name: "other", Generate: &GenerateSpec{Family: "random", Size: 300, Degree: 4, Seed: 2}})
 

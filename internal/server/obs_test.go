@@ -55,7 +55,7 @@ func driveSolve(t *testing.T, base string) MatrixInfo {
 // /metrics response must be valid Prometheus text carrying at least the six
 // latency histogram families, verified by the package's own parser.
 func TestMetricsPrometheusExposition(t *testing.T) {
-	_, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Selector: testSelector()})
+	_, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Clock: gateClock()})
 	driveSolve(t, ts.URL)
 
 	code, ctype, body := get(t, ts.URL+"/metrics")
@@ -155,7 +155,7 @@ func TestBuildInfoEndpoint(t *testing.T) {
 }
 
 func TestDecisionsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Selector: testSelector()})
+	_, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Clock: gateClock()})
 
 	var empty DecisionsResponse
 	if code, _ := call(t, "GET", ts.URL+"/debug/decisions", nil, &empty); code != http.StatusOK || empty.Count != 0 {
@@ -185,7 +185,7 @@ func TestDecisionsEndpoint(t *testing.T) {
 }
 
 func TestTraceEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Selector: testSelector()})
+	_, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Clock: gateClock()})
 
 	// A handle whose pipeline has not run yet answers 409, not 404.
 	fresh := register(t, ts.URL, RegisterRequest{

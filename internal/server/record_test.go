@@ -19,7 +19,7 @@ import (
 // evicts the first's, and the first handle still answers /v1/trace with its
 // ledger growing over later products.
 func TestRecordOutlivesItsJournalEntry(t *testing.T) {
-	s, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Selector: testSelector()})
+	s, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Clock: gateClock()})
 	s.journal = obs.NewJournal(1)
 	first := driveSolve(t, ts.URL)
 	driveSolve(t, ts.URL)
@@ -67,7 +67,7 @@ func TestRecordOutlivesItsJournalEntry(t *testing.T) {
 func TestFoldRunsOnFailure(t *testing.T) {
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(250 * time.Millisecond)
-	s, ts := newTestServer(t, Config{Preds: constBundle(t, 0.05, 0), Selector: scriptedSelector(clk)})
+	s, ts := newTestServer(t, Config{Preds: constBundle(t, 0.05, 0), Clock: clk})
 	info := register(t, ts.URL, RegisterRequest{
 		Name:     "deadline",
 		Generate: &GenerateSpec{Family: "stencil2d", Size: 3600},

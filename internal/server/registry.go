@@ -92,14 +92,8 @@ func (h *Handle) Usage() (spmvCalls, solveCalls int64) {
 }
 
 // dedupKey is the identity handles are deduplicated on: structure AND
-// values. Empty when either hash is missing (handles built outside the
-// register path), which opts the handle out of dedup entirely.
-func (h *Handle) dedupKey() string {
-	if h.Fingerprint == "" || h.ValueDigest == "" {
-		return ""
-	}
-	return h.Fingerprint + "|" + h.ValueDigest
-}
+// values.
+func (h *Handle) dedupKey() string { return h.Fingerprint + "|" + h.ValueDigest }
 
 // dedupGroup tracks the handles sharing one backing matrix. Exactly one
 // member — chargedID — is billed for the group's nnz/bytes; deleting it
@@ -123,7 +117,7 @@ type Registry struct {
 	maxNNZ  int64
 	curNNZ  int64
 	entries map[string]*regEntry
-	groups  map[string]*dedupGroup // dedupKey -> group, only keyed handles
+	groups  map[string]*dedupGroup // dedupKey -> group, one per resident matrix
 	lru     *list.List             // front = most recently used; values are *Handle
 	nextID  int64
 	metrics *Metrics
@@ -154,22 +148,13 @@ func NewRegistry(maxNNZ int64, m *Metrics) *Registry {
 // it before building a wrapper so a duplicate upload aliases the resident
 // arrays instead of keeping a second copy alive.
 func (r *Registry) FindDuplicate(fp, vd string) (*Handle, bool) {
-	if fp == "" || vd == "" {
-		return nil, false
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.groups[fp+"|"+vd]
-	if g == nil || len(g.members) == 0 {
+	if g == nil {
 		return nil, false
 	}
-	if h := g.members[g.chargedID]; h != nil {
-		return h, true
-	}
-	for _, h := range g.members {
-		return h, true
-	}
-	return nil, false
+	return g.members[g.chargedID], true
 }
 
 // Add registers a handle, assigning it a fresh ID, evicting LRU handles as
@@ -184,8 +169,7 @@ func (r *Registry) Add(h *Handle) (evicted []string, err error) {
 	key := h.dedupKey()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g := r.groups[key]
-	if key != "" && g != nil && len(g.members) > 0 {
+	if g := r.groups[key]; g != nil {
 		r.nextID++
 		h.ID = fmt.Sprintf("m%d", r.nextID)
 		h.AliasOf = g.chargedID
@@ -213,13 +197,11 @@ func (r *Registry) Add(h *Handle) (evicted []string, err error) {
 	h.ID = fmt.Sprintf("m%d", r.nextID)
 	h.AliasOf = ""
 	r.entries[h.ID] = &regEntry{h: h, elem: r.lru.PushFront(h)}
-	if key != "" {
-		r.groups[key] = &dedupGroup{
-			members:   map[string]*Handle{h.ID: h},
-			chargedID: h.ID,
-			nnz:       nnz,
-			bytes:     h.csr.Bytes(),
-		}
+	r.groups[key] = &dedupGroup{
+		members:   map[string]*Handle{h.ID: h},
+		chargedID: h.ID,
+		nnz:       nnz,
+		bytes:     h.csr.Bytes(),
 	}
 	r.curNNZ += nnz
 	r.metrics.RegistryMatrices.Add(1)
@@ -252,35 +234,28 @@ func (r *Registry) Delete(id string) bool {
 }
 
 // removeLocked unlinks an entry and updates occupancy metrics. Caller holds
-// r.mu and has verified the ID exists. For deduplicated handles, removing
-// the charged member while aliases survive transfers the charge (the shared
-// arrays are still resident); only the group's last member releases
-// capacity.
+// r.mu and has verified the ID exists. Removing the charged member while
+// aliases survive transfers the charge (the shared arrays are still
+// resident); only the group's last member releases capacity.
 func (r *Registry) removeLocked(id string) {
 	e := r.entries[id]
 	r.lru.Remove(e.elem)
 	delete(r.entries, id)
 	r.metrics.RegistryMatrices.Add(-1)
-	if key := e.h.dedupKey(); key != "" {
-		if g := r.groups[key]; g != nil {
-			delete(g.members, id)
-			if len(g.members) == 0 {
-				delete(r.groups, key)
-				r.curNNZ -= g.nnz
-				r.metrics.RegistryNNZ.Add(-g.nnz)
-				r.metrics.RegistryBytes.Add(-g.bytes)
-			} else if g.chargedID == id {
-				for mid := range g.members {
-					g.chargedID = mid
-					break
-				}
-			}
-			return
+	key := e.h.dedupKey()
+	g := r.groups[key]
+	delete(g.members, id)
+	if len(g.members) == 0 {
+		delete(r.groups, key)
+		r.curNNZ -= g.nnz
+		r.metrics.RegistryNNZ.Add(-g.nnz)
+		r.metrics.RegistryBytes.Add(-g.bytes)
+	} else if g.chargedID == id {
+		for mid := range g.members {
+			g.chargedID = mid
+			break
 		}
 	}
-	r.curNNZ -= int64(e.h.NNZ)
-	r.metrics.RegistryNNZ.Add(-int64(e.h.NNZ))
-	r.metrics.RegistryBytes.Add(-e.h.csr.Bytes())
 }
 
 // List snapshots the registered handles, most recently used first.

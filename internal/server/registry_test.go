@@ -1,6 +1,7 @@
 package server
 
 import (
+	"hash/crc32"
 	"math/rand"
 	"sync"
 	"testing"
@@ -55,10 +56,13 @@ func within(t *testing.T, what string, done <-chan struct{}) {
 }
 
 // makeHandle builds an unregistered handle around an n x n single-diagonal
-// matrix (nnz == n), so capacity arithmetic in the tests is exact.
+// matrix (nnz == n), so capacity arithmetic in the tests is exact. Its
+// values are seeded by name, so differently named handles hold different
+// matrices, and it carries the fingerprint and value digest the register
+// path computes.
 func makeHandle(t *testing.T, name string, n int) *Handle {
 	t.Helper()
-	csr, err := matgen.Banded(n, 1, rand.New(rand.NewSource(1)))
+	csr, err := matgen.Banded(n, 1, rand.New(rand.NewSource(int64(crc32.ChecksumIEEE([]byte(name))))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +74,7 @@ func makeHandle(t *testing.T, name string, n int) *Handle {
 	return &Handle{
 		Name: name, Rows: rows, Cols: cols, NNZ: csr.NNZ(),
 		Tol: 1e-8, Created: time.Now(), SA: ad, csr: csr,
+		Fingerprint: csr.Fingerprint(), ValueDigest: csr.ValueDigest(),
 	}
 }
 
@@ -185,12 +190,12 @@ func TestRegistryDeleteLifecycle(t *testing.T) {
 func TestRegistryAliasOfFollowsTheGroupJoined(t *testing.T) {
 	m := &Metrics{}
 	r := NewRegistry(1000, m)
-	keyed := func(name string) *Handle {
-		h := makeHandle(t, name, 100)
-		h.Fingerprint, h.ValueDigest = h.csr.Fingerprint(), h.csr.ValueDigest()
+	copyNamed := func(name string) *Handle { // one matrix under each name
+		h := makeHandle(t, "copy", 100)
+		h.Name = name
 		return h
 	}
-	orig := keyed("orig")
+	orig := copyNamed("orig")
 	if _, err := r.Add(orig); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +203,7 @@ func TestRegistryAliasOfFollowsTheGroupJoined(t *testing.T) {
 	if !ok || dup.ID != orig.ID {
 		t.Fatalf("FindDuplicate = %v, %v; want %s", dup, ok, orig.ID)
 	}
-	late := keyed("late")
+	late := copyNamed("late")
 	late.AliasOf = dup.ID
 	if !r.Delete(orig.ID) {
 		t.Fatal("Delete failed")
@@ -216,7 +221,7 @@ func TestRegistryAliasOfFollowsTheGroupJoined(t *testing.T) {
 		t.Errorf("occupancy %d, want 100: the new original is charged in full", cur)
 	}
 
-	twin := keyed("twin")
+	twin := copyNamed("twin")
 	twin.AliasOf = orig.ID
 	if _, err := r.Add(twin); err != nil {
 		t.Fatal(err)

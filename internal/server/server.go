@@ -45,6 +45,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/sparse"
+	"repro/internal/timing"
 	"repro/internal/wire"
 )
 
@@ -64,9 +65,10 @@ type Config struct {
 	// Preds is the trained stage-2 predictor bundle; nil runs stage 1 only
 	// (matrices then never convert, but tripcount stats still accumulate).
 	Preds *core.Predictors
-	// Selector overrides the selector configuration; nil uses
-	// core.DefaultConfig().
-	Selector *core.Config
+	// Clock is every handle's selector clock (core.Config.Clock); nil
+	// means the wall clock. Tests inject a timing.FakeClock to script the
+	// SpMV times the stage-2 overhead gate judges.
+	Clock timing.Clock
 	// Async is ignored: every handle runs stage 2 inline, inside the
 	// request whose progress report opens the gate. The field remains only
 	// because benchmark/ compiles against it and leaves with that module's
@@ -523,9 +525,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		csr = dup.CSR()
 	}
 	selCfg := core.DefaultConfig()
-	if s.cfg.Selector != nil {
-		selCfg = *s.cfg.Selector
-	}
+	selCfg.Clock = s.cfg.Clock
 	// Wire the conversion cache: any conversion this handle's pipeline pays
 	// for is published under the matrix identity, and a conversion already
 	// published by an earlier tenant is adopted with zero residual

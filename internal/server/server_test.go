@@ -17,13 +17,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/matgen"
 	"repro/internal/obs"
+	"repro/internal/timing"
 )
 
-// testSelector disables the platform-calibrated stage-2 gate so selector
-// behavior in tests is deterministic: stage 2 runs whenever stage 1
-// predicts >= TH remaining iterations.
-func testSelector() *core.Config {
-	return &core.Config{Margin: 0.1}
+// gateClock is the selector clock of a test that needs a deterministic
+// stage 2: every timed region, each sampled SpMV among them, takes exactly
+// 1 ms of fake time. Against the overhead gate ocsd runs — 5 · (300 µs +
+// 8 ns · nnz) / 1 ms remaining calls — stage 2 then runs whenever stage 1
+// predicts TH iterations left on a matrix under 300 000 nonzeros.
+func gateClock() *timing.FakeClock {
+	clk := timing.NewFakeClock()
+	clk.SetAutoStep(time.Millisecond)
+	return clk
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -230,7 +235,7 @@ func TestSolveDrivesTwoStageSelector(t *testing.T) {
 	// Empty (but non-nil) predictors run the full pipeline yet can never
 	// pick a conversion, so the outcome is deterministic: stage 2 runs and
 	// the conversion is "avoided".
-	s, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Selector: testSelector()})
+	s, ts := newTestServer(t, Config{Preds: core.NewPredictors(), Clock: gateClock()})
 	info := register(t, ts.URL, RegisterRequest{
 		Name:     "poisson",
 		Generate: &GenerateSpec{Family: "stencil2d", Size: 3600},

@@ -17,9 +17,9 @@ func TestAsyncConfigRunsStage2Inline(t *testing.T) {
 	clk := timing.NewFakeClock()
 	clk.SetAutoStep(250 * time.Millisecond)
 	_, ts := newTestServer(t, Config{
-		Async:    true,
-		Preds:    constBundle(t, 0.05, 0.0),
-		Selector: scriptedSelector(clk),
+		Async: true,
+		Preds: constBundle(t, 0.05, 0.0),
+		Clock: clk,
 	})
 	_, sol := solveJacobi(t, ts.URL, 1)
 	st := sol.Selector
