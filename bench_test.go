@@ -1,7 +1,7 @@
 package ocs
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the index), plus kernel-level benches
+// evaluation (see DESIGN.md §14 for the index), plus kernel-level benches
 // for the SpMV and conversion substrate. The experiment benches run on the
 // deterministic model oracle so their reported metrics are stable; the
 // kernel benches measure the real Go kernels on this machine.
@@ -281,7 +281,7 @@ func pow(x, p float64) float64 {
 // benchMats caches the kernel benches' matrices, the crossover audit's panel
 // classes (experiments.Panel) keyed by class name. BenchmarkSpMV and
 // BenchmarkConvert time every implemented format's kernel and conversion on
-// them: per-kernel numbers beside `ocsel audit`'s table (DESIGN.md §19),
+// them: per-kernel numbers beside `ocsel audit`'s table (DESIGN.md §6),
 // which prices the same formats through the oracle call that labels the
 // training data and decides which stay built.
 var (

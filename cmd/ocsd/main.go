@@ -27,7 +27,7 @@
 // Without predictors only stage 1 (tripcount prediction) runs and matrices
 // never convert — useful for functional testing. The bundle is fixed for
 // the life of the process; to change it, re-run `ocsel train` and restart
-// (DESIGN.md §14).
+// (DESIGN.md §5).
 package main
 
 import (

@@ -63,9 +63,7 @@ func cmdPredict(args []string) error {
 		return err
 	}
 	cfg := core.DefaultConfig()
-	set := features.Extract(a)
-	blocks := features.CountBlocks(a, cfg.Lim.BSRBlockSize)
-	d := preds.Decide(set, blocks, *iters, cfg.Lim, cfg.Margin)
+	d := preds.Decide(features.Extract(a), 0, *iters, cfg.Lim, cfg.Margin)
 
 	fmt.Printf("decision at %g remaining SpMV calls: %v\n\n", *iters, d.Format)
 	fmt.Printf("%-6s %16s\n", "format", "predicted cost")

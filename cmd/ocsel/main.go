@@ -6,7 +6,7 @@
 //	ocsel exp <id> [flags]     regenerate a paper table/figure
 //	ocsel train [flags]        train and persist the predictor bundle
 //	ocsel run [flags]          run an application on a .mtx file
-//	ocsel audit [-matrix FILE] print the measured crossover table (DESIGN.md §19)
+//	ocsel audit [-matrix FILE] print the measured crossover table (DESIGN.md §6)
 //
 // Experiment ids: table3 table4 table5 fig2 fig5 fig6 table6 table7 table8
 // stage1 overhead solversel ablation-implicit ablation-nogate

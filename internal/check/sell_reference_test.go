@@ -10,7 +10,7 @@ import (
 )
 
 // referenceSELLLayout is the SELL-C-σ geometry written straight from its
-// rule (DESIGN.md §19), with none of sparse.NewSELLLayout's shortcuts: at
+// rule (DESIGN.md §6), with none of sparse.NewSELLLayout's shortcuts: at
 // every rung of the ladder 64 → 4096 → 32768 it stable-sorts each σ-window
 // by descending row length and counts the padded slots, and it takes the
 // rung while the rung is at most half the matrix and cuts the slots of the

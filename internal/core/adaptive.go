@@ -317,18 +317,11 @@ func (ad *Adaptive) runStage2(remaining float64) (r stage2Result) {
 	csr, preds, cfg, clock := ad.csr, ad.preds, &ad.cfg, ad.clock
 	r.featureAt = clock.Now()
 	fs := features.Extract(csr)
-	// The block count is BSR's validity input and nothing else: a bundle
-	// with no BSR model (every measured one) skips the count.
-	bsrBlocks := 0
-	if preds.ConvTime[sparse.FmtBSR] != nil {
-		bsrBlocks = features.CountBlocks(csr, cfg.Lim.BSRBlockSize)
-	}
 	r.feature = timing.Since(clock, r.featureAt).Seconds()
 	cached := cachedFormats(cfg)
 	r.predictAt = clock.Now()
 	r.d = preds.DecideQuery(fs, Query{
-		BSRBlocks: bsrBlocks, Remaining: remaining,
-		Cached: cached, Lim: cfg.Lim, Margin: cfg.Margin,
+		Remaining: remaining, Cached: cached, Lim: cfg.Lim, Margin: cfg.Margin,
 	})
 	r.predict = timing.Since(clock, r.predictAt).Seconds()
 	r.fvec = fs.Vector()

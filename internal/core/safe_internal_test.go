@@ -27,8 +27,8 @@ func denseCSR(t *testing.T, n int) *sparse.CSR {
 
 // TestSafeAdaptiveSpMMInFlightBlocksNothing holds a real blocked product in
 // flight (a wide one, milliseconds long) and requires the handle's other
-// callers — SpMV, RecordProgress, a predictor swap, Stats — to
-// get through before it ends: the product takes no lock. What the selector
+// callers — SpMV, RecordProgress, Stats — to get through before it ends: the
+// product takes no lock. What the selector
 // measures must not change with that: the SpMV that shared the cores with the
 // product is served but is no sample of an SpMV's cost, for the gate before
 // the decision and for the ledger after it.

@@ -13,7 +13,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// The crossover audit (DESIGN.md §19): the paper's SpMVframe observation,
+// The crossover audit (DESIGN.md §6): the paper's SpMVframe observation,
 // that the best format is the T_convert + N·T_spmv argmin and so depends on
 // how many calls remain, read off the home-turf panel. Every price comes from
 // the oracle's Costs call, the one that labels the training data, and every

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md §4 for the experiment index). Each
+// evaluation section (see DESIGN.md §14 for the experiment index). Each
 // experiment is a pure function of a Context — a corpus, a cost oracle, and
 // a predictor bundle trained on a *separate* training corpus so the
 // reported numbers are out-of-sample — and returns a typed result with a

@@ -28,7 +28,7 @@ const maxTeamWorkers = 1024
 // for workers, so there is no deadlock and no goroutine explosion.
 //
 // Who runs a chunk is the scheduler's business: a worker is a goroutine, not
-// a core, and nothing here places threads or remembers owners (DESIGN §13
+// a core, and nothing here places threads or remembers owners (DESIGN §7
 // has the measurements that removed both, and the rule for bringing
 // placement back).
 //

@@ -11,7 +11,7 @@
 // BSR and CSR5 and the JDS extension are priced only: they keep their Format
 // numbers and the analytic model oracle the experiments run on prices them
 // from structure, but this build has no kernel or conversion for them
-// (DESIGN.md §19). SELL's sorting window follows the matrix's row lengths,
+// (DESIGN.md §6). SELL's sorting window follows the matrix's row lengths,
 // which makes JDS, its sigma = rows corner, redundant, and SELL's per-slice
 // padding covers ELL, its sigma = 1 corner, on every class ELL won.
 package sparse
@@ -56,7 +56,7 @@ var PaperFormats = []Format{FmtCSR, FmtCOO, FmtDIA, FmtELL, FmtHYB, FmtBSR, FmtC
 // machine's kernels holds and the runtime can select. A format is built iff,
 // without it, the best measured T_convert + N*T_spmv on some class of the
 // home-turf panel leaves the band of runs with it at some loop length N, as
-// `ocsel audit` prints it (DESIGN.md §19). COO, ELL, HYB, BSR, CSR5 and JDS
+// `ocsel audit` prints it (DESIGN.md §6). COO, ELL, HYB, BSR, CSR5 and JDS
 // are AllFormats' rest and stay only as prices: CanConvert answers false for
 // them, ConvertFromCSR names them priced-only, and a saved predictor bundle's
 // models for them are dropped at load.

@@ -12,7 +12,7 @@ import (
 // SELLC rows; each slice is padded only to its own maximum row length, which
 // bounds ELL's padding blowup while keeping a rectangular, vectorizable
 // layout. ELL (sigma 1, one slice) and JDS (sigma = rows, slices of one row)
-// are its corners; both are priced, not built (DESIGN.md §19). This format
+// are its corners; both are priced, not built (DESIGN.md §6). This format
 // is not part of the paper's original set — it is the "easily extended to
 // other formats" exercise the paper proposes, wired through the same
 // selection machinery.
@@ -28,7 +28,7 @@ const SELLPad int32 = -1
 // SELLC. sigma climbs a rung only while the rung stays at most half the
 // matrix — a window over the whole matrix is JDS's global order, which
 // scatters the result vector and measured slower than a windowed sort on
-// both large skewed panel classes (DESIGN.md §19) — and cuts the padded
+// both large skewed panel classes (DESIGN.md §6) — and cuts the padded
 // slots by more than sellClimbCut of the rung below.
 var sellSigmas = [...]int{64, 4096, 32768}
 

@@ -11,7 +11,7 @@
 // GOMAXPROCS, whether the blocks ran inline or on the team, whichever
 // worker claimed which block. Fusing is what the layer is for: these
 // kernels stream at the memory system's rate, so a pass costs its bytes,
-// and a solver iteration costs the streams it touches (DESIGN §18).
+// and a solver iteration costs the streams it touches (DESIGN §8).
 package vec
 
 import (

@@ -14,7 +14,7 @@
 //     other five, COO, ELL, HYB, BSR and CSR5, and the JDS extension are
 //     priced but not built: the analytic model oracle the experiments run
 //     on prices them from structure, and nothing converts to them
-//     (DESIGN.md §19),
+//     (DESIGN.md §6),
 //   - the paper's feature set and gradient-boosted regression models that
 //     predict normalized conversion and SpMV times,
 //   - the two-stage lazy-and-light selector that converts a matrix at

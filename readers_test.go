@@ -11,7 +11,7 @@ import (
 
 // TestEveryFamilyHasAReader holds both daemons' /metrics families to the
 // reader rule: each family pinned in a families file is read by a CI
-// assertion, a benchmark, an example or DESIGN §10's symbol map. A family
+// assertion, a benchmark, an example or DESIGN §12's symbol map. A family
 // nobody reads is deleted with the code that feeds it, not kept "in case".
 // The test reads files only; the pinned-families tests in internal/server
 // and internal/cluster keep those files equal to what the daemons export.
@@ -42,7 +42,7 @@ func TestEveryFamilyHasAReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	readers["DESIGN.md §10"] = symbolMap(t, read("DESIGN.md"))
+	readers["DESIGN.md's symbol map"] = symbolMap(t, read("DESIGN.md"))
 
 	for _, golden := range []string{
 		filepath.Join("internal", "server", "testdata", "metric_families.txt"),
@@ -64,21 +64,18 @@ func TestEveryFamilyHasAReader(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Errorf("%s: family %s has no reader in CI, benchmark/, examples/ or DESIGN §10's map; read it or delete it", golden, name)
+				t.Errorf("%s: family %s has no reader in CI, benchmark/, examples/ or DESIGN §12's map; read it or delete it", golden, name)
 			}
 		}
 	}
 }
 
-// symbolMap returns the table rows of DESIGN.md's §10, the map from
-// exported families to the paper's symbols.
+// symbolMap returns the rows of the table right under DESIGN.md's
+// "→ paper symbols" heading, the map from exported families to the paper's
+// symbols. It finds the section by its heading text, not its number.
 func symbolMap(t *testing.T, design string) string {
 	t.Helper()
-	_, sec, ok := strings.Cut(design, "\n## 10.")
-	if !ok {
-		t.Fatal("DESIGN.md has no §10")
-	}
-	sec, _, _ = strings.Cut(sec, "\n## ")
+	sec, _ := designSection(t, design, "→ paper symbols")
 	var rows []string
 	for _, line := range strings.Split(sec, "\n") {
 		if strings.HasPrefix(line, "|") {
@@ -86,7 +83,7 @@ func symbolMap(t *testing.T, design string) string {
 		}
 	}
 	if len(rows) == 0 {
-		t.Fatal("DESIGN.md §10 has no table")
+		t.Fatal("DESIGN.md's \"→ paper symbols\" section has no table")
 	}
 	return strings.Join(rows, "\n")
 }
